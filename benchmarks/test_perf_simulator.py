@@ -369,7 +369,7 @@ def test_perf_parallel_cycles():
 
 
 # ---------------------------------------------------------------------------
-# Pipelined engine: ε-coalescing + modeled latency vs the synchronous path
+# Pipelined engine: ε-coalescing + modeled latency vs zero-latency defaults
 # ---------------------------------------------------------------------------
 
 def _run_pipelined(executor, *, duration=1200.0, **knobs):
@@ -377,8 +377,8 @@ def _run_pipelined(executor, *, duration=1200.0, **knobs):
 
     Unlike ``_run_parallel_cycles`` the triggers here are queue-limit
     driven (huge deadline), so each shard fires on its *own* arrivals at
-    distinct instants — exactly the stream where the synchronous path
-    degenerates to batches of one (run inline, zero overlap) and only
+    distinct instants — exactly the stream where zero-latency cycles
+    degenerate to batches of one (run inline, zero overlap) and only
     ε-window coalescing plus fold deferral can recover parallelism.
     """
     estimator = trained_estimator(seed=7)
@@ -413,13 +413,12 @@ def _run_pipelined(executor, *, duration=1200.0, **knobs):
 
 def test_perf_pipelined_cycles():
     """The pipelined-engine gate: on a bursty arrival-driven stream,
-    ε-window coalescing + modeled scheduler latency + async submission
-    must beat the synchronous path by >=1.5x wall clock when the host has
+    ε-window coalescing + modeled scheduler latency (folds deferred, so
+    workers overlap the event loop) must beat the zero-latency,
+    batch-of-one run by >=1.5x wall clock when the host has
     the cores (>=4), while staying bit-identical to a serial run of the
     same configuration."""
-    knobs = dict(
-        trigger_epsilon=10.0, cycle_latency=15.0, pipeline=True
-    )
+    knobs = dict(trigger_epsilon=10.0, cycle_latency=15.0)
     sync, sync_wall = _run_pipelined("process")
     piped, piped_wall = _run_pipelined("process", **knobs)
     serial_ref, _ = _run_pipelined("serial", **knobs)

@@ -37,9 +37,9 @@ SIMULATED_TIME_PACKAGES: tuple[str, ...] = (
 #: fields) and never influence simulated behavior.  DET005 statically
 #: checks the "land only in TIMING_FIELDS" half of that claim.
 TIMING_ACCOUNTING_SITES: dict[str, frozenset[str]] = {
-    # stage_seconds["optimize_wall"] bookkeeping around submit/fold, and
-    # the run-level wall_seconds stopwatch.
-    "repro.cloud.simulator": frozenset({"_begin_batch", "_fold_batch", "_run"}),
+    # The stage_seconds["optimize_wall"] stopwatch around the executor's
+    # submit/result calls, and the run-level wall_seconds stopwatch.
+    "repro.cloud.simulator": frozenset({"_optimize_stopwatch", "_run"}),
     # OptimizationResult.optimize_seconds (a compare=False field).
     "repro.scheduler.cycle": frozenset({"run_optimization"}),
     # Per-stage preprocess/select timings, folded into stage_seconds.

@@ -24,21 +24,16 @@ Backends:
   hosts: each cycle's matrices are small to ship and the optimization
   stage is hundreds of milliseconds of pure NumPy work.
 
-Two calling conventions share the backends:
-
-* ``run(fn, tasks)`` — synchronous: block until every result is ready.
-  Single-task batches always run inline on every backend, so the
-  arrival-path cycles (one shard firing on its queue limit) never pay
-  pool overhead.
-* ``submit(fn, tasks) -> handle`` / ``result(handle)`` — asynchronous:
-  ``submit`` hands the batch to the backend and returns immediately with
-  an opaque :class:`CycleHandle`; ``result`` blocks until the batch is
-  done and returns results in task order.  The serial backend resolves
-  at submit time (there is no other thread to overlap with), pooled
-  backends return pending futures.  ``submit`` never takes the
-  single-task inline shortcut — the caller asked for overlap, and an
-  inline run would serialize it; the simulator uses ``run`` whenever the
-  fold is immediate.
+One calling convention: ``submit(fn, tasks) -> handle`` hands the batch
+to the backend and returns an opaque :class:`CycleHandle`;
+``result(handle)`` blocks until the batch is done and returns results in
+task order.  The serial backend resolves at submit time (there is no
+other thread to overlap with), pooled backends return pending futures.
+A caller whose ``result`` follows at once — nothing can overlap — passes
+``inline_single=True`` so a one-task batch (one shard firing on its
+queue limit, the common arrival-path cycle) never pays pool overhead;
+the simulator derives that from its modeled cycle latency.  ``run(fn,
+tasks)`` is the blocking shorthand for exactly that.
 
 Selection: pass a backend name (``"serial"`` / ``"thread"`` /
 ``"process"``, optionally ``"thread:8"`` for a worker count) or an
@@ -108,10 +103,16 @@ class CycleExecutor:
 
     def run(self, fn: CycleFn, tasks: Sequence[Any]) -> list[Any]:
         """Apply ``fn`` to every task, returning results in task order."""
-        raise NotImplementedError
+        return self.result(self.submit(fn, tasks, inline_single=True))
 
-    def submit(self, fn: CycleFn, tasks: Sequence[Any]) -> CycleHandle:
-        """Start a batch without waiting for it; redeem via ``result``."""
+    def submit(
+        self, fn: CycleFn, tasks: Sequence[Any], *, inline_single: bool = False
+    ) -> CycleHandle:
+        """Start a batch without waiting for it; redeem via ``result``.
+
+        ``inline_single`` states that ``result`` follows immediately, so
+        a one-task batch may run in the calling thread.
+        """
         raise NotImplementedError
 
     def result(self, handle: CycleHandle) -> list[Any]:
@@ -141,10 +142,13 @@ class SerialCycleExecutor(CycleExecutor):
     def run(self, fn: CycleFn, tasks: Sequence[Any]) -> list[Any]:
         return [fn(task) for task in tasks]
 
-    def submit(self, fn: CycleFn, tasks: Sequence[Any]) -> CycleHandle:
+    def submit(
+        self, fn: CycleFn, tasks: Sequence[Any], *, inline_single: bool = False
+    ) -> CycleHandle:
         # No second thread to overlap with: resolve inline at submit
-        # time.  Simulated-time pipelining still works — the fold event
-        # just finds the results already computed.
+        # time (through ``run``, the primitive subclasses instrument).
+        # A fold later in simulated time just finds the results already
+        # computed.
         return CycleHandle(results=self.run(fn, tasks))
 
 
@@ -158,23 +162,16 @@ class _PooledCycleExecutor(CycleExecutor):
     def _make_pool(self) -> Executor:
         raise NotImplementedError
 
-    def run(self, fn: CycleFn, tasks: Sequence[Any]) -> list[Any]:
-        if len(tasks) <= 1:
-            # Pool overhead buys nothing for a batch of one (the common
-            # arrival-path case); inline execution is identical because
-            # the tasks are pure.
-            return [fn(task) for task in tasks]
-        if self._pool is None:
-            self._pool = self._make_pool()
-        return list(self._pool.map(fn, tasks))
-
-    def submit(self, fn: CycleFn, tasks: Sequence[Any]) -> CycleHandle:
-        if not tasks:
-            return CycleHandle(results=[])
-        # Deliberately no single-task inline shortcut here: submit exists
-        # so the event loop can overlap this batch with other work (and
-        # with *other* in-flight batches), which an inline run would
-        # forfeit.
+    def submit(
+        self, fn: CycleFn, tasks: Sequence[Any], *, inline_single: bool = False
+    ) -> CycleHandle:
+        if not tasks or (inline_single and len(tasks) == 1):
+            # Pool overhead buys nothing when the caller blocks on a
+            # batch of one; inline execution is identical because the
+            # tasks are pure.  Otherwise even one task goes to the pool:
+            # the caller overlaps it with the event loop and with other
+            # in-flight batches.
+            return CycleHandle(results=[fn(task) for task in tasks])
         if self._pool is None:
             self._pool = self._make_pool()
         return CycleHandle(futures=[self._pool.submit(fn, task) for task in tasks])

@@ -93,14 +93,16 @@ class FleetShard:
             raise ValueError("a shard needs at least one QPU")
         self.shard_id = shard_id
         self.backends = backends
+        #: Dispatch lookup: a schedule names its target QPU.
+        self.backend_by_name = {b.name: b for b in backends}
         self.policy = policy
         self.trigger = trigger or SchedulingTrigger()
         self.pending: list[QuantumJob] = []
         # Batched policies expose .schedule() (the Qonductor scheduler);
         # per-arrival baselines expose .assign().
         self.is_batched = hasattr(policy, "schedule")
-        #: The pipelined engine's in-flight marker: the batch record of a
-        #: cycle whose CYCLE_FOLD event has not popped yet, else ``None``.
+        #: The in-flight marker: the batch record of a cycle whose
+        #: CYCLE_FOLD event has not popped yet, else ``None``.
         #: While set, new arrivals queue in ``pending`` for the *next*
         #: cycle and the shard's trigger pops are deferred to the fold.
         self.in_flight = None

@@ -91,8 +91,7 @@ def run_sharded(policy, executor, *, num_shards=3, duration=700.0,
     suites; ``tenants``/``admission`` extend it with a tenant mix on the
     load generator and an admission controller on the simulator (both
     ``None`` by default — the tenancy-off configuration).  Extra keyword
-    arguments (e.g. the pipelined engine's ``cycle_latency`` /
-    ``trigger_epsilon`` / ``pipeline``) forward to
+    arguments (e.g. ``cycle_latency`` / ``trigger_epsilon``) forward to
     :meth:`CloudSimulator.sharded`.
     """
     gen = LoadGenerator(

@@ -9,6 +9,7 @@ zero-findings CI gate trustworthy.
 
 from __future__ import annotations
 
+import ast
 import json
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import analyze_paths, analyze_source, all_rules
+from repro.analysis import all_rules, analyze_paths, analyze_source, contracts
 from repro.analysis.base import Suppressions, module_name_for_path
 from repro.analysis.runner import format_report
 
@@ -562,3 +563,22 @@ class TestLiveTree:
             module="repro.scheduler.cycle",
         )
         assert codes(clean, "DET003") == []
+
+    def test_contract_entries_resolve_to_defs(self):
+        """Every ``(module, function)`` the contracts name must be a
+        ``def`` in ``src/``: a renamed method would otherwise leave a
+        dead allowlist entry (or silently drop a worker from DET003)."""
+        named = set(contracts.WORKER_FUNCTIONS) | {
+            (module, function)
+            for module, functions in contracts.TIMING_ACCOUNTING_SITES.items()
+            for function in functions
+        }
+        assert named
+        for module, function in sorted(named):
+            path = REPO / "src" / Path(*module.split(".")).with_suffix(".py")
+            defs = {
+                node.name
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            }
+            assert function in defs, f"{module}.{function} is not a def"

@@ -118,6 +118,7 @@ class TestEventCore:
         baseline-vs-Qonductor cycle comparisons (Fig. 8/9).  One
         ``assign`` call over a batch is one cycle."""
         from repro.cloud import SimulationMetrics
+        from repro.cloud.simulator import RunState
         from repro.workloads import ghz_linear as _ghz
 
         fleet = default_fleet(seed=7, names=["auckland", "lagos"])
@@ -132,9 +133,8 @@ class TestEventCore:
             QuantumJob.from_circuit(_ghz(4), keep_circuit=False)
             for _ in range(3)
         ]
-        sim._schedule_immediate(
-            sim.shards[0], jobs, 0.0, m, {}, lambda app: None
-        )
+        st = RunState(horizon=600.0, stream=iter(()), metrics=m)
+        sim._schedule_immediate(st, sim.shards[0], jobs, 0.0)
         assert m.scheduling_cycles == 1
         assert m.dispatched_jobs == 3
 
@@ -173,6 +173,63 @@ class TestEventCore:
         )
         sim.run([])
         assert fleet[0].cycle >= 2
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("duration_seconds", 0.0),
+            ("duration_seconds", -1.0),
+            ("sample_every_seconds", 0.0),
+            ("sample_every_seconds", -120.0),
+            ("recalibrate_every_seconds", 0.0),
+            ("recalibrate_every_seconds", -600.0),
+        ],
+    )
+    def test_config_rejects_periods_that_would_hang(self, field, value):
+        """Regression: a zero period re-pushed its event at the same
+        instant forever (a negative one walked the clock backwards) and
+        ``run()`` never returned.  Construct only — nothing here may run."""
+        with pytest.raises(ValueError, match=f"{field}.*{value!r}"):
+            SimulationConfig(**{field: value})
+
+    def test_out_of_order_iterator_fails_loudly(self):
+        """Regression: an unordered arrival iterator silently ran the
+        clock backwards; lists are still sorted internally."""
+        gen = LoadGenerator(mean_rate_per_hour=600, max_qubits=27, seed=4)
+        early, late = gen.generate(60.0)[:2]
+        assert early.arrival_time < late.arrival_time
+
+        def sim():
+            return CloudSimulator(
+                default_fleet(seed=7, names=["auckland", "lagos"]),
+                FCFSPolicy(_fake_estimate),
+                ExecutionModel(seed=5),
+                config=SimulationConfig(duration_seconds=600.0, seed=5),
+            )
+
+        message = (
+            f"app {early.app_id} arrives at {early.arrival_time}, "
+            f"after app {late.app_id} at {late.arrival_time}"
+        )
+        with pytest.raises(ValueError, match=message):
+            sim().run(app for app in (late, early))
+        assert sim().run([late, early]).dispatched_jobs == 2
+
+    def test_dispatch_to_unknown_qpu_names_shard_and_qpu(self):
+        from repro.cloud import SimulationMetrics
+        from repro.cloud.simulator import RunState
+
+        sim = CloudSimulator(
+            default_fleet(seed=7, names=["lagos"]),
+            FCFSPolicy(_fake_estimate),
+            ExecutionModel(seed=5),
+        )
+        st = RunState(
+            horizon=600.0, stream=iter(()), metrics=SimulationMetrics()
+        )
+        job = QuantumJob.from_circuit(ghz_linear(4), keep_circuit=False)
+        with pytest.raises(KeyError, match="shard 0 has no QPU named 'nope'"):
+            sim._dispatch(st, sim.shards[0], job, "nope", 0.0)
 
 
 class TestEstimateCache:

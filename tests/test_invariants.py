@@ -282,8 +282,9 @@ class TestConservation:
             {"cycle_latency": 45.0},
             {"trigger_epsilon": 20.0},
             {"cycle_latency": 45.0, "trigger_epsilon": 20.0},
+            {"cycle_latency": 400.0},
         ],
-        ids=["latency", "epsilon", "both"],
+        ids=["latency", "epsilon", "both", "in_flight_at_horizon"],
     )
     def test_pipelined_knobs_conserve_jobs(self, knobs):
         """Fold deferral and ε-held triggers move work in time, never
@@ -310,8 +311,13 @@ class TestConservation:
         )
         m = sim.run(apps)
         self._assert_conserved(m, apps)
-        if knobs.get("cycle_latency"):
+        latency = knobs.get("cycle_latency", 0.0)
+        if latency:
             assert m.pipelined_batches > 0
+        if latency > 100.0:
+            # The run ended with a batch in flight: the horizon truncated
+            # its fold, then the flush scheduled the backlog behind it.
+            assert m.fold_lag_seconds < latency * m.pipelined_batches
 
     def test_immediate_policy_has_no_pending(self):
         gen = LoadGenerator(mean_rate_per_hour=900, diurnal=False, seed=3)

@@ -33,7 +33,6 @@ from repro.cloud import (
     make_cycle_executor,
 )
 from repro.cloud.cycle_executor import CYCLE_EXECUTOR_ENV
-from repro.cloud.simulator import CYCLE_PIPELINE_ENV
 from repro.scheduler import (
     BatchedFCFSPolicy,
     ConstantCycleLatency,
@@ -101,9 +100,23 @@ class TestCycleExecutors:
             finally:
                 ex.close()
 
+    def test_pooled_single_task_inline_only_when_fold_is_immediate(self):
+        """``inline_single`` (the simulator passes ``latency == 0``) keeps
+        a one-task batch off the pool; without it the task ships so the
+        event loop can overlap it."""
+        ex = ThreadCycleExecutor(max_workers=2)
+        try:
+            assert ex.result(ex.submit(str, [1], inline_single=True)) == ["1"]
+            assert ex.run(str, [1]) == ["1"]
+            assert ex._pool is None
+            assert ex.result(ex.submit(str, [1])) == ["1"]
+            assert ex._pool is not None
+        finally:
+            ex.close()
+
     def test_serial_submit_resolves_inline(self):
         """Serial ``submit`` computes eagerly — the handle already holds
-        results, so serial pipelined runs stay single-threaded."""
+        results, so serial runs with modeled latency stay single-threaded."""
         ex = SerialCycleExecutor()
         handle = ex.submit(str, [1, 2])
         assert handle.results == ["1", "2"]
@@ -429,44 +442,8 @@ class TestLatencyModels:
 
 
 class TestPipelinedEngine:
-    """The tentpole guarantees: pipelining off-by-default changes nothing,
-    and turned on it stays deterministic across backends and reruns."""
-
-    @pytest.mark.parametrize("backend", ["serial", "thread:4"])
-    def test_pipeline_flag_alone_is_bit_identical(self, backend):
-        """``pipeline=True`` with zero modeled latency must be a pure
-        no-op: the fold event fires at the submit instant."""
-        baseline = run_sharded(
-            QonductorScheduler(fake_estimate, seed=5, max_generations=4),
-            "serial",
-            duration=500.0,
-        )
-        piped = run_sharded(
-            QonductorScheduler(fake_estimate, seed=5, max_generations=4),
-            backend,
-            duration=500.0,
-            pipeline=True,
-        )
-        assert_runs_identical(baseline, piped)
-        # Zero latency means zero fold lag: nothing counts as pipelined.
-        assert piped.pipelined_batches == 0
-        assert piped.fold_lag_seconds == 0.0
-
-    def test_env_variable_enables_pipeline(self, monkeypatch):
-        def build():
-            return CloudSimulator(
-                fleet_of_size(2, seed=7),
-                BatchedFCFSPolicy(fake_estimate),
-                ExecutionModel(seed=5),
-                config=SimulationConfig(duration_seconds=60.0, seed=5),
-            )
-
-        monkeypatch.delenv(CYCLE_PIPELINE_ENV, raising=False)
-        assert build().pipeline is False
-        monkeypatch.setenv(CYCLE_PIPELINE_ENV, "1")
-        assert build().pipeline is True
-        monkeypatch.setenv(CYCLE_PIPELINE_ENV, "0")
-        assert build().pipeline is False
+    """Modeled cycle latency and ε-coalescing stay deterministic across
+    backends and reruns."""
 
     def test_modeled_latency_identical_across_backends(self):
         """Nonzero scheduler latency: the fold instant is simulated time,
@@ -611,10 +588,18 @@ class TestExecutorLifecycle:
         assert ex._pool is None
 
     def test_repeated_runs_do_not_accumulate_pools(self):
-        sim = self._sim("thread:2")
         for _ in range(3):
+            sim = self._sim("thread:2")
             sim.run(self._apps())
             assert sim.cycle_executor._pool is None
+
+    def test_run_is_single_shot(self):
+        """Fleet, trigger, and policy state persist across a run, so a
+        second ``run()`` would report different metrics: it raises."""
+        sim = self._sim("serial")
+        sim.run(self._apps())
+        with pytest.raises(RuntimeError, match="single-shot"):
+            sim.run(self._apps())
 
 
 @pytest.mark.skipif(
