@@ -10,7 +10,7 @@ Fig. 2(b) — and re-drawn every calibration cycle with temporal drift
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +39,9 @@ class CalibrationData:
     timestamp: float
     noise_model: NoiseModel
     quality_factor: float
+    #: Memo of values derived from this snapshot (:meth:`aggregates`, feature
+    #: rows); a recalibration makes a new snapshot, so nothing invalidates it.
+    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def epoch(self) -> tuple[str, int]:
@@ -59,7 +62,7 @@ class CalibrationData:
         Hot paths touch these per (job, QPU) pair; recomputing the means
         over every qubit/gate each time dominated estimation cost.
         """
-        agg = getattr(self, "_aggregates", None)
+        agg = self.derived.get("aggregates")
         if agg is None:
             nm = self.noise_model
             if nm.gates_2q:
@@ -76,7 +79,7 @@ class CalibrationData:
                 readout_error=nm.mean_readout_error(),
                 duration_2q_ns=dur_2q,
             )
-            self._aggregates = agg
+            self.derived["aggregates"] = agg
         return agg
 
     def summary(self) -> dict:

@@ -127,9 +127,11 @@ class FleetShard:
         accept; with the whole shard offline nothing fits and balancers
         route around it.
         """
-        return max(
-            (b.num_qubits for b in self.backends if b.qpu.online), default=0
-        )
+        widest = 0
+        for b in self.backends:  # plain loops here: run per shard per arrival
+            if b.qpu.online and b.qpu.num_qubits > widest:
+                widest = b.qpu.num_qubits
+        return widest
 
     def fits(self, job: QuantumJob) -> bool:
         """Whether any *online* QPU in this shard is wide enough."""
@@ -145,7 +147,10 @@ class FleetShard:
 
     def pending_load(self, now: float) -> float:
         """Pending work: queued jobs plus device backlog, in job units."""
-        backlog = sum(b.waiting_seconds(now) for b in self.backends)
+        backlog = 0.0
+        for b in self.backends:
+            if b.free_at > now:  # an idle device adds exactly 0.0
+                backlog += b.free_at - now
         return len(self.pending) + backlog / _BACKLOG_SECONDS_PER_JOB
 
     def tenant_pending(self, tenant_id: str) -> int:

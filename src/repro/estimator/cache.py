@@ -15,16 +15,23 @@ estimator's templates.
 it is callable with ``(job, qpu)`` for sequential consumers and implements
 the batched :meth:`estimate_block` fast path that
 :class:`~repro.scheduler.quantum.QonductorScheduler` and the baseline
-policies drive directly (``estimate_matrix`` remains as a deprecated
-alias).
+policies drive directly.
+
+A block is served in three steps: look up every feasible pair, fill all
+the misses through **one stacked model pass** (two predicts per block, not
+two per QPU), store them.  Only the linear stage of that pass runs per QPU
+segment: BLAS blocks a matrix-vector product by its shape, so one product
+over the whole stack would move cached values in the last ulp depending
+on which other QPUs happened to miss.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +39,6 @@ import numpy as np
 from ..backends.qpu import QPU
 from ..circuits.metrics import CircuitMetrics
 from ..cloud.job import QuantumJob, feasibility_matrix
-from .features import job_fidelity_features, job_runtime_features
 
 __all__ = ["CacheStats", "EstimateCache", "CachedEstimator"]
 
@@ -202,9 +208,10 @@ class CachedEstimator:
 
     ``base`` is either a :class:`~repro.estimator.estimator.ResourceEstimator`
     or any plain ``(job, qpu) -> (fidelity, exec_seconds)`` callable. With a
-    ResourceEstimator, cache misses are filled by one vectorized pipeline
-    pass per QPU; with a plain callable, misses fall back to per-pair calls
-    (still memoized).
+    ResourceEstimator, all cache misses of a block are filled by one
+    stacked pipeline pass; with a plain callable, misses fall back to
+    per-pair calls (still memoized).  Nothing is kept per job beyond the
+    bounded cache table.
     """
 
     def __init__(
@@ -223,9 +230,6 @@ class CachedEstimator:
         else:
             self._pair_fn = base
             self._trained = None
-        # Job feature rows are calibration-independent; share them across
-        # QPUs and scheduling rounds.
-        self._job_rows: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         # Epochs seen at the last recalibration hook: with sharded fleets
         # every shard policy forwards the same fleet-wide calibration
         # event here, and only the first forwarding per wave may act.
@@ -262,7 +266,6 @@ class CachedEstimator:
             return
         self._last_epochs = epochs
         self.cache.invalidate()
-        self._job_rows.clear()
         if hasattr(self.base, "refresh_templates"):
             self.base.refresh_templates(qpus)
         if self._on_invalidate is not None:
@@ -278,17 +281,6 @@ class CachedEstimator:
         self.cache.put(key, value)
         return value
 
-    def _rows_for(self, job: QuantumJob) -> tuple[np.ndarray, np.ndarray]:
-        jkey = (job.metrics.fingerprint, job.shots, job.mitigation)
-        rows = self._job_rows.get(jkey)
-        if rows is None:
-            rows = (
-                job_fidelity_features(job.metrics, job.shots, job.mitigation),
-                job_runtime_features(job.metrics, job.shots, job.mitigation),
-            )
-            self._job_rows[jkey] = rows
-        return rows
-
     def estimate_block(
         self,
         jobs: list[QuantumJob],
@@ -298,66 +290,53 @@ class CachedEstimator:
         """(fidelity, exec_seconds) matrices over ``jobs`` x ``qpus``.
 
         Infeasible pairs (job wider than the QPU) stay zero and are neither
-        estimated nor cached. Misses for one QPU are predicted in a single
-        vectorized pass when the base exposes trained estimators.
+        estimated nor cached.  Every lookup of the block (column-major)
+        precedes every store (same order), and all misses are predicted
+        together; below ``max_entries`` that is indistinguishable from
+        looking up and storing column by column, and at capacity a
+        block's own stores can no longer evict an entry one of its later
+        columns is about to hit.
         """
-        n, m = len(jobs), len(qpus)
-        fid = np.zeros((n, m))
-        sec = np.zeros((n, m))
+        fid, sec = np.zeros((2, len(jobs), len(qpus)))
         if feasible is None:
             feasible = feasibility_matrix(jobs, qpus)
-        keys = [
-            EstimateCache.key(j.metrics, j.shots, j.mitigation, q)
-            for j in jobs
-            for q in qpus
-        ]
-        for k, qpu in enumerate(qpus):
-            missing: list[int] = []
-            for i in range(n):
-                if not feasible[i, k]:
+        # EstimateCache.key, with the per-job and per-QPU parts built once.
+        job_keys = [(j.metrics.fingerprint, j.shots, j.mitigation) for j in jobs]
+        get = self.cache.get
+        missed: list[tuple[int, int, tuple]] = []  # (i, k, key), column-major
+        for k, (qpu, column) in enumerate(zip(qpus, feasible.T.tolist())):
+            epoch = (qpu.calibration.epoch,)
+            for i, ok in enumerate(column):
+                if not ok:
                     continue
-                hit = self.cache.get(keys[i * m + k])
+                key = job_keys[i] + epoch
+                hit = get(key)
                 if hit is None:
-                    missing.append(i)
+                    missed.append((i, k, key))
                 else:
                     fid[i, k], sec[i, k] = hit
-            if not missing:
-                continue
-            if self._trained is not None:
-                fid_rows = np.array(
-                    [self._rows_for(jobs[i])[0] for i in missing]
-                )
-                run_rows = np.array(
-                    [self._rows_for(jobs[i])[1] for i in missing]
-                )
-                fids = self._trained.estimate_fidelity_batch(
-                    fid_rows, qpu.calibration
-                )
-                secs = self._trained.estimate_runtime_batch(
-                    run_rows, qpu.calibration
-                )
-                for j, i in enumerate(missing):
-                    fid[i, k] = fids[j]
-                    sec[i, k] = secs[j]
-                    self.cache.put(keys[i * m + k], (float(fids[j]), float(secs[j])))
-            else:
-                for i in missing:
-                    value = self._pair_fn(jobs[i], qpu)
-                    fid[i, k], sec[i, k] = value
-                    self.cache.put(keys[i * m + k], value)
+        if not missed:
+            return fid, sec
+        put = self.cache.put
+        for (i, k, key), value in zip(missed, self._fill(jobs, qpus, missed)):
+            fid[i, k], sec[i, k] = value
+            put(key, value)
         return fid, sec
 
-    def estimate_matrix(
-        self,
-        jobs: list[QuantumJob],
-        qpus: list[QPU],
-        feasible: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Deprecated alias for :meth:`estimate_block`."""
-        warnings.warn(
-            "CachedEstimator.estimate_matrix is deprecated; use "
-            "estimate_block",
-            DeprecationWarning,
-            stacklevel=2,
+    def _fill(
+        self, jobs: list[QuantumJob], qpus: list[QPU], missed: list[tuple[int, int, tuple]]
+    ) -> list[tuple[float, float]]:
+        """Values of the ``missed`` (job index, QPU index, key) entries,
+        which arrive column-major: one segment per QPU."""
+        if self._trained is None:
+            return [self._pair_fn(jobs[i], qpus[k]) for i, k, _ in missed]
+        # One feature row per distinct missed job, however many QPUs missed it.
+        slot: dict[int, int] = {}
+        groups = [
+            (qpus[k].calibration, [slot.setdefault(i, len(slot)) for i, _, _ in column])
+            for k, column in groupby(missed, key=itemgetter(1))
+        ]
+        fids, secs = self._trained.estimate_pairs(
+            [(j.metrics, j.shots, j.mitigation) for j in (jobs[i] for i in slot)], groups
         )
-        return self.estimate_block(jobs, qpus, feasible)
+        return list(zip(fids.tolist(), secs.tolist()))

@@ -18,7 +18,6 @@ from ..circuits.metrics import CircuitMetrics
 from ..cloud.execution import ExecutionModel
 from ..cloud.job import QuantumJob, feasibility_matrix
 from .dataset import generate_dataset
-from .features import job_fidelity_features, job_runtime_features
 from .models import TrainedEstimators, train_estimators
 from .plans import ResourcePlan, generate_resource_plans
 
@@ -75,31 +74,25 @@ class ResourceEstimator:
         """(fidelity, exec_seconds) matrices over ``jobs`` x ``qpus``.
 
         The :class:`~repro.estimator.source.EstimateSource` entry point:
-        per QPU, all feasible jobs are predicted in one vectorized batch
-        through the trained models; infeasible pairs stay zero and are
-        never evaluated.
+        every feasible pair of the block goes through one stacked model
+        pass (:meth:`TrainedEstimators.estimate_pairs`, two predicts per
+        block).  Only its linear stage runs per QPU segment: BLAS blocks
+        a matrix-vector product by its shape, so that is what keeps each
+        value bit-identical to predicting the QPU's column on its own.
+        Infeasible pairs stay zero and are never evaluated.
         """
-        n, m = len(jobs), len(qpus)
-        fid = np.zeros((n, m))
-        sec = np.zeros((n, m))
+        fid, sec = np.zeros((2, len(jobs), len(qpus)))
         if feasible is None:
             feasible = feasibility_matrix(jobs, qpus)
-        fid_rows = np.array(
-            [job_fidelity_features(j.metrics, j.shots, j.mitigation) for j in jobs]
+        columns = [np.flatnonzero(column) for column in feasible.T]
+        fids, secs = self.estimators.estimate_pairs(
+            [(j.metrics, j.shots, j.mitigation) for j in jobs],
+            [(q.calibration, idx) for q, idx in zip(qpus, columns) if idx.size],
         )
-        run_rows = np.array(
-            [job_runtime_features(j.metrics, j.shots, j.mitigation) for j in jobs]
-        )
-        for k, qpu in enumerate(qpus):
-            idx = np.flatnonzero(feasible[:, k])
-            if idx.size == 0:
-                continue
-            fid[idx, k] = self.estimators.estimate_fidelity_batch(
-                fid_rows[idx], qpu.calibration
-            )
-            sec[idx, k] = self.estimators.estimate_runtime_batch(
-                run_rows[idx], qpu.calibration
-            )
+        # Transposed views: boolean assignment fills column-major, the
+        # order the groups were stacked in.
+        fid.T[feasible.T] = fids
+        sec.T[feasible.T] = secs
         return fid, sec
 
     def cached(self, **kwargs) -> "CachedEstimator":

@@ -6,8 +6,8 @@ We encode exactly those from a job's :class:`CircuitMetrics`, its mitigation
 preset, and the target calibration snapshot.
 
 Feature vectors split into a job part (circuit + shots + mitigation) and a
-calibration part, so batched estimation can build the job matrix once per
-scheduling cycle and broadcast the calibration columns per QPU.
+calibration part, so ``TrainedEstimators.estimate_pairs`` builds each job
+row once per block and gathers the per-snapshot calibration rows next to it.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ __all__ = [
     "RUNTIME_FEATURE_NAMES",
     "fidelity_features",
     "runtime_features",
-    "fidelity_features_batch",
-    "runtime_features_batch",
     "job_fidelity_features",
     "job_runtime_features",
     "calibration_fidelity_features",
@@ -119,23 +117,34 @@ def job_runtime_features(
 # ----------------------------------------------------------------------
 # Calibration parts.
 
+def _calibration_rows(calibration: CalibrationData) -> tuple[np.ndarray, np.ndarray]:
+    """Both calibration rows, built once per snapshot (hence read-only)."""
+    rows = calibration.derived.get("feature_rows")
+    if rows is None:
+        agg = calibration.aggregates()
+        quality = np.array(
+            [
+                agg.error_2q * 100.0,
+                agg.error_1q * 1000.0,
+                agg.readout_error * 100.0,
+                100.0 / agg.t1_us,
+                100.0 / agg.t2_us,
+            ]
+        )
+        rows = calibration.derived["feature_rows"] = (quality, np.array([agg.duration_2q_ns]))
+        for row in rows:
+            row.flags.writeable = False
+    return rows
+
+
 def calibration_fidelity_features(calibration: CalibrationData) -> np.ndarray:
     """QPU-quality columns of the fidelity feature vector."""
-    agg = calibration.aggregates()
-    return np.array(
-        [
-            agg.error_2q * 100.0,
-            agg.error_1q * 1000.0,
-            agg.readout_error * 100.0,
-            100.0 / agg.t1_us,
-            100.0 / agg.t2_us,
-        ]
-    )
+    return _calibration_rows(calibration)[0]
 
 
 def calibration_runtime_features(calibration: CalibrationData) -> np.ndarray:
     """QPU-speed columns of the runtime feature vector."""
-    return np.array([calibration.aggregates().duration_2q_ns])
+    return _calibration_rows(calibration)[1]
 
 
 # ----------------------------------------------------------------------
@@ -169,21 +178,3 @@ def runtime_features(
             calibration_runtime_features(calibration),
         ]
     )
-
-
-def fidelity_features_batch(
-    job_rows: np.ndarray, calibration: CalibrationData
-) -> np.ndarray:
-    """(n, 16) fidelity feature matrix from precomputed job rows."""
-    job_rows = np.atleast_2d(job_rows)
-    cal = calibration_fidelity_features(calibration)
-    return np.hstack([job_rows, np.tile(cal, (job_rows.shape[0], 1))])
-
-
-def runtime_features_batch(
-    job_rows: np.ndarray, calibration: CalibrationData
-) -> np.ndarray:
-    """(n, 11) runtime feature matrix from precomputed job rows."""
-    job_rows = np.atleast_2d(job_rows)
-    cal = calibration_runtime_features(calibration)
-    return np.hstack([job_rows, np.tile(cal, (job_rows.shape[0], 1))])

@@ -8,7 +8,9 @@ that procedure over degrees 1-3.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -17,10 +19,12 @@ from ..circuits.metrics import CircuitMetrics
 from ..ml import cross_val_score, make_polynomial_regression
 from .dataset import EstimatorDataset
 from .features import (
+    calibration_fidelity_features,
+    calibration_runtime_features,
     fidelity_features,
-    fidelity_features_batch,
+    job_fidelity_features,
+    job_runtime_features,
     runtime_features,
-    runtime_features_batch,
 )
 
 __all__ = ["RegressionEstimator", "TrainedEstimators", "train_estimators"]
@@ -36,9 +40,11 @@ class RegressionEstimator:
     target: str  # "fidelity" | "runtime"
     log_target: bool = False
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
+    def predict(self, X: np.ndarray, segments: Sequence[int] | None = None) -> np.ndarray:
+        """Clipped predictions; ``segments`` as in
+        :meth:`repro.ml.linear.LinearRegression.predict`."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        pred = self.pipeline.predict(X)
+        pred = self.pipeline.predict(X, segments)
         if self.log_target:
             pred = np.expm1(np.clip(pred, -20.0, 20.0))
         if self.target == "fidelity":
@@ -76,29 +82,37 @@ class TrainedEstimators:
         x = runtime_features(metrics, shots, mitigation, calibration)
         return float(self.runtime.predict(x[None, :])[0])
 
-    def estimate_fidelity_batch(
-        self, job_rows: np.ndarray, calibration: CalibrationData
-    ) -> np.ndarray:
-        """Predict fidelities for many jobs on one calibration snapshot.
+    def estimate_pairs(
+        self,
+        jobs: Sequence[tuple[CircuitMetrics, int, str]],
+        groups: Sequence[tuple[CalibrationData, Sequence[int]]],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(fidelities, runtimes) of many (job, calibration) pairs, flat.
 
-        ``job_rows`` are :func:`~repro.estimator.features.job_fidelity_features`
-        rows; one pipeline pass replaces n single-row predictions.
+        ``jobs`` are ``(metrics, shots, mitigation)`` triples; each group
+        pairs one calibration snapshot (a QPU, a template) with the
+        (non-empty) indices of the jobs to score on it.  All groups are
+        stacked into one feature matrix per model, so a block costs 2
+        predicts rather than 2 per group; only the linear stage still
+        runs per group (``segments``), which keeps every value
+        bit-identical to predicting each group on its own.
         """
-        if len(job_rows) == 0:
-            return np.zeros(0)
-        return self.fidelity.predict(
-            fidelity_features_batch(job_rows, calibration)
-        )
+        if not groups:
+            return np.zeros(0), np.zeros(0)
+        counts = [len(idx) for _, idx in groups]
+        bounds = [0, *accumulate(counts)]
+        job_idx = np.concatenate([idx for _, idx in groups])
 
-    def estimate_runtime_batch(
-        self, job_rows: np.ndarray, calibration: CalibrationData
-    ) -> np.ndarray:
-        """Predict runtimes for many jobs on one calibration snapshot."""
-        if len(job_rows) == 0:
-            return np.zeros(0)
-        return self.runtime.predict(
-            runtime_features_batch(job_rows, calibration)
-        )
+        def stacked(job_features: Callable, calibration_features: Callable) -> np.ndarray:
+            job_rows = np.array([job_features(*job) for job in jobs])
+            cal_rows = np.array([calibration_features(c) for c, _ in groups])
+            return np.concatenate(
+                [job_rows[job_idx], np.repeat(cal_rows, counts, axis=0)], axis=1
+            )
+
+        fid_x = stacked(job_fidelity_features, calibration_fidelity_features)
+        run_x = stacked(job_runtime_features, calibration_runtime_features)
+        return self.fidelity.predict(fid_x, bounds), self.runtime.predict(run_x, bounds)
 
 
 def _select_and_fit(

@@ -11,6 +11,7 @@ number of plans spread across the front.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -19,7 +20,6 @@ from ..circuits.metrics import CircuitMetrics
 from ..mitigation.stack import STANDARD_STACKS, MitigationStack
 from ..moo.sorting import pareto_front_mask
 from .cost import plan_cost
-from .features import job_fidelity_features, job_runtime_features
 from .models import TrainedEstimators
 
 __all__ = ["ResourcePlan", "generate_resource_plans"]
@@ -81,39 +81,35 @@ def generate_resource_plans(
     if models is not None:
         templates = {k: v for k, v in templates.items() if k in models}
     names = mitigations or list(STANDARD_STACKS)
-    # One vectorized pipeline pass per template scores every mitigation
-    # stack at once (the sweep is the API server's per-request hot path).
-    fid_rows = np.array(
-        [job_fidelity_features(metrics, shots, mit) for mit in names]
-    )
-    run_rows = np.array(
-        [job_runtime_features(metrics, shots, mit) for mit in names]
+    # One stacked pipeline pass scores every (template, mitigation stack)
+    # at once (the sweep is the API server's per-request hot path).
+    fitting = {
+        name: t for name, t in templates.items() if t.num_qubits >= metrics.num_qubits
+    }
+    fids, q_secs = estimators.estimate_pairs(
+        [(metrics, shots, mit) for mit in names],
+        [(t.calibration, range(len(names))) for t in fitting.values()],
     )
     candidates: list[ResourcePlan] = []
-    for model_name, template in templates.items():
-        if template.num_qubits < metrics.num_qubits:
+    for (model_name, mitigation), fid, q_sec in zip(
+        product(fitting, names), fids.tolist(), q_secs.tolist()
+    ):
+        if fid < min_fidelity:
             continue
-        fids = estimators.estimate_fidelity_batch(fid_rows, template.calibration)
-        q_secs = estimators.estimate_runtime_batch(run_rows, template.calibration)
-        for mitigation, fid, q_sec in zip(names, fids, q_secs):
-            fid = float(fid)
-            q_sec = float(q_sec)
-            if fid < min_fidelity:
-                continue
-            for tier in classical_tiers:
-                c_sec = _classical_seconds(metrics, mitigation, tier)
-                cost = plan_cost(q_sec, c_sec, classical_tier=tier)
-                candidates.append(
-                    ResourcePlan(
-                        mitigation=mitigation,
-                        model_name=model_name,
-                        classical_tier=tier,
-                        est_fidelity=fid,
-                        est_quantum_seconds=q_sec,
-                        est_classical_seconds=c_sec,
-                        est_cost_usd=cost,
-                    )
+        for tier in classical_tiers:
+            c_sec = _classical_seconds(metrics, mitigation, tier)
+            cost = plan_cost(q_sec, c_sec, classical_tier=tier)
+            candidates.append(
+                ResourcePlan(
+                    mitigation=mitigation,
+                    model_name=model_name,
+                    classical_tier=tier,
+                    est_fidelity=fid,
+                    est_quantum_seconds=q_sec,
+                    est_classical_seconds=c_sec,
+                    est_cost_usd=cost,
                 )
+            )
     if not candidates:
         return []
     objectives = np.array(

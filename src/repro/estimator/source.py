@@ -6,10 +6,10 @@ one protocol: :class:`EstimateSource`, whose single method
 ``estimate_block(jobs, qpus, feasible=None)`` returns the ``(fidelity,
 exec_seconds)`` matrix pair for a whole jobs-block.  Schedulers and
 baseline policies build their matrices through this one batched call
-path; the former ``hasattr``-sniffed ``estimate_matrix`` /
-``estimate_for_qpu`` / bare-callable duck typing is gone from the hot
-path and survives only as :func:`as_estimate_source`, the deprecation
-adapter that wraps legacy pair-wise sources.
+path; the former ``hasattr``-sniffed ``estimate_for_qpu`` /
+bare-callable duck typing is gone from the hot path and survives only as
+:func:`as_estimate_source`, the deprecation adapter that wraps legacy
+pair-wise sources.
 
 This module is intentionally a leaf (numpy + stdlib only) so every layer
 — :mod:`repro.scheduler`, :mod:`repro.cloud`, :mod:`repro.estimator` —

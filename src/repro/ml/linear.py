@@ -8,6 +8,8 @@ these.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 from scipy import linalg
 
@@ -42,11 +44,20 @@ class LinearRegression:
             self.intercept_ = 0.0
         return self
 
-    def predict(self, X) -> np.ndarray:
+    def predict(self, X, segments: Sequence[int] | None = None) -> np.ndarray:
+        """``X w + b``, the product run once per ``[segments[s],
+        segments[s + 1])`` row slice when ``segments`` (ascending offsets
+        ``0 .. len(X)``) is given.  BLAS blocks a matrix-vector product
+        by its shape, so a row's last ulp depends on how many rows share
+        the call: a caller that stacks independent batches passes their
+        bounds and gets the bits a ``predict`` per batch gives."""
         if self.coef_ is None:
             raise RuntimeError("model is not fitted")
         X = np.asarray(X, dtype=float)
-        return X @ self.coef_ + self.intercept_
+        if segments is None:
+            return X @ self.coef_ + self.intercept_
+        parts = [X[a:b] @ self.coef_ for a, b in zip(segments, segments[1:])]
+        return np.concatenate(parts) + self.intercept_
 
 
 class Ridge(LinearRegression):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from .features import PolynomialFeatures, StandardScaler
@@ -29,11 +31,14 @@ class Pipeline:
         self.steps[-1][1].fit(data, y)
         return self
 
-    def predict(self, X) -> np.ndarray:
+    def predict(self, X, segments: Sequence[int] | None = None) -> np.ndarray:
+        """Transformers (element-wise per row) run once over all of ``X``;
+        ``segments`` only reaches the final estimator's ``predict``."""
         data = np.asarray(X, dtype=float)
         for _, step in self.steps[:-1]:
             data = step.transform(data)
-        return self.steps[-1][1].predict(data)
+        final = self.steps[-1][1]
+        return final.predict(data) if segments is None else final.predict(data, segments)
 
     def __getitem__(self, name: str):
         for n, step in self.steps:

@@ -343,14 +343,188 @@ class TestEstimateBlock:
             np.testing.assert_allclose(sec, ref_sec, rtol=0, atol=1e-12)
         assert cached.stats.hits > 0
 
-    def test_estimate_matrix_alias_warns(self, trained, fleet):
+
+# ---------------------------------------------------------------------------
+# The stacked fill vs the per-QPU loops it replaced (tests/helpers keeps
+# them verbatim): equal bits, equal cache table, equal counters
+# ---------------------------------------------------------------------------
+
+from helpers.reference_estimates import (  # noqa: E402
+    cache_table,
+    reference_block,
+    reference_cached_block,
+    reference_plans,
+)
+from repro.backends.fleet import fleet_of_size  # noqa: E402
+from repro.estimator import RegressionEstimator, generate_resource_plans  # noqa: E402
+
+
+def _count_predicts(monkeypatch) -> list:
+    """Record every ``RegressionEstimator.predict`` call (looked up at
+    call time, the way ``bench/tracing.py`` patches it)."""
+    calls = []
+    original = RegressionEstimator.predict
+
+    def predict(self, X, segments=None):
+        calls.append((self.target, len(X)))
+        return original(self, X, segments)
+
+    monkeypatch.setattr(RegressionEstimator, "predict", predict)
+    return calls
+
+
+class TestStackedFillBitIdentity:
+    @staticmethod
+    def _assert_same_blocks(trained, blocks, **cache_kwargs):
+        """Drive the same ``(jobs, qpus)`` blocks through the stacked
+        fill and through the reference loop, each on its own cache."""
+        stacked, reference = trained.cached(**cache_kwargs), trained.cached(**cache_kwargs)
+        for jobs, qpus in blocks:
+            got = stacked.estimate_block(jobs, qpus)
+            want = reference_cached_block(reference, jobs, qpus)
+            assert got[0].shape == want[0].shape == (len(jobs), len(qpus))
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+            assert cache_table(stacked) == cache_table(reference)
+            assert stacked.stats == reference.stats
+        return stacked
+
+    def test_mixed_widths_with_infeasible_pairs(self, trained, fleet):
+        jobs = _jobs_with_circuits()  # the 27-qubit job does not fit lagos
+        assert not feasibility_matrix(jobs, fleet).all()
+        cached = self._assert_same_blocks(trained, [(jobs, fleet), (jobs, fleet)])
+        assert cached.stats.hits == cached.stats.misses > 0
+
+    def test_offline_qpu_column_stays_zero(self, trained):
+        qpus = default_fleet(seed=7, names=FLEET_NAMES)
+        qpus[1].online = False
         jobs = _jobs_with_circuits()
+        cached = self._assert_same_blocks(trained, [(jobs, qpus)])
+        fid, sec = cached.estimate_block(jobs, qpus)
+        assert not fid[:, 1].any() and not sec[:, 1].any()
+
+    def test_partially_warm_cache(self, trained, fleet):
+        """Column 0 mixed (two of five jobs warm), column 1 all-hit,
+        column 2 all-miss."""
+        jobs = _jobs_with_circuits()
+        self._assert_same_blocks(
+            trained,
+            [(jobs[:2], fleet[:1]), (jobs, fleet[1:2]), (jobs, fleet)],
+        )
+
+    def test_duplicate_keys_inside_one_block(self, trained, fleet):
+        jobs = _jobs_with_circuits(widths=(3, 5, 3, 3, 5))
+        cached = self._assert_same_blocks(trained, [(jobs, fleet)])
+        assert len(cached.cache) == 2 * len(fleet)
+        assert cached.stats.misses == len(jobs) * len(fleet)
+
+    def test_per_arrival_block_costs_two_predicts(self, trained, monkeypatch):
+        """The ``fcfs_pool`` shape: a cold 1 x 8 block is one predict per
+        model over 8 stacked rows, and a warm one is none at all."""
+        qpus = fleet_of_size(8, seed=7)
+        jobs = _jobs_with_circuits(widths=(5,))
+        self._assert_same_blocks(trained, [(jobs, qpus), (jobs, qpus)])
         cached = trained.cached()
-        block = cached.estimate_block(jobs, fleet)
-        with pytest.warns(DeprecationWarning, match="estimate_block"):
-            alias = cached.estimate_matrix(jobs, fleet)
-        assert np.array_equal(block[0], alias[0])
-        assert np.array_equal(block[1], alias[1])
+        calls = _count_predicts(monkeypatch)
+        cached.estimate_block(jobs, qpus)
+        assert sorted(calls) == [("fidelity", 8), ("runtime", 8)]
+        cached.estimate_block(jobs, qpus)  # all-hit
+        assert len(calls) == 2
+
+    def test_empty_job_list(self, trained, fleet):
+        cached = self._assert_same_blocks(trained, [([], fleet)])
+        assert cached.stats.lookups == 0
+
+    def test_at_capacity_lookups_precede_stores(self, trained, fleet):
+        """``max_entries`` smaller than one block.  All lookups now come
+        before all stores, so column 0's stores cannot evict the entry
+        column 1 is about to hit (the column-by-column loop did); and
+        occupancy never exceeds ``max_entries``."""
+        jobs = _jobs_with_circuits(widths=(2, 3, 4, 5))
+        qpus = [fleet[0], fleet[1]]
+        stacked, reference = trained.cached(max_entries=3), trained.cached(max_entries=3)
+        warmed = stacked.estimate_block(jobs[:1], qpus[1:])
+        reference_cached_block(reference, jobs[:1], qpus[1:])
+
+        occupancy = []
+        put = stacked.cache.put
+
+        def counting_put(key, value):
+            put(key, value)
+            occupancy.append(len(stacked.cache))
+
+        stacked.cache.put = counting_put
+        fid, sec = stacked.estimate_block(jobs, qpus)
+        ref_fid, ref_sec = reference_cached_block(reference, jobs, qpus)
+
+        assert (stacked.stats.hits, reference.stats.hits) == (1, 0)
+        assert (fid[0, 1], sec[0, 1]) == (warmed[0][0, 0], warmed[1][0, 0])
+        assert len(occupancy) == 7 and max(occupancy) <= 3
+        # Column 0 missed on both sides in the same row group: equal bits.
+        # Column 1 is only close — its predict had three rows here and
+        # four in the reference (values depend, in the last ulp, on how
+        # many rows share a linear stage).
+        assert np.array_equal(fid[:, 0], ref_fid[:, 0])
+        assert np.array_equal(sec[:, 0], ref_sec[:, 0])
+        np.testing.assert_allclose(fid[:, 1], ref_fid[:, 1], rtol=1e-12)
+        np.testing.assert_allclose(sec[:, 1], ref_sec[:, 1], rtol=1e-12)
+
+    def test_no_per_job_state_beyond_the_cache_table(self, trained, fleet):
+        """A stream that never repeats a key (``qonductor_fresh``'s
+        shape) may grow nothing on the estimator but the bounded table."""
+        cached = trained.cached(max_entries=64)
+        metrics = compute_metrics(ghz_linear(4))
+        for shots in range(1000, 3000):
+            cached.estimate_block([QuantumJob(metrics=metrics, shots=shots)], fleet)
+        assert cached.stats.misses == 2000 * len(fleet)
+        assert len(cached.cache) == 64
+        sized = {
+            name: len(value)
+            for holder in (cached, cached.base)
+            for name, value in vars(holder).items()
+            if isinstance(value, (dict, list, set))
+        }
+        assert sized == {"templates": len(cached.base.templates)}
+
+    def test_uncached_block_matches_reference(self, trained, fleet, monkeypatch):
+        offline = default_fleet(seed=7, names=FLEET_NAMES)
+        offline[0].online = False
+        for jobs, qpus in [
+            (_jobs_with_circuits(), fleet),
+            (_jobs_with_circuits(), offline),
+            (_jobs_with_circuits(widths=(5,)), fleet_of_size(8, seed=7)),
+            (_jobs_with_circuits(widths=(27,)), fleet[2:]),  # nothing feasible
+            ([], fleet),
+        ]:
+            got = trained.estimate_block(jobs, qpus)
+            want = reference_block(trained, jobs, qpus)
+            assert got[0].shape == (len(jobs), len(qpus))
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+        calls = _count_predicts(monkeypatch)
+        trained.estimate_block(_jobs_with_circuits(), fleet)
+        assert len(calls) == 2
+
+    def test_plans_match_reference(self, trained, monkeypatch):
+        for width, kwargs in [
+            (4, {}),
+            (5, {"num_plans": 50}),
+            (3, {"mitigations": ["none", "zne+rem"], "min_fidelity": 0.5}),
+            (12, {"models": sorted(trained.templates)[:1], "num_plans": 2}),
+            (200, {}),  # wider than every template: no plans
+        ]:
+            metrics = compute_metrics(ghz_linear(width))
+            got = generate_resource_plans(
+                metrics, 4000, trained.templates, trained.estimators, **kwargs
+            )
+            want = reference_plans(
+                metrics, 4000, trained.templates, trained.estimators, **kwargs
+            )
+            assert got == want  # frozen dataclasses: field by field
+        assert got == []
+        calls = _count_predicts(monkeypatch)
+        trained.generate_plans(compute_metrics(ghz_linear(4)), 4000, num_plans=50)
+        assert len(calls) == 2
 
 
 class TestAnalyticEstimateSource:
