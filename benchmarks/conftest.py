@@ -65,13 +65,14 @@ def nsga_reference_patch():
     RNG streams, so a patched run returns bit-identical results and the
     only difference a before/after timing sees is the kernels.
     """
-    from repro.moo import crowding_distance, fast_non_dominated_sort
-    from repro.moo.nsga2 import NSGA2
-    from repro.scheduler.formulation import (
-        SchedulingProblem,
+    from helpers.reference_kernels import (
         evaluate_reference,
+        fast_non_dominated_sort,
         repair_reference,
     )
+    from repro.moo import crowding_distance
+    from repro.moo.nsga2 import NSGA2
+    from repro.scheduler.formulation import SchedulingProblem
 
     def ref_evaluate(self, X):
         return evaluate_reference(self.data, X)

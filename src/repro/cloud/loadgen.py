@@ -107,6 +107,30 @@ class LoadGenerator:
     tenants: tuple[TenantShare, ...] | None = None
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.mean_rate_per_hour <= 0:
+            raise ValueError(
+                f"mean_rate_per_hour must be > 0, got {self.mean_rate_per_hour}"
+            )
+        if self.circuit_pool_size is not None and self.circuit_pool_size < 0:
+            raise ValueError(
+                f"circuit_pool_size must be >= 0, got {self.circuit_pool_size}"
+            )
+        if self.arrival_process not in ("poisson", "mmpp"):
+            raise ValueError(
+                f"unknown arrival_process {self.arrival_process!r}; "
+                "choose 'poisson' or 'mmpp'"
+            )
+        if self.arrival_process == "mmpp":
+            if self.burst_rate_multiplier <= 1.0:
+                raise ValueError("burst_rate_multiplier must be > 1")
+            if self.mean_calm_seconds <= 0 or self.mean_burst_seconds <= 0:
+                # A zero holding time pins simulated time at the flip
+                # instant and the chain toggles forever without yielding.
+                raise ValueError(
+                    "mean_calm_seconds and mean_burst_seconds must be > 0"
+                )
+
     def _make_sampler(self) -> WorkloadSampler:
         return WorkloadSampler(
             mean_qubits=self.mean_qubits,
@@ -127,11 +151,6 @@ class LoadGenerator:
         Holds O(circuit_pool_size) state; with no pool, O(1) applications
         are alive at a time (whatever the consumer retains).
         """
-        if self.arrival_process not in ("poisson", "mmpp"):
-            raise ValueError(
-                f"unknown arrival_process {self.arrival_process!r}; "
-                "choose 'poisson' or 'mmpp'"
-            )
         rng = np.random.default_rng(self.seed)
         sampler = self._make_sampler()
         # Tenant stamping draws from its own substream: the job/arrival
@@ -158,14 +177,6 @@ class LoadGenerator:
         burst = False
         next_flip = float("inf")
         if self.arrival_process == "mmpp":
-            if self.burst_rate_multiplier <= 1.0:
-                raise ValueError("burst_rate_multiplier must be > 1")
-            if self.mean_calm_seconds <= 0 or self.mean_burst_seconds <= 0:
-                # A zero holding time pins simulated time at the flip
-                # instant and the chain toggles forever without yielding.
-                raise ValueError(
-                    "mean_calm_seconds and mean_burst_seconds must be > 0"
-                )
             next_flip = rng.exponential(self.mean_calm_seconds)
         t = 0.0
         while True:

@@ -137,7 +137,10 @@ class SimulationMetrics:
 
         Two runs of the same seeded scenario — serial or parallel, any
         executor backend — must produce equal ``deterministic_state()``
-        dicts.  ``TimeSeries`` fields compare as (times, values) tuples.
+        dicts, provided both start from a cold estimate cache: the
+        ``estimate_cache`` hit/miss counters are compared too, and they
+        depend on how warm the (possibly shared or reloaded) cache was.
+        ``TimeSeries`` fields compare as (times, values) tuples.
         New fields are included automatically: only the explicit
         ``TIMING_FIELDS`` allowlist is excluded, and the allowlist is
         validated against the actual field set so a typo'd or stale

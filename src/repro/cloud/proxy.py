@@ -11,9 +11,8 @@ it) while costing O(1) per job.
 
 :class:`AnalyticEstimateSource` is the estimation-side counterpart: an
 :class:`~repro.estimator.source.EstimateSource` that scores whole job
-blocks with the closed-form ESP model (batched through the array-ops
-backend) instead of trained regressors — the cheap analytic proxy for
-runs that skip estimator training.
+blocks with the closed-form ESP model instead of trained regressors —
+the cheap analytic proxy for runs that skip estimator training.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import numpy as np
 from ..backends.models import QPUModel
 from ..backends.qpu import QPU
 from ..circuits.metrics import CircuitMetrics
-from ..simulation.array_ops import ArrayBackend, make_array_backend
 from ..simulation.esp import esp_components_batch, esp_to_hellinger_batch
 from ..simulation.noise import NoiseModel
 from ..transpiler import Target, transpile
@@ -210,9 +208,6 @@ class AnalyticEstimateSource:
 
     name = "analytic_esp"
 
-    def __init__(self, backend: ArrayBackend | str | None = None) -> None:
-        self.array_backend = make_array_backend(backend)
-
     def __call__(self, job: QuantumJob, qpu: QPU) -> tuple[float, float]:
         fid, sec = self.estimate_block([job], [qpu])
         return float(fid[0, 0]), float(sec[0, 0])
@@ -251,9 +246,7 @@ class AnalyticEstimateSource:
                         f"{jobs[i].job_id} was created with keep_circuit=False"
                     )
                 circuits.append(jobs[i].circuit)
-            comps = esp_components_batch(
-                circuits, qpu.noise_model, backend=self.array_backend
-            )
+            comps = esp_components_batch(circuits, qpu.noise_model)
             esp_values = np.exp(
                 comps["gate"] + comps["readout"] + comps["decoherence"]
             )

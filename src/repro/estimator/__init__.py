@@ -6,8 +6,8 @@ from .cost import TABLE1_RATES, ResourceRates, plan_cost
 from .source import (
     EstimateSource,
     PairwiseEstimateSource,
-    as_estimate_source,
     block_feasibility,
+    require_estimate_source,
 )
 from .dataset import EstimatorDataset, generate_dataset
 from .estimator import ResourceEstimator
@@ -25,8 +25,8 @@ from .plans import ResourcePlan, generate_resource_plans
 __all__ = [
     "EstimateSource",
     "PairwiseEstimateSource",
-    "as_estimate_source",
     "block_feasibility",
+    "require_estimate_source",
     "FIDELITY_FEATURE_NAMES",
     "RUNTIME_FEATURE_NAMES",
     "fidelity_features",

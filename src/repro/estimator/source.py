@@ -6,10 +6,10 @@ one protocol: :class:`EstimateSource`, whose single method
 ``estimate_block(jobs, qpus, feasible=None)`` returns the ``(fidelity,
 exec_seconds)`` matrix pair for a whole jobs-block.  Schedulers and
 baseline policies build their matrices through this one batched call
-path; the former ``hasattr``-sniffed ``estimate_for_qpu`` /
-bare-callable duck typing is gone from the hot path and survives only as
-:func:`as_estimate_source`, the deprecation adapter that wraps legacy
-pair-wise sources.
+path, and take nothing else: :func:`require_estimate_source` rejects any
+other shape at construction.  A synthetic ``(job, qpu)`` scorer (test
+fakes, ``experiments/rebalance.skew_estimate``) is wrapped explicitly in
+:class:`PairwiseEstimateSource`.
 
 This module is intentionally a leaf (numpy + stdlib only) so every layer
 — :mod:`repro.scheduler`, :mod:`repro.cloud`, :mod:`repro.estimator` —
@@ -18,21 +18,16 @@ can import it without ordering concerns.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Callable
-from typing import Any, Protocol, cast, runtime_checkable
+from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
 
-#: A legacy pair-wise scorer: ``(job, qpu) -> (fidelity, exec_seconds)``.
-PairFn = Callable[[Any, Any], tuple[float, float]]
-
 __all__ = [
     "EstimateSource",
-    "PairFn",
     "PairwiseEstimateSource",
-    "as_estimate_source",
     "block_feasibility",
+    "require_estimate_source",
 ]
 
 
@@ -73,21 +68,14 @@ def block_feasibility(jobs: list[Any], qpus: list[Any]) -> np.ndarray:
 
 
 class PairwiseEstimateSource:
-    """Adapter presenting a legacy pair-wise estimator as an
-    :class:`EstimateSource`.
+    """A ``(job, qpu) -> (fidelity, exec_seconds)`` callable presented as
+    an :class:`EstimateSource`: one ``pair_fn`` call per feasible cell,
+    in row-major order."""
 
-    ``pair_fn`` is a ``(job, qpu) -> (fidelity, exec_seconds)`` callable;
-    ``origin`` (when the callable is a bound method of a richer object)
-    keeps the wrapped object reachable so ``on_recalibration`` and
-    ``stats`` forward to it.  ``estimate_block`` fills the matrices with
-    one pair call per feasible cell in row-major order — exactly the
-    loop the schedulers used to inline, so adapted sources stay
-    bit-identical to the pre-protocol behavior.
-    """
-
-    def __init__(self, pair_fn: PairFn, origin: Any = None) -> None:
+    def __init__(
+        self, pair_fn: Callable[[Any, Any], tuple[float, float]]
+    ) -> None:
         self.pair_fn = pair_fn
-        self.origin = origin if origin is not None else pair_fn
 
     def __call__(self, job: Any, qpu: Any) -> tuple[float, float]:
         return self.pair_fn(job, qpu)
@@ -108,49 +96,15 @@ class PairwiseEstimateSource:
                     fid[i, k], sec[i, k] = self.pair_fn(job, qpu)
         return fid, sec
 
-    def on_recalibration(self, qpus: list[Any]) -> None:
-        hook = getattr(self.origin, "on_recalibration", None)
-        if hook is not None:
-            hook(qpus)
 
-    @property
-    def stats(self) -> Any:
-        return getattr(self.origin, "stats", None)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PairwiseEstimateSource({self.origin!r})"
-
-
-def as_estimate_source(source: Any) -> EstimateSource:
-    """Coerce any historical estimate-source shape into an
-    :class:`EstimateSource`.
-
-    Objects that already expose ``estimate_block`` pass through
-    unchanged.  Legacy shapes — an object with ``estimate_for_qpu`` or a
-    bare ``(job, qpu)`` callable — are wrapped in a
-    :class:`PairwiseEstimateSource` with a :class:`DeprecationWarning`;
-    they keep working (and stay bit-identical), but lose the batched
-    fast path.
-    """
-    if hasattr(source, "estimate_block"):
-        return cast(EstimateSource, source)
-    if hasattr(source, "estimate_for_qpu"):
-        warnings.warn(
-            f"{type(source).__name__}.estimate_for_qpu-style sources are "
-            "deprecated; implement estimate_block (see "
-            "repro.estimator.source.EstimateSource)",
-            DeprecationWarning,
-            stacklevel=2,
+def require_estimate_source(source: Any, owner: str) -> EstimateSource:
+    """``source`` if it implements :class:`EstimateSource`, else a
+    ``TypeError`` naming ``owner`` and the fix."""
+    if not isinstance(source, EstimateSource):
+        raise TypeError(
+            f"{owner} needs an EstimateSource (an object with "
+            f"estimate_block), got {type(source).__name__}: pass "
+            "estimator.cached(), or wrap a (job, qpu) callable in "
+            "repro.estimator.source.PairwiseEstimateSource"
         )
-        return PairwiseEstimateSource(source.estimate_for_qpu, origin=source)
-    if callable(source):
-        warnings.warn(
-            "bare (job, qpu) estimate callables are deprecated; implement "
-            "estimate_block (see repro.estimator.source.EstimateSource)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return PairwiseEstimateSource(source)
-    raise TypeError(
-        f"cannot adapt {type(source).__name__!r} into an EstimateSource"
-    )
+    return source

@@ -22,6 +22,7 @@ from ..cloud import (
     ThresholdRebalancePolicy,
     flash_outage,
 )
+from ..estimator.source import PairwiseEstimateSource
 from ..scheduler import BatchedFCFSPolicy, SchedulingTrigger
 
 __all__ = [
@@ -46,7 +47,7 @@ SKEW_FLEET_SPEC = [
 ]
 
 
-def skew_estimate(job, qpu):
+def _skew_pair(job, qpu):
     """Deterministic (width, device) synthetic estimates.
 
     Depends only on the job's width and the device name — never on job
@@ -54,6 +55,10 @@ def skew_estimate(job, qpu):
     spreads over a shard's devices (per-width best device varies)."""
     salt = (job.num_qubits * 131 + sum(qpu.name.encode())) % 97
     return 0.6 + 0.3 * salt / 97.0, 12.0
+
+
+#: The synthetic scorer as the estimate source the policies take.
+skew_estimate = PairwiseEstimateSource(_skew_pair)
 
 
 def skew_scenario(

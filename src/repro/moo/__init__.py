@@ -13,7 +13,6 @@ from .sorting import (
     crowding_by_rank,
     crowding_distance,
     dominates_matrix,
-    fast_non_dominated_sort,
     front_ranks,
     pareto_front_mask,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "crowding_by_rank",
     "crowding_distance",
     "dominates_matrix",
-    "fast_non_dominated_sort",
     "front_ranks",
     "pareto_front_mask",
     "exponential_crossover",

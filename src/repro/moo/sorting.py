@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "dominates_matrix",
     "front_ranks",
-    "fast_non_dominated_sort",
     "crowding_distance",
     "crowding_by_rank",
     "pareto_front_mask",
@@ -67,14 +66,6 @@ def front_ranks(F: np.ndarray) -> np.ndarray:
         counts -= dom[current].sum(axis=0)
         r += 1
     return rank
-
-
-def fast_non_dominated_sort(F: np.ndarray) -> list[np.ndarray]:
-    """Partition indices into Pareto fronts (front 0 = non-dominated)."""
-    if len(F) == 0:
-        return []
-    rank = front_ranks(F)
-    return [np.where(rank == r)[0] for r in range(int(rank.max()) + 1)]
 
 
 def pareto_front_mask(F: np.ndarray) -> np.ndarray:

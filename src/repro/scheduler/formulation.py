@@ -11,15 +11,13 @@ Constraint ``q_i <= s_{x_i}`` (job width fits the QPU) is enforced by
 repair: infeasible genes are projected to a random feasible QPU.
 Complexity is O(N) in the number of jobs, independent of fleet size.
 
-The hot per-generation passes are population-flat kernels routed through
-the pluggable array backend (:mod:`repro.simulation.array_ops`):
+The hot per-generation passes are population-flat NumPy kernels:
 :func:`evaluate_population` folds the whole ``(pop, N)`` population into
 one offset-encoded segment sum instead of ``pop`` Python iterations, and
 :func:`repair_population` projects every infeasible gene with one
 bounded-integer draw per violation in row-major order — bit-identical to
-the scalar reference loops (:func:`evaluate_reference` /
-:func:`repair_reference`), which the tests and the
-``test_perf_nsga_kernels`` gate keep pinned.
+the scalar reference loops in ``tests/helpers/reference_kernels.py``,
+which the tests and the ``test_perf_nsga_kernels`` gate keep pinned.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..moo.problem import Problem
-from ..simulation.array_ops import ArrayBackend, make_array_backend
 
 __all__ = [
     "SchedulingInput",
@@ -38,8 +35,6 @@ __all__ = [
     "pack_feasible",
     "evaluate_population",
     "repair_population",
-    "evaluate_reference",
-    "repair_reference",
 ]
 
 
@@ -97,41 +92,37 @@ def pack_feasible(
     return flat, offsets, counts
 
 
-def evaluate_population(
-    data: SchedulingInput,
-    X: np.ndarray,
-    backend: ArrayBackend | None = None,
-) -> np.ndarray:
+def evaluate_population(data: SchedulingInput, X: np.ndarray) -> np.ndarray:
     """Eq. 1 objectives for a whole ``(pop, N)`` population in one pass.
 
     Per-QPU batch loads for *all* individuals come from a single
     offset-encoded segment sum (individual ``p``'s genes land in bins
     ``[p * Q, (p + 1) * Q)``), so the per-generation objective pass is
     one vectorized kernel instead of ``pop`` Python-level ``bincount``
-    iterations.  Bit-identical to :func:`evaluate_reference`: the flat
-    segment sum accumulates each bin's weights in the same row-major
-    order the per-individual ``bincount`` does, and the row means reduce
-    the same contiguous values.
+    iterations.  Bit-identical to the per-individual reference loop: the
+    flat segment sum accumulates each bin's weights in the same
+    row-major order the per-individual ``bincount`` does, and the row
+    means reduce the same contiguous values.
     """
-    b = backend if backend is not None else make_array_backend()
-    xp = b.xp
     pop, n = X.shape
     q = data.num_qpus
     # Flat (job, qpu) cell ids: a[i, X[p, i]] == a.ravel()[i * Q + X[p, i]],
     # so one index matrix feeds both estimate gathers as flattened takes.
-    cell = X + (xp.arange(n) * q)[None, :]
-    exec_sel = b.take(data.exec_seconds, cell)  # (pop, N)
-    fid_sel = b.take(data.fidelity, cell)
-    wait_sel = b.take(data.waiting_seconds, X)
+    cell = X + (np.arange(n) * q)[None, :]
+    exec_sel = np.take(data.exec_seconds, cell)  # (pop, N)
+    fid_sel = np.take(data.fidelity, cell)
+    wait_sel = np.take(data.waiting_seconds, X)
     # Per-individual bins: individual p's genes land in [p * Q, (p+1) * Q).
-    seg = X + (xp.arange(pop) * q)[:, None]
-    totals = b.segment_sum(exec_sel.ravel(), seg.ravel(), pop * q)
+    seg = X + (np.arange(pop) * q)[:, None]
+    totals = np.bincount(
+        seg.ravel(), weights=exec_sel.ravel(), minlength=pop * q
+    )
     # The same bin ids read the summed loads back: totals[p*Q + X[p, i]].
-    jct = wait_sel + b.take(totals, seg)
-    F = xp.empty((pop, 2))
+    jct = wait_sel + np.take(totals, seg)
+    F = np.empty((pop, 2))
     F[:, 0] = jct.mean(axis=1)
     F[:, 1] = 1.0 - fid_sel.mean(axis=1)
-    return b.to_numpy(F)
+    return F
 
 
 def repair_population(
@@ -139,128 +130,54 @@ def repair_population(
     X: np.ndarray,
     rng: np.random.Generator,
     packed: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-    backend: ArrayBackend | None = None,
 ) -> np.ndarray:
     """Project every infeasible gene to a random feasible QPU, batched.
 
     All violations are located with one mask pass and repaired with one
     bounded-integer draw per violation in row-major ``(individual,
     gene)`` order — the exact order, bounds, and bit stream of the
-    scalar per-violation loop (:func:`repair_reference`), so seeded runs
-    are unchanged by the batching.
+    scalar per-violation loop, so seeded runs are unchanged by the
+    batching.
     """
-    b = backend if backend is not None else make_array_backend()
     X = np.clip(X, 0, data.num_qpus - 1)
     rows = np.arange(data.num_jobs)
-    bad = ~b.gather(data.feasible, rows[None, :], X)
+    bad = ~data.feasible[rows[None, :], X]
     if bad.any():
         flat, offsets, counts = (
             packed if packed is not None else pack_feasible(data.feasible)
         )
         ps, js = np.nonzero(bad)  # row-major: the scalar loop's order
-        draws = b.bounded_integers(rng, counts[js])
+        # Stream contract: NumPy's array-bound Lemire rejection is the
+        # scalar algorithm applied in element order, so this consumes the
+        # bit stream of ``[rng.integers(h) for h in counts[js]]`` exactly
+        # (values and stream position locked in tests/test_ml_moo.py).
+        draws = rng.integers(counts[js])
         X[ps, js] = flat[offsets[js] + draws]
     return X
 
 
-def evaluate_reference(data: SchedulingInput, X: np.ndarray) -> np.ndarray:
-    """The per-individual objective loop :func:`evaluate_population`
-    replaced — kept as the regression/benchmark reference."""
-    pop, n = X.shape
-    q = data.num_qpus
-    rows = np.arange(n)
-    F = np.empty((pop, 2))
-    exec_sel = data.exec_seconds[rows[None, :], X]  # (pop, N)
-    fid_sel = data.fidelity[rows[None, :], X]
-    wait_sel = data.waiting_seconds[X]
-    for p in range(pop):
-        # Total batch execution time landing on each QPU.
-        totals = np.bincount(X[p], weights=exec_sel[p], minlength=q)
-        jct = wait_sel[p] + totals[X[p]]
-        F[p, 0] = jct.mean()
-        F[p, 1] = 1.0 - fid_sel[p].mean()
-    return F
-
-
-def repair_reference(
-    data: SchedulingInput,
-    X: np.ndarray,
-    rng: np.random.Generator,
-    feasible_lists: list[np.ndarray] | None = None,
-) -> np.ndarray:
-    """The scalar per-violation repair loop :func:`repair_population`
-    replaced — kept as the regression/benchmark reference."""
-    if feasible_lists is None:
-        feasible_lists = [
-            np.where(data.feasible[i])[0] for i in range(data.num_jobs)
-        ]
-    X = np.clip(X, 0, data.num_qpus - 1)
-    bad = ~data.feasible[np.arange(data.num_jobs)[None, :], X]
-    if bad.any():
-        for p, i in zip(*np.nonzero(bad)):
-            options = feasible_lists[i]
-            X[p, i] = options[int(rng.integers(len(options)))]
-    return X
-
-
 class SchedulingProblem(Problem):
-    """Integer-encoded Eq. 1 instance over a :class:`SchedulingInput`.
-
-    ``warm`` optionally seeds the initial population with cross-cycle
-    Pareto assignments (see
-    :meth:`~repro.scheduler.quantum.QonductorScheduler.begin_cycle`): a
-    ``(k, N)`` integer array whose entries are either a feasible QPU
-    index for the job or ``-1`` for "no carry-over" (new jobs, vanished
-    QPUs).  Warm rows replace random individuals after the two objective
-    extremes; missing genes fill from the extremes and the random draw,
-    cycling per row, so the warm population never consumes extra RNG and
-    stays a pure function of ``(data, seed, warm)``.
-    """
+    """Integer-encoded Eq. 1 instance over a :class:`SchedulingInput`."""
 
     def __init__(
         self,
         data: SchedulingInput,
         seed: int | np.random.SeedSequence = 0,
-        *,
-        warm: np.ndarray | None = None,
-        backend: ArrayBackend | str | None = None,
     ) -> None:
         super().__init__(
             n_var=data.num_jobs, n_obj=2, lower=0, upper=data.num_qpus - 1
         )
         self.data = data
         self._rng = np.random.default_rng(seed)
-        self._backend = make_array_backend(backend)
         # Flat feasible-QPU index arrays for the batched repair kernel.
         self._packed = pack_feasible(data.feasible)
-        self._warm = self._validate_warm(warm)
-
-    def _validate_warm(self, warm: np.ndarray | None) -> np.ndarray | None:
-        if warm is None:
-            return None
-        warm = np.asarray(warm, dtype=np.int64)
-        if warm.ndim != 2 or warm.shape[1] != self.n_var:
-            raise ValueError(
-                f"warm-start rows must be (k, {self.n_var}), got {warm.shape}"
-            )
-        known = warm >= 0
-        cols = np.broadcast_to(np.arange(self.n_var), warm.shape)
-        if known.any():
-            if warm[known].max() >= self.data.num_qpus:
-                raise ValueError("warm-start gene out of QPU range")
-            if not self.data.feasible[cols[known], warm[known]].all():
-                raise ValueError("warm-start genes must be feasible or -1")
-        warm = warm[known.any(axis=1)]
-        return warm if len(warm) else None
 
     # ------------------------------------------------------------------
     def evaluate(self, X: np.ndarray) -> np.ndarray:
-        return evaluate_population(self.data, X, backend=self._backend)
+        return evaluate_population(self.data, X)
 
     def repair(self, X: np.ndarray) -> np.ndarray:
-        return repair_population(
-            self.data, X, self._rng, packed=self._packed, backend=self._backend
-        )
+        return repair_population(self.data, X, self._rng, packed=self._packed)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Random init seeded with the two objective extremes.
@@ -270,10 +187,6 @@ class SchedulingProblem(Problem):
         minimum JCT (the completion-time extreme). Seeding both stretches
         the initial front across the whole tradeoff, which plain random
         integer initialization cannot reach for batch sizes of ~100 genes.
-
-        With warm-start rows, slots after the extremes are overwritten by
-        the previous cycle's Pareto assignments (missing genes fall back
-        to the extremes / the random draw already in the slot).
         """
         X = rng.integers(0, self.data.num_qpus, size=(n, self.n_var))
         X = self.repair(X)
@@ -295,21 +208,6 @@ class SchedulingProblem(Problem):
                 greedy[i] = q
                 load[q] += data.exec_seconds[i, q]
             X[1] = greedy
-        if self._warm is not None and n > 2:
-            k = min(len(self._warm), n - 2)
-            W = self._warm[:k]
-            missing = W < 0
-            # Fill missing genes from the fidelity extreme, the JCT
-            # extreme, and the feasible random draw already in the slot,
-            # cycling per warm row — deterministic, no extra RNG draws,
-            # and every fill is feasible so no repair pass is needed.
-            mode = np.arange(k) % 3
-            base = np.where(
-                (mode == 0)[:, None],
-                X[0][None, :],
-                np.where((mode == 1)[:, None], X[1][None, :], X[2 : 2 + k]),
-            )
-            X[2 : 2 + k] = np.where(missing, base, W)
         return X
 
     # ------------------------------------------------------------------

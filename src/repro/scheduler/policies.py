@@ -12,12 +12,11 @@
 * :class:`RandomPolicy` — load-oblivious control.
 
 FCFS scores every batch through one
-:meth:`~repro.estimator.source.EstimateSource.estimate_block` call —
-batch-capable sources (:class:`~repro.estimator.cache.CachedEstimator`,
-:class:`~repro.cloud.proxy.AnalyticEstimateSource`) vectorize it, and
-legacy pair-wise callables are adapted by
-:func:`~repro.estimator.source.as_estimate_source` (bit-identical, with a
-DeprecationWarning).
+:meth:`~repro.estimator.source.EstimateSource.estimate_block` call
+(:class:`~repro.estimator.cache.CachedEstimator`,
+:class:`~repro.cloud.proxy.AnalyticEstimateSource`, or a synthetic scorer
+wrapped in :class:`~repro.estimator.source.PairwiseEstimateSource`);
+least-busy scores one pair at a time through a ``(job, qpu)`` callable.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import numpy as np
 from ..backends.qpu import QPU
 from ..cloud.job import QuantumJob, feasibility_matrix
 from ..cloud.tenancy import tier_sort
-from ..estimator.source import as_estimate_source
+from ..estimator.source import EstimateSource, require_estimate_source
 
 __all__ = [
     "FCFSPolicy",
@@ -55,17 +54,16 @@ class FCFSPolicy:
 
     name = "fcfs"
 
-    def __init__(self, estimate_fn: EstimateFn, *, shard_id: int = 0) -> None:
-        self.estimate_fn = estimate_fn
-        self.source = as_estimate_source(estimate_fn)
+    def __init__(self, estimate_fn: EstimateSource, *, shard_id: int = 0) -> None:
+        self.estimate_fn = require_estimate_source(estimate_fn, type(self).__name__)
         self.shard_id = shard_id
 
     def spawn(self, shard_id: int) -> "FCFSPolicy":
         """A per-shard instance sharing this policy's estimate source."""
-        return type(self)(self.source, shard_id=shard_id)
+        return type(self)(self.estimate_fn, shard_id=shard_id)
 
     def on_recalibration(self, qpus: list[QPU]) -> None:
-        _forward_recalibration(self.source, qpus)
+        _forward_recalibration(self.estimate_fn, qpus)
 
     def assign(
         self,
@@ -76,7 +74,7 @@ class FCFSPolicy:
         if not jobs:
             return []
         feas = feasibility_matrix(jobs, qpus)
-        fid, _ = self.source.estimate_block(jobs, qpus, feas)
+        fid, _ = self.estimate_fn.estimate_block(jobs, qpus, feas)
         scored = np.where(feas, fid, -np.inf)
         # argmax returns the first maximum, matching the pre-block
         # per-job max() over feasible QPUs in listing order.

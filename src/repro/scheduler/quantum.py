@@ -33,7 +33,7 @@ import numpy as np
 from ..backends.qpu import QPU
 from ..cloud.job import QuantumJob, feasibility_matrix
 from ..cloud.tenancy import tier_preference, tier_sort
-from ..estimator.source import as_estimate_source
+from ..estimator.source import EstimateSource, require_estimate_source
 from ..moo import select_by_preference
 from .cycle import OptimizationResult, OptimizationTask, run_optimization
 from .formulation import SchedulingInput, assignment_stats
@@ -44,9 +44,6 @@ __all__ = [
     "CyclePlan",
     "QonductorScheduler",
 ]
-
-#: Estimate callback signature: (job, qpu) -> (fidelity, exec_seconds).
-EstimateFn = Callable[[QuantumJob, QPU], tuple[float, float]]
 
 
 @dataclass
@@ -114,7 +111,7 @@ class QonductorScheduler:
 
     def __init__(
         self,
-        estimate_fn: EstimateFn,
+        estimate_fn: EstimateSource,
         *,
         preference: str | tuple[float, float] = "balanced",
         pop_size: int = 64,
@@ -123,13 +120,10 @@ class QonductorScheduler:
         shard_id: int = 0,
         on_recalibrate: Callable[[list[QPU]], None] | None = None,
         tier_preferences: dict | None = None,
-        warm_start: bool = False,
     ) -> None:
-        self.estimate_fn = estimate_fn
-        #: The batched scoring surface; legacy pair-wise callables are
-        #: adapted (with a DeprecationWarning) by
-        #: :func:`~repro.estimator.source.as_estimate_source`.
-        self.source = as_estimate_source(estimate_fn)
+        self.estimate_fn = require_estimate_source(
+            estimate_fn, type(self).__name__
+        )
         self.preference = preference
         #: Optional tier -> MCDM preference mapping for tenant-weighted
         #: selection (see :func:`~repro.cloud.tenancy.tier_preference`):
@@ -143,17 +137,6 @@ class QonductorScheduler:
         self.shard_id = shard_id
         self._cycle = 0
         self._on_recalibrate = on_recalibrate
-        #: Cross-cycle Pareto warm-starting (opt-in, off by default —
-        #: the default path stays bit-identical to cold starts).  When
-        #: on, :meth:`finish_cycle` remembers the cycle's Pareto front
-        #: and :meth:`begin_cycle` remaps it onto the next cycle's
-        #: pending jobs as initial-population seed rows, so the GA
-        #: reaches the tolerance-window termination in fewer
-        #: generations.  Determinism is preserved: the warm rows ride
-        #: in the :class:`OptimizationTask` snapshot and are a pure
-        #: function of the (seeded) previous cycle's result.
-        self.warm_start = warm_start
-        self._warm_memory: tuple[np.ndarray, list[int], list[str]] | None = None
 
     def spawn(self, shard_id: int) -> "QonductorScheduler":
         """A per-shard scheduler over this one's configuration.
@@ -166,7 +149,7 @@ class QonductorScheduler:
         independent of which worker runs which cycle first.
         """
         return QonductorScheduler(
-            self.source,
+            self.estimate_fn,
             preference=self.preference,
             pop_size=self.pop_size,
             max_generations=self.max_generations,
@@ -174,7 +157,6 @@ class QonductorScheduler:
             shard_id=shard_id,
             on_recalibrate=self._on_recalibrate,
             tier_preferences=self.tier_preferences,
-            warm_start=self.warm_start,
         )
 
     def on_recalibration(self, qpus: list[QPU]) -> None:
@@ -186,7 +168,7 @@ class QonductorScheduler:
         resource estimator's ``refresh_templates`` so template averages
         track fresh calibration data.
         """
-        fn_hook = getattr(self.source, "on_recalibration", None)
+        fn_hook = getattr(self.estimate_fn, "on_recalibration", None)
         if fn_hook is not None:
             fn_hook(qpus)
         if self._on_recalibrate is not None:
@@ -199,11 +181,7 @@ class QonductorScheduler:
         """Stage 1: filter and build estimate matrices.
 
         The whole pending set is scored through one
-        :meth:`~repro.estimator.source.EstimateSource.estimate_block`
-        call — batch-capable sources (:class:`~repro.estimator.cache.CachedEstimator`,
-        :class:`~repro.cloud.proxy.AnalyticEstimateSource`) vectorize it;
-        adapted legacy callables replay the per-pair loop inside the
-        adapter.
+        :meth:`~repro.estimator.source.EstimateSource.estimate_block` call.
 
         Returns (input | None, schedulable_jobs, filtered_out_jobs).
         """
@@ -214,7 +192,7 @@ class QonductorScheduler:
         if not schedulable or not online:
             return None, schedulable, rejected
         feas = feasibility_matrix(schedulable, online)
-        fid, sec = self.source.estimate_block(schedulable, online, feas)
+        fid, sec = self.estimate_fn.estimate_block(schedulable, online, feas)
         wait = np.array([waiting_seconds.get(q.name, 0.0) for q in online])
         data = SchedulingInput(
             fidelity=fid, exec_seconds=sec, waiting_seconds=wait, feasible=feas
@@ -247,11 +225,6 @@ class QonductorScheduler:
         t_pre = time.perf_counter() - t0
         task = None
         if data is not None:
-            warm = (
-                self._warm_rows(data, schedulable, online)
-                if self.warm_start
-                else None
-            )
             task = OptimizationTask(
                 data=data,
                 pop_size=self.pop_size,
@@ -259,7 +232,6 @@ class QonductorScheduler:
                 base_seed=self._seed,
                 shard_id=self.shard_id,
                 cycle_index=self._cycle,
-                warm_X=warm,
             )
         return CyclePlan(
             task=task,
@@ -268,48 +240,6 @@ class QonductorScheduler:
             online=online,
             preprocess_seconds=t_pre,
         )
-
-    def _warm_rows(
-        self,
-        data,
-        schedulable: list[QuantumJob],
-        online: list[QPU],
-    ) -> np.ndarray | None:
-        """Remap the remembered Pareto front onto this cycle's batch.
-
-        Each remembered front solution becomes one seed row: genes for
-        jobs still pending keep their previous QPU (remapped by name and
-        re-checked against this cycle's feasibility mask), genes for new
-        jobs — or assignments to QPUs that went offline — are ``-1`` and
-        are filled from the objective extremes / random draw inside
-        :meth:`SchedulingProblem.sample <repro.scheduler.formulation.SchedulingProblem.sample>`.
-        """
-        memory = self._warm_memory
-        if memory is None:
-            return None
-        prev_X, prev_job_ids, prev_qpu_names = memory
-        qpu_index = {q.name: k for k, q in enumerate(online)}
-        # Previous QPU column -> this cycle's column (-1 if offline/gone).
-        remap = np.array(
-            [qpu_index.get(name, -1) for name in prev_qpu_names],
-            dtype=np.int64,
-        )
-        col_of = {jid: c for c, jid in enumerate(prev_job_ids)}
-        rows = min(len(prev_X), max(self.pop_size - 2, 0))
-        if rows == 0:
-            return None
-        warm = np.full((rows, len(schedulable)), -1, dtype=np.int64)
-        for i, job in enumerate(schedulable):
-            c = col_of.get(job.job_id)
-            if c is None:
-                continue
-            genes = remap[prev_X[:rows, c]]
-            valid = genes >= 0
-            valid &= data.feasible[i, np.where(valid, genes, 0)]
-            warm[:, i] = np.where(valid, genes, -1)
-        if not (warm >= 0).any():
-            return None
-        return warm
 
     def finish_cycle(
         self, plan: CyclePlan, result: OptimizationResult | None
@@ -335,15 +265,6 @@ class QonductorScheduler:
             )
         data = plan.task.data
         online = plan.online
-        if self.warm_start and len(result.X):
-            # Remember this cycle's Pareto assignments by (job id, QPU
-            # name) so the next cycle can seed its population from them
-            # regardless of how its job/QPU indexing shifts.
-            self._warm_memory = (
-                np.asarray(result.X, dtype=np.int64),
-                [job.job_id for job in plan.schedulable],
-                [q.name for q in online],
-            )
 
         t0 = time.perf_counter()
         # The most-premium tier waiting in this batch may override the

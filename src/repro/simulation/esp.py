@@ -18,8 +18,7 @@ concatenated feature arrays — gate/readout terms as masked gathers plus
 segment sums, and the critical-path walk as one scatter/gather round per
 ASAP *level* (ops within a level are wire-disjoint by construction, so
 level order reproduces the sequential walk bit for bit).  The
-single-circuit functions are thin views over batches of one.  Array
-primitives route through :mod:`repro.simulation.array_ops`.
+single-circuit functions are thin views over batches of one.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..circuits.circuit import Circuit
-from .array_ops import ArrayBackend, make_array_backend
 from .noise import NoiseModel
 
 __all__ = [
@@ -322,17 +320,14 @@ def _op_durations(
     return dur
 
 
-def _schedule_finish(
-    block: _FeatureBlock, dur: np.ndarray, backend: ArrayBackend
-) -> np.ndarray:
+def _schedule_finish(block: _FeatureBlock, dur: np.ndarray) -> np.ndarray:
     """Per-wire finish times after the level-ordered critical-path walk.
 
     Equivalent to the sequential per-op walk: levels are a topological
     order, and ops within one level are wire-disjoint, so each level's
     starts can be gathered, maxed per op, and scattered in one round.
     """
-    xp = backend.xp
-    finish = backend.zeros(block.total_qubits)
+    finish = np.zeros(block.total_qubits)
     dur_sorted = dur[block.perm]
     for lvl in range(block.num_levels):
         a, b = block.level_bounds[lvl], block.level_bounds[lvl + 1]
@@ -341,21 +336,29 @@ def _schedule_finish(
             wb = block.sorted_wire_starts[b]
             wires = block.sorted_wires[wa:wb]
             op_starts = block.sorted_wire_starts[a:b] - wa
-            starts = backend.segment_max(finish[wires], op_starts)
+            starts = np.maximum.reduceat(finish[wires], op_starts)
             ends = starts + dur_sorted[a:b]
-            counts = xp.diff(block.sorted_wire_starts[a : b + 1])
-            finish[wires] = xp.repeat(ends, counts)
+            counts = np.diff(block.sorted_wire_starts[a : b + 1])
+            finish[wires] = np.repeat(ends, counts)
         for bw in block.barriers_at.get(lvl, ()):
             finish[bw] = finish[bw].max()
     return finish
 
 
-def _components_block(
-    circuits: list[Circuit],
-    noise_model: NoiseModel,
-    backend: ArrayBackend | str | None = None,
+# ----------------------------------------------------------------------
+# Public batched API.
+# ----------------------------------------------------------------------
+def esp_components_batch(
+    circuits: list[Circuit], noise_model: NoiseModel
 ) -> dict[str, np.ndarray]:
-    b = make_array_backend(backend)
+    """Per-circuit log-survival contributions for a jobs-block.
+
+    Returns ``{"gate", "readout", "decoherence", "duration_ns"}`` arrays
+    aligned with ``circuits`` (``esp = exp(gate + readout + decoherence)``;
+    ``duration_ns`` is the critical-path schedule length the decoherence
+    term integrates over).  One vectorized pass over the block's
+    concatenated feature arrays replaces per-circuit gate walks.
+    """
     num = len(circuits)
     if num == 0:
         z = np.zeros(0)
@@ -377,8 +380,8 @@ def _components_block(
     )
     with np.errstate(divide="ignore"):
         gate_terms = np.log1p(-np.minimum(err[unitary], 1.0))
-    log_gate = b.to_numpy(
-        b.segment_sum(gate_terms, block.op_circuit[unitary], num)
+    log_gate = np.bincount(
+        block.op_circuit[unitary], weights=gate_terms, minlength=num
     )
 
     # Readout term over measure ops.
@@ -386,19 +389,17 @@ def _components_block(
         ro_terms = np.log1p(
             -np.minimum(arrs.ro_err[block.meas_qubits], 1.0)
         )
-    log_readout = b.to_numpy(
-        b.segment_sum(ro_terms, block.meas_circuit, num)
+    log_readout = np.bincount(
+        block.meas_circuit, weights=ro_terms, minlength=num
     )
 
     # Critical-path duration, then decoherence over the used qubits.
     dur = _op_durations(block, noise_model, arrs)
-    finish = _schedule_finish(block, dur, b)
-    duration_ns = b.to_numpy(b.segment_max(finish, block.qubit_base))
+    finish = _schedule_finish(block, dur)
+    duration_ns = np.maximum.reduceat(finish, block.qubit_base)
     weights = 0.5 / arrs.t1 + 0.5 * arrs.inv_tphi
-    per_circuit = b.to_numpy(
-        b.segment_sum(
-            weights[block.used_qubits], block.used_circuit, num
-        )
+    per_circuit = np.bincount(
+        block.used_circuit, weights=weights[block.used_qubits], minlength=num
     )
     log_decoh = -(duration_ns / 1000.0) * per_circuit
 
@@ -417,51 +418,22 @@ def _components_block(
     }
 
 
-# ----------------------------------------------------------------------
-# Public batched API.
-# ----------------------------------------------------------------------
-def esp_components_batch(
-    circuits: list[Circuit],
-    noise_model: NoiseModel,
-    *,
-    backend: ArrayBackend | str | None = None,
-) -> dict[str, np.ndarray]:
-    """Per-circuit log-survival contributions for a jobs-block.
-
-    Returns ``{"gate", "readout", "decoherence", "duration_ns"}`` arrays
-    aligned with ``circuits`` (``esp = exp(gate + readout + decoherence)``;
-    ``duration_ns`` is the critical-path schedule length the decoherence
-    term integrates over).  One vectorized pass over the block's
-    concatenated feature arrays replaces per-circuit gate walks.
-    """
-    return _components_block(circuits, noise_model, backend)
-
-
 def circuit_duration_ns_batch(
-    circuits: list[Circuit],
-    noise_model: NoiseModel,
-    *,
-    backend: ArrayBackend | str | None = None,
+    circuits: list[Circuit], noise_model: NoiseModel
 ) -> np.ndarray:
     """Critical-path durations of a jobs-block under one noise model."""
-    b = make_array_backend(backend)
     if not circuits:
         return np.zeros(0)
     block = _FeatureBlock([extract_esp_features(c) for c in circuits])
     arrs = _model_arrays(noise_model)
     dur = _op_durations(block, noise_model, arrs)
-    finish = _schedule_finish(block, dur, b)
-    return b.to_numpy(b.segment_max(finish, block.qubit_base))
+    finish = _schedule_finish(block, dur)
+    return np.maximum.reduceat(finish, block.qubit_base)
 
 
-def esp_batch(
-    circuits: list[Circuit],
-    noise_model: NoiseModel,
-    *,
-    backend: ArrayBackend | str | None = None,
-) -> np.ndarray:
+def esp_batch(circuits: list[Circuit], noise_model: NoiseModel) -> np.ndarray:
     """Estimated success probabilities of a jobs-block (vectorized)."""
-    comps = _components_block(circuits, noise_model, backend)
+    comps = esp_components_batch(circuits, noise_model)
     total = comps["gate"] + comps["readout"] + comps["decoherence"]
     return np.exp(total)
 
@@ -481,16 +453,11 @@ def esp_to_hellinger_batch(
 
 
 def estimate_fidelity_analytic_batch(
-    circuits: list[Circuit],
-    noise_model: NoiseModel,
-    *,
-    backend: ArrayBackend | str | None = None,
+    circuits: list[Circuit], noise_model: NoiseModel
 ) -> np.ndarray:
     """Batched one-call analytic Hellinger-fidelity estimates."""
     widths = np.array([c.num_qubits for c in circuits], dtype=np.intp)
-    return esp_to_hellinger_batch(
-        esp_batch(circuits, noise_model, backend=backend), widths
-    )
+    return esp_to_hellinger_batch(esp_batch(circuits, noise_model), widths)
 
 
 # ----------------------------------------------------------------------
@@ -510,7 +477,7 @@ def esp_components(circuit: Circuit, noise_model: NoiseModel) -> dict[str, float
     readout term, DD the (quasi-static share of the) decoherence term, and
     ZNE/twirling the gate term.
     """
-    comps = _components_block([circuit], noise_model)
+    comps = esp_components_batch([circuit], noise_model)
     return {
         "gate": float(comps["gate"][0]),
         "readout": float(comps["readout"][0]),

@@ -9,9 +9,7 @@ whole ``(batch, 2**n)`` stack of states with a single tensordot per gate
 (the trajectory simulator stacks all its trajectories this way, and
 :func:`apply_gate_to_matrix` treats the columns of a unitary as the
 batch).  The single-state :func:`apply_matrix` is a thin view over the
-batched path.  Array primitives route through
-:mod:`repro.simulation.array_ops`, so a GPU backend swaps in without
-touching this module.
+batched path.
 
 Qubit convention: qubit 0 is the *least significant* bit of the basis-state
 index (little-endian), matching how counts are reported as bitstrings with
@@ -24,7 +22,6 @@ import numpy as np
 
 from ..circuits.circuit import Circuit
 from ..circuits.gates import Gate
-from .array_ops import ArrayBackend, make_array_backend
 
 __all__ = [
     "zero_state",
@@ -58,7 +55,6 @@ def apply_matrix_batched(
     matrix,
     qubits: tuple[int, ...],
     num_qubits: int,
-    backend: ArrayBackend | str | None = None,
 ):
     """Apply a k-qubit ``matrix`` to ``qubits`` of a ``(batch, 2**n)`` stack.
 
@@ -69,22 +65,20 @@ def apply_matrix_batched(
     move — the batched generalization of the single-state contraction,
     bit-identical per row to applying the gate state by state.
     """
-    b = make_array_backend(backend)
-    xp = b.xp
     batch = states.shape[0]
     k = len(qubits)
     tensor = states.reshape((batch,) + (2,) * num_qubits)
     # Axis of qubit q in the batch-leading C-ordered tensor:
     axes = [1 + num_qubits - 1 - q for q in qubits]
-    gate_tensor = b.asarray(matrix).reshape((2,) * (2 * k))
+    gate_tensor = np.asarray(matrix).reshape((2,) * (2 * k))
     # tensordot contracts the *last* k axes of gate_tensor (the input
     # indices) with the target axes of the state tensor.
-    moved = b.tensordot(gate_tensor, tensor, axes=(list(range(k, 2 * k)), axes))
+    moved = np.tensordot(gate_tensor, tensor, axes=(list(range(k, 2 * k)), axes))
     # Output axes of the gate land first, in qubit order; move them back
     # (the batch axis and untouched qubit axes keep their relative order,
     # so the same positions identify the targets afterwards).
-    moved = b.moveaxis(moved, range(k), axes)
-    return xp.ascontiguousarray(moved).reshape(batch, -1)
+    moved = np.moveaxis(moved, range(k), axes)
+    return np.ascontiguousarray(moved).reshape(batch, -1)
 
 
 def apply_matrix(
@@ -164,24 +158,20 @@ def sample_counts(
     shots: int,
     rng: np.random.Generator,
     num_qubits: int | None = None,
-    *,
-    backend: ArrayBackend | str | None = None,
 ) -> dict[str, int]:
     """Draw ``shots`` samples from a probability vector into a counts dict.
 
-    The draw is one vectorized multinomial through the array backend
-    (bit-identical to ``rng.multinomial`` on the NumPy backend); only the
-    observed outcomes are materialized as dict entries.  Keys are
+    The draw is one vectorized ``rng.multinomial``; only the observed
+    outcomes are materialized as dict entries.  Keys are
     bitstrings with qubit 0 rightmost (little-endian display).
     """
-    b = make_array_backend(backend)
     n = int(np.log2(len(probabilities))) if num_qubits is None else num_qubits
     probs = np.clip(probabilities, 0.0, None)
     total = probs.sum()
     if total <= 0:
         raise ValueError("probability vector sums to zero")
     probs = probs / total
-    draws = b.to_numpy(b.multinomial(rng, shots, probs))
+    draws = rng.multinomial(shots, probs)
     observed = np.nonzero(draws)[0]
     return {format(idx, f"0{n}b"): int(draws[idx]) for idx in observed}
 

@@ -42,7 +42,6 @@ import numpy as np
 
 from ..circuits.circuit import Circuit
 from ..circuits.gates import gate_matrix
-from .array_ops import ArrayBackend, make_array_backend
 from .noise import NoiseModel
 from .readout import apply_readout_noise_probs
 from .statevector import apply_matrix_batched, sample_counts
@@ -117,7 +116,6 @@ class NoisySimulator:
         seed: int | None = None,
         include_idle_noise: bool = True,
         quasi_static_fraction: float = QUASI_STATIC_FRACTION,
-        backend: ArrayBackend | str | None = None,
     ) -> None:
         if num_trajectories < 1:
             raise ValueError("num_trajectories must be >= 1")
@@ -127,7 +125,6 @@ class NoisySimulator:
         self.num_trajectories = num_trajectories
         self.include_idle_noise = include_idle_noise
         self.quasi_static_fraction = quasi_static_fraction
-        self.array_backend = make_array_backend(backend)
         self._rng = np.random.default_rng(seed)
 
     # ------------------------------------------------------------------
@@ -150,9 +147,7 @@ class NoisySimulator:
             )
         rng = rng or self._rng
         probs = self.noisy_probabilities(circuit, rng=rng)
-        counts = sample_counts(
-            probs, shots, rng, circuit.num_qubits, backend=self.array_backend
-        )
+        counts = sample_counts(probs, shots, rng, circuit.num_qubits)
         return NoisyResult(
             counts=counts,
             probabilities=probs,
@@ -167,13 +162,10 @@ class NoisySimulator:
         """Trajectory-averaged outcome distribution including readout noise."""
         rng = rng or self._rng
         n = circuit.num_qubits
-        b = self.array_backend
         plan = self._noise_plan(circuit)
         draws = self._draw_randomness(circuit, plan, rng)
         states = self._evolve_trajectories(circuit, plan, draws)
-        acc = b.to_numpy(
-            b.einsum("ti,ti->i", states.conj(), states).real
-        )
+        acc = np.einsum("ti,ti->i", states.conj(), states).real
         acc = acc / self.num_trajectories
         return apply_readout_noise_probs(acc, self.noise_model, n)
 
@@ -266,27 +258,25 @@ class NoisySimulator:
         """Draw the run's randomness as fixed-shape length-T batches.
 
         The ``(T, n)`` detuning normal consumes the generator's stream
-        bit-identically to T sequential per-trajectory draws; every plan
-        decision point then takes one length-T draw (victim/pauli integers
-        unconditionally), so the stream shape depends only on the circuit.
+        bit-identically to T sequential per-trajectory draws (locked in
+        ``tests/test_simulation.py``); every plan decision point then
+        takes one length-T draw (victim/pauli integers unconditionally),
+        so the stream shape depends only on the circuit.
         """
-        b = self.array_backend
         t = self.num_trajectories
         sigmas = self._detuning_sigmas(circuit.num_qubits)
-        detunings = (
-            b.normal(rng, 0.0, 1.0, (t, circuit.num_qubits)) * sigmas
-        )
+        detunings = rng.normal(0.0, 1.0, (t, circuit.num_qubits)) * sigmas
         windows: list[np.ndarray] = []
         fire: list[np.ndarray] = []
         victim: list[np.ndarray] = []
         pauli: list[np.ndarray] = []
         for ev in plan:
             if ev[0] == "window":
-                windows.append(b.random(rng, t))
+                windows.append(rng.random(t))
             elif ev[0] == "gate_error":
-                fire.append(b.random(rng, t))
-                victim.append(b.integers(rng, len(ev[3]), t))
-                pauli.append(b.integers(rng, 3, t))
+                fire.append(rng.random(t))
+                victim.append(rng.integers(len(ev[3]), size=t))
+                pauli.append(rng.integers(3, size=t))
         return _TrajectoryDraws(
             num_trajectories=t,
             detunings=detunings,
@@ -306,10 +296,9 @@ class NoisySimulator:
         which is the batched-vs-loop equivalence the tests assert.
         """
         n = circuit.num_qubits
-        b = self.array_backend
         ops = circuit.ops
         t = draws.num_trajectories
-        states = b.zeros((t, 2**n), dtype=complex)
+        states = np.zeros((t, 2**n), dtype=complex)
         states[:, 0] = 1.0
         wi = gi = 0
         for ev in plan:
@@ -320,9 +309,7 @@ class NoisySimulator:
                 wi += 1
             elif ev[0] == "unitary":
                 g = ops[ev[1]]
-                states = apply_matrix_batched(
-                    states, g.matrix(), g.qubits, n, backend=b
-                )
+                states = apply_matrix_batched(states, g.matrix(), g.qubits, n)
             elif ev[0] == "gate_error":
                 _, _, error, qubits = ev
                 fired = draws.gate_fire[gi] < error
@@ -335,15 +322,12 @@ class NoisySimulator:
                             m = fired & (vic == v) & (pau == p)
                             if m.any():
                                 states[m] = apply_matrix_batched(
-                                    states[m], _PAULIS[name],
-                                    (qubits[v],), n, backend=b,
+                                    states[m], _PAULIS[name], (qubits[v],), n
                                 )
             else:  # project
                 g = ops[ev[1]]
                 proj = _PROJECTORS[int(g.params[0])]
-                states = apply_matrix_batched(
-                    states, proj, g.qubits, n, backend=b
-                )
+                states = apply_matrix_batched(states, proj, g.qubits, n)
         return states
 
     def _decohere_window_batch(
@@ -362,13 +346,11 @@ class NoisySimulator:
         The stochastic part draws one uniform per trajectory and applies
         the selected Pauli to the masked sub-batch.
         """
-        b = self.array_backend
-        xp = b.xp
         # Coherent quasi-static dephasing (refocusable by DD pulses):
         # rz(phi) = diag(e^{-i phi/2}, e^{+i phi/2}) per trajectory.
         phi = draws.detunings[:, q] * dt_ns
-        bits = (xp.arange(states.shape[1]) >> q) & 1
-        states = states * xp.exp(1j * xp.outer(phi, bits - 0.5))
+        bits = (np.arange(states.shape[1]) >> q) & 1
+        states = states * np.exp(1j * np.outer(phi, bits - 0.5))
         p_ad, p_pd = self.noise_model.decoherence_probs(q, dt_ns)
         markov_frac = 1.0 - self.quasi_static_fraction
         # Stochastic amplitude damping, Pauli-twirled.
@@ -384,6 +366,6 @@ class NoisySimulator:
         for m, name in zip(masks, _PAULI_NAMES):
             if m.any():
                 states[m] = apply_matrix_batched(
-                    states[m], _PAULIS[name], (q,), num_qubits, backend=b
+                    states[m], _PAULIS[name], (q,), num_qubits
                 )
         return states

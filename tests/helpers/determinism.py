@@ -29,6 +29,7 @@ from repro.cloud import (
     SimulatedQPU,
     SimulationConfig,
 )
+from repro.estimator import PairwiseEstimateSource
 from repro.scheduler import FCFSPolicy, SchedulingTrigger
 from repro.workloads import ghz_linear
 
@@ -51,6 +52,7 @@ SERIES = (
 )
 
 
+@PairwiseEstimateSource
 def fake_estimate(job, qpu):
     """Deterministic stand-in estimator: distinct per (job width, QPU)."""
     return 0.5 + 0.4 / (1 + job.num_qubits + len(qpu.name)), 12.0

@@ -21,10 +21,12 @@ from repro.cloud import (
     SimulationConfig,
     flash_outage,
 )
+from repro.estimator import PairwiseEstimateSource
 from repro.scheduler import FCFSPolicy
 from repro.workloads import ghz_linear
 
 
+@PairwiseEstimateSource
 def _fake_estimate(job, qpu):
     return 0.5 + 0.4 / (1 + job.num_qubits + len(qpu.name)), 12.0
 

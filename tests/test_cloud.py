@@ -19,10 +19,12 @@ from repro.cloud import (
     diurnal_rate,
     simulate_queue_imbalance,
 )
+from repro.estimator import PairwiseEstimateSource
 from repro.scheduler import FCFSPolicy, LeastBusyPolicy, QonductorScheduler, SchedulingTrigger
 from repro.workloads import ghz_linear, qaoa_maxcut
 
 
+@PairwiseEstimateSource
 def _fake_estimate(job, qpu):
     return 0.8, 12.0
 
@@ -298,6 +300,30 @@ class TestLoadGenerator:
             LoadGenerator(
                 arrival_process="mmpp", mean_burst_seconds=-1.0
             ).generate(60.0)
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"mean_rate_per_hour": 0}, "mean_rate_per_hour"),
+            ({"mean_rate_per_hour": -5}, "mean_rate_per_hour"),
+            ({"circuit_pool_size": -1}, "circuit_pool_size"),
+            ({"arrival_process": "bogus"}, "arrival_process"),
+            (
+                {"arrival_process": "mmpp", "burst_rate_multiplier": 1.0},
+                "burst_rate_multiplier",
+            ),
+            (
+                {"arrival_process": "mmpp", "mean_calm_seconds": 0.0},
+                "mean_calm_seconds",
+            ),
+        ],
+    )
+    def test_bad_config_fails_at_construction(self, kwargs, field):
+        """Regression: rate 0 was a ZeroDivisionError at the first
+        next(), rate < 0 'scale < 0', pool -1 'high <= 0' — none named
+        the field, all surfaced inside the generator."""
+        with pytest.raises(ValueError, match=field):
+            LoadGenerator(**kwargs)
 
     def test_poisson_stream_unchanged_by_mmpp_support(self):
         """The default process draws exactly the stream it always did —

@@ -242,10 +242,6 @@ class TestPlans:
 # The unified estimate-source surface (EstimateSource / estimate_block)
 # ---------------------------------------------------------------------------
 
-import os  # noqa: E402
-import subprocess  # noqa: E402
-import sys  # noqa: E402
-
 from repro.cloud import AnalyticEstimateSource  # noqa: E402
 from repro.cloud.execution import (  # noqa: E402
     QPU_SETUP_SECONDS,
@@ -254,8 +250,8 @@ from repro.cloud.execution import (  # noqa: E402
 from repro.cloud.job import feasibility_matrix  # noqa: E402
 from repro.estimator import (  # noqa: E402
     PairwiseEstimateSource,
-    as_estimate_source,
     block_feasibility,
+    require_estimate_source,
 )
 from repro.simulation import esp, esp_to_hellinger  # noqa: E402
 from repro.workloads import ghz  # noqa: E402
@@ -266,51 +262,47 @@ def _jobs_with_circuits(widths=(2, 4, 3, 6, 27)):
 
 
 class TestEstimateSourceAdapter:
-    def test_bare_callable_warns_and_adapts(self, fleet):
+    def test_pairwise_block_is_row_major_loop(self, fleet):
+        """One call per feasible cell, in row-major order; infeasible
+        cells are never scored."""
         jobs = _jobs_with_circuits()
-        with pytest.warns(DeprecationWarning, match="estimate_block"):
-            source = as_estimate_source(lambda job, qpu: (0.8, 5.0))
-        assert isinstance(source, PairwiseEstimateSource)
-        assert source(jobs[0], fleet[0]) == (0.8, 5.0)
-        fid, sec = source.estimate_block(jobs, fleet)
         feas = feasibility_matrix(jobs, fleet)
-        assert np.array_equal(fid, np.where(feas, 0.8, 0.0))
-        assert np.array_equal(sec, np.where(feas, 5.0, 0.0))
+        assert not feas.all()
+        calls = []
 
-    def test_estimate_for_qpu_object_warns_and_adapts(self, fleet):
-        class Legacy:
-            def estimate_for_qpu(self, job, qpu):
-                return 0.7, 3.0
+        def fn(job, qpu):
+            calls.append((job.job_id, qpu.name))
+            return 0.5 + 0.01 * len(calls), float(len(calls))
 
-        jobs = _jobs_with_circuits((2, 3))
-        with pytest.warns(DeprecationWarning, match="estimate_for_qpu"):
-            source = as_estimate_source(Legacy())
+        source = PairwiseEstimateSource(fn)
         fid, sec = source.estimate_block(jobs, fleet)
-        assert fid[0, 0] == 0.7 and sec[0, 0] == 3.0
+        cells = [
+            (i, k)
+            for i in range(len(jobs))
+            for k in range(len(fleet))
+            if feas[i, k]
+        ]
+        assert calls == [(jobs[i].job_id, fleet[k].name) for i, k in cells]
+        ref_fid, ref_sec = np.zeros(feas.shape), np.zeros(feas.shape)
+        for n, (i, k) in enumerate(cells, start=1):
+            ref_fid[i, k], ref_sec[i, k] = 0.5 + 0.01 * n, float(n)
+        assert np.array_equal(fid, ref_fid) and np.array_equal(sec, ref_sec)
+        assert source(jobs[0], fleet[0])[1] == len(cells) + 1  # plain call
 
     def test_block_capable_source_passes_through(self, trained):
         cached = trained.cached()
-        assert as_estimate_source(cached) is cached
-        assert as_estimate_source(trained) is trained
+        assert require_estimate_source(cached, "test") is cached
+        assert require_estimate_source(trained, "test") is trained
 
     def test_unadaptable_raises(self):
-        with pytest.raises(TypeError):
-            as_estimate_source(42)
+        """Policies take an EstimateSource and nothing else; the error
+        names the fix."""
+        from repro.scheduler import BatchedFCFSPolicy, FCFSPolicy, QonductorScheduler
 
-    def test_adapter_forwards_recalibration(self):
-        seen = []
-
-        class Legacy:
-            def estimate_for_qpu(self, job, qpu):
-                return 0.5, 1.0
-
-            def on_recalibration(self, qpus):
-                seen.append(len(qpus))
-
-        with pytest.warns(DeprecationWarning):
-            source = as_estimate_source(Legacy())
-        source.on_recalibration([1, 2, 3])
-        assert seen == [3]
+        for make in (QonductorScheduler, FCFSPolicy, BatchedFCFSPolicy):
+            for bad in (lambda job, qpu: (0.8, 5.0), 42):
+                with pytest.raises(TypeError, match="PairwiseEstimateSource"):
+                    make(bad)
 
     def test_block_feasibility_matches_cloud_matrix(self, fleet):
         jobs = _jobs_with_circuits()
@@ -571,38 +563,3 @@ class TestAnalyticEstimateSource:
         policy = FCFSPolicy(AnalyticEstimateSource())
         out = policy.assign(jobs, fleet, {})
         assert all(name is not None for _, name in out)
-
-
-class TestArrayBackendEnvIdentity:
-    def test_run_bit_identical_under_explicit_env(self):
-        """A seeded sharded run with ARRAY_BACKEND=numpy exported must be
-        bit-identical to the default-backend run (the CI tier-1 job sets
-        the variable explicitly)."""
-        script = (
-            "import json, sys\n"
-            "sys.path.insert(0, 'tests')\n"
-            "from helpers.determinism import fake_estimate, run_sharded\n"
-            "from repro.scheduler import FCFSPolicy\n"
-            "m = run_sharded(FCFSPolicy(fake_estimate), 'serial',"
-            " duration=300.0)\n"
-            "state = {k: repr(v) for k, v in"
-            " sorted(m.deterministic_state().items())}\n"
-            "print(json.dumps(state))\n"
-        )
-        outs = []
-        for env_backend in (None, "numpy"):
-            env = dict(os.environ)
-            env.pop("ARRAY_BACKEND", None)
-            if env_backend is not None:
-                env["ARRAY_BACKEND"] = env_backend
-            env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
-            proc = subprocess.run(
-                [sys.executable, "-c", script],
-                capture_output=True,
-                text=True,
-                env=env,
-                cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            )
-            assert proc.returncode == 0, proc.stderr
-            outs.append(proc.stdout.strip().splitlines()[-1])
-        assert outs[0] == outs[1]

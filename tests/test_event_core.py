@@ -17,12 +17,13 @@ from repro.cloud import (
     QuantumJob,
     SimulationConfig,
 )
-from repro.estimator import CachedEstimator, EstimateCache
+from repro.estimator import CachedEstimator, EstimateCache, PairwiseEstimateSource
 from repro.experiments.common import trained_estimator
 from repro.scheduler import FCFSPolicy, QonductorScheduler, SchedulingTrigger
 from repro.workloads import WorkloadSampler, ghz_linear
 
 
+@PairwiseEstimateSource
 def _fake_estimate(job, qpu):
     # Varies by pair so assignment decisions are not degenerate.
     return 0.5 + 0.4 / (1 + job.num_qubits + len(qpu.name)), 12.0
@@ -504,7 +505,9 @@ class TestCacheEquivalence:
         estimator, fleet, jobs = setup
         waiting = {q.name: 0.0 for q in fleet}
         plain = QonductorScheduler(
-            estimator.estimate_for_qpu, seed=3, max_generations=10
+            PairwiseEstimateSource(estimator.estimate_for_qpu),
+            seed=3,
+            max_generations=10,
         ).schedule(list(jobs), fleet, dict(waiting))
         cached_fn = estimator.cached()
         cached = QonductorScheduler(

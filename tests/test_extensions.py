@@ -10,6 +10,7 @@ from repro.backends import default_fleet
 from repro.cloud.execution import MITIGATION_EFFECTS, ExecutionModel
 from repro.cloud.job import QuantumJob
 from repro.experiments.ascii_plot import bar_chart, cdf_chart, line_chart
+from repro.estimator import PairwiseEstimateSource
 from repro.scheduler import (
     QonductorScheduler,
     Reservation,
@@ -53,7 +54,9 @@ class TestReservations:
         mgr.reserve("auckland", 0.0, 1000.0)
         mgr.apply(fleet, now=10.0)
         sched = QonductorScheduler(
-            lambda j, q: (0.8, 10.0), seed=1, max_generations=5
+            PairwiseEstimateSource(lambda j, q: (0.8, 10.0)),
+            seed=1,
+            max_generations=5,
         )
         jobs = [
             QuantumJob.from_circuit(ghz_linear(5), keep_circuit=False)

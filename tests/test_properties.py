@@ -3,11 +3,12 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from helpers.reference_kernels import fast_non_dominated_sort
 from repro.circuits import Circuit, compute_metrics
 from repro.mitigation import fold_to_factor, zne_infer_probs
 from repro.mitigation.rem import _simplex_project
 from repro.moo.mcdm import pseudo_weights, select_by_preference
-from repro.moo.sorting import crowding_distance, fast_non_dominated_sort, pareto_front_mask
+from repro.moo.sorting import crowding_distance, pareto_front_mask
 from repro.simulation import (
     hellinger_fidelity,
     ideal_probabilities,

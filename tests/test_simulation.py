@@ -269,65 +269,30 @@ class TestESP:
 
 
 # ---------------------------------------------------------------------------
-# Array-ops backend and batched hot-path equivalence
+# RNG stream contracts and batched hot-path equivalence
 # ---------------------------------------------------------------------------
 
 from repro.simulation import (  # noqa: E402
-    ARRAY_BACKEND_ENV,
-    NumpyBackend,
     apply_matrix_batched,
     circuit_duration_ns_batch,
     esp_batch,
     esp_components_batch,
     extract_esp_features,
-    make_array_backend,
-    register_array_backend,
 )
-from repro.simulation import array_ops as _array_ops  # noqa: E402
 from repro.workloads import qft, random_circuit  # noqa: E402
 
 
-class TestArrayBackend:
-    def test_default_is_numpy(self):
-        b = make_array_backend()
-        assert isinstance(b, NumpyBackend)
-        assert b.name == "numpy" and b.xp is np
-
-    def test_by_name_and_instance_passthrough(self):
-        b = make_array_backend("numpy")
-        assert make_array_backend(b) is b
-        # Instances are cached per name.
-        assert make_array_backend("numpy") is b
-
-    def test_env_selection(self, monkeypatch):
-        monkeypatch.setenv(ARRAY_BACKEND_ENV, "numpy")
-        assert isinstance(make_array_backend(), NumpyBackend)
-        monkeypatch.setenv(ARRAY_BACKEND_ENV, "no-such-backend")
-        with pytest.raises(KeyError):
-            make_array_backend()
-
-    def test_unknown_name_lists_choices(self):
-        with pytest.raises(KeyError, match="numpy"):
-            make_array_backend("no-such-backend")
-
-    def test_register_custom_backend(self):
-        class Tagged(NumpyBackend):
-            name = "tagged"
-
-        register_array_backend("tagged", Tagged)
-        try:
-            assert isinstance(make_array_backend("tagged"), Tagged)
-        finally:
-            _array_ops._FACTORIES.pop("tagged", None)
-            _array_ops._INSTANCES.pop("tagged", None)
-
+class TestRngStreamContracts:
     def test_batched_normal_bit_identical_to_sequential(self):
-        """The RNG contract: one (T, n) draw == T sequential (n,) draws."""
-        b = make_array_backend()
-        block = b.normal(np.random.default_rng(11), 0.0, 1.0, (7, 5))
+        """The RNG contract at the trajectory draw pass: the one (T, n)
+        detuning block == T sequential (n,) draws from the same stream."""
+        nm = NoiseModel.uniform(5, t1_us=60.0, t2_us=35.0)
+        c = ghz_linear(5)
+        sim = NoisySimulator(nm, num_trajectories=7, seed=0)
+        draws = sim._draw_randomness(c, [], np.random.default_rng(11))
         rng = np.random.default_rng(11)
         rows = np.stack([rng.normal(0.0, 1.0, 5) for _ in range(7)])
-        assert np.array_equal(block, rows)
+        assert np.array_equal(draws.detunings, rows * sim._detuning_sigmas(5))
 
     def test_sample_counts_matches_raw_multinomial(self):
         probs = ideal_probabilities(Circuit(3).h(0).cx(0, 1).cx(1, 2))
@@ -483,17 +448,6 @@ class TestBatchedTrajectoryEquivalence:
         p1 = NoisySimulator(nm, num_trajectories=12, seed=9).noisy_probabilities(c)
         p2 = NoisySimulator(nm, num_trajectories=12, seed=9).noisy_probabilities(c)
         assert np.array_equal(p1, p2)
-
-    def test_explicit_backend_bit_identical(self):
-        nm = NoiseModel.uniform(3, error_2q=0.02, readout_error=0.02)
-        c = ghz_linear(3)
-        default = NoisySimulator(nm, num_trajectories=10, seed=4)
-        explicit = NoisySimulator(
-            nm, num_trajectories=10, seed=4, backend="numpy"
-        )
-        assert np.array_equal(
-            default.noisy_probabilities(c), explicit.noisy_probabilities(c)
-        )
 
     def test_batched_matches_single_trajectory_replay(self):
         """Evolving the (T, 2**n) stack must be bit-equivalent to replaying
