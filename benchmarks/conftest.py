@@ -136,6 +136,29 @@ def nsga_reference_patch():
         ) = saved
 
 
+@contextlib.contextmanager
+def eager_workload_patch():
+    """Swap the sampler's recipes back to the pre-recipe workload path.
+
+    Every ``SampledJob.metrics`` builds its circuit and walks it six
+    times (``helpers.reference_metrics``), with no per-family memo —
+    what the load generator paid per arrival before a sampled job became
+    a recipe.  The RNG draws are untouched, so a patched stream carries
+    identical jobs and a before/after timing sees only the construction.
+    """
+    from helpers.reference_metrics import compute_metrics_reference
+    from repro.workloads.suite import SampledJob
+
+    saved = SampledJob.metrics
+    try:
+        SampledJob.metrics = property(
+            lambda self: compute_metrics_reference(self.circuit)
+        )
+        yield
+    finally:
+        SampledJob.metrics = saved
+
+
 @pytest.fixture
 def once(benchmark):
     """Run the benched callable exactly once (experiments are heavy)."""

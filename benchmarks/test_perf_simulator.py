@@ -930,3 +930,62 @@ def test_perf_nsga_kernels():
         f"({ref_seconds * 1e3:.3f}ms reference vs "
         f"{kernel_seconds * 1e3:.3f}ms kernel)"
     )
+
+
+# ---------------------------------------------------------------------------
+# Workload construction: recipes vs a circuit per arrival
+# ---------------------------------------------------------------------------
+
+def test_perf_workload_construction():
+    """The recipe gate: iterating the six ``qonductor_fresh`` arrival
+    streams (fresh program per arrival, circuits dropped) must beat the
+    pre-recipe path — build every circuit, walk it six times — by >=2.5x
+    while yielding identical jobs at identical instants."""
+    from conftest import eager_workload_patch
+
+    def streams():
+        t0 = time.perf_counter()
+        content = [
+            (j.metrics, j.shots, j.mitigation, j.benchmark, j.arrival_time)
+            for seed in range(3000, 3006)
+            for j in (
+                app.quantum_job
+                for app in LoadGenerator(
+                    mean_rate_per_hour=4500.0, seed=seed
+                ).iter_arrivals(2160.0)
+            )
+        ]
+        return time.perf_counter() - t0, content
+
+    after_seconds, after = min(streams() for _ in range(5))
+    with eager_workload_patch():
+        before_seconds, before = min(streams() for _ in range(3))
+    assert before == after
+    speedup = before_seconds / max(after_seconds, 1e-12)
+
+    result = {
+        "paper": {},
+        "measured": {
+            "arrivals": len(after),
+            "distinct_metrics": len({row[0] for row in after}),
+            "before_ms": round(before_seconds * 1e3, 1),
+            "after_ms": round(after_seconds * 1e3, 1),
+            "after_us_per_arrival": round(after_seconds * 1e6 / len(after), 2),
+            "speedup": round(speedup, 2),
+            "content_identical": True,
+        },
+    }
+    report(
+        "Perf: workload construction (recipes vs a circuit per arrival)",
+        result,
+        keys=list(result["measured"]),
+    )
+
+    ARTIFACT_DIR.mkdir(exist_ok=True)
+    artifact = ARTIFACT_DIR / "perf_workload_construction.json"
+    artifact.write_text(json.dumps(result["measured"], indent=2) + "\n")
+
+    assert speedup >= 2.5, (
+        f"workload construction speedup {speedup:.2f}x < 2.5x "
+        f"({before_seconds * 1e3:.0f}ms eager vs {after_seconds * 1e3:.0f}ms recipes)"
+    )

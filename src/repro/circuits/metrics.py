@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, asdict
 
 from .circuit import Circuit
+from .gates import GATE_SPECS
 
 __all__ = ["CircuitMetrics", "compute_metrics"]
 
@@ -40,7 +41,7 @@ class CircuitMetrics:
         return "dense"
 
     @property
-    def fingerprint(self) -> tuple:
+    def fingerprint(self) -> tuple[int, ...]:
         """Content address: two circuits with equal structural metrics are
         interchangeable for estimation, so caches key on this tuple."""
         return (
@@ -54,7 +55,7 @@ class CircuitMetrics:
             self.max_interaction_degree,
         )
 
-    def as_dict(self) -> dict:
+    def as_dict(self) -> dict[str, int | float]:
         return asdict(self)
 
     def feature_vector(self) -> list[float]:
@@ -69,34 +70,71 @@ class CircuitMetrics:
         ]
 
 
+#: Op name -> how the fused pass treats it: ``1`` / ``2`` for a unitary on
+#: that many wires, ``0`` for a one-wire pseudo op (``measure``, ``reset``,
+#: ``delay``, ``project``).  ``barrier`` is absent: it is the one op whose
+#: wire count varies, and the pass handles it before the lookup.
+_UNITARY_WIRES: dict[str, int] = {
+    name: spec.num_qubits if spec.matrix_fn is not None else 0
+    for name, spec in GATE_SPECS.items()
+    if name != "barrier"
+}
+
+
 def compute_metrics(circuit: Circuit) -> CircuitMetrics:
-    """Compute the standard metric bundle for ``circuit``."""
-    n_1q = sum(1 for g in circuit.ops if g.is_unitary and g.num_qubits == 1)
-    n_2q = circuit.two_qubit_gate_count()
-    depth = circuit.depth()
-    size = n_1q + n_2q
-    if depth > 0:
-        parallelism = size / depth
-    else:
-        parallelism = 0.0
+    """Compute the standard metric bundle for ``circuit`` in one pass.
+
+    Both level vectors follow :meth:`Circuit.depth` exactly: every op
+    other than a barrier adds a layer to ``depth``, only two-qubit
+    unitaries add one to ``two_qubit_depth`` (a weight-0 op on one wire
+    leaves that vector untouched), and a barrier synchronizes its listed
+    wires — all wires when it lists none — without adding a layer.
+    """
+    n = circuit.num_qubits
+    levels = [0] * n
+    levels_2q = [0] * n
+    n_1q = n_2q = n_measure = 0
     degree: dict[int, int] = {}
     seen_edges: set[tuple[int, int]] = set()
     for g in circuit.ops:
-        if g.is_unitary and g.num_qubits == 2:
-            e = (min(g.qubits), max(g.qubits))
-            if e in seen_edges:
-                continue
-            seen_edges.add(e)
-            degree[e[0]] = degree.get(e[0], 0) + 1
-            degree[e[1]] = degree.get(e[1], 0) + 1
+        name = g.name
+        qubits = g.qubits
+        if name == "barrier":
+            wires = qubits if qubits else range(n)
+            for lv in (levels, levels_2q):
+                sync = max(lv[q] for q in wires)
+                for q in wires:
+                    lv[q] = sync
+            continue
+        kind = _UNITARY_WIRES[name]
+        if kind == 2:
+            a, b = qubits
+            n_2q += 1
+            la, lb = levels[a], levels[b]
+            levels[a] = levels[b] = (la if la > lb else lb) + 1
+            la, lb = levels_2q[a], levels_2q[b]
+            levels_2q[a] = levels_2q[b] = (la if la > lb else lb) + 1
+            edge = (a, b) if a < b else (b, a)
+            if edge not in seen_edges:
+                seen_edges.add(edge)
+                degree[a] = degree.get(a, 0) + 1
+                degree[b] = degree.get(b, 0) + 1
+        else:
+            levels[qubits[0]] += 1
+            if kind == 1:
+                n_1q += 1
+            elif name == "measure":
+                n_measure += 1
+    depth = max(levels)
+    size = n_1q + n_2q
     return CircuitMetrics(
-        num_qubits=circuit.num_qubits,
+        num_qubits=n,
         depth=depth,
-        two_qubit_depth=circuit.depth(two_qubit_only=True),
+        two_qubit_depth=max(levels_2q),
         size=size,
         num_1q_gates=n_1q,
         num_2q_gates=n_2q,
-        num_measurements=circuit.num_measurements,
-        parallelism=parallelism,
+        num_measurements=n_measure,
+        parallelism=size / depth if depth > 0 else 0.0,
         max_interaction_degree=max(degree.values(), default=0),
     )

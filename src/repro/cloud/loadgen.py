@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..workloads.suite import WorkloadSampler
+from ..workloads.suite import SampledJob, WorkloadSampler
 from .job import HybridApplication, QuantumJob
 from .tenancy import TenantShare
 
@@ -130,6 +130,12 @@ class LoadGenerator:
                 raise ValueError(
                     "mean_calm_seconds and mean_burst_seconds must be > 0"
                 )
+        if self.shots_grid is not None and len(self.shots_grid) == 0:
+            raise ValueError("shots_grid must be non-empty when given")
+        # Every other workload field is the sampler's to judge: build one
+        # now so a bad value fails here, not at the first ``next()``
+        # inside ``CloudSimulator.run``.
+        self._make_sampler()
 
     def _make_sampler(self) -> WorkloadSampler:
         return WorkloadSampler(
@@ -225,18 +231,28 @@ class LoadGenerator:
             job.arrival_time = t
             yield HybridApplication(quantum_job=job, arrival_time=t)
 
-    def _build_job(self, sampled, rng: np.random.Generator) -> QuantumJob:
+    def _build_job(
+        self, sampled: SampledJob, rng: np.random.Generator
+    ) -> QuantumJob:
         if sampled.uses_mitigation:
             mitigation = _MITIGATED_PRESETS[
                 int(rng.integers(len(_MITIGATED_PRESETS)))
             ]
         else:
             mitigation = "none"
-        return QuantumJob.from_circuit(
-            sampled.circuit,
+        if self.keep_circuits:
+            return QuantumJob.from_circuit(
+                sampled.circuit,
+                shots=sampled.shots,
+                mitigation=mitigation,
+                benchmark=sampled.benchmark,
+            )
+        # The circuit would be thrown away: take the recipe's metrics
+        # (shared per width-determined family, like a pooled resubmission's).
+        return QuantumJob(
+            metrics=sampled.metrics,
             shots=sampled.shots,
             mitigation=mitigation,
-            keep_circuit=self.keep_circuits,
             benchmark=sampled.benchmark,
         )
 

@@ -72,11 +72,11 @@ def generate_dataset(
                 qpu.recalibrate()
         sampled = sampler.sample()
         mitigation = stack_names[int(rng.integers(len(stack_names)))]
-        job = QuantumJob.from_circuit(
-            sampled.circuit,
+        job = QuantumJob(
+            metrics=sampled.metrics,
             shots=sampled.shots,
             mitigation=mitigation,
-            keep_circuit=False,
+            benchmark=sampled.benchmark,
         )
         candidates = [q for q in fleet if q.num_qubits >= job.num_qubits]
         if not candidates:

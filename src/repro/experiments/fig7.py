@@ -79,9 +79,9 @@ def fig7bc_estimation_error(
     fid_err_reg, fid_err_num, run_err_reg, run_err_num = [], [], [], []
     for sampled in sampler.sample_many(num_jobs):
         mitigation = names[int(rng.integers(len(names)))]
-        job = QuantumJob.from_circuit(
-            sampled.circuit, shots=sampled.shots, mitigation=mitigation,
-            keep_circuit=False,
+        job = QuantumJob(
+            metrics=sampled.metrics, shots=sampled.shots, mitigation=mitigation,
+            benchmark=sampled.benchmark,
         )
         candidates = [q for q in fleet if q.num_qubits >= job.num_qubits]
         if not candidates:

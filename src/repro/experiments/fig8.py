@@ -55,11 +55,11 @@ def run_scheduling_cycles(
         for sampled in sampler.sample_many(jobs_per_cycle):
             mitigation = "zne+rem" if sampled.uses_mitigation else "none"
             jobs.append(
-                QuantumJob.from_circuit(
-                    sampled.circuit,
+                QuantumJob(
+                    metrics=sampled.metrics,
                     shots=sampled.shots,
                     mitigation=mitigation,
-                    keep_circuit=False,
+                    benchmark=sampled.benchmark,
                 )
             )
         schedule = scheduler.schedule(jobs, fleet, waiting)

@@ -128,10 +128,10 @@ def fig9c_stage_runtimes(
     estimator = trained_estimator(seed=7)
     sampler = WorkloadSampler(seed=seed, max_qubits=27, mean_qubits=6, std_qubits=3)
     batch = [
-        QuantumJob.from_circuit(
-            s.circuit, shots=s.shots,
+        QuantumJob(
+            metrics=s.metrics, shots=s.shots,
             mitigation="zne+rem" if s.uses_mitigation else "none",
-            keep_circuit=False,
+            benchmark=s.benchmark,
         )
         for s in sampler.sample_many(jobs)
     ]

@@ -15,6 +15,7 @@ from .qpe import phase_estimation, ripple_adder
 from .random_circuits import clustered_circuit, random_circuit
 from .suite import (
     BENCHMARKS,
+    WIDTH_DETERMINED,
     SampledJob,
     WorkloadSampler,
     benchmark_names,
@@ -49,6 +50,7 @@ __all__ = [
     "tfim_trotter",
     "random_circuit",
     "BENCHMARKS",
+    "WIDTH_DETERMINED",
     "SampledJob",
     "WorkloadSampler",
     "benchmark_names",

@@ -9,11 +9,12 @@ does — random algorithm, normally distributed width, random shot counts.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..circuits.circuit import Circuit
+from ..circuits.metrics import CircuitMetrics, compute_metrics
 from .ghz import ghz, ghz_linear, w_state
 from .oracles import bernstein_vazirani, deutsch_jozsa
 from .qaoa import qaoa_maxcut
@@ -22,7 +23,14 @@ from .qpe import phase_estimation, ripple_adder
 from .random_circuits import random_circuit
 from .vqe import real_amplitudes, two_local
 
-__all__ = ["BENCHMARKS", "generate", "benchmark_names", "WorkloadSampler", "SampledJob"]
+__all__ = [
+    "BENCHMARKS",
+    "WIDTH_DETERMINED",
+    "generate",
+    "benchmark_names",
+    "WorkloadSampler",
+    "SampledJob",
+]
 
 
 def _qft_measured(n: int, seed: int) -> Circuit:
@@ -68,6 +76,29 @@ BENCHMARKS["amplitude_estimation"] = (
     lambda n, s: amplitude_estimation(n, grover_power=1), 2, 8
 )
 
+#: Families whose gate *structure* is a function of the width alone (the
+#: seed moves angles at most), so one ``CircuitMetrics`` serves every draw
+#: of a ``(benchmark, width)`` pair and :class:`WorkloadSampler` memoizes
+#: it.  A family not listed here is built for every draw.  The list is
+#: checked, not trusted: ``tests/test_workloads.py`` fails on an entry
+#: whose metrics move with the seed and on an unlisted default family
+#: whose metrics never do.
+WIDTH_DETERMINED: frozenset[str] = frozenset({
+    "adder",
+    "amplitude_estimation",
+    "bv",
+    "ghz",
+    "ghz_linear",
+    "grover",
+    "qft",
+    "qft_entangled",
+    "qpe",
+    "tfim",
+    "vqe_real_amplitudes",
+    "vqe_two_local",
+    "wstate",
+})
+
 
 def benchmark_names() -> list[str]:
     return sorted(BENCHMARKS)
@@ -87,14 +118,45 @@ def generate(name: str, num_qubits: int, seed: int = 0) -> Circuit:
     return circ
 
 
-@dataclass(frozen=True)
+@dataclass
 class SampledJob:
-    """One synthetic application drawn by the sampler."""
+    """One synthetic application drawn by the sampler: a recipe.
 
-    circuit: Circuit
-    shots: int
+    ``circuit`` is ``generate(benchmark, width, seed)``, built on first
+    access and then kept.  ``metrics`` needs no circuit when the family
+    is :data:`WIDTH_DETERMINED` and the drawing sampler has already seen
+    this ``(benchmark, width)``; otherwise it builds the circuit and
+    takes the one-pass :func:`compute_metrics` of it.
+    """
+
     benchmark: str
+    width: int
+    seed: int
+    shots: int
     uses_mitigation: bool
+    #: The drawing sampler's ``(benchmark, width) -> CircuitMetrics`` memo.
+    family_metrics: dict[tuple[str, int], CircuitMetrics] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    _circuit: Circuit | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def circuit(self) -> Circuit:
+        if self._circuit is None:
+            self._circuit = generate(self.benchmark, self.width, self.seed)
+        return self._circuit
+
+    @property
+    def metrics(self) -> CircuitMetrics:
+        if self.benchmark not in WIDTH_DETERMINED:
+            return compute_metrics(self.circuit)
+        key = (self.benchmark, self.width)
+        found = self.family_metrics.get(key)
+        if found is None:
+            found = self.family_metrics[key] = compute_metrics(self.circuit)
+        return found
 
 
 class WorkloadSampler:
@@ -121,6 +183,17 @@ class WorkloadSampler:
             raise ValueError(
                 f"min_qubits ({min_qubits}) must be <= "
                 f"max_qubits ({max_qubits})"
+            )
+        if std_qubits < 0:
+            raise ValueError(f"std_qubits must be >= 0, got {std_qubits}")
+        if not 0.0 <= mitigation_fraction <= 1.0:
+            raise ValueError(
+                f"mitigation_fraction must be in [0, 1], got {mitigation_fraction}"
+            )
+        unknown = [n for n in benchmarks or () if n not in BENCHMARKS]
+        if unknown:
+            raise ValueError(
+                f"unknown benchmarks {unknown}; choose from {benchmark_names()}"
             )
         self.mean_qubits = mean_qubits
         self.std_qubits = std_qubits
@@ -161,6 +234,11 @@ class WorkloadSampler:
             )
         self._rng = np.random.default_rng(seed)
         self._counter = 0
+        #: ``(benchmark, width) -> CircuitMetrics`` for the width-determined
+        #: families, shared with every :class:`SampledJob` this sampler
+        #: draws.  Instance state on purpose: each stream pays its own cold
+        #: builds and no module-level cache outlives a run.
+        self._family_metrics: dict[tuple[str, int], CircuitMetrics] = {}
 
     def sample(self) -> SampledJob:
         """Draw one application."""
@@ -172,14 +250,13 @@ class WorkloadSampler:
         width = int(round(rng.normal(self.mean_qubits, self.std_qubits)))
         width = int(min(hi, max(lo, width)))
         self._counter += 1
-        circ = generate(name, width, seed=self._counter)
         if self.shots_choices is not None:
             shots = int(self.shots_choices[int(rng.integers(len(self.shots_choices)))])
         else:
             shots = int(2 ** rng.uniform(10, 14.3))  # ~1k .. ~20k
         uses_mit = bool(rng.random() < self.mitigation_fraction)
         return SampledJob(
-            circuit=circ, shots=shots, benchmark=name, uses_mitigation=uses_mit
+            name, width, self._counter, shots, uses_mit, self._family_metrics
         )
 
     def sample_many(self, count: int) -> list[SampledJob]:

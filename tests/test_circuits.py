@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers.reference_metrics import compute_metrics_reference
 from repro.circuits import (
     GATE_SPECS,
     Circuit,
@@ -234,3 +236,75 @@ class TestMetrics:
     def test_parallelism(self):
         c = Circuit(2).h(0).h(1)
         assert compute_metrics(c).parallelism == pytest.approx(2.0)
+
+
+# ----------------------------------------------------------------------
+# the fused pass == the six-walk reference
+# ----------------------------------------------------------------------
+
+_UNITARY_1Q = ["h", "x", "sx", "t"]
+_UNITARY_2Q = ["cx", "cz", "swap", "ecr"]
+
+
+@st.composite
+def op_lists(draw, max_qubits=6, max_ops=40):
+    """Circuits over every op kind ``Circuit.depth`` treats specially:
+    empty and listed barriers, delay / reset / project, mid-circuit
+    measure, repeated edges (both orientations) — and no ops at all."""
+    n = draw(st.integers(1, max_qubits))
+    circ = Circuit(n)
+    wire = st.integers(0, n - 1)
+    for _ in range(draw(st.integers(0, max_ops))):
+        kind = draw(st.integers(0, 7))
+        if kind == 0:
+            circ.add(draw(st.sampled_from(_UNITARY_1Q)), [draw(wire)])
+        elif kind == 1:
+            circ.rz(0.25, draw(wire))
+        elif kind == 2 and n >= 2:
+            a, b = draw(st.permutations(range(n)))[:2]
+            circ.add(draw(st.sampled_from(_UNITARY_2Q)), [a, b])
+        elif kind == 3 and n >= 2:
+            a, b = draw(st.permutations(range(n)))[:2]
+            circ.rzz(0.5, a, b)
+        elif kind == 4:
+            circ.barrier()
+        elif kind == 5:
+            circ.barrier(*draw(st.sets(wire, min_size=1)))
+        elif kind == 6:
+            circ.measure(draw(wire))
+        else:
+            q = draw(wire)
+            draw(st.sampled_from([
+                lambda: circ.delay(40.0, q),
+                lambda: circ.reset(q),
+                lambda: circ.project(1, q),
+            ]))()
+    return circ
+
+
+class TestFusedMetricsPass:
+    @given(op_lists())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_reference_on_random_op_lists(self, circ):
+        assert compute_metrics(circ) == compute_metrics_reference(circ)
+
+    def test_empty_circuit(self):
+        m = compute_metrics(Circuit(3))
+        assert m == compute_metrics_reference(Circuit(3))
+        assert (m.depth, m.size, m.parallelism) == (0, 0, 0.0)
+
+    def test_barriers_and_pseudo_ops_weigh_like_depth(self):
+        c = Circuit(3).h(0).h(0).barrier(0, 1).cx(1, 2).barrier()
+        c.delay(10.0, 0).reset(1).project(0, 2).measure(0).cx(1, 0).cx(0, 1)
+        m = compute_metrics(c)
+        assert m == compute_metrics_reference(c)
+        assert m.depth == c.depth() == 7
+        assert m.two_qubit_depth == c.depth(two_qubit_only=True) == 3
+        # cx(1, 0) and cx(0, 1) are one edge of the interaction graph.
+        assert (m.num_2q_gates, m.max_interaction_degree) == (3, 2)
+
+    def test_every_non_barrier_op_is_one_or_two_wires(self):
+        # The pass branches on this; a wider gate needs a third arm.
+        assert {
+            spec.num_qubits for name, spec in GATE_SPECS.items() if name != "barrier"
+        } == {1, 2}

@@ -316,12 +316,21 @@ class TestLoadGenerator:
                 {"arrival_process": "mmpp", "mean_calm_seconds": 0.0},
                 "mean_calm_seconds",
             ),
+            # The workload fields: the sampler is built (and judges them)
+            # in __post_init__, not at the first next().
+            ({"min_qubits": 30}, "min_qubits"),
+            ({"benchmarks": ("nope",)}, "unknown benchmarks.*'nope'.*'adder'"),
+            ({"shots_grid": ()}, "shots_grid"),
+            ({"benchmarks": ("grover",), "min_qubits": 10}, "grover"),
+            ({"std_qubits": -1.0}, "std_qubits"),
+            ({"mitigation_fraction": 1.5}, "mitigation_fraction"),
         ],
     )
     def test_bad_config_fails_at_construction(self, kwargs, field):
         """Regression: rate 0 was a ZeroDivisionError at the first
-        next(), rate < 0 'scale < 0', pool -1 'high <= 0' — none named
-        the field, all surfaced inside the generator."""
+        next(), rate < 0 'scale < 0', pool -1 'high <= 0', an unknown
+        benchmark a bare KeyError — none named the field, all surfaced
+        inside the generator (i.e. inside ``CloudSimulator.run``)."""
         with pytest.raises(ValueError, match=field):
             LoadGenerator(**kwargs)
 

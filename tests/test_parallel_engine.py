@@ -259,6 +259,30 @@ class TestBackendBitIdentity:
         )
         assert_runs_identical(a, b)
 
+    def test_run_independent_of_job_id_offset(self):
+        """Job/app ids come from process-global counters, so a run's ids
+        depend on what ran before it in the process; its results may
+        not.  Same seeded run, 10,007 ids apart."""
+        from repro.cloud import job as job_module
+
+        def run():
+            first_id = next(job_module._job_ids)
+            metrics = run_sharded(
+                QonductorScheduler(fake_estimate, seed=5, max_generations=4),
+                "serial",
+                num_shards=2,
+                duration=500.0,
+            )
+            return first_id, metrics
+
+        first_a, a = run()
+        for counter in (job_module._job_ids, job_module._app_ids):
+            for _ in range(10_007):
+                next(counter)
+        first_b, b = run()
+        assert first_b - first_a > 10_007
+        assert_runs_identical(a, b)
+
 
 class TestDeterministicStateContract:
     """``deterministic_state`` is exclude-by-allowlist, not

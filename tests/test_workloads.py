@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
+from helpers.reference_metrics import compute_metrics_reference
+from repro.circuits import compute_metrics
+from repro.cloud import LoadGenerator, abusive_mix
 from repro.simulation import hellinger_fidelity, ideal_probabilities
 from repro.workloads import (
     BENCHMARKS,
+    WIDTH_DETERMINED,
     WorkloadSampler,
     benchmark_names,
     bernstein_vazirani,
@@ -193,9 +197,137 @@ class TestSuite:
     def test_sampler_respects_bounds(self):
         sampler = WorkloadSampler(seed=1, min_qubits=3, max_qubits=10)
         for job in sampler.sample_many(30):
-            assert 1 <= job.circuit.num_qubits <= 10
+            assert 3 <= job.width <= 10
+            assert 3 <= job.circuit.num_qubits <= 10
             assert 1000 <= job.shots <= 25000
 
     def test_sampler_mitigation_fraction(self):
         sampler = WorkloadSampler(seed=2, mitigation_fraction=1.0)
         assert all(j.uses_mitigation for j in sampler.sample_many(10))
+
+    def test_sampler_rejects_bad_fields_by_name(self):
+        with pytest.raises(ValueError, match="unknown benchmarks.*'nope'.*'adder'"):
+            WorkloadSampler(benchmarks=["ghz", "nope"])
+        with pytest.raises(ValueError, match="std_qubits"):
+            WorkloadSampler(std_qubits=-1.0)
+        with pytest.raises(ValueError, match="mitigation_fraction"):
+            WorkloadSampler(mitigation_fraction=-0.1)
+
+    def test_adder_width_mapping_is_pinned(self):
+        """Known defect (ROADMAP direction 5), pinned rather than fixed
+        because the fix moves every seeded digest: ``bits = (n - 2) // 2``
+        makes ``generate("adder", n)`` an ``n - 1``-qubit circuit for
+        every odd ``n``, so the sampler can undershoot ``min_qubits``."""
+        assert [generate("adder", n).num_qubits for n in range(4, 12)] == [
+            4, 4, 6, 6, 8, 8, 10, 10,
+        ]
+        sampler = WorkloadSampler(
+            min_qubits=5, mean_qubits=5, std_qubits=1, benchmarks=["adder"], seed=0
+        )
+        drawn = {(j.width, j.metrics.num_qubits) for j in sampler.sample_many(50)}
+        assert (5, 4) in drawn
+        assert min(width for width, _ in drawn) == 5
+
+
+def _widths(name, extra=()):
+    _, lo, hi = BENCHMARKS[name]
+    return [*range(lo, min(hi, 27) + 1), *(w for w in extra if lo <= w <= hi)]
+
+
+class TestRecipes:
+    """A sampled job is a recipe: metrics without a circuit must be the
+    metrics of the circuit the recipe builds."""
+
+    @pytest.mark.parametrize("name", benchmark_names())
+    def test_one_pass_metrics_match_reference_across_catalog(self, name):
+        for width in _widths(name):
+            for seed in (1, 2, 3):
+                circ = generate(name, width, seed)
+                assert compute_metrics(circ) == compute_metrics_reference(circ), (
+                    name, width, seed,
+                )
+
+    def test_width_determined_names_exist(self):
+        assert WIDTH_DETERMINED <= set(BENCHMARKS)
+
+    @pytest.mark.parametrize("name", benchmark_names())
+    def test_width_determined_declaration_is_checked(self, name):
+        """Listed: one metrics bundle per width whatever the seed.
+        Unlisted: the seed moves the metrics somewhere — a stale entry
+        fails either way."""
+        listed = name in WIDTH_DETERMINED
+        moved = [
+            width
+            for width in _widths(name, extra=(40, 64, 130) if listed else ())
+            if len({compute_metrics(generate(name, width, s)) for s in range(1, 6)}) > 1
+        ]
+        assert (not moved) if listed else moved
+
+    def test_sampled_metrics_equal_built_circuit_metrics(self):
+        sampler = WorkloadSampler(seed=7, max_qubits=27, mean_qubits=8, std_qubits=5)
+        jobs = sampler.sample_many(300)
+        assert {j.benchmark for j in jobs} - WIDTH_DETERMINED  # both arms drawn
+        for job in jobs:
+            assert job.metrics == compute_metrics(job.circuit)
+            assert job.circuit is job.circuit  # built once, then kept
+            assert job.circuit.metadata["benchmark"] == job.benchmark
+        memo = sampler._family_metrics
+        assert memo and {name for name, _ in memo} <= WIDTH_DETERMINED
+        assert len(memo) < len(jobs)
+
+    def test_memo_is_per_sampler(self):
+        a, b = WorkloadSampler(seed=1), WorkloadSampler(seed=1)
+        [j.metrics for j in a.sample_many(20)]
+        assert a._family_metrics and not b._family_metrics
+
+    def test_rng_stream_is_the_eager_samplers(self):
+        """``sample()`` draws what it drew when it built every circuit:
+        generator state after 200 draws pinned from the parent commit."""
+        sampler = WorkloadSampler(seed=11, max_qubits=27, mean_qubits=6, std_qubits=3)
+        jobs = sampler.sample_many(200)
+        state = sampler._rng.bit_generator.state
+        assert state["state"] == {
+            "state": 274834610142399861431721876139665295879,
+            "inc": 7937318808080196428804369945471644491,
+        }
+        assert (state["has_uint32"], state["uinteger"]) == (0, 684963980)
+        assert sampler._counter == 200 and [j.seed for j in jobs] == [*range(1, 201)]
+        assert [
+            (j.benchmark, j.metrics.num_qubits, j.shots, j.uses_mitigation)
+            for j in jobs[:3]
+        ] == [
+            ("dj", 10, 6150, True),
+            ("bv", 5, 16285, True),
+            ("qft_entangled", 8, 6535, True),
+        ]
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {},
+            {"arrival_process": "mmpp"},
+            {"circuit_pool_size": 12, "shots_grid": (1000, 4000, 8000)},
+            {"tenants": abusive_mix()},
+        ],
+        ids=["poisson", "mmpp", "pooled", "tenanted"],
+    )
+    def test_loadgen_content_independent_of_keep_circuits(self, kwargs):
+        def stream(keep):
+            gen = LoadGenerator(
+                mean_rate_per_hour=3000, seed=5, keep_circuits=keep, **kwargs
+            )
+            return gen.generate(300.0)
+
+        dropped, kept = stream(False), stream(True)
+        assert len(dropped) == len(kept) > 100
+        for a, b in zip(dropped, kept):
+            ja, jb = a.quantum_job, b.quantum_job
+            assert (
+                ja.metrics, ja.shots, ja.mitigation, ja.benchmark,
+                ja.arrival_time, ja.tenant_id,
+            ) == (
+                jb.metrics, jb.shots, jb.mitigation, jb.benchmark,
+                jb.arrival_time, jb.tenant_id,
+            )
+            assert ja.circuit is None
+            assert jb.metrics == compute_metrics(jb.circuit)
