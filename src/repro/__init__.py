@@ -8,7 +8,7 @@ Top-level convenience re-exports; see the subpackages for the full API:
 * :mod:`repro.simulation` — ideal/noisy simulators, fidelity metrics
 * :mod:`repro.backends` — QPU models, calibration, the synthetic fleet
 * :mod:`repro.transpiler` — basis translation, layout, routing
-* :mod:`repro.mitigation` — ZNE/REM/DD/twirling/PEC/circuit knitting
+* :mod:`repro.mitigation` — ZNE/REM/DD/twirling/circuit knitting
 * :mod:`repro.ml` — regression stack
 * :mod:`repro.moo` — NSGA-II and MCDM
 * :mod:`repro.estimator` — the hybrid resource estimator (§6)
@@ -19,8 +19,18 @@ Top-level convenience re-exports; see the subpackages for the full API:
 """
 
 from .circuits import Circuit, Gate
-from .orchestrator import Qonductor
 
 __version__ = "1.0.0"
 
 __all__ = ["Circuit", "Gate", "Qonductor", "__version__"]
+
+
+def __getattr__(name: str):
+    # ``repro.Qonductor`` resolves on first use: importing the whole
+    # orchestrator (and through it the cloud and estimator stacks) for
+    # one name would put it on every ``import repro``.
+    if name == "Qonductor":
+        from .orchestrator import Qonductor
+
+        return Qonductor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,12 +1,11 @@
 """Quantum circuit intermediate representation.
 
 The circuit substrate the rest of the reproduction builds on: gates with
-unitary semantics, an ordered-op circuit container, DAG conversion, and
-structural metrics.
+unitary semantics, an ordered-op circuit container, and structural
+metrics.
 """
 
 from .circuit import Circuit
-from .dag import CircuitDAG, circuit_to_dag, dag_layers, dag_to_circuit
 from .gates import (
     GATE_SPECS,
     HARDWARE_BASIS,
@@ -31,10 +30,6 @@ __all__ = [
     "is_parametric",
     "is_two_qubit",
     "Circuit",
-    "CircuitDAG",
-    "circuit_to_dag",
-    "dag_layers",
-    "dag_to_circuit",
     "CircuitMetrics",
     "compute_metrics",
 ]

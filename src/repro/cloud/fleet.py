@@ -49,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..backends.qpu import QPU
+from ..scheduler.policy import SchedulingPolicy, require_policy
 from ..scheduler.triggers import SchedulingTrigger
 from .backend_sim import SimulatedQPU
 from .job import QuantumJob
@@ -86,7 +87,7 @@ class FleetShard:
         self,
         shard_id: int,
         backends: list[SimulatedQPU],
-        policy,
+        policy: SchedulingPolicy,
         trigger: SchedulingTrigger | None = None,
     ) -> None:
         if not backends:
@@ -95,12 +96,12 @@ class FleetShard:
         self.backends = backends
         #: Dispatch lookup: a schedule names its target QPU.
         self.backend_by_name = {b.name: b for b in backends}
-        self.policy = policy
+        self.policy = require_policy(policy, f"FleetShard {shard_id}")
         self.trigger = trigger or SchedulingTrigger()
         self.pending: list[QuantumJob] = []
-        # Batched policies expose .schedule() (the Qonductor scheduler);
-        # per-arrival baselines expose .assign().
-        self.is_batched = hasattr(policy, "schedule")
+        #: Batched policies queue arrivals here until the trigger fires;
+        #: per-arrival baselines are assigned on arrival.
+        self.is_batched = policy.batched
         #: The in-flight marker: the batch record of a cycle whose
         #: CYCLE_FOLD event has not popped yet, else ``None``.
         #: While set, new arrivals queue in ``pending`` for the *next*

@@ -87,6 +87,7 @@ import numpy as np
 
 from ..backends.qpu import QPU
 from ..scheduler.cycle import make_latency_model, run_optimization
+from ..scheduler.policy import SchedulingPolicy
 from ..scheduler.triggers import SchedulingTrigger
 from .availability import AvailabilityModel
 from .backend_sim import SimulatedQPU
@@ -171,11 +172,10 @@ class SimulationConfig:
 class _InFlightBatch:
     """One launched engine batch awaiting its ``CYCLE_FOLD`` event.
 
-    ``items`` holds ``(shard, plan, schedule)`` per due shard in shard-id
-    order: split-API policies carry their :class:`CyclePlan` (``schedule``
-    is resolved at the fold), non-split policies already computed their
-    schedule from the snapshot at submit time.  ``handle`` is the
-    executor's receipt when the batch carried optimization tasks.
+    ``items`` holds ``(shard, plan)`` per due shard in shard-id order —
+    what each policy's ``begin_cycle`` returned, for its ``finish_cycle``
+    at the fold.  ``handle`` is the executor's receipt when the batch
+    carried optimization tasks.
     """
 
     items: list = field(default_factory=list)
@@ -252,7 +252,7 @@ class CloudSimulator:
     def __init__(
         self,
         fleet: list[QPU] | None = None,
-        policy=None,
+        policy: SchedulingPolicy | None = None,
         execution_model: ExecutionModel | None = None,
         *,
         trigger: SchedulingTrigger | None = None,
@@ -279,14 +279,8 @@ class CloudSimulator:
         else:
             if fleet is None or policy is None:
                 raise ValueError("need a fleet and a policy (or shards)")
-            self.shards = [
-                FleetShard(
-                    0,
-                    [SimulatedQPU(q) for q in fleet],
-                    policy,
-                    trigger or SchedulingTrigger(),
-                )
-            ]
+            backends = [SimulatedQPU(q) for q in fleet]
+            self.shards = [FleetShard(0, backends, policy, trigger)]
         self.balancer = make_balancer(balancer)
         # Both adaptive subsystems default to off: static fleets stay
         # bit-identical to the pre-rebalancing simulator.
@@ -321,73 +315,37 @@ class CloudSimulator:
     def sharded(
         cls,
         fleet: list[QPU],
-        policy,
+        policy: SchedulingPolicy,
         *,
         num_shards: int,
         balancer: str | ShardBalancer = "least_loaded",
-        execution_model: ExecutionModel | None = None,
-        trigger_factory=None,
-        config: SimulationConfig | None = None,
-        rebalance: str | RebalancePolicy | None = None,
-        availability: AvailabilityModel | None = None,
-        cycle_executor: str | CycleExecutor | None = None,
-        admission: AdmissionController | None = None,
-        cycle_latency: float | Callable | None = None,
-        trigger_epsilon: float = 0.0,
+        trigger_factory: Callable[[int], SchedulingTrigger] | None = None,
+        **engine,
     ) -> "CloudSimulator":
         """Partition ``fleet`` into ``num_shards`` shards.
 
-        ``policy`` is either a prototype exposing ``spawn(shard_id)``
-        (every scheduling policy does) or a callable
-        ``shard_id -> policy`` building one instance per shard.
-        ``trigger_factory`` (``shard_id -> SchedulingTrigger``) defaults
-        to a fresh paper-default trigger per shard.  ``rebalance``
-        (a strategy name or :class:`RebalancePolicy`) turns on
-        work-stealing between the shards; ``availability`` injects
-        maintenance windows and outages.  ``cycle_latency`` /
-        ``trigger_epsilon`` configure the scheduling cycle (see the
-        module docstring).
+        Each shard gets ``policy.spawn(shard_id)`` and
+        ``trigger_factory(shard_id)`` (default: a fresh paper-default
+        trigger).  Every other keyword (``execution_model``, ``config``,
+        ``rebalance``, ``availability``, ``cycle_executor``, ``admission``,
+        ``cycle_latency``, ``trigger_epsilon``) is the constructor's,
+        forwarded as is — an unknown one is its ``TypeError``.
         """
-        policy_factory = policy.spawn if hasattr(policy, "spawn") else policy
         shards = [
             FleetShard(
                 i,
                 [SimulatedQPU(q) for q in group],
-                policy_factory(i),
-                trigger_factory(i) if trigger_factory else SchedulingTrigger(),
+                policy.spawn(i),
+                trigger_factory(i) if trigger_factory else None,
             )
             for i, group in enumerate(partition_fleet(fleet, num_shards))
         ]
-        return cls(
-            execution_model=execution_model,
-            config=config,
-            shards=shards,
-            balancer=balancer,
-            rebalance=rebalance,
-            availability=availability,
-            cycle_executor=cycle_executor,
-            admission=admission,
-            cycle_latency=cycle_latency,
-            trigger_epsilon=trigger_epsilon,
-        )
+        return cls(shards=shards, balancer=balancer, **engine)
 
-    # -- single-shard compatibility views ------------------------------
     @property
     def backends(self) -> list[SimulatedQPU]:
         """Every simulated backend, in shard order."""
         return [b for shard in self.shards for b in shard.backends]
-
-    @property
-    def policy(self):
-        return self.shards[0].policy
-
-    @property
-    def trigger(self) -> SchedulingTrigger:
-        return self.shards[0].trigger
-
-    @property
-    def is_batched(self) -> bool:
-        return self.shards[0].is_batched
 
     # -- dispatch ------------------------------------------------------
     def _dispatch(
@@ -444,16 +402,14 @@ class CloudSimulator:
 
         ``shards`` must already be in shard-id order.  Each shard's
         pending queue is snapshotted and cleared — jobs arriving while
-        the batch is in flight queue for the *next* cycle.  Policies
-        exposing the split cycle API (``begin_cycle`` / ``finish_cycle``
-        — the Qonductor scheduler) build their plan on the main thread,
-        with estimates prefetched through the shared cache; policies
-        without it (e.g. batched FCFS) compute their whole schedule from
-        the snapshot now, so a later fold commits exactly the decisions
-        the trigger-time state implied.  The pure optimization stage is
-        submitted to the executor; when the modeled latency is zero the
-        fold follows at this same instant, nothing can overlap, and a
-        one-task batch (the arrival path) is told to skip the pool.
+        the batch is in flight queue for the *next* cycle.  Each policy's
+        ``begin_cycle`` builds its plan from the snapshot on the main
+        thread, with estimates prefetched through the shared cache, so a
+        later fold commits exactly the decisions the trigger-time state
+        implied.  The plans' pure optimization tasks (batched FCFS has
+        none) are submitted to the executor; when the modeled latency is
+        zero the fold follows at this same instant, nothing can overlap,
+        and a one-task batch (the arrival path) is told to skip the pool.
 
         Returns the in-flight batch record and its modeled latency in
         simulated seconds; the caller decides when to fold (a
@@ -467,20 +423,11 @@ class CloudSimulator:
             jobs = shard.pending
             shard.pending = []
             shard.in_flight = batch
-            if hasattr(shard.policy, "begin_cycle"):
-                plan = shard.policy.begin_cycle(
-                    jobs, shard.qpus, shard.waiting_map(now)
-                )
-                batch.items.append((shard, plan, None))
-            else:
-                schedule = shard.policy.schedule(
-                    jobs, shard.qpus, shard.waiting_map(now)
-                )
-                batch.items.append((shard, None, schedule))
-        plan_tasks = [
-            plan.task if plan is not None else None
-            for _, plan, _ in batch.items
-        ]
+            plan = shard.policy.begin_cycle(
+                jobs, shard.qpus, shard.waiting_map(now)
+            )
+            batch.items.append((shard, plan))
+        plan_tasks = [plan.task for _, plan in batch.items]
         latency = max(0.0, float(self.latency_model(plan_tasks)))
         tasks = [task for task in plan_tasks if task is not None]
         if tasks:
@@ -504,10 +451,9 @@ class CloudSimulator:
         if batch.handle is not None:
             with _optimize_stopwatch(st.metrics):
                 results = iter(self.cycle_executor.result(batch.handle))
-        for shard, plan, schedule in batch.items:
-            if plan is not None:
-                result = next(results) if plan.task is not None else None
-                schedule = shard.policy.finish_cycle(plan, result)
+        for shard, plan in batch.items:
+            result = next(results) if plan.task is not None else None
+            schedule = shard.policy.finish_cycle(plan, result)
             self._apply_schedule(st, shard, schedule, now)
             shard.in_flight = None
         lag = now - batch.submit_time
@@ -521,11 +467,9 @@ class CloudSimulator:
         """Fold one cycle's schedule back in: dispatch, fail, retain."""
         metrics = st.metrics
         metrics.scheduling_cycles += 1
-        stage = getattr(schedule, "stage_seconds", None)
-        if stage:
-            agg = metrics.stage_seconds
-            for key, value in stage.items():
-                agg[key] = agg.get(key, 0.0) + value
+        agg = metrics.stage_seconds
+        for key, value in schedule.stage_seconds.items():
+            agg[key] = agg.get(key, 0.0) + value
         # Pre-warm ground-truth components with one array pass per target
         # device over the whole dispatched set; the per-job execute() calls
         # below then hit the memo (and keep their RNG draw order).
@@ -628,7 +572,7 @@ class CloudSimulator:
         # the fold* — the shard spent the in-flight window unable to
         # start another cycle, so its interval cadence restarts here.
         self._fold_batch(st, batch, now)
-        for shard, _, _ in batch.items:
+        for shard, _ in batch.items:
             self._rearm(st, shard, now)
 
     def _on_completion(
@@ -698,9 +642,7 @@ class CloudSimulator:
             qpu.recalibrate(timestamp=now)
         self.execution_model.on_recalibration()
         for shard in self.shards:
-            hook = getattr(shard.policy, "on_recalibration", None)
-            if hook is not None:
-                hook(all_qpus)
+            shard.policy.on_recalibration(all_qpus)
         st.push(
             now + self.config.recalibrate_every_seconds,
             EventType.RECALIBRATION,
@@ -911,28 +853,22 @@ class CloudSimulator:
 
     # ------------------------------------------------------------------
     def _collect_cache_stats(self, metrics: SimulationMetrics) -> None:
-        """Merge estimate-cache counters across the shards' policies."""
-        stats_by_id: dict[int, object] = {}
-        for shard in self.shards:
-            fn = getattr(shard.policy, "estimate_fn", None)
-            stats = getattr(fn, "stats", None)
-            if stats is not None:
-                stats_by_id[id(stats)] = stats
-        if not stats_by_id:
-            return
-        unique = list(stats_by_id.values())
-        if len(unique) == 1:
-            metrics.estimate_cache = unique[0].as_dict()
-            return
-        hits = sum(s.hits for s in unique)
-        misses = sum(s.misses for s in unique)
-        lookups = hits + misses
-        metrics.estimate_cache = {
-            "hits": hits,
-            "misses": misses,
-            "hit_rate": round(hits / lookups, 4) if lookups else 0.0,
-            "invalidations": sum(s.invalidations for s in unique),
-        }
+        """Merge estimate-cache counters across the shards' policies
+        (spawned policies share one cache; hand-built shards may not)."""
+        # Imported here: estimator.cache imports cloud.job at load time.
+        from ..estimator.cache import CachedEstimator, CacheStats
+
+        unique = {
+            id(source.stats): source.stats
+            for source in (shard.policy.estimate_fn for shard in self.shards)
+            if isinstance(source, CachedEstimator)
+        }.values()
+        if unique:
+            metrics.estimate_cache = CacheStats(
+                hits=sum(s.hits for s in unique),
+                misses=sum(s.misses for s in unique),
+                invalidations=sum(s.invalidations for s in unique),
+            ).as_dict()
 
     def run(
         self, apps: list[HybridApplication] | Iterable[HybridApplication]

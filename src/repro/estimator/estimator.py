@@ -54,6 +54,9 @@ class ResourceEstimator:
         """Re-average template calibrations (call after calibration cycles)."""
         self.templates = build_templates(fleet)
 
+    #: The :class:`~repro.estimator.source.EstimateSource` hook.
+    on_recalibration = refresh_templates
+
     # ------------------------------------------------------------------
     def estimate_for_qpu(self, job: QuantumJob, qpu: QPU) -> tuple[float, float]:
         """(fidelity, quantum_seconds) for ``job`` on a concrete device."""

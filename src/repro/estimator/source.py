@@ -2,9 +2,10 @@
 
 Everything that scores (job, QPU) pairs — the trained regression
 estimator, its memoizing cache, and the analytic ESP proxy — implements
-one protocol: :class:`EstimateSource`, whose single method
+one protocol: :class:`EstimateSource`, whose scoring method
 ``estimate_block(jobs, qpus, feasible=None)`` returns the ``(fidelity,
-exec_seconds)`` matrix pair for a whole jobs-block.  Schedulers and
+exec_seconds)`` matrix pair for a whole jobs-block (its other method,
+``on_recalibration(qpus)``, is the calibration-cycle hook).  Schedulers and
 baseline policies build their matrices through this one batched call
 path, and take nothing else: :func:`require_estimate_source` rejects any
 other shape at construction.  A synthetic ``(job, qpu)`` scorer (test
@@ -43,9 +44,11 @@ class EstimateSource(Protocol):
     pairs are left at 0.0 and must not be evaluated — that contract is
     what lets implementations skip work and callers mask scores safely.
 
-    Implementations may additionally be callable with ``(job, qpu)``
-    for sequential consumers (e.g. least-busy scoring) and may expose
-    an ``on_recalibration(qpus)`` hook; both are optional.
+    ``on_recalibration(qpus)`` is called with the whole fleet after
+    every calibration cycle, once per shard policy sharing the source —
+    stateful sources drop what the old epoch made stale, stateless ones
+    do nothing.  Implementations may additionally be callable with
+    ``(job, qpu)``; that is optional.
     """
 
     def estimate_block(
@@ -54,6 +57,8 @@ class EstimateSource(Protocol):
         qpus: list[Any],
         feasible: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]: ...
+
+    def on_recalibration(self, qpus: list[Any]) -> None: ...
 
 
 def block_feasibility(jobs: list[Any], qpus: list[Any]) -> np.ndarray:
@@ -96,6 +101,9 @@ class PairwiseEstimateSource:
                     fid[i, k], sec[i, k] = self.pair_fn(job, qpu)
         return fid, sec
 
+    def on_recalibration(self, qpus: list[Any]) -> None:
+        """Stateless: ``pair_fn`` reads the QPUs it is handed."""
+
 
 def require_estimate_source(source: Any, owner: str) -> EstimateSource:
     """``source`` if it implements :class:`EstimateSource`, else a
@@ -103,7 +111,8 @@ def require_estimate_source(source: Any, owner: str) -> EstimateSource:
     if not isinstance(source, EstimateSource):
         raise TypeError(
             f"{owner} needs an EstimateSource (an object with "
-            f"estimate_block), got {type(source).__name__}: pass "
+            "estimate_block and on_recalibration), got "
+            f"{type(source).__name__}: pass "
             "estimator.cached(), or wrap a (job, qpu) callable in "
             "repro.estimator.source.PairwiseEstimateSource"
         )

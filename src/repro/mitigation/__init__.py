@@ -1,4 +1,4 @@
-"""Error-mitigation library: ZNE, REM, DD, Pauli twirling, PEC, and
+"""Error-mitigation library: ZNE, REM, DD, Pauli twirling, and
 quasi-probability circuit knitting, plus stacked pipelines."""
 
 from .cutting import (
@@ -18,13 +18,6 @@ from .extrapolation import (
     get_factory,
 )
 from .folding import fold_gates, fold_global, fold_to_factor
-from .pec import (
-    PEC,
-    PECSample,
-    pec_combine_probs,
-    pec_gamma,
-    pec_sample_circuits,
-)
 from .rem import REM, mitigate_counts, mitigate_probs
 from .stack import STANDARD_STACKS, MitigationStack, StackPlan
 from .twirling import CX_TWIRL_SET, pauli_twirl, twirl_ensemble
@@ -51,11 +44,6 @@ __all__ = [
     "CX_TWIRL_SET",
     "pauli_twirl",
     "twirl_ensemble",
-    "PEC",
-    "PECSample",
-    "pec_combine_probs",
-    "pec_gamma",
-    "pec_sample_circuits",
     "CZ_QPD_TERMS",
     "CutInstruction",
     "CutPlan",

@@ -9,7 +9,6 @@ Mitiq's ``LinearFactory`` / ``RichardsonFactory`` / ``ExpFactory`` /
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 __all__ = [
     "LinearFactory",
@@ -97,6 +96,10 @@ class ExpFactory(_Factory):
         self.asymptote = asymptote
 
     def extrapolate(self, x, y) -> float:
+        # Imported on use: scipy.optimize is a sizeable share of
+        # ``import repro`` and simulator runs never extrapolate.
+        from scipy.optimize import curve_fit
+
         try:
             if self.asymptote is not None:
                 a = self.asymptote

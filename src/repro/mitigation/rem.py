@@ -16,7 +16,6 @@ with scipy for the highest-accuracy (and priciest) mode.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import nnls
 
 from ..simulation.noise import NoiseModel
 from ..simulation.readout import apply_confusion_single, full_confusion_matrix
@@ -73,6 +72,8 @@ def mitigate_probs(
         out = np.linalg.pinv(mat) @ np.asarray(probs, dtype=float)
         return _simplex_project(out)
     # least_squares: min ||M x - p|| s.t. x >= 0, then renormalize.
+    from scipy.optimize import nnls  # on use: see ExpFactory.extrapolate
+
     sol, _ = nnls(mat, np.asarray(probs, dtype=float))
     return _simplex_project(sol)
 

@@ -5,7 +5,6 @@ from .api import Qonductor
 from .codegen import build_workflow, classical_task, quantum_task
 from .images import ExecutionConfig, HybridWorkflowImage, ResourceRequest
 from .job_manager import JobManager, WorkflowRun, WorkflowStatus
-from .membership import HeartbeatTracker
 from .monitor import SystemMonitor, WatchEvent
 from .raft import RaftCluster, RaftNode, Role
 from .registry import WorkflowRegistry
@@ -22,7 +21,6 @@ __all__ = [
     "WorkflowRegistry",
     "SystemMonitor",
     "WatchEvent",
-    "HeartbeatTracker",
     "RaftCluster",
     "RaftNode",
     "Role",

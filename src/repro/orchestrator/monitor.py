@@ -3,9 +3,7 @@
 A watchable key-value store with namespaces for worker nodes, QPU state
 (static + dynamic, including calibration), workflow execution status, and
 intermediate results — the role etcd plays under Kubernetes in the paper's
-implementation. Heartbeat liveness lives in
-:mod:`repro.orchestrator.membership`; replication in
-:mod:`repro.orchestrator.raft`.
+implementation. Replication lives in :mod:`repro.orchestrator.raft`.
 """
 
 from __future__ import annotations

@@ -1,12 +1,7 @@
 """Hybrid scheduling (§7): the NSGA-II/MCDM quantum scheduler, the
-filter-score classical scheduler, baseline policies, triggers, and
-calibration-crossover re-evaluation."""
+filter-score classical scheduler, baseline policies and triggers — every
+policy a :class:`SchedulingPolicy`."""
 
-from .calibration_crossover import (
-    CrossoverReport,
-    reevaluate_post_calibration,
-    split_at_calibration,
-)
 from .classical import ClassicalNode, ClassicalRequest, ClassicalScheduler
 from .cycle import (
     ConstantCycleLatency,
@@ -24,18 +19,19 @@ from .policies import (
     LeastBusyPolicy,
     RandomPolicy,
 )
+from .policy import SchedulingPolicy
 from .quantum import (
     CyclePlan,
     QonductorScheduler,
     QuantumSchedule,
     ScheduleDecision,
 )
-from .reservations import Reservation, ReservationManager
 from .triggers import SchedulingTrigger
 
 __all__ = [
     "SchedulingInput",
     "SchedulingProblem",
+    "SchedulingPolicy",
     "QonductorScheduler",
     "QuantumSchedule",
     "ScheduleDecision",
@@ -55,9 +51,4 @@ __all__ = [
     "LeastBusyPolicy",
     "RandomPolicy",
     "SchedulingTrigger",
-    "Reservation",
-    "ReservationManager",
-    "CrossoverReport",
-    "reevaluate_post_calibration",
-    "split_at_calibration",
 ]

@@ -11,18 +11,18 @@
 * :class:`LeastBusyPolicy` — IBM's ``least_busy`` selector [15].
 * :class:`RandomPolicy` — load-oblivious control.
 
+All are :class:`~repro.scheduler.policy.SchedulingPolicy` subclasses.
 FCFS scores every batch through one
 :meth:`~repro.estimator.source.EstimateSource.estimate_block` call
 (:class:`~repro.estimator.cache.CachedEstimator`,
 :class:`~repro.cloud.proxy.AnalyticEstimateSource`, or a synthetic scorer
 wrapped in :class:`~repro.estimator.source.PairwiseEstimateSource`);
-least-busy scores one pair at a time through a ``(job, qpu)`` callable.
+least-busy asks the same source for one 1×1 block per job.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,26 +30,20 @@ from ..backends.qpu import QPU
 from ..cloud.job import QuantumJob, feasibility_matrix
 from ..cloud.tenancy import tier_sort
 from ..estimator.source import EstimateSource, require_estimate_source
+from .policy import SchedulingPolicy
 
 __all__ = [
     "FCFSPolicy",
     "BatchedFCFSPolicy",
     "BatchDecision",
     "BatchSchedule",
+    "BatchPlan",
     "LeastBusyPolicy",
     "RandomPolicy",
 ]
 
-EstimateFn = Callable[[QuantumJob, QPU], tuple[float, float]]
 
-
-def _forward_recalibration(estimate_fn, qpus: list[QPU]) -> None:
-    hook = getattr(estimate_fn, "on_recalibration", None)
-    if hook is not None:
-        hook(qpus)
-
-
-class FCFSPolicy:
+class FCFSPolicy(SchedulingPolicy):
     """First-come-first-serve onto the best-fidelity feasible QPU."""
 
     name = "fcfs"
@@ -61,9 +55,6 @@ class FCFSPolicy:
     def spawn(self, shard_id: int) -> "FCFSPolicy":
         """A per-shard instance sharing this policy's estimate source."""
         return type(self)(self.estimate_fn, shard_id=shard_id)
-
-    def on_recalibration(self, qpus: list[QPU]) -> None:
-        _forward_recalibration(self.estimate_fn, qpus)
 
     def assign(
         self,
@@ -99,19 +90,30 @@ class BatchSchedule:
 
     The structural subset of
     :class:`~repro.scheduler.quantum.QuantumSchedule` the cloud
-    simulator's batched path consumes: ``decisions`` + ``unschedulable``.
+    simulator's fold consumes: ``decisions``, ``unschedulable`` and
+    ``stage_seconds`` (empty — no stage of this cycle is timed).
     """
 
     decisions: list[BatchDecision]
     unschedulable: list[QuantumJob]
+    stage_seconds: dict = field(default_factory=dict)
+
+
+@dataclass
+class BatchPlan:
+    """What :meth:`BatchedFCFSPolicy.begin_cycle` hands to the fold: no
+    optimization ``task``, and the schedule already decided."""
+
+    schedule: BatchSchedule
+    task: None = None
 
 
 class BatchedFCFSPolicy(FCFSPolicy):
     """Trigger-driven FCFS: queue arrivals, assign the batch per cycle.
 
-    Exposing ``schedule`` (instead of only ``assign``) makes the owning
-    :class:`~repro.cloud.fleet.FleetShard` batched: arrivals wait in the
-    shard's pending queue until the trigger fires, which is what gives a
+    Declaring ``batched`` makes the owning
+    :class:`~repro.cloud.fleet.FleetShard` queue arrivals in its pending
+    list until the trigger fires, which is what gives a
     :class:`~repro.cloud.fleet.RebalancePolicy` a window to migrate them.
     The per-job decision rule is exactly FCFS (highest-fidelity feasible
     online QPU, arrival order preserved), so it remains a *baseline* —
@@ -124,13 +126,17 @@ class BatchedFCFSPolicy(FCFSPolicy):
     """
 
     name = "fcfs_batched"
+    batched = True
 
-    def schedule(
+    def begin_cycle(
         self,
         jobs: list[QuantumJob],
         qpus: list[QPU],
         waiting_seconds: dict[str, float] | None = None,
-    ) -> BatchSchedule:
+    ) -> BatchPlan:
+        """The whole cycle: FCFS has no optimization stage, so the
+        trigger-time snapshot is decided here and the fold only commits
+        it."""
         jobs = tier_sort(jobs)
         decisions: list[BatchDecision] = []
         unschedulable: list[QuantumJob] = []
@@ -139,24 +145,17 @@ class BatchedFCFSPolicy(FCFSPolicy):
                 unschedulable.append(job)
             else:
                 decisions.append(BatchDecision(job=job, qpu_name=qpu_name))
-        return BatchSchedule(decisions=decisions, unschedulable=unschedulable)
+        return BatchPlan(BatchSchedule(decisions, unschedulable))
+
+    def finish_cycle(self, plan: BatchPlan, result: None) -> BatchSchedule:
+        return plan.schedule
 
 
-class LeastBusyPolicy:
-    """Each job goes to the feasible QPU with the shortest queue."""
+class LeastBusyPolicy(FCFSPolicy):
+    """Arrival-order service like FCFS, but each job goes to the feasible
+    QPU with the shortest queue instead of the best fidelity."""
 
     name = "least_busy"
-
-    def __init__(self, estimate_fn: EstimateFn, *, shard_id: int = 0) -> None:
-        self.estimate_fn = estimate_fn
-        self.shard_id = shard_id
-
-    def spawn(self, shard_id: int) -> "LeastBusyPolicy":
-        """A per-shard instance sharing this policy's estimate source."""
-        return LeastBusyPolicy(self.estimate_fn, shard_id=shard_id)
-
-    def on_recalibration(self, qpus: list[QPU]) -> None:
-        _forward_recalibration(self.estimate_fn, qpus)
 
     def assign(
         self,
@@ -173,13 +172,13 @@ class LeastBusyPolicy:
                 out.append((job, None))
                 continue
             best = min(feasible, key=lambda q: local_wait.get(q.name, 0.0))
-            _, sec = self.estimate_fn(job, best)
-            local_wait[best.name] = local_wait.get(best.name, 0.0) + sec
+            _, sec = self.estimate_fn.estimate_block([job], [best], np.ones((1, 1), bool))
+            local_wait[best.name] = local_wait.get(best.name, 0.0) + float(sec[0, 0])
             out.append((job, best.name))
         return out
 
 
-class RandomPolicy:
+class RandomPolicy(SchedulingPolicy):
     """Uniform random feasible assignment."""
 
     name = "random"

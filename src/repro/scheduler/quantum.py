@@ -11,8 +11,9 @@ Three configurable stages:
 
 Stage runtimes are measured individually (Fig. 9c).
 
-The stages are exposed both fused (:meth:`QonductorScheduler.schedule`,
-one call per cycle) and split (:meth:`begin_cycle` -> the pure
+The stages are exposed both fused (``schedule``, inherited from
+:class:`~repro.scheduler.policy.SchedulingPolicy`: one call per cycle)
+and split (:meth:`begin_cycle` -> the pure
 :func:`~repro.scheduler.cycle.run_optimization` -> :meth:`finish_cycle`)
 so the cloud simulator's parallel engine can run pre-processing and
 selection on the main thread — where the shared estimate cache lives —
@@ -35,8 +36,9 @@ from ..cloud.job import QuantumJob, feasibility_matrix
 from ..cloud.tenancy import tier_preference, tier_sort
 from ..estimator.source import EstimateSource, require_estimate_source
 from ..moo import select_by_preference
-from .cycle import OptimizationResult, OptimizationTask, run_optimization
+from .cycle import OptimizationResult, OptimizationTask
 from .formulation import SchedulingInput, assignment_stats
+from .policy import SchedulingPolicy
 
 __all__ = [
     "ScheduleDecision",
@@ -106,8 +108,10 @@ class CyclePlan:
     preprocess_seconds: float
 
 
-class QonductorScheduler:
+class QonductorScheduler(SchedulingPolicy):
     """Many-to-many hybrid scheduler balancing fidelity vs JCT."""
+
+    batched = True
 
     def __init__(
         self,
@@ -168,9 +172,7 @@ class QonductorScheduler:
         resource estimator's ``refresh_templates`` so template averages
         track fresh calibration data.
         """
-        fn_hook = getattr(self.estimate_fn, "on_recalibration", None)
-        if fn_hook is not None:
-            fn_hook(qpus)
+        super().on_recalibration(qpus)
         if self._on_recalibrate is not None:
             self._on_recalibrate(qpus)
 
@@ -308,14 +310,3 @@ class QonductorScheduler:
             },
             front_exec_seconds=front_exec,
         )
-
-    def schedule(
-        self,
-        jobs: list[QuantumJob],
-        qpus: list[QPU],
-        waiting_seconds: dict[str, float] | None = None,
-    ) -> QuantumSchedule:
-        """Run one full scheduling cycle over ``jobs`` (fused stages)."""
-        plan = self.begin_cycle(jobs, qpus, waiting_seconds)
-        result = run_optimization(plan.task) if plan.task is not None else None
-        return self.finish_cycle(plan, result)

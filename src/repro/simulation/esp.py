@@ -76,10 +76,13 @@ class CircuitEspFeatures:
     key to vectorizing the critical-path walk: ops sharing a level are
     wire-disjoint, so each level updates the per-wire finish times in
     one gather/max/scatter round.  ``source_ops`` is the circuit's op
-    list at extraction time — the cache-validity token.
+    list at extraction time and ``source_len`` its length then — together
+    the cache-validity token (``Circuit.append`` grows the list in place,
+    so identity alone survives an append).
     """
 
     source_ops: list
+    source_len: int
     num_qubits: int
     # Per scheduled (non-barrier) op, in circuit order:
     kind: np.ndarray  # int8, _KIND_*
@@ -102,12 +105,16 @@ class CircuitEspFeatures:
 def extract_esp_features(circuit: Circuit) -> CircuitEspFeatures:
     """Extract (and cache on ``circuit.metadata``) the ESP feature arrays.
 
-    The cache is validated against the identity of the op list, so
-    circuit copies and transforms re-extract while repeated scoring of
-    the same circuit object pays the walk once.
+    The cache is validated against the identity and length of the op
+    list, so circuit copies, transforms and in-place appends re-extract
+    while repeated scoring of the same circuit object pays the walk once.
     """
     cached = circuit.metadata.get(_FEATURES_KEY)
-    if cached is not None and cached.source_ops is circuit.ops:
+    if (
+        cached is not None
+        and cached.source_ops is circuit.ops
+        and cached.source_len == len(circuit.ops)
+    ):
         return cached
 
     n = circuit.num_qubits
@@ -158,6 +165,7 @@ def extract_esp_features(circuit: Circuit) -> CircuitEspFeatures:
 
     features = CircuitEspFeatures(
         source_ops=circuit.ops,
+        source_len=len(circuit.ops),
         num_qubits=n,
         kind=np.asarray(kind, dtype=np.int8),
         q0=np.asarray(q0, dtype=np.intp),

@@ -57,7 +57,14 @@ def deutsch_jozsa(
         rng = np.random.default_rng(seed)
         mask = 0
         while mask == 0:
-            mask = int(rng.integers(1, 2**num_qubits))
+            if num_qubits < 64:
+                mask = int(rng.integers(1, 2**num_qubits))
+            else:
+                # 2**n is past NumPy's int64 bound from n = 64 on: draw
+                # 32-bit limbs there (narrow widths keep their stream).
+                limbs = rng.integers(0, 2**32, size=-(-num_qubits // 32))
+                mask = int.from_bytes(limbs.astype("<u4").tobytes(), "little")
+                mask %= 2**num_qubits
         for q in range(num_qubits):
             if (mask >> q) & 1:
                 circ.z(q)

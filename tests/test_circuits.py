@@ -1,4 +1,4 @@
-"""Unit tests for the circuit IR (gates, circuit container, DAG, metrics)."""
+"""Unit tests for the circuit IR (gates, circuit container, metrics)."""
 
 import numpy as np
 import pytest
@@ -9,10 +9,7 @@ from repro.circuits import (
     GATE_SPECS,
     Circuit,
     Gate,
-    circuit_to_dag,
     compute_metrics,
-    dag_layers,
-    dag_to_circuit,
     gate_matrix,
     inverse_gate,
     is_parametric,
@@ -178,35 +175,6 @@ class TestCircuit:
         assert c.ops[0].name == "project"
         with pytest.raises(ValueError):
             Circuit(1).project(2, 0)
-
-
-class TestDAG:
-    def test_dag_dependency_count(self):
-        c = Circuit(3).h(0).cx(0, 1).cx(1, 2).measure_all()
-        dag = circuit_to_dag(c)
-        assert len(dag) == 6
-        assert dag.longest_path_length() == 4  # h -> cx -> cx -> measure
-
-    def test_dag_layers_parallelism(self):
-        c = Circuit(4).h(0).h(1).h(2).h(3).cx(0, 1).cx(2, 3)
-        layers = dag_layers(circuit_to_dag(c))
-        assert len(layers) == 2
-        assert len(layers[0]) == 4 and len(layers[1]) == 2
-
-    def test_dag_roundtrip_preserves_semantics(self):
-        c = Circuit(3).h(0).cx(0, 1).rz(0.2, 2).cx(1, 2)
-        c2 = dag_to_circuit(circuit_to_dag(c))
-        assert np.allclose(c.unitary(), c2.unitary(), atol=1e-12)
-
-    def test_barrier_orders_across_wires(self):
-        c = Circuit(2).h(0)
-        c.barrier(0, 1)
-        c.h(1)
-        dag = circuit_to_dag(c)
-        gates = dag.topological_gates()
-        assert [g.name for g in gates] == ["h", "h"]
-        # The barrier creates a dependency: h(1) must follow h(0).
-        assert dag.longest_path_length() == 2
 
 
 class TestMetrics:

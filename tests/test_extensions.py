@@ -1,6 +1,5 @@
-"""Tests for the extension features: reservations (§7 priority access),
-Hamiltonian-simulation / amplitude-estimation workloads, the ASCII figure
-renderer, and validation of the execution model's mitigation effects
+"""Tests for the extension features: Hamiltonian-simulation /
+amplitude-estimation workloads, the ASCII figure renderer, and validation of the execution model's mitigation effects
 against the trajectory simulator."""
 
 import numpy as np
@@ -10,12 +9,6 @@ from repro.backends import default_fleet
 from repro.cloud.execution import MITIGATION_EFFECTS, ExecutionModel
 from repro.cloud.job import QuantumJob
 from repro.experiments.ascii_plot import bar_chart, cdf_chart, line_chart
-from repro.estimator import PairwiseEstimateSource
-from repro.scheduler import (
-    QonductorScheduler,
-    Reservation,
-    ReservationManager,
-)
 from repro.simulation import (
     NoiseModel,
     NoisySimulator,
@@ -23,54 +16,6 @@ from repro.simulation import (
     ideal_probabilities,
 )
 from repro.workloads import amplitude_estimation, ghz_linear, tfim_trotter
-
-
-class TestReservations:
-    def test_reservation_validation(self):
-        with pytest.raises(ValueError):
-            Reservation("x", start=10.0, end=10.0)
-
-    def test_overlap_rejected(self):
-        mgr = ReservationManager()
-        mgr.reserve("auckland", 0.0, 100.0)
-        with pytest.raises(ValueError, match="overlapping"):
-            mgr.reserve("auckland", 50.0, 150.0)
-        mgr.reserve("auckland", 100.0, 200.0)  # back-to-back is fine
-        mgr.reserve("cairo", 50.0, 150.0)  # other device is fine
-
-    def test_apply_toggles_online(self):
-        fleet = default_fleet(seed=7, names=["auckland", "cairo"])
-        mgr = ReservationManager()
-        mgr.reserve("auckland", 10.0, 20.0, holder="bigcorp")
-        held = mgr.apply(fleet, now=15.0)
-        assert held == ["auckland"]
-        assert not fleet[0].online and fleet[1].online
-        mgr.apply(fleet, now=25.0)
-        assert fleet[0].online
-
-    def test_scheduler_skips_reserved_qpu(self):
-        fleet = default_fleet(seed=7, names=["auckland", "cairo"])
-        mgr = ReservationManager()
-        mgr.reserve("auckland", 0.0, 1000.0)
-        mgr.apply(fleet, now=10.0)
-        sched = QonductorScheduler(
-            PairwiseEstimateSource(lambda j, q: (0.8, 10.0)),
-            seed=1,
-            max_generations=5,
-        )
-        jobs = [
-            QuantumJob.from_circuit(ghz_linear(5), keep_circuit=False)
-            for _ in range(4)
-        ]
-        result = sched.schedule(jobs, fleet, {})
-        assert all(d.qpu_name == "cairo" for d in result.decisions)
-
-    def test_prune(self):
-        mgr = ReservationManager()
-        mgr.reserve("a", 0.0, 10.0)
-        mgr.reserve("a", 20.0, 30.0)
-        assert mgr.prune(now=15.0) == 1
-        assert len(mgr.reservations) == 1
 
 
 class TestDynamicsWorkloads:

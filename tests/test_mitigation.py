@@ -22,9 +22,6 @@ from repro.mitigation import (
     insert_dd,
     knit,
     pauli_twirl,
-    pec_combine_probs,
-    pec_gamma,
-    pec_sample_circuits,
     sampling_overhead,
     twirl_ensemble,
     zne_expand,
@@ -245,30 +242,6 @@ class TestTwirling:
     def test_ensemble_size(self):
         ens = twirl_ensemble(ghz_linear(3), num_instances=5, seed=1)
         assert len(ens) == 5
-
-
-class TestPEC:
-    def test_gamma_grows_with_gates(self):
-        nm = NoiseModel.uniform(3, error_2q=0.02)
-        g1 = pec_gamma(ghz_linear(3, measure=False), nm)
-        g2 = pec_gamma(ghz_linear(3, measure=False).power(2), nm)
-        assert g2 > g1 > 1.0
-
-    def test_samples_preserve_distribution_on_ideal_sim(self):
-        nm = NoiseModel.uniform(2, error_2q=0.05)
-        c = Circuit(2).h(0).cx(0, 1)
-        samples, gamma = pec_sample_circuits(c, nm, 200, np.random.default_rng(0))
-        assert gamma > 1.0
-        assert any(s.sign < 0 for s in samples)
-
-    def test_combine_projects_to_simplex(self):
-        nm = NoiseModel.uniform(2, error_2q=0.05)
-        c = Circuit(2).h(0).cx(0, 1)
-        samples, gamma = pec_sample_circuits(c, nm, 50, np.random.default_rng(1))
-        probs = [np.abs(simulate_statevector(s.circuit)) ** 2 for s in samples]
-        out = pec_combine_probs(samples, probs, gamma)
-        assert out.sum() == pytest.approx(1.0)
-        assert np.all(out >= 0)
 
 
 class TestCutting:

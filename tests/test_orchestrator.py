@@ -6,7 +6,6 @@ import pytest
 from repro.backends import default_fleet
 from repro.orchestrator import (
     ExecutionConfig,
-    HeartbeatTracker,
     HybridWorkflow,
     HybridWorkflowImage,
     Qonductor,
@@ -136,21 +135,6 @@ class TestMonitor:
         other.restore(snap)
         assert other.get("ns", "k") == {"v": 1}
         assert other.revision == mon.revision
-
-
-class TestMembership:
-    def test_suspects_after_delta(self):
-        hb = HeartbeatTracker(delta_seconds=5.0)
-        hb.register("a", now=0.0)
-        hb.register("b", now=0.0)
-        hb.heartbeat("a", now=8.0)
-        assert hb.suspects(now=9.0) == ["b"]
-        assert hb.alive(now=9.0) == ["a"]
-
-    def test_unknown_node(self):
-        hb = HeartbeatTracker()
-        with pytest.raises(KeyError):
-            hb.heartbeat("ghost", 0.0)
 
 
 class TestRaft:

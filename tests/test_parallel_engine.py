@@ -4,7 +4,7 @@ The load-bearing guarantee: a seeded run produces **bit-identical**
 ``SimulationMetrics`` (modulo wall-clock timing fields) on every cycle
 executor backend — serial, thread, and process — for both the Qonductor
 scheduler (whose optimization stage actually ships to workers) and the
-batched FCFS baseline (which schedules inline during the fold).  Plus:
+batched FCFS baseline (whose plans carry no optimization task).  Plus:
 executor selection/contract tests, trigger coalescing, and the purity of
 the cycle seed derivation.
 """

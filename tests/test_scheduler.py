@@ -1,6 +1,5 @@
 """Scheduler tests: Eq. 1 formulation, the three-stage quantum scheduler,
-classical filter-score scheduling, baselines, triggers, and calibration
-crossovers."""
+classical filter-score scheduling, baselines, and triggers."""
 
 import numpy as np
 import pytest
@@ -19,8 +18,6 @@ from repro.scheduler import (
     SchedulingInput,
     SchedulingProblem,
     SchedulingTrigger,
-    reevaluate_post_calibration,
-    split_at_calibration,
 )
 from repro.workloads import ghz_linear
 
@@ -110,6 +107,13 @@ class TestQonductorScheduler:
         result = sched.schedule(jobs, fleet, {})
         assert len(result.unschedulable) == 1
         assert len(result.decisions) == 2
+
+    def test_offline_qpu_skipped(self):
+        fleet = default_fleet(seed=7, names=["auckland", "cairo"])
+        fleet[0].online = False
+        sched = QonductorScheduler(_fake_estimate, seed=1, max_generations=5)
+        result = sched.schedule(self._jobs(4), fleet, {})
+        assert all(d.qpu_name == "cairo" for d in result.decisions)
 
     def test_size_constraint_respected(self, fleet):
         # 12-qubit jobs cannot land on 7-qubit lagos.
@@ -249,42 +253,6 @@ class TestTrigger:
     def test_empty_queue_never_fires(self):
         trig = SchedulingTrigger(queue_limit=1, interval_seconds=1)
         assert not trig.should_fire(0, now=1e9)
-
-
-class TestCalibrationCrossover:
-    def _schedule(self, fleet):
-        sched = QonductorScheduler(_fake_estimate, seed=4, max_generations=8)
-        jobs = [
-            QuantumJob.from_circuit(ghz_linear(5), keep_circuit=False)
-            for _ in range(10)
-        ]
-        return sched.schedule(jobs, fleet, {q.name: 0.0 for q in fleet})
-
-    def test_split_partitions_all_decisions(self):
-        fleet = default_fleet(seed=7, names=["auckland", "algiers"])
-        schedule = self._schedule(fleet)
-        pre, post = split_at_calibration(schedule, {}, boundary_seconds_from_now=30.0)
-        assert len(pre) + len(post) == len(schedule.decisions)
-
-    def test_boundary_zero_puts_all_post(self):
-        fleet = default_fleet(seed=7, names=["auckland", "algiers"])
-        schedule = self._schedule(fleet)
-        pre, post = split_at_calibration(schedule, {}, boundary_seconds_from_now=0.0)
-        assert not pre and len(post) == len(schedule.decisions)
-
-    def test_reevaluation_moves_jobs_on_quality_flip(self):
-        fleet = default_fleet(seed=7, names=["auckland", "algiers"])
-        schedule = self._schedule(fleet)
-
-        # After "recalibration", algiers becomes dramatically better.
-        def flipped(job, qpu):
-            return (0.95, 5.0) if qpu.name == "algiers" else (0.3, 5.0)
-
-        report = reevaluate_post_calibration(
-            schedule, fleet, {}, boundary_seconds_from_now=0.0, estimate_fn=flipped
-        )
-        assert report.reassigned >= 1
-        assert all(d.qpu_name == "algiers" for d in report.post_boundary)
 
 
 class TestRecalibrationHook:

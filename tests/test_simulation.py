@@ -433,6 +433,19 @@ class TestBatchedEspEquivalence:
         copied = c.copy()
         assert extract_esp_features(copied) is not feats  # new ops list
 
+    def test_feature_cache_sees_in_place_append(self):
+        """``Circuit.add`` grows the op list in place, so list identity
+        alone would keep serving the one-gate features."""
+        nm = NoiseModel.uniform(2, error_2q=0.05)
+        c = Circuit(2)
+        c.add("h", [0])
+        stale = extract_esp_features(c)
+        before = esp(c, nm)
+        c.add("cx", [0, 1])
+        fresh = extract_esp_features(c)
+        assert fresh is not stale and len(fresh.kind) == 2
+        assert esp(c, nm) == esp(c.copy(), nm) < before
+
     def test_mixed_widths_in_one_block(self):
         nm = NoiseModel.uniform(9, error_2q=0.02, readout_error=0.02)
         circuits = [ghz(2), ghz_linear(9), ghz(5)]

@@ -1,5 +1,7 @@
 """Correctness tests for every benchmark generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,28 @@ class TestAlgorithms:
     def test_dj_constant_hits_zero(self):
         p = ideal_probabilities(deutsch_jozsa(4, balanced=False))
         assert p[0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 130])
+    def test_dj_builds_up_to_the_advertised_width(self, n):
+        """``2**n`` is past NumPy's int64 bound from n = 64 on."""
+        c = generate("dj", n, seed=3)
+        assert c.num_qubits == n
+        assert any(g.name == "z" for g in c.ops)  # non-zero mask
+
+    def test_dj_narrow_masks_are_pinned(self):
+        """The wide-n limb draw leaves every n < 64 stream alone: digests
+        of ``generate("dj", n, seed=3).ops`` taken before it existed."""
+        pinned = {
+            2: "d32b52ddb9eb53e45a979170f76cd433aa4a884fed75ed3ebd2e41f3918fc9f9",
+            12: "0483667f1092243473632e085aabdab2c22aa772cce9cd37a26c961636a74b1c",
+            63: "52cc902e0c7eb3ae140f40de21ec4cb06956076e9fe60dc904e5065183bb6262",
+        }
+        for n, digest in pinned.items():
+            ops = [
+                (g.name, tuple(g.qubits), tuple(g.params))
+                for g in generate("dj", n, seed=3).ops
+            ]
+            assert hashlib.sha256(repr(ops).encode()).hexdigest() == digest, n
 
     def test_qpe_reads_phase(self):
         for phase, n in ((0.25, 4), (0.3125, 4)):
