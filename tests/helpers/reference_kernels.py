@@ -6,13 +6,17 @@ are the per-individual / per-violation / per-front forms they must equal
 **bit for bit** (values and, for repair, RNG stream position).
 ``benchmarks/conftest.py``'s ``nsga_reference_patch`` rebuilds the
 pre-kernel hot path from them.
+
+:func:`fast_non_dominated_sort` is an *independent* oracle: Deb et
+al.'s (2002) textbook peel over pure-Python pairwise domination, with no
+import from ``repro.moo.sorting`` — a test comparing ``front_ranks``
+with it never compares the kernel with itself.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.moo.sorting import front_ranks
 from repro.scheduler.formulation import SchedulingInput
 
 __all__ = ["evaluate_reference", "fast_non_dominated_sort", "repair_reference"]
@@ -59,8 +63,36 @@ def repair_reference(
 
 
 def fast_non_dominated_sort(F: np.ndarray) -> list[np.ndarray]:
-    """Partition indices into Pareto fronts (front 0 = non-dominated)."""
-    if len(F) == 0:
-        return []
-    rank = front_ranks(F)
-    return [np.where(rank == r)[0] for r in range(int(rank.max()) + 1)]
+    """Partition indices into Pareto fronts (front 0 = non-dominated).
+
+    Deb's fast-non-dominated-sort as printed: per individual the set it
+    dominates and the count dominating it, then peel the zero-count set,
+    decrementing the counts of what each peeled member dominates.
+    """
+    rows = [tuple(row) for row in np.asarray(F).tolist()]
+    n = len(rows)
+
+    def dominates(a: tuple, b: tuple) -> bool:
+        return all(x <= y for x, y in zip(a, b)) and any(
+            x < y for x, y in zip(a, b)
+        )
+
+    dominated = [
+        [j for j in range(n) if dominates(rows[i], rows[j])] for i in range(n)
+    ]
+    count = [0] * n
+    for members in dominated:
+        for j in members:
+            count[j] += 1
+    fronts = []
+    current = [i for i in range(n) if count[i] == 0]
+    while current:
+        fronts.append(np.array(current, dtype=np.int64))
+        following = []
+        for i in current:
+            for j in dominated[i]:
+                count[j] -= 1
+                if count[j] == 0:
+                    following.append(j)
+        current = sorted(following)
+    return fronts
