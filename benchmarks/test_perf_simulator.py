@@ -11,6 +11,7 @@ arrived stream plus per-(job, QPU) estimator calls made it quadratic-ish
 in practice. The event core schedules it in seconds.
 """
 
+import contextlib
 import json
 import os
 import pathlib
@@ -825,12 +826,17 @@ def test_perf_nsga_kernels():
     beat the per-individual reference loop by >=5x at a realistic cycle
     shape (single-thread vectorization — no core count required), while
     staying bit-identical; the artifact additionally records end-to-end
-    ``run_optimization`` wall clock with and without the kernels."""
+    ``run_optimization`` wall clock with and without the kernels.  The
+    small-cycle gates: at the 15 x 4 shape of a queue-limit cycle, where
+    a generation costs calls and not genes, ``run_optimization`` must
+    beat the reference loops by >=1.25x and must not lose to the
+    matrix-peel ``front_ranks``, bit-identical to both."""
     import numpy as np
 
-    from conftest import nsga_reference_patch
+    from conftest import matrix_peel_patch, nsga_reference_patch
     from helpers.reference_kernels import evaluate_reference, repair_reference
     from repro.cloud.job import QuantumJob
+    from repro.scheduler.cycle import OptimizationTask
     from repro.scheduler.formulation import (
         SchedulingInput,
         evaluate_population,
@@ -891,9 +897,65 @@ def test_perf_nsga_kernels():
     assert np.array_equal(before.F, after.F)
     assert before.generations == after.generations
 
+    # -- 3. small cycles: kernels vs reference loops, sweep vs matrix ---
+    small_cycles = {}
+    arms = {
+        "kernels": contextlib.nullcontext,
+        "matrix_peel": matrix_peel_patch,
+        "reference": nsga_reference_patch,
+    }
+    for jobs, qpus in ((15, 4), (54, 4)):
+        shape_rng = np.random.default_rng(jobs)
+        feasible = shape_rng.random((jobs, qpus)) < 0.7
+        feasible[~feasible.any(axis=1), 0] = True
+        small = OptimizationTask(
+            SchedulingInput(
+                fidelity=shape_rng.random((jobs, qpus)) * 0.4 + 0.6,
+                exec_seconds=shape_rng.random((jobs, qpus)) * 100 + 1,
+                waiting_seconds=shape_rng.random(qpus) * 50,
+                feasible=feasible,
+            ),
+            pop_size=64, max_generations=20, base_seed=3, shard_id=0,
+            cycle_index=jobs,
+        )
+        runs, seconds = {}, dict.fromkeys(arms, float("inf"))
+        # Alternate the arms so a host slow spell lands on all of them.
+        for _ in range(7):
+            for arm, patch in arms.items():
+                with patch():
+                    t0 = time.perf_counter()
+                    for _ in range(5):
+                        runs[arm] = run_optimization(small)
+                    seconds[arm] = min(
+                        seconds[arm], (time.perf_counter() - t0) / 5
+                    )
+        for arm in ("matrix_peel", "reference"):
+            assert np.array_equal(runs[arm].X, runs["kernels"].X)
+            assert np.array_equal(runs[arm].F, runs["kernels"].F)
+            assert runs[arm].generations == runs["kernels"].generations == 20
+        small_cycles[f"{jobs}x{qpus}"] = {
+            "pop_size": small.pop_size,
+            "generations": runs["kernels"].generations,
+            "ms_per_cycle": {
+                arm: round(s * 1e3, 3) for arm, s in seconds.items()
+            },
+            "ms_per_generation": {
+                arm: round(s * 1e3 / runs[arm].generations, 4)
+                for arm, s in seconds.items()
+            },
+            "speedup_vs_reference": round(
+                seconds["reference"] / seconds["kernels"], 2
+            ),
+            "speedup_vs_matrix_peel": round(
+                seconds["matrix_peel"] / seconds["kernels"], 2
+            ),
+            "bit_identical": True,
+        }
+
     result = {
         "paper": {},
         "measured": {
+            "small_cycles": small_cycles,
             "evaluate_kernel": {
                 "pop": pop, "jobs": n, "qpus": q,
                 "reference_ms": round(ref_seconds * 1e3, 4),
@@ -930,6 +992,14 @@ def test_perf_nsga_kernels():
         f"({ref_seconds * 1e3:.3f}ms reference vs "
         f"{kernel_seconds * 1e3:.3f}ms kernel)"
     )
+    # Small cycles (a generation costs calls, not genes): the kernels
+    # must hold their lead over the reference loops there too, and the
+    # two-objective sweep must beat the matrix peel it replaced — the
+    # measured 1.17x-1.3x is all of 0.1 ms a generation, so on a shared
+    # host the second gate only asks that the sweep wins at all.
+    tiny = small_cycles["15x4"]
+    assert tiny["speedup_vs_reference"] >= 1.25, tiny
+    assert tiny["speedup_vs_matrix_peel"] > 1.0, tiny
 
 
 # ---------------------------------------------------------------------------

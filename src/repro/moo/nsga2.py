@@ -3,7 +3,10 @@
 The optimizer behind the Qonductor scheduler's optimization stage. All
 population-level operations are vectorized; one generation is
 select -> crossover -> mutate -> repair -> evaluate -> elitist truncation
-by (front rank, crowding distance).
+by (front rank, crowding distance).  Parents fill the first half of one
+preallocated ``(2 * pop_size, n_var)`` / ``(2 * pop_size, n_obj)`` buffer
+pair and each generation's children are written into the second, so the
+truncation reads the union without stacking it.
 
 :meth:`NSGA2.minimize` is a pure function of ``(problem, termination,
 seed)``: the random stream is rebuilt from the configured seed on every
@@ -83,31 +86,38 @@ class NSGA2:
         """
         rng = np.random.default_rng(self.seed if seed is None else seed)
         term = termination or Termination()
-        X = problem.sample(self.pop_size, rng)
-        F = problem.evaluate(X)
+        if term.generations:
+            raise ValueError(
+                f"termination already counted {term.generations} generations:"
+                " one Termination serves one minimize(), pass a fresh one"
+            )
+        pop, half = self.pop_size, self.pop_size // 2
+        X0 = problem.sample(pop, rng)
+        F0 = problem.evaluate(X0)
+        X_all = np.empty((2 * pop, X0.shape[1]), dtype=X0.dtype)
+        F_all = np.empty((2 * pop, F0.shape[1]), dtype=F0.dtype)
+        X, children = X_all[:pop], X_all[pop:]
+        F, Fc = F_all[:pop], F_all[pop:]
+        X[:], F[:] = X0, F0
         term.update(F)
         history: list[np.ndarray] = []
 
         rank, crowd = self._rank_and_crowd(F)
         while not term.should_stop():
-            parents_idx = tournament_selection(rank, crowd, self.pop_size, rng)
-            pa = X[parents_idx[: self.pop_size // 2]]
-            pb = X[parents_idx[self.pop_size // 2 :]]
-            c1, c2 = exponential_crossover(
+            parents_idx = tournament_selection(rank, crowd, pop, rng)
+            pa, pb = X[parents_idx[:half]], X[parents_idx[half:]]
+            children[:half], children[half:] = exponential_crossover(
                 pa, pb, problem.lower, problem.upper, rng, rate=self.crossover_rate
             )
-            children = np.vstack([c1, c2])
-            children = polynomial_mutation(
+            mutated = polynomial_mutation(
                 children, problem.lower, problem.upper, rng, eta=self.mutation_eta
             )
-            children = problem.repair(children)
-            Fc = problem.evaluate(children)
+            children[:] = problem.repair(mutated)
+            Fc[:] = problem.evaluate(children)
             term.update(Fc)
 
             # Elitist environmental selection over parents + children.
-            X_all = np.vstack([X, children])
-            F_all = np.vstack([F, Fc])
-            X, F, rank, crowd = self._truncate(X_all, F_all)
+            X[:], F[:], rank, crowd = self._truncate(X_all, F_all)
             if self.keep_history:
                 history.append(F[rank == 0].copy())
 
@@ -132,20 +142,23 @@ class NSGA2:
         rank = front_ranks(F)
         return rank, crowding_by_rank(F, rank)
 
-    def _truncate(self, X: np.ndarray, F: np.ndarray):
+    def _truncate(
+        self, X: np.ndarray, F: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Elitist truncation to ``pop_size`` by (front, crowding).
 
-        One domination matrix per selection: fronts are peeled into a
-        rank vector (:func:`front_ranks`) and crowding for every front
-        comes from the single ranked sweep (:func:`crowding_by_rank`)
-        shared with :meth:`_rank_and_crowd` — no per-front Python loop
-        and no re-sorting of the truncated set (every survivor in front
-        ``r`` is still dominated only by surviving members of front
-        ``r - 1``).  Values are bit-identical to the per-front reference
-        loop: full fronts keep their whole member set, and the one split
-        front's crowding is recomputed over exactly the surviving
-        subset, matching what a fresh rank-and-crowd over the survivors
-        would produce (asserted in ``tests/test_ml_moo.py``).
+        One non-dominated sort per selection (:func:`front_ranks`; for
+        two objectives a sort and a sweep, no domination matrix), and
+        crowding for every front from the single ranked sweep
+        (:func:`crowding_by_rank`) shared with :meth:`_rank_and_crowd` —
+        no per-front Python loop and no re-sorting of the truncated set
+        (every survivor in front ``r`` is still dominated only by
+        surviving members of front ``r - 1``).  Values are bit-identical
+        to the per-front reference loop: full fronts keep their whole
+        member set, and the one split front's crowding is recomputed
+        over exactly the surviving subset, matching what a fresh
+        rank-and-crowd over the survivors would produce (asserted in
+        ``tests/test_ml_moo.py``).
         """
         rank_all = front_ranks(F)
         crowd_all = crowding_by_rank(F, rank_all)

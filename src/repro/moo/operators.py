@@ -31,11 +31,19 @@ def tournament_selection(
     n = len(rank)
     a = rng.integers(0, n, n_parents)
     b = rng.integers(0, n, n_parents)
-    better_rank = rank[a] < rank[b]
-    tie = rank[a] == rank[b]
+    rank_a, rank_b = rank[a], rank[b]
     better_crowd = crowding[a] >= crowding[b]
-    pick_a = better_rank | (tie & better_crowd)
+    pick_a = (rank_a < rank_b) | ((rank_a == rank_b) & better_crowd)
     return np.where(pick_a, a, b)
+
+
+def _to_bounded_int(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """``np.clip(np.rint(x), lower, upper)`` as int64, computed in place
+    in the float scratch array ``x`` without the ``np.clip`` wrapper."""
+    np.rint(x, out=x)
+    np.maximum(x, lower, out=x)
+    np.minimum(x, upper, out=x)
+    return x.astype(np.int64)
 
 
 def exponential_crossover(
@@ -59,11 +67,10 @@ def exponential_crossover(
     shape = pa.shape
     beta = rng.exponential(beta_scale, shape)
     do = rng.random(shape) < rate
-    c1 = np.where(do, 0.5 * ((1 + beta) * pa + (1 - beta) * pb), pa)
-    c2 = np.where(do, 0.5 * ((1 - beta) * pa + (1 + beta) * pb), pb)
-    c1 = np.clip(np.rint(c1), lower, upper).astype(np.int64)
-    c2 = np.clip(np.rint(c2), lower, upper).astype(np.int64)
-    return c1, c2
+    more, less = 1 + beta, 1 - beta
+    c1 = np.where(do, 0.5 * (more * pa + less * pb), pa)
+    c2 = np.where(do, 0.5 * (less * pa + more * pb), pb)
+    return _to_bounded_int(c1, lower, upper), _to_bounded_int(c2, lower, upper)
 
 
 def polynomial_mutation(
@@ -95,5 +102,4 @@ def polynomial_mutation(
         (2.0 * u) ** exp - 1.0,
         1.0 - (2.0 * (1.0 - u)) ** exp,
     )
-    mutated = X + do * delta * span
-    return np.clip(np.rint(mutated), lower, upper).astype(np.int64)
+    return _to_bounded_int(X + do * delta * span, lower, upper)

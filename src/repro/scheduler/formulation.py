@@ -139,7 +139,8 @@ def repair_population(
     scalar per-violation loop, so seeded runs are unchanged by the
     batching.
     """
-    X = np.clip(X, 0, data.num_qpus - 1)
+    X = np.maximum(X, 0)
+    np.minimum(X, data.num_qpus - 1, out=X)
     rows = np.arange(data.num_jobs)
     bad = ~data.feasible[rows[None, :], X]
     if bad.any():

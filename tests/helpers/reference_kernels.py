@@ -7,6 +7,9 @@ are the per-individual / per-violation / per-front forms they must equal
 ``benchmarks/conftest.py``'s ``nsga_reference_patch`` rebuilds the
 pre-kernel hot path from them.
 
+:func:`front_ranks_matrix_peel` is ``front_ranks`` as every generation
+ran it before the two-objective sweep (one ``(n, n)`` domination matrix,
+peeled) — the "before" arm of the perf gates.
 :func:`fast_non_dominated_sort` is an *independent* oracle: Deb et
 al.'s (2002) textbook peel over pure-Python pairwise domination, with no
 import from ``repro.moo.sorting`` — a test comparing ``front_ranks``
@@ -17,9 +20,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.moo.sorting import dominates_matrix
 from repro.scheduler.formulation import SchedulingInput
 
-__all__ = ["evaluate_reference", "fast_non_dominated_sort", "repair_reference"]
+__all__ = [
+    "evaluate_reference",
+    "fast_non_dominated_sort",
+    "front_ranks_matrix_peel",
+    "repair_reference",
+]
 
 
 def evaluate_reference(data: SchedulingInput, X: np.ndarray) -> np.ndarray:
@@ -60,6 +69,29 @@ def repair_reference(
             options = feasible_lists[i]
             X[p, i] = options[int(rng.integers(len(options)))]
     return X
+
+
+def front_ranks_matrix_peel(F: np.ndarray) -> np.ndarray:
+    """The matrix-peel ``front_ranks`` the two-objective sweep replaced
+    on the cycle path — kept as the regression/benchmark reference."""
+    n = len(F)
+    rank = np.zeros(n, dtype=np.int64)
+    if n == 0:
+        return rank
+    dom = dominates_matrix(F)
+    counts = dom.sum(axis=0).astype(np.int64)
+    remaining = np.ones(n, dtype=bool)
+    r = 0
+    while remaining.any():
+        current = np.where(remaining & (counts == 0))[0]
+        if len(current) == 0:  # numerical ties: flush the rest as one front
+            current = np.where(remaining)[0]
+        rank[current] = r
+        remaining[current] = False
+        # Removing the current front decrements its dominatees' counters.
+        counts -= dom[current].sum(axis=0)
+        r += 1
+    return rank
 
 
 def fast_non_dominated_sort(F: np.ndarray) -> list[np.ndarray]:

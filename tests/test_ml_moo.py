@@ -1,5 +1,7 @@
 """Tests for the ML regression stack and the NSGA-II/MCDM optimizer."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from helpers.reference_kernels import (
     evaluate_reference,
     fast_non_dominated_sort,
+    front_ranks_matrix_peel,
     repair_reference,
 )
 from repro.ml import (
@@ -32,7 +35,9 @@ from repro.moo import (
     pareto_front_mask,
     pseudo_weights,
     select_by_preference,
+    sorting,
 )
+from repro.scheduler.cycle import OptimizationTask, cycle_seed, run_optimization
 from repro.scheduler.formulation import (
     SchedulingInput,
     SchedulingProblem,
@@ -238,6 +243,52 @@ class TestNSGA2:
         )
         assert not np.array_equal(a.F, c.F) or not np.array_equal(a.X, c.X)
 
+    def test_reused_termination_is_refused(self):
+        """A Termination counts one run.  Handing a spent one to a second
+        minimize used to return the initial random sample's front after
+        zero generations, silently."""
+        term = Termination(max_generations=10)
+        NSGA2(pop_size=16, seed=0).minimize(_Biobj(), term)
+        assert term.generations == 10
+        with pytest.raises(ValueError, match="fresh"):
+            NSGA2(pop_size=16, seed=0).minimize(_Biobj(), term)
+        assert term.generations == 10  # refused before any update
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"window": 0},
+            {"window": -3},
+            {"tol": -1e-9},
+            {"max_evaluations": 0},
+            {"max_generations": 0},
+        ],
+    )
+    def test_termination_validates_its_limits(self, kwargs):
+        """``window=0`` used to die inside ``np.stack`` with "need at
+        least one array to stack" at the first ``should_stop``."""
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            Termination(**kwargs)
+
+    def test_termination_window_ring_matches_restacked_history(self):
+        """The ring judges the same ``window`` ideal points a re-stacked
+        deque would, wrap-around included."""
+        rng = np.random.default_rng(4)
+        for window in (1, 3, 8):
+            term = Termination(max_generations=10**6, tol=0.05, window=window)
+            ideals = []
+            for _ in range(30):
+                F = rng.random((6, 2)) * 0.03 + 1.0 + (rng.random() < 0.2)
+                term.update(F)
+                ideals.append(F.min(axis=0))
+                expected = False
+                if len(ideals) >= window:
+                    hist = np.stack(ideals[-window:])
+                    span = hist.max(axis=0) - hist.min(axis=0)
+                    scale = np.abs(hist).max(axis=0) + 1e-12
+                    expected = bool(np.all(span / scale < 0.05))
+                assert term.should_stop() == expected
+
     def test_truncate_reuses_selection_fronts_bit_identical(self):
         """The fast truncation (ranks/crowding derived from the fronts
         already computed) must match the old recompute-from-scratch
@@ -341,6 +392,216 @@ class TestVectorizedSorting:
                 assert np.array_equal(
                     crowd[front], crowding_distance(F[front])
                 )
+
+
+def _oracle_ranks(F):
+    rank = np.full(len(F), -1, dtype=np.int64)
+    for r, front in enumerate(fast_non_dominated_sort(F)):
+        rank[front] = r
+    return rank
+
+
+def _assert_sorting_matches_oracle(F):
+    rank = front_ranks(F)
+    assert rank.dtype == np.int64
+    assert np.array_equal(rank, _oracle_ranks(F))
+    assert np.array_equal(rank, front_ranks_matrix_peel(F))
+    crowd = crowding_by_rank(F, rank)
+    for front in fast_non_dominated_sort(F):
+        assert np.array_equal(crowd[front], crowding_distance(F[front]))
+
+
+#: Where a sort-based peel and a matrix peel disagree first.
+_TIE_CASES = {
+    "n0": np.empty((0, 2)),
+    "n0_three_objectives": np.empty((0, 3)),
+    "n1": np.array([[0.5, 0.5]]),
+    "n2_dominated": np.array([[1.0, 1.0], [0.0, 0.0]]),
+    "n2_tradeoff": np.array([[1.0, 0.0], [0.0, 1.0]]),
+    "n2_duplicate": np.array([[0.3, 0.7], [0.3, 0.7]]),
+    "all_duplicates": np.tile([[2.0, 3.0]], (7, 1)),
+    "duplicates_across_fronts": np.array(
+        [[1.0, 1.0], [0.0, 2.0], [1.0, 1.0], [2.0, 2.0], [0.0, 2.0],
+         [2.0, 2.0], [0.0, 0.0], [1.0, 1.0]]
+    ),
+    "equal_f0": np.array([[1.0, 3.0], [1.0, 1.0], [1.0, 2.0], [1.0, 1.0]]),
+    "equal_f1": np.array([[3.0, 1.0], [1.0, 1.0], [2.0, 1.0], [1.0, 1.0]]),
+    "equal_f1_as_tail": np.array([[0.0, 1.0], [1.0, 1.0], [1.0, 0.0]]),
+    "signed_zero": np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0]]),
+    "integer_dtype": np.array([[1, 5], [2, 2], [5, 1], [4, 4], [2, 2]]),
+    "grid": np.array(
+        [[i, j] for i in range(5) for j in range(5)], dtype=float
+    )[::-1],
+    "three_objectives": np.array(
+        [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [0.0, 3.0, 3.0], [2.0, 2.0, 4.0],
+         [1.0, 1.0, 1.0], [3.0, 3.0, 3.0]]
+    ),
+}
+
+
+class TestTwoObjectiveSweep:
+    """``front_ranks`` on two objectives is a sort and a sweep; the cases
+    that separate it from the matrix peel are ties, and the oracle is the
+    independent textbook peel."""
+
+    @pytest.mark.parametrize("name", _TIE_CASES)
+    def test_tie_cases_match_oracle(self, name):
+        _assert_sorting_matches_oracle(_TIE_CASES[name])
+
+    def test_infinite_objectives_rank_like_oracle(self):
+        # Ranks only: crowding's span is inf - inf on such a front.
+        F = np.array(
+            [[np.inf, 0.0], [0.0, np.inf], [np.inf, np.inf], [-np.inf, 5.0]]
+        )
+        assert np.array_equal(front_ranks(F), _oracle_ranks(F))
+
+    @_settings
+    @given(
+        n=st.integers(0, 40),
+        m=st.sampled_from([2, 2, 3]),
+        levels=st.integers(1, 6),
+        seed=st.integers(0, 2**31),
+    )
+    def test_tied_grids_match_oracle_property(self, n, m, levels, seed):
+        """Integer-valued grids: few distinct levels, so duplicate rows,
+        constant columns and equal coordinates are the common case."""
+        F = np.random.default_rng(seed).integers(0, levels, (n, m)).astype(float)
+        _assert_sorting_matches_oracle(F)
+
+    @_settings
+    @given(n=st.integers(0, 48), seed=st.integers(0, 2**31))
+    def test_continuous_with_repeats_match_oracle_property(self, n, seed):
+        rng = np.random.default_rng(seed)
+        F = rng.random((n, 2))
+        if n > 3:  # revisit earlier rows and earlier coordinates
+            F[rng.integers(0, n, n // 3)] = F[rng.integers(0, n, n // 3)]
+            F[rng.integers(0, n, n // 4), 0] = F[rng.integers(0, n, n // 4), 0]
+        _assert_sorting_matches_oracle(F)
+
+    def test_dispatch_is_on_the_objective_count(self, monkeypatch):
+        """Two objectives never build the ``(n, n)`` matrix; any other
+        count still takes the matrix path."""
+        calls = []
+        real = sorting.dominates_matrix
+
+        def counting(F):
+            calls.append(F.shape)
+            return real(F)
+
+        monkeypatch.setattr(sorting, "dominates_matrix", counting)
+        rng = np.random.default_rng(0)
+        front_ranks(rng.random((30, 2)))
+        assert calls == []
+        front_ranks(rng.random((30, 3)))
+        front_ranks(rng.random((30, 1)))
+        assert calls == [(30, 3), (30, 1)]
+
+    def test_run_optimization_builds_no_domination_matrix(self, monkeypatch):
+        def forbidden(F):
+            raise AssertionError("dominates_matrix called on the cycle path")
+
+        monkeypatch.setattr(sorting, "dominates_matrix", forbidden)
+        result = run_optimization(_pinned_task(15, 4))
+        assert result.generations == 20
+
+
+def _sha(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+
+
+def _pcg_state(gen):
+    return gen.bit_generator.state["state"]["state"]
+
+
+def _pinned_task(n, q):
+    data = _random_input(np.random.default_rng(1000 * n + q), n, q)
+    return OptimizationTask(
+        data, pop_size=64, max_generations=20, base_seed=3, shard_id=1,
+        cycle_index=n,
+    )
+
+
+def _fingerprint(result, *generators):
+    return {
+        "X": (result.X.shape, _sha(result.X)),
+        "F": (result.F.shape, _sha(result.F)),
+        "generations": result.generations,
+        "evaluations": result.evaluations,
+        "streams": [_pcg_state(g) for g in generators],
+    }
+
+
+def _minimize_biobj():
+    # default_rng hands a Generator back unchanged, so the stream
+    # minimize draws from stays observable after the run.
+    ga = np.random.default_rng(11)
+    result = NSGA2(pop_size=32).minimize(
+        _Biobj(), Termination(max_generations=25), seed=ga
+    )
+    return _fingerprint(result, ga)
+
+
+def _minimize_task(n, q):
+    """``run_optimization`` spelled out, keeping hold of both streams."""
+    task = _pinned_task(n, q)
+    repair_seed, ga_seed = cycle_seed(
+        task.base_seed, task.shard_id, task.cycle_index
+    ).spawn(2)
+    problem = SchedulingProblem(task.data, seed=repair_seed)
+    ga = np.random.default_rng(ga_seed)
+    result = NSGA2(pop_size=task.pop_size).minimize(
+        problem, Termination(max_generations=task.max_generations), seed=ga
+    )
+    worker = run_optimization(task)
+    assert np.array_equal(worker.X, result.X)
+    assert np.array_equal(worker.F, result.F)
+    return _fingerprint(result, ga, problem._rng)
+
+
+# Recorded with the parent commit's src/ on the path (PR 16, f3fdbd9).
+PINNED_BIOBJ = {
+    "X": ((32, 6), "4031eb8b35d635ec"),
+    "F": ((32, 2), "8280f434f13acc81"),
+    "generations": 25,
+    "evaluations": 800,
+    "streams": [82592498218651722049073646215357659638],
+}
+PINNED_15X4 = {
+    "X": ((24, 15), "e610ea8201c321f2"),
+    "F": ((24, 2), "304d84831f06eebc"),
+    "generations": 20,
+    "evaluations": 1280,
+    "streams": [
+        11749359007799572909510146715603464823,
+        254578596224317919636870181495036409114,
+    ],
+}
+PINNED_54X4 = {
+    "X": ((25, 54), "89abf4ae67ab8365"),
+    "F": ((25, 2), "c2b14cd0a8fbd807"),
+    "generations": 20,
+    "evaluations": 1280,
+    "streams": [
+        108218766922318828509666953311699419024,
+        200436416426640913035265678079099329430,
+    ],
+}
+
+
+class TestMinimizePinned:
+    """``NSGA2.minimize`` against values recorded at the commit before
+    the two-objective sweep and the single parent+child buffer (PR 16,
+    f3fdbd9): front, counters and the position of every random stream
+    after the run."""
+
+    def test_biobj(self):
+        assert _minimize_biobj() == PINNED_BIOBJ
+
+    def test_scheduling_15x4(self):
+        assert _minimize_task(15, 4) == PINNED_15X4
+
+    def test_scheduling_54x4(self):
+        assert _minimize_task(54, 4) == PINNED_54X4
 
 
 class TestPopulationKernels:
