@@ -36,7 +36,7 @@ pending queue.  A :class:`RebalancePolicy` periodically migrates pending
 * :class:`ThresholdRebalancePolicy` — while the deepest pending queue
   exceeds a feasible shard's queue by at least ``min_gap`` jobs, move one
   job at a time from the deepest to the shallowest feasible shard.
-* :class:`StealHalfRebalancePolicy` — each (near-)idle shard steals half
+* :class:`StealHalfRebalancePolicy` — each idle shard steals half
   of the deepest feasible victim queue, classic work stealing.
 
 Rebalancing is **off by default** (``rebalance=None``): single-shard runs
@@ -337,15 +337,6 @@ class RebalancePolicy:
     tenants queued behind it keep their position.  Off by default, and
     queues without tenant-tagged jobs always use the plain scan order,
     so untenanted runs are bit-identical either way.
-
-    With ``react_to_outages=True``, the simulator additionally schedules
-    an immediate rebalance check when an ``AVAILABILITY`` event takes a
-    QPU offline, instead of stranding the affected shard's queue until
-    the next periodic tick.  The check runs at the outage instant through
-    the same deterministic :meth:`rebalance` path (after every
-    same-instant availability flip has been folded, before any
-    same-instant trigger), so seeded runs stay reproducible.  Off by
-    default: purely periodic runs are bit-identical to before.
     """
 
     name = "base"
@@ -355,13 +346,11 @@ class RebalancePolicy:
         *,
         interval_seconds: float = 60.0,
         tenant_aware: bool = False,
-        react_to_outages: bool = False,
     ) -> None:
         if interval_seconds <= 0:
             raise ValueError("interval_seconds must be > 0")
         self.interval_seconds = interval_seconds
         self.tenant_aware = tenant_aware
-        self.react_to_outages = react_to_outages
 
     def rebalance(
         self, shards: list[FleetShard], now: float
@@ -430,12 +419,9 @@ class ThresholdRebalancePolicy(RebalancePolicy):
         min_gap: int = 4,
         interval_seconds: float = 60.0,
         tenant_aware: bool = False,
-        react_to_outages: bool = False,
     ) -> None:
         super().__init__(
-            interval_seconds=interval_seconds,
-            tenant_aware=tenant_aware,
-            react_to_outages=react_to_outages,
+            interval_seconds=interval_seconds, tenant_aware=tenant_aware
         )
         if min_gap < 2:
             raise ValueError("min_gap must be >= 2 (a 1-job gap ping-pongs)")
@@ -560,13 +546,12 @@ class ThresholdRebalancePolicy(RebalancePolicy):
 class StealHalfRebalancePolicy(RebalancePolicy):
     """Classic work stealing: idle shards steal half a victim's queue.
 
-    Every shard whose pending queue is at most ``idle_threshold`` jobs
-    deep (scanned in id order) picks the deepest other queue with at
-    least ``min_victim_depth`` jobs *and at least one job the thief can
-    serve*, then steals half of it — newest feasible jobs first,
-    re-queued in their original arrival order.  Shards that received
-    steals earlier in the same cycle are never victims, so a job moves
-    at most once per tick.
+    Every shard whose pending queue is empty (scanned in id order) picks
+    the deepest other queue with at least ``min_victim_depth`` jobs *and
+    at least one job the thief can serve*, then steals half of it —
+    newest feasible jobs first, re-queued in their original arrival
+    order.  Shards that received steals earlier in the same cycle are
+    never victims, so a job moves at most once per tick.
     """
 
     name = "steal_half"
@@ -574,20 +559,15 @@ class StealHalfRebalancePolicy(RebalancePolicy):
     def __init__(
         self,
         *,
-        idle_threshold: int = 0,
         min_victim_depth: int = 4,
         interval_seconds: float = 60.0,
         tenant_aware: bool = False,
-        react_to_outages: bool = False,
     ) -> None:
         super().__init__(
-            interval_seconds=interval_seconds,
-            tenant_aware=tenant_aware,
-            react_to_outages=react_to_outages,
+            interval_seconds=interval_seconds, tenant_aware=tenant_aware
         )
         if min_victim_depth < 2:
             raise ValueError("min_victim_depth must be >= 2")
-        self.idle_threshold = idle_threshold
         self.min_victim_depth = min_victim_depth
 
     def rebalance(
@@ -603,9 +583,7 @@ class StealHalfRebalancePolicy(RebalancePolicy):
         # Snapshot per-shard online width (constant within one event).
         width = {s.shard_id: s.max_qubits for s in shards}
         for thief in sorted(shards, key=lambda s: s.shard_id):
-            if not thief.is_batched:
-                continue
-            if len(thief.pending) > self.idle_threshold:
+            if not thief.is_batched or thief.pending:
                 continue
             thief_width = width[thief.shard_id]
             # The victim is the deepest queue holding at least one job

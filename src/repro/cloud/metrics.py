@@ -95,8 +95,9 @@ class SimulationMetrics:
     #: ``cycle_latency`` was in effect) and the summed trigger->fold lag.
     pipelined_batches: int = 0
     fold_lag_seconds: float = 0.0
-    #: TRIGGER events that fired early because they fell inside the
-    #: ε-window of a coalescing batch head (``trigger_epsilon > 0``).
+    #: Cycles launched ahead of their own trigger instant because it fell
+    #: inside the ε-window of a coalescing batch head
+    #: (``trigger_epsilon > 0``); never more than ``scheduling_cycles``.
     epsilon_merged_triggers: int = 0
     #: Estimate-cache counters, when the scheduling policy exposes a cache.
     estimate_cache: dict = field(default_factory=dict)

@@ -63,11 +63,11 @@ estimate-cache updates are identical on every backend.  Two knobs:
   shard's cycle is in flight queue as pending and join the next cycle;
   the shard's trigger pops are deferred until the fold re-arms its
   deadline, and the event loop keeps draining while workers optimize.
-* ``trigger_epsilon`` — TRIGGERs within ε seconds of a batch head
-  coalesce into one engine batch (exact same-instant ties always
-  coalesce, so ε=0 changes nothing), which is what lets arrival-driven
-  and bursty fleets form multi-task batches worth shipping to the
-  process pool.
+* ``trigger_epsilon`` — trigger instants within ε seconds of a batch
+  head (each shard's hold and deadline, read off its trigger) coalesce
+  into one engine batch (exact same-instant ties always coalesce, so
+  ε=0 changes nothing), which is what lets arrival-driven and bursty
+  fleets form multi-task batches worth shipping to the process pool.
 
 Pass ``cycle_executor="process"`` (or set ``CYCLE_EXECUTOR``) to overlap
 concurrently-due NSGA-II cycles on a worker pool.
@@ -141,10 +141,6 @@ class EventType(IntEnum):
     TRIGGER = 7
 
 
-#: Plain-int copy for the heap scans in the TRIGGER handler.
-_TRIGGER = int(EventType.TRIGGER)
-
-
 @dataclass
 class SimulationConfig:
     """Knobs of one simulation run."""
@@ -210,10 +206,6 @@ class RunState:
     done_jct_count: int = 0
     qpu_by_name: dict[str, QPU] = field(default_factory=dict)
     offline_since: dict[str, float] = field(default_factory=dict)
-    #: Dedupes proactive outage-rebalance pushes: several QPUs flipping
-    #: offline at one instant warrant one immediate check, not one per
-    #: flip.
-    outage_rebalance_at: float | None = None
 
     def push(self, t: float, kind: EventType, payload=None) -> None:
         heapq.heappush(self.heap, (t, int(kind), next(self.seq), payload))
@@ -542,20 +534,17 @@ class CloudSimulator:
         picks up."""
         if shard.in_flight is not None:
             return
-        if not shard.trigger.should_fire(len(shard.pending), now):
+        trigger = shard.trigger
+        if not trigger.should_fire(len(shard.pending), now):
             return
-        if self.trigger_epsilon > 0.0:
+        if self.trigger_epsilon == 0.0:
+            self._launch(st, [shard], now)
+        elif trigger.hold_until is None:
             # ε-window hold: fire ε later so other shards becoming
-            # eligible inside the window merge into one batch (the hold
-            # flag dedupes — one pending hold per shard).
-            if shard.trigger.arm_hold():
-                st.push(
-                    now + self.trigger_epsilon,
-                    EventType.TRIGGER,
-                    (shard.shard_id, "hold"),
-                )
-            return
-        self._launch(st, [shard], now)
+            # eligible inside the window merge into one batch (one
+            # pending hold per shard).
+            trigger.hold_until = now + self.trigger_epsilon
+            st.push(trigger.hold_until, EventType.TRIGGER, shard.shard_id)
 
     def _rearm(self, st: RunState, shard: FleetShard, now: float) -> None:
         """Mark the shard's trigger fired and queue its next deadline."""
@@ -611,31 +600,15 @@ class CloudSimulator:
         elif not flip.online and qpu.online:
             metrics.outage_events += 1
             st.offline_since[flip.qpu_name] = now
-            # Proactive stealing (opt-in): an outage strands the affected
-            # shard's backlog, so schedule an immediate rebalance check
-            # at this instant instead of waiting for the periodic tick.
-            # REBALANCE sorts after the remaining same-instant
-            # AVAILABILITY flips (the check sees the full post-outage
-            # state) and before same-instant TRIGGERs, exactly like a
-            # periodic tick would — deterministic ordering preserved.
-            if (
-                self.rebalancer is not None
-                and self.rebalancer.react_to_outages
-                and len(self.shards) > 1
-                and st.outage_rebalance_at != now
-            ):
-                st.outage_rebalance_at = now
-                st.push(now, EventType.REBALANCE, "outage")
         qpu.online = flip.online
 
     def _on_recalibration(self, st: RunState, now: float, _payload) -> None:
         """Fleet-wide calibration cycle across every shard.
 
-        Every shard policy's hook runs with the full fleet, so per-shard
-        side effects (e.g. a Qonductor ``on_recalibrate`` callback) are
-        never skipped; a cached estimator shared across shards stays
-        single-invalidation because its own hook is idempotent per
-        calibration wave (see ``CachedEstimator.on_recalibration``).
+        Every shard policy's hook runs with the full fleet; a cached
+        estimator shared across shards stays single-invalidation because
+        its own hook is idempotent per calibration wave (see
+        ``CachedEstimator.on_recalibration``).
         """
         all_qpus = [b.qpu for b in self.backends]
         for qpu in all_qpus:
@@ -720,7 +693,7 @@ class CloudSimulator:
         else:
             self._schedule_immediate(st, shard, [job], now)
 
-    def _on_rebalance(self, st: RunState, now: float, payload) -> None:
+    def _on_rebalance(self, st: RunState, now: float, _payload) -> None:
         moves = self.rebalancer.rebalance(self.shards, now)
         st.metrics.rebalance_cycles += 1
         st.metrics.jobs_migrated += len(moves)
@@ -731,125 +704,89 @@ class CloudSimulator:
         for shard in receivers:
             if shard.is_batched:
                 self._fire_if_ready(st, shard, now)
-        # Only the periodic chain re-arms itself; a proactive outage
-        # check (payload "outage") is a one-shot.
-        if payload is None:
-            st.push(
-                now + self.rebalancer.interval_seconds, EventType.REBALANCE
-            )
+        st.push(now + self.rebalancer.interval_seconds, EventType.REBALANCE)
 
-    def _on_trigger(self, st: RunState, now: float, payload) -> None:
+    def _on_trigger(self, st: RunState, now: float, shard_id: int) -> None:
         """Coalesce TRIGGERs into one engine batch and launch it.
 
         Every entry landing at this same simulated instant always merges
-        (the ε=0 contract), and with ``trigger_epsilon > 0`` entries up
-        to ε later join too, firing early alongside the batch head.
-        TRIGGER is the highest-priority-value event kind, so every other
-        same-time event has already been folded in; the batch executes
-        in shard-id order (one canonical order for every executor
-        backend), which is what keeps parallel runs bit-identical to
-        serial ones.  Payloads are either a shard id (an interval
-        deadline) or ``(shard_id, "hold")`` (an ε-window hold armed on
-        the arrival path).
+        (the ε=0 contract), and with ``trigger_epsilon > 0`` every
+        shard's hold and deadline up to ε later join too, firing early
+        alongside the batch head — read off the shards' triggers, never
+        off the heap: a pulled instant's heap entry stays queued and is
+        stale when it pops, like any superseded deadline.  TRIGGER is
+        the highest-priority-value event kind, so every other same-time
+        event has already been folded in; the batch executes in shard-id
+        order (one canonical order for every executor backend), which is
+        what keeps parallel runs bit-identical to serial ones.
 
-        ``due_info`` maps shard_id -> ``[shard, fire_time,
-        via_deadline]``.  ``fire_time`` is the entry's own instant
-        (deadline freshness and should_fire are judged there — a merged
-        deadline *would* have fired at its own time, even if its
-        interval has not elapsed by ``now``); ``via_deadline`` marks
-        shards whose interval cadence this batch owns (a non-firing
-        deadline re-arms, a non-firing hold is simply dropped).
+        ``due`` maps shard_id -> ``[shard, fire_time, via_deadline]``.
+        ``fire_time`` is the instant's own time (should_fire is judged
+        there — a merged deadline *would* have fired at its own time,
+        even if its interval has not elapsed by ``now``);
+        ``via_deadline`` marks shards whose interval cadence this batch
+        owns (a non-firing deadline re-arms, a non-firing hold is simply
+        dropped).
         """
         heap = st.heap
-        due_info: dict[int, list] = {}
-        self._consider(due_info, payload, now, False)
+        due: dict[int, list] = {}
+        self._consider(due, self.shards[shard_id], now)
         # Exact same-instant ties always coalesce (ε=0 contract).
-        while heap and heap[0][0] == now and heap[0][1] == _TRIGGER:
-            late = heapq.heappop(heap)[3]
+        while heap and heap[0][0] == now and heap[0][1] == EventType.TRIGGER:
             st.metrics.events_processed += 1
-            self._consider(due_info, late, now, False)
-        if self.trigger_epsilon > 0.0 and due_info:
-            self._merge_epsilon_window(st, due_info, now)
-        due = sorted(due_info.values(), key=lambda info: info[0].shard_id)
-        firing = [
-            shard
-            for shard, fire_time, _ in due
-            if shard.trigger.should_fire(len(shard.pending), fire_time)
-        ]
-        self._launch(st, firing, now)
-        # Firing shards mark fired + re-arm at the fold; a non-firing
-        # deadline re-arms now, a non-firing hold is dropped.
-        for shard, _, via_deadline in due:
-            if via_deadline and shard not in firing:
+            self._consider(due, self.shards[heapq.heappop(heap)[3]], now)
+        if self.trigger_epsilon > 0.0 and due:
+            window = now + self.trigger_epsilon
+            for shard in self.shards:
+                if not shard.is_batched:
+                    continue
+                trigger = shard.trigger
+                instants = {trigger.hold_until, trigger.next_deadline(now)}
+                for t in sorted(instants - {None}):
+                    if now < t <= window:
+                        self._consider(due, shard, t, pulled=True)
+        firing = []
+        for _, (shard, fire_time, via_deadline) in sorted(due.items()):
+            if shard.trigger.should_fire(len(shard.pending), fire_time):
+                firing.append(shard)
+                if fire_time > now:
+                    st.metrics.epsilon_merged_triggers += 1
+            elif via_deadline:
                 self._rearm(st, shard, now)
+        # Firing shards mark fired + re-arm at the fold.
+        self._launch(st, firing, now)
 
     def _consider(
-        self, due_info: dict[int, list], payload, t_event: float,
-        from_window: bool,
-    ) -> bool:
-        """Fold one TRIGGER entry into ``due_info``.  True = consumed;
-        False = leave it in the heap for its own instant (window-pulled
-        entries only)."""
-        if isinstance(payload, tuple):
-            shard_id, is_hold = payload[0], True
-        else:
-            shard_id, is_hold = payload, False
-        shard = self.shards[shard_id]
-        if is_hold:
-            if not shard.trigger.disarm_hold():
-                return True  # stale: superseded meanwhile
-            if shard.in_flight is not None:
-                return True  # deferred; arrivals re-arm later
-            if shard_id not in due_info:
-                due_info[shard_id] = [shard, t_event, False]
-            return True
-        if t_event < shard.trigger.next_deadline(t_event):
-            return True  # stale deadline: fired meanwhile
-        if shard.in_flight is not None:
-            # Deferred: the fold re-arms the deadline.  A window-pulled
-            # entry stays queued and goes stale at its own instant.
-            return not from_window
-        info = due_info.get(shard_id)
-        if info is not None:
-            info[2] = True  # the deadline owns the cadence
-            return True
-        if from_window and not shard.trigger.should_fire(
-            len(shard.pending), t_event
-        ):
-            # Would not fire: merging it would only reset an idle
-            # shard's cadence early.  Leave it queued.
-            return False
-        due_info[shard_id] = [shard, t_event, True]
-        return True
-
-    def _merge_epsilon_window(
-        self, st: RunState, due_info: dict[int, list], now: float
+        self, due: dict[int, list], shard: FleetShard, t: float,
+        pulled: bool = False,
     ) -> None:
-        """ε-window: pull queued TRIGGERs within ε of the batch head
-        forward into this batch.  Entries that decline (stale at their
-        own instant / in flight / would not fire) are left in place.
-        Processing in (time, push-seq) order — heap pop order — keeps
-        the merge deterministic."""
-        heap = st.heap
-        window = now + self.trigger_epsilon
-        kept, pulled = [], []
-        for entry in heap:
-            if entry[1] == _TRIGGER and entry[0] <= window:
-                pulled.append(entry)
-            else:
-                kept.append(entry)
-        if not pulled:
+        """Fold ``shard``'s trigger instant ``t`` into ``due``.
+
+        The shard's trigger says what ``t`` is: its armed hold, its live
+        deadline (both, when they coincide), or neither — a stale entry
+        superseded since it was pushed.  ``pulled`` marks an instant the
+        ε-window reads ahead of its own heap entry.
+        """
+        trigger = shard.trigger
+        is_hold = t == trigger.hold_until
+        is_deadline = t == trigger.next_deadline(t)
+        if is_hold:
+            trigger.hold_until = None
+        if shard.in_flight is not None or not (is_hold or is_deadline):
+            # Stale, or deferred: the fold re-arms the deadline and later
+            # arrivals re-arm a dropped hold.
             return
-        pulled.sort()
-        for entry in pulled:
-            if self._consider(due_info, entry[3], entry[0], True):
-                st.metrics.events_processed += 1
-                if entry[0] > now:
-                    st.metrics.epsilon_merged_triggers += 1
-            else:
-                kept.append(entry)
-        heap[:] = kept
-        heapq.heapify(heap)
+        info = due.get(shard.shard_id)
+        if info is not None:
+            info[2] |= is_deadline  # the deadline owns the cadence
+        elif (
+            is_hold
+            or not pulled
+            or trigger.should_fire(len(shard.pending), t)
+        ):
+            # (A pulled deadline that would not fire is not merged: that
+            # would only reset an idle shard's cadence early.)
+            due[shard.shard_id] = [shard, t, is_deadline]
 
     # ------------------------------------------------------------------
     def _collect_cache_stats(self, metrics: SimulationMetrics) -> None:

@@ -28,7 +28,6 @@ on which other QPUs happened to miss.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
@@ -41,6 +40,9 @@ from ..circuits.metrics import CircuitMetrics
 from ..cloud.job import QuantumJob, feasibility_matrix
 
 __all__ = ["CacheStats", "EstimateCache", "CachedEstimator"]
+
+#: Share of an :class:`EstimateCache`'s capacity its protected segment may hold.
+_PROTECTED_FRACTION = 0.8
 
 
 @dataclass
@@ -73,7 +75,7 @@ class EstimateCache:
 
     Eviction is segmented-LRU: entries enter a *probation* segment on
     first insertion and are promoted to a *protected* segment (capped at
-    ``protected_fraction`` of ``max_entries``) when hit again; a full
+    ``_PROTECTED_FRACTION`` of ``max_entries``) when hit again; a full
     protected segment demotes its least-recent entry back to probation,
     and capacity pressure always evicts probation's least-recent entry
     first.  Single-touch keys streaming past therefore churn through
@@ -84,19 +86,15 @@ class EstimateCache:
     including its hottest keys.
     """
 
-    def __init__(
-        self, max_entries: int = 200_000, *, protected_fraction: float = 0.8
-    ) -> None:
+    def __init__(self, max_entries: int = 200_000) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
-        if not 0.0 <= protected_fraction <= 1.0:
-            raise ValueError("protected_fraction must be in [0, 1]")
         self.max_entries = max_entries
         # At least one probation slot must exist (insertions land there);
         # with max_entries == 1 the protected segment degenerates away
         # and the cache behaves as plain LRU.
         self._protected_cap = min(
-            int(max_entries * protected_fraction), max_entries - 1
+            int(max_entries * _PROTECTED_FRACTION), max_entries - 1
         )
         # Both segments rely on dict insertion order as recency order:
         # first item = least recent, re-inserting moves a key to the end.
@@ -214,16 +212,9 @@ class CachedEstimator:
     bounded cache table.
     """
 
-    def __init__(
-        self,
-        base,
-        *,
-        max_entries: int = 200_000,
-        on_invalidate: Callable[[list[QPU]], None] | None = None,
-    ) -> None:
+    def __init__(self, base, *, max_entries: int = 200_000) -> None:
         self.base = base
         self.cache = EstimateCache(max_entries=max_entries)
-        self._on_invalidate = on_invalidate
         if hasattr(base, "estimate_for_qpu"):
             self._pair_fn = base.estimate_for_qpu
             self._trained = base.estimators
@@ -268,8 +259,6 @@ class CachedEstimator:
         self.cache.invalidate()
         if hasattr(self.base, "refresh_templates"):
             self.base.refresh_templates(qpus)
-        if self._on_invalidate is not None:
-            self._on_invalidate(qpus)
 
     # ------------------------------------------------------------------
     def __call__(self, job: QuantumJob, qpu: QPU) -> tuple[float, float]:

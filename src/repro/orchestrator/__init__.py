@@ -2,7 +2,6 @@
 control plane (API, job manager, monitor, Raft replicas), and workers."""
 
 from .api import Qonductor
-from .codegen import build_workflow, classical_task, quantum_task
 from .images import ExecutionConfig, HybridWorkflowImage, ResourceRequest
 from .job_manager import JobManager, WorkflowRun, WorkflowStatus
 from .monitor import SystemMonitor, WatchEvent
@@ -31,7 +30,4 @@ __all__ = [
     "WorkflowRun",
     "WorkflowStatus",
     "Qonductor",
-    "build_workflow",
-    "classical_task",
-    "quantum_task",
 ]

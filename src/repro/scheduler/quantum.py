@@ -26,7 +26,6 @@ execution order.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,7 +121,6 @@ class QonductorScheduler(SchedulingPolicy):
         max_generations: int = 40,
         seed: int = 0,
         shard_id: int = 0,
-        on_recalibrate: Callable[[list[QPU]], None] | None = None,
         tier_preferences: dict | None = None,
     ) -> None:
         self.estimate_fn = require_estimate_source(
@@ -140,7 +138,6 @@ class QonductorScheduler(SchedulingPolicy):
         self._seed = seed
         self.shard_id = shard_id
         self._cycle = 0
-        self._on_recalibrate = on_recalibrate
 
     def spawn(self, shard_id: int) -> "QonductorScheduler":
         """A per-shard scheduler over this one's configuration.
@@ -159,22 +156,8 @@ class QonductorScheduler(SchedulingPolicy):
             max_generations=self.max_generations,
             seed=self._seed,
             shard_id=shard_id,
-            on_recalibrate=self._on_recalibrate,
             tier_preferences=self.tier_preferences,
         )
-
-    def on_recalibration(self, qpus: list[QPU]) -> None:
-        """Calibration-cycle hook (called by the cloud simulator).
-
-        Forwards to a caching ``estimate_fn`` (so memoized estimates from
-        the dead calibration epoch are dropped) and to the optional
-        ``on_recalibrate`` callback — the standard wiring passes the
-        resource estimator's ``refresh_templates`` so template averages
-        track fresh calibration data.
-        """
-        super().on_recalibration(qpus)
-        if self._on_recalibrate is not None:
-            self._on_recalibrate(qpus)
 
     # ------------------------------------------------------------------
     def preprocess(

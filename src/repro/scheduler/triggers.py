@@ -4,14 +4,15 @@ Deferred-trigger contract (pipelined engine): while a shard has a cycle
 in flight, the simulator drops the shard's trigger pops instead of
 firing a second overlapping cycle; the fold calls :meth:`fired` at the
 fold instant and re-arms the next interval deadline from there.  Any
-deadline entries pushed before the fold go stale naturally — they sort
-before the re-armed deadline and fail the ``next_deadline`` check.
+deadline entries pushed before the fold go stale naturally — they no
+longer equal :meth:`next_deadline`.
 
 ε-window coalescing uses a *hold*: when a shard becomes eligible on the
-arrival path and ``trigger_epsilon > 0``, the simulator arms a hold and
-schedules the actual firing ε later, so other shards becoming eligible
-inside the window merge into one engine batch.  The hold flag here just
-dedupes arming — one pending hold event per shard at a time.
+arrival path and ``trigger_epsilon > 0``, the simulator schedules the
+actual firing ε later and records that instant in ``hold_until``, so
+other shards becoming eligible inside the window merge into one engine
+batch.  One pending hold per shard; a TRIGGER event is the shard's hold
+exactly when its time equals ``hold_until``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,18 @@ class SchedulingTrigger:
     queue_limit: int = 100
     interval_seconds: float = 120.0
     _last_fired: float = 0.0
-    _hold_armed: bool = field(default=False, repr=False)
+    #: Instant of the armed ε-window hold, ``None`` when none is pending.
+    hold_until: float | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # A non-positive interval re-arms its deadline at the same
+        # instant forever, so CloudSimulator.run() would never return.
+        if not self.interval_seconds > 0:
+            raise ValueError(
+                f"interval_seconds must be > 0, got {self.interval_seconds!r}"
+            )
+        if self.queue_limit < 1:
+            raise ValueError(f"queue_limit must be >= 1, got {self.queue_limit!r}")
 
     def should_fire(self, queue_size: int, now: float) -> bool:
         if queue_size <= 0:
@@ -44,16 +56,3 @@ class SchedulingTrigger:
 
     def next_deadline(self, now: float) -> float:
         return self._last_fired + self.interval_seconds
-
-    def arm_hold(self) -> bool:
-        """Arm the ε-window hold; False if one is already pending."""
-        if self._hold_armed:
-            return False
-        self._hold_armed = True
-        return True
-
-    def disarm_hold(self) -> bool:
-        """Consume the hold; False if none was armed (stale hold event)."""
-        was_armed = self._hold_armed
-        self._hold_armed = False
-        return was_armed

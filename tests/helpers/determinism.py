@@ -39,6 +39,7 @@ __all__ = [
     "make_job",
     "make_shards",
     "run_sharded",
+    "EPSILON_SHAPES",
     "assert_series_identical",
     "assert_runs_identical",
 ]
@@ -86,18 +87,20 @@ def make_shards(widths_per_shard, policy=None):
 
 def run_sharded(policy, executor, *, num_shards=3, duration=700.0,
                 rebalance=None, recal=None, tenants=None, admission=None,
-                **sim_kwargs):
+                fleet_size=6, rate_per_hour=2400, load_seed=4,
+                trigger=lambda i: (10_000, 120), **sim_kwargs):
     """The standard multi-shard MMPP-burst scenario, fully seeded.
 
     One knob set shared by the parallel-engine and tenancy bit-identity
     suites; ``tenants``/``admission`` extend it with a tenant mix on the
     load generator and an admission controller on the simulator (both
-    ``None`` by default — the tenancy-off configuration).  Extra keyword
-    arguments (e.g. ``cycle_latency`` / ``trigger_epsilon``) forward to
-    :meth:`CloudSimulator.sharded`.
+    ``None`` by default — the tenancy-off configuration).  ``trigger``
+    maps a shard id to its ``(queue_limit, interval_seconds)``.  Extra
+    keyword arguments (e.g. ``cycle_latency`` / ``trigger_epsilon``)
+    forward to :meth:`CloudSimulator.sharded`.
     """
     gen = LoadGenerator(
-        mean_rate_per_hour=2400,
+        mean_rate_per_hour=rate_per_hour,
         max_qubits=27,
         arrival_process="mmpp",
         burst_rate_multiplier=6.0,
@@ -105,16 +108,14 @@ def run_sharded(policy, executor, *, num_shards=3, duration=700.0,
         mean_calm_seconds=240.0,
         diurnal=False,
         tenants=tenants,
-        seed=4,
+        seed=load_seed,
     )
     sim = CloudSimulator.sharded(
-        fleet_of_size(6, seed=7),
+        fleet_of_size(fleet_size, seed=7),
         policy,
         num_shards=num_shards,
         execution_model=ExecutionModel(seed=5),
-        trigger_factory=lambda i: SchedulingTrigger(
-            queue_limit=10_000, interval_seconds=120
-        ),
+        trigger_factory=lambda i: SchedulingTrigger(*trigger(i)),
         config=SimulationConfig(
             duration_seconds=duration, seed=5, recalibrate_every_seconds=recal
         ),
@@ -124,6 +125,20 @@ def run_sharded(policy, executor, *, num_shards=3, duration=700.0,
         **sim_kwargs,
     )
     return sim.run(gen.generate(duration))
+
+
+#: Trigger shapes of the ε family (pinned in ``test_policy_contract``):
+#: arrival-driven queue limits, staggered interval deadlines, and both
+#: at once.  Values are :func:`run_sharded` keywords; a cell of the family
+#: adds ``load_seed``, ``trigger_epsilon`` and ``cycle_latency``.
+EPSILON_SHAPES = {
+    "queue": dict(duration=500.0, trigger=lambda i: (5, 10_000)),
+    "staggered": dict(duration=900.0, trigger=lambda i: (10_000, 50 + 5 * i)),
+    "mixed": dict(
+        duration=900.0, num_shards=4, fleet_size=8, rate_per_hour=3600,
+        trigger=lambda i: (8, 40 + 3 * i),
+    ),
+}
 
 
 def assert_series_identical(a, b) -> None:

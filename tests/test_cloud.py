@@ -324,6 +324,12 @@ class TestLoadGenerator:
             ({"benchmarks": ("grover",), "min_qubits": 10}, "grover"),
             ({"std_qubits": -1.0}, "std_qubits"),
             ({"mitigation_fraction": 1.5}, "mitigation_fraction"),
+            # The trigger's fields (a SchedulingTrigger, not a generator):
+            # a non-positive interval re-armed its deadline at the same
+            # instant forever, so run() never returned.
+            ({"interval_seconds": 0}, "interval_seconds"),
+            ({"interval_seconds": -5}, "interval_seconds"),
+            ({"queue_limit": 0}, "queue_limit"),
         ],
     )
     def test_bad_config_fails_at_construction(self, kwargs, field):
@@ -331,8 +337,10 @@ class TestLoadGenerator:
         next(), rate < 0 'scale < 0', pool -1 'high <= 0', an unknown
         benchmark a bare KeyError — none named the field, all surfaced
         inside the generator (i.e. inside ``CloudSimulator.run``)."""
+        trigger_fields = ("interval_seconds", "queue_limit")
+        build = SchedulingTrigger if field in trigger_fields else LoadGenerator
         with pytest.raises(ValueError, match=field):
-            LoadGenerator(**kwargs)
+            build(**kwargs)
 
     def test_poisson_stream_unchanged_by_mmpp_support(self):
         """The default process draws exactly the stream it always did —

@@ -232,6 +232,66 @@ class TestEventCore:
         with pytest.raises(KeyError, match="shard 0 has no QPU named 'nope'"):
             sim._dispatch(st, sim.shards[0], job, "nope", 0.0)
 
+    @pytest.mark.parametrize("first", ["deadline", "hold"])
+    @pytest.mark.parametrize("stolen", [False, True], ids=["firing", "stolen"])
+    def test_hold_and_deadline_at_one_instant_are_one_due_entry(
+        self, first, stolen
+    ):
+        """A shard's ε-window hold and its live deadline on one instant,
+        in either heap order: the instant is considered twice and ends
+        as one due entry that owns the cadence — one cycle when the
+        queue fires, and when a rebalance emptied the queue meanwhile
+        the deadline re-arms (a lone non-firing hold is dropped)."""
+        import heapq
+
+        from repro.cloud import SimulationMetrics
+        from repro.cloud.simulator import EventType, RunState
+        from repro.scheduler import BatchedFCFSPolicy
+
+        sim = CloudSimulator(
+            default_fleet(seed=7, names=["lagos"]),
+            BatchedFCFSPolicy(_fake_estimate),
+            ExecutionModel(seed=5),
+            trigger=SchedulingTrigger(queue_limit=2, interval_seconds=50.0),
+            trigger_epsilon=5.0,
+        )
+        st = RunState(
+            horizon=600.0, stream=iter(()), metrics=SimulationMetrics()
+        )
+        shard = sim.shards[0]
+        shard.pending = [
+            QuantumJob.from_circuit(ghz_linear(4), keep_circuit=False)
+            for _ in range(2)
+        ]
+        for entry in (first, "hold" if first == "deadline" else "deadline"):
+            if entry == "deadline":
+                st.push(shard.trigger.next_deadline(0.0), EventType.TRIGGER, 0)
+            else:
+                sim._fire_if_ready(st, shard, 45.0)  # arms the hold for 50.0
+        assert shard.trigger.hold_until == 50.0
+        assert [e[0] for e in st.heap] == [50.0, 50.0]
+        if stolen:
+            shard.pending = []
+
+        now, _, _, payload = heapq.heappop(st.heap)
+        sim._on_trigger(st, now, payload)
+
+        assert shard.trigger.hold_until is None
+        assert st.metrics.events_processed == 1  # the same-instant twin
+        (event,) = st.heap
+        if stolen:
+            assert event[:2] == (100.0, EventType.TRIGGER)
+            assert st.metrics.cycle_batches == 0
+        else:
+            assert event[:2] == (50.0, EventType.CYCLE_FOLD)
+            assert st.metrics.cycle_batches == 1
+            assert st.metrics.epsilon_merged_triggers == 0
+            sim._on_cycle_fold(st, 50.0, heapq.heappop(st.heap)[3])
+            assert st.metrics.scheduling_cycles == 1
+            assert [e[:2] for e in st.heap if e[1] == EventType.TRIGGER] == [
+                (100.0, EventType.TRIGGER)
+            ]
+
 
 class TestEstimateCache:
     def test_hits_on_repeat_and_epoch_invalidation(self):
@@ -378,13 +438,13 @@ class TestEstimateCache:
         """Protection is not tenure: once hotter keys fill the protected
         segment, its least-recently-used entries demote back to probation
         and can be evicted like any cold key."""
-        cache = EstimateCache(max_entries=10, protected_fraction=0.5)
-        for i in range(5):
+        cache = EstimateCache(max_entries=10)  # protected cap 8
+        for i in range(8):
             cache.put(("old", i), (0.5, 1.0))
-            cache.get(("old", i))  # promote: protected = 5 oldies
-        # 5 new keys promoted on top displace the oldies from protection
-        # (cap 5), demoting them into probation...
-        for i in range(5):
+            cache.get(("old", i))  # promote: protected = 8 oldies
+        # 8 new keys promoted on top displace the oldies from protection,
+        # demoting them into probation...
+        for i in range(8):
             cache.put(("new", i), (0.6, 1.0))
             cache.get(("new", i))
         # ...where a scan of fresh keys evicts them.
@@ -392,9 +452,10 @@ class TestEstimateCache:
             cache.put(("scan", i), (0.7, 1.0))
         assert len(cache) <= 10
         hits_before = cache.stats.hits
-        cache.get(("old", 0))
+        for i in range(8):
+            cache.get(("old", i))
         assert cache.stats.hits == hits_before  # demoted then evicted
-        cache.get(("new", 4))
+        cache.get(("new", 7))
         assert cache.stats.hits == hits_before + 1  # still protected
 
     def test_save_load_roundtrip(self, tmp_path):

@@ -614,36 +614,6 @@ class TestRebalancingRuns:
             steal.summary()["load_cv"] < static.summary()["load_cv"]
         )
 
-    def test_proactive_stealing_on_outage(self):
-        """``react_to_outages=True`` runs one extra rebalance pass the
-        instant a QPU drops offline, instead of waiting out the periodic
-        interval; the default stays strictly periodic."""
-        from repro.cloud import flash_outage
-
-        def run(react):
-            return self._run(
-                rebalance=ThresholdRebalancePolicy(
-                    min_gap=2,
-                    interval_seconds=1e9,  # periodic chain never fires
-                    react_to_outages=react,
-                ),
-                availability=flash_outage(
-                    ["guadalupe"], start=300.0, duration_seconds=400.0
-                ),
-            )
-
-        passive = run(False)
-        assert passive.rebalance_cycles == 0
-
-        proactive = run(True)
-        # Exactly the outage instant fired a pass (recovery does not).
-        assert proactive.rebalance_cycles == 1
-        assert proactive.jobs_migrated > 0
-        # Deterministic: the reaction is an event, not wall-clock.
-        again = run(True)
-        assert_series_identical(proactive, again)
-        assert proactive.jobs_migrated == again.jobs_migrated
-
     def test_outage_recovery_event_ordering_with_stealing(self):
         """A flash outage on the mid shard's QPU mid-run: counters fold
         in order and stolen jobs land on still-online devices."""

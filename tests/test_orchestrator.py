@@ -234,96 +234,3 @@ class TestQonductorAPI:
         static = qonductor.monitor.items("qpu_static")
         assert set(static) == set(FLEET)
         assert static["lagos"]["num_qubits"] == 7
-
-
-class TestCodegen:
-    """§5: the workflow manager's hybrid-code splitting."""
-
-    def _namespace(self):
-        from repro.orchestrator import classical_task, quantum_task
-
-        @classical_task(name="pre", seconds=0.2)
-        def pre():
-            return "generated"
-
-        @quantum_task(name="run", shots=1000, mitigation="rem", after=["pre"])
-        def run():
-            return ghz_linear(4)
-
-        @classical_task(name="post", seconds=0.4, after=["run"])
-        def post():
-            return "reconstructed"
-
-        return {"pre": pre, "run": run, "post": post}
-
-    def test_build_workflow_orders_by_dependencies(self):
-        from repro.orchestrator import build_workflow
-
-        wf = build_workflow(self._namespace(), name="split")
-        names = [s.name for s in wf.topological_steps()]
-        assert names.index("pre") < names.index("run") < names.index("post")
-        q = wf.quantum_steps()[0]
-        assert q.shots == 1000 and q.mitigation == "rem"
-        assert q.circuit.num_qubits == 4
-
-    def test_built_workflow_executes(self, qonductor):
-        from repro.orchestrator import build_workflow
-
-        wf = build_workflow(self._namespace(), name="split-exec")
-        key = qonductor.create_workflow(wf, name="split-exec")
-        wid = qonductor.invoke(key)
-        assert qonductor.workflow_status(wid) == "completed"
-
-    def test_unknown_dependency_rejected(self):
-        from repro.orchestrator import build_workflow, classical_task
-
-        @classical_task(name="a", after=["ghost"])
-        def a():
-            pass
-
-        with pytest.raises(ValueError, match="unknown task"):
-            build_workflow({"a": a})
-
-    def test_cycle_rejected(self):
-        from repro.orchestrator import build_workflow, classical_task
-
-        @classical_task(name="a", after=["b"])
-        def a():
-            pass
-
-        @classical_task(name="b", after=["a"])
-        def b():
-            pass
-
-        with pytest.raises(ValueError, match="cycle"):
-            build_workflow({"a": a, "b": b})
-
-    def test_quantum_task_must_return_circuit(self):
-        from repro.orchestrator import build_workflow, quantum_task
-
-        @quantum_task(name="bad")
-        def bad():
-            return 42
-
-        with pytest.raises(TypeError, match="Circuit"):
-            build_workflow({"bad": bad})
-
-    def test_empty_namespace_rejected(self):
-        from repro.orchestrator import build_workflow
-
-        with pytest.raises(ValueError, match="no @quantum_task"):
-            build_workflow({})
-
-    def test_duplicate_names_rejected(self):
-        from repro.orchestrator import build_workflow, classical_task
-
-        @classical_task(name="same")
-        def a():
-            pass
-
-        @classical_task(name="same")
-        def b():
-            pass
-
-        with pytest.raises(ValueError, match="duplicate"):
-            build_workflow({"a": a, "b": b})

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from helpers.determinism import (
+    EPSILON_SHAPES,
     assert_runs_identical,
     fake_estimate,
     run_sharded,
@@ -487,29 +488,12 @@ class TestPipelinedEngine:
     def _epsilon_run(executor, *, trigger_epsilon):
         """Arrival-driven fleet where per-shard queue-limit triggers fire
         at distinct instants — the case ε-coalescing exists for."""
-        gen = LoadGenerator(
-            mean_rate_per_hour=2400,
-            max_qubits=27,
-            arrival_process="mmpp",
-            burst_rate_multiplier=6.0,
-            mean_burst_seconds=60.0,
-            mean_calm_seconds=240.0,
-            diurnal=False,
-            seed=4,
-        )
-        sim = CloudSimulator.sharded(
-            fleet_of_size(6, seed=7),
+        return run_sharded(
             QonductorScheduler(fake_estimate, seed=5, max_generations=4),
-            num_shards=3,
-            execution_model=ExecutionModel(seed=5),
-            trigger_factory=lambda i: SchedulingTrigger(
-                queue_limit=5, interval_seconds=10_000
-            ),
-            config=SimulationConfig(duration_seconds=500.0, seed=5),
-            cycle_executor=executor,
+            executor,
             trigger_epsilon=trigger_epsilon,
+            **EPSILON_SHAPES["queue"],
         )
-        return sim.run(gen.generate(500.0))
 
     def test_epsilon_window_coalesces_arrival_triggers(self):
         """With ε > 0, near-simultaneous queue-limit triggers on
@@ -528,6 +512,20 @@ class TestPipelinedEngine:
         serial = self._epsilon_run("serial", trigger_epsilon=15.0)
         pooled = self._epsilon_run("process:2", trigger_epsilon=15.0)
         assert_runs_identical(serial, pooled)
+
+    def test_epsilon_merged_counts_cycles_launched_early(self):
+        """Regression: the counter also counted stale heap entries and
+        cadence marks that sat in the window (146 "merged" triggers for
+        96 cycles on this run).  It counts cycles launched ahead of
+        their own trigger instant — at most one per cycle."""
+        m = run_sharded(
+            BatchedFCFSPolicy(fake_estimate),
+            "serial",
+            trigger_epsilon=15.0,
+            **EPSILON_SHAPES["mixed"],
+        )
+        assert 0 < m.epsilon_merged_triggers <= m.scheduling_cycles
+        assert (m.scheduling_cycles, m.cycle_batches) == (96, 26)
 
 
 class TestExecutorLifecycle:

@@ -256,34 +256,6 @@ class TestTrigger:
 
 
 class TestRecalibrationHook:
-    def test_hook_invoked_with_fleet(self):
-        fleet = default_fleet(seed=7, names=["lagos"])
-        seen = []
-        sched = QonductorScheduler(
-            _fake_estimate, seed=0, on_recalibrate=seen.append
-        )
-        sched.on_recalibration(fleet)
-        assert seen == [fleet]
-
     def test_hook_optional(self):
         sched = QonductorScheduler(_fake_estimate, seed=0)
         sched.on_recalibration([])  # no-op must not raise
-
-    def test_simulator_wires_hook(self):
-        from repro.cloud import CloudSimulator, ExecutionModel, SimulationConfig
-
-        fleet = default_fleet(seed=7, names=["lagos"])
-        calls = []
-        sim = CloudSimulator(
-            fleet,
-            QonductorScheduler(
-                _fake_estimate, seed=0, max_generations=5,
-                on_recalibrate=lambda qpus: calls.append(len(qpus)),
-            ),
-            ExecutionModel(seed=1),
-            config=SimulationConfig(
-                duration_seconds=250.0, recalibrate_every_seconds=100.0, seed=1
-            ),
-        )
-        sim.run([])
-        assert len(calls) >= 2 and calls[0] == 1
