@@ -821,6 +821,22 @@ def _best_of(fn, *, repeats=5, inner=20):
     return best
 
 
+def _host_fingerprint():
+    """What a recorded time was measured on (times from two hosts, or
+    two NumPy builds, are not a before and an after)."""
+    import platform
+
+    import numpy as np
+
+    return {
+        "machine": platform.machine(),
+        "processor": platform.processor(),
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
 def test_perf_nsga_kernels():
     """The vectorized-MOO gate: the population-flat evaluate kernel must
     beat the per-individual reference loop by >=5x at a realistic cycle
@@ -830,12 +846,20 @@ def test_perf_nsga_kernels():
     small-cycle gates: at the 15 x 4 shape of a queue-limit cycle, where
     a generation costs calls and not genes, ``run_optimization`` must
     beat the reference loops by >=1.25x and must not lose to the
-    matrix-peel ``front_ranks``, bit-identical to both."""
+    matrix-peel ``front_ranks``, bit-identical to both; ms/generation at
+    15 x 4, 54 x 4 and 100 x 8 go into the artifact with the host they
+    were measured on.  The sparse mutation (``delta`` only at the genes
+    that mutate) must beat the dense formula by >=1.5x at 64 x 58."""
     import numpy as np
 
     from conftest import matrix_peel_patch, nsga_reference_patch
-    from helpers.reference_kernels import evaluate_reference, repair_reference
+    from helpers.reference_kernels import (
+        evaluate_reference,
+        polynomial_mutation_dense,
+        repair_reference,
+    )
     from repro.cloud.job import QuantumJob
+    from repro.moo import Problem, polynomial_mutation
     from repro.scheduler.cycle import OptimizationTask
     from repro.scheduler.formulation import (
         SchedulingInput,
@@ -865,6 +889,32 @@ def test_perf_nsga_kernels():
     ref_seconds = _best_of(lambda: evaluate_reference(data, X))
     kernel_seconds = _best_of(lambda: evaluate_population(data, X))
     evaluate_speedup = ref_seconds / max(kernel_seconds, 1e-12)
+
+    # -- 1b. sparse mutation vs the dense formula, one fresh-cycle shape --
+    box = Problem(58, 2, 0, 3)
+    genes = np.random.default_rng(2).integers(0, 4, size=(64, 58))
+    lower_f, upper_f = box.lower.astype(float), box.upper.astype(float)
+    scratch = genes.astype(float)
+    polynomial_mutation(scratch, lower_f, upper_f, box.span, np.random.default_rng(5))
+    assert np.array_equal(
+        scratch,
+        polynomial_mutation_dense(
+            genes, box.lower, box.upper, np.random.default_rng(5)
+        ),
+    )
+    # Both arms pay the int -> float copy (the generation's one cast).
+    dense_rng, sparse_rng = np.random.default_rng(6), np.random.default_rng(6)
+    dense_seconds = _best_of(
+        lambda: polynomial_mutation_dense(genes, box.lower, box.upper, dense_rng),
+        inner=200,
+    )
+    sparse_seconds = _best_of(
+        lambda: polynomial_mutation(
+            genes.astype(float), lower_f, upper_f, box.span, sparse_rng
+        ),
+        inner=200,
+    )
+    mutation_speedup = dense_seconds / max(sparse_seconds, 1e-12)
 
     # -- 2. end-to-end run_optimization, kernels vs reference loops -----
     estimator = trained_estimator(seed=7).cached()
@@ -904,7 +954,7 @@ def test_perf_nsga_kernels():
         "matrix_peel": matrix_peel_patch,
         "reference": nsga_reference_patch,
     }
-    for jobs, qpus in ((15, 4), (54, 4)):
+    for jobs, qpus in ((15, 4), (54, 4), (100, 8)):
         shape_rng = np.random.default_rng(jobs)
         feasible = shape_rng.random((jobs, qpus)) < 0.7
         feasible[~feasible.any(axis=1), 0] = True
@@ -955,7 +1005,14 @@ def test_perf_nsga_kernels():
     result = {
         "paper": {},
         "measured": {
+            "host": _host_fingerprint(),
             "small_cycles": small_cycles,
+            "mutation_kernel": {
+                "pop": 64, "genes": 58,
+                "dense_us": round(dense_seconds * 1e6, 2),
+                "sparse_us": round(sparse_seconds * 1e6, 2),
+                "speedup": round(mutation_speedup, 2),
+            },
             "evaluate_kernel": {
                 "pop": pop, "jobs": n, "qpus": q,
                 "reference_ms": round(ref_seconds * 1e3, 4),
@@ -1000,6 +1057,10 @@ def test_perf_nsga_kernels():
     tiny = small_cycles["15x4"]
     assert tiny["speedup_vs_reference"] >= 1.25, tiny
     assert tiny["speedup_vs_matrix_peel"] > 1.0, tiny
+    assert mutation_speedup >= 1.5, (
+        f"sparse mutation {sparse_seconds * 1e6:.1f}us vs dense "
+        f"{dense_seconds * 1e6:.1f}us at 64 x 58 = {mutation_speedup:.2f}x < 1.5x"
+    )
 
 
 # ---------------------------------------------------------------------------

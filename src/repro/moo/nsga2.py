@@ -6,7 +6,8 @@ select -> crossover -> mutate -> repair -> evaluate -> elitist truncation
 by (front rank, crowding distance).  Parents fill the first half of one
 preallocated ``(2 * pop_size, n_var)`` / ``(2 * pop_size, n_obj)`` buffer
 pair and each generation's children are written into the second, so the
-truncation reads the union without stacking it.
+truncation reads the union without stacking it; variation rewrites one
+float scratch in place, cast from and to integers once a generation.
 
 :meth:`NSGA2.minimize` is a pure function of ``(problem, termination,
 seed)``: the random stream is rebuilt from the configured seed on every
@@ -19,7 +20,7 @@ to serial execution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,11 +45,6 @@ class NSGA2Result:
     generations: int
     evaluations: int
     reason: str
-    history: list[np.ndarray] = field(default_factory=list)
-
-    @property
-    def n_solutions(self) -> int:
-        return len(self.X)
 
 
 class NSGA2:
@@ -58,17 +54,11 @@ class NSGA2:
         self,
         pop_size: int = 64,
         *,
-        crossover_rate: float = 0.9,
-        mutation_eta: float = 12.0,
         seed: int | np.random.SeedSequence | None = None,
-        keep_history: bool = False,
     ) -> None:
         if pop_size < 4 or pop_size % 2:
             raise ValueError("pop_size must be an even number >= 4")
         self.pop_size = pop_size
-        self.crossover_rate = crossover_rate
-        self.mutation_eta = mutation_eta
-        self.keep_history = keep_history
         self.seed = seed
 
     def minimize(
@@ -91,7 +81,7 @@ class NSGA2:
                 f"termination already counted {term.generations} generations:"
                 " one Termination serves one minimize(), pass a fresh one"
             )
-        pop, half = self.pop_size, self.pop_size // 2
+        pop = self.pop_size
         X0 = problem.sample(pop, rng)
         F0 = problem.evaluate(X0)
         X_all = np.empty((2 * pop, X0.shape[1]), dtype=X0.dtype)
@@ -100,41 +90,35 @@ class NSGA2:
         F, Fc = F_all[:pop], F_all[pop:]
         X[:], F[:] = X0, F0
         term.update(F)
-        history: list[np.ndarray] = []
+        lower, upper = problem.lower.astype(float), problem.upper.astype(float)
 
         rank, crowd = self._rank_and_crowd(F)
         while not term.should_stop():
             parents_idx = tournament_selection(rank, crowd, pop, rng)
-            pa, pb = X[parents_idx[:half]], X[parents_idx[half:]]
-            children[:half], children[half:] = exponential_crossover(
-                pa, pb, problem.lower, problem.upper, rng, rate=self.crossover_rate
-            )
-            mutated = polynomial_mutation(
-                children, problem.lower, problem.upper, rng, eta=self.mutation_eta
-            )
-            children[:] = problem.repair(mutated)
+            scratch = X[parents_idx].astype(float)
+            exponential_crossover(scratch, lower, upper, rng)
+            polynomial_mutation(scratch, lower, upper, problem.span, rng)
+            # Integer-valued and inside the box: the cast is exact.
+            np.copyto(children, scratch, casting="unsafe")
+            children[:] = problem.repair(children)
             Fc[:] = problem.evaluate(children)
             term.update(Fc)
 
             # Elitist environmental selection over parents + children.
             X[:], F[:], rank, crowd = self._truncate(X_all, F_all)
-            if self.keep_history:
-                history.append(F[rank == 0].copy())
 
         # The loop state already carries every survivor's front rank
         # (from `_rank_and_crowd` initially, `_truncate` thereafter), so
         # the final first front needs no third non-dominated sort.
-        first = np.where(rank == 0)[0]
+        first = (rank == 0).nonzero()[0]
         # Deduplicate identical objective vectors for a clean Pareto front.
-        _, unique_idx = np.unique(F[first], axis=0, return_index=True)
-        sel = first[np.sort(unique_idx)]
+        sel = first[_first_occurrences(F[first])]
         return NSGA2Result(
             X=X[sel].copy(),
             F=F[sel].copy(),
             generations=term.generations,
             evaluations=term.evaluations,
             reason=term.reason or "unknown",
-            history=history,
         )
 
     # ------------------------------------------------------------------
@@ -147,39 +131,48 @@ class NSGA2:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Elitist truncation to ``pop_size`` by (front, crowding).
 
-        One non-dominated sort per selection (:func:`front_ranks`; for
-        two objectives a sort and a sweep, no domination matrix), and
-        crowding for every front from the single ranked sweep
-        (:func:`crowding_by_rank`) shared with :meth:`_rank_and_crowd` —
-        no per-front Python loop and no re-sorting of the truncated set
-        (every survivor in front ``r`` is still dominated only by
-        surviving members of front ``r - 1``).  Values are bit-identical
-        to the per-front reference loop: full fronts keep their whole
-        member set, and the one split front's crowding is recomputed
-        over exactly the surviving subset, matching what a fresh
-        rank-and-crowd over the survivors would produce (asserted in
-        ``tests/test_ml_moo.py``).
+        One non-dominated sort (:func:`front_ranks`); the front sizes say
+        who survives: whole fronts up to the first that no longer fits,
+        and of that one — the split front — the least crowded members.
+        Nothing else is crowded: the split front takes
+        :func:`crowding_distance` (before the cut to choose, after it
+        over exactly the surviving subset), the whole fronts one ranked
+        sweep (:func:`crowding_by_rank`) over the gathered survivors.
+        Those are in (rank, index) order, so inside each front position
+        still runs with the original index — all the sweep's tie order
+        rests on — and the values are bit-identical to a fresh
+        rank-and-crowd over the survivors (``tests/test_ml_moo.py``).
         """
         rank_all = front_ranks(F)
-        crowd_all = crowding_by_rank(F, rank_all)
-        counts = np.bincount(rank_all)
-        cum = np.cumsum(counts)
+        cum = np.bincount(rank_all).cumsum()
         # First rank whose cumulative count exceeds pop_size is split.
-        r_split = int(np.searchsorted(cum, self.pop_size, side="right"))
+        r_split = int(cum.searchsorted(self.pop_size, side="right"))
         n_full = int(cum[r_split - 1]) if r_split > 0 else 0
-        # Fronts 0..r_split-1 concatenated in (rank, index) order.
-        by_rank = np.argsort(rank_all, kind="stable")
-        idx = by_rank[:n_full]
         n_rest = self.pop_size - n_full
+        # Fronts 0..r_split-1 concatenated in (rank, index) order.
+        by_rank = rank_all.argsort(kind="stable")
+        idx = by_rank[:n_full]
         if n_rest > 0:
-            front = np.where(rank_all == r_split)[0]
-            order = np.argsort(-crowd_all[front], kind="stable")
+            front = by_rank[n_full : cum[r_split]]
+            order = (-crowding_distance(F[front])).argsort(kind="stable")
             idx = np.concatenate([idx, front[order[:n_rest]]])
         Xs, Fs = X[idx], F[idx]
         rank = rank_all[idx]
-        crowd = crowd_all[idx]
+        crowd = np.empty(self.pop_size)
+        crowd[:n_full] = crowding_by_rank(Fs[:n_full], rank[:n_full])
         if n_rest > 0:
             # The split front survives only partially; its crowding is
             # defined over the surviving subset, not the full front.
             crowd[n_full:] = crowding_distance(Fs[n_full:])
         return Xs, Fs, rank, crowd
+
+
+def _first_occurrences(F: np.ndarray) -> np.ndarray:
+    """Ascending positions of the first copy of each distinct row:
+    ``np.sort(np.unique(F, axis=0, return_index=True)[1])`` as a stable
+    lexsort and a neighbour comparison, without the structured view."""
+    order = np.lexsort(F.T[::-1])
+    rows = F[order]
+    new = np.ones(len(F), dtype=bool)
+    np.any(rows[1:] != rows[:-1], axis=1, out=new[1:])
+    return np.sort(order[new])

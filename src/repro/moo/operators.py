@@ -8,6 +8,10 @@
   polynomial probability distribution" — classic polynomial mutation,
   rounded to integers,
 * binary tournament selection on (rank, crowding distance).
+
+Crossover and mutation work in place on one C-contiguous ``(pop,
+n_var)`` float buffer of integer-valued genes, which
+:meth:`repro.moo.nsga2.NSGA2.minimize` casts from and to integers once.
 """
 
 from __future__ import annotations
@@ -20,6 +24,13 @@ __all__ = [
     "polynomial_mutation",
 ]
 
+#: Per-gene crossover probability; untouched genes copy the parents.
+CROSSOVER_RATE = 0.9
+#: Scale of the exponential distribution the spread factor is drawn from.
+CROSSOVER_BETA_SCALE = 0.35
+#: Polynomial index (larger: closer to the parent); the rate is ``1 / n_var``.
+MUTATION_ETA = 12.0
+
 
 def tournament_selection(
     rank: np.ndarray,
@@ -28,78 +39,73 @@ def tournament_selection(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Binary tournaments: lower rank wins; ties broken by larger crowding."""
-    n = len(rank)
-    a = rng.integers(0, n, n_parents)
-    b = rng.integers(0, n, n_parents)
-    rank_a, rank_b = rank[a], rank[b]
-    better_crowd = crowding[a] >= crowding[b]
-    pick_a = (rank_a < rank_b) | ((rank_a == rank_b) & better_crowd)
+    # One (2, n_parents) draw fills row-major: the stream of two draws of
+    # ``n_parents`` (the half-word buffer lives in the bit generator).
+    draws = rng.integers(0, len(rank), (2, n_parents))
+    (a, b), (rank_a, rank_b), (crowd_a, crowd_b) = draws, rank[draws], crowding[draws]
+    pick_a = (rank_a < rank_b) | ((rank_a == rank_b) & (crowd_a >= crowd_b))
     return np.where(pick_a, a, b)
 
 
-def _to_bounded_int(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """``np.clip(np.rint(x), lower, upper)`` as int64, computed in place
-    in the float scratch array ``x`` without the ``np.clip`` wrapper."""
+def _round_into_bounds(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> None:
+    """``np.clip(np.rint(x), lower, upper)``, in place and unwrapped."""
     np.rint(x, out=x)
     np.maximum(x, lower, out=x)
     np.minimum(x, upper, out=x)
-    return x.astype(np.int64)
 
 
 def exponential_crossover(
-    parents_a: np.ndarray,
-    parents_b: np.ndarray,
+    parents: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
     rng: np.random.Generator,
-    *,
-    rate: float = 0.9,
-    beta_scale: float = 0.35,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> None:
     """SBX-flavoured integer crossover with exponentially distributed spread.
 
-    Children are ``0.5 [(1 ± beta) p_a + (1 ∓ beta) p_b]`` with
-    ``beta ~ Exp(beta_scale)`` per gene, rounded and clipped. ``rate`` is
-    the per-gene crossover probability; untouched genes copy the parents.
+    Row ``i`` of the ``(2 * k, n_var)`` buffer mates with row ``k + i``
+    and both are overwritten with their children ``0.5 [(1 ± beta) p_a +
+    (1 ∓ beta) p_b]``, ``beta ~ Exp(CROSSOVER_BETA_SCALE)`` per gene,
+    rounded and clipped.
     """
-    pa = parents_a.astype(float)
-    pb = parents_b.astype(float)
-    shape = pa.shape
-    beta = rng.exponential(beta_scale, shape)
-    do = rng.random(shape) < rate
+    half = len(parents) // 2
+    pa, pb = parents[:half], parents[half:]
+    beta = rng.exponential(CROSSOVER_BETA_SCALE, pa.shape)
+    do = rng.random(pa.shape) < CROSSOVER_RATE
     more, less = 1 + beta, 1 - beta
-    c1 = np.where(do, 0.5 * (more * pa + less * pb), pa)
-    c2 = np.where(do, 0.5 * (less * pa + more * pb), pb)
-    return _to_bounded_int(c1, lower, upper), _to_bounded_int(c2, lower, upper)
+    c1 = 0.5 * (more * pa + less * pb)
+    c2 = 0.5 * (less * pa + more * pb)
+    np.copyto(pa, c1, where=do)
+    np.copyto(pb, c2, where=do)
+    _round_into_bounds(parents, lower, upper)
 
 
 def polynomial_mutation(
     X: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
+    span: np.ndarray,
     rng: np.random.Generator,
-    *,
-    rate: float | None = None,
-    eta: float = 12.0,
-) -> np.ndarray:
-    """Deb's polynomial mutation on integers.
+) -> None:
+    """Deb's polynomial mutation on integer-valued floats, in place.
 
-    Default per-gene rate is ``1/n_var``. The perturbation magnitude follows
-    the polynomial distribution with index ``eta``; larger eta keeps
-    children closer to the parent ("within a parent's vicinity").
+    Each gene mutates with probability ``1 / n_var`` by ``delta * span``
+    (``span = upper - lower``, 1 where that is 0), ``delta`` polynomially
+    distributed.  Both random blocks cover every gene, so the stream does
+    not depend on which genes mutate, but ``delta`` is computed only where
+    one does: elsewhere the dense form adds ``False * delta * span``, a
+    zero, to an ``x`` that is already the integer it rounds to.
     """
-    X = X.astype(float)
     n_var = X.shape[1]
-    p = 1.0 / n_var if rate is None else rate
-    span = (upper - lower).astype(float)
-    span[span == 0] = 1.0
     u = rng.random(X.shape)
-    do = rng.random(X.shape) < p
+    do = rng.random(X.shape) < 1.0 / n_var
+    hit = do.ravel().nonzero()[0]
+    u = u.ravel()[hit]
     # delta in [-1, 1] with polynomial density.
-    exp = 1.0 / (eta + 1.0)
+    exp = 1.0 / (MUTATION_ETA + 1.0)
     delta = np.where(
         u < 0.5,
         (2.0 * u) ** exp - 1.0,
         1.0 - (2.0 * (1.0 - u)) ** exp,
     )
-    return _to_bounded_int(X + do * delta * span, lower, upper)
+    X.reshape(-1)[hit] += delta * span[hit % n_var]  # a view: X is contiguous
+    _round_into_bounds(X, lower, upper)

@@ -28,6 +28,8 @@ class Problem:
         self.upper = np.broadcast_to(np.asarray(upper, dtype=np.int64), (n_var,)).copy()
         if np.any(self.upper < self.lower):
             raise ValueError("upper bound below lower bound")
+        #: Mutation step scale per gene: the box width, 1 for a fixed gene.
+        self.span = np.maximum(self.upper - self.lower, 1).astype(float)
 
     def evaluate(self, X: np.ndarray) -> np.ndarray:
         """Objective values for a population ``X`` of shape (pop, n_var)."""

@@ -41,18 +41,18 @@ class Termination:
         self.max_evaluations = max_evaluations
         self.tol = tol
         self.window = window
-        # Ring of the last `window` ideal points, row = generation % window
-        # (allocated on the first update, when the objective count is known).
-        self._ideals: np.ndarray | None = None
+        # Ring of the last `window` ideal points, slot = generation %
+        # window, as rows of Python floats: at 8 x 2 the window test is the
+        # array reductions' IEEE arithmetic without their per-call cost.
+        self._ideals: list[list[float]] = []
         self.generations = 0
         self.evaluations = 0
         self.reason: str | None = None
 
     def update(self, F: np.ndarray) -> None:
         """Record one generation's objective matrix."""
-        if self._ideals is None:
-            self._ideals = np.empty((self.window, F.shape[1]), dtype=F.dtype)
-        F.min(axis=0, out=self._ideals[self.generations % self.window])
+        slot = self.generations % self.window
+        self._ideals[slot : slot + 1] = [F.min(axis=0).tolist()]
         self.generations += 1
         self.evaluations += len(F)
 
@@ -63,11 +63,11 @@ class Termination:
         if self.evaluations >= self.max_evaluations:
             self.reason = "max_evaluations"
             return True
-        hist = self._ideals
-        if hist is not None and self.generations >= self.window:
-            span = hist.max(axis=0) - hist.min(axis=0)
-            scale = np.abs(hist).max(axis=0) + 1e-12
-            if np.all(span / scale < self.tol):
-                self.reason = "tolerance_window"
-                return True
+        if self.generations >= self.window and all(
+            (max(column) - min(column)) / (max(map(abs, column)) + 1e-12)
+            < self.tol
+            for column in zip(*self._ideals)
+        ):
+            self.reason = "tolerance_window"
+            return True
         return False

@@ -62,6 +62,12 @@ class SchedulingInput:
             raise ValueError("feasible shape mismatch")
         if not self.feasible.any(axis=1).all():
             raise ValueError("some job has no feasible QPU (filter first)")
+        # NSGA-II does not stop on a NaN or inf estimate, it ranks it.
+        for name in ("fidelity", "exec_seconds", "waiting_seconds"):
+            values = getattr(self, name)
+            if not np.isfinite(values).all():
+                at = np.argwhere(~np.isfinite(values))[0].tolist()
+                raise ValueError(f"{name}{at} = {values[tuple(at)]} is not finite")
 
     @property
     def num_jobs(self) -> int:
@@ -106,22 +112,30 @@ def evaluate_population(data: SchedulingInput, X: np.ndarray) -> np.ndarray:
     """
     pop, n = X.shape
     q = data.num_qpus
+    return _objectives(data, X, np.arange(n) * q, (np.arange(pop) * q)[:, None])
+
+
+def _objectives(
+    data: SchedulingInput, X: np.ndarray, gene_cells: np.ndarray, row_bins: np.ndarray
+) -> np.ndarray:
+    """:func:`evaluate_population` given ``arange(N) * Q`` and ``(arange(pop) * Q)[:, None]``."""
+    pop, n = X.shape
     # Flat (job, qpu) cell ids: a[i, X[p, i]] == a.ravel()[i * Q + X[p, i]],
     # so one index matrix feeds both estimate gathers as flattened takes.
-    cell = X + (np.arange(n) * q)[None, :]
-    exec_sel = np.take(data.exec_seconds, cell)  # (pop, N)
-    fid_sel = np.take(data.fidelity, cell)
-    wait_sel = np.take(data.waiting_seconds, X)
+    cell = X + gene_cells
+    exec_sel = data.exec_seconds.take(cell)  # (pop, N)
+    fid_sel = data.fidelity.take(cell)
+    wait_sel = data.waiting_seconds.take(X)
     # Per-individual bins: individual p's genes land in [p * Q, (p+1) * Q).
-    seg = X + (np.arange(pop) * q)[:, None]
+    seg = X + row_bins
     totals = np.bincount(
-        seg.ravel(), weights=exec_sel.ravel(), minlength=pop * q
+        seg.ravel(), weights=exec_sel.ravel(), minlength=pop * data.num_qpus
     )
     # The same bin ids read the summed loads back: totals[p*Q + X[p, i]].
-    jct = wait_sel + np.take(totals, seg)
-    F = np.empty((pop, 2))
-    F[:, 0] = jct.mean(axis=1)
-    F[:, 1] = 1.0 - fid_sel.mean(axis=1)
+    jct = wait_sel + totals.take(seg)
+    F = np.empty((pop, 2))  # row means as np.mean takes them: sum, one divide
+    F[:, 0] = np.add.reduce(jct, axis=1) / n
+    F[:, 1] = 1.0 - np.add.reduce(fid_sel, axis=1) / n
     return F
 
 
@@ -141,8 +155,8 @@ def repair_population(
     """
     X = np.maximum(X, 0)
     np.minimum(X, data.num_qpus - 1, out=X)
-    rows = np.arange(data.num_jobs)
-    bad = ~data.feasible[rows[None, :], X]
+    # The flat (job, qpu) cell ids evaluate_population gathers with.
+    bad = ~data.feasible.take(X + np.arange(data.num_jobs) * data.num_qpus)
     if bad.any():
         flat, offsets, counts = (
             packed if packed is not None else pack_feasible(data.feasible)
@@ -158,7 +172,9 @@ def repair_population(
 
 
 class SchedulingProblem(Problem):
-    """Integer-encoded Eq. 1 instance over a :class:`SchedulingInput`."""
+    """Integer-encoded Eq. 1 instance over a :class:`SchedulingInput`,
+    holding what a generation would otherwise rebuild: the kernels'
+    offset vectors and the packed feasible lists."""
 
     def __init__(
         self,
@@ -170,15 +186,25 @@ class SchedulingProblem(Problem):
         )
         self.data = data
         self._rng = np.random.default_rng(seed)
-        # Flat feasible-QPU index arrays for the batched repair kernel.
-        self._packed = pack_feasible(data.feasible)
+        self._gene_cells = np.arange(data.num_jobs) * data.num_qpus
+        self._row_bins = np.empty((0, 1), dtype=np.int64)  # sized by evaluate
+        # Flat feasible-QPU index arrays for the batched repair kernel;
+        # None when every cell is feasible and there is nothing to repair.
+        self._packed = None if data.feasible.all() else pack_feasible(data.feasible)
 
     # ------------------------------------------------------------------
     def evaluate(self, X: np.ndarray) -> np.ndarray:
-        return evaluate_population(self.data, X)
+        if len(X) != len(self._row_bins):
+            self._row_bins = (np.arange(len(X)) * self.data.num_qpus)[:, None]
+        return _objectives(self.data, X, self._gene_cells, self._row_bins)
 
     def repair(self, X: np.ndarray) -> np.ndarray:
-        return repair_population(self.data, X, self._rng, packed=self._packed)
+        if self._packed is not None:
+            return repair_population(self.data, X, self._rng, packed=self._packed)
+        # Every cell feasible: the kernel's two clips; no mask, no draw.
+        X = np.maximum(X, 0)
+        np.minimum(X, self.data.num_qpus - 1, out=X)
+        return X
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Random init seeded with the two objective extremes.
@@ -196,28 +222,27 @@ class SchedulingProblem(Problem):
         X[0] = np.argmax(masked_fid, axis=1)
         if n > 1:
             # Greedy min-JCT: place each job where queue + load so far is
-            # smallest, updating the projected load as we go.  The
-            # feasibility masking is hoisted out of the loop: adding the
-            # running load to a pre-masked (inf at infeasible) cost row
-            # keeps infeasible entries at inf, so each argmin matches the
-            # per-iteration np.where of the original loop bit for bit.
-            cost_base = np.where(data.feasible, data.exec_seconds, np.inf)
-            load = data.waiting_seconds.copy()
-            greedy = np.zeros(self.n_var, dtype=np.int64)
-            for i in range(self.n_var):
-                q = int(np.argmin(load + cost_base[i]))
-                greedy[i] = q
-                load[q] += data.exec_seconds[i, q]
+            # smallest (infeasible QPUs cost inf; the first minimum wins,
+            # as with np.argmin), updating the projected load as we go — on
+            # Python lists: N argmins over Q ~ 4 floats were all overhead.
+            cost = np.where(data.feasible, data.exec_seconds, np.inf).tolist()
+            load = data.waiting_seconds.tolist()
+            greedy = []
+            for row in cost:
+                projected = [w + c for w, c in zip(load, row)]
+                q = projected.index(min(projected))
+                greedy.append(q)
+                load[q] += row[q]
             X[1] = greedy
         return X
 
     # ------------------------------------------------------------------
-    def assignment_stats(self, x: np.ndarray) -> dict:
+    def assignment_stats(self, x: np.ndarray) -> dict[str, float | list[float]]:
         """Mean JCT / fidelity / exec time of one assignment vector."""
         return assignment_stats(self.data, x)
 
 
-def assignment_stats(data: SchedulingInput, x: np.ndarray) -> dict:
+def assignment_stats(data: SchedulingInput, x: np.ndarray) -> dict[str, float | list[float]]:
     """Mean JCT / fidelity / exec stats of one assignment over ``data``.
 
     Module-level so the scheduler's fold-in stage can score a worker's

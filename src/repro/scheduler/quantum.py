@@ -179,9 +179,12 @@ class QonductorScheduler(SchedulingPolicy):
         feas = feasibility_matrix(schedulable, online)
         fid, sec = self.estimate_fn.estimate_block(schedulable, online, feas)
         wait = np.array([waiting_seconds.get(q.name, 0.0) for q in online])
-        data = SchedulingInput(
-            fidelity=fid, exec_seconds=sec, waiting_seconds=wait, feasible=feas
-        )
+        try:
+            data = SchedulingInput(
+                fidelity=fid, exec_seconds=sec, waiting_seconds=wait, feasible=feas
+            )
+        except ValueError as exc:  # a non-finite estimate: say whose cycle saw it
+            raise ValueError(f"shard {self.shard_id}, cycle {self._cycle}: {exc}") from exc
         return data, schedulable, rejected
 
     def begin_cycle(

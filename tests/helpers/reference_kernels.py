@@ -14,6 +14,8 @@ peeled) — the "before" arm of the perf gates.
 al.'s (2002) textbook peel over pure-Python pairwise domination, with no
 import from ``repro.moo.sorting`` — a test comparing ``front_ranks``
 with it never compares the kernel with itself.
+:func:`polynomial_mutation_dense` is the mutation every generation ran
+before it computed ``delta`` only at the genes that mutate.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
     "evaluate_reference",
     "fast_non_dominated_sort",
     "front_ranks_matrix_peel",
+    "polynomial_mutation_dense",
     "repair_reference",
 ]
 
@@ -69,6 +72,40 @@ def repair_reference(
             options = feasible_lists[i]
             X[p, i] = options[int(rng.integers(len(options)))]
     return X
+
+
+def polynomial_mutation_dense(
+    X: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    rng: np.random.Generator,
+    *,
+    rate: float | None = None,
+    eta: float = 12.0,
+) -> np.ndarray:
+    """The dense polynomial mutation :func:`repro.moo.operators.
+    polynomial_mutation` replaced: both powers and the ``where`` over
+    every gene, for the ``1 / n_var`` that mutate — kept as the
+    regression/benchmark reference."""
+    X = X.astype(float)
+    n_var = X.shape[1]
+    p = 1.0 / n_var if rate is None else rate
+    span = (upper - lower).astype(float)
+    span[span == 0] = 1.0
+    u = rng.random(X.shape)
+    do = rng.random(X.shape) < p
+    # delta in [-1, 1] with polynomial density.
+    exp = 1.0 / (eta + 1.0)
+    delta = np.where(
+        u < 0.5,
+        (2.0 * u) ** exp - 1.0,
+        1.0 - (2.0 * (1.0 - u)) ** exp,
+    )
+    x = X + do * delta * span
+    np.rint(x, out=x)
+    np.maximum(x, lower, out=x)
+    np.minimum(x, upper, out=x)
+    return x.astype(np.int64)
 
 
 def front_ranks_matrix_peel(F: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ from helpers.reference_kernels import (
     evaluate_reference,
     fast_non_dominated_sort,
     front_ranks_matrix_peel,
+    polynomial_mutation_dense,
     repair_reference,
 )
 from repro.ml import (
@@ -31,12 +32,16 @@ from repro.moo import (
     Termination,
     crowding_by_rank,
     crowding_distance,
+    exponential_crossover,
     front_ranks,
     pareto_front_mask,
+    polynomial_mutation,
     pseudo_weights,
     select_by_preference,
     sorting,
+    tournament_selection,
 )
+from repro.moo.nsga2 import _first_occurrences
 from repro.scheduler.cycle import OptimizationTask, cycle_seed, run_optimization
 from repro.scheduler.formulation import (
     SchedulingInput,
@@ -290,9 +295,11 @@ class TestNSGA2:
                 assert term.should_stop() == expected
 
     def test_truncate_reuses_selection_fronts_bit_identical(self):
-        """The fast truncation (ranks/crowding derived from the fronts
-        already computed) must match the old recompute-from-scratch
-        version bit for bit, across seeds and generations."""
+        """The truncation over survivors (one sort, crowding only for
+        the fronts that stay) must match the recompute-from-scratch
+        version bit for bit, across seeds, generations and shapes — and
+        the runs must reach each of its three outcomes."""
+        seen = set()
 
         class ReferenceNSGA2(NSGA2):
             def _truncate(self, X, F):
@@ -303,7 +310,11 @@ class TestNSGA2:
                     if count + len(front) <= self.pop_size:
                         chosen.append(front)
                         count += len(front)
+                        if count == self.pop_size:
+                            seen.add("exact fill")
+                            break
                     else:
+                        seen.add("split later" if chosen else "first front overfull")
                         crowd = crowding_distance(F[front])
                         order = np.argsort(-crowd, kind="stable")
                         chosen.append(front[order[: self.pop_size - count]])
@@ -314,17 +325,47 @@ class TestNSGA2:
                 rank, crowd = self._rank_and_crowd(Fs)
                 return Xs, Fs, rank, crowd
 
-        for seed in range(5):
-            fast = NSGA2(pop_size=16, seed=seed).minimize(
-                _Biobj(), Termination(max_generations=15)
-            )
-            ref = ReferenceNSGA2(pop_size=16, seed=seed).minimize(
-                _Biobj(), Termination(max_generations=15)
-            )
-            assert np.array_equal(fast.X, ref.X)
-            assert np.array_equal(fast.F, ref.F)
-            assert fast.generations == ref.generations
-            assert fast.evaluations == ref.evaluations
+        def scheduling(n, q):
+            def build(seed):
+                data = _random_input(np.random.default_rng(1000 * n + q + seed), n, q)
+                return SchedulingProblem(data, seed=seed)
+
+            return build
+
+        for build, pop, seeds, generations in (
+            (lambda seed: _Biobj(), 16, range(5), 15),
+            (scheduling(15, 4), 64, range(3), 20),
+            (scheduling(54, 4), 64, range(3), 20),
+        ):
+            for seed in seeds:
+                fast = NSGA2(pop_size=pop, seed=seed).minimize(
+                    build(seed), Termination(max_generations=generations)
+                )
+                ref = ReferenceNSGA2(pop_size=pop, seed=seed).minimize(
+                    build(seed), Termination(max_generations=generations)
+                )
+                assert np.array_equal(fast.X, ref.X)
+                assert np.array_equal(fast.F, ref.F)
+                assert fast.generations == ref.generations
+                assert fast.evaluations == ref.evaluations
+        assert seen == {"first front overfull", "split later", "exact fill"}
+
+    @_settings
+    @given(
+        n=st.integers(1, 40),
+        m=st.sampled_from([1, 2, 2, 3]),
+        levels=st.integers(1, 5),
+        seed=st.integers(0, 2**31),
+    )
+    def test_front_dedup_matches_np_unique_property(self, n, m, levels, seed):
+        """The final front's stable lexsort + neighbour comparison picks
+        the rows ``np.unique(axis=0, return_index=True)`` picks, on grids
+        where duplicate rows and signed zeros are the common case."""
+        rng = np.random.default_rng(seed)
+        F = rng.integers(0, levels, (n, m)).astype(float)
+        F[rng.random((n, m)) < 0.2] *= -1.0  # -0.0 == 0.0, -1.0 != 1.0
+        _, unique_idx = np.unique(F, axis=0, return_index=True)
+        assert np.array_equal(_first_occurrences(F), np.sort(unique_idx))
 
 
 class TestMCDM:
@@ -604,6 +645,253 @@ class TestMinimizePinned:
         assert _minimize_task(54, 4) == PINNED_54X4
 
 
+def _stream(gen):
+    """Everything of a PCG64 that the next draw depends on, the buffered
+    32-bit half-word included."""
+    state = gen.bit_generator.state
+    return (state["state"]["state"], state["has_uint32"], state["uinteger"])
+
+
+def _one_generation_of_variation(n, q):
+    """Tournament, crossover, mutation once, on a fixed population."""
+    rng = np.random.default_rng(100 * n + q)
+    X = rng.integers(0, q, size=(64, n))
+    rank = rng.integers(0, 5, 64)
+    crowd = rng.random(64)
+    crowd[rng.integers(0, 64, 8)] = np.inf
+    problem = Problem(n, 2, 0, q - 1)
+    lower, upper = problem.lower.astype(float), problem.upper.astype(float)
+    ga = np.random.default_rng(7)
+    parents_idx = tournament_selection(rank, crowd, 64, ga)
+    scratch = X[parents_idx].astype(float)
+    exponential_crossover(scratch, lower, upper, ga)
+    crossed = scratch.astype(np.int64)
+    polynomial_mutation(scratch, lower, upper, problem.span, ga)
+    return {
+        "parents_idx": _sha(parents_idx),
+        "crossed": _sha(crossed),
+        "mutated": _sha(scratch.astype(np.int64)),
+        "stream": _stream(ga),
+    }
+
+
+# Recorded with the parent commit's operators (PR 18, efea0e2): two
+# tournament draws, crossover and mutation each through their own
+# int -> float -> int round trip, mutation dense.
+PINNED_OPERATORS = {
+    (15, 4): {
+        "parents_idx": "d82b1e7cc506e2bd",
+        "crossed": "ec73119cb47435e4",
+        "mutated": "54b35ee7b1e4808e",
+        "stream": (64413189810321617873938805231608045126, 0, 647629610),
+    },
+    (54, 4): {
+        "parents_idx": "90df589c91385c46",
+        "crossed": "086573a4a4e48101",
+        "mutated": "a874d7d3cc7214f8",
+        "stream": (85302417815386990098063495310064451384, 0, 647629610),
+    },
+    (100, 8): {
+        "parents_idx": "a693d78002037288",
+        "crossed": "cb3d4466842e8538",
+        "mutated": "297d1f8ef88a892e",
+        "stream": (317130664824981641560832974030653624943, 0, 647629610),
+    },
+    # span == 0 (stored as 1) and mutation rate 1.0.
+    (1, 1): {
+        "parents_idx": "9b5843698a31b27a",
+        "crossed": "076a27c79e5ace2a",
+        "mutated": "076a27c79e5ace2a",
+        "stream": (52607862988240293192407683031311083320, 0, 647629610),
+    },
+}
+
+
+class _ScriptedRandom:
+    """Stands in for a ``Generator`` whose ``random`` blocks are given."""
+
+    def __init__(self, *blocks):
+        self._blocks = list(blocks)
+
+    def random(self, shape):
+        block = self._blocks.pop(0)
+        assert block.shape == tuple(shape)
+        return block.copy()
+
+
+class TestVariationOperators:
+    """Selection, crossover and mutation on the one float scratch against
+    what the parent's operators produced, stage by stage."""
+
+    @pytest.mark.parametrize("shape", PINNED_OPERATORS)
+    def test_one_generation_pinned(self, shape):
+        assert _one_generation_of_variation(*shape) == PINNED_OPERATORS[shape]
+
+    def test_tournament_single_draw_is_the_two_draw_stream(self):
+        for seed in range(60):
+            for n, k in ((64, 64), (64, 33), (7, 5), (1, 4)):
+                one, two = np.random.default_rng(seed), np.random.default_rng(seed)
+                rank = np.arange(n) % 3
+                crowd = np.random.default_rng(seed + 1).random(n)
+                a, b = two.integers(0, n, k), two.integers(0, n, k)
+                wins = (rank[a] < rank[b]) | (
+                    (rank[a] == rank[b]) & (crowd[a] >= crowd[b])
+                )
+                assert np.array_equal(
+                    tournament_selection(rank, crowd, k, one), np.where(wins, a, b)
+                )
+                assert _stream(one) == _stream(two)
+                assert one.integers(0, 1000, 3).tolist() == two.integers(0, 1000, 3).tolist()
+
+    @_settings
+    @given(
+        pop=st.integers(1, 12),
+        n=st.integers(1, 24),
+        upper=st.sampled_from([0, 1, 3, 7, 50, 2**52]),
+        hits=st.sampled_from(["none", "one", "all", "some"]),
+        seed=st.integers(0, 2**31),
+    )
+    def test_sparse_mutation_equals_dense_property(self, pop, n, upper, hits, seed):
+        """``delta`` computed only where a gene mutates gives every
+        element the dense formula gives it — ``u`` through 0, 0.5 exactly
+        and the last float below 1, and zero, one and all genes hit."""
+        rng = np.random.default_rng(seed)
+        problem = Problem(n, 2, -upper if upper > 50 else 0, upper)
+        X = rng.integers(problem.lower, problem.upper + 1, size=(pop, n))
+        u = rng.random((pop, n))
+        edges = [0.0, 0.5, np.nextafter(0.5, 0), np.nextafter(0.5, 1), np.nextafter(1, 0)]
+        u[rng.random((pop, n)) < 0.4] = rng.choice(edges)
+        u.flat[: len(edges)] = edges[: u.size]
+        gate = {  # compared with 1 / n: 0.0 hits, 1.0 never does
+            "none": np.ones((pop, n)),
+            "all": np.zeros((pop, n)),
+            "some": rng.random((pop, n)),
+        }.get(hits)
+        if gate is None:
+            gate = np.ones((pop, n))
+            gate.flat[rng.integers(pop * n)] = 0.0
+        dense = polynomial_mutation_dense(
+            X, problem.lower, problem.upper, _ScriptedRandom(u, gate)
+        )
+        scratch = X.astype(float)
+        polynomial_mutation(
+            scratch,
+            problem.lower.astype(float),
+            problem.upper.astype(float),
+            problem.span,
+            _ScriptedRandom(u, gate),
+        )
+        assert np.array_equal(scratch.astype(np.int64), dense)
+        assert np.array_equal(scratch, dense)  # integer-valued, in the box
+
+
+def _edge_task(fidelity, exec_seconds, waiting, feasible=None, pop_size=64):
+    fidelity = np.asarray(fidelity, dtype=float)
+    data = SchedulingInput(
+        fidelity=fidelity,
+        exec_seconds=np.asarray(exec_seconds, dtype=float),
+        waiting_seconds=np.asarray(waiting, dtype=float),
+        feasible=(
+            np.ones(fidelity.shape, dtype=bool)
+            if feasible is None
+            else np.asarray(feasible, dtype=bool)
+        ),
+    )
+    return OptimizationTask(
+        data, pop_size=pop_size, max_generations=20, base_seed=3, shard_id=0,
+        cycle_index=1,
+    )
+
+
+#: name -> (task, generations at the parent commit).  The first two have
+#: one and four distinct genomes: the ideal point cannot move, and the
+#: tolerance window stops them the first time it is full.
+_EDGE_TASKS = {
+    "1x1": (_edge_task([[0.9]], [[10.0]], [5.0]), 8),
+    "2x2": (
+        _edge_task([[0.9, 0.8], [0.7, 0.95]], [[10.0, 20.0], [30.0, 5.0]], [5.0, 0.0]),
+        8,
+    ),
+    "one_job_four_qpus": (
+        _edge_task([[0.9, 0.8, 0.7, 0.95]], [[10.0, 20.0, 30.0, 5.0]], [5, 0, 1, 40]),
+        8,
+    ),
+    "pop_larger_than_search_space": (
+        _edge_task(
+            [[0.9, 0.8], [0.7, 0.95], [0.85, 0.6]],
+            [[10.0, 20.0], [30.0, 5.0], [7.0, 9.0]],
+            [5.0, 0.0],
+        ),
+        8,
+    ),
+    "one_feasible_qpu_per_job": (
+        _edge_task(
+            np.linspace(0.6, 0.99, 24).reshape(6, 4),
+            np.linspace(1.0, 90.0, 24).reshape(6, 4),
+            [0.0, 10.0, 20.0, 30.0],
+            feasible=np.eye(4, dtype=bool)[[0, 1, 2, 3, 0, 1]],
+        ),
+        8,
+    ),
+}
+
+
+class TestEdgeShapes:
+    """ROADMAP direction 5's degenerate cycles through the real worker
+    function."""
+
+    @pytest.mark.parametrize("name", _EDGE_TASKS)
+    def test_run_optimization_edge_shape(self, name):
+        task, generations = _EDGE_TASKS[name]
+        result = run_optimization(task)
+        assert result.generations == generations
+        assert result.evaluations == generations * task.pop_size
+        assert len(result.F) >= 1 and pareto_front_mask(result.F).all()
+        assert len({tuple(row) for row in result.F.tolist()}) == len(result.F)
+        assert task.data.feasible[
+            np.arange(task.data.num_jobs)[None, :], result.X
+        ].all()
+        assert np.array_equal(
+            result.F, evaluate_reference(task.data, result.X)
+        )
+
+    @pytest.mark.parametrize("name", ["1x1", "2x2"])
+    def test_tiny_search_space_stops_on_the_tolerance_window(self, name):
+        task, _ = _EDGE_TASKS[name]
+        repair_seed, ga_seed = cycle_seed(3, 0, 1).spawn(2)
+        result = NSGA2(pop_size=64, seed=ga_seed).minimize(
+            SchedulingProblem(task.data, seed=repair_seed),
+            Termination(max_generations=20),
+        )
+        assert (result.reason, result.generations) == ("tolerance_window", 8)
+
+
+class TestSchedulingInputValidation:
+    def test_non_finite_estimates_are_refused_by_name_and_cell(self):
+        """A NaN fidelity and an inf runtime used to run 20 generations,
+        emit two ``RuntimeWarning``s from the crowding sweep and return a
+        ten-point "front"."""
+        rng = np.random.default_rng(0)
+        good = _random_input(rng, 8, 4, density=1.0)
+
+        def build(**changed):
+            fields = {
+                name: getattr(good, name).copy()
+                for name in ("fidelity", "exec_seconds", "waiting_seconds", "feasible")
+            }
+            for name, (at, value) in changed.items():
+                fields[name][at] = value
+            return SchedulingInput(**fields)
+
+        with pytest.raises(ValueError, match=r"fidelity\[3, 2\] = nan is not finite"):
+            build(fidelity=((3, 2), np.nan), exec_seconds=((5, 1), np.inf))
+        with pytest.raises(ValueError, match=r"exec_seconds\[5, 1\] = inf is not finite"):
+            build(exec_seconds=((5, 1), np.inf))
+        with pytest.raises(ValueError, match=r"waiting_seconds\[2\] = -inf is not finite"):
+            build(waiting_seconds=((2,), -np.inf))
+        build()  # and the untouched instance is accepted
+
+
 class TestPopulationKernels:
     """The flat evaluate/repair kernels are bit-identical to the scalar
     per-individual reference loops — values AND consumed RNG stream."""
@@ -682,3 +970,37 @@ class TestPopulationKernels:
             repair_reference(data, X.copy(), r2),
         )
         assert r1.bit_generator.state == r2.bit_generator.state
+
+    def test_all_feasible_repair_clips_and_draws_nothing(self):
+        """Every cell feasible: ``SchedulingProblem.repair`` is the
+        reference's values with the repair stream left where it was."""
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            n, q = int(rng.integers(1, 40)), int(rng.integers(1, 9))
+            data = _random_input(rng, n, q, density=1.0)
+            assert data.feasible.all()
+            X = rng.integers(-2, q + 2, size=(16, n))  # clipping included
+            problem = SchedulingProblem(data, seed=seed)
+            before = _stream(problem._rng)
+            reference_rng = np.random.default_rng(seed)
+            assert np.array_equal(
+                problem.repair(X), repair_population(data, X, reference_rng)
+            )
+            assert _stream(problem._rng) == before == _stream(reference_rng)
+
+    def test_one_infeasible_cell_repairs_like_the_reference(self):
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            # q >= 3: the job keeps two options, so a repair costs bits.
+            n, q = int(rng.integers(2, 40)), int(rng.integers(3, 9))
+            data = _random_input(rng, n, q, density=1.0)
+            data.feasible[rng.integers(n), rng.integers(q)] = False
+            X = rng.integers(0, q, size=(64, n))
+            problem = SchedulingProblem(data, seed=seed)
+            reference_rng = np.random.default_rng(seed)
+            for _ in range(3):  # the streams stay in step call after call
+                assert np.array_equal(
+                    problem.repair(X), repair_reference(data, X.copy(), reference_rng)
+                )
+                assert _stream(problem._rng) == _stream(reference_rng)
+            assert _stream(problem._rng) != _stream(np.random.default_rng(seed))

@@ -147,6 +147,24 @@ class TestQonductorScheduler:
         result = sched.schedule([], fleet, {})
         assert result.decisions == [] and result.chosen_index == -1
 
+    def test_non_finite_estimate_names_the_shard_and_cycle(self, fleet):
+        """The input's own message says which field and cell; the
+        scheduler adds whose cycle it was.  The cycle counter still
+        advanced, so a retry is the next cycle."""
+
+        @PairwiseEstimateSource
+        def poisoned(job, qpu):
+            fidelity, seconds = _fake_estimate(job, qpu)
+            return fidelity, np.inf if qpu.name == "algiers" else seconds
+
+        sched = QonductorScheduler(poisoned, seed=1, shard_id=3)
+        for cycle in (1, 2):
+            with pytest.raises(
+                ValueError,
+                match=rf"shard 3, cycle {cycle}: exec_seconds\[0, 1\] = inf is not finite",
+            ):
+                sched.begin_cycle(self._jobs(4), fleet, {})
+
     def test_front_properties(self, fleet):
         sched = QonductorScheduler(_fake_estimate, seed=1, max_generations=10)
         result = sched.schedule(self._jobs(10), fleet, {})
