@@ -16,6 +16,10 @@ import from ``repro.moo.sorting`` — a test comparing ``front_ranks``
 with it never compares the kernel with itself.
 :func:`polynomial_mutation_dense` is the mutation every generation ran
 before it computed ``delta`` only at the genes that mutate.
+:func:`tenant_scan_order_sorted` is the rebalancers' tenant-aware scan
+order as a full queue count plus a full queue sort — what
+``RebalancePolicy._tenant_scan_order`` did per migrated job before it
+read the shard's counts and scanned lazily.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ __all__ = [
     "front_ranks_matrix_peel",
     "polynomial_mutation_dense",
     "repair_reference",
+    "tenant_scan_order_sorted",
 ]
 
 
@@ -165,3 +170,23 @@ def fast_non_dominated_sort(F: np.ndarray) -> list[np.ndarray]:
                     following.append(j)
         current = sorted(following)
     return fronts
+
+
+def tenant_scan_order_sorted(pending: list) -> list[int] | None:
+    """``RebalancePolicy._dominant_tenant`` + ``_tenant_scan_order``,
+    verbatim: the dominant tenant's indices newest-first, then everyone
+    else's newest-first; ``None`` for a queue with no tenant-tagged job."""
+    counts: dict[str, int] = {}
+    for job in pending:
+        if job.tenant_id is not None:
+            counts[job.tenant_id] = counts.get(job.tenant_id, 0) + 1
+    if not counts:
+        return None
+    dominant = min(counts, key=lambda tid: (-counts[tid], tid))
+    return sorted(
+        range(len(pending)),
+        key=lambda i: (
+            0 if pending[i].tenant_id == dominant else 1,
+            -i,
+        ),
+    )

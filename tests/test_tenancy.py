@@ -6,6 +6,9 @@ both the FCFS baseline and the Qonductor scheduler on multi-shard fleets
 (via the shared determinism harness).
 """
 
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,7 @@ from repro.cloud import (
     BEST_EFFORT_TIER,
     AdmissionController,
     LeastLoadedBalancer,
+    LoadGenerator,
     Tenant,
     TenantShare,
     ThresholdRebalancePolicy,
@@ -47,6 +51,16 @@ class TestTenantContracts:
         with pytest.raises(ValueError):
             AdmissionController(quota_action="drop")
 
+    @pytest.mark.parametrize(
+        "share", [float("nan"), float("inf"), -float("inf"), 0.0, -0.5]
+    )
+    def test_share_must_be_finite_and_positive(self, share):
+        """``nan <= 0`` is false: a NaN or infinite share used to
+        construct and be refused only by ``Generator.choice``, at the
+        first ``next()`` inside ``CloudSimulator.run``."""
+        with pytest.raises(ValueError, match="'acme'"):
+            TenantShare(Tenant("acme"), share)
+
     def test_abusive_mix_shape(self):
         mix = abusive_mix(num_normal=3, abuser_share=0.5)
         assert len(mix) == 4
@@ -57,6 +71,76 @@ class TestTenantContracts:
         assert sum(s.share for s in mix) == pytest.approx(1.0)
         with pytest.raises(ValueError):
             abusive_mix(abuser_share=1.0)
+
+
+#: sha256 of the first 5,000 arrivals' tenant ids, recorded at a263da2
+#: (tenants drawn with ``Generator.choice(n, p=p)``) and not re-recorded.
+_TENANT_MIXES = {
+    "abusive": abusive_mix(),
+    "two": (
+        TenantShare(Tenant("big"), 0.9),
+        TenantShare(Tenant("small"), 0.1),
+    ),
+    "single": (TenantShare(Tenant("only"), 1.0),),
+}
+TENANT_STREAM_PINS = {
+    ("abusive", 0):
+        "f24fb20bcd19bab4182c8cae42b58fbe7fa6f2538886163635b341787c635f91",
+    ("abusive", 1):
+        "b25689a6055b2562b5da3d5acc5be96da322314cc1dbc789f4bf52d8e3deba96",
+    ("abusive", 3000):
+        "52e2782e2427df55d51905ac8c2c5253916865fdb538706ba5f9a6e3a3ea6636",
+    ("two", 0):
+        "e6ffde83b75c2c3156202f4ae7a1494f8f65c8f85fc2336d68a3b893891a03b4",
+    ("two", 1):
+        "75e007662c60d6f9f63aa525029b42142b71f2757feea1d576c3b8dee678db1f",
+    ("two", 3000):
+        "a8cbe00a5579e57bef8cd1ee962b886cc35832478c86b07afb2d7483b0426e97",
+    ("single", 0):
+        "6ad9c1585028780616a1ab618eff664e585e301a0c9bf8cac3ddc4053b499987",
+    ("single", 1):
+        "6ad9c1585028780616a1ab618eff664e585e301a0c9bf8cac3ddc4053b499987",
+    ("single", 3000):
+        "6ad9c1585028780616a1ab618eff664e585e301a0c9bf8cac3ddc4053b499987",
+}
+
+
+def _tenant_stream(mix, seed, count):
+    gen = LoadGenerator(
+        mean_rate_per_hour=200_000.0,
+        diurnal=False,
+        circuit_pool_size=4,
+        tenants=mix,
+        seed=seed,
+    )
+    return [
+        app.tenant.tenant_id
+        for app in itertools.islice(gen.iter_arrivals(1e9), count)
+    ]
+
+
+class TestTenantStream:
+    @pytest.mark.parametrize(
+        "cell", TENANT_STREAM_PINS, ids=lambda c: f"{c[0]}-{c[1]}"
+    )
+    def test_matches_the_pinned_stream(self, cell):
+        name, seed = cell
+        ids = _tenant_stream(_TENANT_MIXES[name], seed, 5000)
+        digest = hashlib.sha256(",".join(ids).encode()).hexdigest()
+        assert digest == TENANT_STREAM_PINS[cell]
+
+    def test_is_the_stream_generator_choice_draws(self):
+        mix = abusive_mix(num_normal=5, abuser_share=0.3)
+        shares = np.array([t.share for t in mix], dtype=float)
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=(9, 0x7E4A47))
+        )
+        want = [
+            mix[int(rng.choice(len(mix), p=shares / shares.sum()))]
+            .tenant.tenant_id
+            for _ in range(20_000)
+        ]
+        assert _tenant_stream(mix, 9, 20_000) == want
 
 
 class TestAdmissionController:
