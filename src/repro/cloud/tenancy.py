@@ -91,8 +91,13 @@ class TenantShare:
     share: float
 
     def __post_init__(self) -> None:
-        if self.share <= 0:
-            raise ValueError("share must be > 0")
+        # ``not (0 < share < inf)`` is also true of NaN; nothing past this
+        # point checks — the load generator draws tenants off the CDF.
+        if not 0 < self.share < float("inf"):
+            raise ValueError(
+                f"tenant {self.tenant.tenant_id!r}: share must be finite "
+                f"and > 0, got {self.share}"
+            )
 
 
 def abusive_mix(
