@@ -97,10 +97,10 @@ def test_perf_event_core_10k_jobs():
     artifact = ARTIFACT_DIR / "perf_simulator.json"
     artifact.write_text(json.dumps(result["measured"], indent=2) + "\n")
 
-    # The old loop needed minutes here; keep a generous regression gate.
+    # The old loop needed minutes here; ``wall_seconds`` is in the
+    # artifact, and ``bench/`` owns the claim (no wall-clock gate here).
     assert len(apps) > 9_000
     assert scheduled == len(apps)
-    assert wall < 120.0
     assert metrics.events_processed > len(apps)  # arrivals + completions + ticks
     # Round shot counts + repeated circuit shapes must produce real reuse.
     assert metrics.estimate_cache["hit_rate"] > 0.2
@@ -180,7 +180,6 @@ def test_perf_sharded_100k_jobs():
     assert saved > 0
 
     assert scheduled > 95_000
-    assert wall < 60.0
     # Streaming: in-flight applications, not the stream, bound memory.
     assert metrics.peak_inflight_apps <= 10
     # Aggregate state is O(1): completions fold into running sums (value-

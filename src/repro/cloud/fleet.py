@@ -46,7 +46,10 @@ static fleet layer.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from itertools import islice
+from typing import Any
 
 from ..backends.qpu import QPU
 from ..scheduler.policy import SchedulingPolicy, require_policy
@@ -98,7 +101,11 @@ class FleetShard:
         self.backend_by_name = {b.name: b for b in backends}
         self.policy = require_policy(policy, f"FleetShard {shard_id}")
         self.trigger = trigger or SchedulingTrigger()
-        self.pending: list[QuantumJob] = []
+        self._pending: list[QuantumJob] = []
+        #: ``{tenant_id: jobs in _pending}``, positive counts only; kept
+        #: by the queue verbs below, recounted by the ``pending`` setter.
+        self._tenant_counts: dict[str, int] = {}
+        self._max_qubits: int | None = None  # memo; set_online drops it
         #: Batched policies queue arrivals here until the trigger fires;
         #: per-arrival baselines are assigned on arrival.
         self.is_batched = policy.batched
@@ -120,19 +127,76 @@ class FleetShard:
         return [b.qpu for b in self.backends]
 
     @property
-    def max_qubits(self) -> int:
-        """Widest *online* QPU in the shard (0 when every QPU is down).
+    def pending(self) -> list[QuantumJob]:
+        """The pending queue, oldest first.  Read it freely; change it
+        through the verbs below (or load a whole list by assignment),
+        which is what keeps :meth:`tenant_pending` a dict read."""
+        return self._pending
 
-        Computed live so maintenance windows and outages flipping
-        ``QPU.online`` mid-run immediately change what the shard can
-        accept; with the whole shard offline nothing fits and balancers
-        route around it.
-        """
-        widest = 0
-        for b in self.backends:  # plain loops here: run per shard per arrival
-            if b.qpu.online and b.qpu.num_qubits > widest:
-                widest = b.qpu.num_qubits
-        return widest
+    @pending.setter
+    def pending(self, jobs: list[QuantumJob]) -> None:
+        self.take_all()
+        self.requeue_front(jobs)
+
+    def _count(self, job: QuantumJob, step: int) -> None:
+        if job.tenant is not None:
+            counts, tid = self._tenant_counts, job.tenant.tenant_id
+            counts[tid] = counts.get(tid, 0) + step
+            if not counts[tid]:
+                del counts[tid]
+
+    def enqueue(self, job: QuantumJob) -> None:
+        """Queue an arrival (or a migrated job) at the tail."""
+        self._pending.append(job)
+        self._count(job, 1)
+
+    def take_all(self) -> list[QuantumJob]:
+        """Hand the whole queue to a scheduling cycle, leaving it empty."""
+        jobs = self._pending
+        self._pending = []
+        self._tenant_counts = {}
+        return jobs
+
+    def requeue_front(self, jobs: list[QuantumJob]) -> None:
+        """Put back, ahead of what queued meanwhile, jobs a cycle left."""
+        self._pending[:0] = jobs
+        for job in jobs:
+            self._count(job, 1)
+
+    def move_to(self, index: int, dst: FleetShard) -> QuantumJob:
+        """Migrate ``pending[index]`` to the tail of ``dst``'s queue."""
+        job = self._pending.pop(index)
+        self._count(job, -1)
+        dst.enqueue(job)
+        return job
+
+    def reorder_tail(
+        self, count: int, key: Callable[[QuantumJob], Any] | None = None
+    ) -> None:
+        """Permute the newest ``count`` jobs in place: sorted by ``key``,
+        or reversed when there is none.  (A permutation moves no count.)"""
+        tail = self._pending[-count:]
+        if key is None:
+            tail.reverse()
+        else:
+            tail.sort(key=key)
+        self._pending[-count:] = tail
+
+    @property
+    def max_qubits(self) -> int:
+        """Widest *online* QPU in the shard (0 when every QPU is down,
+        so nothing fits and balancers route around it).  Computed on
+        first read and dropped by :meth:`set_online`, the one place a
+        ``QPU.online`` flag flips."""
+        if self._max_qubits is None:
+            online = [b.num_qubits for b in self.backends if b.qpu.online]
+            self._max_qubits = max(online, default=0)
+        return self._max_qubits
+
+    def set_online(self, qpu_name: str, online: bool) -> None:
+        """Flip one of this shard's QPUs (the availability path)."""
+        self.backend_by_name[qpu_name].qpu.online = online
+        self._max_qubits = None
 
     def fits(self, job: QuantumJob) -> bool:
         """Whether any *online* QPU in this shard is wide enough."""
@@ -152,16 +216,22 @@ class FleetShard:
         for b in self.backends:
             if b.free_at > now:  # an idle device adds exactly 0.0
                 backlog += b.free_at - now
-        return len(self.pending) + backlog / _BACKLOG_SECONDS_PER_JOB
+        return len(self._pending) + backlog / _BACKLOG_SECONDS_PER_JOB
 
     def tenant_pending(self, tenant_id: str) -> int:
         """How many of ``tenant_id``'s jobs sit in this pending queue."""
-        return sum(1 for j in self.pending if j.tenant_id == tenant_id)
+        return self._tenant_counts.get(tenant_id, 0)
+
+    def dominant_tenant(self) -> str | None:
+        """The tenant with the most pending jobs here (ties break on the
+        lexicographically smallest id); ``None`` when untenanted."""
+        counts = self._tenant_counts
+        return min(counts, key=lambda tid: (-counts[tid], tid), default=None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"FleetShard(id={self.shard_id}, qpus={len(self.backends)}, "
-            f"max_qubits={self.max_qubits}, pending={len(self.pending)})"
+            f"max_qubits={self.max_qubits}, pending={len(self._pending)})"
         )
 
 
@@ -319,8 +389,8 @@ class Migration:
 class RebalancePolicy:
     """Periodically migrates pending jobs between overloaded shards.
 
-    Subclasses implement :meth:`rebalance`, which mutates the shards'
-    pending queues directly and returns the moves for accounting.  Rules
+    Subclasses implement :meth:`rebalance`, which moves jobs between the
+    shards' queues (``move_to``) and returns the moves for accounting.  Rules
     every strategy follows, so rebalanced runs stay deterministic and
     well-formed:
 
@@ -359,44 +429,35 @@ class RebalancePolicy:
 
     @staticmethod
     def _move(src: FleetShard, index: int, dst: FleetShard) -> Migration:
-        job = src.pending.pop(index)
-        dst.pending.append(job)
+        job = src.move_to(index, dst)
         src.jobs_stolen_out += 1
         dst.jobs_stolen_in += 1
         return Migration(job, src, dst)
 
-    @staticmethod
-    def _dominant_tenant(pending: list[QuantumJob]) -> str | None:
-        """The tenant with the most jobs in ``pending`` (ties break on
-        the lexicographically smallest id); ``None`` when untenanted."""
-        counts: dict[str, int] = {}
-        for job in pending:
-            if job.tenant_id is not None:
-                counts[job.tenant_id] = counts.get(job.tenant_id, 0) + 1
-        if not counts:
-            return None
-        return min(counts, key=lambda tid: (-counts[tid], tid))
-
-    def _tenant_scan_order(self, pending: list[QuantumJob]) -> list[int] | None:
-        """Scan order for a tenant-aware drain of ``pending``.
+    def _tenant_scan_order(self, shard: FleetShard) -> Iterator[int] | None:
+        """Scan order for a tenant-aware drain of ``shard``'s queue.
 
         The dominant tenant's jobs come first (newest-first within the
-        tenant), then everyone else newest-first.  ``None`` — meaning
+        tenant), then everyone else newest-first — yielded lazily, since
+        a drain stops at the first job it can move.  ``None`` — meaning
         "use the plain scan" — when the queue holds no tenant-tagged
         jobs, so untenanted queues never change behavior.
         """
-        if not self.tenant_aware:
-            return None
-        dominant = self._dominant_tenant(pending)
+        dominant = shard.dominant_tenant() if self.tenant_aware else None
         if dominant is None:
             return None
-        return sorted(
-            range(len(pending)),
-            key=lambda i: (
-                0 if pending[i].tenant_id == dominant else 1,
-                -i,
-            ),
-        )
+        return _dominant_first(shard.pending, dominant)
+
+
+def _dominant_first(pending: list[QuantumJob], dominant: str) -> Iterator[int]:
+    for theirs in (True, False):
+        for i in range(len(pending) - 1, -1, -1):
+            if (pending[i].tenant_id == dominant) is theirs:
+                yield i
+
+
+def _arrival_order(job: QuantumJob) -> tuple[float, int]:
+    return job.arrival_time, job.job_id
 
 
 class ThresholdRebalancePolicy(RebalancePolicy):
@@ -439,10 +500,6 @@ class ThresholdRebalancePolicy(RebalancePolicy):
         # straight back, inflating the counters with net-zero churn (and
         # shifting receivers' appended tails out from under `received`).
         moved_ids: set[int] = set()
-        # Online flags cannot flip inside one heap event: snapshot each
-        # shard's online width once instead of re-deriving it via
-        # fits() for every (job, destination) pair in the scan.
-        width = {s.shard_id: s.max_qubits for s in shards}
         # Resumable tail scans, one batch per (source, width-cap) epoch.
         # Restarting the newest-first scan from the tail after every
         # single move made a deep-backlog tick O(moves x queue).  A job
@@ -482,7 +539,7 @@ class ThresholdRebalancePolicy(RebalancePolicy):
                 ]
                 if not eligible:
                     continue
-                cap = max(width[s.shard_id] for s in eligible)
+                cap = max(s.max_qubits for s in eligible)
                 sid = src.shard_id
                 # Tenant-aware mode drains the dominant tenant's jobs
                 # first; the order depends on the queue's current tenant
@@ -490,7 +547,7 @@ class ThresholdRebalancePolicy(RebalancePolicy):
                 # scan state is dropped (a later plain scan of the same
                 # source restarts from the tail).  ``None`` — including
                 # every untenanted queue — keeps the fast resumable path.
-                tenant_order = self._tenant_scan_order(src.pending)
+                tenant_order = self._tenant_scan_order(src)
                 if tenant_order is None:
                     if sid not in scan_cap or cap > scan_cap[sid]:
                         # First scan, or a wider destination became
@@ -511,11 +568,7 @@ class ThresholdRebalancePolicy(RebalancePolicy):
                         continue
                     if job.num_qubits > cap:
                         continue
-                    dsts = [
-                        s
-                        for s in eligible
-                        if job.num_qubits <= width[s.shard_id]
-                    ]
+                    dsts = [s for s in eligible if s.fits(job)]
                     dst = min(
                         dsts, key=lambda s: (len(s.pending), s.shard_id)
                     )
@@ -537,9 +590,7 @@ class ThresholdRebalancePolicy(RebalancePolicy):
         # restore arrival order among the migrated jobs so the receiving
         # FCFS batch serves them as they arrived.
         for dst, count in received.items():
-            tail = dst.pending[-count:]
-            tail.sort(key=lambda j: (j.arrival_time, j.job_id))
-            dst.pending[-count:] = tail
+            dst.reorder_tail(count, _arrival_order)
         return moves
 
 
@@ -580,12 +631,10 @@ class StealHalfRebalancePolicy(RebalancePolicy):
         # a later thief re-stealing a just-stolen job would bounce work
         # twice in one tick and inflate the migration counters.
         receivers: set[int] = set()
-        # Snapshot per-shard online width (constant within one event).
-        width = {s.shard_id: s.max_qubits for s in shards}
         for thief in sorted(shards, key=lambda s: s.shard_id):
             if not thief.is_batched or thief.pending:
                 continue
-            thief_width = width[thief.shard_id]
+            thief_width = thief.max_qubits
             # The victim is the deepest queue holding at least one job
             # the thief can serve: locking onto an infeasible deepest
             # queue (say, a wide backlog vs a narrow thief) would starve
@@ -608,19 +657,14 @@ class StealHalfRebalancePolicy(RebalancePolicy):
             # first (the noisy backlog is what spreads); untenanted
             # queues always take the plain newest-first path, keeping
             # tenancy-off runs bit-identical.
-            tenant_order = self._tenant_scan_order(victim.pending)
-            if tenant_order is None:
-                indices = [
-                    i
-                    for i in range(len(victim.pending) - 1, -1, -1)
-                    if victim.pending[i].num_qubits <= thief_width
-                ][:want]
-            else:
-                indices = [
-                    i
-                    for i in tenant_order
-                    if victim.pending[i].num_qubits <= thief_width
-                ][:want]
+            tenant_order = self._tenant_scan_order(victim)
+            newest_first = range(len(victim.pending) - 1, -1, -1)
+            fitting = (
+                i
+                for i in (newest_first if tenant_order is None else tenant_order)
+                if victim.pending[i].num_qubits <= thief_width
+            )
+            indices = list(islice(fitting, want))
             for i in sorted(indices, reverse=True):  # pop back to front
                 moves.append(self._move(victim, i, thief))
             # Popping descending indices appended the stolen jobs in
@@ -629,12 +673,10 @@ class StealHalfRebalancePolicy(RebalancePolicy):
             # picked index set is not contiguous in queue order).
             if indices:
                 receivers.add(thief.shard_id)
-                tail = thief.pending[-len(indices):]
-                if tenant_order is None:
-                    thief.pending[-len(indices):] = tail[::-1]
-                else:
-                    tail.sort(key=lambda j: (j.arrival_time, j.job_id))
-                    thief.pending[-len(indices):] = tail
+                thief.reorder_tail(
+                    len(indices),
+                    None if tenant_order is None else _arrival_order,
+                )
         return moves
 
 

@@ -164,10 +164,14 @@ class LoadGenerator:
         # the exact same circuits at the exact same times as the
         # untenanted run it is compared against.
         tenant_rng: np.random.Generator | None = None
-        tenant_p: np.ndarray | None = None
+        tenant_cdf: np.ndarray | None = None
         if self.tenants:
+            # One uniform looked up in the shares' CDF — the draw
+            # ``Generator.choice(n, p=p)`` makes (value and stream
+            # position) minus its per-call checks of ``p``.
             shares = np.array([t.share for t in self.tenants], dtype=float)
-            tenant_p = shares / shares.sum()
+            tenant_cdf = (shares / shares.sum()).cumsum()
+            tenant_cdf /= tenant_cdf[-1]
             tenant_rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=(self.seed, 0x7E4A47))
             )
@@ -226,7 +230,7 @@ class LoadGenerator:
             else:
                 job = self._build_job(sampler.sample(), rng)
             if tenant_rng is not None:
-                pick = int(tenant_rng.choice(len(self.tenants), p=tenant_p))
+                pick = tenant_cdf.searchsorted(tenant_rng.random(), side="right")
                 job.tenant = self.tenants[pick].tenant
             job.arrival_time = t
             yield HybridApplication(quantum_job=job, arrival_time=t)

@@ -204,7 +204,7 @@ class RunState:
     done_fid_count: int = 0
     done_jct_sum: float = 0.0
     done_jct_count: int = 0
-    qpu_by_name: dict[str, QPU] = field(default_factory=dict)
+    shard_of_qpu: dict[str, FleetShard] = field(default_factory=dict)
     offline_since: dict[str, float] = field(default_factory=dict)
 
     def push(self, t: float, kind: EventType, payload=None) -> None:
@@ -412,11 +412,9 @@ class CloudSimulator:
         metrics.max_batch_cycles = max(metrics.max_batch_cycles, len(shards))
         batch = _InFlightBatch(submit_time=now)
         for shard in shards:
-            jobs = shard.pending
-            shard.pending = []
             shard.in_flight = batch
             plan = shard.policy.begin_cycle(
-                jobs, shard.qpus, shard.waiting_map(now)
+                shard.take_all(), shard.qpus, shard.waiting_map(now)
             )
             batch.items.append((shard, plan))
         plan_tasks = [plan.task for _, plan in batch.items]
@@ -483,13 +481,13 @@ class CloudSimulator:
         # rebalance cycle migrates it to a shard that fits it now).
         retained: list = []
         for job in schedule.unschedulable:
-            if any(b.num_qubits >= job.num_qubits for b in shard.backends):
+            if shard.fits_hardware(job):
                 retained.append(job)
             else:
                 self._fail(st, job)
         # Prepend: retained jobs arrived before anything queued while the
         # batch was in flight, so they keep their arrival-order position.
-        shard.pending[:0] = retained
+        shard.requeue_front(retained)
 
     def _schedule_immediate(
         self, st: RunState, shard: FleetShard, jobs: list, now: float
@@ -589,18 +587,19 @@ class CloudSimulator:
 
     def _on_availability(self, st: RunState, now: float, flip) -> None:
         metrics = st.metrics
-        qpu = st.qpu_by_name[flip.qpu_name]
-        if flip.online and not qpu.online:
+        shard = st.shard_of_qpu[flip.qpu_name]
+        was_online = shard.backend_by_name[flip.qpu_name].qpu.online
+        if flip.online and not was_online:
             metrics.recovery_events += 1
             went_down = st.offline_since.pop(flip.qpu_name, now)
             metrics.qpu_downtime_seconds[flip.qpu_name] = (
                 metrics.qpu_downtime_seconds.get(flip.qpu_name, 0.0)
                 + (now - went_down)
             )
-        elif not flip.online and qpu.online:
+        elif not flip.online and was_online:
             metrics.outage_events += 1
             st.offline_since[flip.qpu_name] = now
-        qpu.online = flip.online
+        shard.set_online(flip.qpu_name, flip.online)
 
     def _on_recalibration(self, st: RunState, now: float, _payload) -> None:
         """Fleet-wide calibration cycle across every shard.
@@ -686,7 +685,7 @@ class CloudSimulator:
         shard = self.balancer.route(job, self.shards, now)
         shard.jobs_routed += 1
         if shard.is_batched:
-            shard.pending.append(job)
+            shard.enqueue(job)
             if self.admission is not None:
                 self.admission.track_queued(job)
             self._fire_if_ready(st, shard, now)
@@ -888,8 +887,8 @@ class CloudSimulator:
             horizon=horizon,
             stream=iter(apps),
             metrics=SimulationMetrics(num_shards=len(self.shards)),
-            qpu_by_name={
-                b.name: b.qpu for shard in self.shards for b in shard.backends
+            shard_of_qpu={
+                b.name: shard for shard in self.shards for b in shard.backends
             },
         )
         first = next(st.stream, None)
@@ -907,7 +906,7 @@ class CloudSimulator:
                     shard.shard_id,
                 )
         if self.availability is not None:
-            for ev in self.availability.schedule(list(st.qpu_by_name), horizon):
+            for ev in self.availability.schedule(list(st.shard_of_qpu), horizon):
                 if ev.time < horizon:
                     st.push(ev.time, EventType.AVAILABILITY, ev)
         if (

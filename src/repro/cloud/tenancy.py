@@ -91,8 +91,7 @@ class TenantShare:
     share: float
 
     def __post_init__(self) -> None:
-        # ``not (0 < share < inf)`` is also true of NaN; nothing past this
-        # point checks — the load generator draws tenants off the CDF.
+        # True of NaN too; nothing downstream checks (tenants come off a CDF).
         if not 0 < self.share < float("inf"):
             raise ValueError(
                 f"tenant {self.tenant.tenant_id!r}: share must be finite "

@@ -159,7 +159,7 @@ class TestOnlineAwareRouting:
         shards = self._shards()
         wide = _job(16)
         assert shards[0].fits(wide) and shards[0].max_qubits == 27
-        shards[0].backends[0].qpu.online = False
+        shards[0].set_online(shards[0].backends[0].name, False)
         assert shards[0].max_qubits == 0
         assert not shards[0].fits(wide)
         # Narrow jobs now route to the surviving narrow shard only.
@@ -170,7 +170,7 @@ class TestOnlineAwareRouting:
         # Tightest-fit routing skips the offline wide shard too.
         assert QubitFitBalancer().route(_job(5), shards, 0.0).shard_id == 1
         # Recovery restores the original behavior.
-        shards[0].backends[0].qpu.online = True
+        shards[0].set_online(shards[0].backends[0].name, True)
         assert shards[0].fits(wide)
 
     def test_all_offline_falls_back_to_rejection(self):
@@ -179,7 +179,7 @@ class TestOnlineAwareRouting:
         shards = self._shards()
         for shard in shards:
             for b in shard.backends:
-                b.qpu.online = False
+                shard.set_online(b.name, False)
         shard = RoundRobinBalancer().route(_job(5), shards, 0.0)
         assert shard is shards[0]  # deterministic fallback pick
 

@@ -103,7 +103,7 @@ class TestBalancers:
         picks = []
         for _ in range(8):
             shard = balancer.route(make_job(5), shards, 0.0)
-            shard.pending.append(make_job(5))  # what the simulator does
+            shard.enqueue(make_job(5))  # what the simulator does
             picks.append(shard.shard_id)
         assert picks == [0, 1, 2, 3, 0, 1, 2, 3]
 
@@ -343,7 +343,7 @@ class TestRebalancePolicies:
     def test_threshold_skips_offline_destination(self):
         shards = self._batched_shards([["auckland"], ["hanoi"]])
         shards[0].pending = [make_job(5) for _ in range(10)]
-        shards[1].backends[0].qpu.online = False
+        shards[1].set_online(shards[1].backends[0].name, False)
         assert ThresholdRebalancePolicy(min_gap=2).rebalance(shards, 0.0) == []
 
     def test_steal_half_takes_newest_in_arrival_order(self):

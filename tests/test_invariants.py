@@ -67,7 +67,7 @@ class TestBalancerFeasibility:
             shard = balancer.route(job, shards, 0.0)
             if any(s.fits(job) for s in shards):
                 assert shard.fits(job)
-            shard.pending.append(job)  # what the simulator does
+            shard.enqueue(job)  # what the simulator does
 
     @_settings
     @given(
@@ -79,7 +79,7 @@ class TestBalancerFeasibility:
         while a live one fits."""
         shards = make_shards(_SHARD_GROUPS)
         for backend in shards[offline].backends:
-            backend.qpu.online = False
+            shards[offline].set_online(backend.name, False)
         balancer = make_balancer("qubit_fit")
         for width in widths:
             job = make_job(width)
@@ -113,7 +113,7 @@ class TestRebalanceConservation:
         for shard, depth in zip(shards, depths):
             for _ in range(depth):
                 t += 1.0
-                shard.pending.append(
+                shard.enqueue(
                     make_job(int(rng.integers(2, _MAX_WIDTH + 1)),
                              arrival_time=t)
                 )
@@ -154,7 +154,7 @@ class TestRebalanceConservation:
         for shard, depth in zip(shards, depths):
             for _ in range(depth):
                 t += 1.0
-                shard.pending.append(
+                shard.enqueue(
                     make_job(
                         int(rng.integers(2, _MAX_WIDTH + 1)),
                         tenant=tenants[int(rng.integers(3))],

@@ -14,12 +14,20 @@ Beside it, the tenant-aware scan order is compared with the full sort it
 replaced (``reference_kernels.tenant_scan_order_sorted``): equal as
 lists on fuzzed queues, and both rebalancers make the same migrations
 and leave the same queues as a run driven by the sorted order.
+
+Two AST guards keep ``src/`` from going around the bookkeeping: outside
+``class FleetShard`` nothing mutates a ``.pending``, and ``.online`` is
+assigned only in ``QPU.__init__`` and ``FleetShard.set_online``.
 """
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from helpers.determinism import fake_estimate, make_job, make_shards
 from helpers.reference_kernels import tenant_scan_order_sorted
 from repro.cloud import (
@@ -42,27 +50,10 @@ _SHARD_GROUPS = [
 _TENANTS = [Tenant("t0"), Tenant("t1", tier=1), Tenant("t2", tier=2)]
 
 
-# The four ways the simulator touches a shard's queue and flags.
-def _enqueue(shard, job):
-    shard.pending.append(job)
-
-
-def _take_all(shard):
-    jobs = shard.pending
-    shard.pending = []
-    return jobs
-
-
-def _requeue_front(shard, jobs):
-    shard.pending[:0] = jobs
-
-
-def _set_online(shard, qpu_name, online):
-    shard.backend_by_name[qpu_name].qpu.online = online
-
-
 def _assert_facts_match_recount(shards, tenant_ids):
     for shard in shards:
+        assert all(n > 0 for n in shard._tenant_counts.values())
+        assert set(shard._tenant_counts) <= set(tenant_ids)
         for tid in tenant_ids:
             assert shard.tenant_pending(tid) == sum(
                 1 for j in shard.pending if j.tenant_id == tid
@@ -136,20 +127,20 @@ class TestFactsMatchRecount:
             else:
                 shard = shards[op[1] % num_shards]
                 if kind == "enqueue":
-                    _enqueue(shard, job_of(op[2]))
+                    shard.enqueue(job_of(op[2]))
                 elif kind == "take_all":
-                    _take_all(shard)
+                    shard.take_all()
                 elif kind == "cycle":
                     # A cycle takes the queue, jobs arrive meanwhile, and
                     # the fold hands the unschedulable ones back in front.
-                    taken = _take_all(shard)
-                    _enqueue(shard, job_of((5, 0)))
-                    _requeue_front(shard, taken[: op[2]])
+                    taken = shard.take_all()
+                    shard.enqueue(job_of((5, 0)))
+                    shard.requeue_front(taken[: op[2]])
                 elif kind == "assign":
                     shard.pending = [job_of(spec) for spec in op[2]]
                 else:
                     backend = shard.backends[op[2] % len(shard.backends)]
-                    _set_online(shard, backend.name, op[3])
+                    shard.set_online(backend.name, op[3])
             _assert_facts_match_recount(shards, tenant_ids)
 
 
@@ -170,10 +161,10 @@ def _fuzzed_queue(rng, size, tenants, tenanted_share):
 class _SortedOrder:
     """Drive a rebalancer with the sorted reference order."""
 
-    def _tenant_scan_order(self, pending):
+    def _tenant_scan_order(self, shard):
         if not self.tenant_aware:
             return None
-        return tenant_scan_order_sorted(pending)
+        return tenant_scan_order_sorted(shard.pending)
 
 
 class _SortedThreshold(_SortedOrder, ThresholdRebalancePolicy):
@@ -192,7 +183,7 @@ class TestScanOrderMatchesSort:
         shard.pending = queue
         order = ThresholdRebalancePolicy(
             tenant_aware=tenant_aware
-        )._tenant_scan_order(shard.pending)
+        )._tenant_scan_order(shard)
         return None if order is None else list(order)
 
     def test_equal_as_lists_on_fuzzed_queues(self):
@@ -278,3 +269,128 @@ class TestScanOrderMatchesSort:
                     )
                 )
             assert shard_sets[0] == shard_sets[1]
+
+
+# ----------------------------------------------------------------------
+# Guards: src/ cannot go around the bookkeeping
+# ----------------------------------------------------------------------
+
+SRC = Path(repro.__file__).parent
+_LIST_MUTATORS = {
+    "append", "pop", "insert", "extend", "remove", "clear", "sort", "reverse",
+}
+
+
+def _is_attr(node, name):
+    return isinstance(node, ast.Attribute) and node.attr == name
+
+
+class _Writes(ast.NodeVisitor):
+    """``Class.function`` scope of every write to an attribute called
+    ``attr``: an assignment to it and — with ``as_list`` — an assignment
+    to (or ``del`` of) a subscript of it, or a list-mutator call on it."""
+
+    def __init__(self, attr, *, as_list):
+        self.attr, self.as_list = attr, as_list
+        self.scope, self.found = [], []
+
+    def _scoped(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = _scoped
+
+    def _target(self, node, target):
+        if isinstance(target, (ast.Tuple, ast.List)):
+            for element in target.elts:
+                self._target(node, element)
+        elif _is_attr(target, self.attr) or (
+            self.as_list
+            and isinstance(target, ast.Subscript)
+            and _is_attr(target.value, self.attr)
+        ):
+            self.found.append((".".join(self.scope), node.lineno))
+
+    def visit_Assign(self, node):
+        for target in node.targets:
+            self._target(node, target)
+        self.generic_visit(node)
+
+    def visit_AugAssign(self, node):
+        self._target(node, node.target)
+        self.generic_visit(node)
+
+    visit_AnnAssign = visit_AugAssign
+
+    def visit_Delete(self, node):
+        for target in node.targets:
+            self._target(node, target)
+
+    def visit_Call(self, node):
+        if (
+            self.as_list
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _LIST_MUTATORS
+            and _is_attr(node.func.value, self.attr)
+        ):
+            self.found.append((".".join(self.scope), node.lineno))
+        self.generic_visit(node)
+
+
+def _writes(path, attr, *, as_list=False):
+    """``(file name, Class.function, line)`` of every write in ``path``."""
+    visitor = _Writes(attr, as_list=as_list)
+    visitor.visit(ast.parse(path.read_text()))
+    return [(path.name, scope, line) for scope, line in visitor.found]
+
+
+def _pending_writes_outside_the_shard(path):
+    return [
+        w for w in _writes(path, "pending", as_list=True)
+        if not w[1].startswith("FleetShard.")
+    ]
+
+
+class TestNothingGoesAroundTheShard:
+    def test_only_the_shard_mutates_a_pending_queue(self):
+        found = [
+            w
+            for path in sorted(SRC.rglob("*.py"))
+            for w in _pending_writes_outside_the_shard(path)
+        ]
+        assert found == []
+
+    def test_online_is_assigned_at_construction_and_on_a_flip(self):
+        scopes = sorted(
+            (name, scope)
+            for path in sorted(SRC.rglob("*.py"))
+            for name, scope, _ in _writes(path, "online")
+        )
+        assert scopes == [
+            ("fleet.py", "FleetShard.set_online"),
+            ("qpu.py", "QPU.__init__"),
+        ]
+
+    def test_guards_see_what_they_forbid(self, tmp_path):
+        sample = tmp_path / "sample.py"
+        sample.write_text(
+            "class FleetShard:\n"
+            "    def enqueue(self, job):\n"
+            "        self.pending.append(job)\n"
+            "def route(shard, job, jobs):\n"
+            "    shard.pending.append(job)\n"
+            "    shard.pending = []\n"
+            "    shard.pending[:0] = jobs\n"
+            "    shard.pending[-2:], n = jobs, 2\n"
+            "    del shard.pending[0]\n"
+            "    shard.pending.sort(key=len)\n"
+            "    depth = len(shard.pending)\n"
+            "    first = shard.pending[0]\n"
+            "    qpu.online = False\n"
+            "    up = qpu.online\n"
+        )
+        assert _pending_writes_outside_the_shard(sample) == [
+            ("sample.py", "route", line) for line in (5, 6, 7, 8, 9, 10)
+        ]
+        assert _writes(sample, "online") == [("sample.py", "route", 13)]
