@@ -11,15 +11,24 @@ import pytest
 
 from repro.backends import default_fleet
 from repro.cloud import (
+    AvailabilityModel,
     CloudSimulator,
     ExecutionModel,
+    HybridApplication,
+    JobStatus,
     LoadGenerator,
+    MaintenanceWindow,
     QuantumJob,
     SimulationConfig,
 )
 from repro.estimator import CachedEstimator, EstimateCache, PairwiseEstimateSource
 from repro.experiments.common import trained_estimator
-from repro.scheduler import FCFSPolicy, QonductorScheduler, SchedulingTrigger
+from repro.scheduler import (
+    BatchedFCFSPolicy,
+    FCFSPolicy,
+    QonductorScheduler,
+    SchedulingTrigger,
+)
 from repro.workloads import WorkloadSampler, ghz_linear
 
 
@@ -291,6 +300,86 @@ class TestEventCore:
             assert [e[:2] for e in st.heap if e[1] == EventType.TRIGGER] == [
                 (100.0, EventType.TRIGGER)
             ]
+
+
+@pytest.mark.parametrize("policy_cls", [FCFSPolicy, BatchedFCFSPolicy])
+class TestEdgeConfigurations:
+    """The engine at the edges ``Qonductor.invoke`` leans on — one
+    arrival, a horizon that ends before anything is sampled or completed —
+    and the ones next to them, per-arrival and batched.  Every arrival
+    lands in exactly one of dispatched / unschedulable / pending /
+    rejected."""
+
+    #: Shorter than the 120 s sample and trigger intervals, and than the
+    #: ~8 s a job arriving at t = 10 s needs to complete.
+    HORIZON = 12.0
+
+    def _run(self, policy_cls, widths, *, names=("auckland", "lagos"), **engine):
+        apps = [
+            HybridApplication(
+                QuantumJob.from_circuit(ghz_linear(width), keep_circuit=False),
+                arrival_time=10.0,
+            )
+            for width in widths
+        ]
+        sim = CloudSimulator(
+            default_fleet(seed=7, names=list(names)),
+            policy_cls(_fake_estimate),
+            ExecutionModel(seed=5),
+            trigger=SchedulingTrigger(queue_limit=1),
+            config=SimulationConfig(duration_seconds=self.HORIZON, seed=5),
+            **engine,
+        )
+        m = sim.run(apps)
+        assert (
+            m.dispatched_jobs
+            + m.unschedulable_jobs
+            + m.pending_at_horizon
+            + m.admission_rejected
+            == len(apps)
+        )
+        return [a.quantum_job for a in apps], m
+
+    def test_empty_stream(self, policy_cls):
+        _, m = self._run(policy_cls, [])
+        assert m.events_processed == 0
+        assert m.dispatched_jobs == m.completed_jobs == m.scheduling_cycles == 0
+
+    def test_horizon_shorter_than_the_sample_interval(self, policy_cls):
+        """The job record is filled at dispatch, though the COMPLETION
+        lands past the horizon and nothing was sampled on the way."""
+        (job,), m = self._run(policy_cls, [5])
+        assert m.dispatched_jobs == 1 and m.completed_jobs == 0
+        assert job.status is JobStatus.COMPLETED
+        assert job.assigned_qpu in ("auckland", "lagos")
+        assert 0.0 <= job.fidelity <= 1.0 and job.quantum_seconds > 0.0
+        assert job.start_time == 10.0
+        assert job.finish_time == 10.0 + job.quantum_seconds > self.HORIZON
+        assert len(m.mean_utilization.times) == 1  # the horizon's own sample
+
+    def test_job_wider_than_every_device(self, policy_cls):
+        (job,), m = self._run(policy_cls, [10], names=("lagos",))
+        assert m.unschedulable_jobs == 1 and m.dispatched_jobs == 0
+        assert job.status is JobStatus.FAILED and job.assigned_qpu is None
+
+    def test_every_qpu_offline_for_the_whole_run(self, policy_cls):
+        """Pinned as found: the per-arrival path fails a job that fits
+        only offline hardware, the batched path retains it through the
+        outage (docs/ARCHITECTURE.md, "Outages: fail vs retain")."""
+        windows = [
+            MaintenanceWindow(name, 0.0, 2 * self.HORIZON)
+            for name in ("auckland", "lagos")
+        ]
+        (job,), m = self._run(
+            policy_cls, [5], availability=AvailabilityModel(windows=windows)
+        )
+        assert m.dispatched_jobs == 0 and m.outage_events == 2
+        if policy_cls.batched:
+            assert (m.unschedulable_jobs, m.pending_at_horizon) == (0, 1)
+            assert job.status is JobStatus.QUEUED
+        else:
+            assert (m.unschedulable_jobs, m.pending_at_horizon) == (1, 0)
+            assert job.status is JobStatus.FAILED
 
 
 class TestEstimateCache:
