@@ -14,7 +14,7 @@ Top-level convenience re-exports; see the subpackages for the full API:
 * :mod:`repro.estimator` — the hybrid resource estimator (§6)
 * :mod:`repro.scheduler` — the hybrid scheduler (§7)
 * :mod:`repro.cloud` — the quantum-cloud simulator (§8.2)
-* :mod:`repro.orchestrator` — control/data plane and the Qonductor API
+* :mod:`repro.orchestrator` — workflows, images, registry and the Qonductor API
 * :mod:`repro.experiments` — figure/table regeneration harness
 """
 

@@ -29,6 +29,7 @@ SIMULATED_TIME_PACKAGES: tuple[str, ...] = (
     "repro.cloud",
     "repro.scheduler",
     "repro.moo",
+    "repro.orchestrator",
 )
 
 #: The declared timing-accounting sites: ``module -> function names``

@@ -1,13 +1,9 @@
-"""Qonductor orchestrator: data plane (workflows, images, registry),
-control plane (API, job manager, monitor, Raft replicas), and workers."""
+"""Qonductor orchestrator: the data plane (workflows, images, registry) and
+the four-call API over the estimator, the schedulers and the cloud engine."""
 
-from .api import Qonductor
+from .api import Qonductor, WorkflowRun, WorkflowStatus
 from .images import ExecutionConfig, HybridWorkflowImage, ResourceRequest
-from .job_manager import JobManager, WorkflowRun, WorkflowStatus
-from .monitor import SystemMonitor, WatchEvent
-from .raft import RaftCluster, RaftNode, Role
 from .registry import WorkflowRegistry
-from .workers import ClassicalWorker, DeviceManager, QuantumWorker
 from .workflow import HybridWorkflow, StepKind, WorkflowStep
 
 __all__ = [
@@ -18,15 +14,6 @@ __all__ = [
     "HybridWorkflowImage",
     "ResourceRequest",
     "WorkflowRegistry",
-    "SystemMonitor",
-    "WatchEvent",
-    "RaftCluster",
-    "RaftNode",
-    "Role",
-    "ClassicalWorker",
-    "DeviceManager",
-    "QuantumWorker",
-    "JobManager",
     "WorkflowRun",
     "WorkflowStatus",
     "Qonductor",

@@ -7,14 +7,19 @@ execution configuration (resource requests like "one GPU" or "a QPU with
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .workflow import HybridWorkflow
 
 __all__ = ["ResourceRequest", "ExecutionConfig", "HybridWorkflowImage"]
 
-_image_ids = itertools.count(1)
+#: Preferences an image does not carry, and where each one is set.
+_SET_ELSEWHERE = {
+    "preference": "Qonductor(preference=)",
+    "preferred_models": "estimate_resources(models=)",
+    "num_plans": "estimate_resources(num_plans=)",
+    "min_fidelity": "estimate_resources(min_fidelity=)",
+}
 
 
 @dataclass(frozen=True)
@@ -26,7 +31,6 @@ class ResourceRequest:
     gpus: int = 0
     cores: int = 1
     memory_gb: float = 2.0
-    classical_tier: str | None = None
 
     def __post_init__(self) -> None:
         if self.qpus < 0 or self.gpus < 0 or self.min_qubits < 0:
@@ -38,14 +42,17 @@ class ExecutionConfig:
     """User preferences attached to a deployment (Listing 1's YAML)."""
 
     requests: list[ResourceRequest] = field(default_factory=list)
-    preferred_models: list[str] | None = None
-    preference: str = "balanced"  # fidelity | balanced | jct
-    num_plans: int = 3
-    min_fidelity: float = 0.0
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExecutionConfig":
-        """Parse the dict form of a YAML deployment file."""
+        """Parse the dict form of a YAML deployment file; a key no
+        deployment would honour is refused, naming where it is set."""
+        for key, where in _SET_ELSEWHERE.items():
+            if key in data:
+                raise ValueError(
+                    f"execution config key {key!r} is not read from a "
+                    f"deployment file; set it with {where}"
+                )
         requests = []
         for container in data.get("spec", {}).get("containers", []):
             limits = container.get("resources", {}).get("limits", {})
@@ -60,13 +67,7 @@ class ExecutionConfig:
                     memory_gb=float(limits.get("memory_gb", 2.0)),
                 )
             )
-        return cls(
-            requests=requests,
-            preferred_models=data.get("preferred_models"),
-            preference=data.get("preference", "balanced"),
-            num_plans=int(data.get("num_plans", 3)),
-            min_fidelity=float(data.get("min_fidelity", 0.0)),
-        )
+        return cls(requests=requests)
 
     @property
     def min_qubits(self) -> int:
@@ -79,7 +80,6 @@ class HybridWorkflowImage:
 
     workflow: HybridWorkflow
     config: ExecutionConfig
-    image_id: int = field(default_factory=lambda: next(_image_ids))
     tag: str = "latest"
 
     @property

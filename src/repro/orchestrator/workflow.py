@@ -4,7 +4,7 @@ A workflow is a DAG of classical and quantum steps with data dependencies —
 what the workflow manager builds when it "splits a Python file into quantum
 and classical code files ... and creates a directed acyclic graph". Here
 steps are callables/specs composed programmatically (the Listing 2 style),
-and the DAG drives scheduling and execution order in the job manager.
+and the DAG gives ``Qonductor.invoke`` its execution order and ready times.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ class WorkflowStep:
 
     name: str
     kind: StepKind
-    # Quantum steps carry a circuit + execution knobs; classical steps a
-    # callable payload (fn(inputs) -> output) or a declarative mitigation tag.
+    # A quantum step carries a circuit + execution knobs; a classical one a
+    # zero-argument payload and its resource ``requirements``.
     circuit: Circuit | None = None
     shots: int = 4000
     mitigation: str = "none"
@@ -54,7 +54,6 @@ class HybridWorkflow:
         self.name = name
         self.graph = nx.DiGraph()
 
-    # ------------------------------------------------------------------
     def add_step(self, step: WorkflowStep, after: list[WorkflowStep] | None = None):
         """Add ``step``, depending on every step in ``after``."""
         self.graph.add_node(step.step_id, step=step)
@@ -77,7 +76,6 @@ class HybridWorkflow:
             prev = step
         return wf
 
-    # ------------------------------------------------------------------
     @property
     def steps(self) -> list[WorkflowStep]:
         return [self.graph.nodes[n]["step"] for n in self.graph.nodes]
@@ -87,9 +85,6 @@ class HybridWorkflow:
 
     def quantum_steps(self) -> list[WorkflowStep]:
         return [s for s in self.steps if s.kind == StepKind.QUANTUM]
-
-    def classical_steps(self) -> list[WorkflowStep]:
-        return [s for s in self.steps if s.kind == StepKind.CLASSICAL]
 
     def predecessors(self, step: WorkflowStep) -> list[WorkflowStep]:
         return [

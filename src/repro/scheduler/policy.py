@@ -81,7 +81,7 @@ class SchedulingPolicy:
         waiting_seconds: dict[str, float] | None = None,
     ) -> Any:
         """One full batched cycle, stages fused — for callers outside a
-        simulator (the figure experiments, the orchestrator)."""
+        simulator (the figure experiments)."""
         plan = self.begin_cycle(jobs, qpus, waiting_seconds)
         result = run_optimization(plan.task) if plan.task is not None else None
         return self.finish_cycle(plan, result)

@@ -314,7 +314,7 @@ class TestEdgeConfigurations:
     #: ~8 s a job arriving at t = 10 s needs to complete.
     HORIZON = 12.0
 
-    def _run(self, policy_cls, widths, *, names=("auckland", "lagos"), **engine):
+    def _simulate(self, policy_cls, widths, *, names=("auckland", "lagos"), **engine):
         apps = [
             HybridApplication(
                 QuantumJob.from_circuit(ghz_linear(width), keep_circuit=False),
@@ -341,14 +341,14 @@ class TestEdgeConfigurations:
         return [a.quantum_job for a in apps], m
 
     def test_empty_stream(self, policy_cls):
-        _, m = self._run(policy_cls, [])
+        _, m = self._simulate(policy_cls, [])
         assert m.events_processed == 0
         assert m.dispatched_jobs == m.completed_jobs == m.scheduling_cycles == 0
 
     def test_horizon_shorter_than_the_sample_interval(self, policy_cls):
         """The job record is filled at dispatch, though the COMPLETION
         lands past the horizon and nothing was sampled on the way."""
-        (job,), m = self._run(policy_cls, [5])
+        (job,), m = self._simulate(policy_cls, [5])
         assert m.dispatched_jobs == 1 and m.completed_jobs == 0
         assert job.status is JobStatus.COMPLETED
         assert job.assigned_qpu in ("auckland", "lagos")
@@ -358,7 +358,7 @@ class TestEdgeConfigurations:
         assert len(m.mean_utilization.times) == 1  # the horizon's own sample
 
     def test_job_wider_than_every_device(self, policy_cls):
-        (job,), m = self._run(policy_cls, [10], names=("lagos",))
+        (job,), m = self._simulate(policy_cls, [10], names=("lagos",))
         assert m.unschedulable_jobs == 1 and m.dispatched_jobs == 0
         assert job.status is JobStatus.FAILED and job.assigned_qpu is None
 
@@ -370,7 +370,7 @@ class TestEdgeConfigurations:
             MaintenanceWindow(name, 0.0, 2 * self.HORIZON)
             for name in ("auckland", "lagos")
         ]
-        (job,), m = self._run(
+        (job,), m = self._simulate(
             policy_cls, [5], availability=AvailabilityModel(windows=windows)
         )
         assert m.dispatched_jobs == 0 and m.outage_events == 2

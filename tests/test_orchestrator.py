@@ -1,5 +1,5 @@
-"""Orchestrator tests: workflows, images, registry, monitor, membership,
-Raft, workers, job manager, and the four-call Qonductor API."""
+"""Orchestrator tests: workflows, images, registry, and the four-call
+Qonductor API (what ``invoke`` executes is in test_orchestrator_engine)."""
 
 import pytest
 
@@ -9,11 +9,8 @@ from repro.orchestrator import (
     HybridWorkflow,
     HybridWorkflowImage,
     Qonductor,
-    RaftCluster,
     ResourceRequest,
-    Role,
     StepKind,
-    SystemMonitor,
     WorkflowRegistry,
     WorkflowStep,
 )
@@ -84,6 +81,22 @@ class TestImagesAndRegistry:
         assert cfg.requests[1].qpus == 1 and cfg.requests[1].min_qubits == 20
         assert cfg.min_qubits == 20
 
+    @pytest.mark.parametrize(
+        "key, value, where",
+        [
+            ("preference", "fidelity", "Qonductor(preference=)"),
+            ("preferred_models", ["falcon"], "estimate_resources(models=)"),
+            ("num_plans", 5, "estimate_resources(num_plans=)"),
+            ("min_fidelity", 0.9, "estimate_resources(min_fidelity=)"),
+        ],
+    )
+    def test_config_key_nothing_honours_is_refused(self, key, value, where):
+        """Regression: these were parsed, stored on the image and never
+        read — ``{"preference": "fidelity"}`` was scheduled ``balanced``."""
+        with pytest.raises(ValueError) as refused:
+            ExecutionConfig.from_dict({key: value, "spec": {"containers": []}})
+        assert repr(key) in str(refused.value) and where in str(refused.value)
+
     def test_resource_request_validation(self):
         with pytest.raises(ValueError):
             ResourceRequest(qpus=-1)
@@ -101,82 +114,6 @@ class TestImagesAndRegistry:
         reg.remove(key)
         with pytest.raises(KeyError):
             reg.get(key)
-
-
-class TestMonitor:
-    def test_put_get_versions(self):
-        mon = SystemMonitor()
-        r1 = mon.put("ns", "k", 1)
-        r2 = mon.put("ns", "k", 2)
-        assert r2 > r1
-        assert mon.get("ns", "k") == 2
-        assert mon.version("ns", "k") == r2
-
-    def test_delete_and_default(self):
-        mon = SystemMonitor()
-        mon.put("ns", "k", 1)
-        assert mon.delete("ns", "k")
-        assert not mon.delete("ns", "k")
-        assert mon.get("ns", "k", default="d") == "d"
-
-    def test_watchers_notified(self):
-        mon = SystemMonitor()
-        events = []
-        mon.watch(events.append)
-        mon.put("a", "x", 1)
-        mon.delete("a", "x")
-        assert len(events) == 2 and events[1].deleted
-
-    def test_snapshot_restore(self):
-        mon = SystemMonitor()
-        mon.put("ns", "k", {"v": 1})
-        snap = mon.snapshot()
-        other = SystemMonitor()
-        other.restore(snap)
-        assert other.get("ns", "k") == {"v": 1}
-        assert other.revision == mon.revision
-
-
-class TestRaft:
-    def test_initial_leader(self):
-        cluster = RaftCluster(f=1, seed=0)
-        assert cluster.leader().name == "replica0"
-        assert len(cluster.nodes) == 3
-
-    def test_failover_elects_new_leader(self):
-        cluster = RaftCluster(f=1, seed=0)
-        cluster.fail("replica0")
-        leader = cluster.ensure_leader()
-        assert leader is not None and leader.name != "replica0"
-        assert leader.role is Role.LEADER
-
-    def test_no_quorum_no_leader(self):
-        cluster = RaftCluster(f=1, seed=0)
-        cluster.fail("replica0")
-        cluster.fail("replica1")
-        assert cluster.ensure_leader() is None
-
-    def test_recovered_node_rejoins_as_follower(self):
-        cluster = RaftCluster(f=1, seed=0)
-        cluster.fail("replica0")
-        cluster.ensure_leader()
-        cluster.recover("replica0")
-        node = cluster.node("replica0")
-        assert node.role is Role.FOLLOWER
-        assert node.term == cluster.leader().term
-
-    def test_replication_ships_state(self):
-        cluster = RaftCluster(f=1, seed=0)
-        acks = cluster.replicate({"x": 1})
-        assert acks == 3
-        assert all(n.state == {"x": 1} for n in cluster.nodes)
-
-    def test_one_vote_per_term(self):
-        cluster = RaftCluster(f=1, seed=0)
-        voter = cluster.node("replica2")
-        assert voter.request_vote("a", term=5)
-        assert not voter.request_vote("b", term=5)
-        assert voter.request_vote("b", term=6)
 
 
 class TestQonductorAPI:
@@ -213,24 +150,119 @@ class TestQonductorAPI:
         plans = qonductor.estimate_resources(ghz_linear(6), shots=2000, num_plans=3)
         assert plans and all(0 <= p.est_fidelity <= 1 for p in plans)
 
-    def test_state_replicated_after_invoke(self, qonductor):
+    def test_result_shape(self, qonductor):
         key = qonductor.create_workflow(
-            [qonductor.quantum_step(ghz_linear(3), name="q")], name="repl"
+            [
+                qonductor.classical_step(lambda: 42, name="pre", seconds=0.5),
+                qonductor.quantum_step(ghz_linear(4), name="q", shots=500),
+            ],
+            name="shape",
         )
-        qonductor.invoke(key)
-        leader = qonductor.control_plane.leader()
-        assert leader.state["revision"] == qonductor.monitor.revision
+        results = qonductor.workflow_results(qonductor.invoke(key))
+        assert set(results) == {"status", "steps", "elapsed_seconds", "error"}
+        assert results["error"] is None
+        pre, q = results["steps"].values()
+        assert set(pre) == {
+            "kind", "name", "node", "seconds", "output", "start_time", "finish_time",
+        }  # fmt: skip
+        assert pre["output"] == 42 and pre["seconds"] == 0.5
+        assert set(q) == {
+            "kind", "name", "qpu", "est_fidelity", "fidelity", "quantum_seconds",
+            "shots", "mitigation", "start_time", "finish_time",
+        }  # fmt: skip
+        assert results["elapsed_seconds"] == pytest.approx(0.5 + q["quantum_seconds"])
 
-    def test_leader_failover_keeps_serving(self, qonductor):
-        qonductor.control_plane.fail(qonductor.control_plane.leader().name)
+    def test_config_refusal_reaches_create_workflow(self, qonductor):
+        steps = [qonductor.quantum_step(ghz_linear(3), name="q")]
+        with pytest.raises(ValueError, match="preference"):
+            qonductor.create_workflow(steps, {"preference": "fidelity"}, name="pref")
+        assert "pref:latest" not in qonductor.list_images()
+
+    def test_failed_run_says_why(self, qonductor):
+        """Regression: ``WorkflowRun.error`` never reached the client."""
         key = qonductor.create_workflow(
-            [qonductor.quantum_step(ghz_linear(3), name="q")], name="failover"
+            [qonductor.classical_step(name="huge", cores=10_000)], name="huge"
         )
         wid = qonductor.invoke(key)
-        assert qonductor.workflow_status(wid) == "completed"
-        assert qonductor.control_plane.leader() is not None
+        assert qonductor.workflow_status(wid) == "failed"
+        assert qonductor.workflow_results(wid) == {
+            "status": "failed",
+            "steps": {},
+            "elapsed_seconds": 0.0,
+            "error": "no classical node satisfies step 'huge'",
+        }
 
-    def test_monitor_holds_device_state(self, qonductor):
-        static = qonductor.monitor.items("qpu_static")
-        assert set(static) == set(FLEET)
-        assert static["lagos"]["num_qubits"] == 7
+    def test_raising_step_fn_fails_the_run_and_frees_its_node(self, qonductor):
+        key = qonductor.create_workflow(
+            [
+                qonductor.classical_step(name="pre", seconds=0.2),
+                qonductor.classical_step(lambda: 1 / 0, name="divide", cores=4),
+                qonductor.classical_step(name="never"),
+            ],
+            name="raises",
+        )
+        results = qonductor.workflow_results(qonductor.invoke(key))
+        assert results["status"] == "failed"
+        assert "'divide'" in results["error"] and "ZeroDivisionError" in results["error"]
+        assert [s["name"] for s in results["steps"].values()] == ["pre"]
+        assert results["elapsed_seconds"] == pytest.approx(0.2)
+        assert all(n.alloc_cores == 0 for n in qonductor.classical_scheduler.nodes)
+
+    def test_quantum_step_no_online_qpu_takes_fails_the_run(self, qonductor):
+        key = qonductor.create_workflow(
+            [qonductor.quantum_step(ghz_linear(10), name="wide")], name="offline"
+        )
+        auckland = qonductor.fleet[0]  # the only QPU wide enough
+        auckland.online = False
+        try:
+            results = qonductor.workflow_results(qonductor.invoke(key))
+        finally:
+            auckland.online = True
+        assert results["status"] == "failed" and results["steps"] == {}
+        assert results["error"] == "no QPU took quantum step 'wide' (10 qubits)"
+        assert qonductor.workflow_results(qonductor.invoke(key))["status"] == "completed"
+
+    def test_engine_bug_propagates(self, qonductor, monkeypatch):
+        """Only what a step can report ends a run ``failed``; an error
+        inside the engine is not filed as a workflow failure."""
+        from repro.cloud import CloudSimulator
+
+        def broken(self, apps):
+            raise RuntimeError("engine bug")
+
+        monkeypatch.setattr(CloudSimulator, "run", broken)
+        key = qonductor.create_workflow(
+            [qonductor.quantum_step(ghz_linear(3), name="q")], name="bug"
+        )
+        with pytest.raises(RuntimeError, match="engine bug"):
+            qonductor.invoke(key)
+
+    def test_deploy_refuses_empty_and_cyclic_and_registers_nothing(self, qonductor):
+        """Regression: an empty workflow deployed fine, then ``invoke``
+        raised and left the run ``deploy`` had registered ``pending``."""
+        cyclic = HybridWorkflow("cyclic")
+        a = cyclic.add_step(WorkflowStep("a", StepKind.CLASSICAL))
+        b = cyclic.add_step(WorkflowStep("b", StepKind.CLASSICAL), after=[a])
+        cyclic.graph.add_edge(b.step_id, a.step_id)
+        fine = qonductor.create_workflow(
+            [qonductor.classical_step(name="ok")], name="fine"
+        )
+        before = qonductor.deploy(fine)
+        for workflow, why in [(HybridWorkflow("empty"), "empty"), (cyclic, "cycles")]:
+            key = qonductor.create_workflow(workflow)
+            with pytest.raises(ValueError, match=why):
+                qonductor.deploy(key)
+            with pytest.raises(ValueError, match=why):
+                qonductor.invoke(key)
+        assert qonductor.deploy(fine) == before + 1
+
+    def test_one_run_id_per_invoke(self, qonductor):
+        """Regression: every invoke burned two ids and left none pending
+        only by re-labelling the second run as the first."""
+        key = qonductor.create_workflow(
+            [qonductor.classical_step(name="tick", seconds=0.1)], name="ids"
+        )
+        first = qonductor.invoke(key)
+        assert [qonductor.invoke(key), qonductor.invoke(key)] == [first + 1, first + 2]
+        for wid in (first, first + 1, first + 2):
+            assert qonductor.workflow_status(wid) == "completed"

@@ -6,13 +6,18 @@ through ``CloudSimulator``.
   on the serial and the thread cycle executor;
 * two fresh deployments running the same invokes return equal results;
 * the DAG shapes: a chain, a fan-out, overlapping branches, and a second
-  invoke over the device state the first one left.
+  invoke over the device state the first one left;
+* nothing under ``orchestrator/`` schedules or dispatches on its own (AST
+  guard, with a sample proving the guard sees what it forbids).
 """
 
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.backends import default_fleet
 from repro.cloud import (
     CloudSimulator,
@@ -81,10 +86,11 @@ def test_invoke_is_the_same_arrival_through_a_hand_built_simulator(
     # By hand: the arrival becomes ready when "pre" ends, on fresh devices.
     job = QuantumJob.from_circuit(ghz_linear(5), shots=1000, mitigation="rem")
     policy = QonductorScheduler(estimator.cached(), preference="balanced", seed=SEED)
-    shard = FleetShard(
-        0, [SimulatedQPU(q) for q in _fleet()], policy, SchedulingTrigger(queue_limit=1)
-    )
+    # The cycle fires on the arrival; nothing else — no interval deadline,
+    # no sample — happens before the horizon, one float past it.
     horizon = math.nextafter(0.2, math.inf)
+    trigger = SchedulingTrigger(queue_limit=1, interval_seconds=horizon)
+    shard = FleetShard(0, [SimulatedQPU(q) for q in _fleet()], policy, trigger)
     sim = CloudSimulator(
         shards=[shard],
         execution_model=ExecutionModel(seed=SEED),
@@ -97,6 +103,7 @@ def test_invoke_is_the_same_arrival_through_a_hand_built_simulator(
     )
     metrics = sim.run([HybridApplication(job, arrival_time=0.2)])
     assert metrics.dispatched_jobs == 1 and metrics.scheduling_cycles == 1
+    assert metrics.events_processed == 2  # the arrival and its cycle's fold
     qpu = shard.backend_by_name[job.assigned_qpu].qpu
     est_fidelity, _ = policy.estimate_fn.estimate_block([job], [qpu])
     assert {
@@ -213,3 +220,45 @@ class TestDagShapes:
         assert auckland.jobs_executed == 2
         assert auckland.busy_seconds == q1["quantum_seconds"] + q2["quantum_seconds"]
         assert auckland.free_at == q2["finish_time"] == deployment.clock
+
+
+ORCHESTRATOR = Path(repro.__file__).parent / "orchestrator"
+
+
+def _engine_calls(path: Path) -> list[str]:
+    """Calls under ``orchestrator/`` that would schedule or dispatch a
+    quantum job without the engine: ``.execute(``, ``.begin_cycle(``,
+    ``.finish_cycle(``, ``.schedule(`` on anything but the classical
+    scheduler, and ``default_rng(``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        receiver = ast.unparse(getattr(node.func, "value", node.func))
+        if name in ("execute", "begin_cycle", "finish_cycle", "default_rng") or (
+            name == "schedule" and not receiver.endswith("classical_scheduler")
+        ):
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+class TestOneWayToADevice:
+    def test_orchestrator_never_schedules_or_dispatches(self):
+        files = sorted(ORCHESTRATOR.glob("*.py"))
+        assert files
+        assert [hit for path in files for hit in _engine_calls(path)] == []
+
+    def test_guards_see_what_they_forbid(self, tmp_path):
+        sample = tmp_path / "sample.py"
+        sample.write_text(
+            "record = backend.execute(job, now, model, rng)\n"
+            "plan = self.scheduler.begin_cycle(jobs, qpus)\n"
+            "self.scheduler.finish_cycle(plan, None)\n"
+            "self.scheduler.schedule([job], qpus, waiting)\n"
+            "node = self.classical_scheduler.schedule(req)\n"
+            "rng = np.random.default_rng(seed)\n"
+            "rng = default_rng(seed)\n"
+            "CloudSimulator(shards=[shard]).run(apps)\n"
+        )
+        assert _engine_calls(sample) == [f"sample.py:{n}" for n in (1, 2, 3, 4, 6, 7)]
