@@ -1,0 +1,91 @@
+"""Definitional forms of the three kernels every estimate and dispatch crosses.
+
+``src/`` builds a monomial from its parent, multiplies equal-length
+segments as one stacked product and keeps a dispatch's noise-free outcome
+per (program, mitigation, epoch); each of those must equal, **bit for
+bit** (``==`` / ``array_equal``, never ``allclose``), the plain form kept
+here:
+
+* :func:`polynomial_transform_reference` — every monomial its own
+  left-to-right product of input columns
+  (``repro.ml.features.PolynomialFeatures.transform``).
+* :func:`predict_per_segment_reference` — one ``X[a:b] @ coef`` per
+  segment (``repro.ml.linear.LinearRegression.predict``).
+* :func:`execute_reference` — ``ExecutionModel.execute`` as it ran until
+  PR 23: everything re-derived per call, four scalar ``rng.normal`` draws
+  in order.
+
+Nothing here imports ``repro.ml`` or ``repro.cloud.execution``;
+:func:`execute_reference` reaches the model under test only through the
+public methods whose results this PR does not change
+(``log_error_components``, ``mitigated_components``) and its two sigmas.
+"""
+
+import math
+from itertools import combinations_with_replacement
+
+import numpy as np
+
+from repro.simulation.esp import esp_to_hellinger
+
+__all__ = [
+    "execute_reference",
+    "polynomial_transform_reference",
+    "predict_per_segment_reference",
+]
+
+# repro.cloud.execution's per-job overheads, copied: the oracle must not
+# move when the module it checks does.
+_QPU_SETUP_SECONDS = 10.0
+_SHOT_OVERHEAD_US = 400.0
+_CLASSICAL_BASE_SECONDS = 1.5
+
+
+def polynomial_transform_reference(X, degree, include_bias=False):
+    """sklearn-ordered monomials of ``X``'s columns up to ``degree``."""
+    X = np.asarray(X, dtype=float)
+    rows, n_features = X.shape
+    columns = [np.ones(rows)] if include_bias else []
+    for d in range(1, degree + 1):
+        for combo in combinations_with_replacement(range(n_features), d):
+            column = X[:, combo[0]].copy()
+            for k in combo[1:]:
+                column = column * X[:, k]
+            columns.append(column)
+    return np.stack(columns, axis=1) if columns else np.empty((rows, 0))
+
+
+def predict_per_segment_reference(X, coef, intercept, segments):
+    """``X w + b`` with one matrix-vector product per ``[segments[s],
+    segments[s + 1])`` row slice."""
+    X = np.asarray(X, dtype=float)
+    parts = [X[a:b] @ coef for a, b in zip(segments, segments[1:])]
+    return np.concatenate(parts) + intercept
+
+
+def execute_reference(model, job, calibration, qpu_model, rng):
+    """The four fields of one noisy execution of ``job``, as a tuple
+    ``(fidelity, quantum_seconds, classical_pre_seconds,
+    classical_post_seconds)``."""
+    raw = model.log_error_components(job.metrics, calibration, qpu_model)
+    comp, shot_mult, classical_mult = model.mitigated_components(raw, job.mitigation)
+    esp = math.exp(comp["gate"] + comp["readout"] + comp["decoherence"])
+    fid = esp_to_hellinger(esp, job.num_qubits)
+    fid *= float(np.exp(rng.normal(0.0, model.fidelity_noise_sigma)))
+    fid = float(min(1.0, max(0.0, fid)))
+
+    shots = job.shots * shot_mult
+    speed = 1.0
+    if calibration.noise_model.gates_2q:
+        speed = calibration.aggregates().duration_2q_ns / qpu_model.duration_2q_ns
+    per_shot_s = (raw["duration_ns"] / 1e9) + _SHOT_OVERHEAD_US / 1e6 * speed
+    quantum_s = _QPU_SETUP_SECONDS * speed + shots * per_shot_s
+    quantum_s *= float(np.exp(rng.normal(0.0, model.runtime_noise_sigma)))
+
+    pre_s = _CLASSICAL_BASE_SECONDS * (1.0 + job.metrics.size / 400.0)
+    post_s = _CLASSICAL_BASE_SECONDS * (classical_mult - 1.0) * (
+        1.0 + job.num_qubits / 24.0
+    )
+    pre_s *= float(np.exp(rng.normal(0.0, model.runtime_noise_sigma)))
+    post_s *= float(np.exp(rng.normal(0.0, model.runtime_noise_sigma)))
+    return fid, float(quantum_s), float(pre_s), float(post_s)

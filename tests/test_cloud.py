@@ -1,9 +1,12 @@
 """Cloud-simulation tests: jobs, proxy, execution model, backends, load
 generation, the simulator loop, and the imbalance study."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
+from helpers.reference_models import execute_reference
 from repro.backends import default_fleet, get_model
 from repro.circuits import compute_metrics
 from repro.cloud import (
@@ -20,6 +23,7 @@ from repro.cloud import (
     simulate_queue_imbalance,
 )
 from repro.estimator import PairwiseEstimateSource
+from repro.mitigation.stack import STANDARD_STACKS
 from repro.scheduler import FCFSPolicy, LeastBusyPolicy, QonductorScheduler, SchedulingTrigger
 from repro.workloads import ghz_linear, qaoa_maxcut
 
@@ -163,6 +167,53 @@ class TestExecutionModel:
         np.add.at(marg, logical, probs)
         real_fid = hellinger_fidelity(marg, ideal_probabilities(circ))
         assert abs(model_fid - real_fid) < 0.2
+
+
+class TestExecuteBitIdentity:
+    """``execute`` against the body it had until PR 23 (re-derive
+    everything, four scalar draws): every record field and the
+    generator's state after every call."""
+
+    @pytest.mark.parametrize(
+        "sigmas", [{}, {"fidelity_noise_sigma": 0.0, "runtime_noise_sigma": 0.0}]
+    )
+    def test_every_preset_on_two_models_across_a_recalibration(self, sigmas):
+        qpus = default_fleet(seed=7, names=["auckland", "lagos"])
+        assert qpus[0].model.name != qpus[1].model.name
+        em, ref_em = ExecutionModel(seed=1, **sigmas), ExecutionModel(seed=1, **sigmas)
+        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+        programs = [
+            (ghz_linear(3), 1000), (qaoa_maxcut(6, seed=1), 4000), (ghz_linear(6), 250)
+        ]
+        for epoch in range(2):
+            for preset in STANDARD_STACKS:
+                for circuit, shots in programs:
+                    job = QuantumJob.from_circuit(circuit, shots=shots, mitigation=preset)
+                    for qpu in (*qpus, *qpus):  # the second lap is served from the memo
+                        got = em.execute(job, qpu.calibration, qpu.model, rng)
+                        want = execute_reference(
+                            ref_em, job, qpu.calibration, qpu.model, ref_rng
+                        )
+                        assert astuple(got) == want
+                        assert rng.bit_generator.state == ref_rng.bit_generator.state
+            if sigmas:
+                assert got.fidelity == em.expected_fidelity(job, qpu.calibration, qpu.model)
+            for qpu in qpus:
+                qpu.recalibrate()
+                assert qpu.calibration.epoch == (qpu.name, epoch + 1)
+            em.on_recalibration()
+            ref_em.on_recalibration()
+
+    def test_model_owned_generator_draws_the_same_stream(self):
+        qpu = default_fleet(seed=7, names=["lagos"])[0]
+        em, ref_em = ExecutionModel(seed=5), ExecutionModel(seed=5)
+        job = QuantumJob.from_circuit(ghz_linear(5), shots=2000, mitigation="dd+rem")
+        ref_rng = np.random.default_rng(5)
+        for _ in range(3):
+            got = em.execute(job, qpu.calibration, qpu.model)
+            assert astuple(got) == execute_reference(
+                ref_em, job, qpu.calibration, qpu.model, ref_rng
+            )
 
 
 class TestSimulatedQPU:

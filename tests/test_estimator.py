@@ -347,7 +347,12 @@ from helpers.reference_estimates import (  # noqa: E402
     reference_cached_block,
     reference_plans,
 )
+from helpers.reference_models import (  # noqa: E402
+    polynomial_transform_reference,
+    predict_per_segment_reference,
+)
 from repro.backends.fleet import fleet_of_size  # noqa: E402
+from repro.experiments.common import trained_estimator  # noqa: E402
 from repro.estimator import RegressionEstimator, generate_resource_plans  # noqa: E402
 
 
@@ -517,6 +522,53 @@ class TestStackedFillBitIdentity:
         calls = _count_predicts(monkeypatch)
         trained.generate_plans(compute_metrics(ghz_linear(4)), 4000, num_plans=50)
         assert len(calls) == 2
+
+
+class TestSegmentedPredictBitIdentity:
+    """The linear stage against one ``X[a:b] @ coef`` per segment, on
+    the benchmark's own models (``bench/child.py`` trains these)."""
+
+    SEGMENTS = {
+        "fcfs_pool block: eight one-row segments": [0, 1, 2, 3, 4, 5, 6, 7, 8],
+        "qonductor_fresh block: four of a hundred": [0, 100, 200, 300, 400],
+        "one segment": [0, 257],
+        "all different": [0, 1, 3, 6, 10, 15, 32],
+        "mixed runs": [0, 4, 8, 9, 10, 11, 40, 69, 70, 75, 80],
+        "empty segments between full ones": [0, 0, 3, 3, 3, 6],
+        "empty X": [0, 0],
+    }
+
+    @pytest.mark.parametrize("target, columns", [("fidelity", 152), ("runtime", 363)])
+    def test_linear_stage_equals_per_segment_products(self, target, columns):
+        pipeline = getattr(trained_estimator(seed=7).estimators, target).pipeline
+        regressor = pipeline["regressor"]
+        assert regressor.coef_.shape == (columns,)
+        rng = np.random.default_rng(columns)
+        for label, segments in self.SEGMENTS.items():
+            X = rng.normal(size=(segments[-1], columns))
+            for data in (X, np.asfortranarray(X)):
+                got = regressor.predict(data, segments)
+                want = predict_per_segment_reference(
+                    data, regressor.coef_, regressor.intercept_, segments
+                )
+                assert got.shape == (segments[-1],), label
+                assert np.array_equal(got, want), label
+
+    @pytest.mark.parametrize("target, features", [("fidelity", 16), ("runtime", 11)])
+    def test_whole_pipeline_equals_the_two_definitions_chained(self, target, features):
+        pipeline = getattr(trained_estimator(seed=7).estimators, target).pipeline
+        poly, scaler, regressor = (step for _, step in pipeline.steps)
+        rng = np.random.default_rng(features)
+        for label, segments in self.SEGMENTS.items():
+            raw = rng.normal(size=(segments[-1], features))
+            expanded = polynomial_transform_reference(raw, poly.degree)
+            want = predict_per_segment_reference(
+                (expanded - scaler.mean_) / scaler.scale_,
+                regressor.coef_,
+                regressor.intercept_,
+                segments,
+            )
+            assert np.array_equal(pipeline.predict(raw, segments), want), label
 
 
 class TestAnalyticEstimateSource:

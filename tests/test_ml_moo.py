@@ -13,6 +13,7 @@ from helpers.reference_kernels import (
     polynomial_mutation_dense,
     repair_reference,
 )
+from helpers.reference_models import polynomial_transform_reference
 from repro.ml import (
     KFold,
     LinearRegression,
@@ -123,6 +124,25 @@ class TestFeatures:
         X = np.ones((10, 1))
         out = StandardScaler().fit_transform(X)
         assert np.all(np.isfinite(out))
+
+
+class TestPolynomialBitIdentity:
+    """``transform`` against one left-to-right product per monomial."""
+
+    @pytest.mark.parametrize("include_bias", [False, True])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_transform_equals_definition(self, degree, include_bias):
+        rng = np.random.default_rng(degree)
+        poly = PolynomialFeatures(degree=degree, include_bias=include_bias)
+        poly.fit(np.zeros((1, 5)))
+        for rows in (0, 1, 8, 400):
+            floats = rng.normal(0.0, 3.0, size=(rows, 5))
+            integers = rng.integers(-9, 10, size=(rows, 5))
+            for X in (floats, np.asfortranarray(floats), integers, floats[:, ::-1]):
+                got = poly.transform(X)
+                want = polynomial_transform_reference(X, degree, include_bias)
+                assert got.shape == want.shape == (rows, poly.n_output_features_)
+                assert np.array_equal(got, want)
 
 
 class TestMetricsAndCV:
