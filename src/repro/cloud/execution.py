@@ -20,9 +20,9 @@ zne      gate log-error x 0.45,          3x shots, folded circuits
 twirling gate log-error x 0.90           4x circuit instances
 ======== ============================== =========================
 
-The residual factors are validated against the trajectory simulator on
-small circuits in ``tests/test_execution_model.py`` — they are measured
-properties of our own mitigation implementations, not free parameters.
+The residual factors are validated against the trajectory simulator on small
+circuits (``tests/test_cloud.py::TestExecutionModel::test_model_matches_trajectory_sim_smallscale``)
+— measured properties of our own mitigation implementations, not free parameters.
 """
 
 from __future__ import annotations
@@ -87,18 +87,37 @@ class ExecutionModel:
         seed: int | None = None,
     ) -> None:
         self.proxy = proxy or TranspileProxy()
-        self.fidelity_noise_sigma = fidelity_noise_sigma
-        self.runtime_noise_sigma = runtime_noise_sigma
+        for name, sigma in (
+            ("fidelity_noise_sigma", fidelity_noise_sigma),
+            ("runtime_noise_sigma", runtime_noise_sigma),
+        ):
+            if not 0.0 <= sigma < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {sigma!r}")
+        #: Scales of execute()'s four standard-normal draws, in draw order.
+        self._sigmas = np.array([fidelity_noise_sigma] + [runtime_noise_sigma] * 3)
         self._rng = np.random.default_rng(seed)
         #: Content-addressed memo of log-error components, keyed on
         #: (metrics fingerprint, calibration epoch, model name). The epoch
         #: (qpu_name, cycle) changes on recalibration, so entries can never
         #: be served stale; :meth:`on_recalibration` drops them for memory.
         self._comp_cache: dict[tuple, dict[str, float]] = {}
+        #: What :meth:`execute` derives from those components before its
+        #: first draw, keyed on (fingerprint, mitigation, epoch, model name):
+        #: (fidelity, shot_mult, setup_s, per_shot_s, pre_s, post_s).
+        self._outcome_cache: dict[tuple, tuple[float, ...]] = {}
+
+    @property
+    def fidelity_noise_sigma(self) -> float:
+        return float(self._sigmas[0])
+
+    @property
+    def runtime_noise_sigma(self) -> float:
+        return float(self._sigmas[1])
 
     def on_recalibration(self, qpus=None) -> None:
-        """Drop cached components (their calibration epochs just died)."""
+        """Drop both memos (their calibration epochs just died)."""
         self._comp_cache.clear()
+        self._outcome_cache.clear()
 
     # ------------------------------------------------------------------
     def log_error_components(
@@ -190,14 +209,40 @@ class ExecutionModel:
         return comp, shot_mult, classical_mult
 
     # ------------------------------------------------------------------
+    def _noise_free(
+        self, metrics: CircuitMetrics, mitigation: str, calibration: CalibrationData,
+        model: QPUModel,
+    ) -> tuple[float, ...]:
+        """The part of an execution that is fixed until the next
+        recalibration (memoized; see ``_outcome_cache``)."""
+        key = (metrics.fingerprint, mitigation, calibration.epoch, model.name)
+        outcome = self._outcome_cache.get(key)
+        if outcome is None:
+            raw = self.log_error_components(metrics, calibration, model)
+            comp, shot_mult, classical_mult = self.mitigated_components(raw, mitigation)
+            esp = math.exp(comp["gate"] + comp["readout"] + comp["decoherence"])
+            # Per-shot dead time (reset/readout) runs on the same control
+            # electronics as the gates, so it scales with the device's speed.
+            speed = 1.0
+            if calibration.noise_model.gates_2q:
+                speed = calibration.aggregates().duration_2q_ns / model.duration_2q_ns
+            outcome = self._outcome_cache[key] = (
+                esp_to_hellinger(esp, metrics.num_qubits),
+                shot_mult,
+                QPU_SETUP_SECONDS * speed,
+                (raw["duration_ns"] / 1e9) + SHOT_OVERHEAD_US / 1e6 * speed,
+                CLASSICAL_BASE_SECONDS * (1.0 + metrics.size / 400.0),
+                CLASSICAL_BASE_SECONDS * (classical_mult - 1.0) * (
+                    1.0 + metrics.num_qubits / 24.0
+                ),
+            )
+        return outcome
+
     def expected_fidelity(
         self, job: QuantumJob, calibration: CalibrationData, model: QPUModel
     ) -> float:
         """Noise-free expectation (used by tests and the oracle ablation)."""
-        comp = self.log_error_components(job.metrics, calibration, model)
-        comp, _, _ = self.mitigated_components(comp, job.mitigation)
-        esp = math.exp(comp["gate"] + comp["readout"] + comp["decoherence"])
-        return esp_to_hellinger(esp, job.num_qubits)
+        return self._noise_free(job.metrics, job.mitigation, calibration, model)[0]
 
     def execute(
         self,
@@ -206,37 +251,17 @@ class ExecutionModel:
         model: QPUModel,
         rng: np.random.Generator | None = None,
     ) -> ExecutionRecord:
-        """One noisy ground-truth execution."""
-        rng = rng or self._rng
-        raw = self.log_error_components(job.metrics, calibration, model)
-        comp, shot_mult, classical_mult = self.mitigated_components(
-            raw, job.mitigation
+        """One noisy ground-truth execution: the epoch's noise-free outcome
+        times four log-normal factors.  ``standard_normal(4) * sigmas`` is
+        the four ``normal(0, sigma)`` draws in order (``normal`` is
+        ``loc + scale * z``), so the stream and the bits are theirs."""
+        fid, shot_mult, setup_s, per_shot_s, pre_s, post_s = self._noise_free(
+            job.metrics, job.mitigation, calibration, model
         )
-        esp = math.exp(comp["gate"] + comp["readout"] + comp["decoherence"])
-        fid = esp_to_hellinger(esp, job.num_qubits)
-        fid *= float(np.exp(rng.normal(0.0, self.fidelity_noise_sigma)))
-        fid = float(min(1.0, max(0.0, fid)))
-
-        shots = job.shots * shot_mult
-        # Per-shot dead time (reset/readout) runs on the same control
-        # electronics as the gates, so it scales with the device's speed.
-        nm = calibration.noise_model
-        speed = 1.0
-        if nm.gates_2q:
-            speed = calibration.aggregates().duration_2q_ns / model.duration_2q_ns
-        per_shot_s = (raw["duration_ns"] / 1e9) + SHOT_OVERHEAD_US / 1e6 * speed
-        quantum_s = QPU_SETUP_SECONDS * speed + shots * per_shot_s
-        quantum_s *= float(np.exp(rng.normal(0.0, self.runtime_noise_sigma)))
-
-        pre_s = CLASSICAL_BASE_SECONDS * (1.0 + job.metrics.size / 400.0)
-        post_s = CLASSICAL_BASE_SECONDS * (classical_mult - 1.0) * (
-            1.0 + job.num_qubits / 24.0
-        )
-        pre_s *= float(np.exp(rng.normal(0.0, self.runtime_noise_sigma)))
-        post_s *= float(np.exp(rng.normal(0.0, self.runtime_noise_sigma)))
+        noise = np.exp((rng or self._rng).standard_normal(4) * self._sigmas).tolist()
         return ExecutionRecord(
-            fidelity=fid,
-            quantum_seconds=float(quantum_s),
-            classical_pre_seconds=float(pre_s),
-            classical_post_seconds=float(post_s),
+            fidelity=min(1.0, max(0.0, fid * noise[0])),
+            quantum_seconds=(setup_s + job.shots * shot_mult * per_shot_s) * noise[1],
+            classical_pre_seconds=pre_s * noise[2],
+            classical_post_seconds=post_s * noise[3],
         )

@@ -19,9 +19,10 @@ policies drive directly.
 
 A block is served in three steps: look up every feasible pair, fill all
 the misses through **one stacked model pass** (two predicts per block, not
-two per QPU), store them.  Only the linear stage of that pass runs per QPU
-segment: BLAS blocks a matrix-vector product by its shape, so one product
-over the whole stack would move cached values in the last ulp depending
+two per QPU), store them.  The linear stage of that pass keeps the bits of
+one product per QPU segment (equal-length neighbours share one stacked
+``matmul``, which runs that product per stack item): BLAS blocks by shape, so
+one product over all rows would move cached values in the last ulp depending
 on which other QPUs happened to miss.
 """
 

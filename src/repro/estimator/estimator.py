@@ -79,9 +79,9 @@ class ResourceEstimator:
         The :class:`~repro.estimator.source.EstimateSource` entry point:
         every feasible pair of the block goes through one stacked model
         pass (:meth:`TrainedEstimators.estimate_pairs`, two predicts per
-        block).  Only its linear stage runs per QPU segment: BLAS blocks
-        a matrix-vector product by its shape, so that is what keeps each
-        value bit-identical to predicting the QPU's column on its own.
+        block).  Its linear stage multiplies per QPU segment (stacked where
+        lengths agree): BLAS blocks a matrix-vector product by its shape, so
+        that keeps each value bit-identical to predicting the column alone.
         Infeasible pairs stay zero and are never evaluated.
         """
         fid, sec = np.zeros((2, len(jobs), len(qpus)))

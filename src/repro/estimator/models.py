@@ -93,9 +93,10 @@ class TrainedEstimators:
         pairs one calibration snapshot (a QPU, a template) with the
         (non-empty) indices of the jobs to score on it.  All groups are
         stacked into one feature matrix per model, so a block costs 2
-        predicts rather than 2 per group; only the linear stage still
-        runs per group (``segments``), which keeps every value
-        bit-identical to predicting each group on its own.
+        predicts rather than 2 per group; the linear stage still
+        multiplies per group (``segments``, equal-length neighbours in one
+        stacked call), so every value is bit-identical to predicting each
+        group on its own.
         """
         if not groups:
             return np.zeros(0), np.zeros(0)

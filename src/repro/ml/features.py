@@ -25,21 +25,26 @@ class PolynomialFeatures:
 
     def fit(self, X, y=None) -> "PolynomialFeatures":
         X = np.asarray(X, dtype=float)
-        n_features = X.shape[1]
+        self.n_features_in_ = X.shape[1]
         # _combos keeps the flat sklearn-ordered monomial list; _blocks
-        # holds the same combos as contiguous per-degree index arrays so
-        # transform() fills whole column groups with O(degree) vectorized
-        # passes instead of one Python iteration per monomial (the
-        # scheduling hot path calls transform per estimate-cache miss).
-        combos: list[tuple[int, ...]] = []
-        if self.include_bias:
-            combos.append(())
+        # holds, per degree >= 2, where its columns start and two index
+        # arrays: the output column of each monomial's parent (the combo
+        # minus its last factor, which combinations_with_replacement
+        # listed one degree earlier) and the input column of that last
+        # factor.  The definitional left-to-right product of (i1..id) is
+        # the parent's product times x_id, so transform() fills a degree
+        # with one multiply per column, bit for bit (the scheduling hot
+        # path calls transform per estimate-cache miss).
+        combos: list[tuple[int, ...]] = [()] if self.include_bias else []
         self._blocks = []
+        column: dict[tuple[int, ...], int] = {}
         for d in range(1, self.degree + 1):
-            combos_d = list(combinations_with_replacement(range(n_features), d))
-            self._blocks.append(
-                (len(combos), np.array(combos_d, dtype=np.intp))
-            )
+            combos_d = list(combinations_with_replacement(range(self.n_features_in_), d))
+            if d > 1:
+                parent = np.array([column[c[:-1]] for c in combos_d], dtype=np.intp)
+                last = np.array([c[-1] for c in combos_d], dtype=np.intp)
+                self._blocks.append((len(combos), parent, last))
+            column = {c: len(combos) + j for j, c in enumerate(combos_d)}
             combos.extend(combos_d)
         self._combos = combos
         return self
@@ -48,16 +53,18 @@ class PolynomialFeatures:
         if self._combos is None:
             raise RuntimeError("transformer is not fitted")
         X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.n_features_in_:
+            raise ValueError(
+                f"fitted on {self.n_features_in_} columns, got an array of shape {X.shape}"
+            )
         out = np.empty((X.shape[0], len(self._combos)))
-        if self.include_bias:
-            out[:, 0] = 1.0
-        for start, idx in self._blocks:
-            # Multiply factors left-to-right (matching the definitional
-            # per-monomial loop bit-for-bit), vectorized across monomials.
-            block = X[:, idx[:, 0]].copy()
-            for k in range(1, idx.shape[1]):
-                block *= X[:, idx[:, k]]
-            out[:, start:start + len(idx)] = block
+        first = int(self.include_bias)
+        out[:, :first] = 1.0
+        out[:, first:first + self.n_features_in_] = X
+        for start, parent, last in self._blocks:
+            np.multiply(
+                out.take(parent, 1), X.take(last, 1), out=out[:, start:start + len(last)]
+            )
         return out
 
     def fit_transform(self, X, y=None) -> np.ndarray:

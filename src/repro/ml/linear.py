@@ -45,19 +45,43 @@ class LinearRegression:
         return self
 
     def predict(self, X, segments: Sequence[int] | None = None) -> np.ndarray:
-        """``X w + b``, the product run once per ``[segments[s],
+        """``X w + b``, with the bits of one product per ``[segments[s],
         segments[s + 1])`` row slice when ``segments`` (ascending offsets
         ``0 .. len(X)``) is given.  BLAS blocks a matrix-vector product
         by its shape, so a row's last ulp depends on how many rows share
         the call: a caller that stacks independent batches passes their
-        bounds and gets the bits a ``predict`` per batch gives."""
+        bounds and gets the bits a ``predict`` per batch gives.
+
+        Neighbouring segments of one length ``L`` go through a single
+        ``matmul`` over the ``(S, L, n)`` view of their rows: matmul runs
+        the same ``(L, n) @ (n,)`` kernel once per stack item on the
+        pointers a per-segment ``X[a:b] @ coef`` would pass (splitting an
+        axis never copies), so the bits are those of S separate products
+        for one NumPy call.  ``X @ coef`` over all ``S * L`` rows at once
+        is *not* equal."""
         if self.coef_ is None:
             raise RuntimeError("model is not fitted")
         X = np.asarray(X, dtype=float)
         if segments is None:
             return X @ self.coef_ + self.intercept_
-        parts = [X[a:b] @ self.coef_ for a, b in zip(segments, segments[1:])]
-        return np.concatenate(parts) + self.intercept_
+        out = np.empty(len(X))
+        coef, width = self.coef_, X.shape[1]
+        last = len(segments) - 1
+        s = 0
+        while s < last:
+            a, length = segments[s], segments[s + 1] - segments[s]
+            e = s + 1
+            while e < last and segments[e + 1] - segments[e] == length:
+                e += 1
+            b = segments[e]
+            np.matmul(
+                X[a:b].reshape(e - s, length, width),
+                coef,
+                out=out[a:b].reshape(e - s, length),
+            )
+            s = e
+        out += self.intercept_
+        return out
 
 
 class Ridge(LinearRegression):

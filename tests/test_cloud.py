@@ -137,6 +137,57 @@ class TestExecutionModel:
         with pytest.raises(KeyError):
             em.execute(job, fleet[0].calibration, fleet[0].model)
 
+    @pytest.mark.parametrize("field", ["fidelity_noise_sigma", "runtime_noise_sigma"])
+    @pytest.mark.parametrize("sigma", [-0.01, float("nan"), float("inf")])
+    def test_bad_noise_sigma_refused_at_construction(self, field, sigma):
+        """A negative sigma used to surface as ``scale < 0`` from the first
+        ``execute``; scaling standard normals would take it silently."""
+        with pytest.raises(ValueError, match=field):
+            ExecutionModel(**{field: sigma})
+
+    def test_noise_sigmas_are_read_only(self):
+        em = ExecutionModel(fidelity_noise_sigma=0.0, runtime_noise_sigma=0.25)
+        assert (em.fidelity_noise_sigma, em.runtime_noise_sigma) == (0.0, 0.25)
+        for field in ("fidelity_noise_sigma", "runtime_noise_sigma"):
+            with pytest.raises(AttributeError):
+                setattr(em, field, 0.5)
+
+    def test_outcome_derived_once_per_epoch(self, monkeypatch):
+        """Counts, not clocks: what ``execute`` derives before its first
+        draw is computed once per (program, mitigation, epoch)."""
+        qpu = default_fleet(seed=7, names=["lagos"])[0]
+        em = ExecutionModel(seed=1)
+        calls = {"mitigated_components": 0, "components_batch": 0}
+        for name in calls:
+            def counting(*args, _name=name, _real=getattr(em, name)):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(em, name, counting)
+        job = QuantumJob.from_circuit(ghz_linear(5), shots=2000, mitigation="dd+rem")
+        other = QuantumJob.from_circuit(ghz_linear(5), shots=500, mitigation="rem")
+
+        em.execute(job, qpu.calibration, qpu.model)
+        assert calls == {"mitigated_components": 1, "components_batch": 1}
+        em.execute(job, qpu.calibration, qpu.model)
+        em.expected_fidelity(job, qpu.calibration, qpu.model)
+        assert calls == {"mitigated_components": 1, "components_batch": 1}
+        em.execute(other, qpu.calibration, qpu.model)  # same program: components kept
+        assert calls == {"mitigated_components": 2, "components_batch": 2}
+        assert len(em._comp_cache) == 1 and len(em._outcome_cache) == 2
+
+        qpu.recalibrate()
+        em.on_recalibration()
+        assert len(em._comp_cache) == 0 and len(em._outcome_cache) == 0
+        em.execute(job, qpu.calibration, qpu.model)
+        em.execute(job, qpu.calibration, qpu.model)
+        assert calls == {"mitigated_components": 3, "components_batch": 3}
+
+        job.mitigation = "bogus"  # never memoized: raises on every call
+        for _ in range(2):
+            with pytest.raises(KeyError, match="bogus"):
+                em.execute(job, qpu.calibration, qpu.model)
+
     def test_model_matches_trajectory_sim_smallscale(self, fleet):
         """The aggregate model must land near real noisy simulation."""
         from repro.simulation import (

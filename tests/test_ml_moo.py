@@ -113,6 +113,17 @@ class TestFeatures:
         )
         assert np.allclose(out[:, 0], 1.0)
 
+    @pytest.mark.parametrize(
+        "given", [np.ones((2, 6)), np.ones((2, 3)), np.ones(4)], ids=["wider", "narrower", "1-D"]
+    )
+    def test_transform_refuses_a_matrix_it_was_not_fitted_for(self, given):
+        """Six columns used to come back as shape (2, 14) with two of them
+        ignored, three as a bare IndexError, a row as "too many indices"."""
+        poly = PolynomialFeatures(degree=2).fit(np.ones((5, 4)))
+        with pytest.raises(ValueError, match="fitted on 4 columns") as err:
+            poly.transform(given)
+        assert str(given.shape) in str(err.value)
+
     def test_scaler_standardizes(self):
         rng = np.random.default_rng(2)
         X = rng.normal(5.0, 3.0, size=(200, 2))
