@@ -279,7 +279,12 @@ from repro.simulation import (  # noqa: E402
     esp_components_batch,
     extract_esp_features,
 )
-from repro.workloads import qft, random_circuit  # noqa: E402
+from helpers.reference_schedule import (  # noqa: E402
+    equivalence_circuits as _equivalence_circuits,
+    equivalence_models as _equivalence_models,
+    reference_components as _legacy_components,
+    reference_duration_ns as _legacy_duration_ns,
+)
 
 
 class TestRngStreamContracts:
@@ -302,86 +307,6 @@ class TestRngStreamContracts:
             format(i, "03b"): int(v) for i, v in enumerate(draws) if v
         }
         assert counts == expect
-
-
-def _legacy_duration_ns(circuit, nm):
-    """Sequential critical-path walk (the pre-batched implementation)."""
-    finish = [0.0] * circuit.num_qubits
-    for g in circuit.ops:
-        if g.name == "barrier":
-            wires = g.qubits if g.qubits else tuple(range(circuit.num_qubits))
-            sync = max((finish[q] for q in wires), default=0.0)
-            for q in wires:
-                finish[q] = sync
-            continue
-        if g.name == "delay":
-            finish[g.qubits[0]] += g.params[0]
-            continue
-        if g.name in ("measure", "reset", "project"):
-            dur = nm.readout_duration_ns
-        elif g.is_unitary:
-            dur = nm.gate_noise(g.name, g.qubits).duration_ns
-        else:
-            dur = 0.0
-        start = max(finish[q] for q in g.qubits)
-        for q in g.qubits:
-            finish[q] = start + dur
-    return max(finish, default=0.0)
-
-
-def _legacy_components(circuit, nm):
-    """Sequential per-op ESP walk (the pre-batched implementation)."""
-    log_gate = 0.0
-    log_readout = 0.0
-    for g in circuit.ops:
-        if g.is_unitary:
-            err = nm.gate_noise(g.name, g.qubits).error
-            if err >= 1.0:
-                return {"gate": -math.inf, "readout": 0.0, "decoherence": 0.0}
-            log_gate += math.log1p(-err)
-        elif g.name == "measure":
-            err = nm.qubits[g.qubits[0]].readout_error
-            if err >= 1.0:
-                return {"gate": 0.0, "readout": -math.inf, "decoherence": 0.0}
-            log_readout += math.log1p(-err)
-    duration_us = _legacy_duration_ns(circuit, nm) / 1000.0
-    log_decoh = 0.0
-    for q in circuit.used_qubits():
-        qn = nm.qubits[q]
-        inv_tphi = max(0.0, 1.0 / qn.t2_us - 0.5 / qn.t1_us)
-        log_decoh += -duration_us / qn.t1_us * 0.5
-        log_decoh += -duration_us * inv_tphi * 0.5
-    return {"gate": log_gate, "readout": log_readout, "decoherence": log_decoh}
-
-
-def _equivalence_circuits():
-    """A mix exercising every scheduling feature the batched walk handles."""
-    circuits = [
-        ghz(3),
-        ghz_linear(6).power(2),
-        qft(4, measure=True),
-        Circuit(4).cx(0, 1).delay(120.0, 2).barrier().cx(2, 3).measure_all(),
-        Circuit(2).h(0).barrier(0).delay(50.0, 1).cx(0, 1).measure(1),
-        Circuit(5).x(0).reset(0).cx(0, 4).project(1, 4),
-    ]
-    for seed, width in ((3, 3), (5, 5), (9, 7)):
-        circuits.append(
-            random_circuit(width, depth=6, two_qubit_prob=0.4, seed=seed)
-        )
-    return circuits
-
-
-def _equivalence_models(num_qubits=8):
-    uniform = NoiseModel.uniform(
-        num_qubits, error_2q=0.02, readout_error=0.03, duration_2q_ns=320.0
-    )
-    hetero = NoiseModel.uniform(
-        num_qubits, t1_us=60.0, t2_us=35.0, error_2q=0.03, readout_error=0.04
-    )
-    hetero.gates_1q[("sx", 0)] = GateNoise(error=0.004, duration_ns=70.0)
-    hetero.gates_1q[("rz", 2)] = GateNoise(error=0.0, duration_ns=0.0)
-    hetero.gates_2q[(0, 1)] = GateNoise(error=0.055, duration_ns=410.0)
-    return [uniform, hetero]
 
 
 class TestBatchedEspEquivalence:
