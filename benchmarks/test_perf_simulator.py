@@ -676,7 +676,6 @@ def test_perf_batched_estimates():
     issues per arrival) through the stacked fill must beat the per-QPU
     loop it replaced (kept in ``tests/helpers``) by >=3x too."""
     from helpers.reference_estimates import reference_cached_block
-    from repro.cloud import AnalyticEstimateSource
     from repro.cloud.job import QuantumJob, feasibility_matrix
     from repro.estimator import CachedEstimator
     from repro.workloads import WorkloadSampler
@@ -698,8 +697,8 @@ def test_perf_batched_estimates():
     ]
     feas = feasibility_matrix(jobs, fleet)
 
-    # Warm both paths once so one-time costs (feature caches, the ESP
-    # feature extraction memo) don't skew either side.
+    # Warm both paths once so one-time costs (feature caches) don't skew
+    # either side.
     estimator.estimate_block(jobs, fleet, feas)
     estimator.estimate_for_qpu(jobs[0], fleet[0])
 
@@ -754,20 +753,6 @@ def test_perf_batched_estimates():
         )
     arrival_speedup = arrival_loop_us / max(arrival_stacked_us, 1e-9)
 
-    # The analytic source gets the same treatment (informational: it is
-    # the training-free path, not the scheduling default).
-    analytic = AnalyticEstimateSource()
-    analytic.estimate_block(jobs[:20], fleet[:2])
-    t0 = time.perf_counter()
-    analytic.estimate_block(jobs, fleet, feas)
-    analytic_block_seconds = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    for i, j in enumerate(jobs[:40]):
-        for k, q in enumerate(fleet):
-            if feas[i, k]:
-                analytic(j, q)
-    analytic_pair_seconds = (time.perf_counter() - t0) * (num_jobs / 40)
-
     result = {
         "paper": {},
         "measured": {
@@ -781,11 +766,6 @@ def test_perf_batched_estimates():
             "arrival_block_loop_us": round(arrival_loop_us, 1),
             "arrival_block_stacked_us": round(arrival_stacked_us, 1),
             "arrival_block_speedup": round(arrival_speedup, 2),
-            "analytic_block_seconds": round(analytic_block_seconds, 4),
-            "analytic_pair_seconds_est": round(analytic_pair_seconds, 4),
-            "analytic_block_speedup_est": round(
-                analytic_pair_seconds / max(analytic_block_seconds, 1e-9), 2
-            ),
         },
     }
     report("Perf: batched estimate blocks", result,

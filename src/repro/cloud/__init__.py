@@ -35,7 +35,7 @@ from .imbalance import QueueTrace, simulate_queue_imbalance
 from .job import HybridApplication, JobStatus, QuantumJob, feasibility_matrix
 from .loadgen import IBM_MEAN_RATE, IBM_RATE_BAND, LoadGenerator, diurnal_rate
 from .metrics import SimulationMetrics, TimeSeries
-from .proxy import AnalyticEstimateSource, ProxyEntry, TranspileProxy
+from .proxy import ProxyEntry, TranspileProxy
 from .simulator import CloudSimulator, SimulationConfig
 from .tenancy import (
     BEST_EFFORT_TIER,
@@ -55,7 +55,6 @@ __all__ = [
     "JobStatus",
     "QuantumJob",
     "feasibility_matrix",
-    "AnalyticEstimateSource",
     "ProxyEntry",
     "TranspileProxy",
     "MITIGATION_EFFECTS",

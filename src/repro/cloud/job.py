@@ -18,16 +18,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["JobStatus", "QuantumJob", "HybridApplication", "feasibility_matrix"]
 
 
-def feasibility_matrix(jobs, qpus, *, online_only: bool = True) -> np.ndarray:
+def feasibility_matrix(jobs, qpus) -> np.ndarray:
     """(jobs x qpus) bool mask of width-feasible assignments.
 
     The single definition of the scheduling size constraint ``q_i <= s_k``;
-    offline devices are infeasible unless ``online_only`` is disabled.
+    offline devices are infeasible.
     """
     widths = np.array([j.num_qubits for j in jobs])
-    caps = np.array(
-        [q.num_qubits if (q.online or not online_only) else -1 for q in qpus]
-    )
+    caps = np.array([q.num_qubits if q.online else -1 for q in qpus])
     return widths[:, None] <= caps[None, :]
 
 _job_ids = itertools.count()

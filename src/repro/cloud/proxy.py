@@ -1,4 +1,4 @@
-"""Transpilation-cost and estimation proxies.
+"""Transpilation-cost proxy.
 
 Cloud-scale simulations schedule ~1500 jobs/hour; running the full
 transpiler per (job, QPU) pair would dominate wall time without changing
@@ -8,11 +8,6 @@ basis decomposition inflate two-qubit counts and durations — by running the
 
 The proxy therefore stays faithful to the actual compiler (it is fitted to
 it) while costing O(1) per job.
-
-:class:`AnalyticEstimateSource` is the estimation-side counterpart: an
-:class:`~repro.estimator.source.EstimateSource` that scores whole job
-blocks with the closed-form ESP model instead of trained regressors —
-the cheap analytic proxy for runs that skip estimator training.
 """
 
 from __future__ import annotations
@@ -22,16 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..backends.models import QPUModel
-from ..backends.qpu import QPU
 from ..circuits.metrics import CircuitMetrics
-from ..simulation.esp import esp_components_batch, esp_to_hellinger_batch
 from ..simulation.noise import NoiseModel
 from ..transpiler import Target, transpile
 from ..workloads import qaoa_maxcut, random_circuit
 from ..workloads.vqe import real_amplitudes
-from .job import QuantumJob, feasibility_matrix
 
-__all__ = ["TranspileProxy", "ProxyEntry", "AnalyticEstimateSource"]
+__all__ = ["TranspileProxy", "ProxyEntry"]
 
 
 @dataclass(frozen=True)
@@ -88,12 +80,9 @@ class TranspileProxy:
     #: Probe calibration is deterministic per (model, class) — fixed probe
     #: seeds, deterministic transpiler — so tables are shared process-wide
     #: instead of being re-fitted by every proxy instance.
-    _SHARED_TABLES: dict[tuple[str, str], list[ProxyEntry]] = {}
+    _SHARED_TABLES: dict[tuple, list[ProxyEntry]] = {}
 
-    def __init__(self, *, share_tables: bool = True) -> None:
-        self._tables: dict[tuple[str, str], list[ProxyEntry]] = (
-            self._SHARED_TABLES if share_tables else {}
-        )
+    def __init__(self) -> None:
         #: Memo of :meth:`physical_metrics` keyed on the metrics fingerprint
         #: and model name (the proxy is calibration-independent, so entries
         #: never go stale).
@@ -156,9 +145,9 @@ class TranspileProxy:
 
     def table(self, model: QPUModel, cls: str = "sparse") -> list[ProxyEntry]:
         key = self._table_key(model, cls)
-        if key not in self._tables:
-            self._tables[key] = self._calibrate(model, cls)
-        return self._tables[key]
+        if key not in self._SHARED_TABLES:
+            self._SHARED_TABLES[key] = self._calibrate(model, cls)
+        return self._SHARED_TABLES[key]
 
     # ------------------------------------------------------------------
     def physical_metrics(
@@ -192,69 +181,3 @@ class TranspileProxy:
         duration_ns = two_q_depth * ns_layer + model.readout_duration_ns
         return phys_2q, phys_1q, duration_ns
 
-
-class AnalyticEstimateSource:
-    """Closed-form ESP scoring of (job, QPU) blocks.
-
-    An :class:`~repro.estimator.source.EstimateSource` whose
-    :meth:`estimate_block` evaluates the analytic error-suppression
-    probability of every feasible pair in one batched
-    :func:`~repro.simulation.esp.esp_components_batch` call per QPU —
-    fidelity is the Hellinger-adjusted ESP, runtime the schedule duration
-    plugged into the cloud shot/setup cost model.  Jobs must retain their
-    circuits (``keep_circuit=True``); cloud-scale streams that drop them
-    should use the trained estimator instead.
-    """
-
-    name = "analytic_esp"
-
-    def __call__(self, job: QuantumJob, qpu: QPU) -> tuple[float, float]:
-        fid, sec = self.estimate_block([job], [qpu])
-        return float(fid[0, 0]), float(sec[0, 0])
-
-    def estimate_block(
-        self,
-        jobs: list[QuantumJob],
-        qpus: list[QPU],
-        feasible: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(fidelity, exec_seconds) matrices over ``jobs`` x ``qpus``.
-
-        Infeasible pairs stay zero and are never evaluated (the ESP walk
-        indexes the QPU's noise arrays by circuit qubit, so feasibility
-        also guards the width bound).
-        """
-        # Imported lazily: execution imports this module at load time.
-        from .execution import SHOT_OVERHEAD_US, QPU_SETUP_SECONDS
-
-        n, m = len(jobs), len(qpus)
-        fid = np.zeros((n, m))
-        sec = np.zeros((n, m))
-        if feasible is None:
-            feasible = feasibility_matrix(jobs, qpus)
-        widths = np.array([j.num_qubits for j in jobs], dtype=int)
-        shots = np.array([j.shots for j in jobs], dtype=float)
-        for k, qpu in enumerate(qpus):
-            idx = np.flatnonzero(feasible[:, k])
-            if idx.size == 0:
-                continue
-            circuits = []
-            for i in idx:
-                if jobs[i].circuit is None:
-                    raise ValueError(
-                        "AnalyticEstimateSource needs job circuits; job "
-                        f"{jobs[i].job_id} was created with keep_circuit=False"
-                    )
-                circuits.append(jobs[i].circuit)
-            comps = esp_components_batch(circuits, qpu.noise_model)
-            esp_values = np.exp(
-                comps["gate"] + comps["readout"] + comps["decoherence"]
-            )
-            fid[idx, k] = esp_to_hellinger_batch(esp_values, widths[idx])
-            per_shot_s = comps["duration_ns"] / 1e9 + SHOT_OVERHEAD_US / 1e6
-            sec[idx, k] = QPU_SETUP_SECONDS + shots[idx] * per_shot_s
-        return fid, sec
-
-    def on_recalibration(self, qpus: list[QPU]) -> None:
-        """Stateless: nothing to invalidate, fresh noise models are read
-        from the QPUs on every block."""

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from ..circuits.circuit import Circuit
 from ..simulation.noise import NoiseModel
+from ..simulation.schedule import schedule_circuit
 
 __all__ = ["DD", "insert_dd"]
 
@@ -66,10 +67,10 @@ def insert_dd(
 ) -> Circuit:
     """Insert DD sequences into idle windows longer than ``min_idle_ns``.
 
-    An ASAP pass finds, for every op, the gap since each involved qubit was
-    last active; gaps large enough to fit the pulse sequence are replaced
-    by ``delay - pulse - delay - pulse - ... - delay`` with equal spacing
-    (a symmetric CPMG-style placement).
+    The ASAP schedule gives, for every op, the gap since each involved
+    qubit was last active; gaps large enough to fit the pulse sequence are
+    replaced by ``delay - pulse - delay - pulse - ... - delay`` with equal
+    spacing (a symmetric CPMG-style placement).
     """
     if sequence_type not in _SEQUENCES:
         raise ValueError(
@@ -78,7 +79,7 @@ def insert_dd(
     pulses = _SEQUENCES[sequence_type]
     pulse_dur = noise_model.default_1q.duration_ns
 
-    finish = [0.0] * circuit.num_qubits
+    free = [0.0] * circuit.num_qubits
     out = Circuit(circuit.num_qubits, f"{circuit.name}_dd")
     out.metadata = dict(circuit.metadata)
     out.metadata["dd_sequence"] = sequence_type
@@ -96,31 +97,16 @@ def insert_dd(
         out.delay(slack * spacings[-1], q)
         inserted += n_pulses
 
-    for g in circuit.ops:
-        if g.name == "barrier":
-            wires = g.qubits if g.qubits else tuple(range(circuit.num_qubits))
-            sync = max((finish[q] for q in wires), default=0.0)
-            for q in wires:
-                finish[q] = sync
-            out.append(g)
-            continue
-        if g.name == "delay":
-            finish[g.qubits[0]] += g.params[0]
-            out.append(g)
-            continue
-        if g.name in ("measure", "reset"):
-            dur = noise_model.readout_duration_ns
-        elif g.is_unitary:
-            dur = noise_model.gate_noise(g.name, g.qubits).duration_ns
-        else:
-            dur = 0.0
-        start = max(finish[q] for q in g.qubits)
-        for q in g.qubits:
-            gap = start - finish[q]
-            if gap >= max(min_idle_ns, len(pulses) * pulse_dur * 1.5):
-                emit_dd(q, gap)
-        out.append(g)
-        for q in g.qubits:
-            finish[q] = start + dur
+    for op in schedule_circuit(circuit, noise_model).ops:
+        # A barrier is a sync point, not an op: the wait in front of it is
+        # left unfilled, and its wires count as busy until it.
+        if op.name != "barrier":
+            for q in op.qubits:
+                gap = op.start_ns - free[q]
+                if gap >= max(min_idle_ns, len(pulses) * pulse_dur * 1.5):
+                    emit_dd(q, gap)
+        out.append(circuit.ops[op.index])
+        for q in op.qubits:
+            free[q] = op.end_ns
     out.metadata["dd_pulses_inserted"] = inserted
     return out

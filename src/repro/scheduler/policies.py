@@ -14,9 +14,10 @@
 All are :class:`~repro.scheduler.policy.SchedulingPolicy` subclasses.
 FCFS scores every batch through one
 :meth:`~repro.estimator.source.EstimateSource.estimate_block` call
-(:class:`~repro.estimator.cache.CachedEstimator`,
-:class:`~repro.cloud.proxy.AnalyticEstimateSource`, or a synthetic scorer
-wrapped in :class:`~repro.estimator.source.PairwiseEstimateSource`);
+(:class:`~repro.estimator.estimator.ResourceEstimator`,
+:class:`~repro.estimator.cache.CachedEstimator` in front of it, or a
+synthetic scorer wrapped in
+:class:`~repro.estimator.source.PairwiseEstimateSource`);
 least-busy asks the same source for one 1×1 block per job.
 """
 

@@ -1,5 +1,6 @@
 """Simulation substrate: ideal statevector, noisy trajectories, readout
-errors, distribution metrics, and the analytic ESP fidelity model."""
+errors, distribution metrics, the ASAP schedule every timing reader shares,
+and the analytic ESP fidelity model."""
 
 from .distributions import (
     counts_to_probs,
@@ -11,18 +12,11 @@ from .distributions import (
     total_variation_distance,
 )
 from .esp import (
-    CircuitEspFeatures,
     circuit_duration_ns,
-    circuit_duration_ns_batch,
     esp,
-    esp_batch,
     esp_components,
-    esp_components_batch,
     esp_to_hellinger,
-    esp_to_hellinger_batch,
     estimate_fidelity_analytic,
-    estimate_fidelity_analytic_batch,
-    extract_esp_features,
 )
 from .noise import GateNoise, NoiseModel, QubitNoise
 from .readout import (
@@ -30,6 +24,7 @@ from .readout import (
     apply_readout_noise_probs,
     full_confusion_matrix,
 )
+from .schedule import Schedule, ScheduledOp, schedule_circuit
 from .statevector import (
     MAX_STATEVECTOR_QUBITS,
     apply_gate,
@@ -70,16 +65,12 @@ __all__ = [
     "full_confusion_matrix",
     "NoisyResult",
     "NoisySimulator",
-    "CircuitEspFeatures",
-    "extract_esp_features",
+    "Schedule",
+    "ScheduledOp",
+    "schedule_circuit",
     "circuit_duration_ns",
-    "circuit_duration_ns_batch",
     "esp",
-    "esp_batch",
     "esp_components",
-    "esp_components_batch",
     "esp_to_hellinger",
-    "esp_to_hellinger_batch",
     "estimate_fidelity_analytic",
-    "estimate_fidelity_analytic_batch",
 ]

@@ -1,6 +1,7 @@
 """Stochastic (quantum-trajectory) noisy simulation.
 
-Noise is injected between ideal gates along an ASAP schedule of the circuit:
+Noise is injected between ideal gates along the circuit's ASAP schedule
+(:func:`~repro.simulation.schedule.schedule_circuit`):
 
 * **Gate errors** — after every unitary gate, a depolarizing-style Pauli
   error fires on each involved qubit with the gate's calibrated error
@@ -44,6 +45,7 @@ from ..circuits.circuit import Circuit
 from ..circuits.gates import gate_matrix
 from .noise import NoiseModel
 from .readout import apply_readout_noise_probs
+from .schedule import schedule_circuit
 from .statevector import apply_matrix_batched, sample_counts
 
 __all__ = ["NoisySimulator", "NoisyResult", "QUASI_STATIC_FRACTION"]
@@ -170,36 +172,6 @@ class NoisySimulator:
         return apply_readout_noise_probs(acc, self.noise_model, n)
 
     # ------------------------------------------------------------------
-    def _build_timeline(self, circuit: Circuit) -> list[tuple[int, float, float]]:
-        """Per-op (op_index, start_ns, duration_ns) via a local ASAP pass."""
-        nm = self.noise_model
-        finish = [0.0] * circuit.num_qubits
-        timeline: list[tuple[int, float, float]] = []
-        for idx, g in enumerate(circuit.ops):
-            if g.name == "barrier":
-                wires = g.qubits if g.qubits else tuple(range(circuit.num_qubits))
-                sync = max((finish[q] for q in wires), default=0.0)
-                for q in wires:
-                    finish[q] = sync
-                timeline.append((idx, sync, 0.0))
-                continue
-            if g.name == "delay":
-                q = g.qubits[0]
-                timeline.append((idx, finish[q], g.params[0]))
-                finish[q] += g.params[0]
-                continue
-            if g.name in ("measure", "reset", "project"):
-                dur = nm.readout_duration_ns
-            elif g.is_unitary:
-                dur = nm.gate_noise(g.name, g.qubits).duration_ns
-            else:
-                dur = 0.0
-            start = max(finish[q] for q in g.qubits)
-            timeline.append((idx, start, dur))
-            for q in g.qubits:
-                finish[q] = start + dur
-        return timeline
-
     def _noise_plan(self, circuit: Circuit) -> list[tuple]:
         """The deterministic event sequence of one run, in schedule order.
 
@@ -211,32 +183,31 @@ class NoisySimulator:
         keeps their randomness consumption in lockstep.
         """
         nm = self.noise_model
-        ops = circuit.ops
         last_end = [0.0] * circuit.num_qubits
         plan: list[tuple] = []
-        for idx, start, dur in self._build_timeline(circuit):
-            g = ops[idx]
-            if g.name == "barrier":
+        for op in schedule_circuit(circuit, nm).ops:
+            if op.name == "barrier":
                 continue
+            g = circuit.ops[op.index]
             # Idle decoherence on each involved qubit since its last activity.
             if self.include_idle_noise:
                 for q in g.qubits:
-                    gap = start - last_end[q]
+                    gap = op.start_ns - last_end[q]
                     if gap > 0.0:
                         plan.append(("window", q, gap))
             if g.is_unitary:
-                plan.append(("unitary", idx))
+                plan.append(("unitary", op.index))
                 gn = nm.gate_noise(g.name, g.qubits)
                 if gn.error > 0.0:
-                    plan.append(("gate_error", idx, gn.error, g.qubits))
+                    plan.append(("gate_error", op.index, gn.error, g.qubits))
             elif g.name == "project":
-                plan.append(("project", idx))
+                plan.append(("project", op.index))
             # Decoherence over the op duration itself (gates, delays, readout).
-            if dur > 0.0:
+            if op.duration_ns > 0.0:
                 for q in g.qubits:
-                    plan.append(("window", q, dur))
+                    plan.append(("window", q, op.duration_ns))
             for q in g.qubits:
-                last_end[q] = start + dur
+                last_end[q] = op.end_ns
         return plan
 
     def _detuning_sigmas(self, num_qubits: int) -> np.ndarray:

@@ -1,4 +1,6 @@
-"""Transpiler: basis decomposition, layout, routing, scheduling."""
+"""Transpiler: basis decomposition, layout, routing, scheduling (the ASAP
+walk itself lives in :mod:`repro.simulation.schedule`, below all of its
+readers)."""
 
 from .decompose import (
     decompose_circuit,
@@ -7,9 +9,9 @@ from .decompose import (
     u_to_basis_ops,
     zyz_angles,
 )
+from ..simulation.schedule import Schedule, ScheduledOp, schedule_circuit
 from .layout import Layout, linear_path_layout, noise_aware_layout, trivial_layout
 from .routing import RoutedCircuit, distance_matrix, route
-from .scheduling import Schedule, ScheduledOp, schedule_circuit
 from .transpile import Target, TranspileResult, transpile
 
 __all__ = [

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from ..circuits.circuit import Circuit
 from ..circuits.metrics import CircuitMetrics, compute_metrics
 from ..simulation.noise import NoiseModel
+from ..simulation.schedule import Schedule, schedule_circuit
 from .decompose import decompose_circuit, fuse_1q_runs
-from .layout import linear_path_layout, noise_aware_layout, trivial_layout
+from .layout import linear_path_layout, noise_aware_layout
 from .routing import route
-from .scheduling import Schedule, schedule_circuit
 
 __all__ = ["TranspileResult", "transpile", "Target"]
 
@@ -61,13 +61,7 @@ class TranspileResult:
         return self.schedule.duration_ns
 
 
-def transpile(
-    circuit: Circuit,
-    target: Target,
-    *,
-    layout_method: str = "noise_aware",
-    optimize_1q: bool = True,
-) -> TranspileResult:
+def transpile(circuit: Circuit, target: Target) -> TranspileResult:
     """Compile ``circuit`` for ``target``.
 
     Raises ``ValueError`` when the circuit is wider than the device.
@@ -78,20 +72,15 @@ def transpile(
             f"{target.num_qubits}-qubit target"
         )
     basis = decompose_circuit(circuit)
-    if layout_method == "trivial":
-        layout = trivial_layout(basis, target.num_qubits)
-    elif layout_method == "noise_aware":
-        # Chain-structured circuits map along a physical path (near-zero
-        # routing); everything else gets the greedy best-region layout.
-        layout = linear_path_layout(
+    # Chain-structured circuits map along a physical path (near-zero
+    # routing); everything else gets the greedy best-region layout.
+    layout = linear_path_layout(
+        basis, list(target.coupling), target.noise_model, target.num_qubits
+    )
+    if layout is None:
+        layout = noise_aware_layout(
             basis, list(target.coupling), target.noise_model, target.num_qubits
         )
-        if layout is None:
-            layout = noise_aware_layout(
-                basis, list(target.coupling), target.noise_model, target.num_qubits
-            )
-    else:
-        raise ValueError(f"unknown layout method {layout_method!r}")
 
     routed = route(
         basis,
@@ -99,9 +88,7 @@ def transpile(
         target.num_qubits,
         initial_mapping=layout.logical_to_physical,
     )
-    physical = decompose_circuit(routed.circuit)  # expand inserted swaps
-    if optimize_1q:
-        physical = fuse_1q_runs(physical)
+    physical = fuse_1q_runs(decompose_circuit(routed.circuit))  # expands swaps
     sched = schedule_circuit(physical, target.noise_model)
     return TranspileResult(
         circuit=physical,

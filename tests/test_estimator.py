@@ -242,19 +242,12 @@ class TestPlans:
 # The unified estimate-source surface (EstimateSource / estimate_block)
 # ---------------------------------------------------------------------------
 
-from repro.cloud import AnalyticEstimateSource  # noqa: E402
-from repro.cloud.execution import (  # noqa: E402
-    QPU_SETUP_SECONDS,
-    SHOT_OVERHEAD_US,
-)
 from repro.cloud.job import feasibility_matrix  # noqa: E402
 from repro.estimator import (  # noqa: E402
     PairwiseEstimateSource,
     block_feasibility,
     require_estimate_source,
 )
-from repro.simulation import esp, esp_to_hellinger  # noqa: E402
-from repro.workloads import ghz  # noqa: E402
 
 
 def _jobs_with_circuits(widths=(2, 4, 3, 6, 27)):
@@ -570,48 +563,3 @@ class TestSegmentedPredictBitIdentity:
             )
             assert np.array_equal(pipeline.predict(raw, segments), want), label
 
-
-class TestAnalyticEstimateSource:
-    def test_block_matches_esp_math(self, fleet):
-        jobs = _jobs_with_circuits((2, 3, 5, 4))
-        source = AnalyticEstimateSource()
-        fid, sec = source.estimate_block(jobs, fleet)
-        feas = feasibility_matrix(jobs, fleet)
-        for i, job in enumerate(jobs):
-            for k, qpu in enumerate(fleet):
-                if not feas[i, k]:
-                    assert fid[i, k] == 0.0 and sec[i, k] == 0.0
-                    continue
-                nm = qpu.noise_model
-                expect_fid = esp_to_hellinger(
-                    esp(job.circuit, nm), job.num_qubits
-                )
-                from repro.simulation import circuit_duration_ns
-
-                per_shot = (
-                    circuit_duration_ns(job.circuit, nm) / 1e9
-                    + SHOT_OVERHEAD_US / 1e6
-                )
-                expect_sec = QPU_SETUP_SECONDS + job.shots * per_shot
-                assert abs(fid[i, k] - expect_fid) <= 1e-12
-                assert abs(sec[i, k] - expect_sec) <= 1e-9
-
-    def test_pair_view_matches_block(self, fleet):
-        job = _jobs_with_circuits((4,))[0]
-        source = AnalyticEstimateSource()
-        pf, ps = source(job, fleet[0])
-        fid, sec = source.estimate_block([job], [fleet[0]])
-        assert pf == fid[0, 0] and ps == sec[0, 0]
-
-    def test_requires_circuits(self, fleet):
-        job = QuantumJob.from_circuit(ghz(3), keep_circuit=False)
-        with pytest.raises(ValueError, match="keep_circuit"):
-            AnalyticEstimateSource().estimate_block([job], fleet)
-
-    def test_drives_scheduling_policy(self, fleet):
-        from repro.scheduler import FCFSPolicy
-
-        jobs = _jobs_with_circuits((2, 3, 4))
-        policy = FCFSPolicy(AnalyticEstimateSource())
-        out = policy.assign(jobs, fleet, {})
-        assert all(name is not None for _, name in out)

@@ -1,69 +1,122 @@
-"""Every ASAP walk in ``src/`` against the sequential reference.
+"""The one ASAP walk in ``src/`` and its readers against the sequential
+reference.
 
-``tests/helpers/reference_schedule.py`` keeps the critical-path walk in
-its plain form; each reader in ``src/`` — ``schedule_circuit``, the
-trajectory simulator's timeline, the gaps ``insert_dd`` fills and
-``circuit_duration_ns`` — is held to it with ``==`` on every circuit x
-model of the equivalence set, and the simulator's draw order is pinned by
-three ``noisy_probabilities`` arrays captured at 8d33883.
+``tests/helpers/reference_schedule.py`` keeps the critical-path walk and
+the ESP model on top of it in their plain form; ``schedule_circuit`` and
+what each reader makes of it — the trajectory simulator's decoherence
+windows, the gaps ``insert_dd`` fills, ``circuit_duration_ns`` and
+``esp_components`` — are held to it with ``==`` on every circuit x model
+of the equivalence set, and the simulator's draw order is pinned by three
+``noisy_probabilities`` arrays captured at 8d33883 (when the simulator,
+``insert_dd``, ``transpile`` and a batched ESP kernel each walked alone).
 """
+
+import ast
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from helpers.reference_schedule import (
     equivalence_circuits,
     equivalence_models,
+    reference_components,
     reference_duration_ns,
     reference_timeline,
 )
 from repro.circuits import Circuit, Gate
 from repro.mitigation.dd import _SEQUENCES, _SPACINGS, insert_dd
-from repro.simulation import NoiseModel, NoisySimulator, circuit_duration_ns
-from repro.transpiler import schedule_circuit
-
-
-def _has_project(circuit):
-    return any(g.name == "project" for g in circuit.ops)
-
+from repro.simulation import (
+    NoiseModel,
+    NoisySimulator,
+    QubitNoise,
+    circuit_duration_ns,
+    esp,
+    esp_components,
+    schedule_circuit,
+)
+from repro.transpiler import Target, transpile
+from repro.workloads import ghz, ghz_linear
 
 CASES = [
     pytest.param(c, nm, id=f"{i}-{c.name}-{label}")
     for i, c in enumerate(equivalence_circuits())
     for label, nm in zip(("uniform", "hetero"), equivalence_models())
 ]
-#: The four walks disagree on how long a ``project`` lasts (pinned below),
-#: so equality is asserted where none occurs.
-AGREED = [p for p in CASES if not _has_project(p.values[0])]
 
 
 def _project_circuit():
     return Circuit(3).h(0).cx(0, 1).project(0, 1).cx(1, 2)
 
 
+def _expected_windows(circuit, nm):
+    """The simulator's decoherence windows, ``(qubit, dt_ns)`` in plan
+    order: a wire's idle time since its last op, then the op itself."""
+    last_end = [0.0] * circuit.num_qubits
+    windows = []
+    for idx, start, dur in reference_timeline(circuit, nm):
+        g = circuit.ops[idx]
+        if g.name == "barrier":
+            continue
+        windows += [
+            (q, start - last_end[q]) for q in g.qubits if start > last_end[q]
+        ]
+        if dur > 0.0:
+            windows += [(q, dur) for q in g.qubits]
+        for q in g.qubits:
+            last_end[q] = start + dur
+    return windows
+
+
 class TestWalksEqualTheReference:
-    @pytest.mark.parametrize("circuit, nm", AGREED)
+    @pytest.mark.parametrize("circuit, nm", CASES)
     def test_schedule_circuit(self, circuit, nm):
         sched = schedule_circuit(circuit, nm)
         assert sched.duration_ns == reference_duration_ns(circuit, nm)
         assert [
             (op.index, op.start_ns, op.duration_ns) for op in sched.ops
-        ] == [
-            entry
-            for entry in reference_timeline(circuit, nm)
-            if circuit.ops[entry[0]].name != "barrier"
-        ]
+        ] == reference_timeline(circuit, nm)
 
     @pytest.mark.parametrize("circuit, nm", CASES)
-    def test_simulator_timeline(self, circuit, nm):
-        timeline = NoisySimulator(nm, seed=0)._build_timeline(circuit)
-        assert timeline == reference_timeline(circuit, nm)
+    def test_simulator_windows(self, circuit, nm):
+        plan = NoisySimulator(nm, seed=0)._noise_plan(circuit)
+        windows = [ev[1:] for ev in plan if ev[0] == "window"]
+        assert windows == _expected_windows(circuit, nm)
 
     @pytest.mark.parametrize("circuit, nm", CASES)
     def test_circuit_duration_ns(self, circuit, nm):
         assert circuit_duration_ns(circuit, nm) == reference_duration_ns(
             circuit, nm
         )
+
+
+class TestEspEqualsTheSequentialWalk:
+    @pytest.mark.parametrize("circuit, nm", CASES)
+    def test_components(self, circuit, nm):
+        ref = reference_components(circuit, nm)
+        assert esp_components(circuit, nm) == ref
+        assert esp(circuit, nm) == math.exp(sum(ref.values()))
+
+    def test_narrow_circuits_on_a_wide_model(self):
+        nm = NoiseModel.uniform(9, error_2q=0.02, readout_error=0.02)
+        for circuit in (ghz(2), ghz_linear(9), ghz(5)):
+            ref = reference_components(circuit, nm)
+            assert esp(circuit, nm) == math.exp(sum(ref.values())), circuit.name
+
+    def test_certain_failure_short_circuits(self):
+        # Gate errors are validated < 1, so the only reachable certain
+        # failure is a fully-scrambled readout (p01 = p10 = 1).
+        nm = NoiseModel.uniform(2, error_2q=0.02)
+        nm.qubits[1] = QubitNoise(
+            t1_us=100.0, t2_us=80.0, readout_p01=1.0, readout_p10=1.0
+        )
+        c = Circuit(2).cx(0, 1).measure_all()
+        comps = esp_components(c, nm)
+        assert comps == {"gate": 0.0, "readout": -math.inf, "decoherence": 0.0}
+        assert esp(c, nm) == 0.0
+        assert reference_components(c, nm) == comps
 
 
 def _expected_dd_ops(circuit, nm, sequence_type, min_idle_ns):
@@ -97,7 +150,7 @@ def _expected_dd_ops(circuit, nm, sequence_type, min_idle_ns):
 class TestDDFillsTheReferenceGaps:
     @pytest.mark.parametrize("min_idle_ns", [150.0, 40.0])
     @pytest.mark.parametrize("sequence_type", ["XpXm", "XY4"])
-    @pytest.mark.parametrize("circuit, nm", AGREED)
+    @pytest.mark.parametrize("circuit, nm", CASES)
     def test_output_is_op_for_op_equal(
         self, circuit, nm, sequence_type, min_idle_ns
     ):
@@ -111,26 +164,58 @@ class TestDDFillsTheReferenceGaps:
     def test_the_set_has_gaps_to_fill(self):
         inserted = [
             insert_dd(p.values[0], p.values[1]).metadata["dd_pulses_inserted"]
-            for p in AGREED
+            for p in CASES
         ]
         assert sum(1 for n in inserted if n) >= 10
 
 
-class TestProjectDuration:
-    """As found at 8d33883: a ``project`` lasts 0 ns to ``transpile`` and
-    ``insert_dd`` and ``readout_duration_ns`` to the simulator and the ESP
-    model that then score the same circuit."""
+class TestProjectLastsAReadout:
+    """A projector is a mid-circuit measurement: every reader charges it
+    ``readout_duration_ns``.  (At 8d33883 it lasted 0 ns to ``transpile``
+    and ``insert_dd`` — 635.0 ns for the circuit below — and a readout to
+    the simulator and the ESP model that then scored it.)"""
 
-    def test_the_walks_disagree(self):
+    def test_the_walks_agree(self):
         circuit = _project_circuit()
         nm = NoiseModel.uniform(3, error_2q=0.02, duration_2q_ns=300.0)
-        assert schedule_circuit(circuit, nm).duration_ns == 635.0
+        assert schedule_circuit(circuit, nm).duration_ns == 1435.0
         assert circuit_duration_ns(circuit, nm) == 1435.0
-        assert NoisySimulator(nm, seed=0)._build_timeline(circuit) == [
-            (0, 0.0, 35.0), (1, 35.0, 300.0), (2, 335.0, 800.0),
-            (3, 1135.0, 300.0),
-        ]
         assert reference_duration_ns(circuit, nm) == 1435.0
+
+    def test_transpile_charges_it(self):
+        nm = NoiseModel.uniform(2, edges=[(0, 1)])
+        target = Target(2, ((0, 1),), ("cx", "rz", "sx", "x"), nm)
+        bare = transpile(Circuit(2).cx(0, 1), target)
+        projected = transpile(Circuit(2).cx(0, 1).project(0, 1), target)
+        assert projected.duration_ns == bare.duration_ns + nm.readout_duration_ns
+
+    def test_the_simulator_decoheres_over_it(self):
+        nm = NoiseModel.uniform(2)
+        plan = NoisySimulator(nm, seed=0)._noise_plan(Circuit(2).project(0, 1))
+        assert plan == [("project", 0), ("window", 1, nm.readout_duration_ns)]
+
+    def test_insert_dd_fills_the_wait_beside_it(self):
+        nm = NoiseModel.uniform(2)
+        out = insert_dd(Circuit(2).project(0, 0).cx(0, 1), nm)
+        slack = nm.readout_duration_ns - 2 * nm.default_1q.duration_ns
+        assert out.ops == [
+            Gate("project", (0,), (0.0,)),
+            Gate("delay", (1,), (slack * 0.25,)),
+            Gate("x", (1,)),
+            Gate("delay", (1,), (slack * 0.5,)),
+            Gate("x", (1,)),
+            Gate("delay", (1,), (slack * 0.25,)),
+            Gate("cx", (0, 1)),
+        ]
+
+    def test_esp_decoheres_over_it(self):
+        nm = NoiseModel.uniform(1)
+        with_project = esp_components(Circuit(1).x(0).project(1, 0), nm)
+        with_measure = esp_components(Circuit(1).x(0).reset(0), nm)
+        assert with_project == with_measure
+        assert with_project["decoherence"] < esp_components(
+            Circuit(1).x(0), nm
+        )["decoherence"]
 
 
 #: ``NoisySimulator(_PIN_MODEL, num_trajectories=8, seed=4)
@@ -177,3 +262,61 @@ def test_simulator_draw_order_is_pinned(circuit, pinned):
         circuit
     )
     assert np.array_equal(probs, np.array(pinned))
+
+
+# ----------------------------------------------------------------------
+# Guard: one module under src/ decides how long an op lasts
+# ----------------------------------------------------------------------
+
+SRC = Path(repro.__file__).parent
+
+
+def _is_attr(node, name):
+    return isinstance(node, ast.Attribute) and node.attr == name
+
+
+def _times_an_op(path):
+    """Lines of ``path`` that read ``.duration_ns`` straight off a
+    ``gate_noise(...)`` call, or pick ``readout_duration_ns`` in a branch
+    on an op's ``.name`` — the two halves of an op-duration rule."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (
+            _is_attr(node, "duration_ns")
+            and isinstance(node.value, ast.Call)
+            and _is_attr(node.value.func, "gate_noise")
+        ) or (
+            isinstance(node, ast.If)
+            and any(_is_attr(n, "name") for n in ast.walk(node.test))
+            and any(
+                _is_attr(n, "readout_duration_ns")
+                for stmt in node.body
+                for n in ast.walk(stmt)
+            )
+        ):
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+class TestOneModuleTimesAnOp:
+    def test_only_the_schedule_walk_does(self):
+        # Three at 8d33883: transpiler/scheduling.py, simulation/trajectory.py
+        # and mitigation/dd.py.
+        modules = [
+            str(path.relative_to(SRC))
+            for path in sorted(SRC.rglob("*.py"))
+            if _times_an_op(path)
+        ]
+        assert modules == ["simulation/schedule.py"]
+
+    def test_guard_sees_both_halves_of_a_rule(self, tmp_path):
+        sample = tmp_path / "sample.py"
+        sample.write_text(
+            "if g.name in ('measure', 'reset'):\n"
+            "    dur = nm.readout_duration_ns\n"
+            "elif g.is_unitary:\n"
+            "    dur = nm.gate_noise(g.name, g.qubits).duration_ns\n"
+            "gn = nm.gate_noise('cx', (a, b))\n"
+            "tail = res.duration_ns - model.readout_duration_ns\n"
+        )
+        assert _times_an_op(sample) == ["sample.py:1", "sample.py:4"]

@@ -257,6 +257,16 @@ class TestESP:
         )
         assert abs(analytic - measured) < 0.15
 
+    def test_esp_sees_in_place_append(self):
+        """``Circuit.add`` grows the op list in place; nothing may keep
+        serving the one-gate answer."""
+        nm = NoiseModel.uniform(2, error_2q=0.05)
+        c = Circuit(2)
+        c.add("h", [0])
+        before = esp(c, nm)
+        c.add("cx", [0, 1])
+        assert esp(c, nm) == esp(c.copy(), nm) < before
+
     def test_duration_accumulates(self):
         nm = NoiseModel.uniform(2, duration_2q_ns=300.0)
         c = Circuit(2).cx(0, 1).cx(0, 1)
@@ -272,19 +282,7 @@ class TestESP:
 # RNG stream contracts and batched hot-path equivalence
 # ---------------------------------------------------------------------------
 
-from repro.simulation import (  # noqa: E402
-    apply_matrix_batched,
-    circuit_duration_ns_batch,
-    esp_batch,
-    esp_components_batch,
-    extract_esp_features,
-)
-from helpers.reference_schedule import (  # noqa: E402
-    equivalence_circuits as _equivalence_circuits,
-    equivalence_models as _equivalence_models,
-    reference_components as _legacy_components,
-    reference_duration_ns as _legacy_duration_ns,
-)
+from repro.simulation import apply_matrix_batched  # noqa: E402
 
 
 class TestRngStreamContracts:
@@ -307,76 +305,6 @@ class TestRngStreamContracts:
             format(i, "03b"): int(v) for i, v in enumerate(draws) if v
         }
         assert counts == expect
-
-
-class TestBatchedEspEquivalence:
-    def test_components_match_sequential_walk(self):
-        circuits = _equivalence_circuits()
-        for nm in _equivalence_models():
-            batch = esp_components_batch(circuits, nm)
-            for i, c in enumerate(circuits):
-                ref = _legacy_components(c, nm)
-                for key in ("gate", "readout", "decoherence"):
-                    assert batch[key][i] == pytest.approx(
-                        ref[key], abs=1e-12
-                    ), (c.name, key)
-
-    def test_durations_match_sequential_walk(self):
-        circuits = _equivalence_circuits()
-        for nm in _equivalence_models():
-            durs = circuit_duration_ns_batch(circuits, nm)
-            for i, c in enumerate(circuits):
-                assert durs[i] == _legacy_duration_ns(c, nm)
-
-    def test_single_circuit_views_are_thin(self):
-        nm = _equivalence_models()[1]
-        c = _equivalence_circuits()[3]
-        batch = esp_components_batch([c], nm)
-        single = esp_components(c, nm)
-        for key in ("gate", "readout", "decoherence"):
-            assert single[key] == batch[key][0]
-        assert circuit_duration_ns(c, nm) == batch["duration_ns"][0]
-        assert esp(c, nm) == esp_batch([c], nm)[0]
-
-    def test_certain_failure_short_circuits(self):
-        # Gate errors are validated < 1, so the only reachable certain
-        # failure is a fully-scrambled readout (p01 = p10 = 1).
-        nm = NoiseModel.uniform(2, error_2q=0.02)
-        nm.qubits[1] = QubitNoise(
-            t1_us=100.0, t2_us=80.0, readout_p01=1.0, readout_p10=1.0
-        )
-        c = Circuit(2).cx(0, 1).measure_all()
-        comps = esp_components(c, nm)
-        assert comps == {"gate": 0.0, "readout": -math.inf, "decoherence": 0.0}
-        assert esp(c, nm) == 0.0
-        assert _legacy_components(c, nm) == comps
-
-    def test_feature_cache_tracks_op_identity(self):
-        c = ghz(4)
-        feats = extract_esp_features(c)
-        assert extract_esp_features(c) is feats  # memoized on metadata
-        copied = c.copy()
-        assert extract_esp_features(copied) is not feats  # new ops list
-
-    def test_feature_cache_sees_in_place_append(self):
-        """``Circuit.add`` grows the op list in place, so list identity
-        alone would keep serving the one-gate features."""
-        nm = NoiseModel.uniform(2, error_2q=0.05)
-        c = Circuit(2)
-        c.add("h", [0])
-        stale = extract_esp_features(c)
-        before = esp(c, nm)
-        c.add("cx", [0, 1])
-        fresh = extract_esp_features(c)
-        assert fresh is not stale and len(fresh.kind) == 2
-        assert esp(c, nm) == esp(c.copy(), nm) < before
-
-    def test_mixed_widths_in_one_block(self):
-        nm = NoiseModel.uniform(9, error_2q=0.02, readout_error=0.02)
-        circuits = [ghz(2), ghz_linear(9), ghz(5)]
-        values = esp_batch(circuits, nm)
-        for i, c in enumerate(circuits):
-            assert values[i] == pytest.approx(esp(c, nm), abs=1e-12)
 
 
 class TestBatchedTrajectoryEquivalence:

@@ -236,10 +236,6 @@ class TestTranspile:
         assert res.metrics.num_2q_gates >= 3
         assert res.duration_ns > 0
 
-    def test_unknown_layout_method(self):
-        with pytest.raises(ValueError):
-            transpile(ghz_linear(3), _line_target(4), layout_method="magic")
-
     def test_target_from_backend(self):
         from repro.backends import default_fleet
 
