@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 __all__ = ["QPUModel", "MODELS", "falcon27_coupling", "heavy_hex_like", "get_model"]
 
 
@@ -81,18 +79,6 @@ class QPUModel:
     duration_2q_ns: float = 320.0
     readout_duration_ns: float = 780.0
     price_per_hour: float = 4500.0  # Table 1: QPU-hour 3000-6000 $
-
-    def graph(self) -> nx.Graph:
-        g = nx.Graph()
-        g.add_nodes_from(range(self.num_qubits))
-        g.add_edges_from(self.coupling)
-        return g
-
-    def degree_histogram(self) -> dict[int, int]:
-        hist: dict[int, int] = {}
-        for _, d in self.graph().degree():
-            hist[d] = hist.get(d, 0) + 1
-        return hist
 
 
 MODELS: dict[str, QPUModel] = {

@@ -8,6 +8,7 @@ algebraic operations (composition, inversion, power, remapping).
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Iterator
 
 import numpy as np
@@ -57,8 +58,15 @@ class Circuit:
         return self
 
     def add(self, name: str, qubits: Iterable[int], *params: float) -> "Circuit":
-        """Append gate ``name`` on ``qubits`` with bound ``params``."""
-        return self.append(Gate(name, tuple(int(q) for q in qubits), tuple(params)))
+        """Append gate ``name`` on ``qubits`` with bound ``params``. Qubit
+        indices are ``operator.index``-ed: a float is refused, not truncated."""
+        try:
+            wires = tuple(map(operator.index, qubits))
+        except TypeError:
+            raise TypeError(
+                f"gate {name!r} needs integer qubit indices, got {qubits!r}"
+            ) from None
+        return self.append(Gate(name, wires, params))
 
     # ------------------------------------------------------------------
     # builder API (one method per standard gate)

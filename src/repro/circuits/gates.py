@@ -136,10 +136,6 @@ class GateSpec:
         return self.matrix_fn
 
 
-def _const(mat: np.ndarray) -> np.ndarray:
-    return mat
-
-
 GATE_SPECS: dict[str, GateSpec] = {
     # --- single-qubit, constant --------------------------------------
     "id": GateSpec("id", 1, 0, _I2, self_inverse=True),
@@ -179,43 +175,52 @@ GATE_SPECS: dict[str, GateSpec] = {
     "project": GateSpec("project", 1, 1, None),
 }
 
+# Every Gate of a constant type returns the same array: none may write it.
+for _spec in GATE_SPECS.values():
+    if isinstance(_spec.matrix_fn, np.ndarray):
+        _spec.matrix_fn.setflags(write=False)
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, init=False)
 class Gate:
     """A gate instance: a named operation applied to concrete qubits.
 
     ``qubits`` are circuit-level indices; ``params`` are bound floats. The
     class is immutable and hashable so gates can live in DAG nodes and sets.
+    It is checked against its spec, and ``is_unitary`` read off it, in one
+    pass at construction.
     """
 
     name: str
     qubits: tuple[int, ...]
-    params: tuple[float, ...] = field(default=())
+    params: tuple[float, ...]
+    is_unitary: bool = field(repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        spec = GATE_SPECS.get(self.name)
+    def __init__(self, name: str, qubits: tuple[int, ...], params: tuple[float, ...] = ()) -> None:
+        spec = GATE_SPECS.get(name)
         if spec is None:
-            raise ValueError(f"unknown gate {self.name!r}")
-        if spec.name != "barrier" and len(self.qubits) != spec.num_qubits:
+            raise ValueError(f"unknown gate {name!r}")
+        width = len(qubits)
+        if width != spec.num_qubits and name != "barrier":
             raise ValueError(
-                f"gate {self.name!r} expects {spec.num_qubits} qubits, "
-                f"got {len(self.qubits)}"
+                f"gate {name!r} expects {spec.num_qubits} qubits, got {width}"
             )
-        if spec.num_params != len(self.params) and spec.name != "delay":
+        if len(params) != spec.num_params and name != "delay":
             raise ValueError(
-                f"gate {self.name!r} expects {spec.num_params} params, "
-                f"got {len(self.params)}"
+                f"gate {name!r} expects {spec.num_params} params, got {len(params)}"
             )
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"duplicate qubits in {self.name!r}: {self.qubits}")
+        if width > 1 and len(set(qubits)) != width:
+            raise ValueError(f"duplicate qubits in {name!r}: {qubits}")
+        _set(self, "name", name)
+        _set(self, "qubits", qubits)
+        _set(self, "params", params)
+        _set(self, "is_unitary", spec.matrix_fn is not None)
 
     @property
     def spec(self) -> GateSpec:
         return GATE_SPECS[self.name]
-
-    @property
-    def is_unitary(self) -> bool:
-        return self.spec.matrix_fn is not None
 
     @property
     def num_qubits(self) -> int:

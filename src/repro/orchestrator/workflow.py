@@ -55,15 +55,17 @@ class HybridWorkflow:
         self.graph = nx.DiGraph()
 
     def add_step(self, step: WorkflowStep, after: list[WorkflowStep] | None = None):
-        """Add ``step``, depending on every step in ``after``."""
-        self.graph.add_node(step.step_id, step=step)
-        for dep in after or []:
+        """Add ``step``, depending on every step in ``after``. A step enters
+        once, after its dependencies, so no call can close a cycle."""
+        if step.step_id in self.graph:
+            raise ValueError(f"step {step.name!r} is already in workflow {self.name!r}")
+        deps = after or []
+        for dep in deps:
             if dep.step_id not in self.graph:
                 raise ValueError(f"dependency {dep.name!r} not in workflow")
+        self.graph.add_node(step.step_id, step=step)
+        for dep in deps:
             self.graph.add_edge(dep.step_id, step.step_id)
-        if not nx.is_directed_acyclic_graph(self.graph):
-            self.graph.remove_node(step.step_id)
-            raise ValueError("adding step would create a cycle")
         return step
 
     @classmethod

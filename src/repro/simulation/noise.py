@@ -53,6 +53,9 @@ class GateNoise:
             raise ValueError("duration must be non-negative")
 
 
+_VIRTUAL_RZ = GateNoise(0.0, 0.0)
+
+
 @dataclass
 class NoiseModel:
     """Complete noise description of a QPU.
@@ -90,7 +93,7 @@ class NoiseModel:
             return self.gates_1q[key]
         # rz is virtual (frame change) on IBM hardware: error-free, 0 ns.
         if name == "rz":
-            return GateNoise(0.0, 0.0)
+            return _VIRTUAL_RZ
         return self.default_1q
 
     def decoherence_probs(self, qubit: int, duration_ns: float) -> tuple[float, float]:

@@ -17,6 +17,7 @@ here and nowhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..circuits.circuit import Circuit
 from .noise import NoiseModel
@@ -24,8 +25,7 @@ from .noise import NoiseModel
 __all__ = ["ScheduledOp", "Schedule", "schedule_circuit"]
 
 
-@dataclass(frozen=True)
-class ScheduledOp:
+class ScheduledOp(NamedTuple):
     """One op with resolved timing.
 
     A barrier's ``qubits`` are the wires it syncs (all of them when the
@@ -73,7 +73,7 @@ def schedule_circuit(circuit: Circuit, noise_model: NoiseModel) -> Schedule:
             dur = noise_model.gate_noise(g.name, g.qubits).duration_ns
         else:
             dur = 0.0
-        start = max((finish[q] for q in wires), default=0.0)
+        start = max(map(finish.__getitem__, wires), default=0.0)
         ops.append(ScheduledOp(idx, g.name, wires, start, dur))
         end = start + dur
         for q in wires:

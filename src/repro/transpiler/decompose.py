@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from ..circuits.circuit import Circuit
-from ..circuits.gates import Gate, gate_matrix
+from ..circuits.gates import GATE_SPECS, Gate
 
 __all__ = [
     "zyz_angles",
@@ -91,6 +91,14 @@ def _matrix_to_basis_ops(unitary: np.ndarray, qubit: int) -> list[Gate]:
     return u_to_basis_ops(theta, phi, lam, qubit)
 
 
+#: ZYZ angles of every constant single-qubit gate, computed once; read-only.
+_CONSTANT_ANGLES = {
+    name: zyz_angles(spec.matrix_fn)
+    for name, spec in GATE_SPECS.items()
+    if spec.num_qubits == 1 and isinstance(spec.matrix_fn, np.ndarray)
+}
+
+
 # ----------------------------------------------------------------------
 # Two-qubit decomposition rules (into cx + 1q ops on the same wires).
 # ----------------------------------------------------------------------
@@ -100,7 +108,7 @@ def _decompose_2q(gate: Gate) -> list[Gate]:
     name = gate.name
 
     def h_ops(q: int) -> list[Gate]:
-        return _matrix_to_basis_ops(gate_matrix("h"), q)
+        return u_to_basis_ops(*_CONSTANT_ANGLES["h"], q)
 
     if name == "cx":
         return [gate]
@@ -160,6 +168,9 @@ def decompose_to_basis(gate: Gate) -> list[Gate]:
     if gate.num_qubits == 1:
         if gate.name in ("rz", "sx", "x"):
             return [gate]
+        angles = _CONSTANT_ANGLES.get(gate.name)
+        if angles is not None:
+            return u_to_basis_ops(*angles, gate.qubits[0])
         return _matrix_to_basis_ops(gate.matrix(), gate.qubits[0])
     return _decompose_2q(gate)
 

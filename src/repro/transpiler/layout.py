@@ -12,11 +12,13 @@ Two policies:
 
 from __future__ import annotations
 
-import networkx as nx
+import math
+
 import numpy as np
 
 from ..circuits.circuit import Circuit
 from ..simulation.noise import NoiseModel
+from .routing import hops_from, neighbour_lists
 
 __all__ = ["Layout", "trivial_layout", "noise_aware_layout", "linear_path_layout"]
 
@@ -62,6 +64,19 @@ def _edge_quality(noise_model: NoiseModel, a: int, b: int) -> float:
     return (1.0 - gn.error) * (1.0 - 0.5 * (qa.readout_error + qb.readout_error))
 
 
+def _link_quality(
+    neighbours: list[list[int]], noise_model: NoiseModel
+) -> dict[tuple[int, int], float]:
+    """Every link's quality, keyed ``(low, high)`` in node order, then in
+    the low end's neighbour order."""
+    return {
+        (a, b): _edge_quality(noise_model, a, b)
+        for a, nbrs in enumerate(neighbours)
+        for b in nbrs
+        if b >= a
+    }
+
+
 def _interaction_path(circuit: Circuit) -> list[int] | None:
     """If the 2q-interaction graph is a simple path (or ring), return the
     logical qubits in path order; else ``None``.
@@ -71,30 +86,29 @@ def _interaction_path(circuit: Circuit) -> list[int] | None:
     dominate real suites, and mapping them along a physical path eliminates
     nearly all routing — mirroring what production layout passes achieve.
     """
-    g = nx.Graph()
-    g.add_nodes_from(range(circuit.num_qubits))
+    n = circuit.num_qubits
     weights: dict[tuple[int, int], int] = {}
     for gate in circuit.ops:
         if gate.is_unitary and gate.num_qubits == 2:
             e = (min(gate.qubits), max(gate.qubits))
             weights[e] = weights.get(e, 0) + 1
-            g.add_edge(*e)
-    if g.number_of_edges() == 0 or not nx.is_connected(g):
+    neighbours = neighbour_lists(list(weights), n)
+    if not weights or math.inf in hops_from(neighbours, 0):
         return None
-    degrees = dict(g.degree())
-    if max(degrees.values()) > 2:
+    if max(map(len, neighbours)) > 2:
         return None
-    ends = [q for q, d in degrees.items() if d == 1]
+    ends = [q for q in range(n) if len(neighbours[q]) == 1]
     if len(ends) == 0:  # ring: drop the least-used edge
-        weakest = min(weights, key=weights.get)
-        g.remove_edge(*weakest)
-        ends = [q for q, d in g.degree() if d == 1]
+        a, b = min(weights, key=weights.get)
+        neighbours[a].remove(b)
+        neighbours[b].remove(a)
+        ends = [a, b]
     if len(ends) != 2:
         return None
     path = [ends[0]]
     prev = None
-    while len(path) < circuit.num_qubits:
-        nbrs = [x for x in g.neighbors(path[-1]) if x != prev]
+    while len(path) < n:
+        nbrs = [x for x in neighbours[path[-1]] if x != prev]
         if not nbrs:
             return None
         prev = path[-1]
@@ -103,7 +117,7 @@ def _interaction_path(circuit: Circuit) -> list[int] | None:
 
 
 def _best_physical_path(
-    graph: nx.Graph,
+    neighbours: list[list[int]],
     length: int,
     quality: dict[tuple[int, int], float],
 ) -> list[int] | None:
@@ -112,7 +126,7 @@ def _best_physical_path(
         if len(path) == length:
             return path
         nbrs = sorted(
-            (n for n in graph.neighbors(path[-1]) if n not in seen),
+            (n for n in neighbours[path[-1]] if n not in seen),
             key=lambda n: -quality.get((min(path[-1], n), max(path[-1], n)), 0.0),
         )
         for nb in nbrs:
@@ -125,9 +139,9 @@ def _best_physical_path(
 
     # Try starts in quality order of their best incident edge.
     starts = sorted(
-        graph.nodes(),
+        range(len(neighbours)),
         key=lambda v: -max(
-            (quality.get((min(v, n), max(v, n)), 0.0) for n in graph.neighbors(v)),
+            (quality.get((min(v, n), max(v, n)), 0.0) for n in neighbours[v]),
             default=0.0,
         ),
     )
@@ -146,26 +160,16 @@ def linear_path_layout(
 ) -> Layout | None:
     """Map a path-structured circuit along a physical path; ``None`` when
     the circuit is not chain-like or no long-enough path exists."""
-    order = _interaction_path(circuit)
+    order = _interaction_path(circuit)  # every logical qubit, when not None
     if order is None:
         return None
-    graph = nx.Graph()
-    graph.add_nodes_from(range(num_physical))
-    graph.add_edges_from(coupling)
-    quality = {
-        (min(a, b), max(a, b)): _edge_quality(noise_model, a, b)
-        for a, b in graph.edges()
-    }
-    path = _best_physical_path(graph, len(order), quality)
+    neighbours = neighbour_lists(coupling, num_physical)
+    path = _best_physical_path(
+        neighbours, len(order), _link_quality(neighbours, noise_model)
+    )
     if path is None:
         return None
-    mapping = {logical: path[i] for i, logical in enumerate(order)}
-    # Unused logical qubits (no 2q interactions) take any free seats.
-    free = [p for p in range(num_physical) if p not in set(path)]
-    for q in range(circuit.num_qubits):
-        if q not in mapping:
-            mapping[q] = free.pop()
-    return Layout(mapping, num_physical)
+    return Layout(dict(zip(order, path)), num_physical)
 
 
 def noise_aware_layout(
@@ -187,16 +191,10 @@ def noise_aware_layout(
         raise ValueError(
             f"circuit needs {n_logical} qubits, device has {num_physical}"
         )
-    graph = nx.Graph()
-    graph.add_nodes_from(range(num_physical))
-    graph.add_edges_from(coupling)
-    if n_logical == num_physical and graph.number_of_edges() == 0:
+    neighbours = neighbour_lists(coupling, num_physical)
+    quality = _link_quality(neighbours, noise_model)
+    if n_logical == num_physical and not quality:
         return trivial_layout(circuit, num_physical)
-
-    quality = {
-        (min(a, b), max(a, b)): _edge_quality(noise_model, a, b)
-        for a, b in graph.edges()
-    }
 
     if quality:
         seed_edge = max(quality, key=quality.get)
@@ -208,13 +206,13 @@ def noise_aware_layout(
         # Sorted: best_node ties break on score only, so the expansion
         # order must not depend on set iteration order.
         for node in sorted(region):
-            for nb in graph.neighbors(node):
+            for nb in neighbours[node]:
                 if nb in region:
                     continue
                 score = max(
                     quality.get((min(nb, x), max(nb, x)), 0.0)
-                    for x in region
-                    if graph.has_edge(nb, x)
+                    for x in neighbours[nb]
+                    if x in region
                 )
                 if score > best_score:
                     best_node, best_score = nb, score
@@ -229,11 +227,11 @@ def noise_aware_layout(
     seats = sorted(
         region,
         key=lambda p: (
-            -sum(1 for nb in graph.neighbors(p) if nb in region),
+            -sum(1 for nb in neighbours[p] if nb in region),
             -max(
                 (
                     quality.get((min(p, nb), max(p, nb)), 0.0)
-                    for nb in graph.neighbors(p)
+                    for nb in neighbours[p]
                     if nb in region
                 ),
                 default=0.0,

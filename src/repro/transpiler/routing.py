@@ -4,35 +4,65 @@ A lightweight SABRE-flavoured router: gates are processed in dependency
 order; when a two-qubit gate spans non-adjacent physical qubits, SWAPs are
 inserted greedily along a shortest path, choosing at each step the swap
 that minimizes the summed BFS distance of the *lookahead window* of pending
-two-qubit gates. Distances are precomputed with one BFS per node.
+two-qubit gates. Distances are precomputed with one BFS per node, as
+plain rows; neighbours are listed in first-seen edge order, duplicates
+dropped, which is the order every tie here and in the layouts breaks on.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from ..circuits.circuit import Circuit
 from ..circuits.gates import Gate
 
-__all__ = ["RoutedCircuit", "route", "distance_matrix"]
+__all__ = [
+    "RoutedCircuit", "distance_matrix", "hop_distances", "hops_from", "neighbour_lists", "route"
+]
 
 LOOKAHEAD = 8
 _DECAY = 0.6
 
 
+def neighbour_lists(coupling: list[tuple[int, int]], num_qubits: int) -> list[list[int]]:
+    """Each node's neighbours, in the order their edges first appear."""
+    neighbours: list[list[int]] = [[] for _ in range(num_qubits)]
+    for a, b in coupling:
+        if b not in neighbours[a]:
+            neighbours[a].append(b)
+            if a != b:
+                neighbours[b].append(a)
+    return neighbours
+
+
+def hops_from(neighbours: list[list[int]], source: int) -> list[float]:
+    """Hop counts from ``source`` by BFS; ``inf`` where unreachable."""
+    row = [math.inf] * len(neighbours)
+    row[source] = 0
+    frontier, hops = [source], 0
+    while frontier:
+        hops += 1
+        reached = []
+        for node in frontier:
+            for nb in neighbours[node]:
+                if row[nb] == math.inf:
+                    row[nb] = hops
+                    reached.append(nb)
+        frontier = reached
+    return row
+
+
+def hop_distances(neighbours: list[list[int]]) -> list[list[float]]:
+    """Shortest-path hop counts between every pair of nodes."""
+    return [hops_from(neighbours, source) for source in range(len(neighbours))]
+
+
 def distance_matrix(coupling: list[tuple[int, int]], num_qubits: int) -> np.ndarray:
     """All-pairs shortest-path hop counts over the coupling graph."""
-    graph = nx.Graph()
-    graph.add_nodes_from(range(num_qubits))
-    graph.add_edges_from(coupling)
-    dist = np.full((num_qubits, num_qubits), np.inf)
-    for src, lengths in nx.all_pairs_shortest_path_length(graph):
-        for dst, d in lengths.items():
-            dist[src, dst] = d
-    return dist
+    return np.array(hop_distances(neighbour_lists(coupling, num_qubits)), dtype=float)
 
 
 @dataclass
@@ -58,10 +88,8 @@ def route(
     """
     if circuit.num_qubits > num_physical:
         raise ValueError("circuit wider than device")
-    graph = nx.Graph()
-    graph.add_nodes_from(range(num_physical))
-    graph.add_edges_from(coupling)
-    dist = distance_matrix(coupling, num_physical)
+    neighbours = neighbour_lists(coupling, num_physical)
+    dist = hop_distances(neighbours)
 
     l2p = dict(initial_mapping) if initial_mapping else {
         q: q for q in range(circuit.num_qubits)
@@ -87,10 +115,7 @@ def route(
     def lookahead_cost(mapping: dict[int, int], start: int) -> float:
         cost, weight = 0.0, 1.0
         for a, b in pending_2q[start : start + LOOKAHEAD]:
-            d = dist[mapping[a], mapping[b]]
-            if np.isinf(d):
-                return float("inf")
-            cost += weight * d
+            cost += weight * dist[mapping[a]][mapping[b]]  # inf stays inf
             weight *= _DECAY
         return cost
 
@@ -103,17 +128,17 @@ def route(
             continue
         a, b = gate.qubits
         pa, pb = l2p[a], l2p[b]
-        if np.isinf(dist[pa, pb]):
+        if dist[pa][pb] == math.inf:
             raise ValueError(
                 f"qubits {pa} and {pb} are disconnected on this coupling map"
             )
-        while dist[l2p[a], l2p[b]] > 1:
+        while dist[l2p[a]][l2p[b]] > 1:
             pa, pb = l2p[a], l2p[b]
             p2l = {p: lq for lq, p in l2p.items()}
             # Candidate swaps: edges incident to either endpoint.
             best_swap, best_cost = None, float("inf")
             for endpoint in (pa, pb):
-                for nb in graph.neighbors(endpoint):
+                for nb in neighbours[endpoint]:
                     trial = dict(l2p)
                     le = p2l.get(endpoint)
                     ln = p2l.get(nb)
@@ -121,7 +146,7 @@ def route(
                         trial[le] = nb
                     if ln is not None:
                         trial[ln] = endpoint
-                    cost = dist[trial[a], trial[b]] * 2.0 + lookahead_cost(
+                    cost = dist[trial[a]][trial[b]] * 2.0 + lookahead_cost(
                         trial, next_2q
                     )
                     if cost < best_cost:

@@ -84,6 +84,61 @@ class TestGates:
         cx = gate_matrix("cx")
         assert cx[2, 3] == 1 and cx[3, 2] == 1  # |10><11| + |11><10|
 
+    def test_error_messages(self):
+        cases = [
+            (("nope", (0,)), "unknown gate 'nope'"),
+            (("cx", (0,)), "gate 'cx' expects 2 qubits, got 1"),
+            (("rx", (0,)), "gate 'rx' expects 1 params, got 0"),
+            (("cx", (1, 1)), "duplicate qubits in 'cx': (1, 1)"),
+            (("barrier", (0, 2, 0)), "duplicate qubits in 'barrier': (0, 2, 0)"),
+        ]
+        for args, message in cases:
+            with pytest.raises(ValueError) as info:
+                Gate(*args)
+            assert str(info.value) == message
+
+    def test_barrier_and_delay_widths(self):
+        assert Gate("barrier", ()).qubits == ()
+        assert Gate("barrier", (0, 1, 2)).num_qubits == 3
+        assert Gate("delay", (0,)).params == ()
+
+    def test_is_unitary_follows_the_spec(self):
+        for name, spec in GATE_SPECS.items():
+            qubits = tuple(range(spec.num_qubits))
+            gate = Gate(name, qubits, (0.5,) * spec.num_params)
+            assert gate.is_unitary is (spec.matrix_fn is not None), name
+
+    def test_immutable_hashable_equal_by_value(self):
+        import dataclasses
+        import pickle
+
+        g = Gate("rz", (3,), (0.25,))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.name = "rx"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.is_unitary = False
+        twin = Gate("rz", (3,), (0.25,))
+        assert g == twin and hash(g) == hash(twin) and len({g, twin}) == 1
+        assert g != Gate("rz", (3,), (0.5,)) and g != ("rz", (3,), (0.25,))
+        restored = pickle.loads(pickle.dumps(g))
+        assert restored == g and restored.is_unitary
+        assert repr(g) == "Gate(name='rz', qubits=(3,), params=(0.25,))"
+
+    def test_standard_matrices_are_read_only(self):
+        # In-place writes to a shared constant used to change every later
+        # gate of that type, process-wide (the proxy tables included).
+        before = gate_matrix("h").copy()
+        with pytest.raises(ValueError, match="read-only"):
+            Gate("h", (0,)).matrix()[0, 0] = 7
+        assert np.array_equal(gate_matrix("h"), before)
+        for name, spec in GATE_SPECS.items():
+            if spec.matrix_fn is not None and spec.num_params == 0:
+                assert not gate_matrix(name).flags.writeable, name
+        # A bound parametric matrix is the caller's own.
+        mat = gate_matrix("rz", 0.3)
+        mat[0, 0] = 1.0
+        assert gate_matrix("rz", 0.3)[0, 0] != 1.0
+
 
 class TestCircuit:
     def test_builder_chain(self):
@@ -98,6 +153,22 @@ class TestCircuit:
     def test_out_of_range_qubit(self):
         with pytest.raises(ValueError, match="out of range"):
             Circuit(2).h(5)
+
+    def test_float_qubit_refused_not_truncated(self):
+        # Circuit(3).h(1.7) used to act on qubit 1, .cx(0.2, 2.9) on (0, 2).
+        with pytest.raises(TypeError, match=r"'h'.*1\.7"):
+            Circuit(3).h(1.7)
+        with pytest.raises(TypeError, match=r"'cx'.*0\.2, 2\.9"):
+            Circuit(3).cx(0.2, 2.9)
+        with pytest.raises(TypeError, match="'x'"):
+            Circuit(3).x(2.0)
+        with pytest.raises(TypeError, match="'rz'"):
+            Circuit(3).rz(0.5, np.float64(1.0))
+
+    def test_integer_like_qubits_accepted(self):
+        c = Circuit(3).h(np.int64(2)).cx(np.int32(0), 1).add("x", iter([True]))
+        assert [g.qubits for g in c] == [(2,), (0, 1), (1,)]
+        assert all(type(q) is int for g in c for q in g.qubits)
 
     def test_depth_linear(self):
         c = Circuit(1).h(0).h(0).h(0)

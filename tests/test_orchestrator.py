@@ -45,11 +45,31 @@ class TestWorkflow:
         wf = HybridWorkflow("c")
         a = wf.add_step(WorkflowStep("a", StepKind.CLASSICAL))
         b = wf.add_step(WorkflowStep("b", StepKind.CLASSICAL), after=[a])
-        import networkx as nx
-
         wf.graph.add_edge(b.step_id, a.step_id)
         with pytest.raises(ValueError):
             wf.validate()
+
+    def test_re_adding_a_step_is_refused_and_changes_nothing(self):
+        # add_step(a, after=[b]) on a -> b used to raise "would create a
+        # cycle" and then delete a, leaving b alone with no edges.
+        wf = HybridWorkflow("r")
+        a = wf.add_step(WorkflowStep("a", StepKind.CLASSICAL))
+        b = wf.add_step(WorkflowStep("b", StepKind.CLASSICAL), after=[a])
+        with pytest.raises(ValueError, match="step 'a' is already in workflow 'r'"):
+            wf.add_step(a, after=[b])
+        with pytest.raises(ValueError, match="step 'b'"):
+            wf.add_step(b)
+        assert [s.name for s in wf.topological_steps()] == ["a", "b"]
+        assert wf.predecessors(b) == [a] and wf.predecessors(a) == []
+        wf.validate()
+
+    def test_missing_dependency_changes_nothing(self):
+        wf = HybridWorkflow("m")
+        a = wf.add_step(WorkflowStep("a", StepKind.CLASSICAL))
+        loose = WorkflowStep("x", StepKind.CLASSICAL)
+        with pytest.raises(ValueError, match="dependency 'x'"):
+            wf.add_step(WorkflowStep("y", StepKind.CLASSICAL), after=[a, loose])
+        assert [s.name for s in wf.steps] == ["a"]
 
     def test_unknown_dependency(self):
         wf = HybridWorkflow("d")

@@ -13,15 +13,24 @@ with ``==`` only, on three sets of inputs:
 * a derandomized property over random couplings (duplicate edges, both
   orientations, disconnected parts) and random circuits — equal results
   or the same error.
+
+The guards at the end keep networkx where it is still used: the workflow
+DAG of ``repro.orchestrator.workflow``, off the path of a cold start.
 """
 
+import ast
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro
 from helpers import reference_transpile as ref
 from repro.backends import default_fleet
 from repro.circuits import Circuit
@@ -358,3 +367,71 @@ class TestRandomCouplings:
         assert _outcome(lambda: _summary(transpile(circuit, target))) == _outcome(
             lambda: ref.reference_transpile(circuit, target)
         )
+
+
+# ----------------------------------------------------------------------
+# Guard: networkx stays off the import path
+# ----------------------------------------------------------------------
+
+SRC = Path(repro.__file__).parent
+
+
+def _networkx_imports(path):
+    """Lines of ``path`` that import networkx, in either form."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        names = []
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        if any(name.split(".")[0] == "networkx" for name in names):
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+class TestNetworkxOnlyInTheWorkflow:
+    def test_only_the_workflow_dag_imports_it(self):
+        # Four at 3c00b6c: backends/models.py, transpiler/layout.py,
+        # transpiler/routing.py and orchestrator/workflow.py.
+        modules = [
+            str(path.relative_to(SRC))
+            for path in sorted(SRC.rglob("*.py"))
+            if _networkx_imports(path)
+        ]
+        assert modules == ["orchestrator/workflow.py"]
+
+    def test_guard_sees_every_import_form(self, tmp_path):
+        sample = tmp_path / "sample.py"
+        sample.write_text(
+            "import networkx as nx\n"
+            "from networkx.algorithms import dag\n"
+            "def f():\n"
+            "    import networkx\n"
+            "import networkxx\n"
+            "from . import networkx\n"
+        )
+        assert _networkx_imports(sample) == [
+            "sample.py:1",
+            "sample.py:2",
+            "sample.py:4",
+        ]
+
+    def test_building_a_proxy_table_never_imports_it(self):
+        script = (
+            "import sys\n"
+            "import repro.cloud, repro.transpiler, repro.estimator, repro.scheduler\n"
+            "from repro.backends import default_fleet\n"
+            "from repro.cloud.proxy import TranspileProxy\n"
+            "table = TranspileProxy()._calibrate(default_fleet(seed=7)[0].model, 'dense')\n"
+            "assert len(table) == 7\n"
+            "print('networkx' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        )
+        assert out.stdout.strip() == "False"
