@@ -2,7 +2,10 @@
 Qonductor API (what ``invoke`` executes is in test_orchestrator_engine)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers.reference_workflow import reference_workflow
 from repro.backends import default_fleet
 from repro.orchestrator import (
     ExecutionConfig,
@@ -17,6 +20,17 @@ from repro.orchestrator import (
 from repro.workloads import ghz_linear
 
 FLEET = ["auckland", "lagos"]
+
+
+@st.composite
+def dag_afters(draw):
+    """Each step's ``after`` as indices of earlier steps: late roots
+    (empty, or ``None``), fan-in, fan-out and repeated entries."""
+    afters = []
+    for i in range(draw(st.integers(1, 12))):
+        deps = draw(st.lists(st.integers(0, i - 1), max_size=4)) if i else []
+        afters.append(None if not deps and draw(st.booleans()) else deps)
+    return afters
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +94,33 @@ class TestWorkflow:
     def test_empty_workflow_invalid(self):
         with pytest.raises(ValueError):
             HybridWorkflow("e").validate()
+
+    def test_topological_order_is_not_insertion_order(self):
+        # Roots first, in insertion order, then what they release: the
+        # order invoke keys each quantum step's seed on.
+        wf = HybridWorkflow("g")
+        a = wf.add_step(WorkflowStep("a", StepKind.CLASSICAL))
+        wf.add_step(WorkflowStep("c", StepKind.CLASSICAL), after=[a])
+        wf.add_step(WorkflowStep("b", StepKind.CLASSICAL))
+        assert [s.name for s in wf.steps] == ["a", "c", "b"]
+        assert [s.name for s in wf.topological_steps()] == ["a", "b", "c"]
+
+    @given(dag_afters())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_dag_matches_networkx_reference(self, afters):
+        steps = [WorkflowStep(f"s{i}", StepKind.CLASSICAL) for i in range(len(afters))]
+        calls = [
+            (step, None if deps is None else [steps[j] for j in deps])
+            for step, deps in zip(steps, afters)
+        ]
+        wf = HybridWorkflow("property")
+        for step, after in calls:
+            assert wf.add_step(step, after=after) is step
+        ref_steps, ref_predecessors, ref_topological = reference_workflow(calls)
+        assert wf.steps == ref_steps
+        assert wf.topological_steps() == ref_topological
+        for step in steps:
+            assert wf.predecessors(step) == ref_predecessors[step.step_id]
 
 
 class TestImagesAndRegistry:
