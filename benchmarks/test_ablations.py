@@ -96,11 +96,13 @@ def test_ablation_template_vs_per_qpu_estimation(once):
                                           keep_circuit=False)
             qpu = fleet[int(rng.integers(len(fleet)))]
             real = em.execute(job, qpu.calibration, qpu.model, rng)
-            f_qpu = est.estimators.estimate_fidelity(
-                job.metrics, job.shots, "none", qpu.calibration
+            # A template calibration is no QPU, so both go through
+            # estimate_pairs, which scores a (job, calibration) pair.
+            (f_qpu,), _ = est.estimators.estimate_pairs(
+                [(job.metrics, job.shots, "none")], [(qpu.calibration, [0])]
             )
-            f_tmpl = est.estimators.estimate_fidelity(
-                job.metrics, job.shots, "none", template.calibration
+            (f_tmpl,), _ = est.estimators.estimate_pairs(
+                [(job.metrics, job.shots, "none")], [(template.calibration, [0])]
             )
             err_per_qpu.append(abs(f_qpu - real.fidelity))
             err_template.append(abs(f_tmpl - real.fidelity))

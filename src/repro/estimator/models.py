@@ -21,10 +21,8 @@ from .dataset import EstimatorDataset
 from .features import (
     calibration_fidelity_features,
     calibration_runtime_features,
-    fidelity_features,
     job_fidelity_features,
     job_runtime_features,
-    runtime_features,
 )
 
 __all__ = ["RegressionEstimator", "TrainedEstimators", "train_estimators"]
@@ -61,26 +59,6 @@ class TrainedEstimators:
     fidelity: RegressionEstimator
     runtime: RegressionEstimator
     selection_report: dict = field(default_factory=dict)
-
-    def estimate_fidelity(
-        self,
-        metrics: CircuitMetrics,
-        shots: int,
-        mitigation: str,
-        calibration: CalibrationData,
-    ) -> float:
-        x = fidelity_features(metrics, shots, mitigation, calibration)
-        return float(self.fidelity.predict(x[None, :])[0])
-
-    def estimate_runtime(
-        self,
-        metrics: CircuitMetrics,
-        shots: int,
-        mitigation: str,
-        calibration: CalibrationData,
-    ) -> float:
-        x = runtime_features(metrics, shots, mitigation, calibration)
-        return float(self.runtime.predict(x[None, :])[0])
 
     def estimate_pairs(
         self,

@@ -14,8 +14,7 @@ import math
 
 from ..backends.calibration import CalibrationData
 from ..backends.models import QPUModel
-from ..circuits.circuit import Circuit
-from ..circuits.metrics import CircuitMetrics, compute_metrics
+from ..circuits.metrics import CircuitMetrics
 from ..cloud.execution import SHOT_OVERHEAD_US, QPU_SETUP_SECONDS
 from ..cloud.proxy import TranspileProxy
 from ..simulation.esp import esp_to_hellinger
@@ -68,11 +67,3 @@ class NumericalEstimator:
         _, _, duration_ns = self.proxy.physical_metrics(metrics, model)
         per_shot_s = duration_ns / 1e9 + SHOT_OVERHEAD_US / 1e6
         return QPU_SETUP_SECONDS + shots * per_shot_s
-
-    # Circuit-level convenience used by tests.
-    def estimate_circuit_fidelity(
-        self, circuit: Circuit, calibration: CalibrationData, model: QPUModel
-    ) -> float:
-        return self.estimate_fidelity(
-            compute_metrics(circuit), 1, "none", calibration, model
-        )

@@ -1,8 +1,8 @@
 """The unified estimate-source surface of the scheduling stack.
 
 Everything that scores (job, QPU) pairs — the trained regression
-estimator, its memoizing cache, and the analytic ESP proxy — implements
-one protocol: :class:`EstimateSource`, whose scoring method
+estimator and its memoizing cache — implements one protocol:
+:class:`EstimateSource`, whose scoring method
 ``estimate_block(jobs, qpus, feasible=None)`` returns the ``(fidelity,
 exec_seconds)`` matrix pair for a whole jobs-block (its other method,
 ``on_recalibration(qpus)``, is the calibration-cycle hook).  Schedulers and
@@ -47,8 +47,7 @@ class EstimateSource(Protocol):
     ``on_recalibration(qpus)`` is called with the whole fleet after
     every calibration cycle, once per shard policy sharing the source —
     stateful sources drop what the old epoch made stale, stateless ones
-    do nothing.  Implementations may additionally be callable with
-    ``(job, qpu)``; that is optional.
+    do nothing.
     """
 
     def estimate_block(

@@ -74,10 +74,3 @@ def print_table(title: str, rows: list[tuple]) -> None:
         if isinstance(measured, float):
             measured = round(measured, 3)
         print(format_row(label, paper, measured, unit))
-
-
-def rel_change(new: float, old: float) -> float:
-    """Relative change (new vs old), guarded against zero."""
-    if abs(old) < 1e-12:
-        return 0.0
-    return (new - old) / old

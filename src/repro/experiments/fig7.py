@@ -88,7 +88,8 @@ def fig7bc_estimation_error(
             continue
         qpu = candidates[int(rng.integers(len(candidates)))]
         real = em.execute(job, qpu.calibration, qpu.model, rng)
-        f_reg, t_reg = estimator.estimate_for_qpu(job, qpu)
+        fid, sec = estimator.estimate_block([job], [qpu])
+        f_reg, t_reg = fid.item(), sec.item()
         f_num = numerical.estimate_fidelity(
             job.metrics, job.shots, mitigation, qpu.calibration, qpu.model
         )

@@ -137,7 +137,7 @@ class Qonductor:
 
     def deploy(self, image_key: str) -> int:
         """Validate an image against the cluster; returns a workflow ID.
-        A refused image (empty or cyclic workflow, a step or a config
+        A refused image (an empty workflow, a step or a config
         wider than every QPU) raises ``ValueError`` and registers nothing."""
         image = self.registry.get(image_key)
         workflow = image.workflow
@@ -187,7 +187,7 @@ class Qonductor:
         if node is None:
             raise _StepFailed(f"no classical node satisfies step {step.name!r}")
         try:
-            output = step.fn() if callable(step.fn) else None
+            output = None if step.fn is None else step.fn()
         except Exception as exc:  # user code: whatever it raises is the step's
             raise _StepFailed(f"classical step {step.name!r} raised {exc!r}") from exc
         finally:

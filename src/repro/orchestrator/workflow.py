@@ -10,10 +10,10 @@ and the DAG gives ``Qonductor.invoke`` its execution order and ready times.
 from __future__ import annotations
 
 import itertools
+import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
-
-import networkx as nx
 
 from ..circuits.circuit import Circuit
 
@@ -38,13 +38,23 @@ class WorkflowStep:
     circuit: Circuit | None = None
     shots: int = 4000
     mitigation: str = "none"
-    fn: object | None = None
+    fn: Callable[[], object] | None = None
     requirements: dict = field(default_factory=dict)
     step_id: int = field(default_factory=lambda: next(_step_ids))
 
     def __post_init__(self) -> None:
         if self.kind == StepKind.QUANTUM and self.circuit is None:
             raise ValueError(f"quantum step {self.name!r} needs a circuit")
+        where = f"step {self.name!r}"
+        if self.fn is not None and not callable(self.fn):
+            raise ValueError(f"{where}: fn must be None or callable, got {self.fn!r}")
+        seconds = self.requirements.get("seconds", 1.0)
+        if not (math.isfinite(seconds) and seconds >= 0):
+            raise ValueError(f"{where}: seconds must be finite and >= 0, got {seconds!r}")
+        for key in ("cores", "memory_gb", "gpus"):
+            value = self.requirements.get(key, 0)
+            if not value >= 0:  # NaN fails too
+                raise ValueError(f"{where}: {key} must be >= 0, got {value!r}")
 
 
 class HybridWorkflow:
@@ -52,20 +62,22 @@ class HybridWorkflow:
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.graph = nx.DiGraph()
+        # Both by step id, in insertion order; a step's predecessors in
+        # first-seen ``after`` order, a repeated dependency once.
+        self._steps: dict[int, WorkflowStep] = {}
+        self._after: dict[int, list[WorkflowStep]] = {}
 
     def add_step(self, step: WorkflowStep, after: list[WorkflowStep] | None = None):
         """Add ``step``, depending on every step in ``after``. A step enters
         once, after its dependencies, so no call can close a cycle."""
-        if step.step_id in self.graph:
+        if step.step_id in self._steps:
             raise ValueError(f"step {step.name!r} is already in workflow {self.name!r}")
         deps = after or []
         for dep in deps:
-            if dep.step_id not in self.graph:
+            if dep.step_id not in self._steps:
                 raise ValueError(f"dependency {dep.name!r} not in workflow")
-        self.graph.add_node(step.step_id, step=step)
-        for dep in deps:
-            self.graph.add_edge(dep.step_id, step.step_id)
+        self._steps[step.step_id] = step
+        self._after[step.step_id] = list({dep.step_id: dep for dep in deps}.values())
         return step
 
     @classmethod
@@ -80,21 +92,34 @@ class HybridWorkflow:
 
     @property
     def steps(self) -> list[WorkflowStep]:
-        return [self.graph.nodes[n]["step"] for n in self.graph.nodes]
+        return list(self._steps.values())
 
     def topological_steps(self) -> list[WorkflowStep]:
-        return [self.graph.nodes[n]["step"] for n in nx.topological_sort(self.graph)]
+        """Kahn's order by generations: the roots in insertion order, then
+        each step once the last of its predecessors is taken, a step's
+        successors in insertion order.  ``invoke`` keys a quantum step's
+        seed on its position here, so the order is part of the contract
+        (held to a ``DiGraph.topological_sort`` replay in the tests)."""
+        successors: dict[int, list[int]] = {sid: [] for sid in self._steps}
+        waiting = {}
+        for sid, deps in self._after.items():
+            waiting[sid] = len(deps)
+            for dep in deps:
+                successors[dep.step_id].append(sid)
+        order = [sid for sid, count in waiting.items() if count == 0]
+        for sid in order:  # grows as steps are released
+            for child in successors[sid]:
+                waiting[child] -= 1
+                if waiting[child] == 0:
+                    order.append(child)
+        return [self._steps[sid] for sid in order]
 
     def quantum_steps(self) -> list[WorkflowStep]:
         return [s for s in self.steps if s.kind == StepKind.QUANTUM]
 
     def predecessors(self, step: WorkflowStep) -> list[WorkflowStep]:
-        return [
-            self.graph.nodes[n]["step"] for n in self.graph.predecessors(step.step_id)
-        ]
+        return list(self._after[step.step_id])
 
     def validate(self) -> None:
-        if self.graph.number_of_nodes() == 0:
+        if not self._steps:
             raise ValueError("workflow is empty")
-        if not nx.is_directed_acyclic_graph(self.graph):
-            raise ValueError("workflow graph has cycles")

@@ -2,15 +2,13 @@
 
 Classical (pre/post-processing) tasks are matched to worker nodes in two
 stages: *filter* removes nodes that cannot satisfy the request (cores,
-memory, accelerators), *score* ranks the survivors with pluggable policies
-(default: least-allocated, like kube-scheduler's NodeResourcesFit).
+memory, accelerators), *score* ranks the survivors least-allocated first,
+like kube-scheduler's NodeResourcesFit.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
-from typing import ClassVar
 
 __all__ = ["ClassicalNode", "ClassicalRequest", "ClassicalScheduler"]
 
@@ -68,26 +66,11 @@ def _least_allocated_score(node: ClassicalNode, req: ClassicalRequest) -> float:
     return cpu_frac + mem_frac
 
 
-def _most_allocated_score(node: ClassicalNode, req: ClassicalRequest) -> float:
-    """Bin-packing policy: prefer the fullest node that still fits."""
-    return -_least_allocated_score(node, req)
-
-
 class ClassicalScheduler:
     """Two-stage filter/score scheduler over a node pool."""
 
-    POLICIES: ClassVar[
-        dict[str, Callable[[ClassicalNode, ClassicalRequest], float]]
-    ] = {
-        "least_allocated": _least_allocated_score,
-        "most_allocated": _most_allocated_score,
-    }
-
-    def __init__(self, nodes: list[ClassicalNode], policy: str = "least_allocated"):
-        if policy not in self.POLICIES:
-            raise ValueError(f"unknown scoring policy {policy!r}")
+    def __init__(self, nodes: list[ClassicalNode]):
         self.nodes = list(nodes)
-        self.policy = policy
 
     def filter(self, req: ClassicalRequest) -> list[ClassicalNode]:
         out = []
@@ -108,8 +91,7 @@ class ClassicalScheduler:
         candidates = self.filter(req)
         if not candidates:
             return None
-        score = self.POLICIES[self.policy]
-        best = max(candidates, key=lambda n: score(n, req))
+        best = max(candidates, key=lambda n: _least_allocated_score(n, req))
         best.allocate(req)
         return best
 

@@ -10,8 +10,8 @@ with those passes swapped in.  ``tests/test_transpile_oracle.py`` holds
 breaks on networkx's neighbour order (first-seen edge order, duplicates
 dropped), so any other order shows up as a different op list.
 
-This is the only module in the repository besides
-``repro.orchestrator.workflow`` that imports networkx.
+networkx is a test dependency: this module and ``reference_workflow.py``
+are the only ones that import it.
 """
 
 import networkx as nx

@@ -24,6 +24,13 @@ from repro.workloads import ghz_linear, qaoa_ring_maxcut
 FLEET_NAMES = ["auckland", "algiers", "lagos"]
 
 
+def _one_pair(source, job, qpu):
+    """(fidelity, seconds) of one pair through ``source.estimate_block``,
+    scored whether or not the job fits the QPU."""
+    fid, sec = source.estimate_block([job], [qpu], np.ones((1, 1), dtype=bool))
+    return fid.item(), sec.item()
+
+
 @pytest.fixture(scope="module")
 def fleet():
     return default_fleet(seed=7, names=FLEET_NAMES)
@@ -99,30 +106,23 @@ class TestTrainedEstimators:
         assert set(rep["fidelity"]) == {"degree_1", "degree_2", "degree_3"}
 
     def test_predictions_clipped(self, trained, fleet):
-        m = compute_metrics(ghz_linear(20))
-        fid = trained.estimators.estimate_fidelity(
-            m, 20000, "none", fleet[1].calibration
-        )
+        job = QuantumJob(metrics=compute_metrics(ghz_linear(20)), shots=20000)
+        fid, sec = _one_pair(trained, job, fleet[1])
         assert 0.0 <= fid <= 1.0
-        sec = trained.estimators.estimate_runtime(
-            m, 20000, "none", fleet[1].calibration
-        )
         assert sec >= 0.0
 
     def test_estimates_track_quality(self, trained, fleet):
         """Better-calibrated QPU -> higher estimated fidelity."""
         job = QuantumJob.from_circuit(ghz_linear(10), shots=4000)
-        f_good, _ = trained.estimate_for_qpu(job, fleet[0])  # auckland
-        f_bad, _ = trained.estimate_for_qpu(job, fleet[1])  # algiers
+        f_good, _ = _one_pair(trained, job, fleet[0])  # auckland
+        f_bad, _ = _one_pair(trained, job, fleet[1])  # algiers
         assert f_good > f_bad
 
     def test_mitigation_raises_estimate(self, trained, fleet):
         m = compute_metrics(ghz_linear(10))
-        f_plain = trained.estimators.estimate_fidelity(
-            m, 4000, "none", fleet[1].calibration
-        )
-        f_mit = trained.estimators.estimate_fidelity(
-            m, 4000, "dd+zne+rem", fleet[1].calibration
+        f_plain, _ = _one_pair(trained, QuantumJob(metrics=m, shots=4000), fleet[1])
+        f_mit, _ = _one_pair(
+            trained, QuantumJob(metrics=m, shots=4000, mitigation="dd+zne+rem"), fleet[1]
         )
         assert f_mit > f_plain
 
@@ -165,7 +165,7 @@ class TestNumericalBaseline:
             job = QuantumJob.from_circuit(circ, shots=4000, mitigation="dd+zne+rem")
             qpu = fleet[seed % len(fleet)]
             real = execution_model.execute(job, qpu.calibration, qpu.model, rng)
-            f_reg, _ = trained.estimate_for_qpu(job, qpu)
+            f_reg, _ = _one_pair(trained, job, qpu)
             f_num = num.estimate_fidelity(
                 job.metrics, job.shots, job.mitigation, qpu.calibration, qpu.model
             )
@@ -314,7 +314,7 @@ class TestEstimateBlock:
                 if not feas[i, k]:
                     assert fid[i, k] == 0.0 and sec[i, k] == 0.0
                     continue
-                pf, ps = trained.estimate_for_qpu(job, qpu)
+                pf, ps = _one_pair(trained, job, qpu)
                 assert abs(fid[i, k] - pf) <= 1e-12
                 assert abs(sec[i, k] - ps) <= 1e-12
 

@@ -382,6 +382,17 @@ class TestEdgeConfigurations:
             assert job.status is JobStatus.FAILED
 
 
+#: All pairs feasible: the cache tests score circuits of up to 21 qubits on
+#: the 7-qubit lagos, and ``estimate_block`` skips an infeasible pair.
+_ONE_FEASIBLE_PAIR = np.ones((1, 1), dtype=bool)
+
+
+def _estimate(source, job, qpu):
+    """One (job, qpu) pair through ``source.estimate_block``."""
+    fid, sec = source.estimate_block([job], [qpu], _ONE_FEASIBLE_PAIR)
+    return fid.item(), sec.item()
+
+
 class TestEstimateCache:
     def test_hits_on_repeat_and_epoch_invalidation(self):
         calls = []
@@ -393,16 +404,16 @@ class TestEstimateCache:
         qpu = default_fleet(seed=7, names=["lagos"])[0]
         cached = CachedEstimator(base)
         job = QuantumJob.from_circuit(ghz_linear(5), shots=1024)
-        assert cached(job, qpu) == (0.9, 10.0)
-        assert cached(job, qpu) == (0.9, 10.0)
+        assert _estimate(cached, job, qpu) == (0.9, 10.0)
+        assert _estimate(cached, job, qpu) == (0.9, 10.0)
         assert len(calls) == 1  # second lookup hit
         # Same circuit shape in a different job object: content-addressed.
         twin = QuantumJob.from_circuit(ghz_linear(5), shots=1024)
-        cached(twin, qpu)
+        _estimate(cached, twin, qpu)
         assert len(calls) == 1
         # A new calibration epoch must miss.
         qpu.recalibrate()
-        cached(job, qpu)
+        _estimate(cached, job, qpu)
         assert len(calls) == 2
         assert cached.stats.hits == 2 and cached.stats.misses == 2
 
@@ -410,7 +421,7 @@ class TestEstimateCache:
         qpu = default_fleet(seed=7, names=["lagos"])[0]
         cached = CachedEstimator(lambda j, q: (0.8, 5.0))
         job = QuantumJob.from_circuit(ghz_linear(4), shots=2048)
-        cached(job, qpu)
+        _estimate(cached, job, qpu)
         assert len(cached.cache) == 1
         cached.on_recalibration([qpu])
         assert len(cached.cache) == 0
@@ -448,7 +459,7 @@ class TestEstimateCache:
         ]
         for _ in range(5):
             for job in pool:
-                cached(job, qpu)
+                _estimate(cached, job, qpu)
         assert len(calls) == len(pool)  # first round only
         assert len(cached.cache) == len(pool)
         assert cached.stats.misses == len(pool)
@@ -472,24 +483,22 @@ class TestEstimateCache:
             for w in range(2, 18)  # exactly max_entries shapes
         ]
         for job in pool:
-            cached(job, qpu)
+            _estimate(cached, job, qpu)
         assert len(cached.cache) == 16
         # One more distinct shape overflows: only the single coldest
         # entry drops, the table stays full.
         extra = QuantumJob.from_circuit(ghz_linear(20), shots=1024)
-        cached(extra, qpu)
+        _estimate(cached, extra, qpu)
         assert len(cached.cache) == 16
         # The oldest single-touch shape was the victim; the rest survive.
         before = len(calls)
-        cached(pool[-1], qpu)  # recent entry: still cached
+        _estimate(cached, pool[-1], qpu)  # recent entry: still cached
         assert len(calls) == before
-        cached(pool[0], qpu)  # coldest entry: evicted, re-estimated
+        _estimate(cached, pool[0], qpu)  # coldest entry: evicted, re-estimated
         assert len(calls) == before + 1
         # However the stream churns, the bound holds.
         for w in range(30, 60):
-            cached(
-                QuantumJob.from_circuit(ghz_linear(w), shots=1024), qpu
-            )
+            _estimate(cached, QuantumJob.from_circuit(ghz_linear(w), shots=1024), qpu)
             assert len(cached.cache) <= 16
 
     def test_slru_protects_rereferenced_working_set(self):
@@ -509,18 +518,18 @@ class TestEstimateCache:
             for w in range(2, 8)  # 6 hot shapes
         ]
         for job in hot:
-            cached(job, qpu)
+            _estimate(cached, job, qpu)
         for job in hot:
-            cached(job, qpu)  # second touch: promoted to protected
+            _estimate(cached, job, qpu)  # second touch: promoted to protected
         # A scan of 40 distinct one-off shapes churns through probation.
         for w in range(10, 50):
-            cached(QuantumJob.from_circuit(ghz_linear(w), shots=1024), qpu)
+            _estimate(cached, QuantumJob.from_circuit(ghz_linear(w), shots=1024), qpu)
         assert len(cached.cache) <= 16
         # Every hot shape is still a hit: the scan could not displace
         # the protected segment.
         before = len(calls)
         for job in hot:
-            assert cached(job, qpu) == (0.9, 10.0)
+            assert _estimate(cached, job, qpu) == (0.9, 10.0)
         assert len(calls) == before
 
     def test_slru_demotes_stale_protected_entries(self):
@@ -546,58 +555,6 @@ class TestEstimateCache:
         assert cache.stats.hits == hits_before  # demoted then evicted
         cache.get(("new", 7))
         assert cache.stats.hits == hits_before + 1  # still protected
-
-    def test_save_load_roundtrip(self, tmp_path):
-        calls = []
-
-        def base(job, qpu):
-            calls.append(job.job_id)
-            return 0.9, 10.0
-
-        qpu = default_fleet(seed=7, names=["lagos"])[0]
-        warm = CachedEstimator(base)
-        job = QuantumJob.from_circuit(ghz_linear(5), shots=1024)
-        other = QuantumJob.from_circuit(ghz_linear(7), shots=2048)
-        warm(job, qpu)
-        warm(other, qpu)
-        path = tmp_path / "estimates.json"
-        assert warm.save(path) == 2
-
-        # A cold estimator warm-started from disk serves without base calls.
-        cold = CachedEstimator(base)
-        assert cold.load(path) == 2
-        before = len(calls)
-        assert cold(job, qpu) == (0.9, 10.0)
-        assert cold(other, qpu) == (0.9, 10.0)
-        assert len(calls) == before
-        assert cold.stats.hits == 2
-
-    def test_load_misses_after_recalibration(self, tmp_path):
-        """Epoch-keyed entries from a stale calibration never hit."""
-        qpu = default_fleet(seed=7, names=["lagos"])[0]
-        warm = CachedEstimator(lambda j, q: (0.8, 5.0))
-        job = QuantumJob.from_circuit(ghz_linear(4), shots=2048)
-        warm(job, qpu)
-        path = tmp_path / "estimates.json"
-        warm.save(path)
-
-        qpu.recalibrate()  # the saved epoch is now dead
-        calls = []
-
-        def base(j, q):
-            calls.append(j.job_id)
-            return 0.7, 6.0
-
-        cold = CachedEstimator(base)
-        cold.load(path)
-        assert cold(job, qpu) == (0.7, 6.0)  # re-estimated, not stale
-        assert len(calls) == 1
-
-    def test_load_rejects_unknown_version(self, tmp_path):
-        path = tmp_path / "estimates.json"
-        path.write_text('{"version": 999, "entries": []}')
-        with pytest.raises(ValueError):
-            EstimateCache().load(path)
 
     def test_execution_component_cache(self):
         qpu = default_fleet(seed=7, names=["lagos"])[0]
@@ -646,7 +603,7 @@ class TestCacheEquivalence:
                 if job.num_qubits > qpu.num_qubits:
                     assert fid[i, k] == 0.0 and sec[i, k] == 0.0
                     continue
-                pf, ps = estimator.estimate_for_qpu(job, qpu)
+                pf, ps = _estimate(estimator, job, qpu)
                 assert fid[i, k] == pytest.approx(pf, rel=1e-9)
                 assert sec[i, k] == pytest.approx(ps, rel=1e-9)
 
@@ -655,7 +612,7 @@ class TestCacheEquivalence:
         estimator, fleet, jobs = setup
         waiting = {q.name: 0.0 for q in fleet}
         plain = QonductorScheduler(
-            PairwiseEstimateSource(estimator.estimate_for_qpu),
+            PairwiseEstimateSource(lambda job, qpu: _estimate(estimator, job, qpu)),
             seed=3,
             max_generations=10,
         ).schedule(list(jobs), fleet, dict(waiting))

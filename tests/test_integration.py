@@ -86,10 +86,10 @@ class TestEndToEndScheduling:
         from repro.cloud.job import QuantumJob
 
         job = QuantumJob.from_circuit(ghz_linear(8), shots=2000, keep_circuit=False)
-        before = estimator.estimate_for_qpu(job, fleet[0])[0]
+        before = estimator.estimate_block([job], [fleet[0]])[0].item()
         for _ in range(3):
             fleet[0].recalibrate()
-        after = estimator.estimate_for_qpu(job, fleet[0])[0]
+        after = estimator.estimate_block([job], [fleet[0]])[0].item()
         assert before != after
 
 

@@ -208,10 +208,6 @@ class TestClassicalScheduler:
         sched = ClassicalScheduler([ClassicalNode("tiny", cores=1, memory_gb=1)])
         assert sched.schedule(ClassicalRequest(cores=2)) is None
 
-    def test_unknown_policy(self):
-        with pytest.raises(ValueError):
-            ClassicalScheduler(self._nodes(), policy="nope")
-
     def test_release_unknown_node(self):
         sched = ClassicalScheduler(self._nodes())
         with pytest.raises(KeyError):
