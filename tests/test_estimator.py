@@ -1,9 +1,15 @@
 """Resource-estimator tests: features, dataset, models, numerical baseline,
 cost model, and plan generation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.backends import default_fleet
 from repro.circuits import compute_metrics
 from repro.cloud import ExecutionModel
@@ -562,4 +568,57 @@ class TestSegmentedPredictBitIdentity:
                 segments,
             )
             assert np.array_equal(pipeline.predict(raw, segments), want), label
+
+
+class TestFinalModelPins:
+    """The final ridge fits of two cold starts, as literals: the selected
+    degree, a sha256 of ``coef_``'s bytes and ``intercept_``.  Degree
+    selection may get cheaper; the model it hands on may not move a bit.
+
+    Recorded on OpenBLAS 0.3.31 (x86-64) with one BLAS thread, as
+    ``bench/run.py`` trains: the final fit's ``posv`` changes its last bits
+    with the thread count, so the models are built in a child process with
+    the thread count pinned."""
+
+    SCRIPT = (
+        "import hashlib\n"
+        "from repro.experiments.common import trained_estimator\n"
+        "from repro.orchestrator import Qonductor\n"
+        "for name, est in [('trained_estimator(seed=7)', trained_estimator(seed=7)),\n"
+        "                  ('Qonductor(seed=0)', Qonductor(seed=0, estimator_records=200).estimator)]:\n"
+        "    for target in ('fidelity', 'runtime'):\n"
+        "        model = getattr(est.estimators, target)\n"
+        "        regressor = model.pipeline['regressor']\n"
+        "        print(name, target, model.degree,\n"
+        "              hashlib.sha256(regressor.coef_.tobytes()).hexdigest(),\n"
+        "              regressor.intercept_.hex())\n"
+    )
+
+    PINNED = [
+        "trained_estimator(seed=7) fidelity 2 "
+        "234db8d595a1d63550f23b317be99908d93f3c03aea9777e6d116d4efc8a9e18 0x1.33357b1364f4ep-1",
+        "trained_estimator(seed=7) runtime 3 "
+        "d36d21f30335510550c59b5d32ec427671df7a0705ad5b3be04bc6fc5a8d67af 0x1.73cf75c3695e8p+1",
+        "Qonductor(seed=0) fidelity 1 "
+        "786c1f8afa45089bbddf0b46ae58f463adc0b41daba3253ceca34449ce691955 0x1.1d8200739c08bp-1",
+        "Qonductor(seed=0) runtime 2 "
+        "835b217dafaed37785f18bec6a9b4d613ea38a4aba7f0a50a28c6d05d1b0c71c 0x1.7fdd493773d57p+1",
+    ]
+
+    def test_final_models_are_pinned(self):
+        one_thread = dict.fromkeys(
+            ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={
+                **os.environ,
+                **one_thread,
+                "PYTHONPATH": str(Path(repro.__file__).parent.parent),
+            },
+        )
+        assert out.stdout.splitlines() == self.PINNED
 

@@ -13,7 +13,9 @@ from helpers.reference_kernels import (
     polynomial_mutation_dense,
     repair_reference,
 )
+from helpers.reference_cv import reference_degree_selection
 from helpers.reference_models import polynomial_transform_reference
+from repro.estimator.models import _select_and_fit
 from repro.ml import (
     KFold,
     LinearRegression,
@@ -199,6 +201,81 @@ class TestMetricsAndCV:
         assert isinstance(pipe["poly"], PolynomialFeatures)
         with pytest.raises(KeyError):
             pipe["nope"]
+
+
+def _selection_problem(rows, n_features, constant, seed):
+    """A smooth nonlinear target over differently scaled and shifted
+    columns; ``constant`` makes the last column one repeated value."""
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(rows, n_features))
+    X = base * rng.uniform(0.1, 10.0, n_features) + rng.normal(0.0, 5.0, n_features)
+    if constant:
+        X[:, -1] = 0.7
+    y = (
+        np.tanh(base @ rng.normal(size=n_features))
+        + 0.3 * base[:, 0] ** 2
+        + 0.1 * rng.normal(size=rows)
+    )
+    return X, y
+
+
+@st.composite
+def _selection_problems(draw):
+    n_features = draw(st.integers(1, 5))
+    X, y = _selection_problem(
+        draw(st.integers(12, 90)),
+        n_features,
+        n_features > 1 and draw(st.booleans()),
+        draw(st.integers(0, 2**16)),
+    )
+    return (
+        X,
+        y,
+        tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))),
+        draw(st.integers(2, 6)),
+        draw(st.sampled_from([1e-3, 0.1, 1.0])),
+        draw(st.integers(0, 99)),
+    )
+
+
+class TestDegreeSelection:
+    """The estimator's K-fold degree selection against the loop that fits
+    one pipeline per degree and fold (``helpers/reference_cv.py``)."""
+
+    @staticmethod
+    def _check(X, y, degrees, n_splits, alpha, seed):
+        want, best = reference_degree_selection(
+            X, y, degrees, alpha=alpha, n_splits=n_splits, seed=seed
+        )
+        est, report = _select_and_fit(
+            X, y, "fidelity", degrees=degrees, alpha=alpha, n_splits=n_splits, seed=seed
+        )
+        assert est.degree == best
+        got = [report[f"degree_{d}"] for d in degrees]
+        np.testing.assert_allclose(got, want, rtol=1e-8, atol=0.0)
+        assert est.cv_r2 == report[f"degree_{best}"]
+        final = make_polynomial_regression(best, alpha=alpha).fit(X, y)["regressor"]
+        assert est.pipeline["regressor"].coef_.tobytes() == final.coef_.tobytes()
+        assert est.pipeline["regressor"].intercept_ == final.intercept_
+
+    @pytest.mark.parametrize(
+        "rows, n_features, degrees, n_splits, constant",
+        [
+            (40, 5, (3, 1, 2), 5, False),  # degree 3: 55 columns, 32 training rows
+            (30, 4, (4,), 6, False),  # 69 columns, 25 training rows
+            (90, 2, (1, 3), 3, False),  # every degree narrower than its folds
+            (60, 3, (2, 2, 1), 2, True),  # repeated degree, a constant column
+            (24, 5, (2, 4, 3, 1), 4, True),  # both sides of 18 training rows
+        ],
+    )
+    def test_edge_shapes(self, rows, n_features, degrees, n_splits, constant):
+        X, y = _selection_problem(rows, n_features, constant, seed=rows)
+        self._check(X, y, degrees, n_splits, 1e-3, seed=3)
+
+    @_settings
+    @given(_selection_problems())
+    def test_matches_the_per_fit_loop(self, problem):
+        self._check(*problem)
 
 
 class _Biobj(Problem):
