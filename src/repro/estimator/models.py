@@ -16,7 +16,7 @@ import numpy as np
 
 from ..backends.calibration import CalibrationData
 from ..circuits.metrics import CircuitMetrics
-from ..ml import cross_val_score, make_polynomial_regression
+from ..ml import make_polynomial_regression, polynomial_ridge_cv
 from .dataset import EstimatorDataset
 from .features import (
     calibration_fidelity_features,
@@ -99,28 +99,27 @@ def _select_and_fit(
     y: np.ndarray,
     target: str,
     *,
-    degrees=(1, 2, 3),
+    degrees: Sequence[int] = (1, 2, 3),
     alpha: float = 1e-3,
     n_splits: int = 5,
     log_target: bool = False,
     seed: int = 0,
 ) -> tuple[RegressionEstimator, dict]:
-    """Cross-validated degree selection, then fit on the full set."""
+    """Cross-validated degree selection, then fit on the full set.
+
+    Selection runs in one pass per fold (:func:`repro.ml.polynomial_ridge_cv`);
+    the final model is one ``make_polynomial_regression`` pipeline fitted
+    on every row, and the first of equally scored degrees wins."""
     y_fit = np.log1p(y) if log_target else y
-    report = {}
-    best_degree, best_score = None, -np.inf
-    for degree in degrees:
-        scores = cross_val_score(
-            lambda d=degree: make_polynomial_regression(d, alpha=alpha),
-            X,
-            y_fit,
-            n_splits=n_splits,
-            seed=seed,
+    try:
+        scores = polynomial_ridge_cv(
+            X, y_fit, degrees, alpha=alpha, n_splits=n_splits, seed=seed
         )
-        mean_score = float(np.mean(scores))
-        report[f"degree_{degree}"] = mean_score
-        if mean_score > best_score:
-            best_degree, best_score = degree, mean_score
+    except ValueError as err:
+        raise ValueError(f"{target} estimator: {err}") from err
+    report = {f"degree_{d}": float(s) for d, s in zip(degrees, scores)}
+    best = int(np.argmax(scores))
+    best_degree, best_score = degrees[best], float(scores[best])
     pipeline = make_polynomial_regression(best_degree, alpha=alpha)
     pipeline.fit(X, y_fit)
     est = RegressionEstimator(

@@ -1,10 +1,11 @@
 """Minimal ML stack (scikit-learn substitute): linear/ridge regression,
-polynomial features, scaling, K-fold CV, regression metrics, pipelines."""
+polynomial features, scaling, K-fold degree selection, regression
+metrics, pipelines."""
 
 from .features import PolynomialFeatures, StandardScaler
 from .linear import LinearRegression, Ridge
 from .metrics import mean_absolute_error, r2_score, root_mean_squared_error
-from .model_selection import KFold, cross_val_score, train_test_split
+from .model_selection import KFold, polynomial_ridge_cv, train_test_split
 from .pipeline import Pipeline, make_polynomial_regression
 
 __all__ = [
@@ -16,7 +17,7 @@ __all__ = [
     "r2_score",
     "root_mean_squared_error",
     "KFold",
-    "cross_val_score",
+    "polynomial_ridge_cv",
     "train_test_split",
     "Pipeline",
     "make_polynomial_regression",

@@ -8,6 +8,7 @@ these.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -89,8 +90,8 @@ class Ridge(LinearRegression):
 
     def __init__(self, alpha: float = 1.0, fit_intercept: bool = True) -> None:
         super().__init__(fit_intercept=fit_intercept)
-        if alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        if not (alpha >= 0 and math.isfinite(alpha)):
+            raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
         self.alpha = alpha
 
     def fit(self, X, y) -> "Ridge":

@@ -1,4 +1,5 @@
-"""Model selection: K-fold cross-validation and train/test splitting.
+"""Model selection: K-fold splits, train/test splitting and the K-fold
+degree selection of polynomial ridge regression.
 
 The paper trains and evaluates its estimators "through K-fold
 cross-validation, using the R^2 score as the primary evaluation metric".
@@ -6,13 +7,16 @@ cross-validation, using the R^2 score as the primary evaluation metric".
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import math
+from collections.abc import Iterator, Sequence
 
 import numpy as np
+from scipy import linalg
 
+from .features import PolynomialFeatures
 from .metrics import r2_score
 
-__all__ = ["KFold", "train_test_split", "cross_val_score"]
+__all__ = ["KFold", "train_test_split", "polynomial_ridge_cv"]
 
 
 class KFold:
@@ -61,25 +65,79 @@ def train_test_split(
     return X[train_idx], X[test_idx], y[train_idx], y[test_idx]
 
 
-def cross_val_score(
-    model_factory,
-    X,
-    y,
-    *,
-    n_splits: int = 5,
-    metric=r2_score,
-    seed: int | None = 0,
+def polynomial_ridge_cv(
+    X, y, degrees: Sequence[int], *, alpha: float, n_splits: int = 5, seed: int | None = 0
 ) -> np.ndarray:
-    """Fit a fresh model per fold; returns the per-fold metric values.
+    """Mean K-fold R² of ``make_polynomial_regression(d, alpha=alpha)``
+    for each entry of ``degrees``, in one pass per fold.
 
-    ``model_factory`` is a zero-argument callable producing an unfitted
-    model with ``fit``/``predict`` (e.g. ``lambda: make_poly_pipeline(2)``).
+    Equal in real arithmetic to fitting and scoring one pipeline per
+    degree and fold (only the last bits differ), and cheaper:
+
+    - ``X`` is expanded once, at the top degree: the degree-d monomials
+      are a prefix of the degree-(d+1) ones, and scaling is per column.
+    - each fold's training rows are standardized once, as
+      ``StandardScaler`` does.  Standardized columns have zero mean, so
+      ridge's own centering has nothing to do.
+    - every degree no wider than the fold's training rows solves on the
+      leading block of one Gram matrix and one Cholesky factor (the
+      leading block of a Cholesky factor is the factor of the leading
+      block).
+    - a wider degree solves the rows x rows dual system:
+      ``w = Zᵀ (Z Zᵀ + αI)⁻¹ (y - ȳ)``.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    scores = []
+    if X.ndim != 2 or y.shape != (len(X),):
+        raise ValueError(f"X {X.shape} needs one row per entry of a 1-D y {y.shape}")
+    for name, values in (("X", X), ("y", y)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} has a non-finite value")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
+    if not degrees or min(degrees) < 1:
+        raise ValueError(f"degrees must be a non-empty list of ints >= 1, got {degrees!r}")
+    distinct = sorted(set(degrees))
+    widths = [math.comb(X.shape[1] + d, d) - 1 for d in distinct]
+    expanded = PolynomialFeatures(distinct[-1]).fit_transform(X)
+    totals = np.zeros(len(distinct))
     for train, test in KFold(n_splits=n_splits, seed=seed).split(len(X)):
-        model = model_factory()
-        model.fit(X[train], y[train])
-        scores.append(metric(y[test], model.predict(X[test])))
-    return np.array(scores)
+        fit = expanded[train]  # a copy: standardized in place
+        mean = fit.mean(axis=0)
+        fit -= mean
+        scale = np.sqrt(np.einsum("ij,ij->j", fit, fit) / len(fit))
+        scale[scale < 1e-12] = 1.0  # StandardScaler's rule for a constant column
+        fit /= scale
+        held = (expanded[test] - mean) / scale
+        y_mean = float(y[train].mean())
+        coefs = _prefix_ridge(fit, y[train] - y_mean, widths, alpha)
+        totals += [r2_score(y[test], held[:, : len(c)] @ c + y_mean) for c in coefs]
+    mean_r2 = dict(zip(distinct, totals / n_splits))
+    return np.array([mean_r2[d] for d in degrees])
+
+
+def _prefix_ridge(Z, yc, widths: list[int], alpha: float) -> list[np.ndarray]:
+    """Ridge coefficients on the leading ``w`` columns of the centered
+    ``Z`` for each of the ascending ``widths``."""
+    rows = len(Z)
+    narrow = [w for w in widths if w <= rows]
+    coefs = []
+    if narrow:
+        top = Z[:, : narrow[-1]]
+        gram = top.T @ top
+        gram.flat[:: len(gram) + 1] += alpha  # the diagonal
+        factor, _ = linalg.cho_factor(gram, lower=True, overwrite_a=True, check_finite=False)
+        rhs = top.T @ yc
+        for w in narrow:
+            coefs.append(linalg.cho_solve((factor[:w, :w], True), rhs[:w], check_finite=False))
+    wide = widths[len(narrow) :]
+    if wide:
+        kernel = np.zeros((rows, rows))
+        for start, stop in zip([0, *wide], wide):
+            block = Z[:, start:stop]
+            kernel += block @ block.T
+            system = kernel.copy()
+            system.flat[:: rows + 1] += alpha
+            factor = linalg.cho_factor(system, lower=True, overwrite_a=True, check_finite=False)
+            coefs.append(Z[:, :stop].T @ linalg.cho_solve(factor, yc, check_finite=False))
+    return coefs

@@ -52,13 +52,14 @@ def make_polynomial_regression(
 ) -> Pipeline:
     """The paper's winning estimator family: polynomial regression.
 
-    ``alpha > 0`` switches the final stage to ridge, which stabilizes the
-    higher-degree fits on the smaller synthetic datasets.
+    A nonzero ``alpha`` switches the final stage to ridge, which stabilizes
+    the higher-degree fits on the smaller synthetic datasets (and refuses
+    a negative or non-finite ``alpha``).
     """
     steps: list[tuple[str, object]] = []
     steps.append(("poly", PolynomialFeatures(degree=degree)))
     if scale:
         steps.append(("scaler", StandardScaler()))
-    estimator = Ridge(alpha=alpha) if alpha > 0 else LinearRegression()
+    estimator = Ridge(alpha=alpha) if alpha != 0 else LinearRegression()
     steps.append(("regressor", estimator))
     return Pipeline(steps)

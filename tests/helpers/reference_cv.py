@@ -6,9 +6,11 @@ fresh ``make_polynomial_regression(degree, alpha=alpha)`` pipeline on every
 training fold of every candidate degree and score it on the held-out fold:
 3 degrees x 5 folds ridge fits per target, each expanding, standardizing
 and solving from scratch.  This module keeps that loop.
-``tests/test_ml_moo.py`` holds the estimator's selection to it: the same
+``tests/test_ml_moo.py`` holds the one-pass selection
+(``repro.ml.polynomial_ridge_cv``) and ``_select_and_fit`` to it: the same
 selected degree, the same final model, and each mean R² within 1e-8
-relative.
+relative — the one-pass kernel solves different but equivalent linear
+systems, so the last bits differ.
 """
 
 import numpy as np

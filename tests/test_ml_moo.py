@@ -22,9 +22,9 @@ from repro.ml import (
     PolynomialFeatures,
     Ridge,
     StandardScaler,
-    cross_val_score,
     make_polynomial_regression,
     mean_absolute_error,
+    polynomial_ridge_cv,
     r2_score,
     root_mean_squared_error,
     train_test_split,
@@ -86,6 +86,24 @@ class TestLinearModels:
         small = Ridge(alpha=1e-6).fit(X, y)
         big = Ridge(alpha=1e4).fit(X, y)
         assert np.linalg.norm(big.coef_) < np.linalg.norm(small.coef_)
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf, -1.0])
+    def test_ridge_refuses_a_non_finite_or_negative_alpha(self, alpha):
+        """``Ridge(alpha=inf)`` and ``Ridge(alpha=nan)`` used to be built."""
+        with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
+            Ridge(alpha=alpha)
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -1.0])
+    def test_pipeline_refuses_a_non_finite_or_negative_alpha(self, alpha):
+        """``nan > 0`` is false, so a NaN (or negative) alpha used to build
+        an unregularized LinearRegression, silently."""
+        with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
+            make_polynomial_regression(2, alpha=alpha)
+
+    def test_pipeline_alpha_zero_is_least_squares(self):
+        assert type(make_polynomial_regression(2, alpha=0.0)["regressor"]) is LinearRegression
+        ridge = make_polynomial_regression(2, alpha=0.5)["regressor"]
+        assert type(ridge) is Ridge and ridge.alpha == 0.5
 
     def test_predict_before_fit_raises(self):
         with pytest.raises(RuntimeError):
@@ -187,14 +205,12 @@ class TestMetricsAndCV:
         Xtr, Xte, ytr, yte = train_test_split(X, y, test_fraction=0.3, seed=0)
         assert len(Xte) == 3 and len(Xtr) == 7
 
-    def test_cross_val_score_on_learnable_problem(self):
+    def test_cv_scores_on_learnable_problem(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(120, 2))
         y = 1.0 + 2 * X[:, 0] - X[:, 1] ** 2
-        scores = cross_val_score(
-            lambda: make_polynomial_regression(2), X, y, n_splits=4
-        )
-        assert scores.mean() > 0.99
+        linear, quadratic = polynomial_ridge_cv(X, y, (1, 2), alpha=1e-6, n_splits=4)
+        assert quadratic > 0.99 > linear
 
     def test_pipeline_getitem(self):
         pipe = make_polynomial_regression(2)
@@ -247,12 +263,14 @@ class TestDegreeSelection:
         want, best = reference_degree_selection(
             X, y, degrees, alpha=alpha, n_splits=n_splits, seed=seed
         )
+        got = polynomial_ridge_cv(X, y, degrees, alpha=alpha, n_splits=n_splits, seed=seed)
+        np.testing.assert_allclose(got, want, rtol=1e-8, atol=0.0)
+        assert degrees[int(np.argmax(got))] == best
         est, report = _select_and_fit(
             X, y, "fidelity", degrees=degrees, alpha=alpha, n_splits=n_splits, seed=seed
         )
         assert est.degree == best
-        got = [report[f"degree_{d}"] for d in degrees]
-        np.testing.assert_allclose(got, want, rtol=1e-8, atol=0.0)
+        assert [report[f"degree_{d}"] for d in degrees] == got.tolist()
         assert est.cv_r2 == report[f"degree_{best}"]
         final = make_polynomial_regression(best, alpha=alpha).fit(X, y)["regressor"]
         assert est.pipeline["regressor"].coef_.tobytes() == final.coef_.tobytes()
@@ -276,6 +294,33 @@ class TestDegreeSelection:
     @given(_selection_problems())
     def test_matches_the_per_fit_loop(self, problem):
         self._check(*problem)
+
+    @pytest.mark.parametrize("degrees", [(), (0, 1), (2, -1)])
+    def test_refuses_empty_or_non_positive_degrees(self, degrees):
+        """``degrees=()`` used to surface as a TypeError comparing None
+        with an int inside PolynomialFeatures."""
+        X, y = _selection_problem(40, 3, False, seed=0)
+        with pytest.raises(ValueError, match="^runtime estimator: degrees must be"):
+            _select_and_fit(X, y, "runtime", degrees=degrees, log_target=True)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["X", "y"])
+    @pytest.mark.parametrize("target", ["fidelity", "runtime"])
+    def test_refuses_a_non_finite_value(self, target, where, bad):
+        """The kernel calls LAPACK without scipy's finiteness check, so a
+        NaN or inf is refused once, at entry, and the error names the
+        estimator (scipy's message named neither)."""
+        X, y = _selection_problem(40, 3, False, seed=0)
+        y = np.abs(y)
+        (X if where == "X" else y)[7] = bad
+        with pytest.raises(ValueError, match=f"^{target} estimator: {where} has a non-finite"):
+            _select_and_fit(X, y, target, log_target=target == "runtime")
+
+    @pytest.mark.parametrize("alpha", [0.0, -1e-3, np.nan, np.inf])
+    def test_kernel_needs_a_positive_finite_alpha(self, alpha):
+        X, y = _selection_problem(40, 3, False, seed=0)
+        with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+            polynomial_ridge_cv(X, y, (1, 2), alpha=alpha)
 
 
 class _Biobj(Problem):
