@@ -14,7 +14,12 @@ one place:
 * :func:`fake_estimate` / :func:`make_job` / :func:`make_shards` /
   :func:`run_sharded` — the standard deterministic fixtures the suites
   build scenarios from.
+* :class:`PicklingSerialExecutor` — the serial cycle executor with every
+  task and result sent through a pickle round trip, the witness that the
+  optimization stage is a pure function of a self-contained task.
 """
+
+import pickle
 
 import numpy as np
 
@@ -26,6 +31,7 @@ from repro.cloud import (
     FleetShard,
     LoadGenerator,
     QuantumJob,
+    SerialCycleExecutor,
     SimulatedQPU,
     SimulationConfig,
 )
@@ -40,9 +46,29 @@ __all__ = [
     "make_shards",
     "run_sharded",
     "EPSILON_SHAPES",
+    "PicklingSerialExecutor",
     "assert_series_identical",
     "assert_runs_identical",
 ]
+
+
+def _round_trip(value):
+    return pickle.loads(pickle.dumps(value))
+
+
+class PicklingSerialExecutor(SerialCycleExecutor):
+    """Serial execution through a pickle round trip.
+
+    The stage function, each task and each result are pickled and
+    unpickled, so a run under this executor equals a plain serial run
+    only if a task carries everything its stage reads, the stage is
+    importable by name, and a result aliases no live simulator state —
+    what a stage replayed from a recorded task relies on.
+    """
+
+    def run(self, fn, tasks):
+        fn = _round_trip(fn)
+        return [_round_trip(fn(_round_trip(task))) for task in tasks]
 
 #: The sampled metric series every identity assertion compares.
 SERIES = (

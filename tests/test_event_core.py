@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.backends import default_fleet
+from repro.backends.fleet import fleet_of_size
 from repro.cloud import (
     AvailabilityModel,
     CloudSimulator,
@@ -555,6 +556,43 @@ class TestEstimateCache:
         assert cache.stats.hits == hits_before  # demoted then evicted
         cache.get(("new", 7))
         assert cache.stats.hits == hits_before + 1  # still protected
+
+    def test_capacity_sweep_degrades_gracefully(self):
+        """Hit rate vs ``max_entries`` on a scheduling-shaped stream:
+        50-job blocks against an 8-QPU fleet, drawn from a 256-program
+        resubmission pool with round shot counts.  Keys do not depend on
+        the estimate, so a constant base measures the eviction policy
+        alone.  A cap past the working set serves the stream almost
+        entirely from memo; at the largest cap below it the protected
+        segment keeps the re-referenced keys serving (the generational
+        halving it replaced fell to near zero there)."""
+        fleet = fleet_of_size(8, seed=7)
+        gen = LoadGenerator(
+            mean_rate_per_hour=20_000.0,
+            diurnal=False,
+            shots_grid=(1024, 2048, 4096, 8192),
+            circuit_pool_size=256,
+            seed=13,
+        )
+        apps = gen.generate(1800.0)
+        blocks = [
+            [a.quantum_job for a in apps[i : i + 50]]
+            for i in range(0, len(apps), 50)
+        ]
+        hit_rate, entries = {}, {}
+        for max_entries in (64, 256, 1024, 4096, 16384):
+            cached = CachedEstimator(lambda j, q: (0.5, 1.0), max_entries=max_entries)
+            for block in blocks:
+                cached.estimate_block(block, fleet)
+            hit_rate[max_entries] = cached.stats.hit_rate
+            entries[max_entries] = len(cached.cache)
+        rates = [hit_rate[k] for k in sorted(hit_rate)]
+        assert all(b >= a for a, b in zip(rates, rates[1:]))
+        assert rates[-1] > 0.8
+        working_set = entries[max(entries)]
+        below = [k for k in hit_rate if k < working_set]
+        assert below, "the grid no longer brackets the working set"
+        assert hit_rate[max(below)] > 0.4
 
     def test_execution_component_cache(self):
         qpu = default_fleet(seed=7, names=["lagos"])[0]

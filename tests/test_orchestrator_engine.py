@@ -3,7 +3,8 @@ through ``CloudSimulator``.
 
 * a seeded invoke equals, field for field, the same arrival pushed
   through a hand-built simulator with the same seed, trigger and devices,
-  on the serial and the thread cycle executor;
+  with the deployment's cycles run plainly and through the pickling
+  double;
 * two fresh deployments running the same invokes return equal results;
 * the DAG shapes: a chain, a fan-out, overlapping branches, and a second
   invoke over the device state the first one left;
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from helpers.determinism import PicklingSerialExecutor
 from repro.backends import default_fleet
 from repro.cloud import (
     CloudSimulator,
@@ -25,6 +27,7 @@ from repro.cloud import (
     FleetShard,
     HybridApplication,
     QuantumJob,
+    SerialCycleExecutor,
     SimulatedQPU,
     SimulationConfig,
 )
@@ -72,13 +75,23 @@ def _invoke(qonductor, workflow_or_steps, name="wf"):
     return results, {s["name"]: s for s in results["steps"].values()}
 
 
-@pytest.mark.parametrize("executor", ["serial", "thread"])
+@pytest.mark.parametrize(
+    "executor", [SerialCycleExecutor, PicklingSerialExecutor], ids=["serial", "pickled"]
+)
 def test_invoke_is_the_same_arrival_through_a_hand_built_simulator(
     deployment, estimator, executor, monkeypatch
 ):
     from repro.orchestrator.api import step_seed
 
-    monkeypatch.setenv("CYCLE_EXECUTOR", executor)
+    # The simulator ``invoke`` builds runs its cycles on ``executor``; the
+    # hand-built one below names plain serial.
+    init = CloudSimulator.__init__
+
+    def init_with_executor(self, *args, **kwargs):
+        kwargs.setdefault("cycle_executor", executor())
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CloudSimulator, "__init__", init_with_executor)
     steps = [_classical("pre", 0.2), _quantum("ghz", mitigation="rem"), _classical("post", 0.3)]
     results, by_name = _invoke(deployment, steps)
     step = by_name["ghz"]
@@ -93,6 +106,7 @@ def test_invoke_is_the_same_arrival_through_a_hand_built_simulator(
     shard = FleetShard(0, [SimulatedQPU(q) for q in _fleet()], policy, trigger)
     sim = CloudSimulator(
         shards=[shard],
+        cycle_executor="serial",
         execution_model=ExecutionModel(seed=SEED),
         config=SimulationConfig(
             duration_seconds=horizon,

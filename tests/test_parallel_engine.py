@@ -10,12 +10,14 @@ the cycle seed derivation.
 """
 
 import os
+import pickle
 
 import numpy as np
 import pytest
 
 from helpers.determinism import (
     EPSILON_SHAPES,
+    PicklingSerialExecutor,
     assert_runs_identical,
     fake_estimate,
     run_sharded,
@@ -199,36 +201,51 @@ class TestCycleSeedPurity:
 
 
 class TestBackendBitIdentity:
-    """Same seeds -> identical SimulationMetrics on every backend."""
+    """Same seeds -> identical SimulationMetrics whether or not every task
+    and result goes through a pickle round trip."""
 
-    @pytest.mark.parametrize("backend", ["thread:4", "process:2"])
-    def test_qonductor_multi_shard(self, backend):
+    def test_qonductor_multi_shard(self):
         serial = run_sharded(
             QonductorScheduler(fake_estimate, seed=5, max_generations=4),
             "serial",
         )
-        parallel = run_sharded(
+        pickled = run_sharded(
             QonductorScheduler(fake_estimate, seed=5, max_generations=4),
-            backend,
+            PicklingSerialExecutor(),
         )
-        assert_runs_identical(serial, parallel)
+        assert_runs_identical(serial, pickled)
         # Same-instant deadlines really did coalesce into multi-cycle
-        # batches — the parallel path was exercised, not bypassed.
+        # batches — the batched path was exercised, not bypassed.
         assert serial.max_batch_cycles >= 2
         assert serial.scheduling_cycles >= 4
+
+    def test_round_trip_refuses_what_cannot_pickle(self):
+        """The double has teeth: a stage not importable by name, or a
+        task holding a closure, fails instead of running."""
+        ex = PicklingSerialExecutor()
+        assert ex.run(str, [1, 2]) == ["1", "2"]
+        # A local object fails the by-name lookup (AttributeError before
+        # Python 3.12, PicklingError after).
+        unpicklable = (pickle.PicklingError, AttributeError)
+        with pytest.raises(unpicklable):
+            ex.run(lambda x: x, [1])
+        with pytest.raises(unpicklable):
+            ex.run(str, [lambda: None])
 
     def test_fcfs_multi_shard_with_rebalancing(self):
         serial = run_sharded(
             BatchedFCFSPolicy(fake_estimate), "serial", rebalance="threshold"
         )
-        threaded = run_sharded(
-            BatchedFCFSPolicy(fake_estimate), "thread", rebalance="threshold"
+        pickled = run_sharded(
+            BatchedFCFSPolicy(fake_estimate),
+            PicklingSerialExecutor(),
+            rebalance="threshold",
         )
-        assert_runs_identical(serial, threaded)
+        assert_runs_identical(serial, pickled)
         assert serial.dispatched_jobs > 0
 
     def test_qonductor_with_recalibration(self):
-        """Cache invalidation mid-run keeps backends aligned too."""
+        """Cache invalidation mid-run keeps the round trip aligned too."""
         serial = run_sharded(
             QonductorScheduler(fake_estimate, seed=5, max_generations=4),
             "serial",
@@ -236,25 +253,25 @@ class TestBackendBitIdentity:
             duration=500.0,
             recal=250.0,
         )
-        threaded = run_sharded(
+        pickled = run_sharded(
             QonductorScheduler(fake_estimate, seed=5, max_generations=4),
-            "thread",
+            PicklingSerialExecutor(),
             num_shards=2,
             duration=500.0,
             recal=250.0,
         )
-        assert_runs_identical(serial, threaded)
+        assert_runs_identical(serial, pickled)
 
     def test_seeded_rerun_identical_on_same_backend(self):
         a = run_sharded(
             QonductorScheduler(fake_estimate, seed=5, max_generations=4),
-            "thread",
+            "serial",
             num_shards=2,
             duration=500.0,
         )
         b = run_sharded(
             QonductorScheduler(fake_estimate, seed=5, max_generations=4),
-            "thread",
+            "serial",
             num_shards=2,
             duration=500.0,
         )
@@ -433,23 +450,23 @@ class TestLatencyModels:
 
 class TestPipelinedEngine:
     """Modeled cycle latency and ε-coalescing stay deterministic across
-    backends and reruns."""
+    the pickle round trip and reruns."""
 
     def test_modeled_latency_identical_across_backends(self):
         """Nonzero scheduler latency: the fold instant is simulated time,
-        so serial and process runs still agree bit-for-bit."""
+        so plain and round-tripped runs still agree bit-for-bit."""
         kwargs = dict(duration=700.0, cycle_latency=30.0, trigger_epsilon=5.0)
         serial = run_sharded(
             QonductorScheduler(fake_estimate, seed=5, max_generations=4),
             "serial",
             **kwargs,
         )
-        pooled = run_sharded(
+        pickled = run_sharded(
             QonductorScheduler(fake_estimate, seed=5, max_generations=4),
-            "process:2",
+            PicklingSerialExecutor(),
             **kwargs,
         )
-        assert_runs_identical(serial, pooled)
+        assert_runs_identical(serial, pickled)
         assert serial.pipelined_batches > 0
         assert serial.fold_lag_seconds > 0.0
         # Fold lag is bounded by the constant model: every pipelined
@@ -462,13 +479,13 @@ class TestPipelinedEngine:
     def test_nonzero_latency_seeded_rerun_identical(self):
         a = run_sharded(
             QonductorScheduler(fake_estimate, seed=5, max_generations=4),
-            "thread:4",
+            "serial",
             duration=500.0,
             cycle_latency=20.0,
         )
         b = run_sharded(
             QonductorScheduler(fake_estimate, seed=5, max_generations=4),
-            "thread:4",
+            PicklingSerialExecutor(),
             duration=500.0,
             cycle_latency=20.0,
         )
@@ -485,13 +502,13 @@ class TestPipelinedEngine:
         assert m.dispatched_jobs > 0
 
     @staticmethod
-    def _epsilon_run(executor, *, trigger_epsilon):
+    def _epsilon_run(executor, **knobs):
         """Arrival-driven fleet where per-shard queue-limit triggers fire
         at distinct instants — the case ε-coalescing exists for."""
         return run_sharded(
             QonductorScheduler(fake_estimate, seed=5, max_generations=4),
             executor,
-            trigger_epsilon=trigger_epsilon,
+            **knobs,
             **EPSILON_SHAPES["queue"],
         )
 
@@ -508,10 +525,30 @@ class TestPipelinedEngine:
         # Coalescing defers work, it must not lose it.
         assert merged.dispatched_jobs > 0
 
+    def test_pipelined_stream_conserves_jobs(self):
+        """ε plus a modeled latency on the arrival-driven stream: cross-
+        shard triggers merge into batches at least two wide that fold
+        after their trigger instant, while the synchronous arm runs
+        batches of one (bar the horizon flush, one batch over every
+        backlogged shard).  Deferring work must not lose it."""
+        sync = self._epsilon_run("serial")
+        piped = self._epsilon_run(
+            "serial", trigger_epsilon=10.0, cycle_latency=15.0
+        )
+        assert sync.scheduling_cycles - sync.cycle_batches <= sync.num_shards - 1
+        assert piped.epsilon_merged_triggers > 0
+        assert piped.pipelined_batches > 0
+        assert piped.max_batch_cycles >= 2
+
+        def placed(m):
+            return m.dispatched_jobs + m.unschedulable_jobs + m.pending_at_horizon
+
+        assert placed(piped) == placed(sync) > 0
+
     def test_epsilon_batch_formation_deterministic(self):
         serial = self._epsilon_run("serial", trigger_epsilon=15.0)
-        pooled = self._epsilon_run("process:2", trigger_epsilon=15.0)
-        assert_runs_identical(serial, pooled)
+        pickled = self._epsilon_run(PicklingSerialExecutor(), trigger_epsilon=15.0)
+        assert_runs_identical(serial, pickled)
 
     def test_epsilon_merged_counts_cycles_launched_early(self):
         """Regression: the counter also counted stale heap entries and
