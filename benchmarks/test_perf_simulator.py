@@ -180,318 +180,6 @@ def test_perf_sharded_100k_jobs():
 
 
 # ---------------------------------------------------------------------------
-# Parallel scheduling engine: worker-pool NSGA-II cycles vs serial
-# ---------------------------------------------------------------------------
-
-def _run_parallel_cycles(executor, *, num_shards=4, duration=1500.0):
-    """One arm of the parallel-engine comparison.
-
-    A 4-shard Qonductor fleet with deadline-driven triggers (huge queue
-    limit), so all shards' cycles land on one shared 120 s cadence and
-    every TRIGGER batch is ``num_shards`` wide; arrivals are Markov-
-    modulated (flash-crowd bursts at 6x the calm rate) so queue depths —
-    and thus NSGA-II cost — swing the way a worst-case stream would.
-    """
-    estimator = trained_estimator(seed=7)
-    cached = estimator.cached()
-    gen = LoadGenerator(
-        mean_rate_per_hour=9600.0,
-        diurnal=False,
-        arrival_process="mmpp",
-        burst_rate_multiplier=6.0,
-        mean_burst_seconds=90.0,
-        mean_calm_seconds=360.0,
-        shots_grid=SHOTS_GRID,
-        seed=3,
-    )
-    sim = CloudSimulator.sharded(
-        fleet_of_size(16, seed=7),
-        QonductorScheduler(cached, seed=3, max_generations=20),
-        num_shards=num_shards,
-        balancer="least_loaded",
-        execution_model=ExecutionModel(seed=11),
-        trigger_factory=lambda i: SchedulingTrigger(
-            queue_limit=100_000, interval_seconds=120.0
-        ),
-        config=SimulationConfig(duration_seconds=duration, seed=3),
-        cycle_executor=executor,
-    )
-    t0 = time.perf_counter()
-    metrics = sim.run(gen.generate(duration))
-    return metrics, time.perf_counter() - t0
-
-
-def _cache_sweep(max_entries_grid=(64, 256, 1024, 4096, 16384)):
-    """Hit rate vs ``max_entries`` on a realistic round-shots stream.
-
-    Replays the same scheduling-shaped request sequence (batches of
-    pending jobs scored against the full fleet via ``estimate_block``,
-    drawn from a resubmission pool with round shot counts — the regime
-    the cache exists for) against fresh caches of different capacities,
-    isolating the eviction policy from everything else.  The working set
-    is ~pool x fleet keys, so the sweep brackets it: small caps thrash
-    under generational eviction, caps past the working set converge.
-    """
-    estimator = trained_estimator(seed=7)
-    fleet = fleet_of_size(8, seed=7)
-    gen = LoadGenerator(
-        mean_rate_per_hour=20_000.0,
-        diurnal=False,
-        shots_grid=SHOTS_GRID,
-        circuit_pool_size=256,
-        seed=13,
-    )
-    apps = gen.generate(1800.0)
-    batches = [
-        [a.quantum_job for a in apps[i : i + 50]]
-        for i in range(0, len(apps), 50)
-    ]
-    sweep = {}
-    for max_entries in max_entries_grid:
-        cached = estimator.cached(max_entries=max_entries)
-        for batch in batches:
-            cached.estimate_block(batch, fleet)
-        sweep[max_entries] = {
-            "hit_rate": round(cached.stats.hit_rate, 4),
-            "lookups": cached.stats.lookups,
-            "entries": len(cached.cache),
-        }
-    return sweep
-
-
-def test_perf_parallel_cycles():
-    """The tentpole gate: worker-pool NSGA-II cycles must be bit-identical
-    to serial execution and >=2x faster on the optimization stage when
-    the host has the cores (CI runners do; the gate is skipped below 4)."""
-    serial, serial_wall = _run_parallel_cycles("serial")
-    parallel, parallel_wall = _run_parallel_cycles("process")
-    cpus = (
-        len(os.sched_getaffinity(0))
-        if hasattr(os, "sched_getaffinity")  # affinity-aware on Linux/CI
-        else (os.cpu_count() or 1)
-    )
-
-    opt_serial = serial.stage_seconds["optimize_wall"]
-    opt_parallel = parallel.stage_seconds["optimize_wall"]
-    speedup = opt_serial / max(opt_parallel, 1e-9)
-    sweep = _cache_sweep()
-    result = {
-        "paper": {},
-        "measured": {
-            "jobs": serial.dispatched_jobs + serial.unschedulable_jobs,
-            "num_shards": serial.num_shards,
-            "cpus": cpus,
-            "scheduling_cycles": serial.scheduling_cycles,
-            "cycle_batches": serial.cycle_batches,
-            "max_batch_cycles": serial.max_batch_cycles,
-            "optimize_stage_speedup": round(speedup, 2),
-            "serial": {
-                "wall_seconds": round(serial_wall, 3),
-                "stage_seconds": {
-                    k: round(v, 3) for k, v in serial.stage_seconds.items()
-                },
-            },
-            "parallel": {
-                "backend": "process",
-                "wall_seconds": round(parallel_wall, 3),
-                "stage_seconds": {
-                    k: round(v, 3) for k, v in parallel.stage_seconds.items()
-                },
-            },
-            "bit_identical": (
-                serial.deterministic_state() == parallel.deterministic_state()
-            ),
-            "cache_hit_rate_vs_max_entries": {
-                str(k): v for k, v in sweep.items()
-            },
-        },
-    }
-    report(
-        "Perf: parallel scheduling engine (worker-pool NSGA-II cycles)",
-        result,
-        keys=[
-            "jobs", "num_shards", "cpus", "scheduling_cycles",
-            "cycle_batches", "max_batch_cycles", "optimize_stage_speedup",
-            "bit_identical",
-        ],
-    )
-
-    ARTIFACT_DIR.mkdir(exist_ok=True)
-    artifact = ARTIFACT_DIR / "perf_parallel_cycles.json"
-    artifact.write_text(json.dumps(result["measured"], indent=2) + "\n")
-
-    # Determinism is unconditional: whichever worker ran which cycle,
-    # the folded-in SimulationMetrics must be bit-identical to serial.
-    assert serial.deterministic_state() == parallel.deterministic_state()
-    # The batches really were 4 cycles wide (aligned deadlines) and the
-    # optimization stage dominated, so there was real work to overlap.
-    assert serial.max_batch_cycles >= 4
-    assert opt_serial > 0.3 * serial_wall
-    # Capacity sweep: a too-small cache thrashes, a cap past the working
-    # set serves the stream almost entirely from memo.
-    rates = [sweep[k]["hit_rate"] for k in sorted(sweep)]
-    assert all(b >= a for a, b in zip(rates, rates[1:]))
-    assert rates[-1] > 0.8
-    # S1: the segmented LRU degrades gracefully below the working set.
-    # The generational halving it replaced flushed the oldest half-table
-    # wholesale, so a cap around half the working set (~1.9k keys here)
-    # cycled to a near-zero hit rate — the cliff; the SLRU's protected
-    # segment keeps the re-referenced hot keys serving instead.
-    working_set = sweep[max(sweep)]["entries"]
-    below = [k for k in sweep if k < working_set]
-    assert below, "sweep grid no longer brackets the working set"
-    assert sweep[max(below)]["hit_rate"] > 0.4
-    # The wall-clock gate only means something with cores to spend.
-    if cpus >= 4:
-        assert speedup >= 2.0, (
-            f"optimization stage speedup {speedup:.2f}x < 2x "
-            f"({opt_serial:.2f}s serial vs {opt_parallel:.2f}s parallel "
-            f"on {cpus} CPUs)"
-        )
-
-
-# ---------------------------------------------------------------------------
-# Pipelined engine: ε-coalescing + modeled latency vs zero-latency defaults
-# ---------------------------------------------------------------------------
-
-def _run_pipelined(executor, *, duration=1200.0, **knobs):
-    """One arm of the pipelined-engine comparison.
-
-    Unlike ``_run_parallel_cycles`` the triggers here are queue-limit
-    driven (huge deadline), so each shard fires on its *own* arrivals at
-    distinct instants — exactly the stream where zero-latency cycles
-    degenerate to batches of one (run inline, zero overlap) and only
-    ε-window coalescing plus fold deferral can recover parallelism.
-    """
-    estimator = trained_estimator(seed=7)
-    cached = estimator.cached()
-    gen = LoadGenerator(
-        mean_rate_per_hour=9600.0,
-        diurnal=False,
-        arrival_process="mmpp",
-        burst_rate_multiplier=6.0,
-        mean_burst_seconds=90.0,
-        mean_calm_seconds=360.0,
-        shots_grid=SHOTS_GRID,
-        seed=3,
-    )
-    sim = CloudSimulator.sharded(
-        fleet_of_size(16, seed=7),
-        QonductorScheduler(cached, seed=3, max_generations=20),
-        num_shards=4,
-        balancer="least_loaded",
-        execution_model=ExecutionModel(seed=11),
-        trigger_factory=lambda i: SchedulingTrigger(
-            queue_limit=15, interval_seconds=100_000.0
-        ),
-        config=SimulationConfig(duration_seconds=duration, seed=3),
-        cycle_executor=executor,
-        **knobs,
-    )
-    t0 = time.perf_counter()
-    metrics = sim.run(gen.generate(duration))
-    return metrics, time.perf_counter() - t0
-
-
-def test_perf_pipelined_cycles():
-    """The pipelined-engine gate: on a bursty arrival-driven stream,
-    ε-window coalescing + modeled scheduler latency (folds deferred, so
-    workers overlap the event loop) must beat the zero-latency,
-    batch-of-one run by >=1.5x wall clock when the host has
-    the cores (>=4), while staying bit-identical to a serial run of the
-    same configuration."""
-    knobs = dict(trigger_epsilon=10.0, cycle_latency=15.0)
-    sync, sync_wall = _run_pipelined("process")
-    piped, piped_wall = _run_pipelined("process", **knobs)
-    serial_ref, _ = _run_pipelined("serial", **knobs)
-    cpus = (
-        len(os.sched_getaffinity(0))
-        if hasattr(os, "sched_getaffinity")
-        else (os.cpu_count() or 1)
-    )
-    speedup = sync_wall / max(piped_wall, 1e-9)
-
-    result = {
-        "paper": {},
-        "measured": {
-            "jobs": sync.dispatched_jobs + sync.unschedulable_jobs,
-            "num_shards": sync.num_shards,
-            "cpus": cpus,
-            "wall_speedup": round(speedup, 2),
-            "synchronous": {
-                "wall_seconds": round(sync_wall, 3),
-                "scheduling_cycles": sync.scheduling_cycles,
-                "cycle_batches": sync.cycle_batches,
-                "max_batch_cycles": sync.max_batch_cycles,
-                "stage_seconds": {
-                    k: round(v, 3) for k, v in sync.stage_seconds.items()
-                },
-            },
-            "pipelined": {
-                "backend": "process",
-                "trigger_epsilon": knobs["trigger_epsilon"],
-                "cycle_latency": knobs["cycle_latency"],
-                "wall_seconds": round(piped_wall, 3),
-                "scheduling_cycles": piped.scheduling_cycles,
-                "cycle_batches": piped.cycle_batches,
-                "max_batch_cycles": piped.max_batch_cycles,
-                "epsilon_merged_triggers": piped.epsilon_merged_triggers,
-                "pipelined_batches": piped.pipelined_batches,
-                "fold_lag_seconds": round(piped.fold_lag_seconds, 1),
-                "stage_seconds": {
-                    k: round(v, 3) for k, v in piped.stage_seconds.items()
-                },
-            },
-            "bit_identical_to_serial": (
-                piped.deterministic_state()
-                == serial_ref.deterministic_state()
-            ),
-        },
-    }
-    report(
-        "Perf: pipelined engine (ε-coalescing + modeled latency)",
-        result,
-        keys=[
-            "jobs", "num_shards", "cpus", "wall_speedup",
-            "bit_identical_to_serial",
-        ],
-    )
-
-    ARTIFACT_DIR.mkdir(exist_ok=True)
-    artifact = ARTIFACT_DIR / "perf_pipelined_cycles.json"
-    artifact.write_text(json.dumps(result["measured"], indent=2) + "\n")
-
-    # Determinism is unconditional: the pipelined process run must match
-    # a serial run of the identical configuration bit for bit.
-    assert piped.deterministic_state() == serial_ref.deterministic_state()
-    # The scenario really exercised the new machinery: the synchronous
-    # arrival path ran batches of one, the ε window merged cross-shard
-    # triggers into multi-cycle batches, and folds lagged their submits.
-    # (The one exception is the horizon flush, which folds every still-
-    # backlogged shard as a single final batch.)
-    assert sync.scheduling_cycles - sync.cycle_batches <= sync.num_shards - 1
-    assert piped.epsilon_merged_triggers > 0
-    assert piped.pipelined_batches > 0
-    assert piped.max_batch_cycles >= 2
-    # Coalescing defers work; it must not lose it.
-    assert (
-        piped.dispatched_jobs
-        + piped.unschedulable_jobs
-        + piped.pending_at_horizon
-        == sync.dispatched_jobs
-        + sync.unschedulable_jobs
-        + sync.pending_at_horizon
-    )
-    # The wall-clock gate only means something with cores to spend.
-    if cpus >= 4:
-        assert speedup >= 1.5, (
-            f"pipelined wall speedup {speedup:.2f}x < 1.5x "
-            f"({sync_wall:.2f}s sync vs {piped_wall:.2f}s pipelined "
-            f"on {cpus} CPUs)"
-        )
-
-
-# ---------------------------------------------------------------------------
 # Skewed-width + flash-outage stress: work stealing vs static shards
 # ---------------------------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """detlint — determinism & purity static analysis for the repro engine.
 
 Every equivalence claim this reproduction makes (1-shard ≡ unsharded,
-parallel ≡ serial, pipelined ≡ synchronous) rests on a handful of code
+replayed ≡ recorded, pipelined ≡ synchronous) rests on a handful of code
 conventions: cycle RNG keyed by ``SeedSequence((seed, shard, cycle))``,
 pure picklable stage-2 workers, wall-clock confined to the
 ``TIMING_FIELDS`` accounting sites, shard-id-ordered folds.  The runtime
@@ -15,7 +15,7 @@ Rules (see :mod:`repro.analysis.rules`):
   bare ``random.*``, ``default_rng()`` with no seed).
 * **DET002** — wall-clock reads inside simulated-time packages outside
   the declared timing-accounting sites.
-* **DET003** — impurity in functions shipped to a ``CycleExecutor``
+* **DET003** — impurity in functions run by the cycle executor
   (nested defs, lambdas, module-global reads/writes).
 * **DET004** — iterating an unordered collection (``set``,
   ``os.listdir``, ``glob.glob``) into an ordering-sensitive sink

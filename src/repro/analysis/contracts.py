@@ -2,8 +2,9 @@
 
 This module is the single place where detlint's rules meet the actual
 codebase: which packages run on simulated time, which functions are the
-declared wall-clock accounting sites, which functions ship to executor
-workers, and where the runtime metrics allowlist lives.  Keeping it
+declared wall-clock accounting sites, which functions must stay pure
+functions of their task (so a recorded cycle replays), and where the
+runtime metrics allowlist lives.  Keeping it
 separate from the rule logic means the rules stay generic (and unit
 testable on synthetic fixtures) while the repo-specific policy is
 reviewable in one screenful.
@@ -24,7 +25,7 @@ __all__ = [
 #: Packages whose notion of "now" is the event-loop's simulated clock.
 #: A wall-clock read here (outside a declared accounting site) leaks
 #: host timing into simulated behavior — the exact bug class the
-#: parallel/pipelined bit-identity tests exist to catch.
+#: pipelined bit-identity tests exist to catch.
 SIMULATED_TIME_PACKAGES: tuple[str, ...] = (
     "repro.cloud",
     "repro.scheduler",
@@ -38,9 +39,8 @@ SIMULATED_TIME_PACKAGES: tuple[str, ...] = (
 #: fields) and never influence simulated behavior.  DET005 statically
 #: checks the "land only in TIMING_FIELDS" half of that claim.
 TIMING_ACCOUNTING_SITES: dict[str, frozenset[str]] = {
-    # The stage_seconds["optimize_wall"] stopwatch around the executor's
-    # submit/result calls, and the run-level wall_seconds stopwatch.
-    "repro.cloud.simulator": frozenset({"_optimize_stopwatch", "_run"}),
+    # The run-level wall_seconds stopwatch.
+    "repro.cloud.simulator": frozenset({"run"}),
     # OptimizationResult.optimize_seconds (a compare=False field).
     "repro.scheduler.cycle": frozenset({"run_optimization"}),
     # Per-stage preprocess/select timings, folded into stage_seconds.
@@ -54,15 +54,16 @@ TIMING_ACCOUNTING_SITES: dict[str, frozenset[str]] = {
 #: so the justification lives next to the code.
 AMBIENT_RNG_FACTORY_SITES: dict[str, frozenset[str]] = {}
 
-#: Functions shipped to :class:`repro.cloud.cycle_executor.CycleExecutor`
-#: workers, beyond what DET003 discovers from ``*.submit(fn, ...)`` /
+#: Functions run through :class:`repro.cloud.cycle_executor.SerialCycleExecutor`,
+#: beyond what DET003 discovers from ``*.submit(fn, ...)`` /
 #: ``*.run(fn, ...)`` call sites.  These must stay module-level, closure
-#: free, and module-global free or process workers diverge from serial.
+#: free, and module-global free, so a cycle replayed from its recorded
+#: task reproduces the run's result.
 WORKER_FUNCTIONS: frozenset[tuple[str, str]] = frozenset(
     {
         ("repro.scheduler.cycle", "run_optimization"),
-        # The population-flat NSGA-II kernels run inside run_optimization
-        # on every executor backend; same purity bar.
+        # The population-flat NSGA-II kernels run inside run_optimization;
+        # same purity bar.
         ("repro.scheduler.formulation", "evaluate_population"),
         ("repro.scheduler.formulation", "repair_population"),
     }

@@ -1,10 +1,10 @@
-"""DET003 — purity of functions shipped to cycle-executor workers.
+"""DET003 — purity of functions run by the cycle executor.
 
-The parallel engine's bit-identity claim needs stage 2 to be a pure
-function of its ``OptimizationTask``: process workers get a *copy* of
-the module, so a worker that reads or mutates module globals computes
-against state the main process (and the serial reference run) does not
-share.  The rule discovers worker functions two ways — any function
+Stage 2 must be a pure function of its ``OptimizationTask``: a cycle
+re-run from its recorded task — a replay, or the quality ledger's
+re-runs at another budget — must reproduce the run's result, so a stage
+that reads or mutates module globals computes against state the replay
+does not have.  The rule discovers worker functions two ways — any function
 passed to an ``...executor.run(fn, ...)`` / ``.submit(fn, ...)`` /
 ``.map(fn, ...)`` call, plus the declared
 :data:`repro.analysis.contracts.WORKER_FUNCTIONS` — and requires each to
@@ -39,7 +39,7 @@ def _module_bindings(tree: ast.Module) -> tuple[set[str], set[str]]:
 
     Safe: imports, defs/classes, dunders, and ``UPPER_CASE`` constants.
     Everything else assigned at module level is treated as mutable state
-    a forked worker must not depend on.
+    a worker must not depend on.
     """
     safe: set[str] = set()
     mutable: set[str] = set()
@@ -111,7 +111,7 @@ class WorkerPurityRule(ProjectRule):
     code = "DET003"
     name = "worker-purity"
     summary = (
-        "functions shipped to a CycleExecutor must be module-level, "
+        "functions run by the cycle executor must be module-level, "
         "closure-free, and must not read/write module globals"
     )
 
@@ -165,7 +165,7 @@ class WorkerPurityRule(ProjectRule):
                     ctx.finding(
                         self.code,
                         worker,
-                        "lambda shipped to a CycleExecutor: workers must "
+                        "lambda shipped to a cycle executor: workers must "
                         "be module-level functions (picklable by name, "
                         "closure-free)",
                     )
@@ -176,7 +176,7 @@ class WorkerPurityRule(ProjectRule):
                         self.code,
                         worker,
                         f"`{ast.unparse(worker)}` shipped to a "
-                        "CycleExecutor: workers must be module-level "
+                        "cycle executor: workers must be module-level "
                         "functions, not bound methods or attributes",
                     )
                 )
@@ -199,7 +199,7 @@ class WorkerPurityRule(ProjectRule):
                         ctx.finding(
                             self.code,
                             worker,
-                            f"`{worker.id}` shipped to a CycleExecutor "
+                            f"`{worker.id}` shipped to a cycle executor "
                             "resolves to a nested def: workers must be "
                             "module-level (nested defs capture closures "
                             "and cannot pickle by name)",
@@ -244,8 +244,8 @@ class WorkerPurityRule(ProjectRule):
                     self.code,
                     node,
                     f"worker `{fname}` declares `global "
-                    f"{', '.join(node.names)}`: workers run in forked "
-                    "processes and must not touch module state",
+                    f"{', '.join(node.names)}`: a replay from the task "
+                    "would not see module state",
                 )
             elif isinstance(node, ast.Nonlocal):
                 yield defctx.finding(
@@ -266,7 +266,7 @@ class WorkerPurityRule(ProjectRule):
                     self.code,
                     node,
                     f"worker `{fname}` reads module global `{node.id}`: "
-                    "a process worker sees its own copy, so results "
-                    "depend on which backend ran the cycle — pass the "
+                    "a replay from the recorded task does not see it, "
+                    "so results depend on what ran before — pass the "
                     "value through the task instead",
                 )

@@ -8,14 +8,7 @@ from .availability import (
     flash_outage,
 )
 from .backend_sim import SimulatedQPU
-from .cycle_executor import (
-    CycleExecutor,
-    CycleHandle,
-    ProcessCycleExecutor,
-    SerialCycleExecutor,
-    ThreadCycleExecutor,
-    make_cycle_executor,
-)
+from .cycle_executor import SerialCycleExecutor
 from .execution import MITIGATION_EFFECTS, ExecutionModel, ExecutionRecord
 from .fleet import (
     FleetShard,
@@ -61,12 +54,7 @@ __all__ = [
     "ExecutionModel",
     "ExecutionRecord",
     "SimulatedQPU",
-    "CycleExecutor",
-    "CycleHandle",
     "SerialCycleExecutor",
-    "ThreadCycleExecutor",
-    "ProcessCycleExecutor",
-    "make_cycle_executor",
     "FleetShard",
     "ShardBalancer",
     "RoundRobinBalancer",

@@ -77,18 +77,13 @@ class SimulationMetrics:
     #: and how long the run took in wall-clock seconds.
     events_processed: int = 0
     wall_seconds: float = 0.0
-    #: Parallel-engine accounting: scheduling-cycle batches executed
+    #: Engine-batch accounting: scheduling-cycle batches executed
     #: (same-instant trigger deadlines coalesce into one batch) and the
-    #: widest batch seen — >1 means cycles actually overlapped.
+    #: widest batch seen — >1 means several shards' cycles shared a fold.
     cycle_batches: int = 0
     max_batch_cycles: int = 0
     #: Accumulated per-stage wall seconds across every scheduling cycle
-    #: (``preprocess`` / ``optimize`` / ``select`` summed over cycles,
-    #: plus ``optimize_wall``: what the optimization stage cost the event
-    #: loop per batch — under a parallel executor this is the max over
-    #: workers, not the sum, and under the pipelined engine it is
-    #: overlap-adjusted: submit cost plus however long the fold still had
-    #: to block, i.e. only the part the event loop could not hide).
+    #: (``preprocess`` / ``optimize`` / ``select`` summed over cycles).
     stage_seconds: dict = field(default_factory=dict)
     #: Pipelined-engine accounting (simulated time, so deterministic):
     #: batches whose fold popped *after* their trigger instant (a modeled
@@ -136,9 +131,10 @@ class SimulationMetrics:
     def deterministic_state(self) -> dict:
         """Every field except wall-clock timings, in comparable form.
 
-        Two runs of the same seeded scenario — serial or parallel, any
-        executor backend — must produce equal ``deterministic_state()``
-        dicts, provided both start from a cold estimate cache: the
+        Two runs of the same seeded scenario — plain, or with every cycle
+        task and result sent through a pickle round trip — must produce
+        equal ``deterministic_state()`` dicts, provided both start from a
+        cold estimate cache: the
         ``estimate_cache`` hit/miss counters are compared too, and they
         depend on how warm the (possibly shared) cache was.
         ``TimeSeries`` fields compare as (times, values) tuples.

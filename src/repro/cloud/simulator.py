@@ -44,42 +44,38 @@ Two optional subsystems make the fleet *adaptive*:
   runs bit-identical.
 
 **The scheduling cycle** has one path: begin → ``CYCLE_FOLD`` → fold.  A
-firing TRIGGER batch runs each due shard's pre-processing on the main
-thread (prefetching estimates through the shared cache), submits the
-pure optimization stage to a
-:class:`~repro.cloud.cycle_executor.CycleExecutor` (serial / thread /
-process — serial is the default), and pushes a ``CYCLE_FOLD`` heap event
-at ``t_trigger + latency_model(batch)``; when that event pops, results
-fold back in shard-id order so metrics, RNG draws, heap pushes, and
-estimate-cache updates are identical on every backend.  Two knobs:
+firing TRIGGER batch runs each due shard's pre-processing (prefetching
+estimates through the shared cache), runs the pure optimization stage of
+every due shard through
+:meth:`~repro.cloud.cycle_executor.SerialCycleExecutor.run`, and pushes
+a ``CYCLE_FOLD`` heap event at ``t_trigger + latency_model(batch)``;
+when that event pops, the results fold back in shard-id order, so
+dispatch, RNG draws, heap pushes and metrics happen at the simulated
+instant the modeled scheduler would have finished.  Two knobs:
 
 * ``cycle_latency`` — the modeled scheduler runtime (seconds, or a
   callable over the batch's tasks, e.g.
-  :class:`~repro.scheduler.cycle.NsgaCycleLatencyModel`).  The fold
-  instant is *simulated* time, never wall-clock, so nonzero-latency runs
-  are deterministic by construction and seeded runs reproduce on every
-  backend.  At the default ``0`` the fold pops at the trigger instant
-  before any other event — an inline cycle.  Jobs arriving while a
-  shard's cycle is in flight queue as pending and join the next cycle;
-  the shard's trigger pops are deferred until the fold re-arms its
-  deadline, and the event loop keeps draining while workers optimize.
+  :class:`~repro.scheduler.cycle.NsgaCycleLatencyModel`), finite and
+  ``>= 0``.  The fold instant is *simulated* time, never wall-clock, so
+  nonzero-latency runs are deterministic by construction.  At the
+  default ``0`` the fold pops at the trigger instant before any other
+  event — an inline cycle.  Jobs arriving while a shard's cycle is in
+  flight queue as pending and join the next cycle; the shard's trigger
+  pops are deferred until the fold re-arms its deadline.
 * ``trigger_epsilon`` — trigger instants within ε seconds of a batch
   head (each shard's hold and deadline, read off its trigger) coalesce
   into one engine batch (exact same-instant ties always coalesce, so
   ε=0 changes nothing), which is what lets arrival-driven and bursty
-  fleets form multi-task batches worth shipping to the process pool.
-
-Pass ``cycle_executor="process"`` (or set ``CYCLE_EXECUTOR``) to overlap
-concurrently-due NSGA-II cycles on a worker pool.
+  fleets form multi-shard batches.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import time
 from collections.abc import Callable, Iterable, Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -91,7 +87,7 @@ from ..scheduler.policy import SchedulingPolicy
 from ..scheduler.triggers import SchedulingTrigger
 from .availability import AvailabilityModel
 from .backend_sim import SimulatedQPU
-from .cycle_executor import CycleExecutor, CycleHandle, make_cycle_executor
+from .cycle_executor import SerialCycleExecutor
 from .execution import ExecutionModel
 from .fleet import (
     FleetShard,
@@ -170,12 +166,12 @@ class _InFlightBatch:
 
     ``items`` holds ``(shard, plan)`` per due shard in shard-id order —
     what each policy's ``begin_cycle`` returned, for its ``finish_cycle``
-    at the fold.  ``handle`` is the executor's receipt when the batch
-    carried optimization tasks.
+    at the fold.  ``results`` holds the optimization results of the
+    plans that carried a task, in the same order.
     """
 
     items: list = field(default_factory=list)
-    handle: CycleHandle | None = None
+    results: list = field(default_factory=list)
     submit_time: float = 0.0
 
 
@@ -211,25 +207,6 @@ class RunState:
         heapq.heappush(self.heap, (t, int(kind), next(self.seq), payload))
 
 
-@contextmanager
-def _optimize_stopwatch(metrics: SimulationMetrics) -> Iterator[None]:
-    """Charge the enclosed executor call to ``stage_seconds["optimize_wall"]``.
-
-    Wrapped around both ``submit`` and the fold's blocking ``result``, so
-    the metric reports what the optimization stage actually cost the
-    event loop after overlap — not the full stage when workers ran it
-    while the loop kept draining.
-    """
-    t0 = time.perf_counter()
-    try:
-        yield
-    finally:
-        stage = metrics.stage_seconds
-        stage["optimize_wall"] = (
-            stage.get("optimize_wall", 0.0) + time.perf_counter() - t0
-        )
-
-
 class CloudSimulator:
     """Batched-trigger (Qonductor) or per-arrival (baseline) cloud sim.
 
@@ -253,7 +230,7 @@ class CloudSimulator:
         balancer: str | ShardBalancer = "round_robin",
         rebalance: str | RebalancePolicy | None = None,
         availability: AvailabilityModel | None = None,
-        cycle_executor: str | CycleExecutor | None = None,
+        cycle_executor: str | SerialCycleExecutor | None = None,
         admission: AdmissionController | None = None,
         cycle_latency: float | Callable | None = None,
         trigger_epsilon: float = 0.0,
@@ -284,20 +261,26 @@ class CloudSimulator:
         # — the default — bypasses admission entirely, as do untenanted
         # jobs under a controller, so tenancy-off runs stay bit-identical.
         self.admission = admission
-        # The backend for concurrently-due scheduling cycles.  ``None``
-        # consults the CYCLE_EXECUTOR environment variable and falls back
-        # to serial; every backend is bit-identical by contract, so the
-        # choice is purely a wall-clock decision.
-        self.cycle_executor = make_cycle_executor(cycle_executor)
-        self._owns_executor = not isinstance(cycle_executor, CycleExecutor)
+        # What runs a batch's optimization stages: serial, or an instance
+        # of it (a subclass may time or check the stage).
+        if isinstance(cycle_executor, SerialCycleExecutor):
+            self.cycle_executor = cycle_executor
+        elif cycle_executor in (None, "serial"):
+            self.cycle_executor = SerialCycleExecutor()
+        else:
+            raise ValueError(
+                f"unknown cycle executor {cycle_executor!r}: the serial "
+                "backend is the only one (pass 'serial', None or a "
+                "SerialCycleExecutor)"
+            )
         # ``cycle_latency`` models the scheduler's own runtime in
         # *simulated* seconds (number or callable over the batch's
         # tasks); ``trigger_epsilon`` widens trigger coalescing to a
         # window.  Both default to off.
         self.latency_model = make_latency_model(cycle_latency)
-        if trigger_epsilon < 0:
+        if not (math.isfinite(trigger_epsilon) and trigger_epsilon >= 0):
             raise ValueError(
-                f"trigger_epsilon must be >= 0, got {trigger_epsilon}"
+                f"trigger_epsilon must be finite and >= 0, got {trigger_epsilon!r}"
             )
         self.trigger_epsilon = float(trigger_epsilon)
         self._rng = np.random.default_rng(self.config.seed)
@@ -390,18 +373,16 @@ class CloudSimulator:
     def _begin_batch(
         self, st: RunState, shards: list[FleetShard], now: float
     ) -> tuple[_InFlightBatch, float]:
-        """Launch one engine batch: snapshot, submit, model the latency.
+        """Launch one engine batch: snapshot, optimize, model the latency.
 
         ``shards`` must already be in shard-id order.  Each shard's
         pending queue is snapshotted and cleared — jobs arriving while
         the batch is in flight queue for the *next* cycle.  Each policy's
-        ``begin_cycle`` builds its plan from the snapshot on the main
-        thread, with estimates prefetched through the shared cache, so a
-        later fold commits exactly the decisions the trigger-time state
-        implied.  The plans' pure optimization tasks (batched FCFS has
-        none) are submitted to the executor; when the modeled latency is
-        zero the fold follows at this same instant, nothing can overlap,
-        and a one-task batch (the arrival path) is told to skip the pool.
+        ``begin_cycle`` builds its plan from the snapshot, with estimates
+        prefetched through the shared cache, so a later fold commits
+        exactly the decisions the trigger-time state implied.  The plans'
+        pure optimization tasks (batched FCFS has none) run now; their
+        results wait on the batch for the fold.
 
         Returns the in-flight batch record and its modeled latency in
         simulated seconds; the caller decides when to fold (a
@@ -418,13 +399,16 @@ class CloudSimulator:
             )
             batch.items.append((shard, plan))
         plan_tasks = [plan.task for _, plan in batch.items]
-        latency = max(0.0, float(self.latency_model(plan_tasks)))
+        latency = float(self.latency_model(plan_tasks))
+        if not (math.isfinite(latency) and latency >= 0.0):
+            raise ValueError(
+                f"cycle latency model returned {latency!r} for the batch of "
+                f"shards {[shard.shard_id for shard in shards]}; a latency "
+                "must be finite and >= 0"
+            )
         tasks = [task for task in plan_tasks if task is not None]
         if tasks:
-            with _optimize_stopwatch(metrics):
-                batch.handle = self.cycle_executor.submit(
-                    run_optimization, tasks, inline_single=latency == 0.0
-                )
+            batch.results = self.cycle_executor.run(run_optimization, tasks)
         return batch, latency
 
     def _fold_batch(
@@ -432,15 +416,10 @@ class CloudSimulator:
     ) -> None:
         """Fold a launched batch back in, in shard-id order.
 
-        Blocks on the executor handle if workers are still running.
         Dispatch RNG draws, completion pushes, metrics, and cache updates
-        all happen here in shard-id order, identical whichever backend —
-        or worker — ran each cycle.
+        all happen here, in shard-id order.
         """
-        results: Iterator = iter(())
-        if batch.handle is not None:
-            with _optimize_stopwatch(st.metrics):
-                results = iter(self.cycle_executor.result(batch.handle))
+        results = iter(batch.results)
         for shard, plan in batch.items:
             result = next(results) if plan.task is not None else None
             schedule = shard.policy.finish_cycle(plan, result)
@@ -716,8 +695,7 @@ class CloudSimulator:
         stale when it pops, like any superseded deadline.  TRIGGER is
         the highest-priority-value event kind, so every other same-time
         event has already been folded in; the batch executes in shard-id
-        order (one canonical order for every executor backend), which is
-        what keeps parallel runs bit-identical to serial ones.
+        order, one canonical order whatever order the triggers popped in.
 
         ``due`` maps shard_id -> ``[shard, fire_time, via_deadline]``.
         ``fire_time`` is the instant's own time (should_fire is judged
@@ -826,40 +804,6 @@ class CloudSimulator:
                 "policy state persist across a run; build a new simulator"
             )
         self._has_run = True
-        try:
-            return self._run(apps)
-        finally:
-            if self._owns_executor:
-                # The executor was resolved from a name/env spec, so this
-                # run is its only user: release the workers even when the
-                # event loop raises.  Caller-supplied instances stay open
-                # for reuse — their owner calls close() / uses the
-                # simulator as a context manager when done.
-                self.cycle_executor.close()
-
-    def close(self) -> None:
-        """Release the cycle executor's worker pool (idempotent).
-
-        ``run()`` already closes executors the simulator resolved itself
-        from a name or the ``CYCLE_EXECUTOR`` environment variable.
-        Call this — or use the simulator as a context manager — when you
-        passed an executor *instance* to share across simulators and are
-        done with it; otherwise a process pool leaks its workers until
-        interpreter exit.  The executor itself stays usable (a closed
-        pool rebuilds lazily); this simulator's ``run()`` stays
-        single-shot.
-        """
-        self.cycle_executor.close()
-
-    def __enter__(self) -> "CloudSimulator":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    def _run(
-        self, apps: list[HybridApplication] | Iterable[HybridApplication]
-    ) -> SimulationMetrics:
         wall_start = time.perf_counter()
         st = self._start(apps)
         metrics, heap, horizon = st.metrics, st.heap, st.horizon

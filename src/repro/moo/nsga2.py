@@ -12,10 +12,9 @@ float scratch in place, cast from and to integers once a generation.
 :meth:`NSGA2.minimize` is a pure function of ``(problem, termination,
 seed)``: the random stream is rebuilt from the configured seed on every
 call instead of advancing a long-lived generator, so identical inputs
-give identical outputs no matter how many times — or on which worker
-process — the optimizer runs.  That purity is what lets the parallel
-scheduling engine ship cycles to a worker pool while staying bit-identical
-to serial execution.
+give identical outputs no matter how many times the optimizer runs.
+That purity is what lets a scheduling cycle be replayed from its
+recorded task.
 """
 
 from __future__ import annotations

@@ -3,18 +3,17 @@
 One NSGA-II cycle is, after pre-processing, a deterministic function of a
 :class:`~repro.scheduler.formulation.SchedulingInput` snapshot plus a seed
 — no scheduler, estimator, or simulator state is involved.  This module
-isolates that function so the cloud simulator's parallel engine can ship
-concurrently-due cycles to thread or process workers:
+isolates that function so a cycle can be re-run from its task alone — a
+replay of a recorded cycle, or a re-run at another optimizer budget:
 
 * :class:`OptimizationTask` is the picklable work unit: the estimate
-  matrices (prefetched through the shared cache *before* the fork, so a
-  worker never touches shared mutable state), the optimizer knobs, and
-  the ``(base_seed, shard_id, cycle_index)`` entropy that pins the random
+  matrices (prefetched through the shared cache, so the stage never
+  touches shared mutable state), the optimizer knobs, and the
+  ``(base_seed, shard_id, cycle_index)`` entropy that pins the random
   stream.
-* :func:`run_optimization` is the module-level pure worker function
-  (importable by name, as ``multiprocessing`` spawn contexts require).
-  Given the same task it returns bit-identical results on any backend in
-  any order, which is what keeps parallel runs identical to serial ones.
+* :func:`run_optimization` is the module-level pure stage function
+  (importable by name).  Given the same task it returns bit-identical
+  results however often and in whatever order it runs.
 
 Seeds derive from :func:`cycle_seed`: a ``numpy`` ``SeedSequence`` over
 ``(base_seed, shard_id, cycle_index)``.  Every (shard, cycle) pair gets a
@@ -26,6 +25,7 @@ counts.
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
@@ -57,8 +57,8 @@ def cycle_seed(
     """The root seed of one scheduling cycle's random stream.
 
     Pure function of identity, not of execution order: two shards' cycles
-    running concurrently (or a cycle re-run on a worker process) always
-    draw the same stream a serial run would have.
+    in one batch, or a cycle replayed from its task, always draw the
+    stream the run drew.
     """
     return np.random.SeedSequence(entropy=(base_seed, shard_id, cycle_index))
 
@@ -83,7 +83,7 @@ class OptimizationResult:
     F: np.ndarray  # (n_front, 2) front objective values
     generations: int
     evaluations: int
-    #: Wall seconds the NSGA-II run itself took (measured in the worker).
+    #: Wall seconds the NSGA-II run itself took.
     optimize_seconds: float = field(default=0.0, compare=False)
 
 
@@ -92,17 +92,23 @@ def run_optimization(task: OptimizationTask) -> OptimizationResult:
 
     Builds the problem and the optimizer from the snapshot, derives the
     repair and GA streams from :func:`cycle_seed`, and returns only
-    arrays — safe to run on any :class:`~repro.cloud.cycle_executor`
-    backend.
+    arrays.  A failure inside the stage is re-raised as a
+    ``RuntimeError`` naming the cycle's shard, index and base seed.
     """
     t0 = time.perf_counter()
-    root = cycle_seed(task.base_seed, task.shard_id, task.cycle_index)
-    repair_seed, ga_seed = root.spawn(2)
-    problem = SchedulingProblem(task.data, seed=repair_seed)
-    algo = NSGA2(pop_size=task.pop_size, seed=ga_seed)
-    result = algo.minimize(
-        problem, Termination(max_generations=task.max_generations)
-    )
+    try:
+        root = cycle_seed(task.base_seed, task.shard_id, task.cycle_index)
+        repair_seed, ga_seed = root.spawn(2)
+        problem = SchedulingProblem(task.data, seed=repair_seed)
+        algo = NSGA2(pop_size=task.pop_size, seed=ga_seed)
+        result = algo.minimize(
+            problem, Termination(max_generations=task.max_generations)
+        )
+    except Exception as exc:
+        raise RuntimeError(
+            f"optimization stage failed: shard {task.shard_id}, cycle "
+            f"{task.cycle_index}, base seed {task.base_seed}"
+        ) from exc
     return OptimizationResult(
         X=result.X,
         F=result.F,
@@ -122,8 +128,7 @@ def run_optimization(task: OptimizationTask) -> OptimizationResult:
 # :class:`OptimizationTask` snapshots, ``None`` for shards whose policy
 # has no optimization stage — to a latency in simulated seconds.  The
 # model is a pure function of the batch, so the fold instant never
-# depends on wall-clock worker timing and seeded runs reproduce on every
-# executor backend.
+# depends on how long the host took to run the stage.
 
 
 @dataclass(frozen=True)
@@ -142,11 +147,12 @@ class NsgaCycleLatencyModel:
 
     One NSGA-II cycle evaluates ``pop_size * max_generations``
     individuals, each a vector pass over the cycle's jobs, so its runtime
-    scales as ``pop_size * max_generations * n_jobs``.  Cycles in a batch
-    run concurrently on the worker pool, so the batch folds when its
-    *slowest* member does — ``overhead_seconds`` (pre/postprocessing,
-    dispatch) plus the max per-cycle term.  Shards without an
-    optimization stage contribute only the overhead.
+    scales as ``pop_size * max_generations * n_jobs``.  The model treats
+    each shard's scheduler as optimizing its own cycle side by side with
+    the others, so the batch folds when its *slowest* member does —
+    ``overhead_seconds`` (pre/postprocessing, dispatch) plus the max
+    per-cycle term.  Shards without an optimization stage contribute
+    only the overhead.
     """
 
     seconds_per_evaluation: float = 2e-5
@@ -172,14 +178,16 @@ def make_latency_model(
     """Resolve a cycle-latency spec to a model callable.
 
     ``None`` or ``0`` mean the legacy instant fold (bit-identical to the
-    synchronous engine); a number becomes a :class:`ConstantCycleLatency`;
-    any callable (e.g. :class:`NsgaCycleLatencyModel`) passes through.
+    synchronous engine); a finite number ``>= 0`` becomes a
+    :class:`ConstantCycleLatency`; any callable (e.g.
+    :class:`NsgaCycleLatencyModel`) passes through, and the simulator
+    checks each value it returns.
     """
     if spec is None:
         return ConstantCycleLatency(0.0)
     if callable(spec):
         return spec
     seconds = float(spec)
-    if seconds < 0:
-        raise ValueError(f"cycle latency must be >= 0, got {seconds}")
+    if not (math.isfinite(seconds) and seconds >= 0):
+        raise ValueError(f"cycle latency must be finite and >= 0, got {seconds!r}")
     return ConstantCycleLatency(seconds)

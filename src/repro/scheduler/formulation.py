@@ -245,8 +245,8 @@ class SchedulingProblem(Problem):
 def assignment_stats(data: SchedulingInput, x: np.ndarray) -> dict[str, float | list[float]]:
     """Mean JCT / fidelity / exec stats of one assignment over ``data``.
 
-    Module-level so the scheduler's fold-in stage can score a worker's
-    chosen solution without reconstructing the (worker-side)
+    Module-level so the scheduler's fold-in stage can score the
+    optimization stage's chosen solution without reconstructing its
     :class:`SchedulingProblem`.
     """
     rows = np.arange(data.num_jobs)

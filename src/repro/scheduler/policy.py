@@ -6,13 +6,14 @@ FCFS / least-busy / random baselines (Figs. 6, 8) — subclasses
 it speaks.  ``batched = False``: the engine calls :meth:`assign` the
 instant a job is routed to the policy's shard.  ``batched = True``:
 arrivals queue on the shard until its trigger fires, then
-:meth:`begin_cycle` snapshots the queue into a plan on the main thread,
-the plan's ``task`` (if any) runs through
-:func:`~repro.scheduler.cycle.run_optimization` on the cycle executor,
-and :meth:`finish_cycle` turns plan + result into the schedule the fold
-commits.  :func:`require_policy` checks the declaration at construction
-(like :func:`~repro.estimator.source.require_estimate_source`), so the
-engine never probes a policy for what it can do.
+:meth:`begin_cycle` snapshots the queue into a plan, the plan's
+``task`` (if any) runs through
+:func:`~repro.scheduler.cycle.run_optimization` — a pure function of the
+task, so a recorded cycle replays — and :meth:`finish_cycle` turns
+plan + result into the schedule the fold commits.
+:func:`require_policy` checks the declaration at construction (like
+:func:`~repro.estimator.source.require_estimate_source`), so the engine
+never probes a policy for what it can do.
 """
 
 from __future__ import annotations
@@ -63,13 +64,13 @@ class SchedulingPolicy:
         qpus: list[QPU],
         waiting_seconds: dict[str, float] | None = None,
     ) -> Any:
-        """Batched shape, main-thread first half: a plan whose ``task``
-        is an :class:`~repro.scheduler.cycle.OptimizationTask` for the
-        executor, or ``None`` when the cycle has no optimization stage."""
+        """Batched shape, first half: a plan whose ``task`` is an
+        :class:`~repro.scheduler.cycle.OptimizationTask`, or ``None``
+        when the cycle has no optimization stage."""
         raise NotImplementedError
 
     def finish_cycle(self, plan: Any, result: OptimizationResult | None) -> Any:
-        """Batched shape, main-thread second half: the cycle's schedule
+        """Batched shape, second half: the cycle's schedule
         (``decisions``, ``unschedulable``, ``stage_seconds``).  ``result``
         is ``None`` exactly when ``plan.task`` was."""
         raise NotImplementedError

@@ -15,9 +15,10 @@ The stages are exposed both fused (``schedule``, inherited from
 :class:`~repro.scheduler.policy.SchedulingPolicy`: one call per cycle)
 and split (:meth:`begin_cycle` -> the pure
 :func:`~repro.scheduler.cycle.run_optimization` -> :meth:`finish_cycle`)
-so the cloud simulator's parallel engine can run pre-processing and
-selection on the main thread — where the shared estimate cache lives —
-while the dominant optimization stage runs on a worker pool.  Cycle
+so the cloud simulator can snapshot a cycle at its trigger instant and
+commit it at its fold instant, with the dominant optimization stage in
+between a pure function of its task (pre-processing and selection touch
+the shared estimate cache; the stage does not).  Cycle
 randomness derives from ``(seed, shard_id, cycle_index)`` (see
 :func:`~repro.scheduler.cycle.cycle_seed`), so results never depend on
 execution order.
@@ -147,7 +148,7 @@ class QonductorScheduler(SchedulingPolicy):
         randomness derives from ``(seed, shard_id, cycle_index)``, so
         shard 0 of a 1-shard fleet is seeded exactly like the unsharded
         scheduler, shards never collide on a stream, and results are
-        independent of which worker runs which cycle first.
+        independent of which shard's cycle runs first.
         """
         return QonductorScheduler(
             self.estimate_fn,
@@ -193,13 +194,13 @@ class QonductorScheduler(SchedulingPolicy):
         qpus: list[QPU],
         waiting_seconds: dict[str, float] | None = None,
     ) -> CyclePlan:
-        """Stage 1, main-thread half of a cycle: snapshot the inputs.
+        """Stage 1, first half of a cycle: snapshot the inputs.
 
         Runs pre-processing (which reads and warms the shared estimate
         cache — the only stateful part of a cycle) and packages the
         result as a picklable :class:`OptimizationTask`.  The cycle
         counter advances here, so the task's seed entropy is fixed before
-        any worker runs.
+        the stage runs.
         """
         self._cycle += 1
         waiting_seconds = waiting_seconds or {}

@@ -70,6 +70,7 @@ class PicklingSerialExecutor(SerialCycleExecutor):
         fn = _round_trip(fn)
         return [_round_trip(fn(_round_trip(task))) for task in tasks]
 
+
 #: The sampled metric series every identity assertion compares.
 SERIES = (
     "mean_fidelity",

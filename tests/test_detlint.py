@@ -132,7 +132,7 @@ class TestDet002WallClock:
         r = analyze_source(
             "import time\n"
             "class CloudSimulator:\n"
-            "    def _run(self, apps):\n"
+            "    def run(self, apps):\n"
             "        t0 = time.perf_counter()\n"
             "        return t0\n"
             "    def other(self):\n"

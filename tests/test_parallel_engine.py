@@ -1,15 +1,16 @@
-"""Parallel scheduling engine tests.
+"""Scheduling-engine tests: batches, folds, latency and the stage's purity.
 
 The load-bearing guarantee: a seeded run produces **bit-identical**
-``SimulationMetrics`` (modulo wall-clock timing fields) on every cycle
-executor backend — serial, thread, and process — for both the Qonductor
-scheduler (whose optimization stage actually ships to workers) and the
-batched FCFS baseline (whose plans carry no optimization task).  Plus:
-executor selection/contract tests, trigger coalescing, and the purity of
-the cycle seed derivation.
+``SimulationMetrics`` (modulo wall-clock timing fields) whether or not
+every optimization task and result goes through a pickle round trip
+(:class:`helpers.determinism.PicklingSerialExecutor`) — for both the
+Qonductor scheduler (whose cycles carry an optimization task) and the
+batched FCFS baseline (whose plans carry none).  Plus: the executor
+seam, trigger coalescing, the cycle-latency knobs, and the purity of the
+cycle seed derivation.
 """
 
-import os
+import math
 import pickle
 
 import numpy as np
@@ -27,15 +28,12 @@ from repro.cloud import (
     CloudSimulator,
     ExecutionModel,
     LoadGenerator,
-    ProcessCycleExecutor,
     SerialCycleExecutor,
     SimulationConfig,
     SimulationMetrics,
     TimeSeries,
-    ThreadCycleExecutor,
-    make_cycle_executor,
 )
-from repro.cloud.cycle_executor import CYCLE_EXECUTOR_ENV
+from repro.moo import NSGA2
 from repro.scheduler import (
     BatchedFCFSPolicy,
     ConstantCycleLatency,
@@ -48,107 +46,34 @@ from repro.scheduler import (
 )
 
 
-class TestCycleExecutors:
-    def test_make_resolves_names_and_instances(self):
-        assert isinstance(make_cycle_executor("serial"), SerialCycleExecutor)
-        assert isinstance(make_cycle_executor("thread"), ThreadCycleExecutor)
-        assert isinstance(make_cycle_executor("process"), ProcessCycleExecutor)
-        inst = ThreadCycleExecutor(max_workers=2)
-        assert make_cycle_executor(inst) is inst
-        sized = make_cycle_executor("thread:3")
-        assert isinstance(sized, ThreadCycleExecutor)
-        assert sized.max_workers == 3
-        with pytest.raises(KeyError):
-            make_cycle_executor("bogus")
-
-    def test_env_variable_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(CYCLE_EXECUTOR_ENV, "thread:2")
-        ex = make_cycle_executor(None)
-        assert isinstance(ex, ThreadCycleExecutor) and ex.max_workers == 2
-        monkeypatch.delenv(CYCLE_EXECUTOR_ENV)
-        assert isinstance(make_cycle_executor(None), SerialCycleExecutor)
-
-    def test_results_come_back_in_task_order(self):
-        for ex in (
-            SerialCycleExecutor(),
-            ThreadCycleExecutor(max_workers=4),
-        ):
-            try:
-                assert ex.run(lambda x: x * x, list(range(17))) == [
-                    i * i for i in range(17)
-                ]
-            finally:
-                ex.close()
-
-    def test_close_is_idempotent_and_pool_rebuilds(self):
-        ex = ThreadCycleExecutor(max_workers=2)
-        assert ex.run(str, [1, 2]) == ["1", "2"]
-        ex.close()
-        ex.close()
-        assert ex.run(str, [3, 4]) == ["3", "4"]
-        ex.close()
-
-    def test_submit_result_matches_run(self):
-        """The async half of the contract: ``result(submit(...))`` is
-        ``run(...)``, in task order, on every backend."""
-        for ex in (
-            SerialCycleExecutor(),
-            ThreadCycleExecutor(max_workers=4),
-        ):
-            try:
-                handle = ex.submit(lambda x: x * x, list(range(17)))
-                assert ex.result(handle) == [i * i for i in range(17)]
-                # Redeeming twice returns the cached list, not a hang.
-                assert ex.result(handle) == [i * i for i in range(17)]
-            finally:
-                ex.close()
-
-    def test_pooled_single_task_inline_only_when_fold_is_immediate(self):
-        """``inline_single`` (the simulator passes ``latency == 0``) keeps
-        a one-task batch off the pool; without it the task ships so the
-        event loop can overlap it."""
-        ex = ThreadCycleExecutor(max_workers=2)
-        try:
-            assert ex.result(ex.submit(str, [1], inline_single=True)) == ["1"]
-            assert ex.run(str, [1]) == ["1"]
-            assert ex._pool is None
-            assert ex.result(ex.submit(str, [1])) == ["1"]
-            assert ex._pool is not None
-        finally:
-            ex.close()
-
-    def test_serial_submit_resolves_inline(self):
-        """Serial ``submit`` computes eagerly — the handle already holds
-        results, so serial runs with modeled latency stay single-threaded."""
-        ex = SerialCycleExecutor()
-        handle = ex.submit(str, [1, 2])
-        assert handle.results == ["1", "2"]
-        assert handle.futures is None
-
-    def test_empty_submit(self):
-        for ex in (SerialCycleExecutor(), ThreadCycleExecutor(max_workers=2)):
-            try:
-                assert ex.result(ex.submit(str, [])) == []
-            finally:
-                ex.close()
-
-    def test_handle_redeemable_after_close(self):
-        """Regression (S3): ``close()`` waits for in-flight work, so a
-        handle submitted before close still resolves after it."""
-        ex = ThreadCycleExecutor(max_workers=2)
-        handle = ex.submit(lambda x: x + 1, [1, 2, 3])
-        ex.close()
-        assert ex.result(handle) == [2, 3, 4]
-
-    def test_simulator_env_selection(self, monkeypatch):
-        monkeypatch.setenv(CYCLE_EXECUTOR_ENV, "thread")
-        sim = CloudSimulator(
+class TestCycleExecutor:
+    @staticmethod
+    def _sim(executor):
+        return CloudSimulator(
             fleet_of_size(2, seed=7),
             BatchedFCFSPolicy(fake_estimate),
             ExecutionModel(seed=5),
             config=SimulationConfig(duration_seconds=60.0, seed=5),
+            cycle_executor=executor,
         )
-        assert isinstance(sim.cycle_executor, ThreadCycleExecutor)
+
+    def test_results_come_back_in_task_order(self):
+        ex = SerialCycleExecutor()
+        assert ex.run(lambda x: x * x, list(range(17))) == [
+            i * i for i in range(17)
+        ]
+        assert ex.run(str, []) == []
+
+    def test_simulator_takes_serial_none_or_an_instance(self):
+        assert type(self._sim(None).cycle_executor) is SerialCycleExecutor
+        assert type(self._sim("serial").cycle_executor) is SerialCycleExecutor
+        ex = PicklingSerialExecutor()
+        assert self._sim(ex).cycle_executor is ex
+
+    @pytest.mark.parametrize("spec", ["thread", "process:2", "bogus", 4])
+    def test_any_other_backend_is_refused(self, spec):
+        with pytest.raises(ValueError, match="serial backend is the only one"):
+            self._sim(spec)
 
 
 class TestCycleSeedPurity:
@@ -404,14 +329,8 @@ class TestCoalescing:
             "serial",
             duration=500.0,
         )
-        for key in ("preprocess", "optimize", "select", "optimize_wall"):
-            assert m.stage_seconds.get(key, 0.0) >= 0.0
+        assert set(m.stage_seconds) == {"preprocess", "optimize", "select"}
         assert m.stage_seconds["optimize"] > 0.0
-        # Serial backend: batch wall time is the sum of its cycles (up
-        # to timer noise), never materially less.
-        assert m.stage_seconds["optimize_wall"] >= (
-            0.5 * m.stage_seconds["optimize"]
-        )
 
 
 class TestLatencyModels:
@@ -421,8 +340,11 @@ class TestLatencyModels:
         assert isinstance(make_latency_model(0), ConstantCycleLatency)
         model = NsgaCycleLatencyModel()
         assert make_latency_model(model) is model
-        with pytest.raises(ValueError):
-            make_latency_model(-1.0)
+
+    @pytest.mark.parametrize("seconds", [math.nan, math.inf, -math.inf, -1.0])
+    def test_make_latency_model_refuses_non_finite_or_negative(self, seconds):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            make_latency_model(seconds)
 
     def test_nsga_model_scales_with_work(self):
         from types import SimpleNamespace
@@ -446,6 +368,63 @@ class TestLatencyModels:
         # empty batches cost nothing.
         assert model([None]) == 0.5
         assert model([]) == 0.0
+
+
+def _qonductor_run(**knobs):
+    return run_sharded(
+        QonductorScheduler(fake_estimate, seed=5, max_generations=4),
+        "serial",
+        num_shards=2,
+        duration=500.0,
+        **knobs,
+    )
+
+
+class TestTimingKnobsFailLoudly:
+    """Regressions: each of these used to run silently — NaN and negative
+    latencies as 0 (``max(0.0, ...)`` clamped them), an infinite latency
+    parked the first batch until the horizon, and a NaN ε was taken."""
+
+    def test_nan_latency_refused(self):
+        with pytest.raises(ValueError, match="cycle latency must be finite"):
+            _qonductor_run(cycle_latency=math.nan)
+
+    def test_infinite_latency_refused(self):
+        with pytest.raises(ValueError, match="cycle latency must be finite"):
+            _qonductor_run(cycle_latency=math.inf)
+
+    def test_nan_epsilon_refused(self):
+        with pytest.raises(ValueError, match="trigger_epsilon must be finite"):
+            _qonductor_run(trigger_epsilon=math.nan)
+
+    def test_infinite_epsilon_refused(self):
+        with pytest.raises(ValueError, match="trigger_epsilon must be finite"):
+            _qonductor_run(trigger_epsilon=math.inf)
+
+    def test_model_returning_nan_names_the_batch(self):
+        with pytest.raises(ValueError, match=r"returned nan .*shards \[0, 1\]"):
+            _qonductor_run(cycle_latency=lambda tasks: math.nan)
+
+    def test_model_returning_negative_names_the_batch(self):
+        with pytest.raises(ValueError, match=r"returned -5\.0 .*shards \[0, 1\]"):
+            _qonductor_run(cycle_latency=lambda tasks: -5.0)
+
+
+class TestStageFailure:
+    def test_failure_names_shard_cycle_and_seed(self, monkeypatch):
+        """An exception inside NSGA-II reaches the caller as a
+        ``RuntimeError`` naming the cycle, chained to the original."""
+
+        def minimize(self, problem, termination):
+            raise FloatingPointError("overflow in crowding distance")
+
+        monkeypatch.setattr(NSGA2, "minimize", minimize)
+        with pytest.raises(
+            RuntimeError,
+            match=r"^optimization stage failed: shard 0, cycle 1, base seed 5$",
+        ) as failure:
+            _qonductor_run()
+        assert isinstance(failure.value.__cause__, FloatingPointError)
 
 
 class TestPipelinedEngine:
@@ -565,17 +544,13 @@ class TestPipelinedEngine:
         assert (m.scheduling_cycles, m.cycle_batches) == (96, 26)
 
 
-class TestExecutorLifecycle:
-    """S3 regression: owned pools are released after every run; caller-
-    supplied instances persist until the caller closes them."""
-
-    def _sim(self, executor):
+class TestSimulatorLifecycle:
+    def _sim(self):
         return CloudSimulator(
             fleet_of_size(2, seed=7),
             BatchedFCFSPolicy(fake_estimate),
             ExecutionModel(seed=5),
             config=SimulationConfig(duration_seconds=120.0, seed=5),
-            cycle_executor=executor,
         )
 
     def _apps(self):
@@ -584,56 +559,10 @@ class TestExecutorLifecycle:
         )
         return gen.generate(120.0)
 
-    def test_owned_executor_released_after_run(self):
-        sim = self._sim("thread:2")
-        assert sim._owns_executor
-        sim.run(self._apps())
-        assert sim.cycle_executor._pool is None
-
-    def test_supplied_executor_survives_run_until_closed(self):
-        ex = ThreadCycleExecutor(max_workers=2)
-        try:
-            sim = self._sim(ex)
-            assert not sim._owns_executor
-            sim.run(self._apps())
-            # Pool (if spun up) must still be usable for the next run...
-            assert ex.run(str, [1]) == ["1"]
-            sim.close()
-            # ...and close() via the simulator releases it.
-            assert ex._pool is None
-        finally:
-            ex.close()
-
-    def test_context_manager_closes_supplied_executor(self):
-        ex = ThreadCycleExecutor(max_workers=2)
-        with self._sim(ex) as sim:
-            sim.run(self._apps())
-            assert ex.run(str, [2]) == ["2"]
-        assert ex._pool is None
-
-    def test_repeated_runs_do_not_accumulate_pools(self):
-        for _ in range(3):
-            sim = self._sim("thread:2")
-            sim.run(self._apps())
-            assert sim.cycle_executor._pool is None
-
     def test_run_is_single_shot(self):
         """Fleet, trigger, and policy state persist across a run, so a
         second ``run()`` would report different metrics: it raises."""
-        sim = self._sim("serial")
+        sim = self._sim()
         sim.run(self._apps())
         with pytest.raises(RuntimeError, match="single-shot"):
             sim.run(self._apps())
-
-
-@pytest.mark.skipif(
-    os.environ.get(CYCLE_EXECUTOR_ENV, "") == "",
-    reason="only meaningful when CYCLE_EXECUTOR selects a parallel backend",
-)
-def test_env_selected_backend_smoke():
-    """Under CYCLE_EXECUTOR=thread CI runs the whole tier-1 suite on the
-    parallel path; this is its explicit canary."""
-    m = run_sharded(
-        QonductorScheduler(fake_estimate, seed=5, max_generations=4), None
-    )
-    assert m.dispatched_jobs > 0

@@ -419,6 +419,8 @@ class TestNetworkxOutOfSrc:
 
     def test_repro_runs_with_networkx_blocked(self):
         # A None entry makes every ``import networkx`` raise ImportError.
+        # The cycle executor is serial, so no subpackage needs
+        # multiprocessing either.
         subpackages = sorted(
             p.name for p in SRC.iterdir() if (p / "__init__.py").is_file()
         )
@@ -427,6 +429,7 @@ class TestNetworkxOutOfSrc:
             "sys.modules['networkx'] = None\n"
             f"for name in {subpackages!r}:\n"
             "    importlib.import_module('repro.' + name)\n"
+            "assert 'multiprocessing' not in sys.modules\n"
             "from repro.backends import default_fleet\n"
             "from repro.orchestrator import Qonductor\n"
             "from repro.workloads import ghz_linear\n"
