@@ -45,7 +45,7 @@ __all__ = [
     "make_job",
     "make_shards",
     "run_sharded",
-    "EPSILON_SHAPES",
+    "TRIGGER_SHAPES",
     "PicklingSerialExecutor",
     "assert_series_identical",
     "assert_runs_identical",
@@ -154,11 +154,11 @@ def run_sharded(policy, executor, *, num_shards=3, duration=700.0,
     return sim.run(gen.generate(duration))
 
 
-#: Trigger shapes of the ε family (pinned in ``test_policy_contract``):
-#: arrival-driven queue limits, staggered interval deadlines, and both
-#: at once.  Values are :func:`run_sharded` keywords; a cell of the family
-#: adds ``load_seed``, ``trigger_epsilon`` and ``cycle_latency``.
-EPSILON_SHAPES = {
+#: Trigger shapes pinned in ``test_policy_contract``: arrival-driven
+#: queue limits, staggered interval deadlines, and both at once.  Values
+#: are :func:`run_sharded` keywords; a pinned cell adds a policy and a
+#: ``load_seed``.
+TRIGGER_SHAPES = {
     "queue": dict(duration=500.0, trigger=lambda i: (5, 10_000)),
     "staggered": dict(duration=900.0, trigger=lambda i: (10_000, 50 + 5 * i)),
     "mixed": dict(

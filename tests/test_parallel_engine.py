@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from helpers.determinism import (
-    EPSILON_SHAPES,
+    TRIGGER_SHAPES,
     PicklingSerialExecutor,
     assert_runs_identical,
     fake_estimate,
@@ -488,7 +488,7 @@ class TestPipelinedEngine:
             QonductorScheduler(fake_estimate, seed=5, max_generations=4),
             executor,
             **knobs,
-            **EPSILON_SHAPES["queue"],
+            **TRIGGER_SHAPES["queue"],
         )
 
     def test_epsilon_window_coalesces_arrival_triggers(self):
@@ -538,7 +538,7 @@ class TestPipelinedEngine:
             BatchedFCFSPolicy(fake_estimate),
             "serial",
             trigger_epsilon=15.0,
-            **EPSILON_SHAPES["mixed"],
+            **TRIGGER_SHAPES["mixed"],
         )
         assert 0 < m.epsilon_merged_triggers <= m.scheduling_cycles
         assert (m.scheduling_cycles, m.cycle_batches) == (96, 26)

@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from helpers.determinism import EPSILON_SHAPES, fake_estimate, run_sharded
+from helpers.determinism import TRIGGER_SHAPES, fake_estimate, run_sharded
 from repro.backends.fleet import fleet_of_size
 from repro.cloud import CloudSimulator, FleetShard, SimulatedQPU
 from repro.scheduler import (
@@ -263,10 +263,73 @@ def test_epsilon_family_matches_heap_rebuilding_digests(cell):
         load_seed=load_seed,
         trigger_epsilon=epsilon,
         cycle_latency=latency,
-        **EPSILON_SHAPES[shape],
+        **TRIGGER_SHAPES[shape],
     )
     state = metrics.deterministic_state()
     if epsilon > 0.0:
         del state["events_processed"], state["epsilon_merged_triggers"]
     digest = hashlib.sha256(repr(state).encode()).hexdigest()
     assert digest == EPSILON_FAMILY_PINS[cell]
+
+
+#: ``(shape, policy, load seed) -> sha256`` of ``deterministic_state()``
+#: of the synchronous engine: one scheduling cycle per firing batch,
+#: committed at its trigger instant.  Recorded on the engine that folded
+#: a cycle through its own heap event, with that engine's always-zero
+#: ``pipelined_batches``, ``fold_lag_seconds`` and
+#: ``epsilon_merged_triggers`` dropped and its fold pops taken out of
+#: ``events_processed``.
+SYNCHRONOUS_PINS = {
+    ("queue", "qonductor", 4):
+        "303005104bb44e0de46cc20392fee55a1037c00d9d2637e30998777282ee03ac",
+    ("queue", "qonductor", 9):
+        "97db8e630bc746d774386bd135c42698128e61e96b81a0524caec5996d4f4de1",
+    ("queue", "fcfs", 4):
+        "67cf98bba33cb2079e0ce3b34f0dcc535f09413f5cb246a20511a4a222f583f0",
+    ("queue", "fcfs", 9):
+        "96ace234787279575b8486adbfac9bc6bd90e4ae707021fa2329c9b726491c07",
+    ("staggered", "qonductor", 4):
+        "09196b968acafc376c126cf76c0171945fae0aea5750b4064e0085bb4f2173ef",
+    ("staggered", "qonductor", 9):
+        "57da0253277ecb5dd5afc12acfa873f9c0141fb086dfe764446ed36ddc0008d8",
+    ("staggered", "fcfs", 4):
+        "5870be65b022f50e7b4a4c03c2279153c368981b45427eb72cb5545643efddf1",
+    ("staggered", "fcfs", 9):
+        "85140454580b36cd1c6526e7a05b9f3207205f30f155be13dccb950971ce618f",
+    ("mixed", "qonductor", 4):
+        "24550a6669051e328def883b3eddc927589329953ab989032ce9dadc2e6e5353",
+    ("mixed", "qonductor", 9):
+        "273eee60f2c90d41a29930d97eb1e19570ae228cd8571ee5c53f43e9e4f69b42",
+    ("mixed", "fcfs", 4):
+        "ae2c4110372c977cd16d2291ed5632e8a1d0c15966589511f56866d6b6500831",
+    ("mixed", "fcfs", 9):
+        "e6bc2cddcb347c83e1aead020bf8bed872b422141a962a384eb7376ec106e647",
+}
+
+
+@pytest.mark.parametrize("cell", SYNCHRONOUS_PINS, ids=lambda c: "-".join(map(str, c)))
+def test_synchronous_cycle_matches_pinned_digest(cell, monkeypatch):
+    shape, policy, load_seed = cell
+    folds = 0
+    fold = CloudSimulator._on_cycle_fold
+
+    def counted_fold(self, st, now, batch):
+        nonlocal folds
+        folds += 1
+        fold(self, st, now, batch)
+
+    monkeypatch.setattr(CloudSimulator, "_on_cycle_fold", counted_fold)
+    metrics = run_sharded(
+        QonductorScheduler(fake_estimate, seed=5, max_generations=4)
+        if policy == "qonductor"
+        else BatchedFCFSPolicy(fake_estimate),
+        "serial",
+        load_seed=load_seed,
+        **TRIGGER_SHAPES[shape],
+    )
+    state = metrics.deterministic_state()
+    for key in ("pipelined_batches", "fold_lag_seconds", "epsilon_merged_triggers"):
+        assert state.pop(key) == 0
+    state["events_processed"] -= folds
+    digest = hashlib.sha256(repr(state).encode()).hexdigest()
+    assert digest == SYNCHRONOUS_PINS[cell]
