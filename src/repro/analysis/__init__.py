@@ -1,7 +1,7 @@
 """detlint — determinism & purity static analysis for the repro engine.
 
 Every equivalence claim this reproduction makes (1-shard ≡ unsharded,
-replayed ≡ recorded, pipelined ≡ synchronous) rests on a handful of code
+replayed ≡ recorded, pickled ≡ plain) rests on a handful of code
 conventions: cycle RNG keyed by ``SeedSequence((seed, shard, cycle))``,
 pure picklable stage-2 workers, wall-clock confined to the
 ``TIMING_FIELDS`` accounting sites, shard-id-ordered folds.  The runtime

@@ -25,7 +25,7 @@ __all__ = [
 #: Packages whose notion of "now" is the event-loop's simulated clock.
 #: A wall-clock read here (outside a declared accounting site) leaks
 #: host timing into simulated behavior — the exact bug class the
-#: pipelined bit-identity tests exist to catch.
+#: bit-identity tests exist to catch.
 SIMULATED_TIME_PACKAGES: tuple[str, ...] = (
     "repro.cloud",
     "repro.scheduler",

@@ -4,8 +4,9 @@ A firing trigger batch hands the pure optimization stage of each due
 shard's cycle — one :class:`~repro.scheduler.cycle.OptimizationTask`
 each — to :meth:`SerialCycleExecutor.run`, which applies the stage to
 every task in the calling thread and returns the results **in task
-order**; the simulator folds them back in shard-id order at the batch's
-``CYCLE_FOLD`` instant.  The class is a seam, not a choice of backend:
+order**; the simulator hands them to each policy's ``finish_cycle`` in
+shard-id order at the same trigger instant.  The class is a seam, not a
+choice of backend:
 a subclass may wrap ``run`` to time or check the stage, and
 ``CloudSimulator(cycle_executor=...)`` accepts such an instance.
 """

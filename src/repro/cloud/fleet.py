@@ -109,11 +109,6 @@ class FleetShard:
         #: Batched policies queue arrivals here until the trigger fires;
         #: per-arrival baselines are assigned on arrival.
         self.is_batched = policy.batched
-        #: The in-flight marker: the batch record of a cycle whose
-        #: CYCLE_FOLD event has not popped yet, else ``None``.
-        #: While set, new arrivals queue in ``pending`` for the *next*
-        #: cycle and the shard's trigger pops are deferred to the fold.
-        self.in_flight = None
         self.jobs_routed = 0
         # Work-stealing accounting (fed by RebalancePolicy moves).
         self.jobs_stolen_in = 0

@@ -79,21 +79,12 @@ class SimulationMetrics:
     wall_seconds: float = 0.0
     #: Engine-batch accounting: scheduling-cycle batches executed
     #: (same-instant trigger deadlines coalesce into one batch) and the
-    #: widest batch seen — >1 means several shards' cycles shared a fold.
+    #: widest batch seen — >1 means several shards' cycles shared a batch.
     cycle_batches: int = 0
     max_batch_cycles: int = 0
     #: Accumulated per-stage wall seconds across every scheduling cycle
     #: (``preprocess`` / ``optimize`` / ``select`` summed over cycles).
     stage_seconds: dict = field(default_factory=dict)
-    #: Pipelined-engine accounting (simulated time, so deterministic):
-    #: batches whose fold popped *after* their trigger instant (a modeled
-    #: ``cycle_latency`` was in effect) and the summed trigger->fold lag.
-    pipelined_batches: int = 0
-    fold_lag_seconds: float = 0.0
-    #: Cycles launched ahead of their own trigger instant because it fell
-    #: inside the ε-window of a coalescing batch head
-    #: (``trigger_epsilon > 0``); never more than ``scheduling_cycles``.
-    epsilon_merged_triggers: int = 0
     #: Estimate-cache counters, when the scheduling policy exposes a cache.
     estimate_cache: dict = field(default_factory=dict)
     #: Multi-tenancy accounting (see :mod:`repro.cloud.tenancy`); only
@@ -243,9 +234,6 @@ class SimulationMetrics:
             "pending_at_horizon": self.pending_at_horizon,
             "scheduling_cycles": self.scheduling_cycles,
             "cycle_batches": self.cycle_batches,
-            "pipelined_batches": self.pipelined_batches,
-            "fold_lag_seconds": round(self.fold_lag_seconds, 3),
-            "epsilon_merged_triggers": self.epsilon_merged_triggers,
             "rebalance_cycles": self.rebalance_cycles,
             "jobs_migrated": self.jobs_migrated,
             "per_shard_steals": dict(self.per_shard_steals),

@@ -43,37 +43,23 @@ Two optional subsystems make the fleet *adaptive*:
   feasible underloaded ones.  Both are off by default, leaving static
   runs bit-identical.
 
-**The scheduling cycle** has one path: begin → ``CYCLE_FOLD`` → fold.  A
-firing TRIGGER batch runs each due shard's pre-processing (prefetching
-estimates through the shared cache), runs the pure optimization stage of
-every due shard through
-:meth:`~repro.cloud.cycle_executor.SerialCycleExecutor.run`, and pushes
-a ``CYCLE_FOLD`` heap event at ``t_trigger + latency_model(batch)``;
-when that event pops, the results fold back in shard-id order, so
-dispatch, RNG draws, heap pushes and metrics happen at the simulated
-instant the modeled scheduler would have finished.  Two knobs:
-
-* ``cycle_latency`` — the modeled scheduler runtime (seconds, or a
-  callable over the batch's tasks, e.g.
-  :class:`~repro.scheduler.cycle.NsgaCycleLatencyModel`), finite and
-  ``>= 0``.  The fold instant is *simulated* time, never wall-clock, so
-  nonzero-latency runs are deterministic by construction.  At the
-  default ``0`` the fold pops at the trigger instant before any other
-  event — an inline cycle.  Jobs arriving while a shard's cycle is in
-  flight queue as pending and join the next cycle; the shard's trigger
-  pops are deferred until the fold re-arms its deadline.
-* ``trigger_epsilon`` — trigger instants within ε seconds of a batch
-  head (each shard's hold and deadline, read off its trigger) coalesce
-  into one engine batch (exact same-instant ties always coalesce, so
-  ε=0 changes nothing), which is what lets arrival-driven and bursty
-  fleets form multi-shard batches.
+**The scheduling cycle** is one synchronous step at its trigger instant
+(§7: the cycle fires when the queue reaches its limit or the interval
+has passed, and its schedule commits at once).  Every batched shard due
+at that instant — same-instant TRIGGER deadlines coalesce — takes its
+pending queue; each policy's ``begin_cycle`` pre-processes it
+(prefetching estimates through the shared cache); the pure optimization
+stages of the batch run through
+:meth:`~repro.cloud.cycle_executor.SerialCycleExecutor.run`; and each
+``finish_cycle`` schedule is applied in shard-id order, so dispatch, RNG
+draws, heap pushes and metrics happen in one canonical order.  The
+firing shards' triggers then re-arm from that instant.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import math
 import time
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
@@ -82,7 +68,7 @@ from enum import IntEnum
 import numpy as np
 
 from ..backends.qpu import QPU
-from ..scheduler.cycle import make_latency_model, run_optimization
+from ..scheduler.cycle import run_optimization
 from ..scheduler.policy import SchedulingPolicy
 from ..scheduler.triggers import SchedulingTrigger
 from .availability import AvailabilityModel
@@ -111,13 +97,9 @@ __all__ = [
 class EventType(IntEnum):
     """Heap tie-break priorities at equal timestamps.
 
-    Cycle folds come first: a fold scheduled for time t commits decisions
-    made strictly earlier, so every other time-t event must see the
-    post-fold fleet state — and at the default zero latency this is what
-    makes a cycle inline: its fold runs before any other same-instant
-    event can be processed.  Completions land before samples so a sample
-    at time t sees every application with ``finish_time <= t``;
-    recalibration, sampling, arrivals, and trigger deadlines keep the
+    Completions land before samples so a sample at time t sees every
+    application with ``finish_time <= t``; recalibration, sampling,
+    arrivals, and trigger deadlines keep the
     processing order of the original time-stepping loop.  Availability
     flips land right after completions so routing at time t sees the
     fleet state *at* t.  Rebalancing sees every same-instant arrival but
@@ -127,14 +109,13 @@ class EventType(IntEnum):
     would only ever see freshly drained queues and steal nothing).
     """
 
-    CYCLE_FOLD = 0
-    COMPLETION = 1
-    AVAILABILITY = 2
-    RECALIBRATION = 3
-    SAMPLE = 4
-    ARRIVAL = 5
-    REBALANCE = 6
-    TRIGGER = 7
+    COMPLETION = 0
+    AVAILABILITY = 1
+    RECALIBRATION = 2
+    SAMPLE = 3
+    ARRIVAL = 4
+    REBALANCE = 5
+    TRIGGER = 6
 
 
 @dataclass
@@ -158,21 +139,6 @@ class SimulationConfig:
             raise ValueError(
                 f"recalibrate_every_seconds must be None or > 0, got {period!r}"
             )
-
-
-@dataclass
-class _InFlightBatch:
-    """One launched engine batch awaiting its ``CYCLE_FOLD`` event.
-
-    ``items`` holds ``(shard, plan)`` per due shard in shard-id order —
-    what each policy's ``begin_cycle`` returned, for its ``finish_cycle``
-    at the fold.  ``results`` holds the optimization results of the
-    plans that carried a task, in the same order.
-    """
-
-    items: list = field(default_factory=list)
-    results: list = field(default_factory=list)
-    submit_time: float = 0.0
 
 
 @dataclass(slots=True)
@@ -232,8 +198,6 @@ class CloudSimulator:
         availability: AvailabilityModel | None = None,
         cycle_executor: str | SerialCycleExecutor | None = None,
         admission: AdmissionController | None = None,
-        cycle_latency: float | Callable | None = None,
-        trigger_epsilon: float = 0.0,
     ) -> None:
         self.config = config or SimulationConfig()
         self.execution_model = execution_model or ExecutionModel(
@@ -273,16 +237,6 @@ class CloudSimulator:
                 "backend is the only one (pass 'serial', None or a "
                 "SerialCycleExecutor)"
             )
-        # ``cycle_latency`` models the scheduler's own runtime in
-        # *simulated* seconds (number or callable over the batch's
-        # tasks); ``trigger_epsilon`` widens trigger coalescing to a
-        # window.  Both default to off.
-        self.latency_model = make_latency_model(cycle_latency)
-        if not (math.isfinite(trigger_epsilon) and trigger_epsilon >= 0):
-            raise ValueError(
-                f"trigger_epsilon must be finite and >= 0, got {trigger_epsilon!r}"
-            )
-        self.trigger_epsilon = float(trigger_epsilon)
         self._rng = np.random.default_rng(self.config.seed)
         self._has_run = False
 
@@ -302,9 +256,9 @@ class CloudSimulator:
         Each shard gets ``policy.spawn(shard_id)`` and
         ``trigger_factory(shard_id)`` (default: a fresh paper-default
         trigger).  Every other keyword (``execution_model``, ``config``,
-        ``rebalance``, ``availability``, ``cycle_executor``, ``admission``,
-        ``cycle_latency``, ``trigger_epsilon``) is the constructor's,
-        forwarded as is — an unknown one is its ``TypeError``.
+        ``rebalance``, ``availability``, ``cycle_executor``,
+        ``admission``) is the constructor's, forwarded as is — an unknown
+        one is its ``TypeError``.
         """
         shards = [
             FleetShard(
@@ -369,66 +323,37 @@ class CloudSimulator:
         else:
             bucket["admitted"] += 1
 
-    # -- the scheduling cycle: begin -> CYCLE_FOLD -> fold -------------
-    def _begin_batch(
+    # -- the scheduling cycle -------------------------------------------
+    def _run_batch(
         self, st: RunState, shards: list[FleetShard], now: float
-    ) -> tuple[_InFlightBatch, float]:
-        """Launch one engine batch: snapshot, optimize, model the latency.
+    ) -> None:
+        """Run one engine batch over ``shards`` (shard-id order) at ``now``.
 
-        ``shards`` must already be in shard-id order.  Each shard's
-        pending queue is snapshotted and cleared — jobs arriving while
-        the batch is in flight queue for the *next* cycle.  Each policy's
-        ``begin_cycle`` builds its plan from the snapshot, with estimates
-        prefetched through the shared cache, so a later fold commits
-        exactly the decisions the trigger-time state implied.  The plans'
-        pure optimization tasks (batched FCFS has none) run now; their
-        results wait on the batch for the fold.
-
-        Returns the in-flight batch record and its modeled latency in
-        simulated seconds; the caller decides when to fold (a
-        ``CYCLE_FOLD`` event, or at once for the horizon flush).
+        Each shard's pending queue is taken and its policy's
+        ``begin_cycle`` builds a plan from it, with estimates prefetched
+        through the shared cache.  The plans' pure optimization tasks
+        (batched FCFS has none) run through the cycle executor, and each
+        ``finish_cycle`` schedule is applied in shard-id order: dispatch
+        RNG draws, completion pushes, metrics and cache updates happen in
+        one canonical order.
         """
         metrics = st.metrics
         metrics.cycle_batches += 1
         metrics.max_batch_cycles = max(metrics.max_batch_cycles, len(shards))
-        batch = _InFlightBatch(submit_time=now)
-        for shard in shards:
-            shard.in_flight = batch
-            plan = shard.policy.begin_cycle(
+        plans = [
+            shard.policy.begin_cycle(
                 shard.take_all(), shard.qpus, shard.waiting_map(now)
             )
-            batch.items.append((shard, plan))
-        plan_tasks = [plan.task for _, plan in batch.items]
-        latency = float(self.latency_model(plan_tasks))
-        if not (math.isfinite(latency) and latency >= 0.0):
-            raise ValueError(
-                f"cycle latency model returned {latency!r} for the batch of "
-                f"shards {[shard.shard_id for shard in shards]}; a latency "
-                "must be finite and >= 0"
-            )
-        tasks = [task for task in plan_tasks if task is not None]
-        if tasks:
-            batch.results = self.cycle_executor.run(run_optimization, tasks)
-        return batch, latency
-
-    def _fold_batch(
-        self, st: RunState, batch: _InFlightBatch, now: float
-    ) -> None:
-        """Fold a launched batch back in, in shard-id order.
-
-        Dispatch RNG draws, completion pushes, metrics, and cache updates
-        all happen here, in shard-id order.
-        """
-        results = iter(batch.results)
-        for shard, plan in batch.items:
+            for shard in shards
+        ]
+        tasks = [plan.task for plan in plans if plan.task is not None]
+        results = iter(
+            self.cycle_executor.run(run_optimization, tasks) if tasks else ()
+        )
+        for shard, plan in zip(shards, plans):
             result = next(results) if plan.task is not None else None
             schedule = shard.policy.finish_cycle(plan, result)
             self._apply_schedule(st, shard, schedule, now)
-            shard.in_flight = None
-        lag = now - batch.submit_time
-        if lag > 0.0:
-            st.metrics.pipelined_batches += 1
-            st.metrics.fold_lag_seconds += lag
 
     def _apply_schedule(
         self, st: RunState, shard: FleetShard, schedule, now: float
@@ -464,8 +389,6 @@ class CloudSimulator:
                 retained.append(job)
             else:
                 self._fail(st, job)
-        # Prepend: retained jobs arrived before anything queued while the
-        # batch was in flight, so they keep their arrival-order position.
         shard.requeue_front(retained)
 
     def _schedule_immediate(
@@ -488,40 +411,21 @@ class CloudSimulator:
     def _launch(
         self, st: RunState, firing: list[FleetShard], now: float
     ) -> None:
-        """Begin one engine batch over ``firing`` (shard-id order) and
-        schedule its fold.  At zero modeled latency the fold event pops
-        at this same instant before any other event — an inline cycle;
-        with latency it pops later and the loop keeps draining.  The
-        trigger is marked fired at the fold, which also re-arms the
-        interval deadline."""
-        if not firing:
-            return
-        batch, latency = self._begin_batch(st, firing, now)
-        st.push(now + latency, EventType.CYCLE_FOLD, batch)
+        """Run one engine batch over ``firing`` (shard-id order), then
+        mark each firing trigger fired and re-arm its interval deadline."""
+        self._run_batch(st, firing, now)
+        for shard in firing:
+            self._rearm(st, shard, now)
 
     def _fire_if_ready(
         self, st: RunState, shard: FleetShard, now: float
     ) -> None:
-        """Launch a cycle when the shard's trigger condition is met
-        (shared by the arrival and rebalance paths; the TRIGGER deadline
-        handler has its own flow — it always marks the trigger fired,
-        even on an empty queue).  A shard with a cycle in flight never
-        fires: its new arrivals queue for the next cycle, which the
-        fold's re-armed deadline (or the next arrival after the fold)
-        picks up."""
-        if shard.in_flight is not None:
-            return
-        trigger = shard.trigger
-        if not trigger.should_fire(len(shard.pending), now):
-            return
-        if self.trigger_epsilon == 0.0:
+        """Run a cycle when the shard's trigger condition is met (shared
+        by the arrival and rebalance paths; the TRIGGER deadline handler
+        has its own flow — it re-arms the deadline even on an empty
+        queue)."""
+        if shard.trigger.should_fire(len(shard.pending), now):
             self._launch(st, [shard], now)
-        elif trigger.hold_until is None:
-            # ε-window hold: fire ε later so other shards becoming
-            # eligible inside the window merge into one batch (one
-            # pending hold per shard).
-            trigger.hold_until = now + self.trigger_epsilon
-            st.push(trigger.hold_until, EventType.TRIGGER, shard.shard_id)
 
     def _rearm(self, st: RunState, shard: FleetShard, now: float) -> None:
         """Mark the shard's trigger fired and queue its next deadline."""
@@ -531,16 +435,6 @@ class CloudSimulator:
         )
 
     # -- event handlers, one per EventType -----------------------------
-    def _on_cycle_fold(
-        self, st: RunState, now: float, batch: _InFlightBatch
-    ) -> None:
-        # A launched batch's decisions commit now; the trigger fires *at
-        # the fold* — the shard spent the in-flight window unable to
-        # start another cycle, so its interval cadence restarts here.
-        self._fold_batch(st, batch, now)
-        for shard, _ in batch.items:
-            self._rearm(st, shard, now)
-
     def _on_completion(
         self, st: RunState, now: float, app: HybridApplication
     ) -> None:
@@ -685,85 +579,34 @@ class CloudSimulator:
         st.push(now + self.rebalancer.interval_seconds, EventType.REBALANCE)
 
     def _on_trigger(self, st: RunState, now: float, shard_id: int) -> None:
-        """Coalesce TRIGGERs into one engine batch and launch it.
+        """Coalesce this instant's TRIGGERs into one engine batch.
 
-        Every entry landing at this same simulated instant always merges
-        (the ε=0 contract), and with ``trigger_epsilon > 0`` every
-        shard's hold and deadline up to ε later join too, firing early
-        alongside the batch head — read off the shards' triggers, never
-        off the heap: a pulled instant's heap entry stays queued and is
-        stale when it pops, like any superseded deadline.  TRIGGER is
-        the highest-priority-value event kind, so every other same-time
-        event has already been folded in; the batch executes in shard-id
+        Every TRIGGER entry at this same simulated instant merges.  An
+        entry that is no longer its shard's live deadline — a cycle fired
+        on the arrival or rebalance path and re-armed it since the entry
+        was pushed — is stale and skipped.  TRIGGER is the
+        highest-priority-value event kind, so every other same-time
+        event has already been processed; the batch runs in shard-id
         order, one canonical order whatever order the triggers popped in.
-
-        ``due`` maps shard_id -> ``[shard, fire_time, via_deadline]``.
-        ``fire_time`` is the instant's own time (should_fire is judged
-        there — a merged deadline *would* have fired at its own time,
-        even if its interval has not elapsed by ``now``);
-        ``via_deadline`` marks shards whose interval cadence this batch
-        owns (a non-firing deadline re-arms, a non-firing hold is simply
-        dropped).
+        A due shard whose queue does not fire just re-arms its deadline.
         """
         heap = st.heap
-        due: dict[int, list] = {}
-        self._consider(due, self.shards[shard_id], now)
-        # Exact same-instant ties always coalesce (ε=0 contract).
+        due = {shard_id}
         while heap and heap[0][0] == now and heap[0][1] == EventType.TRIGGER:
             st.metrics.events_processed += 1
-            self._consider(due, self.shards[heapq.heappop(heap)[3]], now)
-        if self.trigger_epsilon > 0.0 and due:
-            window = now + self.trigger_epsilon
-            for shard in self.shards:
-                if not shard.is_batched:
-                    continue
-                trigger = shard.trigger
-                instants = {trigger.hold_until, trigger.next_deadline(now)}
-                for t in sorted(instants - {None}):
-                    if now < t <= window:
-                        self._consider(due, shard, t, pulled=True)
+            due.add(heapq.heappop(heap)[3])
         firing = []
-        for _, (shard, fire_time, via_deadline) in sorted(due.items()):
-            if shard.trigger.should_fire(len(shard.pending), fire_time):
+        for sid in sorted(due):
+            shard = self.shards[sid]
+            trigger = shard.trigger
+            if trigger.next_deadline(now) != now:
+                continue
+            if trigger.should_fire(len(shard.pending), now):
                 firing.append(shard)
-                if fire_time > now:
-                    st.metrics.epsilon_merged_triggers += 1
-            elif via_deadline:
+            else:
                 self._rearm(st, shard, now)
-        # Firing shards mark fired + re-arm at the fold.
-        self._launch(st, firing, now)
-
-    def _consider(
-        self, due: dict[int, list], shard: FleetShard, t: float,
-        pulled: bool = False,
-    ) -> None:
-        """Fold ``shard``'s trigger instant ``t`` into ``due``.
-
-        The shard's trigger says what ``t`` is: its armed hold, its live
-        deadline (both, when they coincide), or neither — a stale entry
-        superseded since it was pushed.  ``pulled`` marks an instant the
-        ε-window reads ahead of its own heap entry.
-        """
-        trigger = shard.trigger
-        is_hold = t == trigger.hold_until
-        is_deadline = t == trigger.next_deadline(t)
-        if is_hold:
-            trigger.hold_until = None
-        if shard.in_flight is not None or not (is_hold or is_deadline):
-            # Stale, or deferred: the fold re-arms the deadline and later
-            # arrivals re-arm a dropped hold.
-            return
-        info = due.get(shard.shard_id)
-        if info is not None:
-            info[2] |= is_deadline  # the deadline owns the cadence
-        elif (
-            is_hold
-            or not pulled
-            or trigger.should_fire(len(shard.pending), t)
-        ):
-            # (A pulled deadline that would not fire is not merged: that
-            # would only reset an idle shard's cadence early.)
-            due[shard.shard_id] = [shard, t, is_deadline]
+        if firing:
+            self._launch(st, firing, now)
 
     # ------------------------------------------------------------------
     def _collect_cache_stats(self, metrics: SimulationMetrics) -> None:
@@ -864,24 +707,11 @@ class CloudSimulator:
     def _finish(self, st: RunState) -> None:
         """Horizon flush and final bookkeeping."""
         metrics, heap, horizon = st.metrics, st.heap, st.horizon
-        # First fold any batches still in flight: their decisions were
-        # fixed at launch, the horizon just truncates the modeled
-        # latency, so they commit at the horizon in launch order — job
-        # conservation holds with cycles in flight.
-        in_flight_folds = sorted(
-            (e for e in heap if e[1] == EventType.CYCLE_FOLD),
-            key=lambda e: (e[0], e[2]),
-        )
-        for _, _, _, batch in in_flight_folds:
-            metrics.events_processed += 1
-            self._fold_batch(st, batch, horizon)
-        # Then schedule leftovers at the horizon: one engine batch over
-        # every backlogged shard (like an aligned deadline), begun and
-        # folded back to back.
+        # Schedule leftovers at the horizon: one engine batch over every
+        # backlogged shard, like an aligned deadline.
         backlogged = [s for s in self.shards if s.is_batched and s.pending]
         if backlogged:
-            batch, _ = self._begin_batch(st, backlogged, horizon)
-            self._fold_batch(st, batch, horizon)
+            self._run_batch(st, backlogged, horizon)
         # Fold in completions that land inside the horizon, and take the
         # last sample.
         while heap:

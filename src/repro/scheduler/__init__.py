@@ -4,12 +4,9 @@ policy a :class:`SchedulingPolicy`."""
 
 from .classical import ClassicalNode, ClassicalRequest, ClassicalScheduler
 from .cycle import (
-    ConstantCycleLatency,
-    NsgaCycleLatencyModel,
     OptimizationResult,
     OptimizationTask,
     cycle_seed,
-    make_latency_model,
     run_optimization,
 )
 from .formulation import SchedulingInput, SchedulingProblem
@@ -40,9 +37,6 @@ __all__ = [
     "OptimizationResult",
     "cycle_seed",
     "run_optimization",
-    "ConstantCycleLatency",
-    "NsgaCycleLatencyModel",
-    "make_latency_model",
     "ClassicalNode",
     "ClassicalRequest",
     "ClassicalScheduler",

@@ -2,7 +2,9 @@
 
 One NSGA-II cycle is, after pre-processing, a deterministic function of a
 :class:`~repro.scheduler.formulation.SchedulingInput` snapshot plus a seed
-— no scheduler, estimator, or simulator state is involved.  This module
+— no scheduler, estimator, or simulator state is involved.  The
+simulator runs it between a policy's ``begin_cycle`` and
+``finish_cycle``, inside the cycle's trigger instant.  This module
 isolates that function so a cycle can be re-run from its task alone — a
 replay of a recorded cycle, or a re-run at another optimizer budget:
 
@@ -25,9 +27,7 @@ counts.
 
 from __future__ import annotations
 
-import math
 import time
-from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,17 +38,9 @@ from .formulation import SchedulingInput, SchedulingProblem
 __all__ = [
     "OptimizationTask",
     "OptimizationResult",
-    "CycleLatencyModel",
     "cycle_seed",
     "run_optimization",
-    "ConstantCycleLatency",
-    "NsgaCycleLatencyModel",
-    "make_latency_model",
 ]
-
-#: A latency model maps one batch's tasks (``None`` for shards whose
-#: policy has no optimization stage) to simulated seconds until fold.
-CycleLatencyModel = Callable[[Sequence["OptimizationTask | None"]], float]
 
 
 def cycle_seed(
@@ -77,7 +69,7 @@ class OptimizationTask:
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """What the optimization stage hands back to the fold-in step."""
+    """What the optimization stage hands back to ``finish_cycle``."""
 
     X: np.ndarray  # (n_front, n_jobs) front decision vectors
     F: np.ndarray  # (n_front, 2) front objective values
@@ -117,77 +109,3 @@ def run_optimization(task: OptimizationTask) -> OptimizationResult:
         optimize_seconds=time.perf_counter() - t0,
     )
 
-
-# ---------------------------------------------------------------------------
-# Cycle-latency models
-#
-# The simulator's pipelined engine needs to know *when in simulated time*
-# a batch of cycles folds back: the scheduler's own runtime delays
-# dispatch (the paper's Fig. 9c stage breakdown is exactly that runtime).
-# A latency model maps a batch — the list of per-shard
-# :class:`OptimizationTask` snapshots, ``None`` for shards whose policy
-# has no optimization stage — to a latency in simulated seconds.  The
-# model is a pure function of the batch, so the fold instant never
-# depends on how long the host took to run the stage.
-
-
-@dataclass(frozen=True)
-class ConstantCycleLatency:
-    """Every batch folds a fixed ``seconds`` after its trigger."""
-
-    seconds: float = 0.0
-
-    def __call__(self, tasks: Sequence[OptimizationTask | None]) -> float:
-        return self.seconds
-
-
-@dataclass(frozen=True)
-class NsgaCycleLatencyModel:
-    """Latency proportional to the heaviest cycle in the batch.
-
-    One NSGA-II cycle evaluates ``pop_size * max_generations``
-    individuals, each a vector pass over the cycle's jobs, so its runtime
-    scales as ``pop_size * max_generations * n_jobs``.  The model treats
-    each shard's scheduler as optimizing its own cycle side by side with
-    the others, so the batch folds when its *slowest* member does —
-    ``overhead_seconds`` (pre/postprocessing, dispatch) plus the max
-    per-cycle term.  Shards without an optimization stage contribute
-    only the overhead.
-    """
-
-    seconds_per_evaluation: float = 2e-5
-    overhead_seconds: float = 0.05
-
-    def __call__(self, tasks: Sequence[OptimizationTask | None]) -> float:
-        if not tasks:
-            return 0.0
-        slowest = max(
-            (
-                t.pop_size * t.max_generations * max(1, t.data.num_jobs)
-                for t in tasks
-                if t is not None
-            ),
-            default=0,
-        )
-        return self.overhead_seconds + slowest * self.seconds_per_evaluation
-
-
-def make_latency_model(
-    spec: float | CycleLatencyModel | None,
-) -> CycleLatencyModel:
-    """Resolve a cycle-latency spec to a model callable.
-
-    ``None`` or ``0`` mean the legacy instant fold (bit-identical to the
-    synchronous engine); a finite number ``>= 0`` becomes a
-    :class:`ConstantCycleLatency`; any callable (e.g.
-    :class:`NsgaCycleLatencyModel`) passes through, and the simulator
-    checks each value it returns.
-    """
-    if spec is None:
-        return ConstantCycleLatency(0.0)
-    if callable(spec):
-        return spec
-    seconds = float(spec)
-    if not (math.isfinite(seconds) and seconds >= 0):
-        raise ValueError(f"cycle latency must be finite and >= 0, got {seconds!r}")
-    return ConstantCycleLatency(seconds)

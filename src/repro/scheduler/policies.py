@@ -91,7 +91,7 @@ class BatchSchedule:
 
     The structural subset of
     :class:`~repro.scheduler.quantum.QuantumSchedule` the cloud
-    simulator's fold consumes: ``decisions``, ``unschedulable`` and
+    simulator consumes: ``decisions``, ``unschedulable`` and
     ``stage_seconds`` (empty — no stage of this cycle is timed).
     """
 
@@ -102,8 +102,9 @@ class BatchSchedule:
 
 @dataclass
 class BatchPlan:
-    """What :meth:`BatchedFCFSPolicy.begin_cycle` hands to the fold: no
-    optimization ``task``, and the schedule already decided."""
+    """What :meth:`BatchedFCFSPolicy.begin_cycle` hands to
+    ``finish_cycle``: no optimization ``task``, and the schedule already
+    decided."""
 
     schedule: BatchSchedule
     task: None = None
@@ -136,8 +137,8 @@ class BatchedFCFSPolicy(FCFSPolicy):
         waiting_seconds: dict[str, float] | None = None,
     ) -> BatchPlan:
         """The whole cycle: FCFS has no optimization stage, so the
-        trigger-time snapshot is decided here and the fold only commits
-        it."""
+        trigger-time snapshot is decided here and ``finish_cycle`` only
+        hands it back."""
         jobs = tier_sort(jobs)
         decisions: list[BatchDecision] = []
         unschedulable: list[QuantumJob] = []

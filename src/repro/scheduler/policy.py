@@ -10,7 +10,7 @@ arrivals queue on the shard until its trigger fires, then
 ``task`` (if any) runs through
 :func:`~repro.scheduler.cycle.run_optimization` — a pure function of the
 task, so a recorded cycle replays — and :meth:`finish_cycle` turns
-plan + result into the schedule the fold commits.
+plan + result into the schedule the engine commits.
 :func:`require_policy` checks the declaration at construction (like
 :func:`~repro.estimator.source.require_estimate_source`), so the engine
 never probes a policy for what it can do.

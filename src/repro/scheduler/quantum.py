@@ -15,9 +15,9 @@ The stages are exposed both fused (``schedule``, inherited from
 :class:`~repro.scheduler.policy.SchedulingPolicy`: one call per cycle)
 and split (:meth:`begin_cycle` -> the pure
 :func:`~repro.scheduler.cycle.run_optimization` -> :meth:`finish_cycle`)
-so the cloud simulator can snapshot a cycle at its trigger instant and
-commit it at its fold instant, with the dominant optimization stage in
-between a pure function of its task (pre-processing and selection touch
+so the cloud simulator can run a whole batch of shards' cycles at one
+trigger instant, with the dominant optimization stage in between a pure
+function of its task (pre-processing and selection touch
 the shared estimate cache; the stage does not).  Cycle
 randomness derives from ``(seed, shard_id, cycle_index)`` (see
 :func:`~repro.scheduler.cycle.cycle_seed`), so results never depend on

@@ -1,23 +1,15 @@
 """Scheduling triggers (§7): queue-size and time-based invocation.
 
-Deferred-trigger contract (pipelined engine): while a shard has a cycle
-in flight, the simulator drops the shard's trigger pops instead of
-firing a second overlapping cycle; the fold calls :meth:`fired` at the
-fold instant and re-arms the next interval deadline from there.  Any
-deadline entries pushed before the fold go stale naturally — they no
-longer equal :meth:`next_deadline`.
-
-ε-window coalescing uses a *hold*: when a shard becomes eligible on the
-arrival path and ``trigger_epsilon > 0``, the simulator schedules the
-actual firing ε later and records that instant in ``hold_until``, so
-other shards becoming eligible inside the window merge into one engine
-batch.  One pending hold per shard; a TRIGGER event is the shard's hold
-exactly when its time equals ``hold_until``.
+A trigger holds one fact, the instant its shard's last cycle fired; the
+simulator calls :meth:`fired` when a cycle runs (or an idle deadline
+passes) and pushes the next interval deadline from there.  Deadline
+entries pushed before that go stale naturally — they no longer equal
+:meth:`next_deadline` — and the simulator skips them when they pop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["SchedulingTrigger"]
 
@@ -31,8 +23,6 @@ class SchedulingTrigger:
     queue_limit: int = 100
     interval_seconds: float = 120.0
     _last_fired: float = 0.0
-    #: Instant of the armed ε-window hold, ``None`` when none is pending.
-    hold_until: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         # A non-positive interval re-arms its deadline at the same

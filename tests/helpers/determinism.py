@@ -115,16 +115,14 @@ def make_shards(widths_per_shard, policy=None):
 def run_sharded(policy, executor, *, num_shards=3, duration=700.0,
                 rebalance=None, recal=None, tenants=None, admission=None,
                 fleet_size=6, rate_per_hour=2400, load_seed=4,
-                trigger=lambda i: (10_000, 120), **sim_kwargs):
+                trigger=lambda i: (10_000, 120)):
     """The standard multi-shard MMPP-burst scenario, fully seeded.
 
     One knob set shared by the parallel-engine and tenancy bit-identity
     suites; ``tenants``/``admission`` extend it with a tenant mix on the
     load generator and an admission controller on the simulator (both
     ``None`` by default — the tenancy-off configuration).  ``trigger``
-    maps a shard id to its ``(queue_limit, interval_seconds)``.  Extra
-    keyword arguments (e.g. ``cycle_latency`` / ``trigger_epsilon``)
-    forward to :meth:`CloudSimulator.sharded`.
+    maps a shard id to its ``(queue_limit, interval_seconds)``.
     """
     gen = LoadGenerator(
         mean_rate_per_hour=rate_per_hour,
@@ -149,7 +147,6 @@ def run_sharded(policy, executor, *, num_shards=3, duration=700.0,
         rebalance=rebalance,
         cycle_executor=executor,
         admission=admission,
-        **sim_kwargs,
     )
     return sim.run(gen.generate(duration))
 

@@ -242,65 +242,57 @@ class TestEventCore:
         with pytest.raises(KeyError, match="shard 0 has no QPU named 'nope'"):
             sim._dispatch(st, sim.shards[0], job, "nope", 0.0)
 
-    @pytest.mark.parametrize("first", ["deadline", "hold"])
     @pytest.mark.parametrize("stolen", [False, True], ids=["firing", "stolen"])
-    def test_hold_and_deadline_at_one_instant_are_one_due_entry(
-        self, first, stolen
-    ):
-        """A shard's ε-window hold and its live deadline on one instant,
-        in either heap order: the instant is considered twice and ends
-        as one due entry that owns the cadence — one cycle when the
-        queue fires, and when a rebalance emptied the queue meanwhile
-        the deadline re-arms (a lone non-firing hold is dropped)."""
+    def test_same_instant_deadlines_are_one_batch(self, stolen):
+        """Three TRIGGER entries at one instant: shards 0 and 1's live
+        deadlines and a stale one of shard 2, whose cycle fired on an
+        arrival and re-armed it.  The live deadlines run as one batch of
+        two synchronous cycles and re-arm; the stale entry is skipped.
+        When a rebalance emptied shard 1's queue meanwhile, shard 0 runs
+        a batch of one and shard 1 only re-arms its deadline."""
         import heapq
 
-        from repro.cloud import SimulationMetrics
+        from repro.cloud import FleetShard, SimulatedQPU, SimulationMetrics
         from repro.cloud.simulator import EventType, RunState
         from repro.scheduler import BatchedFCFSPolicy
 
-        sim = CloudSimulator(
-            default_fleet(seed=7, names=["lagos"]),
-            BatchedFCFSPolicy(_fake_estimate),
-            ExecutionModel(seed=5),
-            trigger=SchedulingTrigger(queue_limit=2, interval_seconds=50.0),
-            trigger_epsilon=5.0,
-        )
+        shards = [
+            FleetShard(
+                i,
+                [SimulatedQPU(q) for q in default_fleet(seed=7, names=[name])],
+                BatchedFCFSPolicy(_fake_estimate),
+                SchedulingTrigger(queue_limit=10, interval_seconds=50.0),
+            )
+            for i, name in enumerate(["lagos", "auckland", "hanoi"])
+        ]
+        sim = CloudSimulator(shards=shards, execution_model=ExecutionModel(seed=5))
         st = RunState(
             horizon=600.0, stream=iter(()), metrics=SimulationMetrics()
         )
-        shard = sim.shards[0]
-        shard.pending = [
-            QuantumJob.from_circuit(ghz_linear(4), keep_circuit=False)
-            for _ in range(2)
-        ]
-        for entry in (first, "hold" if first == "deadline" else "deadline"):
-            if entry == "deadline":
-                st.push(shard.trigger.next_deadline(0.0), EventType.TRIGGER, 0)
-            else:
-                sim._fire_if_ready(st, shard, 45.0)  # arms the hold for 50.0
-        assert shard.trigger.hold_until == 50.0
-        assert [e[0] for e in st.heap] == [50.0, 50.0]
+        for shard in shards[:2]:
+            shard.pending = [
+                QuantumJob.from_circuit(ghz_linear(4), keep_circuit=False)
+                for _ in range(2)
+            ]
+        shards[2].trigger.fired(20.0)
+        for shard_id in (1, 2, 0):
+            st.push(50.0, EventType.TRIGGER, shard_id)
         if stolen:
-            shard.pending = []
+            shards[1].pending = []
 
         now, _, _, payload = heapq.heappop(st.heap)
         sim._on_trigger(st, now, payload)
 
-        assert shard.trigger.hold_until is None
-        assert st.metrics.events_processed == 1  # the same-instant twin
-        (event,) = st.heap
-        if stolen:
-            assert event[:2] == (100.0, EventType.TRIGGER)
-            assert st.metrics.cycle_batches == 0
-        else:
-            assert event[:2] == (50.0, EventType.CYCLE_FOLD)
-            assert st.metrics.cycle_batches == 1
-            assert st.metrics.epsilon_merged_triggers == 0
-            sim._on_cycle_fold(st, 50.0, heapq.heappop(st.heap)[3])
-            assert st.metrics.scheduling_cycles == 1
-            assert [e[:2] for e in st.heap if e[1] == EventType.TRIGGER] == [
-                (100.0, EventType.TRIGGER)
-            ]
+        m = st.metrics
+        assert m.events_processed == 2  # the same-instant twins
+        assert m.cycle_batches == 1
+        assert m.scheduling_cycles == m.max_batch_cycles == (1 if stolen else 2)
+        assert m.dispatched_jobs == (2 if stolen else 4)
+        triggers = sorted(
+            (e[0], e[3]) for e in st.heap if e[1] == EventType.TRIGGER
+        )
+        assert triggers == [(100.0, 0), (100.0, 1)]
+        assert shards[2].trigger.next_deadline(50.0) == 70.0
 
 
 @pytest.mark.parametrize("policy_cls", [FCFSPolicy, BatchedFCFSPolicy])

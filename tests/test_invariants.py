@@ -276,49 +276,6 @@ class TestConservation:
         )
         assert counted == len(apps)
 
-    @pytest.mark.parametrize(
-        "knobs",
-        [
-            {"cycle_latency": 45.0},
-            {"trigger_epsilon": 20.0},
-            {"cycle_latency": 45.0, "trigger_epsilon": 20.0},
-            {"cycle_latency": 400.0},
-        ],
-        ids=["latency", "epsilon", "both", "in_flight_at_horizon"],
-    )
-    def test_pipelined_knobs_conserve_jobs(self, knobs):
-        """Fold deferral and ε-held triggers move work in time, never
-        lose it: in-flight cycles at the horizon still fold, held
-        triggers still fire, and every arrival lands in one bucket."""
-        gen = LoadGenerator(
-            mean_rate_per_hour=1500,
-            arrival_process="mmpp",
-            diurnal=False,
-            seed=6,
-        )
-        apps = gen.generate(1200.0)
-        sim = CloudSimulator.sharded(
-            fleet_of_size(4, seed=7),
-            BatchedFCFSPolicy(fake_estimate),
-            num_shards=2,
-            balancer="least_loaded",
-            execution_model=ExecutionModel(seed=5),
-            trigger_factory=lambda i: SchedulingTrigger(
-                queue_limit=30, interval_seconds=90
-            ),
-            config=SimulationConfig(duration_seconds=1200.0, seed=5),
-            **knobs,
-        )
-        m = sim.run(apps)
-        self._assert_conserved(m, apps)
-        latency = knobs.get("cycle_latency", 0.0)
-        if latency:
-            assert m.pipelined_batches > 0
-        if latency > 100.0:
-            # The run ended with a batch in flight: the horizon truncated
-            # its fold, then the flush scheduled the backlog behind it.
-            assert m.fold_lag_seconds < latency * m.pipelined_batches
-
     def test_immediate_policy_has_no_pending(self):
         gen = LoadGenerator(mean_rate_per_hour=900, diurnal=False, seed=3)
         apps = gen.generate(900.0)

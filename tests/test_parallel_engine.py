@@ -1,4 +1,4 @@
-"""Scheduling-engine tests: batches, folds, latency and the stage's purity.
+"""Scheduling-engine tests: batches, coalescing and the stage's purity.
 
 The load-bearing guarantee: a seeded run produces **bit-identical**
 ``SimulationMetrics`` (modulo wall-clock timing fields) whether or not
@@ -6,11 +6,10 @@ every optimization task and result goes through a pickle round trip
 (:class:`helpers.determinism.PicklingSerialExecutor`) — for both the
 Qonductor scheduler (whose cycles carry an optimization task) and the
 batched FCFS baseline (whose plans carry none).  Plus: the executor
-seam, trigger coalescing, the cycle-latency knobs, and the purity of the
-cycle seed derivation.
+seam, same-instant trigger coalescing, a failing stage, and the purity of
+the cycle seed derivation.
 """
 
-import math
 import pickle
 
 import numpy as np
@@ -36,12 +35,9 @@ from repro.cloud import (
 from repro.moo import NSGA2
 from repro.scheduler import (
     BatchedFCFSPolicy,
-    ConstantCycleLatency,
-    NsgaCycleLatencyModel,
     QonductorScheduler,
     SchedulingTrigger,
     cycle_seed,
-    make_latency_model,
     run_optimization,
 )
 
@@ -332,82 +328,20 @@ class TestCoalescing:
         assert set(m.stage_seconds) == {"preprocess", "optimize", "select"}
         assert m.stage_seconds["optimize"] > 0.0
 
-
-class TestLatencyModels:
-    def test_make_latency_model_resolution(self):
-        assert make_latency_model(None)([]) == 0.0
-        assert make_latency_model(2.5)([None, None]) == 2.5
-        assert isinstance(make_latency_model(0), ConstantCycleLatency)
-        model = NsgaCycleLatencyModel()
-        assert make_latency_model(model) is model
-
-    @pytest.mark.parametrize("seconds", [math.nan, math.inf, -math.inf, -1.0])
-    def test_make_latency_model_refuses_non_finite_or_negative(self, seconds):
-        with pytest.raises(ValueError, match="finite and >= 0"):
-            make_latency_model(seconds)
-
-    def test_nsga_model_scales_with_work(self):
-        from types import SimpleNamespace
-
-        def task(pop, gens, jobs):
-            return SimpleNamespace(
-                pop_size=pop,
-                max_generations=gens,
-                data=SimpleNamespace(num_jobs=jobs),
-            )
-
-        model = NsgaCycleLatencyModel(
-            seconds_per_evaluation=1e-4, overhead_seconds=0.5
+    def test_queue_limit_stream_runs_batches_of_one_and_conserves_jobs(self):
+        """Per-shard queue-limit triggers fire on arrivals at distinct
+        instants, each as its own synchronous batch (bar the horizon
+        flush, one batch over every backlogged shard), and every arrival
+        lands in exactly one bucket."""
+        m = run_sharded(
+            QonductorScheduler(fake_estimate, seed=5, max_generations=4),
+            "serial",
+            **TRIGGER_SHAPES["queue"],
         )
-        small = model([task(20, 10, 5)])
-        big = model([task(40, 20, 50)])
-        assert 0.5 < small < big
-        # Batch latency is the slowest member, not the sum.
-        assert model([task(20, 10, 5), task(40, 20, 50)]) == big
-        # Inline cycles (no OptimizationTask) cost only the overhead;
-        # empty batches cost nothing.
-        assert model([None]) == 0.5
-        assert model([]) == 0.0
-
-
-def _qonductor_run(**knobs):
-    return run_sharded(
-        QonductorScheduler(fake_estimate, seed=5, max_generations=4),
-        "serial",
-        num_shards=2,
-        duration=500.0,
-        **knobs,
-    )
-
-
-class TestTimingKnobsFailLoudly:
-    """Regressions: each of these used to run silently — NaN and negative
-    latencies as 0 (``max(0.0, ...)`` clamped them), an infinite latency
-    parked the first batch until the horizon, and a NaN ε was taken."""
-
-    def test_nan_latency_refused(self):
-        with pytest.raises(ValueError, match="cycle latency must be finite"):
-            _qonductor_run(cycle_latency=math.nan)
-
-    def test_infinite_latency_refused(self):
-        with pytest.raises(ValueError, match="cycle latency must be finite"):
-            _qonductor_run(cycle_latency=math.inf)
-
-    def test_nan_epsilon_refused(self):
-        with pytest.raises(ValueError, match="trigger_epsilon must be finite"):
-            _qonductor_run(trigger_epsilon=math.nan)
-
-    def test_infinite_epsilon_refused(self):
-        with pytest.raises(ValueError, match="trigger_epsilon must be finite"):
-            _qonductor_run(trigger_epsilon=math.inf)
-
-    def test_model_returning_nan_names_the_batch(self):
-        with pytest.raises(ValueError, match=r"returned nan .*shards \[0, 1\]"):
-            _qonductor_run(cycle_latency=lambda tasks: math.nan)
-
-    def test_model_returning_negative_names_the_batch(self):
-        with pytest.raises(ValueError, match=r"returned -5\.0 .*shards \[0, 1\]"):
-            _qonductor_run(cycle_latency=lambda tasks: -5.0)
+        assert m.cycle_batches > m.num_shards
+        assert m.scheduling_cycles - m.cycle_batches <= m.num_shards - 1
+        placed = m.dispatched_jobs + m.unschedulable_jobs + m.pending_at_horizon
+        assert placed == sum(m.per_shard_jobs.values()) > 0
 
 
 class TestStageFailure:
@@ -423,125 +357,13 @@ class TestStageFailure:
             RuntimeError,
             match=r"^optimization stage failed: shard 0, cycle 1, base seed 5$",
         ) as failure:
-            _qonductor_run()
+            run_sharded(
+                QonductorScheduler(fake_estimate, seed=5, max_generations=4),
+                "serial",
+                num_shards=2,
+                duration=500.0,
+            )
         assert isinstance(failure.value.__cause__, FloatingPointError)
-
-
-class TestPipelinedEngine:
-    """Modeled cycle latency and ε-coalescing stay deterministic across
-    the pickle round trip and reruns."""
-
-    def test_modeled_latency_identical_across_backends(self):
-        """Nonzero scheduler latency: the fold instant is simulated time,
-        so plain and round-tripped runs still agree bit-for-bit."""
-        kwargs = dict(duration=700.0, cycle_latency=30.0, trigger_epsilon=5.0)
-        serial = run_sharded(
-            QonductorScheduler(fake_estimate, seed=5, max_generations=4),
-            "serial",
-            **kwargs,
-        )
-        pickled = run_sharded(
-            QonductorScheduler(fake_estimate, seed=5, max_generations=4),
-            PicklingSerialExecutor(),
-            **kwargs,
-        )
-        assert_runs_identical(serial, pickled)
-        assert serial.pipelined_batches > 0
-        assert serial.fold_lag_seconds > 0.0
-        # Fold lag is bounded by the constant model: every pipelined
-        # batch waited exactly the modeled 30 s.
-        assert serial.fold_lag_seconds == pytest.approx(
-            30.0 * serial.pipelined_batches
-        )
-        assert serial.dispatched_jobs > 0
-
-    def test_nonzero_latency_seeded_rerun_identical(self):
-        a = run_sharded(
-            QonductorScheduler(fake_estimate, seed=5, max_generations=4),
-            "serial",
-            duration=500.0,
-            cycle_latency=20.0,
-        )
-        b = run_sharded(
-            QonductorScheduler(fake_estimate, seed=5, max_generations=4),
-            PicklingSerialExecutor(),
-            duration=500.0,
-            cycle_latency=20.0,
-        )
-        assert_runs_identical(a, b)
-
-    def test_callable_latency_model_end_to_end(self):
-        m = run_sharded(
-            QonductorScheduler(fake_estimate, seed=5, max_generations=4),
-            "serial",
-            duration=500.0,
-            cycle_latency=NsgaCycleLatencyModel(),
-        )
-        assert m.pipelined_batches > 0
-        assert m.dispatched_jobs > 0
-
-    @staticmethod
-    def _epsilon_run(executor, **knobs):
-        """Arrival-driven fleet where per-shard queue-limit triggers fire
-        at distinct instants — the case ε-coalescing exists for."""
-        return run_sharded(
-            QonductorScheduler(fake_estimate, seed=5, max_generations=4),
-            executor,
-            **knobs,
-            **TRIGGER_SHAPES["queue"],
-        )
-
-    def test_epsilon_window_coalesces_arrival_triggers(self):
-        """With ε > 0, near-simultaneous queue-limit triggers on
-        different shards merge into one engine batch; with ε = 0 they
-        run as batches of one (the PR 5 behavior)."""
-        sync = self._epsilon_run("serial", trigger_epsilon=0.0)
-        merged = self._epsilon_run("serial", trigger_epsilon=15.0)
-        assert sync.epsilon_merged_triggers == 0
-        assert merged.epsilon_merged_triggers > 0
-        assert merged.max_batch_cycles >= 2
-        assert merged.cycle_batches < sync.cycle_batches
-        # Coalescing defers work, it must not lose it.
-        assert merged.dispatched_jobs > 0
-
-    def test_pipelined_stream_conserves_jobs(self):
-        """ε plus a modeled latency on the arrival-driven stream: cross-
-        shard triggers merge into batches at least two wide that fold
-        after their trigger instant, while the synchronous arm runs
-        batches of one (bar the horizon flush, one batch over every
-        backlogged shard).  Deferring work must not lose it."""
-        sync = self._epsilon_run("serial")
-        piped = self._epsilon_run(
-            "serial", trigger_epsilon=10.0, cycle_latency=15.0
-        )
-        assert sync.scheduling_cycles - sync.cycle_batches <= sync.num_shards - 1
-        assert piped.epsilon_merged_triggers > 0
-        assert piped.pipelined_batches > 0
-        assert piped.max_batch_cycles >= 2
-
-        def placed(m):
-            return m.dispatched_jobs + m.unschedulable_jobs + m.pending_at_horizon
-
-        assert placed(piped) == placed(sync) > 0
-
-    def test_epsilon_batch_formation_deterministic(self):
-        serial = self._epsilon_run("serial", trigger_epsilon=15.0)
-        pickled = self._epsilon_run(PicklingSerialExecutor(), trigger_epsilon=15.0)
-        assert_runs_identical(serial, pickled)
-
-    def test_epsilon_merged_counts_cycles_launched_early(self):
-        """Regression: the counter also counted stale heap entries and
-        cadence marks that sat in the window (146 "merged" triggers for
-        96 cycles on this run).  It counts cycles launched ahead of
-        their own trigger instant — at most one per cycle."""
-        m = run_sharded(
-            BatchedFCFSPolicy(fake_estimate),
-            "serial",
-            trigger_epsilon=15.0,
-            **TRIGGER_SHAPES["mixed"],
-        )
-        assert 0 < m.epsilon_merged_triggers <= m.scheduling_cycles
-        assert (m.scheduling_cycles, m.cycle_batches) == (96, 26)
 
 
 class TestSimulatorLifecycle:

@@ -5,13 +5,13 @@
 * a :class:`FleetShard` rejects a non-policy, or an incomplete one, with
   a ``TypeError`` naming the shard and the missing piece;
 * ``CloudSimulator.sharded`` forwards every engine keyword to the
-  constructor, so the two cannot drift;
-* batched FCFS on begin → finish commits exactly the trigger-time
-  decisions it committed when it scheduled inside ``_begin_batch``;
+  constructor, so the two cannot drift, and the constructor's keyword
+  set is spelled out;
 * the trigger path reads shard state, never the heap's contents (AST
   guard: no ``heapify``, no heap slice-assignment, every TRIGGER payload
-  a bare shard id), and the ε family keeps the digests it had when the
-  ε-window rebuilt the heap.
+  a bare shard id);
+* the synchronous engine keeps the digests of twelve pinned runs over
+  three trigger shapes, two batched policies and two load seeds.
 """
 
 import ast
@@ -134,6 +134,13 @@ class TestShardedForwardsEngineKeywords:
 
     def test_every_constructor_keyword_is_accepted(self):
         params = inspect.signature(CloudSimulator.__init__).parameters
+        # The whole keyword set, spelled out: a new engine knob is a
+        # decision, so it edits this line.
+        assert list(params) == [
+            "self", "fleet", "policy", "execution_model", "trigger", "config",
+            "shards", "balancer", "rebalance", "availability",
+            "cycle_executor", "admission",
+        ]
         # What ``sharded`` builds itself: the shards, from fleet + policy
         # + per-shard triggers.
         engine = {
@@ -141,9 +148,6 @@ class TestShardedForwardsEngineKeywords:
             for name, p in params.items()
             if name not in ("self", "fleet", "policy", "trigger", "shards", "balancer")
         }
-        assert {"execution_model", "config", "cycle_latency", "trigger_epsilon"} <= set(
-            engine
-        )
         sim = CloudSimulator.sharded(
             fleet_of_size(2, seed=7),
             FCFSPolicy(fake_estimate),
@@ -153,23 +157,6 @@ class TestShardedForwardsEngineKeywords:
         assert len(sim.shards) == 2
         spelled = inspect.signature(CloudSimulator.sharded).parameters
         assert not set(engine) & set(spelled), "engine keyword spelled twice"
-
-
-def test_batched_fcfs_latency_run_matches_pre_contract_digest():
-    """3-shard batched FCFS with a modeled cycle latency: jobs arriving
-    between trigger and fold must wait for the next cycle, exactly as
-    when the schedule was computed inside ``_begin_batch`` (digest pinned
-    at the commit before the begin → finish move)."""
-    metrics = run_sharded(
-        BatchedFCFSPolicy(fake_estimate), "serial", cycle_latency=7.5
-    )
-    assert metrics.pipelined_batches == 5
-    digest = hashlib.sha256(
-        repr(metrics.deterministic_state()).encode()
-    ).hexdigest()
-    assert digest == (
-        "a0a675aa31ec940ad1e432b0e95c546fd2c3c321fdf8014caff0645cf211a8b8"
-    )
 
 
 def _heap_surgery(path: Path) -> list[str]:
@@ -211,8 +198,8 @@ class TestTriggerPathReadsShardState:
 
     def test_every_trigger_payload_is_a_bare_shard_id(self):
         payloads = _trigger_payloads(SRC / "cloud/simulator.py")
-        # The initial deadline, the re-armed deadline, the ε-window hold.
-        assert len(payloads) == 3
+        # The initial deadline and the re-armed one.
+        assert len(payloads) == 2
         assert set(payloads) == {"shard.shard_id"}
 
     def test_guards_see_what_they_forbid(self, tmp_path):
@@ -228,57 +215,12 @@ class TestTriggerPathReadsShardState:
         assert _trigger_payloads(sample) == ["(shard.shard_id, 'hold')"]
 
 
-#: ``(shape, policy, load seed, ε, cycle latency) -> sha256`` of
-#: ``deterministic_state()`` at the commit before the ε-window stopped
-#: rebuilding the heap: the full state on ε = 0 cells, and on ε > 0 cells
-#: everything but ``events_processed`` (a pulled instant's heap entry now
-#: pops, stale, at its own time) and ``epsilon_merged_triggers`` (which
-#: stopped counting stale entries).
-EPSILON_FAMILY_PINS = {
-    ("queue", "qonductor", 4, 0.0, 0.0):
-        "389fd7312fb0490e8159806799355adde942a5cc35824ac48fb9c77fdff0cda5",
-    ("mixed", "fcfs", 9, 0.0, 3.0):
-        "d8ab96caf39553451910dce1528341ab1deee382c633aefcb98ead1ee598f3e7",
-    ("queue", "qonductor", 4, 15.0, 0.0):
-        "71afc81fd1f3839ada9caf39aad6bab55026ee2fc7808c02105584e43a066141",
-    ("staggered", "fcfs", 9, 5.0, 30.0):
-        "0bbce01bc2e3af07361aa5f915953c15cd45ebb672e132efcc73afc97c519002",
-    ("mixed", "fcfs", 4, 15.0, 0.0):
-        "f14fc92e6d9a3326b83ae27bfd5fcf9c013a7815ef6100f5516d7381d110c8de",
-    ("mixed", "qonductor", 9, 40.0, 3.0):
-        "b7b9d1739160b3d077c0ea2d0d6977b77561397e4b563b8a5150dc9e6701b930",
-    ("staggered", "qonductor", 4, 40.0, 0.0):
-        "1380190d20ef85bbb0bc851edce833856cb3ca66782db21492c0301467e816ca",
-}
-
-
-@pytest.mark.parametrize("cell", EPSILON_FAMILY_PINS, ids=lambda c: "-".join(map(str, c)))
-def test_epsilon_family_matches_heap_rebuilding_digests(cell):
-    shape, policy, load_seed, epsilon, latency = cell
-    metrics = run_sharded(
-        QonductorScheduler(fake_estimate, seed=5, max_generations=4)
-        if policy == "qonductor"
-        else BatchedFCFSPolicy(fake_estimate),
-        "serial",
-        load_seed=load_seed,
-        trigger_epsilon=epsilon,
-        cycle_latency=latency,
-        **TRIGGER_SHAPES[shape],
-    )
-    state = metrics.deterministic_state()
-    if epsilon > 0.0:
-        del state["events_processed"], state["epsilon_merged_triggers"]
-    digest = hashlib.sha256(repr(state).encode()).hexdigest()
-    assert digest == EPSILON_FAMILY_PINS[cell]
-
-
 #: ``(shape, policy, load seed) -> sha256`` of ``deterministic_state()``
 #: of the synchronous engine: one scheduling cycle per firing batch,
 #: committed at its trigger instant.  Recorded on the engine that folded
 #: a cycle through its own heap event, with that engine's always-zero
-#: ``pipelined_batches``, ``fold_lag_seconds`` and
-#: ``epsilon_merged_triggers`` dropped and its fold pops taken out of
-#: ``events_processed``.
+#: pipelined / fold-lag / ε-merge counters dropped and its fold pops
+#: taken out of ``events_processed``; this engine matches it unprojected.
 SYNCHRONOUS_PINS = {
     ("queue", "qonductor", 4):
         "303005104bb44e0de46cc20392fee55a1037c00d9d2637e30998777282ee03ac",
@@ -308,17 +250,8 @@ SYNCHRONOUS_PINS = {
 
 
 @pytest.mark.parametrize("cell", SYNCHRONOUS_PINS, ids=lambda c: "-".join(map(str, c)))
-def test_synchronous_cycle_matches_pinned_digest(cell, monkeypatch):
+def test_synchronous_cycle_matches_pinned_digest(cell):
     shape, policy, load_seed = cell
-    folds = 0
-    fold = CloudSimulator._on_cycle_fold
-
-    def counted_fold(self, st, now, batch):
-        nonlocal folds
-        folds += 1
-        fold(self, st, now, batch)
-
-    monkeypatch.setattr(CloudSimulator, "_on_cycle_fold", counted_fold)
     metrics = run_sharded(
         QonductorScheduler(fake_estimate, seed=5, max_generations=4)
         if policy == "qonductor"
@@ -327,9 +260,7 @@ def test_synchronous_cycle_matches_pinned_digest(cell, monkeypatch):
         load_seed=load_seed,
         **TRIGGER_SHAPES[shape],
     )
-    state = metrics.deterministic_state()
-    for key in ("pipelined_batches", "fold_lag_seconds", "epsilon_merged_triggers"):
-        assert state.pop(key) == 0
-    state["events_processed"] -= folds
-    digest = hashlib.sha256(repr(state).encode()).hexdigest()
+    digest = hashlib.sha256(
+        repr(metrics.deterministic_state()).encode()
+    ).hexdigest()
     assert digest == SYNCHRONOUS_PINS[cell]
