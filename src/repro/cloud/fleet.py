@@ -56,6 +56,7 @@ from ..scheduler.policy import SchedulingPolicy, require_policy
 from ..scheduler.triggers import SchedulingTrigger
 from .backend_sim import SimulatedQPU
 from .job import QuantumJob
+from .tenancy import require_at_least
 
 __all__ = [
     "FleetShard",
@@ -412,8 +413,9 @@ class RebalancePolicy:
         interval_seconds: float = 60.0,
         tenant_aware: bool = False,
     ) -> None:
-        if interval_seconds <= 0:
-            raise ValueError("interval_seconds must be > 0")
+        require_at_least(
+            type(self).__name__, "interval_seconds", interval_seconds, 0, strict=True
+        )
         self.interval_seconds = interval_seconds
         self.tenant_aware = tenant_aware
 
@@ -479,8 +481,8 @@ class ThresholdRebalancePolicy(RebalancePolicy):
         super().__init__(
             interval_seconds=interval_seconds, tenant_aware=tenant_aware
         )
-        if min_gap < 2:
-            raise ValueError("min_gap must be >= 2 (a 1-job gap ping-pongs)")
+        # A 1-job gap would ping-pong a job between two shards.
+        require_at_least(type(self).__name__, "min_gap", min_gap, 2)
         self.min_gap = min_gap
 
     def rebalance(
@@ -612,8 +614,9 @@ class StealHalfRebalancePolicy(RebalancePolicy):
         super().__init__(
             interval_seconds=interval_seconds, tenant_aware=tenant_aware
         )
-        if min_victim_depth < 2:
-            raise ValueError("min_victim_depth must be >= 2")
+        require_at_least(
+            type(self).__name__, "min_victim_depth", min_victim_depth, 2
+        )
         self.min_victim_depth = min_victim_depth
 
     def rebalance(

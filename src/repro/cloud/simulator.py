@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import time
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
@@ -129,16 +130,16 @@ class SimulationConfig:
 
     def __post_init__(self) -> None:
         # A non-positive period re-pushes its event at (or before) the
-        # same instant forever, so run() would never return.
-        for name in ("duration_seconds", "sample_every_seconds"):
+        # same instant forever, and an infinite horizon never ends, so
+        # run() would never return; ``None`` turns recalibration off.
+        for name in (
+            "duration_seconds", "sample_every_seconds", "recalibrate_every_seconds"
+        ):
             value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be > 0, got {value!r}")
-        period = self.recalibrate_every_seconds
-        if period is not None and not period > 0:
-            raise ValueError(
-                f"recalibrate_every_seconds must be None or > 0, got {period!r}"
-            )
+            if value is None and name == "recalibrate_every_seconds":
+                continue
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 @dataclass(slots=True)

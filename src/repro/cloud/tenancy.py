@@ -32,6 +32,7 @@ the shared determinism harness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,14 +74,28 @@ class Tenant:
     slo_jct_seconds: float | None = None
 
     def __post_init__(self) -> None:
-        if self.tier < 0:
-            raise ValueError("tier must be >= 0")
-        if self.rate_limit_per_hour is not None and self.rate_limit_per_hour <= 0:
-            raise ValueError("rate_limit_per_hour must be > 0")
-        if self.burst < 1:
-            raise ValueError("burst must be >= 1")
-        if self.queue_quota is not None and self.queue_quota < 1:
-            raise ValueError("queue_quota must be >= 1")
+        owner = f"tenant {self.tenant_id!r}"
+        require_at_least(owner, "tier", self.tier, 0)
+        require_at_least(owner, "burst", self.burst, 1)
+        if self.queue_quota is not None:
+            require_at_least(owner, "queue_quota", self.queue_quota, 1)
+        for name in ("rate_limit_per_hour", "slo_jct_seconds"):
+            if getattr(self, name) is not None:
+                require_at_least(owner, name, getattr(self, name), 0, strict=True)
+
+
+def require_at_least(
+    owner: str, name: str, value: float, low: float, *, strict: bool = False
+) -> None:
+    """Refuse ``value`` unless it is finite and ``>= low`` (``> low`` when
+    ``strict``).  Written so NaN fails: a NaN bound used to switch off
+    the check it configures (``min(burst, nan)`` keeps a bucket full,
+    ``nan < horizon`` never schedules a tick)."""
+    if not (math.isfinite(value) and (value > low if strict else value >= low)):
+        rule = ">" if strict else ">="
+        raise ValueError(
+            f"{owner}: {name} must be finite and {rule} {low}, got {value!r}"
+        )
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ keying/invalidation on recalibration, eviction bounds, and equivalence of
 scheduler decisions with and without the cache on a small fleet.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -194,12 +196,20 @@ class TestEventCore:
             ("sample_every_seconds", -120.0),
             ("recalibrate_every_seconds", 0.0),
             ("recalibrate_every_seconds", -600.0),
+            ("duration_seconds", math.inf),
+            ("duration_seconds", math.nan),
+            ("sample_every_seconds", math.inf),
+            ("sample_every_seconds", math.nan),
+            ("recalibrate_every_seconds", math.inf),
+            ("recalibrate_every_seconds", math.nan),
         ],
     )
     def test_config_rejects_periods_that_would_hang(self, field, value):
         """Regression: a zero period re-pushed its event at the same
         instant forever (a negative one walked the clock backwards) and
-        ``run()`` never returned.  Construct only — nothing here may run."""
+        ``run()`` never returned; neither did an infinite horizon, whose
+        SAMPLE re-pushed itself forever.  Construct only — nothing here
+        may run."""
         with pytest.raises(ValueError, match=f"{field}.*{value!r}"):
             SimulationConfig(**{field: value})
 

@@ -278,6 +278,25 @@ class TestRebalancePolicies:
         with pytest.raises(ValueError):
             StealHalfRebalancePolicy(interval_seconds=0.0)
 
+    @pytest.mark.parametrize(
+        "cls, field, value",
+        [
+            (ThresholdRebalancePolicy, "interval_seconds", float("nan")),
+            (ThresholdRebalancePolicy, "interval_seconds", float("inf")),
+            (ThresholdRebalancePolicy, "min_gap", float("nan")),
+            (ThresholdRebalancePolicy, "min_gap", float("inf")),
+            (StealHalfRebalancePolicy, "interval_seconds", float("nan")),
+            (StealHalfRebalancePolicy, "min_victim_depth", float("nan")),
+            (StealHalfRebalancePolicy, "min_victim_depth", float("inf")),
+        ],
+    )
+    def test_non_finite_knob_refused(self, cls, field, value):
+        """Regression: ``nan < 2`` is false, so a NaN ``min_gap`` or
+        ``min_victim_depth`` constructed and then never moved a job, and a
+        NaN ``interval_seconds`` never scheduled a REBALANCE tick."""
+        with pytest.raises(ValueError, match=f"{cls.__name__}: {field} .*{value!r}"):
+            cls(**{field: value})
+
     def test_threshold_drains_gap(self):
         shards = self._batched_shards([["auckland"], ["hanoi"]])
         jobs = [make_job(5) for _ in range(10)]

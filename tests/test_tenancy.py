@@ -61,6 +61,35 @@ class TestTenantContracts:
         with pytest.raises(ValueError, match="'acme'"):
             TenantShare(Tenant("acme"), share)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rate_limit_per_hour", float("nan")),
+            ("rate_limit_per_hour", float("inf")),
+            ("burst", float("nan")),
+            ("queue_quota", float("nan")),
+            ("slo_jct_seconds", float("nan")),
+            ("slo_jct_seconds", float("inf")),
+            ("slo_jct_seconds", 0.0),
+            ("slo_jct_seconds", -5.0),
+            ("tier", float("nan")),
+        ],
+    )
+    def test_contract_values_must_be_finite(self, field, value):
+        """Regression: each of these constructed and switched off what it
+        configures — ``min(burst, nan)`` kept the token bucket full, a NaN
+        SLO never counted a violation and a negative one counted every
+        job.  ``None`` is the spelling for "no limit"."""
+        kwargs = {"rate_limit_per_hour": 10.0, field: value}
+        with pytest.raises(ValueError, match=f"'acme': {field} .*{value!r}"):
+            Tenant("acme", **kwargs)
+
+    def test_none_means_unlimited(self):
+        tenant = Tenant(
+            "acme", rate_limit_per_hour=None, queue_quota=None, slo_jct_seconds=None
+        )
+        assert AdmissionController().admit(make_job(4, tenant=tenant), 0.0).admitted
+
     def test_abusive_mix_shape(self):
         mix = abusive_mix(num_normal=3, abuser_share=0.5)
         assert len(mix) == 4
