@@ -100,8 +100,8 @@ class EventType(IntEnum):
 
     Completions land before samples so a sample at time t sees every
     application with ``finish_time <= t``; recalibration, sampling,
-    arrivals, and trigger deadlines keep the
-    processing order of the original time-stepping loop.  Availability
+    arrivals, and trigger deadlines keep the processing order of the
+    original time-stepping loop.  Availability
     flips land right after completions so routing at time t sees the
     fleet state *at* t.  Rebalancing sees every same-instant arrival but
     runs *before* trigger deadlines: a rebalance tick aligned with a

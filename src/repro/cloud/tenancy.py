@@ -80,16 +80,17 @@ class Tenant:
         if self.queue_quota is not None:
             require_at_least(owner, "queue_quota", self.queue_quota, 1)
         for name in ("rate_limit_per_hour", "slo_jct_seconds"):
-            if getattr(self, name) is not None:
-                require_at_least(owner, name, getattr(self, name), 0, strict=True)
+            value = getattr(self, name)
+            if value is not None:
+                require_at_least(owner, name, value, 0, strict=True)
 
 
 def require_at_least(
     owner: str, name: str, value: float, low: float, *, strict: bool = False
 ) -> None:
     """Refuse ``value`` unless it is finite and ``>= low`` (``> low`` when
-    ``strict``).  Written so NaN fails: a NaN bound used to switch off
-    the check it configures (``min(burst, nan)`` keeps a bucket full,
+    ``strict``).  Written so NaN fails: a NaN bound would switch off the
+    check it configures (``min(burst, nan)`` keeps a bucket full,
     ``nan < horizon`` never schedules a tick)."""
     if not (math.isfinite(value) and (value > low if strict else value >= low)):
         rule = ">" if strict else ">="

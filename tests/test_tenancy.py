@@ -84,12 +84,6 @@ class TestTenantContracts:
         with pytest.raises(ValueError, match=f"'acme': {field} .*{value!r}"):
             Tenant("acme", **kwargs)
 
-    def test_none_means_unlimited(self):
-        tenant = Tenant(
-            "acme", rate_limit_per_hour=None, queue_quota=None, slo_jct_seconds=None
-        )
-        assert AdmissionController().admit(make_job(4, tenant=tenant), 0.0).admitted
-
     def test_abusive_mix_shape(self):
         mix = abusive_mix(num_normal=3, abuser_share=0.5)
         assert len(mix) == 4
