@@ -34,6 +34,40 @@ from repro.workloads import (
     w_state,
 )
 
+#: Load generator stream shapes, each pinned below.
+STREAM_SHAPES = {
+    "poisson": {},
+    "mmpp": {"arrival_process": "mmpp"},
+    "pooled": {"circuit_pool_size": 12, "shots_grid": (1000, 4000, 8000)},
+    "tenanted": {"tenants": abusive_mix()},
+}
+
+#: sha256 of each shape's 300 s stream at 3000 jobs/h, seed 5 (see
+#: ``_stream_digest``), recorded while every job could still carry the
+#: circuit it was built from.
+STREAM_PINS = {
+    "poisson": "409ed718664aa37352f375c9b1f2da63c1a009ecb87ad1dc90399ef2e4ef98bb",
+    "mmpp": "9cbc38018de97c6067a5af8b44432163b7ee7262fbf1fbbb6e95dffbfdbb2939",
+    "pooled": "5039376e84a1c06eed6f1372de04ea3bc170a9f9ca945cb5a22993ce01f70912",
+    "tenanted": "684c36cb135fcae1c60b455e8b5a92e612457d9c7a189ea37a259203fb47ea57",
+}
+
+
+def _stream_digest(apps) -> str:
+    """What each job carries into the engine, in stream order."""
+    rows = [
+        (
+            job.metrics.fingerprint,
+            job.shots,
+            job.mitigation,
+            job.benchmark,
+            job.arrival_time,
+            job.tenant_id,
+        )
+        for job in (app.quantum_job for app in apps)
+    ]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
 
 class TestStatePreparations:
     def test_ghz_distribution(self):
@@ -325,25 +359,20 @@ class TestRecipes:
             ("qft_entangled", 8, 6535, True),
         ]
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {},
-            {"arrival_process": "mmpp"},
-            {"circuit_pool_size": 12, "shots_grid": (1000, 4000, 8000)},
-            {"tenants": abusive_mix()},
-        ],
-        ids=["poisson", "mmpp", "pooled", "tenanted"],
-    )
-    def test_loadgen_content_independent_of_keep_circuits(self, kwargs):
+    @pytest.mark.parametrize("shape", sorted(STREAM_PINS), ids=str)
+    def test_loadgen_content_independent_of_keep_circuits(self, shape):
         def stream(keep):
             gen = LoadGenerator(
-                mean_rate_per_hour=3000, seed=5, keep_circuits=keep, **kwargs
+                mean_rate_per_hour=3000,
+                seed=5,
+                keep_circuits=keep,
+                **STREAM_SHAPES[shape],
             )
             return gen.generate(300.0)
 
         dropped, kept = stream(False), stream(True)
         assert len(dropped) == len(kept) > 100
+        assert _stream_digest(dropped) == STREAM_PINS[shape]
         for a, b in zip(dropped, kept):
             ja, jb = a.quantum_job, b.quantum_job
             assert (
