@@ -92,8 +92,7 @@ def test_ablation_template_vs_per_qpu_estimation(once):
         err_per_qpu, err_template = [], []
         template = templates["falcon_r5_27"]
         for s in sampler.sample_many(40):
-            job = QuantumJob.from_circuit(s.circuit, shots=s.shots,
-                                          keep_circuit=False)
+            job = QuantumJob.from_circuit(s.circuit, shots=s.shots)
             qpu = fleet[int(rng.integers(len(fleet)))]
             real = em.execute(job, qpu.calibration, qpu.model, rng)
             # A template calibration is no QPU, so both go through

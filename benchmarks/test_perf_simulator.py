@@ -573,7 +573,7 @@ def test_perf_nsga_kernels():
         shots_choices=SHOTS_GRID, seed=9,
     )
     pending = [
-        QuantumJob.from_circuit(s.circuit, shots=s.shots, keep_circuit=False)
+        QuantumJob.from_circuit(s.circuit, shots=s.shots)
         for s in sampler.sample_many(150)
     ]
     sched = QonductorScheduler(estimator, seed=3, max_generations=60)

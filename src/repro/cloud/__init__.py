@@ -21,7 +21,6 @@ from .fleet import (
     StealHalfRebalancePolicy,
     ThresholdRebalancePolicy,
     make_balancer,
-    make_rebalancer,
     partition_fleet,
 )
 from .imbalance import QueueTrace, simulate_queue_imbalance
@@ -39,7 +38,6 @@ from .tenancy import (
     abusive_mix,
     effective_tier,
     jain_index,
-    tier_preference,
     tier_sort,
 )
 
@@ -66,7 +64,6 @@ __all__ = [
     "RebalancePolicy",
     "ThresholdRebalancePolicy",
     "StealHalfRebalancePolicy",
-    "make_rebalancer",
     "AvailabilityEvent",
     "AvailabilityModel",
     "MaintenanceWindow",
@@ -89,6 +86,5 @@ __all__ = [
     "abusive_mix",
     "effective_tier",
     "tier_sort",
-    "tier_preference",
     "jain_index",
 ]

@@ -1,13 +1,14 @@
-"""Dynamic QPU availability: maintenance windows and random outages.
+"""Dynamic QPU availability: maintenance windows and correlated outages.
 
 The paper's cloud model assumes a static, always-online fleet, yet its
 own motivation (queue imbalance, calibration-driven quality swings)
 implies devices come and go: providers schedule maintenance, devices
-fail and recover mid-run.  :class:`AvailabilityModel` turns both into a
-deterministic, pre-computed stream of :class:`AvailabilityEvent`s that
-the cloud simulator folds into its event heap, flipping each
-:attr:`QPU.online <repro.backends.qpu.QPU.online>` flag at the event's
-simulated timestamp.
+fail and recover mid-run.  :class:`AvailabilityModel` turns planned
+offline windows into a deterministic, pre-computed stream of
+:class:`AvailabilityEvent`\\ s that the cloud simulator folds into its
+event heap, flipping each :attr:`QPU.online
+<repro.backends.qpu.QPU.online>` flag at the event's simulated
+timestamp; :func:`flash_outage` builds the correlated-failure case.
 
 Semantics:
 
@@ -20,22 +21,17 @@ Semantics:
   *pending* on a batched shard whose feasible devices are transiently
   offline stay queued until recovery (or migration); only jobs no
   device in the shard could ever serve are failed.
-* Per QPU, maintenance windows and sampled outages are merged into
-  disjoint offline intervals before events are emitted, so the flag
-  never flaps inside an overlap and every offline event has exactly one
-  matching recovery (or none, when the device stays down through the
-  end of the run).
-* Everything is derived from the model's seed: two identical runs see
-  identical outage schedules.
+* Per QPU, windows are merged into disjoint offline intervals before
+  events are emitted, so the flag never flaps inside an overlap and
+  every offline event has exactly one matching recovery (or none, when
+  the device stays down through the end of the run).
 """
 
 from __future__ import annotations
 
-import zlib
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "AvailabilityEvent",
@@ -52,106 +48,63 @@ class AvailabilityEvent:
     time: float
     qpu_name: str
     online: bool
-    cause: str = "outage"  # "outage" | "maintenance"
 
 
 @dataclass(frozen=True)
 class MaintenanceWindow:
     """A scheduled offline interval ``[start, end)`` for one device.
 
-    ``cause`` labels the emitted events; planned windows default to
-    ``"maintenance"``, while :func:`flash_outage` stamps its correlated
-    windows ``"outage"``.
+    ``start`` must be finite and ``end > start``; an infinite ``end``
+    keeps the device down through the end of the run.
     """
 
     qpu_name: str
     start: float
     end: float
-    cause: str = "maintenance"
 
     def __post_init__(self) -> None:
-        if self.end <= self.start:
-            raise ValueError("maintenance window must have end > start")
+        # Written so NaN fails: ``end <= start`` is False for a NaN bound,
+        # which would drop the window (NaN start) or never recover the
+        # device (NaN end).
+        owner = f"maintenance window on {self.qpu_name!r}"
+        if not math.isfinite(self.start):
+            raise ValueError(f"{owner}: start must be finite, got {self.start!r}")
+        if not self.end > self.start:
+            raise ValueError(
+                f"{owner}: end must be > start ({self.start!r}), got {self.end!r}"
+            )
 
 
 def _merge_intervals(
-    intervals: list[tuple[float, float, str]],
-) -> list[tuple[float, float, str]]:
-    """Union of ``(start, end, cause)`` intervals; earliest cause wins."""
-    merged: list[tuple[float, float, str]] = []
-    for start, end, cause in sorted(intervals):
+    intervals: list[tuple[float, float]],
+) -> list[tuple[float, float]]:
+    """Union of ``(start, end)`` intervals."""
+    merged: list[tuple[float, float]] = []
+    for start, end in sorted(intervals):
         if merged and start <= merged[-1][1]:
-            last_start, last_end, last_cause = merged[-1]
-            merged[-1] = (last_start, max(last_end, end), last_cause)
+            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
         else:
-            merged.append((start, end, cause))
+            merged.append((start, end))
     return merged
 
 
 class AvailabilityModel:
-    """Deterministic availability schedule over a fleet.
+    """Deterministic availability schedule over a fleet, from planned
+    :class:`MaintenanceWindow`\\ s (any order)."""
 
-    Parameters
-    ----------
-    windows:
-        Planned :class:`MaintenanceWindow`\\ s (any order).
-    mean_time_between_outages_s:
-        Per-QPU mean gap between random outages (exponential); ``0``
-        disables random outages entirely.
-    mean_outage_seconds:
-        Mean duration of one random outage (exponential).
-    seed:
-        Seeds the outage sampling; each QPU draws from a substream keyed
-        on its *name* (not its position), so adding, removing, or
-        re-sharding devices never reshuffles the others' schedules.
-    """
-
-    def __init__(
-        self,
-        *,
-        windows: Sequence[MaintenanceWindow] = (),
-        mean_time_between_outages_s: float = 0.0,
-        mean_outage_seconds: float = 900.0,
-        seed: int = 0,
-    ) -> None:
-        if mean_time_between_outages_s < 0:
-            raise ValueError("mean_time_between_outages_s must be >= 0")
-        if mean_outage_seconds <= 0:
-            raise ValueError("mean_outage_seconds must be > 0")
+    def __init__(self, *, windows: Sequence[MaintenanceWindow] = ()) -> None:
         self.windows = list(windows)
-        self.mean_time_between_outages_s = mean_time_between_outages_s
-        self.mean_outage_seconds = mean_outage_seconds
-        self.seed = seed
-
-    def _sample_outages(
-        self, qpu_name: str, duration: float
-    ) -> list[tuple[float, float, str]]:
-        """Random offline intervals for one device, keyed on its name."""
-        if not self.mean_time_between_outages_s:
-            return []
-        rng = np.random.default_rng(
-            (self.seed, zlib.crc32(qpu_name.encode()))
-        )
-        out: list[tuple[float, float, str]] = []
-        t = 0.0
-        while True:
-            t += float(rng.exponential(self.mean_time_between_outages_s))
-            if t >= duration:
-                return out
-            down = float(rng.exponential(self.mean_outage_seconds))
-            out.append((t, t + down, "outage"))
-            t += down
 
     def schedule(
         self, qpu_names: Sequence[str], duration: float
     ) -> list[AvailabilityEvent]:
         """All availability flips inside ``[0, duration)``, time-ordered.
 
-        Offline intervals per device are the union of its maintenance
-        windows and sampled outages; a recovery event is emitted only
-        when the interval ends inside the horizon.
+        Offline intervals per device are the union of its windows; a
+        recovery event is emitted only when the interval ends inside the
+        horizon.
         """
-        by_name: dict[str, list[tuple[float, float, str]]] = {
+        by_name: dict[str, list[tuple[float, float]]] = {
             name: [] for name in qpu_names
         }
         unknown = sorted({
@@ -164,18 +117,14 @@ class AvailabilityModel:
             )
         for w in self.windows:
             if w.start < duration:
-                by_name[w.qpu_name].append((w.start, w.end, w.cause))
-        for name in qpu_names:
-            by_name[name].extend(self._sample_outages(name, duration))
+                by_name[w.qpu_name].append((w.start, w.end))
 
         events: list[AvailabilityEvent] = []
         for name, intervals in by_name.items():
-            for start, end, cause in _merge_intervals(intervals):
-                if start >= duration:
-                    continue
-                events.append(AvailabilityEvent(start, name, False, cause))
+            for start, end in _merge_intervals(intervals):
+                events.append(AvailabilityEvent(start, name, False))
                 if end < duration:
-                    events.append(AvailabilityEvent(end, name, True, cause))
+                    events.append(AvailabilityEvent(end, name, True))
         # Offline before online at identical timestamps, then by name, so
         # the fold order is reproducible whatever dict order produced it.
         events.sort(key=lambda e: (e.time, e.online, e.qpu_name))
@@ -193,9 +142,7 @@ def flash_outage(
     """
     return AvailabilityModel(
         windows=[
-            MaintenanceWindow(
-                name, start, start + duration_seconds, cause="outage"
-            )
+            MaintenanceWindow(name, start, start + duration_seconds)
             for name in qpu_names
         ]
     )

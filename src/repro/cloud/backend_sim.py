@@ -10,7 +10,7 @@ time used for utilization and load metrics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ class SimulatedQPU:
     free_at: float = 0.0  # simulated time when the device next idles
     busy_seconds: float = 0.0
     jobs_executed: int = 0
-    queue: list[QuantumJob] = field(default_factory=list)
 
     @property
     def name(self) -> str:
@@ -42,11 +41,6 @@ class SimulatedQPU:
     def waiting_seconds(self, now: float) -> float:
         """Current queue delay: how long a new job would wait to start."""
         return max(0.0, self.free_at - now)
-
-    def utilization(self, elapsed: float) -> float:
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.busy_seconds / elapsed)
 
     # ------------------------------------------------------------------
     def execute(

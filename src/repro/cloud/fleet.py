@@ -70,7 +70,6 @@ __all__ = [
     "RebalancePolicy",
     "ThresholdRebalancePolicy",
     "StealHalfRebalancePolicy",
-    "make_rebalancer",
 ]
 
 #: Seconds of device backlog weighted like one pending job when comparing
@@ -405,8 +404,6 @@ class RebalancePolicy:
     so untenanted runs are bit-identical either way.
     """
 
-    name = "base"
-
     def __init__(
         self,
         *,
@@ -468,8 +465,6 @@ class ThresholdRebalancePolicy(RebalancePolicy):
     drainable gaps still drain.  Terminates because every move shrinks
     the gap it was chosen for.
     """
-
-    name = "threshold"
 
     def __init__(
         self,
@@ -602,8 +597,6 @@ class StealHalfRebalancePolicy(RebalancePolicy):
     never victims, so a job moves at most once per tick.
     """
 
-    name = "steal_half"
-
     def __init__(
         self,
         *,
@@ -676,21 +669,3 @@ class StealHalfRebalancePolicy(RebalancePolicy):
                     None if tenant_order is None else _arrival_order,
                 )
         return moves
-
-
-_REBALANCERS = {
-    ThresholdRebalancePolicy.name: ThresholdRebalancePolicy,
-    StealHalfRebalancePolicy.name: StealHalfRebalancePolicy,
-}
-
-
-def make_rebalancer(strategy: str | RebalancePolicy) -> RebalancePolicy:
-    """Resolve a strategy name (or pass a policy instance through)."""
-    if isinstance(strategy, RebalancePolicy):
-        return strategy
-    if strategy not in _REBALANCERS:
-        raise KeyError(
-            f"unknown rebalancer {strategy!r}; "
-            f"choose from {sorted(_REBALANCERS)}"
-        )
-    return _REBALANCERS[strategy]()

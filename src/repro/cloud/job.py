@@ -46,16 +46,16 @@ class JobStatus(str, Enum):
 class QuantumJob:
     """One quantum execution request.
 
-    Carries the structural metrics needed by the estimator and scheduler;
-    the full circuit is optional (cloud-scale simulations drop it to keep
-    memory flat, small-scale experiments keep it for real simulation).
+    Carries the structural metrics the estimator and scheduler read, not
+    the circuit they were computed from: nothing downstream of
+    :meth:`from_circuit` reads a circuit, and dropping it keeps a
+    cloud-scale run's memory flat.
     """
 
     metrics: CircuitMetrics
     shots: int
     mitigation: str = "none"  # a preset name from STANDARD_STACKS
     benchmark: str = "unknown"
-    circuit: Circuit | None = None
     job_id: int = field(default_factory=lambda: next(_job_ids))
     #: Multi-tenancy (see :mod:`repro.cloud.tenancy`): the owning tenant
     #: (``None`` for untenanted runs — the default, which bypasses the
@@ -82,7 +82,6 @@ class QuantumJob:
         shots: int = 4000,
         mitigation: str = "none",
         *,
-        keep_circuit: bool = True,
         benchmark: str | None = None,
     ) -> "QuantumJob":
         return cls(
@@ -90,7 +89,6 @@ class QuantumJob:
             shots=shots,
             mitigation=mitigation,
             benchmark=benchmark or circuit.metadata.get("benchmark", circuit.name),
-            circuit=circuit if keep_circuit else None,
         )
 
     @property

@@ -36,7 +36,7 @@ import numpy as np
 
 from ..workloads.suite import SampledJob, WorkloadSampler
 from .job import HybridApplication, QuantumJob
-from .tenancy import TenantShare
+from .tenancy import TenantShare, require_at_least
 
 __all__ = ["LoadGenerator", "diurnal_rate", "IBM_MEAN_RATE", "IBM_RATE_BAND"]
 
@@ -80,7 +80,6 @@ class LoadGenerator:
     min_qubits: int = 2
     max_qubits: int = 27
     diurnal: bool = True
-    keep_circuits: bool = False
     #: Optional discrete shot grid (round numbers, as real users request);
     #: None keeps the paper's log-uniform continuum.
     shots_grid: tuple[int, ...] | None = None
@@ -108,10 +107,11 @@ class LoadGenerator:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.mean_rate_per_hour <= 0:
-            raise ValueError(
-                f"mean_rate_per_hour must be > 0, got {self.mean_rate_per_hour}"
-            )
+        # Finite too: an infinite rate yields every arrival at t = 0 and
+        # never ends, a NaN one never yields (``candidate < next_flip``).
+        require_at_least(
+            "LoadGenerator", "mean_rate_per_hour", self.mean_rate_per_hour, 0, strict=True
+        )
         if self.circuit_pool_size is not None and self.circuit_pool_size < 0:
             raise ValueError(
                 f"circuit_pool_size must be >= 0, got {self.circuit_pool_size}"
@@ -122,14 +122,14 @@ class LoadGenerator:
                 "choose 'poisson' or 'mmpp'"
             )
         if self.arrival_process == "mmpp":
-            if self.burst_rate_multiplier <= 1.0:
-                raise ValueError("burst_rate_multiplier must be > 1")
-            if self.mean_calm_seconds <= 0 or self.mean_burst_seconds <= 0:
-                # A zero holding time pins simulated time at the flip
-                # instant and the chain toggles forever without yielding.
-                raise ValueError(
-                    "mean_calm_seconds and mean_burst_seconds must be > 0"
-                )
+            # A zero holding time pins simulated time at the flip instant
+            # and the chain toggles forever without yielding.
+            for name, low in (
+                ("burst_rate_multiplier", 1),
+                ("mean_calm_seconds", 0),
+                ("mean_burst_seconds", 0),
+            ):
+                require_at_least("LoadGenerator", name, getattr(self, name), low, strict=True)
         if self.shots_grid is not None and len(self.shots_grid) == 0:
             raise ValueError("shots_grid must be non-empty when given")
         # Every other workload field is the sampler's to judge: build one
@@ -225,7 +225,6 @@ class LoadGenerator:
                     shots=proto.shots,
                     mitigation=proto.mitigation,
                     benchmark=proto.benchmark,
-                    circuit=proto.circuit,
                 )
             else:
                 job = self._build_job(sampler.sample(), rng)
@@ -244,15 +243,8 @@ class LoadGenerator:
             ]
         else:
             mitigation = "none"
-        if self.keep_circuits:
-            return QuantumJob.from_circuit(
-                sampled.circuit,
-                shots=sampled.shots,
-                mitigation=mitigation,
-                benchmark=sampled.benchmark,
-            )
-        # The circuit would be thrown away: take the recipe's metrics
-        # (shared per width-determined family, like a pooled resubmission's).
+        # The recipe's metrics, without building the circuit (shared per
+        # width-determined family, like a pooled resubmission's).
         return QuantumJob(
             metrics=sampled.metrics,
             shots=sampled.shots,

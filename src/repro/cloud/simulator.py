@@ -34,7 +34,7 @@ Two optional subsystems make the fleet *adaptive*:
 
 * **Dynamic availability** — an
   :class:`~repro.cloud.availability.AvailabilityModel` pre-computes
-  maintenance windows and random outage/recovery flips; ``AVAILABILITY``
+  the offline/recovery flips of its maintenance windows; ``AVAILABILITY``
   events toggle ``QPU.online`` mid-run and every routing/scheduling
   layer is online-aware.  In-flight work keeps its committed finish time.
 * **Work stealing** — a
@@ -81,7 +81,6 @@ from .fleet import (
     RebalancePolicy,
     ShardBalancer,
     make_balancer,
-    make_rebalancer,
     partition_fleet,
 )
 from .job import HybridApplication, JobStatus
@@ -195,7 +194,7 @@ class CloudSimulator:
         config: SimulationConfig | None = None,
         shards: list[FleetShard] | None = None,
         balancer: str | ShardBalancer = "round_robin",
-        rebalance: str | RebalancePolicy | None = None,
+        rebalance: RebalancePolicy | None = None,
         availability: AvailabilityModel | None = None,
         cycle_executor: str | SerialCycleExecutor | None = None,
         admission: AdmissionController | None = None,
@@ -218,9 +217,11 @@ class CloudSimulator:
         self.balancer = make_balancer(balancer)
         # Both adaptive subsystems default to off: static fleets stay
         # bit-identical to the pre-rebalancing simulator.
-        self.rebalancer = (
-            make_rebalancer(rebalance) if rebalance is not None else None
-        )
+        if rebalance is not None and not isinstance(rebalance, RebalancePolicy):
+            raise TypeError(
+                f"rebalance must be a RebalancePolicy or None, got {rebalance!r}"
+            )
+        self.rebalancer = rebalance
         self.availability = availability
         # The multi-tenant front door (see repro.cloud.tenancy).  ``None``
         # — the default — bypasses admission entirely, as do untenanted

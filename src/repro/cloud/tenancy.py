@@ -16,12 +16,9 @@ that sit between the load generator and the fleet layer:
   QPU clouds shedding load at the API edge; quota breaches either
   **degrade** the job to best-effort (it keeps running, at the back of
   every tier-ordered batch) or reject it, per ``quota_action``.
-* Tier-weighted scheduling helpers — :func:`tier_sort` orders a batch by
+* Tier-weighted scheduling — :func:`tier_sort` orders a batch by
   effective tier (premium first, best-effort last) while preserving
-  arrival order within a tier, and :func:`tier_preference` maps the
-  most-premium tier present in a batch onto an MCDM preference vector so
-  the Qonductor selection stage leans toward JCT when premium work is
-  waiting.
+  arrival order within a tier.
 
 Everything here is opt-in and deterministic.  A run without tenants (no
 ``tenants=`` mix on the load generator, no controller on the simulator)
@@ -45,7 +42,6 @@ __all__ = [
     "AdmissionController",
     "effective_tier",
     "tier_sort",
-    "tier_preference",
     "jain_index",
     "abusive_mix",
 ]
@@ -290,24 +286,6 @@ def tier_sort(jobs: list) -> list:
     if not any(j.tenant is not None or j.best_effort for j in jobs):
         return jobs
     return sorted(jobs, key=effective_tier)
-
-
-def tier_preference(jobs: list, tier_preferences: dict | None):
-    """MCDM preference override for a batch, from its most-premium tier.
-
-    ``tier_preferences`` maps tier -> preference (a name from
-    :data:`repro.moo.mcdm.PREFERENCES` or an explicit vector).  The
-    batch is scheduled under the preference of the best (lowest) tier
-    present — premium work waiting pulls the whole cycle toward its
-    preference.  Returns ``None`` (keep the operator default) when the
-    mapping is unset or no tiered job is present.
-    """
-    if not tier_preferences:
-        return None
-    tiers = [j.tenant.tier for j in jobs if j.tenant is not None and not j.best_effort]
-    if not tiers:
-        return None
-    return tier_preferences.get(min(tiers))
 
 
 def jain_index(values) -> float:

@@ -10,12 +10,7 @@ from .cycle import (
     run_optimization,
 )
 from .formulation import SchedulingInput, SchedulingProblem
-from .policies import (
-    BatchedFCFSPolicy,
-    FCFSPolicy,
-    LeastBusyPolicy,
-    RandomPolicy,
-)
+from .policies import BatchedFCFSPolicy, FCFSPolicy
 from .policy import SchedulingPolicy
 from .quantum import (
     CyclePlan,
@@ -42,7 +37,5 @@ __all__ = [
     "ClassicalScheduler",
     "FCFSPolicy",
     "BatchedFCFSPolicy",
-    "LeastBusyPolicy",
-    "RandomPolicy",
     "SchedulingTrigger",
 ]

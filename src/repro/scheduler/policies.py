@@ -8,17 +8,15 @@
   one cycle assigns the whole batch.  Because it queues (rather than
   dispatching on arrival), it is the cheap batched policy work-stealing
   rebalancers can act on at fleet scale.
-* :class:`LeastBusyPolicy` — IBM's ``least_busy`` selector [15].
-* :class:`RandomPolicy` — load-oblivious control.
 
-All are :class:`~repro.scheduler.policy.SchedulingPolicy` subclasses.
-FCFS scores every batch through one
+Both are :class:`~repro.scheduler.policy.SchedulingPolicy` subclasses;
+FCFS is the only shipped policy the engine drives per arrival
+(``batched = False``).  It scores every batch through one
 :meth:`~repro.estimator.source.EstimateSource.estimate_block` call
 (:class:`~repro.estimator.estimator.ResourceEstimator`,
 :class:`~repro.estimator.cache.CachedEstimator` in front of it, or a
 synthetic scorer wrapped in
-:class:`~repro.estimator.source.PairwiseEstimateSource`);
-least-busy asks the same source for one 1×1 block per job.
+:class:`~repro.estimator.source.PairwiseEstimateSource`).
 """
 
 from __future__ import annotations
@@ -39,8 +37,6 @@ __all__ = [
     "BatchDecision",
     "BatchSchedule",
     "BatchPlan",
-    "LeastBusyPolicy",
-    "RandomPolicy",
 ]
 
 
@@ -151,71 +147,3 @@ class BatchedFCFSPolicy(FCFSPolicy):
 
     def finish_cycle(self, plan: BatchPlan, result: None) -> BatchSchedule:
         return plan.schedule
-
-
-class LeastBusyPolicy(FCFSPolicy):
-    """Arrival-order service like FCFS, but each job goes to the feasible
-    QPU with the shortest queue instead of the best fidelity."""
-
-    name = "least_busy"
-
-    def assign(
-        self,
-        jobs: list[QuantumJob],
-        qpus: list[QPU],
-        waiting_seconds: dict[str, float],
-    ) -> list[tuple[QuantumJob, str | None]]:
-        # Track queue growth within the batch so assignments spread.
-        local_wait = dict(waiting_seconds)
-        out: list[tuple[QuantumJob, str | None]] = []
-        for job in jobs:
-            feasible = [q for q in qpus if q.online and q.num_qubits >= job.num_qubits]
-            if not feasible:
-                out.append((job, None))
-                continue
-            best = min(feasible, key=lambda q: local_wait.get(q.name, 0.0))
-            _, sec = self.estimate_fn.estimate_block([job], [best], np.ones((1, 1), bool))
-            local_wait[best.name] = local_wait.get(best.name, 0.0) + float(sec[0, 0])
-            out.append((job, best.name))
-        return out
-
-
-class RandomPolicy(SchedulingPolicy):
-    """Uniform random feasible assignment."""
-
-    name = "random"
-
-    def __init__(self, seed: int = 0, *, shard_id: int | None = None) -> None:
-        self._seed = seed
-        self.shard_id = shard_id or 0
-        # Shard 0 (and the unsharded prototype) keeps the plain seeded
-        # stream — the fleet contract requires a 1-shard sharded run to
-        # be bit-identical to the unsharded simulator.  Every other shard
-        # draws from an explicit (seed, shard_id) substream, distinct
-        # from shard 0's and from each other's.
-        if shard_id is None or shard_id == 0:
-            self._rng = np.random.default_rng(seed)
-        else:
-            self._rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=(seed, shard_id))
-            )
-
-    def spawn(self, shard_id: int) -> "RandomPolicy":
-        """A per-shard instance with a shard-derived RNG stream."""
-        return RandomPolicy(seed=self._seed, shard_id=shard_id)
-
-    def assign(
-        self,
-        jobs: list[QuantumJob],
-        qpus: list[QPU],
-        waiting_seconds: dict[str, float],
-    ) -> list[tuple[QuantumJob, str | None]]:
-        out: list[tuple[QuantumJob, str | None]] = []
-        for job in jobs:
-            feasible = [q for q in qpus if q.online and q.num_qubits >= job.num_qubits]
-            if not feasible:
-                out.append((job, None))
-                continue
-            pick = feasible[int(self._rng.integers(len(feasible)))]
-            out.append((job, pick.name))
-        return out

@@ -1,7 +1,7 @@
 """The one contract between the cloud engine and a scheduling policy.
 
 Every policy the simulator drives — the Qonductor scheduler and the
-FCFS / least-busy / random baselines (Figs. 6, 8) — subclasses
+FCFS baselines, per-arrival and batched (Figs. 6, 8) — subclasses
 :class:`SchedulingPolicy` and *declares* which of the engine's two shapes
 it speaks.  ``batched = False``: the engine calls :meth:`assign` the
 instant a job is routed to the policy's shard.  ``batched = True``:

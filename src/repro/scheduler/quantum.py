@@ -33,7 +33,7 @@ import numpy as np
 
 from ..backends.qpu import QPU
 from ..cloud.job import QuantumJob, feasibility_matrix
-from ..cloud.tenancy import tier_preference, tier_sort
+from ..cloud.tenancy import tier_sort
 from ..estimator.source import EstimateSource, require_estimate_source
 from ..moo import select_by_preference
 from .cycle import OptimizationResult, OptimizationTask
@@ -122,18 +122,11 @@ class QonductorScheduler(SchedulingPolicy):
         max_generations: int = 40,
         seed: int = 0,
         shard_id: int = 0,
-        tier_preferences: dict | None = None,
     ) -> None:
         self.estimate_fn = require_estimate_source(
             estimate_fn, type(self).__name__
         )
         self.preference = preference
-        #: Optional tier -> MCDM preference mapping for tenant-weighted
-        #: selection (see :func:`~repro.cloud.tenancy.tier_preference`):
-        #: when a batch carries tenants, the most-premium tier present
-        #: overrides ``preference`` for that cycle.  ``None`` (default)
-        #: always uses the operator preference.
-        self.tier_preferences = tier_preferences
         self.pop_size = pop_size
         self.max_generations = max_generations
         self._seed = seed
@@ -157,7 +150,6 @@ class QonductorScheduler(SchedulingPolicy):
             max_generations=self.max_generations,
             seed=self._seed,
             shard_id=shard_id,
-            tier_preferences=self.tier_preferences,
         )
 
     # ------------------------------------------------------------------
@@ -256,13 +248,7 @@ class QonductorScheduler(SchedulingPolicy):
         online = plan.online
 
         t0 = time.perf_counter()
-        # The most-premium tier waiting in this batch may override the
-        # operator preference (None — the default, and every untenanted
-        # batch — keeps it).
-        override = tier_preference(plan.schedulable, self.tier_preferences)
-        chosen = select_by_preference(
-            result.F, override if override is not None else self.preference
-        )
+        chosen = select_by_preference(result.F, self.preference)
         assignment = result.X[chosen]
         t_sel = time.perf_counter() - t0
 

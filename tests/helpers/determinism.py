@@ -88,7 +88,7 @@ def fake_estimate(job, qpu):
 
 def make_job(width: int, *, tenant=None, arrival_time: float = 0.0) -> QuantumJob:
     """A circuit-free GHZ job of the given width (optionally tenanted)."""
-    job = QuantumJob.from_circuit(ghz_linear(width), keep_circuit=False)
+    job = QuantumJob.from_circuit(ghz_linear(width))
     job.tenant = tenant
     job.arrival_time = arrival_time
     return job

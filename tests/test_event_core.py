@@ -143,7 +143,7 @@ class TestEventCore:
         )
         m = SimulationMetrics()
         jobs = [
-            QuantumJob.from_circuit(_ghz(4), keep_circuit=False)
+            QuantumJob.from_circuit(_ghz(4))
             for _ in range(3)
         ]
         st = RunState(horizon=600.0, stream=iter(()), metrics=m)
@@ -248,7 +248,7 @@ class TestEventCore:
         st = RunState(
             horizon=600.0, stream=iter(()), metrics=SimulationMetrics()
         )
-        job = QuantumJob.from_circuit(ghz_linear(4), keep_circuit=False)
+        job = QuantumJob.from_circuit(ghz_linear(4))
         with pytest.raises(KeyError, match="shard 0 has no QPU named 'nope'"):
             sim._dispatch(st, sim.shards[0], job, "nope", 0.0)
 
@@ -281,7 +281,7 @@ class TestEventCore:
         )
         for shard in shards[:2]:
             shard.pending = [
-                QuantumJob.from_circuit(ghz_linear(4), keep_circuit=False)
+                QuantumJob.from_circuit(ghz_linear(4))
                 for _ in range(2)
             ]
         shards[2].trigger.fired(20.0)
@@ -320,7 +320,7 @@ class TestEdgeConfigurations:
     def _simulate(self, policy_cls, widths, *, names=("auckland", "lagos"), **engine):
         apps = [
             HybridApplication(
-                QuantumJob.from_circuit(ghz_linear(width), keep_circuit=False),
+                QuantumJob.from_circuit(ghz_linear(width)),
                 arrival_time=10.0,
             )
             for width in widths
@@ -629,7 +629,6 @@ class TestCacheEquivalence:
                 s.circuit,
                 shots=s.shots,
                 mitigation="zne+rem" if s.uses_mitigation else "none",
-                keep_circuit=False,
             )
             for s in sampler.sample_many(12)
         ]

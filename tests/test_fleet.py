@@ -26,7 +26,6 @@ from repro.cloud import (
     StealHalfRebalancePolicy,
     ThresholdRebalancePolicy,
     make_balancer,
-    make_rebalancer,
     partition_fleet,
 )
 from helpers.determinism import (
@@ -262,17 +261,20 @@ class TestRebalancePolicies:
             widths_per_shard, policy=BatchedFCFSPolicy(fake_estimate)
         )
 
-    def test_make_rebalancer(self):
-        assert isinstance(
-            make_rebalancer("threshold"), ThresholdRebalancePolicy
-        )
-        assert isinstance(
-            make_rebalancer("steal_half"), StealHalfRebalancePolicy
-        )
+    def test_rebalance_takes_a_policy_or_none(self):
         policy = ThresholdRebalancePolicy(min_gap=8)
-        assert make_rebalancer(policy) is policy
-        with pytest.raises(KeyError):
-            make_rebalancer("bogus")
+        sim = CloudSimulator(
+            fleet_of_size(2, seed=7), BatchedFCFSPolicy(fake_estimate), rebalance=policy
+        )
+        assert sim.rebalancer is policy
+        # Strategy names are not a second spelling of an instance.
+        for name in ("threshold", "steal_half"):
+            with pytest.raises(TypeError, match="RebalancePolicy"):
+                CloudSimulator(
+                    fleet_of_size(2, seed=7),
+                    BatchedFCFSPolicy(fake_estimate),
+                    rebalance=name,
+                )
         with pytest.raises(ValueError):
             ThresholdRebalancePolicy(min_gap=1)
         with pytest.raises(ValueError):
@@ -575,8 +577,8 @@ class TestRebalancingRuns:
         return sim.run(gen.generate(duration))
 
     def test_rebalanced_runs_deterministic(self):
-        a = self._run(rebalance="threshold")
-        b = self._run(rebalance="threshold")
+        a = self._run(rebalance=ThresholdRebalancePolicy())
+        b = self._run(rebalance=ThresholdRebalancePolicy())
         assert_series_identical(a, b)
         assert a.jobs_migrated == b.jobs_migrated
         assert a.per_shard_steals == b.per_shard_steals

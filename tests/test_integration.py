@@ -71,7 +71,7 @@ class TestEndToEndScheduling:
         from repro.cloud.job import QuantumJob
 
         jobs = [
-            QuantumJob.from_circuit(ghz_linear(8), shots=2000, keep_circuit=False)
+            QuantumJob.from_circuit(ghz_linear(8), shots=2000)
             for _ in range(10)
         ]
         schedule = scheduler.schedule(jobs, fleet, {q.name: 0.0 for q in fleet})
@@ -85,7 +85,7 @@ class TestEndToEndScheduling:
         fleet = default_fleet(seed=7, names=NAMES)
         from repro.cloud.job import QuantumJob
 
-        job = QuantumJob.from_circuit(ghz_linear(8), shots=2000, keep_circuit=False)
+        job = QuantumJob.from_circuit(ghz_linear(8), shots=2000)
         before = estimator.estimate_block([job], [fleet[0]])[0].item()
         for _ in range(3):
             fleet[0].recalibrate()

@@ -31,8 +31,9 @@ from repro.cloud import (
     LoadGenerator,
     SimulationConfig,
     abusive_mix,
+    StealHalfRebalancePolicy,
+    ThresholdRebalancePolicy,
     make_balancer,
-    make_rebalancer,
 )
 from repro.scheduler import BatchedFCFSPolicy, FCFSPolicy, SchedulingTrigger
 
@@ -100,7 +101,7 @@ def _queue_state(shards):
 class TestRebalanceConservation:
     @_settings
     @given(
-        strategy=st.sampled_from(["threshold", "steal_half"]),
+        strategy=st.sampled_from([ThresholdRebalancePolicy, StealHalfRebalancePolicy]),
         depths=st.lists(st.integers(0, 20), min_size=4, max_size=4),
         seed=st.integers(0, 2**16),
     )
@@ -119,7 +120,7 @@ class TestRebalanceConservation:
                 )
         before = _queue_state(shards)
         all_before = sorted(j for q in before.values() for j in q)
-        policy = make_rebalancer(strategy)
+        policy = strategy()
         moves = policy.rebalance(shards, 0.0)
         after = _queue_state(shards)
         all_after = sorted(j for q in after.values() for j in q)

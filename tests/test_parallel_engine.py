@@ -30,6 +30,7 @@ from repro.cloud import (
     SerialCycleExecutor,
     SimulationConfig,
     SimulationMetrics,
+    ThresholdRebalancePolicy,
     TimeSeries,
 )
 from repro.moo import NSGA2
@@ -87,7 +88,7 @@ class TestCycleSeedPurity:
         from repro.workloads import ghz_linear
 
         jobs = [
-            QuantumJob.from_circuit(ghz_linear(5), keep_circuit=False)
+            QuantumJob.from_circuit(ghz_linear(5))
             for _ in range(8)
         ]
         plan = sched.begin_cycle(jobs, fleet, {})
@@ -103,7 +104,7 @@ class TestCycleSeedPurity:
         from repro.workloads import ghz_linear
 
         jobs = [
-            QuantumJob.from_circuit(ghz_linear(4), keep_circuit=False)
+            QuantumJob.from_circuit(ghz_linear(4))
             for _ in range(6)
         ]
         fused = QonductorScheduler(
@@ -155,12 +156,14 @@ class TestBackendBitIdentity:
 
     def test_fcfs_multi_shard_with_rebalancing(self):
         serial = run_sharded(
-            BatchedFCFSPolicy(fake_estimate), "serial", rebalance="threshold"
+            BatchedFCFSPolicy(fake_estimate),
+            "serial",
+            rebalance=ThresholdRebalancePolicy(),
         )
         pickled = run_sharded(
             BatchedFCFSPolicy(fake_estimate),
             PicklingSerialExecutor(),
-            rebalance="threshold",
+            rebalance=ThresholdRebalancePolicy(),
         )
         assert_runs_identical(serial, pickled)
         assert serial.dispatched_jobs > 0

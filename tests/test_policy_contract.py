@@ -6,7 +6,9 @@
   a ``TypeError`` naming the shard and the missing piece;
 * ``CloudSimulator.sharded`` forwards every engine keyword to the
   constructor, so the two cannot drift, and the constructor's keyword
-  set is spelled out;
+  set is spelled out — as are the shipped policies and the keyword or
+  field sets of the scheduler, the availability model, the load
+  generator and ``QuantumJob.from_circuit``;
 * the trigger path reads shard state, never the heap's contents (AST
   guard: no ``heapify``, no heap slice-assignment, every TRIGGER payload
   a bare shard id);
@@ -15,6 +17,7 @@
 """
 
 import ast
+import dataclasses
 import hashlib
 import inspect
 from pathlib import Path
@@ -24,13 +27,21 @@ import pytest
 import repro
 from helpers.determinism import TRIGGER_SHAPES, fake_estimate, run_sharded
 from repro.backends.fleet import fleet_of_size
-from repro.cloud import CloudSimulator, FleetShard, SimulatedQPU
+from repro import scheduler
+from repro.cloud import (
+    AvailabilityEvent,
+    AvailabilityModel,
+    CloudSimulator,
+    FleetShard,
+    LoadGenerator,
+    MaintenanceWindow,
+    QuantumJob,
+    SimulatedQPU,
+)
 from repro.scheduler import (
     BatchedFCFSPolicy,
     FCFSPolicy,
-    LeastBusyPolicy,
     QonductorScheduler,
-    RandomPolicy,
     SchedulingPolicy,
 )
 
@@ -85,8 +96,6 @@ class TestConstructionTimeErrors:
         for policy in (
             FCFSPolicy(fake_estimate),
             BatchedFCFSPolicy(fake_estimate),
-            LeastBusyPolicy(fake_estimate),
-            RandomPolicy(seed=1),
             QonductorScheduler(fake_estimate),
         ):
             shard = FleetShard(0, _backends(), policy.spawn(0))
@@ -117,9 +126,55 @@ class TestConstructionTimeErrors:
         with pytest.raises(TypeError, match=r"batched=True .*finish_cycle"):
             FleetShard(0, _backends(), HalfBatched())
 
-    def test_least_busy_needs_an_estimate_source(self):
-        with pytest.raises(TypeError, match="EstimateSource"):
-            LeastBusyPolicy(lambda job, qpu: (0.9, 1.0))
+
+def _names(fn) -> list[str]:
+    return list(inspect.signature(fn).parameters)
+
+
+def _fields(cls) -> list[str]:
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+class TestKeywordSets:
+    """Every option and shipped policy, spelled out: a new knob is a
+    decision, so it edits one of these lines."""
+
+    def test_shipped_policies(self):
+        shipped = sorted(
+            name
+            for name in scheduler.__all__
+            if isinstance(getattr(scheduler, name), type)
+            and issubclass(getattr(scheduler, name), SchedulingPolicy)
+            and getattr(scheduler, name) is not SchedulingPolicy
+        )
+        assert shipped == ["BatchedFCFSPolicy", "FCFSPolicy", "QonductorScheduler"]
+        per_arrival = [n for n in shipped if not getattr(scheduler, n).batched]
+        assert per_arrival == ["FCFSPolicy"]
+
+    def test_scheduler_keywords(self):
+        assert _names(QonductorScheduler.__init__) == [
+            "self", "estimate_fn", "preference", "pop_size", "max_generations",
+            "seed", "shard_id",
+        ]
+
+    def test_availability_keywords_and_fields(self):
+        assert _names(AvailabilityModel.__init__) == ["self", "windows"]
+        assert _fields(MaintenanceWindow) == ["qpu_name", "start", "end"]
+        assert _fields(AvailabilityEvent) == ["time", "qpu_name", "online"]
+
+    def test_load_generator_fields(self):
+        assert _fields(LoadGenerator) == [
+            "mean_rate_per_hour", "mitigation_fraction", "mean_qubits",
+            "std_qubits", "min_qubits", "max_qubits", "diurnal", "shots_grid",
+            "benchmarks", "circuit_pool_size", "arrival_process",
+            "burst_rate_multiplier", "mean_burst_seconds", "mean_calm_seconds",
+            "tenants", "seed",
+        ]
+
+    def test_job_from_circuit_keywords(self):
+        assert _names(QuantumJob.from_circuit) == [
+            "circuit", "shots", "mitigation", "benchmark",
+        ]
 
 
 class TestShardedForwardsEngineKeywords:

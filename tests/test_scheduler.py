@@ -12,9 +12,7 @@ from repro.scheduler import (
     ClassicalRequest,
     ClassicalScheduler,
     FCFSPolicy,
-    LeastBusyPolicy,
     QonductorScheduler,
-    RandomPolicy,
     SchedulingInput,
     SchedulingProblem,
     SchedulingTrigger,
@@ -87,7 +85,7 @@ class TestQonductorScheduler:
 
     def _jobs(self, n=12, width=5):
         return [
-            QuantumJob.from_circuit(ghz_linear(width), shots=1000, keep_circuit=False)
+            QuantumJob.from_circuit(ghz_linear(width), shots=1000)
             for _ in range(n)
         ]
 
@@ -102,7 +100,7 @@ class TestQonductorScheduler:
     def test_oversized_jobs_rejected(self, fleet):
         sched = QonductorScheduler(_fake_estimate, seed=1, max_generations=5)
         jobs = self._jobs(2, width=5) + [
-            QuantumJob.from_circuit(ghz_linear(40), keep_circuit=False)
+            QuantumJob.from_circuit(ghz_linear(40))
         ]
         result = sched.schedule(jobs, fleet, {})
         assert len(result.unschedulable) == 1
@@ -221,35 +219,16 @@ class TestBaselinePolicies:
 
     def test_fcfs_picks_best_fidelity(self, fleet):
         policy = FCFSPolicy(_fake_estimate)
-        job = QuantumJob.from_circuit(ghz_linear(10), keep_circuit=False)
+        job = QuantumJob.from_circuit(ghz_linear(10))
         [(j, name)] = policy.assign([job], fleet, {})
         # auckland has the lowest quality factor -> highest fake fidelity.
         assert name == "auckland"
 
     def test_fcfs_infeasible_returns_none(self, fleet):
         policy = FCFSPolicy(_fake_estimate)
-        job = QuantumJob.from_circuit(ghz_linear(50), keep_circuit=False)
+        job = QuantumJob.from_circuit(ghz_linear(50))
         [(j, name)] = policy.assign([job], fleet, {})
         assert name is None
-
-    def test_least_busy_spreads_batch(self, fleet):
-        policy = LeastBusyPolicy(_fake_estimate)
-        jobs = [
-            QuantumJob.from_circuit(ghz_linear(5), keep_circuit=False)
-            for _ in range(6)
-        ]
-        assignments = policy.assign(jobs, fleet, {q.name: 0.0 for q in fleet})
-        used = {name for _, name in assignments}
-        assert len(used) >= 2
-
-    def test_random_policy_feasible_only(self, fleet):
-        policy = RandomPolicy(seed=0)
-        jobs = [
-            QuantumJob.from_circuit(ghz_linear(12), keep_circuit=False)
-            for _ in range(10)
-        ]
-        for _, name in policy.assign(jobs, fleet, {}):
-            assert name in ("auckland", "algiers")  # lagos too small
 
 
 class TestTrigger:

@@ -30,7 +30,6 @@ from repro.cloud import (
     abusive_mix,
     effective_tier,
     jain_index,
-    tier_preference,
     tier_sort,
 )
 from repro.scheduler import BatchedFCFSPolicy, QonductorScheduler
@@ -248,18 +247,6 @@ class TestTierHelpers:
         assert effective_tier(j4) == BEST_EFFORT_TIER
         assert effective_tier(j5) == BEST_EFFORT_TIER
 
-    def test_tier_preference_override(self):
-        prefs = {0: "jct", 1: "balanced"}
-        gold, bronze = Tenant("g", tier=0), Tenant("b", tier=2)
-        assert tier_preference([make_job(5)], prefs) is None
-        assert tier_preference([make_job(5, tenant=bronze)], prefs) is None
-        batch = [make_job(5, tenant=bronze), make_job(5, tenant=gold)]
-        assert tier_preference(batch, prefs) == "jct"
-        assert tier_preference(batch, None) is None
-        degraded = make_job(5, tenant=gold)
-        degraded.best_effort = True
-        assert tier_preference([degraded], prefs) is None
-
     def test_jain_index(self):
         assert jain_index([]) == 1.0
         assert jain_index([0.0, 0.0]) == 1.0
@@ -337,13 +324,15 @@ class TestTenantAwareFleet:
 
 class TestTenancyOffBitIdentity:
     """The acceptance gate: with tenancy *configured but unused* (an
-    admission controller, tier preferences, a tenant-aware rebalancer —
+    admission controller, a tenant-aware rebalancer —
     but an untenanted stream), every run is bit-identical to the plain
     PR-5 configuration."""
 
     def test_fcfs_multi_shard(self):
         plain = run_sharded(
-            BatchedFCFSPolicy(fake_estimate), "serial", rebalance="threshold"
+            BatchedFCFSPolicy(fake_estimate),
+            "serial",
+            rebalance=ThresholdRebalancePolicy(),
         )
         wired = run_sharded(
             BatchedFCFSPolicy(fake_estimate),
@@ -361,12 +350,7 @@ class TestTenancyOffBitIdentity:
             "serial",
         )
         wired = run_sharded(
-            QonductorScheduler(
-                fake_estimate,
-                seed=5,
-                max_generations=4,
-                tier_preferences={0: "jct", 1: "balanced"},
-            ),
+            QonductorScheduler(fake_estimate, seed=5, max_generations=4),
             "serial",
             admission=AdmissionController(quota_action="reject"),
         )
