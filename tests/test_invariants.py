@@ -30,9 +30,9 @@ from repro.cloud import (
     ExecutionModel,
     LoadGenerator,
     SimulationConfig,
-    abusive_mix,
     StealHalfRebalancePolicy,
     ThresholdRebalancePolicy,
+    abusive_mix,
     make_balancer,
 )
 from repro.scheduler import BatchedFCFSPolicy, FCFSPolicy, SchedulingTrigger

@@ -27,7 +27,6 @@ import pytest
 import repro
 from helpers.determinism import TRIGGER_SHAPES, fake_estimate, run_sharded
 from repro.backends.fleet import fleet_of_size
-from repro import scheduler
 from repro.cloud import (
     AvailabilityEvent,
     AvailabilityModel,
@@ -140,16 +139,16 @@ class TestKeywordSets:
     decision, so it edits one of these lines."""
 
     def test_shipped_policies(self):
+        exported = {name: getattr(repro.scheduler, name) for name in repro.scheduler.__all__}
         shipped = sorted(
             name
-            for name in scheduler.__all__
-            if isinstance(getattr(scheduler, name), type)
-            and issubclass(getattr(scheduler, name), SchedulingPolicy)
-            and getattr(scheduler, name) is not SchedulingPolicy
+            for name, obj in exported.items()
+            if isinstance(obj, type)
+            and issubclass(obj, SchedulingPolicy)
+            and obj is not SchedulingPolicy
         )
         assert shipped == ["BatchedFCFSPolicy", "FCFSPolicy", "QonductorScheduler"]
-        per_arrival = [n for n in shipped if not getattr(scheduler, n).batched]
-        assert per_arrival == ["FCFSPolicy"]
+        assert [n for n in shipped if not exported[n].batched] == ["FCFSPolicy"]
 
     def test_scheduler_keywords(self):
         assert _names(QonductorScheduler.__init__) == [
