@@ -5,7 +5,7 @@
 ``noise_aware_layout`` on ``networkx.Graph``.  ``src/`` is held to them
 with ``==`` only, on three sets of inputs:
 
-* the 79 probe circuits ``TranspileProxy._calibrate`` transpiles for the
+* the 79 probe circuits behind ``TranspileProxy``'s full tables for the
   three models of ``default_fleet(seed=7)`` (on the calibration target and
   on a calibrated device of the same model), plus circuits with barriers,
   delays, measurements and resets;
@@ -55,7 +55,7 @@ for _qpu in FLEET:
 
 
 def _calibration_target(model):
-    """The target ``TranspileProxy._calibrate`` builds for ``model``."""
+    """The target ``TranspileProxy`` calibrates ``model``'s entries on."""
     nm = NoiseModel.uniform(
         model.num_qubits,
         edges=list(model.coupling),
@@ -228,7 +228,7 @@ _PROBE_DIGEST = "13f664c085daf769eb969f4f369bd20500cf58f33e8c753abc147a733f09718
 class TestCalibrationTablesArePinned:
     @pytest.mark.parametrize("model_name, cls", list(_TABLES))
     def test_table(self, model_name, cls):
-        table = TranspileProxy()._calibrate(MODELS[model_name], cls)
+        table = TranspileProxy().table(MODELS[model_name], cls)
         assert [
             (e.width, e.swap_inflation, e.depth_inflation, e.ns_per_2q_layer)
             for e in table
