@@ -2,9 +2,10 @@
 
 Cloud-scale simulations schedule ~1500 jobs/hour; running the full
 transpiler per (job, QPU) pair would dominate wall time without changing
-the trends. Instead we calibrate, once per QPU model, how routing and
-basis decomposition inflate two-qubit counts and durations — by running the
-*real* transpiler on a probe grid — and interpolate.
+the trends. Instead we calibrate, once per QPU model and probe width, how
+routing and basis decomposition inflate two-qubit counts and durations — by
+running the *real* transpiler on a probe grid — and interpolate.  An entry
+is calibrated the first time an interpolation reads it.
 
 The proxy therefore stays faithful to the actual compiler (it is fitted to
 it) while costing O(1) per job.
@@ -12,6 +13,7 @@ it) while costing O(1) per job.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,18 +79,20 @@ class TranspileProxy:
     PROBE_WIDTHS = (2, 4, 8, 12, 16, 20, 27)
     CLASSES = ("linear", "sparse", "dense")
 
-    #: Probe calibration is deterministic per (model, class) — fixed probe
-    #: seeds, deterministic transpiler — so tables are shared process-wide
-    #: instead of being re-fitted by every proxy instance.
-    _SHARED_TABLES: dict[tuple, list[ProxyEntry]] = {}
+    #: Probe calibration is deterministic per (model, class, probe width) —
+    #: fixed probe seeds, deterministic transpiler — so each entry is
+    #: calibrated the first time it is read and shared process-wide.  The
+    #: key is the frozen model itself: every field calibration reads.
+    _SHARED_ENTRIES: dict[tuple[QPUModel, str, int], ProxyEntry] = {}
 
     def __init__(self) -> None:
         #: Memo of :meth:`physical_metrics` keyed on the metrics fingerprint
-        #: and model name (the proxy is calibration-independent, so entries
-        #: never go stale).
+        #: (which fixes the routing class) and the model (the proxy is
+        #: calibration-independent, so entries never go stale).
         self._pm_cache: dict[tuple, tuple[float, float, float]] = {}
 
-    def _calibrate(self, model: QPUModel, cls: str) -> list[ProxyEntry]:
+    @staticmethod
+    def _calibrate(model: QPUModel, cls: str, width: int) -> ProxyEntry:
         nm = NoiseModel.uniform(
             model.num_qubits,
             edges=list(model.coupling),
@@ -101,60 +105,50 @@ class TranspileProxy:
             basis_gates=model.basis_gates,
             noise_model=nm,
         )
-        entries: list[ProxyEntry] = []
-        for width in self.PROBE_WIDTHS:
-            if width > model.num_qubits:
-                break
-            sw, dp, ns = [], [], []
-            for probe in _probes_for(cls, width):
-                res = transpile(probe, target)
-                logical_2q = max(1, sum(
-                    1 for g in probe.ops if g.is_unitary and g.num_qubits == 2
-                ))
-                sw.append(res.metrics.num_2q_gates / logical_2q)
-                dp.append(
-                    max(1, res.metrics.two_qubit_depth)
-                    / max(1, probe.depth(two_qubit_only=True))
-                )
-                two_q_depth = max(1, res.metrics.two_qubit_depth)
-                ns.append(
-                    max(0.0, res.duration_ns - model.readout_duration_ns)
-                    / two_q_depth
-                )
-            entries.append(
-                ProxyEntry(
-                    width=width,
-                    swap_inflation=float(np.mean(sw)),
-                    depth_inflation=float(np.mean(dp)),
-                    ns_per_2q_layer=float(np.mean(ns)),
-                )
+        sw, dp, ns = [], [], []
+        for probe in _probes_for(cls, width):
+            res = transpile(probe, target)
+            logical_2q = max(1, sum(
+                1 for g in probe.ops if g.is_unitary and g.num_qubits == 2
+            ))
+            sw.append(res.metrics.num_2q_gates / logical_2q)
+            dp.append(
+                max(1, res.metrics.two_qubit_depth)
+                / max(1, probe.depth(two_qubit_only=True))
             )
-        return entries
-
-    @staticmethod
-    def _table_key(model: QPUModel, cls: str) -> tuple:
-        # Name alone is not guaranteed unique across model variants; include
-        # the parameters the probe fits actually depend on.
-        return (
-            model.name,
-            model.num_qubits,
-            model.duration_2q_ns,
-            model.duration_1q_ns,
-            cls,
+            two_q_depth = max(1, res.metrics.two_qubit_depth)
+            ns.append(
+                max(0.0, res.duration_ns - model.readout_duration_ns)
+                / two_q_depth
+            )
+        return ProxyEntry(
+            width=width,
+            swap_inflation=float(np.mean(sw)),
+            depth_inflation=float(np.mean(dp)),
+            ns_per_2q_layer=float(np.mean(ns)),
         )
 
+    def entry(self, model: QPUModel, cls: str, width: int) -> ProxyEntry:
+        """The entry at one probe width, calibrated on first use."""
+        key = (model, cls, width)
+        found = self._SHARED_ENTRIES.get(key)
+        if found is None:
+            found = self._SHARED_ENTRIES[key] = self._calibrate(model, cls, width)
+        return found
+
+    def _widths(self, model: QPUModel) -> list[int]:
+        return [w for w in self.PROBE_WIDTHS if w <= model.num_qubits]
+
     def table(self, model: QPUModel, cls: str = "sparse") -> list[ProxyEntry]:
-        key = self._table_key(model, cls)
-        if key not in self._SHARED_TABLES:
-            self._SHARED_TABLES[key] = self._calibrate(model, cls)
-        return self._SHARED_TABLES[key]
+        """Every entry of one (model, class), calibrating what is missing."""
+        return [self.entry(model, cls, w) for w in self._widths(model)]
 
     # ------------------------------------------------------------------
     def physical_metrics(
         self, metrics: CircuitMetrics, model: QPUModel
     ) -> tuple[float, float, float]:
         """(physical_2q_gates, physical_1q_gates, duration_ns) estimates."""
-        key = (metrics.fingerprint, self._table_key(model, metrics.routing_class))
+        key = (metrics.fingerprint, model)
         cached = self._pm_cache.get(key)
         if cached is not None:
             return cached
@@ -165,12 +159,18 @@ class TranspileProxy:
     def _physical_metrics_uncached(
         self, metrics: CircuitMetrics, model: QPUModel
     ) -> tuple[float, float, float]:
-        table = self.table(model, metrics.routing_class)
-        widths = np.array([e.width for e in table], dtype=float)
+        widths = self._widths(model)
         w = float(min(metrics.num_qubits, widths[-1]))
-        swap = float(np.interp(w, widths, [e.swap_inflation for e in table]))
-        depth_infl = float(np.interp(w, widths, [e.depth_inflation for e in table]))
-        ns_layer = float(np.interp(w, widths, [e.ns_per_2q_layer for e in table]))
+        # The entries np.interp over the whole table would read: the one at
+        # a probe width or past either end, else the two around ``w``.
+        hi = bisect_left(widths, w)
+        lo = hi if hi == 0 or widths[hi] == w else hi - 1
+        read = widths[lo : hi + 1]
+        table = [self.entry(model, metrics.routing_class, x) for x in read]
+        xp = np.array(read, dtype=float)
+        swap = float(np.interp(w, xp, [e.swap_inflation for e in table]))
+        depth_infl = float(np.interp(w, xp, [e.depth_inflation for e in table]))
+        ns_layer = float(np.interp(w, xp, [e.ns_per_2q_layer for e in table]))
         phys_2q = metrics.num_2q_gates * swap
         # Basis decomposition roughly doubles 1q count (ZYZ resynthesis) and
         # each inserted swap adds 3 CX worth of 1q dressing.
