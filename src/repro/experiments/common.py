@@ -48,15 +48,13 @@ def trained_estimator(
     seed: int = 7,
     names: tuple[str, ...] | None = None,
     num_records: int = 800,
-    execution_model: ExecutionModel | None = None,
 ) -> ResourceEstimator:
     """Train (and cache per-process) the resource estimator for a fleet."""
     key = (seed, names or tuple(EIGHT_QPU_NAMES), num_records)
     if key not in _estimator_cache:
         fleet = make_fleet(seed=seed, names=list(names) if names else None)
-        em = execution_model or ExecutionModel(seed=seed)
         _estimator_cache[key] = ResourceEstimator.train_for_fleet(
-            fleet, num_records=num_records, execution_model=em, seed=seed
+            fleet, num_records=num_records, execution_model=ExecutionModel(seed=seed), seed=seed
         )
     return _estimator_cache[key]
 

@@ -8,7 +8,7 @@
   constructor, so the two cannot drift, and the constructor's keyword
   set is spelled out — as are the shipped policies and the keyword or
   field sets of the scheduler, the availability model, the load
-  generator and ``QuantumJob.from_circuit``;
+  generator, ``QuantumJob.from_circuit`` and ``trained_estimator``;
 * the trigger path reads shard state, never the heap's contents (AST
   guard: no ``heapify``, no heap slice-assignment, every TRIGGER payload
   a bare shard id);
@@ -37,6 +37,7 @@ from repro.cloud import (
     QuantumJob,
     SimulatedQPU,
 )
+from repro.experiments.common import trained_estimator
 from repro.scheduler import (
     BatchedFCFSPolicy,
     FCFSPolicy,
@@ -174,6 +175,10 @@ class TestKeywordSets:
         assert _names(QuantumJob.from_circuit) == [
             "circuit", "shots", "mitigation", "benchmark",
         ]
+
+    def test_trained_estimator_keywords(self):
+        # The per-process cache keys on all three.
+        assert _names(trained_estimator) == ["seed", "names", "num_records"]
 
 
 class TestShardedForwardsEngineKeywords:
