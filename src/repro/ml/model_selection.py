@@ -108,7 +108,9 @@ def polynomial_ridge_cv(
         scale = np.sqrt(np.einsum("ij,ij->j", fit, fit) / len(fit))
         scale[scale < 1e-12] = 1.0  # StandardScaler's rule for a constant column
         fit /= scale
-        held = (expanded[test] - mean) / scale
+        held = expanded[test]  # a copy too
+        held -= mean
+        held /= scale
         y_mean = float(y[train].mean())
         coefs = _prefix_ridge(fit, y[train] - y_mean, widths, alpha)
         totals += [r2_score(y[test], held[:, : len(c)] @ c + y_mean) for c in coefs]
@@ -131,13 +133,16 @@ def _prefix_ridge(Z, yc, widths: list[int], alpha: float) -> list[np.ndarray]:
         for w in narrow:
             coefs.append(linalg.cho_solve((factor[:w, :w], True), rhs[:w], check_finite=False))
     wide = widths[len(narrow) :]
-    if wide:
-        kernel = np.zeros((rows, rows))
-        for start, stop in zip([0, *wide], wide):
-            block = Z[:, start:stop]
+    kernel = None
+    for start, stop in zip([0, *wide], wide):
+        block = Z[:, start:stop]
+        if kernel is None:
+            kernel = block @ block.T
+        else:
             kernel += block @ block.T
-            system = kernel.copy()
-            system.flat[:: rows + 1] += alpha
-            factor = linalg.cho_factor(system, lower=True, overwrite_a=True, check_finite=False)
-            coefs.append(Z[:, :stop].T @ linalg.cho_solve(factor, yc, check_finite=False))
+        # The last system may take the kernel itself: nothing adds to it.
+        system = kernel if stop == wide[-1] else kernel.copy()
+        system.flat[:: rows + 1] += alpha
+        factor = linalg.cho_factor(system, lower=True, overwrite_a=True, check_finite=False)
+        coefs.append(Z[:, :stop].T @ linalg.cho_solve(factor, yc, check_finite=False))
     return coefs
