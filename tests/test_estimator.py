@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import repro
+from helpers.reference_ridge import assert_numpy_route_matches
 from repro.backends import default_fleet
 from repro.circuits import compute_metrics
 from repro.cloud import ExecutionModel
@@ -25,6 +26,7 @@ from repro.estimator import (
     runtime_features,
     train_estimators,
 )
+from repro.experiments.common import make_fleet
 from repro.workloads import ghz_linear, qaoa_ring_maxcut
 
 FLEET_NAMES = ["auckland", "algiers", "lagos"]
@@ -622,3 +624,25 @@ class TestFinalModelPins:
         )
         assert out.stdout.splitlines() == self.PINNED
 
+
+class TestAgainstTheScipyRoute:
+    """Both cold starts' training sets through ``_select_and_fit`` against
+    the ``scipy.linalg`` route it replaced (``helpers/reference_ridge.py``):
+    the same degrees, CV R² within 1e-9 relative, training-set predictions
+    within 1e-10 absolute.  Runtime is fitted on ``log1p`` seconds, as
+    training does."""
+
+    @pytest.mark.parametrize(
+        "fleet_of, records, seed",
+        [
+            (lambda: make_fleet(seed=7), 800, 7),  # trained_estimator(seed=7)
+            (lambda: default_fleet(seed=0), 200, 0),  # Qonductor(seed=0, estimator_records=200)
+        ],
+        ids=["trained_estimator", "Qonductor"],
+    )
+    def test_cold_start_datasets(self, fleet_of, records, seed):
+        ds = generate_dataset(
+            fleet_of(), num_records=records, execution_model=ExecutionModel(seed=seed), seed=seed
+        )
+        assert_numpy_route_matches(ds.X_fidelity, ds.y_fidelity)
+        assert_numpy_route_matches(ds.X_runtime, np.log1p(ds.y_runtime))

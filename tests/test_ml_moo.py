@@ -15,6 +15,7 @@ from helpers.reference_kernels import (
 )
 from helpers.reference_cv import reference_degree_selection
 from helpers.reference_models import polynomial_transform_reference
+from helpers.reference_ridge import assert_numpy_route_matches
 from repro.estimator.models import _select_and_fit
 from repro.ml import (
     KFold,
@@ -235,6 +236,15 @@ def _selection_problem(rows, n_features, constant, seed):
     return X, y
 
 
+_EDGE_SHAPES = [
+    (40, 5, (3, 1, 2), 5, False),  # degree 3: 55 columns, 32 training rows
+    (30, 4, (4,), 6, False),  # 69 columns, 25 training rows
+    (90, 2, (1, 3), 3, False),  # every degree narrower than its folds
+    (60, 3, (2, 2, 1), 2, True),  # repeated degree, a constant column
+    (24, 5, (2, 4, 3, 1), 4, True),  # both sides of 18 training rows
+]
+
+
 @st.composite
 def _selection_problems(draw):
     n_features = draw(st.integers(1, 5))
@@ -276,19 +286,17 @@ class TestDegreeSelection:
         assert est.pipeline["regressor"].coef_.tobytes() == final.coef_.tobytes()
         assert est.pipeline["regressor"].intercept_ == final.intercept_
 
-    @pytest.mark.parametrize(
-        "rows, n_features, degrees, n_splits, constant",
-        [
-            (40, 5, (3, 1, 2), 5, False),  # degree 3: 55 columns, 32 training rows
-            (30, 4, (4,), 6, False),  # 69 columns, 25 training rows
-            (90, 2, (1, 3), 3, False),  # every degree narrower than its folds
-            (60, 3, (2, 2, 1), 2, True),  # repeated degree, a constant column
-            (24, 5, (2, 4, 3, 1), 4, True),  # both sides of 18 training rows
-        ],
-    )
+    @pytest.mark.parametrize("rows, n_features, degrees, n_splits, constant", _EDGE_SHAPES)
     def test_edge_shapes(self, rows, n_features, degrees, n_splits, constant):
         X, y = _selection_problem(rows, n_features, constant, seed=rows)
         self._check(X, y, degrees, n_splits, 1e-3, seed=3)
+
+    @pytest.mark.parametrize("rows, n_features, degrees, n_splits, constant", _EDGE_SHAPES)
+    def test_edge_shapes_match_the_scipy_route(self, rows, n_features, degrees, n_splits, constant):
+        """LU on the leading blocks and the dual system against scipy's
+        Cholesky factors (``helpers/reference_ridge.py``)."""
+        X, y = _selection_problem(rows, n_features, constant, seed=rows)
+        assert_numpy_route_matches(X, y, degrees=degrees, n_splits=n_splits, seed=3)
 
     @_settings
     @given(_selection_problems())
