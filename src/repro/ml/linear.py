@@ -1,9 +1,11 @@
-"""Linear models: ordinary least squares and ridge regression.
+"""Linear models: ordinary least squares and ridge regression, both with
+an intercept.
 
-Solved via ``scipy.linalg.lstsq`` / normal equations with Tikhonov
-regularization — the estimator's polynomial regression (paper §6) is a
-pipeline of :class:`~repro.ml.features.PolynomialFeatures` and one of
-these.
+Solved with numpy's LAPACK alone — ``np.linalg.lstsq`` (``gelsd``) for
+least squares and ``np.linalg.solve`` (LU) on the normal equations with
+Tikhonov regularization for ridge — so training imports no scipy.  The
+estimator's polynomial regression (paper §6) is a pipeline of
+:class:`~repro.ml.features.PolynomialFeatures` and one of these.
 """
 
 from __future__ import annotations
@@ -12,37 +14,41 @@ import math
 from collections.abc import Sequence
 
 import numpy as np
-from scipy import linalg
 
 __all__ = ["LinearRegression", "Ridge"]
+
+
+def _checked(model, X, y) -> tuple[np.ndarray, np.ndarray]:
+    """``X`` and ``y`` as floats, refused unless ``X`` is 2-D with at least
+    one row, ``y`` is 1-D with one entry per row, and both are finite:
+    numpy's solvers check none of it."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    name = type(model).__name__
+    if X.ndim != 2 or not len(X) or y.shape != (len(X),):
+        raise ValueError(
+            f"{name}: X {X.shape} needs at least one row and one per entry of a 1-D y {y.shape}"
+        )
+    for field, values in (("X", X), ("y", y)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name}: {field} has a non-finite value")
+    return X, y
 
 
 class LinearRegression:
     """Ordinary least-squares ``y = X w + b``."""
 
-    def __init__(self, fit_intercept: bool = True) -> None:
-        self.fit_intercept = fit_intercept
+    def __init__(self) -> None:
         self.coef_: np.ndarray | None = None
         self.intercept_: float = 0.0
 
     def fit(self, X, y) -> "LinearRegression":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if X.ndim != 2:
-            raise ValueError("X must be 2-D")
-        if len(X) != len(y):
-            raise ValueError("X and y length mismatch")
-        if self.fit_intercept:
-            A = np.hstack([X, np.ones((len(X), 1))])
-        else:
-            A = X
-        sol, *_ = linalg.lstsq(A, y, lapack_driver="gelsd")
-        if self.fit_intercept:
-            self.coef_ = sol[:-1]
-            self.intercept_ = float(sol[-1])
-        else:
-            self.coef_ = sol
-            self.intercept_ = 0.0
+        X, y = _checked(self, X, y)
+        A = np.hstack([X, np.ones((len(X), 1))])
+        # scipy's cutoff: singular values below eps x the largest are zero.
+        sol = np.linalg.lstsq(A, y, rcond=np.finfo(float).eps)[0]
+        self.coef_ = sol[:-1]
+        self.intercept_ = float(sol[-1])
         return self
 
     def predict(self, X, segments: Sequence[int] | None = None) -> np.ndarray:
@@ -88,31 +94,18 @@ class LinearRegression:
 class Ridge(LinearRegression):
     """L2-regularized least squares (closed form via normal equations)."""
 
-    def __init__(self, alpha: float = 1.0, fit_intercept: bool = True) -> None:
-        super().__init__(fit_intercept=fit_intercept)
+    def __init__(self, alpha: float = 1.0) -> None:
+        super().__init__()
         if not (alpha >= 0 and math.isfinite(alpha)):
             raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
         self.alpha = alpha
 
     def fit(self, X, y) -> "Ridge":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if X.ndim != 2:
-            raise ValueError("X must be 2-D")
-        if len(X) != len(y):
-            raise ValueError("X and y length mismatch")
-        if self.fit_intercept:
-            x_mean = X.mean(axis=0)
-            y_mean = float(y.mean())
-            Xc = X - x_mean
-            yc = y - y_mean
-        else:
-            Xc, yc = X, y
-        n_features = Xc.shape[1]
-        gram = Xc.T @ Xc + self.alpha * np.eye(n_features)
-        self.coef_ = linalg.solve(gram, Xc.T @ yc, assume_a="pos")
-        if self.fit_intercept:
-            self.intercept_ = y_mean - float(x_mean @ self.coef_)
-        else:
-            self.intercept_ = 0.0
+        X, y = _checked(self, X, y)
+        x_mean = X.mean(axis=0)
+        y_mean = float(y.mean())
+        Xc = X - x_mean
+        gram = Xc.T @ Xc + self.alpha * np.eye(Xc.shape[1])
+        self.coef_ = np.linalg.solve(gram, Xc.T @ (y - y_mean))
+        self.intercept_ = y_mean - float(x_mean @ self.coef_)
         return self

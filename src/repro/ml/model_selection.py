@@ -11,7 +11,6 @@ import math
 from collections.abc import Iterator, Sequence
 
 import numpy as np
-from scipy import linalg
 
 from .features import PolynomialFeatures
 from .metrics import r2_score
@@ -20,15 +19,12 @@ __all__ = ["KFold", "train_test_split", "polynomial_ridge_cv"]
 
 
 class KFold:
-    """K consecutive (optionally shuffled) folds."""
+    """K consecutive folds of the rows shuffled by ``seed``."""
 
-    def __init__(
-        self, n_splits: int = 5, shuffle: bool = True, seed: int | None = 0
-    ) -> None:
+    def __init__(self, n_splits: int = 5, seed: int | None = 0) -> None:
         if n_splits < 2:
             raise ValueError("n_splits must be >= 2")
         self.n_splits = n_splits
-        self.shuffle = shuffle
         self.seed = seed
 
     def split(self, n_samples: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -37,8 +33,7 @@ class KFold:
                 f"cannot split {n_samples} samples into {self.n_splits} folds"
             )
         indices = np.arange(n_samples)
-        if self.shuffle:
-            np.random.default_rng(self.seed).shuffle(indices)
+        np.random.default_rng(self.seed).shuffle(indices)
         sizes = np.full(self.n_splits, n_samples // self.n_splits)
         sizes[: n_samples % self.n_splits] += 1
         start = 0
@@ -79,10 +74,8 @@ def polynomial_ridge_cv(
     - each fold's training rows are standardized once, as
       ``StandardScaler`` does.  Standardized columns have zero mean, so
       ridge's own centering has nothing to do.
-    - every degree no wider than the fold's training rows solves on the
-      leading block of one Gram matrix and one Cholesky factor (the
-      leading block of a Cholesky factor is the factor of the leading
-      block).
+    - every degree no wider than the fold's training rows solves (LU,
+      ``np.linalg.solve``) on the leading block of one Gram matrix.
     - a wider degree solves the rows x rows dual system:
       ``w = Zᵀ (Z Zᵀ + αI)⁻¹ (y - ȳ)``.
     """
@@ -128,10 +121,9 @@ def _prefix_ridge(Z, yc, widths: list[int], alpha: float) -> list[np.ndarray]:
         top = Z[:, : narrow[-1]]
         gram = top.T @ top
         gram.flat[:: len(gram) + 1] += alpha  # the diagonal
-        factor, _ = linalg.cho_factor(gram, lower=True, overwrite_a=True, check_finite=False)
         rhs = top.T @ yc
         for w in narrow:
-            coefs.append(linalg.cho_solve((factor[:w, :w], True), rhs[:w], check_finite=False))
+            coefs.append(np.linalg.solve(gram[:w, :w], rhs[:w]))
     wide = widths[len(narrow) :]
     kernel = None
     for start, stop in zip([0, *wide], wide):
@@ -143,6 +135,5 @@ def _prefix_ridge(Z, yc, widths: list[int], alpha: float) -> list[np.ndarray]:
         # The last system may take the kernel itself: nothing adds to it.
         system = kernel if stop == wide[-1] else kernel.copy()
         system.flat[:: rows + 1] += alpha
-        factor = linalg.cho_factor(system, lower=True, overwrite_a=True, check_finite=False)
-        coefs.append(Z[:, :stop].T @ linalg.cho_solve(factor, yc, check_finite=False))
+        coefs.append(Z[:, :stop].T @ np.linalg.solve(system, yc))
     return coefs

@@ -47,19 +47,19 @@ class Pipeline:
         raise KeyError(name)
 
 
-def make_polynomial_regression(
-    degree: int = 2, *, alpha: float = 0.0, scale: bool = True
-) -> Pipeline:
-    """The paper's winning estimator family: polynomial regression.
+def make_polynomial_regression(degree: int = 2, *, alpha: float = 0.0) -> Pipeline:
+    """The paper's winning estimator family: polynomial regression on
+    standardized monomials.
 
     A nonzero ``alpha`` switches the final stage to ridge, which stabilizes
     the higher-degree fits on the smaller synthetic datasets (and refuses
     a negative or non-finite ``alpha``).
     """
-    steps: list[tuple[str, object]] = []
-    steps.append(("poly", PolynomialFeatures(degree=degree)))
-    if scale:
-        steps.append(("scaler", StandardScaler()))
     estimator = Ridge(alpha=alpha) if alpha != 0 else LinearRegression()
-    steps.append(("regressor", estimator))
-    return Pipeline(steps)
+    return Pipeline(
+        [
+            ("poly", PolynomialFeatures(degree=degree)),
+            ("scaler", StandardScaler()),
+            ("regressor", estimator),
+        ]
+    )

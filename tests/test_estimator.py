@@ -574,13 +574,14 @@ class TestSegmentedPredictBitIdentity:
 
 class TestFinalModelPins:
     """The final ridge fits of two cold starts, as literals: the selected
-    degree, a sha256 of ``coef_``'s bytes and ``intercept_``.  Degree
-    selection may get cheaper; the model it hands on may not move a bit.
+    degree, a sha256 of ``coef_``'s bytes and ``intercept_``.  A change to
+    how training solves may move them only together with
+    :class:`TestAgainstTheScipyRoute`, which bounds by how much.
 
-    Recorded on OpenBLAS 0.3.31 (x86-64) with one BLAS thread, as
-    ``bench/run.py`` trains: the final fit's ``posv`` changes its last bits
-    with the thread count, so the models are built in a child process with
-    the thread count pinned."""
+    Recorded on numpy's OpenBLAS 0.3.31 (x86-64) with one BLAS thread, as
+    ``bench/run.py`` trains: the final fit's LU solve (``gesv``) changes its
+    last bits with the thread count, so the models are built in a child
+    process with the thread count pinned."""
 
     SCRIPT = (
         "import hashlib\n"
@@ -598,13 +599,13 @@ class TestFinalModelPins:
 
     PINNED = [
         "trained_estimator(seed=7) fidelity 2 "
-        "234db8d595a1d63550f23b317be99908d93f3c03aea9777e6d116d4efc8a9e18 0x1.33357b1364f4ep-1",
+        "584581f407399847b49c613b1f03aed3f67cdff360eba3889b802d1d2ac67e4e 0x1.33357b1364f4ep-1",
         "trained_estimator(seed=7) runtime 3 "
-        "d36d21f30335510550c59b5d32ec427671df7a0705ad5b3be04bc6fc5a8d67af 0x1.73cf75c3695e8p+1",
+        "2e10e4b8ddd7d81867b19b1bac35080eced52243ef1ec3bb97f425b173602cc4 0x1.73cf75c3695e8p+1",
         "Qonductor(seed=0) fidelity 1 "
-        "786c1f8afa45089bbddf0b46ae58f463adc0b41daba3253ceca34449ce691955 0x1.1d8200739c08bp-1",
+        "f06c53bc13f2d3ef8c51b3b6f933519ba316c38b89214aa9628f867ab714b4d1 0x1.1d8200739c08bp-1",
         "Qonductor(seed=0) runtime 2 "
-        "835b217dafaed37785f18bec6a9b4d613ea38a4aba7f0a50a28c6d05d1b0c71c 0x1.7fdd493773d57p+1",
+        "c3ff30fc7d4d1955e2f0379f528d3e9eb759440dd350a95e06e24fc7af9d6e18 0x1.7fdd493773d57p+1",
     ]
 
     def test_final_models_are_pinned(self):

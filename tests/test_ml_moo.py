@@ -116,6 +116,29 @@ class TestLinearModels:
         with pytest.raises(ValueError):
             LinearRegression().fit(np.ones((5, 2)), np.ones(4))
 
+    @pytest.mark.parametrize("model", [LinearRegression(), Ridge(alpha=0.5)], ids=type)
+    @pytest.mark.parametrize(
+        "rows, y_shape, bad, message",
+        [
+            (0, (0,), None, r"X \(0, 3\) needs at least one row"),
+            (8, (8, 1), None, r"X \(8, 3\) needs .* a 1-D y \(8, 1\)"),
+            (8, (8,), ("X", np.nan), "X has a non-finite value"),
+            (8, (8,), ("X", -np.inf), "X has a non-finite value"),
+            (8, (8,), ("y", np.inf), "y has a non-finite value"),
+        ],
+        ids=["zero-rows", "column-y", "nan-X", "inf-X", "inf-y"],
+    )
+    def test_fit_refuses_what_the_solver_would_not(self, model, rows, y_shape, bad, message):
+        """numpy's solvers check nothing: zero rows used to fit (or warn
+        "Mean of empty slice"), a column ``y`` raised a TypeError deep in
+        the fit, and a NaN or inf reached LAPACK."""
+        X = np.arange(rows * 3, dtype=float).reshape(rows, 3) % 5
+        y = np.ones(y_shape)
+        if bad is not None:
+            (X if bad[0] == "X" else y)[3] = bad[1]
+        with pytest.raises(ValueError, match=f"^{type(model).__name__}: {message}"):
+            model.fit(X, y)
+
 
 class TestFeatures:
     def test_polynomial_feature_count(self):
@@ -315,9 +338,9 @@ class TestDegreeSelection:
     @pytest.mark.parametrize("where", ["X", "y"])
     @pytest.mark.parametrize("target", ["fidelity", "runtime"])
     def test_refuses_a_non_finite_value(self, target, where, bad):
-        """The kernel calls LAPACK without scipy's finiteness check, so a
-        NaN or inf is refused once, at entry, and the error names the
-        estimator (scipy's message named neither)."""
+        """numpy's solvers do not check for finiteness, so a NaN or inf is
+        refused once, at entry, and the error names the estimator (the
+        scipy check the kernel once relied on named neither)."""
         X, y = _selection_problem(40, 3, False, seed=0)
         y = np.abs(y)
         (X if where == "X" else y)[7] = bad

@@ -8,7 +8,8 @@
   constructor, so the two cannot drift, and the constructor's keyword
   set is spelled out — as are the shipped policies and the keyword or
   field sets of the scheduler, the availability model, the load
-  generator, ``QuantumJob.from_circuit`` and ``trained_estimator``;
+  generator, ``QuantumJob.from_circuit``, ``trained_estimator`` and the
+  ``repro.ml`` models, pipeline factory and folds;
 * the trigger path reads shard state, never the heap's contents (AST
   guard: no ``heapify``, no heap slice-assignment, every TRIGGER payload
   a bare shard id);
@@ -38,6 +39,7 @@ from repro.cloud import (
     SimulatedQPU,
 )
 from repro.experiments.common import trained_estimator
+from repro.ml import KFold, LinearRegression, Ridge, make_polynomial_regression
 from repro.scheduler import (
     BatchedFCFSPolicy,
     FCFSPolicy,
@@ -179,6 +181,14 @@ class TestKeywordSets:
     def test_trained_estimator_keywords(self):
         # The per-process cache keys on all three.
         assert _names(trained_estimator) == ["seed", "names", "num_records"]
+
+    def test_ml_keywords(self):
+        # Every model fits an intercept, every pipeline standardizes and
+        # every split shuffles: no caller asked otherwise.
+        assert _names(LinearRegression.__init__) == ["self"]
+        assert _names(Ridge.__init__) == ["self", "alpha"]
+        assert _names(make_polynomial_regression) == ["degree", "alpha"]
+        assert _names(KFold.__init__) == ["self", "n_splits", "seed"]
 
 
 class TestShardedForwardsEngineKeywords:

@@ -16,6 +16,8 @@ with ``==`` only, on three sets of inputs:
 
 The guards at the end keep networkx out of ``src/``: it is a test
 dependency, used only by this oracle and ``tests/helpers/reference_workflow.py``.
+Beside them, scipy stays off the import, training and invoke path: only
+``repro.mitigation`` imports it, inside the function that uses it.
 """
 
 import ast
@@ -370,36 +372,79 @@ class TestRandomCouplings:
 
 
 # ----------------------------------------------------------------------
-# Guard: networkx stays out of src/
+# Guards: networkx stays out of src/, scipy off its import path
 # ----------------------------------------------------------------------
 
 SRC = Path(repro.__file__).parent
 
 
-def _networkx_imports(path):
-    """Lines of ``path`` that import networkx, in either form."""
+def _imports(path, package, *, module_level=False):
+    """Lines of ``path`` that import ``package``, in either form; with
+    ``module_level`` only those outside every function body."""
+    tree = ast.parse(path.read_text())
+    on_use = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+    }
     found = []
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(tree):
         names = []
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names = [node.module or ""]
-        if any(name.split(".")[0] == "networkx" for name in names):
+        if module_level and id(node) in on_use:
+            continue
+        if any(name.split(".")[0] == package for name in names):
             found.append(f"{path.name}:{node.lineno}")
     return found
+
+
+def _importing(package, **kwargs):
+    return [
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*.py"))
+        if _imports(path, package, **kwargs)
+    ]
+
+
+def _run_with_blocked(package, setup=""):
+    """stdout of a child that blocks ``package``, imports every ``repro``
+    subpackage, runs ``setup`` and then one ``Qonductor.invoke``.  A None
+    entry in ``sys.modules`` makes every import of it raise ImportError."""
+    subpackages = sorted(p.name for p in SRC.iterdir() if (p / "__init__.py").is_file())
+    assert len(subpackages) > 10
+    script = (
+        "import importlib, sys\n"
+        f"sys.modules[{package!r}] = None\n"
+        f"for name in {subpackages!r}:\n"
+        "    importlib.import_module('repro.' + name)\n"
+        f"{setup}"
+        "from repro.backends import default_fleet\n"
+        "from repro.orchestrator import Qonductor\n"
+        "from repro.workloads import ghz_linear\n"
+        "qon = Qonductor(default_fleet(seed=7, names=['lagos']), "
+        "estimator_records=200, seed=0)\n"
+        "key = qon.create_workflow([qon.classical_step(name='pre', seconds=0.5), "
+        "qon.quantum_step(ghz_linear(3), name='q', shots=500)], name='w')\n"
+        "print(qon.workflow_status(qon.invoke(key)))\n"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    ).stdout
 
 
 class TestNetworkxOutOfSrc:
     def test_no_src_module_imports_it(self):
         # Four at 3c00b6c: backends/models.py, transpiler/layout.py,
         # transpiler/routing.py and orchestrator/workflow.py.
-        modules = [
-            str(path.relative_to(SRC))
-            for path in sorted(SRC.rglob("*.py"))
-            if _networkx_imports(path)
-        ]
-        assert modules == []
+        assert _importing("networkx") == []
 
     def test_guard_sees_every_import_form(self, tmp_path):
         sample = tmp_path / "sample.py"
@@ -411,40 +456,36 @@ class TestNetworkxOutOfSrc:
             "import networkxx\n"
             "from . import networkx\n"
         )
-        assert _networkx_imports(sample) == [
+        assert _imports(sample, "networkx") == [
             "sample.py:1",
             "sample.py:2",
             "sample.py:4",
         ]
+        assert _imports(sample, "networkx", module_level=True) == [
+            "sample.py:1",
+            "sample.py:2",
+        ]
 
     def test_repro_runs_with_networkx_blocked(self):
-        # A None entry makes every ``import networkx`` raise ImportError.
         # The cycle executor is serial, so no subpackage needs
         # multiprocessing either.
-        subpackages = sorted(
-            p.name for p in SRC.iterdir() if (p / "__init__.py").is_file()
+        setup = "assert 'multiprocessing' not in sys.modules\n"
+        assert _run_with_blocked("networkx", setup).strip() == "completed"
+
+
+class TestScipyOnUseOnly:
+    """Training solves with numpy alone; scipy is a runtime dependency of
+    two error-mitigation fits, each imported where it is used."""
+
+    def test_only_mitigation_imports_it_and_on_use(self):
+        # ml/linear.py and ml/model_selection.py imported scipy.linalg at
+        # module level until training moved to np.linalg.
+        assert _importing("scipy", module_level=True) == []
+        assert _importing("scipy") == ["mitigation/extrapolation.py", "mitigation/rem.py"]
+
+    def test_cold_start_and_invoke_run_with_scipy_blocked(self):
+        setup = (
+            "from repro.experiments.common import trained_estimator\n"
+            "trained_estimator(seed=7)\n"
         )
-        script = (
-            "import importlib, sys\n"
-            "sys.modules['networkx'] = None\n"
-            f"for name in {subpackages!r}:\n"
-            "    importlib.import_module('repro.' + name)\n"
-            "assert 'multiprocessing' not in sys.modules\n"
-            "from repro.backends import default_fleet\n"
-            "from repro.orchestrator import Qonductor\n"
-            "from repro.workloads import ghz_linear\n"
-            "qon = Qonductor(default_fleet(seed=7, names=['lagos']), "
-            "estimator_records=200, seed=0)\n"
-            "key = qon.create_workflow([qon.classical_step(name='pre', seconds=0.5), "
-            "qon.quantum_step(ghz_linear(3), name='q', shots=500)], name='w')\n"
-            "print(qon.workflow_status(qon.invoke(key)))\n"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            check=True,
-            env={**os.environ, "PYTHONPATH": str(SRC.parent)},
-        )
-        assert len(subpackages) > 10
-        assert out.stdout.strip() == "completed"
+        assert _run_with_blocked("scipy", setup).strip() == "completed"
