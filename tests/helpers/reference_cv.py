@@ -11,13 +11,20 @@ and solving from scratch.  This module keeps that loop.
 selected degree, the same final model, and each mean R² within 1e-8
 relative — the one-pass kernel solves different but equivalent linear
 systems, so the last bits differ.
+
+:func:`whole_dataset_ridge_cv` keeps the one-pass kernel itself as it
+was before it expanded a fold at a time; that one ``src/`` must equal
+bit for bit.
 """
+
+import math
 
 import numpy as np
 
+from helpers.reference_models import polynomial_transform_reference
 from repro.ml import KFold, make_polynomial_regression, r2_score
 
-__all__ = ["cross_val_score", "reference_degree_selection"]
+__all__ = ["cross_val_score", "reference_degree_selection", "whole_dataset_ridge_cv"]
 
 
 def cross_val_score(
@@ -67,3 +74,67 @@ def reference_degree_selection(X, y, degrees, *, alpha, n_splits=5, seed=0):
         if score > best_score:
             best, best_score = degree, score
     return scores, best
+
+
+def whole_dataset_ridge_cv(X, y, degrees, *, alpha, n_splits=5, seed=0):
+    """``repro.ml.polynomial_ridge_cv`` as PR 27 wrote it and PR 33 left
+    it: ``X`` expanded once, all rows, at the top degree, and every fold's
+    training and held-out rows copied out of that one expansion.
+
+    ``src/`` now expands each fold's rows on its own, which allocates a
+    fold at a time; rows expand independently and the per-column mean and
+    scale see the same rows, so every score must stay ``float.hex``-equal
+    to this one.  The expansion is the definitional
+    :func:`~helpers.reference_models.polynomial_transform_reference`
+    (bit-equal to ``PolynomialFeatures.transform``, held separately) and
+    the solver is copied below, so nothing here moves when ``repro.ml``
+    does."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    distinct = sorted(set(degrees))
+    widths = [math.comb(X.shape[1] + d, d) - 1 for d in distinct]
+    expanded = polynomial_transform_reference(X, distinct[-1])
+    totals = np.zeros(len(distinct))
+    for train, test in KFold(n_splits=n_splits, seed=seed).split(len(X)):
+        fit = expanded[train]  # a copy: standardized in place
+        mean = fit.mean(axis=0)
+        fit -= mean
+        scale = np.sqrt(np.einsum("ij,ij->j", fit, fit) / len(fit))
+        scale[scale < 1e-12] = 1.0  # StandardScaler's rule for a constant column
+        fit /= scale
+        held = expanded[test]  # a copy too
+        held -= mean
+        held /= scale
+        y_mean = float(y[train].mean())
+        coefs = _prefix_ridge(fit, y[train] - y_mean, widths, alpha)
+        totals += [r2_score(y[test], held[:, : len(c)] @ c + y_mean) for c in coefs]
+    mean_r2 = dict(zip(distinct, totals / n_splits))
+    return np.array([mean_r2[d] for d in degrees])
+
+
+def _prefix_ridge(Z, yc, widths, alpha):
+    """Ridge coefficients on the leading ``w`` columns of the centered
+    ``Z`` for each of the ascending ``widths`` (``repro.ml``'s, copied)."""
+    rows = len(Z)
+    narrow = [w for w in widths if w <= rows]
+    coefs = []
+    if narrow:
+        top = Z[:, : narrow[-1]]
+        gram = top.T @ top
+        gram.flat[:: len(gram) + 1] += alpha  # the diagonal
+        rhs = top.T @ yc
+        for w in narrow:
+            coefs.append(np.linalg.solve(gram[:w, :w], rhs[:w]))
+    wide = widths[len(narrow) :]
+    kernel = None
+    for start, stop in zip([0, *wide], wide):
+        block = Z[:, start:stop]
+        if kernel is None:
+            kernel = block @ block.T
+        else:
+            kernel += block @ block.T
+        # The last system may take the kernel itself: nothing adds to it.
+        system = kernel if stop == wide[-1] else kernel.copy()
+        system.flat[:: rows + 1] += alpha
+        coefs.append(Z[:, :stop].T @ np.linalg.solve(system, yc))
+    return coefs

@@ -9,6 +9,9 @@ here:
 * :func:`polynomial_transform_reference` — every monomial its own
   left-to-right product of input columns
   (``repro.ml.features.PolynomialFeatures.transform``).
+* :func:`polynomial_transform_per_block` — one ``take`` / ``multiply``
+  per degree block, however wide (``transform`` as PR 23 wrote it, before
+  it filled a wide block in column slices).
 * :func:`predict_per_segment_reference` — one ``X[a:b] @ coef`` per
   segment (``repro.ml.linear.LinearRegression.predict``).
 * :func:`execute_reference` — ``ExecutionModel.execute`` as it ran until
@@ -30,6 +33,7 @@ from repro.simulation.esp import esp_to_hellinger
 
 __all__ = [
     "execute_reference",
+    "polynomial_transform_per_block",
     "polynomial_transform_reference",
     "predict_per_segment_reference",
 ]
@@ -53,6 +57,31 @@ def polynomial_transform_reference(X, degree, include_bias=False):
                 column = column * X[:, k]
             columns.append(column)
     return np.stack(columns, axis=1) if columns else np.empty((rows, 0))
+
+
+def polynomial_transform_per_block(X, degree, include_bias=False):
+    """sklearn-ordered monomials of ``X``'s columns up to ``degree``, each
+    degree >= 2 filled by one ``np.multiply(out.take(parent, 1),
+    X.take(last, 1))``: a monomial is its parent (the combo minus its last
+    factor, one degree down) times that last factor's column."""
+    X = np.asarray(X, dtype=float)
+    rows, n_features = X.shape
+    first = int(include_bias)
+    blocks, column, width = [], {}, first
+    for d in range(1, degree + 1):
+        combos = list(combinations_with_replacement(range(n_features), d))
+        if d > 1:
+            blocks.append((width, [column[c[:-1]] for c in combos], [c[-1] for c in combos]))
+        column = {c: width + j for j, c in enumerate(combos)}
+        width += len(combos)
+    out = np.empty((rows, width))
+    out[:, :first] = 1.0
+    out[:, first : first + n_features] = X
+    for start, parent, last in blocks:
+        np.multiply(
+            out.take(parent, 1), X.take(last, 1), out=out[:, start : start + len(last)]
+        )
+    return out
 
 
 def predict_per_segment_reference(X, coef, intercept, segments):

@@ -1,6 +1,7 @@
 """Resource-estimator tests: features, dataset, models, numerical baseline,
 cost model, and plan generation."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import repro
+from helpers.reference_cv import whole_dataset_ridge_cv
 from helpers.reference_ridge import assert_numpy_route_matches
 from repro.backends import default_fleet
 from repro.circuits import compute_metrics
@@ -27,6 +29,7 @@ from repro.estimator import (
     train_estimators,
 )
 from repro.experiments.common import make_fleet
+from repro.ml import polynomial_ridge_cv
 from repro.workloads import ghz_linear, qaoa_ring_maxcut
 
 FLEET_NAMES = ["auckland", "algiers", "lagos"]
@@ -371,6 +374,16 @@ def _count_predicts(monkeypatch) -> list:
     return calls
 
 
+def _many_jobs(count):
+    """``count`` distinct jobs (widths 2-6, distinct shots), every one a
+    cache miss."""
+    circuits = [compute_metrics(ghz_linear(w)) for w in range(2, 7)]
+    return [
+        QuantumJob(metrics=circuits[i % 5], shots=1000 + 10 * i, mitigation=("none", "zne+rem")[i % 2])
+        for i in range(count)
+    ]
+
+
 class TestStackedFillBitIdentity:
     @staticmethod
     def _assert_same_blocks(trained, blocks, **cache_kwargs):
@@ -428,6 +441,25 @@ class TestStackedFillBitIdentity:
         assert sorted(calls) == [("fidelity", 8), ("runtime", 8)]
         cached.estimate_block(jobs, qpus)  # all-hit
         assert len(calls) == 2
+
+    def test_block_wider_than_a_chunk(self, trained):
+        """``tenant_outage``'s cold batched-FCFS shape: ~300 jobs x 8 QPUs,
+        more stacked rows than one chunk holds."""
+        qpus = fleet_of_size(8, seed=7)
+        jobs = _many_jobs(300)
+        self._assert_same_blocks(trained, [(jobs, qpus)])
+        want = reference_block(trained, jobs, qpus)
+        got = trained.estimate_block(jobs, qpus)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_one_group_wider_than_a_chunk(self, trained):
+        """A QPU's group is never split, however many rows it holds."""
+        qpus = fleet_of_size(8, seed=7)[:1]
+        jobs = _many_jobs(700)
+        self._assert_same_blocks(trained, [(jobs, qpus)])
+        want = reference_block(trained, jobs, qpus)
+        got = trained.estimate_block(jobs, qpus)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
     def test_empty_job_list(self, trained, fleet):
         cached = self._assert_same_blocks(trained, [([], fleet)])
@@ -626,6 +658,21 @@ class TestFinalModelPins:
         assert out.stdout.splitlines() == self.PINNED
 
 
+#: (fleet, records, seed) of the two cold starts' training sets.
+_COLD_STARTS = {
+    "trained_estimator": (lambda: make_fleet(seed=7), 800, 7),  # trained_estimator(seed=7)
+    "Qonductor": (lambda: default_fleet(seed=0), 200, 0),  # Qonductor(seed=0, estimator_records=200)
+}
+
+
+@functools.cache
+def _cold_start_dataset(name):
+    fleet_of, records, seed = _COLD_STARTS[name]
+    return generate_dataset(
+        fleet_of(), num_records=records, execution_model=ExecutionModel(seed=seed), seed=seed
+    )
+
+
 class TestAgainstTheScipyRoute:
     """Both cold starts' training sets through ``_select_and_fit`` against
     the ``scipy.linalg`` route it replaced (``helpers/reference_ridge.py``):
@@ -633,17 +680,24 @@ class TestAgainstTheScipyRoute:
     within 1e-10 absolute.  Runtime is fitted on ``log1p`` seconds, as
     training does."""
 
-    @pytest.mark.parametrize(
-        "fleet_of, records, seed",
-        [
-            (lambda: make_fleet(seed=7), 800, 7),  # trained_estimator(seed=7)
-            (lambda: default_fleet(seed=0), 200, 0),  # Qonductor(seed=0, estimator_records=200)
-        ],
-        ids=["trained_estimator", "Qonductor"],
-    )
-    def test_cold_start_datasets(self, fleet_of, records, seed):
-        ds = generate_dataset(
-            fleet_of(), num_records=records, execution_model=ExecutionModel(seed=seed), seed=seed
-        )
+    @pytest.mark.parametrize("name", list(_COLD_STARTS))
+    def test_cold_start_datasets(self, name):
+        ds = _cold_start_dataset(name)
         assert_numpy_route_matches(ds.X_fidelity, ds.y_fidelity)
         assert_numpy_route_matches(ds.X_runtime, np.log1p(ds.y_runtime))
+
+
+class TestWholeDatasetExpansion:
+    """Both cold starts' degree selection, as training runs it, against the
+    kernel that expanded every row up front
+    (``helpers/reference_cv.whole_dataset_ridge_cv``): all six CV scores
+    ``float.hex``-equal."""
+
+    @pytest.mark.parametrize("name", list(_COLD_STARTS))
+    def test_cold_start_datasets(self, name):
+        ds = _cold_start_dataset(name)
+        seed = _COLD_STARTS[name][2]
+        for X, y in [(ds.X_fidelity, ds.y_fidelity), (ds.X_runtime, np.log1p(ds.y_runtime))]:
+            got = polynomial_ridge_cv(X, y, (1, 2, 3), alpha=1e-3, seed=seed)
+            want = whole_dataset_ridge_cv(X, y, (1, 2, 3), alpha=1e-3, seed=seed)
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]

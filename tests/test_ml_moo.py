@@ -13,8 +13,11 @@ from helpers.reference_kernels import (
     polynomial_mutation_dense,
     repair_reference,
 )
-from helpers.reference_cv import reference_degree_selection
-from helpers.reference_models import polynomial_transform_reference
+from helpers.reference_cv import reference_degree_selection, whole_dataset_ridge_cv
+from helpers.reference_models import (
+    polynomial_transform_per_block,
+    polynomial_transform_reference,
+)
 from helpers.reference_ridge import assert_numpy_route_matches
 from repro.estimator.models import _select_and_fit
 from repro.ml import (
@@ -199,6 +202,26 @@ class TestPolynomialBitIdentity:
                 assert got.shape == want.shape == (rows, poly.n_output_features_)
                 assert np.array_equal(got, want)
 
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        rows=st.integers(300, 900),
+        n_features=st.integers(10, 12),
+        degree=st.integers(3, 4),
+        include_bias=st.booleans(),
+        layout=st.sampled_from(["C", "F", "reversed"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_wide_blocks_equal_one_multiply_per_block(
+        self, rows, n_features, degree, include_bias, layout, seed
+    ):
+        """Shapes whose degree-3 block alone holds more than 2^16 cells, so
+        ``transform`` fills it in column slices narrower than the block."""
+        X = np.random.default_rng(seed).normal(0.0, 3.0, size=(rows, n_features))
+        X = {"C": X, "F": np.asfortranarray(X), "reversed": X[:, ::-1]}[layout]
+        poly = PolynomialFeatures(degree=degree, include_bias=include_bias).fit(X)
+        want = polynomial_transform_per_block(X, degree, include_bias)
+        assert np.array_equal(poly.transform(X), want)
+
 
 class TestMetricsAndCV:
     def test_r2_perfect_and_mean(self):
@@ -320,6 +343,17 @@ class TestDegreeSelection:
         Cholesky factors (``helpers/reference_ridge.py``)."""
         X, y = _selection_problem(rows, n_features, constant, seed=rows)
         assert_numpy_route_matches(X, y, degrees=degrees, n_splits=n_splits, seed=3)
+
+    @pytest.mark.parametrize("rows, n_features, degrees, n_splits, constant", _EDGE_SHAPES)
+    def test_edge_shapes_equal_the_whole_dataset_expansion(
+        self, rows, n_features, degrees, n_splits, constant
+    ):
+        """Expanding each fold's rows on its own moves no bit of any score
+        (``helpers/reference_cv.whole_dataset_ridge_cv``)."""
+        X, y = _selection_problem(rows, n_features, constant, seed=rows)
+        got = polynomial_ridge_cv(X, y, degrees, alpha=1e-3, n_splits=n_splits, seed=3)
+        want = whole_dataset_ridge_cv(X, y, degrees, alpha=1e-3, n_splits=n_splits, seed=3)
+        assert [s.hex() for s in got.tolist()] == [s.hex() for s in want.tolist()]
 
     @_settings
     @given(_selection_problems())
