@@ -8,7 +8,7 @@ that procedure over degrees 1-3.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -26,6 +26,9 @@ from .features import (
 )
 
 __all__ = ["RegressionEstimator", "TrainedEstimators", "train_estimators"]
+
+#: Most stacked rows in one model pass of ``estimate_pairs`` (one group may have more).
+_CHUNK_ROWS = 512
 
 
 @dataclass
@@ -69,29 +72,43 @@ class TrainedEstimators:
 
         ``jobs`` are ``(metrics, shots, mitigation)`` triples; each group
         pairs one calibration snapshot (a QPU, a template) with the
-        (non-empty) indices of the jobs to score on it.  All groups are
-        stacked into one feature matrix per model, so a block costs 2
-        predicts rather than 2 per group; the linear stage still
-        multiplies per group (``segments``, equal-length neighbours in one
-        stacked call), so every value is bit-identical to predicting each
-        group on its own.
+        (non-empty) indices of the jobs to score on it.  Consecutive whole
+        groups are stacked into one feature matrix per model, up to
+        ``_CHUNK_ROWS`` rows (or one group), so a chunk costs 2 predicts
+        rather than 2 per group and its transient arrays stay bounded; the
+        linear stage still multiplies per group (``segments``,
+        equal-length neighbours in one stacked call), so every value is
+        bit-identical to predicting each group on its own.
         """
         if not groups:
             return np.zeros(0), np.zeros(0)
         counts = [len(idx) for _, idx in groups]
         bounds = [0, *accumulate(counts)]
         job_idx = np.concatenate([idx for _, idx in groups])
+        fid_rows = np.array([job_fidelity_features(*job) for job in jobs])
+        run_rows = np.array([job_runtime_features(*job) for job in jobs])
+        fid_cal = np.array([calibration_fidelity_features(c) for c, _ in groups])
+        run_cal = np.array([calibration_runtime_features(c) for c, _ in groups])
 
-        def stacked(job_features: Callable, calibration_features: Callable) -> np.ndarray:
-            job_rows = np.array([job_features(*job) for job in jobs])
-            cal_rows = np.array([calibration_features(c) for c, _ in groups])
-            return np.concatenate(
-                [job_rows[job_idx], np.repeat(cal_rows, counts, axis=0)], axis=1
-            )
+        def score(first: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+            """Both models on the pairs of groups ``[first, stop)``."""
+            a, b = bounds[first], bounds[stop]
+            rows, repeats = job_idx[a:b], counts[first:stop]
+            local = [c - a for c in bounds[first : stop + 1]]
+            fid_x = np.concatenate([fid_rows[rows], np.repeat(fid_cal[first:stop], repeats, 0)], 1)
+            run_x = np.concatenate([run_rows[rows], np.repeat(run_cal[first:stop], repeats, 0)], 1)
+            return self.fidelity.predict(fid_x, local), self.runtime.predict(run_x, local)
 
-        fid_x = stacked(job_fidelity_features, calibration_fidelity_features)
-        run_x = stacked(job_runtime_features, calibration_runtime_features)
-        return self.fidelity.predict(fid_x, bounds), self.runtime.predict(run_x, bounds)
+        if bounds[-1] <= _CHUNK_ROWS:
+            return score(0, len(groups))
+        fids, runs = np.empty((2, bounds[-1]))
+        first = 0
+        for stop in range(1, len(groups) + 1):  # a chunk ends after a whole group
+            if stop == len(groups) or bounds[stop + 1] - bounds[first] > _CHUNK_ROWS:
+                a, b = bounds[first], bounds[stop]
+                fids[a:b], runs[a:b] = score(first, stop)
+                first = stop
+        return fids, runs
 
 
 def _select_and_fit(

@@ -8,6 +8,9 @@ import numpy as np
 
 __all__ = ["PolynomialFeatures", "StandardScaler"]
 
+#: Most cells of one ``take`` temporary in ``PolynomialFeatures.transform``.
+_SLICE_ELEMENTS = 2**16
+
 
 class PolynomialFeatures:
     """All monomials of the input features up to ``degree``.
@@ -25,6 +28,8 @@ class PolynomialFeatures:
 
     def fit(self, X, y=None) -> "PolynomialFeatures":
         X = np.asarray(X, dtype=float)
+        if X.ndim != 2:
+            raise ValueError(f"PolynomialFeatures: X must be 2-D, got shape {X.shape}")
         self.n_features_in_ = X.shape[1]
         # _combos keeps the flat sklearn-ordered monomial list; _blocks
         # holds, per degree >= 2, where its columns start and two index
@@ -50,6 +55,10 @@ class PolynomialFeatures:
         return self
 
     def transform(self, X) -> np.ndarray:
+        """Each degree >= 2 is one ``np.multiply(out.take(parent, 1),
+        X.take(last, 1))``, or one per column slice of a block with more
+        than ``_SLICE_ELEMENTS`` cells so both ``take`` temporaries stay
+        bounded; the multiply is element-wise, so slicing moves no bit."""
         if self._combos is None:
             raise RuntimeError("transformer is not fitted")
         X = np.asarray(X, dtype=float)
@@ -61,10 +70,14 @@ class PolynomialFeatures:
         first = int(self.include_bias)
         out[:, :first] = 1.0
         out[:, first:first + self.n_features_in_] = X
+        step = max(1, _SLICE_ELEMENTS // max(1, len(X)))
         for start, parent, last in self._blocks:
-            np.multiply(
-                out.take(parent, 1), X.take(last, 1), out=out[:, start:start + len(last)]
-            )
+            block = out[:, start:start + len(last)]
+            if len(last) <= step:
+                np.multiply(out.take(parent, 1), X.take(last, 1), out=block)
+                continue
+            for cols in (slice(j, j + step) for j in range(0, len(last), step)):
+                np.multiply(out.take(parent[cols], 1), X.take(last[cols], 1), out=block[:, cols])
         return out
 
     def fit_transform(self, X, y=None) -> np.ndarray:
@@ -86,6 +99,8 @@ class StandardScaler:
 
     def fit(self, X, y=None) -> "StandardScaler":
         X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or not len(X):
+            raise ValueError(f"StandardScaler: X must be 2-D with rows, got shape {X.shape}")
         self.mean_ = X.mean(axis=0)
         std = X.std(axis=0)
         std[std < 1e-12] = 1.0
@@ -95,7 +110,8 @@ class StandardScaler:
     def transform(self, X) -> np.ndarray:
         if self.mean_ is None:
             raise RuntimeError("scaler is not fitted")
-        return (np.asarray(X, dtype=float) - self.mean_) / self.scale_
+        out = np.subtract(np.asarray(X, dtype=float), self.mean_)
+        return np.divide(out, self.scale_, out=out)
 
     def fit_transform(self, X, y=None) -> np.ndarray:
         return self.fit(X).transform(X)

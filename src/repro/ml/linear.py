@@ -54,10 +54,11 @@ class LinearRegression:
     def predict(self, X, segments: Sequence[int] | None = None) -> np.ndarray:
         """``X w + b``, with the bits of one product per ``[segments[s],
         segments[s + 1])`` row slice when ``segments`` (ascending offsets
-        ``0 .. len(X)``) is given.  BLAS blocks a matrix-vector product
-        by its shape, so a row's last ulp depends on how many rows share
-        the call: a caller that stacks independent batches passes their
-        bounds and gets the bits a ``predict`` per batch gives.
+        ``0 .. len(X)``, or a ``ValueError``) is given.  BLAS blocks a
+        matrix-vector product by its shape, so a row's last ulp depends on
+        how many rows share the call: a caller that stacks independent
+        batches passes their bounds and gets the bits a ``predict`` per
+        batch gives.
 
         Neighbouring segments of one length ``L`` go through a single
         ``matmul`` over the ``(S, L, n)`` view of their rows: matmul runs
@@ -71,12 +72,18 @@ class LinearRegression:
         X = np.asarray(X, dtype=float)
         if segments is None:
             return X @ self.coef_ + self.intercept_
+        last = len(segments) - 1
+        if last < 0 or segments[0] != 0 or segments[last] != len(X):
+            raise ValueError(
+                f"{type(self).__name__}: segments {list(segments)} do not tile {len(X)} rows"
+            )
         out = np.empty(len(X))
         coef, width = self.coef_, X.shape[1]
-        last = len(segments) - 1
         s = 0
         while s < last:
             a, length = segments[s], segments[s + 1] - segments[s]
+            if length < 0:
+                raise ValueError(f"{type(self).__name__}: segments {list(segments)} do not ascend")
             e = s + 1
             while e < last and segments[e + 1] - segments[e] == length:
                 e += 1

@@ -69,11 +69,11 @@ def polynomial_ridge_cv(
     Equal in real arithmetic to fitting and scoring one pipeline per
     degree and fold (only the last bits differ), and cheaper:
 
-    - ``X`` is expanded once, at the top degree: the degree-d monomials
-      are a prefix of the degree-(d+1) ones, and scaling is per column.
-    - each fold's training rows are standardized once, as
-      ``StandardScaler`` does.  Standardized columns have zero mean, so
-      ridge's own centering has nothing to do.
+    - each fold's training rows are expanded once, at the top degree (the
+      degree-d monomials are a prefix of the degree-(d+1) ones, scaling is
+      per column), standardized in place as ``StandardScaler`` does, and
+      dropped once solved, before the held-out rows expand.  Standardized
+      columns have zero mean, so ridge's own centering has nothing to do.
     - every degree no wider than the fold's training rows solves (LU,
       ``np.linalg.solve``) on the leading block of one Gram matrix.
     - a wider degree solves the rows x rows dual system:
@@ -92,20 +92,21 @@ def polynomial_ridge_cv(
         raise ValueError(f"degrees must be a non-empty list of ints >= 1, got {degrees!r}")
     distinct = sorted(set(degrees))
     widths = [math.comb(X.shape[1] + d, d) - 1 for d in distinct]
-    expanded = PolynomialFeatures(distinct[-1]).fit_transform(X)
+    poly = PolynomialFeatures(distinct[-1]).fit(X)
     totals = np.zeros(len(distinct))
     for train, test in KFold(n_splits=n_splits, seed=seed).split(len(X)):
-        fit = expanded[train]  # a copy: standardized in place
+        fit = poly.transform(X[train])  # standardized in place
         mean = fit.mean(axis=0)
         fit -= mean
         scale = np.sqrt(np.einsum("ij,ij->j", fit, fit) / len(fit))
         scale[scale < 1e-12] = 1.0  # StandardScaler's rule for a constant column
         fit /= scale
-        held = expanded[test]  # a copy too
-        held -= mean
-        held /= scale
         y_mean = float(y[train].mean())
         coefs = _prefix_ridge(fit, y[train] - y_mean, widths, alpha)
+        del fit  # before the held-out rows expand
+        held = poly.transform(X[test])
+        held -= mean
+        held /= scale
         totals += [r2_score(y[test], held[:, : len(c)] @ c + y_mean) for c in coefs]
     mean_r2 = dict(zip(distinct, totals / n_splits))
     return np.array([mean_r2[d] for d in degrees])

@@ -1,4 +1,4 @@
-"""Termination criteria (§7): generation/evaluation caps plus the paper's
+"""Termination criteria (§7): a generation cap plus the paper's
 sliding-window tolerance — convergence is judged over a window of recent
 generations rather than only the latest one."""
 
@@ -14,7 +14,6 @@ class Termination:
 
     Stops when any of:
     * ``max_generations`` reached,
-    * ``max_evaluations`` objective evaluations spent,
     * the best (ideal-point) objective vector improved less than ``tol``
       over a sliding window of ``window`` generations.
 
@@ -25,20 +24,17 @@ class Termination:
         self,
         *,
         max_generations: int = 60,
-        max_evaluations: int = 100_000,
         tol: float = 1e-3,
         window: int = 8,
     ) -> None:
         for name, value, floor in (
             ("max_generations", max_generations, 1),
-            ("max_evaluations", max_evaluations, 1),
             ("window", window, 1),
             ("tol", tol, 0),
         ):
             if value < floor:
                 raise ValueError(f"{name} must be >= {floor}, got {value}")
         self.max_generations = max_generations
-        self.max_evaluations = max_evaluations
         self.tol = tol
         self.window = window
         # Ring of the last `window` ideal points, slot = generation %
@@ -59,9 +55,6 @@ class Termination:
     def should_stop(self) -> bool:
         if self.generations >= self.max_generations:
             self.reason = "max_generations"
-            return True
-        if self.evaluations >= self.max_evaluations:
-            self.reason = "max_evaluations"
             return True
         if self.generations >= self.window and all(
             (max(column) - min(column)) / (max(map(abs, column)) + 1e-12)

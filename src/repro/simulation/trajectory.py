@@ -64,7 +64,7 @@ _PROJECTORS = (
 
 #: Fraction of pure dephasing attributed to quasi-static (refocusable)
 #: low-frequency noise; the remainder is Markovian. Superconducting qubits
-#: are dominated by 1/f flux noise, hence the high default.
+#: are dominated by 1/f flux noise, hence the high fraction.
 QUASI_STATIC_FRACTION = 0.75
 
 
@@ -116,17 +116,11 @@ class NoisySimulator:
         *,
         num_trajectories: int = 24,
         seed: int | None = None,
-        include_idle_noise: bool = True,
-        quasi_static_fraction: float = QUASI_STATIC_FRACTION,
     ) -> None:
         if num_trajectories < 1:
             raise ValueError("num_trajectories must be >= 1")
-        if not 0.0 <= quasi_static_fraction <= 1.0:
-            raise ValueError("quasi_static_fraction must be in [0, 1]")
         self.noise_model = noise_model
         self.num_trajectories = num_trajectories
-        self.include_idle_noise = include_idle_noise
-        self.quasi_static_fraction = quasi_static_fraction
         self._rng = np.random.default_rng(seed)
 
     # ------------------------------------------------------------------
@@ -190,11 +184,10 @@ class NoisySimulator:
                 continue
             g = circuit.ops[op.index]
             # Idle decoherence on each involved qubit since its last activity.
-            if self.include_idle_noise:
-                for q in g.qubits:
-                    gap = op.start_ns - last_end[q]
-                    if gap > 0.0:
-                        plan.append(("window", q, gap))
+            for q in g.qubits:
+                gap = op.start_ns - last_end[q]
+                if gap > 0.0:
+                    plan.append(("window", q, gap))
             if g.is_unitary:
                 plan.append(("unitary", op.index))
                 gn = nm.gate_noise(g.name, g.qubits)
@@ -220,7 +213,7 @@ class NoisySimulator:
             tphi_ns = 1000.0 / inv_tphi_us
             # Gaussian quasi-static: coherence e^{-sigma^2 t^2 / 2}; match
             # e^{-t/Tphi} at t = Tphi => sigma = sqrt(2)/Tphi.
-            sigmas[q] = math.sqrt(2.0) / tphi_ns * self.quasi_static_fraction
+            sigmas[q] = math.sqrt(2.0) / tphi_ns * QUASI_STATIC_FRACTION
         return sigmas
 
     def _draw_randomness(
@@ -323,7 +316,7 @@ class NoisySimulator:
         bits = (np.arange(states.shape[1]) >> q) & 1
         states = states * np.exp(1j * np.outer(phi, bits - 0.5))
         p_ad, p_pd = self.noise_model.decoherence_probs(q, dt_ns)
-        markov_frac = 1.0 - self.quasi_static_fraction
+        markov_frac = 1.0 - QUASI_STATIC_FRACTION
         # Stochastic amplitude damping, Pauli-twirled.
         p_x = p_ad / 4.0
         p_y = p_ad / 4.0

@@ -5,6 +5,7 @@ import functools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -358,6 +359,7 @@ from helpers.reference_models import (  # noqa: E402
 from repro.backends.fleet import fleet_of_size  # noqa: E402
 from repro.experiments.common import trained_estimator  # noqa: E402
 from repro.estimator import RegressionEstimator, generate_resource_plans  # noqa: E402
+from repro.estimator.models import _CHUNK_ROWS  # noqa: E402
 
 
 def _count_predicts(monkeypatch) -> list:
@@ -442,24 +444,35 @@ class TestStackedFillBitIdentity:
         cached.estimate_block(jobs, qpus)  # all-hit
         assert len(calls) == 2
 
-    def test_block_wider_than_a_chunk(self, trained):
+    def test_block_wider_than_a_chunk(self, trained, monkeypatch):
         """``tenant_outage``'s cold batched-FCFS shape: ~300 jobs x 8 QPUs,
-        more stacked rows than one chunk holds."""
+        more stacked rows than one chunk holds.  It is scored in chunks of
+        whole QPU groups, two predicts per chunk."""
         qpus = fleet_of_size(8, seed=7)
         jobs = _many_jobs(300)
         self._assert_same_blocks(trained, [(jobs, qpus)])
         want = reference_block(trained, jobs, qpus)
+        calls = _count_predicts(monkeypatch)
         got = trained.estimate_block(jobs, qpus)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        feasible = feasibility_matrix(jobs, qpus).sum(axis=0)
+        assert feasible.sum() > _CHUNK_ROWS >= feasible.max()
+        assert [n for target, n in calls if target == "runtime"] == [
+            n for target, n in calls if target == "fidelity"
+        ]
+        assert sum(n for target, n in calls if target == "fidelity") == feasible.sum()
+        assert 2 < len(calls) and max(n for _, n in calls) <= _CHUNK_ROWS
 
-    def test_one_group_wider_than_a_chunk(self, trained):
+    def test_one_group_wider_than_a_chunk(self, trained, monkeypatch):
         """A QPU's group is never split, however many rows it holds."""
         qpus = fleet_of_size(8, seed=7)[:1]
         jobs = _many_jobs(700)
         self._assert_same_blocks(trained, [(jobs, qpus)])
         want = reference_block(trained, jobs, qpus)
+        calls = _count_predicts(monkeypatch)
         got = trained.estimate_block(jobs, qpus)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert sorted(calls) == [("fidelity", 700), ("runtime", 700)]
 
     def test_empty_job_list(self, trained, fleet):
         cached = self._assert_same_blocks(trained, [([], fleet)])
@@ -555,6 +568,41 @@ class TestStackedFillBitIdentity:
         calls = _count_predicts(monkeypatch)
         trained.generate_plans(compute_metrics(ghz_linear(4)), 4000, num_plans=50)
         assert len(calls) == 2
+
+
+def _traced_peak_mib(fn) -> float:
+    """Peak bytes ``tracemalloc`` sees allocated while ``fn()`` runs, over
+    what was live before, in MiB.  NumPy reports its data buffers to
+    tracemalloc, and the sizes are deterministic."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestTransientMemory:
+    """The estimator's two batch computations allocate per chunk, not per
+    batch: a stated bound on each one's tracemalloc peak."""
+
+    def test_cold_block_of_300_jobs_by_8_qpus(self):
+        """``tenant_outage``'s largest cold batched-FCFS block is 2,344
+        pairs.  Scored in one pass, its expansions and scaled copies took
+        ~20 MiB; in chunks of whole QPU groups ~2.4 MiB."""
+        cached = trained_estimator(seed=7).cached()
+        jobs, qpus = _many_jobs(300), fleet_of_size(8, seed=7)
+        assert _traced_peak_mib(lambda: cached.estimate_block(jobs, qpus)) < 6.0
+        assert cached.stats.misses == feasibility_matrix(jobs, qpus).sum() > 2000
+
+    def test_degree_selection_on_the_fidelity_data(self):
+        """All 800 rows expanded to 968 columns up front, beside each
+        fold's copy, took ~16.6 MiB; a fold at a time ~9.3 MiB."""
+        ds = _cold_start_dataset("trained_estimator")
+        X, y = ds.X_fidelity, ds.y_fidelity
+        peak = _traced_peak_mib(lambda: polynomial_ridge_cv(X, y, (1, 2, 3), alpha=1e-3, seed=7))
+        assert peak < 12.0
 
 
 class TestSegmentedPredictBitIdentity:

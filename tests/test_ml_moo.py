@@ -119,6 +119,24 @@ class TestLinearModels:
         with pytest.raises(ValueError):
             LinearRegression().fit(np.ones((5, 2)), np.ones(4))
 
+    @pytest.mark.parametrize(
+        "segments",
+        [[0, 2, 4], [1, 3, 6], [0, 4, 2, 6], [0, 7], []],
+        ids=["short", "late-start", "descending", "long", "empty"],
+    )
+    @pytest.mark.parametrize("model", [LinearRegression, Ridge], ids=lambda cls: cls.__name__)
+    def test_predict_refuses_segments_that_do_not_tile_x(self, model, segments):
+        """Offsets must run 0 .. len(X) in ascending order: ``[0, 2, 4]``
+        on six rows used to return rows 4-5 uninitialized, ``[1, 3, 6]``
+        row 0, and ``[0, 4, 2, 6]`` was accepted."""
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(6, 3))
+        fitted = model().fit(X, rng.normal(size=6))
+        assert np.array_equal(fitted.predict(X, [0, 0, 3, 3, 6]), fitted.predict(X, [0, 3, 6]))
+        with pytest.raises(ValueError, match=f"^{model.__name__}: segments .* do not") as err:
+            fitted.predict(X, segments)
+        assert str(segments) in str(err.value)
+
     @pytest.mark.parametrize("model", [LinearRegression(), Ridge(alpha=0.5)], ids=type)
     @pytest.mark.parametrize(
         "rows, y_shape, bad, message",
@@ -170,6 +188,24 @@ class TestFeatures:
         with pytest.raises(ValueError, match="fitted on 4 columns") as err:
             poly.transform(given)
         assert str(given.shape) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "transformer, shape",
+        [
+            (PolynomialFeatures, (4,)),
+            (PolynomialFeatures, ()),
+            (StandardScaler, (0, 3)),
+            (StandardScaler, (4,)),
+        ],
+        ids=["poly-1-D", "poly-scalar", "scaler-zero-rows", "scaler-1-D"],
+    )
+    def test_fit_refuses_an_input_it_cannot_fit(self, transformer, shape):
+        """``PolynomialFeatures.fit`` on a 1-D array raised "tuple index
+        out of range"; ``StandardScaler.fit`` on zero rows warned "Mean of
+        empty slice" and stored NaN statistics."""
+        with pytest.raises(ValueError, match=f"^{transformer.__name__}: ") as err:
+            transformer().fit(np.ones(shape))
+        assert str(shape) in str(err.value)
 
     def test_scaler_standardizes(self):
         rng = np.random.default_rng(2)
@@ -483,7 +519,6 @@ class TestNSGA2:
             {"window": 0},
             {"window": -3},
             {"tol": -1e-9},
-            {"max_evaluations": 0},
             {"max_generations": 0},
         ],
     )

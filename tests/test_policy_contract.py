@@ -40,12 +40,14 @@ from repro.cloud import (
 )
 from repro.experiments.common import trained_estimator
 from repro.ml import KFold, LinearRegression, Ridge, make_polynomial_regression
+from repro.moo import Termination
 from repro.scheduler import (
     BatchedFCFSPolicy,
     FCFSPolicy,
     QonductorScheduler,
     SchedulingPolicy,
 )
+from repro.simulation import NoisySimulator
 
 SRC = Path(repro.__file__).parent
 PROBE_FREE = (
@@ -189,6 +191,14 @@ class TestKeywordSets:
         assert _names(Ridge.__init__) == ["self", "alpha"]
         assert _names(make_polynomial_regression) == ["degree", "alpha"]
         assert _names(KFold.__init__) == ["self", "n_splits", "seed"]
+
+    def test_optimizer_and_simulator_keywords(self):
+        # No caller capped evaluations, turned idle noise off or moved the
+        # quasi-static share of dephasing.
+        assert _names(Termination.__init__) == ["self", "max_generations", "tol", "window"]
+        assert _names(NoisySimulator.__init__) == [
+            "self", "noise_model", "num_trajectories", "seed",
+        ]
 
 
 class TestShardedForwardsEngineKeywords:
