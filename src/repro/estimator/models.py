@@ -90,23 +90,21 @@ class TrainedEstimators:
         fid_cal = np.array([calibration_fidelity_features(c) for c, _ in groups])
         run_cal = np.array([calibration_runtime_features(c) for c, _ in groups])
 
-        def score(first: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-            """Both models on the pairs of groups ``[first, stop)``."""
-            a, b = bounds[first], bounds[stop]
-            rows, repeats = job_idx[a:b], counts[first:stop]
-            local = [c - a for c in bounds[first : stop + 1]]
-            fid_x = np.concatenate([fid_rows[rows], np.repeat(fid_cal[first:stop], repeats, 0)], 1)
-            run_x = np.concatenate([run_rows[rows], np.repeat(run_cal[first:stop], repeats, 0)], 1)
+        def score(rows, repeats, local, fid_cals, run_cals) -> tuple[np.ndarray, np.ndarray]:
+            """Both models on one chunk of groups, bounded by ``local``."""
+            fid_x = np.concatenate([fid_rows[rows], np.repeat(fid_cals, repeats, 0)], 1)
+            run_x = np.concatenate([run_rows[rows], np.repeat(run_cals, repeats, 0)], 1)
             return self.fidelity.predict(fid_x, local), self.runtime.predict(run_x, local)
 
         if bounds[-1] <= _CHUNK_ROWS:
-            return score(0, len(groups))
+            return score(job_idx, counts, bounds, fid_cal, run_cal)
         fids, runs = np.empty((2, bounds[-1]))
         first = 0
         for stop in range(1, len(groups) + 1):  # a chunk ends after a whole group
             if stop == len(groups) or bounds[stop + 1] - bounds[first] > _CHUNK_ROWS:
-                a, b = bounds[first], bounds[stop]
-                fids[a:b], runs[a:b] = score(first, stop)
+                a, b, g = bounds[first], bounds[stop], slice(first, stop)
+                local = [c - a for c in bounds[first : stop + 1]]
+                fids[a:b], runs[a:b] = score(job_idx[a:b], counts[g], local, fid_cal[g], run_cal[g])
                 first = stop
         return fids, runs
 

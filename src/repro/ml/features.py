@@ -8,7 +8,7 @@ import numpy as np
 
 __all__ = ["PolynomialFeatures", "StandardScaler"]
 
-#: Most cells of one ``take`` temporary in ``PolynomialFeatures.transform``.
+#: Most output cells ``PolynomialFeatures.transform`` fills in one slice of rows.
 _SLICE_ELEMENTS = 2**16
 
 
@@ -52,13 +52,13 @@ class PolynomialFeatures:
             column = {c: len(combos) + j for j, c in enumerate(combos_d)}
             combos.extend(combos_d)
         self._combos = combos
+        self._rows_per_slice = max(1, _SLICE_ELEMENTS // max(1, len(combos)))
         return self
 
     def transform(self, X) -> np.ndarray:
-        """Each degree >= 2 is one ``np.multiply(out.take(parent, 1),
-        X.take(last, 1))``, or one per column slice of a block with more
-        than ``_SLICE_ELEMENTS`` cells so both ``take`` temporaries stay
-        bounded; the multiply is element-wise, so slicing moves no bit."""
+        """Each degree >= 2 is one ``np.multiply(out.take(parent, 1), X.take(last, 1))``
+        per slice of rows of at most ``_SLICE_ELEMENTS`` output cells, so both
+        temporaries stay bounded; rows are independent, so slicing moves no bit."""
         if self._combos is None:
             raise RuntimeError("transformer is not fitted")
         X = np.asarray(X, dtype=float)
@@ -66,18 +66,22 @@ class PolynomialFeatures:
             raise ValueError(
                 f"fitted on {self.n_features_in_} columns, got an array of shape {X.shape}"
             )
-        out = np.empty((X.shape[0], len(self._combos)))
+        return self._fill(X, np.empty((X.shape[0], len(self._combos))))
+
+    def _fill(self, X: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``transform`` of a checked float ``X``, written into ``out``."""
+        if len(X) > self._rows_per_slice:
+            step = self._rows_per_slice
+            for r in range(0, len(X), step):
+                self._fill(X[r:r + step], out[r:r + step])
+            return out
         first = int(self.include_bias)
         out[:, :first] = 1.0
         out[:, first:first + self.n_features_in_] = X
-        step = max(1, _SLICE_ELEMENTS // max(1, len(X)))
         for start, parent, last in self._blocks:
-            block = out[:, start:start + len(last)]
-            if len(last) <= step:
-                np.multiply(out.take(parent, 1), X.take(last, 1), out=block)
-                continue
-            for cols in (slice(j, j + step) for j in range(0, len(last), step)):
-                np.multiply(out.take(parent[cols], 1), X.take(last[cols], 1), out=block[:, cols])
+            np.multiply(
+                out.take(parent, 1), X.take(last, 1), out=out[:, start:start + len(last)]
+            )
         return out
 
     def fit_transform(self, X, y=None) -> np.ndarray:
@@ -110,7 +114,7 @@ class StandardScaler:
     def transform(self, X) -> np.ndarray:
         if self.mean_ is None:
             raise RuntimeError("scaler is not fitted")
-        out = np.subtract(np.asarray(X, dtype=float), self.mean_)
+        out = np.asarray(X, dtype=float) - self.mean_
         return np.divide(out, self.scale_, out=out)
 
     def fit_transform(self, X, y=None) -> np.ndarray:

@@ -74,9 +74,7 @@ class LinearRegression:
             return X @ self.coef_ + self.intercept_
         last = len(segments) - 1
         if last < 0 or segments[0] != 0 or segments[last] != len(X):
-            raise ValueError(
-                f"{type(self).__name__}: segments {list(segments)} do not tile {len(X)} rows"
-            )
+            raise ValueError(f"{type(self).__name__}: segments {list(segments)} do not tile X")
         out = np.empty(len(X))
         coef, width = self.coef_, X.shape[1]
         s = 0

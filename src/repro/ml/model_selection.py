@@ -71,9 +71,10 @@ def polynomial_ridge_cv(
 
     - each fold's training rows are expanded once, at the top degree (the
       degree-d monomials are a prefix of the degree-(d+1) ones, scaling is
-      per column), standardized in place as ``StandardScaler`` does, and
-      dropped once solved, before the held-out rows expand.  Standardized
-      columns have zero mean, so ridge's own centering has nothing to do.
+      per column), into one buffer shared by the folds, and standardized
+      in place as ``StandardScaler`` does; the held-out rows take the
+      buffer once the fold is solved.  Standardized columns have zero
+      mean, so ridge's own centering has nothing to do.
     - every degree no wider than the fold's training rows solves (LU,
       ``np.linalg.solve``) on the leading block of one Gram matrix.
     - a wider degree solves the rows x rows dual system:
@@ -93,9 +94,12 @@ def polynomial_ridge_cv(
     distinct = sorted(set(degrees))
     widths = [math.comb(X.shape[1] + d, d) - 1 for d in distinct]
     poly = PolynomialFeatures(distinct[-1]).fit(X)
+    # Every fold's rows expand into one buffer, training rows first and,
+    # once solved, held-out rows: a fresh array would fault its pages in.
+    buffer = np.empty((len(X) - len(X) // n_splits, widths[-1]))
     totals = np.zeros(len(distinct))
     for train, test in KFold(n_splits=n_splits, seed=seed).split(len(X)):
-        fit = poly.transform(X[train])  # standardized in place
+        fit = poly._fill(X[train], buffer[: len(train)])  # standardized in place
         mean = fit.mean(axis=0)
         fit -= mean
         scale = np.sqrt(np.einsum("ij,ij->j", fit, fit) / len(fit))
@@ -103,8 +107,7 @@ def polynomial_ridge_cv(
         fit /= scale
         y_mean = float(y[train].mean())
         coefs = _prefix_ridge(fit, y[train] - y_mean, widths, alpha)
-        del fit  # before the held-out rows expand
-        held = poly.transform(X[test])
+        held = poly._fill(X[test], buffer[: len(test)])
         held -= mean
         held /= scale
         totals += [r2_score(y[test], held[:, : len(c)] @ c + y_mean) for c in coefs]

@@ -247,16 +247,21 @@ class TestPolynomialBitIdentity:
         layout=st.sampled_from(["C", "F", "reversed"]),
         seed=st.integers(0, 2**16),
     )
-    def test_wide_blocks_equal_one_multiply_per_block(
+    def test_row_slices_equal_one_multiply_per_block(
         self, rows, n_features, degree, include_bias, layout, seed
     ):
-        """Shapes whose degree-3 block alone holds more than 2^16 cells, so
-        ``transform`` fills it in column slices narrower than the block."""
+        """Shapes whose expansion holds more than 2^16 cells, so
+        ``transform`` fills it in several slices of rows."""
         X = np.random.default_rng(seed).normal(0.0, 3.0, size=(rows, n_features))
         X = {"C": X, "F": np.asfortranarray(X), "reversed": X[:, ::-1]}[layout]
         poly = PolynomialFeatures(degree=degree, include_bias=include_bias).fit(X)
         want = polynomial_transform_per_block(X, degree, include_bias)
         assert np.array_equal(poly.transform(X), want)
+
+    def test_many_row_slices_the_last_one_partial(self):
+        X = np.random.default_rng(9).normal(size=(2**16 + 5, 3))
+        poly = PolynomialFeatures(degree=3).fit(X)
+        assert np.array_equal(poly.transform(X), polynomial_transform_per_block(X, 3))
 
 
 class TestMetricsAndCV:
