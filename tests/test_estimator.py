@@ -380,8 +380,9 @@ def _many_jobs(count):
     """``count`` distinct jobs (widths 2-6, distinct shots), every one a
     cache miss."""
     circuits = [compute_metrics(ghz_linear(w)) for w in range(2, 7)]
+    mitigations = ("none", "zne+rem")
     return [
-        QuantumJob(metrics=circuits[i % 5], shots=1000 + 10 * i, mitigation=("none", "zne+rem")[i % 2])
+        QuantumJob(metrics=circuits[i % 5], shots=1000 + 10 * i, mitigation=mitigations[i % 2])
         for i in range(count)
     ]
 
@@ -590,7 +591,7 @@ class TestTransientMemory:
     def test_cold_block_of_300_jobs_by_8_qpus(self):
         """``tenant_outage``'s largest cold batched-FCFS block is 2,344
         pairs.  Scored in one pass, its expansions and scaled copies took
-        ~20 MiB; in chunks of whole QPU groups ~2.4 MiB."""
+        ~20 MiB; in chunks of whole QPU groups ~2.2 MiB."""
         cached = trained_estimator(seed=7).cached()
         jobs, qpus = _many_jobs(300), fleet_of_size(8, seed=7)
         assert _traced_peak_mib(lambda: cached.estimate_block(jobs, qpus)) < 6.0
@@ -598,7 +599,7 @@ class TestTransientMemory:
 
     def test_degree_selection_on_the_fidelity_data(self):
         """All 800 rows expanded to 968 columns up front, beside each
-        fold's copy, took ~16.6 MiB; a fold at a time ~9.3 MiB."""
+        fold's copy, took ~16.6 MiB; a fold at a time, in one buffer, ~8.1 MiB."""
         ds = _cold_start_dataset("trained_estimator")
         X, y = ds.X_fidelity, ds.y_fidelity
         peak = _traced_peak_mib(lambda: polynomial_ridge_cv(X, y, (1, 2, 3), alpha=1e-3, seed=7))
@@ -706,10 +707,11 @@ class TestFinalModelPins:
         assert out.stdout.splitlines() == self.PINNED
 
 
-#: (fleet, records, seed) of the two cold starts' training sets.
+#: (fleet, records, seed) of the training sets of ``trained_estimator(seed=7)``
+#: and ``Qonductor(seed=0, estimator_records=200)``.
 _COLD_STARTS = {
-    "trained_estimator": (lambda: make_fleet(seed=7), 800, 7),  # trained_estimator(seed=7)
-    "Qonductor": (lambda: default_fleet(seed=0), 200, 0),  # Qonductor(seed=0, estimator_records=200)
+    "trained_estimator": (lambda: make_fleet(seed=7), 800, 7),
+    "Qonductor": (lambda: default_fleet(seed=0), 200, 0),
 }
 
 
