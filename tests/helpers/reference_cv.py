@@ -77,9 +77,9 @@ def reference_degree_selection(X, y, degrees, *, alpha, n_splits=5, seed=0):
 
 
 def whole_dataset_ridge_cv(X, y, degrees, *, alpha, n_splits=5, seed=0):
-    """``repro.ml.polynomial_ridge_cv`` as PR 27 wrote it and PR 33 left
-    it: ``X`` expanded once, all rows, at the top degree, and every fold's
-    training and held-out rows copied out of that one expansion.
+    """``repro.ml.polynomial_ridge_cv`` as it was before it expanded a fold
+    at a time: ``X`` expanded once, all rows, at the top degree, and every
+    fold's training and held-out rows copied out of that one expansion.
 
     ``src/`` now expands each fold's rows on its own, which allocates a
     fold at a time; rows expand independently and the per-column mean and

@@ -10,8 +10,8 @@ here:
   left-to-right product of input columns
   (``repro.ml.features.PolynomialFeatures.transform``).
 * :func:`polynomial_transform_per_block` — one ``take`` / ``multiply``
-  per degree block over all rows (``transform`` as PR 23 wrote it, before
-  it filled its rows in slices).
+  per degree block over all rows (``transform`` as it was before it
+  filled its rows in slices).
 * :func:`predict_per_segment_reference` — one ``X[a:b] @ coef`` per
   segment (``repro.ml.linear.LinearRegression.predict``).
 * :func:`execute_reference` — ``ExecutionModel.execute`` as it ran until
