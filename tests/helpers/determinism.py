@@ -114,15 +114,17 @@ def make_shards(widths_per_shard, policy=None):
 
 def run_sharded(policy, executor, *, num_shards=3, duration=700.0,
                 rebalance=None, recal=None, tenants=None, admission=None,
-                fleet_size=6, rate_per_hour=2400, load_seed=4,
-                trigger=lambda i: (10_000, 120)):
+                availability=None, fleet_size=6, rate_per_hour=2400,
+                load_seed=4, trigger=lambda i: (10_000, 120), pool=None):
     """The standard multi-shard MMPP-burst scenario, fully seeded.
 
     One knob set shared by the parallel-engine and tenancy bit-identity
     suites; ``tenants``/``admission`` extend it with a tenant mix on the
     load generator and an admission controller on the simulator (both
-    ``None`` by default — the tenancy-off configuration).  ``trigger``
-    maps a shard id to its ``(queue_limit, interval_seconds)``.
+    ``None`` by default — the tenancy-off configuration), and
+    ``availability`` adds an outage model.  ``trigger`` maps a shard id
+    to its ``(queue_limit, interval_seconds)``; ``pool`` draws arrivals
+    from that many circuits and two shot counts, so estimates repeat.
     """
     gen = LoadGenerator(
         mean_rate_per_hour=rate_per_hour,
@@ -133,6 +135,8 @@ def run_sharded(policy, executor, *, num_shards=3, duration=700.0,
         mean_calm_seconds=240.0,
         diurnal=False,
         tenants=tenants,
+        circuit_pool_size=pool,
+        shots_grid=None if pool is None else (1024, 4096),
         seed=load_seed,
     )
     sim = CloudSimulator.sharded(
@@ -147,6 +151,7 @@ def run_sharded(policy, executor, *, num_shards=3, duration=700.0,
         rebalance=rebalance,
         cycle_executor=executor,
         admission=admission,
+        availability=availability,
     )
     return sim.run(gen.generate(duration))
 
