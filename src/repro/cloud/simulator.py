@@ -396,9 +396,7 @@ class CloudSimulator:
     def _schedule_immediate(
         self, st: RunState, shard: FleetShard, jobs: list, now: float
     ) -> None:
-        assignments = shard.policy.assign(
-            jobs, shard.qpus, shard.waiting_map(now)
-        )
+        assignments = shard.policy.assign(jobs, shard.qpus)
         # One assign() call is one scheduling cycle, however many jobs it
         # covers — matching the batched path, so baseline-vs-Qonductor
         # cycle counts (Fig. 8/9) compare like for like.

@@ -12,13 +12,18 @@ additionally drops them to bound memory and refreshes the wrapped
 estimator's templates.
 
 :class:`CachedEstimator` is a full :class:`~repro.estimator.source.EstimateSource`:
-its one scoring call is the batched :meth:`estimate_block` that
-:class:`~repro.scheduler.quantum.QonductorScheduler` and the baseline
-policies drive directly.
+:class:`~repro.scheduler.quantum.QonductorScheduler` drives its
+:meth:`~CachedEstimator.estimate_block` and the FCFS baselines its
+:meth:`~CachedEstimator.fidelity_block`.  Both questions share one memo
+and look a pair up once.  A fidelity-only fill stores an entry without a
+runtime; ``estimate_block`` counts such an entry as the hit it is and
+fills in only its runtime, keeping the stored fidelity.  A run with one
+kind of caller therefore keeps the table, counters and eviction order it
+would have with the other, and never stores a runtime nobody reads.
 
 A block is served in three steps: look up every feasible pair, fill all
-the misses through **one stacked model pass** (two predicts per block, not
-two per QPU), store them.  The linear stage of that pass keeps the bits of
+the misses through **one stacked pass per model it needs** (not one per
+QPU), store them.  The linear stage of that pass keeps the bits of
 one product per QPU segment (equal-length neighbours share one stacked
 ``matmul``, which runs that product per stack item): BLAS blocks by shape, so
 one product over all rows would move cached values in the last ulp depending
@@ -35,8 +40,9 @@ import numpy as np
 
 from ..backends.qpu import QPU
 from ..circuits.metrics import CircuitMetrics
-from ..cloud.job import QuantumJob, feasibility_matrix
+from ..cloud.job import QuantumJob
 from .estimator import ResourceEstimator
+from .source import feasible_mask
 
 __all__ = ["CacheStats", "EstimateCache", "CachedEstimator"]
 
@@ -70,7 +76,8 @@ class CacheStats:
 
 
 class EstimateCache:
-    """Bounded memo of ``key -> (fidelity, exec_seconds)`` pairs.
+    """Bounded memo of ``key -> (fidelity, exec_seconds)`` pairs
+    (``exec_seconds`` is ``None`` until a caller asks for it).
 
     Eviction is segmented-LRU: entries enter a *probation* segment on
     first insertion and are promoted to a *protected* segment (capped at
@@ -97,8 +104,8 @@ class EstimateCache:
         )
         # Both segments rely on dict insertion order as recency order:
         # first item = least recent, re-inserting moves a key to the end.
-        self._probation: dict[tuple, tuple[float, float]] = {}
-        self._protected: dict[tuple, tuple[float, float]] = {}
+        self._probation: dict[tuple, tuple[float, float | None]] = {}
+        self._protected: dict[tuple, tuple[float, float | None]] = {}
         self.stats = CacheStats()
 
     def __len__(self) -> int:
@@ -110,7 +117,7 @@ class EstimateCache:
     ) -> tuple:
         return (metrics.fingerprint, shots, mitigation, qpu.calibration.epoch)
 
-    def get(self, key: tuple) -> tuple[float, float] | None:
+    def get(self, key: tuple) -> tuple[float, float | None] | None:
         hit = self._protected.pop(key, None)
         if hit is not None:
             self._protected[key] = hit  # refresh recency
@@ -124,7 +131,7 @@ class EstimateCache:
         self.stats.misses += 1
         return None
 
-    def _promote(self, key: tuple, value: tuple[float, float]) -> None:
+    def _promote(self, key: tuple, value: tuple[float, float | None]) -> None:
         """A probation hit earns protection; overflow demotes, not drops.
 
         Net occupancy is unchanged (one entry moved out of probation, at
@@ -135,7 +142,7 @@ class EstimateCache:
             old_key = next(iter(self._protected))
             self._probation[old_key] = self._protected.pop(old_key)
 
-    def put(self, key: tuple, value: tuple[float, float]) -> None:
+    def put(self, key: tuple, value: tuple[float, float | None]) -> None:
         if key in self._protected:
             self._protected[key] = value
             return
@@ -165,8 +172,8 @@ class CachedEstimator:
     ``base`` is either a :class:`~repro.estimator.estimator.ResourceEstimator`
     or any plain ``(job, qpu) -> (fidelity, exec_seconds)`` callable. With a
     ResourceEstimator, all cache misses of a block are filled by one
-    stacked pipeline pass; with a plain callable, misses fall back to
-    per-pair calls (still memoized).  Nothing is kept per job beyond the
+    stacked pass of each model the question needs; with a plain callable,
+    misses fall back to per-pair calls (still memoized, both halves).  Nothing is kept per job beyond the
     bounded cache table.
     """
 
@@ -215,48 +222,102 @@ class CachedEstimator:
         together; below ``max_entries`` that is indistinguishable from
         looking up and storing column by column, and at capacity a
         block's own stores can no longer evict an entry one of its later
-        columns is about to hit.
+        columns is about to hit.  A hit stored without a runtime gets one
+        (one runtime pass over all such hits, stored before the misses, so
+        it updates the entry in place).
         """
+        feasible = feasible_mask(self, jobs, qpus, feasible)
         fid, sec = np.zeros((2, len(jobs), len(qpus)))
-        if feasible is None:
-            feasible = feasibility_matrix(jobs, qpus)
+        hits, missed = self._lookup(jobs, qpus, feasible)
+        partial: list[tuple[int, int, tuple, float]] = []  # hits with no runtime
+        for i, k, key, (f, s) in hits:
+            fid[i, k] = f
+            if s is None:
+                partial.append((i, k, key, f))
+            else:
+                sec[i, k] = s
+        put = self.cache.put
+        if partial:  # only a trained base stores an entry without a runtime
+            secs = self._trained.runtime.estimate_pairs(*_pairs(jobs, qpus, partial))
+            for (i, k, key, f), s in zip(partial, secs.tolist()):
+                sec[i, k] = s
+                put(key, (f, s))
+        if missed:
+            for (i, k, key), value in zip(missed, self._fill(jobs, qpus, missed, runtime=True)):
+                fid[i, k], sec[i, k] = value
+                put(key, value)
+        return fid, sec
+
+    def fidelity_block(
+        self,
+        jobs: list[QuantumJob],
+        qpus: list[QPU],
+        feasible: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """The fidelity matrix of :meth:`estimate_block`, looked up and
+        stored in the same order; a miss runs the fidelity model alone
+        and is stored without a runtime."""
+        feasible = feasible_mask(self, jobs, qpus, feasible)
+        fid = np.zeros((len(jobs), len(qpus)))
+        hits, missed = self._lookup(jobs, qpus, feasible)
+        for i, k, _, entry in hits:
+            fid[i, k] = entry[0]
+        if missed:
+            put = self.cache.put
+            for (i, k, key), value in zip(missed, self._fill(jobs, qpus, missed, runtime=False)):
+                fid[i, k] = value[0]
+                put(key, value)
+        return fid
+
+    def _lookup(self, jobs: list[QuantumJob], qpus: list[QPU], feasible: np.ndarray):
+        """Every feasible pair looked up once, column-major: ``(i, k, key,
+        entry)`` per hit and ``(i, k, key)`` per miss."""
         # EstimateCache.key, with the per-job and per-QPU parts built once.
         job_keys = [(j.metrics.fingerprint, j.shots, j.mitigation) for j in jobs]
         get = self.cache.get
-        missed: list[tuple[int, int, tuple]] = []  # (i, k, key), column-major
+        hits: list[tuple[int, int, tuple, tuple[float, float | None]]] = []
+        missed: list[tuple[int, int, tuple]] = []
         for k, (qpu, column) in enumerate(zip(qpus, feasible.T.tolist())):
             epoch = (qpu.calibration.epoch,)
             for i, ok in enumerate(column):
                 if not ok:
                     continue
                 key = job_keys[i] + epoch
-                hit = get(key)
-                if hit is None:
+                entry = get(key)
+                if entry is None:
                     missed.append((i, k, key))
                 else:
-                    fid[i, k], sec[i, k] = hit
-        if not missed:
-            return fid, sec
-        put = self.cache.put
-        for (i, k, key), value in zip(missed, self._fill(jobs, qpus, missed)):
-            fid[i, k], sec[i, k] = value
-            put(key, value)
-        return fid, sec
+                    hits.append((i, k, key, entry))
+        return hits, missed
 
     def _fill(
-        self, jobs: list[QuantumJob], qpus: list[QPU], missed: list[tuple[int, int, tuple]]
-    ) -> list[tuple[float, float]]:
-        """Values of the ``missed`` (job index, QPU index, key) entries,
-        which arrive column-major: one segment per QPU."""
+        self,
+        jobs: list[QuantumJob],
+        qpus: list[QPU],
+        missed: list[tuple[int, int, tuple]],
+        *,
+        runtime: bool,
+    ) -> list[tuple[float, float | None]]:
+        """Entries for the ``missed`` (job index, QPU index, key) pairs,
+        which arrive column-major: one segment per QPU.  Without
+        ``runtime`` a trained base runs its fidelity model alone and the
+        entries carry ``None``; a plain callable returns both anyway."""
         if self._trained is None:
             return [self.base(jobs[i], qpus[k]) for i, k, _ in missed]
-        # One feature row per distinct missed job, however many QPUs missed it.
-        slot: dict[int, int] = {}
-        groups = [
-            (qpus[k].calibration, [slot.setdefault(i, len(slot)) for i, _, _ in column])
-            for k, column in groupby(missed, key=itemgetter(1))
-        ]
-        fids, secs = self._trained.estimate_pairs(
-            [(j.metrics, j.shots, j.mitigation) for j in (jobs[i] for i in slot)], groups
-        )
-        return list(zip(fids.tolist(), secs.tolist()))
+        pairs = _pairs(jobs, qpus, missed)
+        fids = self._trained.fidelity.estimate_pairs(*pairs).tolist()
+        if not runtime:
+            return [(f, None) for f in fids]
+        return list(zip(fids, self._trained.runtime.estimate_pairs(*pairs).tolist()))
+
+
+def _pairs(jobs: list[QuantumJob], qpus: list[QPU], cells: list[tuple]):
+    """The ``estimate_pairs`` arguments of column-major ``(i, k, ...)``
+    cells: one feature row per distinct job, however many QPUs it is
+    scored on, and one group per QPU."""
+    slot: dict[int, int] = {}
+    groups = [
+        (qpus[k].calibration, [slot.setdefault(cell[0], len(slot)) for cell in column])
+        for k, column in groupby(cells, key=itemgetter(1))
+    ]
+    return [(j.metrics, j.shots, j.mitigation) for j in (jobs[i] for i in slot)], groups

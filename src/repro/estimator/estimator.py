@@ -16,10 +16,11 @@ from ..backends.qpu import QPU
 from ..backends.template import TemplateQPU, build_templates
 from ..circuits.metrics import CircuitMetrics
 from ..cloud.execution import ExecutionModel
-from ..cloud.job import QuantumJob, feasibility_matrix
+from ..cloud.job import QuantumJob
 from .dataset import generate_dataset
 from .models import TrainedEstimators, train_estimators
 from .plans import ResourcePlan, generate_resource_plans
+from .source import feasible_mask
 
 __all__ = ["ResourceEstimator"]
 
@@ -67,26 +68,47 @@ class ResourceEstimator:
         """(fidelity, exec_seconds) matrices over ``jobs`` x ``qpus``.
 
         The :class:`~repro.estimator.source.EstimateSource` entry point:
-        every feasible pair of the block goes through one stacked model
-        pass (:meth:`TrainedEstimators.estimate_pairs`, two predicts per
-        block).  Its linear stage multiplies per QPU segment (stacked where
-        lengths agree): BLAS blocks a matrix-vector product by its shape, so
-        that keeps each value bit-identical to predicting the column alone.
-        Infeasible pairs stay zero and are never evaluated.
+        every feasible pair of the block goes through one stacked pass per
+        model (:meth:`TrainedEstimators.estimate_pairs`, one predict per
+        model per block).  Its linear stage multiplies per QPU segment
+        (stacked where lengths agree): BLAS blocks a matrix-vector product
+        by its shape, so that keeps each value bit-identical to predicting
+        the column alone.  Infeasible pairs stay zero and are never
+        evaluated.
         """
+        feasible = feasible_mask(self, jobs, qpus, feasible)
         fid, sec = np.zeros((2, len(jobs), len(qpus)))
-        if feasible is None:
-            feasible = feasibility_matrix(jobs, qpus)
-        columns = [np.flatnonzero(column) for column in feasible.T]
-        fids, secs = self.estimators.estimate_pairs(
-            [(j.metrics, j.shots, j.mitigation) for j in jobs],
-            [(q.calibration, idx) for q, idx in zip(qpus, columns) if idx.size],
-        )
+        fids, secs = self.estimators.estimate_pairs(*self._pairs(jobs, qpus, feasible))
         # Transposed views: boolean assignment fills column-major, the
         # order the groups were stacked in.
         fid.T[feasible.T] = fids
         sec.T[feasible.T] = secs
         return fid, sec
+
+    def fidelity_block(
+        self,
+        jobs: list[QuantumJob],
+        qpus: list[QPU],
+        feasible: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """``estimate_block(jobs, qpus, feasible)[0]``, bit for bit, from
+        the fidelity model's pass alone."""
+        feasible = feasible_mask(self, jobs, qpus, feasible)
+        fid = np.zeros((len(jobs), len(qpus)))
+        fid.T[feasible.T] = self.estimators.fidelity.estimate_pairs(
+            *self._pairs(jobs, qpus, feasible)
+        )
+        return fid
+
+    @staticmethod
+    def _pairs(jobs: list[QuantumJob], qpus: list[QPU], feasible: np.ndarray):
+        """The ``estimate_pairs`` arguments of a block: every job, and one
+        group per QPU with a feasible job, in column order."""
+        columns = [np.flatnonzero(column) for column in feasible.T]
+        return (
+            [(j.metrics, j.shots, j.mitigation) for j in jobs],
+            [(q.calibration, idx) for q, idx in zip(qpus, columns) if idx.size],
+        )
 
     def cached(self, **kwargs) -> "CachedEstimator":
         """A memoizing, batch-capable ``estimate_fn`` view of this estimator."""

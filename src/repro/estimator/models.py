@@ -30,6 +30,12 @@ __all__ = ["RegressionEstimator", "TrainedEstimators", "train_estimators"]
 #: Most stacked rows in one model pass of ``estimate_pairs`` (one group may have more).
 _CHUNK_ROWS = 512
 
+#: ``target -> (job features, calibration features)``: each model's two builders.
+_FEATURES = {
+    "fidelity": (job_fidelity_features, calibration_fidelity_features),
+    "runtime": (job_runtime_features, calibration_runtime_features),
+}
+
 
 @dataclass
 class RegressionEstimator:
@@ -54,6 +60,48 @@ class RegressionEstimator:
             pred = np.clip(pred, 0.0, None)
         return pred
 
+    def estimate_pairs(
+        self,
+        jobs: Sequence[tuple[CircuitMetrics, int, str]],
+        groups: Sequence[tuple[CalibrationData, Sequence[int]]],
+    ) -> np.ndarray:
+        """This model's estimates of many (job, calibration) pairs, flat.
+
+        ``jobs`` are ``(metrics, shots, mitigation)`` triples; each group
+        pairs one calibration snapshot (a QPU, a template) with the
+        (non-empty) indices of the jobs to score on it.  Consecutive whole
+        groups are stacked into one feature matrix, up to ``_CHUNK_ROWS``
+        rows (or one group), so a chunk costs one predict rather than one
+        per group and its transient arrays stay bounded; the linear stage
+        still multiplies per group (``segments``, equal-length neighbours
+        in one stacked call), so every value is bit-identical to
+        predicting each group on its own.
+        """
+        if not groups:
+            return np.zeros(0)
+        job_features, calibration_features = _FEATURES[self.target]
+        counts = [len(idx) for _, idx in groups]
+        bounds = [0, *accumulate(counts)]
+        job_idx = np.concatenate([idx for _, idx in groups])
+        rows = np.array([job_features(*job) for job in jobs])
+        cals = np.array([calibration_features(c) for c, _ in groups])
+
+        def stacked(idx, repeats, chunk_cals) -> np.ndarray:
+            """The feature matrix of one chunk of groups."""
+            return np.concatenate([rows[idx], np.repeat(chunk_cals, repeats, 0)], 1)
+
+        if bounds[-1] <= _CHUNK_ROWS:
+            return self.predict(stacked(job_idx, counts, cals), bounds)
+        out = np.empty(bounds[-1])
+        first = 0
+        for stop in range(1, len(groups) + 1):  # a chunk ends after a whole group
+            if stop == len(groups) or bounds[stop + 1] - bounds[first] > _CHUNK_ROWS:
+                a, b, g = bounds[first], bounds[stop], slice(first, stop)
+                local = [c - a for c in bounds[first : stop + 1]]
+                out[a:b] = self.predict(stacked(job_idx[a:b], counts[g], cals[g]), local)
+                first = stop
+        return out
+
 
 @dataclass
 class TrainedEstimators:
@@ -68,45 +116,9 @@ class TrainedEstimators:
         jobs: Sequence[tuple[CircuitMetrics, int, str]],
         groups: Sequence[tuple[CalibrationData, Sequence[int]]],
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(fidelities, runtimes) of many (job, calibration) pairs, flat.
-
-        ``jobs`` are ``(metrics, shots, mitigation)`` triples; each group
-        pairs one calibration snapshot (a QPU, a template) with the
-        (non-empty) indices of the jobs to score on it.  Consecutive whole
-        groups are stacked into one feature matrix per model, up to
-        ``_CHUNK_ROWS`` rows (or one group), so a chunk costs 2 predicts
-        rather than 2 per group and its transient arrays stay bounded; the
-        linear stage still multiplies per group (``segments``,
-        equal-length neighbours in one stacked call), so every value is
-        bit-identical to predicting each group on its own.
-        """
-        if not groups:
-            return np.zeros(0), np.zeros(0)
-        counts = [len(idx) for _, idx in groups]
-        bounds = [0, *accumulate(counts)]
-        job_idx = np.concatenate([idx for _, idx in groups])
-        fid_rows = np.array([job_fidelity_features(*job) for job in jobs])
-        run_rows = np.array([job_runtime_features(*job) for job in jobs])
-        fid_cal = np.array([calibration_fidelity_features(c) for c, _ in groups])
-        run_cal = np.array([calibration_runtime_features(c) for c, _ in groups])
-
-        def score(rows, repeats, local, fid_cals, run_cals) -> tuple[np.ndarray, np.ndarray]:
-            """Both models on one chunk of groups, bounded by ``local``."""
-            fid_x = np.concatenate([fid_rows[rows], np.repeat(fid_cals, repeats, 0)], 1)
-            run_x = np.concatenate([run_rows[rows], np.repeat(run_cals, repeats, 0)], 1)
-            return self.fidelity.predict(fid_x, local), self.runtime.predict(run_x, local)
-
-        if bounds[-1] <= _CHUNK_ROWS:
-            return score(job_idx, counts, bounds, fid_cal, run_cal)
-        fids, runs = np.empty((2, bounds[-1]))
-        first = 0
-        for stop in range(1, len(groups) + 1):  # a chunk ends after a whole group
-            if stop == len(groups) or bounds[stop + 1] - bounds[first] > _CHUNK_ROWS:
-                a, b, g = bounds[first], bounds[stop], slice(first, stop)
-                local = [c - a for c in bounds[first : stop + 1]]
-                fids[a:b], runs[a:b] = score(job_idx[a:b], counts[g], local, fid_cal[g], run_cal[g])
-                first = stop
-        return fids, runs
+        """(fidelities, runtimes) of many (job, calibration) pairs, flat:
+        :meth:`RegressionEstimator.estimate_pairs` of each model."""
+        return self.fidelity.estimate_pairs(jobs, groups), self.runtime.estimate_pairs(jobs, groups)
 
 
 def _select_and_fit(

@@ -2,14 +2,17 @@
 
 Everything that scores (job, QPU) pairs — the trained regression
 estimator and its memoizing cache — implements one protocol:
-:class:`EstimateSource`, whose scoring method
-``estimate_block(jobs, qpus, feasible=None)`` returns the ``(fidelity,
-exec_seconds)`` matrix pair for a whole jobs-block (its other method,
-``on_recalibration(qpus)``, is the calibration-cycle hook).  Schedulers and
-baseline policies build their matrices through this one batched call
-path, and take nothing else: :func:`require_estimate_source` rejects any
-other shape at construction.  A synthetic ``(job, qpu)`` scorer (test
-fakes, ``experiments/rebalance.skew_estimate``) is wrapped explicitly in
+:class:`EstimateSource`, which answers two questions about a whole
+jobs-block.  ``estimate_block(jobs, qpus, feasible=None)`` returns the
+``(fidelity, exec_seconds)`` matrix pair (the Qonductor scheduler reads
+both); ``fidelity_block(jobs, qpus, feasible=None)`` returns the fidelity
+matrix alone, with the same bits, and never runs the runtime model (the
+FCFS baselines read nothing else).  ``on_recalibration(qpus)`` is the
+calibration-cycle hook.  Schedulers and baseline policies build their
+matrices through these batched calls, and take nothing else:
+:func:`require_estimate_source` rejects any other shape at construction.
+A synthetic ``(job, qpu)`` scorer (test fakes,
+``experiments/rebalance.skew_estimate``) is wrapped explicitly in
 :class:`PairwiseEstimateSource`.
 
 This module is intentionally a leaf (numpy + stdlib only) so every layer
@@ -28,6 +31,7 @@ __all__ = [
     "EstimateSource",
     "PairwiseEstimateSource",
     "block_feasibility",
+    "feasible_mask",
     "require_estimate_source",
 ]
 
@@ -38,11 +42,14 @@ class EstimateSource(Protocol):
 
     ``estimate_block(jobs, qpus, feasible=None)`` returns two
     ``(len(jobs), len(qpus))`` float arrays — estimated fidelity and
-    estimated execution seconds.  ``feasible`` is an optional boolean
-    mask of the same shape (job fits the QPU and the QPU is online);
-    when omitted, implementations compute it themselves.  Infeasible
-    pairs are left at 0.0 and must not be evaluated — that contract is
-    what lets implementations skip work and callers mask scores safely.
+    estimated execution seconds.  ``fidelity_block`` returns the first
+    of them alone, equal bit for bit, without estimating any runtime.
+    ``feasible`` is an optional boolean mask of the same shape (job fits
+    the QPU and the QPU is online); when omitted, implementations
+    compute it themselves, and a mask of any other shape is a
+    ``ValueError``.  Infeasible pairs are left at 0.0 and must not be
+    evaluated — that contract is what lets implementations skip work and
+    callers mask scores safely.
 
     ``on_recalibration(qpus)`` is called with the whole fleet after
     every calibration cycle, once per shard policy sharing the source —
@@ -56,6 +63,13 @@ class EstimateSource(Protocol):
         qpus: list[Any],
         feasible: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]: ...
+
+    def fidelity_block(
+        self,
+        jobs: list[Any],
+        qpus: list[Any],
+        feasible: np.ndarray | None = None,
+    ) -> np.ndarray: ...
 
     def on_recalibration(self, qpus: list[Any]) -> None: ...
 
@@ -71,10 +85,26 @@ def block_feasibility(jobs: list[Any], qpus: list[Any]) -> np.ndarray:
     return widths[:, None] <= caps[None, :]
 
 
+def feasible_mask(
+    source: object, jobs: list[Any], qpus: list[Any], feasible: np.ndarray | None
+) -> np.ndarray:
+    """``feasible``, or :func:`block_feasibility` when it is ``None``; a
+    mask not shaped ``(len(jobs), len(qpus))`` is a ``ValueError`` naming
+    ``source``'s type and both shapes."""
+    if feasible is None:
+        return block_feasibility(jobs, qpus)
+    if feasible.shape != (len(jobs), len(qpus)):
+        raise ValueError(
+            f"{type(source).__name__}: feasible mask has shape "
+            f"{feasible.shape}, the block is {(len(jobs), len(qpus))}"
+        )
+    return feasible
+
+
 class PairwiseEstimateSource:
     """A ``(job, qpu) -> (fidelity, exec_seconds)`` callable presented as
     an :class:`EstimateSource`: one ``pair_fn`` call per feasible cell,
-    in row-major order."""
+    in row-major order (``fidelity_block`` keeps the first half)."""
 
     def __init__(
         self, pair_fn: Callable[[Any, Any], tuple[float, float]]
@@ -90,8 +120,7 @@ class PairwiseEstimateSource:
         qpus: list[Any],
         feasible: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        if feasible is None:
-            feasible = block_feasibility(jobs, qpus)
+        feasible = feasible_mask(self, jobs, qpus, feasible)
         fid = np.zeros((len(jobs), len(qpus)))
         sec = np.zeros((len(jobs), len(qpus)))
         for i, job in enumerate(jobs):
@@ -99,6 +128,20 @@ class PairwiseEstimateSource:
                 if feasible[i, k]:
                     fid[i, k], sec[i, k] = self.pair_fn(job, qpu)
         return fid, sec
+
+    def fidelity_block(
+        self,
+        jobs: list[Any],
+        qpus: list[Any],
+        feasible: np.ndarray | None = None,
+    ) -> np.ndarray:
+        feasible = feasible_mask(self, jobs, qpus, feasible)
+        fid = np.zeros((len(jobs), len(qpus)))
+        for i, job in enumerate(jobs):
+            for k, qpu in enumerate(qpus):
+                if feasible[i, k]:
+                    fid[i, k] = self.pair_fn(job, qpu)[0]
+        return fid
 
     def on_recalibration(self, qpus: list[Any]) -> None:
         """Stateless: ``pair_fn`` reads the QPUs it is handed."""
@@ -110,7 +153,7 @@ def require_estimate_source(source: Any, owner: str) -> EstimateSource:
     if not isinstance(source, EstimateSource):
         raise TypeError(
             f"{owner} needs an EstimateSource (an object with "
-            "estimate_block and on_recalibration), got "
+            "estimate_block, fidelity_block and on_recalibration), got "
             f"{type(source).__name__}: pass "
             "estimator.cached(), or wrap a (job, qpu) callable in "
             "repro.estimator.source.PairwiseEstimateSource"

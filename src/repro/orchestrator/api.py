@@ -214,7 +214,7 @@ class Qonductor:
         if job.status is not JobStatus.COMPLETED:
             raise _StepFailed(f"no QPU took quantum step {step.name!r} ({job.num_qubits} qubits)")
         qpu = shard.backend_by_name[job.assigned_qpu].qpu
-        est_fidelity, _ = self.scheduler.estimate_fn.estimate_block([job], [qpu])
+        est_fidelity = self.scheduler.estimate_fn.fidelity_block([job], [qpu])
         return dict(
             kind="quantum", name=step.name, qpu=job.assigned_qpu,
             est_fidelity=float(est_fidelity[0, 0]), fidelity=job.fidelity,

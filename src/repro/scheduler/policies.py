@@ -11,12 +11,14 @@
 
 Both are :class:`~repro.scheduler.policy.SchedulingPolicy` subclasses;
 FCFS is the only shipped policy the engine drives per arrival
-(``batched = False``).  It scores every batch through one
-:meth:`~repro.estimator.source.EstimateSource.estimate_block` call
+(``batched = False``).  The rule reads fidelity and nothing else, so it
+scores every batch through one
+:meth:`~repro.estimator.source.EstimateSource.fidelity_block` call
 (:class:`~repro.estimator.estimator.ResourceEstimator`,
 :class:`~repro.estimator.cache.CachedEstimator` in front of it, or a
 synthetic scorer wrapped in
-:class:`~repro.estimator.source.PairwiseEstimateSource`).
+:class:`~repro.estimator.source.PairwiseEstimateSource`): the runtime
+model never runs for it, and neither waits nor runtimes are read.
 """
 
 from __future__ import annotations
@@ -54,15 +56,12 @@ class FCFSPolicy(SchedulingPolicy):
         return type(self)(self.estimate_fn, shard_id=shard_id)
 
     def assign(
-        self,
-        jobs: list[QuantumJob],
-        qpus: list[QPU],
-        waiting_seconds: dict[str, float],
+        self, jobs: list[QuantumJob], qpus: list[QPU]
     ) -> list[tuple[QuantumJob, str | None]]:
-        if not jobs:
-            return []
+        if not jobs or not qpus:
+            return [(job, None) for job in jobs]
         feas = feasibility_matrix(jobs, qpus)
-        fid, _ = self.estimate_fn.estimate_block(jobs, qpus, feas)
+        fid = self.estimate_fn.fidelity_block(jobs, qpus, feas)
         scored = np.where(feas, fid, -np.inf)
         # argmax returns the first maximum, matching the pre-block
         # per-job max() over feasible QPUs in listing order.
@@ -134,11 +133,12 @@ class BatchedFCFSPolicy(FCFSPolicy):
     ) -> BatchPlan:
         """The whole cycle: FCFS has no optimization stage, so the
         trigger-time snapshot is decided here and ``finish_cycle`` only
-        hands it back."""
+        hands it back.  The rule reads no waits: ``waiting_seconds`` is
+        the batched contract's, and unused."""
         jobs = tier_sort(jobs)
         decisions: list[BatchDecision] = []
         unschedulable: list[QuantumJob] = []
-        for job, qpu_name in self.assign(jobs, qpus, waiting_seconds or {}):
+        for job, qpu_name in self.assign(jobs, qpus):
             if qpu_name is None:
                 unschedulable.append(job)
             else:

@@ -52,10 +52,11 @@ class SchedulingPolicy:
             self.estimate_fn.on_recalibration(qpus)
 
     def assign(
-        self, jobs: list[QuantumJob], qpus: list[QPU], waiting_seconds: dict[str, float]
+        self, jobs: list[QuantumJob], qpus: list[QPU]
     ) -> list[tuple[QuantumJob, str | None]]:
         """Per-arrival shape: ``(job, qpu_name | None)`` per job, in
-        order; ``None`` marks a job no online QPU fits."""
+        order; ``None`` marks a job no online QPU fits (every job, when
+        ``qpus`` is empty)."""
         raise NotImplementedError
 
     def begin_cycle(
@@ -66,7 +67,9 @@ class SchedulingPolicy:
     ) -> Any:
         """Batched shape, first half: a plan whose ``task`` is an
         :class:`~repro.scheduler.cycle.OptimizationTask`, or ``None``
-        when the cycle has no optimization stage."""
+        when the cycle has no optimization stage.  ``waiting_seconds``
+        maps each QPU name to its queued work at the trigger instant;
+        a policy may ignore it."""
         raise NotImplementedError
 
     def finish_cycle(self, plan: Any, result: OptimizationResult | None) -> Any:

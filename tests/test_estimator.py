@@ -3,6 +3,7 @@ cost model, and plan generation."""
 
 import functools
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -358,7 +359,11 @@ from helpers.reference_models import (  # noqa: E402
 )
 from repro.backends.fleet import fleet_of_size  # noqa: E402
 from repro.experiments.common import trained_estimator  # noqa: E402
-from repro.estimator import RegressionEstimator, generate_resource_plans  # noqa: E402
+from repro.estimator import (  # noqa: E402
+    CachedEstimator,
+    RegressionEstimator,
+    generate_resource_plans,
+)
 from repro.estimator.models import _CHUNK_ROWS  # noqa: E402
 
 
@@ -387,12 +392,22 @@ def _many_jobs(count):
     ]
 
 
+@PairwiseEstimateSource
+def _shots_and_name(job, qpu):
+    """A cheap deterministic pair scorer for the pairwise source."""
+    return 1.0 / (job.shots + len(qpu.name)), float(job.num_qubits)
+
+
 class TestStackedFillBitIdentity:
     @staticmethod
     def _assert_same_blocks(trained, blocks, **cache_kwargs):
         """Drive the same ``(jobs, qpus)`` blocks through the stacked
-        fill and through the reference loop, each on its own cache."""
+        fill and through the reference loop, each on its own cache.
+        ``fidelity_block`` of every source equals (``==``) the fidelity
+        half of its ``estimate_block``, and a memo filled by it alone
+        keeps the same keys, order and counters, with no runtime stored."""
         stacked, reference = trained.cached(**cache_kwargs), trained.cached(**cache_kwargs)
+        fidelity_only = trained.cached(**cache_kwargs)
         for jobs, qpus in blocks:
             got = stacked.estimate_block(jobs, qpus)
             want = reference_cached_block(reference, jobs, qpus)
@@ -401,6 +416,15 @@ class TestStackedFillBitIdentity:
             assert np.array_equal(got[1], want[1])
             assert cache_table(stacked) == cache_table(reference)
             assert stacked.stats == reference.stats
+            assert np.array_equal(fidelity_only.fidelity_block(jobs, qpus), got[0])
+            table = cache_table(fidelity_only)
+            assert [key for key, _ in table] == [key for key, _ in cache_table(stacked)]
+            assert all(sec is None for _, (_, sec) in table)
+            assert fidelity_only.stats == stacked.stats
+            for source in (trained, _shots_and_name):
+                fid = source.fidelity_block(jobs, qpus)
+                assert fid.shape == (len(jobs), len(qpus))
+                assert np.array_equal(fid, source.estimate_block(jobs, qpus)[0])
         return stacked
 
     def test_mixed_widths_with_infeasible_pairs(self, trained, fleet):
@@ -434,7 +458,8 @@ class TestStackedFillBitIdentity:
 
     def test_per_arrival_block_costs_two_predicts(self, trained, monkeypatch):
         """The ``fcfs_pool`` shape: a cold 1 x 8 block is one predict per
-        model over 8 stacked rows, and a warm one is none at all."""
+        model over 8 stacked rows, and a warm one is none at all.  Asked
+        for fidelity alone, it is one fidelity predict."""
         qpus = fleet_of_size(8, seed=7)
         jobs = _jobs_with_circuits(widths=(5,))
         self._assert_same_blocks(trained, [(jobs, qpus), (jobs, qpus)])
@@ -444,6 +469,54 @@ class TestStackedFillBitIdentity:
         assert sorted(calls) == [("fidelity", 8), ("runtime", 8)]
         cached.estimate_block(jobs, qpus)  # all-hit
         assert len(calls) == 2
+        calls.clear()
+        trained.cached().fidelity_block(jobs, qpus)
+        assert calls == [("fidelity", 8)]
+
+    def test_fidelity_fill_then_estimate_block(self, trained, fleet, monkeypatch):
+        """FCFS fills the memo first (two of five jobs), ``estimate_block``
+        reads it afterwards: the two jobs' entries are hits whose runtime
+        alone is filled, the stored fidelity is kept, and table, values
+        and counters equal a memo ``estimate_block`` filled throughout."""
+        jobs = _jobs_with_circuits()
+        mixed, plain = trained.cached(), trained.cached()
+        early = mixed.fidelity_block(jobs[:2], fleet)
+        plain.estimate_block(jobs[:2], fleet)
+        calls = _count_predicts(monkeypatch)
+        got = mixed.estimate_block(jobs, fleet)
+        want = plain.estimate_block(jobs, fleet)
+        # The mixed memo: one runtime pass for the two filled-in jobs,
+        # then both models for the three missed ones.  The plain memo:
+        # both models for the same three.
+        assert [target for target, _ in calls] == [
+            "runtime", "fidelity", "runtime", "fidelity", "runtime",
+        ]
+        assert np.array_equal(got[0][:2], early)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert cache_table(mixed) == cache_table(plain)
+        assert mixed.stats == plain.stats
+        assert mixed.stats.hits == 2 * len(fleet)
+        # And the other way round: a complete entry answers a fidelity read.
+        calls.clear()
+        hits = mixed.stats.hits
+        assert np.array_equal(mixed.fidelity_block(jobs, fleet), want[0])
+        assert calls == [] and mixed.stats.hits == hits + feasibility_matrix(jobs, fleet).sum()
+
+    def test_callable_base_stores_both_halves(self, fleet):
+        """A plain ``(job, qpu)`` base returns both estimates anyway, so a
+        fidelity read stores both and a later full read is all hits."""
+        calls = []
+
+        def pair(job, qpu):
+            calls.append(qpu.name)
+            return 0.5, 7.0
+
+        cached = CachedEstimator(pair)
+        jobs = _jobs_with_circuits(widths=(3,))
+        assert cached.fidelity_block(jobs, fleet).tolist() == [[0.5] * len(fleet)]
+        fid, sec = cached.estimate_block(jobs, fleet)
+        assert fid.tolist() == [[0.5] * len(fleet)] and sec.tolist() == [[7.0] * len(fleet)]
+        assert len(calls) == len(fleet) == cached.stats.hits == cached.stats.misses
 
     def test_block_wider_than_a_chunk(self, trained, monkeypatch):
         """``tenant_outage``'s cold batched-FCFS shape: ~300 jobs x 8 QPUs,
@@ -548,6 +621,8 @@ class TestStackedFillBitIdentity:
         calls = _count_predicts(monkeypatch)
         trained.estimate_block(_jobs_with_circuits(), fleet)
         assert len(calls) == 2
+        trained.fidelity_block(_jobs_with_circuits(), fleet)
+        assert [target for target, _ in calls[2:]] == ["fidelity"]
 
     def test_plans_match_reference(self, trained, monkeypatch):
         for width, kwargs in [
@@ -569,6 +644,28 @@ class TestStackedFillBitIdentity:
         calls = _count_predicts(monkeypatch)
         trained.generate_plans(compute_metrics(ghz_linear(4)), 4000, num_plans=50)
         assert len(calls) == 2
+
+
+class TestFeasibleMaskShape:
+    """A mask not shaped like the block is refused by every source, in
+    both methods, before any pair is scored."""
+
+    SOURCES = {
+        "ResourceEstimator": lambda trained: trained,
+        "CachedEstimator": lambda trained: trained.cached(),
+        "PairwiseEstimateSource": lambda trained: _shots_and_name,
+    }
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 6), (4, 2), (2,)])
+    @pytest.mark.parametrize("method", ["estimate_block", "fidelity_block"])
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_mis_shaped_mask_is_refused(self, trained, source, method, shape):
+        jobs = _jobs_with_circuits(widths=(2, 3))
+        qpus = fleet_of_size(4, seed=7)
+        scorer = self.SOURCES[source](trained)
+        match = rf"{source}: .*{re.escape(str(shape))}.*\(2, 4\)"
+        with pytest.raises(ValueError, match=match):
+            getattr(scorer, method)(jobs, qpus, np.ones(shape, dtype=bool))
 
 
 def _traced_peak_mib(fn) -> float:

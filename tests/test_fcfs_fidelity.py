@@ -1,17 +1,19 @@
 """The FCFS baselines against a trained, cached estimator.
 
 FCFS sends each job to the highest-fidelity QPU that fits, so it reads
-one of the two estimates the §6 estimator produces.  Two runs are pinned
-as sha256 literals of ``deterministic_state()``, estimate-cache counters
-included: whatever the policy asks the estimator, the runs may not move.
+one of the two estimates the §6 estimator produces, through
+``fidelity_block``.  Two runs are pinned as sha256 literals of
+``deterministic_state()``, estimate-cache counters included: they were
+recorded while FCFS still asked ``estimate_block`` for both estimates.
 """
 
 import hashlib
 
 import pytest
 
-from helpers.determinism import run_sharded
+from helpers.determinism import fake_estimate, make_job, run_sharded
 from repro.cloud import AdmissionController, abusive_mix, flash_outage
+from repro.estimator import CachedEstimator, RegressionEstimator
 from repro.experiments.common import trained_estimator
 from repro.scheduler import BatchedFCFSPolicy, FCFSPolicy
 
@@ -48,3 +50,38 @@ def test_fcfs_run_matches_pinned_digest(name):
     assert metrics.estimate_cache["misses"] > 0 and metrics.estimate_cache["hits"] > 0
     digest = hashlib.sha256(repr(metrics.deterministic_state()).encode()).hexdigest()
     assert digest == FCFS_PINS[name]
+
+
+def test_per_arrival_run_never_runs_the_runtime_model(monkeypatch):
+    """One fidelity predict per block with a miss, no runtime predict."""
+    predicts = []
+    predict = RegressionEstimator.predict
+
+    def counting_predict(self, X, segments=None):
+        predicts.append(self.target)
+        return predict(self, X, segments)
+
+    miss_blocks = []
+    fidelity_block = CachedEstimator.fidelity_block
+
+    def counting_block(self, jobs, qpus, feasible=None):
+        misses = self.stats.misses
+        fid = fidelity_block(self, jobs, qpus, feasible)
+        miss_blocks.append(self.stats.misses > misses)
+        return fid
+
+    monkeypatch.setattr(RegressionEstimator, "predict", counting_predict)
+    monkeypatch.setattr(CachedEstimator, "fidelity_block", counting_block)
+    metrics = run_sharded(
+        FCFSPolicy(trained_estimator(seed=7).cached()), "serial", num_shards=2, pool=24
+    )
+    assert predicts.count("runtime") == 0
+    assert predicts.count("fidelity") == sum(miss_blocks) > 0
+    assert len(miss_blocks) == metrics.scheduling_cycles > sum(miss_blocks)
+
+
+def test_fcfs_over_no_qpus_leaves_every_job_unschedulable():
+    jobs = [make_job(2), make_job(5)]
+    assert FCFSPolicy(fake_estimate).assign(jobs, []) == [(job, None) for job in jobs]
+    schedule = BatchedFCFSPolicy(fake_estimate).schedule(jobs, [])
+    assert schedule.decisions == [] and schedule.unschedulable == jobs

@@ -38,6 +38,7 @@ from repro.cloud import (
     QuantumJob,
     SimulatedQPU,
 )
+from repro.estimator import EstimateSource
 from repro.experiments.common import trained_estimator
 from repro.ml import KFold, LinearRegression, Ridge, make_polynomial_regression
 from repro.moo import Termination
@@ -111,7 +112,7 @@ class TestConstructionTimeErrors:
 
     def test_missing_spawn_named(self):
         class NoSpawn(SchedulingPolicy):
-            def assign(self, jobs, qpus, waiting_seconds):
+            def assign(self, jobs, qpus):
                 return [(job, None) for job in jobs]
 
         with pytest.raises(TypeError, match=r"FleetShard 0: NoSpawn .*spawn"):
@@ -154,6 +155,16 @@ class TestKeywordSets:
         )
         assert shipped == ["BatchedFCFSPolicy", "FCFSPolicy", "QonductorScheduler"]
         assert [n for n in shipped if not exported[n].batched] == ["FCFSPolicy"]
+
+    def test_policy_and_estimate_source_surface(self):
+        # FCFS reads fidelity alone and no policy reads per-arrival waits.
+        assert _names(SchedulingPolicy.assign) == ["self", "jobs", "qpus"]
+        methods = {
+            name
+            for name, value in vars(EstimateSource).items()
+            if callable(value) and not name.startswith("_")
+        }
+        assert methods == {"estimate_block", "fidelity_block", "on_recalibration"}
 
     def test_scheduler_keywords(self):
         assert _names(QonductorScheduler.__init__) == [

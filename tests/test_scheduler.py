@@ -220,14 +220,14 @@ class TestBaselinePolicies:
     def test_fcfs_picks_best_fidelity(self, fleet):
         policy = FCFSPolicy(_fake_estimate)
         job = QuantumJob.from_circuit(ghz_linear(10))
-        [(j, name)] = policy.assign([job], fleet, {})
+        [(j, name)] = policy.assign([job], fleet)
         # auckland has the lowest quality factor -> highest fake fidelity.
         assert name == "auckland"
 
     def test_fcfs_infeasible_returns_none(self, fleet):
         policy = FCFSPolicy(_fake_estimate)
         job = QuantumJob.from_circuit(ghz_linear(50))
-        [(j, name)] = policy.assign([job], fleet, {})
+        [(j, name)] = policy.assign([job], fleet)
         assert name is None
 
 
