@@ -237,7 +237,8 @@ class CachedEstimator:
             else:
                 sec[i, k] = s
         put = self.cache.put
-        if partial:  # only a trained base stores an entry without a runtime
+        if partial:
+            assert self._trained is not None  # only its fills store no runtime
             secs = self._trained.runtime.estimate_pairs(*_pairs(jobs, qpus, partial))
             for (i, k, key, f), s in zip(partial, secs.tolist()):
                 sec[i, k] = s

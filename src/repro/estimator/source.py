@@ -135,13 +135,7 @@ class PairwiseEstimateSource:
         qpus: list[Any],
         feasible: np.ndarray | None = None,
     ) -> np.ndarray:
-        feasible = feasible_mask(self, jobs, qpus, feasible)
-        fid = np.zeros((len(jobs), len(qpus)))
-        for i, job in enumerate(jobs):
-            for k, qpu in enumerate(qpus):
-                if feasible[i, k]:
-                    fid[i, k] = self.pair_fn(job, qpu)[0]
-        return fid
+        return self.estimate_block(jobs, qpus, feasible)[0]
 
     def on_recalibration(self, qpus: list[Any]) -> None:
         """Stateless: ``pair_fn`` reads the QPUs it is handed."""
