@@ -3,8 +3,9 @@
 FCFS sends each job to the highest-fidelity QPU that fits, so it reads
 one of the two estimates the §6 estimator produces, through
 ``fidelity_block``.  Two runs are pinned as sha256 literals of
-``deterministic_state()``, estimate-cache counters included: they were
-recorded while FCFS still asked ``estimate_block`` for both estimates.
+``deterministic_state()``, estimate-cache counters included: a policy
+that asks ``estimate_block`` for both estimates and keeps the fidelity
+yields the same digests.
 """
 
 import hashlib
