@@ -11,6 +11,9 @@ one place:
 * :func:`assert_runs_identical` — the strict form: two metrics objects
   must produce equal ``deterministic_state()`` dicts (every field except
   the wall-clock timing allowlist).
+* :func:`decision_state` — ``deterministic_state()`` without the two
+  counters of how cycles were grouped into engine batches, for pins that
+  must hold across a change to that grouping alone.
 * :func:`fake_estimate` / :func:`make_job` / :func:`make_shards` /
   :func:`run_sharded` — the standard deterministic fixtures the suites
   build scenarios from.
@@ -49,6 +52,7 @@ __all__ = [
     "PicklingSerialExecutor",
     "assert_series_identical",
     "assert_runs_identical",
+    "decision_state",
 ]
 
 
@@ -123,8 +127,9 @@ def run_sharded(policy, executor, *, num_shards=3, duration=700.0,
     load generator and an admission controller on the simulator (both
     ``None`` by default — the tenancy-off configuration), and
     ``availability`` adds an outage model.  ``trigger`` maps a shard id
-    to its ``(queue_limit, interval_seconds)``; ``pool`` draws arrivals
-    from that many circuits and two shot counts, so estimates repeat.
+    to its ``(queue_limit, interval_seconds)``, or is ``None`` for the
+    policy's own trigger; ``pool`` draws arrivals from that many circuits
+    and two shot counts, so estimates repeat.
     """
     gen = LoadGenerator(
         mean_rate_per_hour=rate_per_hour,
@@ -144,7 +149,9 @@ def run_sharded(policy, executor, *, num_shards=3, duration=700.0,
         policy,
         num_shards=num_shards,
         execution_model=ExecutionModel(seed=5),
-        trigger_factory=lambda i: SchedulingTrigger(*trigger(i)),
+        trigger_factory=(
+            None if trigger is None else lambda i: SchedulingTrigger(*trigger(i))
+        ),
         config=SimulationConfig(
             duration_seconds=duration, seed=5, recalibrate_every_seconds=recal
         ),
@@ -180,6 +187,16 @@ def assert_series_identical(a, b) -> None:
     assert a.dispatched_jobs == b.dispatched_jobs
     assert a.per_qpu_busy_seconds == b.per_qpu_busy_seconds
     assert a.per_qpu_jobs == b.per_qpu_jobs
+
+
+def decision_state(metrics) -> dict:
+    """``deterministic_state()`` without the two counters of how cycles
+    were grouped into engine batches (``cycle_batches``,
+    ``max_batch_cycles``): what every scheduling decision, dispatch and
+    completion of a run leaves behind."""
+    state = metrics.deterministic_state()
+    del state["cycle_batches"], state["max_batch_cycles"]
+    return state
 
 
 def assert_runs_identical(a, b) -> None:

@@ -5,14 +5,17 @@ one of the two estimates the §6 estimator produces, through
 ``fidelity_block``.  Two runs are pinned as sha256 literals of
 ``deterministic_state()``, estimate-cache counters included: a policy
 that asks ``estimate_block`` for both estimates and keeps the fidelity
-yields the same digests.
+yields the same digests.  Three per-arrival runs are also pinned through
+``decision_state()``, which leaves out how cycles were grouped into
+engine batches: every decision, dispatch and completion, whichever way
+the engine drives a one-job cycle.
 """
 
 import hashlib
 
 import pytest
 
-from helpers.determinism import fake_estimate, make_job, run_sharded
+from helpers.determinism import decision_state, fake_estimate, make_job, run_sharded
 from repro.cloud import AdmissionController, abusive_mix, flash_outage
 from repro.estimator import CachedEstimator, RegressionEstimator
 from repro.experiments.common import trained_estimator
@@ -31,7 +34,9 @@ FCFS_PINS = {
 def _run(name):
     cached = trained_estimator(seed=7).cached()
     if name == "per_arrival_recalibrated":
-        return run_sharded(FCFSPolicy(cached), "serial", num_shards=2, recal=350.0, pool=24)
+        return run_sharded(
+            FCFSPolicy(cached), "serial", num_shards=2, recal=350.0, pool=24, trigger=None
+        )
     return run_sharded(
         BatchedFCFSPolicy(cached),
         "serial",
@@ -51,6 +56,34 @@ def test_fcfs_run_matches_pinned_digest(name):
     assert metrics.estimate_cache["misses"] > 0 and metrics.estimate_cache["hits"] > 0
     digest = hashlib.sha256(repr(metrics.deterministic_state()).encode()).hexdigest()
     assert digest == FCFS_PINS[name]
+
+
+#: ``run -> sha256`` of ``decision_state()`` of per-arrival FCFS runs
+#: shaped like the ``fcfs_pool`` benchmark (a resubmission pool, a
+#: mid-run recalibration, least-loaded routing): two load seeds over the
+#: synthetic scorer, and the trained run pinned whole above.
+DECISION_PINS = {
+    "fake_load_seed_4":
+        "78e44d010dd1af545ebf3dd8dc7e00acbd47b661aacc9eff76c5ba9e2d852ab1",
+    "fake_load_seed_9":
+        "7d9e2bf7b6de7048db23a0f2ca0734f035132cfba381d2edd0da5207352683cc",
+    "per_arrival_recalibrated":
+        "3239fa7c92e66d7402361f9edb6cee8ff364595dbb84d2871dd857df5d8d70f3",
+}
+
+
+@pytest.mark.parametrize("name", DECISION_PINS)
+def test_per_arrival_decisions_match_pinned_digest(name):
+    if name == "per_arrival_recalibrated":
+        metrics = _run(name)
+    else:
+        metrics = run_sharded(
+            FCFSPolicy(fake_estimate), "serial", trigger=None,
+            load_seed=int(name.rsplit("_", 1)[1]), pool=24, recal=350.0,
+        )
+    assert metrics.dispatched_jobs > 1000
+    digest = hashlib.sha256(repr(decision_state(metrics)).encode()).hexdigest()
+    assert digest == DECISION_PINS[name]
 
 
 def test_per_arrival_run_never_runs_the_runtime_model(monkeypatch):
