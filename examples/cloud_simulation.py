@@ -19,7 +19,7 @@ from repro.cloud import (
     SimulationConfig,
 )
 from repro.estimator import ResourceEstimator
-from repro.scheduler import FCFSPolicy, QonductorScheduler, SchedulingTrigger
+from repro.scheduler import FCFSPolicy, QonductorScheduler
 
 FLEET_NAMES = [
     "auckland", "lagos", "cairo", "hanoi",
@@ -41,7 +41,6 @@ def run_policy(policy_name: str, estimator, duration: float, rate: float) -> dic
         fleet,
         policy,
         ExecutionModel(seed=11),
-        trigger=SchedulingTrigger(queue_limit=100, interval_seconds=120),
         config=SimulationConfig(duration_seconds=duration, seed=5),
     )
     return sim.run(apps).summary()

@@ -83,6 +83,23 @@ _BACKLOG_SECONDS_PER_JOB = 30.0
 _TENANT_SPREAD_PENALTY = 1.0
 
 
+class QueuedWork:
+    """A shard's queued seconds per QPU name at one instant, read on
+    demand: ``get(name, default)`` answers as ``{b.name:
+    b.waiting_seconds(now)}`` would, without building it for a cycle
+    that reads no waits."""
+
+    __slots__ = ("_backends", "_now")
+
+    def __init__(self, backends: dict[str, SimulatedQPU], now: float) -> None:
+        self._backends = backends
+        self._now = now
+
+    def get(self, name: str, default: float) -> float:
+        backend = self._backends.get(name)
+        return default if backend is None else backend.waiting_seconds(self._now)
+
+
 class FleetShard:
     """A fleet partition: some QPUs, one policy, one pending queue."""
 
@@ -100,15 +117,15 @@ class FleetShard:
         #: Dispatch lookup: a schedule names its target QPU.
         self.backend_by_name = {b.name: b for b in backends}
         self.policy = require_policy(policy, f"FleetShard {shard_id}")
-        self.trigger = trigger or SchedulingTrigger()
+        self.trigger = trigger or self.policy.default_trigger()
+        #: What a cycle schedules onto (each ``QPU`` carries its own
+        #: ``online`` flag).
+        self.qpus: list[QPU] = [b.qpu for b in backends]
         self._pending: list[QuantumJob] = []
         #: ``{tenant_id: jobs in _pending}``, positive counts only; kept
         #: by the queue verbs below, recounted by the ``pending`` setter.
         self._tenant_counts: dict[str, int] = {}
         self._max_qubits: int | None = None  # memo; set_online drops it
-        #: Batched policies queue arrivals here until the trigger fires;
-        #: per-arrival baselines are assigned on arrival.
-        self.is_batched = policy.batched
         self.jobs_routed = 0
         # Work-stealing accounting (fed by RebalancePolicy moves).
         self.jobs_stolen_in = 0
@@ -116,10 +133,6 @@ class FleetShard:
         #: Widest QPU the shard *hardware* offers, online or not — the
         #: permanent-feasibility bound (see :meth:`fits_hardware`).
         self.hardware_max_qubits = max(b.num_qubits for b in backends)
-
-    @property
-    def qpus(self) -> list[QPU]:
-        return [b.qpu for b in self.backends]
 
     @property
     def pending(self) -> list[QuantumJob]:
@@ -149,7 +162,8 @@ class FleetShard:
         """Hand the whole queue to a scheduling cycle, leaving it empty."""
         jobs = self._pending
         self._pending = []
-        self._tenant_counts = {}
+        if self._tenant_counts:
+            self._tenant_counts = {}
         return jobs
 
     def requeue_front(self, jobs: list[QuantumJob]) -> None:
@@ -202,9 +216,6 @@ class FleetShard:
         devices count: they may recover while the job waits)."""
         return job.num_qubits <= self.hardware_max_qubits
 
-    def waiting_map(self, now: float) -> dict[str, float]:
-        return {b.name: b.waiting_seconds(now) for b in self.backends}
-
     def pending_load(self, now: float) -> float:
         """Pending work: queued jobs plus device backlog, in job units."""
         backlog = 0.0
@@ -248,8 +259,8 @@ class ShardBalancer:
         if not feasible:
             # Nothing fits *right now*.  Prefer shards whose hardware
             # could ever serve the job — a transiently-offline wide QPU
-            # recovers, and a batched shard holds the job pending until
-            # it does — before falling back to the full list (where the
+            # recovers, and the shard holds the job pending until it
+            # does — before falling back to the full list (where the
             # owning scheduler rejects it, matching unsharded behavior).
             feasible = [s for s in shards if s.fits_hardware(job)]
         return self.pick(job, feasible or shards, now)
@@ -392,7 +403,7 @@ class RebalancePolicy:
     * only *pending* (queued, not yet dispatched) jobs move — work
       already committed to a device queue stays put;
     * a job only moves to a shard where it currently fits (some online
-      QPU is wide enough) and whose policy runs a batched pending queue;
+      QPU is wide enough);
     * ties break on shard id, and queues are scanned in a fixed order,
       so identical runs produce identical migrations.
 
@@ -526,7 +537,6 @@ class ThresholdRebalancePolicy(RebalancePolicy):
                     s
                     for s in shards
                     if s is not src
-                    and s.is_batched
                     and len(src.pending) - len(s.pending) >= self.min_gap
                 ]
                 if not eligible:
@@ -623,7 +633,7 @@ class StealHalfRebalancePolicy(RebalancePolicy):
         # twice in one tick and inflate the migration counters.
         receivers: set[int] = set()
         for thief in sorted(shards, key=lambda s: s.shard_id):
-            if not thief.is_batched or thief.pending:
+            if thief.pending:
                 continue
             thief_width = thief.max_qubits
             # The victim is the deepest queue holding at least one job

@@ -43,17 +43,21 @@ Two optional subsystems make the fleet *adaptive*:
   feasible underloaded ones.  Both are off by default, leaving static
   runs bit-identical.
 
-**The scheduling cycle** is one synchronous step at its trigger instant
-(§7: the cycle fires when the queue reaches its limit or the interval
-has passed, and its schedule commits at once).  Every batched shard due
-at that instant — same-instant TRIGGER deadlines coalesce — takes its
+**The scheduling cycle** is the one way a job reaches a device: every
+arrival queues on its shard, and a cycle is one synchronous step at its
+trigger instant (§7: the cycle fires when the queue reaches its limit or
+the interval has passed, and its schedule commits at once).  Every shard
+due at that instant — same-instant TRIGGER deadlines coalesce — takes its
 pending queue; each policy's ``begin_cycle`` pre-processes it
 (prefetching estimates through the shared cache); the pure optimization
 stages of the batch run through
 :meth:`~repro.cloud.cycle_executor.SerialCycleExecutor.run`; and each
 ``finish_cycle`` schedule is applied in shard-id order, so dispatch, RNG
 draws, heap pushes and metrics happen in one canonical order.  The
-firing shards' triggers then re-arm from that instant.
+firing shards' triggers then re-arm from that instant.  Per-arrival FCFS
+is a trigger that fires at every arrival and sets no deadline.  A job no
+online device fits stays pending if its shard's hardware could ever
+serve it, and fails otherwise.
 """
 
 from __future__ import annotations
@@ -78,6 +82,7 @@ from .cycle_executor import SerialCycleExecutor
 from .execution import ExecutionModel
 from .fleet import (
     FleetShard,
+    QueuedWork,
     RebalancePolicy,
     ShardBalancer,
     make_balancer,
@@ -174,12 +179,14 @@ class RunState:
 
 
 class CloudSimulator:
-    """Batched-trigger (Qonductor) or per-arrival (baseline) cloud sim.
+    """The trigger-driven cloud sim: Qonductor, or an FCFS baseline.
 
     The plain constructor builds the classic single-shard configuration
-    from ``fleet`` + ``policy``; pass ``shards`` (a list of
-    :class:`FleetShard`) plus a ``balancer`` for partitioned fleets, or
-    use :meth:`sharded` to build both from a fleet and a policy prototype.
+    from ``fleet`` + ``policy`` (on ``trigger``, else the policy's
+    default); pass ``shards`` (a list of :class:`FleetShard`, each at the
+    position of its ``shard_id``) plus a ``balancer`` for partitioned
+    fleets, or use :meth:`sharded` to build both from a fleet and a
+    policy prototype.
     A simulator is single-shot: devices, triggers, and policies carry
     state across a run, so :meth:`run` may be called once.
     """
@@ -209,6 +216,12 @@ class CloudSimulator:
                     "pass either (fleet, policy[, trigger]) or shards, not both"
                 )
             self.shards = list(shards)
+            for i, shard in enumerate(self.shards):
+                if shard.shard_id != i:
+                    raise ValueError(
+                        f"shards[{i}] has shard_id {shard.shard_id}: a "
+                        "shard's id must be its position in shards"
+                    )
         else:
             if fleet is None or policy is None:
                 raise ValueError("need a fleet and a policy (or shards)")
@@ -256,8 +269,8 @@ class CloudSimulator:
         """Partition ``fleet`` into ``num_shards`` shards.
 
         Each shard gets ``policy.spawn(shard_id)`` and
-        ``trigger_factory(shard_id)`` (default: a fresh paper-default
-        trigger).  Every other keyword (``execution_model``, ``config``,
+        ``trigger_factory(shard_id)`` (default: the policy's
+        ``default_trigger()``).  Every other keyword (``execution_model``, ``config``,
         ``rebalance``, ``availability``, ``cycle_executor``,
         ``admission``) is the constructor's, forwarded as is — an unknown
         one is its ``TypeError``.
@@ -334,7 +347,7 @@ class CloudSimulator:
         Each shard's pending queue is taken and its policy's
         ``begin_cycle`` builds a plan from it, with estimates prefetched
         through the shared cache.  The plans' pure optimization tasks
-        (batched FCFS has none) run through the cycle executor, and each
+        (FCFS has none) run through the cycle executor, and each
         ``finish_cycle`` schedule is applied in shard-id order: dispatch
         RNG draws, completion pushes, metrics and cache updates happen in
         one canonical order.
@@ -344,14 +357,12 @@ class CloudSimulator:
         metrics.max_batch_cycles = max(metrics.max_batch_cycles, len(shards))
         plans = [
             shard.policy.begin_cycle(
-                shard.take_all(), shard.qpus, shard.waiting_map(now)
+                shard.take_all(), shard.qpus, QueuedWork(shard.backend_by_name, now)
             )
             for shard in shards
         ]
         tasks = [plan.task for plan in plans if plan.task is not None]
-        results = iter(
-            self.cycle_executor.run(run_optimization, tasks) if tasks else ()
-        )
+        results = iter(self.cycle_executor.run(run_optimization, tasks) if tasks else ())
         for shard, plan in zip(shards, plans):
             result = next(results) if plan.task is not None else None
             schedule = shard.policy.finish_cycle(plan, result)
@@ -363,21 +374,24 @@ class CloudSimulator:
         """Fold one cycle's schedule back in: dispatch, fail, retain."""
         metrics = st.metrics
         metrics.scheduling_cycles += 1
-        agg = metrics.stage_seconds
-        for key, value in schedule.stage_seconds.items():
-            agg[key] = agg.get(key, 0.0) + value
+        if schedule.stage_seconds:
+            agg = metrics.stage_seconds
+            for key, value in schedule.stage_seconds.items():
+                agg[key] = agg.get(key, 0.0) + value
         # Pre-warm ground-truth components with one array pass per target
         # device over the whole dispatched set; the per-job execute() calls
-        # below then hit the memo (and keep their RNG draw order).
-        by_backend: dict[str, list] = {}
-        for dec in schedule.decisions:
-            by_backend.setdefault(dec.qpu_name, []).append(dec.job.metrics)
-        for b in shard.backends:
-            group = by_backend.get(b.name)
-            if group:
-                self.execution_model.components_batch(
-                    group, b.qpu.calibration, b.qpu.model
-                )
+        # below then hit the memo (and keep their RNG draw order).  One
+        # decision's execute() fills the same memo entry itself.
+        if len(schedule.decisions) > 1:
+            by_backend: dict[str, list] = {}
+            for dec in schedule.decisions:
+                by_backend.setdefault(dec.qpu_name, []).append(dec.job.metrics)
+            for b in shard.backends:
+                group = by_backend.get(b.name)
+                if group:
+                    self.execution_model.components_batch(
+                        group, b.qpu.calibration, b.qpu.model
+                    )
         for dec in schedule.decisions:
             dec.job.schedule_time = now
             self._dispatch(st, shard, dec.job, dec.qpu_name, now)
@@ -391,28 +405,14 @@ class CloudSimulator:
                 retained.append(job)
             else:
                 self._fail(st, job)
-        shard.requeue_front(retained)
-
-    def _schedule_immediate(
-        self, st: RunState, shard: FleetShard, jobs: list, now: float
-    ) -> None:
-        assignments = shard.policy.assign(jobs, shard.qpus)
-        # One assign() call is one scheduling cycle, however many jobs it
-        # covers — matching the batched path, so baseline-vs-Qonductor
-        # cycle counts (Fig. 8/9) compare like for like.
-        st.metrics.scheduling_cycles += 1
-        for job, qpu_name in assignments:
-            if qpu_name is None:
-                self._fail(st, job)
-                continue
-            job.schedule_time = now
-            self._dispatch(st, shard, job, qpu_name, now)
+        if retained:
+            shard.requeue_front(retained)
 
     def _launch(
         self, st: RunState, firing: list[FleetShard], now: float
     ) -> None:
         """Run one engine batch over ``firing`` (shard-id order), then
-        mark each firing trigger fired and re-arm its interval deadline."""
+        re-arm each firing trigger from ``now``."""
         self._run_batch(st, firing, now)
         for shard in firing:
             self._rearm(st, shard, now)
@@ -420,19 +420,22 @@ class CloudSimulator:
     def _fire_if_ready(
         self, st: RunState, shard: FleetShard, now: float
     ) -> None:
-        """Run a cycle when the shard's trigger condition is met (shared
-        by the arrival and rebalance paths; the TRIGGER deadline handler
-        has its own flow — it re-arms the deadline even on an empty
-        queue)."""
+        """Run a cycle when the shard's trigger condition is met (the
+        arrival and rebalance paths)."""
         if shard.trigger.should_fire(len(shard.pending), now):
             self._launch(st, [shard], now)
 
     def _rearm(self, st: RunState, shard: FleetShard, now: float) -> None:
         """Mark the shard's trigger fired and queue its next deadline."""
         shard.trigger.fired(now)
-        st.push(
-            shard.trigger.next_deadline(now), EventType.TRIGGER, shard.shard_id
-        )
+        self._arm(st, shard, now)
+
+    def _arm(self, st: RunState, shard: FleetShard, now: float) -> None:
+        """Queue the shard's next deadline if it falls before the horizon
+        (later ones never pop; a per-arrival trigger's is infinite)."""
+        deadline = shard.trigger.next_deadline(now)
+        if deadline < st.horizon:
+            st.push(deadline, EventType.TRIGGER, shard.shard_id)
 
     # -- event handlers, one per EventType -----------------------------
     def _on_completion(
@@ -557,13 +560,10 @@ class CloudSimulator:
         )
         shard = self.balancer.route(job, self.shards, now)
         shard.jobs_routed += 1
-        if shard.is_batched:
-            shard.enqueue(job)
-            if self.admission is not None:
-                self.admission.track_queued(job)
-            self._fire_if_ready(st, shard, now)
-        else:
-            self._schedule_immediate(st, shard, [job], now)
+        shard.enqueue(job)
+        if self.admission is not None:
+            self.admission.track_queued(job)
+        self._fire_if_ready(st, shard, now)
 
     def _on_rebalance(self, st: RunState, now: float, _payload) -> None:
         moves = self.rebalancer.rebalance(self.shards, now)
@@ -574,8 +574,7 @@ class CloudSimulator:
         # (mirrors the arrival path).
         receivers = sorted({m.dst for m in moves}, key=lambda s: s.shard_id)
         for shard in receivers:
-            if shard.is_batched:
-                self._fire_if_ready(st, shard, now)
+            self._fire_if_ready(st, shard, now)
         st.push(now + self.rebalancer.interval_seconds, EventType.REBALANCE)
 
     def _on_trigger(self, st: RunState, now: float, shard_id: int) -> None:
@@ -686,12 +685,7 @@ class CloudSimulator:
         if cfg.recalibrate_every_seconds is not None:
             st.push(cfg.recalibrate_every_seconds, EventType.RECALIBRATION)
         for shard in self.shards:
-            if shard.is_batched:
-                st.push(
-                    shard.trigger.next_deadline(0.0),
-                    EventType.TRIGGER,
-                    shard.shard_id,
-                )
+            self._arm(st, shard, 0.0)
         if self.availability is not None:
             for ev in self.availability.schedule(list(st.shard_of_qpu), horizon):
                 if ev.time < horizon:
@@ -709,7 +703,7 @@ class CloudSimulator:
         metrics, heap, horizon = st.metrics, st.heap, st.horizon
         # Schedule leftovers at the horizon: one engine batch over every
         # backlogged shard, like an aligned deadline.
-        backlogged = [s for s in self.shards if s.is_batched and s.pending]
+        backlogged = [s for s in self.shards if s.pending]
         if backlogged:
             self._run_batch(st, backlogged, horizon)
         # Fold in completions that land inside the horizon, and take the

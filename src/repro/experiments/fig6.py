@@ -13,7 +13,7 @@ from ..cloud import (
     LoadGenerator,
     SimulationConfig,
 )
-from ..scheduler import FCFSPolicy, QonductorScheduler, SchedulingTrigger
+from ..scheduler import FCFSPolicy, QonductorScheduler
 from .common import make_fleet, trained_estimator
 
 __all__ = ["fig6_end_to_end"]
@@ -54,9 +54,6 @@ def fig6_end_to_end(
             num_shards=num_shards,
             balancer=balancer,
             execution_model=em,
-            trigger_factory=lambda i: SchedulingTrigger(
-                queue_limit=100, interval_seconds=120
-            ),
             config=SimulationConfig(duration_seconds=duration, seed=seed),
         )
         return sim.run(apps)

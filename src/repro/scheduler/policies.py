@@ -2,17 +2,18 @@
 
 * :class:`FCFSPolicy` — the paper's baseline: jobs are served strictly in
   arrival order and each picks the **highest-fidelity** QPU that fits
-  (standard current practice, which is what creates hotspots, §3).
-* :class:`BatchedFCFSPolicy` — the same decision rule driven by the
-  scheduling trigger: jobs accumulate in the shard's pending queue and
-  one cycle assigns the whole batch.  Because it queues (rather than
-  dispatching on arrival), it is the cheap batched policy work-stealing
-  rebalancers can act on at fleet scale.
+  (standard current practice, which is what creates hotspots, §3).  Its
+  default trigger fires on every arrival and sets no deadline, so each
+  job is a one-job cycle at its arrival instant.
+* :class:`BatchedFCFSPolicy` — the same decision rule on the paper's
+  default trigger: jobs accumulate in the shard's pending queue and one
+  cycle assigns the whole batch.  Because it queues, it is the cheap
+  batched policy work-stealing rebalancers can act on at fleet scale.
 
-Both are :class:`~repro.scheduler.policy.SchedulingPolicy` subclasses;
-FCFS is the only shipped policy the engine drives per arrival
-(``batched = False``).  The rule reads fidelity and nothing else, so it
-scores every batch through one
+Both speak the one cycle of
+:class:`~repro.scheduler.policy.SchedulingPolicy`, with no optimization
+stage.  The rule reads fidelity and nothing else, so it scores every
+cycle through one
 :meth:`~repro.estimator.source.EstimateSource.fidelity_block` call
 (:class:`~repro.estimator.estimator.ResourceEstimator`,
 :class:`~repro.estimator.cache.CachedEstimator` in front of it, or a
@@ -23,6 +24,7 @@ model never runs for it, and neither waits nor runtimes are read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,19 +33,51 @@ from ..backends.qpu import QPU
 from ..cloud.job import QuantumJob, feasibility_matrix
 from ..cloud.tenancy import tier_sort
 from ..estimator.source import EstimateSource, require_estimate_source
-from .policy import SchedulingPolicy
+from .policy import QueuedSeconds, SchedulingPolicy
+from .triggers import SchedulingTrigger
 
 __all__ = [
     "FCFSPolicy",
     "BatchedFCFSPolicy",
     "BatchDecision",
     "BatchSchedule",
-    "BatchPlan",
 ]
 
 
+@dataclass
+class BatchDecision:
+    """One job's assignment out of an FCFS cycle."""
+
+    job: QuantumJob
+    qpu_name: str
+
+
+@dataclass
+class BatchSchedule:
+    """Output of one FCFS cycle, and its own plan: FCFS has no
+    optimization stage, so ``task`` is ``None`` and ``finish_cycle``
+    hands the plan back.
+
+    The structural subset of
+    :class:`~repro.scheduler.quantum.QuantumSchedule` the cloud
+    simulator consumes: ``decisions``, ``unschedulable`` and
+    ``stage_seconds`` (empty — no stage of this cycle is timed).
+    """
+
+    decisions: list[BatchDecision]
+    unschedulable: list[QuantumJob]
+    stage_seconds: dict = field(default_factory=dict)
+    task: None = None
+
+
 class FCFSPolicy(SchedulingPolicy):
-    """First-come-first-serve onto the best-fidelity feasible QPU."""
+    """First-come-first-serve onto the best-fidelity feasible QPU.
+
+    Tenant-tagged batches are served in **tier order** (premium tiers
+    first, degraded best-effort jobs last, arrival order within a tier);
+    untenanted batches pass through :func:`~repro.cloud.tenancy.tier_sort`
+    unchanged, keeping tenancy-off runs bit-identical.
+    """
 
     name = "fcfs"
 
@@ -55,9 +89,16 @@ class FCFSPolicy(SchedulingPolicy):
         """A per-shard instance sharing this policy's estimate source."""
         return type(self)(self.estimate_fn, shard_id=shard_id)
 
+    def default_trigger(self) -> SchedulingTrigger:
+        """Per arrival: a one-job queue fires, and no deadline is set."""
+        return SchedulingTrigger(queue_limit=1, interval_seconds=math.inf)
+
     def assign(
         self, jobs: list[QuantumJob], qpus: list[QPU]
     ) -> list[tuple[QuantumJob, str | None]]:
+        """The decision rule: ``(job, qpu_name | None)`` per job, in
+        order; ``None`` marks a job no online QPU fits (every job, when
+        ``qpus`` is empty)."""
         if not jobs or not qpus:
             return [(job, None) for job in jobs]
         feas = feasibility_matrix(jobs, qpus)
@@ -71,79 +112,40 @@ class FCFSPolicy(SchedulingPolicy):
             for i, job in enumerate(jobs)
         ]
 
+    def begin_cycle(
+        self,
+        jobs: list[QuantumJob],
+        qpus: list[QPU],
+        waiting_seconds: QueuedSeconds | None = None,
+    ) -> BatchSchedule:
+        """The whole cycle, decided on the trigger-time snapshot.  The
+        rule reads no waits."""
+        decisions: list[BatchDecision] = []
+        unschedulable: list[QuantumJob] = []
+        for job, qpu_name in self.assign(tier_sort(jobs), qpus):
+            if qpu_name is None:
+                unschedulable.append(job)
+            else:
+                decisions.append(BatchDecision(job=job, qpu_name=qpu_name))
+        return BatchSchedule(decisions, unschedulable)
 
-@dataclass
-class BatchDecision:
-    """One job's assignment out of a batched baseline cycle."""
-
-    job: QuantumJob
-    qpu_name: str
-
-
-@dataclass
-class BatchSchedule:
-    """Output of one :class:`BatchedFCFSPolicy` cycle.
-
-    The structural subset of
-    :class:`~repro.scheduler.quantum.QuantumSchedule` the cloud
-    simulator consumes: ``decisions``, ``unschedulable`` and
-    ``stage_seconds`` (empty — no stage of this cycle is timed).
-    """
-
-    decisions: list[BatchDecision]
-    unschedulable: list[QuantumJob]
-    stage_seconds: dict = field(default_factory=dict)
-
-
-@dataclass
-class BatchPlan:
-    """What :meth:`BatchedFCFSPolicy.begin_cycle` hands to
-    ``finish_cycle``: no optimization ``task``, and the schedule already
-    decided."""
-
-    schedule: BatchSchedule
-    task: None = None
+    def finish_cycle(self, plan: BatchSchedule, result: None) -> BatchSchedule:
+        return plan
 
 
 class BatchedFCFSPolicy(FCFSPolicy):
     """Trigger-driven FCFS: queue arrivals, assign the batch per cycle.
 
-    Declaring ``batched`` makes the owning
-    :class:`~repro.cloud.fleet.FleetShard` queue arrivals in its pending
+    On the paper's default trigger the owning
+    :class:`~repro.cloud.fleet.FleetShard` holds arrivals in its pending
     list until the trigger fires, which is what gives a
     :class:`~repro.cloud.fleet.RebalancePolicy` a window to migrate them.
-    The per-job decision rule is exactly FCFS (highest-fidelity feasible
-    online QPU, arrival order preserved), so it remains a *baseline* —
-    just one that can be driven at fleet scale without NSGA-II cost.
-
-    Tenant-tagged batches are served in **tier order** (premium tiers
-    first, degraded best-effort jobs last, arrival order within a tier);
-    untenanted batches pass through :func:`~repro.cloud.tenancy.tier_sort`
-    unchanged, keeping tenancy-off runs bit-identical.
+    The per-job decision rule is exactly FCFS's, so it remains a
+    *baseline* — one that can be driven at fleet scale without NSGA-II
+    cost.
     """
 
     name = "fcfs_batched"
-    batched = True
 
-    def begin_cycle(
-        self,
-        jobs: list[QuantumJob],
-        qpus: list[QPU],
-        waiting_seconds: dict[str, float] | None = None,
-    ) -> BatchPlan:
-        """The whole cycle: FCFS has no optimization stage, so the
-        trigger-time snapshot is decided here and ``finish_cycle`` only
-        hands it back.  The rule reads no waits: ``waiting_seconds`` is
-        the batched contract's, and unused."""
-        jobs = tier_sort(jobs)
-        decisions: list[BatchDecision] = []
-        unschedulable: list[QuantumJob] = []
-        for job, qpu_name in self.assign(jobs, qpus):
-            if qpu_name is None:
-                unschedulable.append(job)
-            else:
-                decisions.append(BatchDecision(job=job, qpu_name=qpu_name))
-        return BatchPlan(BatchSchedule(decisions, unschedulable))
-
-    def finish_cycle(self, plan: BatchPlan, result: None) -> BatchSchedule:
-        return plan.schedule
+    def default_trigger(self) -> SchedulingTrigger:
+        return SchedulingTrigger()

@@ -38,7 +38,7 @@ from ..estimator.source import EstimateSource, require_estimate_source
 from ..moo import select_by_preference
 from .cycle import OptimizationResult, OptimizationTask
 from .formulation import SchedulingInput, assignment_stats
-from .policy import SchedulingPolicy
+from .policy import QueuedSeconds, SchedulingPolicy
 
 __all__ = [
     "ScheduleDecision",
@@ -111,8 +111,6 @@ class CyclePlan:
 class QonductorScheduler(SchedulingPolicy):
     """Many-to-many hybrid scheduler balancing fidelity vs JCT."""
 
-    batched = True
-
     def __init__(
         self,
         estimate_fn: EstimateSource,
@@ -154,7 +152,7 @@ class QonductorScheduler(SchedulingPolicy):
 
     # ------------------------------------------------------------------
     def preprocess(
-        self, jobs: list[QuantumJob], qpus: list[QPU], waiting_seconds: dict[str, float]
+        self, jobs: list[QuantumJob], qpus: list[QPU], waiting_seconds: QueuedSeconds
     ) -> tuple[SchedulingInput | None, list[QuantumJob], list[QuantumJob]]:
         """Stage 1: filter and build estimate matrices.
 
@@ -184,7 +182,7 @@ class QonductorScheduler(SchedulingPolicy):
         self,
         jobs: list[QuantumJob],
         qpus: list[QPU],
-        waiting_seconds: dict[str, float] | None = None,
+        waiting_seconds: QueuedSeconds | None = None,
     ) -> CyclePlan:
         """Stage 1, first half of a cycle: snapshot the inputs.
 

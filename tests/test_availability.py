@@ -189,21 +189,50 @@ class TestSimulatorIntegration:
         assert m.qpu_downtime_seconds["auckland"] == pytest.approx(300.0)
         assert not fleet[0].online
 
-    def test_wide_jobs_fail_during_wide_outage(self):
-        """While the only wide QPU is down, wide jobs become
-        unschedulable; narrow jobs keep running on the narrow device."""
+    def test_wide_jobs_wait_out_a_wide_outage(self):
+        """While the only wide QPU is down, per-arrival FCFS retains wide
+        jobs (the device may recover) instead of failing them; narrow
+        jobs keep running on the narrow device, and the wide ones are
+        still pending when the outage outlives the run."""
         _, baseline = self._run(None)
         _, outage = self._run(
             flash_outage(["auckland"], start=0.0, duration_seconds=10_000.0)
         )
         assert baseline.unschedulable_jobs == 0
-        assert outage.unschedulable_jobs > 0
+        assert outage.unschedulable_jobs == 0
+        assert outage.pending_at_horizon > 0
         assert outage.dispatched_jobs > 0  # narrow jobs still served
         assert outage.per_qpu_jobs["auckland"] == 0
         assert (
-            outage.dispatched_jobs + outage.unschedulable_jobs
+            outage.dispatched_jobs + outage.pending_at_horizon
             == baseline.dispatched_jobs
         )
+
+    @pytest.mark.parametrize("later_arrival", [True, False], ids=["arrival", "flush"])
+    def test_per_arrival_retry_points(self, later_arrival):
+        """A job retained on a per-arrival shard is retried at the
+        shard's next cycle: its next arrival, or else the horizon flush."""
+        from repro.cloud import HybridApplication
+
+        def app(width, t):
+            job = _job(width)
+            job.arrival_time = t
+            return HybridApplication(quantum_job=job, arrival_time=t)
+
+        wide = app(10, 10.0)
+        apps = [wide, app(3, 50.0)] if later_arrival else [wide]
+        sim = CloudSimulator(
+            default_fleet(seed=7, names=self.NAMES),
+            FCFSPolicy(_fake_estimate),
+            ExecutionModel(seed=5),
+            config=SimulationConfig(duration_seconds=100.0, seed=5),
+            availability=flash_outage(["auckland"], start=0.0, duration_seconds=30.0),
+        )
+        m = sim.run(apps)
+        assert (m.unschedulable_jobs, m.pending_at_horizon) == (0, 0)
+        assert m.dispatched_jobs == len(apps)
+        assert wide.quantum_job.assigned_qpu == "auckland"
+        assert wide.quantum_job.schedule_time == (50.0 if later_arrival else 100.0)
 
     def test_pending_jobs_survive_transient_full_outage(self):
         """Jobs queued on a batched shard whose only device is down at

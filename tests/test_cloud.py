@@ -510,7 +510,7 @@ class TestCloudSimulator:
             fleet,
             policy,
             ExecutionModel(seed=5),
-            trigger=trigger or SchedulingTrigger(queue_limit=20, interval_seconds=60),
+            trigger=trigger,
             config=SimulationConfig(duration_seconds=duration, seed=5),
         )
         return sim.run(apps)
@@ -529,7 +529,9 @@ class TestCloudSimulator:
         gen = LoadGenerator(mean_rate_per_hour=300, max_qubits=27, seed=4)
         apps = gen.generate(600.0)
         policy = QonductorScheduler(_fake_estimate, seed=1, max_generations=8)
-        metrics = self._run(policy, apps)
+        metrics = self._run(
+            policy, apps, trigger=SchedulingTrigger(queue_limit=20, interval_seconds=60)
+        )
         assert metrics.dispatched_jobs == len(apps)
         assert metrics.completed_jobs <= metrics.dispatched_jobs
         assert metrics.scheduling_cycles >= 1

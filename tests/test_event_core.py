@@ -49,7 +49,6 @@ def _run(policy_maker, *, seed=4, duration=900.0, rate=600, recal=None):
         fleet,
         policy_maker(),
         ExecutionModel(seed=5),
-        trigger=SchedulingTrigger(queue_limit=20, interval_seconds=60),
         config=SimulationConfig(
             duration_seconds=duration, seed=5, recalibrate_every_seconds=recal
         ),
@@ -125,38 +124,44 @@ class TestEventCore:
         assert m.completed_jobs < m.dispatched_jobs
         assert m.summary()["dispatched_jobs"] == m.dispatched_jobs
 
-    def test_immediate_path_counts_cycles_per_call(self):
-        """Regression: the per-arrival path charged one scheduling cycle
-        *per job* while the batched path charges one per cycle, skewing
-        baseline-vs-Qonductor cycle comparisons (Fig. 8/9).  One
-        ``assign`` call over a batch is one cycle."""
-        from repro.cloud import SimulationMetrics
-        from repro.cloud.simulator import RunState
-        from repro.workloads import ghz_linear as _ghz
-
-        fleet = default_fleet(seed=7, names=["auckland", "lagos"])
-        sim = CloudSimulator(
-            fleet,
-            FCFSPolicy(_fake_estimate),
-            ExecutionModel(seed=5),
-            config=SimulationConfig(duration_seconds=600.0, seed=5),
-        )
-        m = SimulationMetrics()
-        jobs = [
-            QuantumJob.from_circuit(_ghz(4))
-            for _ in range(3)
-        ]
-        st = RunState(horizon=600.0, stream=iter(()), metrics=m)
-        sim._schedule_immediate(st, sim.shards[0], jobs, 0.0)
-        assert m.scheduling_cycles == 1
-        assert m.dispatched_jobs == 3
-
     def test_event_counts(self):
         apps, m = _run(lambda: FCFSPolicy(_fake_estimate))
         # Arrivals + at least the in-horizon completions + samples.
         assert m.events_processed > len(apps)
         assert m.wall_seconds > 0
         assert m.events_per_second > 0
+
+    @pytest.mark.parametrize("given", [False, True], ids=["default", "passed"])
+    def test_per_arrival_trigger_pushes_no_deadline(self, given, monkeypatch):
+        """A one-job queue limit with no interval: each arrival is a
+        one-job cycle, and no TRIGGER entry ever reaches the heap —
+        whether the trigger is FCFS's default or passed to a batched
+        policy."""
+        from repro.cloud.simulator import EventType, RunState
+
+        kinds = []
+        push = RunState.push
+
+        def recording_push(self, t, kind, payload=None):
+            kinds.append(kind)
+            push(self, t, kind, payload)
+
+        monkeypatch.setattr(RunState, "push", recording_push)
+        per_arrival = SchedulingTrigger(queue_limit=1, interval_seconds=math.inf)
+        gen = LoadGenerator(mean_rate_per_hour=600, max_qubits=27, seed=4)
+        apps = gen.generate(900.0)
+        sim = CloudSimulator(
+            default_fleet(seed=7, names=["auckland", "algiers", "lagos"]),
+            BatchedFCFSPolicy(_fake_estimate) if given else FCFSPolicy(_fake_estimate),
+            ExecutionModel(seed=5),
+            trigger=per_arrival if given else None,
+            config=SimulationConfig(duration_seconds=900.0, seed=5),
+        )
+        assert sim.shards[0].trigger == per_arrival
+        m = sim.run(apps)
+        assert EventType.ARRIVAL in kinds and EventType.TRIGGER not in kinds
+        assert m.dispatched_jobs == m.scheduling_cycles == m.cycle_batches == len(apps)
+        assert m.max_batch_cycles == 1 and m.pending_at_horizon == 0
 
     def test_idle_trigger_cadence(self):
         """With no arrivals the trigger ticks but never schedules."""
@@ -366,9 +371,9 @@ class TestEdgeConfigurations:
         assert job.status is JobStatus.FAILED and job.assigned_qpu is None
 
     def test_every_qpu_offline_for_the_whole_run(self, policy_cls):
-        """Pinned as found: the per-arrival path fails a job that fits
-        only offline hardware, the batched path retains it through the
-        outage (docs/ARCHITECTURE.md, "Outages: fail vs retain")."""
+        """A job that fits only offline hardware is retained through the
+        outage, per-arrival or batched (docs/ARCHITECTURE.md, "Outages:
+        one rule"), and reported pending at the horizon."""
         windows = [
             MaintenanceWindow(name, 0.0, 2 * self.HORIZON)
             for name in ("auckland", "lagos")
@@ -377,12 +382,8 @@ class TestEdgeConfigurations:
             policy_cls, [5], availability=AvailabilityModel(windows=windows)
         )
         assert m.dispatched_jobs == 0 and m.outage_events == 2
-        if policy_cls.batched:
-            assert (m.unschedulable_jobs, m.pending_at_horizon) == (0, 1)
-            assert job.status is JobStatus.QUEUED
-        else:
-            assert (m.unschedulable_jobs, m.pending_at_horizon) == (1, 0)
-            assert job.status is JobStatus.FAILED
+        assert (m.unschedulable_jobs, m.pending_at_horizon) == (0, 1)
+        assert job.status is JobStatus.QUEUED
 
 
 #: All pairs feasible: the cache tests score circuits of up to 21 qubits on

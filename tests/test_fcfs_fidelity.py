@@ -25,7 +25,7 @@ from repro.scheduler import BatchedFCFSPolicy, FCFSPolicy
 #: ``trained_estimator(seed=7).cached()``.
 FCFS_PINS = {
     "per_arrival_recalibrated":
-        "8369a17f1f4e6e15ecdf0a515957acbdebecc675dceb9fb72b86ad72a4c4ba7e",
+        "4258581805a918749b74be3e0de497b553847fc623a16385b6b718e0e97f05f3",
     "batched_tenants_outage":
         "358455e521e74c57355085353798e3ce73a5f855d2306f7744d720d707a5b080",
 }
@@ -107,7 +107,8 @@ def test_per_arrival_run_never_runs_the_runtime_model(monkeypatch):
     monkeypatch.setattr(RegressionEstimator, "predict", counting_predict)
     monkeypatch.setattr(CachedEstimator, "fidelity_block", counting_block)
     metrics = run_sharded(
-        FCFSPolicy(trained_estimator(seed=7).cached()), "serial", num_shards=2, pool=24
+        FCFSPolicy(trained_estimator(seed=7).cached()), "serial", num_shards=2, pool=24,
+        trigger=None,
     )
     assert predicts.count("runtime") == 0
     assert predicts.count("fidelity") == sum(miss_blocks) > 0

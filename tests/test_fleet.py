@@ -134,7 +134,13 @@ class TestShardedEquivalence:
         gen = LoadGenerator(mean_rate_per_hour=600, max_qubits=27, seed=seed)
         return gen.generate(duration)
 
-    def _run(self, policy, *, sharded: bool, duration=900.0, recal=None):
+    def _run(self, policy, *, sharded: bool, duration=900.0, recal=None, limits=None):
+        """``limits`` is the trigger's ``(queue_limit, interval_seconds)``;
+        ``None`` runs the policy's own trigger."""
+
+        def trigger(shard_id=0):
+            return None if limits is None else SchedulingTrigger(*limits)
+
         fleet = default_fleet(seed=7, names=self.NAMES)
         config = SimulationConfig(
             duration_seconds=duration, seed=5, recalibrate_every_seconds=recal
@@ -145,9 +151,7 @@ class TestShardedEquivalence:
                 policy,
                 num_shards=1,
                 execution_model=ExecutionModel(seed=5),
-                trigger_factory=lambda i: SchedulingTrigger(
-                    queue_limit=20, interval_seconds=60
-                ),
+                trigger_factory=trigger,
                 config=config,
             )
         else:
@@ -155,7 +159,7 @@ class TestShardedEquivalence:
                 fleet,
                 policy,
                 ExecutionModel(seed=5),
-                trigger=SchedulingTrigger(queue_limit=20, interval_seconds=60),
+                trigger=trigger(),
                 config=config,
             )
         return sim.run(self._apps(duration=duration))
@@ -184,8 +188,8 @@ class TestShardedEquivalence:
                 estimator.cached(), seed=5, max_generations=8
             )
 
-        a = self._run(make(), sharded=False, recal=400.0)
-        b = self._run(make(), sharded=True, recal=400.0)
+        a = self._run(make(), sharded=False, recal=400.0, limits=(20, 60))
+        b = self._run(make(), sharded=True, recal=400.0, limits=(20, 60))
         for attr in SERIES:
             at, av = getattr(a, attr).as_arrays()
             bt, bv = getattr(b, attr).as_arrays()
@@ -251,6 +255,18 @@ class TestShardedEquivalence:
         # Shared cache across shards: merged counters are reported once.
         assert m.estimate_cache["hits"] + m.estimate_cache["misses"] > 0
         assert cached.stats.invalidations == 1  # one fleet-wide recal
+
+    @pytest.mark.parametrize("ids", [(5, 7), (1, 0)])
+    def test_shard_id_must_be_its_position(self, ids):
+        """Regression: a TRIGGER names its shard by id and the engine
+        looks it up by position, so ids (5, 7) raised a bare IndexError
+        mid-run and ids (1, 0) silently ran the wrong shard's cycles."""
+        shards = [
+            FleetShard(shard_id, [SimulatedQPU(qpu)], BatchedFCFSPolicy(fake_estimate))
+            for shard_id, qpu in zip(ids, default_fleet(seed=7, names=["auckland", "hanoi"]))
+        ]
+        with pytest.raises(ValueError, match=rf"shards\[0\] has shard_id {ids[0]}"):
+            CloudSimulator(shards=shards)
 
 
 class TestRebalancePolicies:
@@ -438,7 +454,6 @@ class TestRebalancePolicies:
                         s
                         for s in shards
                         if s is not src
-                        and s.is_batched
                         and len(src.pending) - len(s.pending)
                         >= policy.min_gap
                     ]
@@ -654,6 +669,44 @@ class TestRebalancingRuns:
         assert m.jobs_migrated > 0
         # Work kept flowing to the wide shard while guadalupe was dark.
         assert m.per_qpu_jobs["auckland"] + m.per_qpu_jobs["hanoi"] > 0
+
+    def test_threshold_migrates_into_a_per_arrival_fcfs_shard(self):
+        """Two per-arrival FCFS shards, each one 27q device; both are
+        dark at first, so 10q arrivals are retained where they land.
+        hanoi (shard 1) recovers at 100 s and drains its queue on the
+        next arrival; auckland stays dark until 600 s.  The 120 s and
+        240 s rebalances each move shard 0's newest job to shard 1, whose
+        one-job trigger fires on receipt and dispatches it on hanoi at
+        once.  The last job is retried at the horizon flush: shard 0
+        runs no cycle between auckland's recovery and the horizon."""
+        from repro.cloud import HybridApplication, MaintenanceWindow
+        from repro.cloud.availability import AvailabilityModel
+
+        apps = []
+        for t in (10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 110.0):
+            job = make_job(10, arrival_time=t)
+            apps.append(HybridApplication(quantum_job=job, arrival_time=t))
+        sim = CloudSimulator.sharded(
+            default_fleet(seed=7, names=["auckland", "hanoi"]),
+            FCFSPolicy(fake_estimate),
+            num_shards=2,
+            execution_model=ExecutionModel(seed=5),
+            config=SimulationConfig(duration_seconds=900.0, seed=5),
+            rebalance=ThresholdRebalancePolicy(min_gap=2, interval_seconds=120.0),
+            availability=AvailabilityModel(windows=[
+                MaintenanceWindow("auckland", 0.0, 600.0),
+                MaintenanceWindow("hanoi", 0.0, 100.0),
+            ]),
+        )
+        assert [s.trigger.queue_limit for s in sim.shards] == [1, 1]
+        m = sim.run(apps)
+        assert (m.unschedulable_jobs, m.pending_at_horizon) == (0, 0)
+        assert m.dispatched_jobs == len(apps)
+        assert m.jobs_migrated == m.per_shard_steals[1]["in"] == 2
+        assert [(a.quantum_job.schedule_time, a.quantum_job.assigned_qpu) for a in apps] == [
+            (900.0, "auckland"), (110.0, "hanoi"), (240.0, "hanoi"), (110.0, "hanoi"),
+            (120.0, "hanoi"), (110.0, "hanoi"), (110.0, "hanoi"),
+        ]
 
 
 class TestStreaming:

@@ -11,7 +11,7 @@ from repro.cloud import (
     SimulationConfig,
 )
 from repro.estimator import ResourceEstimator
-from repro.scheduler import FCFSPolicy, QonductorScheduler, SchedulingTrigger
+from repro.scheduler import FCFSPolicy, QonductorScheduler
 from repro.workloads import ghz_linear
 
 NAMES = ["auckland", "cairo", "algiers", "lagos"]
@@ -47,7 +47,6 @@ class TestEndToEndScheduling:
                 fleet,
                 policy,
                 ExecutionModel(seed=11),
-                trigger=SchedulingTrigger(queue_limit=100, interval_seconds=120),
                 config=SimulationConfig(duration_seconds=duration, seed=5),
             )
             return sim.run(apps).summary()

@@ -11,8 +11,8 @@
   generator, ``QuantumJob.from_circuit``, ``trained_estimator`` and the
   ``repro.ml`` models, pipeline factory and folds;
 * the trigger path reads shard state, never the heap's contents (AST
-  guard: no ``heapify``, no heap slice-assignment, every TRIGGER payload
-  a bare shard id);
+  guard: no ``heapify``, no heap slice-assignment, one TRIGGER push, its
+  payload a bare shard id);
 * the synchronous engine keeps the digests of twelve pinned runs over
   three trigger shapes, two batched policies and two load seeds.
 """
@@ -21,6 +21,7 @@ import ast
 import dataclasses
 import hashlib
 import inspect
+import math
 from pathlib import Path
 
 import pytest
@@ -47,6 +48,7 @@ from repro.scheduler import (
     FCFSPolicy,
     QonductorScheduler,
     SchedulingPolicy,
+    SchedulingTrigger,
 )
 from repro.simulation import NoisySimulator
 
@@ -104,7 +106,7 @@ class TestConstructionTimeErrors:
             QonductorScheduler(fake_estimate),
         ):
             shard = FleetShard(0, _backends(), policy.spawn(0))
-            assert shard.is_batched is policy.batched
+            assert shard.trigger == policy.default_trigger()
 
     def test_non_policy_rejected(self):
         with pytest.raises(TypeError, match=r"FleetShard 3 .*SchedulingPolicy.*object"):
@@ -112,24 +114,25 @@ class TestConstructionTimeErrors:
 
     def test_missing_spawn_named(self):
         class NoSpawn(SchedulingPolicy):
-            def assign(self, jobs, qpus):
-                return [(job, None) for job in jobs]
+            def begin_cycle(self, jobs, qpus, waiting_seconds=None):
+                return None
+
+            def finish_cycle(self, plan, result):
+                return None
 
         with pytest.raises(TypeError, match=r"FleetShard 0: NoSpawn .*spawn"):
             FleetShard(0, _backends(), NoSpawn())
 
     def test_missing_shape_named(self):
-        class HalfBatched(SchedulingPolicy):
-            batched = True
-
+        class HalfCycle(SchedulingPolicy):
             def spawn(self, shard_id):
                 return self
 
             def begin_cycle(self, jobs, qpus, waiting_seconds=None):
                 return None
 
-        with pytest.raises(TypeError, match=r"batched=True .*finish_cycle"):
-            FleetShard(0, _backends(), HalfBatched())
+        with pytest.raises(TypeError, match=r"HalfCycle does not define finish_cycle$"):
+            FleetShard(0, _backends(), HalfCycle())
 
 
 def _names(fn) -> list[str]:
@@ -154,11 +157,22 @@ class TestKeywordSets:
             and obj is not SchedulingPolicy
         )
         assert shipped == ["BatchedFCFSPolicy", "FCFSPolicy", "QonductorScheduler"]
-        assert [n for n in shipped if not exported[n].batched] == ["FCFSPolicy"]
+        # What tells the two FCFS policies apart is their default trigger.
+        per_arrival = SchedulingTrigger(queue_limit=1, interval_seconds=math.inf)
+        assert FCFSPolicy(fake_estimate).default_trigger() == per_arrival
+        for name in ("BatchedFCFSPolicy", "QonductorScheduler"):
+            assert exported[name](fake_estimate).default_trigger() == SchedulingTrigger()
 
     def test_policy_and_estimate_source_surface(self):
-        # FCFS reads fidelity alone and no policy reads per-arrival waits.
-        assert _names(SchedulingPolicy.assign) == ["self", "jobs", "qpus"]
+        # One cycle shape, no per-arrival ``assign`` and no ``batched``
+        # flag; FCFS reads fidelity alone.
+        assert {
+            name for name, value in vars(SchedulingPolicy).items()
+            if not name.startswith("_")
+        } == {
+            "estimate_fn", "shard_id", "spawn", "default_trigger",
+            "on_recalibration", "begin_cycle", "finish_cycle", "schedule",
+        }
         methods = {
             name
             for name, value in vars(EstimateSource).items()
@@ -287,10 +301,9 @@ class TestTriggerPathReadsShardState:
         assert _heap_surgery(SRC / "cloud/simulator.py") == []
 
     def test_every_trigger_payload_is_a_bare_shard_id(self):
-        payloads = _trigger_payloads(SRC / "cloud/simulator.py")
-        # The initial deadline and the re-armed one.
-        assert len(payloads) == 2
-        assert set(payloads) == {"shard.shard_id"}
+        # One push site (``_arm``) queues the initial deadline and every
+        # re-armed one.
+        assert _trigger_payloads(SRC / "cloud/simulator.py") == ["shard.shard_id"]
 
     def test_guards_see_what_they_forbid(self, tmp_path):
         sample = tmp_path / "sample.py"
