@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["line_chart", "bar_chart", "cdf_chart"]
+__all__ = ["line_chart", "bar_chart"]
 
 
 def line_chart(
@@ -69,19 +69,3 @@ def bar_chart(
         lines.append(f"  {name:<{label_w}s} │{bar:<{width}s}│ {value:.1f}")
     return "\n".join(lines)
 
-
-def cdf_chart(
-    samples: dict[str, np.ndarray],
-    *,
-    width: int = 64,
-    height: int = 12,
-    title: str = "",
-) -> str:
-    """CDF rendering for error distributions (Fig 7b/c)."""
-    series = {}
-    for name, data in samples.items():
-        data = np.sort(np.asarray(data, dtype=float))
-        probs = np.arange(1, len(data) + 1) / len(data)
-        series[name] = (data, probs)
-    return line_chart(series, width=width, height=height, title=title,
-                      y_label="P(err <= x)")

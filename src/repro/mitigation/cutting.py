@@ -31,7 +31,6 @@ from ..circuits.gates import Gate
 
 __all__ = [
     "CutInstruction",
-    "FragmentVariant",
     "CutPlan",
     "cut_circuit",
     "knit",
@@ -67,16 +66,6 @@ class CutInstruction:
     op_index: int
     qubit_a: int  # lives in partition A
     qubit_b: int  # lives in partition B
-
-
-@dataclass
-class FragmentVariant:
-    """One signed variant of one fragment."""
-
-    circuit: Circuit
-    coefficient: float  # signed coefficient of the *combo* (set on frag A)
-    variant_id: int
-    fragment: str  # "A" or "B"
 
 
 @dataclass

@@ -1,11 +1,11 @@
 """Minimal ML stack (scikit-learn substitute): linear/ridge regression,
-polynomial features, scaling, K-fold degree selection, regression
-metrics, pipelines."""
+polynomial features, scaling, K-fold degree selection, the R² score,
+pipelines."""
 
 from .features import PolynomialFeatures, StandardScaler
 from .linear import LinearRegression, Ridge
-from .metrics import mean_absolute_error, r2_score, root_mean_squared_error
-from .model_selection import KFold, polynomial_ridge_cv, train_test_split
+from .metrics import r2_score
+from .model_selection import KFold, polynomial_ridge_cv
 from .pipeline import Pipeline, make_polynomial_regression
 
 __all__ = [
@@ -13,12 +13,9 @@ __all__ = [
     "Ridge",
     "PolynomialFeatures",
     "StandardScaler",
-    "mean_absolute_error",
     "r2_score",
-    "root_mean_squared_error",
     "KFold",
     "polynomial_ridge_cv",
-    "train_test_split",
     "Pipeline",
     "make_polynomial_regression",
 ]

@@ -1,10 +1,10 @@
-"""Regression metrics: R^2 (the paper's model-selection criterion), MAE, RMSE."""
+"""Regression metrics: R^2, the paper's model-selection criterion."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["r2_score", "mean_absolute_error", "root_mean_squared_error"]
+__all__ = ["r2_score"]
 
 
 def _check(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:
@@ -26,12 +26,3 @@ def r2_score(y_true, y_pred) -> float:
         return 1.0 if ss_res <= 1e-300 else 0.0
     return 1.0 - ss_res / ss_tot
 
-
-def mean_absolute_error(y_true, y_pred) -> float:
-    yt, yp = _check(y_true, y_pred)
-    return float(np.mean(np.abs(yt - yp)))
-
-
-def root_mean_squared_error(y_true, y_pred) -> float:
-    yt, yp = _check(y_true, y_pred)
-    return float(np.sqrt(np.mean((yt - yp) ** 2)))

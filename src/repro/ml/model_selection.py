@@ -1,5 +1,5 @@
-"""Model selection: K-fold splits, train/test splitting and the K-fold
-degree selection of polynomial ridge regression.
+"""Model selection: K-fold splits and the K-fold degree selection of
+polynomial ridge regression.
 
 The paper trains and evaluates its estimators "through K-fold
 cross-validation, using the R^2 score as the primary evaluation metric".
@@ -15,7 +15,7 @@ import numpy as np
 from .features import PolynomialFeatures
 from .metrics import r2_score
 
-__all__ = ["KFold", "train_test_split", "polynomial_ridge_cv"]
+__all__ = ["KFold", "polynomial_ridge_cv"]
 
 
 class KFold:
@@ -42,22 +42,6 @@ class KFold:
             train = np.concatenate([indices[:start], indices[start + size :]])
             yield train, test
             start += size
-
-
-def train_test_split(
-    X, y, *, test_fraction: float = 0.2, seed: int | None = 0
-):
-    """Shuffled split into (X_train, X_test, y_train, y_test)."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must be in (0, 1)")
-    X = np.asarray(X)
-    y = np.asarray(y)
-    n = len(X)
-    idx = np.arange(n)
-    np.random.default_rng(seed).shuffle(idx)
-    n_test = max(1, int(round(n * test_fraction)))
-    test_idx, train_idx = idx[:n_test], idx[n_test:]
-    return X[train_idx], X[test_idx], y[train_idx], y[test_idx]
 
 
 def polynomial_ridge_cv(

@@ -21,7 +21,7 @@ from .suite import (
     benchmark_names,
     generate,
 )
-from .vqe import real_amplitudes, two_local, vqe_ansatz
+from .vqe import real_amplitudes, two_local
 
 __all__ = [
     "ghz",
@@ -35,7 +35,6 @@ __all__ = [
     "random_maxcut_graph",
     "real_amplitudes",
     "two_local",
-    "vqe_ansatz",
     "diffuser",
     "grover",
     "grover_oracle",

@@ -6,7 +6,7 @@ import numpy as np
 
 from ..circuits.circuit import Circuit
 
-__all__ = ["real_amplitudes", "two_local", "vqe_ansatz"]
+__all__ = ["real_amplitudes", "two_local"]
 
 
 def real_amplitudes(
@@ -63,11 +63,6 @@ def two_local(
     if measure:
         circ.measure_all()
     return circ
-
-
-def vqe_ansatz(num_qubits: int, reps: int = 2, *, measure: bool = True, seed: int = 0) -> Circuit:
-    """Default VQE workload used by the load generator."""
-    return real_amplitudes(num_qubits, reps, measure=measure, seed=seed)
 
 
 def _entangler_pairs(num_qubits: int, entanglement: str) -> list[tuple[int, int]]:

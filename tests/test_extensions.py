@@ -8,7 +8,7 @@ import pytest
 from repro.backends import default_fleet
 from repro.cloud.execution import MITIGATION_EFFECTS, ExecutionModel
 from repro.cloud.job import QuantumJob
-from repro.experiments.ascii_plot import bar_chart, cdf_chart, line_chart
+from repro.experiments.ascii_plot import bar_chart, line_chart
 from repro.simulation import (
     NoiseModel,
     NoisySimulator,
@@ -80,10 +80,6 @@ class TestAsciiPlot:
         lines = out.splitlines()
         assert lines[0].count("█") == 20
         assert lines[1].count("█") == 10
-
-    def test_cdf_chart_monotone_axes(self):
-        out = cdf_chart({"reg": np.random.default_rng(0).uniform(0, 1, 50)})
-        assert "P(err <= x)" in out
 
 
 class TestMitigationEffectValidation:

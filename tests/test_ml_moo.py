@@ -27,11 +27,8 @@ from repro.ml import (
     Ridge,
     StandardScaler,
     make_polynomial_regression,
-    mean_absolute_error,
     polynomial_ridge_cv,
     r2_score,
-    root_mean_squared_error,
-    train_test_split,
 )
 from repro.moo import (
     NSGA2,
@@ -270,12 +267,6 @@ class TestMetricsAndCV:
         assert r2_score(y, y) == pytest.approx(1.0)
         assert r2_score(y, np.full(3, 2.0)) == pytest.approx(0.0)
 
-    def test_mae_rmse(self):
-        assert mean_absolute_error([0, 0], [1, -1]) == pytest.approx(1.0)
-        assert root_mean_squared_error([0, 0], [3, 4]) == pytest.approx(
-            np.sqrt(12.5)
-        )
-
     def test_kfold_partitions(self):
         folds = list(KFold(n_splits=4, seed=1).split(20))
         all_test = np.concatenate([t for _, t in folds])
@@ -286,12 +277,6 @@ class TestMetricsAndCV:
     def test_kfold_too_few_samples(self):
         with pytest.raises(ValueError):
             list(KFold(n_splits=5).split(3))
-
-    def test_train_test_split_sizes(self):
-        X = np.arange(20).reshape(10, 2)
-        y = np.arange(10)
-        Xtr, Xte, ytr, yte = train_test_split(X, y, test_fraction=0.3, seed=0)
-        assert len(Xte) == 3 and len(Xtr) == 7
 
     def test_cv_scores_on_learnable_problem(self):
         rng = np.random.default_rng(3)
