@@ -350,7 +350,7 @@ class CloudSimulator:
         (FCFS has none) run through the cycle executor, and each
         ``finish_cycle`` schedule is applied in shard-id order: dispatch
         RNG draws, completion pushes, metrics and cache updates happen in
-        one canonical order.
+        one canonical order.  Each trigger then re-arms from ``now``.
         """
         metrics = st.metrics
         metrics.cycle_batches += 1
@@ -367,6 +367,8 @@ class CloudSimulator:
             result = next(results) if plan.task is not None else None
             schedule = shard.policy.finish_cycle(plan, result)
             self._apply_schedule(st, shard, schedule, now)
+        for shard in shards:
+            self._rearm(st, shard, now)
 
     def _apply_schedule(
         self, st: RunState, shard: FleetShard, schedule, now: float
@@ -408,22 +410,13 @@ class CloudSimulator:
         if retained:
             shard.requeue_front(retained)
 
-    def _launch(
-        self, st: RunState, firing: list[FleetShard], now: float
-    ) -> None:
-        """Run one engine batch over ``firing`` (shard-id order), then
-        re-arm each firing trigger from ``now``."""
-        self._run_batch(st, firing, now)
-        for shard in firing:
-            self._rearm(st, shard, now)
-
     def _fire_if_ready(
         self, st: RunState, shard: FleetShard, now: float
     ) -> None:
         """Run a cycle when the shard's trigger condition is met (the
         arrival and rebalance paths)."""
         if shard.trigger.should_fire(len(shard.pending), now):
-            self._launch(st, [shard], now)
+            self._run_batch(st, [shard], now)
 
     def _rearm(self, st: RunState, shard: FleetShard, now: float) -> None:
         """Mark the shard's trigger fired and queue its next deadline."""
@@ -605,7 +598,7 @@ class CloudSimulator:
             else:
                 self._rearm(st, shard, now)
         if firing:
-            self._launch(st, firing, now)
+            self._run_batch(st, firing, now)
 
     # ------------------------------------------------------------------
     def _collect_cache_stats(self, metrics: SimulationMetrics) -> None:

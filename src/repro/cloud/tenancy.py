@@ -283,9 +283,10 @@ def tier_sort(jobs: list) -> list:
     *unchanged* — same object, no reordering — so tenancy-off runs take
     a provably identical path.
     """
-    if not any(j.tenant is not None or j.best_effort for j in jobs):
-        return jobs
-    return sorted(jobs, key=effective_tier)
+    for job in jobs:
+        if job.tenant is not None or job.best_effort:
+            return sorted(jobs, key=effective_tier)
+    return jobs
 
 
 def jain_index(values) -> float:
