@@ -348,9 +348,9 @@ class CloudSimulator:
         ``begin_cycle`` builds a plan from it, with estimates prefetched
         through the shared cache.  The plans' pure optimization tasks
         (FCFS has none) run through the cycle executor, and each
-        ``finish_cycle`` schedule is applied in shard-id order: dispatch
-        RNG draws, completion pushes, metrics and cache updates happen in
-        one canonical order.  Each trigger then re-arms from ``now``.
+        ``finish_cycle`` schedule is applied, and the shard's trigger
+        re-armed from ``now``, in shard-id order: dispatch RNG draws, heap
+        pushes, metrics and cache updates happen in one canonical order.
         """
         metrics = st.metrics
         metrics.cycle_batches += 1
@@ -365,9 +365,7 @@ class CloudSimulator:
         results = iter(self.cycle_executor.run(run_optimization, tasks) if tasks else ())
         for shard, plan in zip(shards, plans):
             result = next(results) if plan.task is not None else None
-            schedule = shard.policy.finish_cycle(plan, result)
-            self._apply_schedule(st, shard, schedule, now)
-        for shard in shards:
+            self._apply_schedule(st, shard, shard.policy.finish_cycle(plan, result), now)
             self._rearm(st, shard, now)
 
     def _apply_schedule(
