@@ -18,9 +18,9 @@ Semantics:
   are all online-aware.  Work already dispatched to the device keeps its
   committed finish time (the execution model assigns finish times at
   dispatch), modeling jobs that drain before the window starts.  Jobs
-  *pending* on a batched shard whose feasible devices are transiently
-  offline stay queued until recovery (or migration); only jobs no
-  device in the shard could ever serve are failed.
+  *pending* on a shard whose feasible devices are transiently offline
+  stay queued until recovery (or migration) and the shard's next cycle;
+  only jobs no device in the shard could ever serve are failed.
 * Per QPU, windows are merged into disjoint offline intervals before
   events are emitted, so the flag never flaps inside an overlap and
   every offline event has exactly one matching recovery (or none, when
