@@ -270,8 +270,8 @@ class CloudSimulator:
 
         Each shard gets ``policy.spawn(shard_id)`` and
         ``trigger_factory(shard_id)`` (default: the policy's
-        ``default_trigger()``).  Every other keyword (``execution_model``, ``config``,
-        ``rebalance``, ``availability``, ``cycle_executor``,
+        ``default_trigger()``).  Every other keyword (``execution_model``,
+        ``config``, ``rebalance``, ``availability``, ``cycle_executor``,
         ``admission``) is the constructor's, forwarded as is — an unknown
         one is its ``TypeError``.
         """

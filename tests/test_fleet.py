@@ -679,8 +679,7 @@ class TestRebalancingRuns:
         one-job trigger fires on receipt and dispatches it on hanoi at
         once.  The last job is retried at the horizon flush: shard 0
         runs no cycle between auckland's recovery and the horizon."""
-        from repro.cloud import HybridApplication, MaintenanceWindow
-        from repro.cloud.availability import AvailabilityModel
+        from repro.cloud import AvailabilityModel, HybridApplication, MaintenanceWindow
 
         apps = []
         for t in (10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 110.0):
