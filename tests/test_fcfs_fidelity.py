@@ -2,7 +2,7 @@
 
 FCFS sends each job to the highest-fidelity QPU that fits, so it reads
 one of the two estimates the §6 estimator produces, through
-``fidelity_block``.  Two runs are pinned as sha256 literals of
+``fidelity_block``.  Three runs are pinned as sha256 literals of
 ``deterministic_state()``, estimate-cache counters included: a policy
 that asks ``estimate_block`` for both estimates and keeps the fidelity
 yields the same digests.  Three per-arrival runs are also pinned through
@@ -16,7 +16,12 @@ import hashlib
 import pytest
 
 from helpers.determinism import decision_state, fake_estimate, make_job, run_sharded
-from repro.cloud import AdmissionController, abusive_mix, flash_outage
+from repro.cloud import (
+    AdmissionController,
+    ThresholdRebalancePolicy,
+    abusive_mix,
+    flash_outage,
+)
 from repro.estimator import CachedEstimator, RegressionEstimator
 from repro.experiments.common import trained_estimator
 from repro.scheduler import BatchedFCFSPolicy, FCFSPolicy
@@ -28,6 +33,8 @@ FCFS_PINS = {
         "4258581805a918749b74be3e0de497b553847fc623a16385b6b718e0e97f05f3",
     "batched_tenants_outage":
         "358455e521e74c57355085353798e3ce73a5f855d2306f7744d720d707a5b080",
+    "batched_tenants_reject_rebalanced":
+        "366096be6cdf31e70b2e58e58634d5a7a5dd25513f49c049a5fcf62e066f44f3",
 }
 
 
@@ -36,6 +43,25 @@ def _run(name):
     if name == "per_arrival_recalibrated":
         return run_sharded(
             FCFSPolicy(cached), "serial", num_shards=2, recal=350.0, pool=24, trigger=None
+        )
+    if name == "batched_tenants_reject_rebalanced":
+        # The reject arm of the queue quota, tenant-aware migration
+        # between three shards and one cache shared through two
+        # recalibrations.
+        return run_sharded(
+            BatchedFCFSPolicy(cached),
+            "serial",
+            num_shards=3,
+            duration=600.0,
+            tenants=abusive_mix(abuser_share=0.5, abuser_queue_quota=10),
+            admission=AdmissionController(quota_action="reject"),
+            rebalance=ThresholdRebalancePolicy(
+                min_gap=8, interval_seconds=30.0, tenant_aware=True
+            ),
+            availability=flash_outage(["qpu01", "qpu04"], start=200.0, duration_seconds=200.0),
+            recal=250.0,
+            trigger=lambda i: (10_000, 60.0),
+            pool=24,
         )
     return run_sharded(
         BatchedFCFSPolicy(cached),
@@ -54,6 +80,9 @@ def _run(name):
 def test_fcfs_run_matches_pinned_digest(name):
     metrics = _run(name)
     assert metrics.estimate_cache["misses"] > 0 and metrics.estimate_cache["hits"] > 0
+    if name == "batched_tenants_reject_rebalanced":
+        assert metrics.admission_rejected > 0 and metrics.jobs_migrated > 0
+        assert metrics.estimate_cache["invalidations"] == 2
     digest = hashlib.sha256(repr(metrics.deterministic_state()).encode()).hexdigest()
     assert digest == FCFS_PINS[name]
 
