@@ -346,8 +346,8 @@ def test_perf_batched_estimates():
     issues per arrival) through the stacked fill must beat the per-QPU
     loop it replaced (kept in ``tests/helpers``) by >=3x too."""
     from helpers.reference_estimates import reference_cached_block
-    from repro.cloud.job import QuantumJob, feasibility_matrix
-    from repro.estimator import CachedEstimator
+    from repro.cloud.job import QuantumJob
+    from repro.estimator import CachedEstimator, feasibility_matrix
     from repro.workloads import WorkloadSampler
 
     num_jobs, num_qpus = 200, 16

@@ -24,7 +24,7 @@ from .fleet import (
     partition_fleet,
 )
 from .imbalance import QueueTrace, simulate_queue_imbalance
-from .job import HybridApplication, JobStatus, QuantumJob, feasibility_matrix
+from .job import HybridApplication, JobStatus, QuantumJob
 from .loadgen import IBM_MEAN_RATE, IBM_RATE_BAND, LoadGenerator, diurnal_rate
 from .metrics import SimulationMetrics, TimeSeries
 from .proxy import ProxyEntry, TranspileProxy
@@ -45,7 +45,6 @@ __all__ = [
     "HybridApplication",
     "JobStatus",
     "QuantumJob",
-    "feasibility_matrix",
     "ProxyEntry",
     "TranspileProxy",
     "MITIGATION_EFFECTS",

@@ -7,26 +7,14 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from ..circuits.circuit import Circuit
 from ..circuits.metrics import CircuitMetrics, compute_metrics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .tenancy import Tenant
 
-__all__ = ["JobStatus", "QuantumJob", "HybridApplication", "feasibility_matrix"]
+__all__ = ["JobStatus", "QuantumJob", "HybridApplication"]
 
-
-def feasibility_matrix(jobs, qpus) -> np.ndarray:
-    """(jobs x qpus) bool mask of width-feasible assignments.
-
-    The single definition of the scheduling size constraint ``q_i <= s_k``;
-    offline devices are infeasible.
-    """
-    widths = np.array([j.num_qubits for j in jobs])
-    caps = np.array([q.num_qubits if q.online else -1 for q in qpus])
-    return widths[:, None] <= caps[None, :]
 
 _job_ids = itertools.count()
 _app_ids = itertools.count()

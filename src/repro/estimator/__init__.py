@@ -6,7 +6,7 @@ from .cost import TABLE1_RATES, ResourceRates, plan_cost
 from .source import (
     EstimateSource,
     PairwiseEstimateSource,
-    block_feasibility,
+    feasibility_matrix,
     require_estimate_source,
 )
 from .dataset import EstimatorDataset, generate_dataset
@@ -25,7 +25,7 @@ from .plans import ResourcePlan, generate_resource_plans
 __all__ = [
     "EstimateSource",
     "PairwiseEstimateSource",
-    "block_feasibility",
+    "feasibility_matrix",
     "require_estimate_source",
     "FIDELITY_FEATURE_NAMES",
     "RUNTIME_FEATURE_NAMES",

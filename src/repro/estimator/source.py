@@ -11,6 +11,8 @@ FCFS baselines read nothing else).  ``on_recalibration(qpus)`` is the
 calibration-cycle hook.  Schedulers and baseline policies build their
 matrices through these batched calls, and take nothing else:
 :func:`require_estimate_source` rejects any other shape at construction.
+Both sides mask with :func:`feasibility_matrix`, the one definition of
+the size constraint.
 A synthetic ``(job, qpu)`` scorer (test fakes,
 ``experiments/rebalance.skew_estimate``) is wrapped explicitly in
 :class:`PairwiseEstimateSource`.
@@ -30,7 +32,7 @@ import numpy as np
 __all__ = [
     "EstimateSource",
     "PairwiseEstimateSource",
-    "block_feasibility",
+    "feasibility_matrix",
     "feasible_mask",
     "require_estimate_source",
 ]
@@ -52,9 +54,9 @@ class EstimateSource(Protocol):
     callers mask scores safely.
 
     ``on_recalibration(qpus)`` is called with the whole fleet after
-    every calibration cycle, once per shard policy sharing the source —
-    stateful sources drop what the old epoch made stale, stateless ones
-    do nothing.
+    every calibration cycle, once per source however many shard policies
+    share it — stateful sources drop what the old epoch made stale,
+    stateless ones do nothing.
     """
 
     def estimate_block(
@@ -74,10 +76,12 @@ class EstimateSource(Protocol):
     def on_recalibration(self, qpus: list[Any]) -> None: ...
 
 
-def block_feasibility(jobs: list[Any], qpus: list[Any]) -> np.ndarray:
-    """Width/online feasibility mask, mirroring
-    :func:`repro.cloud.job.feasibility_matrix` (kept local so this
-    module stays a leaf)."""
+def feasibility_matrix(jobs: list[Any], qpus: list[Any]) -> np.ndarray:
+    """(jobs x qpus) bool mask of width-feasible assignments.
+
+    The single definition of the scheduling size constraint ``q_i <= s_k``;
+    offline devices are infeasible.
+    """
     widths = np.array([j.num_qubits for j in jobs], dtype=int)
     caps = np.array(
         [q.num_qubits if q.online else -1 for q in qpus], dtype=int
@@ -88,11 +92,11 @@ def block_feasibility(jobs: list[Any], qpus: list[Any]) -> np.ndarray:
 def feasible_mask(
     source: object, jobs: list[Any], qpus: list[Any], feasible: np.ndarray | None
 ) -> np.ndarray:
-    """``feasible``, or :func:`block_feasibility` when it is ``None``; a
+    """``feasible``, or :func:`feasibility_matrix` when it is ``None``; a
     mask not shaped ``(len(jobs), len(qpus))`` is a ``ValueError`` naming
     ``source``'s type and both shapes."""
     if feasible is None:
-        return block_feasibility(jobs, qpus)
+        return feasibility_matrix(jobs, qpus)
     if feasible.shape != (len(jobs), len(qpus)):
         raise ValueError(
             f"{type(source).__name__}: feasible mask has shape "

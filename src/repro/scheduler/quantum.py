@@ -32,9 +32,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..backends.qpu import QPU
-from ..cloud.job import QuantumJob, feasibility_matrix
+from ..cloud.job import QuantumJob
 from ..cloud.tenancy import tier_sort
-from ..estimator.source import EstimateSource, require_estimate_source
+from ..estimator.source import (
+    EstimateSource,
+    feasibility_matrix,
+    require_estimate_source,
+)
 from ..moo import select_by_preference
 from .cycle import OptimizationResult, OptimizationTask
 from .formulation import SchedulingInput, assignment_stats

@@ -21,7 +21,6 @@ pass ``segments``.
 
 import numpy as np
 
-from repro.cloud.job import feasibility_matrix
 from repro.estimator.cache import EstimateCache
 from repro.estimator.cost import plan_cost
 from repro.estimator.features import (
@@ -31,6 +30,7 @@ from repro.estimator.features import (
     job_runtime_features,
 )
 from repro.estimator.plans import ResourcePlan, _classical_seconds
+from repro.estimator.source import feasibility_matrix
 from repro.mitigation.stack import STANDARD_STACKS
 from repro.moo.sorting import pareto_front_mask
 

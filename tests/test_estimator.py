@@ -255,10 +255,9 @@ class TestPlans:
 # The unified estimate-source surface (EstimateSource / estimate_block)
 # ---------------------------------------------------------------------------
 
-from repro.cloud.job import feasibility_matrix  # noqa: E402
 from repro.estimator import (  # noqa: E402
     PairwiseEstimateSource,
-    block_feasibility,
+    feasibility_matrix,
     require_estimate_source,
 )
 
@@ -309,12 +308,6 @@ class TestEstimateSourceAdapter:
             for bad in (lambda job, qpu: (0.8, 5.0), 42):
                 with pytest.raises(TypeError, match="PairwiseEstimateSource"):
                     make(bad)
-
-    def test_block_feasibility_matches_cloud_matrix(self, fleet):
-        jobs = _jobs_with_circuits()
-        assert np.array_equal(
-            block_feasibility(jobs, fleet), feasibility_matrix(jobs, fleet)
-        )
 
 
 class TestEstimateBlock:
