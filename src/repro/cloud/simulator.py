@@ -164,13 +164,11 @@ class RunState:
     #: held here; entries are dropped on dispatch/rejection so memory
     #: stays independent of the stream length.
     apps_by_job: dict[int, HybridApplication] = field(default_factory=dict)
-    # Running completion aggregates (fed by COMPLETION events): plain
-    # sums/counts, so each sample is O(backends) time and the aggregate
-    # state is O(1) memory however many jobs complete.
+    # Running completion sums (fed by COMPLETION events, divided by
+    # ``metrics.completed_jobs``), so each sample is O(backends) time and
+    # the aggregate state is O(1) memory however many jobs complete.
     done_fid_sum: float = 0.0
-    done_fid_count: int = 0
     done_jct_sum: float = 0.0
-    done_jct_count: int = 0
     shard_of_qpu: dict[str, FleetShard] = field(default_factory=dict)
     offline_since: dict[str, float] = field(default_factory=dict)
 
@@ -228,6 +226,11 @@ class CloudSimulator:
             backends = [SimulatedQPU(q) for q in fleet]
             self.shards = [FleetShard(0, backends, policy, trigger)]
         self.balancer = make_balancer(balancer)
+        # Each distinct estimate source of the shards' policies, in shard
+        # order (spawned policies share one): a calibration wave reaches
+        # each once, and their cache counters are merged once.
+        sources = (shard.policy.estimate_fn for shard in self.shards)
+        self._estimate_sources = list({id(s): s for s in sources if s is not None}.values())
         # Both adaptive subsystems default to off: static fleets stay
         # bit-identical to the pre-rebalancing simulator.
         if rebalance is not None and not isinstance(rebalance, RebalancePolicy):
@@ -295,8 +298,6 @@ class CloudSimulator:
     def _dispatch(
         self, st: RunState, shard: FleetShard, job, qpu_name: str, now: float
     ) -> None:
-        if self.admission is not None:
-            self.admission.track_dequeued(job)
         try:
             backend = shard.backend_by_name[qpu_name]
         except KeyError:
@@ -317,8 +318,6 @@ class CloudSimulator:
             st.push(app.finish_time, EventType.COMPLETION, app)
 
     def _fail(self, st: RunState, job) -> None:
-        if self.admission is not None:
-            self.admission.track_dequeued(job)
         job.status = JobStatus.FAILED
         st.metrics.unschedulable_jobs += 1
         st.apps_by_job.pop(job.job_id, None)
@@ -434,11 +433,8 @@ class CloudSimulator:
     ) -> None:
         metrics = st.metrics
         job = app.quantum_job
-        if job.fidelity is not None:
-            st.done_fid_sum += job.fidelity
-            st.done_fid_count += 1
+        st.done_fid_sum += job.fidelity
         st.done_jct_sum += app.completion_time
-        st.done_jct_count += 1
         metrics.completed_jobs += 1
         # Per-tenant JCT / SLO accounting (tenant-tagged jobs only, so
         # untenanted runs never touch these dicts).
@@ -471,17 +467,16 @@ class CloudSimulator:
     def _on_recalibration(self, st: RunState, now: float, _payload) -> None:
         """Fleet-wide calibration cycle across every shard.
 
-        Every shard policy's hook runs with the full fleet; a cached
-        estimator shared across shards stays single-invalidation because
-        its own hook is idempotent per calibration wave (see
-        ``CachedEstimator.on_recalibration``).
+        Each distinct estimate source of the shards' policies hears it
+        once, with the full fleet: a cache shared across shards is
+        invalidated once per wave.
         """
         all_qpus = [b.qpu for b in self.backends]
         for qpu in all_qpus:
             qpu.recalibrate(timestamp=now)
         self.execution_model.on_recalibration()
-        for shard in self.shards:
-            shard.policy.on_recalibration(all_qpus)
+        for source in self._estimate_sources:
+            source.on_recalibration(all_qpus)
         st.push(
             now + self.config.recalibrate_every_seconds,
             EventType.RECALIBRATION,
@@ -493,14 +488,10 @@ class CloudSimulator:
 
     def _sample(self, st: RunState, t: float) -> None:
         metrics = st.metrics
-        if st.done_jct_count:
-            if st.done_fid_count:
-                metrics.mean_fidelity.add(
-                    t, st.done_fid_sum / st.done_fid_count
-                )
-            metrics.mean_completion_time.add(
-                t, st.done_jct_sum / st.done_jct_count
-            )
+        done = metrics.completed_jobs
+        if done:
+            metrics.mean_fidelity.add(t, st.done_fid_sum / done)
+            metrics.mean_completion_time.add(t, st.done_jct_sum / done)
         busy = [
             max(0.0, b.busy_seconds - max(0.0, b.free_at - t))
             for shard in self.shards
@@ -537,7 +528,7 @@ class CloudSimulator:
         # job at the API edge (it is never queued, dispatched, or counted
         # in-flight); a degrade admits it as best-effort.
         if self.admission is not None and job.tenant is not None:
-            decision = self.admission.admit(job, now)
+            decision = self.admission.admit(job, now, self.shards)
             self._record_admission(job, decision, metrics)
             if not decision.admitted:
                 job.status = JobStatus.REJECTED
@@ -552,8 +543,6 @@ class CloudSimulator:
         shard = self.balancer.route(job, self.shards, now)
         shard.jobs_routed += 1
         shard.enqueue(job)
-        if self.admission is not None:
-            self.admission.track_queued(job)
         self._fire_if_ready(st, shard, now)
 
     def _on_rebalance(self, st: RunState, now: float, _payload) -> None:
@@ -600,16 +589,16 @@ class CloudSimulator:
 
     # ------------------------------------------------------------------
     def _collect_cache_stats(self, metrics: SimulationMetrics) -> None:
-        """Merge estimate-cache counters across the shards' policies
-        (spawned policies share one cache; hand-built shards may not)."""
+        """Merge the counters of the distinct estimate caches (spawned
+        policies share one; hand-built shards may not)."""
         # Imported here: estimator.cache imports cloud.job at load time.
         from ..estimator.cache import CachedEstimator, CacheStats
 
-        unique = {
-            id(source.stats): source.stats
-            for source in (shard.policy.estimate_fn for shard in self.shards)
+        unique = [
+            source.stats
+            for source in self._estimate_sources
             if isinstance(source, CachedEstimator)
-        }.values()
+        ]
         if unique:
             metrics.estimate_cache = CacheStats(
                 hits=sum(s.hits for s in unique),

@@ -12,10 +12,12 @@ that sit between the load generator and the fleet layer:
 * :class:`AdmissionController` — the front door.  Every tenant-tagged
   arrival is checked against its tenant's token bucket (refilled at the
   contracted rate, burst-bounded) and its fleet-wide pending-queue
-  quota.  Rate-limited jobs are **rejected** outright, exactly like real
-  QPU clouds shedding load at the API edge; quota breaches either
-  **degrade** the job to best-effort (it keeps running, at the back of
-  every tier-ordered batch) or reject it, per ``quota_action``.
+  quota, the sum of the shards' ``FleetShard.tenant_pending`` counts
+  (the controller keeps only the buckets).  Rate-limited jobs are
+  **rejected** outright, exactly like real QPU clouds shedding load at
+  the API edge; quota breaches either **degrade** the job to best-effort
+  (it keeps running, at the back of every tier-ordered batch) or reject
+  it, per ``quota_action``.
 * Tier-weighted scheduling — :func:`tier_sort` orders a batch by
   effective tier (premium first, best-effort last) while preserving
   arrival order within a tier.
@@ -189,9 +191,10 @@ class AdmissionController:
        (``quota_action="degrade"``, the default — it runs, but behind
        every contracted tier) or rejects it (``quota_action="reject"``).
 
-    Jobs without a tenant bypass the front door entirely.  All state is
-    a deterministic function of the admission/dequeue call sequence, so
-    seeded simulations reproduce bit-for-bit.
+    Jobs without a tenant bypass the front door entirely.  The token
+    buckets are the controller's only state, a deterministic function of
+    the admission call sequence, so seeded simulations reproduce
+    bit-for-bit; the pending depth is read from the shards at each check.
     """
 
     def __init__(self, *, quota_action: str = "degrade") -> None:
@@ -200,14 +203,15 @@ class AdmissionController:
         self.quota_action = quota_action
         # Token buckets: tenant_id -> [tokens, last_refill_time].
         self._buckets: dict[str, list[float]] = {}
-        # Fleet-wide pending-queue depth per tenant, maintained by the
-        # simulator via track_queued/track_dequeued.
-        self._pending: dict[str, int] = {}
-        self._queued_ids: set[int] = set()
 
     # -- checks --------------------------------------------------------
-    def admit(self, job, now: float) -> AdmissionDecision:
-        """Front-door check for one arrival (tenant-tagged jobs only)."""
+    def admit(self, job, now: float, shards) -> AdmissionDecision:
+        """Front-door check for one arrival (tenant-tagged jobs only).
+
+        ``shards`` are the fleet's :class:`~repro.cloud.fleet.FleetShard`
+        partitions; a tenant's fleet-wide pending depth is the sum of
+        their ``tenant_pending`` counts, read only for a tenant with a
+        quota that passed its rate limit."""
         tenant: Tenant | None = job.tenant
         if tenant is None:
             return AdmissionDecision("admit")
@@ -215,11 +219,10 @@ class AdmissionController:
             tenant, now
         ):
             return AdmissionDecision("reject", "rate_limit")
-        if (
-            tenant.queue_quota is not None
-            and self._pending.get(tenant.tenant_id, 0) >= tenant.queue_quota
-        ):
-            return AdmissionDecision(self.quota_action, "queue_quota")
+        if tenant.queue_quota is not None:
+            tid = tenant.tenant_id
+            if sum(s.tenant_pending(tid) for s in shards) >= tenant.queue_quota:
+                return AdmissionDecision(self.quota_action, "queue_quota")
         return AdmissionDecision("admit")
 
     def _take_token(self, tenant: Tenant, now: float) -> bool:
@@ -239,28 +242,6 @@ class AdmissionController:
         bucket[0] = tokens - 1.0
         bucket[1] = now
         return True
-
-    # -- pending-depth accounting (driven by the simulator) ------------
-    def track_queued(self, job) -> None:
-        """An admitted job entered a shard's pending queue."""
-        if job.tenant is None or job.job_id in self._queued_ids:
-            return
-        self._queued_ids.add(job.job_id)
-        tid = job.tenant.tenant_id
-        self._pending[tid] = self._pending.get(tid, 0) + 1
-
-    def track_dequeued(self, job) -> None:
-        """A tracked job left the pending state (dispatched or failed)."""
-        if job.job_id not in self._queued_ids:
-            return
-        self._queued_ids.discard(job.job_id)
-        tid = job.tenant.tenant_id
-        self._pending[tid] -= 1
-        if self._pending[tid] <= 0:
-            del self._pending[tid]
-
-    def pending_depth(self, tenant_id: str) -> int:
-        return self._pending.get(tenant_id, 0)
 
 
 # ---------------------------------------------------------------------------

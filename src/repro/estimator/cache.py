@@ -181,10 +181,6 @@ class CachedEstimator:
         self.base = base
         self.cache = EstimateCache(max_entries=max_entries)
         self._trained = base.estimators if isinstance(base, ResourceEstimator) else None
-        # Epochs seen at the last recalibration hook: with sharded fleets
-        # every shard policy forwards the same fleet-wide calibration
-        # event here, and only the first forwarding per wave may act.
-        self._last_epochs: tuple | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -194,15 +190,10 @@ class CachedEstimator:
     def on_recalibration(self, qpus: list[QPU]) -> None:
         """Invalidate and propagate the calibration event downstream.
 
-        Idempotent per calibration wave: repeated calls with unchanged
-        calibration epochs (one per shard of a sharded fleet) are no-ops,
-        so a shared cache invalidates exactly once per recalibration.
-        Use :meth:`EstimateCache.invalidate` directly to force a clear.
+        Every call clears the table: the simulator calls each distinct
+        estimate source once per calibration wave, however many shard
+        policies share it.
         """
-        epochs = tuple(q.calibration.epoch for q in qpus)
-        if epochs == self._last_epochs:
-            return
-        self._last_epochs = epochs
         self.cache.invalidate()
         if isinstance(self.base, ResourceEstimator):
             self.base.refresh_templates(qpus)

@@ -45,6 +45,8 @@ class SchedulingPolicy:
     accepts as its policy."""
 
     #: The source the policy scores (job, QPU) pairs with, if it has one.
+    #: The simulator sends it each calibration wave itself, once however
+    #: many shard policies share it.
     estimate_fn: EstimateSource | None = None
     shard_id: int = 0
 
@@ -57,12 +59,6 @@ class SchedulingPolicy:
         """The trigger a shard given none runs this policy on: the
         paper's 100 jobs / 120 s."""
         return SchedulingTrigger()
-
-    def on_recalibration(self, qpus: list[QPU]) -> None:
-        """Calibration-cycle hook, called once per shard with the full
-        fleet; forwards to the estimate source."""
-        if self.estimate_fn is not None:
-            self.estimate_fn.on_recalibration(qpus)
 
     def begin_cycle(
         self,

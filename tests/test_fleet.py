@@ -35,6 +35,7 @@ from helpers.determinism import (
     make_job,
     make_shards,
 )
+from repro.estimator import CachedEstimator, PairwiseEstimateSource
 from repro.experiments.common import trained_estimator
 from repro.scheduler import (
     BatchedFCFSPolicy,
@@ -267,6 +268,35 @@ class TestShardedEquivalence:
         ]
         with pytest.raises(ValueError, match=rf"shards\[0\] has shard_id {ids[0]}"):
             CloudSimulator(shards=shards)
+
+
+    def test_each_estimate_source_hears_a_calibration_wave_once(self):
+        """Shards 0 and 1 share a cache, shard 2 has its own and shards 3
+        and 4 share a plain source: each wave reaches every source once,
+        in the order of the first shard holding it."""
+        heard = []
+
+        class LoggedCache(CachedEstimator):
+            def on_recalibration(self, qpus):
+                heard.append((self, len(qpus)))
+                super().on_recalibration(qpus)
+
+        class CountingSource(PairwiseEstimateSource):
+            def on_recalibration(self, qpus):
+                heard.append((self, len(qpus)))
+
+        shared, own = LoggedCache(fake_estimate), LoggedCache(fake_estimate)
+        counting = CountingSource(fake_estimate)
+        sources = [shared, shared, own, counting, counting]
+        shards = [
+            FleetShard(i, [SimulatedQPU(qpu)], BatchedFCFSPolicy(source))
+            for i, (qpu, source) in enumerate(zip(fleet_of_size(5, seed=7), sources))
+        ]
+        config = SimulationConfig(duration_seconds=250.0, recalibrate_every_seconds=100.0)
+        m = CloudSimulator(shards=shards, config=config).run([])
+        assert heard == [(shared, 5), (own, 5), (counting, 5)] * 2
+        assert shared.stats.invalidations == own.stats.invalidations == 2
+        assert m.estimate_cache["invalidations"] == 4
 
 
 class TestRebalancePolicies:

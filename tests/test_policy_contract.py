@@ -171,7 +171,7 @@ class TestKeywordSets:
             if not name.startswith("_")
         } == {
             "estimate_fn", "shard_id", "spawn", "default_trigger",
-            "on_recalibration", "begin_cycle", "finish_cycle", "schedule",
+            "begin_cycle", "finish_cycle", "schedule",
         }
         methods = {
             name

@@ -246,9 +246,3 @@ class TestTrigger:
     def test_empty_queue_never_fires(self):
         trig = SchedulingTrigger(queue_limit=1, interval_seconds=1)
         assert not trig.should_fire(0, now=1e9)
-
-
-class TestRecalibrationHook:
-    def test_hook_optional(self):
-        sched = QonductorScheduler(_fake_estimate, seed=0)
-        sched.on_recalibration([])  # no-op must not raise

@@ -169,62 +169,78 @@ class TestAdmissionController:
     def _tenant_job(self, tenant):
         return make_job(5, tenant=tenant)
 
+    def _shards(self):
+        return make_shards([["auckland"], ["hanoi"]])
+
     def test_untenanted_bypasses(self):
         ctrl = AdmissionController()
-        decision = ctrl.admit(make_job(5), 0.0)
+        decision = ctrl.admit(make_job(5), 0.0, self._shards())
         assert decision.admitted and decision.action == "admit"
 
     def test_rate_limit_burst_then_refill(self):
         tenant = Tenant("t", rate_limit_per_hour=3600.0, burst=3)
         ctrl = AdmissionController()
+        shards = self._shards()
         # The bucket starts full: the first `burst` arrivals pass.
         for _ in range(3):
-            assert ctrl.admit(self._tenant_job(tenant), 0.0).admitted
-        rejected = ctrl.admit(self._tenant_job(tenant), 0.0)
+            assert ctrl.admit(self._tenant_job(tenant), 0.0, shards).admitted
+        rejected = ctrl.admit(self._tenant_job(tenant), 0.0, shards)
         assert not rejected.admitted and rejected.reason == "rate_limit"
         # 3600/h = 1 token/s: two seconds later two arrivals fit again.
-        assert ctrl.admit(self._tenant_job(tenant), 2.0).admitted
-        assert ctrl.admit(self._tenant_job(tenant), 2.0).admitted
-        assert not ctrl.admit(self._tenant_job(tenant), 2.0).admitted
+        assert ctrl.admit(self._tenant_job(tenant), 2.0, shards).admitted
+        assert ctrl.admit(self._tenant_job(tenant), 2.0, shards).admitted
+        assert not ctrl.admit(self._tenant_job(tenant), 2.0, shards).admitted
 
     def test_rate_limit_bucket_never_exceeds_burst(self):
         tenant = Tenant("t", rate_limit_per_hour=3600.0, burst=2)
         ctrl = AdmissionController()
-        assert ctrl.admit(self._tenant_job(tenant), 0.0).admitted
+        shards = self._shards()
+        assert ctrl.admit(self._tenant_job(tenant), 0.0, shards).admitted
         # A long quiet spell refills to `burst`, not beyond.
         for _ in range(2):
-            assert ctrl.admit(self._tenant_job(tenant), 10_000.0).admitted
-        assert not ctrl.admit(self._tenant_job(tenant), 10_000.0).admitted
+            assert ctrl.admit(self._tenant_job(tenant), 10_000.0, shards).admitted
+        assert not ctrl.admit(self._tenant_job(tenant), 10_000.0, shards).admitted
 
-    def test_queue_quota_degrade_and_reject(self):
+    def test_queue_quota_counts_the_tenant_across_shards(self):
         tenant = Tenant("t", queue_quota=2)
-        degrade = AdmissionController(quota_action="degrade")
+        shards = self._shards()
         jobs = [self._tenant_job(tenant) for _ in range(3)]
-        for job in jobs[:2]:
-            assert degrade.admit(job, 0.0).action == "admit"
-            degrade.track_queued(job)
-        over = degrade.admit(jobs[2], 0.0)
+        degrade = AdmissionController(quota_action="degrade")
+        for shard, job in zip(shards, jobs[:2]):
+            assert degrade.admit(job, 0.0, shards).action == "admit"
+            shard.enqueue(job)
+        # Other tenants' jobs and untenanted ones fill no quota of "t".
+        shards[0].enqueue(self._tenant_job(Tenant("other")))
+        shards[1].enqueue(make_job(5))
+        # One job of "t" on each shard: two fleet-wide, the quota.
+        over = degrade.admit(jobs[2], 0.0, shards)
         assert over.admitted and over.action == "degrade"
         assert over.reason == "queue_quota"
 
         reject = AdmissionController(quota_action="reject")
-        for job in jobs[:2]:
-            reject.track_queued(job)
-        assert not reject.admit(jobs[2], 0.0).admitted
-        # Draining the queue frees quota.
-        reject.track_dequeued(jobs[0])
-        assert reject.admit(jobs[2], 0.0).admitted
+        assert not reject.admit(jobs[2], 0.0, shards).admitted
+        # A cycle taking a queue frees quota ...
+        taken = shards[0].take_all()
+        assert reject.admit(jobs[2], 0.0, shards).admitted
+        # ... a job the cycle puts back still counts ...
+        shards[0].requeue_front(taken)
+        assert not reject.admit(jobs[2], 0.0, shards).admitted
+        # ... and so does one migrated to the other shard.
+        shards[0].move_to(0, shards[1])
+        assert [s.tenant_pending("t") for s in shards] == [0, 2]
+        assert not reject.admit(jobs[2], 0.0, shards).admitted
 
-    def test_pending_tracking_is_idempotent(self):
-        tenant = Tenant("t", queue_quota=5)
+    def test_depth_is_read_only_for_a_quota_past_the_rate_limit(self):
+        class Unread:
+            def __iter__(self):
+                raise AssertionError("the shards were read")
+
         ctrl = AdmissionController()
-        job = self._tenant_job(tenant)
-        ctrl.track_queued(job)
-        ctrl.track_queued(job)  # double enqueue must not double count
-        assert ctrl.pending_depth("t") == 1
-        ctrl.track_dequeued(job)
-        ctrl.track_dequeued(job)  # double dequeue must not underflow
-        assert ctrl.pending_depth("t") == 0
+        assert ctrl.admit(self._tenant_job(Tenant("free")), 0.0, Unread()).admitted
+        limited = Tenant("t", rate_limit_per_hour=3600.0, burst=1, queue_quota=5)
+        assert ctrl.admit(self._tenant_job(limited), 0.0, self._shards()).admitted
+        rejected = ctrl.admit(self._tenant_job(limited), 0.0, Unread())
+        assert rejected.reason == "rate_limit"
 
 
 class TestTierHelpers:
