@@ -269,7 +269,6 @@ class TestShardedEquivalence:
         with pytest.raises(ValueError, match=rf"shards\[0\] has shard_id {ids[0]}"):
             CloudSimulator(shards=shards)
 
-
     def test_each_estimate_source_hears_a_calibration_wave_once(self):
         """Shards 0 and 1 share a cache, shard 2 has its own and shards 3
         and 4 share a plain source: each wave reaches every source once,

@@ -201,7 +201,7 @@ class TestAdmissionController:
             assert ctrl.admit(self._tenant_job(tenant), 10_000.0, shards).admitted
         assert not ctrl.admit(self._tenant_job(tenant), 10_000.0, shards).admitted
 
-    def test_queue_quota_counts_the_tenant_across_shards(self):
+    def test_queue_quota_degrade_and_reject(self):
         tenant = Tenant("t", queue_quota=2)
         shards = self._shards()
         jobs = [self._tenant_job(tenant) for _ in range(3)]
