@@ -1,4 +1,4 @@
-"""Definitional forms of the three kernels every estimate and dispatch crosses.
+"""Definitional forms of the kernels every estimate and dispatch crosses.
 
 ``src/`` builds a monomial from its parent, multiplies equal-length
 segments as one stacked product and keeps a dispatch's noise-free outcome
@@ -17,6 +17,10 @@ here:
 * :func:`execute_reference` — ``ExecutionModel.execute`` as it ran until
   PR 23: everything re-derived per call, four scalar ``rng.normal`` draws
   in order.
+* :func:`components_reference` — the four log-error components of a
+  whole batch on one device in a single NumPy array pass, nothing kept
+  between calls (``ExecutionModel.log_error_components``, one job at a
+  time).
 
 Nothing here imports ``repro.ml`` or ``repro.cloud.execution``;
 :func:`execute_reference` reaches the model under test only through the
@@ -29,9 +33,11 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
+from repro.cloud.proxy import TranspileProxy
 from repro.simulation.esp import esp_to_hellinger
 
 __all__ = [
+    "components_reference",
     "execute_reference",
     "polynomial_transform_per_block",
     "polynomial_transform_reference",
@@ -118,3 +124,38 @@ def execute_reference(model, job, calibration, qpu_model, rng):
     pre_s *= float(np.exp(rng.normal(0.0, model.runtime_noise_sigma)))
     post_s *= float(np.exp(rng.normal(0.0, model.runtime_noise_sigma)))
     return fid, float(quantum_s), float(pre_s), float(post_s)
+
+
+def components_reference(metrics_list, calibration, model):
+    """``{"gate", "readout", "decoherence", "duration_ns"}`` of every entry
+    of ``metrics_list`` on a device of ``model`` at ``calibration``, one
+    row per entry (repeats included), from one array pass over the
+    default proxy's physical metrics."""
+    proxy = TranspileProxy()
+    agg = calibration.aggregates()
+    # The proxy is calibrated at the model's nominal gate speed;
+    # scale schedules by the calibrated 2q duration.
+    nm = calibration.noise_model
+    speed = agg.duration_2q_ns / model.duration_2q_ns if nm.gates_2q else 1.0
+    phys = np.array([proxy.physical_metrics(m, model) for m in metrics_list])
+    phys_2q, phys_1q, duration_ns = phys[:, 0], phys[:, 1], phys[:, 2]
+    if nm.gates_2q:
+        duration_ns = duration_ns * speed
+    num_qubits = np.array([m.num_qubits for m in metrics_list])
+    num_meas = np.array([m.num_measurements for m in metrics_list])
+    log_gate = phys_2q * math.log1p(-min(agg.error_2q, 0.5)) + phys_1q * math.log1p(
+        -min(agg.error_1q, 0.5)
+    )
+    log_ro = num_meas * math.log1p(-min(agg.readout_error, 0.5))
+    inv_tphi = max(0.0, 1.0 / agg.t2_us - 0.5 / agg.t1_us)
+    dur_us = duration_ns / 1000.0
+    log_decoh = -dur_us * num_qubits * 0.25 * (1.0 / agg.t1_us + inv_tphi)
+    return [
+        {
+            "gate": float(log_gate[j]),
+            "readout": float(log_ro[j]),
+            "decoherence": float(log_decoh[j]),
+            "duration_ns": float(duration_ns[j]),
+        }
+        for j in range(len(metrics_list))
+    ]

@@ -5,8 +5,10 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers.reference_models import execute_reference
+from helpers.reference_models import components_reference, execute_reference
 from repro.backends import default_fleet, get_model
 from repro.circuits import compute_metrics
 from repro.cloud import (
@@ -25,7 +27,7 @@ from repro.cloud import (
 from repro.estimator import PairwiseEstimateSource
 from repro.mitigation.stack import STANDARD_STACKS
 from repro.scheduler import FCFSPolicy, QonductorScheduler, SchedulingTrigger
-from repro.workloads import ghz_linear, qaoa_maxcut
+from repro.workloads import BENCHMARKS, generate, ghz_linear, qaoa_maxcut
 
 
 @PairwiseEstimateSource
@@ -261,6 +263,51 @@ class TestExecuteBitIdentity:
             assert astuple(got) == execute_reference(
                 ref_em, job, qpu.calibration, qpu.model, ref_rng
             )
+
+
+class TestComponentsBitIdentity:
+    """``log_error_components`` one job at a time against the array pass
+    over a whole batch: every component of every row ``==``."""
+
+    @pytest.fixture(scope="class")
+    def jobs(self):
+        """Every catalog family at three widths up to the widest device,
+        each program twice, under two different presets."""
+        presets = list(STANDARD_STACKS)
+        programs = [
+            compute_metrics(generate(name, width, seed=width))
+            for name, (_, lo, hi) in sorted(BENCHMARKS.items())
+            for width in sorted({lo, (lo + min(hi, 27)) // 2, min(hi, 27)})
+        ]
+        return [
+            QuantumJob(metrics=m, shots=1000, mitigation=presets[(i + k) % len(presets)])
+            for i, m in enumerate(programs)
+            for k in (0, 4)
+        ]
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    def test_every_model_over_two_calibration_cycles(self, jobs, seed):
+        rng = np.random.default_rng(seed)
+        em = ExecutionModel(seed=1)
+        qpus = default_fleet(seed=7)
+        for _ in range(2):
+            for qpu in qpus:
+                order = [jobs[i] for i in rng.permutation(len(jobs))]
+                while order:
+                    size = int(rng.integers(1, len(order) + 1))
+                    batch, order = order[:size], order[size:]
+                    want = components_reference(
+                        [j.metrics for j in batch], qpu.calibration, qpu.model
+                    )
+                    got = [
+                        em.log_error_components(j.metrics, qpu.calibration, qpu.model)
+                        for j in batch
+                    ]
+                    assert got == want
+            for qpu in qpus:
+                qpu.recalibrate()
+            em.on_recalibration()
 
 
 class TestSimulatedQPU:
