@@ -24,11 +24,6 @@ __all__ = [
     "average_calibrations",
 ]
 
-#: Default wall-clock spacing between calibration cycles (seconds). IBM
-#: recalibrates roughly daily; experiments can shorten this.
-DEFAULT_CALIBRATION_PERIOD_S = 24 * 3600.0
-
-
 @dataclass
 class CalibrationData:
     """One calibration snapshot of one QPU."""

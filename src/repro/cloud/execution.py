@@ -96,14 +96,12 @@ class ExecutionModel:
         #: Scales of execute()'s four standard-normal draws, in draw order.
         self._sigmas = np.array([fidelity_noise_sigma] + [runtime_noise_sigma] * 3)
         self._rng = np.random.default_rng(seed)
-        #: Content-addressed memo of log-error components, keyed on
-        #: (metrics fingerprint, calibration epoch, model name). The epoch
-        #: (qpu_name, cycle) changes on recalibration, so entries can never
-        #: be served stale; :meth:`on_recalibration` drops them for memory.
-        self._comp_cache: dict[tuple, dict[str, float]] = {}
-        #: What :meth:`execute` derives from those components before its
-        #: first draw, keyed on (fingerprint, mitigation, epoch, model name):
-        #: (fidelity, shot_mult, setup_s, per_shot_s, pre_s, post_s).
+        #: What :meth:`execute` derives before its first draw, keyed on
+        #: (metrics fingerprint, mitigation, calibration epoch, model name):
+        #: (fidelity, shot_mult, setup_s, per_shot_s, pre_s, post_s).  The
+        #: epoch (qpu_name, cycle) changes on recalibration, so entries can
+        #: never be served stale; :meth:`on_recalibration` drops them for
+        #: memory.
         self._outcome_cache: dict[tuple, tuple[float, ...]] = {}
 
     @property
@@ -115,72 +113,37 @@ class ExecutionModel:
         return float(self._sigmas[1])
 
     def on_recalibration(self, qpus=None) -> None:
-        """Drop both memos (their calibration epochs just died)."""
-        self._comp_cache.clear()
+        """Drop the memo (its calibration epochs just died)."""
         self._outcome_cache.clear()
 
     # ------------------------------------------------------------------
     def log_error_components(
         self, metrics: CircuitMetrics, calibration: CalibrationData, model: QPUModel
     ) -> dict[str, float]:
-        """Aggregate-metric version of :func:`esp_components` (memoized)."""
-        return self.components_batch([metrics], calibration, model)[0]
-
-    def components_batch(
-        self,
-        metrics_list: list[CircuitMetrics],
-        calibration: CalibrationData,
-        model: QPUModel,
-    ) -> list[dict[str, float]]:
-        """Log-error components for a whole pending set on one device.
-
-        Uncached entries are computed in a single NumPy array pass; repeated
-        circuit shapes (the common case in cloud streams) hit the memo.
-        """
-        keys = [
-            (m.fingerprint, calibration.epoch, model.name) for m in metrics_list
-        ]
-        fresh: dict[tuple, CircuitMetrics] = {}
-        for key, m in zip(keys, metrics_list):
-            if key not in self._comp_cache:
-                fresh.setdefault(key, m)
-        if fresh:
-            agg = calibration.aggregates()
-            # The proxy is calibrated at the model's nominal gate speed;
-            # scale schedules by the calibrated 2q duration.
-            nm = calibration.noise_model
-            speed = (
-                agg.duration_2q_ns / model.duration_2q_ns if nm.gates_2q else 1.0
-            )
-            phys = np.array(
-                [self.proxy.physical_metrics(m, model) for m in fresh.values()]
-            )
-            phys_2q, phys_1q, duration_ns = phys[:, 0], phys[:, 1], phys[:, 2]
-            if nm.gates_2q:
-                duration_ns = duration_ns * speed
-            num_qubits = np.array([m.num_qubits for m in fresh.values()])
-            num_meas = np.array([m.num_measurements for m in fresh.values()])
-            log_gate = phys_2q * math.log1p(
-                -min(agg.error_2q, 0.5)
-            ) + phys_1q * math.log1p(-min(agg.error_1q, 0.5))
-            log_ro = num_meas * math.log1p(-min(agg.readout_error, 0.5))
-            inv_tphi = max(0.0, 1.0 / agg.t2_us - 0.5 / agg.t1_us)
-            dur_us = duration_ns / 1000.0
-            # Occupancy 0.25: qubits spend much of the schedule in
-            # computational-basis populations or echoed by circuit
-            # structure, so the effective exposure to T1/Tphi is well below
-            # the full critical path.
-            log_decoh = -dur_us * num_qubits * 0.25 * (
-                1.0 / agg.t1_us + inv_tphi
-            )
-            for j, key in enumerate(fresh):
-                self._comp_cache[key] = {
-                    "gate": float(log_gate[j]),
-                    "readout": float(log_ro[j]),
-                    "decoherence": float(log_decoh[j]),
-                    "duration_ns": float(duration_ns[j]),
-                }
-        return [self._comp_cache[key] for key in keys]
+        """Aggregate-metric version of :func:`esp_components`."""
+        agg = calibration.aggregates()
+        phys_2q, phys_1q, duration_ns = self.proxy.physical_metrics(metrics, model)
+        # The proxy is calibrated at the model's nominal gate speed;
+        # scale schedules by the calibrated 2q duration.
+        if calibration.noise_model.gates_2q:
+            duration_ns = duration_ns * (agg.duration_2q_ns / model.duration_2q_ns)
+        log_gate = phys_2q * math.log1p(-min(agg.error_2q, 0.5)) + phys_1q * math.log1p(
+            -min(agg.error_1q, 0.5)
+        )
+        log_ro = metrics.num_measurements * math.log1p(-min(agg.readout_error, 0.5))
+        inv_tphi = max(0.0, 1.0 / agg.t2_us - 0.5 / agg.t1_us)
+        dur_us = duration_ns / 1000.0
+        # Occupancy 0.25: qubits spend much of the schedule in
+        # computational-basis populations or echoed by circuit structure,
+        # so the effective exposure to T1/Tphi is well below the full
+        # critical path.
+        log_decoh = -dur_us * metrics.num_qubits * 0.25 * (1.0 / agg.t1_us + inv_tphi)
+        return {
+            "gate": log_gate,
+            "readout": log_ro,
+            "decoherence": log_decoh,
+            "duration_ns": duration_ns,
+        }
 
     def mitigated_components(
         self, components: dict[str, float], mitigation: str

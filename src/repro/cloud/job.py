@@ -108,6 +108,8 @@ class HybridApplication:
     The classical stages model the error-mitigation generation/inference
     steps of Fig. 1; their durations come from the execution model and run
     on (abundant) classical workers, so their waiting time is ~0 (§8.3).
+    The application owns the arrival instant: construction writes it to
+    its quantum job.
     """
 
     quantum_job: QuantumJob
@@ -116,6 +118,9 @@ class HybridApplication:
     app_id: int = field(default_factory=lambda: next(_app_ids))
     arrival_time: float = 0.0
     finish_time: float | None = None
+
+    def __post_init__(self) -> None:
+        self.quantum_job.arrival_time = self.arrival_time
 
     @property
     def uses_mitigation(self) -> bool:

@@ -231,7 +231,6 @@ class LoadGenerator:
             if tenant_rng is not None:
                 pick = tenant_cdf.searchsorted(tenant_rng.random(), side="right")
                 job.tenant = self.tenants[pick].tenant
-            job.arrival_time = t
             yield HybridApplication(quantum_job=job, arrival_time=t)
 
     def _build_job(

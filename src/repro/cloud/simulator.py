@@ -377,20 +377,6 @@ class CloudSimulator:
             agg = metrics.stage_seconds
             for key, value in schedule.stage_seconds.items():
                 agg[key] = agg.get(key, 0.0) + value
-        # Pre-warm ground-truth components with one array pass per target
-        # device over the whole dispatched set; the per-job execute() calls
-        # below then hit the memo (and keep their RNG draw order).  One
-        # decision's execute() fills the same memo entry itself.
-        if len(schedule.decisions) > 1:
-            by_backend: dict[str, list] = {}
-            for dec in schedule.decisions:
-                by_backend.setdefault(dec.qpu_name, []).append(dec.job.metrics)
-            for b in shard.backends:
-                group = by_backend.get(b.name)
-                if group:
-                    self.execution_model.components_batch(
-                        group, b.qpu.calibration, b.qpu.model
-                    )
         for dec in schedule.decisions:
             dec.job.schedule_time = now
             self._dispatch(st, shard, dec.job, dec.qpu_name, now)

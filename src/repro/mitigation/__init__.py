@@ -21,7 +21,7 @@ from .folding import fold_gates, fold_global, fold_to_factor
 from .rem import REM, mitigate_counts, mitigate_probs
 from .stack import STANDARD_STACKS, MitigationStack, StackPlan
 from .twirling import CX_TWIRL_SET, pauli_twirl, twirl_ensemble
-from .zne import ZNE, zne_expand, zne_infer_probs, zne_infer_value
+from .zne import ZNE, zne_expand, zne_infer_probs
 
 __all__ = [
     "fold_gates",
@@ -35,7 +35,6 @@ __all__ = [
     "ZNE",
     "zne_expand",
     "zne_infer_probs",
-    "zne_infer_value",
     "REM",
     "mitigate_counts",
     "mitigate_probs",

@@ -2,10 +2,9 @@
 
 Pipeline (matching Listing 2 of the paper): ``ZNE.apply`` expands one
 circuit into several noise-scaled instances; after execution,
-``ZNE.inference`` extrapolates the measured results back to the zero-noise
-limit. Works on scalar expectation values and on full probability
-distributions (extrapolated per basis state, then projected back onto the
-probability simplex).
+``ZNE.inference_probs`` extrapolates the measured distributions back to the
+zero-noise limit, per basis state, then projects them back onto the
+probability simplex.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from ..circuits.circuit import Circuit
 from .extrapolation import get_factory
 from .folding import fold_to_factor
 
-__all__ = ["ZNE", "zne_expand", "zne_infer_value", "zne_infer_probs"]
+__all__ = ["ZNE", "zne_expand", "zne_infer_probs"]
 
 DEFAULT_NOISE_FACTORS = (1.0, 3.0, 5.0)
 
@@ -33,9 +32,6 @@ class ZNE:
     def apply(self, circuit: Circuit) -> list[Circuit]:
         """Generate the noise-scaled circuit instances (§6's expansion)."""
         return zne_expand(circuit, self.noise_factors)
-
-    def inference_value(self, values: list[float]) -> float:
-        return zne_infer_value(list(self.noise_factors), values, self.factory)
 
     def inference_probs(self, probs: list[np.ndarray]) -> np.ndarray:
         return zne_infer_probs(list(self.noise_factors), probs, self.factory)
@@ -65,13 +61,6 @@ def zne_expand(
         folded.metadata["zne_scale"] = factor
         out.append(folded)
     return out
-
-
-def zne_infer_value(
-    noise_factors: list[float], values: list[float], factory: str = "linear"
-) -> float:
-    """Extrapolate a scalar observable to zero noise."""
-    return get_factory(factory)(noise_factors, values)
 
 
 def zne_infer_probs(

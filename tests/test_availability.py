@@ -215,9 +215,7 @@ class TestSimulatorIntegration:
         from repro.cloud import HybridApplication
 
         def app(width, t):
-            job = _job(width)
-            job.arrival_time = t
-            return HybridApplication(quantum_job=job, arrival_time=t)
+            return HybridApplication(quantum_job=_job(width), arrival_time=t)
 
         wide = app(10, 10.0)
         apps = [wide, app(3, 50.0)] if later_arrival else [wide]
@@ -250,13 +248,10 @@ class TestSimulatorIntegration:
             )
             for i in range(5)
         ]
-        for a in apps:
-            a.quantum_job.arrival_time = a.arrival_time
         too_wide = HybridApplication(
             quantum_job=QuantumJob.from_circuit(_ghz(40)),
             arrival_time=15.0,
         )
-        too_wide.quantum_job.arrival_time = 15.0
         sim = CloudSimulator(
             fleet,
             BatchedFCFSPolicy(_fake_estimate),
@@ -286,15 +281,13 @@ class TestSimulatorIntegration:
         from repro.workloads import ghz_linear as _ghz
 
         fleet = default_fleet(seed=7, names=["auckland"])
-        apps = []
-        for i in range(5):
-            job = QuantumJob.from_circuit(_ghz(6))
-            job.arrival_time = 10.0 * (i + 1)
-            apps.append(
-                HybridApplication(
-                    quantum_job=job, arrival_time=job.arrival_time
-                )
+        apps = [
+            HybridApplication(
+                quantum_job=QuantumJob.from_circuit(_ghz(6)),
+                arrival_time=10.0 * (i + 1),
             )
+            for i in range(5)
+        ]
         sim = CloudSimulator(
             fleet,
             BatchedFCFSPolicy(_fake_estimate),

@@ -155,7 +155,7 @@ class TestExecutionModel:
         draw is computed once per (program, mitigation, epoch)."""
         qpu = default_fleet(seed=7, names=["lagos"])[0]
         em = ExecutionModel(seed=1)
-        calls = {"mitigated_components": 0, "components_batch": 0}
+        calls = {"mitigated_components": 0, "log_error_components": 0}
         for name in calls:
             def counting(*args, _name=name, _real=getattr(em, name)):
                 calls[_name] += 1
@@ -166,20 +166,20 @@ class TestExecutionModel:
         other = QuantumJob.from_circuit(ghz_linear(5), shots=500, mitigation="rem")
 
         em.execute(job, qpu.calibration, qpu.model)
-        assert calls == {"mitigated_components": 1, "components_batch": 1}
+        assert calls == {"mitigated_components": 1, "log_error_components": 1}
         em.execute(job, qpu.calibration, qpu.model)
         em.expected_fidelity(job, qpu.calibration, qpu.model)
-        assert calls == {"mitigated_components": 1, "components_batch": 1}
-        em.execute(other, qpu.calibration, qpu.model)  # same program: components kept
-        assert calls == {"mitigated_components": 2, "components_batch": 2}
-        assert len(em._comp_cache) == 1 and len(em._outcome_cache) == 2
+        assert calls == {"mitigated_components": 1, "log_error_components": 1}
+        em.execute(other, qpu.calibration, qpu.model)  # same program, other stack
+        assert calls == {"mitigated_components": 2, "log_error_components": 2}
+        assert len(em._outcome_cache) == 2
 
         qpu.recalibrate()
         em.on_recalibration()
-        assert len(em._comp_cache) == 0 and len(em._outcome_cache) == 0
+        assert len(em._outcome_cache) == 0
         em.execute(job, qpu.calibration, qpu.model)
         em.execute(job, qpu.calibration, qpu.model)
-        assert calls == {"mitigated_components": 3, "components_batch": 3}
+        assert calls == {"mitigated_components": 3, "log_error_components": 3}
 
         job.mitigation = "bogus"  # never memoized: raises on every call
         for _ in range(2):
@@ -590,6 +590,17 @@ class TestCloudSimulator:
         metrics = self._run(FCFSPolicy(_fake_estimate), [app])
         assert metrics.unschedulable_jobs == 1
         assert job.status is JobStatus.FAILED
+
+    def test_job_arrives_with_its_application(self):
+        """The application owns the arrival instant: on an idle fleet its
+        job is dispatched on arrival and finishes within the application."""
+        job = QuantumJob.from_circuit(ghz_linear(5))
+        app = HybridApplication(job, arrival_time=500.0)
+        self._run(FCFSPolicy(_fake_estimate), [app], duration=1000.0)
+        assert job.status is JobStatus.COMPLETED
+        assert job.arrival_time == app.arrival_time
+        assert job.waiting_time == 0.0
+        assert 0.0 < job.completion_time <= app.completion_time
 
     def test_metrics_series_sampled(self):
         gen = LoadGenerator(mean_rate_per_hour=300, max_qubits=27, seed=4)

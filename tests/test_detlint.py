@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ast
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,14 @@ from repro.analysis.base import Suppressions, module_name_for_path
 from repro.analysis.runner import format_report
 
 REPO = Path(__file__).resolve().parents[1]
+#: The CLI subprocesses import ``repro`` from this checkout's ``src``, so
+#: they run without the package installed.
+CLI_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
+    ),
+}
 
 
 def codes(report, rule=None):
@@ -486,6 +495,7 @@ class TestRunnerAndCli:
             capture_output=True,
             text=True,
             cwd=REPO,
+            env=CLI_ENV,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "clean" in proc.stdout
@@ -505,6 +515,7 @@ class TestRunnerAndCli:
             capture_output=True,
             text=True,
             cwd=REPO,
+            env=CLI_ENV,
         )
         assert proc.returncode == 1
         assert "DET001" in proc.stdout
@@ -517,6 +528,7 @@ class TestRunnerAndCli:
             capture_output=True,
             text=True,
             cwd=REPO,
+            env=CLI_ENV,
         )
         assert proc.returncode == 0
         for code in ("DET001", "DET002", "DET003", "DET004", "DET005"):

@@ -597,20 +597,6 @@ class TestEstimateCache:
         assert below, "the grid no longer brackets the working set"
         assert hit_rate[max(below)] > 0.4
 
-    def test_execution_component_cache(self):
-        qpu = default_fleet(seed=7, names=["lagos"])[0]
-        em = ExecutionModel(seed=1)
-        job = QuantumJob.from_circuit(ghz_linear(6), shots=4000)
-        c1 = em.log_error_components(job.metrics, qpu.calibration, qpu.model)
-        c2 = em.log_error_components(job.metrics, qpu.calibration, qpu.model)
-        assert c1 is c2  # memoized
-        assert len(em._comp_cache) == 1
-        qpu.recalibrate()
-        c3 = em.log_error_components(job.metrics, qpu.calibration, qpu.model)
-        assert c3 is not c1 and len(em._comp_cache) == 2
-        em.on_recalibration()
-        assert len(em._comp_cache) == 0
-
 
 class TestCacheEquivalence:
     @pytest.fixture(scope="class")

@@ -712,8 +712,7 @@ class TestRebalancingRuns:
 
         apps = []
         for t in (10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 110.0):
-            job = make_job(10, arrival_time=t)
-            apps.append(HybridApplication(quantum_job=job, arrival_time=t))
+            apps.append(HybridApplication(quantum_job=make_job(10), arrival_time=t))
         sim = CloudSimulator.sharded(
             default_fleet(seed=7, names=["auckland", "hanoi"]),
             FCFSPolicy(fake_estimate),
