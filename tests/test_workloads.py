@@ -365,3 +365,28 @@ class TestRecipes:
         apps = gen.generate(300.0)
         assert len(apps) > 100
         assert _stream_digest(apps) == STREAM_PINS[shape]
+
+
+class TestFreshStreamPin:
+    """The paper's regime (§8.2, ``bench/``'s ``qonductor_fresh``): a
+    fresh program per arrival, so every seeded family's metrics are
+    derived anew — pinned over six traffic seeds."""
+
+    def test_fresh_streams_are_pinned(self):
+        rows = []
+        for seed in range(3000, 3006):
+            gen = LoadGenerator(mean_rate_per_hour=4500.0, seed=seed)
+            for app in gen.iter_arrivals(2160.0):
+                job = app.quantum_job
+                rows.append((
+                    job.metrics.fingerprint,
+                    job.metrics.parallelism,
+                    job.shots,
+                    job.mitigation,
+                    job.benchmark,
+                    app.arrival_time,
+                ))
+        assert len(rows) == 11_812
+        assert sum(row[4] not in WIDTH_DETERMINED for row in rows) == 3_114
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert digest == "f711d11a6b1eef46b4c70b4340c9a80b69add22ea26045e7ec6c41f96e737f8a"
