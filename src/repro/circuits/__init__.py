@@ -17,7 +17,7 @@ from .gates import (
     is_parametric,
     is_two_qubit,
 )
-from .metrics import CircuitMetrics, compute_metrics
+from .metrics import CircuitMetrics, MetricsWriter, compute_metrics
 
 __all__ = [
     "GATE_SPECS",
@@ -31,5 +31,6 @@ __all__ = [
     "is_two_qubit",
     "Circuit",
     "CircuitMetrics",
+    "MetricsWriter",
     "compute_metrics",
 ]

@@ -4,21 +4,167 @@ A :class:`Circuit` is an ordered list of :class:`~repro.circuits.gates.Gate`
 operations over ``num_qubits`` wires, with convenience builder methods for
 every gate in the standard library, structural metrics (depth, counts), and
 algebraic operations (composition, inversion, power, remapping).
+
+The builder methods live on :class:`OpSink`, which a
+:class:`~repro.circuits.metrics.MetricsWriter` shares with :class:`Circuit`.
 """
 
 from __future__ import annotations
 
 import operator
 from collections.abc import Iterable, Iterator
+from typing import TYPE_CHECKING, Any, TypeVar
 
 import numpy as np
 
 from .gates import Gate, inverse_gate
 
-__all__ = ["Circuit"]
+if TYPE_CHECKING:
+    from typing_extensions import Self
+
+__all__ = ["Circuit", "OpSink", "SinkT"]
 
 
-class Circuit:
+class OpSink:
+    """The builder API over ``num_qubits`` wires: one method per standard
+    gate, each an :meth:`add` that checks the op and hands it to the
+    subclass's ``_put``."""
+
+    __slots__ = ("num_qubits", "name", "_ops", "metadata")
+
+    def __init__(self, num_qubits: int, name: str = "circuit") -> None:
+        if num_qubits < 1:
+            raise ValueError(f"num_qubits must be >= 1, got {num_qubits}")
+        self.num_qubits = int(num_qubits)
+        self.name = name
+        self._ops: list[Any] = []
+        self.metadata: dict = {}
+
+    def _put(self, name: str, qubits: tuple[int, ...], params: tuple[float, ...]) -> Self:
+        raise NotImplementedError
+
+    def _check_wires(self, qubits: tuple[int, ...]) -> None:
+        for q in qubits:
+            if not 0 <= q < self.num_qubits:
+                raise ValueError(
+                    f"qubit {q} out of range for {self.num_qubits}-qubit circuit"
+                )
+
+    def add(self, name: str, qubits: Iterable[int], *params: float) -> Self:
+        """Append gate ``name`` on ``qubits`` with bound ``params``. Qubit
+        indices are ``operator.index``-ed: a float is refused, not truncated."""
+        try:
+            wires = tuple(map(operator.index, qubits))
+        except TypeError:
+            raise TypeError(
+                f"gate {name!r} needs integer qubit indices, got {qubits!r}"
+            ) from None
+        return self._put(name, wires, params)
+
+    # ------------------------------------------------------------------
+    # builder API (one method per standard gate)
+    # ------------------------------------------------------------------
+    def id(self, q: int) -> Self:
+        return self.add("id", [q])
+
+    def h(self, q: int) -> Self:
+        return self.add("h", [q])
+
+    def x(self, q: int) -> Self:
+        return self.add("x", [q])
+
+    def y(self, q: int) -> Self:
+        return self.add("y", [q])
+
+    def z(self, q: int) -> Self:
+        return self.add("z", [q])
+
+    def s(self, q: int) -> Self:
+        return self.add("s", [q])
+
+    def sdg(self, q: int) -> Self:
+        return self.add("sdg", [q])
+
+    def t(self, q: int) -> Self:
+        return self.add("t", [q])
+
+    def tdg(self, q: int) -> Self:
+        return self.add("tdg", [q])
+
+    def sx(self, q: int) -> Self:
+        return self.add("sx", [q])
+
+    def sxdg(self, q: int) -> Self:
+        return self.add("sxdg", [q])
+
+    def rx(self, theta: float, q: int) -> Self:
+        return self.add("rx", [q], theta)
+
+    def ry(self, theta: float, q: int) -> Self:
+        return self.add("ry", [q], theta)
+
+    def rz(self, phi: float, q: int) -> Self:
+        return self.add("rz", [q], phi)
+
+    def p(self, lam: float, q: int) -> Self:
+        return self.add("p", [q], lam)
+
+    def u(self, theta: float, phi: float, lam: float, q: int) -> Self:
+        return self.add("u", [q], theta, phi, lam)
+
+    def cx(self, c: int, t: int) -> Self:
+        return self.add("cx", [c, t])
+
+    def cz(self, c: int, t: int) -> Self:
+        return self.add("cz", [c, t])
+
+    def swap(self, a: int, b: int) -> Self:
+        return self.add("swap", [a, b])
+
+    def ecr(self, a: int, b: int) -> Self:
+        return self.add("ecr", [a, b])
+
+    def rzz(self, theta: float, a: int, b: int) -> Self:
+        return self.add("rzz", [a, b], theta)
+
+    def rxx(self, theta: float, a: int, b: int) -> Self:
+        return self.add("rxx", [a, b], theta)
+
+    def cp(self, lam: float, c: int, t: int) -> Self:
+        return self.add("cp", [c, t], lam)
+
+    def crz(self, theta: float, c: int, t: int) -> Self:
+        return self.add("crz", [c, t], theta)
+
+    def measure(self, q: int) -> Self:
+        return self.add("measure", [q])
+
+    def measure_all(self) -> Self:
+        for q in range(self.num_qubits):
+            self.measure(q)
+        return self
+
+    def reset(self, q: int) -> Self:
+        return self.add("reset", [q])
+
+    def barrier(self, *qubits: int) -> Self:
+        return self._put("barrier", tuple(qubits), ())
+
+    def delay(self, duration_ns: float, q: int) -> Self:
+        return self.add("delay", [q], float(duration_ns))
+
+    def project(self, outcome: int, q: int) -> Self:
+        """Non-unitary projector |outcome><outcome| (no renormalization)."""
+        if outcome not in (0, 1):
+            raise ValueError("projection outcome must be 0 or 1")
+        return self.add("project", [q], float(outcome))
+
+
+#: What a generator taking ``sink=`` returns: the sink it was given.
+SinkT = TypeVar("SinkT", bound=OpSink)
+
+
+class Circuit(OpSink):
     """An ordered sequence of gates over ``num_qubits`` qubits.
 
     Parameters
@@ -29,142 +175,20 @@ class Circuit:
         Optional human-readable label used in reports and registries.
     """
 
-    __slots__ = ("num_qubits", "name", "_ops", "metadata")
-
-    def __init__(self, num_qubits: int, name: str = "circuit") -> None:
-        if num_qubits < 1:
-            raise ValueError(f"num_qubits must be >= 1, got {num_qubits}")
-        self.num_qubits = int(num_qubits)
-        self.name = name
-        self._ops: list[Gate] = []
-        self.metadata: dict = {}
+    __slots__ = ()
+    _ops: list[Gate]
 
     # ------------------------------------------------------------------
     # core mutation
     # ------------------------------------------------------------------
     def append(self, gate: Gate) -> "Circuit":
         """Append a gate, validating qubit indices against the register."""
-        for q in gate.qubits:
-            if not 0 <= q < self.num_qubits:
-                raise ValueError(
-                    f"qubit {q} out of range for {self.num_qubits}-qubit circuit"
-                )
+        self._check_wires(gate.qubits)
         self._ops.append(gate)
         return self
 
-    def extend(self, gates: Iterable[Gate]) -> "Circuit":
-        for g in gates:
-            self.append(g)
-        return self
-
-    def add(self, name: str, qubits: Iterable[int], *params: float) -> "Circuit":
-        """Append gate ``name`` on ``qubits`` with bound ``params``. Qubit
-        indices are ``operator.index``-ed: a float is refused, not truncated."""
-        try:
-            wires = tuple(map(operator.index, qubits))
-        except TypeError:
-            raise TypeError(
-                f"gate {name!r} needs integer qubit indices, got {qubits!r}"
-            ) from None
-        return self.append(Gate(name, wires, params))
-
-    # ------------------------------------------------------------------
-    # builder API (one method per standard gate)
-    # ------------------------------------------------------------------
-    def id(self, q: int) -> "Circuit":
-        return self.add("id", [q])
-
-    def h(self, q: int) -> "Circuit":
-        return self.add("h", [q])
-
-    def x(self, q: int) -> "Circuit":
-        return self.add("x", [q])
-
-    def y(self, q: int) -> "Circuit":
-        return self.add("y", [q])
-
-    def z(self, q: int) -> "Circuit":
-        return self.add("z", [q])
-
-    def s(self, q: int) -> "Circuit":
-        return self.add("s", [q])
-
-    def sdg(self, q: int) -> "Circuit":
-        return self.add("sdg", [q])
-
-    def t(self, q: int) -> "Circuit":
-        return self.add("t", [q])
-
-    def tdg(self, q: int) -> "Circuit":
-        return self.add("tdg", [q])
-
-    def sx(self, q: int) -> "Circuit":
-        return self.add("sx", [q])
-
-    def sxdg(self, q: int) -> "Circuit":
-        return self.add("sxdg", [q])
-
-    def rx(self, theta: float, q: int) -> "Circuit":
-        return self.add("rx", [q], theta)
-
-    def ry(self, theta: float, q: int) -> "Circuit":
-        return self.add("ry", [q], theta)
-
-    def rz(self, phi: float, q: int) -> "Circuit":
-        return self.add("rz", [q], phi)
-
-    def p(self, lam: float, q: int) -> "Circuit":
-        return self.add("p", [q], lam)
-
-    def u(self, theta: float, phi: float, lam: float, q: int) -> "Circuit":
-        return self.add("u", [q], theta, phi, lam)
-
-    def cx(self, c: int, t: int) -> "Circuit":
-        return self.add("cx", [c, t])
-
-    def cz(self, c: int, t: int) -> "Circuit":
-        return self.add("cz", [c, t])
-
-    def swap(self, a: int, b: int) -> "Circuit":
-        return self.add("swap", [a, b])
-
-    def ecr(self, a: int, b: int) -> "Circuit":
-        return self.add("ecr", [a, b])
-
-    def rzz(self, theta: float, a: int, b: int) -> "Circuit":
-        return self.add("rzz", [a, b], theta)
-
-    def rxx(self, theta: float, a: int, b: int) -> "Circuit":
-        return self.add("rxx", [a, b], theta)
-
-    def cp(self, lam: float, c: int, t: int) -> "Circuit":
-        return self.add("cp", [c, t], lam)
-
-    def crz(self, theta: float, c: int, t: int) -> "Circuit":
-        return self.add("crz", [c, t], theta)
-
-    def measure(self, q: int) -> "Circuit":
-        return self.add("measure", [q])
-
-    def measure_all(self) -> "Circuit":
-        for q in range(self.num_qubits):
-            self.measure(q)
-        return self
-
-    def reset(self, q: int) -> "Circuit":
-        return self.add("reset", [q])
-
-    def barrier(self, *qubits: int) -> "Circuit":
-        return self.append(Gate("barrier", tuple(qubits)))
-
-    def delay(self, duration_ns: float, q: int) -> "Circuit":
-        return self.add("delay", [q], float(duration_ns))
-
-    def project(self, outcome: int, q: int) -> "Circuit":
-        """Non-unitary projector |outcome><outcome| (no renormalization)."""
-        if outcome not in (0, 1):
-            raise ValueError("projection outcome must be 0 or 1")
-        return self.add("project", [q], float(outcome))
+    def _put(self, name: str, qubits: tuple[int, ...], params: tuple[float, ...]) -> "Circuit":
+        return self.append(Gate(name, qubits, params))
 
     # ------------------------------------------------------------------
     # inspection

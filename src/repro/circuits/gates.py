@@ -19,6 +19,7 @@ __all__ = [
     "Gate",
     "GateSpec",
     "GATE_SPECS",
+    "check_op",
     "gate_matrix",
     "is_two_qubit",
     "is_parametric",
@@ -183,6 +184,27 @@ for _spec in GATE_SPECS.values():
 _set = object.__setattr__
 
 
+def check_op(name: str, qubits: tuple[int, ...], params: tuple[float, ...]) -> GateSpec:
+    """Check one op against its spec and return the spec: a known name,
+    its wire and parameter counts, and distinct wires.  Every
+    :class:`Gate` and every op sink runs exactly these checks."""
+    spec = GATE_SPECS.get(name)
+    if spec is None:
+        raise ValueError(f"unknown gate {name!r}")
+    width = len(qubits)
+    if width != spec.num_qubits and name != "barrier":
+        raise ValueError(
+            f"gate {name!r} expects {spec.num_qubits} qubits, got {width}"
+        )
+    if len(params) != spec.num_params and name != "delay":
+        raise ValueError(
+            f"gate {name!r} expects {spec.num_params} params, got {len(params)}"
+        )
+    if width > 1 and len(set(qubits)) != width:
+        raise ValueError(f"duplicate qubits in {name!r}: {qubits}")
+    return spec
+
+
 @dataclass(frozen=True, init=False)
 class Gate:
     """A gate instance: a named operation applied to concrete qubits.
@@ -199,20 +221,7 @@ class Gate:
     is_unitary: bool = field(repr=False, compare=False)
 
     def __init__(self, name: str, qubits: tuple[int, ...], params: tuple[float, ...] = ()) -> None:
-        spec = GATE_SPECS.get(name)
-        if spec is None:
-            raise ValueError(f"unknown gate {name!r}")
-        width = len(qubits)
-        if width != spec.num_qubits and name != "barrier":
-            raise ValueError(
-                f"gate {name!r} expects {spec.num_qubits} qubits, got {width}"
-            )
-        if len(params) != spec.num_params and name != "delay":
-            raise ValueError(
-                f"gate {name!r} expects {spec.num_params} params, got {len(params)}"
-            )
-        if width > 1 and len(set(qubits)) != width:
-            raise ValueError(f"duplicate qubits in {name!r}: {qubits}")
+        spec = check_op(name, qubits, params)
         _set(self, "name", name)
         _set(self, "qubits", qubits)
         _set(self, "params", params)

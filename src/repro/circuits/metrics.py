@@ -7,12 +7,13 @@ critical-path gate composition) used by ablations.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, asdict
 
-from .circuit import Circuit
-from .gates import GATE_SPECS
+from .circuit import Circuit, OpSink
+from .gates import GATE_SPECS, check_op
 
-__all__ = ["CircuitMetrics", "compute_metrics"]
+__all__ = ["CircuitMetrics", "MetricsWriter", "compute_metrics"]
 
 
 @dataclass(frozen=True)
@@ -90,15 +91,36 @@ def compute_metrics(circuit: Circuit) -> CircuitMetrics:
     leaves that vector untouched), and a barrier synchronizes its listed
     wires — all wires when it lists none — without adding a layer.
     """
-    n = circuit.num_qubits
+    return _fold(circuit.num_qubits, [(g.name, g.qubits) for g in circuit.ops])
+
+
+class MetricsWriter(OpSink):
+    """An op sink that keeps each op's ``(name, qubits)`` and no
+    :class:`~repro.circuits.gates.Gate`: a generator run with
+    ``sink=MetricsWriter`` refuses what :meth:`Circuit.add` refuses, and
+    :meth:`metrics` equals :func:`compute_metrics` of the circuit it
+    would have built."""
+
+    __slots__ = ()
+
+    def _put(self, name: str, qubits: tuple[int, ...], params: tuple[float, ...]) -> MetricsWriter:
+        check_op(name, qubits, params)
+        self._check_wires(qubits)
+        self._ops.append((name, qubits))
+        return self
+
+    def metrics(self) -> CircuitMetrics:
+        return _fold(self.num_qubits, self._ops)
+
+
+def _fold(n: int, ops: Iterable[tuple[str, tuple[int, ...]]]) -> CircuitMetrics:
+    """The one metrics pass, over ``(name, qubits)`` pairs on ``n`` wires."""
     levels = [0] * n
     levels_2q = [0] * n
     n_1q = n_2q = n_measure = 0
     degree: dict[int, int] = {}
     seen_edges: set[tuple[int, int]] = set()
-    for g in circuit.ops:
-        name = g.name
-        qubits = g.qubits
+    for name, qubits in ops:
         if name == "barrier":
             wires = qubits if qubits else range(n)
             for lv in (levels, levels_2q):

@@ -63,7 +63,8 @@ def diurnal_rate(
     scale = mean_rate / IBM_MEAN_RATE
     amplitude = (hi - lo) / 2.0 * scale
     rate = mean_rate + amplitude * np.sin((hour_of_day - 8.0) / 24.0 * 2 * np.pi)
-    return float(np.clip(rate, lo * scale, hi * scale))
+    # ``np.clip``'s bits for one scalar, without its array dispatch.
+    return float(min(max(rate, lo * scale), hi * scale))
 
 
 @dataclass
@@ -112,10 +113,9 @@ class LoadGenerator:
         require_at_least(
             "LoadGenerator", "mean_rate_per_hour", self.mean_rate_per_hour, 0, strict=True
         )
-        if self.circuit_pool_size is not None and self.circuit_pool_size < 0:
-            raise ValueError(
-                f"circuit_pool_size must be >= 0, got {self.circuit_pool_size}"
-            )
+        # A pool of 0 would be a second spelling of None.
+        if self.circuit_pool_size is not None:
+            require_at_least("LoadGenerator", "circuit_pool_size", self.circuit_pool_size, 1)
         if self.arrival_process not in ("poisson", "mmpp"):
             raise ValueError(
                 f"unknown arrival_process {self.arrival_process!r}; "

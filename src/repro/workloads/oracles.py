@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..circuits.circuit import Circuit
+from ..circuits.circuit import Circuit, SinkT
 
 __all__ = ["bernstein_vazirani", "deutsch_jozsa"]
 
@@ -44,11 +44,13 @@ def deutsch_jozsa(
     balanced: bool = True,
     seed: int = 0,
     measure: bool = True,
-) -> Circuit:
-    """DJ distinguishing constant vs balanced oracles (ancilla-free form)."""
+    sink: type[SinkT] = Circuit,  # type: ignore[assignment]
+) -> SinkT:
+    """DJ distinguishing constant vs balanced oracles (ancilla-free form),
+    written into ``sink``."""
     if num_qubits < 1:
         raise ValueError("DJ needs >= 1 qubit")
-    circ = Circuit(num_qubits, f"dj_{num_qubits}")
+    circ = sink(num_qubits, f"dj_{num_qubits}")
     circ.metadata["balanced"] = balanced
     for q in range(num_qubits):
         circ.h(q)

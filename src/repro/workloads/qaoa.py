@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..circuits.circuit import Circuit
+from ..circuits.circuit import Circuit, SinkT
 
 __all__ = ["qaoa_maxcut", "qaoa_ring_maxcut", "random_maxcut_graph", "maxcut_cost"]
 
@@ -39,8 +39,10 @@ def qaoa_maxcut(
     betas: list[float] | None = None,
     measure: bool = True,
     seed: int = 0,
-) -> Circuit:
-    """QAOA ansatz for max-cut: |+>^n then alternating cost/mixer layers."""
+    sink: type[SinkT] = Circuit,  # type: ignore[assignment]
+) -> SinkT:
+    """QAOA ansatz for max-cut: |+>^n then alternating cost/mixer layers,
+    written into ``sink``."""
     if num_qubits < 2:
         raise ValueError("QAOA needs >= 2 qubits")
     rng = np.random.default_rng(seed)
@@ -50,7 +52,7 @@ def qaoa_maxcut(
     betas = betas if betas is not None else list(rng.uniform(0.1, np.pi / 2, p_layers))
     if len(gammas) != p_layers or len(betas) != p_layers:
         raise ValueError("need one gamma and one beta per layer")
-    circ = Circuit(num_qubits, f"qaoa_{num_qubits}_p{p_layers}")
+    circ = sink(num_qubits, f"qaoa_{num_qubits}_p{p_layers}")
     circ.metadata["edges"] = list(edges)
     for q in range(num_qubits):
         circ.h(q)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..circuits.circuit import Circuit
+from ..circuits.circuit import Circuit, SinkT
 
 __all__ = ["random_circuit", "clustered_circuit"]
 
@@ -21,13 +21,15 @@ def random_circuit(
     measure: bool = True,
     seed: int | None = None,
     rng: np.random.Generator | None = None,
-) -> Circuit:
+    sink: type[SinkT] = Circuit,  # type: ignore[assignment]
+) -> SinkT:
     """Layered random circuit: each layer pairs up free qubits with
-    probability ``two_qubit_prob`` and fills the rest with random 1q gates."""
+    probability ``two_qubit_prob`` and fills the rest with random 1q gates,
+    written into ``sink``."""
     if num_qubits < 1 or depth < 1:
         raise ValueError("need num_qubits >= 1 and depth >= 1")
     rng = rng or np.random.default_rng(seed)
-    circ = Circuit(num_qubits, f"random_{num_qubits}x{depth}")
+    circ = sink(num_qubits, f"random_{num_qubits}x{depth}")
     for _ in range(depth):
         free = list(rng.permutation(num_qubits))
         while free:

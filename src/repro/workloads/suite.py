@@ -8,13 +8,15 @@ does — random algorithm, normally distributed width, random shot counts.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
 from ..circuits.circuit import Circuit
-from ..circuits.metrics import CircuitMetrics, compute_metrics
+from ..circuits.metrics import CircuitMetrics, MetricsWriter, compute_metrics
 from .ghz import ghz, ghz_linear, w_state
 from .oracles import bernstein_vazirani, deutsch_jozsa
 from .qaoa import qaoa_maxcut
@@ -46,22 +48,25 @@ def _qpe(n: int, seed: int) -> Circuit:
     return phase_estimation(max(1, n - 1))
 
 
-#: name -> (generator(num_qubits, seed) -> Circuit, min_qubits, max_qubits)
-BENCHMARKS: dict[str, tuple[Callable[[int, int], Circuit], int, int]] = {
+#: name -> (generator(num_qubits, seed) -> Circuit, min_qubits, max_qubits).
+#: A family not in :data:`WIDTH_DETERMINED` is seeded, and its generator
+#: also takes ``sink=`` (see :class:`SampledJob`).
+BENCHMARKS: dict[str, tuple[Callable[..., Any], int, int]] = {
     "ghz": (lambda n, s: ghz(n), 2, 130),
     "ghz_linear": (lambda n, s: ghz_linear(n), 2, 130),
     "wstate": (lambda n, s: w_state(n), 2, 130),
     "qft": (_qft_measured, 2, 130),
     "qft_entangled": (lambda n, s: qft_entangled(n), 2, 130),
-    "qaoa": (lambda n, s: qaoa_maxcut(n, p_layers=1, seed=s), 2, 130),
-    "qaoa_deep": (lambda n, s: qaoa_maxcut(n, p_layers=3, seed=s), 2, 130),
+    "qaoa": (lambda n, s, sink=Circuit: qaoa_maxcut(n, p_layers=1, seed=s, sink=sink), 2, 130),
+    "qaoa_deep": (lambda n, s, sink=Circuit: qaoa_maxcut(n, p_layers=3, seed=s, sink=sink), 2, 130),
     "vqe_real_amplitudes": (lambda n, s: real_amplitudes(n, reps=2, seed=s), 2, 130),
     "vqe_two_local": (lambda n, s: two_local(n, reps=1, seed=s), 2, 60),
     "bv": (lambda n, s: bernstein_vazirani(n), 1, 130),
-    "dj": (lambda n, s: deutsch_jozsa(n, seed=s), 1, 130),
+    "dj": (lambda n, s, sink=Circuit: deutsch_jozsa(n, seed=s, sink=sink), 1, 130),
     "qpe": (_qpe, 2, 40),
     "adder": (_adder, 4, 130),
-    "random": (lambda n, s: random_circuit(n, depth=max(2, n // 2), seed=s), 1, 130),
+    "random": (lambda n, s, sink=Circuit: random_circuit(
+        n, depth=max(2, n // 2), seed=s, sink=sink), 1, 130),
 }
 
 # Grover is exponential-size; only offered at small widths.
@@ -123,10 +128,10 @@ class SampledJob:
     """One synthetic application drawn by the sampler: a recipe.
 
     ``circuit`` is ``generate(benchmark, width, seed)``, built on first
-    access and then kept.  ``metrics`` needs no circuit when the family
-    is :data:`WIDTH_DETERMINED` and the drawing sampler has already seen
-    this ``(benchmark, width)``; otherwise it builds the circuit and
-    takes the one-pass :func:`compute_metrics` of it.
+    access and then kept.  ``metrics`` of a seeded family writes the
+    family's ops into a :class:`MetricsWriter` and builds no ``Gate``; a
+    :data:`WIDTH_DETERMINED` family's comes from the drawing sampler's
+    memo, which builds the circuit once per ``(benchmark, width)``.
     """
 
     benchmark: str
@@ -151,7 +156,8 @@ class SampledJob:
     @property
     def metrics(self) -> CircuitMetrics:
         if self.benchmark not in WIDTH_DETERMINED:
-            return compute_metrics(self.circuit)
+            build = BENCHMARKS[self.benchmark][0]
+            return build(self.width, self.seed, sink=MetricsWriter).metrics()
         key = (self.benchmark, self.width)
         found = self.family_metrics.get(key)
         if found is None:
@@ -184,8 +190,11 @@ class WorkloadSampler:
                 f"min_qubits ({min_qubits}) must be <= "
                 f"max_qubits ({max_qubits})"
             )
-        if std_qubits < 0:
-            raise ValueError(f"std_qubits must be >= 0, got {std_qubits}")
+        # Finite too: NaN or inf only failed at the first ``sample()``.
+        if not math.isfinite(mean_qubits):
+            raise ValueError(f"mean_qubits must be finite, got {mean_qubits}")
+        if not (math.isfinite(std_qubits) and std_qubits >= 0):
+            raise ValueError(f"std_qubits must be finite and >= 0, got {std_qubits}")
         if not 0.0 <= mitigation_fraction <= 1.0:
             raise ValueError(
                 f"mitigation_fraction must be in [0, 1], got {mitigation_fraction}"

@@ -9,6 +9,7 @@ from repro.circuits import (
     GATE_SPECS,
     Circuit,
     Gate,
+    MetricsWriter,
     compute_metrics,
     gate_matrix,
     inverse_gate,
@@ -327,6 +328,17 @@ class TestFusedMetricsPass:
     def test_matches_reference_on_random_op_lists(self, circ):
         assert compute_metrics(circ) == compute_metrics_reference(circ)
 
+    @given(op_lists())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_writer_matches_reference_on_random_op_lists(self, circ):
+        writer = MetricsWriter(circ.num_qubits)
+        for g in circ:
+            if g.name == "barrier":
+                writer.barrier(*g.qubits)
+            else:
+                writer.add(g.name, g.qubits, *g.params)
+        assert writer.metrics() == compute_metrics_reference(circ)
+
     def test_empty_circuit(self):
         m = compute_metrics(Circuit(3))
         assert m == compute_metrics_reference(Circuit(3))
@@ -347,3 +359,33 @@ class TestFusedMetricsPass:
         assert {
             spec.num_qubits for name, spec in GATE_SPECS.items() if name != "barrier"
         } == {1, 2}
+
+
+class TestMetricsWriter:
+    """The metrics sink refuses exactly what ``Circuit.add`` refuses."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda c: c.add("nope", [0]),
+            lambda c: c.add("cx", [0]),
+            lambda c: c.add("rz", [0]),
+            lambda c: c.add("h", [0], 0.5),
+            lambda c: c.add("cx", [1, 1]),
+            lambda c: c.add("h", [3]),
+            lambda c: c.add("cx", [0, -1]),
+            lambda c: c.add("h", [1.7]),
+            lambda c: c.barrier(0, 4),
+        ],
+        ids=[
+            "unknown", "wires", "too_few_params", "too_many_params",
+            "duplicate", "out_of_range", "negative", "float", "barrier_range",
+        ],
+    )
+    def test_refusals_match_circuit_add(self, build):
+        refusals = []
+        for sink in (Circuit, MetricsWriter):
+            with pytest.raises((TypeError, ValueError)) as info:
+                build(sink(3))
+            refusals.append((type(info.value), str(info.value)))
+        assert refusals[0] == refusals[1]

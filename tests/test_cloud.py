@@ -469,6 +469,14 @@ class TestLoadGenerator:
             ({"benchmarks": ("grover",), "min_qubits": 10}, "grover"),
             ({"std_qubits": -1.0}, "std_qubits"),
             ({"mitigation_fraction": 1.5}, "mitigation_fraction"),
+            # A non-finite width parameter raised ValueError (NaN) or
+            # OverflowError (inf) only at the first next(); a pool of 0
+            # silently sampled a fresh program per arrival, like None.
+            ({"mean_qubits": float("nan")}, "mean_qubits"),
+            ({"mean_qubits": float("inf")}, "mean_qubits"),
+            ({"std_qubits": float("inf")}, "std_qubits"),
+            ({"std_qubits": float("nan")}, "std_qubits"),
+            ({"circuit_pool_size": 0}, "circuit_pool_size"),
             # The trigger's fields (a SchedulingTrigger, not a generator):
             # a non-positive interval re-armed its deadline at the same
             # instant forever, so run() never returned.
@@ -548,6 +556,25 @@ class TestLoadGenerator:
         # the doubled IBM band.
         doubled = [diurnal_rate(h, mean_rate=3000.0) for h in range(24)]
         assert min(doubled) >= 2 * 1100 - 1 and max(doubled) <= 2 * 2050 + 1
+
+    @pytest.mark.parametrize(
+        "band", [(1100.0, 2050.0), (1300.0, 1700.0)], ids=["ibm", "narrow"]
+    )
+    def test_diurnal_rate_is_the_np_clip_form(self, band):
+        """Bit for bit the ``np.clip`` form it replaced; the narrow band
+        clips at both edges."""
+        clipped = set()
+        for mean_rate in (1500.0, 4500.0, 733.3):
+            scale = mean_rate / 1500.0
+            lo, hi = band[0] * scale, band[1] * scale
+            amplitude = (band[1] - band[0]) / 2.0 * scale
+            for hour in np.linspace(0.0, 24.0, 24 * 60 + 1):
+                rate = mean_rate + amplitude * np.sin((hour - 8.0) / 24.0 * 2 * np.pi)
+                expected = float(np.clip(rate, lo, hi))
+                got = diurnal_rate(hour, mean_rate, band)
+                assert type(got) is float and got == expected, (mean_rate, hour)
+                clipped.update(e for e in (lo, hi) if expected == e)
+        assert len(clipped) == (6 if band[0] == 1300.0 else 3)
 
 
 class TestCloudSimulator:

@@ -4,14 +4,17 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers.reference_metrics import compute_metrics_reference
-from repro.circuits import compute_metrics
+from repro.circuits import Gate, MetricsWriter, compute_metrics
 from repro.cloud import LoadGenerator, abusive_mix
 from repro.simulation import hellinger_fidelity, ideal_probabilities
 from repro.workloads import (
     BENCHMARKS,
     WIDTH_DETERMINED,
+    SampledJob,
     WorkloadSampler,
     benchmark_names,
     bernstein_vazirani,
@@ -390,3 +393,47 @@ class TestFreshStreamPin:
         assert sum(row[4] not in WIDTH_DETERMINED for row in rows) == 3_114
         digest = hashlib.sha256(repr(rows).encode()).hexdigest()
         assert digest == "f711d11a6b1eef46b4c70b4340c9a80b69add22ea26045e7ec6c41f96e737f8a"
+
+
+#: The families whose metrics move with the seed: each generator also
+#: takes ``sink=``, and a sampled job's metrics come from a MetricsWriter.
+SEEDED = sorted(set(BENCHMARKS) - WIDTH_DETERMINED)
+
+
+@st.composite
+def seeded_draws(draw):
+    name = draw(st.sampled_from(SEEDED))
+    _, lo, hi = BENCHMARKS[name]
+    edges = [w for w in (lo, 40, 64, 130, hi) if lo <= w <= hi]
+    width = draw(st.one_of(st.sampled_from(edges), st.integers(lo, hi)))
+    return name, width, draw(st.integers(0, 2**32 - 1))
+
+
+class TestMetricsWriterSink:
+    """One generator body per seeded family, two sinks: the writer's
+    metrics are the metrics of the circuit the same call builds."""
+
+    def test_seeded_families(self):
+        assert SEEDED == ["dj", "qaoa", "qaoa_deep", "random"]
+
+    @given(seeded_draws())
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_writer_metrics_equal_reference(self, draw):
+        name, width, seed = draw
+        build = BENCHMARKS[name][0]
+        got = build(width, seed, sink=MetricsWriter).metrics()
+        assert got == compute_metrics_reference(generate(name, width, seed))
+
+    def test_sampled_metrics_build_no_gate(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a Gate was built")
+
+        monkeypatch.setattr(Gate, "__init__", refuse)
+        for name in SEEDED:
+            _, lo, hi = BENCHMARKS[name]
+            for width in (lo, 12, 40, hi):
+                job = SampledJob(name, width, 3, 1000, False)
+                assert job.metrics.num_qubits == width
+                assert job._circuit is None
+        with pytest.raises(AssertionError, match="a Gate was built"):
+            SampledJob("dj", 5, 3, 1000, False).circuit
