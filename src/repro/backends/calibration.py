@@ -31,7 +31,6 @@ class CalibrationData:
     qpu_name: str
     model_name: str
     cycle: int
-    timestamp: float
     noise_model: NoiseModel
     quality_factor: float
     #: Memo of values derived from this snapshot (:meth:`aggregates`, feature
@@ -110,7 +109,6 @@ def sample_calibration(
     cycle: int,
     rng: np.random.Generator,
     *,
-    timestamp: float = 0.0,
     qubit_spread: float = 0.35,
 ) -> CalibrationData:
     """Draw a full calibration snapshot.
@@ -183,7 +181,6 @@ def sample_calibration(
         qpu_name=qpu_name,
         model_name=model.name,
         cycle=cycle,
-        timestamp=timestamp,
         noise_model=nm,
         quality_factor=quality_factor,
     )
@@ -247,7 +244,6 @@ def average_calibrations(
         qpu_name=template_name,
         model_name=calibrations[0].model_name,
         cycle=calibrations[0].cycle,
-        timestamp=calibrations[0].timestamp,
         noise_model=nm,
         quality_factor=float(np.mean([c.quality_factor for c in calibrations])),
     )

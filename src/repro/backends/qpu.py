@@ -35,11 +35,9 @@ class QPU:
         *,
         quality: float = 1.0,
         seed: int | None = None,
-        calibration_period_s: float = 24 * 3600.0,
     ) -> None:
         self.name = name
         self.model = model
-        self.calibration_period_s = calibration_period_s
         self._rng = np.random.default_rng(seed)
         self._drift = OUDrift(quality, rng=self._rng)
         self._cycle = 0
@@ -69,13 +67,8 @@ class QPU:
     def cycle(self) -> int:
         return self._cycle
 
-    def next_calibration_time(self, now: float) -> float:
-        """Wall-clock time of the next calibration boundary after ``now``."""
-        k = int(now // self.calibration_period_s) + 1
-        return k * self.calibration_period_s
-
     # ------------------------------------------------------------------
-    def recalibrate(self, timestamp: float | None = None) -> CalibrationData:
+    def recalibrate(self) -> CalibrationData:
         """Advance one calibration cycle: drift quality, resample noise."""
         self._cycle += 1
         quality = self._drift.step()
@@ -85,8 +78,6 @@ class QPU:
             quality,
             cycle=self._cycle,
             rng=self._rng,
-            timestamp=timestamp if timestamp is not None else self._cycle
-            * self.calibration_period_s,
         )
         return self.calibration
 

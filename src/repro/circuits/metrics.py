@@ -59,17 +59,6 @@ class CircuitMetrics:
     def as_dict(self) -> dict[str, int | float]:
         return asdict(self)
 
-    def feature_vector(self) -> list[float]:
-        """Ordered numeric features for regression models."""
-        return [
-            float(self.num_qubits),
-            float(self.depth),
-            float(self.num_2q_gates),
-            float(self.num_1q_gates),
-            float(self.two_qubit_depth),
-            float(min(self.max_interaction_degree, 8)),
-        ]
-
 
 #: Op name -> how the fused pass treats it: ``1`` / ``2`` for a unitary on
 #: that many wires, ``0`` for a one-wire pseudo op (``measure``, ``reset``,

@@ -459,7 +459,7 @@ class CloudSimulator:
         """
         all_qpus = [b.qpu for b in self.backends]
         for qpu in all_qpus:
-            qpu.recalibrate(timestamp=now)
+            qpu.recalibrate()
         self.execution_model.on_recalibration()
         for source in self._estimate_sources:
             source.on_recalibration(all_qpus)

@@ -6,23 +6,21 @@ time, inserted X pairs *mechanistically* refocus it (an X conjugates RZ to
 RZ^-1, so symmetric halves cancel) — fidelity gains emerge from the physics
 rather than a fudge factor, at the cost of the pulses' own gate errors.
 
-Sequences: ``XX`` / ``XpXm`` (two pulses, equivalent in this Pauli-level
-model) and ``XY4`` (four pulses, also refocusing stochastic X/Y to first
-order).
+Sequences: ``XpXm`` (two pulses; +X then -X, which this Pauli-level
+model treats as two X) and ``XY4`` (four pulses, also refocusing
+stochastic X/Y to first order). DD stacks run :func:`insert_dd`'s
+defaults.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from ..circuits.circuit import Circuit
 from ..simulation.noise import NoiseModel
 from ..simulation.schedule import schedule_circuit
 
-__all__ = ["DD", "insert_dd"]
+__all__ = ["insert_dd"]
 
 _SEQUENCES: dict[str, tuple[str, ...]] = {
-    "XX": ("x", "x"),
     "XpXm": ("x", "x"),  # +X then -X pulse; identical at the Pauli level
     "XY4": ("x", "y", "x", "y"),
 }
@@ -32,30 +30,9 @@ _SEQUENCES: dict[str, tuple[str, ...]] = {
 #: with Z) is exactly zero — the CPMG condition for full refocusing of
 #: quasi-static dephasing.
 _SPACINGS: dict[str, tuple[float, ...]] = {
-    "XX": (0.25, 0.5, 0.25),
     "XpXm": (0.25, 0.5, 0.25),
     "XY4": (0.125, 0.25, 0.25, 0.25, 0.125),
 }
-
-
-@dataclass(frozen=True)
-class DD:
-    """Configuration for DD insertion."""
-
-    sequence_type: str = "XpXm"
-    min_idle_ns: float = 150.0
-
-    def apply(self, circuit: Circuit, noise_model: NoiseModel) -> Circuit:
-        return insert_dd(
-            circuit,
-            noise_model,
-            sequence_type=self.sequence_type,
-            min_idle_ns=self.min_idle_ns,
-        )
-
-    @property
-    def sampling_overhead(self) -> float:
-        return 1.0
 
 
 def insert_dd(

@@ -8,8 +8,6 @@ non-integer scale factors via partial folds (Mitiq's scheme).
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..circuits.circuit import Circuit
 from ..circuits.gates import inverse_gate
 
@@ -55,22 +53,15 @@ def fold_gates(
     return out
 
 
-def fold_to_factor(
-    circuit: Circuit,
-    scale_factor: float,
-    *,
-    rng: np.random.Generator | None = None,
-    prefer_2q: bool = True,
-) -> Circuit:
+def fold_to_factor(circuit: Circuit, scale_factor: float) -> Circuit:
     """Fold to an arbitrary ``scale_factor >= 1``.
 
-    Integer part comes from global folds; the fractional remainder folds a
-    random subset of gates (two-qubit gates first when ``prefer_2q`` — they
-    dominate the error budget so this tracks effective noise scale best).
+    Integer part comes from global folds; the fractional remainder folds
+    the leading share of gates, two-qubit gates first — they dominate the
+    error budget, so this tracks the effective noise scale best.
     """
     if scale_factor < 1.0:
-        raise ValueError("scale_factor must be >= 1")
-    rng = rng or np.random.default_rng(0)
+        raise ValueError(f"scale_factor must be >= 1, got {scale_factor}")
     num_global = int((scale_factor - 1.0) // 2.0)
     folded = fold_global(circuit, num_global)
     achieved = 2 * num_global + 1
@@ -82,16 +73,9 @@ def fold_to_factor(
         return folded
     # Each partial fold adds 2 gates; fraction of gates to fold:
     frac = min(1.0, remainder / 2.0)
-    if prefer_2q:
-        two_q = [i for i in unitary_idx if folded.ops[i].num_qubits == 2]
-        one_q = [i for i in unitary_idx if folded.ops[i].num_qubits == 1]
-        pool = two_q + one_q
-    else:
-        pool = list(unitary_idx)
+    two_q = [i for i in unitary_idx if folded.ops[i].num_qubits == 2]
+    one_q = [i for i in unitary_idx if folded.ops[i].num_qubits == 1]
     k = max(1, int(round(frac * len(unitary_idx))))
-    chosen = pool[:k] if prefer_2q else list(
-        rng.choice(pool, size=min(k, len(pool)), replace=False)
-    )
-    out = fold_gates(folded, chosen)
+    out = fold_gates(folded, (two_q + one_q)[:k])
     out.name = f"{circuit.name}_fold{scale_factor:g}"
     return out

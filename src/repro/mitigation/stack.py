@@ -10,20 +10,25 @@ resource estimator and executor need:
 * :meth:`post_process` — raw distributions -> one mitigated distribution;
 * overhead properties — quantum-shot and classical-runtime multipliers
   that feed the resource-plan cost model.
+
+Each technique runs at one setting: DD at :func:`~.dd.insert_dd`'s
+defaults, ZNE at :data:`~.zne.DEFAULT_NOISE_FACTORS` with a linear fit,
+:data:`~.twirling.TWIRL_INSTANCES` twirls per noise scale (seeded by the
+scale's index) and per-qubit (tensored) REM.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..circuits.circuit import Circuit
 from ..simulation.noise import NoiseModel
-from .dd import DD
-from .rem import REM
-from .twirling import twirl_ensemble
-from .zne import ZNE
+from .dd import insert_dd
+from .rem import mitigate_probs
+from .twirling import TWIRL_INSTANCES, twirl_ensemble
+from .zne import DEFAULT_NOISE_FACTORS, zne_expand, zne_infer_probs
 
 __all__ = ["MitigationStack", "StackPlan", "STANDARD_STACKS"]
 
@@ -41,6 +46,8 @@ STANDARD_STACKS: dict[str, list[str]] = {
     "dd+twirl+zne+rem": ["dd", "twirling", "zne", "rem"],
 }
 
+_TECHNIQUES = frozenset(t for stack in STANDARD_STACKS.values() for t in stack)
+
 
 @dataclass
 class StackPlan:
@@ -53,82 +60,64 @@ class StackPlan:
 
 @dataclass(frozen=True)
 class MitigationStack:
-    """An ordered error-mitigation recipe."""
+    """An ordered error-mitigation recipe; :meth:`preset` builds the
+    standard ones."""
 
     techniques: tuple[str, ...] = ()
-    zne: ZNE = field(default_factory=ZNE)
-    dd: DD = field(default_factory=DD)
-    rem_method: str = "tensored"
-    twirl_instances: int = 4
-    seed: int = 0
 
-    @classmethod
-    def from_names(cls, names: list[str], **kwargs) -> "MitigationStack":
-        known = {"dd", "twirling", "zne", "rem"}
-        unknown = set(names) - known
+    def __post_init__(self) -> None:
+        unknown = set(self.techniques) - _TECHNIQUES
         if unknown:
             raise ValueError(f"unknown mitigation techniques: {sorted(unknown)}")
-        return cls(techniques=tuple(names), **kwargs)
 
     @classmethod
-    def preset(cls, name: str, **kwargs) -> "MitigationStack":
+    def preset(cls, name: str) -> "MitigationStack":
         if name not in STANDARD_STACKS:
             raise KeyError(f"unknown stack preset {name!r}")
-        return cls.from_names(STANDARD_STACKS[name], **kwargs)
+        return cls(tuple(STANDARD_STACKS[name]))
 
     # ------------------------------------------------------------------
-    @property
-    def uses(self) -> set[str]:
-        return set(self.techniques)
-
     @property
     def shot_overhead(self) -> float:
         """Multiplier on quantum executions vs the bare circuit."""
         overhead = 1.0
-        if "zne" in self.uses:
-            overhead *= len(self.zne.noise_factors)
-        if "twirling" in self.uses:
-            overhead *= self.twirl_instances
+        if "zne" in self.techniques:
+            overhead *= len(DEFAULT_NOISE_FACTORS)
+        if "twirling" in self.techniques:
+            overhead *= TWIRL_INSTANCES
         return overhead
-
-    @property
-    def gate_overhead(self) -> float:
-        """Mean gate-count multiplier of the expanded instances."""
-        return self.zne.gate_overhead if "zne" in self.uses else 1.0
 
     @property
     def classical_overhead(self) -> float:
         """Relative classical post-processing cost (1 = negligible)."""
         cost = 1.0
-        if "rem" in self.uses:
-            cost += 2.0 if self.rem_method == "tensored" else 6.0
-        if "zne" in self.uses:
+        if "rem" in self.techniques:
+            cost += 2.0
+        if "zne" in self.techniques:
             cost += 1.0
-        if "twirling" in self.uses:
-            cost += 0.5 * self.twirl_instances
+        if "twirling" in self.techniques:
+            cost += 0.5 * TWIRL_INSTANCES
         return cost
 
     # ------------------------------------------------------------------
     def expand(self, circuit: Circuit, noise_model: NoiseModel) -> StackPlan:
         """Generate the executable instances for ``circuit``."""
-        base = circuit
-        if "dd" in self.uses:
-            base = self.dd.apply(base, noise_model)
-        if "zne" in self.uses:
-            scaled = self.zne.apply(base)
-            factors = list(self.zne.noise_factors)
+        base = insert_dd(circuit, noise_model) if "dd" in self.techniques else circuit
+        if "zne" in self.techniques:
+            scaled = zne_expand(base)
+            factors: list[float] | None = list(DEFAULT_NOISE_FACTORS)
         else:
             scaled = [base]
             factors = None
-        if "twirling" in self.uses:
-            instances: list[Circuit] = []
-            for i, circ in enumerate(scaled):
-                instances.extend(
-                    twirl_ensemble(circ, self.twirl_instances, seed=self.seed + i)
-                )
-            group = self.twirl_instances
+        if "twirling" in self.techniques:
+            instances = [
+                twirled
+                for i, circ in enumerate(scaled)
+                for twirled in twirl_ensemble(circ, seed=i)
+            ]
+            group = TWIRL_INSTANCES
         else:
-            instances = list(scaled)
+            instances = scaled
             group = 1
         return StackPlan(instances=instances, zne_factors=factors, twirl_group=group)
 
@@ -152,10 +141,9 @@ class MitigationStack:
             grouped = [np.asarray(p, dtype=float) for p in probs]
         # 2. REM before extrapolation (readout errors are not amplified by
         #    folding, so they must be removed before ZNE inference).
-        if "rem" in self.uses:
-            rem = REM(noise_model, self.rem_method)
-            grouped = [rem.mitigate_probs(p, num_qubits) for p in grouped]
+        if "rem" in self.techniques:
+            grouped = [mitigate_probs(p, noise_model, num_qubits) for p in grouped]
         # 3. ZNE inference.
         if plan.zne_factors is not None:
-            return self.zne.inference_probs(grouped)
+            return zne_infer_probs(plan.zne_factors, grouped)
         return grouped[0]

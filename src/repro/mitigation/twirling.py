@@ -12,7 +12,10 @@ import numpy as np
 
 from ..circuits.circuit import Circuit
 
-__all__ = ["pauli_twirl", "twirl_ensemble", "CX_TWIRL_SET"]
+__all__ = ["pauli_twirl", "twirl_ensemble", "CX_TWIRL_SET", "TWIRL_INSTANCES"]
+
+#: Twirled instances per circuit in every twirling stack.
+TWIRL_INSTANCES = 4
 
 # Pauli pairs (P_c, P_t) with matching correction pairs (Q_c, Q_t) such that
 # (Q_c (x) Q_t) . CX . (P_c (x) P_t) = CX exactly (up to global phase).
@@ -65,7 +68,7 @@ def pauli_twirl(
 
 
 def twirl_ensemble(
-    circuit: Circuit, num_instances: int = 8, seed: int | None = None
+    circuit: Circuit, num_instances: int = TWIRL_INSTANCES, seed: int | None = None
 ) -> list[Circuit]:
     """An ensemble of independently twirled instances; average their
     output distributions to realize the tailored channel."""

@@ -19,11 +19,7 @@ from .esp import (
     estimate_fidelity_analytic,
 )
 from .noise import GateNoise, NoiseModel, QubitNoise
-from .readout import (
-    apply_confusion_single,
-    apply_readout_noise_probs,
-    full_confusion_matrix,
-)
+from .readout import apply_confusion_single, apply_readout_noise_probs
 from .schedule import Schedule, ScheduledOp, schedule_circuit
 from .statevector import (
     MAX_STATEVECTOR_QUBITS,
@@ -62,7 +58,6 @@ __all__ = [
     "QubitNoise",
     "apply_confusion_single",
     "apply_readout_noise_probs",
-    "full_confusion_matrix",
     "NoisyResult",
     "NoisySimulator",
     "Schedule",

@@ -5,8 +5,8 @@ direction models SPAM errors during simulation; the inverse direction is the
 REM mitigation technique (see :mod:`repro.mitigation.rem`).
 
 The full confusion matrix over n qubits is a tensor product of 2x2 per-qubit
-matrices; we never materialize it for large n — the forward application is
-done qubit-by-qubit on the reshaped probability tensor, which is O(n 2^n)
+matrices; it is never materialized — both directions are applied
+qubit-by-qubit on the reshaped probability tensor, which is O(n 2^n)
 instead of O(4^n).
 """
 
@@ -19,7 +19,6 @@ from .noise import NoiseModel
 __all__ = [
     "apply_readout_noise_probs",
     "apply_confusion_single",
-    "full_confusion_matrix",
 ]
 
 
@@ -45,19 +44,3 @@ def apply_readout_noise_probs(
             continue
         out = apply_confusion_single(out, conf, q, num_qubits)
     return out
-
-
-def full_confusion_matrix(noise_model: NoiseModel, qubits: list[int]) -> np.ndarray:
-    """Dense tensor-product confusion matrix over ``qubits`` (small n only).
-
-    Row/column index bit order matches the bitstring convention: qubit
-    ``qubits[0]`` is the most significant bit of the index when ``qubits``
-    is sorted descending; we sort ascending and build with qubit 0 least
-    significant for consistency with the statevector layout.
-    """
-    if len(qubits) > 12:
-        raise ValueError("dense confusion matrix limited to 12 qubits")
-    mat = np.array([[1.0]])
-    for q in sorted(qubits, reverse=True):
-        mat = np.kron(mat, noise_model.confusion_matrix(q))
-    return mat

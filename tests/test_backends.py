@@ -130,13 +130,6 @@ class TestQPUAndFleet:
         qpu.recalibrate()
         assert qpu.calibration.mean_error_2q != e0
 
-    def test_next_calibration_time(self):
-        qpu = QPU(
-            "t", get_model("falcon_r5_7"), seed=0, calibration_period_s=100.0
-        )
-        assert qpu.next_calibration_time(50.0) == pytest.approx(100.0)
-        assert qpu.next_calibration_time(100.0) == pytest.approx(200.0)
-
     def test_default_fleet_names_and_quality_order(self):
         fleet = default_fleet(seed=7)
         names = [q.name for q in fleet]

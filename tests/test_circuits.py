@@ -269,10 +269,6 @@ class TestMetrics:
                 c.cx(i, j)
         assert compute_metrics(c).routing_class == "dense"
 
-    def test_feature_vector_length_stable(self):
-        c = Circuit(2).cx(0, 1)
-        assert len(compute_metrics(c).feature_vector()) == 6
-
     def test_parallelism(self):
         c = Circuit(2).h(0).h(1)
         assert compute_metrics(c).parallelism == pytest.approx(2.0)

@@ -1,35 +1,36 @@
 """Error-mitigation tests: each technique must (1) preserve circuit
 semantics where applicable and (2) demonstrably improve noisy fidelity."""
 
+import re
+
 import numpy as np
 import pytest
 
+from helpers.reference_readout import full_confusion_matrix
 from repro.circuits import Circuit, gate_matrix
 from repro.mitigation import (
     CX_TWIRL_SET,
-    REM,
-    ZNE,
-    ExpFactory,
-    LinearFactory,
+    DEFAULT_NOISE_FACTORS,
     MitigationStack,
-    PolyFactory,
-    RichardsonFactory,
     cut_circuit,
     fold_gates,
     fold_global,
     fold_to_factor,
-    get_factory,
     insert_dd,
     knit,
+    mitigate_probs,
     pauli_twirl,
     sampling_overhead,
     twirl_ensemble,
     zne_expand,
     zne_infer_probs,
 )
+from repro.mitigation.rem import _simplex_project
 from repro.simulation import (
     NoiseModel,
     NoisySimulator,
+    QubitNoise,
+    apply_readout_noise_probs,
     hellinger_fidelity,
     ideal_probabilities,
     simulate_statevector,
@@ -74,38 +75,6 @@ class TestFolding:
         assert folded.ops[-1].name == "measure"
 
 
-class TestExtrapolation:
-    def test_linear_recovers_line(self):
-        fac = LinearFactory()
-        assert fac([1, 3, 5], [0.9, 0.7, 0.5]) == pytest.approx(1.0)
-
-    def test_richardson_exact_quadratic(self):
-        fac = RichardsonFactory()
-        xs = [1.0, 2.0, 3.0]
-        ys = [1 - 0.1 * x - 0.02 * x * x for x in xs]
-        assert fac(xs, ys) == pytest.approx(1.0, abs=1e-9)
-
-    def test_poly_factory(self):
-        fac = PolyFactory(order=2)
-        xs = [1, 2, 3, 4]
-        ys = [2 - x**2 * 0.1 for x in xs]
-        assert fac(xs, ys) == pytest.approx(2.0, abs=1e-8)
-
-    def test_exp_factory_recovers_decay(self):
-        fac = ExpFactory()
-        xs = np.array([1.0, 2.0, 3.0, 5.0])
-        ys = 0.2 + 0.7 * np.exp(-0.4 * xs)
-        assert fac(list(xs), list(ys)) == pytest.approx(0.9, abs=0.02)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LinearFactory()([1.0], [0.5])
-        with pytest.raises(ValueError):
-            LinearFactory()([1, 1], [0.5, 0.6])
-        with pytest.raises(KeyError):
-            get_factory("nope")
-
-
 class TestZNE:
     def test_expand_counts_and_scales(self):
         c = ghz_linear(3)
@@ -131,16 +100,51 @@ class TestZNE:
         sim = NoisySimulator(nm, num_trajectories=120, seed=7)
         c = ghz_linear(4)
         ideal = ideal_probabilities(c)
-        zne = ZNE(noise_factors=(1.0, 3.0, 5.0))
-        probs = [sim.noisy_probabilities(inst) for inst in zne.apply(c)]
+        probs = [sim.noisy_probabilities(inst) for inst in zne_expand(c)]
         raw_fid = hellinger_fidelity(probs[0], ideal)
-        mit_fid = hellinger_fidelity(zne.inference_probs(probs), ideal)
+        mit_fid = hellinger_fidelity(
+            zne_infer_probs(list(DEFAULT_NOISE_FACTORS), probs), ideal
+        )
         assert mit_fid > raw_fid
 
-    def test_overheads(self):
-        zne = ZNE(noise_factors=(1.0, 3.0, 5.0))
-        assert zne.sampling_overhead == 3.0
-        assert zne.gate_overhead == pytest.approx(3.0)
+    @pytest.mark.parametrize("factors", [(1.0, 1.0), (3.0,), (3.0, 3.0, 3.0)])
+    def test_fewer_than_two_distinct_factors_refused(self, factors):
+        # A line through one abscissa is undefined: the fit would divide by
+        # zero and return an all-NaN distribution.
+        probs = [np.array([0.6, 0.4])] * len(factors)
+        match = re.escape(str(list(factors)))
+        with pytest.raises(ValueError, match=match):
+            zne_infer_probs(list(factors), probs)
+        with pytest.raises(ValueError, match=match):
+            zne_expand(ghz_linear(2), factors)
+
+    @pytest.mark.parametrize(
+        "factors", [(1.0, 3.0, 5.0), (1.0, 2.0), (1.0, 1.5, 2.0, 3.5), (5.0, 1.0, 3.0)]
+    )
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_infer_probs_is_the_per_state_linear_fit(self, factors, exact):
+        """Held to a per-state least-squares line (``np.polyfit``, degree
+        1) read at zero noise, clipped and renormalized."""
+        rng = np.random.default_rng(len(factors) + 10 * exact)
+        x = np.asarray(factors)
+        for _ in range(20):
+            dim = 2 ** int(rng.integers(1, 5))
+            zero = rng.dirichlet(np.ones(dim))
+            drift = rng.normal(0.0, 0.02, dim)
+            ys = zero + np.outer(x, drift - drift.mean())
+            if not exact:
+                ys = ys + rng.normal(0.0, 0.01, ys.shape)
+            ref = np.array(
+                [np.polyval(np.polyfit(x, ys[:, i], 1), 0.0) for i in range(dim)]
+            )
+            ref = np.clip(ref, 0.0, None)
+            out = zne_infer_probs(list(factors), list(ys))
+            if ref.sum() <= 0:
+                np.testing.assert_array_equal(out, ys[0])
+                continue
+            np.testing.assert_allclose(out, ref / ref.sum(), rtol=0, atol=1e-12)
+            if exact and np.all(zero > 1e-9):
+                np.testing.assert_allclose(out, zero, rtol=0, atol=1e-12)
 
 
 class TestREM:
@@ -148,31 +152,25 @@ class TestREM:
         nm = NoiseModel.uniform(3, readout_error=0.08)
         c = ghz_linear(3)
         ideal = ideal_probabilities(c)
-        from repro.simulation import apply_readout_noise_probs
-
         noisy = apply_readout_noise_probs(ideal, nm, 3)
-        rem = REM(nm, "tensored")
-        recovered = rem.mitigate_probs(noisy, 3)
+        recovered = mitigate_probs(noisy, nm, 3)
         assert hellinger_fidelity(recovered, ideal) == pytest.approx(1.0, abs=1e-6)
 
-    @pytest.mark.parametrize("method", ["full", "least_squares"])
-    def test_dense_methods(self, method):
-        nm = NoiseModel.uniform(2, readout_error=0.06)
-        ideal = np.array([0.5, 0.0, 0.0, 0.5])
-        from repro.simulation import apply_readout_noise_probs
-
-        noisy = apply_readout_noise_probs(ideal, nm, 2)
-        rec = REM(nm, method).mitigate_probs(noisy, 2)
-        assert hellinger_fidelity(rec, ideal) > 0.999
-
-    def test_counts_entry_point(self):
-        nm = NoiseModel.uniform(1, readout_error=0.1)
-        rec = REM(nm).mitigate_counts({"0": 900, "1": 100}, 1)
-        assert rec[0] > 0.9
-
-    def test_invalid_method(self):
-        with pytest.raises(ValueError):
-            REM(NoiseModel.uniform(1), "nope")
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3, 4])
+    def test_tensored_equals_dense_pseudo_inverse(self, num_qubits):
+        """Per-qubit inverses equal the dense pseudo-inverse of the whole
+        tensor-product confusion matrix, simplex-projected."""
+        rng = np.random.default_rng(num_qubits)
+        for _ in range(10):
+            nm = NoiseModel.uniform(num_qubits)
+            for q in range(num_qubits):
+                nm.qubits[q] = QubitNoise(150.0, 110.0, *rng.uniform(0.0, 0.2, 2))
+            probs = rng.dirichlet(np.ones(2**num_qubits))
+            dense = full_confusion_matrix(nm, list(range(num_qubits)))
+            expected = _simplex_project(np.linalg.pinv(dense) @ probs)
+            np.testing.assert_allclose(
+                mitigate_probs(probs, nm, num_qubits), expected, rtol=0, atol=1e-12
+            )
 
 
 class TestDD:
@@ -312,8 +310,8 @@ class TestStack:
     def test_preset_validation(self):
         with pytest.raises(KeyError):
             MitigationStack.preset("nope")
-        with pytest.raises(ValueError):
-            MitigationStack.from_names(["nope"])
+        with pytest.raises(ValueError, match="bogus"):
+            MitigationStack(("bogus",))
 
     def test_overheads(self):
         stack = MitigationStack.preset("dd+twirl+zne+rem")

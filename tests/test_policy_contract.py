@@ -8,8 +8,9 @@
   constructor, so the two cannot drift, and the constructor's keyword
   set is spelled out — as are the shipped policies and the keyword or
   field sets of the scheduler, the availability model, the load
-  generator, ``QuantumJob.from_circuit``, ``trained_estimator`` and the
-  ``repro.ml`` models, pipeline factory and folds;
+  generator, ``QuantumJob.from_circuit``, ``trained_estimator``, the
+  ``repro.ml`` models, pipeline factory and folds, and the mitigation
+  stack and its ZNE, folding and REM entry points;
 * the trigger path reads shard state, never the heap's contents (AST
   guard: no ``heapify``, no heap slice-assignment, one TRIGGER push, its
   payload a bare shard id);
@@ -41,6 +42,7 @@ from repro.cloud import (
 )
 from repro.estimator import EstimateSource
 from repro.experiments.common import trained_estimator
+from repro.mitigation import MitigationStack, fold_to_factor, mitigate_probs, zne_infer_probs
 from repro.ml import KFold, LinearRegression, Ridge, make_polynomial_regression
 from repro.moo import Termination
 from repro.scheduler import (
@@ -224,6 +226,15 @@ class TestKeywordSets:
         assert _names(NoisySimulator.__init__) == [
             "self", "noise_model", "num_trajectories", "seed",
         ]
+
+    def test_mitigation_keywords_and_fields(self):
+        # A stack is its technique names; each technique runs at one
+        # setting (no extrapolation factory, REM mode, random partial
+        # fold or per-stack twirl count and seed).
+        assert _fields(MitigationStack) == ["techniques"]
+        assert _names(zne_infer_probs) == ["noise_factors", "probs"]
+        assert _names(fold_to_factor) == ["circuit", "scale_factor"]
+        assert _names(mitigate_probs) == ["probs", "noise_model", "num_qubits"]
 
 
 class TestShardedForwardsEngineKeywords:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers.reference_readout import full_confusion_matrix
 from repro.circuits import Circuit
 from repro.simulation import (
     NoiseModel,
@@ -20,7 +21,6 @@ from repro.simulation import (
     esp_to_hellinger,
     estimate_fidelity_analytic,
     expectation_z,
-    full_confusion_matrix,
     hellinger_distance,
     hellinger_fidelity,
     ideal_probabilities,

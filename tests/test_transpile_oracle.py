@@ -16,8 +16,8 @@ with ``==`` only, on three sets of inputs:
 
 The guards at the end keep networkx out of ``src/``: it is a test
 dependency, used only by this oracle and ``tests/helpers/reference_workflow.py``.
-Beside them, scipy stays off the import, training and invoke path: only
-``repro.mitigation`` imports it, inside the function that uses it.
+Beside them, scipy stays out of ``src/`` too: it is a test dependency of
+the ridge oracle and ``test_transpiler.py``.
 """
 
 import ast
@@ -372,7 +372,7 @@ class TestRandomCouplings:
 
 
 # ----------------------------------------------------------------------
-# Guards: networkx stays out of src/, scipy off its import path
+# Guards: networkx and scipy stay out of src/
 # ----------------------------------------------------------------------
 
 SRC = Path(repro.__file__).parent
@@ -473,15 +473,17 @@ class TestNetworkxOutOfSrc:
         assert _run_with_blocked("networkx", setup).strip() == "completed"
 
 
-class TestScipyOnUseOnly:
-    """Training solves with numpy alone; scipy is a runtime dependency of
-    two error-mitigation fits, each imported where it is used."""
+class TestScipyOutOfSrc:
+    """``src/`` runs on numpy alone; scipy is in the dev extra, for test
+    oracles only."""
 
-    def test_only_mitigation_imports_it_and_on_use(self):
+    def test_no_src_module_imports_it(self):
         # ml/linear.py and ml/model_selection.py imported scipy.linalg at
-        # module level until training moved to np.linalg.
-        assert _importing("scipy", module_level=True) == []
-        assert _importing("scipy") == ["mitigation/extrapolation.py", "mitigation/rem.py"]
+        # module level until training moved to np.linalg;
+        # mitigation/extrapolation.py (an exponential fit) and
+        # mitigation/rem.py (a non-negative least-squares REM mode)
+        # imported scipy.optimize on use until both were deleted.
+        assert _importing("scipy") == []
 
     def test_cold_start_and_invoke_run_with_scipy_blocked(self):
         setup = (
