@@ -1,8 +1,10 @@
 """Shared benchmark utilities.
 
-Every benchmark regenerates one paper table/figure (scaled down for CI) and
-prints paper-vs-measured rows. Absolute numbers come from a simulated
-substrate; the *shape* (who wins, by roughly what factor) is the target.
+Every benchmark regenerates one paper table/figure at the paper's
+parameters on one seed and prints paper-vs-measured rows; EXPERIMENTS.md
+spreads the same experiments over seeds 5/6/7. Absolute numbers come from
+a simulated substrate; the *shape* (who wins, by roughly what factor) is
+the target.
 
 Everything collected here is marked ``bench`` (CI runs the suite in a
 separate non-blocking job); the heaviest end-to-end figure reproductions

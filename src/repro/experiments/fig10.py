@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..cloud.job import QuantumJob
 from ..scheduler import QonductorScheduler
 from ..workloads import WorkloadSampler
-from .common import make_fleet, trained_estimator
+from .common import make_fleet, sampled_jobs, trained_estimator
 from .fig8 import run_scheduling_cycles
 
 __all__ = ["fig10a_exec_time", "fig10b_priorities"]
@@ -59,14 +58,7 @@ def fig10b_priorities(*, num_jobs: int = 100, seed: int = 9) -> dict:
     fleet = make_fleet(seed=7)
     estimator = trained_estimator(seed=7)
     sampler = WorkloadSampler(seed=seed, max_qubits=27, mean_qubits=6, std_qubits=3)
-    jobs = [
-        QuantumJob(
-            metrics=s.metrics, shots=s.shots,
-            mitigation="zne+rem" if s.uses_mitigation else "none",
-            benchmark=s.benchmark,
-        )
-        for s in sampler.sample_many(num_jobs)
-    ]
+    jobs = sampled_jobs(sampler, num_jobs)
     # A non-trivial starting queue landscape (hot best devices) so JCT
     # actually differentiates the preferences, as in the live system.
     waiting = {}

@@ -7,69 +7,46 @@ higher.
 
 from __future__ import annotations
 
-from ..cloud import (
-    CloudSimulator,
-    ExecutionModel,
-    LoadGenerator,
-    SimulationConfig,
-)
 from ..scheduler import FCFSPolicy, QonductorScheduler
-from .common import make_fleet, trained_estimator
+from .common import PAPER_RATE, make_fleet, run_hour, same_jobs_means, trained_estimator
 
 __all__ = ["fig6_end_to_end"]
 
 
-def fig6_end_to_end(
-    *,
-    scale: float = 0.25,
-    rate_per_hour: float = 1500.0,
-    seed: int = 5,
-    num_shards: int = 1,
-    balancer: str = "least_loaded",
-) -> dict:
-    """Run both policies on identical arrivals; compare the three metrics.
+def _pct_change(base: float, value: float) -> float:
+    return 100.0 * (value - base) / max(1e-9, base)
 
-    ``num_shards`` > 1 partitions the fleet with per-shard schedulers and
-    routes arrivals through ``balancer`` (the production configuration
-    for large fleets; 1 shard reproduces the paper's setup exactly).
+
+def fig6_end_to_end(*, seed: int = 5) -> dict:
+    """Run both policies on the same hour of arrivals, drained, and
+    compare the three metrics over the same jobs.
+
+    The ``*_censored`` values compare only the jobs each arm completed
+    by the end of the hour.
     """
-    duration = 3600.0 * scale
     estimator = trained_estimator(seed=7)
-    gen = LoadGenerator(mean_rate_per_hour=rate_per_hour, seed=seed)
-
-    def run(policy_name: str):
-        fleet = make_fleet(seed=7)
-        apps = gen.generate(duration)  # same seed -> same arrivals
-        em = ExecutionModel(seed=11)
-        if policy_name == "qonductor":
-            policy = QonductorScheduler(
-                estimator.cached(), preference="balanced", seed=seed,
-                max_generations=25,
-            )
-        else:
-            policy = FCFSPolicy(estimator.cached())
-        sim = CloudSimulator.sharded(
-            fleet,
-            policy,
-            num_shards=num_shards,
-            balancer=balancer,
-            execution_model=em,
-            config=SimulationConfig(duration_seconds=duration, seed=seed),
+    policies = {
+        "qonductor": QonductorScheduler(
+            estimator.cached(), preference="balanced", seed=seed, max_generations=25,
+        ),
+        "fcfs": FCFSPolicy(estimator.cached()),
+    }
+    runs = {
+        arm: run_hour(
+            make_fleet(seed=7), policy, rate=PAPER_RATE, seed=seed, drain=("fig6", arm)
         )
-        return sim.run(apps)
-
-    m_qon = run("qonductor")
-    m_fcfs = run("fcfs")
-    s_qon, s_fcfs = m_qon.summary(), m_fcfs.summary()
-    fid_drop_pct = 100.0 * (
-        s_fcfs["mean_fidelity"] - s_qon["mean_fidelity"]
-    ) / max(1e-9, s_fcfs["mean_fidelity"])
-    jct_red_pct = 100.0 * (
-        1.0 - s_qon["final_mean_jct"] / max(1e-9, s_fcfs["final_mean_jct"])
-    )
-    util_inc_pct = 100.0 * (
-        s_qon["mean_utilization"] / max(1e-9, s_fcfs["mean_utilization"]) - 1.0
-    )
+        for arm, policy in policies.items()
+    }
+    arms = {
+        arm: {
+            **same_jobs_means(m),
+            "load_cv": m.summary()["load_cv"],
+            "completed_jobs": m.completed_jobs,
+            "dispatched_jobs": m.dispatched_jobs,
+        }
+        for arm, m in runs.items()
+    }
+    qon, fcfs = arms["qonductor"], arms["fcfs"]
     return {
         "paper": {
             "fidelity_drop_pct": 3.0,
@@ -77,18 +54,24 @@ def fig6_end_to_end(
             "utilization_increase_pct": 66.0,
         },
         "measured": {
-            "fidelity_drop_pct": fid_drop_pct,
-            "jct_reduction_pct": jct_red_pct,
-            "utilization_increase_pct": util_inc_pct,
-            "qonductor": {k: v for k, v in s_qon.items() if k != "per_qpu_busy_seconds"},
-            "fcfs": {k: v for k, v in s_fcfs.items() if k != "per_qpu_busy_seconds"},
+            "fidelity_drop_pct": -_pct_change(fcfs["mean_fidelity"], qon["mean_fidelity"]),
+            "jct_reduction_pct": -_pct_change(fcfs["mean_jct"], qon["mean_jct"]),
+            "utilization_increase_pct": _pct_change(fcfs["utilization"], qon["utilization"]),
+            "fidelity_drop_pct_censored": -_pct_change(
+                fcfs["mean_fidelity_censored"], qon["mean_fidelity_censored"]
+            ),
+            "jct_reduction_pct_censored": -_pct_change(
+                fcfs["mean_jct_censored"], qon["mean_jct_censored"]
+            ),
+            **arms,
         },
         "series": {
-            "qonductor_fidelity": m_qon.mean_fidelity.as_arrays(),
-            "fcfs_fidelity": m_fcfs.mean_fidelity.as_arrays(),
-            "qonductor_jct": m_qon.mean_completion_time.as_arrays(),
-            "fcfs_jct": m_fcfs.mean_completion_time.as_arrays(),
-            "qonductor_util": m_qon.mean_utilization.as_arrays(),
-            "fcfs_util": m_fcfs.mean_utilization.as_arrays(),
+            f"{arm}_{name}": series.as_arrays()
+            for arm, m in runs.items()
+            for name, series in (
+                ("fidelity", m.mean_fidelity),
+                ("jct", m.mean_completion_time),
+                ("util", m.mean_utilization),
+            )
         },
     }
