@@ -8,6 +8,8 @@ preallocated ``(2 * pop_size, n_var)`` / ``(2 * pop_size, n_obj)`` buffer
 pair and each generation's children are written into the second, so the
 truncation reads the union without stacking it; variation rewrites one
 float scratch in place, cast from and to integers once a generation.
+A run stops at its :class:`Termination`'s generation cap, so it
+evaluates exactly ``pop_size * max_generations`` genomes.
 
 :meth:`NSGA2.minimize` is a pure function of ``(problem, termination,
 seed)``: the random stream is rebuilt from the configured seed on every
@@ -43,7 +45,6 @@ class NSGA2Result:
     F: np.ndarray  # (n_front, n_obj) objective values
     generations: int
     evaluations: int
-    reason: str
 
 
 class NSGA2:
@@ -51,7 +52,7 @@ class NSGA2:
 
     def __init__(
         self,
-        pop_size: int = 64,
+        pop_size: int,
         *,
         seed: int | np.random.SeedSequence | None = None,
     ) -> None:
@@ -63,7 +64,7 @@ class NSGA2:
     def minimize(
         self,
         problem: Problem,
-        termination: Termination | None = None,
+        termination: Termination,
         *,
         seed: int | np.random.SeedSequence | None = None,
     ) -> NSGA2Result:
@@ -74,10 +75,9 @@ class NSGA2:
         RNG state carried between cycles.
         """
         rng = np.random.default_rng(self.seed if seed is None else seed)
-        term = termination or Termination()
-        if term.generations:
+        if termination.generations:
             raise ValueError(
-                f"termination already counted {term.generations} generations:"
+                f"termination already counted {termination.generations} generations:"
                 " one Termination serves one minimize(), pass a fresh one"
             )
         pop = self.pop_size
@@ -88,11 +88,11 @@ class NSGA2:
         X, children = X_all[:pop], X_all[pop:]
         F, Fc = F_all[:pop], F_all[pop:]
         X[:], F[:] = X0, F0
-        term.update(F)
+        termination.update(F)
         lower, upper = problem.lower.astype(float), problem.upper.astype(float)
 
         rank, crowd = self._rank_and_crowd(F)
-        while not term.should_stop():
+        while not termination.should_stop():
             parents_idx = tournament_selection(rank, crowd, pop, rng)
             scratch = X[parents_idx].astype(float)
             exponential_crossover(scratch, lower, upper, rng)
@@ -101,7 +101,7 @@ class NSGA2:
             np.copyto(children, scratch, casting="unsafe")
             children[:] = problem.repair(children)
             Fc[:] = problem.evaluate(children)
-            term.update(Fc)
+            termination.update(Fc)
 
             # Elitist environmental selection over parents + children.
             X[:], F[:], rank, crowd = self._truncate(X_all, F_all)
@@ -115,9 +115,8 @@ class NSGA2:
         return NSGA2Result(
             X=X[sel].copy(),
             F=F[sel].copy(),
-            generations=term.generations,
-            evaluations=term.evaluations,
-            reason=term.reason or "unknown",
+            generations=termination.generations,
+            evaluations=termination.evaluations,
         )
 
     # ------------------------------------------------------------------

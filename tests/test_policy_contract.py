@@ -222,7 +222,7 @@ class TestKeywordSets:
     def test_optimizer_and_simulator_keywords(self):
         # No caller capped evaluations, turned idle noise off or moved the
         # quasi-static share of dephasing.
-        assert _names(Termination.__init__) == ["self", "max_generations", "tol", "window"]
+        assert _names(Termination.__init__) == ["self", "max_generations"]
         assert _names(NoisySimulator.__init__) == [
             "self", "noise_model", "num_trajectories", "seed",
         ]
