@@ -113,14 +113,20 @@ class CyclePlan:
 
 
 class QonductorScheduler(SchedulingPolicy):
-    """Many-to-many hybrid scheduler balancing fidelity vs JCT."""
+    """Many-to-many hybrid scheduler balancing fidelity vs JCT.
+
+    Every cycle runs NSGA-II on ``pop_size`` genomes for exactly
+    ``max_generations`` generations.  32 genomes evaluate half of what
+    64 did for about a third of a fidelity point on the bench workloads;
+    JCT does not respond to the budget.
+    """
 
     def __init__(
         self,
         estimate_fn: EstimateSource,
         *,
         preference: str | tuple[float, float] = "balanced",
-        pop_size: int = 64,
+        pop_size: int = 32,
         max_generations: int = 40,
         seed: int = 0,
         shard_id: int = 0,

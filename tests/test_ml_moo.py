@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers.determinism import make_job
 from helpers.reference_kernels import (
     evaluate_reference,
     fast_non_dominated_sort,
@@ -19,6 +20,8 @@ from helpers.reference_models import (
     polynomial_transform_reference,
 )
 from helpers.reference_ridge import assert_numpy_route_matches
+from repro.backends.fleet import fleet_of_size
+from repro.estimator import PairwiseEstimateSource
 from repro.estimator.models import _select_and_fit
 from repro.ml import (
     KFold,
@@ -46,6 +49,7 @@ from repro.moo import (
     tournament_selection,
 )
 from repro.moo.nsga2 import _first_occurrences
+from repro.scheduler import QonductorScheduler
 from repro.scheduler.cycle import OptimizationTask, cycle_seed, run_optimization
 from repro.scheduler.formulation import (
     SchedulingInput,
@@ -1068,6 +1072,45 @@ class TestEdgeShapes:
         assert np.array_equal(
             result.F, evaluate_reference(task.data, result.X)
         )
+
+
+class TestGenerationCap:
+    """A default scheduler's cycle runs NSGA-II on 32 genomes for its
+    whole generation cap, however small the search space."""
+
+    @staticmethod
+    def _default_cycle(data):
+        """The task a default ``QonductorScheduler`` builds over ``data``'s
+        estimates, through ``begin_cycle``."""
+        jobs = [make_job(2) for _ in range(data.num_jobs)]
+        qpus = fleet_of_size(data.num_qpus, seed=7)
+        rows = {id(job): i for i, job in enumerate(jobs)}
+        cols = {qpu.name: k for k, qpu in enumerate(qpus)}
+
+        @PairwiseEstimateSource
+        def pinned(job, qpu):
+            i, k = rows[id(job)], cols[qpu.name]
+            return data.fidelity[i, k], data.exec_seconds[i, k]
+
+        scheduler = QonductorScheduler(pinned)
+        task = scheduler.begin_cycle(jobs, qpus).task
+        assert np.array_equal(task.data.fidelity, data.fidelity)
+        assert np.array_equal(task.data.exec_seconds, data.exec_seconds)
+        return scheduler, task
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            _random_input(np.random.default_rng(15_004), 15, 4, density=1.0),
+            _EDGE_TASKS["1x1"][0].data,
+        ],
+        ids=["15x4", "1x1"],
+    )
+    def test_default_cycle_runs_the_cap_on_32_genomes(self, data):
+        scheduler, task = self._default_cycle(data)
+        result = run_optimization(task)
+        assert result.generations == scheduler.max_generations
+        assert result.evaluations == 32 * scheduler.max_generations
 
 
 class TestSchedulingInputValidation:

@@ -335,27 +335,29 @@ class TestTriggerPathReadsShardState:
 #: a cycle through its own heap event, with that engine's always-zero
 #: pipelined / fold-lag / ε-merge counters dropped and its fold pops
 #: taken out of ``events_processed``; this engine matches it unprojected.
+#: The Qonductor pins were re-recorded when the scheduler's default
+#: population went from 64 to 32 genomes; the FCFS pins did not move.
 SYNCHRONOUS_PINS = {
     ("queue", "qonductor", 4):
-        "303005104bb44e0de46cc20392fee55a1037c00d9d2637e30998777282ee03ac",
+        "3911603c7991245ba4bc4b69accbff8fff433177703af39c36c54bb8a17f5f0b",
     ("queue", "qonductor", 9):
-        "97db8e630bc746d774386bd135c42698128e61e96b81a0524caec5996d4f4de1",
+        "802cee3c9d9b826b57940cb566a7ef18db3b138b8a977fdffccb56b9f6362594",
     ("queue", "fcfs", 4):
         "67cf98bba33cb2079e0ce3b34f0dcc535f09413f5cb246a20511a4a222f583f0",
     ("queue", "fcfs", 9):
         "96ace234787279575b8486adbfac9bc6bd90e4ae707021fa2329c9b726491c07",
     ("staggered", "qonductor", 4):
-        "09196b968acafc376c126cf76c0171945fae0aea5750b4064e0085bb4f2173ef",
+        "ac075f0a1b5b46625c131c55be024664618715711a53f435b9e77aa99a8443a0",
     ("staggered", "qonductor", 9):
-        "57da0253277ecb5dd5afc12acfa873f9c0141fb086dfe764446ed36ddc0008d8",
+        "e902c5550f1d54398366661221d492c4a693d47e4004ebde0f8f1b86a389a869",
     ("staggered", "fcfs", 4):
         "5870be65b022f50e7b4a4c03c2279153c368981b45427eb72cb5545643efddf1",
     ("staggered", "fcfs", 9):
         "85140454580b36cd1c6526e7a05b9f3207205f30f155be13dccb950971ce618f",
     ("mixed", "qonductor", 4):
-        "24550a6669051e328def883b3eddc927589329953ab989032ce9dadc2e6e5353",
+        "380c44dacc0d4ab5c85b48f33153d0d88d2e25b090b766b9a1d8b201d338a78e",
     ("mixed", "qonductor", 9):
-        "273eee60f2c90d41a29930d97eb1e19570ae228cd8571ee5c53f43e9e4f69b42",
+        "310d9ab9642b08038c11a96b5da83f4f8ed8150d03849e46fcfa25e6c633799a",
     ("mixed", "fcfs", 4):
         "ae2c4110372c977cd16d2291ed5632e8a1d0c15966589511f56866d6b6500831",
     ("mixed", "fcfs", 9):
