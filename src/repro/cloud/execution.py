@@ -54,8 +54,9 @@ MITIGATION_EFFECTS: dict[str, dict[str, float]] = {
 
 #: Fixed per-job overheads (seconds). The setup charge covers job handoff,
 #: binding, and control-electronics configuration — IBM jobs pay tens of
-#: seconds of per-job overhead beyond raw shots, which is what makes the
-#: cloud saturate at the paper's 1500 jobs/hour on ~8 QPUs.
+#: seconds of per-job overhead beyond raw shots.  A job holds its QPU for
+#: 11–15 s, so 8 QPUs serve at most ~2,300 jobs/hour: the paper's 1,500/h
+#: stays below that, and Fig. 9b finds the fleet saturated from 3,000/h.
 QPU_SETUP_SECONDS = 10.0
 SHOT_OVERHEAD_US = 400.0  # per-shot reset/readout dead time
 CLASSICAL_BASE_SECONDS = 1.5  # transpile + packaging per circuit instance

@@ -6,6 +6,8 @@ fidelity; (c) per-QPU total runtime at increasing workloads.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..scheduler import QonductorScheduler
@@ -15,11 +17,14 @@ from .common import LOAD_AXIS, make_fleet, run_hour, sampled_jobs, trained_estim
 __all__ = ["fig8ab_tradeoff", "fig8c_load_balance", "run_scheduling_cycles"]
 
 
+@functools.cache
 def run_scheduling_cycles(*, num_cycles: int = 15, jobs_per_cycle: int = 50, seed: int = 5):
     """Standalone scheduler loop: batch arrivals, schedule, dispatch.
 
-    Returns the per-cycle :class:`QuantumSchedule` list. Queue waiting
+    Returns the per-cycle :class:`QuantumSchedule` tuple. Queue waiting
     evolves realistically: dispatched jobs extend their QPU's backlog.
+    The result is shared per arguments: Figs. 8a/b and 10a read the same
+    cycles, so a seed's cycles run once.
     """
     fleet = make_fleet(seed=7)
     scheduler = QonductorScheduler(
@@ -41,7 +46,7 @@ def run_scheduling_cycles(*, num_cycles: int = 15, jobs_per_cycle: int = 50, see
             waiting[dec.qpu_name] = waiting.get(dec.qpu_name, 0.0) + dec.est_exec_seconds
         for name in waiting:
             waiting[name] = max(0.0, waiting[name] - cycle_seconds)
-    return schedules
+    return tuple(schedules)
 
 
 def fig8ab_tradeoff(

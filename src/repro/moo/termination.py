@@ -6,8 +6,9 @@ separable per job and :meth:`SchedulingProblem.sample` seeds each job's
 best-fidelity QPU, so the ideal point's error is exact at generation 0
 and a window over it watches only the greedy JCT seed.  Fed the
 survivors it stopped cycles before the front's interior converged (Fig.
-9a's 16-QPU JCT rose from ~135 s to ~190 s); fed the children, as it
-was, it fired on noise.  So a run stops at ``max_generations`` alone.
+9a's 16-QPU drained JCT rose from 134 s to 190 s on seed 5); fed the
+children's minima it fired on noise.  So a run stops at
+``max_generations`` alone.
 """
 
 from __future__ import annotations

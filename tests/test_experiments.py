@@ -17,7 +17,9 @@ import pytest
 from repro.cloud import SimulatedQPU
 from repro.cloud.metrics import SimulationMetrics, TimeSeries
 from repro.experiments.common import HOUR, busy_within, check_drained, same_jobs_means
+from repro.experiments.fig8 import fig8ab_tradeoff, run_scheduling_cycles
 from repro.experiments.fig9 import queue_verdict
+from repro.experiments.fig10 import fig10a_exec_time
 from repro.experiments.report import EXPERIMENTS
 
 # Two QPUs, four jobs, known service times (seconds):
@@ -125,6 +127,23 @@ def test_drain_check_names_figure_arm_rate_and_seed():
     for part in ("fig6", "fcfs arm", "1500 jobs/h", "seed 5", "3 of 4"):
         assert part in message
     check_drained(_four_job_run(), figure="fig6", arm="fcfs", rate=1500.0, seed=5)
+
+
+def test_fig8ab_and_fig10a_read_one_run_of_their_cycles():
+    """Figs. 8a/b and 10a read the same scheduling cycles: the second
+    figure gets the first one's schedules, and its numbers are those of a
+    run of its own."""
+    kwargs = {"num_cycles": 3, "jobs_per_cycle": 8, "seed": 41}
+    run_scheduling_cycles.cache_clear()
+    shared = [fig8ab_tradeoff(**kwargs), fig10a_exec_time(**kwargs)]
+    info = run_scheduling_cycles.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert run_scheduling_cycles(**kwargs) is run_scheduling_cycles(**kwargs)
+    alone = []
+    for figure in (fig8ab_tradeoff, fig10a_exec_time):
+        run_scheduling_cycles.cache_clear()
+        alone.append(figure(**kwargs))
+    assert [r["measured"] for r in shared] == [r["measured"] for r in alone]
 
 
 def test_experiments_md_gives_every_experiment_a_status():
