@@ -116,9 +116,9 @@ class QonductorScheduler(SchedulingPolicy):
     """Many-to-many hybrid scheduler balancing fidelity vs JCT.
 
     Every cycle runs NSGA-II on ``pop_size`` genomes for exactly
-    ``max_generations`` generations.  32 genomes evaluate half of what
-    64 did for about a third of a fidelity point on the bench workloads;
-    JCT does not respond to the budget.
+    ``max_generations`` generations.  Doubling the default 32 doubles
+    the evaluations for about a third of a fidelity point on the bench
+    workloads; JCT does not respond to the budget.
     """
 
     def __init__(
