@@ -513,6 +513,27 @@ class TestNSGA2:
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             Termination(**kwargs)
 
+    def test_termination_counts_rows_and_stops_at_its_cap(self):
+        """Each update counts one generation and its rows; the run stops
+        on the ``max_generations``-th update and not one before."""
+        term = Termination(max_generations=3)
+        stops = []
+        for rows in (5, 4, 4):
+            term.update(np.zeros((rows, 2)))
+            stops.append(term.should_stop())
+        assert stops == [False, False, True]
+        assert (term.generations, term.evaluations) == (3, 13)
+
+    @pytest.mark.parametrize("cap", [1, 2, 7])
+    def test_minimize_runs_exactly_its_cap(self, cap):
+        """A cap of one keeps the initial sample's front; every cap is
+        run to the generation, ``pop_size`` genomes each."""
+        term = Termination(max_generations=cap)
+        res = NSGA2(pop_size=16, seed=5).minimize(_Biobj(), term)
+        assert (res.generations, res.evaluations) == (cap, 16 * cap)
+        assert (term.generations, term.evaluations) == (cap, 16 * cap)
+        assert len(res.F) >= 1 and pareto_front_mask(res.F).all()
+
     def test_truncate_reuses_selection_fronts_bit_identical(self):
         """The truncation over survivors (one sort, crowding only for
         the fronts that stay) must match the recompute-from-scratch
