@@ -15,10 +15,8 @@ from .fleet import (
     LeastLoadedBalancer,
     Migration,
     QubitFitBalancer,
-    RebalancePolicy,
     RoundRobinBalancer,
     ShardBalancer,
-    StealHalfRebalancePolicy,
     ThresholdRebalancePolicy,
     make_balancer,
     partition_fleet,
@@ -60,9 +58,7 @@ __all__ = [
     "make_balancer",
     "partition_fleet",
     "Migration",
-    "RebalancePolicy",
     "ThresholdRebalancePolicy",
-    "StealHalfRebalancePolicy",
     "AvailabilityEvent",
     "AvailabilityModel",
     "MaintenanceWindow",

@@ -29,15 +29,11 @@ runs bit-identical to unsharded runs.
 
 Static partitions skew: under a narrow width distribution a qubit-fit
 shard can saturate while others idle, and an outage can strand a shard's
-pending queue.  A :class:`RebalancePolicy` periodically migrates pending
-(not-yet-dispatched) jobs between shards — the simulator drives it from a
-``REBALANCE`` heap event.  Two deterministic strategies:
-
-* :class:`ThresholdRebalancePolicy` — while the deepest pending queue
-  exceeds a feasible shard's queue by at least ``min_gap`` jobs, move one
-  job at a time from the deepest to the shallowest feasible shard.
-* :class:`StealHalfRebalancePolicy` — each idle shard steals half
-  of the deepest feasible victim queue, classic work stealing.
+pending queue.  A :class:`ThresholdRebalancePolicy` periodically migrates
+pending (not-yet-dispatched) jobs between shards — the simulator drives
+it from a ``REBALANCE`` heap event: while the deepest pending queue
+exceeds a feasible shard's queue by at least ``min_gap`` jobs, it moves
+one job at a time from the deepest to the shallowest feasible shard.
 
 Rebalancing is **off by default** (``rebalance=None``): single-shard runs
 and rebalancing-disabled multi-shard runs stay bit-identical to the
@@ -48,7 +44,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from itertools import islice
 from typing import Any
 
 from ..backends.qpu import QPU
@@ -67,9 +62,7 @@ __all__ = [
     "make_balancer",
     "partition_fleet",
     "Migration",
-    "RebalancePolicy",
     "ThresholdRebalancePolicy",
-    "StealHalfRebalancePolicy",
 ]
 
 #: Seconds of device backlog weighted like one pending job when comparing
@@ -127,7 +120,7 @@ class FleetShard:
         self._tenant_counts: dict[str, int] = {}
         self._max_qubits: int | None = None  # memo; set_online drops it
         self.jobs_routed = 0
-        # Work-stealing accounting (fed by RebalancePolicy moves).
+        # Work-stealing accounting (fed by ThresholdRebalancePolicy moves).
         self.jobs_stolen_in = 0
         self.jobs_stolen_out = 0
         #: Widest QPU the shard *hardware* offers, online or not — the
@@ -179,16 +172,11 @@ class FleetShard:
         dst.enqueue(job)
         return job
 
-    def reorder_tail(
-        self, count: int, key: Callable[[QuantumJob], Any] | None = None
-    ) -> None:
-        """Permute the newest ``count`` jobs in place: sorted by ``key``,
-        or reversed when there is none.  (A permutation moves no count.)"""
+    def reorder_tail(self, count: int, key: Callable[[QuantumJob], Any]) -> None:
+        """Sort the newest ``count`` jobs in place by ``key``.  (A
+        permutation moves no count.)"""
         tail = self._pending[-count:]
-        if key is None:
-            tail.reverse()
-        else:
-            tail.sort(key=key)
+        tail.sort(key=key)
         self._pending[-count:] = tail
 
     @property
@@ -380,7 +368,7 @@ def partition_fleet(fleet: list[QPU], num_shards: int) -> list[list[QPU]]:
 
 
 # ---------------------------------------------------------------------------
-# Work-stealing shard rebalancing
+# Shard rebalancing
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -392,45 +380,49 @@ class Migration:
     dst: FleetShard
 
 
-class RebalancePolicy:
-    """Periodically migrates pending jobs between overloaded shards.
+class ThresholdRebalancePolicy:
+    """Drain depth gaps: deepest queue feeds the shallowest feasible one.
 
-    Subclasses implement :meth:`rebalance`, which moves jobs between the
-    shards' queues (``move_to``) and returns the moves for accounting.  Rules
-    every strategy follows, so rebalanced runs stay deterministic and
-    well-formed:
+    Runs periodically (every ``interval_seconds``) and migrates pending
+    jobs between shards' queues (``move_to``), returning the moves for
+    accounting.  While some shard's pending queue is at least ``min_gap``
+    jobs deeper than a feasible destination, move one job (newest first —
+    the oldest jobs are closest to being scheduled locally) from the
+    deepest such queue to the shallowest feasible queue.  A source whose
+    jobs fit no eligible destination is skipped, not a stall: shallower
+    shards with drainable gaps still drain.  Terminates because every move
+    shrinks the gap it was chosen for.  Rules that keep rebalanced runs
+    deterministic and well-formed:
 
     * only *pending* (queued, not yet dispatched) jobs move — work
       already committed to a device queue stays put;
     * a job only moves to a shard where it currently fits (some online
-      QPU is wide enough);
+      QPU is wide enough), and at most once per tick;
     * ties break on shard id, and queues are scanned in a fixed order,
       so identical runs produce identical migrations.
 
-    With ``tenant_aware=True``, strategies migrate the queue's
-    *most-represented tenant's* jobs first (still newest-first within
-    the tenant): the noisy tenant's backlog is what spreads, so quieter
-    tenants queued behind it keep their position.  Off by default, and
-    queues without tenant-tagged jobs always use the plain scan order,
-    so untenanted runs are bit-identical either way.
+    With ``tenant_aware=True``, the queue's *most-represented tenant's*
+    jobs migrate first (still newest-first within the tenant): the noisy
+    tenant's backlog is what spreads, so quieter tenants queued behind it
+    keep their position.  Off by default, and queues without
+    tenant-tagged jobs always use the plain scan order, so untenanted runs
+    are bit-identical either way.
     """
 
     def __init__(
         self,
         *,
+        min_gap: int = 4,
         interval_seconds: float = 60.0,
         tenant_aware: bool = False,
     ) -> None:
-        require_at_least(
-            type(self).__name__, "interval_seconds", interval_seconds, 0, strict=True
-        )
+        name = type(self).__name__
+        require_at_least(name, "interval_seconds", interval_seconds, 0, strict=True)
+        # A 1-job gap would ping-pong a job between two shards.
+        require_at_least(name, "min_gap", min_gap, 2)
         self.interval_seconds = interval_seconds
         self.tenant_aware = tenant_aware
-
-    def rebalance(
-        self, shards: list[FleetShard], now: float
-    ) -> list[Migration]:
-        raise NotImplementedError
+        self.min_gap = min_gap
 
     @staticmethod
     def _move(src: FleetShard, index: int, dst: FleetShard) -> Migration:
@@ -452,44 +444,6 @@ class RebalancePolicy:
         if dominant is None:
             return None
         return _dominant_first(shard.pending, dominant)
-
-
-def _dominant_first(pending: list[QuantumJob], dominant: str) -> Iterator[int]:
-    for theirs in (True, False):
-        for i in range(len(pending) - 1, -1, -1):
-            if (pending[i].tenant_id == dominant) is theirs:
-                yield i
-
-
-def _arrival_order(job: QuantumJob) -> tuple[float, int]:
-    return job.arrival_time, job.job_id
-
-
-class ThresholdRebalancePolicy(RebalancePolicy):
-    """Drain depth gaps: deepest queue feeds the shallowest feasible one.
-
-    While some shard's pending queue is at least ``min_gap`` jobs deeper
-    than a feasible destination, move one job (newest first — the oldest
-    jobs are closest to being scheduled locally) from the deepest such
-    queue to the shallowest feasible queue.  A source whose jobs fit no
-    eligible destination is skipped, not a stall: shallower shards with
-    drainable gaps still drain.  Terminates because every move shrinks
-    the gap it was chosen for.
-    """
-
-    def __init__(
-        self,
-        *,
-        min_gap: int = 4,
-        interval_seconds: float = 60.0,
-        tenant_aware: bool = False,
-    ) -> None:
-        super().__init__(
-            interval_seconds=interval_seconds, tenant_aware=tenant_aware
-        )
-        # A 1-job gap would ping-pong a job between two shards.
-        require_at_least(type(self).__name__, "min_gap", min_gap, 2)
-        self.min_gap = min_gap
 
     def rebalance(
         self, shards: list[FleetShard], now: float
@@ -596,86 +550,12 @@ class ThresholdRebalancePolicy(RebalancePolicy):
         return moves
 
 
-class StealHalfRebalancePolicy(RebalancePolicy):
-    """Classic work stealing: idle shards steal half a victim's queue.
+def _dominant_first(pending: list[QuantumJob], dominant: str) -> Iterator[int]:
+    for theirs in (True, False):
+        for i in range(len(pending) - 1, -1, -1):
+            if (pending[i].tenant_id == dominant) is theirs:
+                yield i
 
-    Every shard whose pending queue is empty (scanned in id order) picks
-    the deepest other queue with at least ``min_victim_depth`` jobs *and
-    at least one job the thief can serve*, then steals half of it —
-    newest feasible jobs first, re-queued in their original arrival
-    order.  Shards that received steals earlier in the same cycle are
-    never victims, so a job moves at most once per tick.
-    """
 
-    def __init__(
-        self,
-        *,
-        min_victim_depth: int = 4,
-        interval_seconds: float = 60.0,
-        tenant_aware: bool = False,
-    ) -> None:
-        super().__init__(
-            interval_seconds=interval_seconds, tenant_aware=tenant_aware
-        )
-        require_at_least(
-            type(self).__name__, "min_victim_depth", min_victim_depth, 2
-        )
-        self.min_victim_depth = min_victim_depth
-
-    def rebalance(
-        self, shards: list[FleetShard], now: float
-    ) -> list[Migration]:
-        moves: list[Migration] = []
-        if len(shards) < 2:
-            return moves
-        # Shards that already received steals this cycle are not victims:
-        # a later thief re-stealing a just-stolen job would bounce work
-        # twice in one tick and inflate the migration counters.
-        receivers: set[int] = set()
-        for thief in sorted(shards, key=lambda s: s.shard_id):
-            if thief.pending:
-                continue
-            thief_width = thief.max_qubits
-            # The victim is the deepest queue holding at least one job
-            # the thief can serve: locking onto an infeasible deepest
-            # queue (say, a wide backlog vs a narrow thief) would starve
-            # the thief forever while feasible work queues elsewhere.
-            candidates = [
-                s
-                for s in shards
-                if s is not thief
-                and s.shard_id not in receivers
-                and len(s.pending) >= self.min_victim_depth
-                and any(j.num_qubits <= thief_width for j in s.pending)
-            ]
-            if not candidates:
-                continue
-            victim = max(
-                candidates, key=lambda s: (len(s.pending), -s.shard_id)
-            )
-            want = len(victim.pending) // 2
-            # Tenant-aware steals drain the victim's dominant tenant
-            # first (the noisy backlog is what spreads); untenanted
-            # queues always take the plain newest-first path, keeping
-            # tenancy-off runs bit-identical.
-            tenant_order = self._tenant_scan_order(victim)
-            newest_first = range(len(victim.pending) - 1, -1, -1)
-            fitting = (
-                i
-                for i in (newest_first if tenant_order is None else tenant_order)
-                if victim.pending[i].num_qubits <= thief_width
-            )
-            indices = list(islice(fitting, want))
-            for i in sorted(indices, reverse=True):  # pop back to front
-                moves.append(self._move(victim, i, thief))
-            # Popping descending indices appended the stolen jobs in
-            # reverse queue order; restore the victim's relative order
-            # (plain path) or arrival order (tenant path, where the
-            # picked index set is not contiguous in queue order).
-            if indices:
-                receivers.add(thief.shard_id)
-                thief.reorder_tail(
-                    len(indices),
-                    None if tenant_order is None else _arrival_order,
-                )
-        return moves
+def _arrival_order(job: QuantumJob) -> tuple[float, int]:
+    return job.arrival_time, job.job_id

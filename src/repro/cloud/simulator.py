@@ -38,7 +38,7 @@ Two optional subsystems make the fleet *adaptive*:
   events toggle ``QPU.online`` mid-run and every routing/scheduling
   layer is online-aware.  In-flight work keeps its committed finish time.
 * **Work stealing** — a
-  :class:`~repro.cloud.fleet.RebalancePolicy` runs on periodic
+  :class:`~repro.cloud.fleet.ThresholdRebalancePolicy` runs on periodic
   ``REBALANCE`` events, migrating pending jobs from overloaded shards to
   feasible underloaded ones.  Both are off by default, leaving static
   runs bit-identical.
@@ -83,8 +83,8 @@ from .execution import ExecutionModel
 from .fleet import (
     FleetShard,
     QueuedWork,
-    RebalancePolicy,
     ShardBalancer,
+    ThresholdRebalancePolicy,
     make_balancer,
     partition_fleet,
 )
@@ -199,7 +199,7 @@ class CloudSimulator:
         config: SimulationConfig | None = None,
         shards: list[FleetShard] | None = None,
         balancer: str | ShardBalancer = "round_robin",
-        rebalance: RebalancePolicy | None = None,
+        rebalance: ThresholdRebalancePolicy | None = None,
         availability: AvailabilityModel | None = None,
         cycle_executor: str | SerialCycleExecutor | None = None,
         admission: AdmissionController | None = None,
@@ -233,9 +233,9 @@ class CloudSimulator:
         self._estimate_sources = list({id(s): s for s in sources if s is not None}.values())
         # Both adaptive subsystems default to off: static fleets stay
         # bit-identical to the pre-rebalancing simulator.
-        if rebalance is not None and not isinstance(rebalance, RebalancePolicy):
+        if rebalance is not None and not isinstance(rebalance, ThresholdRebalancePolicy):
             raise TypeError(
-                f"rebalance must be a RebalancePolicy or None, got {rebalance!r}"
+                f"rebalance must be a ThresholdRebalancePolicy or None, got {rebalance!r}"
             )
         self.rebalancer = rebalance
         self.availability = availability

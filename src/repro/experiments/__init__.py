@@ -14,7 +14,6 @@ from .fig9 import (
     fig9b_load_scaling,
     fig9c_stage_runtimes,
 )
-from .rebalance import rebalance_study
 from .report import run_all
 from .table1 import table1_pricing
 from .tenant import tenant_study
@@ -35,7 +34,6 @@ __all__ = [
     "fig10a_exec_time",
     "fig10b_priorities",
     "table1_pricing",
-    "rebalance_study",
     "run_all",
     "tenant_study",
 ]

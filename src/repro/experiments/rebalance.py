@@ -1,13 +1,12 @@
-"""Adaptive-fleet study: work stealing under skew and outages.
+"""The skew + flash-outage fleet scenario the rebalancer is stressed on.
 
 Not a paper figure — an extension past the paper's static, always-online
 fleet.  The scenario stresses the two assumptions the paper's own
 motivation undermines: a width-skewed arrival stream saturates the
 tightest-fit shard while wider shards idle, and a mid-run flash outage
-halves the hot shard's capacity.  The study compares static sharding
-against the two work-stealing strategies on exactly the same stream and
-outage schedule, reporting the paper's load-balance metric (busy-seconds
-CV) and final mean JCT.
+halves the hot shard's capacity.  ``benchmarks/test_perf_simulator.py``
+runs it with and without a :class:`~repro.cloud.ThresholdRebalancePolicy`
+on exactly the same stream and outage schedule.
 """
 
 from __future__ import annotations
@@ -18,8 +17,6 @@ from ..cloud import (
     ExecutionModel,
     LoadGenerator,
     SimulationConfig,
-    StealHalfRebalancePolicy,
-    ThresholdRebalancePolicy,
     flash_outage,
 )
 from ..estimator.source import PairwiseEstimateSource
@@ -27,15 +24,12 @@ from ..scheduler import BatchedFCFSPolicy, SchedulingTrigger
 
 __all__ = [
     "SKEW_FLEET_SPEC",
-    "rebalance_study",
     "skew_estimate",
     "skew_scenario",
 ]
 
 #: Wide/mid/narrow interleaved so a 3-shard `partition_fleet` deal is
 #: width-segregated (shard 0 all 27q, shard 1 all 16q, shard 2 all 7q).
-#: Shared with ``benchmarks/test_perf_simulator.py`` so the CI stress
-#: scenario and this study never drift apart.
 SKEW_FLEET_SPEC = [
     (name, model, quality)
     for i, quality in enumerate((0.7, 0.9, 1.1, 1.3))
@@ -73,12 +67,13 @@ def skew_scenario(
 ) -> tuple[LoadGenerator, CloudSimulator]:
     """One configured arm of the skew + flash-outage scenario.
 
-    The single builder behind both :func:`rebalance_study` and the CI
-    stress benchmark (``test_perf_rebalance_skew_outage``): an 8-16q
-    stream is qubit-fit onto the 3-shard wide/mid/narrow fleet (the mid
-    shard fits every job tightest, so static routing saturates it while
-    the wide shard idles) and two mid QPUs flash out mid-run.  Returns
-    the (load generator, simulator) pair; drive it with
+    The builder behind the stress benchmark
+    ``test_perf_rebalance_skew_outage``, whose two arms are static
+    (``rebalance=None``) and a :class:`~repro.cloud.ThresholdRebalancePolicy`:
+    an 8-16q stream is qubit-fit onto the 3-shard wide/mid/narrow fleet
+    (the mid shard fits every job tightest, so static routing saturates it
+    while the wide shard idles) and two mid QPUs flash out mid-run.
+    Returns the (load generator, simulator) pair; drive it with
     ``sim.run(gen.iter_arrivals(duration_seconds))``.
     """
     gen = LoadGenerator(
@@ -110,65 +105,3 @@ def skew_scenario(
     )
     return gen, sim
 
-
-def rebalance_study(
-    *,
-    rate_per_hour: float = 1200.0,
-    duration_seconds: float = 3600.0,
-    outage_start: float = 900.0,
-    outage_seconds: float = 900.0,
-    seed: int = 3,
-) -> dict:
-    """Static vs threshold vs steal-half sharding on a skewed stream.
-
-    Expected shape: both work-stealing strategies migrate pending jobs
-    from the saturated mid shard to the idle wide shard, cutting the
-    fleet-wide busy-seconds CV and the final mean JCT versus the static
-    partition.
-    """
-
-    def run(rebalance):
-        gen, sim = skew_scenario(
-            rebalance=rebalance,
-            duration_seconds=duration_seconds,
-            rate_per_hour=rate_per_hour,
-            outage_start=outage_start,
-            outage_seconds=outage_seconds,
-            seed=seed,
-        )
-        return sim.run(gen.iter_arrivals(duration_seconds))
-
-    arms = {
-        "static": None,
-        "threshold": ThresholdRebalancePolicy(
-            min_gap=8, interval_seconds=30.0
-        ),
-        "steal_half": StealHalfRebalancePolicy(
-            min_victim_depth=8, interval_seconds=30.0
-        ),
-    }
-    measured = {}
-    for name, rebalance in arms.items():
-        m = run(rebalance)
-        s = m.summary()
-        measured[name] = {
-            "load_cv": round(s["load_cv"], 4),
-            "final_mean_jct": round(s["final_mean_jct"], 1),
-            "jobs_migrated": m.jobs_migrated,
-            "dispatched_jobs": m.dispatched_jobs,
-            "unschedulable_jobs": m.unschedulable_jobs,
-            "outage_events": m.outage_events,
-        }
-    static = measured["static"]
-    for name in ("threshold", "steal_half"):
-        arm = measured[name]
-        arm["jct_improvement_pct"] = round(
-            100.0 * (1.0 - arm["final_mean_jct"] / static["final_mean_jct"]),
-            1,
-        )
-    return {
-        # An extension, not a reproduction: the "paper" row records the
-        # static-fleet assumption being relaxed.
-        "paper": {"static_fleet": True, "always_online": True},
-        "measured": measured,
-    }

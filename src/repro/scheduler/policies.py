@@ -143,10 +143,10 @@ class BatchedFCFSPolicy(FCFSPolicy):
     On the paper's default trigger the owning
     :class:`~repro.cloud.fleet.FleetShard` holds arrivals in its pending
     list until the trigger fires, which is what gives a
-    :class:`~repro.cloud.fleet.RebalancePolicy` a window to migrate them.
-    The per-job decision rule is exactly FCFS's, so it remains a
-    *baseline* — one that can be driven at fleet scale without NSGA-II
-    cost.
+    :class:`~repro.cloud.fleet.ThresholdRebalancePolicy` a window to
+    migrate them.  The per-job decision rule is exactly FCFS's, so it
+    remains a *baseline* — one that can be driven at fleet scale without
+    NSGA-II cost.
     """
 
     name = "fcfs_batched"

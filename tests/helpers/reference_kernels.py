@@ -16,10 +16,10 @@ import from ``repro.moo.sorting`` — a test comparing ``front_ranks``
 with it never compares the kernel with itself.
 :func:`polynomial_mutation_dense` is the mutation every generation ran
 before it computed ``delta`` only at the genes that mutate.
-:func:`tenant_scan_order_sorted` is the rebalancers' tenant-aware scan
+:func:`tenant_scan_order_sorted` is the rebalancer's tenant-aware scan
 order as a full queue count plus a full queue sort — what
-``RebalancePolicy._tenant_scan_order`` did per migrated job before it
-read the shard's counts and scanned lazily.
+``ThresholdRebalancePolicy._tenant_scan_order`` did per migrated job
+before it read the shard's counts and scanned lazily.
 """
 
 from __future__ import annotations
@@ -173,8 +173,8 @@ def fast_non_dominated_sort(F: np.ndarray) -> list[np.ndarray]:
 
 
 def tenant_scan_order_sorted(pending: list) -> list[int] | None:
-    """``RebalancePolicy._dominant_tenant`` + ``_tenant_scan_order``,
-    verbatim: the dominant tenant's indices newest-first, then everyone
+    """``ThresholdRebalancePolicy``'s former ``_dominant_tenant`` +
+    ``_tenant_scan_order``, verbatim: the dominant tenant's indices newest-first, then everyone
     else's newest-first; ``None`` for a queue with no tenant-tagged job."""
     counts: dict[str, int] = {}
     for job in pending:

@@ -23,7 +23,6 @@ from repro.cloud import (
     RoundRobinBalancer,
     SimulatedQPU,
     SimulationConfig,
-    StealHalfRebalancePolicy,
     ThresholdRebalancePolicy,
     make_balancer,
     partition_fleet,
@@ -299,7 +298,7 @@ class TestShardedEquivalence:
 
 
 class TestRebalancePolicies:
-    """Unit tests over the work-stealing strategies (no simulator)."""
+    """Unit tests over the threshold rebalancer (no simulator)."""
 
     def _batched_shards(self, widths_per_shard):
         return make_shards(
@@ -312,18 +311,17 @@ class TestRebalancePolicies:
             fleet_of_size(2, seed=7), BatchedFCFSPolicy(fake_estimate), rebalance=policy
         )
         assert sim.rebalancer is policy
-        # Strategy names are not a second spelling of an instance.
-        for name in ("threshold", "steal_half"):
-            with pytest.raises(TypeError, match="RebalancePolicy"):
-                CloudSimulator(
-                    fleet_of_size(2, seed=7),
-                    BatchedFCFSPolicy(fake_estimate),
-                    rebalance=name,
-                )
+        # A strategy name is not a second spelling of an instance.
+        with pytest.raises(TypeError, match="ThresholdRebalancePolicy"):
+            CloudSimulator(
+                fleet_of_size(2, seed=7),
+                BatchedFCFSPolicy(fake_estimate),
+                rebalance="threshold",
+            )
         with pytest.raises(ValueError):
             ThresholdRebalancePolicy(min_gap=1)
         with pytest.raises(ValueError):
-            StealHalfRebalancePolicy(interval_seconds=0.0)
+            ThresholdRebalancePolicy(interval_seconds=0.0)
 
     @pytest.mark.parametrize(
         "cls, field, value",
@@ -332,15 +330,12 @@ class TestRebalancePolicies:
             (ThresholdRebalancePolicy, "interval_seconds", float("inf")),
             (ThresholdRebalancePolicy, "min_gap", float("nan")),
             (ThresholdRebalancePolicy, "min_gap", float("inf")),
-            (StealHalfRebalancePolicy, "interval_seconds", float("nan")),
-            (StealHalfRebalancePolicy, "min_victim_depth", float("nan")),
-            (StealHalfRebalancePolicy, "min_victim_depth", float("inf")),
         ],
     )
     def test_non_finite_knob_refused(self, cls, field, value):
-        """Regression: ``nan < 2`` is false, so a NaN ``min_gap`` or
-        ``min_victim_depth`` constructed and then never moved a job, and a
-        NaN ``interval_seconds`` never scheduled a REBALANCE tick."""
+        """Regression: ``nan < 2`` is false, so a NaN ``min_gap``
+        constructed and then never moved a job, and a NaN
+        ``interval_seconds`` never scheduled a REBALANCE tick."""
         with pytest.raises(ValueError, match=f"{cls.__name__}: {field} .*{value!r}"):
             cls(**{field: value})
 
@@ -411,57 +406,6 @@ class TestRebalancePolicies:
         shards[0].pending = [make_job(5) for _ in range(10)]
         shards[1].set_online(shards[1].backends[0].name, False)
         assert ThresholdRebalancePolicy(min_gap=2).rebalance(shards, 0.0) == []
-
-    def test_steal_half_takes_newest_in_arrival_order(self):
-        shards = self._batched_shards([["auckland"], ["hanoi"]])
-        victim_jobs = [make_job(5) for _ in range(9)]
-        shards[0].pending = list(victim_jobs)
-        moves = StealHalfRebalancePolicy(min_victim_depth=4).rebalance(
-            shards, 0.0
-        )
-        assert len(moves) == 4  # half of 9, rounded down
-        # The thief got the newest four, still in arrival order.
-        assert shards[1].pending == victim_jobs[5:]
-        assert shards[0].pending == victim_jobs[:5]
-
-    def test_steal_half_never_resteals_within_a_cycle(self):
-        """A shard that received steals this cycle is not a victim for a
-        later thief — each job moves at most once per tick, and every
-        move drains the genuinely overloaded shard."""
-        shards = self._batched_shards([["auckland"], ["hanoi"], ["cairo"]])
-        shards[2].pending = [make_job(5) for _ in range(10)]
-        moves = StealHalfRebalancePolicy(min_victim_depth=4).rebalance(
-            shards, 0.0
-        )
-        assert all(m.src is shards[2] for m in moves)
-        assert shards[0].jobs_stolen_out == 0
-        assert shards[1].jobs_stolen_out == 0
-        assert shards[2].jobs_stolen_out == len(moves) == 7
-        assert [len(s.pending) for s in shards] == [5, 2, 3]
-
-    def test_steal_half_skips_infeasible_deepest_victim(self):
-        """A narrow idle thief must not lock onto a deeper all-wide
-        queue and steal nothing while a feasible backlog waits."""
-        shards = self._batched_shards(
-            [["lagos"], ["auckland"], ["hanoi"]]  # 7q / 27q / 27q
-        )
-        shards[1].pending = [make_job(20) for _ in range(10)]  # infeasible
-        shards[2].pending = [make_job(5) for _ in range(8)]  # feasible
-        moves = StealHalfRebalancePolicy(min_victim_depth=4).rebalance(
-            shards, 0.0
-        )
-        assert moves and all(m.src is shards[2] for m in moves)
-        assert len(shards[0].pending) == 4
-        assert len(shards[1].pending) == 10
-
-    def test_steal_half_ignores_busy_thieves_and_shallow_victims(self):
-        shards = self._batched_shards([["auckland"], ["hanoi"]])
-        shards[0].pending = [make_job(5) for _ in range(3)]
-        policy = StealHalfRebalancePolicy(min_victim_depth=4)
-        assert policy.rebalance(shards, 0.0) == []
-        shards[1].pending = [make_job(5)]  # thief not idle
-        shards[0].pending = [make_job(5) for _ in range(8)]
-        assert policy.rebalance(shards, 0.0) == []
 
     def test_threshold_batched_drain_matches_reference(self):
         """The resumable-scan drain must make *identical* migration
@@ -571,11 +515,7 @@ class TestRebalancePolicies:
     def test_single_shard_noop(self):
         shards = self._batched_shards([["auckland"]])
         shards[0].pending = [make_job(5) for _ in range(10)]
-        for policy in (
-            ThresholdRebalancePolicy(),
-            StealHalfRebalancePolicy(),
-        ):
-            assert policy.rebalance(shards, 0.0) == []
+        assert ThresholdRebalancePolicy().rebalance(shards, 0.0) == []
         assert len(shards[0].pending) == 10
 
 

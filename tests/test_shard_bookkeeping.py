@@ -7,13 +7,13 @@ differs.  So the facts are checked against a recount after *every* step
 of random operation sequences (hypothesis, derandomized), over every way
 a queue or an online flag changes: an arrival, a cycle taking the queue,
 a cycle handing unschedulable jobs back, a test loading a queue
-wholesale, both rebalancers with and without ``tenant_aware``, and an
+wholesale, the rebalancer with and without ``tenant_aware``, and an
 availability flip.
 
 Beside it, the tenant-aware scan order is compared with the full sort it
 replaced (``reference_kernels.tenant_scan_order_sorted``): equal as
-lists on fuzzed queues, and both rebalancers make the same migrations
-and leave the same queues as a run driven by the sorted order.
+lists on fuzzed queues, and the rebalancer makes the same migrations
+and leaves the same queues as a run driven by the sorted order.
 
 Two AST guards keep ``src/`` from going around the bookkeeping: outside
 ``class FleetShard`` nothing mutates a ``.pending``, and ``.online`` is
@@ -30,11 +30,7 @@ from hypothesis import given, settings, strategies as st
 import repro
 from helpers.determinism import fake_estimate, make_job, make_shards
 from helpers.reference_kernels import tenant_scan_order_sorted
-from repro.cloud import (
-    StealHalfRebalancePolicy,
-    Tenant,
-    ThresholdRebalancePolicy,
-)
+from repro.cloud import Tenant, ThresholdRebalancePolicy
 from repro.scheduler import BatchedFCFSPolicy
 
 _settings = settings(max_examples=30, deadline=None, derandomize=True)
@@ -76,11 +72,7 @@ _op = st.one_of(
     st.tuples(
         st.just("assign"), _shard_index, st.lists(_job_spec, max_size=12)
     ),
-    st.tuples(
-        st.just("rebalance"),
-        st.sampled_from(["threshold", "steal_half"]),
-        st.booleans(),
-    ),
+    st.tuples(st.just("rebalance"), st.booleans()),
     st.tuples(
         st.just("flip"), _shard_index, st.integers(0, 1), st.booleans()
     ),
@@ -112,18 +104,14 @@ class TestFactsMatchRecount:
             return make_job(width, tenant=tenant, arrival_time=clock[0])
 
         rebalancers = {
-            (name, aware): cls(tenant_aware=aware)
-            for name, cls in (
-                ("threshold", ThresholdRebalancePolicy),
-                ("steal_half", StealHalfRebalancePolicy),
-            )
+            aware: ThresholdRebalancePolicy(tenant_aware=aware)
             for aware in (False, True)
         }
         _assert_facts_match_recount(shards, tenant_ids)
         for op in ops:
             kind = op[0]
             if kind == "rebalance":
-                rebalancers[op[1:]].rebalance(shards, clock[0])
+                rebalancers[op[1]].rebalance(shards, clock[0])
             else:
                 shard = shards[op[1] % num_shards]
                 if kind == "enqueue":
@@ -171,10 +159,6 @@ class _SortedThreshold(_SortedOrder, ThresholdRebalancePolicy):
     pass
 
 
-class _SortedStealHalf(_SortedOrder, StealHalfRebalancePolicy):
-    pass
-
-
 class TestScanOrderMatchesSort:
     def _order(self, queue, tenant_aware=True):
         shard = make_shards(
@@ -213,7 +197,6 @@ class TestScanOrderMatchesSort:
         [
             (ThresholdRebalancePolicy, _SortedThreshold, {"min_gap": 2}),
             (ThresholdRebalancePolicy, _SortedThreshold, {"min_gap": 6}),
-            (StealHalfRebalancePolicy, _SortedStealHalf, {}),
         ],
     )
     def test_rebalancers_match_a_run_on_the_sorted_order(
@@ -224,7 +207,7 @@ class TestScanOrderMatchesSort:
         cases = []
         for _ in range(25):
             sizes = [int(n) for n in rng.integers(0, 30, size=3)]
-            sizes[int(rng.integers(3))] = 0  # an idle thief
+            sizes[int(rng.integers(3))] = 0  # an empty queue
             cases.append(
                 [
                     _fuzzed_queue(rng, n, _TENANTS, rng.random())
