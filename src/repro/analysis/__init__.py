@@ -41,7 +41,7 @@ Suppress an intentional violation inline with a justification::
 from __future__ import annotations
 
 from .base import Finding, ModuleContext, Report, Rule, all_rules
-from .runner import analyze_paths, analyze_source
+from .runner import analyze_paths
 
 __all__ = [
     "Finding",
@@ -50,5 +50,4 @@ __all__ = [
     "Rule",
     "all_rules",
     "analyze_paths",
-    "analyze_source",
 ]

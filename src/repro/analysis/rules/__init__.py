@@ -10,7 +10,7 @@ from .det001_rng import AmbientRngRule
 from .det002_wallclock import WallClockRule
 from .det003_purity import WorkerPurityRule
 from .det004_ordering import UnorderedIterationRule
-from .det005_metrics import MetricsAllowlistRule, static_metrics_contract
+from .det005_metrics import MetricsAllowlistRule
 
 __all__ = [
     "AmbientRngRule",
@@ -18,5 +18,4 @@ __all__ = [
     "WorkerPurityRule",
     "UnorderedIterationRule",
     "MetricsAllowlistRule",
-    "static_metrics_contract",
 ]

@@ -16,20 +16,19 @@ the same contract without running anything:
   and parallel runs could never match serial ones.
 
 ``tests/test_parallel_engine.py`` locks the static view to the runtime
-one via :func:`static_metrics_contract`.
+one via :func:`parse_metrics_contract`.
 """
 
 from __future__ import annotations
 
 import ast
 from collections.abc import Iterator
-from pathlib import Path
 
 from .. import contracts
 from ..base import Finding, ModuleContext, ProjectRule, register
 from .common import FunctionStackVisitor, ImportMap, contains_wallclock_call
 
-__all__ = ["MetricsAllowlistRule", "parse_metrics_contract", "static_metrics_contract"]
+__all__ = ["MetricsAllowlistRule", "parse_metrics_contract"]
 
 
 def parse_metrics_contract(
@@ -67,19 +66,6 @@ def parse_metrics_contract(
                             and isinstance(elt.value, str)
                         ]
     return tuple(fields), tuple(timing), tuple_node
-
-
-def static_metrics_contract(
-    path: str | Path | None = None,
-) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """``(field_names, timing_fields)`` parsed from the real metrics
-    module on disk — what the runtime contract test compares against
-    ``dataclasses.fields(SimulationMetrics)`` / ``TIMING_FIELDS``."""
-    if path is None:
-        path = Path(__file__).resolve().parents[2] / "cloud" / "metrics.py"
-    tree = ast.parse(Path(path).read_text(), filename=str(path))
-    fields, timing, _ = parse_metrics_contract(tree)
-    return fields, timing
 
 
 class _TaintVisitor(FunctionStackVisitor):

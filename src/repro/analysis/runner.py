@@ -14,7 +14,7 @@ from .base import (
     all_rules,
 )
 
-__all__ = ["analyze_paths", "analyze_source", "discover_files", "format_report"]
+__all__ = ["analyze_paths", "discover_files", "format_report"]
 
 
 def discover_files(paths: Sequence[str | Path]) -> list[Path]:
@@ -98,27 +98,6 @@ def analyze_paths(
         key=lambda f: (f.path, f.line, f.col, f.rule),
     )
     return report
-
-
-def analyze_source(
-    source: str,
-    path: str = "<string>",
-    module: str | None = None,
-    select: Sequence[str] | None = None,
-    extra_modules: dict[str, str] | None = None,
-) -> Report:
-    """Lint one source string — the unit-test entry point.
-
-    ``module`` overrides the dotted module name (so fixtures can claim
-    to live inside e.g. ``repro.cloud``); ``extra_modules`` maps dotted
-    names to additional sources for cross-module rules (DET003/DET005).
-    """
-    contexts = [ModuleContext(path, source, module=module)]
-    for name, text in (extra_modules or {}).items():
-        contexts.append(
-            ModuleContext(name.replace(".", "/") + ".py", text, module=name)
-        )
-    return _run_rules(contexts, select=select)
 
 
 def format_report(report: Report, fmt: str = "human") -> str:

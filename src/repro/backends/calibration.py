@@ -43,10 +43,6 @@ class CalibrationData:
         return (self.qpu_name, self.cycle)
 
     @property
-    def mean_error_2q(self) -> float:
-        return self.noise_model.mean_gate_error_2q()
-
-    @property
     def mean_readout_error(self) -> float:
         return self.noise_model.mean_readout_error()
 

@@ -53,7 +53,3 @@ class OUDrift:
         eps = self._rng.normal()
         self._log_q += self.theta * (self.log_mean - self._log_q) + self.sigma * eps
         return self.quality
-
-    def trajectory(self, cycles: int) -> np.ndarray:
-        """Quality factors over ``cycles`` future cycles (advances state)."""
-        return np.array([self.step() for _ in range(cycles)])

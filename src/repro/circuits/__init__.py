@@ -14,8 +14,6 @@ from .gates import (
     GateSpec,
     gate_matrix,
     inverse_gate,
-    is_parametric,
-    is_two_qubit,
 )
 from .metrics import CircuitMetrics, MetricsWriter, compute_metrics
 
@@ -27,8 +25,6 @@ __all__ = [
     "GateSpec",
     "gate_matrix",
     "inverse_gate",
-    "is_parametric",
-    "is_two_qubit",
     "Circuit",
     "CircuitMetrics",
     "MetricsWriter",

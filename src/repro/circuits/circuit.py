@@ -82,9 +82,6 @@ class OpSink:
     def s(self, q: int) -> Self:
         return self.add("s", [q])
 
-    def sdg(self, q: int) -> Self:
-        return self.add("sdg", [q])
-
     def t(self, q: int) -> Self:
         return self.add("t", [q])
 
@@ -93,9 +90,6 @@ class OpSink:
 
     def sx(self, q: int) -> Self:
         return self.add("sx", [q])
-
-    def sxdg(self, q: int) -> Self:
-        return self.add("sxdg", [q])
 
     def rx(self, theta: float, q: int) -> Self:
         return self.add("rx", [q], theta)
@@ -121,20 +115,11 @@ class OpSink:
     def swap(self, a: int, b: int) -> Self:
         return self.add("swap", [a, b])
 
-    def ecr(self, a: int, b: int) -> Self:
-        return self.add("ecr", [a, b])
-
     def rzz(self, theta: float, a: int, b: int) -> Self:
         return self.add("rzz", [a, b], theta)
 
-    def rxx(self, theta: float, a: int, b: int) -> Self:
-        return self.add("rxx", [a, b], theta)
-
     def cp(self, lam: float, c: int, t: int) -> Self:
         return self.add("cp", [c, t], lam)
-
-    def crz(self, theta: float, c: int, t: int) -> Self:
-        return self.add("crz", [c, t], theta)
 
     def measure(self, q: int) -> Self:
         return self.add("measure", [q])
@@ -222,28 +207,9 @@ class Circuit(OpSink):
             f"ops={len(self._ops)}, depth={self.depth()})"
         )
 
-    def count_ops(self) -> dict[str, int]:
-        """Histogram of op names, e.g. ``{'cx': 12, 'h': 4}``."""
-        counts: dict[str, int] = {}
-        for g in self._ops:
-            counts[g.name] = counts.get(g.name, 0) + 1
-        return counts
-
     @property
     def num_measurements(self) -> int:
         return sum(1 for g in self._ops if g.name == "measure")
-
-    @property
-    def measured_qubits(self) -> tuple[int, ...]:
-        seen: list[int] = []
-        for g in self._ops:
-            if g.name == "measure" and g.qubits[0] not in seen:
-                seen.append(g.qubits[0])
-        return tuple(seen)
-
-    def two_qubit_gate_count(self) -> int:
-        """Number of two-qubit unitary gates (the dominant noise source)."""
-        return sum(1 for g in self._ops if g.is_unitary and g.num_qubits == 2)
 
     def depth(self, *, two_qubit_only: bool = False) -> int:
         """Circuit depth: longest path of ops through any wire.
@@ -313,15 +279,6 @@ class Circuit(OpSink):
         out._ops = [inverse_gate(g) for g in reversed(self.gates)]
         return out
 
-    def power(self, n: int) -> "Circuit":
-        """The circuit repeated ``n`` times (``n >= 0``)."""
-        if n < 0:
-            raise ValueError("power requires n >= 0")
-        out = Circuit(self.num_qubits, f"{self.name}^{n}")
-        for _ in range(n):
-            out.compose(self)
-        return out
-
     def remap(self, mapping: dict[int, int], num_qubits: int | None = None) -> "Circuit":
         """Relabel qubits via ``mapping`` into a (possibly larger) register."""
         size = num_qubits if num_qubits is not None else self.num_qubits
@@ -372,15 +329,3 @@ class Circuit(OpSink):
             )
         circ.metadata = dict(data.get("metadata", {}))
         return circ
-
-    def qasm_like(self) -> str:
-        """A compact OpenQASM-2-flavoured text dump (for debugging/goldens)."""
-        lines = [f"// {self.name}", f"qreg q[{self.num_qubits}];"]
-        for g in self._ops:
-            if g.params:
-                pstr = "(" + ",".join(f"{p:.6g}" for p in g.params) + ")"
-            else:
-                pstr = ""
-            qstr = ",".join(f"q[{q}]" for q in g.qubits)
-            lines.append(f"{g.name}{pstr} {qstr};")
-        return "\n".join(lines)

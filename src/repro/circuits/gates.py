@@ -21,8 +21,6 @@ __all__ = [
     "GATE_SPECS",
     "check_op",
     "gate_matrix",
-    "is_two_qubit",
-    "is_parametric",
     "inverse_gate",
     "HARDWARE_BASIS",
     "PSEUDO_OPS",
@@ -247,18 +245,6 @@ class Gate:
 def gate_matrix(name: str, *params: float) -> np.ndarray:
     """Unitary matrix for gate ``name`` with ``params`` bound."""
     return GATE_SPECS[name].matrix(tuple(params))
-
-
-def is_two_qubit(name: str) -> bool:
-    """True when the named gate acts on exactly two qubits."""
-    spec = GATE_SPECS.get(name)
-    return spec is not None and spec.num_qubits == 2 and spec.matrix_fn is not None
-
-
-def is_parametric(name: str) -> bool:
-    """True when the named gate takes at least one angle parameter."""
-    spec = GATE_SPECS.get(name)
-    return spec is not None and spec.num_params > 0
 
 
 def inverse_gate(gate: Gate) -> Gate:

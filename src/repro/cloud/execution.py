@@ -71,10 +71,6 @@ class ExecutionRecord:
     classical_pre_seconds: float
     classical_post_seconds: float
 
-    @property
-    def total_classical_seconds(self) -> float:
-        return self.classical_pre_seconds + self.classical_post_seconds
-
 
 class ExecutionModel:
     """Maps (job, calibration) -> ground-truth outcome, with noise."""

@@ -94,12 +94,6 @@ class QuantumJob:
             return None
         return self.finish_time - self.arrival_time
 
-    @property
-    def waiting_time(self) -> float | None:
-        if self.start_time is None:
-            return None
-        return self.start_time - self.arrival_time
-
 
 @dataclass
 class HybridApplication:

@@ -8,7 +8,6 @@ from .cutting import (
     CutPlan,
     cut_circuit,
     knit,
-    sampling_overhead,
 )
 from .dd import insert_dd
 from .folding import fold_gates, fold_global, fold_to_factor
@@ -35,7 +34,6 @@ __all__ = [
     "CutPlan",
     "cut_circuit",
     "knit",
-    "sampling_overhead",
     "STANDARD_STACKS",
     "MitigationStack",
     "StackPlan",

@@ -34,7 +34,6 @@ __all__ = [
     "CutPlan",
     "cut_circuit",
     "knit",
-    "sampling_overhead",
     "CZ_QPD_TERMS",
 ]
 
@@ -52,11 +51,6 @@ CZ_QPD_TERMS: tuple[tuple[float, str, str], ...] = (
     (-0.5, "p0", "z"),
     (+0.5, "p1", "z"),
 )
-
-
-def sampling_overhead(num_cuts: int) -> float:
-    """Quasi-probability sampling overhead gamma^2 = 9^k for k cut CZs."""
-    return float(9**num_cuts)
 
 
 @dataclass(frozen=True)

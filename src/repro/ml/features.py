@@ -84,15 +84,6 @@ class PolynomialFeatures:
             )
         return out
 
-    def fit_transform(self, X, y=None) -> np.ndarray:
-        return self.fit(X).transform(X)
-
-    @property
-    def n_output_features_(self) -> int:
-        if self._combos is None:
-            raise RuntimeError("transformer is not fitted")
-        return len(self._combos)
-
 
 class StandardScaler:
     """Zero-mean unit-variance standardization (constant columns pass through)."""
@@ -116,6 +107,3 @@ class StandardScaler:
             raise RuntimeError("scaler is not fitted")
         out = np.asarray(X, dtype=float) - self.mean_
         return np.divide(out, self.scale_, out=out)
-
-    def fit_transform(self, X, y=None) -> np.ndarray:
-        return self.fit(X).transform(X)

@@ -231,9 +231,6 @@ class Qonductor:
             raise KeyError(f"unknown workflow {workflow_id}")
         return self._runs[workflow_id].results
 
-    def list_images(self) -> list[str]:
-        return self.registry.list_images()
-
     def estimate_resources(self, circuit, shots: int = 4000, **kwargs) -> list[ResourcePlan]:
         """Table 2's "estimate the hybrid resources required"."""
         return self.estimator.generate_plans(compute_metrics(circuit), shots, **kwargs)

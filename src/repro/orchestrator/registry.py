@@ -28,9 +28,6 @@ class WorkflowRegistry:
             raise KeyError(f"no image {key!r} in registry")
         return self._images[key]
 
-    def list_images(self) -> list[str]:
-        return sorted(self._images)
-
     def remove(self, key: str) -> None:
         if key not in self._images:
             raise KeyError(f"no image {key!r} in registry")

@@ -3,20 +3,14 @@ errors, distribution metrics, the ASAP schedule every timing reader shares,
 and the analytic ESP fidelity model."""
 
 from .distributions import (
-    counts_to_probs,
-    hellinger_distance,
     hellinger_fidelity,
-    marginal_counts,
-    normalize_counts,
     probs_to_vector,
-    total_variation_distance,
 )
 from .esp import (
     circuit_duration_ns,
     esp,
     esp_components,
     esp_to_hellinger,
-    estimate_fidelity_analytic,
 )
 from .noise import GateNoise, NoiseModel, QubitNoise
 from .readout import apply_confusion_single, apply_readout_noise_probs
@@ -27,7 +21,6 @@ from .statevector import (
     apply_gate_to_matrix,
     apply_matrix,
     apply_matrix_batched,
-    expectation_z,
     ideal_probabilities,
     sample_counts,
     simulate_statevector,
@@ -41,18 +34,12 @@ __all__ = [
     "apply_gate_to_matrix",
     "apply_matrix",
     "apply_matrix_batched",
-    "expectation_z",
     "ideal_probabilities",
     "sample_counts",
     "simulate_statevector",
     "zero_state",
-    "counts_to_probs",
-    "hellinger_distance",
     "hellinger_fidelity",
-    "marginal_counts",
-    "normalize_counts",
     "probs_to_vector",
-    "total_variation_distance",
     "GateNoise",
     "NoiseModel",
     "QubitNoise",
@@ -67,5 +54,4 @@ __all__ = [
     "esp",
     "esp_components",
     "esp_to_hellinger",
-    "estimate_fidelity_analytic",
 ]

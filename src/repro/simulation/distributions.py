@@ -1,4 +1,4 @@
-"""Probability-distribution utilities: counts, Hellinger fidelity, helpers.
+"""The paper's quality metric over probability vectors and counts.
 
 The paper's quality metric is the *Hellinger fidelity* between the noisy
 device distribution and the ideal distribution (its §2.1). We implement it
@@ -7,27 +7,12 @@ over both dense probability vectors and sparse counts dictionaries.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 __all__ = [
-    "counts_to_probs",
     "probs_to_vector",
     "hellinger_fidelity",
-    "hellinger_distance",
-    "total_variation_distance",
-    "normalize_counts",
-    "marginal_counts",
 ]
-
-
-def counts_to_probs(counts: dict[str, int]) -> dict[str, float]:
-    """Normalize a counts dict into a probability dict."""
-    total = sum(counts.values())
-    if total <= 0:
-        raise ValueError("empty counts")
-    return {k: v / total for k, v in counts.items()}
 
 
 def probs_to_vector(probs: dict[str, float], num_qubits: int) -> np.ndarray:
@@ -36,11 +21,6 @@ def probs_to_vector(probs: dict[str, float], num_qubits: int) -> np.ndarray:
     for bits, p in probs.items():
         vec[int(bits, 2)] = p
     return vec
-
-
-def normalize_counts(counts: dict[str, int], num_qubits: int) -> np.ndarray:
-    """Counts dict -> dense, normalized probability vector."""
-    return probs_to_vector(counts_to_probs(counts), num_qubits)
 
 
 def _as_vectors(p, q, num_qubits: int | None):
@@ -61,13 +41,6 @@ def _as_vectors(p, q, num_qubits: int | None):
     return p, q
 
 
-def hellinger_distance(p, q, num_qubits: int | None = None) -> float:
-    """Hellinger distance H(p, q) in [0, 1]."""
-    p, q = _as_vectors(p, q, num_qubits)
-    bc = np.sum(np.sqrt(np.clip(p, 0, None) * np.clip(q, 0, None)))
-    return math.sqrt(max(0.0, 1.0 - min(1.0, bc)))
-
-
 def hellinger_fidelity(p, q, num_qubits: int | None = None) -> float:
     """Hellinger fidelity ``(sum sqrt(p q))**2`` in [0, 1]; 1 = identical.
 
@@ -76,19 +49,3 @@ def hellinger_fidelity(p, q, num_qubits: int | None = None) -> float:
     p, q = _as_vectors(p, q, num_qubits)
     bc = float(np.sum(np.sqrt(np.clip(p, 0, None) * np.clip(q, 0, None))))
     return min(1.0, bc * bc)
-
-
-def total_variation_distance(p, q, num_qubits: int | None = None) -> float:
-    """TVD = 0.5 * sum |p - q|."""
-    p, q = _as_vectors(p, q, num_qubits)
-    return float(0.5 * np.sum(np.abs(p - q)))
-
-
-def marginal_counts(counts: dict[str, int], keep: list[int]) -> dict[str, int]:
-    """Marginalize counts onto qubit indices ``keep`` (qubit 0 = rightmost)."""
-    out: dict[str, int] = {}
-    for bits, c in counts.items():
-        n = len(bits)
-        sub = "".join(bits[n - 1 - q] for q in sorted(keep, reverse=True))
-        out[sub] = out.get(sub, 0) + c
-    return out

@@ -25,7 +25,6 @@ __all__ = [
     "esp",
     "esp_components",
     "esp_to_hellinger",
-    "estimate_fidelity_analytic",
     "circuit_duration_ns",
 ]
 
@@ -92,8 +91,3 @@ def esp_to_hellinger(esp_value: float, num_qubits: int) -> float:
     n_eff = max(1, num_qubits)
     support_frac = 2.0 ** (-(1.0 - _SUPPORT_EXPONENT) * min(n_eff, 60))
     return min(1.0, esp_value + (1.0 - esp_value) * support_frac)
-
-
-def estimate_fidelity_analytic(circuit: Circuit, noise_model: NoiseModel) -> float:
-    """One-call analytic Hellinger-fidelity estimate for any circuit size."""
-    return esp_to_hellinger(esp(circuit, noise_model), circuit.num_qubits)

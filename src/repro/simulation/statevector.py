@@ -32,7 +32,6 @@ __all__ = [
     "simulate_statevector",
     "ideal_probabilities",
     "sample_counts",
-    "expectation_z",
 ]
 
 MAX_STATEVECTOR_QUBITS = 22
@@ -174,12 +173,3 @@ def sample_counts(
     draws = rng.multinomial(shots, probs)
     observed = np.nonzero(draws)[0]
     return {format(idx, f"0{n}b"): int(draws[idx]) for idx in observed}
-
-
-def expectation_z(state: np.ndarray, qubit: int, num_qubits: int) -> float:
-    """<Z_qubit> for a statevector."""
-    probs = np.abs(state) ** 2
-    indices = np.arange(len(probs))
-    bit = (indices >> qubit) & 1
-    signs = 1.0 - 2.0 * bit
-    return float(np.dot(signs, probs))

@@ -11,7 +11,7 @@ from .decompose import (
 )
 from ..simulation.schedule import Schedule, ScheduledOp, schedule_circuit
 from .layout import Layout, linear_path_layout, noise_aware_layout, trivial_layout
-from .routing import RoutedCircuit, distance_matrix, route
+from .routing import RoutedCircuit, route
 from .transpile import Target, TranspileResult, transpile
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "noise_aware_layout",
     "trivial_layout",
     "RoutedCircuit",
-    "distance_matrix",
     "route",
     "Schedule",
     "ScheduledOp",

@@ -41,10 +41,6 @@ class Layout:
     def inverse(self) -> dict[int, int]:
         return {p: lq for lq, p in self.logical_to_physical.items()}
 
-    def apply(self, circuit: Circuit) -> Circuit:
-        """Remap ``circuit`` onto the physical register."""
-        return circuit.remap(self.logical_to_physical, self.num_physical)
-
     def __repr__(self) -> str:
         return f"Layout({self.logical_to_physical})"
 

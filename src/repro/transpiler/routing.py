@@ -14,13 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..circuits.circuit import Circuit
 from ..circuits.gates import Gate
 
 __all__ = [
-    "RoutedCircuit", "distance_matrix", "hop_distances", "hops_from", "neighbour_lists", "route"
+    "RoutedCircuit", "hop_distances", "hops_from", "neighbour_lists", "route"
 ]
 
 LOOKAHEAD = 8
@@ -58,11 +56,6 @@ def hops_from(neighbours: list[list[int]], source: int) -> list[float]:
 def hop_distances(neighbours: list[list[int]]) -> list[list[float]]:
     """Shortest-path hop counts between every pair of nodes."""
     return [hops_from(neighbours, source) for source in range(len(neighbours))]
-
-
-def distance_matrix(coupling: list[tuple[int, int]], num_qubits: int) -> np.ndarray:
-    """All-pairs shortest-path hop counts over the coupling graph."""
-    return np.array(hop_distances(neighbour_lists(coupling, num_qubits)), dtype=float)
 
 
 @dataclass

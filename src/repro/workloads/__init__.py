@@ -5,7 +5,6 @@ from .ghz import ghz, ghz_linear, w_state
 from .grover import diffuser, grover, grover_oracle, mcp, mcx
 from .oracles import bernstein_vazirani, deutsch_jozsa
 from .qaoa import (
-    maxcut_cost,
     qaoa_maxcut,
     qaoa_ring_maxcut,
     random_maxcut_graph,
@@ -29,7 +28,6 @@ __all__ = [
     "w_state",
     "qft",
     "qft_entangled",
-    "maxcut_cost",
     "qaoa_maxcut",
     "qaoa_ring_maxcut",
     "random_maxcut_graph",

@@ -11,7 +11,7 @@ import numpy as np
 
 from ..circuits.circuit import Circuit, SinkT
 
-__all__ = ["qaoa_maxcut", "qaoa_ring_maxcut", "random_maxcut_graph", "maxcut_cost"]
+__all__ = ["qaoa_maxcut", "qaoa_ring_maxcut", "random_maxcut_graph"]
 
 
 def random_maxcut_graph(
@@ -81,9 +81,3 @@ def qaoa_ring_maxcut(
     )
     circ.name = f"qaoa_ring_{num_qubits}_p{p_layers}"
     return circ
-
-
-def maxcut_cost(bitstring: str, edges: list[tuple[int, int]]) -> int:
-    """Cut value of an assignment; bit for qubit q is ``bitstring[-1-q]``."""
-    n = len(bitstring)
-    return sum(1 for a, b in edges if bitstring[n - 1 - a] != bitstring[n - 1 - b])

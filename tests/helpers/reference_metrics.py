@@ -20,7 +20,7 @@ __all__ = ["compute_metrics_reference"]
 def compute_metrics_reference(circuit: Circuit) -> CircuitMetrics:
     """Compute the standard metric bundle for ``circuit``."""
     n_1q = sum(1 for g in circuit.ops if g.is_unitary and g.num_qubits == 1)
-    n_2q = circuit.two_qubit_gate_count()
+    n_2q = sum(1 for g in circuit.ops if g.is_unitary and g.num_qubits == 2)
     depth = circuit.depth()
     size = n_1q + n_2q
     if depth > 0:

@@ -43,7 +43,7 @@ def ridge_cv(X, y, degrees, *, alpha, n_splits=5, seed=0):
     with its systems solved by Cholesky factors."""
     distinct = sorted(set(degrees))
     widths = [math.comb(X.shape[1] + d, d) - 1 for d in distinct]
-    expanded = PolynomialFeatures(distinct[-1]).fit_transform(X)
+    expanded = PolynomialFeatures(distinct[-1]).fit(X).transform(X)
     totals = np.zeros(len(distinct))
     for train, test in KFold(n_splits=n_splits, seed=seed).split(len(X)):
         fit = expanded[train]
@@ -86,8 +86,8 @@ def select_and_fit(X, y, degrees, *, alpha=1e-3, n_splits=5, seed=0):
     (poly -> standardize -> ridge fitted on every row)."""
     scores = ridge_cv(X, y, degrees, alpha=alpha, n_splits=n_splits, seed=seed)
     degree = degrees[int(np.argmax(scores))]
-    poly = PolynomialFeatures(degree).fit_transform(X)
-    scaled = StandardScaler().fit_transform(poly)
+    poly = PolynomialFeatures(degree).fit(X).transform(X)
+    scaled = StandardScaler().fit(poly).transform(poly)
     coef, intercept = ridge_fit(scaled, y, alpha)
     return scores, degree, scaled @ coef + intercept
 

@@ -103,7 +103,7 @@ def equivalence_circuits():
     full and partial barriers, mid-circuit reset and projection."""
     circuits = [
         ghz(3),
-        ghz_linear(6).power(2),
+        Circuit(6, "ghz_linear_6^2").compose(ghz_linear(6)).compose(ghz_linear(6)),
         qft(4, measure=True),
         Circuit(4).cx(0, 1).delay(120.0, 2).barrier().cx(2, 3).measure_all(),
         Circuit(2).h(0).barrier(0).delay(50.0, 1).cx(0, 1).measure(1),

@@ -16,8 +16,7 @@ from repro.backends import (
     heavy_hex_like,
     sample_calibration,
 )
-from repro.transpiler import distance_matrix
-from repro.transpiler.routing import neighbour_lists
+from repro.transpiler.routing import hop_distances, neighbour_lists
 
 
 class TestModels:
@@ -26,13 +25,14 @@ class TestModels:
         assert model.num_qubits == 27
         # Connected: every pair has a finite hop distance (what the router
         # needs to place a SWAP path between any two qubits).
-        assert np.isfinite(distance_matrix(model.coupling, 27)).all()
+        assert np.isfinite(hop_distances(neighbour_lists(model.coupling, 27))).all()
         assert max(map(len, neighbour_lists(model.coupling, 27))) <= 3  # heavy-hex
 
     def test_all_models_connected_low_degree(self):
         for model in MODELS.values():
             n = model.num_qubits
-            assert np.isfinite(distance_matrix(model.coupling, n)).all(), model.name
+            hops = hop_distances(neighbour_lists(model.coupling, n))
+            assert np.isfinite(hops).all(), model.name
             assert max(map(len, neighbour_lists(model.coupling, n))) <= 3, model.name
 
     def test_heavy_hex_like_sparsity(self):
@@ -55,7 +55,10 @@ class TestCalibration:
         rng_bad = np.random.default_rng(0)
         good = sample_calibration(model, "good", 0.6, 0, rng_good)
         bad = sample_calibration(model, "bad", 1.6, 0, rng_bad)
-        assert good.mean_error_2q < bad.mean_error_2q
+        assert (
+            good.noise_model.mean_gate_error_2q()
+            < bad.noise_model.mean_gate_error_2q()
+        )
         assert good.mean_readout_error < bad.mean_readout_error
 
     def test_t2_bounded_by_2t1(self):
@@ -103,12 +106,12 @@ class TestCalibration:
 class TestDrift:
     def test_mean_reversion(self):
         drift = OUDrift(1.0, theta=0.5, sigma=0.05, rng=np.random.default_rng(0))
-        traj = drift.trajectory(500)
+        traj = np.array([drift.step() for _ in range(500)])
         assert abs(np.log(traj[-100:]).mean()) < 0.2
 
     def test_positivity(self):
         drift = OUDrift(0.8, sigma=0.5, rng=np.random.default_rng(1))
-        assert np.all(drift.trajectory(200) > 0)
+        assert all(drift.step() > 0 for _ in range(200))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -126,9 +129,9 @@ class TestQPUAndFleet:
 
     def test_calibration_changes_between_cycles(self):
         qpu = QPU("test", get_model("falcon_r5_7"), quality=1.0, seed=0)
-        e0 = qpu.calibration.mean_error_2q
+        e0 = qpu.calibration.noise_model.mean_gate_error_2q()
         qpu.recalibrate()
-        assert qpu.calibration.mean_error_2q != e0
+        assert qpu.calibration.noise_model.mean_gate_error_2q() != e0
 
     def test_default_fleet_names_and_quality_order(self):
         fleet = default_fleet(seed=7)
@@ -137,8 +140,8 @@ class TestQPUAndFleet:
         by_name = {q.name: q for q in fleet}
         # auckland (intrinsic 0.62) should calibrate better than algiers.
         assert (
-            by_name["auckland"].calibration.mean_error_2q
-            < by_name["algiers"].calibration.mean_error_2q
+            by_name["auckland"].calibration.noise_model.mean_gate_error_2q()
+            < by_name["algiers"].calibration.noise_model.mean_gate_error_2q()
         )
 
     def test_fleet_subset(self):
@@ -165,5 +168,6 @@ class TestTemplates:
     def test_template_is_fleet_average(self):
         fleet = default_fleet(seed=7, names=["lagos", "nairobi"])
         template = build_templates(fleet)["falcon_r5_7"]
-        errors = [q.calibration.mean_error_2q for q in fleet]
-        assert min(errors) <= template.calibration.mean_error_2q <= max(errors)
+        errors = [q.calibration.noise_model.mean_gate_error_2q() for q in fleet]
+        mean = template.calibration.noise_model.mean_gate_error_2q()
+        assert min(errors) <= mean <= max(errors)

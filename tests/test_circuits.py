@@ -1,5 +1,7 @@
 """Unit tests for the circuit IR (gates, circuit container, metrics)."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,8 +15,6 @@ from repro.circuits import (
     compute_metrics,
     gate_matrix,
     inverse_gate,
-    is_parametric,
-    is_two_qubit,
 )
 
 
@@ -67,13 +67,6 @@ class TestGates:
     def test_inverse_non_unitary_raises(self):
         with pytest.raises(ValueError, match="non-unitary"):
             inverse_gate(Gate("measure", (0,)))
-
-    def test_is_two_qubit(self):
-        assert is_two_qubit("cx") and is_two_qubit("rzz")
-        assert not is_two_qubit("h") and not is_two_qubit("measure")
-
-    def test_is_parametric(self):
-        assert is_parametric("rx") and not is_parametric("x")
 
     def test_remap(self):
         g = Gate("cx", (0, 1)).remap({0: 5, 1: 3})
@@ -145,7 +138,7 @@ class TestCircuit:
     def test_builder_chain(self):
         c = Circuit(2).h(0).cx(0, 1).measure_all()
         assert len(c) == 4
-        assert c.count_ops() == {"h": 1, "cx": 1, "measure": 2}
+        assert Counter(g.name for g in c.ops) == {"h": 1, "cx": 1, "measure": 2}
 
     def test_invalid_width(self):
         with pytest.raises(ValueError):
@@ -209,14 +202,6 @@ class TestCircuit:
         u = c.copy().compose(c.inverse()).unitary()
         assert np.allclose(u, np.eye(4), atol=1e-10)
 
-    def test_power(self):
-        c = Circuit(1).x(0)
-        assert np.allclose(c.power(2).unitary(), np.eye(2))
-
-    def test_power_negative_raises(self):
-        with pytest.raises(ValueError):
-            Circuit(1).x(0).power(-1)
-
     def test_remap_to_larger_register(self):
         c = Circuit(2).cx(0, 1)
         big = c.remap({0: 4, 1: 2}, num_qubits=6)
@@ -233,14 +218,6 @@ class TestCircuit:
     def test_without_measurements(self):
         c = Circuit(2).h(0).measure_all()
         assert len(c.without_measurements()) == 1
-
-    def test_measured_qubits_order(self):
-        c = Circuit(3).measure(2).measure(0)
-        assert c.measured_qubits == (2, 0)
-
-    def test_qasm_like_dump(self):
-        text = Circuit(2).h(0).cx(0, 1).qasm_like()
-        assert "qreg q[2];" in text and "cx q[0],q[1];" in text
 
     def test_project_builder(self):
         c = Circuit(1).project(1, 0)

@@ -18,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import all_rules, analyze_paths, analyze_source, contracts
+from helpers.detlint import analyze_source
+from repro.analysis import all_rules, analyze_paths, contracts
 from repro.analysis.base import Suppressions, module_name_for_path
 from repro.analysis.runner import format_report
 

@@ -241,13 +241,15 @@ class TestPlans:
             q.recalibrate()
             q.recalibrate()
             q.recalibrate()
-        before = {
-            k: t.calibration.mean_error_2q for k, t in trained.templates.items()
-        }
+        def error_2q():
+            return {
+                k: t.calibration.noise_model.mean_gate_error_2q()
+                for k, t in trained.templates.items()
+            }
+
+        before = error_2q()
         trained.refresh_templates(fleet)
-        after = {
-            k: t.calibration.mean_error_2q for k, t in trained.templates.items()
-        }
+        after = error_2q()
         assert before != after
 
 

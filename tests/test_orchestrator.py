@@ -180,7 +180,7 @@ class TestQonductorAPI:
             qonductor.classical_step(name="post", seconds=0.3),
         ]
         key = qonductor.create_workflow(steps, name="wf-test")
-        assert key in qonductor.list_images()
+        assert key in qonductor.registry
         wid = qonductor.invoke(key)
         assert qonductor.workflow_status(wid) == "completed"
         results = qonductor.workflow_results(wid)
@@ -231,7 +231,7 @@ class TestQonductorAPI:
         steps = [qonductor.quantum_step(ghz_linear(3), name="q")]
         with pytest.raises(ValueError, match="preference"):
             qonductor.create_workflow(steps, {"preference": "fidelity"}, name="pref")
-        assert "pref:latest" not in qonductor.list_images()
+        assert "pref:latest" not in qonductor.registry
 
     def test_failed_run_says_why(self, qonductor):
         """Regression: ``WorkflowRun.error`` never reached the client."""

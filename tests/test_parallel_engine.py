@@ -279,11 +279,15 @@ class TestDeterministicStateContract:
         ``TIMING_FIELDS`` allowlist, in the same order.  If the two ever
         drift (a field added behind an ``if``, the tuple built
         dynamically), the static mirror silently rots — this pins it."""
+        import ast
         from dataclasses import fields as dataclass_fields
+        from pathlib import Path
 
-        from repro.analysis.rules import static_metrics_contract
+        from repro.analysis.rules.det005_metrics import parse_metrics_contract
+        from repro.cloud import metrics
 
-        static_fields, static_timing = static_metrics_contract()
+        tree = ast.parse(Path(metrics.__file__).read_text())
+        static_fields, static_timing, _ = parse_metrics_contract(tree)
         assert static_timing == tuple(SimulationMetrics.TIMING_FIELDS)
         assert list(static_fields) == [
             f.name for f in dataclass_fields(SimulationMetrics)

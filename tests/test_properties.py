@@ -9,11 +9,7 @@ from repro.mitigation import fold_to_factor, zne_infer_probs
 from repro.mitigation.rem import _simplex_project
 from repro.moo.mcdm import pseudo_weights, select_by_preference
 from repro.moo.sorting import crowding_distance, pareto_front_mask
-from repro.simulation import (
-    hellinger_fidelity,
-    ideal_probabilities,
-    total_variation_distance,
-)
+from repro.simulation import hellinger_fidelity, ideal_probabilities
 
 # ----------------------------------------------------------------------
 # strategies
@@ -128,7 +124,6 @@ def test_hellinger_bounds_and_symmetry(p, q):
 @given(prob_vectors())
 def test_self_fidelity_is_one(p):
     assert abs(hellinger_fidelity(p, p) - 1.0) < 1e-9
-    assert total_variation_distance(p, p) < 1e-12
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,8 @@
 ``tests/helpers/reference_transpile.py`` keeps ``distance_matrix``,
 ``route``, ``_interaction_path``, ``linear_path_layout`` and
 ``noise_aware_layout`` on ``networkx.Graph``.  ``src/`` is held to them
-with ``==`` only, on three sets of inputs:
+(``hop_distances`` to ``distance_matrix``) with ``==`` only, on three sets
+of inputs:
 
 * the 79 probe circuits behind ``TranspileProxy``'s full tables for the
   three models of ``default_fleet(seed=7)`` (on the calibration target and
@@ -40,12 +41,12 @@ from repro.cloud.proxy import TranspileProxy, _probes_for
 from repro.simulation.noise import GateNoise, NoiseModel, QubitNoise
 from repro.transpiler import (
     Target,
-    distance_matrix,
     linear_path_layout,
     noise_aware_layout,
     route,
     transpile,
 )
+from repro.transpiler.routing import hop_distances, neighbour_lists
 from repro.workloads import ghz
 
 FLEET = default_fleet(seed=7)
@@ -116,7 +117,7 @@ def _structural_circuits():
         .rzz(0.3, 3, 0)
         .delay(40.0, 1),
         Circuit(6).h(0).cx(0, 5).cz(5, 2).swap(1, 4).barrier(3).measure(5),
-        ghz(5).power(2),
+        Circuit(5, "ghz_5^2").compose(ghz(5)).compose(ghz(5)),
     ]
 
 
@@ -350,7 +351,8 @@ class TestRandomCouplings:
         coupling, nm, circuit = problem
         n = nm.num_qubits
         assert np.array_equal(
-            distance_matrix(coupling, n), ref.distance_matrix(coupling, n)
+            np.array(hop_distances(neighbour_lists(coupling, n)), dtype=float),
+            ref.distance_matrix(coupling, n),
         )
         assert _outcome(
             lambda: _layout_items(linear_path_layout(circuit, coupling, nm, n))

@@ -9,7 +9,6 @@ from repro.transpiler import (
     Target,
     decompose_circuit,
     decompose_to_basis,
-    distance_matrix,
     fuse_1q_runs,
     linear_path_layout,
     noise_aware_layout,
@@ -21,6 +20,7 @@ from repro.transpiler import (
     zyz_angles,
 )
 from repro.transpiler.layout import Layout
+from repro.transpiler.routing import hop_distances, neighbour_lists
 from repro.workloads import ghz_linear, qft, real_amplitudes
 
 
@@ -173,9 +173,9 @@ class TestRouting:
         with pytest.raises(ValueError, match="disconnected"):
             route(Circuit(4).cx(0, 3), [(0, 1), (2, 3)], 4)
 
-    def test_distance_matrix(self):
-        d = distance_matrix(LINE4, 4)
-        assert d[0, 3] == 3 and d[1, 2] == 1 and d[2, 2] == 0
+    def test_hop_distances(self):
+        d = hop_distances(neighbour_lists(LINE4, 4))
+        assert d[0][3] == 3 and d[1][2] == 1 and d[2][2] == 0
 
 
 class TestScheduling:
