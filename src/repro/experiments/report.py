@@ -5,13 +5,18 @@ runs each experiment of :data:`EXPERIMENTS` on every seed of
 :data:`SEEDS` at the paper's parameters and writes ``EXPERIMENTS.md``:
 per experiment, the paper's values, the median [min, max] of ours over
 the seeds, and a status.  It prints that record, then Fig. 6's and
-Fig. 8c's charts for the first seed.
+Fig. 8c's charts for the first seed.  It runs under one BLAS thread:
+the estimator's final fit changes its last bits with the thread count,
+and the schedules follow (Fig. 6's seed-5 fidelity drop reads 3.414%
+with one thread and 3.482% with two).
 """
 
 from __future__ import annotations
 
+import os
 import pathlib
 import statistics
+import sys
 from collections.abc import Callable
 
 from .ascii_plot import bar_chart, line_chart
@@ -121,7 +126,7 @@ def render_markdown(runs: dict[int, dict]) -> str:
         "# EXPERIMENTS — paper vs measured",
         "",
         f"Written by `python -m repro.experiments.report` at the paper's parameters on seeds "
-        f"{seeds}; do not edit by hand. Each experiment lists the paper's values and ours as "
+        f"{seeds}, under one BLAS thread; do not edit by hand. Each experiment lists the paper's values and ours as "
         "the median [min, max] over the seeds (one value where every seed agrees), then a "
         "status: *shape holds*, *gap explained* (with its cause) or *gap open*. Wall-clock "
         "ratios (Fig. 2a's runtimes, Fig. 9c's stages) vary from run to run.",
@@ -135,7 +140,20 @@ def render_markdown(runs: dict[int, dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: The environment EXPERIMENTS.md is written under.
+_ONE_BLAS_THREAD = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
+
+
 def main() -> None:
+    if any(os.environ.get(name) != value for name, value in _ONE_BLAS_THREAD.items()):
+        # numpy sized its BLAS thread pool when it was imported, before
+        # main() ran, so setting the variables here is too late: start
+        # over in a process that reads them at its own import.
+        os.execve(
+            sys.executable,
+            [sys.executable, "-m", "repro.experiments.report"],
+            {**os.environ, **_ONE_BLAS_THREAD},
+        )
     runs = {seed: run_all(seed) for seed in SEEDS}
     text = render_markdown(runs)
     pathlib.Path("EXPERIMENTS.md").write_text(text)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pathlib
 import re
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,6 +21,7 @@ from repro.experiments.common import HOUR, busy_within, check_drained, same_jobs
 from repro.experiments.fig8 import fig8ab_tradeoff, run_scheduling_cycles
 from repro.experiments.fig9 import queue_verdict
 from repro.experiments.fig10 import fig10a_exec_time
+from repro.experiments import report
 from repro.experiments.report import EXPERIMENTS
 
 # Two QPUs, four jobs, known service times (seconds):
@@ -154,3 +156,47 @@ def test_experiments_md_gives_every_experiment_a_status():
         assert status in ("shape holds", "gap explained", "gap open")
         assert sections[exp_id] == status
         assert bool(cause) == (status == "gap explained"), exp_id
+
+
+class _Exec(Exception):
+    pass
+
+
+def _must_not_run(*args):
+    raise AssertionError(f"called with {args}")
+
+
+class TestReportRunsOnOneBlasThread:
+    """EXPERIMENTS.md depends on the BLAS thread count, so ``main()``
+    re-executes itself with one thread unless it already has it."""
+
+    def test_reexecutes_with_one_thread(self, monkeypatch):
+        calls = []
+
+        def execve(path, argv, env):
+            calls.append((path, argv, env))
+            raise _Exec
+
+        monkeypatch.setattr(report.os, "execve", execve)
+        monkeypatch.setattr(report, "run_all", _must_not_run)
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.setenv("PYTHONPATH", "src")
+        with pytest.raises(_Exec):
+            report.main()
+        [(path, argv, env)] = calls
+        assert path == sys.executable
+        assert argv == [sys.executable, "-m", "repro.experiments.report"]
+        assert env["OMP_NUM_THREADS"] == env["OPENBLAS_NUM_THREADS"] == "1"
+        assert env["PYTHONPATH"] == "src"
+
+    def test_runs_in_place_on_one_thread(self, monkeypatch):
+        def run_all(seed):
+            raise _Exec
+
+        monkeypatch.setattr(report.os, "execve", _must_not_run)
+        monkeypatch.setattr(report, "run_all", run_all)
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        with pytest.raises(_Exec):
+            report.main()
