@@ -18,7 +18,6 @@ from repro.cloud import (
     FleetShard,
     LeastLoadedBalancer,
     LoadGenerator,
-    QuantumJob,
     QubitFitBalancer,
     RoundRobinBalancer,
     SimulatedQPU,
