@@ -67,7 +67,7 @@ def skew_scenario(
 ) -> tuple[LoadGenerator, CloudSimulator]:
     """One configured arm of the skew + flash-outage scenario.
 
-    The builder behind the stress benchmark
+    The scenario of the stress benchmark
     ``test_perf_rebalance_skew_outage``, whose two arms are static
     (``rebalance=None``) and a :class:`~repro.cloud.ThresholdRebalancePolicy`:
     an 8-16q stream is qubit-fit onto the 3-shard wide/mid/narrow fleet

@@ -48,7 +48,7 @@ ALLOWED = {
     ),
     **dict.fromkeys(
         ["repro.circuits.circuit:OpSink.barrier", "repro.circuits.circuit:OpSink.reset"],
-        "the builder's spelling of two pseudo-ops (gates.PSEUDO_OPS) that the "
+        "the circuit API's spelling of two pseudo-ops (gates.PSEUDO_OPS) that the "
         "live cutter, DD pass, router and depth count handle; no shipped "
         "workload emits them, so those branches have no other public "
         "constructor",
