@@ -126,8 +126,9 @@ def render_markdown(runs: dict[int, dict]) -> str:
         "# EXPERIMENTS — paper vs measured",
         "",
         f"Written by `python -m repro.experiments.report` at the paper's parameters on seeds "
-        f"{seeds}, under one BLAS thread; do not edit by hand. Each experiment lists the paper's values and ours as "
-        "the median [min, max] over the seeds (one value where every seed agrees), then a "
+        f"{seeds}, under one BLAS thread; do not edit by hand. Each experiment lists the "
+        "paper's values and ours as the median [min, max] over the seeds (one value where "
+        "every seed agrees), then a "
         "status: *shape holds*, *gap explained* (with its cause) or *gap open*. Wall-clock "
         "ratios (Fig. 2a's runtimes, Fig. 9c's stages) vary from run to run.",
     ]

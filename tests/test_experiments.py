@@ -17,11 +17,11 @@ import pytest
 
 from repro.cloud import SimulatedQPU
 from repro.cloud.metrics import SimulationMetrics, TimeSeries
+from repro.experiments import report
 from repro.experiments.common import HOUR, busy_within, check_drained, same_jobs_means
 from repro.experiments.fig8 import fig8ab_tradeoff, run_scheduling_cycles
 from repro.experiments.fig9 import queue_verdict
 from repro.experiments.fig10 import fig10a_exec_time
-from repro.experiments import report
 from repro.experiments.report import EXPERIMENTS
 
 # Two QPUs, four jobs, known service times (seconds):
