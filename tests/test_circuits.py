@@ -41,6 +41,25 @@ class TestGates:
         with pytest.raises(ValueError, match="params"):
             Gate("rx", (0,))
 
+    def test_every_spec_refuses_a_wrong_parameter_count(self):
+        for name, spec in GATE_SPECS.items():
+            if name == "delay":  # its duration is the one optional param
+                continue
+            qubits = tuple(range(max(1, spec.num_qubits)))
+            Gate(name, qubits, (0.1,) * spec.num_params)
+            with pytest.raises(ValueError, match="params"):
+                Gate(name, qubits, (0.1,) * (spec.num_params + 1))
+
+    def test_arity_and_unitarity_of_gates(self):
+        """What a two-qubit gate count reads off each op."""
+        for name in ("cx", "cz", "swap", "rzz"):
+            params = (0.3,) * GATE_SPECS[name].num_params
+            g = Gate(name, (0, 1), params)
+            assert g.num_qubits == 2 and g.is_unitary, name
+        assert Gate("h", (0,)).num_qubits == 1
+        assert not Gate("measure", (0,)).is_unitary
+        assert not Gate("reset", (0,)).is_unitary
+
     def test_duplicate_qubits_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             Gate("cx", (1, 1))
@@ -202,6 +221,14 @@ class TestCircuit:
         u = c.copy().compose(c.inverse()).unitary()
         assert np.allclose(u, np.eye(4), atol=1e-10)
 
+    def test_compose_repeats_a_circuit(self):
+        c = Circuit(1, "x").x(0)
+        twice = c.copy().compose(c)
+        assert np.allclose(twice.unitary(), np.eye(2))
+        thrice = twice.compose(c)
+        assert [g.name for g in thrice.ops] == ["x"] * 3
+        assert thrice.name == "x" and len(c) == 1  # ``other`` is untouched
+
     def test_remap_to_larger_register(self):
         c = Circuit(2).cx(0, 1)
         big = c.remap({0: 4, 1: 2}, num_qubits=6)
@@ -218,6 +245,12 @@ class TestCircuit:
     def test_without_measurements(self):
         c = Circuit(2).h(0).measure_all()
         assert len(c.without_measurements()) == 1
+
+    def test_measures_keep_their_call_order(self):
+        c = Circuit(3).measure(2).measure(0)
+        assert [(g.name, g.qubits) for g in c.ops] == [
+            ("measure", (2,)), ("measure", (0,)),
+        ]
 
     def test_project_builder(self):
         c = Circuit(1).project(1, 0)

@@ -353,6 +353,31 @@ class TestRebalancePolicies:
         assert shards[1].jobs_stolen_in == 4
         assert all(m.src is shards[0] and m.dst is shards[1] for m in moves)
 
+    def test_threshold_moves_at_the_gap_and_not_below(self):
+        shards = self._batched_shards([["auckland"], ["hanoi"]])
+        policy = ThresholdRebalancePolicy(min_gap=4)
+        shards[0].pending = [make_job(5) for _ in range(7)]
+        shards[1].pending = [make_job(5) for _ in range(4)]
+        assert policy.rebalance(shards, 0.0) == []  # a gap of 3
+        newest = make_job(5)
+        shards[0].enqueue(newest)
+        moves = policy.rebalance(shards, 0.0)  # a gap of 4: one move, to 7/5
+        assert [m.job for m in moves] == [newest]
+        assert [len(s.pending) for s in shards] == [7, 5]
+
+    def test_threshold_feeds_the_shallowest_destination(self):
+        """Each move goes to the shallowest eligible queue, ties on the
+        lower shard id, so one deep source fills its receivers evenly."""
+        shards = self._batched_shards([["auckland"], ["hanoi"], ["cairo"]])
+        shards[0].pending = [make_job(5) for _ in range(12)]
+        shards[1].pending = [make_job(5) for _ in range(3)]
+        shards[2].pending = [make_job(5)]
+        moves = ThresholdRebalancePolicy(min_gap=4).rebalance(shards, 0.0)
+        assert all(m.src is shards[0] for m in moves)
+        # 12/3/1 -> 11/3/2 -> 10/3/3 -> 9/4/3 -> 8/4/4 -> 7/5/4.
+        assert [m.dst.shard_id for m in moves] == [2, 2, 1, 2, 1]
+        assert [len(s.pending) for s in shards] == [7, 5, 4]
+
     def test_threshold_respects_feasibility(self):
         # lagos/nairobi are 7q: 16q pending jobs must not migrate there.
         shards = self._batched_shards([["auckland"], ["lagos"]])

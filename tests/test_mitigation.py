@@ -264,6 +264,21 @@ class TestCutting:
         cz = np.diag([1, 1, 1, -1]).astype(complex)
         assert np.allclose(total, sop(cz), atol=1e-12)
 
+    def test_qpd_channels_sum_to_gamma_three(self):
+        """The ten terms are six channels: each Z-measured channel's
+        ``p1`` branch is its ``p0`` branch with the outcome sign, and the
+        channels' one-norm is gamma = 3 (9**k times the shots for k cuts)."""
+        from repro.mitigation.cutting import CZ_QPD_TERMS
+
+        channels = {}
+        for coeff, a, b in CZ_QPD_TERMS:
+            key = tuple("mz" if op in ("p0", "p1") else op for op in (a, b))
+            sign = -1.0 if "p1" in (a, b) else 1.0
+            channels.setdefault(key, set()).add(coeff * sign)
+        assert len(channels) == 6
+        assert all(len(signed) == 1 for signed in channels.values())
+        assert sum(abs(c) for (c,) in channels.values()) == 3.0
+
     def test_exact_reconstruction_ideal(self):
         c = clustered_circuit(6, 2, num_clusters=2, bridge_gates=1, measure=False, seed=5)
         parts = c.metadata["clusters"]

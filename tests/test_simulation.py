@@ -20,6 +20,7 @@ from repro.simulation import (
     esp_to_hellinger,
     hellinger_fidelity,
     ideal_probabilities,
+    probs_to_vector,
     sample_counts,
     simulate_statevector,
     zero_state,
@@ -66,6 +67,11 @@ class TestStatevector:
         counts = sample_counts(np.array([0.5, 0.5]), 1000, rng, 1)
         assert sum(counts.values()) == 1000
 
+    def test_sample_counts_put_qubit_zero_rightmost(self):
+        probs = ideal_probabilities(Circuit(3).x(1))
+        counts = sample_counts(probs, 100, np.random.default_rng(0), 3)
+        assert counts == {"010": 100}
+
     def test_sample_counts_zero_vector_raises(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
@@ -83,6 +89,15 @@ class TestDistributions:
     def test_hellinger_accepts_counts_dicts(self):
         f = hellinger_fidelity({"00": 500, "11": 500}, {"00": 1, "11": 1})
         assert f == pytest.approx(1.0)
+
+    def test_hellinger_partial_overlap(self):
+        # Counts of different totals normalize first: (2 sqrt(3/16))^2.
+        f = hellinger_fidelity({"0": 30, "1": 10}, {"0": 1, "1": 3})
+        assert f == pytest.approx(0.75)
+
+    def test_probs_to_vector_indexes_by_bitstring(self):
+        vec = probs_to_vector({"10": 0.25, "01": 0.75}, 2)
+        assert vec.tolist() == [0.0, 0.75, 0.25, 0.0]
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):

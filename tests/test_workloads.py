@@ -202,6 +202,19 @@ class TestVariational:
         with pytest.raises(ValueError):
             qaoa_maxcut(4, p_layers=2, gammas=[0.1], betas=[0.1, 0.2])
 
+    def test_qaoa_cost_layers_cover_every_edge(self):
+        edges = [(0, 1), (1, 2), (3, 4)]
+        c = qaoa_maxcut(
+            5, p_layers=2, edges=edges, gammas=[0.1, 0.2], betas=[0.3, 0.4]
+        )
+        rzz = [(g.qubits, g.params) for g in c.ops if g.name == "rzz"]
+        assert rzz == [(e, (0.2,)) for e in edges] + [(e, (0.4,)) for e in edges]
+        assert c.metadata["edges"] == edges
+
+    def test_qaoa_ring_edges_close_the_cycle(self):
+        c = qaoa_ring_maxcut(5)
+        assert c.metadata["edges"] == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
+
     def test_real_amplitudes_param_count(self):
         with pytest.raises(ValueError):
             real_amplitudes(4, reps=2, parameters=[0.1] * 5)
