@@ -9,7 +9,7 @@ Top-level convenience re-exports; see the subpackages for the full API:
 * :mod:`repro.backends` — QPU models, calibration, the synthetic fleet
 * :mod:`repro.transpiler` — basis translation, layout, routing
 * :mod:`repro.mitigation` — ZNE/REM/DD/twirling/circuit knitting
-* :mod:`repro.ml` — regression stack
+* :mod:`repro.ml` — polynomial ridge regression and its K-fold degree selection
 * :mod:`repro.moo` — NSGA-II and MCDM
 * :mod:`repro.estimator` — the hybrid resource estimator (§6)
 * :mod:`repro.scheduler` — the hybrid scheduler (§7)

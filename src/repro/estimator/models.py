@@ -1,22 +1,22 @@
 """Trained fidelity and runtime estimators (§6).
 
-Polynomial regression pipelines selected by K-fold cross-validated R^2 —
-the paper reports polynomial regression winning with R^2 of 0.976
-(fidelity) and 0.998 (execution time); our model-selection sweep mirrors
-that procedure over degrees 1-3.
+Polynomial ridge regression with its degree selected by K-fold
+cross-validated R^2 — the paper reports polynomial regression winning
+with R^2 of 0.976 (fidelity) and 0.998 (execution time); our
+model-selection sweep mirrors that procedure over degrees 1-3.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
 from ..backends.calibration import CalibrationData
 from ..circuits.metrics import CircuitMetrics
-from ..ml import make_polynomial_regression, polynomial_ridge_cv
+from ..ml import PolynomialRidge, polynomial_ridge_cv
 from .dataset import EstimatorDataset
 from .features import (
     calibration_fidelity_features,
@@ -41,17 +41,17 @@ _FEATURES = {
 class RegressionEstimator:
     """One trained model + its selection metadata."""
 
-    pipeline: object
+    model: PolynomialRidge
     degree: int
     cv_r2: float
     target: str  # "fidelity" | "runtime"
     log_target: bool = False
 
     def predict(self, X: np.ndarray, segments: Sequence[int] | None = None) -> np.ndarray:
-        """Clipped predictions; ``segments`` as in
-        :meth:`repro.ml.linear.LinearRegression.predict`."""
+        """Clipped predictions of :attr:`model`; ``segments`` as in
+        :meth:`repro.ml.PolynomialRidge.predict`."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        pred = self.pipeline.predict(X, segments)
+        pred = self.model.predict(X, segments)
         if self.log_target:
             pred = np.expm1(np.clip(pred, -20.0, 20.0))
         if self.target == "fidelity":
@@ -109,7 +109,6 @@ class TrainedEstimators:
 
     fidelity: RegressionEstimator
     runtime: RegressionEstimator
-    selection_report: dict = field(default_factory=dict)
 
     def estimate_pairs(
         self,
@@ -131,12 +130,12 @@ def _select_and_fit(
     n_splits: int = 5,
     log_target: bool = False,
     seed: int = 0,
-) -> tuple[RegressionEstimator, dict]:
+) -> RegressionEstimator:
     """Cross-validated degree selection, then fit on the full set.
 
     Selection runs in one pass per fold (:func:`repro.ml.polynomial_ridge_cv`);
-    the final model is one ``make_polynomial_regression`` pipeline fitted
-    on every row, and the first of equally scored degrees wins."""
+    the final model is one :class:`~repro.ml.PolynomialRidge` fitted on
+    every row, and the first of equally scored degrees wins."""
     y_fit = np.log1p(y) if log_target else y
     try:
         scores = polynomial_ridge_cv(
@@ -144,43 +143,23 @@ def _select_and_fit(
         )
     except ValueError as err:
         raise ValueError(f"{target} estimator: {err}") from err
-    report = {f"degree_{d}": float(s) for d, s in zip(degrees, scores)}
     best = int(np.argmax(scores))
-    best_degree, best_score = degrees[best], float(scores[best])
-    pipeline = make_polynomial_regression(best_degree, alpha=alpha)
-    pipeline.fit(X, y_fit)
-    est = RegressionEstimator(
-        pipeline=pipeline,
-        degree=best_degree,
-        cv_r2=best_score,
+    return RegressionEstimator(
+        model=PolynomialRidge(degrees[best], alpha).fit(X, y_fit),
+        degree=degrees[best],
+        cv_r2=float(scores[best]),
         target=target,
         log_target=log_target,
     )
-    return est, report
 
 
-def train_estimators(
-    dataset: EstimatorDataset,
-    *,
-    degrees=(1, 2, 3),
-    seed: int = 0,
-) -> TrainedEstimators:
+def train_estimators(dataset: EstimatorDataset, *, seed: int = 0) -> TrainedEstimators:
     """Train both estimators with K-fold model selection (paper procedure)."""
     if len(dataset) < 50:
         raise ValueError("dataset too small to train reliable estimators")
-    fid_est, fid_report = _select_and_fit(
-        dataset.X_fidelity, dataset.y_fidelity, "fidelity", degrees=degrees, seed=seed
-    )
-    run_est, run_report = _select_and_fit(
-        dataset.X_runtime,
-        dataset.y_runtime,
-        "runtime",
-        degrees=degrees,
-        log_target=True,
-        seed=seed,
-    )
     return TrainedEstimators(
-        fidelity=fid_est,
-        runtime=run_est,
-        selection_report={"fidelity": fid_report, "runtime": run_report},
+        fidelity=_select_and_fit(dataset.X_fidelity, dataset.y_fidelity, "fidelity", seed=seed),
+        runtime=_select_and_fit(
+            dataset.X_runtime, dataset.y_runtime, "runtime", log_target=True, seed=seed
+        ),
     )

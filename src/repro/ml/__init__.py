@@ -1,21 +1,14 @@
-"""Minimal ML stack (scikit-learn substitute): linear/ridge regression,
-polynomial features, scaling, K-fold degree selection, the R² score,
-pipelines."""
+"""The estimator's model stack (paper §6): polynomial ridge regression,
+its feature map, K-fold degree selection and the R² score."""
 
-from .features import PolynomialFeatures, StandardScaler
-from .linear import LinearRegression, Ridge
+from .features import PolynomialFeatures
+from .linear import PolynomialRidge
 from .metrics import r2_score
-from .model_selection import KFold, polynomial_ridge_cv
-from .pipeline import Pipeline, make_polynomial_regression
+from .model_selection import polynomial_ridge_cv
 
 __all__ = [
-    "LinearRegression",
-    "Ridge",
     "PolynomialFeatures",
-    "StandardScaler",
-    "r2_score",
-    "KFold",
+    "PolynomialRidge",
     "polynomial_ridge_cv",
-    "Pipeline",
-    "make_polynomial_regression",
+    "r2_score",
 ]

@@ -1,4 +1,4 @@
-"""Feature maps: polynomial expansion and standardization."""
+"""The feature map: polynomial expansion."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-__all__ = ["PolynomialFeatures", "StandardScaler"]
+__all__ = ["PolynomialFeatures"]
 
 #: Most output cells ``PolynomialFeatures.transform`` fills in one slice of rows.
 _SLICE_ELEMENTS = 2**16
@@ -15,18 +15,17 @@ _SLICE_ELEMENTS = 2**16
 class PolynomialFeatures:
     """All monomials of the input features up to ``degree``.
 
-    Matches scikit-learn's ordering: bias (optional), then degree-1 terms,
-    then degree-2 combinations with replacement, etc.
+    Matches scikit-learn's ordering: degree-1 terms, then degree-2
+    combinations with replacement, etc.; no bias column.
     """
 
-    def __init__(self, degree: int = 2, include_bias: bool = False) -> None:
+    def __init__(self, degree: int) -> None:
         if degree < 1:
             raise ValueError("degree must be >= 1")
         self.degree = degree
-        self.include_bias = include_bias
         self._combos: list[tuple[int, ...]] | None = None
 
-    def fit(self, X, y=None) -> "PolynomialFeatures":
+    def fit(self, X) -> "PolynomialFeatures":
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             raise ValueError(f"PolynomialFeatures: X must be 2-D, got shape {X.shape}")
@@ -40,7 +39,7 @@ class PolynomialFeatures:
         # the parent's product times x_id, so transform() fills a degree
         # with one multiply per column, bit for bit (the scheduling hot
         # path calls transform per estimate-cache miss).
-        combos: list[tuple[int, ...]] = [()] if self.include_bias else []
+        combos: list[tuple[int, ...]] = []
         self._blocks = []
         column: dict[tuple[int, ...], int] = {}
         for d in range(1, self.degree + 1):
@@ -75,35 +74,10 @@ class PolynomialFeatures:
             for r in range(0, len(X), step):
                 self._fill(X[r:r + step], out[r:r + step])
             return out
-        first = int(self.include_bias)
-        out[:, :first] = 1.0
-        out[:, first:first + self.n_features_in_] = X
+        out[:, :self.n_features_in_] = X
         for start, parent, last in self._blocks:
             np.multiply(
                 out.take(parent, 1), X.take(last, 1), out=out[:, start:start + len(last)]
             )
         return out
 
-
-class StandardScaler:
-    """Zero-mean unit-variance standardization (constant columns pass through)."""
-
-    def __init__(self) -> None:
-        self.mean_: np.ndarray | None = None
-        self.scale_: np.ndarray | None = None
-
-    def fit(self, X, y=None) -> "StandardScaler":
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or not len(X):
-            raise ValueError(f"StandardScaler: X must be 2-D with rows, got shape {X.shape}")
-        self.mean_ = X.mean(axis=0)
-        std = X.std(axis=0)
-        std[std < 1e-12] = 1.0
-        self.scale_ = std
-        return self
-
-    def transform(self, X) -> np.ndarray:
-        if self.mean_ is None:
-            raise RuntimeError("scaler is not fitted")
-        out = np.asarray(X, dtype=float) - self.mean_
-        return np.divide(out, self.scale_, out=out)

@@ -1,5 +1,5 @@
-"""Model selection: K-fold splits and the K-fold degree selection of
-polynomial ridge regression.
+"""Model selection: the K-fold degree selection of polynomial ridge
+regression.
 
 The paper trains and evaluates its estimators "through K-fold
 cross-validation, using the R^2 score as the primary evaluation metric".
@@ -8,57 +8,50 @@ cross-validation, using the R^2 score as the primary evaluation metric".
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
 from .features import PolynomialFeatures
 from .metrics import r2_score
 
-__all__ = ["KFold", "polynomial_ridge_cv"]
+__all__ = ["polynomial_ridge_cv"]
 
 
-class KFold:
-    """K consecutive folds of the rows shuffled by ``seed``."""
-
-    def __init__(self, n_splits: int = 5, seed: int | None = 0) -> None:
-        if n_splits < 2:
-            raise ValueError("n_splits must be >= 2")
-        self.n_splits = n_splits
-        self.seed = seed
-
-    def split(self, n_samples: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        if n_samples < self.n_splits:
-            raise ValueError(
-                f"cannot split {n_samples} samples into {self.n_splits} folds"
-            )
-        indices = np.arange(n_samples)
-        np.random.default_rng(self.seed).shuffle(indices)
-        sizes = np.full(self.n_splits, n_samples // self.n_splits)
-        sizes[: n_samples % self.n_splits] += 1
-        start = 0
-        for size in sizes:
-            test = indices[start : start + size]
-            train = np.concatenate([indices[:start], indices[start + size :]])
-            yield train, test
-            start += size
+def _folds(n: int, n_splits: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(train, test)`` row indices of ``n_splits`` consecutive folds of
+    the ``n`` rows shuffled by ``seed``."""
+    if n_splits < 2:
+        raise ValueError("n_splits must be >= 2")
+    if n < n_splits:
+        raise ValueError(f"cannot split {n} samples into {n_splits} folds")
+    indices = np.arange(n)
+    np.random.default_rng(seed).shuffle(indices)
+    sizes = np.full(n_splits, n // n_splits)
+    sizes[: n % n_splits] += 1
+    folds, start = [], 0
+    for size in sizes:
+        test = indices[start : start + size]
+        folds.append((np.concatenate([indices[:start], indices[start + size :]]), test))
+        start += size
+    return folds
 
 
 def polynomial_ridge_cv(
-    X, y, degrees: Sequence[int], *, alpha: float, n_splits: int = 5, seed: int | None = 0
+    X, y, degrees: Sequence[int], *, alpha: float, n_splits: int = 5, seed: int = 0
 ) -> np.ndarray:
-    """Mean K-fold R² of ``make_polynomial_regression(d, alpha=alpha)``
-    for each entry of ``degrees``, in one pass per fold.
+    """Mean K-fold R² of ``PolynomialRidge(d, alpha)`` for each entry of
+    ``degrees``, in one pass per fold.
 
-    Equal in real arithmetic to fitting and scoring one pipeline per
-    degree and fold (only the last bits differ), and cheaper:
+    Equal in real arithmetic to fitting and scoring one model per degree
+    and fold (only the last bits differ), and cheaper:
 
     - each fold's training rows are expanded once, at the top degree (the
       degree-d monomials are a prefix of the degree-(d+1) ones, scaling is
       per column), into one buffer shared by the folds, and standardized
-      in place as ``StandardScaler`` does; the held-out rows take the
-      buffer once the fold is solved.  Standardized columns have zero
-      mean, so ridge's own centering has nothing to do.
+      in place as ``PolynomialRidge.fit`` does; the held-out rows take
+      the buffer once the fold is solved.  Standardized columns have zero
+      mean, so this skips the model's second centring.
     - every degree no wider than the fold's training rows solves (LU,
       ``np.linalg.solve``) on the leading block of one Gram matrix.
     - a wider degree solves the rows x rows dual system:
@@ -78,16 +71,17 @@ def polynomial_ridge_cv(
     distinct = sorted(set(degrees))
     widths = [math.comb(X.shape[1] + d, d) - 1 for d in distinct]
     poly = PolynomialFeatures(distinct[-1]).fit(X)
+    folds = _folds(len(X), n_splits, seed)
     # Every fold's rows expand into one buffer, training rows first and,
     # once solved, held-out rows: a fresh array would fault its pages in.
     buffer = np.empty((len(X) - len(X) // n_splits, widths[-1]))
     totals = np.zeros(len(distinct))
-    for train, test in KFold(n_splits=n_splits, seed=seed).split(len(X)):
+    for train, test in folds:
         fit = poly._fill(X[train], buffer[: len(train)])  # standardized in place
         mean = fit.mean(axis=0)
         fit -= mean
         scale = np.sqrt(np.einsum("ij,ij->j", fit, fit) / len(fit))
-        scale[scale < 1e-12] = 1.0  # StandardScaler's rule for a constant column
+        scale[scale < 1e-12] = 1.0  # PolynomialRidge's rule for a constant column
         fit /= scale
         y_mean = float(y[train].mean())
         coefs = _prefix_ridge(fit, y[train] - y_mean, widths, alpha)

@@ -2,10 +2,11 @@
 
 ``repro.estimator.models._select_and_fit`` picks the polynomial degree of
 each estimator by K-fold cross-validated R² (paper §6).  It used to fit a
-fresh ``make_polynomial_regression(degree, alpha=alpha)`` pipeline on every
-training fold of every candidate degree and score it on the held-out fold:
-3 degrees x 5 folds ridge fits per target, each expanding, standardizing
-and solving from scratch.  This module keeps that loop.
+fresh model (polynomial features, standardization, ridge) on every
+training fold of every candidate degree and score it on the held-out
+fold: 3 degrees x 5 folds ridge fits per target, each expanding,
+standardizing and solving from scratch.  This module keeps that loop,
+one ``PolynomialRidge(degree, alpha)`` per fit.
 ``tests/test_ml_moo.py`` holds the one-pass selection
 (``repro.ml.polynomial_ridge_cv``) and ``_select_and_fit`` to it: the same
 selected degree, the same final model, and each mean R² within 1e-8
@@ -22,49 +23,29 @@ import math
 import numpy as np
 
 from helpers.reference_models import polynomial_transform_reference
-from repro.ml import KFold, make_polynomial_regression, r2_score
+from repro.ml import PolynomialRidge, r2_score
+from repro.ml.model_selection import _folds
 
-__all__ = ["cross_val_score", "reference_degree_selection", "whole_dataset_ridge_cv"]
-
-
-def cross_val_score(
-    model_factory,
-    X,
-    y,
-    *,
-    n_splits: int = 5,
-    metric=r2_score,
-    seed: int | None = 0,
-) -> np.ndarray:
-    """Fit a fresh model per fold; returns the per-fold metric values.
-
-    ``model_factory`` is a zero-argument callable producing an unfitted
-    model with ``fit``/``predict`` (e.g. ``lambda: make_polynomial_regression(2)``).
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    scores = []
-    for train, test in KFold(n_splits=n_splits, seed=seed).split(len(X)):
-        model = model_factory()
-        model.fit(X[train], y[train])
-        scores.append(metric(y[test], model.predict(X[test])))
-    return np.array(scores)
+__all__ = ["reference_degree_selection", "whole_dataset_ridge_cv"]
 
 
 def reference_degree_selection(X, y, degrees, *, alpha, n_splits=5, seed=0):
     """``(scores, best)``: the mean fold R² of each entry of ``degrees``, in
     order, and the degree the selection loop keeps — the first one whose
     score beats every earlier one."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    folds = _folds(len(X), n_splits, seed)
     scores = [
         float(
             np.mean(
-                cross_val_score(
-                    lambda d=degree: make_polynomial_regression(d, alpha=alpha),
-                    X,
-                    y,
-                    n_splits=n_splits,
-                    seed=seed,
-                )
+                [
+                    r2_score(
+                        y[test],
+                        PolynomialRidge(degree, alpha).fit(X[train], y[train]).predict(X[test]),
+                    )
+                    for train, test in folds
+                ]
             )
         )
         for degree in degrees
@@ -95,12 +76,12 @@ def whole_dataset_ridge_cv(X, y, degrees, *, alpha, n_splits=5, seed=0):
     widths = [math.comb(X.shape[1] + d, d) - 1 for d in distinct]
     expanded = polynomial_transform_reference(X, distinct[-1])
     totals = np.zeros(len(distinct))
-    for train, test in KFold(n_splits=n_splits, seed=seed).split(len(X)):
+    for train, test in _folds(len(X), n_splits, seed):
         fit = expanded[train]  # a copy: standardized in place
         mean = fit.mean(axis=0)
         fit -= mean
         scale = np.sqrt(np.einsum("ij,ij->j", fit, fit) / len(fit))
-        scale[scale < 1e-12] = 1.0  # StandardScaler's rule for a constant column
+        scale[scale < 1e-12] = 1.0  # the model's rule for a constant column
         fit /= scale
         held = expanded[test]  # a copy too
         held -= mean

@@ -13,7 +13,7 @@ here:
   per degree block over all rows (``transform`` as it was before it
   filled its rows in slices).
 * :func:`predict_per_segment_reference` — one ``X[a:b] @ coef`` per
-  segment (``repro.ml.linear.LinearRegression.predict``).
+  segment (the product of ``repro.ml.PolynomialRidge.predict``).
 * :func:`execute_reference` — ``ExecutionModel.execute`` as it ran until
   PR 23: everything re-derived per call, four scalar ``rng.normal`` draws
   in order.
@@ -51,11 +51,11 @@ _SHOT_OVERHEAD_US = 400.0
 _CLASSICAL_BASE_SECONDS = 1.5
 
 
-def polynomial_transform_reference(X, degree, include_bias=False):
+def polynomial_transform_reference(X, degree):
     """sklearn-ordered monomials of ``X``'s columns up to ``degree``."""
     X = np.asarray(X, dtype=float)
     rows, n_features = X.shape
-    columns = [np.ones(rows)] if include_bias else []
+    columns = []
     for d in range(1, degree + 1):
         for combo in combinations_with_replacement(range(n_features), d):
             column = X[:, combo[0]].copy()
@@ -65,15 +65,14 @@ def polynomial_transform_reference(X, degree, include_bias=False):
     return np.stack(columns, axis=1) if columns else np.empty((rows, 0))
 
 
-def polynomial_transform_per_block(X, degree, include_bias=False):
+def polynomial_transform_per_block(X, degree):
     """sklearn-ordered monomials of ``X``'s columns up to ``degree``, each
     degree >= 2 filled by one ``np.multiply(out.take(parent, 1),
     X.take(last, 1))``: a monomial is its parent (the combo minus its last
     factor, one degree down) times that last factor's column."""
     X = np.asarray(X, dtype=float)
     rows, n_features = X.shape
-    first = int(include_bias)
-    blocks, column, width = [], {}, first
+    blocks, column, width = [], {}, 0
     for d in range(1, degree + 1):
         combos = list(combinations_with_replacement(range(n_features), d))
         if d > 1:
@@ -81,8 +80,7 @@ def polynomial_transform_per_block(X, degree, include_bias=False):
         column = {c: width + j for j, c in enumerate(combos)}
         width += len(combos)
     out = np.empty((rows, width))
-    out[:, :first] = 1.0
-    out[:, first : first + n_features] = X
+    out[:, :n_features] = X
     for start, parent, last in blocks:
         np.multiply(
             out.take(parent, 1), X.take(last, 1), out=out[:, start : start + len(last)]

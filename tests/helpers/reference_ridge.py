@@ -3,7 +3,7 @@
 ``repro.ml`` solves every ridge system with ``np.linalg.solve`` (LU), so
 training never imports scipy.  It used to call LAPACK through scipy:
 
-* the final fit (``Ridge.fit``) solved its normal equations with
+* the final fit (now ``PolynomialRidge.fit``) solved its normal equations with
   ``solve(assume_a="pos")`` — a Cholesky ``posv``;
 * degree selection (``polynomial_ridge_cv``) factored each fold's one
   Gram matrix once with ``cho_factor`` and ran ``cho_solve`` on the
@@ -23,13 +23,15 @@ import numpy as np
 from scipy import linalg
 
 from repro.estimator.models import _select_and_fit
-from repro.ml import KFold, PolynomialFeatures, StandardScaler, r2_score
+from repro.ml import PolynomialFeatures, polynomial_ridge_cv, r2_score
+from repro.ml.model_selection import _folds
 
 __all__ = ["assert_numpy_route_matches", "ridge_cv", "ridge_fit", "select_and_fit"]
 
 
 def ridge_fit(X, y, alpha):
-    """``(coef, intercept)`` of ``Ridge(alpha).fit(X, y)`` through ``posv``."""
+    """``(coef, intercept)`` of ridge regression with an intercept on the
+    already standardized ``X``, through ``posv``."""
     x_mean = X.mean(axis=0)
     y_mean = float(y.mean())
     Xc = X - x_mean
@@ -45,7 +47,7 @@ def ridge_cv(X, y, degrees, *, alpha, n_splits=5, seed=0):
     widths = [math.comb(X.shape[1] + d, d) - 1 for d in distinct]
     expanded = PolynomialFeatures(distinct[-1]).fit(X).transform(X)
     totals = np.zeros(len(distinct))
-    for train, test in KFold(n_splits=n_splits, seed=seed).split(len(X)):
+    for train, test in _folds(len(X), n_splits, seed):
         fit = expanded[train]
         mean = fit.mean(axis=0)
         fit -= mean
@@ -83,11 +85,13 @@ def _prefix_ridge(Z, yc, widths, alpha):
 def select_and_fit(X, y, degrees, *, alpha=1e-3, n_splits=5, seed=0):
     """``(scores, degree, predictions)``: the mean R² per degree, the first
     best degree, and the final model's predictions on the training rows
-    (poly -> standardize -> ridge fitted on every row)."""
+    (polynomial features, standardized, ridge fitted on every row)."""
     scores = ridge_cv(X, y, degrees, alpha=alpha, n_splits=n_splits, seed=seed)
     degree = degrees[int(np.argmax(scores))]
     poly = PolynomialFeatures(degree).fit(X).transform(X)
-    scaled = StandardScaler().fit(poly).transform(poly)
+    scale = poly.std(axis=0)
+    scale[scale < 1e-12] = 1.0
+    scaled = (poly - poly.mean(axis=0)) / scale
     coef, intercept = ridge_fit(scaled, y, alpha)
     return scores, degree, scaled @ coef + intercept
 
@@ -95,15 +99,18 @@ def select_and_fit(X, y, degrees, *, alpha=1e-3, n_splits=5, seed=0):
 def assert_numpy_route_matches(X, y, *, degrees=(1, 2, 3), alpha=1e-3, n_splits=5, seed=0):
     """``_select_and_fit`` against :func:`select_and_fit`: the same degree,
     each mean R² within 1e-9 relative, each training-set prediction of
-    the final pipeline within 1e-10 absolute."""
+    the final model within 1e-10 absolute."""
     scores, degree, predictions = select_and_fit(
         X, y, degrees, alpha=alpha, n_splits=n_splits, seed=seed
     )
-    est, report = _select_and_fit(
+    est = _select_and_fit(
         X, y, "fidelity", degrees=degrees, alpha=alpha, n_splits=n_splits, seed=seed
     )
     assert est.degree == degree
     np.testing.assert_allclose(
-        [report[f"degree_{d}"] for d in degrees], scores, rtol=1e-9, atol=0.0
+        polynomial_ridge_cv(X, y, degrees, alpha=alpha, n_splits=n_splits, seed=seed),
+        scores,
+        rtol=1e-9,
+        atol=0.0,
     )
-    np.testing.assert_allclose(est.pipeline.predict(X), predictions, rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose(est.model.predict(X), predictions, rtol=0.0, atol=1e-10)

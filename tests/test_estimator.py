@@ -114,9 +114,19 @@ class TestTrainedEstimators:
         assert trained.estimators.fidelity.cv_r2 > 0.85
         assert trained.estimators.runtime.cv_r2 > 0.9
 
-    def test_selection_report_has_all_degrees(self, trained):
-        rep = trained.estimators.selection_report
-        assert set(rep["fidelity"]) == {"degree_1", "degree_2", "degree_3"}
+    def test_each_model_keeps_its_best_degree_score(self):
+        """``trained_estimator(seed=7)``'s two models against
+        ``polynomial_ridge_cv``'s scores of degrees 1-3 on their training
+        set (runtime on ``log1p`` seconds, as training fits it)."""
+        ds = _cold_start_dataset("trained_estimator")
+        models = trained_estimator(seed=7).estimators
+        for model, X, y in [
+            (models.fidelity, ds.X_fidelity, ds.y_fidelity),
+            (models.runtime, ds.X_runtime, np.log1p(ds.y_runtime)),
+        ]:
+            scores = polynomial_ridge_cv(X, y, (1, 2, 3), alpha=1e-3, seed=7)
+            assert model.degree == 1 + int(np.argmax(scores))
+            assert model.cv_r2 == scores.max()
 
     def test_predictions_clipped(self, trained, fleet):
         job = QuantumJob(metrics=compute_metrics(ghz_linear(20)), shots=20000)
@@ -699,8 +709,9 @@ class TestTransientMemory:
 
 
 class TestSegmentedPredictBitIdentity:
-    """The linear stage against one ``X[a:b] @ coef`` per segment, on
-    the benchmark's own models (``bench/child.py`` trains these)."""
+    """``PolynomialRidge``'s product against one ``X[a:b] @ coef`` per
+    segment, on the benchmark's own models (``bench/child.py`` trains
+    these)."""
 
     SEGMENTS = {
         "fcfs_pool block: eight one-row segments": [0, 1, 2, 3, 4, 5, 6, 7, 8],
@@ -714,35 +725,34 @@ class TestSegmentedPredictBitIdentity:
 
     @pytest.mark.parametrize("target, columns", [("fidelity", 152), ("runtime", 363)])
     def test_linear_stage_equals_per_segment_products(self, target, columns):
-        pipeline = getattr(trained_estimator(seed=7).estimators, target).pipeline
-        regressor = pipeline["regressor"]
-        assert regressor.coef_.shape == (columns,)
+        model = getattr(trained_estimator(seed=7).estimators, target).model
+        assert model.coef_.shape == (columns,)
         rng = np.random.default_rng(columns)
         for label, segments in self.SEGMENTS.items():
             X = rng.normal(size=(segments[-1], columns))
             for data in (X, np.asfortranarray(X)):
-                got = regressor.predict(data, segments)
+                got = model._linear(data, segments)
                 want = predict_per_segment_reference(
-                    data, regressor.coef_, regressor.intercept_, segments
+                    data, model.coef_, model.intercept_, segments
                 )
                 assert got.shape == (segments[-1],), label
                 assert np.array_equal(got, want), label
 
     @pytest.mark.parametrize("target, features", [("fidelity", 16), ("runtime", 11)])
-    def test_whole_pipeline_equals_the_two_definitions_chained(self, target, features):
-        pipeline = getattr(trained_estimator(seed=7).estimators, target).pipeline
-        poly, scaler, regressor = (step for _, step in pipeline.steps)
+    def test_whole_model_equals_the_two_definitions_chained(self, target, features):
+        estimator = getattr(trained_estimator(seed=7).estimators, target)
+        model = estimator.model
         rng = np.random.default_rng(features)
         for label, segments in self.SEGMENTS.items():
             raw = rng.normal(size=(segments[-1], features))
-            expanded = polynomial_transform_reference(raw, poly.degree)
+            expanded = polynomial_transform_reference(raw, estimator.degree)
             want = predict_per_segment_reference(
-                (expanded - scaler.mean_) / scaler.scale_,
-                regressor.coef_,
-                regressor.intercept_,
+                (expanded - model.mean_) / model.scale_,
+                model.coef_,
+                model.intercept_,
                 segments,
             )
-            assert np.array_equal(pipeline.predict(raw, segments), want), label
+            assert np.array_equal(model.predict(raw, segments), want), label
 
 
 class TestFinalModelPins:
@@ -764,10 +774,9 @@ class TestFinalModelPins:
         "                  ('Qonductor(seed=0)', Qonductor(seed=0, estimator_records=200).estimator)]:\n"
         "    for target in ('fidelity', 'runtime'):\n"
         "        model = getattr(est.estimators, target)\n"
-        "        regressor = model.pipeline['regressor']\n"
         "        print(name, target, model.degree,\n"
-        "              hashlib.sha256(regressor.coef_.tobytes()).hexdigest(),\n"
-        "              regressor.intercept_.hex())\n"
+        "              hashlib.sha256(model.model.coef_.tobytes()).hexdigest(),\n"
+        "              model.model.intercept_.hex())\n"
     )
 
     PINNED = [

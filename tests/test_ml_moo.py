@@ -23,16 +23,8 @@ from helpers.reference_ridge import assert_numpy_route_matches
 from repro.backends.fleet import fleet_of_size
 from repro.estimator import PairwiseEstimateSource
 from repro.estimator.models import _select_and_fit
-from repro.ml import (
-    KFold,
-    LinearRegression,
-    PolynomialFeatures,
-    Ridge,
-    StandardScaler,
-    make_polynomial_regression,
-    polynomial_ridge_cv,
-    r2_score,
-)
+from repro.ml import PolynomialFeatures, PolynomialRidge, polynomial_ridge_cv, r2_score
+from repro.ml.model_selection import _folds
 from repro.moo import (
     NSGA2,
     Problem,
@@ -74,92 +66,73 @@ def _random_input(rng, n, q, density=0.7):
     )
 
 
-class TestLinearModels:
-    def test_ols_exact_on_linear_data(self):
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(100, 3))
-        w = np.array([2.0, -1.0, 0.5])
-        y = X @ w + 3.0
-        model = LinearRegression().fit(X, y)
-        assert np.allclose(model.coef_, w, atol=1e-8)
-        assert model.intercept_ == pytest.approx(3.0)
-
+class TestPolynomialRidge:
     def test_ridge_shrinks_towards_zero(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(50, 2))
         y = X @ np.array([5.0, -5.0]) + rng.normal(0, 0.1, 50)
-        small = Ridge(alpha=1e-6).fit(X, y)
-        big = Ridge(alpha=1e4).fit(X, y)
+        small = PolynomialRidge(1, alpha=1e-6).fit(X, y)
+        big = PolynomialRidge(1, alpha=1e4).fit(X, y)
         assert np.linalg.norm(big.coef_) < np.linalg.norm(small.coef_)
 
-    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf, -1.0])
-    def test_ridge_refuses_a_non_finite_or_negative_alpha(self, alpha):
-        """``Ridge(alpha=inf)`` and ``Ridge(alpha=nan)`` used to be built."""
-        with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
-            Ridge(alpha=alpha)
-
-    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -1.0])
-    def test_pipeline_refuses_a_non_finite_or_negative_alpha(self, alpha):
-        """``nan > 0`` is false, so a NaN (or negative) alpha used to build
-        an unregularized LinearRegression, silently."""
-        with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
-            make_polynomial_regression(2, alpha=alpha)
-
-    def test_pipeline_alpha_zero_is_least_squares(self):
-        assert type(make_polynomial_regression(2, alpha=0.0)["regressor"]) is LinearRegression
-        ridge = make_polynomial_regression(2, alpha=0.5)["regressor"]
-        assert type(ridge) is Ridge and ridge.alpha == 0.5
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf, -1.0, 0.0])
+    def test_refuses_a_non_finite_or_non_positive_alpha(self, alpha):
+        """``Ridge(alpha=inf)`` and ``Ridge(alpha=nan)`` used to be built,
+        and ``nan > 0`` being false, a NaN, negative or zero alpha used to
+        build an unregularized least-squares model, silently."""
+        with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+            PolynomialRidge(2, alpha)
 
     def test_predict_before_fit_raises(self):
         with pytest.raises(RuntimeError):
-            LinearRegression().predict(np.ones((2, 2)))
+            PolynomialRidge(2, 0.5).predict(np.ones((2, 2)))
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            LinearRegression().fit(np.ones(5), np.ones(5))
+            PolynomialRidge(2, 0.5).fit(np.ones(5), np.ones(5))
         with pytest.raises(ValueError):
-            LinearRegression().fit(np.ones((5, 2)), np.ones(4))
+            PolynomialRidge(2, 0.5).fit(np.ones((5, 2)), np.ones(4))
 
     @pytest.mark.parametrize(
         "segments",
         [[0, 2, 4], [1, 3, 6], [0, 4, 2, 6], [0, 7], []],
         ids=["short", "late-start", "descending", "long", "empty"],
     )
-    @pytest.mark.parametrize("model", [LinearRegression, Ridge], ids=lambda cls: cls.__name__)
-    def test_predict_refuses_segments_that_do_not_tile_x(self, model, segments):
+    def test_predict_refuses_segments_that_do_not_tile_x(self, segments):
         """Offsets must run 0 .. len(X) in ascending order: ``[0, 2, 4]``
         on six rows used to return rows 4-5 uninitialized, ``[1, 3, 6]``
         row 0, and ``[0, 4, 2, 6]`` was accepted."""
         rng = np.random.default_rng(5)
         X = rng.normal(size=(6, 3))
-        fitted = model().fit(X, rng.normal(size=6))
+        fitted = PolynomialRidge(2, 0.5).fit(X, rng.normal(size=6))
         assert np.array_equal(fitted.predict(X, [0, 0, 3, 3, 6]), fitted.predict(X, [0, 3, 6]))
-        with pytest.raises(ValueError, match=f"^{model.__name__}: segments .* do not") as err:
+        with pytest.raises(ValueError, match="^PolynomialRidge: segments .* do not") as err:
             fitted.predict(X, segments)
         assert str(segments) in str(err.value)
 
-    @pytest.mark.parametrize("model", [LinearRegression(), Ridge(alpha=0.5)], ids=type)
     @pytest.mark.parametrize(
-        "rows, y_shape, bad, message",
+        "shape, y_shape, bad, message",
         [
-            (0, (0,), None, r"X \(0, 3\) needs at least one row"),
-            (8, (8, 1), None, r"X \(8, 3\) needs .* a 1-D y \(8, 1\)"),
-            (8, (8,), ("X", np.nan), "X has a non-finite value"),
-            (8, (8,), ("X", -np.inf), "X has a non-finite value"),
-            (8, (8,), ("y", np.inf), "y has a non-finite value"),
+            ((0, 3), (0,), None, r"X \(0, 3\) needs at least one row"),
+            ((4,), (4,), None, r"X \(4,\) needs at least one row"),
+            ((8, 3), (8, 1), None, r"X \(8, 3\) needs .* a 1-D y \(8, 1\)"),
+            ((8, 3), (8,), ("X", np.nan), "X has a non-finite value"),
+            ((8, 3), (8,), ("X", -np.inf), "X has a non-finite value"),
+            ((8, 3), (8,), ("y", np.inf), "y has a non-finite value"),
         ],
-        ids=["zero-rows", "column-y", "nan-X", "inf-X", "inf-y"],
+        ids=["zero-rows", "1-D-X", "column-y", "nan-X", "inf-X", "inf-y"],
     )
-    def test_fit_refuses_what_the_solver_would_not(self, model, rows, y_shape, bad, message):
+    def test_fit_refuses_what_the_solver_would_not(self, shape, y_shape, bad, message):
         """numpy's solvers check nothing: zero rows used to fit (or warn
-        "Mean of empty slice"), a column ``y`` raised a TypeError deep in
-        the fit, and a NaN or inf reached LAPACK."""
-        X = np.arange(rows * 3, dtype=float).reshape(rows, 3) % 5
+        "Mean of empty slice" and store NaN statistics), a column ``y``
+        raised a TypeError deep in the fit, and a NaN or inf reached
+        LAPACK."""
+        X = np.arange(np.prod(shape), dtype=float).reshape(shape) % 5
         y = np.ones(y_shape)
         if bad is not None:
             (X if bad[0] == "X" else y)[3] = bad[1]
-        with pytest.raises(ValueError, match=f"^{type(model).__name__}: {message}"):
-            model.fit(X, y)
+        with pytest.raises(ValueError, match=f"^PolynomialRidge: {message}"):
+            PolynomialRidge(2, 0.5).fit(X, y)
 
 
 class TestFeatures:
@@ -173,11 +146,6 @@ class TestFeatures:
         out = PolynomialFeatures(degree=2).fit(X).transform(X)
         assert set(np.round(out[0], 6)) == {2.0, 3.0, 4.0, 6.0, 9.0}
 
-    def test_bias_column(self):
-        X = np.ones((2, 1))
-        out = PolynomialFeatures(degree=1, include_bias=True).fit(X).transform(X)
-        assert np.allclose(out[:, 0], 1.0)
-
     @pytest.mark.parametrize(
         "given", [np.ones((2, 6)), np.ones((2, 3)), np.ones(4)], ids=["wider", "narrower", "1-D"]
     )
@@ -189,52 +157,29 @@ class TestFeatures:
             poly.transform(given)
         assert str(given.shape) in str(err.value)
 
-    @pytest.mark.parametrize(
-        "transformer, shape",
-        [
-            (PolynomialFeatures, (4,)),
-            (PolynomialFeatures, ()),
-            (StandardScaler, (0, 3)),
-            (StandardScaler, (4,)),
-        ],
-        ids=["poly-1-D", "poly-scalar", "scaler-zero-rows", "scaler-1-D"],
-    )
-    def test_fit_refuses_an_input_it_cannot_fit(self, transformer, shape):
+    @pytest.mark.parametrize("shape", [(4,), ()], ids=["poly-1-D", "poly-scalar"])
+    def test_fit_refuses_an_input_it_cannot_fit(self, shape):
         """``PolynomialFeatures.fit`` on a 1-D array raised "tuple index
-        out of range"; ``StandardScaler.fit`` on zero rows warned "Mean of
-        empty slice" and stored NaN statistics."""
-        with pytest.raises(ValueError, match=f"^{transformer.__name__}: ") as err:
-            transformer().fit(np.ones(shape))
+        out of range"."""
+        with pytest.raises(ValueError, match="^PolynomialFeatures: ") as err:
+            PolynomialFeatures(2).fit(np.ones(shape))
         assert str(shape) in str(err.value)
-
-    def test_scaler_standardizes(self):
-        rng = np.random.default_rng(2)
-        X = rng.normal(5.0, 3.0, size=(200, 2))
-        out = StandardScaler().fit(X).transform(X)
-        assert np.allclose(out.mean(axis=0), 0.0, atol=1e-10)
-        assert np.allclose(out.std(axis=0), 1.0, atol=1e-10)
-
-    def test_scaler_constant_column_safe(self):
-        X = np.ones((10, 1))
-        out = StandardScaler().fit(X).transform(X)
-        assert np.all(np.isfinite(out))
 
 
 class TestPolynomialBitIdentity:
     """``transform`` against one left-to-right product per monomial."""
 
-    @pytest.mark.parametrize("include_bias", [False, True])
     @pytest.mark.parametrize("degree", [1, 2, 3, 4])
-    def test_transform_equals_definition(self, degree, include_bias):
+    def test_transform_equals_definition(self, degree):
         rng = np.random.default_rng(degree)
-        poly = PolynomialFeatures(degree=degree, include_bias=include_bias)
+        poly = PolynomialFeatures(degree=degree)
         poly.fit(np.zeros((1, 5)))
         for rows in (0, 1, 8, 400):
             floats = rng.normal(0.0, 3.0, size=(rows, 5))
             integers = rng.integers(-9, 10, size=(rows, 5))
             for X in (floats, np.asfortranarray(floats), integers, floats[:, ::-1]):
                 got = poly.transform(X)
-                want = polynomial_transform_reference(X, degree, include_bias)
+                want = polynomial_transform_reference(X, degree)
                 assert got.shape == want.shape and got.shape[0] == rows
                 assert np.array_equal(got, want)
 
@@ -243,19 +188,18 @@ class TestPolynomialBitIdentity:
         rows=st.integers(300, 900),
         n_features=st.integers(10, 12),
         degree=st.integers(3, 4),
-        include_bias=st.booleans(),
         layout=st.sampled_from(["C", "F", "reversed"]),
         seed=st.integers(0, 2**16),
     )
     def test_row_slices_equal_one_multiply_per_block(
-        self, rows, n_features, degree, include_bias, layout, seed
+        self, rows, n_features, degree, layout, seed
     ):
         """Shapes whose expansion holds more than 2^16 cells, so
         ``transform`` fills it in several slices of rows."""
         X = np.random.default_rng(seed).normal(0.0, 3.0, size=(rows, n_features))
         X = {"C": X, "F": np.asfortranarray(X), "reversed": X[:, ::-1]}[layout]
-        poly = PolynomialFeatures(degree=degree, include_bias=include_bias).fit(X)
-        want = polynomial_transform_per_block(X, degree, include_bias)
+        poly = PolynomialFeatures(degree=degree).fit(X)
+        want = polynomial_transform_per_block(X, degree)
         assert np.array_equal(poly.transform(X), want)
 
     def test_many_row_slices_the_last_one_partial(self):
@@ -270,16 +214,16 @@ class TestMetricsAndCV:
         assert r2_score(y, y) == pytest.approx(1.0)
         assert r2_score(y, np.full(3, 2.0)) == pytest.approx(0.0)
 
-    def test_kfold_partitions(self):
-        folds = list(KFold(n_splits=4, seed=1).split(20))
+    def test_folds_partition(self):
+        folds = _folds(20, 4, 1)
         all_test = np.concatenate([t for _, t in folds])
         assert sorted(all_test.tolist()) == list(range(20))
         for train, test in folds:
             assert set(train) & set(test) == set()
 
-    def test_kfold_too_few_samples(self):
+    def test_folds_too_few_samples(self):
         with pytest.raises(ValueError):
-            list(KFold(n_splits=5).split(3))
+            _folds(3, 5, 0)
 
     def test_cv_scores_on_learnable_problem(self):
         rng = np.random.default_rng(3)
@@ -287,12 +231,6 @@ class TestMetricsAndCV:
         y = 1.0 + 2 * X[:, 0] - X[:, 1] ** 2
         linear, quadratic = polynomial_ridge_cv(X, y, (1, 2), alpha=1e-6, n_splits=4)
         assert quadratic > 0.99 > linear
-
-    def test_pipeline_getitem(self):
-        pipe = make_polynomial_regression(2)
-        assert isinstance(pipe["poly"], PolynomialFeatures)
-        with pytest.raises(KeyError):
-            pipe["nope"]
 
 
 def _selection_problem(rows, n_features, constant, seed):
@@ -341,7 +279,7 @@ def _selection_problems(draw):
 
 class TestDegreeSelection:
     """The estimator's K-fold degree selection against the loop that fits
-    one pipeline per degree and fold (``helpers/reference_cv.py``)."""
+    one model per degree and fold (``helpers/reference_cv.py``)."""
 
     @staticmethod
     def _check(X, y, degrees, n_splits, alpha, seed):
@@ -351,15 +289,14 @@ class TestDegreeSelection:
         got = polynomial_ridge_cv(X, y, degrees, alpha=alpha, n_splits=n_splits, seed=seed)
         np.testing.assert_allclose(got, want, rtol=1e-8, atol=0.0)
         assert degrees[int(np.argmax(got))] == best
-        est, report = _select_and_fit(
+        est = _select_and_fit(
             X, y, "fidelity", degrees=degrees, alpha=alpha, n_splits=n_splits, seed=seed
         )
         assert est.degree == best
-        assert [report[f"degree_{d}"] for d in degrees] == got.tolist()
-        assert est.cv_r2 == report[f"degree_{best}"]
-        final = make_polynomial_regression(best, alpha=alpha).fit(X, y)["regressor"]
-        assert est.pipeline["regressor"].coef_.tobytes() == final.coef_.tobytes()
-        assert est.pipeline["regressor"].intercept_ == final.intercept_
+        assert est.cv_r2 == got[degrees.index(best)]
+        final = PolynomialRidge(best, alpha).fit(X, y)
+        assert est.model.coef_.tobytes() == final.coef_.tobytes()
+        assert est.model.intercept_ == final.intercept_
 
     @pytest.mark.parametrize("rows, n_features, degrees, n_splits, constant", _EDGE_SHAPES)
     def test_edge_shapes(self, rows, n_features, degrees, n_splits, constant):
@@ -415,6 +352,14 @@ class TestDegreeSelection:
         X, y = _selection_problem(40, 3, False, seed=0)
         with pytest.raises(ValueError, match="alpha must be finite and > 0"):
             polynomial_ridge_cv(X, y, (1, 2), alpha=alpha)
+
+    @pytest.mark.parametrize("n_splits", [0, 1, -1])
+    def test_kernel_needs_two_folds(self, n_splits):
+        """``n_splits=0`` used to raise ZeroDivisionError sizing the fold
+        buffer before the folds were checked."""
+        X, y = _selection_problem(40, 3, False, seed=0)
+        with pytest.raises(ValueError, match="n_splits must be >= 2"):
+            polynomial_ridge_cv(X, y, (1, 2), alpha=1e-3, n_splits=n_splits)
 
 
 class _Biobj(Problem):

@@ -9,8 +9,8 @@
   set is spelled out — as are the shipped policies and the keyword or
   field sets of the scheduler, the availability model, the load
   generator, ``QuantumJob.from_circuit``, ``trained_estimator``, the
-  ``repro.ml`` models, pipeline factory and folds, and the mitigation
-  stack and its ZNE, folding and REM entry points;
+  ``repro.ml`` model and its feature map, ``train_estimators``, and the
+  mitigation stack and its ZNE, folding and REM entry points;
 * the trigger path reads shard state, never the heap's contents (AST
   guard: no ``heapify``, no heap slice-assignment, one TRIGGER push, its
   payload a bare shard id);
@@ -40,10 +40,10 @@ from repro.cloud import (
     QuantumJob,
     SimulatedQPU,
 )
-from repro.estimator import EstimateSource
+from repro.estimator import EstimateSource, train_estimators
 from repro.experiments.common import trained_estimator
 from repro.mitigation import MitigationStack, fold_to_factor, mitigate_probs, zne_infer_probs
-from repro.ml import KFold, LinearRegression, Ridge, make_polynomial_regression
+from repro.ml import PolynomialFeatures, PolynomialRidge
 from repro.moo import Termination
 from repro.scheduler import (
     BatchedFCFSPolicy,
@@ -212,12 +212,12 @@ class TestKeywordSets:
         assert _names(trained_estimator) == ["seed", "names", "num_records"]
 
     def test_ml_keywords(self):
-        # Every model fits an intercept, every pipeline standardizes and
-        # every split shuffles: no caller asked otherwise.
-        assert _names(LinearRegression.__init__) == ["self"]
-        assert _names(Ridge.__init__) == ["self", "alpha"]
-        assert _names(make_polynomial_regression) == ["degree", "alpha"]
-        assert _names(KFold.__init__) == ["self", "n_splits", "seed"]
+        # One model: it fits an intercept, standardizes, regularizes and
+        # has no bias column, and training scores degrees 1-3: no caller
+        # asked otherwise.
+        assert _names(PolynomialRidge.__init__) == ["self", "degree", "alpha"]
+        assert _names(PolynomialFeatures.__init__) == ["self", "degree"]
+        assert _names(train_estimators) == ["dataset", "seed"]
 
     def test_optimizer_and_simulator_keywords(self):
         # No caller capped evaluations, turned idle noise off or moved the
