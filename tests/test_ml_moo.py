@@ -19,7 +19,7 @@ from helpers.reference_models import (
     polynomial_transform_per_block,
     polynomial_transform_reference,
 )
-from helpers.reference_ridge import assert_numpy_route_matches
+from helpers.reference_ridge import assert_numpy_route_matches, ridge_fit
 from repro.backends.fleet import fleet_of_size
 from repro.estimator import PairwiseEstimateSource
 from repro.estimator.models import _select_and_fit
@@ -74,6 +74,93 @@ class TestPolynomialRidge:
         small = PolynomialRidge(1, alpha=1e-6).fit(X, y)
         big = PolynomialRidge(1, alpha=1e4).fit(X, y)
         assert np.linalg.norm(big.coef_) < np.linalg.norm(small.coef_)
+
+    @pytest.mark.parametrize("constant", [False, True], ids=["varied", "constant-column"])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_fit_equals_standardize_then_ridge(self, degree, constant):
+        """Against the definition: the monomials, each column less its mean
+        over its standard deviation (1 for a constant column), then ridge
+        with an intercept solved by Cholesky (``helpers/reference_ridge``)."""
+        rng = np.random.default_rng(10 * degree + constant)
+        X = rng.normal(2.0, 3.0, size=(60, 3))
+        if constant:
+            X[:, 1] = 4.0
+        y = np.sin(X[:, 0]) + X[:, 2] ** 2 + rng.normal(0, 0.1, 60)
+        model = PolynomialRidge(degree, alpha=1e-3).fit(X, y)
+        expanded = polynomial_transform_reference(X, degree)
+        scale = expanded.std(axis=0)
+        scale[scale < 1e-12] = 1.0
+        np.testing.assert_array_equal(model.mean_, expanded.mean(axis=0))
+        np.testing.assert_array_equal(model.scale_, scale)
+        coef, intercept = ridge_fit((expanded - model.mean_) / scale, y, 1e-3)
+        np.testing.assert_allclose(model.coef_, coef, rtol=1e-7, atol=1e-9)
+        assert model.intercept_ == pytest.approx(intercept, rel=1e-9)
+
+    def test_constant_column_keeps_predictions_finite(self):
+        """A constant input column expands to constant monomials; their
+        scale is 1, not 0, so nothing divides by zero."""
+        X = np.column_stack([np.ones(10), np.arange(10.0)])
+        model = PolynomialRidge(2, alpha=1e-3).fit(X, np.arange(10.0) ** 2)
+        assert model.scale_[0] == 1.0
+        assert np.all(np.isfinite(model.coef_))
+        assert np.all(np.isfinite(model.predict(X)))
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_recovers_a_polynomial_target_of_its_degree(self, degree):
+        """With a vanishing penalty the model reproduces, on unseen rows,
+        an exact polynomial of its own degree."""
+        rng = np.random.default_rng(degree)
+        X = rng.normal(size=(80, 2))
+        weights = rng.normal(size=polynomial_transform_reference(X, degree).shape[1])
+
+        def target(rows):
+            return polynomial_transform_reference(rows, degree) @ weights + 3.0
+
+        model = PolynomialRidge(degree, alpha=1e-10).fit(X, target(X))
+        fresh = rng.normal(size=(20, 2))
+        np.testing.assert_allclose(model.predict(fresh), target(fresh), rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize(
+        "segments",
+        [[0, 9], [0, 1, 2, 3, 4, 5, 6, 7, 8, 9], [0, 3, 6, 9], [0, 2, 2, 7, 9]],
+        ids=["one", "rows", "equal", "mixed-with-empty"],
+    )
+    def test_segmented_predict_equals_one_predict_per_segment(self, segments):
+        """``predict(X, segments)`` has the bits of ``predict(X[a:b])``
+        for each segment, whatever the neighbours' lengths."""
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(9, 4))
+        model = PolynomialRidge(2, alpha=1e-3).fit(X, rng.normal(size=9))
+        want = np.concatenate([model.predict(X[a:b]) for a, b in zip(segments, segments[1:])])
+        assert np.array_equal(model.predict(X, segments), want)
+
+    @pytest.mark.parametrize("columns", [2, 4], ids=["narrower", "wider"])
+    def test_predict_refuses_another_column_count(self, columns):
+        model = PolynomialRidge(2, alpha=1e-3).fit(np.eye(3), np.arange(3.0))
+        with pytest.raises(ValueError, match=r"fitted on 3 columns"):
+            model.predict(np.ones((2, columns)))
+
+    def test_fit_and_predict_leave_their_inputs_alone(self):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(30, 3))
+        y = rng.normal(size=30)
+        X_before, y_before = X.copy(), y.copy()
+        PolynomialRidge(3, alpha=1e-3).fit(X, y).predict(X)
+        assert np.array_equal(X, X_before) and np.array_equal(y, y_before)
+
+    def test_refit_equals_a_fresh_model(self):
+        """A second ``fit`` keeps nothing of the first: mean, scale,
+        coefficients and intercept are those of a new model."""
+        rng = np.random.default_rng(9)
+        first, second = rng.normal(size=(40, 3)), rng.normal(1.0, 2.0, size=(25, 3))
+        refit = PolynomialRidge(2, alpha=1e-3).fit(first, rng.normal(size=40))
+        y = rng.normal(size=25)
+        refit.fit(second, y)
+        fresh = PolynomialRidge(2, alpha=1e-3).fit(second, y)
+        for field in ("mean_", "scale_", "coef_"):
+            assert getattr(refit, field).tobytes() == getattr(fresh, field).tobytes()
+        assert refit.intercept_ == fresh.intercept_
+
 
     @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf, -1.0, 0.0])
     def test_refuses_a_non_finite_or_non_positive_alpha(self, alpha):
@@ -224,6 +311,35 @@ class TestMetricsAndCV:
     def test_folds_too_few_samples(self):
         with pytest.raises(ValueError):
             _folds(3, 5, 0)
+
+    @pytest.mark.parametrize("n, k", [(20, 4), (21, 4), (23, 5), (5, 5), (7, 2)])
+    def test_fold_sizes_differ_by_at_most_one(self, n, k):
+        """The first ``n % k`` folds hold one row more; every training set
+        is the other folds' rows."""
+        folds = _folds(n, k, 3)
+        assert [len(t) for _, t in folds] == [n // k + (f < n % k) for f in range(k)]
+        for train, test in folds:
+            assert sorted(np.concatenate([train, test]).tolist()) == list(range(n))
+
+    def test_folds_follow_the_seed(self):
+        def splits(seed):
+            return [t.tolist() for _, t in _folds(30, 3, seed)]
+
+        assert splits(4) == splits(4)
+        assert splits(4) != splits(5)
+
+    def test_r2_refuses_mismatched_or_empty_input(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            r2_score(np.ones(3), np.ones(4))
+        with pytest.raises(ValueError, match="empty input"):
+            r2_score(np.array([]), np.array([]))
+
+    def test_r2_of_a_constant_target(self):
+        """No variance to explain: an exact prediction scores 1, any
+        other 0, rather than dividing by zero."""
+        y = np.full(4, 2.5)
+        assert r2_score(y, y) == 1.0
+        assert r2_score(y, y + 1.0) == 0.0
 
     def test_cv_scores_on_learnable_problem(self):
         rng = np.random.default_rng(3)
