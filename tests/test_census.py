@@ -24,19 +24,44 @@ whole.
 The test fails naming each public definition that is not live and not
 in :data:`ALLOWED`.  Tests are not roots: a definition only ``tests/``
 calls is API kept for its own test.
+
+The *parameter census* asks the same of every defaulted parameter of
+every function and method under ``src/repro`` outside ``analysis/``,
+private ones included.  Its roots are the calls the files above make:
+every call in ``src/``, ``bench/``, ``benchmarks/`` and ``examples/``.
+Callees are matched by name, unresolved, so again it errs toward keeping:
+
+* a keyword-only default is dead when no call passes a keyword of its
+  name and no call to a function of its name spreads ``**``;
+* a positional-or-keyword default is dead when no call to a function of
+  its name passes that many positional arguments, none passes its name
+  as a keyword, none spreads ``*`` or ``**``, and nothing names the
+  function other than as a callee (a dispatch table or a callback holding
+  it keeps it).  A constructor's callees are its class and its
+  subclasses, and ``cls(...)``, ``type(self)(...)`` and
+  ``super().__init__(...)`` calls resolve to the enclosing class (its
+  bases for the last).
+
+A dead parameter is named ``module:qualname(param)``; it becomes the
+constant it always is, or an :data:`ALLOWED` key says why it stays.
 """
 
 import ast
+from collections import defaultdict
 from fnmatch import fnmatchcase
+from functools import cache
 from pathlib import Path
+
+import pytest
 
 import repro
 
 REPO = Path(repro.__file__).resolve().parents[2]
 SRC = REPO / "src"
 
-#: Public definitions nothing in the roots reaches, each with the reason
-#: it stays.  A key is an ``fnmatch`` pattern over ``module:Qualified.name``.
+#: Public definitions nothing in the roots reaches, and dead parameters,
+#: each with the reason it stays.  A key is an ``fnmatch`` pattern over
+#: ``module:Qualified.name``, or over ``module:Qualified.name(param)``.
 ALLOWED = {
     "repro.circuits.circuit:Circuit.to_dict": (
         "the mitigation pin (tests/test_mitigation_pin.py) hashes every "
@@ -57,11 +82,21 @@ ALLOWED = {
         "each detlint rule registers itself with @register at import, "
         "and all_rules() hands the registry to the runner"
     ),
+    "repro.estimator.models:_select_and_fit(degrees)": (
+        "TestDegreeSelection and the scipy-route oracle "
+        "(tests/helpers/reference_ridge.py) hold the selection to its "
+        "references over reordered, repeated and single degrees and degree 4"
+    ),
     "repro.analysis.*:*.visit_*": (
         "ast.NodeVisitor dispatches visit_<NodeType> by getattr on the "
         "node's class name; no caller names the method"
     ),
 }
+
+
+@cache
+def _tree(path):
+    return ast.parse(path.read_text())
 
 
 def _module_name(path):
@@ -101,6 +136,7 @@ class _Definition:
         self.qualname = qualname
         self.name = node.name
         self.owner = owner  # the enclosing class's _Definition, or None
+        self.node = node
         if isinstance(node, ast.ClassDef):
             # Bases, decorators, keywords and the class body's own
             # statements; its methods are definitions of their own.
@@ -133,7 +169,7 @@ def census(allowed=ALLOWED):
     definitions = []
     roots = set()
     for path in sorted(SRC.rglob("*.py")):
-        tree = ast.parse(path.read_text())
+        tree = _tree(path)
         _collect(tree.body, _module_name(path), "", None, definitions)
         if path.name == "__main__.py":
             roots |= _names(tree.body)
@@ -146,7 +182,7 @@ def census(allowed=ALLOWED):
             )
     for folder in ("bench", "benchmarks", "examples"):
         for path in sorted((REPO / folder).glob("*.py")):
-            roots |= _names([ast.parse(path.read_text())])
+            roots |= _names([_tree(path)])
     live = {
         d
         for d in definitions
@@ -172,6 +208,177 @@ def dead_public():
     return sorted(d.key for d in definitions if d not in live and _is_public(d.qualname))
 
 
+def _bound(scope):
+    """The names a function or lambda binds in its own scope: its
+    parameters and its assignment, loop and ``with`` targets."""
+    args = scope.args
+    found = {
+        a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg] if a
+    }
+    todo = list(scope.body) if isinstance(scope.body, list) else [scope.body]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        if not isinstance(node, (*_DEFS, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _is_call_to(node, name):
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+
+
+class _Calls(ast.NodeVisitor):
+    """What the roots' calls reach: each call by callee name (a class
+    for ``cls(...)``, ``type(self)(...)`` and ``super().__init__(...)``
+    inside it, the bases for the last), every keyword name passed, and
+    every name used other than as a callee.
+    A name a function binds itself is its own local, not a use of a
+    definition; a module's ``__getattr__`` re-exports the names it
+    imports lazily, as ``__all__`` would, rather than using them."""
+
+    def __init__(self):
+        self.calls = defaultdict(list)
+        self.keywords = set()
+        self.values = set()
+        self._classes = []
+        self._locals = []
+
+    def _scope(self, node, bound):
+        self._locals.append(bound)
+        self.generic_visit(node)
+        self._locals.pop()
+
+    def visit_ClassDef(self, node):
+        self._classes.append(node)
+        self.generic_visit(node)
+        self._classes.pop()
+
+    def visit_FunctionDef(self, node):
+        bound = _bound(node)
+        if node.name == "__getattr__" and not self._classes and not self._locals:
+            bound |= _names(n for n in ast.walk(node) if isinstance(n, ast.ImportFrom))
+        self._scope(node, bound)
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Lambda(self, node):
+        self._scope(node, _bound(node))
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load) and not any(node.id in b for b in self._locals):
+            self.values.add(node.id)
+
+    def visit_Attribute(self, node):
+        if isinstance(node.ctx, ast.Load):
+            self.values.add(node.attr)
+        self.generic_visit(node)
+
+    def visit_Call(self, node):
+        func = node.func
+        cls = self._classes[-1] if self._classes else None
+        names = []
+        if isinstance(func, ast.Name):
+            names = [cls.name if func.id == "cls" and cls else func.id]
+        elif isinstance(func, ast.Attribute):
+            names = [func.attr]
+            if func.attr == "__init__" and isinstance(func.value, ast.Name):
+                names = [func.value.id]  # Base.__init__(self, ...)
+            elif func.attr == "__init__" and _is_call_to(func.value, "super") and cls:
+                names = [getattr(b, "id", getattr(b, "attr", "")) for b in cls.bases]
+            self.visit(func.value)
+        elif _is_call_to(func, "type") and cls:
+            names = [cls.name]  # type(self)(...)
+        else:
+            self.visit(func)
+        for name in names:
+            self.calls[name].append(node)
+        self.keywords.update(k.arg for k in node.keywords if k.arg)
+        for child in [*node.args, *node.keywords]:
+            self.visit(child)
+
+
+def _subclasses(definitions):
+    """Each class name -> the names of it and every class deriving from
+    it, by base-class name."""
+    children = defaultdict(set)
+    for d in definitions:
+        if isinstance(d.node, ast.ClassDef):
+            for base in d.node.bases:
+                children[base.id if isinstance(base, ast.Name) else getattr(base, "attr", "")].add(d.name)
+    family = {}
+    for d in definitions:
+        if isinstance(d.node, ast.ClassDef) and d.name not in family:
+            found, todo = set(), [d.name]
+            while todo:
+                name = todo.pop()
+                if name not in found:
+                    found.add(name)
+                    todo.extend(children[name])
+            family[d.name] = found
+    return family
+
+
+def _is_staticmethod(node):
+    return any(isinstance(x, ast.Name) and x.id == "staticmethod" for x in node.decorator_list)
+
+
+def dead_parameters(allowed=ALLOWED):
+    """``module:qualname(param)`` of every defaulted parameter no root's
+    call can pass, minus the parameter keys ``allowed`` matches."""
+    definitions = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = _module_name(path)
+        if module != "repro.analysis" and not module.startswith("repro.analysis."):
+            _collect(_tree(path).body, module, "", None, definitions)
+    seen = _Calls()
+    for path in [*sorted(SRC.rglob("*.py"))] + [
+        p for folder in ("bench", "benchmarks", "examples") for p in sorted((REPO / folder).glob("*.py"))
+    ]:
+        seen.visit(_tree(path))
+    family = _subclasses(definitions)
+    dead = []
+    for d in definitions:
+        node = d.node
+        if isinstance(node, ast.ClassDef):
+            continue
+        callees = {d.name}
+        if d.name == "__init__" and d.owner is not None:
+            callees |= family[d.owner.name]
+            callees.discard("__init__")
+        calls = [c for name in callees for c in seen.calls[name]]
+        spread_kw = any(k.arg is None for c in calls for k in c.keywords)
+        spread = spread_kw or any(isinstance(a, ast.Starred) for c in calls for a in c.args)
+        args = node.args
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None and arg.arg not in seen.keywords and not spread_kw:
+                dead.append(f"{d.key}({arg.arg})")
+        positional = [*args.posonlyargs, *args.args]
+        if d.owner is not None and not _is_staticmethod(node):
+            positional = positional[1:]  # self or cls
+        first_default = len(positional) - len(args.defaults)
+        as_value = spread or bool(callees & seen.values)
+        for index, arg in enumerate(positional):
+            if index < first_default or as_value or arg.arg in seen.keywords:
+                continue
+            if not any(len(c.args) > index for c in calls):
+                dead.append(f"{d.key}({arg.arg})")
+    return sorted(
+        key for key in dead if not any(fnmatchcase(key, pattern) for pattern in allowed)
+    )
+
+
+def unneeded_allowances(allowed=ALLOWED):
+    """The keys of ``allowed`` that keep nothing alive: a definition key
+    matching no definition the census finds dead, a parameter key (one
+    ending in ``)``) matching no dead parameter."""
+    definitions, live = census(allowed={})
+    dead = {d.key for d in definitions if d not in live}
+    dead |= set(dead_parameters(allowed={}))
+    return [pattern for pattern in allowed if not any(fnmatchcase(k, pattern) for k in dead)]
+
+
 def test_every_public_definition_is_reached():
     dead = dead_public()
     assert not dead, (
@@ -181,58 +388,98 @@ def test_every_public_definition_is_reached():
     )
 
 
+def test_every_default_is_passed_by_a_root():
+    dead = dead_parameters()
+    assert not dead, (
+        "defaulted parameters no figure, workload or example passes (make "
+        "each the constant it always is, or allow it in ALLOWED with its "
+        "reason):\n  " + "\n  ".join(dead)
+    )
+
+
 def test_every_allowance_has_a_reason_and_is_needed():
-    """Each entry says why, and keeps alive at least one definition that
-    would be dead without the allowances."""
-    definitions, live = census(allowed={})
+    """Each entry says why, and keeps alive at least one definition or
+    parameter that would be dead without the allowances."""
     for pattern, reason in ALLOWED.items():
         assert len(reason.split()) >= 5, pattern
-        assert any(
-            fnmatchcase(d.key, pattern) and d not in live for d in definitions
-        ), f"{pattern} matches no definition the census finds dead"
+    unneeded = unneeded_allowances()
+    assert not unneeded, f"{unneeded} match nothing the census finds dead"
 
 
-def test_census_sees_what_it_forbids(tmp_path, monkeypatch):
-    """A tests-only chain dies as a whole; a root, a live caller, an
-    attribute call and a class's dunder keep code alive."""
+_MOD = (
+    "from .other import helper\n"
+    "__all__ = ['Orphan', 'study']\n"
+    "TABLE = {'k': Used, 'f': in_table}\n"
+    "class Used:\n"
+    "    def __init__(self):\n"
+    "        self.x = from_init()\n"
+    "    def called(self):\n"
+    "        return 1\n"
+    "    def never(self):\n"
+    "        return 2\n"
+    "class Orphan:\n"
+    "    def called(self):\n"
+    "        return 3\n"
+    "def study():\n"
+    "    return Orphan().called()\n"
+    "def from_init():\n"
+    "    return 4\n"
+    "def from_example():\n"
+    "    return 5\n"
+    "def knob(*, tests_only=1, bench_too=1):\n"
+    "    return tests_only + bench_too\n"
+    "def spread(a, b=2):\n"
+    "    return a + b\n"
+    "def in_table(a, b=2):\n"
+    "    return a + b\n"
+    "def as_callback(a, b=2):\n"
+    "    return a + b\n"
+    "def one_positional(a, b=2, c=3):\n"
+    "    return a + b + c\n"
+    "class Base:\n"
+    "    def __init__(self, a, b=2):\n"
+    "        self.a = a + b\n"
+    "class Derived(Base):\n"
+    "    pass\n"
+)
+
+
+@pytest.fixture
+def toy_repo(tmp_path, monkeypatch):
+    """A repository in miniature, with a ``tests/`` folder the census
+    must not read; the census's paths point into it."""
     package = tmp_path / "src" / "repro"
     package.mkdir(parents=True)
     (package / "__init__.py").write_text("")
-    (package / "mod.py").write_text(
-        "from .other import helper\n"
-        "__all__ = ['Orphan', 'study']\n"
-        "TABLE = {'k': Used}\n"
-        "class Used:\n"
-        "    def __init__(self):\n"
-        "        self.x = from_init()\n"
-        "    def called(self):\n"
-        "        return 1\n"
-        "    def never(self):\n"
-        "        return 2\n"
-        "class Orphan:\n"
-        "    def called(self):\n"
-        "        return 3\n"
-        "def study():\n"
-        "    return Orphan().called()\n"
-        "def from_init():\n"
-        "    return 4\n"
-        "def from_example():\n"
-        "    return 5\n"
-    )
+    (package / "mod.py").write_text(_MOD)
     (package / "experiments").mkdir()
     (package / "experiments" / "__init__.py").write_text("")
     (package / "experiments" / "report.py").write_text(
         "def main():\n    return None\n"
     )
-    for folder in ("bench", "benchmarks", "examples"):
+    for folder in ("bench", "benchmarks", "examples", "tests"):
         (tmp_path / folder).mkdir()
     (tmp_path / "examples" / "demo.py").write_text(
         "from repro.mod import from_example\n"
         "from_example()\n"
         "TABLE['k']().called()\n"
+        "knob()\n"
+        "spread(1, **{'b': 3})\n"
+        "sorted([3, 1], key=as_callback)\n"
+        "one_positional(1, 2)\n"
+        "Derived(1, 2)\n"
+    )
+    (tmp_path / "bench" / "run.py").write_text("knob(bench_too=2)\n")
+    (tmp_path / "tests" / "test_mod.py").write_text(
+        "knob(tests_only=2, bench_too=2)\none_positional(1, 2, 3)\n"
     )
     monkeypatch.setattr(f"{__name__}.REPO", tmp_path)
     monkeypatch.setattr(f"{__name__}.SRC", tmp_path / "src")
+
+
+def test_census_sees_what_it_forbids(toy_repo):
+    """A tests-only chain dies as a whole; a root, a live caller, an
+    attribute call and a class's dunder keep code alive."""
     definitions, live = census()
     dead = sorted(d.key for d in definitions if d not in live)
     assert dead == [
@@ -241,3 +488,19 @@ def test_census_sees_what_it_forbids(tmp_path, monkeypatch):
         "repro.mod:Used.never",
         "repro.mod:study",
     ]
+
+
+def test_parameter_census_sees_what_it_forbids(toy_repo):
+    """A keyword only ``tests/`` passes is dead and one ``bench/`` passes
+    lives; ``**``, a dispatch table, a callback and a subclass's call keep
+    positional defaults alive; an allowance that keeps nothing fails."""
+    assert dead_parameters(allowed={}) == [
+        "repro.mod:knob(tests_only)",
+        "repro.mod:one_positional(c)",
+    ]
+    allowed = {
+        "repro.mod:knob(tests_only)": "a keyword only its own test passes",
+        "repro.mod:spread(b)": "a default the examples spread into it",
+    }
+    assert dead_parameters(allowed) == ["repro.mod:one_positional(c)"]
+    assert unneeded_allowances(allowed) == ["repro.mod:spread(b)"]
