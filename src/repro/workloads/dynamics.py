@@ -18,30 +18,26 @@ def tfim_trotter(
     num_qubits: int,
     steps: int = 2,
     *,
-    time: float = 1.0,
-    j_coupling: float = 1.0,
-    h_field: float = 1.0,
     measure: bool = True,
 ) -> Circuit:
     """First-order Trotter circuit for the 1-D transverse-field Ising model.
 
-    ``H = -J sum Z_i Z_{i+1} - h sum X_i``; each Trotter step applies the
-    ZZ layer (rzz) then the X layer (rx). Chain topology: routes swap-free.
+    ``H = -J sum Z_i Z_{i+1} - h sum X_i`` with ``J = h = 1``, evolved for
+    unit time; each Trotter step applies the ZZ layer (rzz) then the X
+    layer (rx). Chain topology: routes swap-free.
     """
     if num_qubits < 2:
         raise ValueError("TFIM needs >= 2 qubits")
     if steps < 1:
         raise ValueError("need >= 1 Trotter step")
-    dt = time / steps
+    dt = 1.0 / steps
     circ = Circuit(num_qubits, f"tfim_{num_qubits}_s{steps}")
-    circ.metadata["hamiltonian"] = {
-        "J": j_coupling, "h": h_field, "time": time, "steps": steps,
-    }
+    circ.metadata["hamiltonian"] = {"J": 1.0, "h": 1.0, "time": 1.0, "steps": steps}
     for _ in range(steps):
         for q in range(num_qubits - 1):
-            circ.rzz(-2.0 * j_coupling * dt, q, q + 1)
+            circ.rzz(-2.0 * dt, q, q + 1)
         for q in range(num_qubits):
-            circ.rx(-2.0 * h_field * dt, q)
+            circ.rx(-2.0 * dt, q)
     if measure:
         circ.measure_all()
     return circ
@@ -51,7 +47,6 @@ def amplitude_estimation(
     num_qubits: int,
     grover_power: int = 1,
     *,
-    marked: str | None = None,
     measure: bool = True,
 ) -> Circuit:
     """Amplitude-amplification circuit at one Grover power.
@@ -59,14 +54,13 @@ def amplitude_estimation(
     MLAE-style amplitude estimation executes the state-preparation
     operator followed by ``Q^k`` (oracle + diffuser repeated ``k`` times)
     and post-processes hit rates across several powers classically; this
-    generates the quantum piece for one power.
+    generates the quantum piece for one power, marking the all-ones state.
     """
     if num_qubits < 2:
         raise ValueError("amplitude estimation needs >= 2 qubits")
     if grover_power < 0:
         raise ValueError("grover_power must be >= 0")
-    if marked is None:
-        marked = "1" * num_qubits
+    marked = "1" * num_qubits
     circ = Circuit(num_qubits, f"ae_{num_qubits}_k{grover_power}")
     circ.metadata["marked"] = marked
     circ.metadata["grover_power"] = grover_power

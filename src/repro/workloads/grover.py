@@ -84,23 +84,13 @@ def diffuser(num_qubits: int) -> Circuit:
     return circ
 
 
-def grover(
-    num_qubits: int,
-    marked: str | None = None,
-    iterations: int | None = None,
-    *,
-    measure: bool = True,
-) -> Circuit:
-    """Full Grover search for one marked item.
-
-    Default iteration count is the optimal ``round(pi/4 * sqrt(2^n))``.
-    """
+def grover(num_qubits: int, *, measure: bool = True) -> Circuit:
+    """Full Grover search for the all-ones item, at the optimal
+    ``round(pi/4 * sqrt(2^n))`` iterations."""
     if num_qubits < 2:
         raise ValueError("Grover needs >= 2 qubits")
-    if marked is None:
-        marked = "1" * num_qubits
-    if iterations is None:
-        iterations = max(1, round(math.pi / 4.0 * math.sqrt(2**num_qubits)))
+    marked = "1" * num_qubits
+    iterations = max(1, round(math.pi / 4.0 * math.sqrt(2**num_qubits)))
     circ = Circuit(num_qubits, f"grover_{num_qubits}")
     circ.metadata["marked"] = marked
     for q in range(num_qubits):

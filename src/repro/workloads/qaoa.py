@@ -35,23 +35,20 @@ def qaoa_maxcut(
     p_layers: int = 1,
     *,
     edges: list[tuple[int, int]] | None = None,
-    gammas: list[float] | None = None,
-    betas: list[float] | None = None,
     measure: bool = True,
     seed: int = 0,
     sink: type[SinkT] = Circuit,  # type: ignore[assignment]
 ) -> SinkT:
     """QAOA ansatz for max-cut: |+>^n then alternating cost/mixer layers,
-    written into ``sink``."""
+    written into ``sink``.  The angles are drawn from ``seed``: one gamma
+    in [0.1, pi) and one beta in [0.1, pi/2) per layer."""
     if num_qubits < 2:
         raise ValueError("QAOA needs >= 2 qubits")
     rng = np.random.default_rng(seed)
     if edges is None:
         edges = random_maxcut_graph(num_qubits, 3.0 / max(3, num_qubits), rng)
-    gammas = gammas if gammas is not None else list(rng.uniform(0.1, np.pi, p_layers))
-    betas = betas if betas is not None else list(rng.uniform(0.1, np.pi / 2, p_layers))
-    if len(gammas) != p_layers or len(betas) != p_layers:
-        raise ValueError("need one gamma and one beta per layer")
+    gammas = list(rng.uniform(0.1, np.pi, p_layers))
+    betas = list(rng.uniform(0.1, np.pi / 2, p_layers))
     circ = sink(num_qubits, f"qaoa_{num_qubits}_p{p_layers}")
     circ.metadata["edges"] = list(edges)
     for q in range(num_qubits):

@@ -9,13 +9,8 @@ from ..circuits.circuit import Circuit
 __all__ = ["qft", "qft_entangled"]
 
 
-def qft(num_qubits: int, *, swaps: bool = True, measure: bool = False,
-        approximation_degree: int = 0) -> Circuit:
-    """Textbook QFT: H + controlled-phase ladder (+ reversing swaps).
-
-    ``approximation_degree`` drops the smallest-angle controlled phases
-    (AQFT), trading exactness for two-qubit count on noisy hardware.
-    """
+def qft(num_qubits: int, *, swaps: bool = True, measure: bool = False) -> Circuit:
+    """Textbook QFT: H + controlled-phase ladder (+ reversing swaps)."""
     if num_qubits < 1:
         raise ValueError("QFT needs >= 1 qubit")
     circ = Circuit(num_qubits, f"qft_{num_qubits}")
@@ -25,8 +20,6 @@ def qft(num_qubits: int, *, swaps: bool = True, measure: bool = False,
         circ.h(i)
         for j in reversed(range(i)):
             k = i - j + 1
-            if approximation_degree and k > num_qubits - approximation_degree:
-                continue
             circ.cp(2.0 * math.pi / (2**k), j, i)
     if swaps:
         for i in range(num_qubits // 2):

@@ -10,17 +10,16 @@ from .qft import qft
 __all__ = ["phase_estimation", "ripple_adder"]
 
 
-def phase_estimation(
-    num_counting: int, phase: float = 0.3125, *, measure: bool = True
-) -> Circuit:
+def phase_estimation(num_counting: int, *, measure: bool = True) -> Circuit:
     """QPE of a Z-rotation eigenphase on one target qubit.
 
     The target qubit (index ``num_counting``) is prepared in |1>, an
-    eigenstate of the phase gate; counting qubits read out ``phase`` in
-    binary. Total width is ``num_counting + 1``.
+    eigenstate of the phase gate; counting qubits read out the phase,
+    0.3125 = 0.0101 in binary. Total width is ``num_counting + 1``.
     """
     if num_counting < 1:
         raise ValueError("QPE needs >= 1 counting qubit")
+    phase = 0.3125
     n = num_counting + 1
     target = num_counting
     circ = Circuit(n, f"qpe_{n}")
@@ -40,20 +39,18 @@ def phase_estimation(
     return circ
 
 
-def ripple_adder(
-    num_bits: int, a: int | None = None, b: int | None = None, *, measure: bool = True
-) -> Circuit:
-    """Cuccaro-style ripple-carry adder computing a+b into register b.
+def ripple_adder(num_bits: int, *, measure: bool = True) -> Circuit:
+    """Cuccaro-style ripple-carry adder computing a+b into register b, with
+    ``a = 2**num_bits - 1`` and ``b = 1``: the carry ripples through every
+    bit.
 
     Layout: qubit 0 = carry-in ancilla, then interleaved b_i, a_i pairs,
     final qubit = carry-out. Width = 2*num_bits + 2.
     """
     if num_bits < 1:
         raise ValueError("adder needs >= 1 bit")
-    if a is None:
-        a = (1 << num_bits) - 1
-    if b is None:
-        b = 1
+    a = (1 << num_bits) - 1
+    b = 1
     n = 2 * num_bits + 2
     circ = Circuit(n, f"adder_{num_bits}b")
     circ.metadata["a"] = a

@@ -21,11 +21,11 @@ from repro.workloads import amplitude_estimation, ghz_linear, tfim_trotter
 
 
 class TestDynamicsWorkloads:
-    def test_tfim_zero_field_preserves_zero_state(self):
-        # h = 0: |0...0> is an eigenstate; outcome must stay all-zeros.
-        c = tfim_trotter(4, steps=3, h_field=0.0)
-        probs = ideal_probabilities(c)
-        assert probs[0] == pytest.approx(1.0, abs=1e-9)
+    def test_tfim_angles_are_unit_couplings_over_unit_time(self):
+        """J = h = 1 for time 1: every rzz and rx turns by -2 dt."""
+        c = tfim_trotter(4, steps=3)
+        assert c.metadata["hamiltonian"] == {"J": 1.0, "h": 1.0, "time": 1.0, "steps": 3}
+        assert {g.params for g in c.ops if g.is_unitary} == {(-2.0 / 3,)}
 
     def test_tfim_structure(self):
         c = tfim_trotter(5, steps=2)
@@ -44,7 +44,7 @@ class TestDynamicsWorkloads:
         marked = "111"
         theta = np.arcsin(np.sqrt(1 / 2**n))
         for k in (0, 1, 2):
-            probs = ideal_probabilities(amplitude_estimation(n, k, marked=marked))
+            probs = ideal_probabilities(amplitude_estimation(n, k))
             expected = np.sin((2 * k + 1) * theta) ** 2
             assert probs[int(marked, 2)] == pytest.approx(expected, abs=1e-6)
 

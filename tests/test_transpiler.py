@@ -227,7 +227,7 @@ class TestTranspile:
 
     def test_linear_ansatz_routes_swap_free(self):
         res = transpile(
-            real_amplitudes(5, reps=2, entanglement="linear"), _line_target(6)
+            real_amplitudes(5, reps=2), _line_target(6)
         )
         assert res.num_swaps == 0
 

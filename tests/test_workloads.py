@@ -25,6 +25,7 @@ from repro.workloads import (
     ghz,
     ghz_linear,
     grover,
+    grover_oracle,
     phase_estimation,
     qaoa_maxcut,
     qaoa_ring_maxcut,
@@ -112,10 +113,11 @@ class TestQFT:
         u = c.copy().compose(c.inverse()).unitary()
         assert np.allclose(u, np.eye(16), atol=1e-9)
 
-    def test_approximate_qft_has_fewer_cp(self):
-        full = sum(g.name == "cp" for g in qft(6).ops)
-        approx = sum(g.name == "cp" for g in qft(6, approximation_degree=3).ops)
-        assert approx < full
+    def test_qft_keeps_every_controlled_phase(self):
+        """One cp per qubit pair, the smallest angle included."""
+        angles = sorted(g.params[0] for g in qft(6).ops if g.name == "cp")
+        assert len(angles) == 15
+        assert angles[0] == 2.0 * np.pi / 2**6
 
     def test_qft_entangled_runs(self):
         c = qft_entangled(4)
@@ -123,29 +125,37 @@ class TestQFT:
 
 
 class TestAlgorithms:
-    def test_grover_finds_marked(self):
-        for marked in ("101", "010"):
-            p = ideal_probabilities(grover(3, marked))
-            assert int(np.argmax(p)) == int(marked, 2)
-            assert p[int(marked, 2)] > 0.8
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_grover_finds_the_all_ones_item(self, n):
+        p = ideal_probabilities(grover(n))
+        assert int(np.argmax(p)) == 2**n - 1
+        assert p[-1] > 0.8
+        assert grover(n).metadata["marked"] == "1" * n
 
-    def test_grover_validation(self):
+    @pytest.mark.parametrize("marked", ["101", "010"])
+    def test_grover_oracle_flips_only_the_marked_state(self, marked):
+        diagonal = np.diag(grover_oracle(3, marked).unitary())
+        want = np.ones(8)
+        want[int(marked, 2)] = -1.0
+        np.testing.assert_allclose(diagonal, want, atol=1e-9)
+
+    def test_grover_oracle_validation(self):
         with pytest.raises(ValueError):
-            grover(3, marked="10")
+            grover_oracle(3, "10")
 
-    def test_bv_recovers_secret(self):
-        secret = "11010"
-        p = ideal_probabilities(bernstein_vazirani(5, secret))
-        assert format(int(np.argmax(p)), "05b") == secret
+    @pytest.mark.parametrize("n, secret", [(1, "1"), (4, "1010"), (5, "10101")])
+    def test_bv_recovers_secret(self, n, secret):
+        c = bernstein_vazirani(n)
+        assert c.metadata["secret"] == secret
+        p = ideal_probabilities(c)
+        assert format(int(np.argmax(p)), f"0{n}b") == secret
         assert p.max() == pytest.approx(1.0)
 
     def test_dj_balanced_avoids_zero(self):
-        p = ideal_probabilities(deutsch_jozsa(4, balanced=True))
+        c = deutsch_jozsa(4)
+        assert c.metadata["balanced"] is True
+        p = ideal_probabilities(c)
         assert p[0] == pytest.approx(0.0, abs=1e-9)
-
-    def test_dj_constant_hits_zero(self):
-        p = ideal_probabilities(deutsch_jozsa(4, balanced=False))
-        assert p[0] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("n", [63, 64, 65, 130])
     def test_dj_builds_up_to_the_advertised_width(self, n):
@@ -169,20 +179,24 @@ class TestAlgorithms:
             ]
             assert hashlib.sha256(repr(ops).encode()).hexdigest() == digest, n
 
-    def test_qpe_reads_phase(self):
-        for phase, n in ((0.25, 4), (0.3125, 4)):
-            p = ideal_probabilities(phase_estimation(n, phase))
-            counting = int(np.argmax(p)) & ((1 << n) - 1)
-            assert counting == round(phase * 2**n)
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_qpe_reads_phase(self, n):
+        c = phase_estimation(n)
+        assert c.metadata["phase"] == 0.3125
+        p = ideal_probabilities(c)
+        counting = int(np.argmax(p)) & ((1 << n) - 1)
+        assert counting == round(0.3125 * 2**n)
 
-    def test_adder_adds(self):
-        for a, b in ((3, 1), (2, 2), (1, 3)):
-            c = ripple_adder(2, a=a, b=b)
-            p = ideal_probabilities(c)
-            idx = int(np.argmax(p))
-            total = sum(((idx >> (1 + 2 * i)) & 1) << i for i in range(2))
-            carry = (idx >> (c.num_qubits - 1)) & 1
-            assert total + (carry << 2) == a + b
+    @pytest.mark.parametrize("bits", [1, 2, 3])
+    def test_adder_adds(self, bits):
+        """``2**bits - 1`` plus one: the carry ripples through every bit."""
+        c = ripple_adder(bits)
+        a, b = c.metadata["a"], c.metadata["b"]
+        assert (a, b) == (2**bits - 1, 1)
+        idx = int(np.argmax(ideal_probabilities(c)))
+        total = sum(((idx >> (1 + 2 * i)) & 1) << i for i in range(bits))
+        carry = (idx >> (c.num_qubits - 1)) & 1
+        assert total + (carry << bits) == a + b
 
 
 class TestVariational:
@@ -198,34 +212,38 @@ class TestVariational:
         c = qaoa_ring_maxcut(8)
         assert compute_metrics(c).routing_class == "linear"
 
-    def test_qaoa_param_validation(self):
-        with pytest.raises(ValueError):
-            qaoa_maxcut(4, p_layers=2, gammas=[0.1], betas=[0.1, 0.2])
-
     def test_qaoa_cost_layers_cover_every_edge(self):
+        """Given edges, the seed draws the gammas, then the betas."""
         edges = [(0, 1), (1, 2), (3, 4)]
-        c = qaoa_maxcut(
-            5, p_layers=2, edges=edges, gammas=[0.1, 0.2], betas=[0.3, 0.4]
-        )
+        c = qaoa_maxcut(5, p_layers=2, edges=edges, seed=4)
+        rng = np.random.default_rng(4)
+        gammas = rng.uniform(0.1, np.pi, 2)
+        betas = rng.uniform(0.1, np.pi / 2, 2)
         rzz = [(g.qubits, g.params) for g in c.ops if g.name == "rzz"]
-        assert rzz == [(e, (0.2,)) for e in edges] + [(e, (0.4,)) for e in edges]
+        assert rzz == [(e, (2.0 * gammas[0],)) for e in edges] + [
+            (e, (2.0 * gammas[1],)) for e in edges
+        ]
+        rx = [g.params for g in c.ops if g.name == "rx"]
+        assert rx == [(2.0 * betas[0],)] * 5 + [(2.0 * betas[1],)] * 5
         assert c.metadata["edges"] == edges
 
     def test_qaoa_ring_edges_close_the_cycle(self):
         c = qaoa_ring_maxcut(5)
         assert c.metadata["edges"] == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
 
-    def test_real_amplitudes_param_count(self):
-        with pytest.raises(ValueError):
-            real_amplitudes(4, reps=2, parameters=[0.1] * 5)
+    def test_real_amplitudes_entangles_neighbours(self):
+        c = real_amplitudes(4, reps=2, seed=1)
+        angles = np.random.default_rng(1).uniform(-np.pi, np.pi, 12)
+        assert [g.params[0] for g in c.ops if g.name == "ry"] == list(angles)
+        cx = [g.qubits for g in c.ops if g.name == "cx"]
+        assert cx == [(0, 1), (1, 2), (2, 3)] * 2
 
-    def test_two_local_entanglement_options(self):
-        full = two_local(4, reps=1, entanglement="full")
-        lin = two_local(4, reps=1, entanglement="linear")
-        def two_qubit(c):
-            return sum(g.is_unitary and g.num_qubits == 2 for g in c.ops)
-
-        assert two_qubit(full) > two_qubit(lin)
+    def test_two_local_entangles_every_pair(self):
+        c = two_local(4, reps=1)
+        ops = Counter(g.name for g in c.ops if g.is_unitary)
+        assert ops == {"ry": 8, "rz": 8, "cz": 6}
+        cz = {g.qubits for g in c.ops if g.name == "cz"}
+        assert cz == {(i, j) for i in range(4) for j in range(i + 1, 4)}
 
 
 class TestRandomAndClustered:
