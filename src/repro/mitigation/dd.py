@@ -6,10 +6,8 @@ time, inserted X pairs *mechanistically* refocus it (an X conjugates RZ to
 RZ^-1, so symmetric halves cancel) — fidelity gains emerge from the physics
 rather than a fudge factor, at the cost of the pulses' own gate errors.
 
-Sequences: ``XpXm`` (two pulses; +X then -X, which this Pauli-level
-model treats as two X) and ``XY4`` (four pulses, also refocusing
-stochastic X/Y to first order). DD stacks run :func:`insert_dd`'s
-defaults.
+The sequence is ``XpXm``: two pulses, +X then -X, which this
+Pauli-level model treats as two X.
 """
 
 from __future__ import annotations
@@ -20,59 +18,43 @@ from ..simulation.schedule import schedule_circuit
 
 __all__ = ["insert_dd"]
 
-_SEQUENCES: dict[str, tuple[str, ...]] = {
-    "XpXm": ("x", "x"),  # +X then -X pulse; identical at the Pauli level
-    "XY4": ("x", "y", "x", "y"),
-}
+#: +X then -X pulse; identical at the Pauli level.
+_PULSES = ("x", "x")
 
 #: Idle-time fractions before/between/after pulses. Chosen so the signed sum
-#: of segments (sign flips at every pulse, since X and Y both anticommute
-#: with Z) is exactly zero — the CPMG condition for full refocusing of
-#: quasi-static dephasing.
-_SPACINGS: dict[str, tuple[float, ...]] = {
-    "XpXm": (0.25, 0.5, 0.25),
-    "XY4": (0.125, 0.25, 0.25, 0.25, 0.125),
-}
+#: of segments (sign flips at every pulse, since X anticommutes with Z) is
+#: exactly zero — the CPMG condition for full refocusing of quasi-static
+#: dephasing.
+_SPACINGS = (0.25, 0.5, 0.25)
+
+#: The shortest idle window worth filling.
+_MIN_IDLE_NS = 150.0
 
 
-def insert_dd(
-    circuit: Circuit,
-    noise_model: NoiseModel,
-    *,
-    sequence_type: str = "XpXm",
-    min_idle_ns: float = 150.0,
-) -> Circuit:
-    """Insert DD sequences into idle windows longer than ``min_idle_ns``.
+def insert_dd(circuit: Circuit, noise_model: NoiseModel) -> Circuit:
+    """Insert XpXm sequences into idle windows of at least 150 ns.
 
     The ASAP schedule gives, for every op, the gap since each involved
     qubit was last active; gaps large enough to fit the pulse sequence are
-    replaced by ``delay - pulse - delay - pulse - ... - delay`` with equal
-    spacing (a symmetric CPMG-style placement).
+    replaced by ``delay - pulse - delay - pulse - delay`` (a symmetric
+    CPMG-style placement).
     """
-    if sequence_type not in _SEQUENCES:
-        raise ValueError(
-            f"unknown DD sequence {sequence_type!r}; options: {sorted(_SEQUENCES)}"
-        )
-    pulses = _SEQUENCES[sequence_type]
     pulse_dur = noise_model.default_1q.duration_ns
 
     free = [0.0] * circuit.num_qubits
     out = Circuit(circuit.num_qubits, f"{circuit.name}_dd")
     out.metadata = dict(circuit.metadata)
-    out.metadata["dd_sequence"] = sequence_type
+    out.metadata["dd_sequence"] = "XpXm"
     inserted = 0
-
-    spacings = _SPACINGS[sequence_type]
 
     def emit_dd(q: int, gap_ns: float) -> None:
         nonlocal inserted
-        n_pulses = len(pulses)
-        slack = gap_ns - n_pulses * pulse_dur
-        for i, p in enumerate(pulses):
-            out.delay(slack * spacings[i], q)
+        slack = gap_ns - len(_PULSES) * pulse_dur
+        for p, share in zip(_PULSES, _SPACINGS):
+            out.delay(slack * share, q)
             out.add(p, [q])
-        out.delay(slack * spacings[-1], q)
-        inserted += n_pulses
+        out.delay(slack * _SPACINGS[-1], q)
+        inserted += len(_PULSES)
 
     for op in schedule_circuit(circuit, noise_model).ops:
         # A barrier is a sync point, not an op: the wait in front of it is
@@ -80,7 +62,7 @@ def insert_dd(
         if op.name != "barrier":
             for q in op.qubits:
                 gap = op.start_ns - free[q]
-                if gap >= max(min_idle_ns, len(pulses) * pulse_dur * 1.5):
+                if gap >= max(_MIN_IDLE_NS, len(_PULSES) * pulse_dur * 1.5):
                     emit_dd(q, gap)
         out.append(circuit.ops[op.index])
         for q in op.qubits:

@@ -11,8 +11,8 @@ resource estimator and executor need:
 * overhead properties — quantum-shot and classical-runtime multipliers
   that feed the resource-plan cost model.
 
-Each technique runs at one setting: DD at :func:`~.dd.insert_dd`'s
-defaults, ZNE at :data:`~.zne.DEFAULT_NOISE_FACTORS` with a linear fit,
+Each technique runs at one setting: DD as :func:`~.dd.insert_dd`'s XpXm
+pairs, ZNE at :data:`~.zne.DEFAULT_NOISE_FACTORS` with a linear fit,
 :data:`~.twirling.TWIRL_INSTANCES` twirls per noise scale (seeded by the
 scale's index) and per-qubit (tensored) REM.
 """

@@ -67,12 +67,8 @@ def pauli_twirl(
     return out
 
 
-def twirl_ensemble(
-    circuit: Circuit, num_instances: int = TWIRL_INSTANCES, seed: int | None = None
-) -> list[Circuit]:
-    """An ensemble of independently twirled instances; average their
-    output distributions to realize the tailored channel."""
-    if num_instances < 1:
-        raise ValueError("need >= 1 instance")
+def twirl_ensemble(circuit: Circuit, seed: int | None = None) -> list[Circuit]:
+    """:data:`TWIRL_INSTANCES` independently twirled instances; average
+    their output distributions to realize the tailored channel."""
     rng = np.random.default_rng(seed)
-    return [pauli_twirl(circuit, rng) for _ in range(num_instances)]
+    return [pauli_twirl(circuit, rng) for _ in range(TWIRL_INSTANCES)]

@@ -27,15 +27,11 @@ def _check_factors(noise_factors) -> None:
         )
 
 
-def zne_expand(
-    circuit: Circuit, noise_factors: tuple[float, ...] = DEFAULT_NOISE_FACTORS
-) -> list[Circuit]:
-    """One folded instance per noise factor (factor 1 = original)."""
-    if any(f < 1.0 for f in noise_factors):
-        raise ValueError(f"noise factors must be >= 1, got {list(noise_factors)}")
-    _check_factors(noise_factors)
+def zne_expand(circuit: Circuit) -> list[Circuit]:
+    """One folded instance per :data:`DEFAULT_NOISE_FACTORS` entry
+    (factor 1 = original)."""
     out = []
-    for factor in noise_factors:
+    for factor in DEFAULT_NOISE_FACTORS:
         folded = circuit.copy() if abs(factor - 1.0) < 1e-12 else fold_to_factor(
             circuit, factor
         )

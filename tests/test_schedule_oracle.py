@@ -27,7 +27,7 @@ from helpers.reference_schedule import (
     reference_timeline,
 )
 from repro.circuits import Circuit, Gate
-from repro.mitigation.dd import _SEQUENCES, _SPACINGS, insert_dd
+from repro.mitigation.dd import insert_dd
 from repro.simulation import (
     NoiseModel,
     NoisySimulator,
@@ -119,10 +119,13 @@ class TestEspEqualsTheSequentialWalk:
         assert reference_components(c, nm) == comps
 
 
-def _expected_dd_ops(circuit, nm, sequence_type, min_idle_ns):
+def _expected_dd_ops(circuit, nm):
     """``insert_dd``'s output built from the reference timeline: the gap
-    before an op on a wire runs from that wire's last op *or barrier*."""
-    pulses, spacings = _SEQUENCES[sequence_type], _SPACINGS[sequence_type]
+    before an op on a wire runs from that wire's last op *or barrier*, and
+    one of 150 ns or more (and 1.5 times the pulses' length) gets an XpXm
+    pair at a quarter, a half and a quarter of the slack."""
+    pulses, spacings = ("x", "x"), (0.25, 0.5, 0.25)
+    min_idle_ns = 150.0
     busy = len(pulses) * nm.default_1q.duration_ns
     free = [0.0] * circuit.num_qubits
     out = []
@@ -148,18 +151,9 @@ def _expected_dd_ops(circuit, nm, sequence_type, min_idle_ns):
 
 
 class TestDDFillsTheReferenceGaps:
-    @pytest.mark.parametrize("min_idle_ns", [150.0, 40.0])
-    @pytest.mark.parametrize("sequence_type", ["XpXm", "XY4"])
     @pytest.mark.parametrize("circuit, nm", CASES)
-    def test_output_is_op_for_op_equal(
-        self, circuit, nm, sequence_type, min_idle_ns
-    ):
-        out = insert_dd(
-            circuit, nm, sequence_type=sequence_type, min_idle_ns=min_idle_ns
-        )
-        assert out.ops == _expected_dd_ops(
-            circuit, nm, sequence_type, min_idle_ns
-        )
+    def test_output_is_op_for_op_equal(self, circuit, nm):
+        assert insert_dd(circuit, nm).ops == _expected_dd_ops(circuit, nm)
 
     def test_the_set_has_gaps_to_fill(self):
         inserted = [
