@@ -79,19 +79,12 @@ class ExecutionModel:
         self,
         *,
         proxy: TranspileProxy | None = None,
-        fidelity_noise_sigma: float = 0.04,
-        runtime_noise_sigma: float = 0.02,
         seed: int | None = None,
     ) -> None:
         self.proxy = proxy or TranspileProxy()
-        for name, sigma in (
-            ("fidelity_noise_sigma", fidelity_noise_sigma),
-            ("runtime_noise_sigma", runtime_noise_sigma),
-        ):
-            if not 0.0 <= sigma < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {sigma!r}")
-        #: Scales of execute()'s four standard-normal draws, in draw order.
-        self._sigmas = np.array([fidelity_noise_sigma] + [runtime_noise_sigma] * 3)
+        #: Scales of execute()'s four standard-normal draws, in draw order:
+        #: 0.04 on the fidelity, 0.02 on each of the three runtimes.
+        self._sigmas = np.array([0.04] + [0.02] * 3)
         self._rng = np.random.default_rng(seed)
         #: What :meth:`execute` derives before its first draw, keyed on
         #: (metrics fingerprint, mitigation, calibration epoch, model name):
@@ -100,14 +93,6 @@ class ExecutionModel:
         #: never be served stale; :meth:`on_recalibration` drops them for
         #: memory.
         self._outcome_cache: dict[tuple, tuple[float, ...]] = {}
-
-    @property
-    def fidelity_noise_sigma(self) -> float:
-        return float(self._sigmas[0])
-
-    @property
-    def runtime_noise_sigma(self) -> float:
-        return float(self._sigmas[1])
 
     def on_recalibration(self, qpus=None) -> None:
         """Drop the memo (its calibration epochs just died)."""

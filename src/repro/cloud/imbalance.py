@@ -17,6 +17,12 @@ from ..backends.qpu import QPU
 
 __all__ = ["QueueTrace", "simulate_queue_imbalance"]
 
+#: Arrivals across the fleet per day, and jobs each QPU serves per day.
+_JOBS_PER_DAY = 20_000
+_SERVICE_PER_DAY = 4_000
+#: Sharpness of the users' softmax over device quality.
+_GREED = 8.0
+
 
 @dataclass
 class QueueTrace:
@@ -38,17 +44,14 @@ def simulate_queue_imbalance(
     fleet: list[QPU],
     *,
     num_days: int = 7,
-    jobs_per_day: int = 20_000,
-    service_per_day: int = 4_000,
-    greed: float = 8.0,
     seed: int = 0,
 ) -> QueueTrace:
     """Greedy fidelity-chasing arrival model.
 
-    Each day: every QPU recalibrates (fidelity ranks shuffle), arrivals are
-    split by a softmax of sharpness ``greed`` over quality rank, and each
-    QPU serves up to ``service_per_day`` jobs from its queue. Queues of
-    popular devices blow up; unpopular devices sit near zero — the Fig. 2(c)
+    Each day: every QPU recalibrates (fidelity ranks shuffle), 20,000
+    arrivals are split by a softmax of sharpness 8 over quality rank, and
+    each QPU serves up to 4,000 jobs from its queue. Queues of popular
+    devices blow up; unpopular devices sit near zero — the Fig. 2(c)
     phenomenon.
     """
     rng = np.random.default_rng(seed)
@@ -61,11 +64,11 @@ def simulate_queue_imbalance(
             qpu.recalibrate()
         # User-visible "quality": inverse of calibration quality factor.
         quality = np.array([1.0 / q.calibration.quality_factor for q in fleet])
-        pref = np.exp(greed * (quality - quality.max()))
+        pref = np.exp(_GREED * (quality - quality.max()))
         pref /= pref.sum()
-        arrivals = rng.multinomial(jobs_per_day, pref)
+        arrivals = rng.multinomial(_JOBS_PER_DAY, pref)
         queues = queues + arrivals
-        served = np.minimum(queues, service_per_day)
+        served = np.minimum(queues, _SERVICE_PER_DAY)
         queues = queues - served
         rows.append(queues.copy())
         days.append(f"day{day + 1}")

@@ -47,19 +47,15 @@ IBM_RATE_BAND = (1100.0, 2050.0)  # jobs/hour (paper's measured range)
 _MITIGATED_PRESETS = ["rem", "dd", "dd+rem", "zne", "zne+rem", "dd+zne+rem"]
 
 
-def diurnal_rate(
-    hour_of_day: float,
-    mean_rate: float = IBM_MEAN_RATE,
-    band: tuple[float, float] = IBM_RATE_BAND,
-) -> float:
+def diurnal_rate(hour_of_day: float, mean_rate: float = IBM_MEAN_RATE) -> float:
     """Sinusoidal day profile peaking mid-day, clipped to the rate band.
 
-    ``band`` is expressed on the IBM scale; both the sinusoidal amplitude
-    and the clip band rescale with ``mean_rate / IBM_MEAN_RATE``, so a
-    scaled-up load profile keeps the measured *relative* diurnal swing
-    instead of a flattened absolute one.
+    :data:`IBM_RATE_BAND` is expressed on the IBM scale; both the
+    sinusoidal amplitude and the clip band rescale with
+    ``mean_rate / IBM_MEAN_RATE``, so a scaled-up load profile keeps the
+    measured *relative* diurnal swing instead of a flattened absolute one.
     """
-    lo, hi = band
+    lo, hi = IBM_RATE_BAND
     scale = mean_rate / IBM_MEAN_RATE
     amplitude = (hi - lo) / 2.0 * scale
     rate = mean_rate + amplitude * np.sin((hour_of_day - 8.0) / 24.0 * 2 * np.pi)

@@ -139,7 +139,7 @@ class TranspileProxy:
     def _widths(self, model: QPUModel) -> list[int]:
         return [w for w in self.PROBE_WIDTHS if w <= model.num_qubits]
 
-    def table(self, model: QPUModel, cls: str = "sparse") -> list[ProxyEntry]:
+    def table(self, model: QPUModel, cls: str) -> list[ProxyEntry]:
         """Every entry of one (model, class), calibrating what is missing."""
         return [self.entry(model, cls, w) for w in self._widths(model)]
 

@@ -115,7 +115,6 @@ class TenantShare:
 
 def abusive_mix(
     *,
-    num_normal: int = 3,
     abuser_share: float = 0.5,
     abuser_rate_limit_per_hour: float | None = None,
     abuser_queue_quota: int | None = 20,
@@ -123,8 +122,8 @@ def abusive_mix(
 ) -> tuple[TenantShare, ...]:
     """The noisy-neighbor stress mix: one abusive tenant vs normal ones.
 
-    ``num_normal`` well-behaved tenants (tenant-0 premium, the rest
-    tier 1) split the non-abusive share evenly; the ``abuser`` (tier 2)
+    Three well-behaved tenants (tenant-0 premium, the other two tier 1)
+    split the non-abusive share evenly; the ``abuser`` (tier 2)
     floods ``abuser_share`` of all arrivals.  The abuser's contract
     carries the rate limit / queue quota an admission controller would
     enforce — without a controller the contract is dead letter, which is
@@ -132,7 +131,7 @@ def abusive_mix(
     """
     if not 0.0 < abuser_share < 1.0:
         raise ValueError("abuser_share must be in (0, 1)")
-    normal_share = (1.0 - abuser_share) / num_normal
+    normal_share = (1.0 - abuser_share) / 3
     shares = [
         TenantShare(
             Tenant(
@@ -142,7 +141,7 @@ def abusive_mix(
             ),
             normal_share,
         )
-        for i in range(num_normal)
+        for i in range(3)
     ]
     shares.append(
         TenantShare(

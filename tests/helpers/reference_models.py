@@ -16,7 +16,8 @@ here:
   segment (the product of ``repro.ml.PolynomialRidge.predict``).
 * :func:`execute_reference` — ``ExecutionModel.execute`` as it ran until
   PR 23: everything re-derived per call, four scalar ``rng.normal`` draws
-  in order.
+  in order; :func:`expected_fidelity_reference` is its fidelity before
+  the draws.
 * :func:`components_reference` — the four log-error components of a
   whole batch on one device in a single NumPy array pass, nothing kept
   between calls (``ExecutionModel.log_error_components``, one job at a
@@ -25,7 +26,7 @@ here:
 Nothing here imports ``repro.ml`` or ``repro.cloud.execution``;
 :func:`execute_reference` reaches the model under test only through the
 public methods whose results this PR does not change
-(``log_error_components``, ``mitigated_components``) and its two sigmas.
+(``log_error_components``, ``mitigated_components``).
 """
 
 import math
@@ -39,6 +40,7 @@ from repro.simulation.esp import esp_to_hellinger
 __all__ = [
     "components_reference",
     "execute_reference",
+    "expected_fidelity_reference",
     "polynomial_transform_per_block",
     "polynomial_transform_reference",
     "predict_per_segment_reference",
@@ -49,6 +51,9 @@ __all__ = [
 _QPU_SETUP_SECONDS = 10.0
 _SHOT_OVERHEAD_US = 400.0
 _CLASSICAL_BASE_SECONDS = 1.5
+# ...and its log-normal noise scales.
+_FIDELITY_NOISE_SIGMA = 0.04
+_RUNTIME_NOISE_SIGMA = 0.02
 
 
 def polynomial_transform_reference(X, degree):
@@ -96,15 +101,23 @@ def predict_per_segment_reference(X, coef, intercept, segments):
     return np.concatenate(parts) + intercept
 
 
+def expected_fidelity_reference(model, job, calibration, qpu_model):
+    """The noise-free fidelity of ``job``: its mitigated ESP, as a
+    Hellinger fidelity."""
+    raw = model.log_error_components(job.metrics, calibration, qpu_model)
+    comp, _, _ = model.mitigated_components(raw, job.mitigation)
+    esp = math.exp(comp["gate"] + comp["readout"] + comp["decoherence"])
+    return esp_to_hellinger(esp, job.num_qubits)
+
+
 def execute_reference(model, job, calibration, qpu_model, rng):
     """The four fields of one noisy execution of ``job``, as a tuple
     ``(fidelity, quantum_seconds, classical_pre_seconds,
     classical_post_seconds)``."""
     raw = model.log_error_components(job.metrics, calibration, qpu_model)
-    comp, shot_mult, classical_mult = model.mitigated_components(raw, job.mitigation)
-    esp = math.exp(comp["gate"] + comp["readout"] + comp["decoherence"])
-    fid = esp_to_hellinger(esp, job.num_qubits)
-    fid *= float(np.exp(rng.normal(0.0, model.fidelity_noise_sigma)))
+    _, shot_mult, classical_mult = model.mitigated_components(raw, job.mitigation)
+    fid = expected_fidelity_reference(model, job, calibration, qpu_model)
+    fid *= float(np.exp(rng.normal(0.0, _FIDELITY_NOISE_SIGMA)))
     fid = float(min(1.0, max(0.0, fid)))
 
     shots = job.shots * shot_mult
@@ -113,14 +126,14 @@ def execute_reference(model, job, calibration, qpu_model, rng):
         speed = calibration.aggregates().duration_2q_ns / qpu_model.duration_2q_ns
     per_shot_s = (raw["duration_ns"] / 1e9) + _SHOT_OVERHEAD_US / 1e6 * speed
     quantum_s = _QPU_SETUP_SECONDS * speed + shots * per_shot_s
-    quantum_s *= float(np.exp(rng.normal(0.0, model.runtime_noise_sigma)))
+    quantum_s *= float(np.exp(rng.normal(0.0, _RUNTIME_NOISE_SIGMA)))
 
     pre_s = _CLASSICAL_BASE_SECONDS * (1.0 + job.metrics.size / 400.0)
     post_s = _CLASSICAL_BASE_SECONDS * (classical_mult - 1.0) * (
         1.0 + job.num_qubits / 24.0
     )
-    pre_s *= float(np.exp(rng.normal(0.0, model.runtime_noise_sigma)))
-    post_s *= float(np.exp(rng.normal(0.0, model.runtime_noise_sigma)))
+    pre_s *= float(np.exp(rng.normal(0.0, _RUNTIME_NOISE_SIGMA)))
+    post_s *= float(np.exp(rng.normal(0.0, _RUNTIME_NOISE_SIGMA)))
     return fid, float(quantum_s), float(pre_s), float(post_s)
 
 

@@ -8,7 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers.reference_models import components_reference, execute_reference
+from helpers.reference_models import (
+    components_reference,
+    execute_reference,
+    expected_fidelity_reference,
+)
 from repro.backends import default_fleet, get_model
 from repro.circuits import compute_metrics
 from repro.cloud import (
@@ -136,21 +140,6 @@ class TestExecutionModel:
         with pytest.raises(KeyError):
             em.execute(job, fleet[0].calibration, fleet[0].model)
 
-    @pytest.mark.parametrize("field", ["fidelity_noise_sigma", "runtime_noise_sigma"])
-    @pytest.mark.parametrize("sigma", [-0.01, float("nan"), float("inf")])
-    def test_bad_noise_sigma_refused_at_construction(self, field, sigma):
-        """A negative sigma used to surface as ``scale < 0`` from the first
-        ``execute``; scaling standard normals would take it silently."""
-        with pytest.raises(ValueError, match=field):
-            ExecutionModel(**{field: sigma})
-
-    def test_noise_sigmas_are_read_only(self):
-        em = ExecutionModel(fidelity_noise_sigma=0.0, runtime_noise_sigma=0.25)
-        assert (em.fidelity_noise_sigma, em.runtime_noise_sigma) == (0.0, 0.25)
-        for field in ("fidelity_noise_sigma", "runtime_noise_sigma"):
-            with pytest.raises(AttributeError):
-                setattr(em, field, 0.5)
-
     def test_outcome_derived_once_per_epoch(self, monkeypatch):
         """Counts, not clocks: what ``execute`` derives before its first
         draw is computed once per (program, mitigation, epoch)."""
@@ -224,13 +213,10 @@ class TestExecuteBitIdentity:
     everything, four scalar draws): every record field and the
     generator's state after every call."""
 
-    @pytest.mark.parametrize(
-        "sigmas", [{}, {"fidelity_noise_sigma": 0.0, "runtime_noise_sigma": 0.0}]
-    )
-    def test_every_preset_on_two_models_across_a_recalibration(self, sigmas):
+    def test_every_preset_on_two_models_across_a_recalibration(self):
         qpus = default_fleet(seed=7, names=["auckland", "lagos"])
         assert qpus[0].model.name != qpus[1].model.name
-        em, ref_em = ExecutionModel(seed=1, **sigmas), ExecutionModel(seed=1, **sigmas)
+        em, ref_em = ExecutionModel(seed=1), ExecutionModel(seed=1)
         rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
         programs = [
             (ghz_linear(3), 1000), (qaoa_maxcut(6, seed=1), 4000), (ghz_linear(6), 250)
@@ -246,8 +232,11 @@ class TestExecuteBitIdentity:
                         )
                         assert astuple(got) == want
                         assert rng.bit_generator.state == ref_rng.bit_generator.state
-            if sigmas:
-                assert got.fidelity == em.expected_fidelity(job, qpu.calibration, qpu.model)
+                        assert em.expected_fidelity(
+                            job, qpu.calibration, qpu.model
+                        ) == expected_fidelity_reference(
+                            ref_em, job, qpu.calibration, qpu.model
+                        )
             for qpu in qpus:
                 qpu.recalibrate()
                 assert qpu.calibration.epoch == (qpu.name, epoch + 1)
@@ -558,12 +547,9 @@ class TestLoadGenerator:
         doubled = [diurnal_rate(h, mean_rate=3000.0) for h in range(24)]
         assert min(doubled) >= 2 * 1100 - 1 and max(doubled) <= 2 * 2050 + 1
 
-    @pytest.mark.parametrize(
-        "band", [(1100.0, 2050.0), (1300.0, 1700.0)], ids=["ibm", "narrow"]
-    )
-    def test_diurnal_rate_is_the_np_clip_form(self, band):
-        """Bit for bit the ``np.clip`` form it replaced; the narrow band
-        clips at both edges."""
+    def test_diurnal_rate_is_the_np_clip_form(self):
+        """Bit for bit the ``np.clip`` form it replaced, on the IBM band."""
+        band = (1100.0, 2050.0)
         clipped = set()
         for mean_rate in (1500.0, 4500.0, 733.3):
             scale = mean_rate / 1500.0
@@ -572,10 +558,10 @@ class TestLoadGenerator:
             for hour in np.linspace(0.0, 24.0, 24 * 60 + 1):
                 rate = mean_rate + amplitude * np.sin((hour - 8.0) / 24.0 * 2 * np.pi)
                 expected = float(np.clip(rate, lo, hi))
-                got = diurnal_rate(hour, mean_rate, band)
+                got = diurnal_rate(hour, mean_rate)
                 assert type(got) is float and got == expected, (mean_rate, hour)
                 clipped.update(e for e in (lo, hi) if expected == e)
-        assert len(clipped) == (6 if band[0] == 1300.0 else 3)
+        assert len(clipped) == 3
 
 
 class TestCloudSimulator:

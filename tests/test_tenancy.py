@@ -84,7 +84,7 @@ class TestTenantContracts:
             Tenant("acme", **kwargs)
 
     def test_abusive_mix_shape(self):
-        mix = abusive_mix(num_normal=3, abuser_share=0.5)
+        mix = abusive_mix(abuser_share=0.5)
         assert len(mix) == 4
         ids = [s.tenant.tenant_id for s in mix]
         assert ids == ["tenant-0", "tenant-1", "tenant-2", "abuser"]
@@ -152,7 +152,7 @@ class TestTenantStream:
         assert digest == TENANT_STREAM_PINS[cell]
 
     def test_is_the_stream_generator_choice_draws(self):
-        mix = abusive_mix(num_normal=5, abuser_share=0.3)
+        mix = abusive_mix(abuser_share=0.3)
         shares = np.array([t.share for t in mix], dtype=float)
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=(9, 0x7E4A47))
