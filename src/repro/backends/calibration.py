@@ -104,22 +104,19 @@ def sample_calibration(
     quality_factor: float,
     cycle: int,
     rng: np.random.Generator,
-    *,
-    qubit_spread: float = 0.35,
 ) -> CalibrationData:
     """Draw a full calibration snapshot.
 
     ``quality_factor`` scales error rates multiplicatively (>1 = worse) and
     divides coherence times. Per-qubit/per-gate dispersion is lognormal with
-    ``qubit_spread`` sigma, mirroring the heavy-tailed spread of real
-    calibration data.
+    sigma 0.35, mirroring the heavy-tailed spread of real calibration data.
     """
     if quality_factor <= 0:
         raise ValueError("quality_factor must be positive")
     n = model.num_qubits
 
     def lognorm(size: int) -> np.ndarray:
-        return np.exp(rng.normal(0.0, qubit_spread, size))
+        return np.exp(rng.normal(0.0, 0.35, size))
 
     t1 = model.base_t1_us / quality_factor * lognorm(n)
     t2_raw = model.base_t2_us / quality_factor * lognorm(n)

@@ -13,11 +13,16 @@ import numpy as np
 
 __all__ = ["OUDrift"]
 
+#: Mean-reversion rate and per-cycle noise of the log quality factor.
+_THETA = 0.35
+_SIGMA = 0.12
+
 
 class OUDrift:
     """Discrete-time Ornstein-Uhlenbeck process on log quality factor.
 
-    ``log q_{t+1} = log q_t + theta (log q_mean - log q_t) + sigma eps``
+    ``log q_{t+1} = log q_t + theta (log q_mean - log q_t) + sigma eps``,
+    with ``theta = 0.35`` and ``sigma = 0.12``.
 
     Working in log space keeps quality factors positive and makes the
     stationary distribution lognormal, matching the heavy-tailed dispersion
@@ -28,17 +33,11 @@ class OUDrift:
         self,
         mean_quality: float,
         *,
-        theta: float = 0.35,
-        sigma: float = 0.12,
         rng: np.random.Generator | None = None,
     ) -> None:
         if mean_quality <= 0:
             raise ValueError("mean_quality must be positive")
-        if not 0.0 < theta <= 1.0:
-            raise ValueError("theta must be in (0, 1]")
         self.log_mean = float(np.log(mean_quality))
-        self.theta = theta
-        self.sigma = sigma
         # Deterministic by default: an injected Generator keys the drift
         # stream; the fallback is a fixed seed, never ambient OS entropy.
         self._rng = rng if rng is not None else np.random.default_rng(0)
@@ -51,5 +50,5 @@ class OUDrift:
     def step(self) -> float:
         """Advance one calibration cycle; returns the new quality factor."""
         eps = self._rng.normal()
-        self._log_q += self.theta * (self.log_mean - self._log_q) + self.sigma * eps
+        self._log_q += _THETA * (self.log_mean - self._log_q) + _SIGMA * eps
         return self.quality

@@ -105,19 +105,27 @@ class TestCalibration:
 
 class TestDrift:
     def test_mean_reversion(self):
-        drift = OUDrift(1.0, theta=0.5, sigma=0.05, rng=np.random.default_rng(0))
+        drift = OUDrift(1.0, rng=np.random.default_rng(0))
         traj = np.array([drift.step() for _ in range(500)])
         assert abs(np.log(traj[-100:]).mean()) < 0.2
 
+    def test_step_is_the_ou_update(self):
+        """``log q += 0.35 (log q_mean - log q) + 0.12 eps``, one
+        standard normal per step."""
+        drift = OUDrift(0.8, rng=np.random.default_rng(1))
+        eps = np.random.default_rng(1).normal(size=50)
+        log_mean = log_q = float(np.log(0.8))
+        for e in eps:
+            log_q += 0.35 * (log_mean - log_q) + 0.12 * e
+            assert drift.step() == float(np.exp(log_q))
+
     def test_positivity(self):
-        drift = OUDrift(0.8, sigma=0.5, rng=np.random.default_rng(1))
+        drift = OUDrift(0.8, rng=np.random.default_rng(1))
         assert all(drift.step() > 0 for _ in range(200))
 
     def test_validation(self):
         with pytest.raises(ValueError):
             OUDrift(-1.0)
-        with pytest.raises(ValueError):
-            OUDrift(1.0, theta=0.0)
 
 
 class TestQPUAndFleet:
