@@ -40,9 +40,8 @@ def plan_cost(
     classical_seconds: float,
     *,
     classical_tier: str = "standard_vm",
-    qpu_rate: float | None = None,
 ) -> float:
-    """Total $ cost of one execution plan.
+    """Total $ cost of one execution plan at the Table 1 rates.
 
     Per-task floors apply once per plan; time charges are linear.
     """
@@ -50,8 +49,7 @@ def plan_cost(
         raise ValueError("durations must be non-negative")
     qpu = TABLE1_RATES["qpu"]
     vm = TABLE1_RATES[classical_tier]
-    rate = qpu.price_per_hour if qpu_rate is None else qpu_rate
-    cost = qpu.price_per_task + quantum_seconds / 3600.0 * rate
+    cost = qpu.price_per_task + quantum_seconds / 3600.0 * qpu.price_per_hour
     if classical_seconds > 0:
         cost += vm.price_per_task + classical_seconds / 3600.0 * vm.price_per_hour
     return cost

@@ -22,6 +22,9 @@ from .features import fidelity_features, runtime_features
 
 __all__ = ["EstimatorDataset", "generate_dataset"]
 
+#: Records between two recalibrations of the whole fleet.
+_RECALIBRATE_EVERY = 400
+
 
 @dataclass
 class EstimatorDataset:
@@ -46,7 +49,6 @@ def generate_dataset(
     seed: int = 0,
     mean_qubits: float = 8.0,
     std_qubits: float = 4.0,
-    recalibrate_every: int = 400,
 ) -> EstimatorDataset:
     """Run ``num_records`` synthetic jobs across the fleet.
 
@@ -67,7 +69,7 @@ def generate_dataset(
     stack_names = list(STANDARD_STACKS)
     Xf, yf, Xr, yr, mits, qpus = [], [], [], [], [], []
     for i in range(num_records):
-        if recalibrate_every and i > 0 and i % recalibrate_every == 0:
+        if i > 0 and i % _RECALIBRATE_EVERY == 0:
             for qpu in fleet:
                 qpu.recalibrate()
         sampled = sampler.sample()

@@ -24,6 +24,9 @@ from .models import TrainedEstimators
 
 __all__ = ["ResourcePlan", "generate_resource_plans"]
 
+#: The classical tiers every candidate is priced on.
+_CLASSICAL_TIERS = ("standard_vm", "highend_vm")
+
 
 @dataclass(frozen=True)
 class ResourcePlan:
@@ -64,7 +67,6 @@ def generate_resource_plans(
     *,
     num_plans: int = 3,
     mitigations: list[str] | None = None,
-    classical_tiers: tuple[str, ...] = ("standard_vm", "highend_vm"),
     min_fidelity: float = 0.0,
     models: list[str] | None = None,
 ) -> list[ResourcePlan]:
@@ -96,7 +98,7 @@ def generate_resource_plans(
     ):
         if fid < min_fidelity:
             continue
-        for tier in classical_tiers:
+        for tier in _CLASSICAL_TIERS:
             c_sec = _classical_seconds(metrics, mitigation, tier)
             cost = plan_cost(q_sec, c_sec, classical_tier=tier)
             candidates.append(

@@ -155,7 +155,6 @@ def reference_plans(
     *,
     num_plans=3,
     mitigations=None,
-    classical_tiers=("standard_vm", "highend_vm"),
     min_fidelity=0.0,
     models=None,
 ):
@@ -181,7 +180,7 @@ def reference_plans(
             q_sec = float(q_sec)
             if fid < min_fidelity:
                 continue
-            for tier in classical_tiers:
+            for tier in ("standard_vm", "highend_vm"):
                 c_sec = _classical_seconds(metrics, mitigation, tier)
                 cost = plan_cost(q_sec, c_sec, classical_tier=tier)
                 candidates.append(
