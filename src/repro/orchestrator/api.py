@@ -37,14 +37,6 @@ from .workflow import HybridWorkflow, StepKind, WorkflowStep
 __all__ = ["Qonductor", "WorkflowRun", "WorkflowStatus", "step_seed"]
 
 
-def _default_classical_nodes() -> list[ClassicalNode]:
-    return [
-        ClassicalNode("vm-std-0", cores=16, memory_gb=64, tier="standard_vm"),
-        ClassicalNode("vm-std-1", cores=16, memory_gb=64, tier="standard_vm"),
-        ClassicalNode("vm-hi-0", cores=64, memory_gb=512, gpus=4, tier="highend_vm"),
-    ]
-
-
 class WorkflowStatus(str, Enum):
     PENDING = "pending"
     RUNNING = "running"
@@ -92,9 +84,7 @@ class Qonductor:
     def __init__(
         self,
         fleet: list[QPU] | None = None,
-        classical_nodes: list[ClassicalNode] | None = None,
         *,
-        estimator: ResourceEstimator | None = None,
         execution_model: ExecutionModel | None = None,
         preference: str = "balanced",
         estimator_records: int = 800,
@@ -102,7 +92,7 @@ class Qonductor:
     ) -> None:
         self.fleet = fleet if fleet is not None else default_fleet(seed=seed)
         self.execution_model = execution_model or ExecutionModel(seed=seed)
-        self.estimator = estimator or ResourceEstimator.train_for_fleet(
+        self.estimator = ResourceEstimator.train_for_fleet(
             self.fleet,
             num_records=estimator_records,
             execution_model=self.execution_model,
@@ -111,7 +101,12 @@ class Qonductor:
         self.registry = WorkflowRegistry()
         #: Every step's simulator runs over these: device state carries over.
         self.backends = [SimulatedQPU(q) for q in self.fleet]
-        self.classical_scheduler = ClassicalScheduler(classical_nodes or _default_classical_nodes())
+        #: Two standard VMs and one high-end VM.
+        self.classical_scheduler = ClassicalScheduler([
+            ClassicalNode("vm-std-0", cores=16, memory_gb=64, tier="standard_vm"),
+            ClassicalNode("vm-std-1", cores=16, memory_gb=64, tier="standard_vm"),
+            ClassicalNode("vm-hi-0", cores=64, memory_gb=512, gpus=4, tier="highend_vm"),
+        ])
         cached = self.estimator.cached()
         self.scheduler = QonductorScheduler(cached, preference=preference, seed=seed)
         #: Simulated time: an invoke starts here and moves it to its finish.

@@ -31,7 +31,6 @@ from repro.cloud import (
     SimulatedQPU,
     SimulationConfig,
 )
-from repro.estimator import ResourceEstimator
 from repro.orchestrator import HybridWorkflow, Qonductor, StepKind, WorkflowStep
 from repro.scheduler import QonductorScheduler, SchedulingTrigger
 from repro.workloads import ghz_linear
@@ -44,18 +43,15 @@ def _fleet():
     return default_fleet(seed=7, names=FLEET)
 
 
-@pytest.fixture(scope="module")
-def estimator():
-    return ResourceEstimator.train_for_fleet(
-        _fleet(), num_records=400, execution_model=ExecutionModel(seed=SEED), seed=SEED
-    )
+def _deployment():
+    """A fresh deployment: devices, clock, caches, workflow IDs and the
+    estimator (trained on 400 records, ~0.15 s) all start over."""
+    return Qonductor(_fleet(), estimator_records=400, seed=SEED)
 
 
 @pytest.fixture
-def deployment(estimator):
-    """A fresh deployment per test: devices, clock, caches and workflow
-    IDs all start over; only the trained estimator is shared."""
-    return Qonductor(_fleet(), estimator=estimator, seed=SEED)
+def deployment():
+    return _deployment()
 
 
 def _classical(name, seconds):
@@ -79,7 +75,7 @@ def _invoke(qonductor, workflow_or_steps, name="wf"):
     "executor", [SerialCycleExecutor, PicklingSerialExecutor], ids=["serial", "pickled"]
 )
 def test_invoke_is_the_same_arrival_through_a_hand_built_simulator(
-    deployment, estimator, executor, monkeypatch
+    deployment, executor, monkeypatch
 ):
     from repro.orchestrator.api import step_seed
 
@@ -98,7 +94,9 @@ def test_invoke_is_the_same_arrival_through_a_hand_built_simulator(
 
     # By hand: the arrival becomes ready when "pre" ends, on fresh devices.
     job = QuantumJob.from_circuit(ghz_linear(5), shots=1000, mitigation="rem")
-    policy = QonductorScheduler(estimator.cached(), preference="balanced", seed=SEED)
+    policy = QonductorScheduler(
+        deployment.estimator.cached(), preference="balanced", seed=SEED
+    )
     # The cycle fires on the arrival; nothing else — no interval deadline,
     # no sample — happens before the horizon, one float past it.
     horizon = math.nextafter(0.2, math.inf)
@@ -140,12 +138,12 @@ def test_invoke_is_the_same_arrival_through_a_hand_built_simulator(
     assert deployment.clock == results["elapsed_seconds"]
 
 
-def test_two_fresh_deployments_return_equal_results(estimator):
+def test_two_fresh_deployments_return_equal_results():
     chain = [_classical("pre", 0.2), _quantum("a"), _quantum("b", mitigation="rem")]
     single = [_quantum("c", width=7)]
 
     def session():
-        qonductor = Qonductor(_fleet(), estimator=estimator, seed=SEED)
+        qonductor = _deployment()
         return [
             _invoke(qonductor, steps, name=name)[0]
             for name, steps in [("chain", chain), ("single", single), ("again", chain)]
