@@ -16,12 +16,11 @@ def line_chart(
     series: dict[str, tuple[np.ndarray, np.ndarray]],
     *,
     width: int = 64,
-    height: int = 12,
     title: str = "",
-    y_label: str = "",
 ) -> str:
-    """Multi-series ASCII line chart; one glyph per series."""
+    """Multi-series ASCII line chart, 12 rows tall; one glyph per series."""
     glyphs = "*o+x#@"
+    height = 12
     all_x = np.concatenate([np.asarray(x, dtype=float) for x, _ in series.values()])
     all_y = np.concatenate([np.asarray(y, dtype=float) for _, y in series.values()])
     if len(all_x) == 0:
@@ -49,7 +48,7 @@ def line_chart(
     legend = "   ".join(
         f"{glyph}={name}" for glyph, name in zip(glyphs, series.keys())
     )
-    lines.append(" " * 12 + legend + (f"   [{y_label}]" if y_label else ""))
+    lines.append(" " * 12 + legend)
     return "\n".join(lines)
 
 

@@ -24,7 +24,6 @@ def fig2a_circuit_cutting(
     *,
     num_qubits: int = 12,
     depth: int = 4,
-    trajectories: int = 16,
     seed: int = 3,
     qpu_name: str = "algiers",
 ) -> dict:
@@ -46,7 +45,7 @@ def fig2a_circuit_cutting(
     )
     parts = circuit.metadata["clusters"]
     target = Target.from_backend(qpu)
-    sim = NoisySimulator(nm, num_trajectories=trajectories, seed=seed)
+    sim = NoisySimulator(nm, num_trajectories=16, seed=seed)
 
     # --- uncut execution -------------------------------------------------
     ideal = ideal_probabilities(circuit)
@@ -123,7 +122,7 @@ def _simulate_on_layout(sim, transpile_result, logical_width):
     return out
 
 
-def fig2b_spatial_variance(*, trajectories: int = 24, seed: int = 11) -> dict:
+def fig2b_spatial_variance(*, seed: int = 11) -> dict:
     """12-qubit GHZ fidelity across the six 27-qubit QPUs.
 
     Paper: auckland best (~0.72), algiers worst (~0.52), 38 % spread.
@@ -135,9 +134,7 @@ def fig2b_spatial_variance(*, trajectories: int = 24, seed: int = 11) -> dict:
     fidelities: dict[str, float] = {}
     for qpu in fleet:
         res = transpile(probe, Target.from_backend(qpu))
-        sim = NoisySimulator(
-            qpu.noise_model, num_trajectories=trajectories, seed=seed
-        )
+        sim = NoisySimulator(qpu.noise_model, num_trajectories=24, seed=seed)
         probs = _simulate_on_layout(sim, res, probe.num_qubits)
         fidelities[qpu.name] = hellinger_fidelity(probs, ideal)
     best = max(fidelities.values())

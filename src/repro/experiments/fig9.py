@@ -129,17 +129,16 @@ def fig9b_load_scaling(*, seed: int = 5) -> dict:
 def fig9c_stage_runtimes(
     *,
     sizes=(4, 8, 16),
-    jobs: int = 100,
     seed: int = 5,
 ) -> dict:
-    """Per-stage runtimes vs cluster size.
+    """Per-stage runtimes of scheduling 100 jobs vs cluster size.
 
     Paper: only job pre-processing grows (more per-QPU estimations);
     optimization and selection stay ~constant.
     """
     estimator = trained_estimator(seed=7)
     sampler = WorkloadSampler(seed=seed, max_qubits=27, mean_qubits=6, std_qubits=3)
-    batch = sampled_jobs(sampler, jobs)
+    batch = sampled_jobs(sampler, 100)
     stages = {}
     for size in sizes:
         fleet = fleet_of_size(size, seed=7)

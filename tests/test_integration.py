@@ -109,5 +109,5 @@ class TestExperimentHarness:
     def test_fig9c_smoke(self):
         from repro.experiments import fig9c_stage_runtimes
 
-        r = fig9c_stage_runtimes(sizes=(2, 4), jobs=20)
+        r = fig9c_stage_runtimes(sizes=(2, 4))
         assert set(r["measured"]["stage_seconds_by_size"]) == {2, 4}
