@@ -40,7 +40,7 @@ from ..simulation.esp import esp_to_hellinger
 from .job import QuantumJob
 from .proxy import TranspileProxy
 
-__all__ = ["ExecutionRecord", "ExecutionModel", "MITIGATION_EFFECTS"]
+__all__ = ["ExecutionRecord", "ExecutionModel", "MITIGATION_EFFECTS", "speed_factor"]
 
 #: Residual fractions of each log-error component per technique, plus cost
 #: multipliers. Validated against the trajectory simulator.
@@ -60,6 +60,15 @@ MITIGATION_EFFECTS: dict[str, dict[str, float]] = {
 QPU_SETUP_SECONDS = 10.0
 SHOT_OVERHEAD_US = 400.0  # per-shot reset/readout dead time
 CLASSICAL_BASE_SECONDS = 1.5  # transpile + packaging per circuit instance
+
+
+def speed_factor(calibration: CalibrationData, model: QPUModel) -> float:
+    """How much slower than its model's nominal gates a calibrated device
+    runs: its mean 2q gate duration over the model's (1.0 without 2q
+    gates).  Schedules, setup and per-shot dead time all scale by it."""
+    if not calibration.noise_model.gates_2q:
+        return 1.0
+    return calibration.aggregates().duration_2q_ns / model.duration_2q_ns
 
 
 @dataclass(frozen=True)
@@ -107,8 +116,7 @@ class ExecutionModel:
         phys_2q, phys_1q, duration_ns = self.proxy.physical_metrics(metrics, model)
         # The proxy is calibrated at the model's nominal gate speed;
         # scale schedules by the calibrated 2q duration.
-        if calibration.noise_model.gates_2q:
-            duration_ns = duration_ns * (agg.duration_2q_ns / model.duration_2q_ns)
+        duration_ns = duration_ns * speed_factor(calibration, model)
         log_gate = phys_2q * math.log1p(-min(agg.error_2q, 0.5)) + phys_1q * math.log1p(
             -min(agg.error_1q, 0.5)
         )
@@ -168,9 +176,7 @@ class ExecutionModel:
             esp = math.exp(comp["gate"] + comp["readout"] + comp["decoherence"])
             # Per-shot dead time (reset/readout) runs on the same control
             # electronics as the gates, so it scales with the device's speed.
-            speed = 1.0
-            if calibration.noise_model.gates_2q:
-                speed = calibration.aggregates().duration_2q_ns / model.duration_2q_ns
+            speed = speed_factor(calibration, model)
             outcome = self._outcome_cache[key] = (
                 esp_to_hellinger(esp, metrics.num_qubits),
                 shot_mult,

@@ -159,17 +159,17 @@ def same_jobs_means(metrics: SimulationMetrics) -> dict:
 
     ``mean_jct`` / ``mean_fidelity`` average every job of the run (the
     running means' last sample); their ``*_censored`` twins average only
-    the jobs completed by the end of the hour.  ``utilization`` averages
-    the utilization samples taken inside the hour.
+    the jobs completed by the end of the hour.  ``utilization`` is the
+    utilization sample at the end of the hour: each QPU's busy seconds
+    within the hour (:func:`busy_within`) over the hour, averaged over
+    QPUs.
     """
-    util_times, util = metrics.mean_utilization.as_arrays()
-    inside = util[util_times <= HOUR]
     return {
         "mean_jct": metrics.mean_completion_time.last(),
         "mean_fidelity": metrics.mean_fidelity.last(),
         "mean_jct_censored": value_at(metrics.mean_completion_time, HOUR),
         "mean_fidelity_censored": value_at(metrics.mean_fidelity, HOUR),
-        "utilization": float(inside.mean()) if len(inside) else 0.0,
+        "utilization": value_at(metrics.mean_utilization, HOUR),
     }
 
 

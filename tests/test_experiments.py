@@ -21,7 +21,7 @@ from repro.experiments import report
 from repro.experiments.common import HOUR, busy_within, check_drained, same_jobs_means
 from repro.experiments.fig8 import fig8ab_tradeoff, run_scheduling_cycles
 from repro.experiments.fig9 import queue_verdict
-from repro.experiments.fig10 import fig10a_exec_time
+from repro.experiments.fig10 import exec_ceiling_pct, fig10a_exec_time
 from repro.experiments.report import EXPERIMENTS
 
 # Two QPUs, four jobs, known service times (seconds):
@@ -60,8 +60,8 @@ class TestSameJobsMeans:
         # By the end of the hour j1, j2 and j3 have completed.
         assert means["mean_jct_censored"] == pytest.approx(4600 / 3)
         assert means["mean_fidelity_censored"] == pytest.approx(0.8)
-        # The samples at 1200, 2400 and 3600 s: (36 + 45 + 42) / 72 / 3.
-        assert means["utilization"] == pytest.approx(41 / 72)
+        # The sample at 3600 s: a busy all hour, b for 600 of its 3600 s.
+        assert means["utilization"] == pytest.approx(7 / 12)
 
     def test_fidelity_is_the_per_job_mean_not_the_time_average(self):
         # The time-average of the running mean's samples weighs j1 into
@@ -84,14 +84,36 @@ def _device(name: str, jobs: list[tuple[float, float]]) -> SimulatedQPU:
     return backend
 
 
+def _four_job_devices() -> list[SimulatedQPU]:
+    """The four jobs above, dispatched to their two devices."""
+    return [
+        _device("a", [(0.0, 1000.0), (0.0, 2000.0), (3000.0, 1500.0)]),
+        _device("b", [(1800.0, 600.0)]),
+    ]
+
+
 def test_busy_seconds_are_clipped_at_the_end_of_the_window():
     # a: 1000 + 2000 s dispatched at 0, 1500 s at 3000 -> busy 4500 s,
     #    free at 4500, of which 3600 - 0 = 3600 s fall inside the hour.
     # b: 600 s dispatched at 1800 -> idle from 2400, all 600 s inside.
-    a = _device("a", [(0.0, 1000.0), (0.0, 2000.0), (3000.0, 1500.0)])
-    b = _device("b", [(1800.0, 600.0)])
+    a, b = _four_job_devices()
     assert (a.busy_seconds, a.free_at, b.free_at) == (4500.0, 4500.0, 2400.0)
     assert busy_within([a, b], HOUR) == {"a": 3600.0, "b": 600.0}
+
+
+def test_utilization_is_the_hour_busy_share_not_the_time_average():
+    """Fig. 6's utilization is each QPU's busy seconds within the hour
+    over the hour, averaged over QPUs: (3600 + 600) / 3600 / 2 = 7/12.
+    The time-average of the samples inside the hour, (1/2 + 5/8 + 7/12)
+    / 3 = 41/72, weighs the early, emptier samples in."""
+    busy = busy_within(_four_job_devices(), HOUR)
+    hour_share = sum(seconds / HOUR for seconds in busy.values()) / len(busy)
+    assert hour_share == pytest.approx(7 / 12)
+    got = same_jobs_means(_four_job_run())["utilization"]
+    assert got == pytest.approx(hour_share)
+    inside = [u for t, u in zip(SAMPLE_TIMES, UTILIZATION) if t <= HOUR]
+    assert sum(inside) / len(inside) == pytest.approx(41 / 72)
+    assert got != pytest.approx(41 / 72)
 
 
 class TestQueueVerdict:
@@ -129,6 +151,18 @@ def test_drain_check_names_figure_arm_rate_and_seed():
     for part in ("fig6", "fcfs arm", "1500 jobs/h", "seed 5", "3 of 4"):
         assert part in message
     check_drained(_four_job_run(), figure="fig6", arm="fcfs", rate=1500.0, seed=5)
+
+
+def test_exec_ceiling_is_the_median_job_speed_spread():
+    """Three devices: 7 qubits at speed 0.8, 27 at 1.0, 65 at 1.6.
+    A 5-qubit job fits all three: 1 - 0.8 / 1.6 = 50 %; a 20-qubit job
+    the last two: 1 - 1.0 / 1.6 = 37.5 %; a 40-qubit job only the third:
+    0 %.  The median of (50, 37.5, 0, 0) is 18.75 (the mean would be
+    21.875, the whole fleet's spread 50)."""
+    devices = [(7, 0.8), (27, 1.0), (65, 1.6)]
+    assert exec_ceiling_pct([5, 20, 40, 40], devices) == pytest.approx(18.75)
+    assert exec_ceiling_pct([5, 5, 20], devices) == pytest.approx(50.0)
+    assert exec_ceiling_pct([20], devices) == pytest.approx(37.5)
 
 
 def test_fig8ab_and_fig10a_read_one_run_of_their_cycles():
