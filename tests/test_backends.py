@@ -67,6 +67,15 @@ class TestCalibration:
         for q in cal.noise_model.qubits:
             assert q.t2_us <= 2.0 * q.t1_us + 1e-9
 
+    def test_qubits_spread_lognormally_with_sigma_035(self):
+        """T1 is the model's base over the quality factor times one
+        lognormal draw per qubit, the first draws the generator makes."""
+        model = get_model("falcon_r5_7")
+        cal = sample_calibration(model, "x", 1.25, 0, np.random.default_rng(3))
+        spread = np.exp(np.random.default_rng(3).normal(0.0, 0.35, model.num_qubits))
+        want = [float(max(5.0, t)) for t in model.base_t1_us / 1.25 * spread]
+        assert [q.t1_us for q in cal.noise_model.qubits] == want
+
     def test_invalid_quality(self):
         with pytest.raises(ValueError):
             sample_calibration(

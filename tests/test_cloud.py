@@ -2,6 +2,7 @@
 generation, the simulator loop, and the imbalance study."""
 
 from dataclasses import astuple
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from repro.cloud import (
     diurnal_rate,
     simulate_queue_imbalance,
 )
+from repro.cloud.execution import speed_factor
 from repro.estimator import PairwiseEstimateSource
 from repro.mitigation.stack import STANDARD_STACKS
 from repro.scheduler import FCFSPolicy, QonductorScheduler, SchedulingTrigger
@@ -100,6 +102,20 @@ class TestExecutionModel:
     @pytest.fixture(scope="class")
     def fleet(self):
         return default_fleet(seed=7, names=["auckland", "algiers"])
+
+    def test_speed_factor_is_calibrated_over_nominal_2q_duration(self):
+        """On fleet seed 7 it runs from auckland's 0.776 to lagos's 1.268;
+        a device without 2q gates runs at its nominal speed."""
+        speeds = {}
+        for qpu in default_fleet(seed=7):
+            agg = qpu.calibration.aggregates()
+            speeds[qpu.name] = speed_factor(qpu.calibration, qpu.model)
+            assert speeds[qpu.name] == agg.duration_2q_ns / qpu.model.duration_2q_ns
+        slowest, fastest = max(speeds, key=speeds.get), min(speeds, key=speeds.get)
+        assert (fastest, round(speeds[fastest], 3)) == ("auckland", 0.776)
+        assert (slowest, round(speeds[slowest], 3)) == ("lagos", 1.268)
+        no_2q = SimpleNamespace(noise_model=SimpleNamespace(gates_2q={}))
+        assert speed_factor(no_2q, get_model("falcon_r5_7")) == 1.0
 
     def test_quality_ordering_preserved(self, fleet):
         em = ExecutionModel(seed=1)
@@ -530,6 +546,12 @@ class TestLoadGenerator:
         ]
         assert times == reference
 
+    def test_diurnal_rate_peaks_at_14h_and_clips_at_the_band_floor(self):
+        """At the IBM mean the swing is (2,050 - 1,100) / 2 = 475 jobs/h:
+        1,975 at 14:00, and 1,025 at 02:00 clipped up to 1,100."""
+        assert diurnal_rate(14.0) == 1975.0
+        assert diurnal_rate(2.0) == 1100.0
+
     def test_diurnal_swing_scales_with_mean_rate(self):
         """Regression: the sinusoidal amplitude must rescale with
         ``mean_rate`` — a 2x load profile is exactly the IBM profile
@@ -639,6 +661,13 @@ class TestCloudSimulator:
 
 
 class TestImbalance:
+    def test_one_qpu_queues_what_it_cannot_serve(self):
+        """Every day's 20,000 arrivals go to the only device, which serves
+        4,000: 16,000 more queued each day."""
+        fleet = default_fleet(seed=9, names=["lagos"])
+        trace = simulate_queue_imbalance(fleet, num_days=3, seed=0)
+        assert trace.queue_sizes.tolist() == [[16_000.0], [32_000.0], [48_000.0]]
+
     def test_greedy_users_create_hotspots(self):
         fleet = default_fleet(seed=9, names=["algiers", "cairo", "hanoi", "kolkata"])
         trace = simulate_queue_imbalance(fleet, num_days=7, seed=0)

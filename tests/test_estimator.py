@@ -98,6 +98,14 @@ class TestDataset:
         assert np.all((ds.y_fidelity >= 0) & (ds.y_fidelity <= 1))
         assert np.all(ds.y_runtime > 0)
 
+    @pytest.mark.parametrize("records, cycles", [(400, 0), (401, 1)])
+    def test_the_fleet_recalibrates_every_400_records(self, records, cycles):
+        fleet = default_fleet(seed=7, names=FLEET_NAMES)
+        generate_dataset(
+            fleet, num_records=records, execution_model=ExecutionModel(seed=3), seed=1
+        )
+        assert [q.cycle for q in fleet] == [cycles] * len(fleet)
+
     def test_covers_multiple_mitigations_and_qpus(self, execution_model):
         ds = generate_dataset(
             default_fleet(seed=7, names=FLEET_NAMES),
@@ -212,6 +220,14 @@ class TestCost:
         vm_hour = plan_cost(0.0, 3600.0, classical_tier="highend_vm")
         qpu_hour = plan_cost(3600.0, 0.0)
         assert qpu_hour / vm_hour > 50
+
+    @pytest.mark.parametrize(
+        "tier, want",
+        # QPU floor 30 $ + 60 s at 4,500 $/h; VM floor + 120 s at its rate.
+        [("standard_vm", 30.0 + 75.0 + 0.5 + 0.1), ("highend_vm", 30.0 + 75.0 + 5.0 + 25.0 / 30)],
+    )
+    def test_plan_cost_at_table1_rates(self, tier, want):
+        assert plan_cost(60.0, 120.0, classical_tier=tier) == pytest.approx(want)
 
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):

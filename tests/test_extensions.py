@@ -21,11 +21,12 @@ from repro.workloads import amplitude_estimation, ghz_linear, tfim_trotter
 
 
 class TestDynamicsWorkloads:
-    def test_tfim_angles_are_unit_couplings_over_unit_time(self):
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    def test_tfim_angles_are_unit_couplings_over_unit_time(self, steps):
         """J = h = 1 for time 1: every rzz and rx turns by -2 dt."""
-        c = tfim_trotter(4, steps=3)
-        assert c.metadata["hamiltonian"] == {"J": 1.0, "h": 1.0, "time": 1.0, "steps": 3}
-        assert {g.params for g in c.ops if g.is_unitary} == {(-2.0 / 3,)}
+        c = tfim_trotter(4, steps=steps)
+        assert c.metadata["hamiltonian"] == {"J": 1.0, "h": 1.0, "time": 1.0, "steps": steps}
+        assert {g.params for g in c.ops if g.is_unitary} == {(-2.0 / steps,)}
 
     def test_tfim_structure(self):
         c = tfim_trotter(5, steps=2)
@@ -71,7 +72,8 @@ class TestAsciiPlot:
             title="test",
         )
         assert "test" in out and "*=qonductor" in out and "o=fcfs" in out
-        assert len(out.splitlines()) > 10
+        # The title, 12 plot rows, the x axis and the legend.
+        assert len(out.splitlines()) == 15
 
     def test_line_chart_empty(self):
         out = line_chart({"a": (np.array([]), np.array([]))})

@@ -190,6 +190,14 @@ class TestQonductorAPI:
         assert 0.0 <= qstep["fidelity"] <= 1.0
         assert qstep["qpu"] in FLEET
 
+    def test_classical_cluster_is_two_standard_vms_and_one_high_end(self, qonductor):
+        nodes = qonductor.classical_scheduler.nodes
+        assert [(n.name, n.tier, n.cores) for n in nodes] == [
+            ("vm-std-0", "standard_vm", 16),
+            ("vm-std-1", "standard_vm", 16),
+            ("vm-hi-0", "highend_vm", 64),
+        ]
+
     def test_deploy_rejects_oversized(self, qonductor):
         key = qonductor.create_workflow(
             [qonductor.quantum_step(ghz_linear(40), name="big")], name="too-big"

@@ -31,6 +31,7 @@ from repro.cloud import (
     SimulatedQPU,
     SimulationConfig,
 )
+from repro.estimator import ResourceEstimator
 from repro.orchestrator import HybridWorkflow, Qonductor, StepKind, WorkflowStep
 from repro.scheduler import QonductorScheduler, SchedulingTrigger
 from repro.workloads import ghz_linear
@@ -136,6 +137,23 @@ def test_invoke_is_the_same_arrival_through_a_hand_built_simulator(
     # The workflow's own classical steps carry the classical time.
     assert results["elapsed_seconds"] == (0.2 + step["quantum_seconds"]) + 0.3
     assert deployment.clock == results["elapsed_seconds"]
+
+
+def test_a_deployment_trains_the_estimator_of_its_fleet_and_seed(deployment):
+    """The same as training on a fresh copy of the fleet with a fresh
+    execution model of the deployment's seed: every estimate, bit for
+    bit."""
+    trained = ResourceEstimator.train_for_fleet(
+        _fleet(), num_records=400, execution_model=ExecutionModel(seed=SEED), seed=SEED
+    )
+    jobs = [
+        QuantumJob.from_circuit(ghz_linear(w), shots=1000, mitigation=m)
+        for w, m in [(3, "none"), (5, "rem"), (7, "zne+rem")]
+    ]
+    got = deployment.estimator.estimate_block(jobs, deployment.fleet)
+    want = trained.estimate_block(jobs, _fleet())
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
 
 
 def test_two_fresh_deployments_return_equal_results():

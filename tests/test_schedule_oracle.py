@@ -12,6 +12,7 @@ of the equivalence set, and the simulator's draw order is pinned by three
 """
 
 import ast
+import dataclasses
 import math
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from helpers.reference_schedule import (
 from repro.circuits import Circuit, Gate
 from repro.mitigation.dd import insert_dd
 from repro.simulation import (
+    GateNoise,
     NoiseModel,
     NoisySimulator,
     QubitNoise,
@@ -151,9 +153,26 @@ def _expected_dd_ops(circuit, nm):
 
 
 class TestDDFillsTheReferenceGaps:
+    #: 1q pulse lengths: the models' own (35 ns, so gaps of 150 ns and up
+    #: get a pair), and two long enough that a pair needs 1.5 times its
+    #: own length, 240 ns and 360 ns, before it fits.
+    @pytest.mark.parametrize("pulse_ns", [None, 80.0, 120.0])
     @pytest.mark.parametrize("circuit, nm", CASES)
-    def test_output_is_op_for_op_equal(self, circuit, nm):
+    def test_output_is_op_for_op_equal(self, circuit, nm, pulse_ns):
+        if pulse_ns is not None:
+            nm = dataclasses.replace(
+                nm, default_1q=GateNoise(nm.default_1q.error, pulse_ns)
+            )
         assert insert_dd(circuit, nm).ops == _expected_dd_ops(circuit, nm)
+
+    @pytest.mark.parametrize("idle_ns, pulses", [(149.0, 0), (150.0, 2), (900.0, 2)])
+    def test_a_pair_fills_idles_of_150_ns_and_up(self, idle_ns, pulses):
+        nm = NoiseModel.uniform(2)
+        circuit = Circuit(2).delay(idle_ns, 0).cx(0, 1)
+        out = insert_dd(circuit, nm)
+        # Qubit 1 waits ``idle_ns`` for the delay on qubit 0.
+        assert out.metadata["dd_pulses_inserted"] == pulses
+        assert sum(g.name == "x" for g in out.ops) == pulses
 
     def test_the_set_has_gaps_to_fill(self):
         inserted = [

@@ -83,8 +83,11 @@ class TestTenantContracts:
         with pytest.raises(ValueError, match=f"'acme': {field} .*{value!r}"):
             Tenant("acme", **kwargs)
 
-    def test_abusive_mix_shape(self):
-        mix = abusive_mix(abuser_share=0.5)
+    @pytest.mark.parametrize("abuser_share", [0.3, 0.5])
+    def test_abusive_mix_shape(self, abuser_share):
+        mix = abusive_mix(abuser_share=abuser_share)
+        normal = (1.0 - abuser_share) / 3
+        assert [s.share for s in mix] == [normal, normal, normal, abuser_share]
         assert len(mix) == 4
         ids = [s.tenant.tenant_id for s in mix]
         assert ids == ["tenant-0", "tenant-1", "tenant-2", "abuser"]

@@ -151,8 +151,9 @@ class TestAlgorithms:
         assert format(int(np.argmax(p)), f"0{n}b") == secret
         assert p.max() == pytest.approx(1.0)
 
-    def test_dj_balanced_avoids_zero(self):
-        c = deutsch_jozsa(4)
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_dj_balanced_avoids_zero(self, n):
+        c = deutsch_jozsa(n)
         assert c.metadata["balanced"] is True
         p = ideal_probabilities(c)
         assert p[0] == pytest.approx(0.0, abs=1e-9)
