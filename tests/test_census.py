@@ -212,9 +212,8 @@ def _bound(scope):
     """The names a function or lambda binds in its own scope: its
     parameters and its assignment, loop and ``with`` targets."""
     args = scope.args
-    found = {
-        a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg] if a
-    }
+    found = {a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]}
+    found.update(a.arg for a in (args.vararg, args.kwarg) if a)
     todo = list(scope.body) if isinstance(scope.body, list) else [scope.body]
     while todo:
         node = todo.pop()
@@ -223,6 +222,10 @@ def _bound(scope):
         if not isinstance(node, (*_DEFS, ast.Lambda)):
             todo.extend(ast.iter_child_nodes(node))
     return found
+
+
+def _base_name(node):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
 
 
 def _is_call_to(node, name):
@@ -286,7 +289,7 @@ class _Calls(ast.NodeVisitor):
             if func.attr == "__init__" and isinstance(func.value, ast.Name):
                 names = [func.value.id]  # Base.__init__(self, ...)
             elif func.attr == "__init__" and _is_call_to(func.value, "super") and cls:
-                names = [getattr(b, "id", getattr(b, "attr", "")) for b in cls.bases]
+                names = [_base_name(b) for b in cls.bases]
             self.visit(func.value)
         elif _is_call_to(func, "type") and cls:
             names = [cls.name]  # type(self)(...)
@@ -306,7 +309,7 @@ def _subclasses(definitions):
     for d in definitions:
         if isinstance(d.node, ast.ClassDef):
             for base in d.node.bases:
-                children[base.id if isinstance(base, ast.Name) else getattr(base, "attr", "")].add(d.name)
+                children[_base_name(base)].add(d.name)
     family = {}
     for d in definitions:
         if isinstance(d.node, ast.ClassDef) and d.name not in family:
@@ -333,20 +336,21 @@ def dead_parameters(allowed=ALLOWED):
         if module != "repro.analysis" and not module.startswith("repro.analysis."):
             _collect(_tree(path).body, module, "", None, definitions)
     seen = _Calls()
-    for path in [*sorted(SRC.rglob("*.py"))] + [
-        p for folder in ("bench", "benchmarks", "examples") for p in sorted((REPO / folder).glob("*.py"))
-    ]:
+    for path in sorted(SRC.rglob("*.py")):
         seen.visit(_tree(path))
+    for folder in ("bench", "benchmarks", "examples"):
+        for path in sorted((REPO / folder).glob("*.py")):
+            seen.visit(_tree(path))
     family = _subclasses(definitions)
     dead = []
     for d in definitions:
         node = d.node
         if isinstance(node, ast.ClassDef):
             continue
-        callees = {d.name}
         if d.name == "__init__" and d.owner is not None:
-            callees |= family[d.owner.name]
-            callees.discard("__init__")
+            callees = family[d.owner.name]
+        else:
+            callees = {d.name}
         calls = [c for name in callees for c in seen.calls[name]]
         spread_kw = any(k.arg is None for c in calls for k in c.keywords)
         spread = spread_kw or any(isinstance(a, ast.Starred) for c in calls for a in c.args)
@@ -370,9 +374,8 @@ def dead_parameters(allowed=ALLOWED):
 
 
 def unneeded_allowances(allowed=ALLOWED):
-    """The keys of ``allowed`` that keep nothing alive: a definition key
-    matching no definition the census finds dead, a parameter key (one
-    ending in ``)``) matching no dead parameter."""
+    """The keys of ``allowed`` that keep nothing alive: they match no
+    definition and no parameter the census finds dead without them."""
     definitions, live = census(allowed={})
     dead = {d.key for d in definitions if d not in live}
     dead |= set(dead_parameters(allowed={}))
