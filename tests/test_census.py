@@ -323,6 +323,19 @@ def _subclasses(definitions):
     return family
 
 
+@cache
+def _root_calls(repo, src):
+    """The :class:`_Calls` of every file under ``src`` and of the root
+    folders of ``repo``."""
+    seen = _Calls()
+    for path in sorted(src.rglob("*.py")):
+        seen.visit(_tree(path))
+    for folder in ("bench", "benchmarks", "examples"):
+        for path in sorted((repo / folder).glob("*.py")):
+            seen.visit(_tree(path))
+    return seen
+
+
 def _is_staticmethod(node):
     return any(isinstance(x, ast.Name) and x.id == "staticmethod" for x in node.decorator_list)
 
@@ -335,12 +348,7 @@ def dead_parameters(allowed=ALLOWED):
         module = _module_name(path)
         if module != "repro.analysis" and not module.startswith("repro.analysis."):
             _collect(_tree(path).body, module, "", None, definitions)
-    seen = _Calls()
-    for path in sorted(SRC.rglob("*.py")):
-        seen.visit(_tree(path))
-    for folder in ("bench", "benchmarks", "examples"):
-        for path in sorted((REPO / folder).glob("*.py")):
-            seen.visit(_tree(path))
+    seen = _root_calls(REPO, SRC)
     family = _subclasses(definitions)
     dead = []
     for d in definitions:
