@@ -6,6 +6,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
+
 import numpy as np
 
 from ..cloud.execution import speed_factor
@@ -17,7 +19,7 @@ from .fig8 import run_scheduling_cycles
 __all__ = ["exec_ceiling_pct", "fig10a_exec_time", "fig10b_priorities"]
 
 
-def exec_ceiling_pct(widths, devices) -> float:
+def exec_ceiling_pct(widths: Iterable[int], devices: Sequence[tuple[int, float]]) -> float:
     """How far below the slowest device any placement could bring a job's
     execution time, in percent: for each job width, ``100 x (1 - fastest
     / slowest)`` speed factor among the ``(num_qubits, speed)`` devices it
