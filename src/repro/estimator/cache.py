@@ -14,12 +14,23 @@ estimator's templates.
 :class:`CachedEstimator` is a full :class:`~repro.estimator.source.EstimateSource`:
 :class:`~repro.scheduler.quantum.QonductorScheduler` drives its
 :meth:`~CachedEstimator.estimate_block` and the FCFS baselines its
-:meth:`~CachedEstimator.fidelity_block`.  Both questions share one memo
+:meth:`~CachedEstimator.best_fidelity`.  Both questions share one table
 and look a pair up once.  A fidelity-only fill stores an entry without a
 runtime; ``estimate_block`` counts such an entry as the hit it is and
 fills in only its runtime, keeping the stored fidelity.  A run with one
-kind of caller therefore keeps the table, counters and eviction order it
-would have with the other, and never stores a runtime nobody reads.
+kind of caller therefore keeps the table and counters it would have with
+the other, and never stores a runtime nobody reads.
+
+``best_fidelity`` keeps a second, smaller memo: its answer per job key
+(:func:`job_key`, the table key's job half) under the QPU list's
+signature, the ``(calibration epoch, online)`` of each QPU in order.  A
+repeat program is answered from it without a table lookup, and adds to
+``stats.hits`` the feasible-pair count its lookups would have hit.
+Below ``max_entries`` the table's keys, values and counters are therefore
+those of the per-pair path; only the recency order differs, because a
+memo hit promotes and refreshes nothing.  At capacity the table evicts,
+which drops the memo, so eviction order (and, after it, what hits) can
+differ from the per-pair path's.
 
 A block is served in three steps: look up every feasible pair, fill all
 the misses through **one stacked pass per model it needs** (not one per
@@ -39,15 +50,21 @@ from operator import itemgetter
 import numpy as np
 
 from ..backends.qpu import QPU
-from ..circuits.metrics import CircuitMetrics
 from ..cloud.job import QuantumJob
 from .estimator import ResourceEstimator
-from .source import feasible_mask
+from .source import best_feasible, feasibility_matrix, feasible_mask
 
-__all__ = ["CacheStats", "EstimateCache", "CachedEstimator"]
+__all__ = ["CacheStats", "EstimateCache", "CachedEstimator", "job_key"]
 
 #: Share of an :class:`EstimateCache`'s capacity its protected segment may hold.
 _PROTECTED_FRACTION = 0.8
+
+
+def job_key(job: QuantumJob) -> tuple:
+    """The job half of an estimate key, ``(fingerprint, shots,
+    mitigation)``: the table's pair lookups and ``best_fidelity``'s memo
+    key on it, which is what lets a memo hit stand for those lookups."""
+    return (job.metrics.fingerprint, job.shots, job.mitigation)
 
 
 @dataclass
@@ -107,15 +124,17 @@ class EstimateCache:
         self._probation: dict[tuple, tuple[float, float | None]] = {}
         self._protected: dict[tuple, tuple[float, float | None]] = {}
         self.stats = CacheStats()
+        #: Bumped whenever entries leave the table (an eviction or
+        #: :meth:`invalidate`): what is derived from its contents holds
+        #: only while this is unchanged.
+        self.generation = 0
 
     def __len__(self) -> int:
         return len(self._probation) + len(self._protected)
 
     @staticmethod
-    def key(
-        metrics: CircuitMetrics, shots: int, mitigation: str, qpu: QPU
-    ) -> tuple:
-        return (metrics.fingerprint, shots, mitigation, qpu.calibration.epoch)
+    def key(job: QuantumJob, qpu: QPU) -> tuple:
+        return (*job_key(job), qpu.calibration.epoch)
 
     def get(self, key: tuple) -> tuple[float, float | None] | None:
         hit = self._protected.pop(key, None)
@@ -152,6 +171,7 @@ class EstimateCache:
         while len(self) >= self.max_entries:
             victim_segment = self._probation or self._protected
             del victim_segment[next(iter(victim_segment))]
+            self.generation += 1
         self._probation[key] = value
 
     def invalidate(self) -> None:
@@ -159,6 +179,7 @@ class EstimateCache:
         self._probation.clear()
         self._protected.clear()
         self.stats.invalidations += 1
+        self.generation += 1
 
     def _items_cold_to_hot(self):
         """Every entry, probation first, least recent first."""
@@ -173,14 +194,20 @@ class CachedEstimator:
     or any plain ``(job, qpu) -> (fidelity, exec_seconds)`` callable. With a
     ResourceEstimator, all cache misses of a block are filled by one
     stacked pass of each model the question needs; with a plain callable,
-    misses fall back to per-pair calls (still memoized, both halves).  Nothing is kept per job beyond the
-    bounded cache table.
+    misses fall back to per-pair calls (still memoized, both halves).
+    Nothing is kept per job beyond the bounded cache table and
+    :meth:`best_fidelity`'s answers, never more than ``max_entries`` of
+    them.
     """
 
     def __init__(self, base, *, max_entries: int = 200_000) -> None:
         self.base = base
         self.cache = EstimateCache(max_entries=max_entries)
         self._trained = base.estimators if isinstance(base, ResourceEstimator) else None
+        #: ``best_fidelity``'s memo: QPU-list signature -> job key ->
+        #: (answer, feasible pairs), valid for table ``_best_generation``.
+        self._best: dict[tuple, dict[tuple, tuple[tuple[int, float], int]]] = {}
+        self._best_generation = 0
 
     # ------------------------------------------------------------------
     @property
@@ -190,9 +217,9 @@ class CachedEstimator:
     def on_recalibration(self, qpus: list[QPU]) -> None:
         """Invalidate and propagate the calibration event downstream.
 
-        Every call clears the table: the simulator calls each distinct
-        estimate source once per calibration wave, however many shard
-        policies share it.
+        Every call clears the table, which drops :meth:`best_fidelity`'s
+        memo: the simulator calls each distinct estimate source once per
+        calibration wave, however many shard policies share it.
         """
         self.cache.invalidate()
         if isinstance(self.base, ResourceEstimator):
@@ -219,7 +246,7 @@ class CachedEstimator:
         """
         feasible = feasible_mask(self, jobs, qpus, feasible)
         fid, sec = np.zeros((2, len(jobs), len(qpus)))
-        hits, missed = self._lookup(jobs, qpus, feasible)
+        hits, missed = self._lookup([job_key(j) for j in jobs], qpus, feasible)
         partial: list[tuple[int, int, tuple, float]] = []  # hits with no runtime
         for i, k, key, (f, s) in hits:
             fid[i, k] = f
@@ -240,18 +267,65 @@ class CachedEstimator:
                 put(key, value)
         return fid, sec
 
-    def fidelity_block(
+    def best_fidelity(
+        self, jobs: list[QuantumJob], qpus: list[QPU]
+    ) -> list[tuple[int, float] | None]:
+        """Per job, ``(k, fidelity)`` of the first highest-fidelity QPU
+        that fits it, or ``None`` (see
+        :func:`~repro.estimator.source.best_feasible`).
+
+        A job whose key was answered under the same QPU-list signature is
+        answered from the memo: it adds its feasible-pair count to
+        ``stats.hits`` and touches nothing else, so the SLRU recency of
+        its entries is not refreshed.  The other jobs form one sub-block,
+        looked up and stored in :meth:`estimate_block`'s order, with a
+        miss running the fidelity model alone and stored without a
+        runtime; their answers are memoized unless no QPU fits or the
+        sub-block's stores evicted.  The memo is dropped whenever the
+        table loses entries (an eviction, :meth:`on_recalibration`), and
+        never holds more than ``max_entries`` answers: a full one starts
+        over.  Signatures carry the epochs, so it never answers for an
+        old calibration even when nobody calls the hook.
+        """
+        cache = self.cache
+        if cache.generation != self._best_generation:
+            self._best.clear()
+            self._best_generation = cache.generation
+        signature = tuple([(q.calibration.epoch, q.online) for q in qpus])
+        memo = self._best.get(signature, {})
+        keys = [job_key(j) for j in jobs]
+        found = [memo.get(key) for key in keys]
+        rest = [i for i, entry in enumerate(found) if entry is None]
+        cache.stats.hits += sum(entry[1] for entry in found if entry is not None)
+        if rest:
+            sub = [jobs[i] for i in rest]
+            feasible = feasibility_matrix(sub, qpus)
+            fid = self._fidelities([keys[i] for i in rest], sub, qpus, feasible)
+            counts = feasible.sum(axis=1).tolist()
+            for i, best, count in zip(rest, best_feasible(fid, feasible), counts):
+                found[i] = (best, count)
+            answers = {keys[i]: found[i] for i in rest if found[i][0] is not None}
+            if answers and cache.generation == self._best_generation:  # nothing evicted
+                # Each answer has a table entry of its own, so ``answers``
+                # alone never exceeds ``max_entries``; a full memo starts over.
+                if sum(map(len, self._best.values())) + len(answers) > cache.max_entries:
+                    self._best.clear()
+                self._best.setdefault(signature, {}).update(answers)
+        return [entry[0] for entry in found]
+
+    def _fidelities(
         self,
+        keys: list[tuple],
         jobs: list[QuantumJob],
         qpus: list[QPU],
-        feasible: np.ndarray | None = None,
+        feasible: np.ndarray,
     ) -> np.ndarray:
-        """The fidelity matrix of :meth:`estimate_block`, looked up and
-        stored in the same order; a miss runs the fidelity model alone
-        and is stored without a runtime."""
-        feasible = feasible_mask(self, jobs, qpus, feasible)
+        """The fidelity matrix of :meth:`estimate_block` over ``jobs``
+        (whose job keys are ``keys``), looked up and stored in the same
+        order; a miss runs the fidelity model alone and is stored without
+        a runtime."""
         fid = np.zeros((len(jobs), len(qpus)))
-        hits, missed = self._lookup(jobs, qpus, feasible)
+        hits, missed = self._lookup(keys, qpus, feasible)
         for i, k, _, entry in hits:
             fid[i, k] = entry[0]
         if missed:
@@ -261,11 +335,10 @@ class CachedEstimator:
                 put(key, value)
         return fid
 
-    def _lookup(self, jobs: list[QuantumJob], qpus: list[QPU], feasible: np.ndarray):
+    def _lookup(self, job_keys: list[tuple], qpus: list[QPU], feasible: np.ndarray):
         """Every feasible pair looked up once, column-major: ``(i, k, key,
         entry)`` per hit and ``(i, k, key)`` per miss."""
-        # EstimateCache.key, with the per-job and per-QPU parts built once.
-        job_keys = [(j.metrics.fingerprint, j.shots, j.mitigation) for j in jobs]
+        # EstimateCache.key, with the per-QPU part built once.
         get = self.cache.get
         hits: list[tuple[int, int, tuple, tuple[float, float | None]]] = []
         missed: list[tuple[int, int, tuple]] = []

@@ -20,7 +20,7 @@ from ..cloud.job import QuantumJob
 from .dataset import generate_dataset
 from .models import TrainedEstimators, train_estimators
 from .plans import ResourcePlan, generate_resource_plans
-from .source import feasible_mask
+from .source import best_feasible, feasibility_matrix, feasible_mask
 
 __all__ = ["ResourceEstimator"]
 
@@ -85,20 +85,18 @@ class ResourceEstimator:
         sec.T[feasible.T] = secs
         return fid, sec
 
-    def fidelity_block(
-        self,
-        jobs: list[QuantumJob],
-        qpus: list[QPU],
-        feasible: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """``estimate_block(jobs, qpus, feasible)[0]``, bit for bit, from
+    def best_fidelity(
+        self, jobs: list[QuantumJob], qpus: list[QPU]
+    ) -> list[tuple[int, float] | None]:
+        """:func:`~repro.estimator.source.best_feasible` of
+        ``estimate_block(jobs, qpus)[0]``, whose bits it reproduces from
         the fidelity model's pass alone."""
-        feasible = feasible_mask(self, jobs, qpus, feasible)
+        feasible = feasibility_matrix(jobs, qpus)
         fid = np.zeros((len(jobs), len(qpus)))
         fid.T[feasible.T] = self.estimators.fidelity.estimate_pairs(
             *self._pairs(jobs, qpus, feasible)
         )
-        return fid
+        return best_feasible(fid, feasible)
 
     @staticmethod
     def _pairs(jobs: list[QuantumJob], qpus: list[QPU], feasible: np.ndarray):

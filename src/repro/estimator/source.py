@@ -5,14 +5,16 @@ estimator and its memoizing cache — implements one protocol:
 :class:`EstimateSource`, which answers two questions about a whole
 jobs-block.  ``estimate_block(jobs, qpus, feasible=None)`` returns the
 ``(fidelity, exec_seconds)`` matrix pair (the Qonductor scheduler reads
-both); ``fidelity_block(jobs, qpus, feasible=None)`` returns the fidelity
-matrix alone, with the same bits, and never runs the runtime model (the
-FCFS baselines read nothing else).  ``on_recalibration(qpus)`` is the
-calibration-cycle hook.  Schedulers and baseline policies build their
-matrices through these batched calls, and take nothing else:
-:func:`require_estimate_source` rejects any other shape at construction.
-Both sides mask with :func:`feasibility_matrix`, the one definition of
-the size constraint.
+both).  ``best_fidelity(jobs, qpus)`` returns, per job, the index of the
+highest-fidelity QPU that fits it and that fidelity, or ``None`` when
+none does — the one question the FCFS baselines ask; it never runs the
+runtime model.  ``on_recalibration(qpus)`` is the calibration-cycle hook.
+Schedulers and baseline policies ask through these batched calls, and
+take nothing else: :func:`require_estimate_source` rejects any other
+shape at construction.  Both questions mask with
+:func:`feasibility_matrix`, the one definition of the size constraint,
+and :func:`best_feasible` is the one definition of "best": the first
+maximum over a job's feasible QPUs, in listing order.
 A synthetic ``(job, qpu)`` scorer (test fakes,
 ``experiments/rebalance.skew_estimate``) is wrapped explicitly in
 :class:`PairwiseEstimateSource`.
@@ -32,6 +34,7 @@ import numpy as np
 __all__ = [
     "EstimateSource",
     "PairwiseEstimateSource",
+    "best_feasible",
     "feasibility_matrix",
     "feasible_mask",
     "require_estimate_source",
@@ -44,14 +47,19 @@ class EstimateSource(Protocol):
 
     ``estimate_block(jobs, qpus, feasible=None)`` returns two
     ``(len(jobs), len(qpus))`` float arrays — estimated fidelity and
-    estimated execution seconds.  ``fidelity_block`` returns the first
-    of them alone, equal bit for bit, without estimating any runtime.
-    ``feasible`` is an optional boolean mask of the same shape (job fits
-    the QPU and the QPU is online); when omitted, implementations
-    compute it themselves, and a mask of any other shape is a
-    ``ValueError``.  Infeasible pairs are left at 0.0 and must not be
-    evaluated — that contract is what lets implementations skip work and
-    callers mask scores safely.
+    estimated execution seconds.  ``feasible`` is an optional boolean
+    mask of the same shape (job fits the QPU and the QPU is online); when
+    omitted, implementations compute it themselves, and a mask of any
+    other shape is a ``ValueError``.  Infeasible pairs are left at 0.0
+    and must not be evaluated — that contract is what lets
+    implementations skip work and callers mask scores safely.
+
+    ``best_fidelity(jobs, qpus)`` returns one entry per job:
+    :func:`best_feasible` of the fidelity half of ``estimate_block(jobs,
+    qpus)`` over :func:`feasibility_matrix`, i.e. ``(k, fidelity)`` of
+    the first highest-fidelity QPU that fits the job, or ``None``.  It
+    takes no mask (a memoizing implementation may rely on the mask being
+    :func:`feasibility_matrix`) and estimates no runtime.
 
     ``on_recalibration(qpus)`` is called with the whole fleet after
     every calibration cycle, once per source however many shard policies
@@ -66,12 +74,9 @@ class EstimateSource(Protocol):
         feasible: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]: ...
 
-    def fidelity_block(
-        self,
-        jobs: list[Any],
-        qpus: list[Any],
-        feasible: np.ndarray | None = None,
-    ) -> np.ndarray: ...
+    def best_fidelity(
+        self, jobs: list[Any], qpus: list[Any]
+    ) -> list[tuple[int, float] | None]: ...
 
     def on_recalibration(self, qpus: list[Any]) -> None: ...
 
@@ -87,6 +92,24 @@ def feasibility_matrix(jobs: list[Any], qpus: list[Any]) -> np.ndarray:
         [q.num_qubits if q.online else -1 for q in qpus], dtype=int
     )
     return widths[:, None] <= caps[None, :]
+
+
+def best_feasible(
+    fid: np.ndarray, feasible: np.ndarray
+) -> list[tuple[int, float] | None]:
+    """Per row, ``(k, fid[i, k])`` for the first column ``k`` holding the
+    row's highest value among its ``feasible`` columns, or ``None`` when
+    no column of the row is feasible."""
+    if not feasible.size:
+        return [None] * len(feasible)
+    best = np.where(feasible, fid, -np.inf).argmax(axis=1)
+    values = fid[np.arange(len(best)), best]
+    return [
+        (k, value) if ok else None
+        for k, value, ok in zip(
+            best.tolist(), values.tolist(), feasible.any(axis=1).tolist()
+        )
+    ]
 
 
 def feasible_mask(
@@ -108,7 +131,7 @@ def feasible_mask(
 class PairwiseEstimateSource:
     """A ``(job, qpu) -> (fidelity, exec_seconds)`` callable presented as
     an :class:`EstimateSource`: one ``pair_fn`` call per feasible cell,
-    in row-major order (``fidelity_block`` keeps the first half)."""
+    in row-major order (``best_fidelity`` reads the first half)."""
 
     def __init__(
         self, pair_fn: Callable[[Any, Any], tuple[float, float]]
@@ -133,13 +156,11 @@ class PairwiseEstimateSource:
                     fid[i, k], sec[i, k] = self.pair_fn(job, qpu)
         return fid, sec
 
-    def fidelity_block(
-        self,
-        jobs: list[Any],
-        qpus: list[Any],
-        feasible: np.ndarray | None = None,
-    ) -> np.ndarray:
-        return self.estimate_block(jobs, qpus, feasible)[0]
+    def best_fidelity(
+        self, jobs: list[Any], qpus: list[Any]
+    ) -> list[tuple[int, float] | None]:
+        feasible = feasibility_matrix(jobs, qpus)
+        return best_feasible(self.estimate_block(jobs, qpus, feasible)[0], feasible)
 
     def on_recalibration(self, qpus: list[Any]) -> None:
         """Stateless: ``pair_fn`` reads the QPUs it is handed."""
@@ -151,7 +172,7 @@ def require_estimate_source(source: Any, owner: str) -> EstimateSource:
     if not isinstance(source, EstimateSource):
         raise TypeError(
             f"{owner} needs an EstimateSource (an object with "
-            "estimate_block, fidelity_block and on_recalibration), got "
+            "estimate_block, best_fidelity and on_recalibration), got "
             f"{type(source).__name__}: pass "
             "estimator.cached(), or wrap a (job, qpu) callable in "
             "repro.estimator.source.PairwiseEstimateSource"

@@ -209,10 +209,10 @@ class Qonductor:
         if job.status is not JobStatus.COMPLETED:
             raise _StepFailed(f"no QPU took quantum step {step.name!r} ({job.num_qubits} qubits)")
         qpu = shard.backend_by_name[job.assigned_qpu].qpu
-        est_fidelity = self.scheduler.estimate_fn.fidelity_block([job], [qpu])
+        [(_, est_fidelity)] = self.scheduler.estimate_fn.best_fidelity([job], [qpu])
         return dict(
             kind="quantum", name=step.name, qpu=job.assigned_qpu,
-            est_fidelity=float(est_fidelity[0, 0]), fidelity=job.fidelity,
+            est_fidelity=est_fidelity, fidelity=job.fidelity,
             quantum_seconds=job.quantum_seconds, shots=step.shots,
             mitigation=step.mitigation, start_time=job.start_time,
             finish_time=job.finish_time,

@@ -12,14 +12,18 @@
 
 Both speak the one cycle of
 :class:`~repro.scheduler.policy.SchedulingPolicy`, with no optimization
-stage.  The rule reads fidelity and nothing else, so it scores every
-cycle through one
-:meth:`~repro.estimator.source.EstimateSource.fidelity_block` call
+stage.  The rule is the question
+:meth:`~repro.estimator.source.EstimateSource.best_fidelity` answers, so
+a cycle is one such call
 (:class:`~repro.estimator.estimator.ResourceEstimator`,
 :class:`~repro.estimator.cache.CachedEstimator` in front of it, or a
 synthetic scorer wrapped in
 :class:`~repro.estimator.source.PairwiseEstimateSource`): the runtime
-model never runs for it, and neither waits nor runtimes are read.
+model never runs for it, and neither waits nor runtimes are read.  The
+cached source answers a program it already placed on the same QPUs,
+under the same calibrations and availability, from a memo without a
+table lookup; that memo promotes no table entry, so once the table is
+at capacity its eviction order can differ from per-pair lookups'.
 """
 
 from __future__ import annotations
@@ -27,16 +31,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..backends.qpu import QPU
 from ..cloud.job import QuantumJob
 from ..cloud.tenancy import tier_sort
-from ..estimator.source import (
-    EstimateSource,
-    feasibility_matrix,
-    require_estimate_source,
-)
+from ..estimator.source import EstimateSource, require_estimate_source
 from .policy import QueuedSeconds, SchedulingPolicy
 from .triggers import SchedulingTrigger
 
@@ -102,18 +100,10 @@ class FCFSPolicy(SchedulingPolicy):
     ) -> list[tuple[QuantumJob, str | None]]:
         """The decision rule: ``(job, qpu_name | None)`` per job, in
         order; ``None`` marks a job no online QPU fits (every job, when
-        ``qpus`` is empty)."""
-        if not jobs or not qpus:
-            return [(job, None) for job in jobs]
-        feas = feasibility_matrix(jobs, qpus)
-        fid = self.estimate_fn.fidelity_block(jobs, qpus, feas)
-        scored = np.where(feas, fid, -np.inf)
-        # argmax returns the first maximum, matching the pre-block
-        # per-job max() over feasible QPUs in listing order.
-        best = scored.argmax(axis=1)
+        ``qpus`` is empty).  Ties go to the first QPU in listing order."""
         return [
-            (job, qpus[best[i]].name if feas[i].any() else None)
-            for i, job in enumerate(jobs)
+            (job, None if best is None else qpus[best[0]].name)
+            for job, best in zip(jobs, self.estimate_fn.best_fidelity(jobs, qpus))
         ]
 
     def begin_cycle(

@@ -84,7 +84,7 @@ def reference_cached_block(cached, jobs, qpus, feasible=None):
     if feasible is None:
         feasible = feasibility_matrix(jobs, qpus)
     keys = [
-        EstimateCache.key(j.metrics, j.shots, j.mitigation, q)
+        EstimateCache.key(j, q)
         for j in jobs
         for q in qpus
     ]

@@ -288,10 +288,26 @@ from repro.estimator import (  # noqa: E402
     feasibility_matrix,
     require_estimate_source,
 )
+from repro.estimator.source import best_feasible  # noqa: E402
 
 
 def _jobs_with_circuits(widths=(2, 4, 3, 6, 27)):
     return [QuantumJob.from_circuit(ghz_linear(w), shots=2000) for w in widths]
+
+
+@pytest.mark.parametrize(
+    "fid, feasible, want",
+    [
+        # A tie goes to the first column; a higher infeasible value is skipped.
+        ([[0.5, 0.9, 0.9, 0.95]], [[True, True, True, False]], [(1, 0.9)]),
+        ([[0.2, 0.1], [0.3, 0.4]], [[False, False], [True, False]], [None, (0, 0.3)]),
+        (np.zeros((2, 0)), np.zeros((2, 0)), [None, None]),  # no QPUs
+        (np.zeros((0, 3)), np.zeros((0, 3)), []),  # no jobs
+    ],
+)
+def test_best_feasible_is_the_first_feasible_maximum(fid, feasible, want):
+    got = best_feasible(np.asarray(fid, dtype=float), np.asarray(feasible, dtype=bool))
+    assert got == want
 
 
 class TestEstimateSourceAdapter:
@@ -402,6 +418,19 @@ def _count_predicts(monkeypatch) -> list:
     return calls
 
 
+def _table_gets(cached, monkeypatch) -> list:
+    """Record every key ``cached`` looks up in its table from now on."""
+    gets = []
+    get = cached.cache.get
+
+    def counting_get(key):
+        gets.append(key)
+        return get(key)
+
+    monkeypatch.setattr(cached.cache, "get", counting_get)
+    return gets
+
+
 def _many_jobs(count):
     """``count`` distinct jobs (widths 2-6, distinct shots), every one a
     cache miss."""
@@ -424,9 +453,12 @@ class TestStackedFillBitIdentity:
     def _assert_same_blocks(trained, blocks, **cache_kwargs):
         """Drive the same ``(jobs, qpus)`` blocks through the stacked
         fill and through the reference loop, each on its own cache.
-        ``fidelity_block`` of every source equals (``==``) the fidelity
-        half of its ``estimate_block``, and a memo filled by it alone
-        keeps the same keys, order and counters, with no runtime stored."""
+        ``best_fidelity`` of every source equals (``==``) the first
+        feasible maximum of the fidelity half of its ``estimate_block``,
+        and a table filled by it alone keeps the same keys, fidelities
+        and counters, with no runtime stored (not the same recency order:
+        a repeated block is answered by its memo, which promotes
+        nothing)."""
         stacked, reference = trained.cached(**cache_kwargs), trained.cached(**cache_kwargs)
         fidelity_only = trained.cached(**cache_kwargs)
         for jobs, qpus in blocks:
@@ -437,15 +469,19 @@ class TestStackedFillBitIdentity:
             assert np.array_equal(got[1], want[1])
             assert cache_table(stacked) == cache_table(reference)
             assert stacked.stats == reference.stats
-            assert np.array_equal(fidelity_only.fidelity_block(jobs, qpus), got[0])
-            table = cache_table(fidelity_only)
-            assert [key for key, _ in table] == [key for key, _ in cache_table(stacked)]
-            assert all(sec is None for _, (_, sec) in table)
+            feasible = feasibility_matrix(jobs, qpus)
+            best = fidelity_only.best_fidelity(jobs, qpus)
+            assert best == best_feasible(got[0], feasible)
+            table = dict(cache_table(fidelity_only))
+            assert {key: fid for key, (fid, _) in table.items()} == {
+                key: fid for key, (fid, _) in cache_table(stacked)
+            }
+            assert all(sec is None for _, sec in table.values())
             assert fidelity_only.stats == stacked.stats
             for source in (trained, _shots_and_name):
-                fid = source.fidelity_block(jobs, qpus)
-                assert fid.shape == (len(jobs), len(qpus))
-                assert np.array_equal(fid, source.estimate_block(jobs, qpus)[0])
+                best = source.best_fidelity(jobs, qpus)
+                assert len(best) == len(jobs)
+                assert best == best_feasible(source.estimate_block(jobs, qpus)[0], feasible)
         return stacked
 
     def test_mixed_widths_with_infeasible_pairs(self, trained, fleet):
@@ -480,7 +516,8 @@ class TestStackedFillBitIdentity:
     def test_per_arrival_block_costs_two_predicts(self, trained, monkeypatch):
         """The ``fcfs_pool`` shape: a cold 1 x 8 block is one predict per
         model over 8 stacked rows, and a warm one is none at all.  Asked
-        for fidelity alone, it is one fidelity predict."""
+        for the best fidelity, it is one fidelity predict, and a repeat
+        is neither a predict nor a table lookup."""
         qpus = fleet_of_size(8, seed=7)
         jobs = _jobs_with_circuits(widths=(5,))
         self._assert_same_blocks(trained, [(jobs, qpus), (jobs, qpus)])
@@ -491,8 +528,13 @@ class TestStackedFillBitIdentity:
         cached.estimate_block(jobs, qpus)  # all-hit
         assert len(calls) == 2
         calls.clear()
-        trained.cached().fidelity_block(jobs, qpus)
+        fidelity_only = trained.cached()
+        first = fidelity_only.best_fidelity(jobs, qpus)
         assert calls == [("fidelity", 8)]
+        gets = _table_gets(fidelity_only, monkeypatch)
+        assert fidelity_only.best_fidelity(jobs, qpus) == first
+        assert len(calls) == 1 and gets == []
+        assert fidelity_only.stats.hits == fidelity_only.stats.misses == 8
 
     def test_fidelity_fill_then_estimate_block(self, trained, fleet, monkeypatch):
         """FCFS fills the memo first (two of five jobs), ``estimate_block``
@@ -501,7 +543,7 @@ class TestStackedFillBitIdentity:
         and counters equal a memo ``estimate_block`` filled throughout."""
         jobs = _jobs_with_circuits()
         mixed, plain = trained.cached(), trained.cached()
-        early = mixed.fidelity_block(jobs[:2], fleet)
+        early = mixed.best_fidelity(jobs[:2], fleet)
         plain.estimate_block(jobs[:2], fleet)
         calls = _count_predicts(monkeypatch)
         got = mixed.estimate_block(jobs, fleet)
@@ -512,7 +554,7 @@ class TestStackedFillBitIdentity:
         assert [target for target, _ in calls] == [
             "runtime", "fidelity", "runtime", "fidelity", "runtime",
         ]
-        assert np.array_equal(got[0][:2], early)
+        assert best_feasible(got[0][:2], feasibility_matrix(jobs[:2], fleet)) == early
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert cache_table(mixed) == cache_table(plain)
         assert mixed.stats == plain.stats
@@ -520,8 +562,9 @@ class TestStackedFillBitIdentity:
         # And the other way round: a complete entry answers a fidelity read.
         calls.clear()
         hits = mixed.stats.hits
-        assert np.array_equal(mixed.fidelity_block(jobs, fleet), want[0])
-        assert calls == [] and mixed.stats.hits == hits + feasibility_matrix(jobs, fleet).sum()
+        feasible = feasibility_matrix(jobs, fleet)
+        assert mixed.best_fidelity(jobs, fleet) == best_feasible(want[0], feasible)
+        assert calls == [] and mixed.stats.hits == hits + feasible.sum()
 
     def test_callable_base_stores_both_halves(self, fleet):
         """A plain ``(job, qpu)`` base returns both estimates anyway, so a
@@ -534,10 +577,29 @@ class TestStackedFillBitIdentity:
 
         cached = CachedEstimator(pair)
         jobs = _jobs_with_circuits(widths=(3,))
-        assert cached.fidelity_block(jobs, fleet).tolist() == [[0.5] * len(fleet)]
+        assert cached.best_fidelity(jobs, fleet) == [(0, 0.5)]
         fid, sec = cached.estimate_block(jobs, fleet)
         assert fid.tolist() == [[0.5] * len(fleet)] and sec.tolist() == [[7.0] * len(fleet)]
         assert len(calls) == len(fleet) == cached.stats.hits == cached.stats.misses
+
+    def test_memo_hit_leaves_recency_alone(self, trained, fleet, monkeypatch):
+        """A repeat answered by ``best_fidelity``'s memo counts the hits
+        its lookups would have made and promotes nothing: its entries stay
+        in probation, in order, where per-pair lookups move them to the
+        protected segment.  Keys, values and counters agree."""
+        jobs = _jobs_with_circuits(widths=(2, 4))
+        memo, per_pair = trained.cached(), trained.cached()
+        first = memo.best_fidelity(jobs, fleet)
+        per_pair.estimate_block(jobs, fleet)
+        table = cache_table(memo)
+        gets = _table_gets(memo, monkeypatch)
+        assert memo.best_fidelity(jobs, fleet) == first
+        per_pair.estimate_block(jobs, fleet)
+        assert gets == [] and cache_table(memo) == table
+        assert not memo.cache._protected and not per_pair.cache._probation
+        assert memo.stats == per_pair.stats
+        assert memo.stats.hits == memo.stats.misses == 2 * len(fleet)
+        assert {key for key, _ in table} == {key for key, _ in cache_table(per_pair)}
 
     def test_block_wider_than_a_chunk(self, trained, monkeypatch):
         """``tenant_outage``'s cold batched-FCFS shape: ~300 jobs x 8 QPUs,
@@ -609,7 +671,8 @@ class TestStackedFillBitIdentity:
 
     def test_no_per_job_state_beyond_the_cache_table(self, trained, fleet):
         """A stream that never repeats a key (``qonductor_fresh``'s
-        shape) may grow nothing on the estimator but the bounded table."""
+        shape) may grow nothing on the estimator but the bounded table;
+        ``best_fidelity``'s memo, which nothing asked, stays empty."""
         cached = trained.cached(max_entries=64)
         metrics = compute_metrics(ghz_linear(4))
         for shots in range(1000, 3000):
@@ -622,7 +685,7 @@ class TestStackedFillBitIdentity:
             for name, value in vars(holder).items()
             if isinstance(value, (dict, list, set))
         }
-        assert sized == {"templates": len(cached.base.templates)}
+        assert sized == {"templates": len(cached.base.templates), "_best": 0}
 
     def test_uncached_block_matches_reference(self, trained, fleet, monkeypatch):
         offline = default_fleet(seed=7, names=FLEET_NAMES)
@@ -642,7 +705,7 @@ class TestStackedFillBitIdentity:
         calls = _count_predicts(monkeypatch)
         trained.estimate_block(_jobs_with_circuits(), fleet)
         assert len(calls) == 2
-        trained.fidelity_block(_jobs_with_circuits(), fleet)
+        trained.best_fidelity(_jobs_with_circuits(), fleet)
         assert [target for target, _ in calls[2:]] == ["fidelity"]
 
     def test_plans_match_reference(self, trained, monkeypatch):
@@ -667,9 +730,178 @@ class TestStackedFillBitIdentity:
         assert len(calls) == 2
 
 
+class TestBestFidelityOracle:
+    """``CachedEstimator.best_fidelity`` against its definition:
+    :func:`best_feasible` of an uncached ``estimate_block(...)[0]``.
+    Below capacity its answers (``==``), counters, keys and fidelities
+    are those of a per-pair cache driven through the same blocks
+    (``reference_cached_block``).  A table value keeps the bits of the
+    block that filled it (a stacked product's last ulp depends on how
+    many rows it holds), so against the uncached block the index is
+    equal and the value within 1e-12, and ``==`` on a cold block."""
+
+    @staticmethod
+    def _ask(trained, cached, per_pair, jobs, qpus):
+        feasible = feasibility_matrix(jobs, qpus)
+        got = cached.best_fidelity(jobs, qpus)
+        reference_fid, _ = reference_cached_block(per_pair, jobs, qpus)
+        assert got == best_feasible(reference_fid, feasible)
+        want = best_feasible(trained.estimate_block(jobs, qpus)[0], feasible)
+        assert [a and a[0] for a in got] == [a and a[0] for a in want]
+        np.testing.assert_allclose(
+            [a[1] for a in got if a], [a[1] for a in want if a], rtol=1e-12
+        )
+        assert cached.stats == per_pair.stats
+        assert {key: fid for key, (fid, _) in cache_table(cached)} == {
+            key: fid for key, (fid, _) in cache_table(per_pair)
+        }
+        return got
+
+    def _pair(self, trained, **kwargs):
+        return trained.cached(**kwargs), trained.cached(**kwargs)
+
+    def test_repeated_and_mixed_blocks(self, trained, fleet, monkeypatch):
+        jobs = _jobs_with_circuits()
+        cached, per_pair = self._pair(trained)
+        cold = self._ask(trained, cached, per_pair, jobs[:2], fleet)
+        assert cold == best_feasible(
+            trained.estimate_block(jobs[:2], fleet)[0], feasibility_matrix(jobs[:2], fleet)
+        )
+        gets = _table_gets(cached, monkeypatch)
+        self._ask(trained, cached, per_pair, jobs[:2], fleet)
+        assert gets == []
+        self._ask(trained, cached, per_pair, jobs, fleet)  # two answered, three looked up
+        assert len(gets) == feasibility_matrix(jobs[2:], fleet).sum()
+        self._ask(trained, cached, per_pair, jobs[::-1], fleet)
+        assert len(gets) == feasibility_matrix(jobs[2:], fleet).sum()
+        assert cached.stats.hits > cached.stats.misses > 0
+
+    def test_qpu_offline_and_back(self, trained, monkeypatch):
+        qpus = default_fleet(seed=7, names=FLEET_NAMES)
+        jobs = _jobs_with_circuits(widths=(2, 4, 6))
+        cached, per_pair = self._pair(trained)
+        online = self._ask(trained, cached, per_pair, jobs, qpus)
+        best = online[0][0]
+        qpus[best].online = False
+        offline = self._ask(trained, cached, per_pair, jobs, qpus)
+        assert all(answer[0] != best for answer in offline)
+        gets = _table_gets(cached, monkeypatch)
+        qpus[best].online = True
+        assert self._ask(trained, cached, per_pair, jobs, qpus) == online
+        assert gets == []
+
+    def test_recalibration_between_calls(self, trained, monkeypatch):
+        # on_recalibration refreshes the shared estimator's templates.
+        monkeypatch.setattr(trained, "templates", trained.templates)
+        qpus = default_fleet(seed=7, names=FLEET_NAMES)
+        jobs = _jobs_with_circuits(widths=(2, 3, 5))
+        cached, per_pair = self._pair(trained)
+        self._ask(trained, cached, per_pair, jobs, qpus)
+        gets = _table_gets(cached, monkeypatch)
+        qpus[0].recalibrate()  # no hook: the new epoch alone misses
+        self._ask(trained, cached, per_pair, jobs, qpus)
+        assert len(gets) == feasibility_matrix(jobs, qpus).sum()
+        assert cached.stats.misses == per_pair.stats.misses == 4 * len(jobs)
+        for qpu in qpus:
+            qpu.recalibrate()
+        cached.on_recalibration(qpus)
+        per_pair.on_recalibration(qpus)
+        self._ask(trained, cached, per_pair, jobs, qpus)
+        self._ask(trained, cached, per_pair, jobs, qpus)
+        assert len(gets) == 2 * feasibility_matrix(jobs, qpus).sum()
+
+    def test_duplicate_keys_inside_one_block(self, trained, fleet):
+        jobs = _jobs_with_circuits(widths=(3, 5, 3, 3, 5))
+        cached, per_pair = self._pair(trained)
+        answers = self._ask(trained, cached, per_pair, jobs, fleet)
+        assert answers[0] == answers[2] == answers[3] and answers[1] == answers[4]
+        assert cached.stats.misses == len(jobs) * len(fleet)
+        self._ask(trained, cached, per_pair, jobs, fleet)
+        assert cached.stats.hits == len(jobs) * len(fleet)
+
+    def test_job_wider_than_every_online_qpu(self, trained, fleet):
+        jobs = _jobs_with_circuits(widths=(27, 2))
+        cached, per_pair = self._pair(trained)
+        for qpus in (fleet[2:], fleet, [], fleet[2:]):
+            answers = self._ask(trained, cached, per_pair, jobs, qpus)
+            assert (answers[0] is None) == (qpus is not fleet)  # only auckland fits it
+            assert (answers[1] is None) == (not qpus)
+
+    def test_permuted_qpu_list(self, trained):
+        qpus = fleet_of_size(8, seed=7)
+        jobs = _jobs_with_circuits(widths=(2, 5, 6))
+        cached, per_pair = self._pair(trained)
+        forward = self._ask(trained, cached, per_pair, jobs, qpus)
+        backward = self._ask(trained, cached, per_pair, jobs, qpus[::-1])
+        # Indices follow the listing (ties go to the first listed QPU);
+        # the best value does not.
+        assert [f for _, f in forward] == [f for _, f in backward]
+        assert forward != backward
+
+    def test_two_shards_share_one_cache(self, trained):
+        qpus = fleet_of_size(8, seed=7)
+        shards = [qpus[:4], qpus[4:]]
+        jobs = _jobs_with_circuits(widths=(2, 4, 5, 6))
+        cached, per_pair = self._pair(trained)
+        for _ in range(2):
+            for shard in shards:
+                for job in jobs:
+                    self._ask(trained, cached, per_pair, [job], shard)
+                self._ask(trained, cached, per_pair, jobs, shard)
+        assert cached.stats.misses == len(jobs) * len(qpus)
+
+    def test_small_table_evicts_and_drops_the_memo(self, trained, fleet, monkeypatch):
+        """At capacity only the decisions are the reference's.  A block
+        whose stores evict drops the memo, so the next block looks every
+        feasible pair up again, and the table and memo never outgrow
+        ``max_entries``."""
+        jobs = _jobs_with_circuits(widths=(2, 3, 4))
+        cached = trained.cached(max_entries=5)
+        occupancy = []
+        put = cached.cache.put
+
+        def counting_put(key, value):
+            put(key, value)
+            occupancy.append(len(cached.cache))
+
+        monkeypatch.setattr(cached.cache, "put", counting_put)
+        gets = _table_gets(cached, monkeypatch)
+        evicted, answered = False, 0
+        for block in (jobs, jobs[:1], jobs[:1], jobs[:1], jobs, jobs, jobs[1:]):
+            feasible = feasibility_matrix(block, fleet)
+            want = best_feasible(trained.estimate_block(block, fleet)[0], feasible)
+            calls, generation = len(gets), cached.cache.generation
+            got = cached.best_fidelity(block, fleet)
+            assert [k for k, _ in got] == [k for k, _ in want]
+            np.testing.assert_allclose([f for _, f in got], [f for _, f in want], rtol=1e-12)
+            looked_up = len(gets) - calls
+            if evicted:
+                assert looked_up == feasible.sum()
+            answered += looked_up < feasible.sum()
+            evicted = cached.cache.generation != generation
+            assert sum(map(len, cached._best.values())) <= cached.cache.max_entries
+        assert max(occupancy) == 5 and answered
+
+
+    def test_memo_never_outgrows_max_entries(self, trained, monkeypatch):
+        """Availability changes alone make new signatures over the same
+        table entries: a full memo starts over instead of growing."""
+        qpus = default_fleet(seed=7, names=FLEET_NAMES)[:2]
+        jobs = _jobs_with_circuits(widths=(2, 3))
+        cached, per_pair = self._pair(trained, max_entries=4)
+        sizes = []
+        for offline in (None, 1, 0, None, 1):
+            for k, qpu in enumerate(qpus):
+                qpu.online = k != offline
+            self._ask(trained, cached, per_pair, jobs, qpus)
+            sizes.append(sum(len(memo) for memo in cached._best.values()))
+        assert len(cached.cache) == 4 and cached.cache.generation == 0
+        assert sizes == [2, 4, 2, 4, 2]
+
+
 class TestFeasibleMaskShape:
-    """A mask not shaped like the block is refused by every source, in
-    both methods, before any pair is scored."""
+    """A mask not shaped like the block is refused by every source
+    before any pair is scored."""
 
     SOURCES = {
         "ResourceEstimator": lambda trained: trained,
@@ -678,15 +910,14 @@ class TestFeasibleMaskShape:
     }
 
     @pytest.mark.parametrize("shape", [(2, 2), (2, 6), (4, 2), (2,)])
-    @pytest.mark.parametrize("method", ["estimate_block", "fidelity_block"])
     @pytest.mark.parametrize("source", SOURCES)
-    def test_mis_shaped_mask_is_refused(self, trained, source, method, shape):
+    def test_mis_shaped_mask_is_refused(self, trained, source, shape):
         jobs = _jobs_with_circuits(widths=(2, 3))
         qpus = fleet_of_size(4, seed=7)
         scorer = self.SOURCES[source](trained)
         match = rf"{source}: .*{re.escape(str(shape))}.*\(2, 4\)"
         with pytest.raises(ValueError, match=match):
-            getattr(scorer, method)(jobs, qpus, np.ones(shape, dtype=bool))
+            scorer.estimate_block(jobs, qpus, np.ones(shape, dtype=bool))
 
 
 def _traced_peak_mib(fn) -> float:

@@ -2,13 +2,13 @@
 
 FCFS sends each job to the highest-fidelity QPU that fits, so it reads
 one of the two estimates the §6 estimator produces, through
-``fidelity_block``.  Three runs are pinned as sha256 literals of
+``best_fidelity``.  Three runs are pinned as sha256 literals of
 ``deterministic_state()``, estimate-cache counters included: a policy
-that asks ``estimate_block`` for both estimates and keeps the fidelity
-yields the same digests.  Three per-arrival runs are also pinned through
-``decision_state()``, which leaves out how cycles were grouped into
-engine batches: every decision, dispatch and completion, whichever way
-the engine drives a one-job cycle.
+that asks ``estimate_block`` for both estimates and takes the first
+maximum of the fidelity yields the same digests.  Three per-arrival runs
+are also pinned through ``decision_state()``, which leaves out how
+cycles were grouped into engine batches: every decision, dispatch and
+completion, whichever way the engine drives a one-job cycle.
 """
 
 import hashlib
@@ -22,7 +22,8 @@ from repro.cloud import (
     abusive_mix,
     flash_outage,
 )
-from repro.estimator import CachedEstimator, RegressionEstimator
+from repro.estimator import CachedEstimator, EstimateCache, RegressionEstimator
+from repro.estimator.source import feasibility_matrix
 from repro.experiments.common import trained_estimator
 from repro.scheduler import BatchedFCFSPolicy, FCFSPolicy
 
@@ -116,7 +117,11 @@ def test_per_arrival_decisions_match_pinned_digest(name):
 
 
 def test_per_arrival_run_never_runs_the_runtime_model(monkeypatch):
-    """One fidelity predict per block with a miss, no runtime predict."""
+    """One fidelity predict per block with a miss, no runtime predict.  A
+    block whose program the cache already placed on the same QPU list,
+    under the same calibrations and availability and with no
+    invalidation since, makes no table lookup; every block counts one
+    hit or miss per feasible pair, as per-pair lookups would."""
     predicts = []
     predict = RegressionEstimator.predict
 
@@ -124,24 +129,51 @@ def test_per_arrival_run_never_runs_the_runtime_model(monkeypatch):
         predicts.append(self.target)
         return predict(self, X, segments)
 
-    miss_blocks = []
-    fidelity_block = CachedEstimator.fidelity_block
+    lookups = []
+    get = EstimateCache.get
 
-    def counting_block(self, jobs, qpus, feasible=None):
-        misses = self.stats.misses
-        fid = fidelity_block(self, jobs, qpus, feasible)
-        miss_blocks.append(self.stats.misses > misses)
-        return fid
+    def counting_get(self, key):
+        lookups.append(key)
+        return get(self, key)
+
+    blocks = []  # (repeat, table lookups, any miss) per best_fidelity call
+    placed = set()
+    invalidations = [0]
+    best_fidelity = CachedEstimator.best_fidelity
+
+    def counting_best(self, jobs, qpus):
+        if self.stats.invalidations != invalidations[0]:
+            invalidations[0] = self.stats.invalidations
+            placed.clear()
+        (job,) = jobs  # per arrival: one-job cycles
+        place = (
+            job.metrics.fingerprint, job.shots, job.mitigation,
+            tuple((q.calibration.epoch, q.online) for q in qpus),
+        )
+        before = (len(lookups), self.stats.hits, self.stats.misses)
+        answer = best_fidelity(self, jobs, qpus)
+        blocks.append((place in placed, len(lookups) - before[0], self.stats.misses > before[2]))
+        counted = self.stats.hits + self.stats.misses - before[1] - before[2]
+        assert counted == feasibility_matrix(jobs, qpus).sum()
+        if answer[0] is not None:
+            placed.add(place)
+        return answer
 
     monkeypatch.setattr(RegressionEstimator, "predict", counting_predict)
-    monkeypatch.setattr(CachedEstimator, "fidelity_block", counting_block)
+    monkeypatch.setattr(EstimateCache, "get", counting_get)
+    monkeypatch.setattr(CachedEstimator, "best_fidelity", counting_best)
+    cached = trained_estimator(seed=7).cached()
     metrics = run_sharded(
-        FCFSPolicy(trained_estimator(seed=7).cached()), "serial", num_shards=2, pool=24,
-        trigger=None,
+        FCFSPolicy(cached), "serial", num_shards=2, pool=24, trigger=None,
     )
+    missed = sum(miss for _, _, miss in blocks)
     assert predicts.count("runtime") == 0
-    assert predicts.count("fidelity") == sum(miss_blocks) > 0
-    assert len(miss_blocks) == metrics.scheduling_cycles > sum(miss_blocks)
+    assert predicts.count("fidelity") == missed > 0
+    assert len(blocks) == metrics.scheduling_cycles > missed
+    assert len(cached.cache) < cached.cache.max_entries
+    repeats = [n for repeat, n, _ in blocks if repeat]
+    assert repeats and not any(repeats)
+    assert all(n > 0 for repeat, n, _ in blocks if not repeat)
 
 
 def test_fcfs_over_no_qpus_leaves_every_job_unschedulable():

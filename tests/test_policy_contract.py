@@ -180,7 +180,7 @@ class TestKeywordSets:
             for name, value in vars(EstimateSource).items()
             if callable(value) and not name.startswith("_")
         }
-        assert methods == {"estimate_block", "fidelity_block", "on_recalibration"}
+        assert methods == {"estimate_block", "best_fidelity", "on_recalibration"}
 
     def test_scheduler_keywords(self):
         assert _names(QonductorScheduler.__init__) == [
