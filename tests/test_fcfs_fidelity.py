@@ -88,6 +88,56 @@ def test_fcfs_run_matches_pinned_digest(name):
     assert digest == FCFS_PINS[name]
 
 
+def _uncounted_state(metrics) -> dict:
+    """``deterministic_state()`` without the estimate-cache counters:
+    every decision, dispatch and completion, however many table lookups
+    and model fills the estimate source made to reach them."""
+    state = metrics.deterministic_state()
+    del state["estimate_cache"]
+    return state
+
+
+#: ``run -> sha256`` of :func:`_uncounted_state` of the ``FCFS_PINS``
+#: runs: what a change to how the cache counts must leave alone.
+FCFS_UNCOUNTED_PINS = {
+    "per_arrival_recalibrated":
+        "d896dc68908f8920943b0dca790f9ed362de196555552aa86fffbafb666a0a13",
+    "batched_tenants_outage":
+        "653b64e601816aa9a54d826fdbcf1e09fd884ff3bf7e0a944c24ad4aaf1b50af",
+    "batched_tenants_reject_rebalanced":
+        "7122d8977a652de87ece361810cd43cc86c11ca7506e1ce69b8bcd26c3a5316a",
+}
+
+
+@pytest.mark.parametrize("name", FCFS_UNCOUNTED_PINS)
+def test_fcfs_run_without_counters_matches_pinned_digest(name):
+    digest = hashlib.sha256(repr(_uncounted_state(_run(name))).encode()).hexdigest()
+    assert digest == FCFS_UNCOUNTED_PINS[name]
+
+
+def test_eight_shard_pool_decides_as_the_uncached_estimator(monkeypatch):
+    """``fcfs_pool``'s shape in miniature: per-arrival FCFS over eight
+    shards of a shared cache, a resubmission pool and a mid-run
+    recalibration.  The cached source decides every job as the uncached
+    estimator does; a one-job block fills one row per QPU segment, so
+    even the fidelity bits agree."""
+    trained = trained_estimator(seed=7)
+    # on_recalibration refreshes the shared estimator's templates.
+    monkeypatch.setattr(trained, "templates", trained.templates)
+    runs = [
+        run_sharded(
+            FCFSPolicy(source), "serial", num_shards=8, fleet_size=16,
+            pool=24, recal=350.0, trigger=None,
+        )
+        for source in (trained.cached(), trained)
+    ]
+    cached, uncached = runs
+    assert cached.estimate_cache["invalidations"] == 1
+    assert cached.estimate_cache["hits"] > cached.estimate_cache["misses"] > 0
+    assert uncached.estimate_cache == {} and uncached.dispatched_jobs > 1000
+    assert _uncounted_state(cached) == _uncounted_state(uncached)
+
+
 #: ``run -> sha256`` of ``decision_state()`` of per-arrival FCFS runs
 #: shaped like the ``fcfs_pool`` benchmark (a resubmission pool, a
 #: mid-run recalibration, least-loaded routing): two load seeds over the
