@@ -26,11 +26,27 @@ the other, and never stores a runtime nobody reads.
 signature, the ``(calibration epoch, online)`` of each QPU in order.  A
 repeat program is answered from it without a table lookup, and adds to
 ``stats.hits`` the feasible-pair count its lookups would have hit.
-Below ``max_entries`` the table's keys, values and counters are therefore
-those of the per-pair path; only the recency order differs, because a
-memo hit promotes and refreshes nothing.  At capacity the table evicts,
-which drops the memo, so eviction order (and, after it, what hits) can
-differ from the per-pair path's.
+
+Shards of one fleet share the cache, each asking about its own QPU list,
+and the cache learns those lists and their QPUs as they ask.  The first
+list to miss a program pays for its own pairs only, so a program nobody
+resubmits costs what it did alone.  When a second list misses it, the
+same fill also scores it on every other known online QPU that fits and
+has no entry (one group per QPU, after the asking list's pairs, each
+counting a miss), and its answer goes into the memo of every known list
+whose feasible pairs were all at hand: under one calibration a
+resubmitted program is scored in two fills, not one per shard.  A list
+that first asks later pays one fill of its own.  The learned lists,
+QPUs and first misses are dropped with the memo.
+
+Below ``max_entries``, while at most two QPU lists share the cache and
+their QPUs stay online, the table's keys, values and counters are those
+of the per-pair path; only the recency order differs, because a memo
+hit promotes and refreshes nothing.  Otherwise the table may hold pairs
+the per-pair path has not scored yet, so the counters differ while
+every answer is the same.  At
+capacity the table evicts, which drops the memo, so eviction order (and,
+after it, what hits) can differ from the per-pair path's.
 
 A block is served in three steps: look up every feasible pair, fill all
 the misses through **one stacked pass per model it needs** (not one per
@@ -44,7 +60,7 @@ on which other QPUs happened to miss.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, islice
 from operator import itemgetter
 
 import numpy as np
@@ -132,6 +148,10 @@ class EstimateCache:
     def __len__(self) -> int:
         return len(self._probation) + len(self._protected)
 
+    def __contains__(self, key: tuple) -> bool:
+        """Whether ``key`` has an entry; counts and refreshes nothing."""
+        return key in self._protected or key in self._probation
+
     @staticmethod
     def key(job: QuantumJob, qpu: QPU) -> tuple:
         return (*job_key(job), qpu.calibration.epoch)
@@ -196,18 +216,25 @@ class CachedEstimator:
     stacked pass of each model the question needs; with a plain callable,
     misses fall back to per-pair calls (still memoized, both halves).
     Nothing is kept per job beyond the bounded cache table and
-    :meth:`best_fidelity`'s answers, never more than ``max_entries`` of
-    them.
+    :meth:`best_fidelity`'s answers and first misses, never more than
+    ``max_entries`` of each.
     """
 
     def __init__(self, base, *, max_entries: int = 200_000) -> None:
         self.base = base
         self.cache = EstimateCache(max_entries=max_entries)
         self._trained = base.estimators if isinstance(base, ResourceEstimator) else None
-        #: ``best_fidelity``'s memo: QPU-list signature -> job key ->
-        #: (answer, feasible pairs), valid for table ``_best_generation``.
+        # best_fidelity's state, valid for table generation _generation:
+        # the memo (QPU-list signature -> job key -> (answer, feasible
+        # pairs)) and its size, the known lists (signature -> qubits per
+        # QPU) and QPUs (name -> QPU), and the signature that missed each
+        # program first.
         self._best: dict[tuple, dict[tuple, tuple[tuple[int, float], int]]] = {}
-        self._best_generation = 0
+        self._best_size = 0
+        self._lists: dict[tuple, list[int]] = {}
+        self._qpus: dict[str, QPU] = {}
+        self._seen: dict[tuple, tuple] = {}
+        self._generation = 0
 
     # ------------------------------------------------------------------
     @property
@@ -280,60 +307,178 @@ class CachedEstimator:
         its entries is not refreshed.  The other jobs form one sub-block,
         looked up and stored in :meth:`estimate_block`'s order, with a
         miss running the fidelity model alone and stored without a
-        runtime; their answers are memoized unless no QPU fits or the
-        sub-block's stores evicted.  The memo is dropped whenever the
-        table loses entries (an eviction, :meth:`on_recalibration`), and
-        never holds more than ``max_entries`` answers: a full one starts
-        over.  Signatures carry the epochs, so it never answers for an
-        old calibration even when nobody calls the hook.
+        runtime; a program a second QPU list misses is answered for every
+        known list from that one fill (:meth:`_place`).  The memo, with
+        the lists, QPUs and first misses learned since, is dropped
+        whenever the table loses entries (an eviction,
+        :meth:`on_recalibration`), and never holds more than
+        ``max_entries`` answers: a full one starts over.  Signatures
+        carry the epochs, so it never answers for an old calibration even
+        when nobody calls the hook.
         """
         cache = self.cache
-        if cache.generation != self._best_generation:
-            self._best.clear()
-            self._best_generation = cache.generation
+        if cache.generation != self._generation:
+            self._forget()
         signature = tuple([(q.calibration.epoch, q.online) for q in qpus])
-        memo = self._best.get(signature, {})
+        memo = self._best.get(signature)
+        if memo is None:
+            self._learn(signature, qpus)
+            memo = {}
         keys = [job_key(j) for j in jobs]
         found = [memo.get(key) for key in keys]
         rest = [i for i, entry in enumerate(found) if entry is None]
         cache.stats.hits += sum(entry[1] for entry in found if entry is not None)
         if rest:
-            sub = [jobs[i] for i in rest]
-            feasible = feasibility_matrix(sub, qpus)
-            fid = self._fidelities([keys[i] for i in rest], sub, qpus, feasible)
-            counts = feasible.sum(axis=1).tolist()
-            for i, best, count in zip(rest, best_feasible(fid, feasible), counts):
-                found[i] = (best, count)
-            answers = {keys[i]: found[i] for i in rest if found[i][0] is not None}
-            if answers and cache.generation == self._best_generation:  # nothing evicted
-                # Each answer has a table entry of its own, so ``answers``
-                # alone never exceeds ``max_entries``; a full memo starts over.
-                if sum(map(len, self._best.values())) + len(answers) > cache.max_entries:
-                    self._best.clear()
-                self._best.setdefault(signature, {}).update(answers)
+            placed = self._place([jobs[i] for i in rest], [keys[i] for i in rest], qpus, signature)
+            for i, entry in zip(rest, placed):
+                found[i] = entry
         return [entry[0] for entry in found]
 
-    def _fidelities(
+    def _forget(self) -> None:
+        """Drop what was derived from the table's contents: the memo and
+        the QPUs, lists and programs it has seen."""
+        self._best.clear()
+        self._best_size = 0
+        self._lists.clear()
+        self._qpus.clear()
+        self._seen.clear()
+        self._generation = self.cache.generation
+
+    def _learn(self, signature: tuple, qpus: list[QPU]) -> None:
+        """Know the QPU list behind ``signature``, and its QPUs."""
+        if signature not in self._lists:
+            cap = self.cache.max_entries
+            _admit(self._lists, signature, [q.num_qubits for q in qpus], cap)
+            for qpu in qpus:
+                _admit(self._qpus, qpu.name, qpu, cap)
+
+    def _place(
         self,
-        keys: list[tuple],
         jobs: list[QuantumJob],
+        keys: list[tuple],
         qpus: list[QPU],
-        feasible: np.ndarray,
-    ) -> np.ndarray:
-        """The fidelity matrix of :meth:`estimate_block` over ``jobs``
-        (whose job keys are ``keys``), looked up and stored in the same
-        order; a miss runs the fidelity model alone and is stored without
-        a runtime."""
-        fid = np.zeros((len(jobs), len(qpus)))
+        signature: tuple,
+    ) -> list[tuple[tuple[int, float] | None, int]]:
+        """``(answer, feasible pairs)`` per job of a sub-block the memo
+        missed, memoized under ``signature`` unless no QPU fits or the
+        sub-block's stores evicted.
+
+        A program missed under a second signature within one table
+        generation is scored, in the same fill, on every other known QPU
+        that fits it, is online and has no entry for it (one group per
+        QPU, after the sub-block's own misses; each pair counts a miss).
+        Its answer then goes into the memo of every known list whose
+        feasible pairs were all looked up or scored here.
+        """
+        cache = self.cache
+        feasible = feasibility_matrix(jobs, qpus)
+        fid = np.zeros(feasible.shape)
         hits, missed = self._lookup(keys, qpus, feasible)
         for i, k, _, entry in hits:
             fid[i, k] = entry[0]
-        if missed:
-            put = self.cache.put
-            for (i, k, key), value in zip(missed, self._fill(jobs, qpus, missed, runtime=False)):
-                fid[i, k] = value[0]
+        second = self._sightings(keys, missed, signature)
+        columns, extra = self._spread(jobs, second, missed, len(qpus)) if second else ([], [])
+        cells = missed + extra
+        if cells:
+            values = self._fill(jobs, qpus + columns, cells, runtime=False)
+            cache.stats.misses += len(extra)
+            put = cache.put
+            for (_, _, key), value in zip(cells, values):
                 put(key, value)
-        return fid
+            for (i, k, _), value in zip(missed, values):
+                fid[i, k] = value[0]
+        counts = feasible.sum(axis=1).tolist()
+        placed = list(zip(best_feasible(fid, feasible), counts))
+        if cache.generation == self._generation:  # nothing evicted
+            answers = {
+                (signature, key): entry
+                for key, entry in zip(keys, placed)
+                if entry[0] is not None
+            }
+            if second:
+                scored = {key: entry[0] for _, _, key, entry in hits}
+                scored.update((key, value[0]) for (_, _, key), value in zip(cells, values))
+                self._answer_lists(jobs, second, scored, answers)
+            self._remember(answers)
+        return placed
+
+    def _sightings(self, keys: list[tuple], missed: list[tuple], signature: tuple) -> dict:
+        """``job key -> first row`` of the programs ``missed`` under a
+        signature other than the one that missed them first; a program's
+        first miss is recorded."""
+        seen, cap = self._seen, self.cache.max_entries
+        second: dict[tuple, int] = {}
+        for i, _, _ in missed:
+            key = keys[i]
+            first = seen.get(key)
+            if first is None:
+                _admit(seen, key, signature, cap)
+            elif first != signature:
+                second.setdefault(key, i)
+        return dict(sorted(second.items(), key=itemgetter(1)))
+
+    def _spread(
+        self, jobs: list[QuantumJob], second: dict, missed: list[tuple], first: int
+    ) -> tuple[list[QPU], list[tuple[int, int, tuple]]]:
+        """The known online QPUs that fit a ``second`` program with no
+        entry for it, and their column-major ``(i, k, key)`` cells, ``k``
+        counting from ``first``."""
+        cache = self.cache
+        pending = {key for _, _, key in missed}
+        rows = [(i, key, jobs[i].num_qubits) for key, i in second.items()]
+        columns: list[QPU] = []
+        cells: list[tuple[int, int, tuple]] = []
+        for qpu in self._qpus.values():
+            if not qpu.online:
+                continue
+            k, size, epoch = first + len(columns), qpu.num_qubits, (qpu.calibration.epoch,)
+            before = len(cells)
+            for i, key, width in rows:
+                if width <= size:
+                    key += epoch
+                    if key not in pending and key not in cache:
+                        cells.append((i, k, key))
+            if len(cells) > before:
+                columns.append(qpu)
+        return columns, cells
+
+    def _answer_lists(
+        self, jobs: list[QuantumJob], second: dict, scored: dict, answers: dict
+    ) -> None:
+        """Add to ``answers`` each ``second`` program's answer on every
+        known list whose memo lacks it and whose feasible pairs are all in
+        ``scored`` (table key -> fidelity): the first maximum, in listing
+        order, under that list's own signature."""
+        for signature, sizes in self._lists.items():
+            memo = self._best.get(signature, {})
+            for key, i in second.items():
+                if key in memo or (signature, key) in answers:
+                    continue
+                width, best, count = jobs[i].num_qubits, None, 0
+                for k, ((epoch, online), size) in enumerate(zip(signature, sizes)):
+                    if not online or width > size:
+                        continue
+                    value = scored.get(key + (epoch,))
+                    if value is None:
+                        break
+                    count += 1
+                    if best is None or value > best[1]:
+                        best = (k, value)
+                else:
+                    if best is not None:
+                        answers[signature, key] = (best, count)
+
+    def _remember(self, answers: dict) -> None:
+        """Memoize ``(signature, key) -> entry``; a memo that would
+        outgrow ``max_entries`` starts over."""
+        cap = self.cache.max_entries
+        if self._best_size + len(answers) > cap:
+            self._best.clear()
+            self._best_size = 0
+        for (signature, key), entry in islice(answers.items(), cap):
+            memo = self._best.setdefault(signature, {})
+            self._best_size += key not in memo
+            memo[key] = entry
 
     def _lookup(self, job_keys: list[tuple], qpus: list[QPU], feasible: np.ndarray):
         """Every feasible pair looked up once, column-major: ``(i, k, key,
@@ -374,6 +519,13 @@ class CachedEstimator:
         if not runtime:
             return [(f, None) for f in fids]
         return list(zip(fids, self._trained.runtime.estimate_pairs(*pairs).tolist()))
+
+
+def _admit(table: dict, key, value, cap: int) -> None:
+    """``table[key] = value``; a full ``table`` (``cap`` keys) starts over."""
+    if key not in table and len(table) >= cap:
+        table.clear()
+    table[key] = value
 
 
 def _pairs(jobs: list[QuantumJob], qpus: list[QPU], cells: list[tuple]):

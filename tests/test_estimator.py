@@ -685,7 +685,10 @@ class TestStackedFillBitIdentity:
             for name, value in vars(holder).items()
             if isinstance(value, (dict, list, set))
         }
-        assert sized == {"templates": len(cached.base.templates), "_best": 0}
+        assert sized == {
+            "templates": len(cached.base.templates),
+            "_best": 0, "_lists": 0, "_qpus": 0, "_seen": 0,
+        }
 
     def test_uncached_block_matches_reference(self, trained, fleet, monkeypatch):
         offline = default_fleet(seed=7, names=FLEET_NAMES)
@@ -733,9 +736,11 @@ class TestStackedFillBitIdentity:
 class TestBestFidelityOracle:
     """``CachedEstimator.best_fidelity`` against its definition:
     :func:`best_feasible` of an uncached ``estimate_block(...)[0]``.
-    Below capacity its answers (``==``), counters, keys and fidelities
-    are those of a per-pair cache driven through the same blocks
-    (``reference_cached_block``).  A table value keeps the bits of the
+    Below capacity, with two or fewer QPU lists, its answers (``==``),
+    counters, keys and fidelities are those of a per-pair cache driven
+    through the same blocks (``reference_cached_block``); with three, a
+    program a second list misses is scored for the third as well, so the
+    table holds more keys and the counters differ.  A table value keeps the bits of the
     block that filled it (a stacked product's last ulp depends on how
     many rows it holds), so against the uncached block the index is
     equal and the value within 1e-12, and ``==`` on a cold block."""
@@ -850,6 +855,48 @@ class TestBestFidelityOracle:
                 self._ask(trained, cached, per_pair, jobs, shard)
         assert cached.stats.misses == len(jobs) * len(qpus)
 
+    def test_three_lists_share_one_cache(self, trained, monkeypatch):
+        """Once every list has asked, a program the second list misses is
+        scored, in that list's fill, on the third list's QPUs too, and the
+        third list's first ask is a memo hit with no table lookup (the
+        first block is asked before the third list is known, so each list
+        pays its own fill).  The answers are the per-pair reference's; the
+        table holds every key the reference's holds, with the same value;
+        each pair the model scored counts one miss."""
+        qpus = fleet_of_size(9, seed=7)
+        shards = [qpus[:3], qpus[3:6], qpus[6:]]
+        first, *jobs = _jobs_with_circuits(widths=(3, 2, 4, 5, 6))
+        cached, per_pair = self._pair(trained)
+        gets = _table_gets(cached, monkeypatch)
+        fidelity = trained.estimators.fidelity
+        estimate_pairs = fidelity.estimate_pairs
+        scored = []  # pairs per fidelity fill of ``cached``
+
+        def counting(jobs, groups):
+            scored.append(sum(len(idx) for _, idx in groups))
+            return estimate_pairs(jobs, groups)
+
+        monkeypatch.setattr(fidelity, "estimate_pairs", counting)
+        for block in ([first], [jobs[0]], jobs, jobs[::-1]):
+            for n, shard in enumerate(shards):
+                feasible = feasibility_matrix(block, shard)
+                want = best_feasible(reference_block(trained, block, shard)[0], feasible)
+                reference_fid, _ = reference_cached_block(per_pair, block, shard)
+                calls, fills = len(gets), len(scored)
+                got = cached.best_fidelity(block, shard)
+                assert got == best_feasible(reference_fid, feasible)
+                assert [a and a[0] for a in got] == [a and a[0] for a in want]
+                table = {key: fid for key, (fid, _) in cache_table(cached)}
+                for key, (fid, _) in cache_table(per_pair):
+                    assert table[key] == fid
+                assert cached.stats.misses == sum(scored)
+                if n == 2 and block != [first]:  # answered by the second list's fill
+                    assert len(gets) == calls and len(scored) == fills
+        assert len(scored) == 3 + 2 * 2  # then a first and a second sighting, twice
+        # Every list asked every program: the same pairs, in fewer fills.
+        assert len(cached.cache) == sum(scored) == len(per_pair.cache)
+        assert cached.stats.misses == per_pair.stats.misses
+
     def test_small_table_evicts_and_drops_the_memo(self, trained, fleet, monkeypatch):
         """At capacity only the decisions are the reference's.  A block
         whose stores evict drops the memo, so the next block looks every
@@ -879,7 +926,9 @@ class TestBestFidelityOracle:
                 assert looked_up == feasible.sum()
             answered += looked_up < feasible.sum()
             evicted = cached.cache.generation != generation
-            assert sum(map(len, cached._best.values())) <= cached.cache.max_entries
+            assert sum(map(len, cached._best.values())) == cached._best_size <= 5
+            for known in (cached._lists, cached._qpus, cached._seen):
+                assert len(known) <= 5
         assert max(occupancy) == 5 and answered
 
 
@@ -895,6 +944,7 @@ class TestBestFidelityOracle:
                 qpu.online = k != offline
             self._ask(trained, cached, per_pair, jobs, qpus)
             sizes.append(sum(len(memo) for memo in cached._best.values()))
+            assert sizes[-1] == cached._best_size
         assert len(cached.cache) == 4 and cached.cache.generation == 0
         assert sizes == [2, 4, 2, 4, 2]
 

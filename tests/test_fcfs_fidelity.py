@@ -3,15 +3,19 @@
 FCFS sends each job to the highest-fidelity QPU that fits, so it reads
 one of the two estimates the §6 estimator produces, through
 ``best_fidelity``.  Three runs are pinned as sha256 literals of
-``deterministic_state()``, estimate-cache counters included: a policy
-that asks ``estimate_block`` for both estimates and takes the first
-maximum of the fidelity yields the same digests.  Three per-arrival runs
-are also pinned through ``decision_state()``, which leaves out how
-cycles were grouped into engine batches: every decision, dispatch and
-completion, whichever way the engine drives a one-job cycle.
+``deterministic_state()``, estimate-cache counters included, and again
+without those counters.  Where two or fewer QPU lists share the cache, a
+policy that asks ``estimate_block`` for both estimates and takes the
+first maximum of the fidelity yields the same full digests; with three
+or more, a program a second list misses is scored for every known list
+at once, so only the counters differ.  Three per-arrival runs are also
+pinned through ``decision_state()``, which leaves out how cycles were
+grouped into engine batches: every decision, dispatch and completion,
+whichever way the engine drives a one-job cycle.
 """
 
 import hashlib
+from collections import Counter
 
 import pytest
 
@@ -23,6 +27,7 @@ from repro.cloud import (
     flash_outage,
 )
 from repro.estimator import CachedEstimator, EstimateCache, RegressionEstimator
+from repro.estimator.cache import job_key
 from repro.estimator.source import feasibility_matrix
 from repro.experiments.common import trained_estimator
 from repro.scheduler import BatchedFCFSPolicy, FCFSPolicy
@@ -35,7 +40,7 @@ FCFS_PINS = {
     "batched_tenants_outage":
         "358455e521e74c57355085353798e3ce73a5f855d2306f7744d720d707a5b080",
     "batched_tenants_reject_rebalanced":
-        "366096be6cdf31e70b2e58e58634d5a7a5dd25513f49c049a5fcf62e066f44f3",
+        "be13520319e104ca8add0a3ef65321ce1b3fc8ba2418931e7643b21bae939e9a",
 }
 
 
@@ -224,6 +229,87 @@ def test_per_arrival_run_never_runs_the_runtime_model(monkeypatch):
     repeats = [n for repeat, n, _ in blocks if repeat]
     assert repeats and not any(repeats)
     assert all(n > 0 for repeat, n, _ in blocks if not repeat)
+
+
+def _count_scored(monkeypatch, events=None) -> list:
+    """Record, per fidelity fill, the ``(job key, calibration epoch)`` of
+    every pair the model scores; each fill is also appended to
+    ``events``, when given, as ``("fill", pairs)``."""
+    fills = []
+    estimate_pairs = RegressionEstimator.estimate_pairs
+
+    def counting(self, jobs, groups):
+        if self.target == "fidelity":
+            keys = [(m.fingerprint, shots, mitigation) for m, shots, mitigation in jobs]
+            fills.append([(keys[i], cal.epoch) for cal, idx in groups for i in idx])
+            if events is not None:
+                events.append(("fill", fills[-1]))
+        return estimate_pairs(self, jobs, groups)
+
+    monkeypatch.setattr(RegressionEstimator, "estimate_pairs", counting)
+    return fills
+
+
+def test_fresh_programs_are_scored_once_by_the_list_that_asked(monkeypatch):
+    """A stream that never repeats a program, over three shards: each
+    program is missed by one QPU list only, so nothing is scored beyond
+    that list's feasible pairs, and every scored pair is one miss."""
+    fills = _count_scored(monkeypatch)
+    asked = []  # (job key, feasible pairs) per job, in asking order
+    best_fidelity = CachedEstimator.best_fidelity
+
+    def recording(self, jobs, qpus):
+        feasible = feasibility_matrix(jobs, qpus).sum(axis=1).tolist()
+        asked.extend((job_key(job), n) for job, n in zip(jobs, feasible))
+        return best_fidelity(self, jobs, qpus)
+
+    monkeypatch.setattr(CachedEstimator, "best_fidelity", recording)
+    cached = trained_estimator(seed=7).cached()
+    metrics = run_sharded(FCFSPolicy(cached), "serial", num_shards=3, trigger=None)
+    keys = [key for key, _ in asked]
+    assert len(set(keys)) == len(keys) == metrics.scheduling_cycles > 300  # fresh
+    assert cached.stats.misses == sum(n for _, n in asked) == sum(map(len, fills))
+    assert cached.stats.hits == 0 and len(fills) == len(keys)
+
+
+def test_resubmitted_program_is_scored_in_two_blocks_per_epoch(monkeypatch):
+    """Eight shards share one cache over a resubmission pool with a
+    mid-run recalibration.  Within a calibration cycle a program is
+    scored when the first QPU list misses it, and once more, for every
+    QPU the cache knows, when a second does; lists that asked before are
+    answered from the memo.  The cache learns QPUs only from the lists it
+    is asked about, so a list asking for the first time in the cycle
+    after a program's first fill may cost that program one fill more."""
+    events = []  # ("list", cycle) on a list's first ask in a cycle; ("fill", pairs)
+    fills = _count_scored(monkeypatch, events)
+    best_fidelity = CachedEstimator.best_fidelity
+
+    def recording(self, jobs, qpus):
+        event = ("list", (qpus[0].calibration.cycle, tuple(q.name for q in qpus)))
+        if event not in events:
+            events.append(event)
+        return best_fidelity(self, jobs, qpus)
+
+    monkeypatch.setattr(CachedEstimator, "best_fidelity", recording)
+    cached = trained_estimator(seed=7).cached()
+    run_sharded(
+        FCFSPolicy(cached), "serial", num_shards=8, fleet_size=16,
+        pool=24, recal=350.0, trigger=None,
+    )
+    blocks = Counter()  # (job key, cycle) -> fidelity fills scoring it
+    late = Counter()  # (job key, cycle) -> lists first asking after its first fill
+    for kind, payload in events:
+        if kind == "list":
+            cycle = payload[0]
+            late.update(program for program in blocks if program[1] == cycle)
+        else:
+            blocks.update(list(dict.fromkeys((key, epoch[1]) for key, epoch in payload)))
+    assert all(n <= 2 + late[program] for program, n in blocks.items())
+    assert max(n for program, n in blocks.items() if not late[program]) == 2
+    assert sorted(dict.fromkeys(cycle for _, cycle in blocks)) == [0, 1]
+    assert cached.stats.invalidations == 1
+    pairs = [pair for fill in fills for pair in fill]
+    assert cached.stats.misses == len(pairs) == len(set(pairs))
 
 
 def test_fcfs_over_no_qpus_leaves_every_job_unschedulable():
