@@ -44,9 +44,9 @@ their QPUs stay online, the table's keys, values and counters are those
 of the per-pair path; only the recency order differs, because a memo
 hit promotes and refreshes nothing.  Otherwise the table may hold pairs
 the per-pair path has not scored yet, so the counters differ while
-every answer is the same.  At
-capacity the table evicts, which drops the memo, so eviction order (and,
-after it, what hits) can differ from the per-pair path's.
+every answer is the same.  At capacity the table evicts, which drops the
+memo, so eviction order (and, after it, what hits) can differ from the
+per-pair path's.
 
 A block is served in three steps: look up every feasible pair, fill all
 the misses through **one stacked pass per model it needs** (not one per
@@ -469,16 +469,15 @@ class CachedEstimator:
                         answers[signature, key] = (best, count)
 
     def _remember(self, answers: dict) -> None:
-        """Memoize ``(signature, key) -> entry``; a memo that would
-        outgrow ``max_entries`` starts over."""
+        """Memoize ``(signature, key) -> entry`` for keys the memo lacks;
+        a memo that would outgrow ``max_entries`` starts over."""
         cap = self.cache.max_entries
         if self._best_size + len(answers) > cap:
             self._best.clear()
             self._best_size = 0
         for (signature, key), entry in islice(answers.items(), cap):
-            memo = self._best.setdefault(signature, {})
-            self._best_size += key not in memo
-            memo[key] = entry
+            self._best.setdefault(signature, {})[key] = entry
+        self._best_size += min(len(answers), cap)
 
     def _lookup(self, job_keys: list[tuple], qpus: list[QPU], feasible: np.ndarray):
         """Every feasible pair looked up once, column-major: ``(i, k, key,
