@@ -60,7 +60,7 @@ on which other QPUs happened to miss.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby, islice
+from itertools import groupby
 from operator import itemgetter
 
 import numpy as np
@@ -226,12 +226,12 @@ class CachedEstimator:
         self._trained = base.estimators if isinstance(base, ResourceEstimator) else None
         # best_fidelity's state, valid for table generation _generation:
         # the memo (QPU-list signature -> job key -> (answer, feasible
-        # pairs)) and its size, the known lists (signature -> qubits per
-        # QPU) and QPUs (name -> QPU), and the signature that missed each
-        # program first.
+        # pairs)) and its size, the known lists (signature -> (that same
+        # signature object, qubits per QPU)) and QPUs (name -> QPU), and
+        # the known signature that missed each program first.
         self._best: dict[tuple, dict[tuple, tuple[tuple[int, float], int]]] = {}
         self._best_size = 0
-        self._lists: dict[tuple, list[int]] = {}
+        self._lists: dict[tuple, tuple[tuple, list[int]]] = {}
         self._qpus: dict[str, QPU] = {}
         self._seen: dict[tuple, tuple] = {}
         self._generation = 0
@@ -320,10 +320,7 @@ class CachedEstimator:
         if cache.generation != self._generation:
             self._forget()
         signature = tuple([(q.calibration.epoch, q.online) for q in qpus])
-        memo = self._best.get(signature)
-        if memo is None:
-            self._learn(signature, qpus)
-            memo = {}
+        memo = self._best.get(signature, {})
         keys = [job_key(j) for j in jobs]
         found = [memo.get(key) for key in keys]
         rest = [i for i, entry in enumerate(found) if entry is None]
@@ -344,13 +341,18 @@ class CachedEstimator:
         self._seen.clear()
         self._generation = self.cache.generation
 
-    def _learn(self, signature: tuple, qpus: list[QPU]) -> None:
-        """Know the QPU list behind ``signature``, and its QPUs."""
-        if signature not in self._lists:
+    def _learn(self, signature: tuple, qpus: list[QPU]) -> tuple:
+        """The known signature equal to ``signature``, learning the QPU
+        list behind it, and its QPUs, if it is new.  First misses hold
+        known signatures, so a program adds no tuples of its own."""
+        known = self._lists.get(signature)
+        if known is None:
             cap = self.cache.max_entries
-            _admit(self._lists, signature, [q.num_qubits for q in qpus], cap)
+            known = (signature, [q.num_qubits for q in qpus])
+            _admit(self._lists, signature, known, cap)
             for qpu in qpus:
                 _admit(self._qpus, qpu.name, qpu, cap)
+        return known[0]
 
     def _place(
         self,
@@ -376,30 +378,31 @@ class CachedEstimator:
         hits, missed = self._lookup(keys, qpus, feasible)
         for i, k, _, entry in hits:
             fid[i, k] = entry[0]
-        second = self._sightings(keys, missed, signature)
+        signature = self._learn(signature, qpus)
+        second = self._sightings(keys, missed, signature) if missed else {}
         columns, extra = self._spread(jobs, second, missed, len(qpus)) if second else ([], [])
-        cells = missed + extra
-        if cells:
+        if missed:
+            cells = missed + extra if extra else missed
             values = self._fill(jobs, qpus + columns, cells, runtime=False)
-            cache.stats.misses += len(extra)
             put = cache.put
-            for (_, _, key), value in zip(cells, values):
-                put(key, value)
-            for (i, k, _), value in zip(missed, values):
+            for (i, k, key), value in zip(missed, values):
                 fid[i, k] = value[0]
+                put(key, value)
+            for (_, _, key), value in zip(extra, values[len(missed) :]):
+                put(key, value)
+            cache.stats.misses += len(extra)
         counts = feasible.sum(axis=1).tolist()
         placed = list(zip(best_feasible(fid, feasible), counts))
         if cache.generation == self._generation:  # nothing evicted
-            answers = {
-                (signature, key): entry
-                for key, entry in zip(keys, placed)
-                if entry[0] is not None
-            }
+            self._remember(
+                signature,
+                {key: entry for key, entry in zip(keys, placed) if entry[0] is not None},
+            )
             if second:
                 scored = {key: entry[0] for _, _, key, entry in hits}
                 scored.update((key, value[0]) for (_, _, key), value in zip(cells, values))
-                self._answer_lists(jobs, second, scored, answers)
-            self._remember(answers)
+                for listed, answers in self._answer_lists(jobs, second, scored):
+                    self._remember(listed, answers)
         return placed
 
     def _sightings(self, keys: list[tuple], missed: list[tuple], signature: tuple) -> dict:
@@ -408,14 +411,14 @@ class CachedEstimator:
         first miss is recorded."""
         seen, cap = self._seen, self.cache.max_entries
         second: dict[tuple, int] = {}
-        for i, _, _ in missed:
+        for i in sorted(dict.fromkeys([i for i, _, _ in missed])):
             key = keys[i]
             first = seen.get(key)
             if first is None:
                 _admit(seen, key, signature, cap)
             elif first != signature:
                 second.setdefault(key, i)
-        return dict(sorted(second.items(), key=itemgetter(1)))
+        return second
 
     def _spread(
         self, jobs: list[QuantumJob], second: dict, missed: list[tuple], first: int
@@ -442,17 +445,16 @@ class CachedEstimator:
                 columns.append(qpu)
         return columns, cells
 
-    def _answer_lists(
-        self, jobs: list[QuantumJob], second: dict, scored: dict, answers: dict
-    ) -> None:
-        """Add to ``answers`` each ``second`` program's answer on every
-        known list whose memo lacks it and whose feasible pairs are all in
-        ``scored`` (table key -> fidelity): the first maximum, in listing
-        order, under that list's own signature."""
-        for signature, sizes in self._lists.items():
+    def _answer_lists(self, jobs: list[QuantumJob], second: dict, scored: dict):
+        """``(signature, answers)`` per known list: each ``second``
+        program's answer on that list, where its memo lacks one and every
+        feasible pair is in ``scored`` (table key -> fidelity): the first
+        maximum, in listing order, under the list's own signature."""
+        for signature, sizes in self._lists.values():
             memo = self._best.get(signature, {})
+            answers = {}
             for key, i in second.items():
-                if key in memo or (signature, key) in answers:
+                if key in memo:
                     continue
                 width, best, count = jobs[i].num_qubits, None, 0
                 for k, ((epoch, online), size) in enumerate(zip(signature, sizes)):
@@ -466,18 +468,22 @@ class CachedEstimator:
                         best = (k, value)
                 else:
                     if best is not None:
-                        answers[signature, key] = (best, count)
+                        answers[key] = (best, count)
+            if answers:
+                yield signature, answers
 
-    def _remember(self, answers: dict) -> None:
-        """Memoize ``(signature, key) -> entry`` for keys the memo lacks;
-        a memo that would outgrow ``max_entries`` starts over."""
-        cap = self.cache.max_entries
-        if self._best_size + len(answers) > cap:
+    def _remember(self, signature: tuple, answers: dict) -> None:
+        """Memoize ``answers`` (job key -> entry, keys the memo lacks)
+        under ``signature``; a memo that would outgrow ``max_entries``
+        starts over.  Each answer has a table entry of its own, so
+        ``answers`` alone never exceeds ``max_entries``."""
+        if not answers:
+            return
+        if self._best_size + len(answers) > self.cache.max_entries:
             self._best.clear()
             self._best_size = 0
-        for (signature, key), entry in islice(answers.items(), cap):
-            self._best.setdefault(signature, {})[key] = entry
-        self._best_size += min(len(answers), cap)
+        self._best.setdefault(signature, {}).update(answers)
+        self._best_size += len(answers)
 
     def _lookup(self, job_keys: list[tuple], qpus: list[QPU], feasible: np.ndarray):
         """Every feasible pair looked up once, column-major: ``(i, k, key,
