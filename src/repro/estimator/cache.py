@@ -39,14 +39,13 @@ resubmitted program is scored in two fills, not one per shard.  A list
 that first asks later pays one fill of its own.  The learned lists,
 QPUs and first misses are dropped with the memo.
 
-Below ``max_entries``, while at most two QPU lists share the cache and
-their QPUs stay online, the table's keys, values and counters are those
-of the per-pair path; only the recency order differs, because a memo
-hit promotes and refreshes nothing.  Otherwise the table may hold pairs
-the per-pair path has not scored yet, so the counters differ while
-every answer is the same.  At capacity the table evicts, which drops the
-memo, so eviction order (and, after it, what hits) can differ from the
-per-pair path's.
+While at most two QPU lists share the cache and their QPUs stay online,
+the table's keys, their order, its fidelities and counters are those of
+the per-pair path, at every ``max_entries``: a lookup reorders nothing,
+so a memo hit leaves the table as the lookups it stands for would, and
+an eviction drops the memo.  Otherwise the table may hold pairs the
+per-pair path has not scored yet, so the counters differ while every
+answer is the same.
 
 A block is served in three steps: look up every feasible pair, fill all
 the misses through **one stacked pass per model it needs** (not one per
@@ -71,10 +70,6 @@ from .estimator import ResourceEstimator
 from .source import best_feasible, feasibility_matrix, feasible_mask
 
 __all__ = ["CacheStats", "EstimateCache", "CachedEstimator", "job_key"]
-
-#: Share of an :class:`EstimateCache`'s capacity its protected segment may hold.
-_PROTECTED_FRACTION = 0.8
-
 
 def job_key(job: QuantumJob) -> tuple:
     """The job half of an estimate key, ``(fingerprint, shots,
@@ -112,33 +107,18 @@ class EstimateCache:
     """Bounded memo of ``key -> (fidelity, exec_seconds)`` pairs
     (``exec_seconds`` is ``None`` until a caller asks for it).
 
-    Eviction is segmented-LRU: entries enter a *probation* segment on
-    first insertion and are promoted to a *protected* segment (capped at
-    ``_PROTECTED_FRACTION`` of ``max_entries``) when hit again; a full
-    protected segment demotes its least-recent entry back to probation,
-    and capacity pressure always evicts probation's least-recent entry
-    first.  Single-touch keys streaming past therefore churn through
-    probation without displacing the re-referenced working set, so the
-    hit rate degrades *gracefully* as ``max_entries`` drops below the
-    working set — the generational-halving scheme this replaces cliffed
-    toward 0% there, because every overflow dropped half the table
-    including its hottest keys.
+    One insertion-ordered dict: a lookup reads and counts and moves
+    nothing, overwriting an entry keeps its place, and a new key stored
+    into a full table evicts the oldest entry, one per overflow, so the
+    table stays full and the hit rate degrades gracefully as
+    ``max_entries`` drops below the working set.
     """
 
     def __init__(self, max_entries: int = 200_000) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.max_entries = max_entries
-        # At least one probation slot must exist (insertions land there);
-        # with max_entries == 1 the protected segment degenerates away
-        # and the cache behaves as plain LRU.
-        self._protected_cap = min(
-            int(max_entries * _PROTECTED_FRACTION), max_entries - 1
-        )
-        # Both segments rely on dict insertion order as recency order:
-        # first item = least recent, re-inserting moves a key to the end.
-        self._probation: dict[tuple, tuple[float, float | None]] = {}
-        self._protected: dict[tuple, tuple[float, float | None]] = {}
+        self._entries: dict[tuple, tuple[float, float | None]] = {}
         self.stats = CacheStats()
         #: Bumped whenever entries leave the table (an eviction or
         #: :meth:`invalidate`): what is derived from its contents holds
@@ -146,65 +126,32 @@ class EstimateCache:
         self.generation = 0
 
     def __len__(self) -> int:
-        return len(self._probation) + len(self._protected)
+        return len(self._entries)
 
     def __contains__(self, key: tuple) -> bool:
-        """Whether ``key`` has an entry; counts and refreshes nothing."""
-        return key in self._protected or key in self._probation
-
-    @staticmethod
-    def key(job: QuantumJob, qpu: QPU) -> tuple:
-        return (*job_key(job), qpu.calibration.epoch)
+        """Whether ``key`` has an entry; counts nothing."""
+        return key in self._entries
 
     def get(self, key: tuple) -> tuple[float, float | None] | None:
-        hit = self._protected.pop(key, None)
-        if hit is not None:
-            self._protected[key] = hit  # refresh recency
+        hit = self._entries.get(key)
+        if hit is None:
+            self.stats.misses += 1
+        else:
             self.stats.hits += 1
-            return hit
-        hit = self._probation.pop(key, None)
-        if hit is not None:
-            self._promote(key, hit)
-            self.stats.hits += 1
-            return hit
-        self.stats.misses += 1
-        return None
-
-    def _promote(self, key: tuple, value: tuple[float, float | None]) -> None:
-        """A probation hit earns protection; overflow demotes, not drops.
-
-        Net occupancy is unchanged (one entry moved out of probation, at
-        most one demoted back), so only :meth:`put` grows the cache.
-        """
-        self._protected[key] = value
-        if len(self._protected) > self._protected_cap:
-            old_key = next(iter(self._protected))
-            self._probation[old_key] = self._protected.pop(old_key)
+        return hit
 
     def put(self, key: tuple, value: tuple[float, float | None]) -> None:
-        if key in self._protected:
-            self._protected[key] = value
-            return
-        if key in self._probation:
-            self._probation[key] = value
-            return
-        while len(self) >= self.max_entries:
-            victim_segment = self._probation or self._protected
-            del victim_segment[next(iter(victim_segment))]
+        entries = self._entries
+        if key not in entries and len(entries) >= self.max_entries:
+            del entries[next(iter(entries))]
             self.generation += 1
-        self._probation[key] = value
+        entries[key] = value
 
     def invalidate(self) -> None:
         """Drop every entry (epoch keys already prevent stale hits)."""
-        self._probation.clear()
-        self._protected.clear()
+        self._entries.clear()
         self.stats.invalidations += 1
         self.generation += 1
-
-    def _items_cold_to_hot(self):
-        """Every entry, probation first, least recent first."""
-        yield from self._probation.items()
-        yield from self._protected.items()
 
 
 class CachedEstimator:
@@ -303,18 +250,18 @@ class CachedEstimator:
 
         A job whose key was answered under the same QPU-list signature is
         answered from the memo: it adds its feasible-pair count to
-        ``stats.hits`` and touches nothing else, so the SLRU recency of
-        its entries is not refreshed.  The other jobs form one sub-block,
-        looked up and stored in :meth:`estimate_block`'s order, with a
-        miss running the fidelity model alone and stored without a
-        runtime; a program a second QPU list misses is answered for every
-        known list from that one fill (:meth:`_place`).  The memo, with
-        the lists, QPUs and first misses learned since, is dropped
-        whenever the table loses entries (an eviction,
-        :meth:`on_recalibration`), and never holds more than
-        ``max_entries`` answers: a full one starts over.  Signatures
-        carry the epochs, so it never answers for an old calibration even
-        when nobody calls the hook.
+        ``stats.hits`` and changes nothing else, just as its lookups
+        would have (a lookup reorders nothing).  The other jobs form one
+        sub-block, looked up and stored in :meth:`estimate_block`'s
+        order, with a miss running the fidelity model alone and stored
+        without a runtime; a program a second QPU list misses is
+        answered for every known list from that one fill
+        (:meth:`_place`).  The memo, with the lists, QPUs and first
+        misses learned since, is dropped whenever the table loses
+        entries (an eviction, :meth:`on_recalibration`), and never holds
+        more than ``max_entries`` answers: a full one starts over.
+        Signatures carry the epochs, so it never answers for an old
+        calibration even when nobody calls the hook.
         """
         cache = self.cache
         if cache.generation != self._generation:
@@ -488,7 +435,8 @@ class CachedEstimator:
     def _lookup(self, job_keys: list[tuple], qpus: list[QPU], feasible: np.ndarray):
         """Every feasible pair looked up once, column-major: ``(i, k, key,
         entry)`` per hit and ``(i, k, key)`` per miss."""
-        # EstimateCache.key, with the per-QPU part built once.
+        # A table key is the job key plus the QPU's calibration epoch,
+        # whose one-tuple is built once per QPU.
         get = self.cache.get
         hits: list[tuple[int, int, tuple, tuple[float, float | None]]] = []
         missed: list[tuple[int, int, tuple]] = []

@@ -22,8 +22,7 @@ synthetic scorer wrapped in
 model never runs for it, and neither waits nor runtimes are read.  The
 cached source answers a program it already placed on the same QPUs,
 under the same calibrations and availability, from a memo without a
-table lookup; that memo promotes no table entry, so once the table is
-at capacity its eviction order can differ from per-pair lookups'.
+table lookup, which leaves the table as those lookups would.
 Shard policies spawned from one policy share its source, so when a
 second shard misses a program the source scores it for every shard it
 knows in that one fill: under one calibration a resubmitted program

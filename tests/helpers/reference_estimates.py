@@ -21,7 +21,7 @@ pass ``segments``.
 
 import numpy as np
 
-from repro.estimator.cache import EstimateCache
+from repro.estimator.cache import job_key
 from repro.estimator.cost import plan_cost
 from repro.estimator.features import (
     calibration_fidelity_features,
@@ -67,10 +67,10 @@ def _column_runtimes(trained, job_rows, calibration):
 
 
 def cache_table(cached) -> list:
-    """The estimator's memo table, coldest first: ``(key, value)`` pairs
-    of probation then protected, so two tables compare equal only when
-    contents, segment membership and recency order all agree."""
-    return list(cached.cache._items_cold_to_hot())
+    """The estimator's memo table as ``(key, value)`` pairs in insertion
+    order, oldest first (the eviction order), so two tables compare
+    equal only when contents and order both agree."""
+    return list(cached.cache._entries.items())
 
 
 def reference_cached_block(cached, jobs, qpus, feasible=None):
@@ -84,7 +84,7 @@ def reference_cached_block(cached, jobs, qpus, feasible=None):
     if feasible is None:
         feasible = feasibility_matrix(jobs, qpus)
     keys = [
-        EstimateCache.key(j, q)
+        (*job_key(j), q.calibration.epoch)
         for j in jobs
         for q in qpus
     ]

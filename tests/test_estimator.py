@@ -456,8 +456,8 @@ class TestStackedFillBitIdentity:
         ``best_fidelity`` of every source equals (``==``) the first
         feasible maximum of the fidelity half of its ``estimate_block``,
         and a table filled by it alone keeps the same keys, fidelities
-        and counters, with no runtime stored (not the same recency order:
-        a repeated block is answered by its memo, which promotes
+        and counters, in the same order, with no runtime stored (a
+        repeated block is answered by its memo, and a lookup reorders
         nothing)."""
         stacked, reference = trained.cached(**cache_kwargs), trained.cached(**cache_kwargs)
         fidelity_only = trained.cached(**cache_kwargs)
@@ -472,11 +472,11 @@ class TestStackedFillBitIdentity:
             feasible = feasibility_matrix(jobs, qpus)
             best = fidelity_only.best_fidelity(jobs, qpus)
             assert best == best_feasible(got[0], feasible)
-            table = dict(cache_table(fidelity_only))
-            assert {key: fid for key, (fid, _) in table.items()} == {
-                key: fid for key, (fid, _) in cache_table(stacked)
-            }
-            assert all(sec is None for _, sec in table.values())
+            table = cache_table(fidelity_only)
+            assert [(key, fid) for key, (fid, _) in table] == [
+                (key, fid) for key, (fid, _) in cache_table(stacked)
+            ]
+            assert all(sec is None for _, (_, sec) in table)
             assert fidelity_only.stats == stacked.stats
             for source in (trained, _shots_and_name):
                 best = source.best_fidelity(jobs, qpus)
@@ -584,9 +584,9 @@ class TestStackedFillBitIdentity:
 
     def test_memo_hit_leaves_recency_alone(self, trained, fleet, monkeypatch):
         """A repeat answered by ``best_fidelity``'s memo counts the hits
-        its lookups would have made and promotes nothing: its entries stay
-        in probation, in order, where per-pair lookups move them to the
-        protected segment.  Keys, values and counters agree."""
+        its lookups would have made and moves nothing, as those lookups
+        move nothing: the memo's table holds the per-pair table's keys in
+        the same order, and the counters agree."""
         jobs = _jobs_with_circuits(widths=(2, 4))
         memo, per_pair = trained.cached(), trained.cached()
         first = memo.best_fidelity(jobs, fleet)
@@ -596,10 +596,9 @@ class TestStackedFillBitIdentity:
         assert memo.best_fidelity(jobs, fleet) == first
         per_pair.estimate_block(jobs, fleet)
         assert gets == [] and cache_table(memo) == table
-        assert not memo.cache._protected and not per_pair.cache._probation
         assert memo.stats == per_pair.stats
         assert memo.stats.hits == memo.stats.misses == 2 * len(fleet)
-        assert {key for key, _ in table} == {key for key, _ in cache_table(per_pair)}
+        assert [key for key, _ in table] == [key for key, _ in cache_table(per_pair)]
 
     def test_block_wider_than_a_chunk(self, trained, monkeypatch):
         """``tenant_outage``'s cold batched-FCFS shape: ~300 jobs x 8 QPUs,
@@ -736,14 +735,16 @@ class TestStackedFillBitIdentity:
 class TestBestFidelityOracle:
     """``CachedEstimator.best_fidelity`` against its definition:
     :func:`best_feasible` of an uncached ``estimate_block(...)[0]``.
-    Below capacity, with two or fewer QPU lists, its answers (``==``),
-    counters, keys and fidelities are those of a per-pair cache driven
-    through the same blocks (``reference_cached_block``); with three, a
-    program a second list misses is scored for the third as well, so the
-    table holds more keys and the counters differ.  A table value keeps the bits of the
-    block that filled it (a stacked product's last ulp depends on how
-    many rows it holds), so against the uncached block the index is
-    equal and the value within 1e-12, and ``==`` on a cold block."""
+    With two or fewer QPU lists, its answers (``==``), counters, keys
+    and fidelities are, below capacity, those of a per-pair cache driven
+    through the same blocks (``reference_cached_block``) and, at any
+    capacity, those of an ``estimate_block`` cache, in the same order;
+    with three, a program a second list misses is scored for the third
+    as well, so the table holds more keys and the counters differ.  A
+    table value keeps the bits of the block that filled it (a stacked
+    product's last ulp depends on how many rows it holds), so against
+    the uncached block the index is equal and the value within 1e-12,
+    and ``==`` on a cold block."""
 
     @staticmethod
     def _ask(trained, cached, per_pair, jobs, qpus):
@@ -898,7 +899,7 @@ class TestBestFidelityOracle:
         assert cached.stats.misses == per_pair.stats.misses
 
     def test_small_table_evicts_and_drops_the_memo(self, trained, fleet, monkeypatch):
-        """At capacity only the decisions are the reference's.  A block
+        """At capacity the decisions are the definition's.  A block
         whose stores evict drops the memo, so the next block looks every
         feasible pair up again, and the table and memo never outgrow
         ``max_entries``."""
@@ -931,6 +932,32 @@ class TestBestFidelityOracle:
                 assert len(known) <= 5
         assert max(occupancy) == 5 and answered
 
+    @pytest.mark.parametrize("max_entries", [3, 5, 7, 11, 40])
+    def test_capacity_keeps_the_per_block_table(self, trained, fleet, max_entries):
+        """At any ``max_entries``, ``best_fidelity`` and ``estimate_block``
+        driven through the same blocks (one or two QPU lists) make the
+        same decisions and leave tables with the same keys and
+        fidelities in the same order, and the same counters: a memo hit
+        moves nothing, as the lookups it stands for move nothing, so
+        both tables evict the same entries."""
+        qpus = fleet_of_size(8, seed=7)
+        jobs = _jobs_with_circuits()
+        blocks = (jobs, jobs[:1], jobs[:2], jobs[:1], jobs, jobs[2:], jobs[::-1], jobs[:1])
+        evictions = 0
+        for lists in ([fleet], [qpus[:4], qpus[4:]]):
+            memo, per_block = self._pair(trained, max_entries=max_entries)
+            for block in blocks + blocks[::-1]:
+                for shard in lists:
+                    got = memo.best_fidelity(block, shard)
+                    fid, _ = per_block.estimate_block(block, shard)
+                    assert got == best_feasible(fid, feasibility_matrix(block, shard))
+                    assert memo.stats == per_block.stats
+                    assert [(key, f) for key, (f, _) in cache_table(memo)] == [
+                        (key, f) for key, (f, _) in cache_table(per_block)
+                    ]
+            assert memo.cache.generation == per_block.cache.generation
+            evictions += memo.cache.generation
+        assert (evictions > 0) == (max_entries < 40)  # 40 holds every pair
 
     def test_memo_never_outgrows_max_entries(self, trained, monkeypatch):
         """Availability changes alone make new signatures over the same

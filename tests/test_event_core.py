@@ -436,7 +436,7 @@ class TestEstimateCache:
         for i in range(25):
             cache.put(("fp", i), (0.5, 1.0))
         assert len(cache) <= 10
-        # Newest entries survive the generational eviction.
+        # Newest entries survive the oldest-out eviction.
         assert cache.get(("fp", 24)) is not None
 
     def test_eviction_bound_degenerate(self):
@@ -470,10 +470,10 @@ class TestEstimateCache:
         assert cached.stats.hits == len(pool) * 4
 
     def test_working_set_at_capacity_evicts_one_coldest(self):
-        """At ``max_entries`` the segmented-LRU eviction drops exactly
-        one entry per overflow — the coldest probation entry — so the
-        table stays *full* under churn instead of halving (the old
-        generational scheme dumped half the table, hot keys included)."""
+        """At ``max_entries`` the oldest-out eviction drops exactly one
+        entry per overflow — the oldest inserted — so the table stays
+        *full* under churn instead of halving (the old generational
+        scheme dumped half the table, hot keys included)."""
         calls = []
 
         def base(job, qpu):
@@ -489,76 +489,21 @@ class TestEstimateCache:
         for job in pool:
             _estimate(cached, job, qpu)
         assert len(cached.cache) == 16
-        # One more distinct shape overflows: only the single coldest
+        # One more distinct shape overflows: only the single oldest
         # entry drops, the table stays full.
         extra = QuantumJob.from_circuit(ghz_linear(20), shots=1024)
         _estimate(cached, extra, qpu)
         assert len(cached.cache) == 16
-        # The oldest single-touch shape was the victim; the rest survive.
+        # The oldest shape was the victim; the rest survive.
         before = len(calls)
         _estimate(cached, pool[-1], qpu)  # recent entry: still cached
         assert len(calls) == before
-        _estimate(cached, pool[0], qpu)  # coldest entry: evicted, re-estimated
+        _estimate(cached, pool[0], qpu)  # oldest entry: evicted, re-estimated
         assert len(calls) == before + 1
         # However the stream churns, the bound holds.
         for w in range(30, 60):
             _estimate(cached, QuantumJob.from_circuit(ghz_linear(w), shots=1024), qpu)
             assert len(cached.cache) <= 16
-
-    def test_slru_protects_rereferenced_working_set(self):
-        """Keys hit twice are promoted to the protected segment and
-        survive an arbitrarily long stream of single-touch keys — the
-        graceful-degradation property the capacity sweep measures."""
-        calls = []
-
-        def base(job, qpu):
-            calls.append(job.job_id)
-            return 0.9, 10.0
-
-        qpu = default_fleet(seed=7, names=["lagos"])[0]
-        cached = CachedEstimator(base, max_entries=16)
-        hot = [
-            QuantumJob.from_circuit(ghz_linear(w), shots=1024)
-            for w in range(2, 8)  # 6 hot shapes
-        ]
-        for job in hot:
-            _estimate(cached, job, qpu)
-        for job in hot:
-            _estimate(cached, job, qpu)  # second touch: promoted to protected
-        # A scan of 40 distinct one-off shapes churns through probation.
-        for w in range(10, 50):
-            _estimate(cached, QuantumJob.from_circuit(ghz_linear(w), shots=1024), qpu)
-        assert len(cached.cache) <= 16
-        # Every hot shape is still a hit: the scan could not displace
-        # the protected segment.
-        before = len(calls)
-        for job in hot:
-            assert _estimate(cached, job, qpu) == (0.9, 10.0)
-        assert len(calls) == before
-
-    def test_slru_demotes_stale_protected_entries(self):
-        """Protection is not tenure: once hotter keys fill the protected
-        segment, its least-recently-used entries demote back to probation
-        and can be evicted like any cold key."""
-        cache = EstimateCache(max_entries=10)  # protected cap 8
-        for i in range(8):
-            cache.put(("old", i), (0.5, 1.0))
-            cache.get(("old", i))  # promote: protected = 8 oldies
-        # 8 new keys promoted on top displace the oldies from protection,
-        # demoting them into probation...
-        for i in range(8):
-            cache.put(("new", i), (0.6, 1.0))
-            cache.get(("new", i))
-        # ...where a scan of fresh keys evicts them.
-        for i in range(5):
-            cache.put(("scan", i), (0.7, 1.0))
-        assert len(cache) <= 10
-        hits_before = cache.stats.hits
-        for i in range(8):
-            cache.get(("old", i))
-        assert cache.stats.hits == hits_before  # demoted then evicted
-        cache.get(("new", 7))
-        assert cache.stats.hits == hits_before + 1  # still protected
 
     def test_capacity_sweep_degrades_gracefully(self):
         """Hit rate vs ``max_entries`` on a scheduling-shaped stream:
@@ -566,9 +511,10 @@ class TestEstimateCache:
         resubmission pool with round shot counts.  Keys do not depend on
         the estimate, so a constant base measures the eviction policy
         alone.  A cap past the working set serves the stream almost
-        entirely from memo; at the largest cap below it the protected
-        segment keeps the re-referenced keys serving (the generational
-        halving it replaced fell to near zero there)."""
+        entirely from memo; at the largest cap below it oldest-out
+        eviction, one entry per overflow, keeps the table full and most
+        recent keys serving (the generational halving it replaced fell
+        to near zero there)."""
         fleet = fleet_of_size(8, seed=7)
         gen = LoadGenerator(
             mean_rate_per_hour=20_000.0,
