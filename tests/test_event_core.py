@@ -6,6 +6,7 @@ keying/invalidation on recalibration, eviction bounds, and equivalence of
 scheduler decisions with and without the cache on a small fleet.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from repro.cloud import (
     MaintenanceWindow,
     QuantumJob,
     SimulationConfig,
+    ThresholdRebalancePolicy,
 )
 from repro.estimator import CachedEstimator, EstimateCache, PairwiseEstimateSource
 from repro.experiments.common import trained_estimator
@@ -308,6 +310,82 @@ class TestEventCore:
         )
         assert triggers == [(100.0, 0), (100.0, 1)]
         assert shards[2].trigger.next_deadline(50.0) == 70.0
+
+
+#: sha256 of ``deterministic_state()`` of the aligned-instant run below.
+ALIGNED_INSTANTS_PIN = (
+    "57c7fbcac0d42cd1c24fcfca430873efe0f7838f45fa032fc5f1af7bb5b8af58"
+)
+
+
+class TestSameInstantOrder:
+    """Every kind of event at one instant, with two arrivals among them.
+
+    At t = 120 and t = 240 two arrivals land on a SAMPLE, a RECALIBRATION,
+    a REBALANCE tick, an AVAILABILITY flip and shard 1's interval TRIGGER
+    deadline (shard 0's queue limit of 2 fires it on the arrival path, so
+    its deadlines drift off the grid).  No bench workload has same-instant
+    arrivals, so this is what holds the handlers to ``(time, EventType)``
+    order, the arrivals to stream order, and the run to its digest.
+    """
+
+    ALIGNED = (120.0, 240.0)
+    ARRIVALS = (10.0, 60.0, 60.0, 90.0, 120.0, 120.0, 150.0, 240.0, 240.0, 270.0)
+
+    def _run(self):
+        from repro.cloud.simulator import EventType
+
+        apps = [
+            HybridApplication(
+                QuantumJob.from_circuit(ghz_linear(3 + i % 4)), arrival_time=t
+            )
+            for i, t in enumerate(self.ARRIVALS)
+        ]
+        sim = CloudSimulator.sharded(
+            fleet_of_size(4, seed=7),
+            BatchedFCFSPolicy(_fake_estimate),
+            num_shards=2,
+            execution_model=ExecutionModel(seed=5),
+            trigger_factory=lambda i: SchedulingTrigger(
+                queue_limit=2 if i == 0 else 10_000, interval_seconds=60.0
+            ),
+            config=SimulationConfig(
+                duration_seconds=300.0,
+                sample_every_seconds=120.0,
+                recalibrate_every_seconds=120.0,
+                seed=5,
+            ),
+            rebalance=ThresholdRebalancePolicy(min_gap=2, interval_seconds=60.0),
+            availability=AvailabilityModel(
+                windows=[MaintenanceWindow("qpu01", 120.0, 240.0)]
+            ),
+        )
+        handled = []
+        for kind in EventType:
+            name = f"_on_{kind.name.lower()}"
+
+            def record(st, now, payload, _kind=kind, _handler=getattr(sim, name)):
+                handled.append((now, _kind, payload))
+                _handler(st, now, payload)
+
+            setattr(sim, name, record)
+        return apps, sim.run(iter(apps)), handled
+
+    def test_handlers_run_in_time_and_kind_order(self):
+        from repro.cloud.simulator import EventType
+
+        apps, m, handled = self._run()
+        order = [(now, kind) for now, kind, _ in handled]
+        assert order == sorted(order)
+        arrived = [p for _, kind, p in handled if kind == EventType.ARRIVAL]
+        assert arrived == apps
+        for instant in self.ALIGNED:
+            kinds = [kind for now, kind, _ in handled if now == instant]
+            assert kinds.count(EventType.ARRIVAL) == 2
+            assert set(EventType) - {EventType.COMPLETION} <= set(kinds), instant
+        assert m.events_processed >= len(handled)
+        digest = hashlib.sha256(repr(m.deterministic_state()).encode()).hexdigest()
+        assert digest == ALIGNED_INSTANTS_PIN
 
 
 @pytest.mark.parametrize("policy_cls", [FCFSPolicy, BatchedFCFSPolicy])
