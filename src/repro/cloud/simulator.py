@@ -1,12 +1,15 @@
 """The quantum-cloud simulator (§8.2) — sharded, event-driven core.
 
 Drives simulated time over a stream of hybrid applications with a heap
-event queue: arrivals, application completions, scheduling-trigger
-deadlines, metric samples, and recalibration cycles are discrete events,
-so wall-clock cost scales with the number of events rather than with
-simulated seconds.  The loop is a table: one handler per
-:class:`EventType` (``_on_arrival``, ``_on_trigger``, ...) over one
-private :class:`RunState` that holds everything a run mutates.
+event queue: application completions, scheduling-trigger deadlines,
+metric samples, and recalibration cycles are heap entries, and the
+stream's next arrival waits beside the heap under the same key, so
+wall-clock cost scales with the number of events rather than with
+simulated seconds.  Only entries that will be handled are pushed: none
+falls past the horizon, except a completion exactly at it.  The loop is
+a table: one handler per :class:`EventType` (``_on_arrival``,
+``_on_trigger``, ...) over one private :class:`RunState` that holds
+everything a run mutates.
 
 The fleet is organized as one or more :class:`~repro.cloud.fleet.FleetShard`
 partitions, each owning a subset of QPUs plus its own scheduler/policy
@@ -100,8 +103,10 @@ __all__ = [
 
 
 class EventType(IntEnum):
-    """Heap tie-break priorities at equal timestamps.
+    """Tie-break priorities at equal timestamps.
 
+    Every kind but ARRIVAL is a heap entry; the next arrival is held in
+    :class:`RunState` and ordered against the heap top by the same key.
     Completions land before samples so a sample at time t sees every
     application with ``finish_time <= t``; recalibration, sampling,
     arrivals, and trigger deadlines keep the processing order of the
@@ -121,6 +126,11 @@ class EventType(IntEnum):
     ARRIVAL = 4
     REBALANCE = 5
     TRIGGER = 6
+
+
+#: The held "arrival" once the stream is spent: it sorts after every heap
+#: entry and past any horizon.
+_SPENT = (math.inf, int(EventType.ARRIVAL), -1, None)
 
 
 @dataclass
@@ -153,6 +163,10 @@ class RunState:
     Heap entries are ``(time, kind, seq, payload)``: ``kind`` breaks
     same-instant ties by :class:`EventType` priority and ``seq`` (push
     order) breaks the rest, so pop order is total and deterministic.
+    The stream's next arrival is not pushed: ``arrival`` holds it as the
+    entry it would be, its ``seq`` drawn when it is pulled, and the loop
+    takes whichever of it and the heap top is smaller.  An entry is pushed
+    only if it will pop: before the horizon, or for a completion at it.
     """
 
     horizon: float
@@ -160,6 +174,7 @@ class RunState:
     metrics: SimulationMetrics
     heap: list[tuple[float, int, int, object]] = field(default_factory=list)
     seq: Iterator[int] = field(default_factory=itertools.count)
+    arrival: tuple[float, int, int, object] = _SPENT
     #: Only in-flight applications (arrived, not yet dispatched) are
     #: held here; entries are dropped on dispatch/rejection so memory
     #: stays independent of the stream length.
@@ -174,6 +189,18 @@ class RunState:
 
     def push(self, t: float, kind: EventType, payload=None) -> None:
         heapq.heappush(self.heap, (t, int(kind), next(self.seq), payload))
+
+    def push_before_horizon(self, t: float, kind: EventType, payload=None) -> None:
+        """Push an entry only if it will pop (it falls before the horizon)."""
+        if t < self.horizon:
+            self.push(t, kind, payload)
+
+    def hold(self, app: HybridApplication | None) -> None:
+        """Hold the stream's next arrival (``None``: the stream is spent)."""
+        self.arrival = (
+            _SPENT if app is None
+            else (app.arrival_time, int(EventType.ARRIVAL), next(self.seq), app)
+        )
 
 
 class CloudSimulator:
@@ -315,7 +342,10 @@ class CloudSimulator:
             # Classical post-processing starts right after the quantum part;
             # classical waiting is ~zero (thousands of workers available).
             app.finish_time = job.finish_time + record.classical_post_seconds
-            st.push(app.finish_time, EventType.COMPLETION, app)
+            # ``_finish`` folds a completion at the horizon; a later one
+            # would never be handled.
+            if app.finish_time <= st.horizon:
+                st.push(app.finish_time, EventType.COMPLETION, app)
 
     def _fail(self, st: RunState, job) -> None:
         job.status = JobStatus.FAILED
@@ -463,14 +493,11 @@ class CloudSimulator:
         self.execution_model.on_recalibration()
         for source in self._estimate_sources:
             source.on_recalibration(all_qpus)
-        st.push(
-            now + self.config.recalibrate_every_seconds,
-            EventType.RECALIBRATION,
-        )
+        st.push_before_horizon(now + self.config.recalibrate_every_seconds, EventType.RECALIBRATION)
 
     def _on_sample(self, st: RunState, now: float, _payload) -> None:
         self._sample(st, now)
-        st.push(now + self.config.sample_every_seconds, EventType.SAMPLE)
+        st.push_before_horizon(now + self.config.sample_every_seconds, EventType.SAMPLE)
 
     def _sample(self, st: RunState, t: float) -> None:
         metrics = st.metrics
@@ -499,14 +526,13 @@ class CloudSimulator:
         self, st: RunState, now: float, app: HybridApplication
     ) -> None:
         nxt = next(st.stream, None)
-        if nxt is not None:
-            if nxt.arrival_time < app.arrival_time:
-                raise ValueError(
-                    f"arrivals must be time-ordered: app {nxt.app_id} "
-                    f"arrives at {nxt.arrival_time}, after app {app.app_id} "
-                    f"at {app.arrival_time} (pass a list to have it sorted)"
-                )
-            st.push(nxt.arrival_time, EventType.ARRIVAL, nxt)
+        if nxt is not None and nxt.arrival_time < app.arrival_time:
+            raise ValueError(
+                f"arrivals must be time-ordered: app {nxt.app_id} "
+                f"arrives at {nxt.arrival_time}, after app {app.app_id} "
+                f"at {app.arrival_time} (pass a list to have it sorted)"
+            )
+        st.hold(nxt)
         job = app.quantum_job
         metrics = st.metrics
         # The multi-tenant front door: tenant-tagged arrivals are checked
@@ -541,7 +567,7 @@ class CloudSimulator:
         receivers = sorted({m.dst for m in moves}, key=lambda s: s.shard_id)
         for shard in receivers:
             self._fire_if_ready(st, shard, now)
-        st.push(now + self.rebalancer.interval_seconds, EventType.REBALANCE)
+        st.push_before_horizon(now + self.rebalancer.interval_seconds, EventType.REBALANCE)
 
     def _on_trigger(self, st: RunState, now: float, shard_id: int) -> None:
         """Coalesce this instant's TRIGGERs into one engine batch.
@@ -619,8 +645,18 @@ class CloudSimulator:
             getattr(self, f"_on_{kind.name.lower()}")
             for kind in sorted(EventType)
         ]
-        while heap and heap[0][0] < horizon:
-            now, kind, _, payload = heapq.heappop(heap)
+        heappop = heapq.heappop
+        # One merge of two ordered sources: the held arrival and the heap.
+        while True:
+            arrival = st.arrival
+            if heap and heap[0] < arrival:
+                if heap[0][0] >= horizon:
+                    break
+                now, kind, _, payload = heappop(heap)
+            elif arrival[0] < horizon:
+                now, kind, _, payload = arrival
+            else:
+                break
             metrics.events_processed += 1
             handlers[kind](st, now, payload)
         self._finish(st)
@@ -630,7 +666,7 @@ class CloudSimulator:
     def _start(
         self, apps: list[HybridApplication] | Iterable[HybridApplication]
     ) -> RunState:
-        """Build the run's state and seed the heap with its first events."""
+        """Build the run's state, hold its first arrival and seed the heap."""
         cfg = self.config
         horizon = cfg.duration_seconds
         if isinstance(apps, list):
@@ -643,25 +679,17 @@ class CloudSimulator:
                 b.name: shard for shard in self.shards for b in shard.backends
             },
         )
-        first = next(st.stream, None)
-        if first is not None:
-            st.push(first.arrival_time, EventType.ARRIVAL, first)
-        if cfg.sample_every_seconds < horizon:
-            st.push(cfg.sample_every_seconds, EventType.SAMPLE)
+        st.hold(next(st.stream, None))
+        st.push_before_horizon(cfg.sample_every_seconds, EventType.SAMPLE)
         if cfg.recalibrate_every_seconds is not None:
-            st.push(cfg.recalibrate_every_seconds, EventType.RECALIBRATION)
+            st.push_before_horizon(cfg.recalibrate_every_seconds, EventType.RECALIBRATION)
         for shard in self.shards:
             self._arm(st, shard, 0.0)
         if self.availability is not None:
             for ev in self.availability.schedule(list(st.shard_of_qpu), horizon):
-                if ev.time < horizon:
-                    st.push(ev.time, EventType.AVAILABILITY, ev)
-        if (
-            self.rebalancer is not None
-            and len(self.shards) > 1
-            and self.rebalancer.interval_seconds < horizon
-        ):
-            st.push(self.rebalancer.interval_seconds, EventType.REBALANCE)
+                st.push_before_horizon(ev.time, EventType.AVAILABILITY, ev)
+        if self.rebalancer is not None and len(self.shards) > 1:
+            st.push_before_horizon(self.rebalancer.interval_seconds, EventType.REBALANCE)
         return st
 
     def _finish(self, st: RunState) -> None:
@@ -672,13 +700,13 @@ class CloudSimulator:
         backlogged = [s for s in self.shards if s.pending]
         if backlogged:
             self._run_batch(st, backlogged, horizon)
-        # Fold in completions that land inside the horizon, and take the
+        # Fold in the completions at the horizon itself (nothing else is
+        # left: every other entry fell before it and popped), and take the
         # last sample.
         while heap:
-            t, kind, _, payload = heapq.heappop(heap)
-            if kind == EventType.COMPLETION and t <= horizon:
-                metrics.events_processed += 1
-                self._on_completion(st, t, payload)
+            t, _, _, app = heapq.heappop(heap)
+            metrics.events_processed += 1
+            self._on_completion(st, t, app)
         self._sample(st, horizon)
         # Devices still down at the horizon accrue downtime to the end.
         for name, went_down in st.offline_since.items():

@@ -138,7 +138,8 @@ class TestEventCore:
         """A one-job queue limit with no interval: each arrival is a
         one-job cycle, and no TRIGGER entry ever reaches the heap —
         whether the trigger is FCFS's default or passed to a batched
-        policy."""
+        policy.  No ARRIVAL entry does either: the next arrival waits
+        beside the heap."""
         from repro.cloud.simulator import EventType, RunState
 
         kinds = []
@@ -161,7 +162,7 @@ class TestEventCore:
         )
         assert sim.shards[0].trigger == per_arrival
         m = sim.run(apps)
-        assert EventType.ARRIVAL in kinds and EventType.TRIGGER not in kinds
+        assert EventType.ARRIVAL not in kinds and EventType.TRIGGER not in kinds
         assert m.dispatched_jobs == m.scheduling_cycles == m.cycle_batches == len(apps)
         assert m.max_batch_cycles == 1 and m.pending_at_horizon == 0
 
@@ -386,6 +387,61 @@ class TestSameInstantOrder:
         assert m.events_processed >= len(handled)
         digest = hashlib.sha256(repr(m.deterministic_state()).encode()).hexdigest()
         assert digest == ALIGNED_INSTANTS_PIN
+
+
+class TestHorizonBoundary:
+    """An entry is pushed only when it will pop: a COMPLETION at or before
+    the horizon, every other kind (here the 30 s SAMPLE) before it.
+    Twelve arrivals in the first minute queue on one device, so their
+    completions spread far past the last arrival."""
+
+    def _run(self, horizon):
+        apps = [
+            HybridApplication(
+                QuantumJob.from_circuit(ghz_linear(3 + i % 5)), arrival_time=5.0 * i
+            )
+            for i in range(12)
+        ]
+        sim = CloudSimulator(
+            default_fleet(seed=7, names=["lagos"]),
+            FCFSPolicy(_fake_estimate),
+            ExecutionModel(seed=5),
+            config=SimulationConfig(
+                duration_seconds=horizon, sample_every_seconds=30.0, seed=5
+            ),
+        )
+        return apps, sim.run(apps)
+
+    def test_nothing_past_the_horizon_is_pushed_and_a_completion_at_it_folds(
+        self, monkeypatch
+    ):
+        from repro.cloud.simulator import EventType, RunState
+
+        apps, first = self._run(3600.0)
+        finishes = sorted(a.finish_time for a in apps)
+        assert first.completed_jobs == first.dispatched_jobs == len(apps)
+        horizon = finishes[len(finishes) // 2]
+        assert horizon > max(a.arrival_time for a in apps)
+
+        pushed = []
+        push = RunState.push
+
+        def recording_push(self, t, kind, payload=None):
+            pushed.append((t, kind))
+            push(self, t, kind, payload)
+
+        monkeypatch.setattr(RunState, "push", recording_push)
+        rerun, m = self._run(horizon)
+        assert sorted(a.finish_time for a in rerun) == finishes
+        assert max(finishes) > horizon
+        assert all(
+            t <= horizon if kind == EventType.COMPLETION else t < horizon
+            for t, kind in pushed
+        )
+        assert (horizon, EventType.COMPLETION) in pushed
+        assert (90.0, EventType.SAMPLE) in pushed
+        assert m.completed_jobs == sum(t < horizon for t in finishes) + 1
+        assert m.dispatched_jobs == first.dispatched_jobs
 
 
 @pytest.mark.parametrize("policy_cls", [FCFSPolicy, BatchedFCFSPolicy])

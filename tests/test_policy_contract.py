@@ -14,6 +14,8 @@
 * the trigger path reads shard state, never the heap's contents (AST
   guard: no ``heapify``, no heap slice-assignment, one TRIGGER push, its
   payload a bare shard id);
+* the stream is the only arrival queue (AST guard: no push of an
+  ARRIVAL entry);
 * the synchronous engine keeps the digests of twelve pinned runs over
   three trigger shapes, two batched policies and two load seeds.
 """
@@ -307,6 +309,17 @@ def _trigger_payloads(path: Path) -> list[str]:
     ]
 
 
+def _arrival_pushes(path: Path) -> list[str]:
+    """Every ``push`` / ``heappush`` call naming ``EventType.ARRIVAL``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in ("push", "heappush") and "EventType.ARRIVAL" in ast.unparse(node):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
 class TestTriggerPathReadsShardState:
     def test_simulator_never_rebuilds_the_heap(self):
         assert _heap_surgery(SRC / "cloud/simulator.py") == []
@@ -327,6 +340,23 @@ class TestTriggerPathReadsShardState:
         )
         assert sorted(_heap_surgery(sample)) == ["sample.py:1", "sample.py:2"]
         assert _trigger_payloads(sample) == ["(shard.shard_id, 'hold')"]
+
+
+class TestArrivalsStayInTheStream:
+    def test_simulator_never_pushes_an_arrival(self):
+        # The next arrival waits in ``RunState.arrival`` beside the heap,
+        # so a heap path for arrivals cannot come back as a second path.
+        assert _arrival_pushes(SRC / "cloud/simulator.py") == []
+
+    def test_guard_sees_what_it_forbids(self, tmp_path):
+        sample = tmp_path / "sample.py"
+        sample.write_text(
+            "st.push(nxt.arrival_time, EventType.ARRIVAL, nxt)\n"
+            "heapq.heappush(heap, (t, int(EventType.ARRIVAL), next(seq), app))\n"
+            "st.push(t, EventType.SAMPLE)\n"
+            "st.hold(nxt)\n"
+        )
+        assert _arrival_pushes(sample) == ["sample.py:1", "sample.py:2"]
 
 
 #: ``(shape, policy, load seed) -> sha256`` of ``deterministic_state()``
