@@ -29,18 +29,27 @@ The *parameter census* asks the same of every defaulted parameter of
 every function and method under ``src/repro`` outside ``analysis/``,
 private ones included.  Its roots are the calls the files above make:
 every call in ``src/``, ``bench/``, ``benchmarks/`` and ``examples/``.
-Callees are matched by name, unresolved, so again it errs toward keeping:
+A keyword counts only where it can reach the function it names: a
+function's callees are the calls by its own name, and a constructor's
+are the calls to its class and its subclasses, with ``cls(...)``,
+``type(self)(...)`` and ``super().__init__(...)`` resolved to the
+enclosing class (its bases for the last).  Callee names are not resolved
+further, so a call by a shared name reaches every function of that name:
 
-* a keyword-only default is dead when no call passes a keyword of its
-  name and no call to a function of its name spreads ``**``;
-* a positional-or-keyword default is dead when no call to a function of
-  its name passes that many positional arguments, none passes its name
-  as a keyword, none spreads ``*`` or ``**``, and nothing names the
-  function other than as a callee (a dispatch table or a callback holding
-  it keeps it).  A constructor's callees are its class and its
-  subclasses, and ``cls(...)``, ``type(self)(...)`` and
-  ``super().__init__(...)`` calls resolve to the enclosing class (its
-  bases for the last).
+* a keyword-only default is dead when no call to one of its callees
+  passes a keyword of its name or spreads ``**``;
+* a positional-or-keyword default is dead when no call to one of its
+  callees passes that many positional arguments, passes its name as a
+  keyword or spreads ``*`` or ``**``, and nothing names the function
+  other than as a callee (a dispatch table or a callback holding it
+  keeps it).
+
+The *value rule*: a function something names other than as a callee (a
+dispatch table, a callback, a ``functools.partial`` or an annotation)
+can be called under any name, as ``report``'s ``run(seed=seed)`` calls
+every figure.  For such a function a keyword of a parameter's name
+passed to any call keeps the parameter, so the census still errs toward
+keeping code.
 
 A dead parameter is named ``module:qualname(param)``; it becomes the
 constant it always is, or an :data:`ALLOWED` key says why it stays.
@@ -360,19 +369,22 @@ def dead_parameters(allowed=ALLOWED):
         else:
             callees = {d.name}
         calls = [c for name in callees for c in seen.calls[name]]
-        spread_kw = any(k.arg is None for c in calls for k in c.keywords)
-        spread = spread_kw or any(isinstance(a, ast.Starred) for c in calls for a in c.args)
+        passed = {k.arg for c in calls for k in c.keywords}  # None: a ** spread
+        spread_kw = None in passed
+        as_value = bool(callees & seen.values)
+        if as_value:
+            passed |= seen.keywords
         args = node.args
         for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-            if default is not None and arg.arg not in seen.keywords and not spread_kw:
+            if default is not None and arg.arg not in passed and not spread_kw:
                 dead.append(f"{d.key}({arg.arg})")
         positional = [*args.posonlyargs, *args.args]
         if d.owner is not None and not _is_staticmethod(node):
             positional = positional[1:]  # self or cls
         first_default = len(positional) - len(args.defaults)
-        as_value = spread or bool(callees & seen.values)
+        spread = spread_kw or any(isinstance(a, ast.Starred) for c in calls for a in c.args)
         for index, arg in enumerate(positional):
-            if index < first_default or as_value or arg.arg in seen.keywords:
+            if index < first_default or as_value or spread or arg.arg in passed:
                 continue
             if not any(len(c.args) > index for c in calls):
                 dead.append(f"{d.key}({arg.arg})")
@@ -441,8 +453,8 @@ _MOD = (
     "    return tests_only + bench_too\n"
     "def spread(a, b=2):\n"
     "    return a + b\n"
-    "def in_table(a, b=2):\n"
-    "    return a + b\n"
+    "def in_table(a, b=2, *, mode=1):\n"
+    "    return a + b + mode\n"
     "def as_callback(a, b=2):\n"
     "    return a + b\n"
     "def one_positional(a, b=2, c=3):\n"
@@ -452,6 +464,16 @@ _MOD = (
     "        self.a = a + b\n"
     "class Derived(Base):\n"
     "    pass\n"
+    "def quiet(a, b=2, *, flag=1):\n"
+    "    return a + b + flag\n"
+    "def partial_target(a, *, k=1):\n"
+    "    return a + k\n"
+    "class Spread:\n"
+    "    def __init__(self, a=1, *, b=2):\n"
+    "        self.a = a + b\n"
+    "    @classmethod\n"
+    "    def build(cls, d):\n"
+    "        return cls(**d)\n"
 )
 
 
@@ -479,6 +501,12 @@ def toy_repo(tmp_path, monkeypatch):
         "sorted([3, 1], key=as_callback)\n"
         "one_positional(1, 2)\n"
         "Derived(1, 2)\n"
+        "quiet(1)\n"
+        "dict(b=3, flag=2)\n"
+        "TABLE['f'](1, mode=2)\n"
+        "import functools\n"
+        "functools.partial(partial_target, k=2)(1)\n"
+        "Spread().build({'b': 3})\n"
     )
     (tmp_path / "bench" / "run.py").write_text("knob(bench_too=2)\n")
     (tmp_path / "tests" / "test_mod.py").write_text(
@@ -503,15 +531,25 @@ def test_census_sees_what_it_forbids(toy_repo):
 
 def test_parameter_census_sees_what_it_forbids(toy_repo):
     """A keyword only ``tests/`` passes is dead and one ``bench/`` passes
-    lives; ``**``, a dispatch table, a callback and a subclass's call keep
-    positional defaults alive; an allowance that keeps nothing fails."""
+    lives; a keyword passed only to an unrelated callee is dead;
+    ``**``, a dispatch table, a callback and a subclass's call keep
+    positional defaults alive; a call through a dispatch table and a
+    ``functools.partial`` keep the keywords they pass, and ``cls(**d)``
+    keeps every parameter of its class; an allowance that keeps nothing
+    fails."""
     assert dead_parameters(allowed={}) == [
         "repro.mod:knob(tests_only)",
         "repro.mod:one_positional(c)",
+        "repro.mod:quiet(b)",
+        "repro.mod:quiet(flag)",
     ]
     allowed = {
         "repro.mod:knob(tests_only)": "a keyword only its own test passes",
         "repro.mod:spread(b)": "a default the examples spread into it",
     }
-    assert dead_parameters(allowed) == ["repro.mod:one_positional(c)"]
+    assert dead_parameters(allowed) == [
+        "repro.mod:one_positional(c)",
+        "repro.mod:quiet(b)",
+        "repro.mod:quiet(flag)",
+    ]
     assert unneeded_allowances(allowed) == ["repro.mod:spread(b)"]
