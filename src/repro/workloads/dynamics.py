@@ -17,8 +17,6 @@ __all__ = ["tfim_trotter", "amplitude_estimation"]
 def tfim_trotter(
     num_qubits: int,
     steps: int = 2,
-    *,
-    measure: bool = True,
 ) -> Circuit:
     """First-order Trotter circuit for the 1-D transverse-field Ising model.
 
@@ -38,16 +36,13 @@ def tfim_trotter(
             circ.rzz(-2.0 * dt, q, q + 1)
         for q in range(num_qubits):
             circ.rx(-2.0 * dt, q)
-    if measure:
-        circ.measure_all()
+    circ.measure_all()
     return circ
 
 
 def amplitude_estimation(
     num_qubits: int,
     grover_power: int = 1,
-    *,
-    measure: bool = True,
 ) -> Circuit:
     """Amplitude-amplification circuit at one Grover power.
 
@@ -71,6 +66,5 @@ def amplitude_estimation(
     for _ in range(grover_power):
         circ.compose(oracle)
         circ.compose(diff)
-    if measure:
-        circ.measure_all()
+    circ.measure_all()
     return circ

@@ -13,7 +13,7 @@ from ..circuits.circuit import Circuit
 __all__ = ["ghz", "ghz_linear", "w_state"]
 
 
-def ghz(num_qubits: int, *, measure: bool = True) -> Circuit:
+def ghz(num_qubits: int) -> Circuit:
     """Star-shaped GHZ: H on qubit 0 then fan-out CNOTs from qubit 0."""
     if num_qubits < 2:
         raise ValueError("GHZ needs >= 2 qubits")
@@ -21,12 +21,11 @@ def ghz(num_qubits: int, *, measure: bool = True) -> Circuit:
     circ.h(0)
     for q in range(1, num_qubits):
         circ.cx(0, q)
-    if measure:
-        circ.measure_all()
+    circ.measure_all()
     return circ
 
 
-def ghz_linear(num_qubits: int, *, measure: bool = True) -> Circuit:
+def ghz_linear(num_qubits: int) -> Circuit:
     """Chain GHZ: CNOT ladder, hardware-friendlier on linear couplings."""
     if num_qubits < 2:
         raise ValueError("GHZ needs >= 2 qubits")
@@ -34,12 +33,11 @@ def ghz_linear(num_qubits: int, *, measure: bool = True) -> Circuit:
     circ.h(0)
     for q in range(num_qubits - 1):
         circ.cx(q, q + 1)
-    if measure:
-        circ.measure_all()
+    circ.measure_all()
     return circ
 
 
-def w_state(num_qubits: int, *, measure: bool = True) -> Circuit:
+def w_state(num_qubits: int) -> Circuit:
     """W-state preparation via cascaded controlled rotations.
 
     Uses the standard recursive construction: a chain of F-gates (ry + cz
@@ -56,6 +54,5 @@ def w_state(num_qubits: int, *, measure: bool = True) -> Circuit:
         circ.cz(k - 1, k)
         circ.ry(theta, k)
         circ.cx(k, k - 1)
-    if measure:
-        circ.measure_all()
+    circ.measure_all()
     return circ

@@ -84,7 +84,7 @@ def diffuser(num_qubits: int) -> Circuit:
     return circ
 
 
-def grover(num_qubits: int, *, measure: bool = True) -> Circuit:
+def grover(num_qubits: int) -> Circuit:
     """Full Grover search for the all-ones item, at the optimal
     ``round(pi/4 * sqrt(2^n))`` iterations."""
     if num_qubits < 2:
@@ -100,6 +100,5 @@ def grover(num_qubits: int, *, measure: bool = True) -> Circuit:
     for _ in range(iterations):
         circ.compose(oracle)
         circ.compose(diff)
-    if measure:
-        circ.measure_all()
+    circ.measure_all()
     return circ

@@ -9,7 +9,7 @@ from ..circuits.circuit import Circuit, SinkT
 __all__ = ["bernstein_vazirani", "deutsch_jozsa"]
 
 
-def bernstein_vazirani(num_qubits: int, *, measure: bool = True) -> Circuit:
+def bernstein_vazirani(num_qubits: int) -> Circuit:
     """BV with the phase-kickback oracle folded into Z gates.
 
     ``num_qubits`` counts only the data register (the ancilla is optimized
@@ -29,8 +29,7 @@ def bernstein_vazirani(num_qubits: int, *, measure: bool = True) -> Circuit:
             circ.z(q)
     for q in range(num_qubits):
         circ.h(q)
-    if measure:
-        circ.measure_all()
+    circ.measure_all()
     return circ
 
 
@@ -38,7 +37,6 @@ def deutsch_jozsa(
     num_qubits: int,
     *,
     seed: int = 0,
-    measure: bool = True,
     sink: type[SinkT] = Circuit,  # type: ignore[assignment]
 ) -> SinkT:
     """DJ on a balanced oracle (ancilla-free form), written into ``sink``."""
@@ -65,6 +63,5 @@ def deutsch_jozsa(
             circ.z(q)
     for q in range(num_qubits):
         circ.h(q)
-    if measure:
-        circ.measure_all()
+    circ.measure_all()
     return circ

@@ -35,7 +35,6 @@ def qaoa_maxcut(
     p_layers: int = 1,
     *,
     edges: list[tuple[int, int]] | None = None,
-    measure: bool = True,
     seed: int = 0,
     sink: type[SinkT] = Circuit,  # type: ignore[assignment]
 ) -> SinkT:
@@ -58,14 +57,11 @@ def qaoa_maxcut(
             circ.rzz(2.0 * gammas[layer], a, b)
         for q in range(num_qubits):
             circ.rx(2.0 * betas[layer], q)
-    if measure:
-        circ.measure_all()
+    circ.measure_all()
     return circ
 
 
-def qaoa_ring_maxcut(
-    num_qubits: int, p_layers: int = 1, *, measure: bool = True, seed: int = 0
-) -> Circuit:
+def qaoa_ring_maxcut(num_qubits: int, *, seed: int = 0) -> Circuit:
     """QAOA on a ring (cycle) max-cut instance.
 
     Degree-2 interaction graph: routes swap-free along a physical path,
@@ -73,8 +69,6 @@ def qaoa_ring_maxcut(
     study (Fig. 7a).
     """
     edges = [(i, (i + 1) % num_qubits) for i in range(num_qubits)]
-    circ = qaoa_maxcut(
-        num_qubits, p_layers, edges=edges, measure=measure, seed=seed
-    )
-    circ.name = f"qaoa_ring_{num_qubits}_p{p_layers}"
+    circ = qaoa_maxcut(num_qubits, edges=edges, seed=seed)
+    circ.name = f"qaoa_ring_{num_qubits}_p1"
     return circ

@@ -29,13 +29,12 @@ def qft(num_qubits: int, *, swaps: bool = True, measure: bool = False) -> Circui
     return circ
 
 
-def qft_entangled(num_qubits: int, *, measure: bool = True) -> Circuit:
+def qft_entangled(num_qubits: int) -> Circuit:
     """QFT applied to a GHZ input — MQT Bench's 'qftentangled' workload."""
     circ = Circuit(num_qubits, f"qft_entangled_{num_qubits}")
     circ.h(0)
     for q in range(num_qubits - 1):
         circ.cx(q, q + 1)
-    circ.compose(qft(num_qubits, swaps=True, measure=False))
-    if measure:
-        circ.measure_all()
+    circ.compose(qft(num_qubits, swaps=True))
+    circ.measure_all()
     return circ

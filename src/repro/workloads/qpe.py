@@ -10,7 +10,7 @@ from .qft import qft
 __all__ = ["phase_estimation", "ripple_adder"]
 
 
-def phase_estimation(num_counting: int, *, measure: bool = True) -> Circuit:
+def phase_estimation(num_counting: int) -> Circuit:
     """QPE of a Z-rotation eigenphase on one target qubit.
 
     The target qubit (index ``num_counting``) is prepared in |1>, an
@@ -33,13 +33,12 @@ def phase_estimation(num_counting: int, *, measure: bool = True) -> Circuit:
         circ.cp(angle, q, target)
     inverse_qft = qft(num_counting, swaps=True).inverse()
     circ.compose(inverse_qft, qubits=list(range(num_counting)))
-    if measure:
-        for q in range(num_counting):
-            circ.measure(q)
+    for q in range(num_counting):
+        circ.measure(q)
     return circ
 
 
-def ripple_adder(num_bits: int, *, measure: bool = True) -> Circuit:
+def ripple_adder(num_bits: int) -> Circuit:
     """Cuccaro-style ripple-carry adder computing a+b into register b, with
     ``a = 2**num_bits - 1`` and ``b = 1``: the carry ripples through every
     bit.
@@ -88,10 +87,9 @@ def ripple_adder(num_bits: int, *, measure: bool = True) -> Circuit:
         uma(a_q(i - 1), b_q(i), a_q(i))
     uma(carry_in, b_q(0), a_q(0))
 
-    if measure:
-        for i in range(num_bits):
-            circ.measure(b_q(i))
-        circ.measure(carry_out)
+    for i in range(num_bits):
+        circ.measure(b_q(i))
+    circ.measure(carry_out)
     return circ
 
 

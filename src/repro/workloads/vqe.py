@@ -13,7 +13,6 @@ def real_amplitudes(
     num_qubits: int,
     reps: int = 2,
     *,
-    measure: bool = True,
     seed: int = 0,
 ) -> Circuit:
     """RealAmplitudes ansatz: ry layers, angles drawn from ``seed``,
@@ -30,8 +29,7 @@ def real_amplitudes(
             circ.cx(q, q + 1)
     for q in range(num_qubits):
         circ.ry(next(it), q)
-    if measure:
-        circ.measure_all()
+    circ.measure_all()
     return circ
 
 
@@ -39,7 +37,6 @@ def two_local(
     num_qubits: int,
     reps: int = 2,
     *,
-    measure: bool = True,
     seed: int = 0,
 ) -> Circuit:
     """TwoLocal ansatz: an ry and an rz layer, angles drawn from
@@ -55,6 +52,5 @@ def two_local(
             for i in range(num_qubits):
                 for j in range(i + 1, num_qubits):
                     circ.cz(i, j)
-    if measure:
-        circ.measure_all()
+    circ.measure_all()
     return circ

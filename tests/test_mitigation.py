@@ -58,7 +58,7 @@ class TestFolding:
         assert len(folded.gates) == 4
 
     def test_fold_to_factor_scales_gate_count(self):
-        c = ghz_linear(4, measure=False)
+        c = ghz_linear(4).without_measurements()
         n0 = len(c.gates)
         f3 = fold_to_factor(c, 3.0)
         assert len(f3.gates) == pytest.approx(3 * n0, abs=2)
@@ -70,7 +70,7 @@ class TestFolding:
             fold_to_factor(Circuit(1).x(0), 0.5)
 
     def test_fold_keeps_measurements_last(self):
-        c = ghz_linear(3, measure=True)
+        c = ghz_linear(3)
         folded = fold_global(c, 1)
         assert folded.ops[-1].name == "measure"
 
@@ -222,7 +222,7 @@ class TestTwirling:
             assert _equal_up_to_phase(c.unitary(), ref)
 
     def test_twirled_circuit_same_distribution(self):
-        c = ghz_linear(3, measure=False)
+        c = ghz_linear(3).without_measurements()
         rng = np.random.default_rng(3)
         tw = pauli_twirl(c, rng)
         assert hellinger_fidelity(

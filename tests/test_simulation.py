@@ -146,7 +146,7 @@ class TestNoiseModel:
 class TestReadout:
     def test_forward_noise_preserves_total(self):
         nm = NoiseModel.uniform(3, readout_error=0.05)
-        probs = ideal_probabilities(ghz(3, measure=False))
+        probs = ideal_probabilities(ghz(3).without_measurements())
         noisy = apply_readout_noise_probs(probs, nm, 3)
         assert noisy.sum() == pytest.approx(1.0)
         assert hellinger_fidelity(noisy, probs) < 1.0
