@@ -21,8 +21,9 @@ Nothing here imports a module it checks; :func:`equivalence_circuits` and
 
 import math
 
+from helpers.noise import uniform_noise
 from repro.circuits import Circuit
-from repro.simulation.noise import GateNoise, NoiseModel
+from repro.simulation.noise import GateNoise
 from repro.workloads import ghz, ghz_linear, qft, random_circuit
 
 __all__ = [
@@ -117,10 +118,10 @@ def equivalence_circuits():
 
 
 def equivalence_models(num_qubits=8):
-    uniform = NoiseModel.uniform(
+    uniform = uniform_noise(
         num_qubits, error_2q=0.02, readout_error=0.03, duration_2q_ns=320.0
     )
-    hetero = NoiseModel.uniform(
+    hetero = uniform_noise(
         num_qubits, t1_us=60.0, t2_us=35.0, error_2q=0.03, readout_error=0.04
     )
     hetero.gates_1q[("sx", 0)] = GateNoise(error=0.004, duration_ns=70.0)

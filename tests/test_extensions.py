@@ -7,12 +7,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from helpers.noise import uniform_noise
 from repro.backends import default_fleet
 from repro.cloud.execution import MITIGATION_EFFECTS, ExecutionModel
 from repro.cloud.job import QuantumJob
 from repro.experiments.ascii_plot import bar_chart, line_chart
 from repro.simulation import (
-    NoiseModel,
     NoisySimulator,
     hellinger_fidelity,
     ideal_probabilities,
@@ -93,7 +93,7 @@ class TestMitigationEffectValidation:
     def _measured_gain(self, preset: str) -> float:
         from repro.mitigation import MitigationStack
 
-        nm = NoiseModel.uniform(
+        nm = uniform_noise(
             4, error_2q=0.02, readout_error=0.04, t1_us=80, t2_us=50
         )
         sim = NoisySimulator(nm, num_trajectories=60, seed=3)

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from helpers.noise import uniform_noise
 from helpers.reference_readout import full_confusion_matrix
 from repro.circuits import Circuit, gate_matrix
 from repro.mitigation import (
@@ -93,7 +94,7 @@ class TestZNE:
         assert out[0] > 0.7  # extrapolates beyond the least-noisy point
 
     def test_zne_improves_noisy_ghz(self):
-        nm = NoiseModel.uniform(4, error_2q=0.03, readout_error=0.0)
+        nm = uniform_noise(4, error_2q=0.03, readout_error=0.0)
         sim = NoisySimulator(nm, num_trajectories=120, seed=7)
         c = ghz_linear(4)
         ideal = ideal_probabilities(c)
@@ -144,7 +145,7 @@ class TestZNE:
 
 class TestREM:
     def test_tensored_inversion_recovers_ideal(self):
-        nm = NoiseModel.uniform(3, readout_error=0.08)
+        nm = uniform_noise(3, readout_error=0.08)
         c = ghz_linear(3)
         ideal = ideal_probabilities(c)
         noisy = apply_readout_noise_probs(ideal, nm, 3)
@@ -187,7 +188,7 @@ class TestDD:
 
     def test_dd_improves_idle_heavy_circuit(self):
         """DD must refocus quasi-static dephasing mechanistically."""
-        nm = NoiseModel.uniform(3, t1_us=200.0, t2_us=20.0, error_1q=1e-5,
+        nm = uniform_noise(3, t1_us=200.0, t2_us=20.0, error_1q=1e-5,
                                 error_2q=1e-4, readout_error=0.0)
         # A circuit with a long idle on qubit 0 between two interactions.
         c = Circuit(3).h(0).cx(0, 1).cx(1, 2).cx(1, 2).cx(1, 2).cx(0, 1).h(0)
@@ -326,7 +327,7 @@ class TestStack:
         assert stack.classical_overhead > 1.0
 
     def test_expand_post_process_shapes(self):
-        nm = NoiseModel.uniform(3, error_2q=0.02, readout_error=0.04)
+        nm = uniform_noise(3, error_2q=0.02, readout_error=0.04)
         stack = MitigationStack.preset("zne+rem")
         c = ghz_linear(3)
         plan = stack.expand(c, nm)
@@ -337,7 +338,7 @@ class TestStack:
         assert out.sum() == pytest.approx(1.0)
 
     def test_full_stack_beats_no_mitigation(self):
-        nm = NoiseModel.uniform(
+        nm = uniform_noise(
             4, error_2q=0.02, readout_error=0.04, t1_us=80, t2_us=50
         )
         sim = NoisySimulator(nm, num_trajectories=60, seed=3)

@@ -12,8 +12,9 @@ import hashlib
 
 import pytest
 
+from helpers.noise import uniform_noise
 from repro.mitigation import STANDARD_STACKS, MitigationStack
-from repro.simulation import NoiseModel, NoisySimulator
+from repro.simulation import NoisySimulator
 from repro.workloads import clustered_circuit, ghz_linear
 
 #: ``preset -> sha256`` over both circuits, recorded before the
@@ -32,7 +33,7 @@ PRESET_DIGESTS = {
 
 
 def _preset_digest(preset: str) -> str:
-    nm = NoiseModel.uniform(4, error_2q=0.02, readout_error=0.04, t1_us=80, t2_us=50)
+    nm = uniform_noise(4, error_2q=0.02, readout_error=0.04, t1_us=80, t2_us=50)
     circuits = [
         ghz_linear(4),
         clustered_circuit(4, 3, num_clusters=2, bridge_gates=1, seed=5),

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import repro
+from helpers.noise import uniform_noise
 from helpers.reference_schedule import (
     equivalence_circuits,
     equivalence_models,
@@ -102,7 +103,7 @@ class TestEspEqualsTheSequentialWalk:
         assert esp(circuit, nm) == math.exp(sum(ref.values()))
 
     def test_narrow_circuits_on_a_wide_model(self):
-        nm = NoiseModel.uniform(9, error_2q=0.02, readout_error=0.02)
+        nm = uniform_noise(9, error_2q=0.02, readout_error=0.02)
         for circuit in (ghz(2), ghz_linear(9), ghz(5)):
             ref = reference_components(circuit, nm)
             assert esp(circuit, nm) == math.exp(sum(ref.values())), circuit.name
@@ -110,7 +111,7 @@ class TestEspEqualsTheSequentialWalk:
     def test_certain_failure_short_circuits(self):
         # Gate errors are validated < 1, so the only reachable certain
         # failure is a fully-scrambled readout (p01 = p10 = 1).
-        nm = NoiseModel.uniform(2, error_2q=0.02)
+        nm = uniform_noise(2, error_2q=0.02)
         nm.qubits[1] = QubitNoise(
             t1_us=100.0, t2_us=80.0, readout_p01=1.0, readout_p10=1.0
         )
@@ -190,7 +191,7 @@ class TestProjectLastsAReadout:
 
     def test_the_walks_agree(self):
         circuit = _project_circuit()
-        nm = NoiseModel.uniform(3, error_2q=0.02, duration_2q_ns=300.0)
+        nm = uniform_noise(3, error_2q=0.02, duration_2q_ns=300.0)
         assert schedule_circuit(circuit, nm).duration_ns == 1435.0
         assert circuit_duration_ns(circuit, nm) == 1435.0
         assert reference_duration_ns(circuit, nm) == 1435.0
@@ -270,7 +271,7 @@ _PINNED_PROBABILITIES = [
     "circuit, pinned", _PINNED_PROBABILITIES, ids=["random", "barrier", "project"]
 )
 def test_simulator_draw_order_is_pinned(circuit, pinned):
-    nm = NoiseModel.uniform(8, **_PIN_MODEL_KWARGS)
+    nm = uniform_noise(8, **_PIN_MODEL_KWARGS)
     probs = NoisySimulator(nm, num_trajectories=8, seed=4).noisy_probabilities(
         circuit
     )

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers.noise import uniform_noise
 from helpers.reference_readout import full_confusion_matrix
 from repro.circuits import Circuit
 from repro.simulation import (
@@ -106,7 +107,7 @@ class TestDistributions:
 
 class TestNoiseModel:
     def test_uniform_construction(self):
-        nm = NoiseModel.uniform(4, error_2q=0.01)
+        nm = uniform_noise(4, error_2q=0.01)
         assert nm.num_qubits == 4
         assert nm.gate_noise("cx", (0, 1)).error == pytest.approx(0.01)
 
@@ -126,18 +127,18 @@ class TestNoiseModel:
             GateNoise(error=1.5, duration_ns=10)
 
     def test_decoherence_probs_monotone_in_time(self):
-        nm = NoiseModel.uniform(1, t1_us=100, t2_us=80)
+        nm = uniform_noise(1, t1_us=100, t2_us=80)
         p1 = nm.decoherence_probs(0, 100.0)
         p2 = nm.decoherence_probs(0, 1000.0)
         assert p2[0] > p1[0] and p2[1] >= p1[1]
 
     def test_confusion_matrix_columns_sum_to_one(self):
-        nm = NoiseModel.uniform(1, readout_error=0.05)
+        nm = uniform_noise(1, readout_error=0.05)
         conf = nm.confusion_matrix(0)
         assert np.allclose(conf.sum(axis=0), 1.0)
 
     def test_scaled_increases_errors(self):
-        nm = NoiseModel.uniform(2, error_2q=0.01)
+        nm = uniform_noise(2, error_2q=0.01)
         scaled = nm.scaled(3.0)
         assert scaled.gate_noise("cx", (0, 1)).error == pytest.approx(0.03)
         assert scaled.qubits[0].t1_us < nm.qubits[0].t1_us
@@ -145,14 +146,14 @@ class TestNoiseModel:
 
 class TestReadout:
     def test_forward_noise_preserves_total(self):
-        nm = NoiseModel.uniform(3, readout_error=0.05)
+        nm = uniform_noise(3, readout_error=0.05)
         probs = ideal_probabilities(ghz(3).without_measurements())
         noisy = apply_readout_noise_probs(probs, nm, 3)
         assert noisy.sum() == pytest.approx(1.0)
         assert hellinger_fidelity(noisy, probs) < 1.0
 
     def test_full_confusion_matrix_stochastic(self):
-        nm = NoiseModel.uniform(2, readout_error=0.03)
+        nm = uniform_noise(2, readout_error=0.03)
         mat = full_confusion_matrix(nm, [0, 1])
         assert mat.shape == (4, 4)
         assert np.allclose(mat.sum(axis=0), 1.0)
@@ -165,7 +166,7 @@ class TestReadout:
 
 class TestTrajectorySimulator:
     def test_noiseless_limit_matches_ideal(self):
-        nm = NoiseModel.uniform(
+        nm = uniform_noise(
             3, error_1q=0.0, error_2q=0.0, readout_error=0.0,
             t1_us=1e9, t2_us=1e9,
         )
@@ -177,7 +178,7 @@ class TestTrajectorySimulator:
         )
 
     def test_noise_reduces_fidelity(self):
-        nm = NoiseModel.uniform(3, error_2q=0.05, readout_error=0.05)
+        nm = uniform_noise(3, error_2q=0.05, readout_error=0.05)
         sim = NoisySimulator(nm, num_trajectories=40, seed=1)
         c = ghz_linear(3)
         fid = hellinger_fidelity(
@@ -190,7 +191,7 @@ class TestTrajectorySimulator:
         ideal = ideal_probabilities(c)
         fids = []
         for err in (0.005, 0.08):
-            nm = NoiseModel.uniform(4, error_2q=err, readout_error=err)
+            nm = uniform_noise(4, error_2q=err, readout_error=err)
             sim = NoisySimulator(nm, num_trajectories=60, seed=2)
             fids.append(hellinger_fidelity(sim.noisy_probabilities(c), ideal))
         assert fids[0] > fids[1]
@@ -216,18 +217,18 @@ class TestTrajectorySimulator:
 
 class TestESP:
     def test_esp_in_unit_interval(self):
-        nm = NoiseModel.uniform(3, error_2q=0.02)
+        nm = uniform_noise(3, error_2q=0.02)
         value = esp(ghz(3), nm)
         assert 0.0 < value < 1.0
 
     def test_esp_components_sum(self):
-        nm = NoiseModel.uniform(3, error_2q=0.02)
+        nm = uniform_noise(3, error_2q=0.02)
         c = ghz(3)
         comps = esp_components(c, nm)
         assert math.exp(sum(comps.values())) == pytest.approx(esp(c, nm))
 
     def test_esp_decreases_with_more_gates(self):
-        nm = NoiseModel.uniform(4, error_2q=0.02)
+        nm = uniform_noise(4, error_2q=0.02)
         c = ghz_linear(4)
         assert esp(c, nm) > esp(c.copy().compose(c).compose(c), nm)
 
@@ -238,7 +239,7 @@ class TestESP:
 
     def test_analytic_close_to_trajectory(self):
         """The analytic model should land within ~0.15 of the trajectory sim."""
-        nm = NoiseModel.uniform(4, error_2q=0.015, readout_error=0.02)
+        nm = uniform_noise(4, error_2q=0.015, readout_error=0.02)
         c = ghz_linear(4)
         analytic = esp_to_hellinger(esp(c, nm), c.num_qubits)
         sim = NoisySimulator(nm, num_trajectories=80, seed=3)
@@ -250,7 +251,7 @@ class TestESP:
     def test_esp_sees_in_place_append(self):
         """``Circuit.add`` grows the op list in place; nothing may keep
         serving the one-gate answer."""
-        nm = NoiseModel.uniform(2, error_2q=0.05)
+        nm = uniform_noise(2, error_2q=0.05)
         c = Circuit(2)
         c.add("h", [0])
         before = esp(c, nm)
@@ -279,7 +280,7 @@ class TestRngStreamContracts:
     def test_batched_normal_bit_identical_to_sequential(self):
         """The RNG contract at the trajectory draw pass: the one (T, n)
         detuning block == T sequential (n,) draws from the same stream."""
-        nm = NoiseModel.uniform(5, t1_us=60.0, t2_us=35.0)
+        nm = uniform_noise(5, t1_us=60.0, t2_us=35.0)
         c = ghz_linear(5)
         sim = NoisySimulator(nm, num_trajectories=7, seed=0)
         draws = sim._draw_randomness(c, [], np.random.default_rng(11))
@@ -299,7 +300,7 @@ class TestRngStreamContracts:
 
 class TestBatchedTrajectoryEquivalence:
     def test_same_seed_same_probs(self):
-        nm = NoiseModel.uniform(3, error_2q=0.02, readout_error=0.02)
+        nm = uniform_noise(3, error_2q=0.02, readout_error=0.02)
         c = ghz(3)
         p1 = NoisySimulator(nm, num_trajectories=12, seed=9).noisy_probabilities(c)
         p2 = NoisySimulator(nm, num_trajectories=12, seed=9).noisy_probabilities(c)
@@ -308,7 +309,7 @@ class TestBatchedTrajectoryEquivalence:
     def test_batched_matches_single_trajectory_replay(self):
         """Evolving the (T, 2**n) stack must be bit-equivalent to replaying
         each trajectory alone with its slice of the shared draws."""
-        nm = NoiseModel.uniform(
+        nm = uniform_noise(
             4, t1_us=60.0, t2_us=35.0, error_2q=0.03, readout_error=0.04
         )
         c = ghz_linear(4)
