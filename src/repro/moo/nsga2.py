@@ -65,16 +65,14 @@ class NSGA2:
         self,
         problem: Problem,
         termination: Termination,
-        *,
-        seed: int | np.random.SeedSequence | None = None,
     ) -> NSGA2Result:
-        """Run the GA; ``seed`` (or the constructor seed) fixes the stream.
+        """Run the GA; the constructor's ``seed`` fixes the stream.
 
         The generator is created fresh per call, so repeated calls with
         the same problem and seed are bit-identical — there is no hidden
         RNG state carried between cycles.
         """
-        rng = np.random.default_rng(self.seed if seed is None else seed)
+        rng = np.random.default_rng(self.seed)
         if termination.generations:
             raise ValueError(
                 f"termination already counted {termination.generations} generations:"

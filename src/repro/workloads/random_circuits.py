@@ -20,7 +20,6 @@ def random_circuit(
     two_qubit_prob: float = 0.5,
     measure: bool = True,
     seed: int | None = None,
-    rng: np.random.Generator | None = None,
     sink: type[SinkT] = Circuit,  # type: ignore[assignment]
 ) -> SinkT:
     """Layered random circuit: each layer pairs up free qubits with
@@ -28,7 +27,7 @@ def random_circuit(
     written into ``sink``."""
     if num_qubits < 1 or depth < 1:
         raise ValueError("need num_qubits >= 1 and depth >= 1")
-    rng = rng or np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     circ = sink(num_qubits, f"random_{num_qubits}x{depth}")
     for _ in range(depth):
         free = list(rng.permutation(num_qubits))

@@ -544,9 +544,9 @@ class TestNSGA2:
         b = algo.minimize(_Biobj(), Termination(max_generations=12))
         assert np.array_equal(a.X, b.X) and np.array_equal(a.F, b.F)
         assert a.generations == b.generations
-        # An explicit per-call seed overrides the constructor stream.
-        c = algo.minimize(
-            _Biobj(), Termination(max_generations=12), seed=99
+        # The constructor seed fixes the stream.
+        c = NSGA2(pop_size=16, seed=99).minimize(
+            _Biobj(), Termination(max_generations=12)
         )
         assert not np.array_equal(a.F, c.F) or not np.array_equal(a.X, c.X)
 
@@ -876,8 +876,8 @@ def _minimize_biobj():
     # default_rng hands a Generator back unchanged, so the stream
     # minimize draws from stays observable after the run.
     ga = np.random.default_rng(11)
-    result = NSGA2(pop_size=32).minimize(
-        _Biobj(), Termination(max_generations=25), seed=ga
+    result = NSGA2(pop_size=32, seed=ga).minimize(
+        _Biobj(), Termination(max_generations=25)
     )
     return _fingerprint(result, ga)
 
@@ -890,8 +890,8 @@ def _minimize_task(n, q):
     ).spawn(2)
     problem = SchedulingProblem(task.data, seed=repair_seed)
     ga = np.random.default_rng(ga_seed)
-    result = NSGA2(pop_size=task.pop_size).minimize(
-        problem, Termination(max_generations=task.max_generations), seed=ga
+    result = NSGA2(pop_size=task.pop_size, seed=ga).minimize(
+        problem, Termination(max_generations=task.max_generations)
     )
     worker = run_optimization(task)
     assert np.array_equal(worker.X, result.X)
