@@ -85,13 +85,12 @@ class Qonductor:
         self,
         fleet: list[QPU] | None = None,
         *,
-        execution_model: ExecutionModel | None = None,
         preference: str = "balanced",
         estimator_records: int = 800,
         seed: int = 0,
     ) -> None:
         self.fleet = fleet if fleet is not None else default_fleet(seed=seed)
-        self.execution_model = execution_model or ExecutionModel(seed=seed)
+        self.execution_model = ExecutionModel(seed=seed)
         self.estimator = ResourceEstimator.train_for_fleet(
             self.fleet,
             num_records=estimator_records,

@@ -96,6 +96,16 @@ ALLOWED = {
         "(tests/helpers/reference_ridge.py) hold the selection to its "
         "references over reordered, repeated and single degrees and degree 4"
     ),
+    "repro.orchestrator.api:Qonductor.create_workflow(config)": (
+        "the paper's Qonductor API (Table 2) packages a workflow with its "
+        "execution config into an image; tests/test_orchestrator.py holds a "
+        "refused config to create_workflow"
+    ),
+    "repro.orchestrator.api:Qonductor.classical_step(fn)": (
+        "a classical step of the paper's hybrid workflows runs the user's "
+        "function; tests/test_orchestrator.py checks that its output and its "
+        "failure reach the workflow's results"
+    ),
     "repro.analysis.*:*.visit_*": (
         "ast.NodeVisitor dispatches visit_<NodeType> by getattr on the "
         "node's class name; no caller names the method"
