@@ -47,8 +47,6 @@ def generate_dataset(
     num_records: int = 2000,
     execution_model: ExecutionModel | None = None,
     seed: int = 0,
-    mean_qubits: float = 8.0,
-    std_qubits: float = 4.0,
 ) -> EstimatorDataset:
     """Run ``num_records`` synthetic jobs across the fleet.
 
@@ -61,8 +59,8 @@ def generate_dataset(
     em = execution_model or ExecutionModel(seed=seed)
     max_width = max(q.num_qubits for q in fleet)
     sampler = WorkloadSampler(
-        mean_qubits=mean_qubits,
-        std_qubits=std_qubits,
+        mean_qubits=8.0,
+        std_qubits=4.0,
         max_qubits=max_width,
         seed=seed,
     )

@@ -65,27 +65,24 @@ EIGHT_QPU_NAMES = [
     "nairobi",
 ]
 
-_estimator_cache: dict[tuple, ResourceEstimator] = {}
+_estimator_cache: dict[int, ResourceEstimator] = {}
 
 
-def make_fleet(seed: int = 7, names: list[str] | None = None) -> list[QPU]:
-    return default_fleet(seed=seed, names=names or EIGHT_QPU_NAMES)
+def make_fleet(seed: int = 7) -> list[QPU]:
+    return default_fleet(seed=seed, names=EIGHT_QPU_NAMES)
 
 
-def trained_estimator(
-    *,
-    seed: int = 7,
-    names: tuple[str, ...] | None = None,
-    num_records: int = 800,
-) -> ResourceEstimator:
-    """Train (and cache per-process) the resource estimator for a fleet."""
-    key = (seed, names or tuple(EIGHT_QPU_NAMES), num_records)
-    if key not in _estimator_cache:
-        fleet = make_fleet(seed=seed, names=list(names) if names else None)
-        _estimator_cache[key] = ResourceEstimator.train_for_fleet(
-            fleet, num_records=num_records, execution_model=ExecutionModel(seed=seed), seed=seed
+def trained_estimator(*, seed: int = 7) -> ResourceEstimator:
+    """Train (and cache per-process) the resource estimator for the eight
+    QPUs, on 800 records."""
+    if seed not in _estimator_cache:
+        _estimator_cache[seed] = ResourceEstimator.train_for_fleet(
+            make_fleet(seed=seed),
+            num_records=800,
+            execution_model=ExecutionModel(seed=seed),
+            seed=seed,
         )
-    return _estimator_cache[key]
+    return _estimator_cache[seed]
 
 
 def sampled_jobs(sampler: WorkloadSampler, n: int) -> list[QuantumJob]:

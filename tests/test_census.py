@@ -91,10 +91,15 @@ ALLOWED = {
         "each detlint rule registers itself with @register at import, "
         "and all_rules() hands the registry to the runner"
     ),
-    "repro.estimator.models:_select_and_fit(degrees)": (
+    **dict.fromkeys(
+        [
+            f"repro.estimator.models:_select_and_fit({param})"
+            for param in ("degrees", "alpha", "n_splits")
+        ],
         "TestDegreeSelection and the scipy-route oracle "
         "(tests/helpers/reference_ridge.py) hold the selection to its "
-        "references over reordered, repeated and single degrees and degree 4"
+        "references over reordered, repeated and single degrees and degree 4, "
+        "2 to 6 folds and three ridge strengths",
     ),
     "repro.orchestrator.api:Qonductor.create_workflow(config)": (
         "the paper's Qonductor API (Table 2) packages a workflow with its "

@@ -26,8 +26,12 @@ from repro.cloud import (
     SimulationConfig,
     ThresholdRebalancePolicy,
 )
-from repro.estimator import CachedEstimator, EstimateCache, PairwiseEstimateSource
-from repro.experiments.common import trained_estimator
+from repro.estimator import (
+    CachedEstimator,
+    EstimateCache,
+    PairwiseEstimateSource,
+    ResourceEstimator,
+)
 from repro.scheduler import (
     BatchedFCFSPolicy,
     FCFSPolicy,
@@ -682,7 +686,9 @@ class TestCacheEquivalence:
     @pytest.fixture(scope="class")
     def setup(self):
         names = ("auckland", "algiers")
-        estimator = trained_estimator(seed=7, names=names, num_records=150)
+        estimator = ResourceEstimator.train_for_fleet(
+            default_fleet(seed=7, names=list(names)), num_records=150, seed=7
+        )
         fleet = default_fleet(seed=7, names=list(names))
         sampler = WorkloadSampler(
             mean_qubits=6,

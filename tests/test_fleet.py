@@ -33,8 +33,7 @@ from helpers.determinism import (
     make_job,
     make_shards,
 )
-from repro.estimator import CachedEstimator, PairwiseEstimateSource
-from repro.experiments.common import trained_estimator
+from repro.estimator import CachedEstimator, PairwiseEstimateSource, ResourceEstimator
 from repro.scheduler import (
     BatchedFCFSPolicy,
     FCFSPolicy,
@@ -178,8 +177,8 @@ class TestShardedEquivalence:
         assert a.per_qpu_jobs == b.per_qpu_jobs
 
     def test_one_shard_qonductor_equivalent(self):
-        estimator = trained_estimator(
-            seed=7, names=tuple(self.NAMES), num_records=150
+        estimator = ResourceEstimator.train_for_fleet(
+            default_fleet(seed=7, names=list(self.NAMES)), num_records=150, seed=7
         )
 
         def make():
@@ -231,8 +230,8 @@ class TestShardedEquivalence:
         fleet = default_fleet(
             seed=7, names=["auckland", "algiers", "cairo", "hanoi"]
         )
-        estimator = trained_estimator(
-            seed=7, names=tuple(self.NAMES), num_records=150
+        estimator = ResourceEstimator.train_for_fleet(
+            default_fleet(seed=7, names=list(self.NAMES)), num_records=150, seed=7
         )
         cached = estimator.cached()
         sim = CloudSimulator.sharded(
