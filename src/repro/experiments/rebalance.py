@@ -59,7 +59,6 @@ def skew_scenario(
     *,
     rebalance,
     duration_seconds: float = 3600.0,
-    rate_per_hour: float = 1200.0,
     outage_start: float = 900.0,
     outage_seconds: float = 900.0,
     shots_grid: tuple[int, ...] | None = None,
@@ -77,7 +76,7 @@ def skew_scenario(
     ``sim.run(gen.iter_arrivals(duration_seconds))``.
     """
     gen = LoadGenerator(
-        mean_rate_per_hour=rate_per_hour,
+        mean_rate_per_hour=1200.0,
         diurnal=False,
         mean_qubits=12,
         std_qubits=2,

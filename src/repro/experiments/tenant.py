@@ -45,6 +45,11 @@ __all__ = ["tenant_scenario", "tenant_study"]
 
 #: Share of the offered load the abuser contributes in the abusive arms.
 _ABUSER_SHARE = 0.5
+#: The abuser's admission limits: arrivals per hour and queued jobs.
+_ABUSER_RATE_LIMIT_PER_HOUR = 240.0
+_ABUSER_QUEUE_QUOTA = 10
+#: The arrival stream's and the simulator's seed in every arm.
+_SEED = 3
 
 
 def _normal_only(mix: tuple[TenantShare, ...]) -> tuple[TenantShare, ...]:
@@ -60,15 +65,12 @@ def tenant_scenario(
     admission: AdmissionController | None,
     rate_per_hour: float = 2400.0,
     duration_seconds: float = 1800.0,
-    outage_start: float = 600.0,
-    outage_seconds: float = 600.0,
-    seed: int = 3,
 ) -> tuple[LoadGenerator, CloudSimulator]:
     """One configured arm of the abusive-tenant scenario.
 
     A bursty MMPP stream carrying ``tenants`` lands on a 3-shard fleet
     behind an optional admission front door, with tenant-aware threshold
-    rebalancing and one QPU flashing out mid-run.  Returns the
+    rebalancing and one QPU down from minute 10 to minute 20.  Returns the
     (load generator, simulator) pair; drive it with
     ``sim.run(gen.iter_arrivals(duration_seconds))``.
     """
@@ -78,7 +80,7 @@ def tenant_scenario(
         diurnal=False,
         max_qubits=27,
         tenants=tenants,
-        seed=seed,
+        seed=_SEED,
     )
     sim = CloudSimulator.sharded(
         fleet_of_size(6, seed=7),
@@ -89,13 +91,11 @@ def tenant_scenario(
         trigger_factory=lambda i: SchedulingTrigger(
             queue_limit=10_000, interval_seconds=60
         ),
-        config=SimulationConfig(duration_seconds=duration_seconds, seed=seed),
+        config=SimulationConfig(duration_seconds=duration_seconds, seed=_SEED),
         rebalance=ThresholdRebalancePolicy(
             min_gap=8, interval_seconds=30.0, tenant_aware=True
         ),
-        availability=flash_outage(
-            ["qpu01"], start=outage_start, duration_seconds=outage_seconds
-        ),
+        availability=flash_outage(["qpu01"], start=600.0, duration_seconds=600.0),
         admission=admission,
     )
     return gen, sim
@@ -105,9 +105,6 @@ def tenant_study(
     *,
     rate_per_hour: float = 2400.0,
     duration_seconds: float = 1800.0,
-    abuser_rate_limit_per_hour: float = 240.0,
-    abuser_queue_quota: int = 10,
-    seed: int = 3,
 ) -> dict:
     """No-abuser vs unprotected vs admission-controlled, matched seeds.
 
@@ -119,8 +116,8 @@ def tenant_study(
     """
     mix = abusive_mix(
         abuser_share=_ABUSER_SHARE,
-        abuser_rate_limit_per_hour=abuser_rate_limit_per_hour,
-        abuser_queue_quota=abuser_queue_quota,
+        abuser_rate_limit_per_hour=_ABUSER_RATE_LIMIT_PER_HOUR,
+        abuser_queue_quota=_ABUSER_QUEUE_QUOTA,
         normal_slo_seconds=duration_seconds / 2,
     )
 
@@ -130,7 +127,6 @@ def tenant_study(
             admission=admission,
             rate_per_hour=rate,
             duration_seconds=duration_seconds,
-            seed=seed,
         )
         m = sim.run(gen.iter_arrivals(duration_seconds))
         report = m.tenant_report()
@@ -166,9 +162,9 @@ def tenant_study(
             "rate_per_hour": rate_per_hour,
             "duration_seconds": duration_seconds,
             "abuser_share": _ABUSER_SHARE,
-            "abuser_rate_limit_per_hour": abuser_rate_limit_per_hour,
-            "abuser_queue_quota": abuser_queue_quota,
-            "seed": seed,
+            "abuser_rate_limit_per_hour": _ABUSER_RATE_LIMIT_PER_HOUR,
+            "abuser_queue_quota": _ABUSER_QUEUE_QUOTA,
+            "seed": _SEED,
         },
         "arms": arms,
         "isolation": {
