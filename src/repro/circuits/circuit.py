@@ -242,8 +242,8 @@ class Circuit(OpSink):
     # ------------------------------------------------------------------
     # algebra
     # ------------------------------------------------------------------
-    def copy(self, name: str | None = None) -> "Circuit":
-        out = Circuit(self.num_qubits, name or self.name)
+    def copy(self) -> "Circuit":
+        out = Circuit(self.num_qubits, self.name)
         out._ops = list(self._ops)
         out.metadata = dict(self.metadata)
         return out

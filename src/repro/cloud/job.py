@@ -69,14 +69,12 @@ class QuantumJob:
         circuit: Circuit,
         shots: int = 4000,
         mitigation: str = "none",
-        *,
-        benchmark: str | None = None,
     ) -> "QuantumJob":
         return cls(
             metrics=compute_metrics(circuit),
             shots=shots,
             mitigation=mitigation,
-            benchmark=benchmark or circuit.metadata.get("benchmark", circuit.name),
+            benchmark=circuit.metadata.get("benchmark", circuit.name),
         )
 
     @property

@@ -15,12 +15,12 @@ __all__ = ["line_chart", "bar_chart"]
 def line_chart(
     series: dict[str, tuple[np.ndarray, np.ndarray]],
     *,
-    width: int = 64,
     title: str = "",
 ) -> str:
-    """Multi-series ASCII line chart, 12 rows tall; one glyph per series."""
+    """Multi-series ASCII line chart, 64 columns wide and 12 rows tall;
+    one glyph per series."""
     glyphs = "*o+x#@"
-    height = 12
+    width, height = 64, 12
     all_x = np.concatenate([np.asarray(x, dtype=float) for x, _ in series.values()])
     all_y = np.concatenate([np.asarray(y, dtype=float) for _, y in series.values()])
     if len(all_x) == 0:
@@ -52,10 +52,10 @@ def line_chart(
     return "\n".join(lines)
 
 
-def bar_chart(
-    values: dict[str, float], *, width: int = 48, title: str = ""
-) -> str:
-    """Horizontal ASCII bar chart (e.g. per-QPU load, Fig 8c)."""
+def bar_chart(values: dict[str, float], *, title: str = "") -> str:
+    """Horizontal ASCII bar chart (e.g. per-QPU load, Fig 8c); the
+    largest value's bar is 48 columns long."""
+    width = 48
     if not values:
         return f"{title}\n  (no data)"
     peak = max(values.values())

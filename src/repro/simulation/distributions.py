@@ -23,11 +23,10 @@ def probs_to_vector(probs: dict[str, float], num_qubits: int) -> np.ndarray:
     return vec
 
 
-def _as_vectors(p, q, num_qubits: int | None):
+def _as_vectors(p, q):
     if isinstance(p, dict) or isinstance(q, dict):
-        if num_qubits is None:
-            keys = list(p.keys() if isinstance(p, dict) else q.keys())
-            num_qubits = len(keys[0]) if keys else 1
+        keys = list(p.keys() if isinstance(p, dict) else q.keys())
+        num_qubits = len(keys[0]) if keys else 1
         if isinstance(p, dict):
             tot = sum(p.values())
             p = probs_to_vector({k: v / tot for k, v in p.items()}, num_qubits)
@@ -41,11 +40,12 @@ def _as_vectors(p, q, num_qubits: int | None):
     return p, q
 
 
-def hellinger_fidelity(p, q, num_qubits: int | None = None) -> float:
+def hellinger_fidelity(p, q) -> float:
     """Hellinger fidelity ``(sum sqrt(p q))**2`` in [0, 1]; 1 = identical.
 
-    Accepts dense vectors or counts/prob dicts (mixed allowed).
+    Accepts dense vectors or counts/prob dicts (mixed allowed); a dict's
+    width is its first key's length.
     """
-    p, q = _as_vectors(p, q, num_qubits)
+    p, q = _as_vectors(p, q)
     bc = float(np.sum(np.sqrt(np.clip(p, 0, None) * np.clip(q, 0, None))))
     return min(1.0, bc * bc)

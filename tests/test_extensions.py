@@ -80,10 +80,10 @@ class TestAsciiPlot:
         assert "no data" in out
 
     def test_bar_chart_scales(self):
-        out = bar_chart({"auckland": 100.0, "algiers": 50.0}, width=20)
+        out = bar_chart({"auckland": 100.0, "algiers": 50.0})
         lines = out.splitlines()
-        assert lines[0].count("█") == 20
-        assert lines[1].count("█") == 10
+        assert lines[0].count("█") == 48
+        assert lines[1].count("█") == 24
 
 
 class TestMitigationEffectValidation:

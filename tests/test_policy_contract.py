@@ -205,13 +205,11 @@ class TestKeywordSets:
         ]
 
     def test_job_from_circuit_keywords(self):
-        assert _names(QuantumJob.from_circuit) == [
-            "circuit", "shots", "mitigation", "benchmark",
-        ]
+        assert _names(QuantumJob.from_circuit) == ["circuit", "shots", "mitigation"]
 
     def test_trained_estimator_keywords(self):
-        # The per-process cache keys on all three.
-        assert _names(trained_estimator) == ["seed", "names", "num_records"]
+        # The per-process cache keys on it.
+        assert _names(trained_estimator) == ["seed"]
 
     def test_ml_keywords(self):
         # One model: it fits an intercept, standardizes, regularizes and
