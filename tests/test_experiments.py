@@ -1,5 +1,6 @@
 """Hand-computed oracles for the measuring window of the cloud figures,
-and the EXPERIMENTS.md record against ``report``'s table.
+Fig. 7b/c's held-out test jobs, and the EXPERIMENTS.md record against
+``report``'s table.
 
 Every expected value below is worked out by hand from a two-QPU,
 handful-of-jobs scenario; none is read back from the code under test.
@@ -7,6 +8,7 @@ handful-of-jobs scenario; none is read back from the code under test.
 
 from __future__ import annotations
 
+import functools
 import pathlib
 import re
 import sys
@@ -15,14 +17,22 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.cloud import SimulatedQPU
+from repro.cloud import ExecutionModel, SimulatedQPU
 from repro.cloud.metrics import SimulationMetrics, TimeSeries
-from repro.experiments import report
-from repro.experiments.common import HOUR, busy_within, check_drained, same_jobs_means
+from repro.estimator import dataset
+from repro.experiments import fig7, report
+from repro.experiments.common import (
+    HOUR,
+    busy_within,
+    check_drained,
+    make_fleet,
+    same_jobs_means,
+)
 from repro.experiments.fig8 import fig8ab_tradeoff, run_scheduling_cycles
 from repro.experiments.fig9 import queue_verdict
 from repro.experiments.fig10 import exec_ceiling_pct, fig10a_exec_time
 from repro.experiments.report import EXPERIMENTS
+from repro.workloads import WorkloadSampler
 
 # Two QPUs, four jobs, known service times (seconds):
 #   j1 on a: arrives 0,    runs 0-1000,    JCT 1000, fidelity 0.9
@@ -180,6 +190,58 @@ def test_fig8ab_and_fig10a_read_one_run_of_their_cycles():
         run_scheduling_cycles.cache_clear()
         alone.append(figure(**kwargs))
     assert [r["measured"] for r in shared] == [r["measured"] for r in alone]
+
+
+class _Drawn(Exception):
+    """The figure has drawn its test jobs; nothing after matters here."""
+
+
+def _record_programs(monkeypatch, module, *, stop):
+    """Route ``module``'s ``WorkloadSampler`` through a recorder, and
+    return the list it fills with each drawn job's program: its circuit's
+    metrics fingerprint and its shots.  With ``stop``, ``sample_many``
+    raises :class:`_Drawn` once it has drawn."""
+    drawn = []
+
+    class Recording(WorkloadSampler):
+        def sample(self):
+            job = super().sample()
+            drawn.append((job.metrics.fingerprint, job.shots))
+            return job
+
+        def sample_many(self, count):
+            jobs = super().sample_many(count)
+            if stop:
+                raise _Drawn
+            return jobs
+
+    monkeypatch.setattr(module, "WorkloadSampler", Recording)
+    return drawn
+
+
+@functools.cache
+def _training_programs():
+    """The 800 programs ``trained_estimator(seed=7)`` is trained on."""
+    with pytest.MonkeyPatch.context() as mp:
+        drawn = _record_programs(mp, dataset, stop=False)
+        dataset.generate_dataset(
+            make_fleet(seed=7), num_records=800, execution_model=ExecutionModel(seed=7), seed=7
+        )
+    assert len(drawn) == 800
+    return frozenset(drawn)
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7, 99])
+def test_fig7bc_scores_programs_the_estimator_was_not_trained_on(monkeypatch, seed):
+    """Fig. 7b/c's estimation error is held out: none of its 250 test jobs
+    runs a program of the estimator's training set, at ``report``'s seeds
+    and at the figure's default seed."""
+    test = _record_programs(monkeypatch, fig7, stop=True)
+    with pytest.raises(_Drawn):
+        fig7.fig7bc_estimation_error(seed=seed)
+    assert len(test) == 250
+    shared = set(test) & _training_programs()
+    assert not shared, f"{len(shared)} of the test programs are training programs"
 
 
 def test_experiments_md_gives_every_experiment_a_status():
