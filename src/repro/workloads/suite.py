@@ -183,7 +183,7 @@ class WorkloadSampler:
         mitigation_fraction: float = 0.5,
         benchmarks: list[str] | None = None,
         shots_choices: tuple[int, ...] | None = None,
-        seed: int | None = None,
+        seed: int | np.random.SeedSequence | None = None,
     ) -> None:
         if min_qubits > max_qubits:
             raise ValueError(
