@@ -14,6 +14,9 @@ here:
   filled its rows in slices).
 * :func:`predict_per_segment_reference` — one ``X[a:b] @ coef`` per
   segment (the product of ``repro.ml.PolynomialRidge.predict``).
+* :func:`predict_row_reference` — each row's ``X w`` as one
+  ``math.fsum``, the value (within rounding, ``allclose``) every row's
+  product must have.
 * :func:`execute_reference` — ``ExecutionModel.execute`` as it ran until
   PR 23: everything re-derived per call, four scalar ``rng.normal`` draws
   in order; :func:`expected_fidelity_reference` is its fidelity before
@@ -44,6 +47,7 @@ __all__ = [
     "polynomial_transform_per_block",
     "polynomial_transform_reference",
     "predict_per_segment_reference",
+    "predict_row_reference",
 ]
 
 # repro.cloud.execution's per-job overheads, copied: the oracle must not
@@ -99,6 +103,13 @@ def predict_per_segment_reference(X, coef, intercept, segments):
     X = np.asarray(X, dtype=float)
     parts = [X[a:b] @ coef for a, b in zip(segments, segments[1:])]
     return np.concatenate(parts) + intercept
+
+
+def predict_row_reference(X, coef, intercept):
+    """``X w + b``, each row one ``math.fsum`` of its products: the
+    correctly rounded sum, whatever order a kernel adds in."""
+    X = np.asarray(X, dtype=float)
+    return np.array([math.fsum(row * coef) for row in X]) + intercept
 
 
 def expected_fidelity_reference(model, job, calibration, qpu_model):

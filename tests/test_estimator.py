@@ -393,6 +393,7 @@ from helpers.reference_estimates import (  # noqa: E402
 from helpers.reference_models import (  # noqa: E402
     polynomial_transform_reference,
     predict_per_segment_reference,
+    predict_row_reference,
 )
 from repro.backends.fleet import fleet_of_size  # noqa: E402
 from repro.experiments.common import trained_estimator  # noqa: E402
@@ -959,6 +960,25 @@ class TestBestFidelityOracle:
             evictions += memo.cache.generation
         assert (evictions > 0) == (max_entries < 40)  # 40 holds every pair
 
+    @pytest.mark.parametrize("max_entries", [200_000, 50, 13])
+    def test_every_answer_is_the_uncached_one(self, max_entries):
+        """Four QPU lists share one cache and ask random one- to five-job
+        blocks of programs that repeat: whichever pairs filled the table,
+        in which blocks, and whatever it evicted, every ``(k, fidelity)``
+        is the uncached estimator's for the same block."""
+        trained = trained_estimator(seed=7)
+        qpus = fleet_of_size(16, seed=7)
+        lists = [qpus[:4], qpus[4:8], qpus[8:12], qpus[12:]]
+        pool = _many_jobs(40)
+        rng = np.random.default_rng(max_entries)
+        cached = trained.cached(max_entries=max_entries)
+        for _ in range(150):
+            shard = lists[rng.integers(len(lists))]
+            block = [pool[i] for i in rng.integers(len(pool), size=rng.integers(1, 6))]
+            assert cached.best_fidelity(block, shard) == trained.best_fidelity(block, shard)
+        assert cached.stats.hits > 0
+        assert (cached.cache.generation > 0) == (max_entries < 200_000)
+
     def test_memo_never_outgrows_max_entries(self, trained, monkeypatch):
         """Availability changes alone make new signatures over the same
         table entries: a full memo starts over instead of growing."""
@@ -1077,6 +1097,33 @@ class TestSegmentedPredictBitIdentity:
                 segments,
             )
             assert np.array_equal(model.predict(raw, segments), want), label
+
+
+class TestRowInvariance:
+    """A row's estimate is one value: the same bits whichever other rows
+    share its ``predict``, on the benchmark's own models (``bench/child.py``
+    trains these) and rows near their training rows."""
+
+    @pytest.mark.parametrize("target, columns", [("fidelity", 152), ("runtime", 363)])
+    def test_a_row_has_the_same_bits_in_any_slice(self, target, columns):
+        estimator = getattr(trained_estimator(seed=7).estimators, target)
+        model = estimator.model
+        assert model.coef_.shape == (columns,)
+        ds = _cold_start_dataset("trained_estimator")
+        rows = getattr(ds, f"X_{target}")
+        rng = np.random.default_rng(columns)
+        X = rows[rng.permutation(len(rows))] * rng.uniform(0.98, 1.02, rows.shape)
+        whole = estimator.predict(X)
+        for _ in range(60):
+            a, b = sorted(rng.choice(len(X) + 1, size=2, replace=False))
+            assert whole[a:b].tobytes() == estimator.predict(X[a:b]).tobytes(), (a, b)
+        for i in rng.choice(len(X), size=60, replace=False):
+            assert whole[i] == estimator.predict(X[i : i + 1].copy())[0], i
+        expanded = polynomial_transform_reference(X, estimator.degree)
+        want = predict_row_reference(
+            (expanded - model.mean_) / model.scale_, model.coef_, model.intercept_
+        )
+        np.testing.assert_allclose(model.predict(X), want, rtol=1e-12, atol=1e-12)
 
 
 class TestFinalModelPins:
