@@ -44,16 +44,13 @@ the table's keys, their order, its fidelities and counters are those of
 the per-pair path, at every ``max_entries``: a lookup reorders nothing,
 so a memo hit leaves the table as the lookups it stands for would, and
 an eviction drops the memo.  Otherwise the table may hold pairs the
-per-pair path has not scored yet, so the counters differ while every
-answer is the same.
+per-pair path has not scored yet, so the counters differ.  Every answer
+is the uncached estimator's in any case: a pair's value does not depend
+on which other pairs share its fill.
 
 A block is served in three steps: look up every feasible pair, fill all
 the misses through **one stacked pass per model it needs** (not one per
-QPU), store them.  The linear stage of that pass keeps the bits of
-one product per QPU segment (equal-length neighbours share one stacked
-``matmul``, which runs that product per stack item): BLAS blocks by shape, so
-one product over all rows would move cached values in the last ulp depending
-on which other QPUs happened to miss.
+QPU), store them.
 """
 
 from __future__ import annotations
@@ -462,7 +459,7 @@ class CachedEstimator:
         runtime: bool,
     ) -> list[tuple[float, float | None]]:
         """Entries for the ``missed`` (job index, QPU index, key) pairs,
-        which arrive column-major: one segment per QPU.  Without
+        which arrive column-major: one group per QPU.  Without
         ``runtime`` a trained base runs its fidelity model alone and the
         entries carry ``None``; a plain callable returns both anyway."""
         if self._trained is None:

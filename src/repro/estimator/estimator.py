@@ -70,11 +70,8 @@ class ResourceEstimator:
         The :class:`~repro.estimator.source.EstimateSource` entry point:
         every feasible pair of the block goes through one stacked pass per
         model (:meth:`TrainedEstimators.estimate_pairs`, one predict per
-        model per block).  Its linear stage multiplies per QPU segment
-        (stacked where lengths agree): BLAS blocks a matrix-vector product
-        by its shape, so that keeps each value bit-identical to predicting
-        the column alone.  Infeasible pairs stay zero and are never
-        evaluated.
+        model per 512 pairs); each value is bit-identical to predicting its
+        pair alone.  Infeasible pairs stay zero and are never evaluated.
         """
         feasible = feasible_mask(self, jobs, qpus, feasible)
         fid, sec = np.zeros((2, len(jobs), len(qpus)))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .features import (
 
 __all__ = ["RegressionEstimator", "TrainedEstimators", "train_estimators"]
 
-#: Most stacked rows in one model pass of ``estimate_pairs`` (one group may have more).
+#: Most stacked rows in one model pass of ``estimate_pairs``.
 _CHUNK_ROWS = 512
 
 #: ``target -> (job features, calibration features)``: each model's two builders.
@@ -47,11 +46,10 @@ class RegressionEstimator:
     target: str  # "fidelity" | "runtime"
     log_target: bool = False
 
-    def predict(self, X: np.ndarray, segments: Sequence[int] | None = None) -> np.ndarray:
-        """Clipped predictions of :attr:`model`; ``segments`` as in
-        :meth:`repro.ml.PolynomialRidge.predict`."""
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """Clipped predictions of :attr:`model`."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        pred = self.model.predict(X, segments)
+        pred = self.model.predict(X)
         if self.log_target:
             pred = np.expm1(np.clip(pred, -20.0, 20.0))
         if self.target == "fidelity":
@@ -69,37 +67,26 @@ class RegressionEstimator:
 
         ``jobs`` are ``(metrics, shots, mitigation)`` triples; each group
         pairs one calibration snapshot (a QPU, a template) with the
-        (non-empty) indices of the jobs to score on it.  Consecutive whole
-        groups are stacked into one feature matrix, up to ``_CHUNK_ROWS``
-        rows (or one group), so a chunk costs one predict rather than one
-        per group and its transient arrays stay bounded; the linear stage
-        still multiplies per group (``segments``, equal-length neighbours
-        in one stacked call), so every value is bit-identical to
-        predicting each group on its own.
+        (non-empty) indices of the jobs to score on it.  The groups'
+        pairs are stacked into one feature matrix and predicted in slices
+        of ``_CHUNK_ROWS`` rows, so a block costs one predict per slice
+        rather than one per group and its transient arrays stay bounded.
+        A row's value does not depend on the rows beside it
+        (:meth:`repro.ml.PolynomialRidge.predict`), so a slice may cut
+        through a group.
         """
         if not groups:
             return np.zeros(0)
         job_features, calibration_features = _FEATURES[self.target]
-        counts = [len(idx) for _, idx in groups]
-        bounds = [0, *accumulate(counts)]
         job_idx = np.concatenate([idx for _, idx in groups])
         rows = np.array([job_features(*job) for job in jobs])
-        cals = np.array([calibration_features(c) for c, _ in groups])
-
-        def stacked(idx, repeats, chunk_cals) -> np.ndarray:
-            """The feature matrix of one chunk of groups."""
-            return np.concatenate([rows[idx], np.repeat(chunk_cals, repeats, 0)], 1)
-
-        if bounds[-1] <= _CHUNK_ROWS:
-            return self.predict(stacked(job_idx, counts, cals), bounds)
-        out = np.empty(bounds[-1])
-        first = 0
-        for stop in range(1, len(groups) + 1):  # a chunk ends after a whole group
-            if stop == len(groups) or bounds[stop + 1] - bounds[first] > _CHUNK_ROWS:
-                a, b, g = bounds[first], bounds[stop], slice(first, stop)
-                local = [c - a for c in bounds[first : stop + 1]]
-                out[a:b] = self.predict(stacked(job_idx[a:b], counts[g], cals[g]), local)
-                first = stop
+        cals = np.repeat(
+            [calibration_features(c) for c, _ in groups], [len(idx) for _, idx in groups], 0
+        )
+        out = np.empty(len(job_idx))
+        for a in range(0, len(out), _CHUNK_ROWS):
+            b = a + _CHUNK_ROWS
+            out[a:b] = self.predict(np.concatenate([rows[job_idx[a:b]], cals[a:b]], 1))
         return out
 
 

@@ -9,7 +9,6 @@ scipy.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -64,53 +63,14 @@ class PolynomialRidge:
         self.intercept_ = y_mean - float(z_mean @ self.coef_)
         return self
 
-    def predict(self, X, segments: Sequence[int] | None = None) -> np.ndarray:
-        """``z(X) w + b``, with the bits of one product per ``[segments[s],
-        segments[s + 1])`` row slice when ``segments`` (ascending offsets
-        ``0 .. len(X)``, or a ``ValueError``) is given.  BLAS blocks a
-        matrix-vector product by its shape, so a row's last ulp depends on
-        how many rows share the call: a caller that stacks independent
-        batches passes their bounds and gets the bits a ``predict`` per
-        batch gives.  The feature map works row by row, so it runs once
-        over all of ``X``; only the product is split."""
+    def predict(self, X) -> np.ndarray:
+        """``z(X) w + b``.  The product is one ``einsum`` contraction,
+        which adds each row's terms in the same order whatever rows share
+        the call, so a row's value does not depend on its neighbours (a
+        BLAS ``Z @ w`` blocks by shape, which moves the last ulp)."""
         if self.coef_ is None:
             raise RuntimeError("model is not fitted")
         Z = self.poly.transform(X)
         Z -= self.mean_
         Z /= self.scale_
-        return self._linear(Z, segments)
-
-    def _linear(self, Z: np.ndarray, segments: Sequence[int] | None) -> np.ndarray:
-        """``Z w + b``, the product of :meth:`predict`.
-
-        Neighbouring segments of one length ``L`` go through a single
-        ``matmul`` over the ``(S, L, n)`` view of their rows: matmul runs
-        the same ``(L, n) @ (n,)`` kernel once per stack item on the
-        pointers a per-segment ``Z[a:b] @ coef`` would pass (splitting an
-        axis never copies), so the bits are those of S separate products
-        for one NumPy call.  ``Z @ coef`` over all ``S * L`` rows at once
-        is *not* equal."""
-        if segments is None:
-            return Z @ self.coef_ + self.intercept_
-        last = len(segments) - 1
-        if last < 0 or segments[0] != 0 or segments[last] != len(Z):
-            raise ValueError(f"PolynomialRidge: segments {list(segments)} do not tile X")
-        out = np.empty(len(Z))
-        coef, width = self.coef_, Z.shape[1]
-        s = 0
-        while s < last:
-            a, length = segments[s], segments[s + 1] - segments[s]
-            if length < 0:
-                raise ValueError(f"PolynomialRidge: segments {list(segments)} do not ascend")
-            e = s + 1
-            while e < last and segments[e + 1] - segments[e] == length:
-                e += 1
-            b = segments[e]
-            np.matmul(
-                Z[a:b].reshape(e - s, length, width),
-                coef,
-                out=out[a:b].reshape(e - s, length),
-            )
-            s = e
-        out += self.intercept_
-        return out
+        return np.einsum("ij,j->i", Z, self.coef_) + self.intercept_

@@ -4,8 +4,8 @@ Until PR 13 every estimate block walked its QPUs (resp. templates) one
 by one: build that column's ``np.tile`` + ``np.hstack`` feature matrices
 and call both models on it — two predicts per QPU.  ``src/`` now fills a
 whole block through ``TrainedEstimators.estimate_pairs`` (one stacked
-pass per model, linear stage per QPU segment); these loops are the
-reference it must equal **bit for bit** (``==``, not ``allclose``):
+pass per model); these loops are the reference it must equal **bit for
+bit** (``==``, not ``allclose``):
 
 * :func:`reference_cached_block` — the former
   ``CachedEstimator.estimate_block``, driving the estimator's real cache
@@ -15,8 +15,7 @@ reference it must equal **bit for bit** (``==``, not ``allclose``):
 
 The ``np.tile`` + ``np.hstack`` builders and the per-column predict
 helpers the loops called were deleted from ``src/`` with them and live on
-here under private names.  Nothing here may call ``estimate_pairs`` or
-pass ``segments``.
+here under private names.  Nothing here may call ``estimate_pairs``.
 """
 
 import numpy as np

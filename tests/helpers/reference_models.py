@@ -1,10 +1,9 @@
 """Definitional forms of the kernels every estimate and dispatch crosses.
 
-``src/`` builds a monomial from its parent, multiplies equal-length
-segments as one stacked product and keeps a dispatch's noise-free outcome
-per (program, mitigation, epoch); each of those must equal, **bit for
-bit** (``==`` / ``array_equal``, never ``allclose``), the plain form kept
-here:
+``src/`` builds a monomial from its parent and keeps a dispatch's
+noise-free outcome per (program, mitigation, epoch); each of those must
+equal, **bit for bit** (``==`` / ``array_equal``, never ``allclose``), the
+plain form kept here:
 
 * :func:`polynomial_transform_reference` — every monomial its own
   left-to-right product of input columns
@@ -12,11 +11,10 @@ here:
 * :func:`polynomial_transform_per_block` — one ``take`` / ``multiply``
   per degree block over all rows (``transform`` as it was before it
   filled its rows in slices).
-* :func:`predict_per_segment_reference` — one ``X[a:b] @ coef`` per
-  segment (the product of ``repro.ml.PolynomialRidge.predict``).
 * :func:`predict_row_reference` — each row's ``X w`` as one
-  ``math.fsum``, the value (within rounding, ``allclose``) every row's
-  product must have.
+  ``math.fsum``: the product of ``repro.ml.PolynomialRidge.predict``
+  adds in its own order, so it is held to this within rounding
+  (``allclose``), and to itself over any row slice bit for bit.
 * :func:`execute_reference` — ``ExecutionModel.execute`` as it ran until
   PR 23: everything re-derived per call, four scalar ``rng.normal`` draws
   in order; :func:`expected_fidelity_reference` is its fidelity before
@@ -46,7 +44,6 @@ __all__ = [
     "expected_fidelity_reference",
     "polynomial_transform_per_block",
     "polynomial_transform_reference",
-    "predict_per_segment_reference",
     "predict_row_reference",
 ]
 
@@ -95,14 +92,6 @@ def polynomial_transform_per_block(X, degree):
             out.take(parent, 1), X.take(last, 1), out=out[:, start : start + len(last)]
         )
     return out
-
-
-def predict_per_segment_reference(X, coef, intercept, segments):
-    """``X w + b`` with one matrix-vector product per ``[segments[s],
-    segments[s + 1])`` row slice."""
-    X = np.asarray(X, dtype=float)
-    parts = [X[a:b] @ coef for a, b in zip(segments, segments[1:])]
-    return np.concatenate(parts) + intercept
 
 
 def predict_row_reference(X, coef, intercept):

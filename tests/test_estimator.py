@@ -392,7 +392,6 @@ from helpers.reference_estimates import (  # noqa: E402
 )
 from helpers.reference_models import (  # noqa: E402
     polynomial_transform_reference,
-    predict_per_segment_reference,
     predict_row_reference,
 )
 from repro.backends.fleet import fleet_of_size  # noqa: E402
@@ -402,6 +401,7 @@ from repro.estimator import (  # noqa: E402
     RegressionEstimator,
     generate_resource_plans,
 )
+from repro.estimator import models  # noqa: E402
 from repro.estimator.models import _CHUNK_ROWS  # noqa: E402
 
 
@@ -411,9 +411,9 @@ def _count_predicts(monkeypatch) -> list:
     calls = []
     original = RegressionEstimator.predict
 
-    def predict(self, X, segments=None):
+    def predict(self, X):
         calls.append((self.target, len(X)))
-        return original(self, X, segments)
+        return original(self, X)
 
     monkeypatch.setattr(RegressionEstimator, "predict", predict)
     return calls
@@ -603,8 +603,8 @@ class TestStackedFillBitIdentity:
 
     def test_block_wider_than_a_chunk(self, trained, monkeypatch):
         """``tenant_outage``'s cold batched-FCFS shape: ~300 jobs x 8 QPUs,
-        more stacked rows than one chunk holds.  It is scored in chunks of
-        whole QPU groups, two predicts per chunk."""
+        more stacked rows than one chunk holds.  Each model scores them in
+        slices of ``_CHUNK_ROWS`` rows, whatever the QPU groups' bounds."""
         qpus = fleet_of_size(8, seed=7)
         jobs = _many_jobs(300)
         self._assert_same_blocks(trained, [(jobs, qpus)])
@@ -612,16 +612,15 @@ class TestStackedFillBitIdentity:
         calls = _count_predicts(monkeypatch)
         got = trained.estimate_block(jobs, qpus)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        feasible = feasibility_matrix(jobs, qpus).sum(axis=0)
-        assert feasible.sum() > _CHUNK_ROWS >= feasible.max()
-        assert [n for target, n in calls if target == "runtime"] == [
-            n for target, n in calls if target == "fidelity"
-        ]
-        assert sum(n for target, n in calls if target == "fidelity") == feasible.sum()
-        assert 2 < len(calls) and max(n for _, n in calls) <= _CHUNK_ROWS
+        total = int(feasibility_matrix(jobs, qpus).sum())
+        slices = [min(_CHUNK_ROWS, total - a) for a in range(0, total, _CHUNK_ROWS)]
+        assert len(slices) > 2
+        for target in ("fidelity", "runtime"):
+            assert [n for t, n in calls if t == target] == slices
 
     def test_one_group_wider_than_a_chunk(self, trained, monkeypatch):
-        """A QPU's group is never split, however many rows it holds."""
+        """A QPU's group is sliced like any rows, and its values are those
+        of one unchunked predict over all of them."""
         qpus = fleet_of_size(8, seed=7)[:1]
         jobs = _many_jobs(700)
         self._assert_same_blocks(trained, [(jobs, qpus)])
@@ -629,7 +628,13 @@ class TestStackedFillBitIdentity:
         calls = _count_predicts(monkeypatch)
         got = trained.estimate_block(jobs, qpus)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        assert sorted(calls) == [("fidelity", 700), ("runtime", 700)]
+        slices = [_CHUNK_ROWS, len(jobs) - _CHUNK_ROWS]
+        assert calls == [(t, n) for t in ("fidelity", "runtime") for n in slices]
+        calls.clear()
+        monkeypatch.setattr(models, "_CHUNK_ROWS", len(jobs))
+        whole = trained.estimate_block(jobs, qpus)
+        assert calls == [("fidelity", 700), ("runtime", 700)]
+        assert np.array_equal(got[0], whole[0]) and np.array_equal(got[1], whole[1])
 
     def test_empty_job_list(self, trained, fleet):
         cached = self._assert_same_blocks(trained, [([], fleet)])
@@ -741,11 +746,10 @@ class TestBestFidelityOracle:
     through the same blocks (``reference_cached_block``) and, at any
     capacity, those of an ``estimate_block`` cache, in the same order;
     with three, a program a second list misses is scored for the third
-    as well, so the table holds more keys and the counters differ.  A
-    table value keeps the bits of the block that filled it (a stacked
-    product's last ulp depends on how many rows it holds), so against
-    the uncached block the index is equal and the value within 1e-12,
-    and ``==`` on a cold block."""
+    as well, so the table holds more keys and the counters differ.  At
+    any capacity and with any number of lists, every answer is the
+    uncached block's (a pair's value does not depend on the block that
+    scored it)."""
 
     @staticmethod
     def _ask(trained, cached, per_pair, jobs, qpus):
@@ -753,11 +757,7 @@ class TestBestFidelityOracle:
         got = cached.best_fidelity(jobs, qpus)
         reference_fid, _ = reference_cached_block(per_pair, jobs, qpus)
         assert got == best_feasible(reference_fid, feasible)
-        want = best_feasible(trained.estimate_block(jobs, qpus)[0], feasible)
-        assert [a and a[0] for a in got] == [a and a[0] for a in want]
-        np.testing.assert_allclose(
-            [a[1] for a in got if a], [a[1] for a in want if a], rtol=1e-12
-        )
+        assert got == best_feasible(trained.estimate_block(jobs, qpus)[0], feasible)
         assert cached.stats == per_pair.stats
         assert {key: fid for key, (fid, _) in cache_table(cached)} == {
             key: fid for key, (fid, _) in cache_table(per_pair)
@@ -770,10 +770,7 @@ class TestBestFidelityOracle:
     def test_repeated_and_mixed_blocks(self, trained, fleet, monkeypatch):
         jobs = _jobs_with_circuits()
         cached, per_pair = self._pair(trained)
-        cold = self._ask(trained, cached, per_pair, jobs[:2], fleet)
-        assert cold == best_feasible(
-            trained.estimate_block(jobs[:2], fleet)[0], feasibility_matrix(jobs[:2], fleet)
-        )
+        self._ask(trained, cached, per_pair, jobs[:2], fleet)
         gets = _table_gets(cached, monkeypatch)
         self._ask(trained, cached, per_pair, jobs[:2], fleet)
         assert gets == []
@@ -886,8 +883,7 @@ class TestBestFidelityOracle:
                 reference_fid, _ = reference_cached_block(per_pair, block, shard)
                 calls, fills = len(gets), len(scored)
                 got = cached.best_fidelity(block, shard)
-                assert got == best_feasible(reference_fid, feasible)
-                assert [a and a[0] for a in got] == [a and a[0] for a in want]
+                assert got == best_feasible(reference_fid, feasible) == want
                 table = {key: fid for key, (fid, _) in cache_table(cached)}
                 for key, (fid, _) in cache_table(per_pair):
                     assert table[key] == fid
@@ -900,7 +896,7 @@ class TestBestFidelityOracle:
         assert cached.stats.misses == per_pair.stats.misses
 
     def test_small_table_evicts_and_drops_the_memo(self, trained, fleet, monkeypatch):
-        """At capacity the decisions are the definition's.  A block
+        """At capacity the answers are the definition's.  A block
         whose stores evict drops the memo, so the next block looks every
         feasible pair up again, and the table and memo never outgrow
         ``max_entries``."""
@@ -921,8 +917,7 @@ class TestBestFidelityOracle:
             want = best_feasible(trained.estimate_block(block, fleet)[0], feasible)
             calls, generation = len(gets), cached.cache.generation
             got = cached.best_fidelity(block, fleet)
-            assert [k for k, _ in got] == [k for k, _ in want]
-            np.testing.assert_allclose([f for _, f in got], [f for _, f in want], rtol=1e-12)
+            assert got == want
             looked_up = len(gets) - calls
             if evicted:
                 assert looked_up == feasible.sum()
@@ -1050,53 +1045,6 @@ class TestTransientMemory:
         X, y = ds.X_fidelity, ds.y_fidelity
         peak = _traced_peak_mib(lambda: polynomial_ridge_cv(X, y, (1, 2, 3), alpha=1e-3, seed=7))
         assert peak < 12.0
-
-
-class TestSegmentedPredictBitIdentity:
-    """``PolynomialRidge``'s product against one ``X[a:b] @ coef`` per
-    segment, on the benchmark's own models (``bench/child.py`` trains
-    these)."""
-
-    SEGMENTS = {
-        "fcfs_pool block: eight one-row segments": [0, 1, 2, 3, 4, 5, 6, 7, 8],
-        "qonductor_fresh block: four of a hundred": [0, 100, 200, 300, 400],
-        "one segment": [0, 257],
-        "all different": [0, 1, 3, 6, 10, 15, 32],
-        "mixed runs": [0, 4, 8, 9, 10, 11, 40, 69, 70, 75, 80],
-        "empty segments between full ones": [0, 0, 3, 3, 3, 6],
-        "empty X": [0, 0],
-    }
-
-    @pytest.mark.parametrize("target, columns", [("fidelity", 152), ("runtime", 363)])
-    def test_linear_stage_equals_per_segment_products(self, target, columns):
-        model = getattr(trained_estimator(seed=7).estimators, target).model
-        assert model.coef_.shape == (columns,)
-        rng = np.random.default_rng(columns)
-        for label, segments in self.SEGMENTS.items():
-            X = rng.normal(size=(segments[-1], columns))
-            for data in (X, np.asfortranarray(X)):
-                got = model._linear(data, segments)
-                want = predict_per_segment_reference(
-                    data, model.coef_, model.intercept_, segments
-                )
-                assert got.shape == (segments[-1],), label
-                assert np.array_equal(got, want), label
-
-    @pytest.mark.parametrize("target, features", [("fidelity", 16), ("runtime", 11)])
-    def test_whole_model_equals_the_two_definitions_chained(self, target, features):
-        estimator = getattr(trained_estimator(seed=7).estimators, target)
-        model = estimator.model
-        rng = np.random.default_rng(features)
-        for label, segments in self.SEGMENTS.items():
-            raw = rng.normal(size=(segments[-1], features))
-            expanded = polynomial_transform_reference(raw, estimator.degree)
-            want = predict_per_segment_reference(
-                (expanded - model.mean_) / model.scale_,
-                model.coef_,
-                model.intercept_,
-                segments,
-            )
-            assert np.array_equal(model.predict(raw, segments), want), label
 
 
 class TestRowInvariance:

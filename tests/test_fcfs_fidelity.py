@@ -180,9 +180,9 @@ def test_per_arrival_run_never_runs_the_runtime_model(monkeypatch):
     predicts = []
     predict = RegressionEstimator.predict
 
-    def counting_predict(self, X, segments=None):
+    def counting_predict(self, X):
         predicts.append(self.target)
-        return predict(self, X, segments)
+        return predict(self, X)
 
     lookups = []
     get = EstimateCache.get

@@ -120,20 +120,6 @@ class TestPolynomialRidge:
         fresh = rng.normal(size=(20, 2))
         np.testing.assert_allclose(model.predict(fresh), target(fresh), rtol=0, atol=1e-6)
 
-    @pytest.mark.parametrize(
-        "segments",
-        [[0, 9], [0, 1, 2, 3, 4, 5, 6, 7, 8, 9], [0, 3, 6, 9], [0, 2, 2, 7, 9]],
-        ids=["one", "rows", "equal", "mixed-with-empty"],
-    )
-    def test_segmented_predict_equals_one_predict_per_segment(self, segments):
-        """``predict(X, segments)`` has the bits of ``predict(X[a:b])``
-        for each segment, whatever the neighbours' lengths."""
-        rng = np.random.default_rng(7)
-        X = rng.normal(size=(9, 4))
-        model = PolynomialRidge(2, alpha=1e-3).fit(X, rng.normal(size=9))
-        want = np.concatenate([model.predict(X[a:b]) for a, b in zip(segments, segments[1:])])
-        assert np.array_equal(model.predict(X, segments), want)
-
     @pytest.mark.parametrize("columns", [2, 4], ids=["narrower", "wider"])
     def test_predict_refuses_another_column_count(self, columns):
         model = PolynomialRidge(2, alpha=1e-3).fit(np.eye(3), np.arange(3.0))
@@ -179,23 +165,6 @@ class TestPolynomialRidge:
             PolynomialRidge(2, 0.5).fit(np.ones(5), np.ones(5))
         with pytest.raises(ValueError):
             PolynomialRidge(2, 0.5).fit(np.ones((5, 2)), np.ones(4))
-
-    @pytest.mark.parametrize(
-        "segments",
-        [[0, 2, 4], [1, 3, 6], [0, 4, 2, 6], [0, 7], []],
-        ids=["short", "late-start", "descending", "long", "empty"],
-    )
-    def test_predict_refuses_segments_that_do_not_tile_x(self, segments):
-        """Offsets must run 0 .. len(X) in ascending order: ``[0, 2, 4]``
-        on six rows used to return rows 4-5 uninitialized, ``[1, 3, 6]``
-        row 0, and ``[0, 4, 2, 6]`` was accepted."""
-        rng = np.random.default_rng(5)
-        X = rng.normal(size=(6, 3))
-        fitted = PolynomialRidge(2, 0.5).fit(X, rng.normal(size=6))
-        assert np.array_equal(fitted.predict(X, [0, 0, 3, 3, 6]), fitted.predict(X, [0, 3, 6]))
-        with pytest.raises(ValueError, match="^PolynomialRidge: segments .* do not") as err:
-            fitted.predict(X, segments)
-        assert str(segments) in str(err.value)
 
     @pytest.mark.parametrize(
         "shape, y_shape, bad, message",
