@@ -1,6 +1,6 @@
 """Hand-computed oracles for the measuring window of the cloud figures,
-Fig. 7b/c's held-out test jobs, and the EXPERIMENTS.md record against
-``report``'s table.
+Fig. 7b/c's held-out test jobs, the mean-6 figures' share of training
+programs, and the EXPERIMENTS.md record against ``report``'s table.
 
 Every expected value below is worked out by hand from a two-QPU,
 handful-of-jobs scenario; none is read back from the code under test.
@@ -20,7 +20,7 @@ import pytest
 from repro.cloud import ExecutionModel, SimulatedQPU
 from repro.cloud.metrics import SimulationMetrics, TimeSeries
 from repro.estimator import dataset
-from repro.experiments import fig7, report
+from repro.experiments import fig7, fig8, fig9, fig10, report
 from repro.experiments.common import (
     HOUR,
     busy_within,
@@ -196,11 +196,12 @@ class _Drawn(Exception):
     """The figure has drawn its test jobs; nothing after matters here."""
 
 
-def _record_programs(monkeypatch, module, *, stop):
+def _record_programs(monkeypatch, module, *, stop_at=None):
     """Route ``module``'s ``WorkloadSampler`` through a recorder, and
     return the list it fills with each drawn job's program: its circuit's
-    metrics fingerprint and its shots.  With ``stop``, ``sample_many``
-    raises :class:`_Drawn` once it has drawn."""
+    metrics fingerprint and its shots.  With ``stop_at``, the first
+    ``sample_many`` goes on drawing from the same sampler until
+    ``stop_at`` programs are recorded, then raises :class:`_Drawn`."""
     drawn = []
 
     class Recording(WorkloadSampler):
@@ -211,7 +212,9 @@ def _record_programs(monkeypatch, module, *, stop):
 
         def sample_many(self, count):
             jobs = super().sample_many(count)
-            if stop:
+            if stop_at is not None:
+                while len(drawn) < stop_at:
+                    self.sample()
                 raise _Drawn
             return jobs
 
@@ -223,7 +226,7 @@ def _record_programs(monkeypatch, module, *, stop):
 def _training_programs():
     """The 800 programs ``trained_estimator(seed=7)`` is trained on."""
     with pytest.MonkeyPatch.context() as mp:
-        drawn = _record_programs(mp, dataset, stop=False)
+        drawn = _record_programs(mp, dataset)
         dataset.generate_dataset(
             make_fleet(seed=7), num_records=800, execution_model=ExecutionModel(seed=7), seed=7
         )
@@ -236,12 +239,38 @@ def test_fig7bc_scores_programs_the_estimator_was_not_trained_on(monkeypatch, se
     """Fig. 7b/c's estimation error is held out: none of its 250 test jobs
     runs a program of the estimator's training set, at ``report``'s seeds
     and at the figure's default seed."""
-    test = _record_programs(monkeypatch, fig7, stop=True)
+    test = _record_programs(monkeypatch, fig7, stop_at=1)
     with pytest.raises(_Drawn):
         fig7.fig7bc_estimation_error(seed=seed)
     assert len(test) == 250
     shared = set(test) & _training_programs()
     assert not shared, f"{len(shared)} of the test programs are training programs"
+
+
+#: How the mean-6 figures reach their sampler: Figs. 8a/b and 10a share
+#: ``run_scheduling_cycles`` (unwrapped here, past its per-seed cache).
+_MEAN6_FIGURES = {
+    "fig8ab-fig10a": (fig8, lambda seed: fig8.run_scheduling_cycles.__wrapped__(seed=seed)),
+    "fig9c": (fig9, lambda seed: fig9.fig9c_stage_runtimes(seed=seed)),
+    "fig10b": (fig10, lambda seed: fig10.fig10b_priorities(seed=seed)),
+}
+
+
+@pytest.mark.parametrize("seed, shared", [(5, 0), (6, 0), (7, 93)])
+@pytest.mark.parametrize("figure", list(_MEAN6_FIGURES))
+def test_mean6_figures_share_programs_with_training_only_at_seed_7(
+    monkeypatch, figure, seed, shared
+):
+    """The mean-6 sampler of Figs. 8a/b, 9c and 10 draws the training
+    sampler's benchmark and shot sequence at seed 7: 93 of its first 800
+    programs are training programs, as EXPERIMENTS.md notes for those
+    figures.  At ``report``'s other seeds it shares none."""
+    module, run = _MEAN6_FIGURES[figure]
+    drawn = _record_programs(monkeypatch, module, stop_at=800)
+    with pytest.raises(_Drawn):
+        run(seed)
+    assert len(drawn) == 800
+    assert len(set(drawn) & _training_programs()) == shared
 
 
 def test_experiments_md_gives_every_experiment_a_status():
