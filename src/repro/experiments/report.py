@@ -93,15 +93,14 @@ EXPERIMENTS: dict[str, tuple[Callable[..., dict], str, str]] = {
     "fig10b": (fig10b_priorities, "gap open", ""),
 }
 
-_SEED7_IN_SAMPLE = (
+#: A note under an experiment's status, about its inputs.
+_NOTES = dict.fromkeys(
+    ("fig8ab", "fig9c", "fig10a", "fig10b"),
     "Note: the jobs come from a mean-6 `WorkloadSampler` of the seed, which at seed 7 "
     "draws the estimator's training sequence of benchmarks and shots: 93 of its first "
     "800 programs are training programs (none at seeds 5 and 6), so seed 7's estimates "
-    "of those jobs are partly in-sample."
+    "of those jobs are partly in-sample.",
 )
-
-#: A note under an experiment's status, about its inputs.
-_NOTES = dict.fromkeys(("fig8ab", "fig9c", "fig10a", "fig10b"), _SEED7_IN_SAMPLE)
 
 
 def run_all(seed: int = 5) -> dict:

@@ -402,7 +402,6 @@ from repro.estimator import (  # noqa: E402
     generate_resource_plans,
 )
 from repro.estimator import models  # noqa: E402
-from repro.estimator.models import _CHUNK_ROWS  # noqa: E402
 
 
 def _count_predicts(monkeypatch) -> list:
@@ -613,7 +612,8 @@ class TestStackedFillBitIdentity:
         got = trained.estimate_block(jobs, qpus)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         total = int(feasibility_matrix(jobs, qpus).sum())
-        slices = [min(_CHUNK_ROWS, total - a) for a in range(0, total, _CHUNK_ROWS)]
+        rows = models._CHUNK_ROWS
+        slices = [min(rows, total - a) for a in range(0, total, rows)]
         assert len(slices) > 2
         for target in ("fidelity", "runtime"):
             assert [n for t, n in calls if t == target] == slices
@@ -628,7 +628,7 @@ class TestStackedFillBitIdentity:
         calls = _count_predicts(monkeypatch)
         got = trained.estimate_block(jobs, qpus)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        slices = [_CHUNK_ROWS, len(jobs) - _CHUNK_ROWS]
+        slices = [models._CHUNK_ROWS, len(jobs) - models._CHUNK_ROWS]
         assert calls == [(t, n) for t in ("fidelity", "runtime") for n in slices]
         calls.clear()
         monkeypatch.setattr(models, "_CHUNK_ROWS", len(jobs))
