@@ -29,6 +29,7 @@ from repro.cloud import (
     diurnal_rate,
     simulate_queue_imbalance,
 )
+from repro.cloud.availability import flash_outage
 from repro.cloud.execution import speed_factor
 from repro.estimator import PairwiseEstimateSource
 from repro.mitigation.stack import STANDARD_STACKS
@@ -269,6 +270,50 @@ class TestExecuteBitIdentity:
             assert astuple(got) == execute_reference(
                 ref_em, job, qpu.calibration, qpu.model, ref_rng
             )
+
+
+class TestDispatchNoiseStream:
+    """The simulator's generator is read by dispatch alone: replayed in
+    dispatch order on ``default_rng(config.seed)``, the reference body's
+    four scalar draws per job give every dispatched record, across two
+    shards, a recalibration, an outage and the horizon flush."""
+
+    def test_sharded_run_replays_on_the_config_seed(self):
+        dispatched = []
+
+        class RecordingModel(ExecutionModel):
+            def execute(self, job, calibration, model, *noise):
+                record = super().execute(job, calibration, model, *noise)
+                dispatched.append((job, calibration, model, record))
+                return record
+
+        duration = 1200.0
+        sim = CloudSimulator.sharded(
+            default_fleet(seed=7, names=["auckland", "algiers", "lagos", "hanoi"]),
+            FCFSPolicy(_fake_estimate),
+            num_shards=2,
+            balancer="least_loaded",
+            trigger_factory=lambda i: SchedulingTrigger(
+                queue_limit=10_000, interval_seconds=90.0
+            ),
+            execution_model=RecordingModel(seed=5),
+            config=SimulationConfig(
+                duration_seconds=duration, recalibrate_every_seconds=400.0, seed=3
+            ),
+            availability=flash_outage(["auckland"], start=300.0, duration_seconds=300.0),
+        )
+        gen = LoadGenerator(mean_rate_per_hour=3000.0, diurnal=False, max_qubits=27, seed=4)
+        metrics = sim.run(gen.iter_arrivals(duration))
+        assert metrics.outage_events == 1 and metrics.dispatched_jobs == len(dispatched)
+        # More dispatches than a noise block holds, some of them flushed
+        # at the horizon, some on a recalibrated device.
+        assert len(dispatched) > 600
+        assert any(job.schedule_time == duration for job, *_ in dispatched)
+        assert {cal.cycle for _, cal, _, _ in dispatched} == {0, 1, 2}
+        rng, ref_em = np.random.default_rng(3), ExecutionModel(seed=5)
+        for job, calibration, model, record in dispatched:
+            want = execute_reference(ref_em, job, calibration, model, rng)
+            assert astuple(record) == want
 
 
 class TestComponentsBitIdentity:

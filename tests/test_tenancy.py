@@ -168,6 +168,24 @@ class TestTenantStream:
         assert _tenant_stream(mix, 9, 20_000) == want
 
 
+    def test_block_picks_are_the_per_call_picks(self):
+        """3,000 picks, several blocks of them, against one
+        ``searchsorted(rng.random())`` per arrival on the substream."""
+        mix = abusive_mix(abuser_share=0.3)
+        shares = np.array([t.share for t in mix], dtype=float)
+        cdf = (shares / shares.sum()).cumsum()
+        cdf /= cdf[-1]
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=(9, 0x7E4A47))
+        )
+        want = [
+            mix[cdf.searchsorted(rng.random(), side="right")].tenant.tenant_id
+            for _ in range(3000)
+        ]
+        assert len(set(want)) == len(mix)
+        assert _tenant_stream(mix, 9, 3000) == want
+
+
 class TestAdmissionController:
     def _tenant_job(self, tenant):
         return make_job(5, tenant=tenant)
