@@ -94,7 +94,7 @@ def test_ablation_template_vs_per_qpu_estimation(once):
         for s in sampler.sample_many(40):
             job = QuantumJob.from_circuit(s.circuit, shots=s.shots)
             qpu = fleet[int(rng.integers(len(fleet)))]
-            real = em.execute(job, qpu.calibration, qpu.model, rng)
+            real = em.execute(job, qpu.calibration, qpu.model, em.noise(rng))
             # A template calibration is no QPU, so both go through
             # estimate_pairs, which scores a (job, calibration) pair.
             (f_qpu,), _ = est.estimators.estimate_pairs(

@@ -10,9 +10,8 @@ time used for utilization and load metrics.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-
-import numpy as np
 
 from ..backends.qpu import QPU
 from .execution import ExecutionModel, ExecutionRecord
@@ -48,11 +47,12 @@ class SimulatedQPU:
         job: QuantumJob,
         now: float,
         execution_model: ExecutionModel,
-        rng: np.random.Generator,
+        noise: Sequence[float],
     ) -> ExecutionRecord:
-        """Run ``job`` as soon as the device frees up; updates job record."""
+        """Run ``job`` as soon as the device frees up, with ``noise`` its
+        four log-normal factors; updates job record."""
         record = execution_model.execute(
-            job, self.qpu.calibration, self.qpu.model, rng
+            job, self.qpu.calibration, self.qpu.model, noise
         )
         start = max(now, self.free_at)
         finish = start + record.quantum_seconds

@@ -28,6 +28,7 @@ circuits (``tests/test_cloud.py::TestExecutionModel::test_model_matches_trajecto
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,13 @@ from ..simulation.esp import esp_to_hellinger
 from .job import QuantumJob
 from .proxy import TranspileProxy
 
-__all__ = ["ExecutionRecord", "ExecutionModel", "MITIGATION_EFFECTS", "speed_factor"]
+__all__ = [
+    "ExecutionRecord",
+    "ExecutionModel",
+    "MITIGATION_EFFECTS",
+    "NOISE_BLOCK_ROWS",
+    "speed_factor",
+]
 
 #: Residual fractions of each log-error component per technique, plus cost
 #: multipliers. Validated against the trajectory simulator.
@@ -60,6 +67,10 @@ MITIGATION_EFFECTS: dict[str, dict[str, float]] = {
 QPU_SETUP_SECONDS = 10.0
 SHOT_OVERHEAD_US = 400.0  # per-shot reset/readout dead time
 CLASSICAL_BASE_SECONDS = 1.5  # transpile + packaging per circuit instance
+
+#: Executions' noise rows :meth:`ExecutionModel.noise_rows` draws per
+#: ``standard_normal`` call on a generator it alone reads.
+NOISE_BLOCK_ROWS = 256
 
 
 def speed_factor(calibration: CalibrationData, model: QPUModel) -> float:
@@ -82,7 +93,12 @@ class ExecutionRecord:
 
 
 class ExecutionModel:
-    """Maps (job, calibration) -> ground-truth outcome, with noise."""
+    """Maps (job, calibration) -> ground-truth outcome, with noise.
+
+    ``seed`` seeds :attr:`rng`, the model's own generator for a caller
+    that has none; the simulator, the dataset builder and Fig. 7 bring
+    theirs.
+    """
 
     def __init__(
         self,
@@ -91,10 +107,10 @@ class ExecutionModel:
         seed: int | None = None,
     ) -> None:
         self.proxy = proxy or TranspileProxy()
-        #: Scales of execute()'s four standard-normal draws, in draw order:
-        #: 0.04 on the fidelity, 0.02 on each of the three runtimes.
+        #: Scales of an execution's four standard-normal draws, in draw
+        #: order: 0.04 on the fidelity, 0.02 on each of the three runtimes.
         self._sigmas = np.array([0.04] + [0.02] * 3)
-        self._rng = np.random.default_rng(seed)
+        self.rng = np.random.default_rng(seed)
         #: What :meth:`execute` derives before its first draw, keyed on
         #: (metrics fingerprint, mitigation, calibration epoch, model name):
         #: (fidelity, shot_mult, setup_s, per_shot_s, pre_s, post_s).  The
@@ -195,21 +211,39 @@ class ExecutionModel:
         """Noise-free expectation (used by tests and the oracle ablation)."""
         return self._noise_free(job.metrics, job.mitigation, calibration, model)[0]
 
+    def noise(self, rng: np.random.Generator) -> list[float]:
+        """One execution's four log-normal factors, one row drawn from
+        ``rng``: ``standard_normal(4) * sigmas`` is the four
+        ``normal(0, sigma)`` draws in order (``normal`` is
+        ``loc + scale * z``), so the stream and the bits are theirs.  For
+        a caller whose generator also draws other things between
+        executions."""
+        return np.exp(rng.standard_normal(4) * self._sigmas).tolist()
+
+    def noise_rows(self, rng: np.random.Generator) -> Iterator[list[float]]:
+        """:meth:`noise`'s rows, in order, drawn :data:`NOISE_BLOCK_ROWS`
+        at a time: a ``(rows, 4)`` draw fills row by row, so row ``k`` is
+        the ``k``-th one-row draw, value for value.  Only for a generator
+        nothing else reads — the block runs ahead of its consumer."""
+        sigmas = self._sigmas
+        while True:
+            yield from np.exp(
+                rng.standard_normal((NOISE_BLOCK_ROWS, 4)) * sigmas
+            ).tolist()
+
     def execute(
         self,
         job: QuantumJob,
         calibration: CalibrationData,
         model: QPUModel,
-        rng: np.random.Generator | None = None,
+        noise: Sequence[float],
     ) -> ExecutionRecord:
         """One noisy ground-truth execution: the epoch's noise-free outcome
-        times four log-normal factors.  ``standard_normal(4) * sigmas`` is
-        the four ``normal(0, sigma)`` draws in order (``normal`` is
-        ``loc + scale * z``), so the stream and the bits are theirs."""
+        times ``noise``, the four log-normal factors of a :meth:`noise`
+        row or of :meth:`noise_rows` (fidelity, quantum, pre, post)."""
         fid, shot_mult, setup_s, per_shot_s, pre_s, post_s = self._noise_free(
             job.metrics, job.mitigation, calibration, model
         )
-        noise = np.exp((rng or self._rng).standard_normal(4) * self._sigmas).tolist()
         return ExecutionRecord(
             fidelity=min(1.0, max(0.0, fid * noise[0])),
             quantum_seconds=(setup_s + job.shots * shot_mult * per_shot_s) * noise[1],

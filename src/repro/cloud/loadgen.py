@@ -36,7 +36,7 @@ import numpy as np
 
 from ..workloads.suite import SampledJob, WorkloadSampler
 from .job import HybridApplication, QuantumJob
-from .tenancy import TenantShare, require_at_least
+from .tenancy import Tenant, TenantShare, require_at_least
 
 __all__ = ["LoadGenerator", "diurnal_rate", "IBM_MEAN_RATE", "IBM_RATE_BAND"]
 
@@ -45,6 +45,9 @@ IBM_RATE_BAND = (1100.0, 2050.0)  # jobs/hour (paper's measured range)
 
 #: Mitigation presets jobs draw from (weighted toward the cheap stacks).
 _MITIGATED_PRESETS = ["rem", "dd", "dd+rem", "zne", "zne+rem", "dd+zne+rem"]
+
+#: Tenant picks drawn per ``random`` call on the tenant substream.
+TENANT_PICK_BLOCK = 256
 
 
 def diurnal_rate(hour_of_day: float, mean_rate: float = IBM_MEAN_RATE) -> float:
@@ -151,7 +154,10 @@ class LoadGenerator:
         """Lazily yield arrivals in [0, duration), in time order.
 
         Holds O(circuit_pool_size) state; with no pool, O(1) applications
-        are alive at a time (whatever the consumer retains).
+        are alive at a time (whatever the consumer retains).  With
+        ``tenants``, each arrival's tenant is the next pick of
+        :func:`_tenant_picks`, which draws :data:`TENANT_PICK_BLOCK` of
+        them per call on the tenant substream.
         """
         rng = np.random.default_rng(self.seed)
         sampler = self._make_sampler()
@@ -159,17 +165,13 @@ class LoadGenerator:
         # streams above never see these draws, so a tenanted run carries
         # the exact same circuits at the exact same times as the
         # untenanted run it is compared against.
-        tenant_rng: np.random.Generator | None = None
-        tenant_cdf: np.ndarray | None = None
+        tenant_picks: Iterator[Tenant] | None = None
         if self.tenants:
-            # One uniform looked up in the shares' CDF — the draw
-            # ``Generator.choice(n, p=p)`` makes (value and stream
-            # position) minus its per-call checks of ``p``.
-            shares = np.array([t.share for t in self.tenants], dtype=float)
-            tenant_cdf = (shares / shares.sum()).cumsum()
-            tenant_cdf /= tenant_cdf[-1]
-            tenant_rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=(self.seed, 0x7E4A47))
+            tenant_picks = _tenant_picks(
+                self.tenants,
+                np.random.default_rng(
+                    np.random.SeedSequence(entropy=(self.seed, 0x7E4A47))
+                ),
             )
         pool: list[QuantumJob] | None = None
         if self.circuit_pool_size:
@@ -191,9 +193,8 @@ class LoadGenerator:
             # redrawn from the flip instant at the new state's rate —
             # exact by memorylessness of the exponential.
             while True:
-                hour = (t / 3600.0) % 24.0
                 rate = (
-                    diurnal_rate(hour, self.mean_rate_per_hour)
+                    diurnal_rate((t / 3600.0) % 24.0, self.mean_rate_per_hour)
                     if self.diurnal
                     else self.mean_rate_per_hour
                 )
@@ -224,9 +225,8 @@ class LoadGenerator:
                 )
             else:
                 job = self._build_job(sampler.sample(), rng)
-            if tenant_rng is not None:
-                pick = tenant_cdf.searchsorted(tenant_rng.random(), side="right")
-                job.tenant = self.tenants[pick].tenant
+            if tenant_picks is not None:
+                job.tenant = next(tenant_picks)
             yield HybridApplication(quantum_job=job, arrival_time=t)
 
     def _build_job(
@@ -250,3 +250,23 @@ class LoadGenerator:
     def generate(self, duration_seconds: float) -> list[HybridApplication]:
         """All arrivals in [0, duration), sorted by arrival time."""
         return list(self.iter_arrivals(duration_seconds))
+
+
+def _tenant_picks(
+    tenants: tuple[TenantShare, ...], rng: np.random.Generator
+) -> Iterator[Tenant]:
+    """Endless tenant picks by share, in stream order.
+
+    A pick is one uniform looked up in the shares' CDF — the draw
+    ``Generator.choice(n, p=p)`` makes (value and stream position) minus
+    its per-call checks of ``p``.  ``random(k)`` gives the ``k`` uniforms
+    ``k`` scalar calls would, so drawing :data:`TENANT_PICK_BLOCK` at a
+    time keeps every pick; ``rng`` must be the substream's alone.
+    """
+    shares = np.array([t.share for t in tenants], dtype=float)
+    cdf = (shares / shares.sum()).cumsum()
+    cdf /= cdf[-1]
+    by_index = [t.tenant for t in tenants]
+    while True:
+        picks = cdf.searchsorted(rng.random(TENANT_PICK_BLOCK), side="right")
+        yield from map(by_index.__getitem__, picks.tolist())

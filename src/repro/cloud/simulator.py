@@ -282,7 +282,11 @@ class CloudSimulator:
                 "backend is the only one (pass 'serial', None or a "
                 "SerialCycleExecutor)"
             )
-        self._rng = np.random.default_rng(self.config.seed)
+        # Dispatch is the only reader of this generator, so its noise is
+        # drawn in blocks (see ExecutionModel.noise_rows).
+        self._noise = self.execution_model.noise_rows(
+            np.random.default_rng(self.config.seed)
+        )
         self._has_run = False
 
     @classmethod
@@ -331,7 +335,7 @@ class CloudSimulator:
             raise KeyError(
                 f"shard {shard.shard_id} has no QPU named {qpu_name!r}"
             ) from None
-        record = backend.execute(job, now, self.execution_model, self._rng)
+        record = backend.execute(job, now, self.execution_model, next(self._noise))
         # Dispatch != completion: the job is only *completed* when its
         # COMPLETION event folds inside the horizon (``_on_completion``).
         st.metrics.dispatched_jobs += 1

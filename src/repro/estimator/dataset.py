@@ -82,7 +82,7 @@ def generate_dataset(
         if not candidates:
             continue
         qpu = candidates[int(rng.integers(len(candidates)))]
-        record = em.execute(job, qpu.calibration, qpu.model, rng)
+        record = em.execute(job, qpu.calibration, qpu.model, em.noise(rng))
         Xf.append(fidelity_features(job.metrics, job.shots, mitigation, qpu.calibration))
         yf.append(record.fidelity)
         Xr.append(runtime_features(job.metrics, job.shots, mitigation, qpu.calibration))

@@ -91,7 +91,7 @@ def fig7bc_estimation_error(
         if not candidates:
             continue
         qpu = candidates[int(rng.integers(len(candidates)))]
-        real = em.execute(job, qpu.calibration, qpu.model, rng)
+        real = em.execute(job, qpu.calibration, qpu.model, em.noise(rng))
         fid, sec = estimator.estimate_block([job], [qpu])
         f_reg, t_reg = fid.item(), sec.item()
         f_num = numerical.estimate_fidelity(

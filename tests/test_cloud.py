@@ -30,7 +30,7 @@ from repro.cloud import (
     simulate_queue_imbalance,
 )
 from repro.cloud.availability import flash_outage
-from repro.cloud.execution import speed_factor
+from repro.cloud.execution import NOISE_BLOCK_ROWS, speed_factor
 from repro.estimator import PairwiseEstimateSource
 from repro.mitigation.stack import STANDARD_STACKS
 from repro.scheduler import FCFSPolicy, QonductorScheduler, SchedulingTrigger
@@ -132,8 +132,8 @@ class TestExecutionModel:
             ghz_linear(10), shots=4000, mitigation="dd+zne+rem"
         )
         rng = np.random.default_rng(0)
-        r_plain = em.execute(plain, fleet[1].calibration, fleet[1].model, rng)
-        r_mit = em.execute(mit, fleet[1].calibration, fleet[1].model, rng)
+        r_plain = em.execute(plain, fleet[1].calibration, fleet[1].model, em.noise(rng))
+        r_mit = em.execute(mit, fleet[1].calibration, fleet[1].model, em.noise(rng))
         assert (
             em.expected_fidelity(mit, fleet[1].calibration, fleet[1].model)
             > em.expected_fidelity(plain, fleet[1].calibration, fleet[1].model)
@@ -144,7 +144,7 @@ class TestExecutionModel:
     def test_execute_fields_valid(self, fleet):
         em = ExecutionModel(seed=2)
         job = QuantumJob.from_circuit(qaoa_maxcut(8, seed=1), shots=2000)
-        rec = em.execute(job, fleet[0].calibration, fleet[0].model)
+        rec = em.execute(job, fleet[0].calibration, fleet[0].model, em.noise(em.rng))
         assert 0.0 <= rec.fidelity <= 1.0
         assert rec.quantum_seconds > 0
         assert rec.classical_pre_seconds >= 0
@@ -155,7 +155,7 @@ class TestExecutionModel:
         job = QuantumJob.from_circuit(ghz_linear(4), mitigation="rem")
         job.mitigation = "bogus"
         with pytest.raises(KeyError):
-            em.execute(job, fleet[0].calibration, fleet[0].model)
+            em.execute(job, fleet[0].calibration, fleet[0].model, em.noise(em.rng))
 
     def test_outcome_derived_once_per_epoch(self, monkeypatch):
         """Counts, not clocks: what ``execute`` derives before its first
@@ -172,26 +172,27 @@ class TestExecutionModel:
         job = QuantumJob.from_circuit(ghz_linear(5), shots=2000, mitigation="dd+rem")
         other = QuantumJob.from_circuit(ghz_linear(5), shots=500, mitigation="rem")
 
-        em.execute(job, qpu.calibration, qpu.model)
+        em.execute(job, qpu.calibration, qpu.model, em.noise(em.rng))
         assert calls == {"mitigated_components": 1, "log_error_components": 1}
-        em.execute(job, qpu.calibration, qpu.model)
+        em.execute(job, qpu.calibration, qpu.model, em.noise(em.rng))
         em.expected_fidelity(job, qpu.calibration, qpu.model)
         assert calls == {"mitigated_components": 1, "log_error_components": 1}
-        em.execute(other, qpu.calibration, qpu.model)  # same program, other stack
+        # The same program under another stack.
+        em.execute(other, qpu.calibration, qpu.model, em.noise(em.rng))
         assert calls == {"mitigated_components": 2, "log_error_components": 2}
         assert len(em._outcome_cache) == 2
 
         qpu.recalibrate()
         em.on_recalibration()
         assert len(em._outcome_cache) == 0
-        em.execute(job, qpu.calibration, qpu.model)
-        em.execute(job, qpu.calibration, qpu.model)
+        em.execute(job, qpu.calibration, qpu.model, em.noise(em.rng))
+        em.execute(job, qpu.calibration, qpu.model, em.noise(em.rng))
         assert calls == {"mitigated_components": 3, "log_error_components": 3}
 
         job.mitigation = "bogus"  # never memoized: raises on every call
         for _ in range(2):
             with pytest.raises(KeyError, match="bogus"):
-                em.execute(job, qpu.calibration, qpu.model)
+                em.execute(job, qpu.calibration, qpu.model, em.noise(em.rng))
 
     def test_model_matches_trajectory_sim_smallscale(self, fleet):
         """The aggregate model must land near real noisy simulation."""
@@ -243,7 +244,7 @@ class TestExecuteBitIdentity:
                 for circuit, shots in programs:
                     job = QuantumJob.from_circuit(circuit, shots=shots, mitigation=preset)
                     for qpu in (*qpus, *qpus):  # the second lap is served from the memo
-                        got = em.execute(job, qpu.calibration, qpu.model, rng)
+                        got = em.execute(job, qpu.calibration, qpu.model, em.noise(rng))
                         want = execute_reference(
                             ref_em, job, qpu.calibration, qpu.model, ref_rng
                         )
@@ -266,10 +267,23 @@ class TestExecuteBitIdentity:
         job = QuantumJob.from_circuit(ghz_linear(5), shots=2000, mitigation="dd+rem")
         ref_rng = np.random.default_rng(5)
         for _ in range(3):
-            got = em.execute(job, qpu.calibration, qpu.model)
+            got = em.execute(job, qpu.calibration, qpu.model, em.noise(em.rng))
             assert astuple(got) == execute_reference(
                 ref_em, job, qpu.calibration, qpu.model, ref_rng
             )
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_noise_rows_are_the_one_row_draws(self, seed):
+        """Three blocks of :meth:`noise_rows` against one :meth:`noise`
+        row per call, value for value; the block leaves its generator
+        where ``NOISE_BLOCK_ROWS`` one-row calls would."""
+        em = ExecutionModel(seed=1)
+        block_rng, row_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        rows = em.noise_rows(block_rng)
+        for _ in range(3):
+            for _ in range(NOISE_BLOCK_ROWS):
+                assert next(rows) == em.noise(row_rng)
+            assert block_rng.bit_generator.state == row_rng.bit_generator.state
 
 
 class TestDispatchNoiseStream:
@@ -282,8 +296,8 @@ class TestDispatchNoiseStream:
         dispatched = []
 
         class RecordingModel(ExecutionModel):
-            def execute(self, job, calibration, model, *noise):
-                record = super().execute(job, calibration, model, *noise)
+            def execute(self, job, calibration, model, noise):
+                record = super().execute(job, calibration, model, noise)
                 dispatched.append((job, calibration, model, record))
                 return record
 
@@ -369,8 +383,8 @@ class TestSimulatedQPU:
         rng = np.random.default_rng(0)
         j1 = QuantumJob.from_circuit(ghz_linear(4), shots=4000)
         j2 = QuantumJob.from_circuit(ghz_linear(4), shots=4000)
-        backend.execute(j1, 0.0, em, rng)
-        backend.execute(j2, 0.0, em, rng)
+        backend.execute(j1, 0.0, em, em.noise(rng))
+        backend.execute(j2, 0.0, em, em.noise(rng))
         assert j2.start_time == pytest.approx(j1.finish_time)
         assert backend.jobs_executed == 2
         assert backend.busy_seconds > 0

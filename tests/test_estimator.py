@@ -195,7 +195,9 @@ class TestNumericalBaseline:
             circ = ghz_linear(4 + seed % 8)
             job = QuantumJob.from_circuit(circ, shots=4000, mitigation="dd+zne+rem")
             qpu = fleet[seed % len(fleet)]
-            real = execution_model.execute(job, qpu.calibration, qpu.model, rng)
+            real = execution_model.execute(
+                job, qpu.calibration, qpu.model, execution_model.noise(rng)
+            )
             f_reg, _ = _one_pair(trained, job, qpu)
             f_num = num.estimate_fidelity(
                 job.metrics, job.shots, job.mitigation, qpu.calibration, qpu.model

@@ -83,7 +83,7 @@ class TestSameJobsMeans:
 class _FixedServiceTimes:
     """An execution model whose jobs run for the time they carry."""
 
-    def execute(self, job, calibration, model, rng):
+    def execute(self, job, calibration, model, noise):
         return SimpleNamespace(quantum_seconds=job.seconds, fidelity=0.9)
 
 

@@ -77,7 +77,7 @@ class TestEndToEndScheduling:
         rng = np.random.default_rng(0)
         for dec in schedule.decisions:
             qpu = next(q for q in fleet if q.name == dec.qpu_name)
-            rec = em.execute(dec.job, qpu.calibration, qpu.model, rng)
+            rec = em.execute(dec.job, qpu.calibration, qpu.model, em.noise(rng))
             assert abs(rec.fidelity - dec.est_fidelity) < 0.35
 
     def test_calibration_drift_affects_estimates(self, estimator):
