@@ -243,14 +243,16 @@ class ShardBalancer:
     def route(
         self, job: QuantumJob, shards: list[FleetShard], now: float
     ) -> FleetShard:
-        feasible = [s for s in shards if s.fits(job)]
+        # ``fits`` / ``fits_hardware`` inlined: the width is read once.
+        width = job.num_qubits
+        feasible = [s for s in shards if width <= s.max_qubits]
         if not feasible:
             # Nothing fits *right now*.  Prefer shards whose hardware
             # could ever serve the job — a transiently-offline wide QPU
             # recovers, and the shard holds the job pending until it
             # does — before falling back to the full list (where the
             # owning scheduler rejects it, matching unsharded behavior).
-            feasible = [s for s in shards if s.fits_hardware(job)]
+            feasible = [s for s in shards if width <= s.hardware_max_qubits]
         return self.pick(job, feasible or shards, now)
 
     def pick(
@@ -276,17 +278,18 @@ class RoundRobinBalancer(ShardBalancer):
 
 
 def _tenant_adjusted_load(
-    shard: FleetShard, job: QuantumJob, now: float
+    shard: FleetShard, tenant_id: str | None, now: float
 ) -> float:
-    """Pending load plus the tenant-spread penalty for ``job``'s tenant.
+    """Pending load plus the tenant-spread penalty for the routed job's
+    tenant ``tenant_id`` (read once per arrival by the caller).
 
     Untenanted jobs (the default) add exactly nothing — the expression
     is never evaluated for them — so tenancy-off routing is bit-identical
     to plain ``pending_load``.
     """
     load = shard.pending_load(now)
-    if job.tenant_id is not None:
-        load += _TENANT_SPREAD_PENALTY * shard.tenant_pending(job.tenant_id)
+    if tenant_id is not None:
+        load += _TENANT_SPREAD_PENALTY * shard.tenant_pending(tenant_id)
     return load
 
 
@@ -304,9 +307,10 @@ class LeastLoadedBalancer(ShardBalancer):
     def pick(
         self, job: QuantumJob, shards: list[FleetShard], now: float
     ) -> FleetShard:
+        tid = job.tenant_id
         return min(
             shards,
-            key=lambda s: (_tenant_adjusted_load(s, job, now), s.shard_id),
+            key=lambda s: (_tenant_adjusted_load(s, tid, now), s.shard_id),
         )
 
 
@@ -323,11 +327,12 @@ class QubitFitBalancer(ShardBalancer):
     def pick(
         self, job: QuantumJob, shards: list[FleetShard], now: float
     ) -> FleetShard:
+        width, tid = job.num_qubits, job.tenant_id
         return min(
             shards,
             key=lambda s: (
-                s.max_qubits - job.num_qubits,
-                _tenant_adjusted_load(s, job, now),
+                s.max_qubits - width,
+                _tenant_adjusted_load(s, tid, now),
                 s.shard_id,
             ),
         )

@@ -359,9 +359,10 @@ class CloudSimulator:
     def _record_admission(
         self, job, decision: AdmissionDecision, metrics: SimulationMetrics
     ) -> None:
-        bucket = metrics.per_tenant_admission.setdefault(
-            job.tenant_id, {"admitted": 0, "degraded": 0, "rejected": 0}
-        )
+        buckets, tid = metrics.per_tenant_admission, job.tenant_id
+        bucket = buckets.get(tid)
+        if bucket is None:
+            bucket = buckets[tid] = {"admitted": 0, "degraded": 0, "rejected": 0}
         if decision.action == "reject":
             bucket["rejected"] += 1
             metrics.admission_rejected += 1

@@ -173,6 +173,12 @@ class AdmissionDecision:
         return self.action != "reject"
 
 
+#: The decisions :meth:`AdmissionController.admit` returns on its two
+#: fixed paths (frozen, so one instance serves every call).
+_ADMIT = AdmissionDecision("admit")
+_RATE_LIMITED = AdmissionDecision("reject", "rate_limit")
+
+
 class AdmissionController:
     """Token-bucket rate limiting + queue-depth quotas, per tenant.
 
@@ -200,6 +206,7 @@ class AdmissionController:
         if quota_action not in ("degrade", "reject"):
             raise ValueError("quota_action must be 'degrade' or 'reject'")
         self.quota_action = quota_action
+        self._over_quota = AdmissionDecision(quota_action, "queue_quota")
         # Token buckets: tenant_id -> [tokens, last_refill_time].
         self._buckets: dict[str, list[float]] = {}
 
@@ -213,16 +220,16 @@ class AdmissionController:
         quota that passed its rate limit."""
         tenant: Tenant | None = job.tenant
         if tenant is None:
-            return AdmissionDecision("admit")
+            return _ADMIT
         if tenant.rate_limit_per_hour is not None and not self._take_token(
             tenant, now
         ):
-            return AdmissionDecision("reject", "rate_limit")
+            return _RATE_LIMITED
         if tenant.queue_quota is not None:
             tid = tenant.tenant_id
             if sum(s.tenant_pending(tid) for s in shards) >= tenant.queue_quota:
-                return AdmissionDecision(self.quota_action, "queue_quota")
-        return AdmissionDecision("admit")
+                return self._over_quota
+        return _ADMIT
 
     def _take_token(self, tenant: Tenant, now: float) -> bool:
         bucket = self._buckets.get(tenant.tenant_id)
