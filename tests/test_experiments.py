@@ -17,10 +17,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.cloud import ExecutionModel, SimulatedQPU
+from repro.cloud import ExecutionModel, SimulatedQPU, loadgen
 from repro.cloud.metrics import SimulationMetrics, TimeSeries
-from repro.estimator import dataset
-from repro.experiments import fig7, fig8, fig9, fig10, report
+from repro.estimator import ResourceEstimator, dataset
+from repro.experiments import fig6, fig7, fig8, fig9, fig10, report
 from repro.experiments.common import (
     HOUR,
     busy_within,
@@ -199,23 +199,24 @@ class _Drawn(Exception):
 def _record_programs(monkeypatch, module, *, stop_at=None):
     """Route ``module``'s ``WorkloadSampler`` through a recorder, and
     return the list it fills with each drawn job's program: its circuit's
-    metrics fingerprint and its shots.  With ``stop_at``, the first
-    ``sample_many`` goes on drawing from the same sampler until
-    ``stop_at`` programs are recorded, then raises :class:`_Drawn`."""
+    metrics fingerprint and its shots.  With ``stop_at``, drawing raises
+    :class:`_Drawn` once ``stop_at`` programs are recorded, and a
+    ``sample_many`` that returns before that goes on drawing from the
+    same sampler until then."""
     drawn = []
 
     class Recording(WorkloadSampler):
         def sample(self):
             job = super().sample()
             drawn.append((job.metrics.fingerprint, job.shots))
+            if len(drawn) == stop_at:
+                raise _Drawn
             return job
 
         def sample_many(self, count):
             jobs = super().sample_many(count)
-            if stop_at is not None:
-                while len(drawn) < stop_at:
-                    self.sample()
-                raise _Drawn
+            while stop_at is not None:
+                self.sample()
             return jobs
 
     monkeypatch.setattr(module, "WorkloadSampler", Recording)
@@ -239,7 +240,7 @@ def test_fig7bc_scores_programs_the_estimator_was_not_trained_on(monkeypatch, se
     """Fig. 7b/c's estimation error is held out: none of its 250 test jobs
     runs a program of the estimator's training set, at ``report``'s seeds
     and at the figure's default seed."""
-    test = _record_programs(monkeypatch, fig7, stop_at=1)
+    test = _record_programs(monkeypatch, fig7, stop_at=250)
     with pytest.raises(_Drawn):
         fig7.fig7bc_estimation_error(seed=seed)
     assert len(test) == 250
@@ -271,6 +272,39 @@ def test_mean6_figures_share_programs_with_training_only_at_seed_7(
         run(seed)
     assert len(drawn) == 800
     assert len(set(drawn) & _training_programs()) == shared
+
+
+@pytest.mark.parametrize("seed, shared", [(5, 0), (6, 93), (7, 0)])
+def test_run_hour_shares_programs_with_training_only_at_seed_6(monkeypatch, seed, shared):
+    """``common.run_hour``'s ``LoadGenerator(seed)`` samples on ``seed +
+    1`` with mean 6, so at seed 6 it draws the training sampler's
+    benchmark and shot sequence: 93 of the first 800 programs of Fig. 6's
+    hour are training programs, as EXPERIMENTS.md notes for the four
+    figures that run the hour (8c, 9a and 9b draw the same programs: the
+    rate does not reach the sampler).  At ``report``'s other seeds it
+    shares none."""
+    drawn = _record_programs(monkeypatch, loadgen, stop_at=800)
+    with pytest.raises(_Drawn):
+        fig6.fig6_end_to_end(seed=seed)
+    assert len(drawn) == 800
+    assert len(set(drawn) & _training_programs()) == shared
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_fig7a_plans_a_program_outside_training(monkeypatch, seed):
+    """Fig. 7a plans one program, QAOA-20 on a ring with 4,000 shots, and
+    the estimator was not trained on it at any of ``report``'s seeds."""
+    planned = []
+
+    def recording(self, metrics, shots, **kwargs):
+        planned.append((metrics.fingerprint, shots))
+        raise _Drawn
+
+    monkeypatch.setattr(ResourceEstimator, "generate_plans", recording)
+    with pytest.raises(_Drawn):
+        fig7.fig7a_resource_plans(seed=seed)
+    assert len(planned) == 1
+    assert not set(planned) & _training_programs()
 
 
 def test_experiments_md_gives_every_experiment_a_status():
