@@ -199,24 +199,31 @@ class _Drawn(Exception):
 def _record_programs(monkeypatch, module, *, stop_at=None):
     """Route ``module``'s ``WorkloadSampler`` through a recorder, and
     return the list it fills with each drawn job's program: its circuit's
-    metrics fingerprint and its shots.  With ``stop_at``, drawing raises
-    :class:`_Drawn` once ``stop_at`` programs are recorded, and a
-    ``sample_many`` that returns before that goes on drawing from the
-    same sampler until then."""
+    metrics fingerprint and its shots.  With ``stop_at``, the first
+    ``sample_many`` goes on drawing from the same sampler until
+    ``stop_at`` programs are recorded, then raises :class:`_Drawn`, and
+    a ``sample`` call (the load generator draws one program an arrival)
+    raises once ``stop_at`` are recorded."""
     drawn = []
 
     class Recording(WorkloadSampler):
-        def sample(self):
+        def _record(self):
             job = super().sample()
             drawn.append((job.metrics.fingerprint, job.shots))
-            if len(drawn) == stop_at:
+            return job
+
+        def sample(self):
+            job = self._record()
+            if stop_at is not None and len(drawn) >= stop_at:
                 raise _Drawn
             return job
 
         def sample_many(self, count):
-            jobs = super().sample_many(count)
-            while stop_at is not None:
-                self.sample()
+            jobs = [self._record() for _ in range(count)]
+            if stop_at is not None:
+                while len(drawn) < stop_at:
+                    self._record()
+                raise _Drawn
             return jobs
 
     monkeypatch.setattr(module, "WorkloadSampler", Recording)
@@ -240,7 +247,7 @@ def test_fig7bc_scores_programs_the_estimator_was_not_trained_on(monkeypatch, se
     """Fig. 7b/c's estimation error is held out: none of its 250 test jobs
     runs a program of the estimator's training set, at ``report``'s seeds
     and at the figure's default seed."""
-    test = _record_programs(monkeypatch, fig7, stop_at=250)
+    test = _record_programs(monkeypatch, fig7, stop_at=1)
     with pytest.raises(_Drawn):
         fig7.fig7bc_estimation_error(seed=seed)
     assert len(test) == 250

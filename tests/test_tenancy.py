@@ -167,7 +167,6 @@ class TestTenantStream:
         ]
         assert _tenant_stream(mix, 9, 20_000) == want
 
-
     def test_block_picks_are_the_per_call_picks(self):
         """3,000 picks, several blocks of them, against one
         ``searchsorted(rng.random())`` per arrival on the substream."""
