@@ -13,10 +13,19 @@ bit** (``==``, not ``allclose``):
 * :func:`reference_block` — the former ``ResourceEstimator.estimate_block``.
 * :func:`reference_plans` — the former ``generate_resource_plans``.
 
+Two smaller definitions sit beside them: :func:`pairs_reference`, the
+``groupby`` form of ``repro.estimator.cache._pairs``, and
+:func:`estimate_pairs_reference`, ``RegressionEstimator.estimate_pairs``
+as one ``np.concatenate`` of the groups' indices and one ``np.repeat`` of
+their calibration rows.
+
 The ``np.tile`` + ``np.hstack`` builders and the per-column predict
 helpers the loops called were deleted from ``src/`` with them and live on
 here under private names.  Nothing here may call ``estimate_pairs``.
 """
+
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -28,6 +37,7 @@ from repro.estimator.features import (
     job_fidelity_features,
     job_runtime_features,
 )
+from repro.estimator import models
 from repro.estimator.plans import ResourcePlan, _classical_seconds
 from repro.estimator.source import feasibility_matrix
 from repro.mitigation.stack import STANDARD_STACKS
@@ -35,6 +45,8 @@ from repro.moo.sorting import pareto_front_mask
 
 __all__ = [
     "cache_table",
+    "estimate_pairs_reference",
+    "pairs_reference",
     "reference_block",
     "reference_cached_block",
     "reference_plans",
@@ -63,6 +75,44 @@ def _column_runtimes(trained, job_rows, calibration):
     if len(job_rows) == 0:
         return np.zeros(0)
     return trained.runtime.predict(_runtime_matrix(job_rows, calibration))
+
+
+#: ``target -> (job features, calibration features)`` of each model.
+_BUILDERS = {
+    "fidelity": (job_fidelity_features, calibration_fidelity_features),
+    "runtime": (job_runtime_features, calibration_runtime_features),
+}
+
+
+def pairs_reference(jobs, qpus, cells):
+    """``_pairs``' arguments for column-major ``(i, k, ...)`` cells: one
+    ``groupby`` group per run of equal ``k``, and a job's slot given by a
+    ``setdefault`` in the order the cells first name it."""
+    slot: dict[int, int] = {}
+    groups = [
+        (qpus[k].calibration, [slot.setdefault(cell[0], len(slot)) for cell in column])
+        for k, column in groupby(cells, key=itemgetter(1))
+    ]
+    return [(j.metrics, j.shots, j.mitigation) for j in (jobs[i] for i in slot)], groups
+
+
+def estimate_pairs_reference(model, jobs, groups):
+    """``model.estimate_pairs(jobs, groups)`` as one concatenation of the
+    groups' job indices, one ``np.repeat`` of their calibration rows and
+    one ``np.concatenate`` of the two per slice of ``_CHUNK_ROWS`` rows."""
+    if not groups:
+        return np.zeros(0)
+    job_features, calibration_features = _BUILDERS[model.target]
+    job_idx = np.concatenate([idx for _, idx in groups])
+    rows = np.array([job_features(*job) for job in jobs])
+    cals = np.repeat(
+        [calibration_features(c) for c, _ in groups], [len(idx) for _, idx in groups], 0
+    )
+    out = np.empty(len(job_idx))
+    for a in range(0, len(out), models._CHUNK_ROWS):
+        b = a + models._CHUNK_ROWS
+        out[a:b] = model.predict(np.concatenate([rows[job_idx[a:b]], cals[a:b]], 1))
+    return out
 
 
 def cache_table(cached) -> list:

@@ -82,6 +82,18 @@ class TestCalibration:
                 get_model("falcon_r5_7"), "x", -1.0, 0, np.random.default_rng(0)
             )
 
+    def test_epoch_is_the_name_and_cycle(self):
+        """The cache-invalidation key of every fleet snapshot, of a
+        recalibrated one and of a template is ``(qpu_name, cycle)``."""
+        fleet = default_fleet(seed=7)
+        cals = [q.calibration for q in fleet]
+        model = get_model("falcon_r5_7")
+        cals.append(sample_calibration(model, "x", 1.0, 5, np.random.default_rng(0)))
+        cals += [t.calibration for t in build_templates(fleet).values()]
+        for cal in cals:
+            assert cal.epoch == (cal.qpu_name, cal.cycle)
+            assert type(cal.epoch) is tuple
+
     def test_summary_keys(self):
         cal = sample_calibration(
             get_model("falcon_r5_7"), "x", 1.0, 2, np.random.default_rng(0)

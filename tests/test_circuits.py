@@ -345,6 +345,24 @@ class TestFusedMetricsPass:
                 writer.add(g.name, g.qubits, *g.params)
         assert writer.metrics() == compute_metrics_reference(circ)
 
+    @given(op_lists())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_fingerprint_is_the_structural_tuple(self, circ):
+        """The content address is every structural metric but the
+        (derived) parallelism, in declaration order."""
+        m = compute_metrics(circ)
+        assert m.fingerprint == (
+            m.num_qubits,
+            m.depth,
+            m.two_qubit_depth,
+            m.size,
+            m.num_1q_gates,
+            m.num_2q_gates,
+            m.num_measurements,
+            m.max_interaction_degree,
+        )
+        assert type(m.fingerprint) is tuple
+
     def test_empty_circuit(self):
         m = compute_metrics(Circuit(3))
         assert m == compute_metrics_reference(Circuit(3))

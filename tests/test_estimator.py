@@ -388,6 +388,8 @@ class TestEstimateBlock:
 
 from helpers.reference_estimates import (  # noqa: E402
     cache_table,
+    estimate_pairs_reference,
+    pairs_reference,
     reference_block,
     reference_cached_block,
     reference_plans,
@@ -404,6 +406,7 @@ from repro.estimator import (  # noqa: E402
     generate_resource_plans,
 )
 from repro.estimator import models  # noqa: E402
+from repro.estimator.cache import _pairs  # noqa: E402
 
 
 def _count_predicts(monkeypatch) -> list:
@@ -991,6 +994,90 @@ class TestBestFidelityOracle:
             assert sizes[-1] == cached._best_size
         assert len(cached.cache) == 4 and cached.cache.generation == 0
         assert sizes == [2, 4, 2, 4, 2]
+
+
+class TestMissFillOracle:
+    """A miss fill's stacked arguments and values equal their definitions
+    in ``tests/helpers/reference_estimates.py``: ``_pairs`` the ``groupby``
+    form on column-major cells, ``estimate_pairs`` the
+    concatenate-and-repeat form, bit for bit, on both models."""
+
+    @staticmethod
+    def _assert_pairs_match(jobs, qpus, cells):
+        got_jobs, got_groups = _pairs(jobs, qpus, cells)
+        want_jobs, want_groups = pairs_reference(jobs, qpus, cells)
+        assert got_jobs == want_jobs
+        assert all(g[0] is w[0] for g, w in zip(got_jobs, want_jobs))
+        assert [list(idx) for _, idx in got_groups] == [list(idx) for _, idx in want_groups]
+        assert all(g is w for (g, _), (w, _) in zip(got_groups, want_groups))
+
+    def test_pairs_with_a_job_in_several_groups(self):
+        qpus = fleet_of_size(8, seed=7)
+        jobs = _many_jobs(4)
+        cells = [(0, 0), (1, 0), (1, 2), (0, 2), (3, 2), (2, 5), (1, 5), (0, 7)]
+        self._assert_pairs_match(jobs, qpus, [(i, k, ("key", i, k)) for i, k in cells])
+        # ``estimate_block``'s runtime-only pass hands it (i, k, key, f) cells.
+        self._assert_pairs_match(jobs, qpus, [(i, k, ("key", i, k), 0.5) for i, k in cells])
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_pairs_on_random_column_major_cells(self, seed):
+        rng = np.random.default_rng(seed)
+        qpus = fleet_of_size(8, seed=7)
+        jobs = _many_jobs(int(rng.integers(1, 10)))
+        columns = np.sort(rng.choice(8, size=int(rng.integers(1, 9)), replace=False))
+        cells = []
+        for k in columns.tolist():
+            rows = rng.permutation(len(jobs))[: int(rng.integers(1, len(jobs) + 1))]
+            cells += [(i, k, ("key", i, k)) for i in rows.tolist()]
+        self._assert_pairs_match(jobs, qpus, cells)
+
+    #: Rows per group: one-row groups, many-row groups, exactly one
+    #: chunk, one row past it, and chunk bounds inside a group.
+    GROUP_SIZES = {
+        "one_row_groups": [1] * 8,
+        "many_row_groups": [40, 7, 33, 2],
+        "one_chunk": [512],
+        "one_row_past_a_chunk": [512, 1],
+        "bounds_inside_groups": [300, 300, 450],
+    }
+
+    @pytest.mark.parametrize("kind", ["list", "array"])
+    @pytest.mark.parametrize("sizes", GROUP_SIZES)
+    @pytest.mark.parametrize("target", ["fidelity", "runtime"])
+    def test_estimate_pairs_is_the_concatenate_form(self, trained, target, sizes, kind):
+        """List groups (the cache's, which may repeat a job across
+        groups) and sorted index-array groups (``ResourceEstimator._pairs``')."""
+        assert models._CHUNK_ROWS == 512
+        rng = np.random.default_rng(len(sizes) + 10 * (kind == "array"))
+        qpus = fleet_of_size(8, seed=7)
+        jobs = [(j.metrics, j.shots, j.mitigation) for j in _many_jobs(520)]
+        groups = []
+        for g, size in enumerate(self.GROUP_SIZES[sizes]):
+            idx = rng.choice(len(jobs), size=size, replace=False)
+            groups.append(
+                (qpus[g % 8].calibration, np.sort(idx) if kind == "array" else idx.tolist())
+            )
+        model = getattr(trained.estimators, target)
+        got = model.estimate_pairs(jobs, groups)
+        want = estimate_pairs_reference(model, jobs, groups)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("target", ["fidelity", "runtime"])
+    def test_estimate_pairs_of_a_resource_estimator_block(self, trained, target):
+        """``tenant_outage``'s cold batched-FCFS shape through
+        ``ResourceEstimator._pairs`` (index-array groups, 300 x 8)."""
+        qpus = fleet_of_size(8, seed=7)
+        jobs = _many_jobs(300)
+        pairs = trained._pairs(jobs, qpus, feasibility_matrix(jobs, qpus))
+        model = getattr(trained.estimators, target)
+        got = model.estimate_pairs(*pairs)
+        want = estimate_pairs_reference(model, *pairs)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_estimate_pairs_without_groups(self, trained):
+        got = trained.estimators.fidelity.estimate_pairs([], [])
+        assert got.shape == (0,) and got.dtype == np.float64
 
 
 class TestFeasibleMaskShape:

@@ -33,6 +33,8 @@ from helpers.determinism import (
     make_job,
     make_shards,
 )
+from repro.cloud.fleet import _BACKLOG_SECONDS_PER_JOB, _TENANT_SPREAD_PENALTY
+from repro.cloud.tenancy import Tenant
 from repro.estimator import CachedEstimator, PairwiseEstimateSource, ResourceEstimator
 from repro.scheduler import (
     BatchedFCFSPolicy,
@@ -123,6 +125,85 @@ class TestBalancers:
         assert balancer.route(make_job(5), shards, 0.0).shard_id == 0
         assert balancer.route(make_job(10), shards, 0.0).shard_id == 1
         assert balancer.route(make_job(20), shards, 0.0).shard_id == 2
+
+
+def _reference_load(shard, tenant_id, now):
+    """A shard's routing load by definition: queued jobs plus each busy
+    device's backlog in job units, plus the spread penalty per pending
+    job of the arriving job's tenant (none for an untenanted job)."""
+    backlog = 0.0
+    for backend in shard.backends:
+        if backend.free_at > now:
+            backlog += backend.free_at - now
+    load = len(shard.pending) + backlog / _BACKLOG_SECONDS_PER_JOB
+    if tenant_id is not None:
+        load += _TENANT_SPREAD_PENALTY * shard.tenant_pending(tenant_id)
+    return load
+
+
+class TestPickOracle:
+    """``LeastLoadedBalancer`` and ``QubitFitBalancer`` pick
+    ``min(shards, key=(load, shard_id))`` (width fit first for the
+    latter) over random device backlogs, queues and tenant mixes; the
+    backlogs and queue depths come from small grids, so exact load ties
+    are common and break on the shard id."""
+
+    NAMES = [["auckland", "lagos"], ["hanoi", "nairobi", "algiers"], ["cairo"], ["kolkata", "guadalupe"]]
+    TENANTS = [Tenant("a"), Tenant("b"), Tenant("c")]
+
+    def _state(self, rng, now):
+        shards = make_shards(self.NAMES)
+        for shard in shards:
+            for backend in shard.backends:
+                backend.free_at = now + float(rng.choice([-20.0, 0.0, 15.0, 30.0, 45.0]))
+            for _ in range(int(rng.integers(0, 4))):
+                tenant = rng.choice([None, *self.TENANTS])
+                shard.enqueue(make_job(int(rng.integers(2, 8)), tenant=tenant))
+        return shards
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_picks_are_the_first_minimum(self, seed):
+        rng = np.random.default_rng(seed)
+        now = float(rng.choice([0.0, 100.0, 1234.5]))
+        shards = self._state(rng, now)
+        for _ in range(20):
+            tenant = rng.choice([None, *self.TENANTS])
+            job = make_job(int(rng.integers(2, 28)), tenant=tenant)
+            tid = job.tenant_id
+            order = [shards[i] for i in rng.permutation(len(shards))]
+            want = min(order, key=lambda s: (_reference_load(s, tid, now), s.shard_id))
+            assert LeastLoadedBalancer().pick(job, order, now) is want
+            width = job.num_qubits
+            want = min(
+                order,
+                key=lambda s: (s.max_qubits - width, _reference_load(s, tid, now), s.shard_id),
+            )
+            assert QubitFitBalancer().pick(job, order, now) is want
+            for balancer in (LeastLoadedBalancer(), QubitFitBalancer()):
+                feasible = [s for s in shards if width <= s.max_qubits] or shards
+                assert balancer.route(job, shards, now) is balancer.pick(job, feasible, now)
+
+    @pytest.mark.parametrize("tenant", [None, "a"])
+    def test_exact_ties_break_on_the_shard_id(self, tenant):
+        """Shards 0, 2 and 3 all load 2.0 (two busy devices, or one busy
+        device and one queued job); shard 1 loads 3.0.  A tenant's own
+        queued job counts against shard 2 only."""
+        shards = make_shards(self.NAMES)
+        for shard in shards:
+            for backend in shard.backends:
+                backend.free_at = 130.0
+        shards[2].enqueue(make_job(5, tenant=self.TENANTS[1]))
+        job = make_job(5, tenant=None if tenant is None else self.TENANTS[0])
+        loads = [_reference_load(s, job.tenant_id, 100.0) for s in shards]
+        assert loads == [2.0, 3.0, 2.0, 2.0]
+        for order in (shards, shards[::-1], [shards[3], shards[2], shards[1]]):
+            want = min((s for s in order if loads[s.shard_id] == 2.0), key=lambda s: s.shard_id)
+            assert LeastLoadedBalancer().pick(job, order, 100.0) is want
+
+    def test_untenanted_load_is_the_pending_load(self):
+        rng = np.random.default_rng(0)
+        for shard in self._state(rng, 50.0):
+            assert shard.pending_load(50.0) == _reference_load(shard, None, 50.0)
 
 
 class TestShardedEquivalence:
