@@ -11,6 +11,7 @@ Fig. 2(b) — and re-drawn every calibration cycle with temporal drift
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -24,9 +25,10 @@ __all__ = [
     "average_calibrations",
 ]
 
-@dataclass
+@dataclass(frozen=True)
 class CalibrationData:
-    """One calibration snapshot of one QPU."""
+    """One calibration snapshot of one QPU (a recalibration makes a new
+    one; nothing assigns a field after construction)."""
 
     qpu_name: str
     model_name: str
@@ -37,9 +39,10 @@ class CalibrationData:
     #: rows); a recalibration makes a new snapshot, so nothing invalidates it.
     derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
+    @cached_property
     def epoch(self) -> tuple[str, int]:
-        """Cache-invalidation key: a fresh snapshot means a fresh epoch."""
+        """Cache-invalidation key: a fresh snapshot means a fresh epoch.
+        Built on first read; the snapshot is frozen, so it cannot go stale."""
         return (self.qpu_name, self.cycle)
 
     @property

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, asdict
+from functools import cached_property
 
 from .circuit import Circuit, OpSink
 from .gates import GATE_SPECS, check_op
@@ -41,10 +42,11 @@ class CircuitMetrics:
             return "sparse"
         return "dense"
 
-    @property
+    @cached_property
     def fingerprint(self) -> tuple[int, ...]:
         """Content address: two circuits with equal structural metrics are
-        interchangeable for estimation, so caches key on this tuple."""
+        interchangeable for estimation, so caches key on this tuple
+        (built on first read)."""
         return (
             self.num_qubits,
             self.depth,

@@ -82,9 +82,11 @@ def speed_factor(calibration: CalibrationData, model: QPUModel) -> float:
     return calibration.aggregates().duration_2q_ns / model.duration_2q_ns
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ExecutionRecord:
-    """The cloud's ground truth for one executed job."""
+    """The cloud's ground truth for one executed job.  Slotted and not
+    frozen, so :meth:`ExecutionModel.execute` builds one per dispatch at
+    the cost of a plain ``__init__``; nothing assigns a field after it."""
 
     fidelity: float
     quantum_seconds: float
@@ -244,9 +246,9 @@ class ExecutionModel:
         fid, shot_mult, setup_s, per_shot_s, pre_s, post_s = self._noise_free(
             job.metrics, job.mitigation, calibration, model
         )
-        return ExecutionRecord(
-            fidelity=min(1.0, max(0.0, fid * noise[0])),
-            quantum_seconds=(setup_s + job.shots * shot_mult * per_shot_s) * noise[1],
-            classical_pre_seconds=pre_s * noise[2],
-            classical_post_seconds=post_s * noise[3],
+        return ExecutionRecord(  # fidelity, quantum, pre, post
+            min(1.0, max(0.0, fid * noise[0])),
+            (setup_s + job.shots * shot_mult * per_shot_s) * noise[1],
+            pre_s * noise[2],
+            post_s * noise[3],
         )

@@ -208,8 +208,9 @@ class FleetShard:
         """Pending work: queued jobs plus device backlog, in job units."""
         backlog = 0.0
         for b in self.backends:
-            if b.free_at > now:  # an idle device adds exactly 0.0
-                backlog += b.free_at - now
+            free_at = b.free_at
+            if free_at > now:  # an idle device adds exactly 0.0
+                backlog += free_at - now
         return len(self._pending) + backlog / _BACKLOG_SECONDS_PER_JOB
 
     def tenant_pending(self, tenant_id: str) -> int:
@@ -307,11 +308,17 @@ class LeastLoadedBalancer(ShardBalancer):
     def pick(
         self, job: QuantumJob, shards: list[FleetShard], now: float
     ) -> FleetShard:
+        # The first minimum of (_tenant_adjusted_load, shard_id), in one
+        # loop with one call per shard.
         tid = job.tenant_id
-        return min(
-            shards,
-            key=lambda s: (_tenant_adjusted_load(s, tid, now), s.shard_id),
-        )
+        best, least = shards[0], float("inf")
+        for shard in shards:
+            load = shard.pending_load(now)
+            if tid is not None:
+                load += _TENANT_SPREAD_PENALTY * shard.tenant_pending(tid)
+            if load < least or (load == least and shard.shard_id < best.shard_id):
+                best, least = shard, load
+        return best
 
 
 class QubitFitBalancer(ShardBalancer):

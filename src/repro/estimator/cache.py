@@ -56,8 +56,6 @@ QPU), store them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter
 
 import numpy as np
 
@@ -370,7 +368,7 @@ class CachedEstimator:
         """The known online QPUs that fit a ``second`` program with no
         entry for it, and their column-major ``(i, k, key)`` cells, ``k``
         counting from ``first``."""
-        cache = self.cache
+        entries = self.cache._entries
         pending = {key for _, _, key in missed}
         rows = [(i, key, jobs[i].num_qubits) for key, i in second.items()]
         columns: list[QPU] = []
@@ -383,7 +381,7 @@ class CachedEstimator:
             for i, key, width in rows:
                 if width <= size:
                     key += epoch
-                    if key not in pending and key not in cache:
+                    if key not in pending and key not in entries:
                         cells.append((i, k, key))
             if len(cells) > before:
                 columns.append(qpu)
@@ -480,11 +478,15 @@ def _admit(table: dict, key, value, cap: int) -> None:
 
 def _pairs(jobs: list[QuantumJob], qpus: list[QPU], cells: list[tuple]):
     """The ``estimate_pairs`` arguments of column-major ``(i, k, ...)``
-    cells: one feature row per distinct job, however many QPUs it is
-    scored on, and one group per QPU."""
+    cells, in one pass: one feature row per distinct job, however many
+    QPUs it is scored on, and one group per run of equal ``k``."""
     slot: dict[int, int] = {}
-    groups = [
-        (qpus[k].calibration, [slot.setdefault(cell[0], len(slot)) for cell in column])
-        for k, column in groupby(cells, key=itemgetter(1))
-    ]
+    groups: list[tuple] = []
+    last = column = None
+    for cell in cells:
+        k = cell[1]
+        if k != last:
+            last, column = k, []
+            groups.append((qpus[k].calibration, column))
+        column.append(slot.setdefault(cell[0], len(slot)))
     return [(j.metrics, j.shots, j.mitigation) for j in (jobs[i] for i in slot)], groups

@@ -98,11 +98,13 @@ class ResourceEstimator:
     @staticmethod
     def _pairs(jobs: list[QuantumJob], qpus: list[QPU], feasible: np.ndarray):
         """The ``estimate_pairs`` arguments of a block: every job, and one
-        group per QPU with a feasible job, in column order."""
-        columns = [np.flatnonzero(column) for column in feasible.T]
+        group per QPU with a feasible job, in column order (index lists,
+        which ``estimate_pairs`` extends without a per-element NumPy
+        scalar)."""
+        columns = [np.flatnonzero(column).tolist() for column in feasible.T]
         return (
             [(j.metrics, j.shots, j.mitigation) for j in jobs],
-            [(q.calibration, idx) for q, idx in zip(qpus, columns) if idx.size],
+            [(q.calibration, idx) for q, idx in zip(qpus, columns) if idx],
         )
 
     def cached(self, **kwargs) -> "CachedEstimator":

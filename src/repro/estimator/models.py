@@ -68,8 +68,10 @@ class RegressionEstimator:
         ``jobs`` are ``(metrics, shots, mitigation)`` triples; each group
         pairs one calibration snapshot (a QPU, a template) with the
         (non-empty) indices of the jobs to score on it.  The groups'
-        pairs are stacked into one feature matrix and predicted in slices
-        of ``_CHUNK_ROWS`` rows, so a block costs one predict per slice
+        pairs are written into one feature matrix (job columns gathered
+        by one index list over every group, each calibration row repeated
+        for its group's length) and predicted in slices of
+        ``_CHUNK_ROWS`` rows, so a block costs one predict per slice
         rather than one per group and its transient arrays stay bounded.
         A row's value does not depend on the rows beside it
         (:meth:`repro.ml.PolynomialRidge.predict`), so a slice may cut
@@ -78,15 +80,20 @@ class RegressionEstimator:
         if not groups:
             return np.zeros(0)
         job_features, calibration_features = _FEATURES[self.target]
-        job_idx = np.concatenate([idx for _, idx in groups])
         rows = np.array([job_features(*job) for job in jobs])
-        cals = np.repeat(
-            [calibration_features(c) for c, _ in groups], [len(idx) for _, idx in groups], 0
-        )
+        job_idx: list[int] = []
+        counts, cals = [], []
+        for calibration, idx in groups:
+            job_idx.extend(idx)
+            counts.append(len(idx))
+            cals.append(calibration_features(calibration))
+        split = rows.shape[1]
+        X = np.empty((len(job_idx), split + len(cals[0])))
+        X[:, :split] = rows[job_idx]
+        X[:, split:] = np.repeat(np.array(cals), counts, 0)
         out = np.empty(len(job_idx))
         for a in range(0, len(out), _CHUNK_ROWS):
-            b = a + _CHUNK_ROWS
-            out[a:b] = self.predict(np.concatenate([rows[job_idx[a:b]], cals[a:b]], 1))
+            out[a : a + _CHUNK_ROWS] = self.predict(X[a : a + _CHUNK_ROWS])
         return out
 
 

@@ -94,6 +94,20 @@ class TestCalibration:
             assert cal.epoch == (cal.qpu_name, cal.cycle)
             assert type(cal.epoch) is tuple
 
+    def test_snapshot_is_frozen_and_its_epoch_built_once(self):
+        import dataclasses
+        import pickle
+
+        cal = sample_calibration(get_model("falcon_r5_7"), "x", 1.0, 2, np.random.default_rng(0))
+        for name in ("qpu_name", "cycle", "noise_model", "derived"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cal, name, None)
+        assert cal.epoch is cal.epoch
+        cal.aggregates()  # the memo still fills
+        restored = pickle.loads(pickle.dumps(cal))
+        assert restored.epoch == cal.epoch == ("x", 2)
+        assert restored.aggregates() == cal.aggregates()
+
     def test_summary_keys(self):
         cal = sample_calibration(
             get_model("falcon_r5_7"), "x", 1.0, 2, np.random.default_rng(0)

@@ -362,6 +362,7 @@ class TestFusedMetricsPass:
             m.max_interaction_degree,
         )
         assert type(m.fingerprint) is tuple
+        assert m.fingerprint is m.fingerprint  # built on first read
 
     def test_empty_circuit(self):
         m = compute_metrics(Circuit(3))

@@ -149,6 +149,7 @@ class TestExecutionModel:
         assert rec.quantum_seconds > 0
         assert rec.classical_pre_seconds >= 0
         assert rec.classical_post_seconds >= 0
+        assert not hasattr(rec, "__dict__")  # slotted: one per dispatch
 
     def test_unknown_mitigation(self, fleet):
         em = ExecutionModel(seed=1)
