@@ -368,7 +368,7 @@ class CachedEstimator:
         """The known online QPUs that fit a ``second`` program with no
         entry for it, and their column-major ``(i, k, key)`` cells, ``k``
         counting from ``first``."""
-        entries = self.cache._entries
+        cache = self.cache
         pending = {key for _, _, key in missed}
         rows = [(i, key, jobs[i].num_qubits) for key, i in second.items()]
         columns: list[QPU] = []
@@ -381,7 +381,7 @@ class CachedEstimator:
             for i, key, width in rows:
                 if width <= size:
                     key += epoch
-                    if key not in pending and key not in entries:
+                    if key not in pending and key not in cache:
                         cells.append((i, k, key))
             if len(cells) > before:
                 columns.append(qpu)
@@ -482,7 +482,8 @@ def _pairs(jobs: list[QuantumJob], qpus: list[QPU], cells: list[tuple]):
     QPUs it is scored on, and one group per run of equal ``k``."""
     slot: dict[int, int] = {}
     groups: list[tuple] = []
-    last = column = None
+    column: list[int] = []
+    last: int | None = None
     for cell in cells:
         k = cell[1]
         if k != last:

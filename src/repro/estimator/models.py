@@ -82,7 +82,8 @@ class RegressionEstimator:
         job_features, calibration_features = _FEATURES[self.target]
         rows = np.array([job_features(*job) for job in jobs])
         job_idx: list[int] = []
-        counts, cals = [], []
+        counts: list[int] = []
+        cals: list[np.ndarray] = []
         for calibration, idx in groups:
             job_idx.extend(idx)
             counts.append(len(idx))
