@@ -317,9 +317,10 @@ class TestEventCore:
         assert shards[2].trigger.next_deadline(50.0) == 70.0
 
 
-#: sha256 of ``deterministic_state()`` of the aligned-instant run below.
+#: sha256 of ``deterministic_state()`` of the aligned-instant run below,
+#: without the ``estimate_cache`` counters.
 ALIGNED_INSTANTS_PIN = (
-    "57c7fbcac0d42cd1c24fcfca430873efe0f7838f45fa032fc5f1af7bb5b8af58"
+    "c061efd10e881ae1b65ab090f0cab44e402f872939dd051750eb0655ff0eb111"
 )
 
 
@@ -389,7 +390,9 @@ class TestSameInstantOrder:
             assert kinds.count(EventType.ARRIVAL) == 2
             assert set(EventType) - {EventType.COMPLETION} <= set(kinds), instant
         assert m.events_processed >= len(handled)
-        digest = hashlib.sha256(repr(m.deterministic_state()).encode()).hexdigest()
+        state = m.deterministic_state()
+        state.pop("estimate_cache", None)  # cache telemetry, not pinned
+        digest = hashlib.sha256(repr(state).encode()).hexdigest()
         assert digest == ALIGNED_INSTANTS_PIN
 
 
