@@ -20,8 +20,13 @@ from collections import Counter
 import pytest
 
 from helpers.determinism import decision_state, fake_estimate, make_job, run_sharded
+from repro.backends.fleet import fleet_of_size
 from repro.cloud import (
     AdmissionController,
+    CloudSimulator,
+    ExecutionModel,
+    LoadGenerator,
+    SimulationConfig,
     ThresholdRebalancePolicy,
     abusive_mix,
     flash_outage,
@@ -221,6 +226,69 @@ def test_per_arrival_run_never_runs_the_runtime_model(monkeypatch):
     repeats = [n for repeat, n, _ in blocks if repeat]
     assert repeats and not any(repeats)
     assert all(n > 0 for repeat, n, _ in blocks if not repeat)
+
+
+def test_per_arrival_predict_and_memo_counts(monkeypatch):
+    """Two short per-arrival runs on a cold ``trained_estimator(seed=7)
+    .cached()``, counted exactly.  Over 16 QPUs in two shards the
+    fidelity model runs 64 times and the runtime model never, and the
+    memo answers 1,634 of 1,698 blocks (a block that made no table
+    lookup and answered a job).  Over ``fcfs_pool``'s shape, 64 QPUs in
+    eight shards with least-loaded routing and one mid-run
+    recalibration, a program the second shard misses is scored for every
+    shard in that one fill: 131 fidelity predicts over 64 distinct
+    (program, calibration cycle) pairs, where one fill per shard made
+    492."""
+    trained = trained_estimator(seed=7)
+    # on_recalibration refreshes the shared estimator's templates.
+    monkeypatch.setattr(trained, "templates", trained.templates)
+    calls = Counter()
+    programs = set()  # (job key, calibration cycle) asked about
+    predict = RegressionEstimator.predict
+    get = EstimateCache.get
+    best_fidelity = CachedEstimator.best_fidelity
+
+    def counting_predict(self, X):
+        calls[self.target] += 1
+        return predict(self, X)
+
+    def counting_get(self, key):
+        calls["lookup"] += 1
+        return get(self, key)
+
+    def counting_best(self, jobs, qpus):
+        lookups = calls["lookup"]
+        answer = best_fidelity(self, jobs, qpus)
+        calls["block"] += 1
+        calls["memo"] += calls["lookup"] == lookups and any(a is not None for a in answer)
+        programs.update((job_key(job), qpus[0].calibration.cycle) for job in jobs)
+        return answer
+
+    monkeypatch.setattr(RegressionEstimator, "predict", counting_predict)
+    monkeypatch.setattr(EstimateCache, "get", counting_get)
+    monkeypatch.setattr(CachedEstimator, "best_fidelity", counting_best)
+
+    def run(num_qpus, num_shards, **kwargs):
+        calls.clear()
+        programs.clear()
+        gen = LoadGenerator(
+            mean_rate_per_hour=20_000.0, diurnal=False, circuit_pool_size=32,
+            shots_grid=(1024, 4096), seed=1,
+        )
+        sim = CloudSimulator.sharded(
+            fleet_of_size(num_qpus, seed=7), FCFSPolicy(trained.cached()),
+            num_shards=num_shards, execution_model=ExecutionModel(seed=11), **kwargs,
+        )
+        sim.run(gen.iter_arrivals(300.0))
+
+    run(16, 2, config=SimulationConfig(duration_seconds=300.0, seed=1))
+    assert (calls["fidelity"], calls["runtime"]) == (64, 0)
+    assert (calls["memo"], calls["block"]) == (1634, 1698)
+    run(
+        64, 8, balancer="least_loaded",
+        config=SimulationConfig(duration_seconds=300.0, recalibrate_every_seconds=150.0, seed=1),
+    )
+    assert (calls["fidelity"], len(programs)) == (131, 64)
 
 
 def _count_scored(monkeypatch, events=None) -> list:
