@@ -85,7 +85,8 @@ class SimulationMetrics:
     #: Accumulated per-stage wall seconds across every scheduling cycle
     #: (``preprocess`` / ``optimize`` / ``select`` summed over cycles).
     stage_seconds: dict = field(default_factory=dict)
-    #: Estimate-cache counters, when the scheduling policy exposes a cache.
+    #: Estimate-cache counters, when the scheduling policy exposes a
+    #: cache: telemetry, left out of ``deterministic_state``.
     estimate_cache: dict = field(default_factory=dict)
     #: Multi-tenancy accounting (see :mod:`repro.cloud.tenancy`); only
     #: populated when jobs carry tenants / an admission controller runs.
@@ -113,22 +114,21 @@ class SimulationMetrics:
 
     #: The **exclusion allowlist** of ``deterministic_state``: the only
     #: fields allowed to differ between two runs of the same seeded
-    #: scenario, because they measure wall-clock rather than simulated
-    #: behavior.  Every other field — including any field added later —
-    #: is compared by default; a name listed here that is not a real
-    #: field is an error (it would silently exclude nothing).
-    TIMING_FIELDS = ("wall_seconds", "stage_seconds")
+    #: scenario, because they do not describe simulated behavior: wall
+    #: clock, and the estimate-cache counters, which depend on how warm
+    #: the (possibly shared) cache was.  Every other field — including
+    #: any field added later — is compared by default; a name listed here
+    #: that is not a real field is an error (it would silently exclude
+    #: nothing).
+    TIMING_FIELDS = ("wall_seconds", "stage_seconds", "estimate_cache")
 
     def deterministic_state(self) -> dict:
-        """Every field except wall-clock timings, in comparable form.
+        """Every field except ``TIMING_FIELDS``, in comparable form.
 
         Two runs of the same seeded scenario — plain, or with every cycle
-        task and result sent through a pickle round trip — must produce
-        equal ``deterministic_state()`` dicts, provided both start from a
-        cold estimate cache: the
-        ``estimate_cache`` hit/miss counters are compared too, and they
-        depend on how warm the (possibly shared) cache was.
-        ``TimeSeries`` fields compare as (times, values) tuples.
+        task and result sent through a pickle round trip, on a cold or a
+        warm estimate cache — must produce equal ``deterministic_state()``
+        dicts.  ``TimeSeries`` fields compare as (times, values) tuples.
         New fields are included automatically: only the explicit
         ``TIMING_FIELDS`` allowlist is excluded, and the allowlist is
         validated against the actual field set so a typo'd or stale

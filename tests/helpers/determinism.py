@@ -196,7 +196,6 @@ def decision_state(metrics) -> dict:
     completion of a run leaves behind."""
     state = metrics.deterministic_state()
     del state["cycle_batches"], state["max_batch_cycles"]
-    state.pop("estimate_cache", None)  # cache telemetry, not a decision
     return state
 
 

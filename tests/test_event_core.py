@@ -317,8 +317,7 @@ class TestEventCore:
         assert shards[2].trigger.next_deadline(50.0) == 70.0
 
 
-#: sha256 of ``deterministic_state()`` of the aligned-instant run below,
-#: without the ``estimate_cache`` counters.
+#: sha256 of ``deterministic_state()`` of the aligned-instant run below.
 ALIGNED_INSTANTS_PIN = (
     "c061efd10e881ae1b65ab090f0cab44e402f872939dd051750eb0655ff0eb111"
 )
@@ -390,9 +389,7 @@ class TestSameInstantOrder:
             assert kinds.count(EventType.ARRIVAL) == 2
             assert set(EventType) - {EventType.COMPLETION} <= set(kinds), instant
         assert m.events_processed >= len(handled)
-        state = m.deterministic_state()
-        state.pop("estimate_cache", None)  # cache telemetry, not pinned
-        digest = hashlib.sha256(repr(state).encode()).hexdigest()
+        digest = hashlib.sha256(repr(m.deterministic_state()).encode()).hexdigest()
         assert digest == ALIGNED_INSTANTS_PIN
 
 

@@ -37,7 +37,7 @@ from repro.estimator.source import feasibility_matrix
 from repro.experiments.common import trained_estimator
 from repro.scheduler import BatchedFCFSPolicy, FCFSPolicy
 
-#: ``run -> sha256`` of :func:`_uncounted_state` with a cold
+#: ``run -> sha256`` of ``deterministic_state()`` with a cold
 #: ``trained_estimator(seed=7).cached()``.
 FCFS_PINS = {
     "per_arrival_recalibrated":
@@ -98,22 +98,13 @@ def _run(name):
     )
 
 
-def _uncounted_state(metrics) -> dict:
-    """``deterministic_state()`` without the estimate-cache counters:
-    every decision, dispatch and completion, however many table lookups
-    and model fills the estimate source made to reach them."""
-    state = metrics.deterministic_state()
-    state.pop("estimate_cache", None)
-    return state
-
-
 @pytest.mark.parametrize("name", FCFS_PINS)
 def test_fcfs_run_matches_pinned_digest(name):
     metrics = _run(name)
     if name == "batched_tenants_reject_rebalanced":
         assert metrics.admission_rejected > 0 and metrics.jobs_migrated > 0
     assert metrics.estimate_cache == FCFS_COUNTERS[name]
-    digest = hashlib.sha256(repr(_uncounted_state(metrics)).encode()).hexdigest()
+    digest = hashlib.sha256(repr(metrics.deterministic_state()).encode()).hexdigest()
     assert digest == FCFS_PINS[name]
 
 
@@ -137,7 +128,7 @@ def test_eight_shard_pool_decides_as_the_uncached_estimator(monkeypatch):
     assert cached.estimate_cache["invalidations"] == 1
     assert cached.estimate_cache["hits"] > cached.estimate_cache["misses"] > 0
     assert uncached.estimate_cache == {} and uncached.dispatched_jobs > 1000
-    assert _uncounted_state(cached) == _uncounted_state(uncached)
+    assert cached.deterministic_state() == uncached.deterministic_state()
 
 
 #: ``run -> sha256`` of ``decision_state()`` of per-arrival FCFS runs

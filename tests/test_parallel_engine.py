@@ -33,9 +33,11 @@ from repro.cloud import (
     ThresholdRebalancePolicy,
     TimeSeries,
 )
+from repro.experiments.common import trained_estimator
 from repro.moo import NSGA2
 from repro.scheduler import (
     BatchedFCFSPolicy,
+    FCFSPolicy,
     QonductorScheduler,
     SchedulingTrigger,
     cycle_seed,
@@ -237,6 +239,7 @@ class TestDeterministicStateContract:
         assert set(state) == set(vars(m)) - set(m.TIMING_FIELDS)
         assert "wall_seconds" not in state
         assert "stage_seconds" not in state
+        assert "estimate_cache" not in state
 
     def test_new_fields_are_included_automatically(self):
         """A field added by a future PR lands in the comparison without
@@ -271,7 +274,27 @@ class TestDeterministicStateContract:
         a.wall_seconds = 1.23
         b.wall_seconds = 9.87
         b.stage_seconds["optimize"] = 5.0
+        a.estimate_cache = {"hits": 3, "misses": 1, "hit_rate": 0.75, "invalidations": 0}
+        b.estimate_cache = {"hits": 0, "misses": 4, "hit_rate": 0.0, "invalidations": 1}
         assert a.deterministic_state() == b.deterministic_state()
+
+    def test_warm_cache_run_equals_cold_run(self, monkeypatch):
+        """One seeded per-arrival FCFS scenario with a mid-run
+        recalibration, run twice on one cached estimator: the second run
+        starts on the first one's table and counters, so its cache
+        counters differ, and its state is the first run's."""
+        trained = trained_estimator(seed=7)
+        # on_recalibration refreshes the shared estimator's templates.
+        monkeypatch.setattr(trained, "templates", trained.templates)
+        cached = trained.cached()
+        cold, warm = (
+            run_sharded(
+                FCFSPolicy(cached), "serial", num_shards=2, pool=24, recal=350.0, trigger=None
+            )
+            for _ in range(2)
+        )
+        assert warm.estimate_cache != cold.estimate_cache
+        assert warm.deterministic_state() == cold.deterministic_state()
 
     def test_static_detlint_view_agrees_with_runtime(self):
         """detlint's DET005 parses the same contract from the source

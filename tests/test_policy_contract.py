@@ -405,7 +405,7 @@ def test_synchronous_cycle_matches_pinned_digest(cell):
         load_seed=load_seed,
         **TRIGGER_SHAPES[shape],
     )
-    state = metrics.deterministic_state()
-    state.pop("estimate_cache", None)  # cache telemetry, not pinned
-    digest = hashlib.sha256(repr(state).encode()).hexdigest()
+    digest = hashlib.sha256(
+        repr(metrics.deterministic_state()).encode()
+    ).hexdigest()
     assert digest == SYNCHRONOUS_PINS[cell]
