@@ -16,37 +16,37 @@ estimator's templates.
 :meth:`~CachedEstimator.estimate_block` and the FCFS baselines its
 :meth:`~CachedEstimator.best_fidelity`.  Both questions share one table
 and look a pair up once.  A fidelity-only fill stores an entry without a
-runtime; ``estimate_block`` counts such an entry as the hit it is and
-fills in only its runtime, keeping the stored fidelity.  A run with one
-kind of caller therefore keeps the table and counters it would have with
-the other, and never stores a runtime nobody reads.
+runtime; ``estimate_block`` finds such an entry and fills in only its
+runtime, keeping the stored fidelity.  A run with one kind of caller
+therefore keeps the table it would have with the other, and never stores
+a runtime nobody reads.  ``stats`` counts table lookups that found or
+missed an entry, and nothing else.
 
 ``best_fidelity`` keeps a second, smaller memo: its answer per job key
 (:func:`job_key`, the table key's job half) under the QPU list's
 signature, the ``(calibration epoch, online)`` of each QPU in order.  A
-repeat program is answered from it without a table lookup, and adds to
-``stats.hits`` the feasible-pair count its lookups would have hit.
+repeat program is answered from it without a table lookup.
 
 Shards of one fleet share the cache, each asking about its own QPU list,
 and the cache learns those lists and their QPUs as they ask.  The first
 list to miss a program pays for its own pairs only, so a program nobody
 resubmits costs what it did alone.  When a second list misses it, the
 same fill also scores it on every other known online QPU that fits and
-has no entry (one group per QPU, after the asking list's pairs, each
-counting a miss), and its answer goes into the memo of every known list
-whose feasible pairs were all at hand: under one calibration a
-resubmitted program is scored in two fills, not one per shard.  A list
-that first asks later pays one fill of its own.  The learned lists,
-QPUs and first misses are dropped with the memo.
+has no entry (one group per QPU, after the asking list's pairs), and
+its answer goes into the memo of every known list whose feasible pairs
+were all at hand: under one calibration a resubmitted program is scored
+in two fills, not one per shard.  A list that first asks later pays one
+fill of its own.  The learned lists, QPUs and first misses are dropped
+with the memo.
 
 While at most two QPU lists share the cache and their QPUs stay online,
-the table's keys, their order, its fidelities and counters are those of
-the per-pair path, at every ``max_entries``: a lookup reorders nothing,
-so a memo hit leaves the table as the lookups it stands for would, and
-an eviction drops the memo.  Otherwise the table may hold pairs the
-per-pair path has not scored yet, so the counters differ.  Every answer
-is the uncached estimator's in any case: a pair's value does not depend
-on which other pairs share its fill.
+the table's keys, their order and its fidelities are those of the
+per-pair path, at every ``max_entries``: a lookup reorders nothing, so a
+memo hit leaves the table as the lookups it stands for would, and an
+eviction drops the memo.  Otherwise the table may hold pairs the
+per-pair path has not scored yet.  Every answer is the uncached
+estimator's in any case: a pair's value does not depend on which other
+pairs share its fill.
 
 A block is served in three steps: look up every feasible pair, fill all
 the misses through **one stacked pass per model it needs** (not one per
@@ -75,7 +75,8 @@ def job_key(job: QuantumJob) -> tuple:
 
 @dataclass
 class CacheStats:
-    """Hit/miss counters for one cache."""
+    """Table lookups that found (hits) or missed an entry, and
+    invalidations, of one cache."""
 
     hits: int = 0
     misses: int = 0
@@ -167,11 +168,11 @@ class CachedEstimator:
         self.cache = EstimateCache(max_entries=max_entries)
         self._trained = base.estimators if isinstance(base, ResourceEstimator) else None
         # best_fidelity's state, valid for table generation _generation:
-        # the memo (QPU-list signature -> job key -> (answer, feasible
-        # pairs)) and its size, the known lists (signature -> (that same
-        # signature object, qubits per QPU)) and QPUs (name -> QPU), and
-        # the known signature that missed each program first.
-        self._best: dict[tuple, dict[tuple, tuple[tuple[int, float], int]]] = {}
+        # the memo (QPU-list signature -> job key -> answer) and its size,
+        # the known lists (signature -> (that same signature object,
+        # qubits per QPU)) and QPUs (name -> QPU), and the known
+        # signature that missed each program first.
+        self._best: dict[tuple, dict[tuple, tuple[int, float]]] = {}
         self._best_size = 0
         self._lists: dict[tuple, tuple[tuple, list[int]]] = {}
         self._qpus: dict[str, QPU] = {}
@@ -244,13 +245,12 @@ class CachedEstimator:
         :func:`~repro.estimator.source.best_feasible`).
 
         A job whose key was answered under the same QPU-list signature is
-        answered from the memo: it adds its feasible-pair count to
-        ``stats.hits`` and changes nothing else, just as its lookups
-        would have (a lookup reorders nothing).  The other jobs form one
-        sub-block, looked up and stored in :meth:`estimate_block`'s
-        order, with a miss running the fidelity model alone and stored
-        without a runtime; a program a second QPU list misses is
-        answered for every known list from that one fill
+        answered from the memo, without a table lookup, and changes
+        nothing (nor would its lookups: a lookup reorders nothing).  The
+        other jobs form one sub-block, looked up and stored in
+        :meth:`estimate_block`'s order, with a miss running the fidelity
+        model alone and stored without a runtime; a program a second QPU
+        list misses is answered for every known list from that one fill
         (:meth:`_place`).  The memo, with the lists, QPUs and first
         misses learned since, is dropped whenever the table loses
         entries (an eviction, :meth:`on_recalibration`), and never holds
@@ -265,13 +265,12 @@ class CachedEstimator:
         memo = self._best.get(signature, {})
         keys = [job_key(j) for j in jobs]
         found = [memo.get(key) for key in keys]
-        rest = [i for i, entry in enumerate(found) if entry is None]
-        cache.stats.hits += sum(entry[1] for entry in found if entry is not None)
+        rest = [i for i, answer in enumerate(found) if answer is None]
         if rest:
             placed = self._place([jobs[i] for i in rest], [keys[i] for i in rest], qpus, signature)
-            for i, entry in zip(rest, placed):
-                found[i] = entry
-        return [entry[0] for entry in found]
+            for i, answer in zip(rest, placed):
+                found[i] = answer
+        return found
 
     def _forget(self) -> None:
         """Drop what was derived from the table's contents: the memo and
@@ -302,15 +301,15 @@ class CachedEstimator:
         keys: list[tuple],
         qpus: list[QPU],
         signature: tuple,
-    ) -> list[tuple[tuple[int, float] | None, int]]:
-        """``(answer, feasible pairs)`` per job of a sub-block the memo
-        missed, memoized under ``signature`` unless no QPU fits or the
-        sub-block's stores evicted.
+    ) -> list[tuple[int, float] | None]:
+        """The answer per job of a sub-block the memo missed, memoized
+        under ``signature`` unless no QPU fits or the sub-block's stores
+        evicted.
 
         A program missed under a second signature within one table
         generation is scored, in the same fill, on every other known QPU
         that fits it, is online and has no entry for it (one group per
-        QPU, after the sub-block's own misses; each pair counts a miss).
+        QPU, after the sub-block's own misses).
         Its answer then goes into the memo of every known list whose
         feasible pairs were all looked up or scored here.
         """
@@ -332,13 +331,11 @@ class CachedEstimator:
                 put(key, value)
             for (_, _, key), value in zip(extra, values[len(missed) :]):
                 put(key, value)
-            cache.stats.misses += len(extra)
-        counts = feasible.sum(axis=1).tolist()
-        placed = list(zip(best_feasible(fid, feasible), counts))
+        placed = best_feasible(fid, feasible)
         if cache.generation == self._generation:  # nothing evicted
             self._remember(
                 signature,
-                {key: entry for key, entry in zip(keys, placed) if entry[0] is not None},
+                {key: answer for key, answer in zip(keys, placed) if answer is not None},
             )
             if second:
                 scored = {key: entry[0] for _, _, key, entry in hits}
@@ -398,24 +395,23 @@ class CachedEstimator:
             for key, i in second.items():
                 if key in memo:
                     continue
-                width, best, count = jobs[i].num_qubits, None, 0
+                width, best = jobs[i].num_qubits, None
                 for k, ((epoch, online), size) in enumerate(zip(signature, sizes)):
                     if not online or width > size:
                         continue
                     value = scored.get(key + (epoch,))
                     if value is None:
                         break
-                    count += 1
                     if best is None or value > best[1]:
                         best = (k, value)
                 else:
                     if best is not None:
-                        answers[key] = (best, count)
+                        answers[key] = best
             if answers:
                 yield signature, answers
 
     def _remember(self, signature: tuple, answers: dict) -> None:
-        """Memoize ``answers`` (job key -> entry, keys the memo lacks)
+        """Memoize ``answers`` (job key -> answer, keys the memo lacks)
         under ``signature``; a memo that would outgrow ``max_entries``
         starts over.  Each answer has a table entry of its own, so
         ``answers`` alone never exceeds ``max_entries``."""

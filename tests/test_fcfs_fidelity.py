@@ -52,11 +52,11 @@ FCFS_PINS = {
 #: counters are telemetry, kept out of the digest and pinned here.
 FCFS_COUNTERS = {
     "per_arrival_recalibrated":
-        {"hits": 3018, "misses": 288, "hit_rate": 0.9129, "invalidations": 1},
+        {"hits": 0, "misses": 288, "hit_rate": 0.0, "invalidations": 1},
     "batched_tenants_outage":
-        {"hits": 2444, "misses": 240, "hit_rate": 0.9106, "invalidations": 0},
+        {"hits": 162, "misses": 240, "hit_rate": 0.403, "invalidations": 0},
     "batched_tenants_reject_rebalanced":
-        {"hits": 668, "misses": 544, "hit_rate": 0.5512, "invalidations": 2},
+        {"hits": 18, "misses": 468, "hit_rate": 0.037, "invalidations": 2},
 }
 
 
