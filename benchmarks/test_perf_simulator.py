@@ -18,6 +18,7 @@ import pathlib
 import time
 
 from conftest import report
+from helpers.determinism import count_asked_and_scored
 from repro.backends.fleet import fleet_of_size
 from repro.cloud import (
     CloudSimulator,
@@ -26,7 +27,6 @@ from repro.cloud import (
     SimulationConfig,
     ThresholdRebalancePolicy,
 )
-from repro.estimator import feasibility_matrix
 from repro.experiments.common import trained_estimator
 from repro.experiments.rebalance import skew_scenario
 from repro.experiments.tenant import tenant_study
@@ -116,22 +116,7 @@ def test_perf_sharded_100k_jobs(monkeypatch):
     duration = num_jobs / rate * 3600.0
     estimator = trained_estimator(seed=7)
     cached = estimator.cached()
-    # Pairs FCFS asks the cache about, and pairs the fidelity model scores.
-    pairs = {"asked": 0, "scored": 0}
-    best_fidelity = cached.best_fidelity
-    fidelity = estimator.estimators.fidelity
-    estimate_pairs = fidelity.estimate_pairs
-
-    def asking(jobs, qpus):
-        pairs["asked"] += int(feasibility_matrix(jobs, qpus).sum())
-        return best_fidelity(jobs, qpus)
-
-    def scoring(jobs, groups):
-        pairs["scored"] += sum(len(idx) for _, idx in groups)
-        return estimate_pairs(jobs, groups)
-
-    monkeypatch.setattr(cached, "best_fidelity", asking)
-    monkeypatch.setattr(fidelity, "estimate_pairs", scoring)
+    pairs = count_asked_and_scored(cached, monkeypatch)
     gen = LoadGenerator(
         mean_rate_per_hour=rate,
         diurnal=False,
@@ -364,7 +349,7 @@ def test_perf_batched_estimates():
     loop it replaced (kept in ``tests/helpers``) by >=3x too."""
     from helpers.reference_estimates import reference_cached_block
     from repro.cloud.job import QuantumJob
-    from repro.estimator import CachedEstimator
+    from repro.estimator import CachedEstimator, feasibility_matrix
     from repro.workloads import WorkloadSampler
 
     num_jobs, num_qpus = 200, 16

@@ -14,6 +14,9 @@ one place:
 * :func:`decision_state` — ``deterministic_state()`` without the two
   counters of how cycles were grouped into engine batches, for pins that
   must hold across a change to that grouping alone.
+* :func:`count_asked_and_scored` — the pairs a cached estimator's
+  ``best_fidelity`` is asked about and the pairs its fills score, what
+  a test reads in place of the cache's lookup counters.
 * :func:`fake_estimate` / :func:`make_job` / :func:`make_shards` /
   :func:`run_sharded` — the standard deterministic fixtures the suites
   build scenarios from.
@@ -38,7 +41,12 @@ from repro.cloud import (
     SimulatedQPU,
     SimulationConfig,
 )
-from repro.estimator import PairwiseEstimateSource
+from repro.estimator import (
+    CachedEstimator,
+    PairwiseEstimateSource,
+    RegressionEstimator,
+    feasibility_matrix,
+)
 from repro.scheduler import FCFSPolicy, SchedulingTrigger
 from repro.workloads import ghz_linear
 
@@ -53,6 +61,7 @@ __all__ = [
     "assert_series_identical",
     "assert_runs_identical",
     "decision_state",
+    "count_asked_and_scored",
 ]
 
 
@@ -197,6 +206,38 @@ def decision_state(metrics) -> dict:
     state = metrics.deterministic_state()
     del state["cycle_batches"], state["max_batch_cycles"]
     return state
+
+
+def count_asked_and_scored(cached, monkeypatch) -> dict:
+    """From now on, count the pairs ``cached.best_fidelity`` is asked
+    about (``"asked"``: feasible pairs per call) and the pairs the
+    fidelity model's ``estimate_pairs`` scores inside those calls
+    (``"scored"``); other sources sharing the model count nothing.
+    Both wrappers sit on the classes, so ``monkeypatch`` restores them
+    whole."""
+    counts = {"asked": 0, "scored": 0}
+    inside = []
+    best_fidelity = CachedEstimator.best_fidelity
+    estimate_pairs = RegressionEstimator.estimate_pairs
+
+    def asking(self, jobs, qpus):
+        if self is not cached:
+            return best_fidelity(self, jobs, qpus)
+        counts["asked"] += int(feasibility_matrix(jobs, qpus).sum())
+        inside.append(True)
+        try:
+            return best_fidelity(self, jobs, qpus)
+        finally:
+            inside.pop()
+
+    def scoring(self, jobs, groups):
+        if inside and self.target == "fidelity":
+            counts["scored"] += sum(len(idx) for _, idx in groups)
+        return estimate_pairs(self, jobs, groups)
+
+    monkeypatch.setattr(CachedEstimator, "best_fidelity", asking)
+    monkeypatch.setattr(RegressionEstimator, "estimate_pairs", scoring)
+    return counts
 
 
 def assert_runs_identical(a, b) -> None:

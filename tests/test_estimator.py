@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import repro
+from helpers.determinism import count_asked_and_scored
 from helpers.reference_cv import whole_dataset_ridge_cv
 from helpers.reference_ridge import assert_numpy_route_matches
 from repro.backends import default_fleet
@@ -436,35 +437,6 @@ def _table_gets(cached, monkeypatch) -> list:
     return gets
 
 
-def _asked_and_scored(cached, monkeypatch) -> dict:
-    """From now on, count the pairs ``cached.best_fidelity`` is asked
-    about (``"asked"``: feasible pairs per call) and the pairs the
-    fidelity model's ``estimate_pairs`` scores inside those calls
-    (``"scored"``)."""
-    counts = {"asked": 0, "scored": 0}
-    inside = []
-    best_fidelity = cached.best_fidelity
-    fidelity = cached.base.estimators.fidelity
-    estimate_pairs = fidelity.estimate_pairs
-
-    def asking(jobs, qpus):
-        counts["asked"] += int(feasibility_matrix(jobs, qpus).sum())
-        inside.append(True)
-        try:
-            return best_fidelity(jobs, qpus)
-        finally:
-            inside.pop()
-
-    def scoring(jobs, groups):
-        if inside:
-            counts["scored"] += sum(len(idx) for _, idx in groups)
-        return estimate_pairs(jobs, groups)
-
-    monkeypatch.setattr(cached, "best_fidelity", asking)
-    monkeypatch.setattr(fidelity, "estimate_pairs", scoring)
-    return counts
-
-
 def _many_jobs(count):
     """``count`` distinct jobs (widths 2-6, distinct shots), every one a
     cache miss."""
@@ -562,7 +534,7 @@ class TestStackedFillBitIdentity:
         assert len(calls) == 2
         calls.clear()
         fidelity_only = trained.cached()
-        counts = _asked_and_scored(fidelity_only, monkeypatch)
+        counts = count_asked_and_scored(fidelity_only, monkeypatch)
         first = fidelity_only.best_fidelity(jobs, qpus)
         assert calls == [("fidelity", 8)]
         gets = _table_gets(fidelity_only, monkeypatch)
@@ -595,7 +567,7 @@ class TestStackedFillBitIdentity:
         assert mixed.stats.hits == 2 * len(fleet)
         # And the other way round: a complete entry answers a fidelity read.
         calls.clear()
-        counts = _asked_and_scored(mixed, monkeypatch)
+        counts = count_asked_and_scored(mixed, monkeypatch)
         feasible = feasibility_matrix(jobs, fleet)
         assert mixed.best_fidelity(jobs, fleet) == best_feasible(want[0], feasible)
         assert calls == [] and counts["asked"] - counts["scored"] == feasible.sum()
@@ -622,7 +594,7 @@ class TestStackedFillBitIdentity:
         memo's table holds the per-pair table's keys in the same order."""
         jobs = _jobs_with_circuits(widths=(2, 4))
         memo, per_pair = trained.cached(), trained.cached()
-        counts = _asked_and_scored(memo, monkeypatch)
+        counts = count_asked_and_scored(memo, monkeypatch)
         first = memo.best_fidelity(jobs, fleet)
         per_pair.estimate_block(jobs, fleet)
         table = cache_table(memo)
@@ -802,7 +774,7 @@ class TestBestFidelityOracle:
     def test_repeated_and_mixed_blocks(self, trained, fleet, monkeypatch):
         jobs = _jobs_with_circuits()
         cached, per_pair = self._pair(trained)
-        counts = _asked_and_scored(cached, monkeypatch)
+        counts = count_asked_and_scored(cached, monkeypatch)
         self._ask(trained, cached, per_pair, jobs[:2], fleet)
         gets = _table_gets(cached, monkeypatch)
         self._ask(trained, cached, per_pair, jobs[:2], fleet)
@@ -850,7 +822,7 @@ class TestBestFidelityOracle:
     def test_duplicate_keys_inside_one_block(self, trained, fleet, monkeypatch):
         jobs = _jobs_with_circuits(widths=(3, 5, 3, 3, 5))
         cached, per_pair = self._pair(trained)
-        counts = _asked_and_scored(cached, monkeypatch)
+        counts = count_asked_and_scored(cached, monkeypatch)
         answers = self._ask(trained, cached, per_pair, jobs, fleet)
         assert answers[0] == answers[2] == answers[3] and answers[1] == answers[4]
         assert counts["scored"] == len(jobs) * len(fleet)
@@ -997,7 +969,7 @@ class TestBestFidelityOracle:
         pool = _many_jobs(40)
         rng = np.random.default_rng(max_entries)
         cached = trained.cached(max_entries=max_entries)
-        counts = _asked_and_scored(cached, monkeypatch)
+        counts = count_asked_and_scored(cached, monkeypatch)
         for _ in range(150):
             shard = lists[rng.integers(len(lists))]
             block = [pool[i] for i in rng.integers(len(pool), size=rng.integers(1, 6))]

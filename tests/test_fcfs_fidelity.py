@@ -19,7 +19,13 @@ from collections import Counter
 
 import pytest
 
-from helpers.determinism import decision_state, fake_estimate, make_job, run_sharded
+from helpers.determinism import (
+    count_asked_and_scored,
+    decision_state,
+    fake_estimate,
+    make_job,
+    run_sharded,
+)
 from repro.backends.fleet import fleet_of_size
 from repro.cloud import (
     AdmissionController,
@@ -118,27 +124,17 @@ def test_eight_shard_pool_decides_as_the_uncached_estimator(monkeypatch):
     trained = trained_estimator(seed=7)
     # on_recalibration refreshes the shared estimator's templates.
     monkeypatch.setattr(trained, "templates", trained.templates)
-    asked = []  # feasible pairs per best_fidelity call of the cache
-    best_fidelity = CachedEstimator.best_fidelity
-
-    def recording(self, jobs, qpus):
-        asked.append(int(feasibility_matrix(jobs, qpus).sum()))
-        return best_fidelity(self, jobs, qpus)
-
-    monkeypatch.setattr(CachedEstimator, "best_fidelity", recording)
-    fills = _count_scored(monkeypatch)
-
-    def run(source):
-        return run_sharded(
+    cache = trained.cached()
+    counts = count_asked_and_scored(cache, monkeypatch)
+    cached, uncached = (
+        run_sharded(
             FCFSPolicy(source), "serial", num_shards=8, fleet_size=16,
             pool=24, recal=350.0, trigger=None,
         )
-
-    cached = run(trained.cached())
-    scored = sum(map(len, fills))
-    uncached = run(trained)
+        for source in (cache, trained)
+    )
     assert cached.estimate_cache["invalidations"] == 1
-    assert sum(asked) - scored > scored > 0
+    assert counts["asked"] - counts["scored"] > counts["scored"] > 0
     assert uncached.estimate_cache == {} and uncached.dispatched_jobs > 1000
     assert cached.deterministic_state() == uncached.deterministic_state()
 
