@@ -66,8 +66,7 @@ FCFS_COUNTERS = {
 }
 
 
-def _run(name):
-    cached = trained_estimator(seed=7).cached()
+def _run(name, cached):
     if name == "per_arrival_recalibrated":
         return run_sharded(
             FCFSPolicy(cached), "serial", num_shards=2, recal=350.0, pool=24, trigger=None
@@ -105,8 +104,11 @@ def _run(name):
 
 
 @pytest.mark.parametrize("name", FCFS_PINS)
-def test_fcfs_run_matches_pinned_digest(name):
-    metrics = _run(name)
+def test_fcfs_run_matches_pinned_digest(name, monkeypatch):
+    cached = trained_estimator(seed=7).cached()
+    counts = count_asked_and_scored(cached, monkeypatch)
+    metrics = _run(name, cached)
+    assert counts["asked"] > counts["scored"] > 0
     if name == "batched_tenants_reject_rebalanced":
         assert metrics.admission_rejected > 0 and metrics.jobs_migrated > 0
     assert metrics.estimate_cache == FCFS_COUNTERS[name]
@@ -156,7 +158,7 @@ DECISION_PINS = {
 @pytest.mark.parametrize("name", DECISION_PINS)
 def test_per_arrival_decisions_match_pinned_digest(name):
     if name == "per_arrival_recalibrated":
-        metrics = _run(name)
+        metrics = _run(name, trained_estimator(seed=7).cached())
     else:
         metrics = run_sharded(
             FCFSPolicy(fake_estimate), "serial", trigger=None,
