@@ -3,15 +3,15 @@
 FCFS sends each job to the highest-fidelity QPU that fits, so it reads
 one of the two estimates the §6 estimator produces, through
 ``best_fidelity``.  Three runs are pinned as sha256 literals of
-``deterministic_state()`` without the estimate-cache counters, and their
-counters as literal dicts.  Where two or fewer QPU lists share the cache, a
-policy that asks ``estimate_block`` for both estimates and takes the
-first maximum of the fidelity yields the same full digests; with three
-or more, a program a second list misses is scored for every known list
-at once, so only the counters differ.  Three per-arrival runs are also
-pinned through ``decision_state()``, which leaves out how cycles were
-grouped into engine batches: every decision, dispatch and completion,
-whichever way the engine drives a one-job cycle.
+``deterministic_state()``, which leaves out the estimate-cache counters,
+and their counters as literal dicts: table lookups that found or missed
+an entry, which a memo answer does not make.  A policy that asks
+``estimate_block`` for both estimates and takes the first maximum of the
+fidelity yields the same digests, however many QPU lists share the
+cache.  Three per-arrival runs are also pinned through
+``decision_state()``, which leaves out how cycles were grouped into
+engine batches: every decision, dispatch and completion, whichever way
+the engine drives a one-job cycle.
 """
 
 import hashlib
