@@ -898,6 +898,38 @@ class TestBestFidelityOracle:
         # Every list asked every program: the same pairs, in fewer fills.
         assert len(cached.cache) == sum(scored) == len(per_pair.cache)
 
+    def test_counters_are_table_lookups(self, trained, monkeypatch):
+        """``stats`` counts the table lookups that found or missed an
+        entry, and nothing else: a memo answer makes no lookup and adds
+        to neither counter, and ``estimate_block``'s lookups count as
+        ``best_fidelity``'s do."""
+        qpus = fleet_of_size(8, seed=7)
+        shards = [qpus[:4], qpus[4:]]
+        jobs = _jobs_with_circuits()
+        cached = trained.cached()
+        found = []  # per table lookup, whether it found an entry
+        get = cached.cache.get
+
+        def recording_get(key):
+            entry = get(key)
+            found.append(entry is not None)
+            return entry
+
+        monkeypatch.setattr(cached.cache, "get", recording_get)
+        memo_answers = 0
+        for block in (jobs, jobs[:1], jobs, jobs[::-1]):
+            for shard in shards:
+                lookups = len(found)
+                cached.best_fidelity(block, shard)
+                memo_answers += len(found) == lookups
+        lookups = len(found)
+        cached.estimate_block(jobs, shards[0])
+        assert found[lookups:] == [True] * int(feasibility_matrix(jobs, shards[0]).sum())
+        assert memo_answers > 0
+        hits = sum(found)
+        assert (cached.stats.hits, cached.stats.misses) == (hits, len(found) - hits)
+        assert hits > 0 and len(found) > hits
+
     def test_small_table_evicts_and_drops_the_memo(self, trained, fleet, monkeypatch):
         """At capacity the answers are the definition's.  A block
         whose stores evict drops the memo, so the next block looks every
